@@ -2,16 +2,23 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint analysistest test test-short race cover bench bench-smoke bench-record bench-gate chaos fuzz fuzz-smoke experiments examples clean
+.PHONY: all check build bench-module vet lint analysistest test test-short race cover bench bench-smoke bench-record bench-gate chaos fuzz fuzz-smoke experiments examples clean
 
 all: build vet test
 
-# The full pre-merge gate: compile, vet + custom analyzers, then the whole
-# suite under the race detector.
-check: build lint race
+# The full pre-merge gate: compile (both modules), vet + custom analyzers,
+# then the whole suite under the race detector.
+check: build bench-module lint race
 
 build:
 	$(GO) build ./...
+
+# benchmark/ is a module of its own (cdml/benchmark, replace cdml => ../), so
+# `go build ./...` never compiles it: vet and short-test it explicitly, or an
+# API deletion in this module breaks the system benchmark silently.
+bench-module:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test -short ./...
 
 vet:
 	$(GO) vet ./...
@@ -67,10 +74,10 @@ bench-gate:
 
 # Fault-injection suite (skipped by -short runs): kill-and-recover
 # bit-identity, torn-checkpoint fallback, kill-with-queued-ingest WAL
-# replay, torn WAL tails, flaky-storage healing, and replica
-# kill-resync/swap-under-load, all under the race detector.
+# replay, torn WAL tails, flaky-storage healing, kill-during-promotion, and
+# replica kill-resync/swap-under-load, all under the race detector.
 chaos:
-	$(GO) test -race -run '^TestChaos' ./internal/core/ ./internal/data/ ./internal/serve/ ./internal/wal/ -v
+	$(GO) test -race -run '^TestChaos' ./internal/core/ ./internal/data/ ./internal/registry/ ./internal/serve/ ./internal/wal/ -v
 
 # Brief fuzzing passes over the wire-format parsers.
 fuzz:

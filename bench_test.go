@@ -836,39 +836,27 @@ func newServeBenchServer(b *testing.B, opts ...serve.Option) *serve.Server {
 		b.Fatal(err)
 	}
 	b.Cleanup(dep.Shutdown)
-	return serve.New(dep, append([]serve.Option{serve.WithLogger(nil)}, opts...)...)
+	return serve.New(dep, append([]serve.Option{serve.WithSlog(nil)}, opts...)...)
 }
 
-// benchServePredict drives one predict route end to end through
+// BenchmarkServePredictRouted drives the predict route end to end through
 // Server.ServeHTTP (routing, middleware, handler, JSON encode) without a
-// network socket. The recorder and request cost the same on every route, so
-// comparing the two benches isolates the routing overhead.
-func benchServePredict(b *testing.B, path string) {
+// network socket. Routing must cost no allocation: the name is extracted
+// with two zero-alloc prefix/suffix cuts before the mux ever sees the
+// request.
+func BenchmarkServePredictRouted(b *testing.B) {
 	s := newServeBenchServer(b)
 	body := []byte("0,0.5,0.5\n")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, "/v1/deployments/default/predict", bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 	}
-}
-
-// BenchmarkServePredictLegacy measures the pre-registry route.
-func BenchmarkServePredictLegacy(b *testing.B) {
-	benchServePredict(b, "/v1/predict")
-}
-
-// BenchmarkServePredictRouted measures the deployment-scoped route, which
-// must not cost a single allocation more than the legacy alias: the name is
-// extracted with two zero-alloc prefix/suffix cuts before the mux ever sees
-// the request.
-func BenchmarkServePredictRouted(b *testing.B) {
-	benchServePredict(b, "/v1/deployments/default/predict")
 }
 
 // BenchmarkReplicaPredict measures the predict route on a replica-mode
@@ -886,7 +874,7 @@ func BenchmarkReplicaPredict(b *testing.B) {
 	// replica, not a cold one.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		req := httptest.NewRequest(http.MethodGet, "/v1/status", nil)
+		req := httptest.NewRequest(http.MethodGet, "/v1/deployments/default/status", nil)
 		rec := httptest.NewRecorder()
 		rep.ServeHTTP(rec, req)
 		if strings.Contains(rec.Body.String(), `"applies":1`) || !time.Now().Before(deadline) {

@@ -470,8 +470,9 @@ var ErrNoCheckpoint = core.ErrNoCheckpoint
 // (≤ 0 selects all CPUs).
 func NewEngine(workers int) *engine.Engine { return engine.New(workers) }
 
-// NewServer exposes a live deployment over HTTP (POST /train, POST
-// /predict, GET /stats, GET /healthz).
+// NewServer exposes a live deployment over HTTP as the deployment named
+// "default": POST /v1/deployments/default/train, POST .../predict,
+// GET .../stats, GET /v1/healthz (see internal/serve for the full surface).
 func NewServer(d *Deployer) *serve.Server { return serve.New(d) }
 
 // Duration aliases time.Duration for the scheduler constructors.

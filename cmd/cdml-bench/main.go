@@ -39,7 +39,7 @@ import (
 const defaultBench = "BenchmarkObsCounterInc|BenchmarkObsHistogramObserve|BenchmarkSparseDot|" +
 	"BenchmarkPipelineProcessOnline|BenchmarkProactiveTrainingIteration|BenchmarkMFUpdate|" +
 	"BenchmarkKMeansUpdate|BenchmarkTieredBackendHit|BenchmarkDriftDetectorObserve|" +
-	"BenchmarkServePredictLegacy|BenchmarkServePredictRouted|BenchmarkReplicaPredict|" +
+	"BenchmarkServePredictRouted|BenchmarkReplicaPredict|" +
 	"BenchmarkIngestAppend"
 
 func main() {

@@ -2,13 +2,12 @@
 // exposes them over the versioned HTTP API: POST raw records to
 // /v1/deployments/{name}/train to feed a pipeline, POST records to
 // /v1/deployments/{name}/predict for real-time answers, GET /v1/deployments
-// for the fleet. The single-deployment paths of earlier releases
-// (/v1/train, /v1/predict, ...) remain as aliases for the deployment named
-// "default".
+// for the fleet. Without -deployments the process serves one deployment
+// named "default".
 //
 //	cdml-serve -workload url -addr :8080 -warmup 20 -engine-workers 0
 //
-//	curl -s -X POST --data-binary @chunk.txt localhost:8080/v1/predict
+//	curl -s -X POST --data-binary @chunk.txt localhost:8080/v1/deployments/default/predict
 //	curl -s localhost:8080/v1/deployments
 //
 // With -deployments config.json the server instead boots a fleet of named
@@ -33,7 +32,7 @@
 // deployment as a read-only replica: a per-deployment poller fetches
 // GET /v1/deployments/{name}/snapshot?since=<version> from the primary
 // every -replica-poll and atomically swaps new snapshots in; mutating
-// routes answer 409 read_only_replica and /v1/status reports the sync
+// routes answer 409 read_only_replica and .../status reports the sync
 // lag.
 //
 // With -checkpoint-dir the deployment checkpoints itself crash-safely
@@ -105,11 +104,7 @@ type deployEntry struct {
 	Name   string          `json:"name"`
 	Spec   json.RawMessage `json:"spec"`
 	Warmup int             `json:"warmup,omitempty"`
-	Quotas *struct {
-		MaxIngestQueue     int   `json:"max_ingest_queue"`
-		MaxCheckpointBytes int64 `json:"max_checkpoint_bytes"`
-		MaxStoreChunks     int   `json:"max_store_chunks"`
-	} `json:"quotas,omitempty"`
+	Quotas registry.Quotas `json:"quotas"`
 }
 
 // deployFile is the -deployments config file.
@@ -215,7 +210,7 @@ func buildWorkloadConfig(spec deploySpec, warmup int, slack float64, minTrain ti
 	cfg.SampleChunks = 8
 	// A live serving deployment schedules proactive training in wall-clock
 	// time from the observed query load (Formula 6), not by chunk count —
-	// the scheduler's pr/pl readings surface as gauges on /metrics.
+	// the scheduler's pr/pl readings surface as gauges on /v1/metrics.
 	cfg.Scheduler = sched.NewDynamic(slack, minTrain)
 	return cfg, chunk, nil
 }
@@ -303,7 +298,7 @@ func main() {
 			*ckptDir, *ckptEvery, *ckptInterval, *ckptKeep, *walDir, *walSegBytes, *storeDir, *storeCache)
 	}
 
-	fmt.Printf("serving %d deployment(s) on %s — GET /v1/deployments, POST /v1/deployments/{name}/predict, legacy aliases under /v1/* for \"default\"\n",
+	fmt.Printf("serving %d deployment(s) on %s — GET /v1/deployments, POST /v1/deployments/{name}/predict\n",
 		len(reg.Names()), *addr)
 
 	sopts := []serve.Option{
@@ -414,15 +409,7 @@ func bootFleet(path string, builder serve.ConfigBuilder, eng *engine.Engine,
 				Keep:       ckptKeep,
 			}
 		}
-		var q registry.Quotas
-		if e.Quotas != nil {
-			q = registry.Quotas{
-				MaxIngestQueue:     e.Quotas.MaxIngestQueue,
-				MaxCheckpointBytes: e.Quotas.MaxCheckpointBytes,
-				MaxStoreChunks:     e.Quotas.MaxStoreChunks,
-			}
-		}
-		d, err := reg.Create(e.Name, cfg, q)
+		d, err := reg.Create(e.Name, cfg, e.Quotas)
 		if err != nil {
 			log.Fatalf("cdml-serve: deployment %q: %v", e.Name, err)
 		}

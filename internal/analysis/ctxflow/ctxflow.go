@@ -18,7 +18,7 @@
 //     via Background/TODO, discovered across the dependency closure — is
 //     flagged too: call the Ctx-taking variant instead. This is the
 //     cross-function rule that catches e.g. a handler calling Ingest
-//     instead of IngestCtx.
+//     instead of IngestLogged.
 //
 //  3. Everywhere else (outside package main, which owns the process root
 //     context), context.Background()/TODO() must sit inside a function

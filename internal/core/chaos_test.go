@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cdml/internal/data"
+	"cdml/internal/snapstream"
 	"cdml/internal/wal"
 )
 
@@ -194,7 +195,7 @@ func TestChaosTornCheckpointFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	files, err := listCheckpoints(dir)
+	files, err := snapstream.List(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +522,7 @@ func TestChaosAutoCheckpointConcurrentWithIngest(t *testing.T) {
 	ingestChunks(t, d, stream, 0, stream.chunks)
 	d.Shutdown()
 
-	files, err := listCheckpoints(dir)
+	files, err := snapstream.List(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

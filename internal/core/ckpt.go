@@ -28,14 +28,16 @@ import (
 // primary→replica replication, so the torn-write and CRC validation here
 // is one code path with those transports. This file keeps the policy: when
 // checkpoints are due, retention, and how recovery feeds the deployer.
-const (
-	ckptSuffix = ".ckpt"
-	ckptPrefix = "ckpt-"
-)
 
-// ErrNoCheckpoint reports that a recovery directory holds no checkpoint
-// files at all (a cold start, not a failure).
-var ErrNoCheckpoint = errors.New("core: no checkpoint found")
+var (
+	// ErrNoCheckpoint reports that a recovery directory holds no checkpoint
+	// files at all (a cold start, not a failure).
+	ErrNoCheckpoint = errors.New("core: no checkpoint found")
+	// ErrNoCheckpointPolicy is CheckpointNow's answer on a deployment built
+	// without an AutoCheckpoint policy: there is no directory to write into,
+	// as opposed to a write that was attempted and failed.
+	ErrNoCheckpointPolicy = errors.New("core: deployment has no checkpoint policy configured")
+)
 
 // CheckpointPolicy configures automatic checkpointing of a live deployment.
 type CheckpointPolicy struct {
@@ -73,16 +75,10 @@ func (p CheckpointPolicy) withDefaults() CheckpointPolicy {
 	return p
 }
 
-// CheckpointInfo identifies one durable checkpoint.
-type CheckpointInfo struct {
-	// Version is the snapshot version stored in the file header. For a live
-	// deployment version v corresponds to v-1 completed ticks.
-	Version uint64
-	// Path is the checkpoint file.
-	Path string
-	// At is when the checkpoint was written (or recovered).
-	At time.Time
-}
+// CheckpointInfo identifies one durable checkpoint: the snapshot version in
+// the file header (for a live deployment version v corresponds to v-1
+// completed ticks), the file path, and when it was written (or recovered).
+type CheckpointInfo = snapstream.FileInfo
 
 // ckptManager runs the auto-checkpoint loop. The writer side (publish,
 // under d.mu) only counts ticks and performs a non-blocking hand-off of the
@@ -280,7 +276,7 @@ func (m *ckptManager) write(s *Snapshot) (CheckpointInfo, error) {
 		}
 	}
 	// The checkpoint span tree carries the originating tick's trace id, so
-	// /v1/trace?id= shows the write stages next to the request and tick that
+	// .../trace?id= shows the write stages next to the request and tick that
 	// produced the snapshot. Recorded on failure too — a trace that ends in
 	// a short "write" stage with no rename is exactly the diagnostic wanted.
 	sp := obs.StartSpan("checkpoint")
@@ -309,7 +305,7 @@ func (m *ckptManager) write(s *Snapshot) (CheckpointInfo, error) {
 // checkpoint covers are reclaimed too.
 func (m *ckptManager) prune() {
 	defer m.pruneIngestLog()
-	files, err := listCheckpoints(m.pol.Dir)
+	files, err := snapstream.List(m.pol.Dir)
 	if err != nil {
 		return
 	}
@@ -322,7 +318,7 @@ func (m *ckptManager) prune() {
 	if m.pol.MaxBytes <= 0 || len(keep) == 0 {
 		return
 	}
-	// listCheckpoints is newest-first; stat the survivors and drop from the
+	// snapstream.List is newest-first; stat the survivors and drop from the
 	// tail (oldest) while over budget. Index 0 — the newest — is untouchable:
 	// a byte quota bounds history depth, not the existence of a recovery
 	// point.
@@ -351,11 +347,11 @@ func (m *ckptManager) pruneIngestLog() {
 	if m.walPrune == nil {
 		return
 	}
-	files, err := listCheckpoints(m.pol.Dir)
+	files, err := snapstream.List(m.pol.Dir)
 	if err != nil || len(files) == 0 {
 		return
 	}
-	// listCheckpoints is newest-first; the last survivor is the oldest
+	// snapstream.List is newest-first; the last survivor is the oldest
 	// recovery point.
 	m.walPrune(files[len(files)-1].Version)
 }
@@ -382,12 +378,6 @@ func (m *ckptManager) noteRecovered(info CheckpointInfo) {
 	m.mu.Unlock()
 }
 
-// ckptPath names the checkpoint file of a snapshot version. The zero-padded
-// decimal version makes lexical order equal version order.
-func ckptPath(dir string, version uint64) string {
-	return snapstream.FilePath(dir, version)
-}
-
 // WriteCheckpointFile durably persists one snapshot into dir and returns
 // its identity. The write is crash-safe (see snapstream.WriteFile): a
 // crash at any point leaves either the old file set or the old set plus
@@ -406,36 +396,7 @@ func writeCheckpointFile(dir string, s *Snapshot, parent *obs.Span) (CheckpointI
 		return CheckpointInfo{}, err
 	}
 	enc.Finish()
-	info, err := snapstream.WriteFile(dir, f, parent)
-	if err != nil {
-		return CheckpointInfo{}, err
-	}
-	return CheckpointInfo{Version: info.Version, Path: info.Path, At: info.At}, nil
-}
-
-// ReadCheckpointFile validates a checkpoint file's frame (magic, length,
-// CRC) and returns its payload and header version. Torn or corrupted files
-// are reported as errors without touching any deployment state.
-func ReadCheckpointFile(path string) (payload []byte, version uint64, err error) {
-	f, err := snapstream.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	return f.Payload, f.Version, nil
-}
-
-// listCheckpoints returns dir's checkpoint files, newest (highest version)
-// first, and removes stray *.tmp files left by a crash mid-write.
-func listCheckpoints(dir string) ([]CheckpointInfo, error) {
-	files, err := snapstream.List(dir)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]CheckpointInfo, len(files))
-	for i, f := range files {
-		out[i] = CheckpointInfo{Version: f.Version, Path: f.Path, At: f.At}
-	}
-	return out, nil
+	return snapstream.WriteFile(dir, f, parent)
 }
 
 // RecoverFromDir restores the newest valid checkpoint in dir into the
@@ -464,14 +425,13 @@ func listCheckpoints(dir string) ([]CheckpointInfo, error) {
 // cold-start callers should run their usual warmup first (reproducing
 // the original boot) and then call ReplayIngestLog.
 func (d *Deployer) RecoverFromDir(dir string) (CheckpointInfo, error) {
-	fi, err := snapstream.DirSource{Dir: dir}.Restore(d.SnapshotSink())
+	info, err := snapstream.DirSource{Dir: dir}.Restore(d.SnapshotSink())
 	if err != nil {
 		if errors.Is(err, snapstream.ErrNoFrame) {
 			return CheckpointInfo{}, ErrNoCheckpoint
 		}
 		return CheckpointInfo{}, fmt.Errorf("core: no usable checkpoint: %w", err)
 	}
-	info := CheckpointInfo{Version: fi.Version, Path: fi.Path, At: fi.At}
 	if d.ckpt != nil {
 		d.ckpt.noteRecovered(info)
 	}
@@ -486,10 +446,11 @@ func (d *Deployer) RecoverFromDir(dir string) (CheckpointInfo, error) {
 // CheckpointNow synchronously writes the current published snapshot to the
 // configured checkpoint directory, regardless of the tick/interval
 // triggers. It needs an AutoCheckpoint policy; deployments without one
-// should use Checkpoint with a destination of their choice.
+// answer ErrNoCheckpointPolicy and should use Checkpoint with a destination
+// of their choice.
 func (d *Deployer) CheckpointNow() (CheckpointInfo, error) {
 	if d.ckpt == nil {
-		return CheckpointInfo{}, fmt.Errorf("core: deployment has no checkpoint policy configured")
+		return CheckpointInfo{}, ErrNoCheckpointPolicy
 	}
 	return d.ckpt.write(d.snap.Load())
 }

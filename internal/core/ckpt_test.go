@@ -11,6 +11,7 @@ import (
 
 	"cdml/internal/model"
 	"cdml/internal/opt"
+	"cdml/internal/snapstream"
 )
 
 // liveConfig returns a config for Ingest-driven (live) deployments; the
@@ -66,12 +67,12 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	if info.Version != snap.Version() {
 		t.Fatalf("info version %d, want %d", info.Version, snap.Version())
 	}
-	payload, version, err := ReadCheckpointFile(info.Path)
+	frame, err := snapstream.ReadFile(info.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if version != snap.Version() {
-		t.Fatalf("read version %d, want %d", version, snap.Version())
+	if frame.Version != snap.Version() {
+		t.Fatalf("read version %d, want %d", frame.Version, snap.Version())
 	}
 	// The payload must restore into an identically-configured deployment
 	// and reproduce the source's model and optimizer state exactly.
@@ -80,7 +81,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Shutdown()
-	if err := d2.RestoreCheckpoint(bytes.NewReader(payload)); err != nil {
+	if err := d2.RestoreCheckpoint(bytes.NewReader(frame.Payload)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(modelBytes(t, d), modelBytes(t, d2)) {
@@ -88,7 +89,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadCheckpointFileDetectsCorruption(t *testing.T) {
+func TestCheckpointFileCorruptionDetected(t *testing.T) {
 	dir := t.TempDir()
 	d, err := NewDeployer(liveConfig(ModeOnline))
 	if err != nil {
@@ -121,11 +122,11 @@ func TestReadCheckpointFileDetectsCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := filepath.Join(dir, "corrupt-"+tc.name+ckptSuffix)
+			p := filepath.Join(dir, "corrupt-"+tc.name+".ckpt")
 			if err := os.WriteFile(p, tc.data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := ReadCheckpointFile(p); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if _, err := snapstream.ReadFile(p); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want mention of %q", err, tc.want)
 			}
 		})
@@ -155,7 +156,7 @@ func TestAutoCheckpointWritesAndPrunes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drop a stray temp file: a crash artifact the next listing must clear.
-	stray := filepath.Join(dir, ckptPrefix+"0000000000000099"+ckptSuffix+".tmp")
+	stray := filepath.Join(dir, "ckpt-0000000000000099.ckpt.tmp")
 	if err := os.WriteFile(stray, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestAutoCheckpointWritesAndPrunes(t *testing.T) {
 	ingestChunks(t, d, stream, 0, 8)
 	d.Shutdown() // waits for the in-flight write; queued-but-unstarted may drop
 
-	files, err := listCheckpoints(dir)
+	files, err := snapstream.List(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestAutoCheckpointWritesAndPrunes(t *testing.T) {
 	}
 	// Every retained file must be independently valid.
 	for _, f := range files {
-		if _, _, err := ReadCheckpointFile(f.Path); err != nil {
+		if _, err := snapstream.ReadFile(f.Path); err != nil {
 			t.Fatalf("retained checkpoint %s invalid: %v", f.Path, err)
 		}
 	}
@@ -226,7 +227,7 @@ func TestCheckpointNowIsSynchronous(t *testing.T) {
 	if again.Version != info.Version || again.Path != info.Path {
 		t.Fatalf("duplicate CheckpointNow = %+v, want the existing checkpoint %+v", again, info)
 	}
-	files, err := listCheckpoints(dir)
+	files, err := snapstream.List(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func TestCheckpointShutdownHandoffGuarantee(t *testing.T) {
 	// capacity-1 channel is empty, so the hand-off is always accepted).
 	ingestChunks(t, d, driftStream{chunks: 4, rows: 20, drift: 2, seed: 5}, 0, 1)
 	d.Shutdown()
-	files, err := listCheckpoints(dir)
+	files, err := snapstream.List(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestCheckpointShutdownHandoffGuarantee(t *testing.T) {
 	late := *d.Current()
 	late.version++
 	d.ckpt.observePublish(&late)
-	after, err := listCheckpoints(dir)
+	after, err := snapstream.List(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

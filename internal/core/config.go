@@ -222,8 +222,8 @@ type Config struct {
 	// reclaimed after each checkpoint prune.
 	IngestLog *wal.Options
 	// ShadowTee, when set, receives every successfully ingested live chunk
-	// after its tick has completed and published (Ingest, IngestCtx, and
-	// IngestQueued paths; Run does not tee). The deployment registry uses it
+	// after its tick has completed and published (Ingest and IngestLogged;
+	// Run does not tee). The deployment registry uses it
 	// to mirror live ingest traffic into a shadow challenger: the hook runs
 	// after the writer mutex is released, so the champion's own training
 	// trajectory is bit-identical with and without a tee attached, and the

@@ -353,7 +353,7 @@ func (d *Deployer) serveAndScore(records [][]byte, res *Result) error {
 	defer func() {
 		sp.Finish()
 		// Exemplar: a slow serve observation carries the tick's trace id, so
-		// the /metrics top bucket links to the exact tick in /v1/trace.
+		// the /v1/metrics top bucket links to the exact tick in .../trace.
 		d.obs.predictLatency.ObserveExemplar(time.Since(start), d.tickTraceID())
 		d.obs.recordsEvaluated.Add(int64(len(ins)))
 	}()

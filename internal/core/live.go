@@ -33,43 +33,40 @@ func (d *Deployer) liveResult() *Result {
 // readers never observe a half-applied tick. Safe for concurrent use with
 // Predict and Stats.
 //
-//cdml:detached compatibility entry point for context-free callers; request paths use IngestCtx
+//cdml:detached convenience entry point for context-free callers; request paths use IngestLogged
 func (d *Deployer) Ingest(records [][]byte) error {
-	return d.IngestCtx(context.Background(), records)
+	return d.IngestLogged(context.Background(), records, time.Time{}, 0)
 }
 
-// IngestCtx is Ingest with trace identity: when ctx carries an obs.Span
-// (see obs.ContextWithSpan), the tick's span tree inherits its trace and
-// request ids, so the tick shows up under /v1/trace?id=<trace id> next to
-// the HTTP request that caused it.
-func (d *Deployer) IngestCtx(ctx context.Context, records [][]byte) error {
-	err := d.ingestTick(ctx, records, time.Time{}, 0)
-	d.shadowTee(ctx, records, err)
-	return err
-}
-
-// IngestQueued is IngestCtx for chunks that waited in an async queue:
-// enqueuedAt is when the chunk entered the queue, and the wait is recorded
-// as a leading "queue-wait" child of the tick span — so an end-to-end trace
-// explains queue time separately from training time.
-func (d *Deployer) IngestQueued(ctx context.Context, records [][]byte, enqueuedAt time.Time) error {
-	err := d.ingestTick(ctx, records, enqueuedAt, 0)
-	d.shadowTee(ctx, records, err)
-	return err
-}
-
-// shadowTee mirrors a successfully ingested chunk to the configured
-// Config.ShadowTee hook. It runs after ingestTick has released d.mu, so
-// the hook can ingest into another deployer (the shadow challenger) with
-// no lock held on this one — the champion's trajectory and its tick
-// latency as seen by its own writer are untouched by the tee target's
-// training cost only in ordering, never in state. Failed ticks published
-// nothing and are not teed: a shadow challenger sees exactly the chunk
-// sequence that reached the champion's model.
-func (d *Deployer) shadowTee(ctx context.Context, records [][]byte, tickErr error) {
-	if tickErr == nil && d.cfg.ShadowTee != nil {
+// IngestLogged is the one live ingest entry point; Ingest is its
+// context-free convenience form. When ctx carries an obs.Span (see
+// obs.ContextWithSpan), the tick's span tree inherits its trace and request
+// ids, so the tick shows up under .../trace?id=<trace id> next to the HTTP
+// request that caused it. enqueuedAt is when the chunk entered an async
+// queue (zero = not queued): the wait is recorded as a leading "queue-wait"
+// child of the tick span, so an end-to-end trace explains queue time
+// separately from training time. walSeq is the sequence number
+// AppendIngestLog returned when the chunk was accepted (0 = not logged): a
+// successful tick commits it with the publish version it produced; a failed
+// tick aborts it — failed ticks are surfaced, not retried, and replaying
+// one on recovery would diverge from the uninterrupted run.
+//
+// A successfully ingested chunk is then mirrored to the Config.ShadowTee
+// hook. The hook runs after ingestTick has released d.mu, so it can ingest
+// into another deployer (the shadow challenger) with no lock held on this
+// one — the champion's trajectory is untouched by the tee target's training
+// cost. Failed ticks published nothing and are not teed: a shadow
+// challenger sees exactly the chunk sequence that reached the champion's
+// model.
+func (d *Deployer) IngestLogged(ctx context.Context, records [][]byte, enqueuedAt time.Time, walSeq uint64) error {
+	err := d.ingestTick(ctx, records, enqueuedAt, walSeq)
+	switch {
+	case err != nil:
+		d.AbortIngestLog(walSeq)
+	case d.cfg.ShadowTee != nil:
 		d.cfg.ShadowTee(ctx, records)
 	}
+	return err
 }
 
 // ingestTick executes one serialized live tick (see Ingest for

@@ -33,7 +33,7 @@ type Snapshot struct {
 	mdl  model.Model
 	// optm is the optimizer state cloned at publish time. It is not needed
 	// for serving, but it makes a Snapshot a complete resume point: the
-	// checkpoint path (auto-checkpointing and GET /v1/checkpoint) encodes
+	// checkpoint path (auto-checkpointing and GET .../checkpoint) encodes
 	// snapshots without ever touching the writer mutex, so a slow
 	// checkpoint consumer can never stall Ingest.
 	optm    opt.Optimizer

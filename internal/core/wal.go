@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -111,22 +110,6 @@ func (d *Deployer) AbortIngestLog(seq uint64) {
 		return
 	}
 	_ = d.wal.MarkAborted(seq)
-}
-
-// IngestLogged is IngestQueued for chunks recorded in the write-ahead
-// ingest log: walSeq is the sequence number AppendIngestLog returned when
-// the chunk was accepted (0 = not logged; behaves exactly like
-// IngestQueued). A successful tick commits the sequence with the publish
-// version it produced; a failed tick aborts it — failed async ticks are
-// surfaced, not retried, and replaying one on recovery would diverge
-// from the uninterrupted run.
-func (d *Deployer) IngestLogged(ctx context.Context, records [][]byte, enqueuedAt time.Time, walSeq uint64) error {
-	err := d.ingestTick(ctx, records, enqueuedAt, walSeq)
-	if err != nil {
-		d.AbortIngestLog(walSeq)
-	}
-	d.shadowTee(ctx, records, err)
-	return err
 }
 
 // WALStats reports the ingest log's counters; ok is false when the

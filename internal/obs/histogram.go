@@ -39,7 +39,7 @@ type Histogram struct {
 
 // Exemplar links one concrete observation to the trace that produced it, so
 // a slow histogram bucket can be followed to the exact request via
-// /v1/trace?id=<trace id>.
+// .../trace?id=<trace id>.
 type Exemplar struct {
 	// TraceID identifies the trace behind this observation.
 	TraceID string
@@ -90,7 +90,7 @@ func (h *Histogram) Observe(d time.Duration) {
 // offers it as the histogram's exemplar. An observation wins the slot when
 // it lands in a bucket at least as high as the current exemplar's or when
 // the current exemplar is older than a minute — so the exposed exemplar
-// points at a recent slow request, the one worth pulling up in /v1/trace.
+// points at a recent slow request, the one worth pulling up in .../trace.
 // Racing writers may drop an offer; exemplars are best-effort by design.
 func (h *Histogram) ObserveExemplar(d time.Duration, traceID string) {
 	h.Observe(d)

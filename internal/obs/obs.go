@@ -342,7 +342,7 @@ func writeHistogram(b *strings.Builder, name, labels string, h *Histogram) {
 	writeSample(b, name+"_count", "", labels, float64(count))
 	if e, ok := h.Exemplar(); ok {
 		// Exposed as a comment so text-format 0.0.4 parsers (which skip
-		// '#' lines) stay compatible; follow the trace via /v1/trace?id=.
+		// '#' lines) stay compatible; follow the trace via .../trace?id=.
 		fmt.Fprintf(b, "# exemplar %s{%s} trace_id=%s duration_seconds=%s\n",
 			name, labels, e.TraceID, strconv.FormatFloat(e.Duration.Seconds(), 'g', -1, 64))
 	}

@@ -135,7 +135,7 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 
 func TestWriteTextExposition(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("cdml_requests_total", "requests served", L("path", "/predict")).Add(7)
+	reg.Counter("cdml_requests_total", "requests served", L("path", "/v1/deployments/{name}/predict")).Add(7)
 	reg.Gauge("cdml_error", "current error").Set(0.25)
 	reg.GaugeFunc("cdml_rate", "query rate", func() float64 { return 12.5 })
 	h := reg.Histogram("cdml_latency_seconds", "request latency")
@@ -150,7 +150,7 @@ func TestWriteTextExposition(t *testing.T) {
 
 	for _, want := range []string{
 		"# TYPE cdml_requests_total counter",
-		`cdml_requests_total{path="/predict"} 7`,
+		`cdml_requests_total{path="/v1/deployments/{name}/predict"} 7`,
 		"# TYPE cdml_error gauge",
 		"cdml_error 0.25",
 		"cdml_rate 12.5",

@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"context"
 	"errors"
 	"math/rand"
 	"sync/atomic"
@@ -66,10 +65,9 @@ func TestAutoChallengerOnDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	rnd := rand.New(rand.NewSource(1))
-	ctx := context.Background()
 
 	// Stable stream: no challenger appears on its own.
-	if err := d.IngestCtx(ctx, chunk(rnd, 30)); err != nil {
+	if err := d.Ingest(chunk(rnd, 30)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := d.Challenger(); ok {
@@ -78,7 +76,7 @@ func TestAutoChallengerOnDrift(t *testing.T) {
 
 	// Fire: the next ingest tick must start a challenger automatically.
 	det.arm()
-	if err := d.IngestCtx(ctx, chunk(rnd, 30)); err != nil {
+	if err := d.Ingest(chunk(rnd, 30)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := d.Challenger(); !ok {
@@ -91,7 +89,7 @@ func TestAutoChallengerOnDrift(t *testing.T) {
 	// Fire again while the challenger is attached: the drifted data already
 	// tees into it, so nothing new is built.
 	det.arm()
-	if err := d.IngestCtx(ctx, chunk(rnd, 30)); err != nil {
+	if err := d.Ingest(chunk(rnd, 30)); err != nil {
 		t.Fatal(err)
 	}
 	if n := builds.Load(); n != 1 {
@@ -103,7 +101,7 @@ func TestAutoChallengerOnDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	det.arm()
-	if err := d.IngestCtx(ctx, chunk(rnd, 30)); err != nil {
+	if err := d.Ingest(chunk(rnd, 30)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := d.Challenger(); ok {
@@ -133,10 +131,9 @@ func TestAutoChallengerCooldownExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	rnd := rand.New(rand.NewSource(2))
-	ctx := context.Background()
 
 	det.arm()
-	if err := d.IngestCtx(ctx, chunk(rnd, 30)); err != nil {
+	if err := d.Ingest(chunk(rnd, 30)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := d.Challenger(); !ok {
@@ -146,7 +143,7 @@ func TestAutoChallengerCooldownExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	det.arm()
-	if err := d.IngestCtx(ctx, chunk(rnd, 30)); err != nil {
+	if err := d.Ingest(chunk(rnd, 30)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := d.Challenger(); !ok {
@@ -168,13 +165,12 @@ func TestStoreQuotaEnforced(t *testing.T) {
 		t.Fatal(err)
 	}
 	rnd := rand.New(rand.NewSource(3))
-	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		if err := d.IngestCtx(ctx, chunk(rnd, 10)); err != nil {
+		if err := d.Ingest(chunk(rnd, 10)); err != nil {
 			t.Fatalf("ingest %d under quota: %v", i, err)
 		}
 	}
-	err = d.IngestCtx(ctx, chunk(rnd, 10))
+	err = d.Ingest(chunk(rnd, 10))
 	if !errors.Is(err, data.ErrOverQuota) {
 		t.Fatalf("ingest over quota = %v, want ErrOverQuota", err)
 	}

@@ -88,9 +88,6 @@ type entry struct {
 	// gen is the registry-wide generation, stamped on the entry's metric
 	// labels and checkpoint directory.
 	gen uint64
-	// ckptDir is the entry's checkpoint directory ("" when checkpointing is
-	// off).
-	ckptDir string
 }
 
 // Deployment is one named deployment: a serving champion, at most one
@@ -217,47 +214,20 @@ func (d *Deployment) Predict(records [][]byte) ([]float64, error) {
 
 // Ingest feeds one chunk into the champion (context-free convenience).
 //
-//cdml:detached compatibility entry point for context-free callers; request paths use IngestCtx
+//cdml:detached convenience entry point for context-free callers; request paths use IngestLogged
 func (d *Deployment) Ingest(records [][]byte) error {
-	return d.IngestCtx(context.Background(), records)
+	return d.IngestLogged(context.Background(), records, time.Time{}, 0)
 }
 
-// IngestCtx feeds one chunk of labeled training data into the champion and
-// — via the champion's shadow tee — into the attached challenger, if any.
-// Ticks are serialized under d.mu together with promotions, so every chunk
-// trains exactly one champion generation and the challenger sees exactly
-// the champion's accepted chunk sequence.
-func (d *Deployment) IngestCtx(ctx context.Context, records [][]byte) error {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return ErrClosed
-	}
-	err := d.serving.Load().dep.IngestCtx(ctx, records)
-	d.mu.Unlock()
-	// The drift check runs outside d.mu: StartChallenger re-acquires it.
-	d.maybeAutoChallenge()
-	return err
-}
-
-// IngestQueued is IngestCtx for chunks that waited in an async queue (the
-// enqueue time becomes a queue-wait span on the tick trace).
-func (d *Deployment) IngestQueued(ctx context.Context, records [][]byte, enqueuedAt time.Time) error {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return ErrClosed
-	}
-	err := d.serving.Load().dep.IngestQueued(ctx, records, enqueuedAt)
-	d.mu.Unlock()
-	d.maybeAutoChallenge()
-	return err
-}
-
-// IngestLogged is IngestQueued for chunks recorded in the champion's
-// write-ahead ingest log: walSeq is the sequence AppendIngestLog returned
-// at accept time (0 = not logged). The tick commits or aborts the
-// sequence in the champion's log; see core.Deployer.IngestLogged.
+// IngestLogged feeds one chunk of labeled training data into the champion
+// and — via the champion's shadow tee — into the attached challenger, if
+// any. Ticks are serialized under d.mu together with promotions, so every
+// chunk trains exactly one champion generation and the challenger sees
+// exactly the champion's accepted chunk sequence. enqueuedAt is when the
+// chunk entered an async queue (zero = not queued) and walSeq the sequence
+// AppendIngestLog returned at accept time (0 = not logged); the tick
+// commits or aborts the sequence in the champion's log — see
+// core.Deployer.IngestLogged.
 func (d *Deployment) IngestLogged(ctx context.Context, records [][]byte, enqueuedAt time.Time, walSeq uint64) error {
 	d.mu.Lock()
 	if d.closed {
@@ -266,6 +236,7 @@ func (d *Deployment) IngestLogged(ctx context.Context, records [][]byte, enqueue
 	}
 	err := d.serving.Load().dep.IngestLogged(ctx, records, enqueuedAt, walSeq)
 	d.mu.Unlock()
+	// The drift check runs outside d.mu: StartChallenger re-acquires it.
 	d.maybeAutoChallenge()
 	return err
 }
@@ -345,7 +316,7 @@ func (d *Deployment) maybeAutoChallenge() {
 // tee is the shadow-ingest hook, installed as cfg.ShadowTee on every
 // deployer the registry builds with that deployer's generation bound in.
 // It runs on the ingesting goroutine after the champion's tick published
-// (d.mu is held by IngestCtx above, which is what serializes the tee with
+// (d.mu is held by IngestLogged above, which is what serializes the tee with
 // promotions). Only the current champion's tee forwards: a stale generation
 // — a demoted champion still draining, or the challenger's own hook firing
 // during its shadow tick — returns immediately, which is also what breaks
@@ -360,7 +331,7 @@ func (d *Deployment) tee(gen uint64, ctx context.Context, records [][]byte) {
 		return
 	}
 	d.shadowTicks.Inc()
-	if err := c.e.dep.IngestCtx(ctx, records); err != nil {
+	if err := c.e.dep.IngestLogged(ctx, records, time.Time{}, 0); err != nil {
 		c.shadowErrs.Add(1)
 		c.lastErr.Store(err)
 		d.shadowErrs.Inc()
@@ -389,12 +360,6 @@ func (d *Deployment) ChampionWindow() (loss float64, n int64) {
 // like every other status read.
 func (d *Deployment) HasRollback() bool {
 	return d.prev.Load() != nil
-}
-
-// CheckpointDir returns the champion's checkpoint directory ("" when
-// checkpointing is off).
-func (d *Deployment) CheckpointDir() string {
-	return d.serving.Load().ckptDir
 }
 
 // close stops the promotion controller and shuts down every deployer the

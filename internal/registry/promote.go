@@ -10,20 +10,21 @@ import (
 
 // Policy decides a shadow challenger's fate from the two windowed
 // prequential error levels. The zero value is usable: every field defaults.
+// The JSON form is the "policy" object of the challenger endpoints.
 type Policy struct {
 	// MinEvaluated is the number of observations both windows must hold
 	// before a comparison counts (default 200 — roughly one effective
 	// window at DefaultWindowAlpha). Promoting on thin evidence is how
 	// canary systems flap.
-	MinEvaluated int64
+	MinEvaluated int64 `json:"min_evaluated"`
 	// Margin is the absolute windowed-loss improvement the challenger must
 	// show: promote when challengerLoss < championLoss − Margin (default 0,
 	// i.e. strictly better).
-	Margin float64
+	Margin float64 `json:"margin"`
 	// MaxShadowTicks retires the challenger after it has shadowed this many
 	// chunks without earning promotion (default 64; negative disables
 	// auto-retirement).
-	MaxShadowTicks int64
+	MaxShadowTicks int64 `json:"max_shadow_ticks"`
 }
 
 // Policy defaults.

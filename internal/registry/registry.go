@@ -49,21 +49,23 @@ var (
 )
 
 // Quotas bounds one deployment's resource footprint. Zero fields inherit
-// the registry's defaults; a default of zero means unlimited.
+// the registry's defaults; a default of zero means unlimited. The JSON form
+// is the "quotas" object of PUT /v1/deployments/{name} and of the
+// -deployments fleet file.
 type Quotas struct {
 	// MaxIngestQueue caps the deployment's async ingest queue depth. The
 	// registry only records the quota — the serve layer sizes its queues
 	// from it.
-	MaxIngestQueue int
+	MaxIngestQueue int `json:"max_ingest_queue"`
 	// MaxCheckpointBytes caps the total on-disk size of the deployment's
 	// retained checkpoints (CheckpointPolicy.MaxBytes).
-	MaxCheckpointBytes int64
+	MaxCheckpointBytes int64 `json:"max_checkpoint_bytes"`
 	// MaxStoreChunks caps the deployment's retained raw chunks: an ingest
 	// that would exceed it is rejected at the data.Store boundary with a
 	// typed over-quota error (data.ErrOverQuota) instead of silently
 	// evicting — the hard per-tenant ceiling, distinct from the store's own
 	// eviction capacity.
-	MaxStoreChunks int
+	MaxStoreChunks int `json:"max_store_chunks"`
 }
 
 // merged fills q's zero fields from the registry defaults.
@@ -155,11 +157,15 @@ type Registry struct {
 
 	mu   sync.Mutex
 	deps map[string]*Deployment //cdml:guardedby mu
+	// building holds the names Create has claimed but not yet published: a
+	// name is taken from the moment its deployer starts being built, so no
+	// second Create can open the same checkpoint or ingest-log directory.
+	building map[string]bool //cdml:guardedby mu
 }
 
 // New creates an empty registry.
 func New(opts Options) *Registry {
-	r := &Registry{opts: opts, deps: make(map[string]*Deployment)}
+	r := &Registry{opts: opts, deps: make(map[string]*Deployment), building: make(map[string]bool)}
 	if opts.Metrics != nil {
 		opts.Metrics.GaugeFunc("cdml_deployments",
 			"Deployments currently registered.",
@@ -203,8 +209,11 @@ func validName(name string) bool {
 // quota, and a shadow-ingest tee hook is installed so a challenger can
 // later mirror the live traffic.
 func (r *Registry) Create(name string, cfg core.Config, q Quotas) (*Deployment, error) {
-	if !validName(name) {
-		return nil, fmt.Errorf("%w: %q", ErrBadName, name)
+	// The name is claimed before anything is built: buildEntry opens the
+	// deployment's ingest log, and wal.Open truncates what it takes for a torn
+	// tail — a second writer on a live champion's log must never get that far.
+	if err := r.reserve(name); err != nil {
+		return nil, err
 	}
 	d := &Deployment{name: name, reg: r, quotas: q.merged(r.opts.DefaultQuotas)}
 	d.version.Store(1)
@@ -218,13 +227,11 @@ func (r *Registry) Create(name string, cfg core.Config, q Quotas) (*Deployment, 
 	}
 	e, err := r.buildEntry(d, cfg)
 	if err != nil {
+		r.settle(name, nil)
 		return nil, err
 	}
 	d.serving.Store(e)
-	if err := r.add(d); err != nil {
-		e.dep.Shutdown()
-		return nil, err
-	}
+	r.settle(name, d)
 	return d, nil
 }
 
@@ -234,15 +241,13 @@ func (r *Registry) Create(name string, cfg core.Config, q Quotas) (*Deployment, 
 // tee, so there is nothing to compare against. The single-deployment
 // compatibility path (serve.New with a bare deployer) adopts as "default".
 func (r *Registry) Adopt(name string, dep *core.Deployer, q Quotas) (*Deployment, error) {
-	if !validName(name) {
-		return nil, fmt.Errorf("%w: %q", ErrBadName, name)
+	if err := r.reserve(name); err != nil {
+		return nil, err
 	}
 	d := &Deployment{name: name, reg: r, quotas: q.merged(r.opts.DefaultQuotas), adopted: true}
 	d.version.Store(1)
 	d.serving.Store(&entry{dep: dep, gen: r.genSeq.Add(1)})
-	if err := r.add(d); err != nil {
-		return nil, err
-	}
+	r.settle(name, d)
 	return d, nil
 }
 
@@ -264,21 +269,16 @@ func (r *Registry) buildEntry(d *Deployment, cfg core.Config) (*entry, error) {
 	if cfg.Metric != nil {
 		cfg.Metric = &teeMetric{inner: cfg.Metric, win: win}
 	}
-	ckptDir := ""
-	if r.opts.CheckpointRoot != "" {
-		ckptDir = filepath.Join(r.opts.CheckpointRoot, d.name, "gen"+strconv.FormatUint(gen, 10))
+	if r.opts.CheckpointRoot != "" || cfg.AutoCheckpoint != nil {
 		pol := core.CheckpointPolicy{}
 		if cfg.AutoCheckpoint != nil {
 			pol = *cfg.AutoCheckpoint
 		}
-		pol.Dir = ckptDir
+		if r.opts.CheckpointRoot != "" {
+			pol.Dir = filepath.Join(r.opts.CheckpointRoot, d.name, "gen"+strconv.FormatUint(gen, 10))
+		}
 		pol.MaxBytes = d.quotas.MaxCheckpointBytes
 		cfg.AutoCheckpoint = &pol
-	} else if cfg.AutoCheckpoint != nil {
-		pol := *cfg.AutoCheckpoint
-		pol.MaxBytes = d.quotas.MaxCheckpointBytes
-		cfg.AutoCheckpoint = &pol
-		ckptDir = pol.Dir
 	}
 	if d.quotas.MaxStoreChunks > 0 && cfg.Store != nil {
 		// The quota is enforced where the chunks live: the store rejects
@@ -293,21 +293,36 @@ func (r *Registry) buildEntry(d *Deployment, cfg core.Config) (*entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &entry{dep: dep, win: win, gen: gen, ckptDir: ckptDir}, nil
+	return &entry{dep: dep, win: win, gen: gen}, nil
 }
 
-// add publishes d in the name map and registers its per-deployment
-// promotion metrics.
-func (r *Registry) add(d *Deployment) error {
-	r.mu.Lock()
-	if _, ok := r.deps[d.name]; ok {
-		r.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrExists, d.name)
+// reserve validates name and claims it for a deployment under construction.
+func (r *Registry) reserve(name string) error {
+	if !validName(name) {
+		return fmt.Errorf("%w: %q", ErrBadName, name)
 	}
-	r.deps[d.name] = d
-	r.mu.Unlock()
-	d.initObs()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.deps[name]; ok || r.building[name] {
+		return fmt.Errorf("%w: %q", ErrExists, name)
+	}
+	r.building[name] = true
 	return nil
+}
+
+// settle ends name's reservation: a built deployment is published in the
+// name map and gets its per-deployment promotion metrics; nil (the build
+// failed) just frees the name.
+func (r *Registry) settle(name string, d *Deployment) {
+	r.mu.Lock()
+	delete(r.building, name)
+	if d != nil {
+		r.deps[name] = d
+	}
+	r.mu.Unlock()
+	if d != nil {
+		d.initObs()
+	}
 }
 
 // Get returns the named deployment.

@@ -2,7 +2,7 @@ package registry
 
 import (
 	"bytes"
-	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -22,6 +22,7 @@ import (
 	"cdml/internal/obs"
 	"cdml/internal/opt"
 	"cdml/internal/pipeline"
+	"cdml/internal/wal"
 )
 
 // testParser parses "label,x0,x1".
@@ -131,7 +132,7 @@ func TestCreateGetDeleteLifecycle(t *testing.T) {
 		t.Fatalf("Names() = %v", got)
 	}
 	rnd := rand.New(rand.NewSource(1))
-	if err := d.IngestCtx(context.Background(), chunk(rnd, 20)); err != nil {
+	if err := d.Ingest(chunk(rnd, 20)); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Delete("m"); err != nil {
@@ -142,7 +143,7 @@ func TestCreateGetDeleteLifecycle(t *testing.T) {
 	}
 	// A closed deployment rejects writes but still answers predictions from
 	// its published snapshot.
-	if err := d.IngestCtx(context.Background(), chunk(rnd, 20)); err != ErrClosed {
+	if err := d.Ingest(chunk(rnd, 20)); err != ErrClosed {
 		t.Fatalf("ingest after close: err = %v, want ErrClosed", err)
 	}
 	if _, err := d.Predict(chunk(rnd, 5)); err != nil {
@@ -151,6 +152,85 @@ func TestCreateGetDeleteLifecycle(t *testing.T) {
 	// The name is free again.
 	if _, err := r.Create("m", adamConfig(), Quotas{}); err != nil {
 		t.Fatalf("recreate after delete: %v", err)
+	}
+}
+
+// TestCreateExistingNameLeavesLiveLogAlone is the regression test for the
+// second-WAL-writer bug: Create used to build the deployer — opening
+// <WALRoot>/<name>/wal, whose open truncates what it takes for a torn tail —
+// before checking the name was free. A duplicate Create must fail with
+// ErrExists without touching the live champion's log, even mid-append.
+func TestCreateExistingNameLeavesLiveLogAlone(t *testing.T) {
+	root := t.TempDir()
+	r := New(Options{WALRoot: root})
+	d, err := r.Create("m", adamConfig(), Quotas{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	duplicate := func() {
+		t.Helper()
+		if _, err := r.Create("m", adamConfig(), Quotas{}); !errors.Is(err, ErrExists) {
+			t.Fatalf("duplicate Create: err = %v, want ErrExists", err)
+		}
+	}
+
+	// Duplicate creates racing a live appender.
+	const appends = 40
+	done := make(chan error, 1)
+	go func() {
+		rnd := rand.New(rand.NewSource(1))
+		for i := 0; i < appends; i++ {
+			if _, err := d.AppendIngestLog(chunk(rnd, 5)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < 8; i++ {
+		duplicate()
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	// A half-written frame at the tail is what an in-flight append looks like
+	// from outside; a second writer opening the directory would truncate it.
+	segs, err := filepath.Glob(filepath.Join(root, "m", "wal", "*.open"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("active segments = %v (err %v), want 1", segs, err)
+	}
+	f, err := os.OpenFile(segs[0], os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("CDMLWAL1 half a frame")); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	before, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, _ := d.Serving().WALStats()
+	duplicate()
+	if after, err := os.ReadFile(segs[0]); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("duplicate Create touched the live segment: %d bytes → %d (err %v)", len(before), len(after), err)
+	}
+	if got, _ := d.Serving().WALStats(); got != stats || got.Appends != appends {
+		t.Fatalf("live log stats = %+v, want %+v with %d appends", got, stats, appends)
+	}
+
+	// Every acknowledged append survives a reopen.
+	r.Close()
+	l, err := wal.Open(wal.Options{Dir: filepath.Join(root, "m", "wal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	n, err := l.Replay(0, func(uint64, [][]byte) error { return nil })
+	if err != nil || n != appends {
+		t.Fatalf("reopen replayed %d chunks (err %v), want %d", n, err, appends)
 	}
 }
 
@@ -186,7 +266,7 @@ func TestConcurrentCreateDeletePredict(t *testing.T) {
 				}
 				if d, ok := r.Get("hot"); ok {
 					_, _ = d.Predict(chunk(rnd, 3))
-					_ = d.IngestCtx(context.Background(), chunk(rnd, 5))
+					_ = d.Ingest(chunk(rnd, 5))
 				}
 			}
 		}(int64(w) + 10)
@@ -223,7 +303,7 @@ func TestShadowTeeDeterminism(t *testing.T) {
 		}
 		rnd := rand.New(rand.NewSource(7))
 		for i := 0; i < 12; i++ {
-			if err := d.IngestCtx(context.Background(), chunk(rnd, 30)); err != nil {
+			if err := d.Ingest(chunk(rnd, 30)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -299,7 +379,7 @@ func TestPromotionAtomicUnderPredicts(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("challenger was never promoted")
 		}
-		if err := d.IngestCtx(context.Background(), chunk(rnd, 50)); err != nil {
+		if err := d.Ingest(chunk(rnd, 50)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -343,7 +423,7 @@ func TestPromotionAtomicUnderPredicts(t *testing.T) {
 		t.Fatalf("promoted model error %.2f, want < 0.35", frac)
 	}
 	// The new champion keeps training.
-	if err := d.IngestCtx(context.Background(), chunk(rnd, 20)); err != nil {
+	if err := d.Ingest(chunk(rnd, 20)); err != nil {
 		t.Fatal(err)
 	}
 	// And rollback restores the frozen original.
@@ -386,7 +466,7 @@ func TestChallengerAutoRetires(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("challenger was never retired")
 		}
-		if err := d.IngestCtx(context.Background(), chunk(rnd, 10)); err != nil {
+		if err := d.Ingest(chunk(rnd, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -417,7 +497,7 @@ func TestAdoptedDeploymentRejectsChallengers(t *testing.T) {
 		t.Fatal("adopted deployment accepted a challenger")
 	}
 	rnd := rand.New(rand.NewSource(2))
-	if err := d.IngestCtx(context.Background(), chunk(rnd, 10)); err != nil {
+	if err := d.Ingest(chunk(rnd, 10)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Predict(chunk(rnd, 3)); err != nil {
@@ -436,7 +516,7 @@ func TestSharedMetricsStaySeparable(t *testing.T) {
 			t.Fatal(err)
 		}
 		rnd := rand.New(rand.NewSource(4))
-		if err := d.IngestCtx(context.Background(), chunk(rnd, 10)); err != nil {
+		if err := d.Ingest(chunk(rnd, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -473,7 +553,7 @@ func TestChaosKillDuringPromotion(t *testing.T) {
 	}
 	rnd := rand.New(rand.NewSource(5))
 	for i := 0; i < 3; i++ {
-		if err := d.IngestCtx(context.Background(), chunk(rnd, 20)); err != nil {
+		if err := d.Ingest(chunk(rnd, 20)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -483,11 +563,11 @@ func TestChaosKillDuringPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := d.IngestCtx(context.Background(), chunk(rnd, 20)); err != nil {
+		if err := d.Ingest(chunk(rnd, 20)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	champDir := d.CheckpointDir()
+	champ := d.Serving()
 	st, ok := d.Challenger()
 	if !ok || st.Ticks != 3 {
 		t.Fatalf("challenger status = %+v, ok=%v", st, ok)
@@ -498,7 +578,8 @@ func TestChaosKillDuringPromotion(t *testing.T) {
 	if err != nil || len(dirs) != 2 {
 		t.Fatalf("checkpoint dirs = %v (err %v), want 2", dirs, err)
 	}
-	if champDir != dirs[0] && champDir != dirs[1] {
+	last, _ := champ.LastCheckpoint()
+	if champDir := filepath.Dir(last.Path); champDir != dirs[0] && champDir != dirs[1] {
 		t.Fatalf("champion dir %q not among %v", champDir, dirs)
 	}
 	for _, dir := range dirs {

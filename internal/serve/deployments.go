@@ -25,8 +25,6 @@ type depHandle struct {
 	// routes answer 409 read_only_replica.
 	rep *replicaState
 	// em holds the per-deployment instruments, indexed by routeDef.idx.
-	// Slots of fixed-name alias routes bound to other deployments stay nil —
-	// those routes can never resolve to this handle.
 	em []*endpointMetrics
 }
 
@@ -59,8 +57,8 @@ func (s *Server) addHandle(d *registry.Deployment) *depHandle {
 		em:   make([]*endpointMetrics, s.nScoped),
 	}
 	for _, rt := range s.routes {
-		if rt.idx >= 0 && (rt.fixed == "" || rt.fixed == d.Name()) {
-			h.em[rt.idx] = newEndpointMetrics(s.reg, rt.template, rt.version, d.Name())
+		if rt.idx >= 0 {
+			h.em[rt.idx] = newEndpointMetrics(s.reg, rt.template, d.Name())
 		}
 	}
 	if s.replicaOf != "" {
@@ -134,18 +132,6 @@ func (s *Server) registerQueueMetrics(name string) {
 		lookup(func(h *depHandle) float64 { return float64(h.q.rejected.Load()) }), ls...)
 }
 
-// PolicyInfo mirrors registry.Policy on the wire.
-type PolicyInfo struct {
-	// MinEvaluated is the observation floor both comparison windows must
-	// reach before a promotion decision counts.
-	MinEvaluated int64 `json:"min_evaluated"`
-	// Margin is the windowed-loss improvement required to promote.
-	Margin float64 `json:"margin"`
-	// MaxShadowTicks retires a challenger that shadowed this many chunks
-	// without promotion (negative disables auto-retirement).
-	MaxShadowTicks int64 `json:"max_shadow_ticks"`
-}
-
 // ChallengerInfo describes an attached shadow challenger.
 type ChallengerInfo struct {
 	Role      string `json:"role"` // always "challenger"
@@ -157,10 +143,11 @@ type ChallengerInfo struct {
 	LastError    string `json:"last_error,omitempty"`
 	// WindowLoss / WindowEvaluated are the challenger's faded prequential
 	// loss and its observation count — the promotion comparison input.
-	WindowLoss      float64    `json:"window_loss"`
-	WindowEvaluated int64      `json:"window_evaluated"`
-	SnapshotVersion uint64     `json:"snapshot_version"`
-	Policy          PolicyInfo `json:"policy"`
+	WindowLoss      float64 `json:"window_loss"`
+	WindowEvaluated int64   `json:"window_evaluated"`
+	SnapshotVersion uint64  `json:"snapshot_version"`
+	// Policy echoes the effective (defaulted) promotion policy.
+	Policy registry.Policy `json:"policy"`
 }
 
 // DeploymentInfo is one row of GET /v1/deployments (and the body of GET
@@ -198,11 +185,7 @@ func challengerInfo(st registry.ChallengerStatus) *ChallengerInfo {
 		WindowLoss:      st.WindowLoss,
 		WindowEvaluated: st.WindowCount,
 		SnapshotVersion: st.SnapshotVersion,
-		Policy: PolicyInfo{
-			MinEvaluated:   st.Policy.MinEvaluated,
-			Margin:         st.Policy.Margin,
-			MaxShadowTicks: st.Policy.MaxShadowTicks,
-		},
+		Policy:          st.Policy,
 	}
 }
 
@@ -246,20 +229,11 @@ func handleDescribe(s *Server, name string, h *depHandle, w http.ResponseWriter,
 	writeJSON(w, http.StatusOK, deploymentInfo(h.dep))
 }
 
-// QuotasSpec is the wire form of registry.Quotas.
-type QuotasSpec struct {
-	MaxIngestQueue     int   `json:"max_ingest_queue"`
-	MaxCheckpointBytes int64 `json:"max_checkpoint_bytes"`
-	// MaxStoreChunks caps the raw chunks the deployment's store retains;
-	// ingest past the cap answers 429 over_quota.
-	MaxStoreChunks int `json:"max_store_chunks"`
-}
-
 // CreateDeploymentRequest is the PUT /v1/deployments/{name} body. Spec is
 // opaque to the server and interpreted by the operator's ConfigBuilder.
 type CreateDeploymentRequest struct {
 	Spec   json.RawMessage `json:"spec"`
-	Quotas *QuotasSpec     `json:"quotas,omitempty"`
+	Quotas registry.Quotas `json:"quotas"`
 }
 
 // readJSONBody decodes a JSON request body into v (size-capped).
@@ -305,15 +279,7 @@ func handleCreate(s *Server, name string, h *depHandle, w http.ResponseWriter, r
 		writeError(w, http.StatusBadRequest, codeBadRequest, err)
 		return
 	}
-	var q registry.Quotas
-	if req.Quotas != nil {
-		q = registry.Quotas{
-			MaxIngestQueue:     req.Quotas.MaxIngestQueue,
-			MaxCheckpointBytes: req.Quotas.MaxCheckpointBytes,
-			MaxStoreChunks:     req.Quotas.MaxStoreChunks,
-		}
-	}
-	d, err := s.registry.Create(name, cfg, q)
+	d, err := s.registry.Create(name, cfg, req.Quotas)
 	switch {
 	case errors.Is(err, registry.ErrExists):
 		writeError(w, http.StatusConflict, codeDeploymentExists, err)
@@ -347,7 +313,7 @@ func handleDelete(s *Server, name string, h *depHandle, w http.ResponseWriter, r
 // ChallengerRequest is the POST /v1/deployments/{name}/challengers body.
 type ChallengerRequest struct {
 	Spec   json.RawMessage `json:"spec"`
-	Policy *PolicyInfo     `json:"policy,omitempty"`
+	Policy registry.Policy `json:"policy"`
 }
 
 // handleChallengerStart attaches a shadow challenger built from the
@@ -369,15 +335,7 @@ func handleChallengerStart(s *Server, name string, h *depHandle, w http.Response
 		writeError(w, http.StatusBadRequest, codeBadRequest, err)
 		return
 	}
-	var pol registry.Policy
-	if req.Policy != nil {
-		pol = registry.Policy{
-			MinEvaluated:   req.Policy.MinEvaluated,
-			Margin:         req.Policy.Margin,
-			MaxShadowTicks: req.Policy.MaxShadowTicks,
-		}
-	}
-	switch err := h.dep.StartChallenger(cfg, pol); {
+	switch err := h.dep.StartChallenger(cfg, req.Policy); {
 	case errors.Is(err, registry.ErrChallengerBusy):
 		writeError(w, http.StatusConflict, codeChallengerExists, err)
 	case errors.Is(err, registry.ErrNotChallengeble), errors.Is(err, registry.ErrClosed):

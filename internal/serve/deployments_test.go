@@ -8,6 +8,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,7 +71,7 @@ func testBuilder(name string, spec json.RawMessage) (core.Config, error) {
 func newFleetServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	reg := registry.New(registry.Options{Metrics: obs.NewRegistry()})
-	s := NewWithRegistry(reg, WithLogger(nil), WithConfigBuilder(testBuilder))
+	s := NewWithRegistry(reg, WithSlog(nil), WithConfigBuilder(testBuilder))
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() {
 		ts.Close()
@@ -122,9 +125,66 @@ func errCode(t *testing.T, body []byte) string {
 	return e.Error.Code
 }
 
-// TestScopedRoutesMatchLegacy verifies the legacy /v1/* surface and the
-// scoped /v1/deployments/default/* surface answer from the same deployment.
-func TestScopedRoutesMatchLegacy(t *testing.T) {
+// TestRouteTableIsCanonical pins the one-URL-per-endpoint surface: the route
+// table holds exactly the documented templates, all under /v1/, no handler
+// is reachable through two rows, and the single-deployment spellings of
+// earlier releases answer the JSON 404 like any other unknown path.
+func TestRouteTableIsCanonical(t *testing.T) {
+	s, ts := newTestServer(t)
+	want := []string{
+		"/v1/deployments",
+		"/v1/deployments/{name}",
+		"/v1/deployments/{name}/challengers",
+		"/v1/deployments/{name}/checkpoint",
+		"/v1/deployments/{name}/ingest",
+		"/v1/deployments/{name}/predict",
+		"/v1/deployments/{name}/restore",
+		"/v1/deployments/{name}/rollback",
+		"/v1/deployments/{name}/snapshot",
+		"/v1/deployments/{name}/stats",
+		"/v1/deployments/{name}/status",
+		"/v1/deployments/{name}/trace",
+		"/v1/deployments/{name}/train",
+		"/v1/healthz",
+		"/v1/metrics",
+	}
+	var got []string
+	owner := make(map[uintptr]string) // handler func → the one row that may hold it
+	for _, rt := range s.routes {
+		got = append(got, rt.template)
+		if !strings.HasPrefix(rt.template, "/v1/") {
+			t.Errorf("route %q is not under /v1/", rt.template)
+		}
+		for method, mh := range rt.handlers {
+			fn := reflect.ValueOf(mh.fn).Pointer()
+			if prev, dup := owner[fn]; dup {
+				t.Errorf("%s %s shares its handler with %s", method, rt.template, prev)
+			}
+			owner[fn] = rt.template
+		}
+	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("route table = %q\nwant %q", got, want)
+	}
+
+	for _, c := range []struct{ method, path string }{
+		{http.MethodPost, "/predict"},
+		{http.MethodPost, "/v1/predict"},
+		{http.MethodGet, "/metrics"},
+		{http.MethodGet, "/healthz"},
+	} {
+		code, body := doJSON(t, c.method, ts.URL+c.path, []byte("+1,0.5,0.5\n"))
+		if code != http.StatusNotFound || errCode(t, body) != "not_found" {
+			t.Errorf("%s %s = %d %s, want 404 not_found", c.method, c.path, code, body)
+		}
+	}
+}
+
+// TestSingleDeploymentServedAsDefault verifies a server built from a bare
+// deployer (New) serves it through the scoped surface under the name
+// "default": train → predict, status identity, and the fleet list.
+func TestSingleDeploymentServedAsDefault(t *testing.T) {
 	_, ts := newTestServer(t)
 	rnd := rand.New(rand.NewSource(7))
 	for i := 0; i < 4; i++ {
@@ -133,29 +193,19 @@ func TestScopedRoutesMatchLegacy(t *testing.T) {
 			t.Fatalf("scoped train: %d %s", code, body)
 		}
 	}
-	query := []byte("0,0.5,0.5\n0,-1.2,-0.3\n")
-	_, legacy := doJSON(t, http.MethodPost, ts.URL+"/v1/predict", query)
-	codeScoped, scoped := doJSON(t, http.MethodPost, ts.URL+"/v1/deployments/default/predict", query)
-	if codeScoped != http.StatusOK {
-		t.Fatalf("scoped predict: %d %s", codeScoped, scoped)
+	code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/deployments/default/predict", []byte("0,0.5,0.5\n0,-1.2,-0.3\n"))
+	if code != http.StatusOK {
+		t.Fatalf("scoped predict: %d %s", code, body)
 	}
-	var a, b PredictResponse
-	if err := json.Unmarshal(legacy, &a); err != nil {
+	var pr PredictResponse
+	if err := json.Unmarshal(body, &pr); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(scoped, &b); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Predictions) != 2 || len(b.Predictions) != 2 {
-		t.Fatalf("predictions: legacy %v scoped %v", a.Predictions, b.Predictions)
-	}
-	for i := range a.Predictions {
-		if a.Predictions[i] != b.Predictions[i] {
-			t.Fatalf("prediction %d differs: legacy %v scoped %v", i, a.Predictions, b.Predictions)
-		}
+	if len(pr.Predictions) != 2 || pr.Served != 2 {
+		t.Fatalf("predictions: %s", body)
 	}
 
-	code, body := doJSON(t, http.MethodGet, ts.URL+"/v1/deployments/default/status", nil)
+	code, body = doJSON(t, http.MethodGet, ts.URL+"/v1/deployments/default/status", nil)
 	if code != http.StatusOK {
 		t.Fatalf("scoped status: %d %s", code, body)
 	}
@@ -344,7 +394,7 @@ func TestChallengerOnAdoptedIsConflict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(dep, WithLogger(nil), WithConfigBuilder(testBuilder))
+	s := New(dep, WithSlog(nil), WithConfigBuilder(testBuilder))
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	t.Cleanup(dep.Shutdown)

@@ -204,7 +204,7 @@ func (s *Server) drainHandle(h *depHandle) {
 		start := time.Now()
 		// Re-carry the originating request's identity across the queue
 		// boundary: a span used purely as a trace-id carrier rides the
-		// context into IngestQueued, whose tick records the queue wait and
+		// context into IngestLogged, whose tick records the queue wait and
 		// joins the request's trace.
 		carrier := &obs.Span{Name: "async-ingest", TraceID: it.traceID, RequestID: it.requestID}
 		ctx := obs.ContextWithSpan(context.Background(), carrier)

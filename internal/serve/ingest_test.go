@@ -32,13 +32,13 @@ func TestAsyncIngestAcceptsAndDrains(t *testing.T) {
 
 	const chunks, rows = 8, 30
 	for i := 0; i < chunks; i++ {
-		resp, err := client.Post(ts.URL+"/v1/ingest", "text/plain", strings.NewReader(chunkBody(r, rows)))
+		resp, err := client.Post(ts.URL+"/v1/deployments/default/ingest", "text/plain", strings.NewReader(chunkBody(r, rows)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != http.StatusAccepted {
 			body, _ := io.ReadAll(resp.Body)
-			t.Fatalf("/v1/ingest status %d: %s", resp.StatusCode, body)
+			t.Fatalf(".../ingest status %d: %s", resp.StatusCode, body)
 		}
 		var ir IngestResponse
 		if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
@@ -62,9 +62,9 @@ func TestAsyncIngestAcceptsAndDrains(t *testing.T) {
 	if got := defaultDep(t, s).Stats().Evaluated; got != int64(chunks*rows) {
 		t.Fatalf("evaluated %d records after drain, want %d", got, chunks*rows)
 	}
-	// The final tick published; /v1/status reflects the drained state.
+	// The final tick published; .../status reflects the drained state.
 	var st StatusResponse
-	resp, err := client.Get(ts.URL + "/v1/status")
+	resp, err := client.Get(ts.URL + "/v1/deployments/default/status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestAsyncIngestAcceptsAndDrains(t *testing.T) {
 	}
 
 	// After the drain, intake is closed: further ingest answers 503.
-	resp, err = client.Post(ts.URL+"/v1/ingest", "text/plain", strings.NewReader(chunkBody(r, rows)))
+	resp, err = client.Post(ts.URL+"/v1/deployments/default/ingest", "text/plain", strings.NewReader(chunkBody(r, rows)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestIngestShuttingDownDistinctFromQueueFull(t *testing.T) {
 	if err := s.DrainIngest(ctx); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := client.Post(ts.URL+"/v1/ingest", "text/plain", strings.NewReader(chunkBody(r, 10)))
+	resp, err := client.Post(ts.URL+"/v1/deployments/default/ingest", "text/plain", strings.NewReader(chunkBody(r, 10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestIngestShuttingDownDistinctFromQueueFull(t *testing.T) {
 
 // TestIngestWALSurfacesOnStatus runs the async ingest path against a
 // deployment with a write-ahead ingest log: every 202'd chunk must be
-// appended and, after the drain, committed — /v1/status's wal section is
+// appended and, after the drain, committed — .../status's wal section is
 // the observable contract.
 func TestIngestWALSurfacesOnStatus(t *testing.T) {
 	cfg := core.Config{
@@ -192,7 +192,7 @@ func TestIngestWALSurfacesOnStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(dep, WithLogger(nil))
+	s := New(dep, WithSlog(nil))
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	client := ts.Client()
@@ -200,13 +200,13 @@ func TestIngestWALSurfacesOnStatus(t *testing.T) {
 
 	const chunks = 3
 	for i := 0; i < chunks; i++ {
-		resp, err := client.Post(ts.URL+"/v1/ingest", "text/plain", strings.NewReader(chunkBody(r, 20)))
+		resp, err := client.Post(ts.URL+"/v1/deployments/default/ingest", "text/plain", strings.NewReader(chunkBody(r, 20)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != http.StatusAccepted {
 			body, _ := io.ReadAll(resp.Body)
-			t.Fatalf("/v1/ingest status %d: %s", resp.StatusCode, body)
+			t.Fatalf(".../ingest status %d: %s", resp.StatusCode, body)
 		}
 		resp.Body.Close()
 	}
@@ -217,7 +217,7 @@ func TestIngestWALSurfacesOnStatus(t *testing.T) {
 	}
 
 	var st StatusResponse
-	resp, err := client.Get(ts.URL + "/v1/status")
+	resp, err := client.Get(ts.URL + "/v1/deployments/default/status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestIngestWALSurfacesOnStatus(t *testing.T) {
 	}
 	resp.Body.Close()
 	if st.WAL == nil {
-		t.Fatal("/v1/status has no wal section for a logged deployment")
+		t.Fatal(".../status has no wal section for a logged deployment")
 	}
 	if st.WAL.AppendedTotal != chunks || st.WAL.AppliedTotal != chunks {
 		t.Fatalf("wal appended/applied = %d/%d, want %d/%d",
@@ -282,7 +282,7 @@ func TestIngestQueueFullBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(dep, WithLogger(nil), WithIngestQueue(1))
+	s := New(dep, WithSlog(nil), WithIngestQueue(1))
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	client := ts.Client()
@@ -290,7 +290,7 @@ func TestIngestQueueFullBackpressure(t *testing.T) {
 
 	post := func() *http.Response {
 		t.Helper()
-		resp, err := client.Post(ts.URL+"/v1/ingest", "text/plain", strings.NewReader(chunkBody(r, 20)))
+		resp, err := client.Post(ts.URL+"/v1/deployments/default/ingest", "text/plain", strings.NewReader(chunkBody(r, 20)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,9 +334,9 @@ func TestIngestQueueFullBackpressure(t *testing.T) {
 		t.Fatalf("error code %q, want queue_full", eb.Error.Code)
 	}
 
-	// Queue state is visible on /v1/status while the drainer is stuck.
+	// Queue state is visible on .../status while the drainer is stuck.
 	var st StatusResponse
-	resp, err = client.Get(ts.URL + "/v1/status")
+	resp, err = client.Get(ts.URL + "/v1/deployments/default/status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,20 +368,20 @@ func TestStatusEndpointFields(t *testing.T) {
 	client := ts.Client()
 	r := rand.New(rand.NewSource(13))
 	for i := 0; i < 3; i++ {
-		resp, err := client.Post(ts.URL+"/v1/train", "text/plain", strings.NewReader(chunkBody(r, 25)))
+		resp, err := client.Post(ts.URL+"/v1/deployments/default/train", "text/plain", strings.NewReader(chunkBody(r, 25)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 	}
 
-	resp, err := client.Get(ts.URL + "/v1/status")
+	resp, err := client.Get(ts.URL + "/v1/deployments/default/status")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/status status %d", resp.StatusCode)
+		t.Fatalf(".../status status %d", resp.StatusCode)
 	}
 	var st StatusResponse
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
@@ -390,7 +390,7 @@ func TestStatusEndpointFields(t *testing.T) {
 	if st.Mode != "continuous" {
 		t.Fatalf("mode %q", st.Mode)
 	}
-	// Version 1 is the construction snapshot; each /train tick republishes.
+	// Version 1 is the construction snapshot; each .../train tick republishes.
 	if st.SnapshotVersion != 4 {
 		t.Fatalf("snapshot version %d, want 4", st.SnapshotVersion)
 	}
@@ -417,7 +417,7 @@ func TestStatusEndpointFields(t *testing.T) {
 
 func TestAsyncIngestErrorSurfacesOnStatus(t *testing.T) {
 	// A backend that fails after a few operations makes an async tick fail;
-	// the failure must land on /v1/status, not vanish into the drainer.
+	// the failure must land on .../status, not vanish into the drainer.
 	cfg := core.Config{
 		Mode: core.ModeContinuous,
 		NewPipeline: func() *pipeline.Pipeline {
@@ -439,14 +439,14 @@ func TestAsyncIngestErrorSurfacesOnStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(dep, WithLogger(nil))
+	s := New(dep, WithSlog(nil))
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	client := ts.Client()
 	r := rand.New(rand.NewSource(14))
 
 	for i := 0; i < 5; i++ {
-		resp, err := client.Post(ts.URL+"/v1/ingest", "text/plain", strings.NewReader(chunkBody(r, 20)))
+		resp, err := client.Post(ts.URL+"/v1/deployments/default/ingest", "text/plain", strings.NewReader(chunkBody(r, 20)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -459,7 +459,7 @@ func TestAsyncIngestErrorSurfacesOnStatus(t *testing.T) {
 	}
 
 	var st StatusResponse
-	resp, err := client.Get(ts.URL + "/v1/status")
+	resp, err := client.Get(ts.URL + "/v1/deployments/default/status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,19 +512,19 @@ func (f *failAfterBackend) PutFeatures(fc data.FeatureChunk) error {
 
 // TestRestoreRacingPredictOverHTTP restores checkpoints while concurrent
 // clients predict. Under -race this verifies the HTTP surface inherits the
-// snapshot guarantee: /v1/restore swaps state atomically under the readers.
+// snapshot guarantee: .../restore swaps state atomically under the readers.
 func TestRestoreRacingPredictOverHTTP(t *testing.T) {
 	_, ts := newTestServer(t)
 	client := ts.Client()
 	r := rand.New(rand.NewSource(15))
 	for i := 0; i < 10; i++ {
-		resp, err := client.Post(ts.URL+"/v1/train", "text/plain", strings.NewReader(chunkBody(r, 30)))
+		resp, err := client.Post(ts.URL+"/v1/deployments/default/train", "text/plain", strings.NewReader(chunkBody(r, 30)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 	}
-	resp, err := client.Get(ts.URL + "/v1/checkpoint")
+	resp, err := client.Get(ts.URL + "/v1/deployments/default/checkpoint")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +549,7 @@ func TestRestoreRacingPredictOverHTTP(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := client.Post(ts.URL+"/v1/predict", "text/plain", strings.NewReader(chunkBody(rr, 10)))
+				resp, err := client.Post(ts.URL+"/v1/deployments/default/predict", "text/plain", strings.NewReader(chunkBody(rr, 10)))
 				if err != nil {
 					errs <- err
 					return
@@ -566,14 +566,14 @@ func TestRestoreRacingPredictOverHTTP(t *testing.T) {
 	}
 
 	for round := 0; round < 5; round++ {
-		resp, err := client.Post(ts.URL+"/v1/restore", "application/octet-stream", bytes.NewReader(ckpt))
+		resp, err := client.Post(ts.URL+"/v1/deployments/default/restore", "application/octet-stream", bytes.NewReader(ckpt))
 		if err != nil {
 			t.Fatal(err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/v1/restore round %d status %d: %s", round, resp.StatusCode, body)
+			t.Fatalf(".../restore round %d status %d: %s", round, resp.StatusCode, body)
 		}
 	}
 	close(stop)

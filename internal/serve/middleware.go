@@ -37,11 +37,6 @@ type routeDef struct {
 	// the template, never the raw request path, so cardinality is bounded
 	// by the route table.
 	template string
-	// version labels the API generation: "v1" or "legacy".
-	version string
-	// fixed binds the route to one deployment name (the legacy aliases);
-	// "" resolves {name} from the path.
-	fixed string
 	// global marks routes not bound to any deployment (metrics, healthz,
 	// the deployment list).
 	global   bool
@@ -69,9 +64,9 @@ var statusClasses = [4]string{"2xx", "3xx", "4xx", "5xx"}
 // newEndpointMetrics creates the instruments of one route for one
 // deployment ("" on global routes omits the deployment label, "unknown"
 // aggregates requests whose name did not resolve).
-func newEndpointMetrics(reg *obs.Registry, path, version, deployment string) *endpointMetrics {
+func newEndpointMetrics(reg *obs.Registry, path, deployment string) *endpointMetrics {
 	base := make([]obs.Label, 0, 3)
-	base = append(base, obs.L("path", path), obs.L("version", version))
+	base = append(base, obs.L("path", path), obs.L("version", "v1"))
 	if deployment != "" {
 		base = append(base, obs.L("deployment", deployment))
 	}

@@ -24,7 +24,7 @@ import (
 
 func readRecordsFromString(t *testing.T, body string) ([][]byte, error) {
 	t.Helper()
-	req := httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(body))
+	req := httptest.NewRequest(http.MethodPost, "/v1/deployments/default/predict", strings.NewReader(body))
 	return readRecords(req)
 }
 
@@ -90,32 +90,32 @@ func TestReadRecordsMaxBodyWithTrailingNewline(t *testing.T) {
 	}
 }
 
-// --- /metrics ---------------------------------------------------------------
+// --- /v1/metrics ------------------------------------------------------------
 
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	client := ts.Client()
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 6; i++ {
-		resp, err := client.Post(ts.URL+"/train", "text/plain", strings.NewReader(chunkBody(r, 20)))
+		resp, err := client.Post(ts.URL+"/v1/deployments/default/train", "text/plain", strings.NewReader(chunkBody(r, 20)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 	}
-	resp, err := client.Post(ts.URL+"/predict", "text/plain", strings.NewReader(chunkBody(r, 10)))
+	resp, err := client.Post(ts.URL+"/v1/deployments/default/predict", "text/plain", strings.NewReader(chunkBody(r, 10)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 
-	mresp, err := client.Get(ts.URL + "/metrics")
+	mresp, err := client.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mresp.Body.Close()
 	if mresp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics status %d", mresp.StatusCode)
+		t.Fatalf("/v1/metrics status %d", mresp.StatusCode)
 	}
 	if ct := mresp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("content type %q", ct)
@@ -128,12 +128,12 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	for _, want := range []string{
 		// Per-endpoint request counters and latency histograms, labeled by
-		// API version (these requests used the legacy unversioned aliases).
-		`cdml_http_requests_total{path="/train",version="legacy",deployment="default",code="2xx"} 6`,
-		`cdml_http_requests_total{path="/predict",version="legacy",deployment="default",code="2xx"} 1`,
-		`cdml_http_request_seconds_bucket{path="/train",version="legacy",deployment="default",le="+Inf"} 6`,
-		// The v1 series exist (at zero) even though no v1 traffic arrived.
-		`cdml_http_requests_total{path="/v1/train",version="v1",deployment="default",code="2xx"} 0`,
+		// path template (never the raw path), API version, and deployment.
+		`cdml_http_requests_total{path="/v1/deployments/{name}/train",version="v1",deployment="default",code="2xx"} 6`,
+		`cdml_http_requests_total{path="/v1/deployments/{name}/predict",version="v1",deployment="default",code="2xx"} 1`,
+		`cdml_http_request_seconds_bucket{path="/v1/deployments/{name}/train",version="v1",deployment="default",le="+Inf"} 6`,
+		// Untouched endpoints' series exist at zero.
+		`cdml_http_requests_total{path="/v1/deployments/{name}/ingest",version="v1",deployment="default",code="2xx"} 0`,
 		// Deployment counters and the predict-latency quantiles.
 		"cdml_ticks_total 6",
 		"cdml_chunks_ingested_total 6",
@@ -150,7 +150,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"cdml_prequential_error",
 	} {
 		if !strings.Contains(text, want) {
-			t.Fatalf("/metrics missing %q:\n%s", want, text)
+			t.Fatalf("/v1/metrics missing %q:\n%s", want, text)
 		}
 	}
 
@@ -167,7 +167,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestSchedulerGaugesExposed checks that a deployment driven by the dynamic
 // (Formula 6) scheduler surfaces its observed query rate and latency on
-// /metrics — the configuration cmd/cdml-serve runs with.
+// /v1/metrics — the configuration cmd/cdml-serve runs with.
 func TestSchedulerGaugesExposed(t *testing.T) {
 	cfg := core.Config{
 		Mode: core.ModeContinuous,
@@ -190,25 +190,25 @@ func TestSchedulerGaugesExposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(dep, WithLogger(nil)))
+	ts := httptest.NewServer(New(dep, WithSlog(nil)))
 	t.Cleanup(ts.Close)
 
 	client := ts.Client()
 	r := rand.New(rand.NewSource(17))
 	for i := 0; i < 4; i++ {
-		resp, err := client.Post(ts.URL+"/train", "text/plain", strings.NewReader(chunkBody(r, 20)))
+		resp, err := client.Post(ts.URL+"/v1/deployments/default/train", "text/plain", strings.NewReader(chunkBody(r, 20)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 	}
-	resp, err := client.Post(ts.URL+"/predict", "text/plain", strings.NewReader(chunkBody(r, 20)))
+	resp, err := client.Post(ts.URL+"/v1/deployments/default/predict", "text/plain", strings.NewReader(chunkBody(r, 20)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 
-	mresp, err := client.Get(ts.URL + "/metrics")
+	mresp, err := client.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +219,12 @@ func TestSchedulerGaugesExposed(t *testing.T) {
 	}
 	for _, want := range []string{"cdml_sched_query_rate", "cdml_sched_query_latency_seconds"} {
 		if !strings.Contains(string(raw), want) {
-			t.Fatalf("/metrics missing %q:\n%s", want, raw)
+			t.Fatalf("/v1/metrics missing %q:\n%s", want, raw)
 		}
 	}
 }
 
-// --- /trace -----------------------------------------------------------------
+// --- .../trace --------------------------------------------------------------
 
 func TestTraceEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
@@ -232,13 +232,13 @@ func TestTraceEndpoint(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	const chunks = 5
 	for i := 0; i < chunks; i++ {
-		resp, err := client.Post(ts.URL+"/train", "text/plain", strings.NewReader(chunkBody(r, 15)))
+		resp, err := client.Post(ts.URL+"/v1/deployments/default/train", "text/plain", strings.NewReader(chunkBody(r, 15)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 	}
-	resp, err := client.Get(ts.URL + "/trace?n=3")
+	resp, err := client.Get(ts.URL + "/v1/deployments/default/trace?n=3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,13 +274,13 @@ func TestTraceRingBounded(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	// More ticks than the default ring capacity (64).
 	for i := 0; i < 70; i++ {
-		resp, err := client.Post(ts.URL+"/train", "text/plain", strings.NewReader(chunkBody(r, 3)))
+		resp, err := client.Post(ts.URL+"/v1/deployments/default/train", "text/plain", strings.NewReader(chunkBody(r, 3)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 	}
-	resp, err := client.Get(ts.URL + "/trace?n=1000")
+	resp, err := client.Get(ts.URL + "/v1/deployments/default/trace?n=1000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,13 +300,13 @@ func TestTraceRingBounded(t *testing.T) {
 func TestTraceRejectsBadN(t *testing.T) {
 	_, ts := newTestServer(t)
 	for _, q := range []string{"?n=0", "?n=-3", "?n=abc"} {
-		resp, err := ts.Client().Get(ts.URL + "/trace" + q)
+		resp, err := ts.Client().Get(ts.URL + "/v1/deployments/default/trace" + q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("/trace%s status %d, want 400", q, resp.StatusCode)
+			t.Fatalf(".../trace%s status %d, want 400", q, resp.StatusCode)
 		}
 	}
 }
@@ -319,14 +319,14 @@ func TestMethodNotAllowedSetsAllowHeader(t *testing.T) {
 	cases := []struct {
 		method, path, allow string
 	}{
-		{http.MethodGet, "/predict", "POST"},
-		{http.MethodGet, "/train", "POST"},
-		{http.MethodPost, "/stats", "GET"},
-		{http.MethodPost, "/metrics", "GET"},
-		{http.MethodPost, "/trace", "GET"},
-		{http.MethodPost, "/checkpoint", "GET"},
-		{http.MethodGet, "/restore", "POST"},
-		{http.MethodDelete, "/healthz", "GET"},
+		{http.MethodGet, "/v1/deployments/default/predict", "POST"},
+		{http.MethodGet, "/v1/deployments/default/train", "POST"},
+		{http.MethodPost, "/v1/deployments/default/stats", "GET"},
+		{http.MethodPost, "/v1/metrics", "GET"},
+		{http.MethodPost, "/v1/deployments/default/trace", "GET"},
+		{http.MethodDelete, "/v1/deployments/default/checkpoint", "GET, POST"},
+		{http.MethodGet, "/v1/deployments/default/restore", "POST"},
+		{http.MethodDelete, "/v1/healthz", "GET"},
 	}
 	for _, c := range cases {
 		req, _ := http.NewRequest(c.method, ts.URL+c.path, nil)
@@ -349,7 +349,7 @@ func TestRequestIDAssignedAndEchoed(t *testing.T) {
 	client := ts.Client()
 
 	// Server assigns an id when the client sends none.
-	resp, err := client.Get(ts.URL + "/healthz")
+	resp, err := client.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestRequestIDAssignedAndEchoed(t *testing.T) {
 	}
 
 	// A client-supplied id is echoed back verbatim.
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/healthz", nil)
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/healthz", nil)
 	req.Header.Set("X-Request-ID", "client-id-42")
 	resp2, err := client.Do(req)
 	if err != nil {
@@ -372,7 +372,7 @@ func TestRequestIDAssignedAndEchoed(t *testing.T) {
 	}
 
 	// Distinct requests get distinct assigned ids.
-	resp3, err := client.Get(ts.URL + "/healthz")
+	resp3, err := client.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,9 +385,9 @@ func TestRequestIDAssignedAndEchoed(t *testing.T) {
 func TestErrorResponsesCountedByClass(t *testing.T) {
 	s, ts := newTestServer(t)
 	client := ts.Client()
-	// Two 400s on /predict (empty body).
+	// Two 400s on predict (empty body).
 	for i := 0; i < 2; i++ {
-		resp, err := client.Post(ts.URL+"/predict", "text/plain", strings.NewReader("\n"))
+		resp, err := client.Post(ts.URL+"/v1/deployments/default/predict", "text/plain", strings.NewReader("\n"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,44 +397,7 @@ func TestErrorResponsesCountedByClass(t *testing.T) {
 	if err := s.reg.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), `cdml_http_requests_total{path="/predict",version="legacy",deployment="default",code="4xx"} 2`) {
+	if !strings.Contains(sb.String(), `cdml_http_requests_total{path="/v1/deployments/{name}/predict",version="v1",deployment="default",code="4xx"} 2`) {
 		t.Fatalf("4xx counter missing:\n%s", sb.String())
-	}
-}
-
-// TestVersionedTrafficSeparated drives the same logical endpoint through the
-// /v1 path and the legacy alias and checks the request counters keep the two
-// apart via the version label.
-func TestVersionedTrafficSeparated(t *testing.T) {
-	s, ts := newTestServer(t)
-	client := ts.Client()
-	r := rand.New(rand.NewSource(21))
-	for i := 0; i < 3; i++ {
-		resp, err := client.Post(ts.URL+"/v1/train", "text/plain", strings.NewReader(chunkBody(r, 10)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/v1/train status %d", resp.StatusCode)
-		}
-		resp.Body.Close()
-	}
-	resp, err := client.Post(ts.URL+"/train", "text/plain", strings.NewReader(chunkBody(r, 10)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	var sb strings.Builder
-	if err := s.reg.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		`cdml_http_requests_total{path="/v1/train",version="v1",deployment="default",code="2xx"} 3`,
-		`cdml_http_requests_total{path="/train",version="legacy",deployment="default",code="2xx"} 1`,
-	} {
-		if !strings.Contains(sb.String(), want) {
-			t.Fatalf("metrics missing %q:\n%s", want, sb.String())
-		}
 	}
 }

@@ -75,7 +75,7 @@ func newReplicaPrimary(t *testing.T, chunks int) (*Server, *httptest.Server) {
 			t.Fatal(err)
 		}
 	}
-	s := New(dep, WithLogger(nil))
+	s := New(dep, WithSlog(nil))
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() { ts.Close(); s.Close() })
 	return s, ts
@@ -88,7 +88,7 @@ func newReplicaServer(t *testing.T, primaryURL string) (*Server, *httptest.Serve
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(dep, WithLogger(nil), WithReplicaOf(primaryURL, 10*time.Millisecond))
+	s := New(dep, WithSlog(nil), WithReplicaOf(primaryURL, 10*time.Millisecond))
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() { ts.Close(); s.Close() })
 	return s, ts
@@ -96,13 +96,13 @@ func newReplicaServer(t *testing.T, primaryURL string) (*Server, *httptest.Serve
 
 func getStatus(t *testing.T, ts *httptest.Server) StatusResponse {
 	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + "/v1/status")
+	resp, err := ts.Client().Get(ts.URL + "/v1/deployments/default/status")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/status status %d", resp.StatusCode)
+		t.Fatalf(".../status status %d", resp.StatusCode)
 	}
 	var st StatusResponse
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
@@ -111,7 +111,7 @@ func getStatus(t *testing.T, ts *httptest.Server) StatusResponse {
 	return st
 }
 
-// waitReplicaVersion polls the replica's /v1/status until its snapshot
+// waitReplicaVersion polls the replica's .../status until its snapshot
 // version reaches want.
 func waitReplicaVersion(t *testing.T, ts *httptest.Server, want uint64) {
 	t.Helper()
@@ -128,13 +128,13 @@ func waitReplicaVersion(t *testing.T, ts *httptest.Server, want uint64) {
 
 func predictions(t *testing.T, ts *httptest.Server, body string) []float64 {
 	t.Helper()
-	resp, err := ts.Client().Post(ts.URL+"/v1/predict", "text/plain", strings.NewReader(body))
+	resp, err := ts.Client().Post(ts.URL+"/v1/deployments/default/predict", "text/plain", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/predict status %d", resp.StatusCode)
+		t.Fatalf(".../predict status %d", resp.StatusCode)
 	}
 	var pr PredictResponse
 	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
@@ -146,13 +146,13 @@ func predictions(t *testing.T, ts *httptest.Server, body string) []float64 {
 func trainChunks(t *testing.T, ts *httptest.Server, r *rand.Rand, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		resp, err := ts.Client().Post(ts.URL+"/v1/train", "text/plain", strings.NewReader(chunkBody(r, 40)))
+		resp, err := ts.Client().Post(ts.URL+"/v1/deployments/default/train", "text/plain", strings.NewReader(chunkBody(r, 40)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/v1/train status %d", resp.StatusCode)
+			t.Fatalf(".../train status %d", resp.StatusCode)
 		}
 	}
 }
@@ -160,7 +160,7 @@ func trainChunks(t *testing.T, ts *httptest.Server, r *rand.Rand, n int) {
 // TestReplicaSyncBitIdentical is the e2e pair: a replica converges on the
 // primary's published snapshot and answers bit-identical predictions, then
 // catches further training within the poll interval, with staleness visible
-// in /v1/status.
+// in .../status.
 func TestReplicaSyncBitIdentical(t *testing.T) {
 	_, pts := newReplicaPrimary(t, 12)
 	_, rts := newReplicaServer(t, pts.URL)
@@ -221,9 +221,9 @@ func TestReplicaRejectsWrites(t *testing.T) {
 	waitReplicaVersion(t, rts, getStatus(t, pts).SnapshotVersion)
 
 	cases := []struct{ method, path string }{
-		{http.MethodPost, "/v1/train"},
-		{http.MethodPost, "/v1/ingest"},
-		{http.MethodPost, "/v1/restore"},
+		{http.MethodPost, "/v1/deployments/default/train"},
+		{http.MethodPost, "/v1/deployments/default/ingest"},
+		{http.MethodPost, "/v1/deployments/default/restore"},
 		{http.MethodPost, "/v1/deployments/default/train"},
 		{http.MethodPost, "/v1/deployments/default/checkpoint"},
 		{http.MethodPost, "/v1/deployments/default/challengers"},
@@ -251,10 +251,10 @@ func TestReplicaRejectsWrites(t *testing.T) {
 	}
 
 	// Reads keep answering.
-	for _, path := range []string{"/v1/predict", "/v1/status", "/v1/stats"} {
+	for _, path := range []string{"/v1/deployments/default/predict", "/v1/deployments/default/status", "/v1/deployments/default/stats"} {
 		var resp *http.Response
 		var err error
-		if path == "/v1/predict" {
+		if path == "/v1/deployments/default/predict" {
 			resp, err = rts.Client().Post(rts.URL+path, "text/plain", strings.NewReader("+1,0.1,0.2\n"))
 		} else {
 			resp, err = rts.Client().Get(rts.URL + path)
@@ -387,7 +387,7 @@ func TestChaosPredictDuringReplicaSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(dep, WithLogger(nil), WithReplicaOf(pts.URL, time.Millisecond))
+	s := New(dep, WithSlog(nil), WithReplicaOf(pts.URL, time.Millisecond))
 	rts := httptest.NewServer(s)
 	t.Cleanup(func() { rts.Close(); s.Close() })
 	waitReplicaVersion(t, rts, getStatus(t, pts).SnapshotVersion)
@@ -398,7 +398,7 @@ func TestChaosPredictDuringReplicaSwap(t *testing.T) {
 		defer close(done)
 		r := rand.New(rand.NewSource(21))
 		for i := 0; i < 15; i++ {
-			resp, err := pts.Client().Post(pts.URL+"/v1/train", "text/plain", strings.NewReader(chunkBody(r, 40)))
+			resp, err := pts.Client().Post(pts.URL+"/v1/deployments/default/train", "text/plain", strings.NewReader(chunkBody(r, 40)))
 			if err != nil {
 				trainErr = err
 				return
@@ -420,7 +420,7 @@ func TestChaosPredictDuringReplicaSwap(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := rts.Client().Post(rts.URL+"/v1/predict", "text/plain", strings.NewReader(chunkBody(r, 10)))
+				resp, err := rts.Client().Post(rts.URL+"/v1/deployments/default/predict", "text/plain", strings.NewReader(chunkBody(r, 10)))
 				if err != nil {
 					bad.Add(1)
 					return
@@ -461,7 +461,7 @@ func TestTrainOverQuota(t *testing.T) {
 	if _, err := reg.Create("q", cfg, registry.Quotas{MaxStoreChunks: 2}); err != nil {
 		t.Fatal(err)
 	}
-	s := NewWithRegistry(reg, WithLogger(nil))
+	s := NewWithRegistry(reg, WithSlog(nil))
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() { ts.Close(); s.Close(); reg.Close() })
 

@@ -69,12 +69,10 @@
 //	                                              (labeled deployment=<name>)
 //	GET    /v1/healthz                            200 "ok"
 //
-// The single-deployment API from earlier releases is preserved as exact
-// aliases bound to the deployment named "default": /v1/predict, /v1/train,
-// /v1/ingest, /v1/status, /v1/stats, /v1/trace, /v1/checkpoint (GET),
-// /v1/restore — and the unversioned legacy spellings (/predict, /train,
-// ...) of all of the above plus /metrics and /healthz. When no "default"
-// deployment exists the aliases answer 404 "unknown_deployment".
+// That list is the whole surface — one URL per endpoint. A single-deployment
+// server (New) serves its deployer under the name "default", i.e.
+// /v1/deployments/default/predict and so on; every other path (/predict,
+// /v1/predict, /metrics, ...) answers 404 "not_found".
 //
 // Every error response uses the uniform JSON envelope
 //
@@ -101,7 +99,8 @@
 // request_id and trace_id, and feeds the per-endpoint request counters and
 // latency histograms exposed at /v1/metrics — labeled by path template
 // (never the raw request path, so series cardinality is bounded by the
-// route table), API version, and deployment name.
+// route table), API version (the constant version="v1"), and deployment
+// name.
 //
 // Opt-in extras: WithPprof registers net/http/pprof under /debug/pprof/,
 // WithRuntimeMetrics adds a sampled cdml_runtime_* family to the
@@ -109,8 +108,8 @@
 // endpoints.
 //
 // Records use exactly the same wire format as the deployed pipeline's
-// parser, so the same payload can be sent to /train (with labels) and
-// /predict — train/serve consistency extends to the HTTP boundary.
+// parser, so the same payload can be sent to .../train (with labels) and
+// .../predict — train/serve consistency extends to the HTTP boundary.
 package serve
 
 import (
@@ -118,7 +117,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -144,8 +142,8 @@ const maxBody = 16 << 20
 // requests later, small enough to bound memory.
 const requestTraceCapacity = 256
 
-// DefaultDeployment is the deployment name the legacy single-deployment
-// aliases (/v1/predict, /predict, ...) resolve to.
+// DefaultDeployment is the name a single-deployment server (New) serves its
+// deployer under.
 const DefaultDeployment = "default"
 
 // ConfigBuilder turns a client-supplied JSON spec into a deployment config.
@@ -200,21 +198,8 @@ type Server struct {
 // Option configures a Server.
 type Option func(*Server)
 
-// WithLogger replaces the request logger with a slog text handler writing to
-// l's destination; pass nil to disable request logging (tests, benchmarks).
-// Kept source-compatible with the pre-slog API; new code should prefer
-// WithSlog.
-func WithLogger(l *log.Logger) Option {
-	return func(s *Server) {
-		if l == nil {
-			s.log = nil
-			return
-		}
-		s.log = slog.New(slog.NewTextHandler(l.Writer(), nil))
-	}
-}
-
-// WithSlog replaces the request logger; pass nil to disable request logging.
+// WithSlog replaces the request logger; pass nil to disable request logging
+// (tests, benchmarks).
 func WithSlog(l *slog.Logger) Option {
 	return func(s *Server) { s.log = l }
 }
@@ -266,8 +251,8 @@ func WithReplicaOf(primary string, poll time.Duration) Option {
 }
 
 // New returns a single-deployment server: dep is adopted into a fresh
-// registry as "default", so the whole legacy surface keeps working
-// unchanged while the deployment-scoped API addresses it by name. Adopted
+// registry as "default" and addressed by that name through the
+// deployment-scoped API (/v1/deployments/default/...). Adopted
 // deployments cannot host challengers (the registry did not wire their
 // config); use NewWithRegistry and registry.Create for the full feature
 // set.
@@ -338,10 +323,9 @@ func (s *Server) Close() {
 	}
 }
 
-// registerRoutes builds the route table: the deployment-scoped canonical
-// surface under /v1/deployments/{name}, the global management and
-// observability endpoints, and the fixed-name aliases of the legacy
-// single-deployment API.
+// registerRoutes builds the route table: the deployment-scoped surface under
+// /v1/deployments/{name} and the global management and observability
+// endpoints. One row per endpoint — no aliases.
 func (s *Server) registerRoutes() {
 	const base = "/v1/deployments/{name}"
 	post := func(fn depHandlerFunc) map[string]methodHandler {
@@ -356,51 +340,34 @@ func (s *Server) registerRoutes() {
 		return map[string]methodHandler{http.MethodGet: {fn: fn}}
 	}
 
-	// Canonical deployment-scoped routes ({name} from the path).
-	s.predictRoute = s.scoped(base+"/predict", "v1", "", post(handlePredict))
-	s.scoped(base+"/train", "v1", "", mut(handleTrain))
-	s.scoped(base+"/ingest", "v1", "", mut(handleIngest))
-	s.scoped(base+"/status", "v1", "", get(handleStatus))
-	s.scoped(base+"/stats", "v1", "", get(handleStats))
-	s.scoped(base+"/trace", "v1", "", get(handleTrace))
-	s.scoped(base+"/checkpoint", "v1", "", map[string]methodHandler{
+	// Deployment-scoped routes ({name} from the path).
+	s.predictRoute = s.scoped(base+"/predict", post(handlePredict))
+	s.scoped(base+"/train", mut(handleTrain))
+	s.scoped(base+"/ingest", mut(handleIngest))
+	s.scoped(base+"/status", get(handleStatus))
+	s.scoped(base+"/stats", get(handleStats))
+	s.scoped(base+"/trace", get(handleTrace))
+	s.scoped(base+"/checkpoint", map[string]methodHandler{
 		http.MethodGet:  {fn: handleCheckpointGet},
 		http.MethodPost: {fn: handleCheckpointNow, mutates: true},
 	})
-	s.scoped(base+"/snapshot", "v1", "", get(handleSnapshotGet))
-	s.scoped(base+"/restore", "v1", "", mut(handleRestore))
-	s.scoped(base+"/challengers", "v1", "", map[string]methodHandler{
+	s.scoped(base+"/snapshot", get(handleSnapshotGet))
+	s.scoped(base+"/restore", mut(handleRestore))
+	s.scoped(base+"/challengers", map[string]methodHandler{
 		http.MethodPost:   {fn: handleChallengerStart, mutates: true},
 		http.MethodDelete: {fn: handleChallengerStop, mutates: true},
 	})
-	s.scoped(base+"/rollback", "v1", "", mut(handleRollback))
-	s.scoped(base, "v1", "", map[string]methodHandler{
+	s.scoped(base+"/rollback", mut(handleRollback))
+	s.scoped(base, map[string]methodHandler{
 		http.MethodGet:    {fn: handleDescribe},
 		http.MethodPut:    {fn: handleCreate, allowUnknown: true},
 		http.MethodDelete: {fn: handleDelete},
 	})
 
 	// Global routes (not bound to a deployment).
-	s.global("/v1/deployments", "v1", get(handleList))
-	s.global("/v1/metrics", "v1", get(handleMetrics))
-	s.global("/metrics", "legacy", get(handleMetrics))
-	s.global("/v1/healthz", "v1", get(handleHealth))
-	s.global("/healthz", "legacy", get(handleHealth))
-
-	// Single-deployment aliases, fixed to "default": the canonical paths of
-	// earlier releases, kept exactly — same methods, same payloads.
-	alias := func(suffix string, methods map[string]methodHandler) {
-		s.scoped("/v1"+suffix, "v1", DefaultDeployment, methods)
-		s.scoped(suffix, "legacy", DefaultDeployment, methods)
-	}
-	alias("/predict", post(handlePredict))
-	alias("/train", mut(handleTrain))
-	alias("/ingest", mut(handleIngest))
-	alias("/status", get(handleStatus))
-	alias("/stats", get(handleStats))
-	alias("/trace", get(handleTrace))
-	alias("/checkpoint", get(handleCheckpointGet))
-	alias("/restore", mut(handleRestore))
+	s.global("/v1/deployments", get(handleList))
+	s.global("/v1/metrics", get(handleMetrics))
+	s.global("/v1/healthz", get(handleHealth))
 
 	// Everything else: a JSON 404 envelope instead of net/http's plain-text
 	// default, so clients can rely on the error shape across the whole
@@ -413,39 +380,37 @@ func (s *Server) registerRoutes() {
 
 // scoped registers one deployment-scoped route resolved from the {name}
 // path wildcard.
-func (s *Server) scoped(template, version string, fixed string, methods map[string]methodHandler) *routeDef {
+func (s *Server) scoped(template string, methods map[string]methodHandler) *routeDef {
 	rt := &routeDef{
 		idx:      s.nScoped,
 		template: template,
-		version:  version,
-		fixed:    fixed,
 		handlers: methods,
 	}
 	s.nScoped++
 	// The unknown-deployment series: 404s for names that do not resolve
 	// must be countable without minting a series per probed name.
-	rt.em = newEndpointMetrics(s.reg, template, version, "unknown")
+	rt.em = newEndpointMetrics(s.reg, template, "unknown")
 	s.register(rt)
 	return rt
 }
 
 // global registers a route that is not bound to any deployment.
-func (s *Server) global(template, version string, methods map[string]methodHandler) {
+func (s *Server) global(template string, methods map[string]methodHandler) {
 	rt := &routeDef{
 		idx:      -1,
 		template: template,
-		version:  version,
 		global:   true,
 		handlers: methods,
 	}
-	rt.em = newEndpointMetrics(s.reg, template, version, "")
+	rt.em = newEndpointMetrics(s.reg, template, "")
 	s.register(rt)
 }
 
 // register wires rt into the mux: one method-qualified pattern per allowed
 // method, plus a method-less fallback on the same pattern that answers 405
 // with an Allow header and the JSON envelope (Go's mux prefers the
-// method-qualified pattern when the method matches).
+// method-qualified pattern when the method matches). The deployment name is
+// the {name} path value — "" on global routes, which have no wildcard.
 func (s *Server) register(rt *routeDef) {
 	methods := make([]string, 0, len(rt.handlers))
 	for m := range rt.handlers {
@@ -456,21 +421,12 @@ func (s *Server) register(rt *routeDef) {
 	s.routes = append(s.routes, rt)
 	for _, m := range methods {
 		s.mux.HandleFunc(m+" "+rt.template, func(w http.ResponseWriter, r *http.Request) {
-			s.dispatch(rt, w, r, true)
+			s.serveRoute(rt, r.PathValue("name"), w, r, true)
 		})
 	}
 	s.mux.HandleFunc(rt.template, func(w http.ResponseWriter, r *http.Request) {
-		s.dispatch(rt, w, r, false)
+		s.serveRoute(rt, r.PathValue("name"), w, r, false)
 	})
-}
-
-// dispatch resolves the deployment name and enters the middleware.
-func (s *Server) dispatch(rt *routeDef, w http.ResponseWriter, r *http.Request, methodOK bool) {
-	name := rt.fixed
-	if !rt.global && name == "" {
-		name = r.PathValue("name")
-	}
-	s.serveRoute(rt, name, w, r, methodOK)
 }
 
 // ServeHTTP implements http.Handler. POST predict requests are matched
@@ -478,7 +434,7 @@ func (s *Server) dispatch(rt *routeDef, w http.ResponseWriter, r *http.Request, 
 // slice per request, and predict is the one route where that shows up in
 // profiles, so the hot path string-matches the pattern itself and enters
 // the exact same middleware the mux would. Routed predict therefore costs
-// the same allocations as the legacy exact-match /v1/predict.
+// no more allocations than an exact-match pattern would.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost {
 		if rest, ok := strings.CutPrefix(r.URL.Path, "/v1/deployments/"); ok {
@@ -626,11 +582,11 @@ func handleTrain(s *Server, name string, h *depHandle, w http.ResponseWriter, r 
 		writeError(w, http.StatusBadRequest, codeBadRequest, errEmptyRequest)
 		return
 	}
-	// IngestCtx carries the middleware's request span, so the synchronous
+	// The context carries the middleware's request span, so the synchronous
 	// tick inherits the request's trace id and shows up in /trace?id= —
 	// and, through the deployment, tees the chunk into a shadow challenger
-	// if one is attached.
-	if err := h.dep.IngestCtx(r.Context(), records); err != nil {
+	// if one is attached. Synchronous chunks are neither queued nor logged.
+	if err := h.dep.IngestLogged(r.Context(), records, time.Time{}, 0); err != nil {
 		if errors.Is(err, data.ErrOverQuota) {
 			// The deployment's retained-chunk quota is exhausted: a standing
 			// condition, not transient backpressure, so no Retry-After.
@@ -795,11 +751,11 @@ type CheckpointNowResponse struct {
 // 501 "unsupported" (stream GET .../checkpoint instead).
 func handleCheckpointNow(s *Server, name string, h *depHandle, w http.ResponseWriter, r *http.Request) {
 	info, err := h.dep.Serving().CheckpointNow()
-	if err != nil {
-		if h.dep.CheckpointDir() == "" {
-			writeError(w, http.StatusNotImplemented, codeUnsupported, err)
-			return
-		}
+	switch {
+	case errors.Is(err, core.ErrNoCheckpointPolicy):
+		writeError(w, http.StatusNotImplemented, codeUnsupported, err)
+		return
+	case err != nil:
 		writeError(w, http.StatusInternalServerError, codeInternal, err)
 		return
 	}

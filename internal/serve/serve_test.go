@@ -74,7 +74,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(dep, WithLogger(nil))
+	s := New(dep, WithSlog(nil))
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -111,12 +111,12 @@ func TestTrainThenPredict(t *testing.T) {
 
 	// Train over several chunks.
 	for i := 0; i < 20; i++ {
-		resp, err := client.Post(ts.URL+"/train", "text/plain", strings.NewReader(chunkBody(r, 40)))
+		resp, err := client.Post(ts.URL+"/v1/deployments/default/train", "text/plain", strings.NewReader(chunkBody(r, 40)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/train status %d", resp.StatusCode)
+			t.Fatalf(".../train status %d", resp.StatusCode)
 		}
 		var tr TrainResponse
 		if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
@@ -129,13 +129,13 @@ func TestTrainThenPredict(t *testing.T) {
 	}
 
 	// Predict on fresh data.
-	resp, err := client.Post(ts.URL+"/predict", "text/plain", strings.NewReader(chunkBody(r, 100)))
+	resp, err := client.Post(ts.URL+"/v1/deployments/default/predict", "text/plain", strings.NewReader(chunkBody(r, 100)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/predict status %d", resp.StatusCode)
+		t.Fatalf(".../predict status %d", resp.StatusCode)
 	}
 	var pr PredictResponse
 	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
@@ -156,13 +156,13 @@ func TestStatsEndpoint(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	client := ts.Client()
 	for i := 0; i < 6; i++ {
-		resp, err := client.Post(ts.URL+"/train", "text/plain", strings.NewReader(chunkBody(r, 20)))
+		resp, err := client.Post(ts.URL+"/v1/deployments/default/train", "text/plain", strings.NewReader(chunkBody(r, 20)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 	}
-	resp, err := client.Get(ts.URL + "/stats")
+	resp, err := client.Get(ts.URL + "/v1/deployments/default/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestStatsEndpoint(t *testing.T) {
 
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, err := ts.Client().Get(ts.URL + "/healthz")
+	resp, err := ts.Client().Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +203,9 @@ func TestMethodValidation(t *testing.T) {
 	cases := []struct {
 		method, path string
 	}{
-		{http.MethodGet, "/predict"},
-		{http.MethodGet, "/train"},
-		{http.MethodPost, "/stats"},
+		{http.MethodGet, "/v1/deployments/default/predict"},
+		{http.MethodGet, "/v1/deployments/default/train"},
+		{http.MethodPost, "/v1/deployments/default/stats"},
 	}
 	for _, c := range cases {
 		req, _ := http.NewRequest(c.method, ts.URL+c.path, nil)
@@ -222,7 +222,7 @@ func TestMethodValidation(t *testing.T) {
 
 func TestEmptyBodyRejected(t *testing.T) {
 	_, ts := newTestServer(t)
-	for _, path := range []string{"/predict", "/train"} {
+	for _, path := range []string{"/v1/deployments/default/predict", "/v1/deployments/default/train"} {
 		resp, err := ts.Client().Post(ts.URL+path, "text/plain", strings.NewReader("\n\n"))
 		if err != nil {
 			t.Fatal(err)
@@ -237,7 +237,7 @@ func TestEmptyBodyRejected(t *testing.T) {
 func TestMalformedRecordsDroppedNotFatal(t *testing.T) {
 	_, ts := newTestServer(t)
 	body := "+1,0.5,0.5\ngarbage-line\n-1,-0.5,-0.5\n"
-	resp, err := ts.Client().Post(ts.URL+"/predict", "text/plain", strings.NewReader(body))
+	resp, err := ts.Client().Post(ts.URL+"/v1/deployments/default/predict", "text/plain", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestMalformedRecordsDroppedNotFatal(t *testing.T) {
 func TestCRLFBodies(t *testing.T) {
 	_, ts := newTestServer(t)
 	body := "+1,0.5,0.5\r\n-1,-0.5,-0.5\r\n"
-	resp, err := ts.Client().Post(ts.URL+"/predict", "text/plain", strings.NewReader(body))
+	resp, err := ts.Client().Post(ts.URL+"/v1/deployments/default/predict", "text/plain", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestConcurrentTrainAndPredict(t *testing.T) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < 8; i++ {
-				resp, err := client.Post(ts.URL+"/train", "text/plain", strings.NewReader(chunkBody(r, 10)))
+				resp, err := client.Post(ts.URL+"/v1/deployments/default/train", "text/plain", strings.NewReader(chunkBody(r, 10)))
 				if err != nil {
 					errs <- err
 					return
@@ -291,7 +291,7 @@ func TestConcurrentTrainAndPredict(t *testing.T) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed + 100))
 			for i := 0; i < 8; i++ {
-				resp, err := client.Post(ts.URL+"/predict", "text/plain", strings.NewReader(chunkBody(r, 10)))
+				resp, err := client.Post(ts.URL+"/v1/deployments/default/predict", "text/plain", strings.NewReader(chunkBody(r, 10)))
 				if err != nil {
 					errs <- err
 					return
@@ -312,14 +312,14 @@ func TestCheckpointRestoreOverHTTP(t *testing.T) {
 	client := ts.Client()
 	r := rand.New(rand.NewSource(9))
 	for i := 0; i < 10; i++ {
-		resp, err := client.Post(ts.URL+"/train", "text/plain", strings.NewReader(chunkBody(r, 30)))
+		resp, err := client.Post(ts.URL+"/v1/deployments/default/train", "text/plain", strings.NewReader(chunkBody(r, 30)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 	}
 	// Pull a checkpoint from the trained server.
-	resp, err := client.Get(ts.URL + "/checkpoint")
+	resp, err := client.Get(ts.URL + "/v1/deployments/default/checkpoint")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,20 +331,20 @@ func TestCheckpointRestoreOverHTTP(t *testing.T) {
 
 	// Push it into a fresh server and compare predictions.
 	_, ts2 := newTestServer(t)
-	resp2, err := ts2.Client().Post(ts2.URL+"/restore", "application/octet-stream", bytes.NewReader(snapshot))
+	resp2, err := ts2.Client().Post(ts2.URL+"/v1/deployments/default/restore", "application/octet-stream", bytes.NewReader(snapshot))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp2.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(resp2.Body)
-		t.Fatalf("/restore status %d: %s", resp2.StatusCode, body)
+		t.Fatalf(".../restore status %d: %s", resp2.StatusCode, body)
 	}
 	resp2.Body.Close()
 
 	query := chunkBody(r, 50)
 	var preds [2]PredictResponse
 	for i, url := range []string{ts.URL, ts2.URL} {
-		resp, err := client.Post(url+"/predict", "text/plain", strings.NewReader(query))
+		resp, err := client.Post(url+"/v1/deployments/default/predict", "text/plain", strings.NewReader(query))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +362,7 @@ func TestCheckpointRestoreOverHTTP(t *testing.T) {
 
 func TestRestoreRejectsGarbage(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, err := ts.Client().Post(ts.URL+"/restore", "application/octet-stream", strings.NewReader("garbage"))
+	resp, err := ts.Client().Post(ts.URL+"/v1/deployments/default/restore", "application/octet-stream", strings.NewReader("garbage"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestRestoreOversizedBodyIs413(t *testing.T) {
 	t.Run("content-length", func(t *testing.T) {
 		// bytes.Reader bodies carry Content-Length, so the server can refuse
 		// before reading the payload.
-		resp, err := ts.Client().Post(ts.URL+"/v1/restore", "application/octet-stream",
+		resp, err := ts.Client().Post(ts.URL+"/v1/deployments/default/restore", "application/octet-stream",
 			bytes.NewReader(make([]byte, tooBig)))
 		if err != nil {
 			t.Fatal(err)
@@ -419,7 +419,7 @@ func TestRestoreOversizedBodyIs413(t *testing.T) {
 	})
 
 	t.Run("chunked", func(t *testing.T) {
-		resp, err := ts.Client().Post(ts.URL+"/v1/restore", "application/octet-stream",
+		resp, err := ts.Client().Post(ts.URL+"/v1/deployments/default/restore", "application/octet-stream",
 			io.LimitReader(zeros{}, tooBig))
 		if err != nil {
 			t.Fatal(err)
@@ -438,13 +438,13 @@ func TestRestoreOversizedBodyNotApplied(t *testing.T) {
 	_, ts1 := newTestServer(t)
 	r := rand.New(rand.NewSource(41))
 	for i := 0; i < 5; i++ {
-		resp, err := ts1.Client().Post(ts1.URL+"/train", "text/plain", strings.NewReader(chunkBody(r, 30)))
+		resp, err := ts1.Client().Post(ts1.URL+"/v1/deployments/default/train", "text/plain", strings.NewReader(chunkBody(r, 30)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 	}
-	resp, err := ts1.Client().Get(ts1.URL + "/checkpoint")
+	resp, err := ts1.Client().Get(ts1.URL + "/v1/deployments/default/checkpoint")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestRestoreOversizedBodyNotApplied(t *testing.T) {
 	// io.MultiReader has no Content-Length, so the overflow is only
 	// discoverable mid-stream — after the valid checkpoint prefix.
 	body := io.MultiReader(bytes.NewReader(snapshot), io.LimitReader(zeros{}, maxBody+1))
-	resp2, err := ts2.Client().Post(ts2.URL+"/v1/restore", "application/octet-stream", body)
+	resp2, err := ts2.Client().Post(ts2.URL+"/v1/deployments/default/restore", "application/octet-stream", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,58 +473,8 @@ func TestRestoreOversizedBodyNotApplied(t *testing.T) {
 	}
 }
 
-// TestV1EndpointsServeSameAPI exercises the canonical /v1 surface: every
-// endpoint answers under its versioned path exactly like the legacy alias.
-func TestV1EndpointsServeSameAPI(t *testing.T) {
-	_, ts := newTestServer(t)
-	r := rand.New(rand.NewSource(31))
-	client := ts.Client()
-
-	for i := 0; i < 6; i++ {
-		resp, err := client.Post(ts.URL+"/v1/train", "text/plain", strings.NewReader(chunkBody(r, 20)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/v1/train status %d", resp.StatusCode)
-		}
-		var tr TrainResponse
-		if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if tr.Ingested != 20 {
-			t.Fatalf("/v1/train ingested %d", tr.Ingested)
-		}
-	}
-
-	resp, err := client.Post(ts.URL+"/v1/predict", "text/plain", strings.NewReader(chunkBody(r, 30)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pr PredictResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if pr.Served != 30 {
-		t.Fatalf("/v1/predict served %d", pr.Served)
-	}
-
-	for _, path := range []string{"/v1/stats", "/v1/metrics", "/v1/trace", "/v1/checkpoint", "/v1/healthz"} {
-		resp, err := client.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s status %d", path, resp.StatusCode)
-		}
-	}
-}
-
 // TestErrorEnvelope checks the uniform {"error":{"code","message"}} shape
-// and the machine-readable codes on both API versions.
+// and the machine-readable codes.
 func TestErrorEnvelope(t *testing.T) {
 	_, ts := newTestServer(t)
 	client := ts.Client()
@@ -534,18 +484,15 @@ func TestErrorEnvelope(t *testing.T) {
 		wantStatus int
 		wantCode   string
 	}{
-		{"empty body v1", func() (*http.Response, error) {
-			return client.Post(ts.URL+"/v1/predict", "text/plain", strings.NewReader("\n"))
+		{"empty body", func() (*http.Response, error) {
+			return client.Post(ts.URL+"/v1/deployments/default/predict", "text/plain", strings.NewReader("\n"))
 		}, http.StatusBadRequest, "bad_request"},
-		{"empty body legacy", func() (*http.Response, error) {
-			return client.Post(ts.URL+"/predict", "text/plain", strings.NewReader("\n"))
-		}, http.StatusBadRequest, "bad_request"},
-		{"wrong method v1", func() (*http.Response, error) {
-			req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/train", nil)
+		{"wrong method", func() (*http.Response, error) {
+			req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/deployments/default/train", nil)
 			return client.Do(req)
 		}, http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"bad trace n", func() (*http.Response, error) {
-			return client.Get(ts.URL + "/v1/trace?n=abc")
+			return client.Get(ts.URL + "/v1/deployments/default/trace?n=abc")
 		}, http.StatusBadRequest, "bad_request"},
 	}
 	for _, c := range cases {
@@ -572,21 +519,22 @@ func TestErrorEnvelope(t *testing.T) {
 
 func TestCheckpointMethodValidation(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, err := ts.Client().Post(ts.URL+"/checkpoint", "text/plain", strings.NewReader(""))
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/deployments/default/checkpoint", nil)
+	resp, err := ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /checkpoint status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET, POST" {
+		t.Fatalf("DELETE .../checkpoint status %d, Allow %q", resp.StatusCode, resp.Header.Get("Allow"))
 	}
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/restore", nil)
+	req, _ = http.NewRequest(http.MethodGet, ts.URL+"/v1/deployments/default/restore", nil)
 	resp2, err := ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /restore status %d", resp2.StatusCode)
+		t.Fatalf("GET .../restore status %d", resp2.StatusCode)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -51,7 +53,7 @@ func newTraceTestServer(t *testing.T, ckptDir string, opts ...Option) (*Server, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(dep, append([]Option{WithLogger(nil)}, opts...)...)
+	s := New(dep, append([]Option{WithSlog(nil)}, opts...)...)
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() {
 		ts.Close()
@@ -62,13 +64,13 @@ func newTraceTestServer(t *testing.T, ckptDir string, opts ...Option) (*Server, 
 
 func getTrace(t *testing.T, ts *httptest.Server, id string) TraceResponse {
 	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + "/v1/trace?id=" + id)
+	resp, err := ts.Client().Get(ts.URL + "/v1/deployments/default/trace?id=" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/trace?id= status %d", resp.StatusCode)
+		t.Fatalf(".../trace?id= status %d", resp.StatusCode)
 	}
 	var tr TraceResponse
 	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
@@ -105,20 +107,20 @@ func childNames(sp *obs.Span) map[string]bool {
 // TestTraceEndToEndAsyncIngest is the PR's acceptance criterion: one trace id
 // follows an asynchronously ingested chunk from request receipt, across the
 // bounded queue (the wait is its own span), through the training tick's
-// stages, into the background checkpoint writer — and /v1/trace?id=
+// stages, into the background checkpoint writer — and .../trace?id=
 // reassembles the whole story from the three separately recorded span trees.
 func TestTraceEndToEndAsyncIngest(t *testing.T) {
 	_, ts := newTraceTestServer(t, t.TempDir())
 	r := rand.New(rand.NewSource(7))
 
-	resp, err := ts.Client().Post(ts.URL+"/v1/ingest", "text/plain", strings.NewReader(chunkBody(r, 30)))
+	resp, err := ts.Client().Post(ts.URL+"/v1/deployments/default/ingest", "text/plain", strings.NewReader(chunkBody(r, 30)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("/v1/ingest status %d", resp.StatusCode)
+		t.Fatalf(".../ingest status %d", resp.StatusCode)
 	}
 	traceID := resp.Header.Get("X-Trace-ID")
 	if traceID == "" {
@@ -131,7 +133,7 @@ func TestTraceEndToEndAsyncIngest(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		tr = getTrace(t, ts, traceID)
-		if findRoot(tr.Spans, "POST /v1/ingest") != nil &&
+		if findRoot(tr.Spans, "POST /v1/deployments/{name}/ingest") != nil &&
 			findRoot(tr.Spans, "tick") != nil &&
 			findRoot(tr.Spans, "checkpoint") != nil {
 			break
@@ -151,10 +153,10 @@ func TestTraceEndToEndAsyncIngest(t *testing.T) {
 		}
 	}
 	// Trees come back in start order: the HTTP request began everything.
-	if tr.Spans[0].Name != "POST /v1/ingest" {
+	if tr.Spans[0].Name != "POST /v1/deployments/{name}/ingest" {
 		t.Fatalf("first tree is %q, want the request root (order: %v)", tr.Spans[0].Name, rootNames(tr.Spans))
 	}
-	req := findRoot(tr.Spans, "POST /v1/ingest")
+	req := findRoot(tr.Spans, "POST /v1/deployments/{name}/ingest")
 	if req.RequestID == "" {
 		t.Fatal("request root missing request id")
 	}
@@ -194,7 +196,7 @@ func TestTraceSyncTrainClientSuppliedID(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	const traceID = "cdml-client-trace-0001"
 
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/train", strings.NewReader(chunkBody(r, 20)))
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/deployments/default/train", strings.NewReader(chunkBody(r, 20)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +208,7 @@ func TestTraceSyncTrainClientSuppliedID(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/train status %d", resp.StatusCode)
+		t.Fatalf(".../train status %d", resp.StatusCode)
 	}
 	if got := resp.Header.Get("X-Trace-ID"); got != traceID {
 		t.Fatalf("echoed trace id %q, want %q", got, traceID)
@@ -218,7 +220,7 @@ func TestTraceSyncTrainClientSuppliedID(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		tr = getTrace(t, ts, traceID)
-		if findRoot(tr.Spans, "POST /v1/train") != nil && findRoot(tr.Spans, "tick") != nil {
+		if findRoot(tr.Spans, "POST /v1/deployments/{name}/train") != nil && findRoot(tr.Spans, "tick") != nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -236,7 +238,7 @@ func TestTraceSyncTrainClientSuppliedID(t *testing.T) {
 	}
 }
 
-// TestStatusLastTickBreakdown covers the /v1/status additions: the last
+// TestStatusLastTickBreakdown covers the .../status additions: the last
 // tick's stage breakdown appears after training, and the oldest-queued-item
 // age field is present (and zero on an idle queue).
 func TestStatusLastTickBreakdown(t *testing.T) {
@@ -244,7 +246,7 @@ func TestStatusLastTickBreakdown(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 
 	getStatus := func() (StatusResponse, map[string]any) {
-		resp, err := ts.Client().Get(ts.URL + "/v1/status")
+		resp, err := ts.Client().Get(ts.URL + "/v1/deployments/default/status")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +277,7 @@ func TestStatusLastTickBreakdown(t *testing.T) {
 		t.Fatalf("idle queue reports oldest age %v", st.IngestOldestAgeSeconds)
 	}
 
-	resp, err := ts.Client().Post(ts.URL+"/v1/train", "text/plain", strings.NewReader(chunkBody(r, 20)))
+	resp, err := ts.Client().Post(ts.URL+"/v1/deployments/default/train", "text/plain", strings.NewReader(chunkBody(r, 20)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +436,7 @@ func TestRuntimeMetricsOptIn(t *testing.T) {
 
 // TestMetricsExemplarAfterRequest: request latency histograms carry the last
 // slow request's trace id as an exemplar comment, linking /v1/metrics to
-// /v1/trace?id=.
+// .../trace?id=.
 func TestMetricsExemplarAfterRequest(t *testing.T) {
 	_, ts := newTraceTestServer(t, "")
 	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/healthz", nil)
@@ -469,5 +471,33 @@ func TestMetricsExemplarAfterRequest(t *testing.T) {
 			t.Fatalf("no exemplar for the healthz request after 5s:\n%s", out)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestCheckpointNowUnsupportedVersusFailed separates the two ways POST
+// .../checkpoint can fail on an adopted deployment (the cdml-serve
+// single-mode configuration): no checkpoint policy is 501 "unsupported", a
+// policy whose write fails is 500 "internal" — an I/O failure must never be
+// reported as a missing feature.
+func TestCheckpointNowUnsupportedVersusFailed(t *testing.T) {
+	_, ts := newTraceTestServer(t, "")
+	code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/deployments/default/checkpoint", nil)
+	if code != http.StatusNotImplemented || errCode(t, body) != "unsupported" {
+		t.Fatalf("no policy: %d %s, want 501 unsupported", code, body)
+	}
+
+	// The policy's directory exists once the deployer is built; swap it for a
+	// regular file so the write fails even when the tests run as root.
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	_, ts = newTraceTestServer(t, dir)
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, body = doJSON(t, http.MethodPost, ts.URL+"/v1/deployments/default/checkpoint", nil)
+	if code != http.StatusInternalServerError || errCode(t, body) != "internal" {
+		t.Fatalf("unwritable dir: %d %s, want 500 internal", code, body)
 	}
 }

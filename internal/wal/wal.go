@@ -87,7 +87,7 @@ type Options struct {
 	NoSync bool
 }
 
-// Stats is a point-in-time snapshot of log counters, served on /v1/status
+// Stats is a point-in-time snapshot of log counters, served on .../status
 // and exported as cdml_wal_* metrics.
 type Stats struct {
 	// LastSeq is the highest data record sequence number ever appended.
