@@ -395,6 +395,43 @@ func BenchmarkPipelineProcessOnline(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelineProcessServeTaxi256 measures the transform-only path of a
+// trained Taxi pipeline over a 256-record query — the pipeline's share of a
+// batch predict. Allocations are O(columns): the count does not depend on
+// the batch size.
+func BenchmarkPipelineProcessServeTaxi256(b *testing.B) {
+	pipe, query := trainedTaxiPipeline(b, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pipe.ProcessServe(query); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// taxiBenchStream is the stream the batch-predict benches share: 20 training
+// chunks, then chunk 20 as the query, rows records each.
+func taxiBenchStream(rows int) *dataset.Taxi {
+	cfg := dataset.DefaultTaxiConfig()
+	cfg.Chunks, cfg.RowsPerChunk = 21, rows
+	return dataset.NewTaxi(cfg)
+}
+
+// trainedTaxiPipeline returns a Taxi pipeline whose statistics have seen 20
+// chunks, and a query of the given size.
+func trainedTaxiPipeline(b *testing.B, rows int) (*pipeline.Pipeline, [][]byte) {
+	b.Helper()
+	gen := taxiBenchStream(rows)
+	pipe := dataset.NewTaxiPipeline()
+	for i := 0; i < 20; i++ {
+		if _, err := pipe.ProcessOnline(gen.Chunk(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return pipe, gen.Chunk(20)
+}
+
 // BenchmarkProactiveTrainingIteration measures one mini-batch SGD iteration
 // over a proactive-training sample (8 chunks × 200 rows, sparse SVM).
 func BenchmarkProactiveTrainingIteration(b *testing.B) {
@@ -847,6 +884,43 @@ func newServeBenchServer(b *testing.B, opts ...serve.Option) *serve.Server {
 func BenchmarkServePredictRouted(b *testing.B) {
 	s := newServeBenchServer(b)
 	body := []byte("0,0.5,0.5\n")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := httptest.NewRequest(http.MethodPost, "/v1/deployments/default/predict", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+}
+
+// BenchmarkServePredictTaxiBatch256 drives the real predict handler on a
+// recorder with a Taxi deployment and a 256-record body: body read, record
+// split, parse, five transforms, scoring and the appended JSON answer.
+func BenchmarkServePredictTaxiBatch256(b *testing.B) {
+	gen := taxiBenchStream(256)
+	dep, err := core.NewDeployer(core.Config{
+		Mode:         core.ModeOnline,
+		NewPipeline:  dataset.NewTaxiPipeline,
+		NewModel:     func() model.Model { return dataset.NewTaxiModel(1e-4) },
+		NewOptimizer: func() opt.Optimizer { return opt.NewRMSProp(0.1) },
+		Store:        data.NewStore(data.NewMemoryBackend()),
+		Metric:       &eval.RMSE{},
+		Predict:      core.RegressionPredictor,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(dep.Shutdown)
+	for i := 0; i < 20; i++ {
+		if err := dep.Ingest(gen.Chunk(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s := serve.New(dep, serve.WithSlog(nil))
+	body := bytes.Join(gen.Chunk(20), []byte("\n"))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -37,9 +37,10 @@ import (
 // reproductions (Fig4..Fig8, Table3/4, ablations, end-to-end) are excluded —
 // they measure science, run minutes, and would drown the gate in noise.
 const defaultBench = "BenchmarkObsCounterInc|BenchmarkObsHistogramObserve|BenchmarkSparseDot|" +
-	"BenchmarkPipelineProcessOnline|BenchmarkProactiveTrainingIteration|BenchmarkMFUpdate|" +
+	"BenchmarkPipelineProcessOnline|BenchmarkPipelineProcessServeTaxi256|" +
+	"BenchmarkProactiveTrainingIteration|BenchmarkMFUpdate|" +
 	"BenchmarkKMeansUpdate|BenchmarkTieredBackendHit|BenchmarkDriftDetectorObserve|" +
-	"BenchmarkServePredictRouted|BenchmarkReplicaPredict|" +
+	"BenchmarkServePredictRouted|BenchmarkServePredictTaxiBatch256|BenchmarkReplicaPredict|" +
 	"BenchmarkIngestAppend"
 
 func main() {

@@ -1,7 +1,10 @@
 package data
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"cdml/internal/linalg"
@@ -130,6 +133,64 @@ func TestFrameSelect(t *testing.T) {
 	}
 	if g.Float("x")[1] != 3 || g.String("s")[1] != "c" || g.Vec("v")[1].At(0) != 3 {
 		t.Fatal("Select picked wrong rows")
+	}
+}
+
+// Select's one input-dependent branch, both sides. Every row kept: the
+// receiver itself comes back (frames are immutable, so that is a free copy).
+// Any row dropped: a new frame whose columns are the kept rows in order,
+// whatever the pattern of runs, leaving the input untouched.
+func TestFrameSelectAllKeptAndRandomMasks(t *testing.T) {
+	const rows = 40
+	xs, ys := make([]float64, rows), make([]float64, rows)
+	ss := make([]string, rows)
+	vs := make([]linalg.Vector, rows)
+	for i := 0; i < rows; i++ {
+		xs[i], ys[i], ss[i], vs[i] = float64(i), float64(-i), fmt.Sprint(i), linalg.Dense{float64(i)}
+	}
+	f := NewFrame(rows).SetFloat("x", xs).SetString("s", ss).SetFloat("y", ys).SetVec("v", vs)
+
+	all := make([]bool, rows)
+	for i := range all {
+		all[i] = true
+	}
+	if g := f.Select(all); g != f {
+		t.Fatal("Select with every row kept did not return its receiver")
+	}
+
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		keep := make([]bool, rows)
+		p := r.Float64() // from almost nothing kept to almost everything kept
+		var want []int
+		for i := range keep {
+			if keep[i] = r.Float64() < p; keep[i] {
+				want = append(want, i)
+			}
+		}
+		if len(want) == rows {
+			continue
+		}
+		g := f.Select(keep)
+		if g == f || g.Rows() != len(want) || !reflect.DeepEqual(g.Columns(), f.Columns()) {
+			t.Fatalf("mask %v: got %d rows, columns %v", keep, g.Rows(), g.Columns())
+		}
+		for j, i := range want {
+			if g.Float("x")[j] != xs[i] || g.Float("y")[j] != ys[i] || g.String("s")[j] != ss[i] || g.Vec("v")[j].At(0) != float64(i) {
+				t.Fatalf("mask %v: output row %d is not input row %d", keep, j, i)
+			}
+		}
+		// The float columns share one backing array; an append on one must
+		// not write into the next.
+		if len(want) > 0 {
+			_ = append(g.Float("x"), 1e9)
+			if g.Float("y")[0] != ys[want[0]] {
+				t.Fatal("append on column x reached column y")
+			}
+		}
+	}
+	if f.Rows() != rows || f.Float("x")[rows-1] != rows-1 {
+		t.Fatal("Select changed its input")
 	}
 }
 

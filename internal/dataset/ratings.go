@@ -124,27 +124,42 @@ type RatingsParser struct{}
 // Name implements pipeline.Parser.
 func (RatingsParser) Name() string { return "ratings-parser" }
 
-// Parse implements pipeline.Parser; malformed records are dropped.
+// Parse implements pipeline.Parser; malformed records — a wrong field count,
+// an id without its u/i prefix, a non-finite rating — are dropped. Fields are
+// scanned in place; the id strings of the whole batch share one allocation.
 func (RatingsParser) Parse(records [][]byte) (*data.Frame, error) {
-	users := make([]string, 0, len(records))
-	items := make([]string, 0, len(records))
 	labels := make([]float64, 0, len(records))
+	// The accepted records' user and item ids, back to back, and where each
+	// id ends; a record's length bounds its ids'.
+	idText := make([]byte, 0, totalLen(records))
+	ends := make([]int, 0, 2*len(records))
 	for _, rec := range records {
-		parts := bytes.Split(rec, []byte(","))
-		if len(parts) != 3 {
+		if bytes.Count(rec, comma) != 2 {
 			continue
 		}
-		u, i := string(parts[0]), string(parts[1])
+		u, rest := cutField(rec, ',')
+		i, rating := cutField(rest, ',')
 		if len(u) < 2 || u[0] != 'u' || len(i) < 2 || i[0] != 'i' {
 			continue
 		}
-		y, err := strconv.ParseFloat(string(parts[2]), 64)
-		if err != nil {
+		y, ok := parseFinite(rating)
+		if !ok {
 			continue
 		}
-		users = append(users, u)
-		items = append(items, i)
+		idText = append(idText, u...)
+		ends = append(ends, len(idText))
+		idText = append(idText, i...)
+		ends = append(ends, len(idText))
 		labels = append(labels, y)
+	}
+	all := string(idText)
+	users := make([]string, len(labels))
+	items := make([]string, len(labels))
+	start := 0
+	for r := range labels {
+		users[r] = all[start:ends[2*r]]
+		items[r] = all[ends[2*r]:ends[2*r+1]]
+		start = ends[2*r+1]
 	}
 	f := data.NewFrame(len(labels))
 	f.SetString("user", users)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
 	"time"
 
 	"cdml/internal/data"
@@ -95,22 +94,30 @@ func speedKmh(hour int, weekday time.Weekday) float64 {
 // Haversine returns the great-circle distance in kilometers between two
 // (lat, lon) points in degrees — the Taxi pipeline's distance feature.
 func Haversine(lat1, lon1, lat2, lon2 float64) float64 {
-	const R = 6371.0
-	rad := math.Pi / 180
-	dLat := (lat2 - lat1) * rad
-	dLon := (lon2 - lon1) * rad
-	a := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(lat1*rad)*math.Cos(lat2*rad)*math.Sin(dLon/2)*math.Sin(dLon/2)
-	return 2 * R * math.Asin(math.Min(1, math.Sqrt(a)))
+	return haversine(math.Cos(lat1*rad), math.Cos(lat2*rad), (lat2-lat1)*rad, (lon2-lon1)*rad)
 }
 
 // Bearing returns the initial compass bearing in degrees from point 1 to
 // point 2 — the Taxi pipeline's direction feature.
 func Bearing(lat1, lon1, lat2, lon2 float64) float64 {
-	rad := math.Pi / 180
-	dLon := (lon2 - lon1) * rad
-	y := math.Sin(dLon) * math.Cos(lat2*rad)
-	x := math.Cos(lat1*rad)*math.Sin(lat2*rad) - math.Sin(lat1*rad)*math.Cos(lat2*rad)*math.Cos(dLon)
+	return bearing(math.Cos(lat1*rad), math.Cos(lat2*rad), lat1*rad, lat2*rad, (lon2-lon1)*rad)
+}
+
+const rad = math.Pi / 180
+
+// haversine and bearing take the two cosines of the latitudes as arguments,
+// so the feature extractor — which needs both features of every trip —
+// computes them once.
+func haversine(cosLat1, cosLat2, dLat, dLon float64) float64 {
+	const R = 6371.0
+	a := math.Sin(dLat/2)*math.Sin(dLat/2) +
+		cosLat1*cosLat2*math.Sin(dLon/2)*math.Sin(dLon/2)
+	return 2 * R * math.Asin(math.Min(1, math.Sqrt(a)))
+}
+
+func bearing(cosLat1, cosLat2, lat1, lat2, dLon float64) float64 {
+	y := math.Sin(dLon) * cosLat2
+	x := cosLat1*math.Sin(lat2) - math.Sin(lat1)*cosLat2*math.Cos(dLon)
 	deg := math.Atan2(y, x) / rad
 	return math.Mod(deg+360, 360)
 }
@@ -176,7 +183,9 @@ type TaxiParser struct{}
 // Name implements pipeline.Parser.
 func (TaxiParser) Name() string { return "taxi-parser" }
 
-// Parse implements pipeline.Parser; malformed records are dropped.
+// Parse implements pipeline.Parser; malformed records — a wrong field count,
+// an unparseable time, a non-numeric or non-finite number, a dropoff before
+// the pickup — are dropped. Fields are scanned in place.
 func (TaxiParser) Parse(records [][]byte) (*data.Frame, error) {
 	n := len(records)
 	pLat := make([]float64, 0, n)
@@ -188,24 +197,23 @@ func (TaxiParser) Parse(records [][]byte) (*data.Frame, error) {
 	dur := make([]float64, 0, n)
 	label := make([]float64, 0, n)
 	for _, rec := range records {
-		parts := bytes.Split(rec, []byte(","))
-		if len(parts) != 7 {
+		if bytes.Count(rec, comma) != 6 {
 			continue
 		}
-		pickup, err1 := time.Parse(taxiTimeLayout, string(parts[0]))
-		dropoff, err2 := time.Parse(taxiTimeLayout, string(parts[1]))
-		if err1 != nil || err2 != nil {
+		field, rest := cutField(rec, ',')
+		pickup, ok1 := parseTaxiTime(field)
+		field, rest = cutField(rest, ',')
+		dropoff, ok2 := parseTaxiTime(field)
+		if !ok1 || !ok2 {
 			continue
 		}
-		vals := make([]float64, 5)
+		var vals [5]float64
 		ok := true
-		for k := 0; k < 5; k++ {
-			v, err := strconv.ParseFloat(string(parts[2+k]), 64)
-			if err != nil {
-				ok = false
+		for k := range vals {
+			field, rest = cutField(rest, ',')
+			if vals[k], ok = parseFinite(field); !ok {
 				break
 			}
-			vals[k] = v
 		}
 		if !ok {
 			continue
@@ -233,6 +241,78 @@ func (TaxiParser) Parse(records [][]byte) (*data.Frame, error) {
 	f.SetFloat("duration", dur)
 	f.SetFloat("label", label)
 	return f, nil
+}
+
+// parseTaxiTime parses a taxiTimeLayout timestamp. The canonical 19-byte
+// shape with every field in range is decoded by integer arithmetic; anything
+// else goes through time.Parse, so the accepted set — one-digit hours,
+// fractional seconds and all — is time.Parse's.
+func parseTaxiTime(b []byte) (time.Time, bool) {
+	if sec, ok := canonicalTaxiTime(b); ok {
+		return time.Unix(sec, 0).UTC(), true
+	}
+	t, err := time.Parse(taxiTimeLayout, string(b))
+	return t, err == nil
+}
+
+// canonicalTaxiTime decodes "YYYY-MM-DD hh:mm:ss" into Unix seconds. It
+// reports false for any other shape and for any field out of its calendar
+// range; it never accepts what time.Parse would reject.
+func canonicalTaxiTime(b []byte) (unix int64, ok bool) {
+	if len(b) != len(taxiTimeLayout) {
+		return 0, false
+	}
+	for i, c := range b { // a digit wherever the layout has one, else the layout's separator
+		if want := taxiTimeLayout[i]; isDigit(want) != isDigit(c) || (!isDigit(c) && c != want) {
+			return 0, false
+		}
+	}
+	year, month, day := digits(b[0:4]), digits(b[5:7]), digits(b[8:10])
+	hour, minute, sec := digits(b[11:13]), digits(b[14:16]), digits(b[17:19])
+	if month < 1 || month > 12 || day < 1 || day > daysIn(month, year) || hour > 23 || minute > 59 || sec > 59 {
+		return 0, false
+	}
+	return int64(daysFromCivil(year, month, day))*86400 + int64(hour*3600+minute*60+sec), true
+}
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+// digits decodes a run of ASCII digits.
+func digits(b []byte) (n int) {
+	for _, c := range b {
+		n = n*10 + int(c-'0')
+	}
+	return n
+}
+
+func daysIn(month, year int) int {
+	switch month {
+	case 2:
+		if year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+			return 29
+		}
+		return 28
+	case 4, 6, 9, 11:
+		return 30
+	}
+	return 31
+}
+
+// daysFromCivil returns the days from 1970-01-01 to the given date of the
+// proleptic Gregorian calendar (the calendar package time uses).
+func daysFromCivil(y, m, d int) int {
+	if m <= 2 {
+		y--
+	}
+	era := y / 400
+	if y < 0 {
+		era = (y - 399) / 400
+	}
+	yoe := y - era*400                     // [0, 399]
+	mp := (m + 9) % 12                     // March = 0
+	doy := (153*mp+2)/5 + d - 1            // [0, 365]
+	doe := yoe*365 + yoe/4 - yoe/100 + doy // [0, 146096]
+	return era*146097 + doe - 719468
 }
 
 // TaxiFeatureExtractor is the Taxi pipeline's feature-extraction component:
@@ -267,11 +347,13 @@ func (TaxiFeatureExtractor) Transform(f *data.Frame) (*data.Frame, error) {
 	hour := make([]float64, n)
 	dow := make([]string, n)
 	for i := 0; i < n; i++ {
-		dist[i] = Haversine(pLat[i], pLon[i], dLat[i], dLon[i])
-		bear[i] = Bearing(pLat[i], pLon[i], dLat[i], dLon[i])
-		t := time.Unix(int64(unix[i]), 0).UTC()
-		hour[i] = float64(t.Hour())
-		dow[i] = weekdayNames[int(t.Weekday())]
+		lat1, lat2, dl := pLat[i]*rad, dLat[i]*rad, (dLon[i]-pLon[i])*rad
+		cos1, cos2 := math.Cos(lat1), math.Cos(lat2)
+		dist[i] = haversine(cos1, cos2, (dLat[i]-pLat[i])*rad, dl)
+		bear[i] = bearing(cos1, cos2, lat1, lat2, dl)
+		h, wd := hourAndWeekday(int64(unix[i]))
+		hour[i] = float64(h)
+		dow[i] = weekdayNames[wd]
 	}
 	g := f.ShallowCopy()
 	g.SetFloat("dist_km", dist)
@@ -281,16 +363,50 @@ func (TaxiFeatureExtractor) Transform(f *data.Frame) (*data.Frame, error) {
 	return g, nil
 }
 
-// NewTaxiAnomalyFilter returns the paper's anomaly detector: it drops trips
-// longer than 22 hours, shorter than 10 seconds, or with zero distance.
-func NewTaxiAnomalyFilter() *pipeline.Filter {
-	return pipeline.NewFilter("anomaly-detector", func(f *data.Frame, i int) bool {
-		d := f.Float("duration")[i]
-		if d > 22*3600 || d < 10 {
-			return false
-		}
-		return f.Float("dist_km")[i] > 0
-	})
+// hourAndWeekday returns the UTC hour of the day and day of the week
+// (Sunday = 0) of a Unix time, as time.Unix(sec, 0).UTC() reports them.
+func hourAndWeekday(sec int64) (hour, weekday int) {
+	days, rem := sec/86400, sec%86400
+	if rem < 0 { // floor, not truncate: before 1970
+		days, rem = days-1, rem+86400
+	}
+	weekday = int((days + 4) % 7) // 1970-01-01 was a Thursday
+	if weekday < 0 {
+		weekday += 7
+	}
+	return int(rem / 3600), weekday
+}
+
+// TaxiAnomalyFilter is the paper's anomaly detector: it drops trips longer
+// than 22 hours, shorter than 10 seconds, or with zero distance. It is
+// stateless. (It reads its two columns once per batch; a pipeline.Filter's
+// row predicate would look them up once per row.)
+type TaxiAnomalyFilter struct{}
+
+// NewTaxiAnomalyFilter returns the Taxi pipeline's anomaly detector.
+func NewTaxiAnomalyFilter() TaxiAnomalyFilter { return TaxiAnomalyFilter{} }
+
+// Name implements pipeline.Component.
+func (TaxiAnomalyFilter) Name() string { return "anomaly-detector" }
+
+// Stateless implements pipeline.Component.
+func (TaxiAnomalyFilter) Stateless() bool { return true }
+
+// Update implements pipeline.Component (no statistics).
+func (TaxiAnomalyFilter) Update(f *data.Frame) error { return nil }
+
+// Snapshot implements pipeline.Component: stateless, shares itself.
+func (x TaxiAnomalyFilter) Snapshot() pipeline.Component { return x }
+
+// Transform implements pipeline.Component.
+func (TaxiAnomalyFilter) Transform(f *data.Frame) (*data.Frame, error) {
+	dur := f.Float("duration")
+	dist := f.Float("dist_km")
+	keep := make([]bool, f.Rows())
+	for i, d := range dur {
+		keep[i] = !(d > 22*3600 || d < 10) && dist[i] > 0
+	}
+	return f.Select(keep), nil
 }
 
 // TaxiFeatureDim is the assembled feature dimensionality of the Taxi

@@ -225,67 +225,80 @@ type URLParser struct{}
 // Name implements pipeline.Parser.
 func (URLParser) Name() string { return "url-parser" }
 
-// Parse implements pipeline.Parser; malformed records are dropped.
+// Parse implements pipeline.Parser; malformed records — a wrong field count,
+// a label other than ±1, a numeric field that is neither "?" nor a finite
+// number — are dropped. Fields are scanned in place; the token strings of
+// the whole batch share one allocation.
 func (URLParser) Parse(records [][]byte) (*data.Frame, error) {
 	labels := make([]float64, 0, len(records))
-	nums := make([][]float64, numURLFeatures)
+	var nums [numURLFeatures][]float64
 	for k := range nums {
 		nums[k] = make([]float64, 0, len(records))
 	}
-	tokens := make([]string, 0, len(records))
+	// The accepted records' token fields, back to back, and where each one
+	// ends; a record's length bounds its token field's.
+	tokenText := make([]byte, 0, totalLen(records))
+	ends := make([]int, 0, len(records))
 	for _, rec := range records {
-		parts := bytes.Split(rec, []byte("\t"))
-		if len(parts) != 3 {
+		if bytes.Count(rec, tab) != 2 {
 			continue
 		}
-		y, err := strconv.ParseFloat(string(parts[0]), 64)
+		field, rest := cutField(rec, '\t')
+		y, ok := parseFinite(field)
 		//lint:allow floateq: class labels are exactly ±1 on the wire
-		if err != nil || (y != 1 && y != -1) {
+		if !ok || (y != 1 && y != -1) {
 			continue
 		}
-		numParts := bytes.Split(parts[1], []byte(","))
-		if len(numParts) != numURLFeatures {
+		numField, toks := cutField(rest, '\t')
+		if bytes.Count(numField, comma) != numURLFeatures-1 {
 			continue
 		}
-		rowNums := make([]float64, numURLFeatures)
-		ok := true
-		for k, np := range numParts {
-			if string(np) == "?" {
-				rowNums[k] = data.Missing
-				continue
-			}
-			v, err := strconv.ParseFloat(string(np), 64)
-			if err != nil {
-				ok = false
+		var row [numURLFeatures]float64
+		for k := range row {
+			field, numField = cutField(numField, ',')
+			if len(field) == 1 && field[0] == '?' {
+				row[k] = data.Missing
+			} else if row[k], ok = parseFinite(field); !ok {
 				break
 			}
-			rowNums[k] = v
 		}
 		if !ok {
 			continue
 		}
 		labels = append(labels, y)
 		for k := range nums {
-			nums[k] = append(nums[k], rowNums[k])
+			nums[k] = append(nums[k], row[k])
 		}
-		tokens = append(tokens, string(parts[2]))
+		tokenText = append(tokenText, toks...)
+		ends = append(ends, len(tokenText))
+	}
+	all := string(tokenText)
+	tokens := make([]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		tokens[i] = all[start:end]
+		start = end
 	}
 	f := data.NewFrame(len(labels))
 	f.SetFloat("label", labels)
 	for k := range nums {
-		f.SetFloat(fmt.Sprintf("num%d", k), nums[k])
+		f.SetFloat(urlNumCols[k], nums[k])
 	}
 	f.SetString("tokens", tokens)
 	return f, nil
 }
 
-// URLNumCols returns the numeric column names the URL pipeline scales.
-func URLNumCols() []string {
-	cols := make([]string, numURLFeatures)
+// urlNumCols names the numeric columns, built once.
+var urlNumCols = func() (cols [numURLFeatures]string) {
 	for k := range cols {
 		cols[k] = fmt.Sprintf("num%d", k)
 	}
 	return cols
+}()
+
+// URLNumCols returns the numeric column names the URL pipeline scales.
+func URLNumCols() []string {
+	return append([]string(nil), urlNumCols[:]...)
 }
 
 // NewURLPipeline constructs the paper's URL pipeline: input parser →

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestParseScale(t *testing.T) {
@@ -280,22 +281,31 @@ func TestFig7Shape(t *testing.T) {
 	if len(r.Points) != len(SamplingStrategies)*len(Fig7Rates) {
 		t.Fatalf("points = %d", len(r.Points))
 	}
+	// Both shapes are asserted on the preprocessing cost, the one category
+	// materialization and online statistics act on. Training and prediction
+	// do identical work in every configuration, and at this scale — runs of
+	// tens of milliseconds — their wall-clock jitter is as large as the whole
+	// preprocessing bill, so the total only shows the shape at medium scale
+	// (EXPERIMENTS.md).
+	preprocessAt := func(strat string, rate float64) time.Duration {
+		for _, p := range r.Points {
+			if p.Strategy == strat && p.Rate == rate {
+				return p.Preprocess
+			}
+		}
+		t.Fatalf("%s: missing sweep point at rate %v", strat, rate)
+		return 0
+	}
 	// Shape: for each strategy, cost at full materialization ≤ cost at none.
 	for _, strat := range SamplingStrategies {
-		c0, ok0 := r.CostAt(strat, 0.0)
-		c1, ok1 := r.CostAt(strat, 1.0)
-		if !ok0 || !ok1 {
-			t.Fatalf("%s: missing sweep points", strat)
-		}
-		// Allow jitter: the small-scale runs take tens of milliseconds, so
-		// only a clear inversion is a failure.
+		c0, c1 := preprocessAt(strat, 0.0), preprocessAt(strat, 1.0)
 		if float64(c1) > 1.3*float64(c0) {
-			t.Errorf("%s: cost at rate 1.0 (%v) exceeds rate 0.0 (%v)", strat, c1, c0)
+			t.Errorf("%s: preprocessing cost at rate 1.0 (%v) exceeds rate 0.0 (%v)", strat, c1, c0)
 		}
 	}
 	// Shape: NoOptimization is the most expensive configuration.
-	if full, ok := r.CostAt("time", 1.0); ok && r.NoOptCost <= full {
-		t.Errorf("no-opt cost %v should exceed fully optimized %v", r.NoOptCost, full)
+	if full := preprocessAt("time", 1.0); r.NoOptPreprocess <= full {
+		t.Errorf("no-opt preprocessing cost %v should exceed fully optimized %v", r.NoOptPreprocess, full)
 	}
 	// μ rises with the materialization rate for every strategy.
 	for _, strat := range SamplingStrategies {

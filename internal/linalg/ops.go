@@ -3,6 +3,7 @@ package linalg
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Axpy computes y += alpha*x for dense slices. It panics on dimension
@@ -122,14 +123,17 @@ func (a *Accumulator) Result(alpha float64) Vector {
 		a.reset()
 		return out
 	}
-	// touched indices are in insertion order; NewSparse sorts them
+	// touched holds each index once, in insertion order: sorting the entries
+	// in place is all a Sparse needs (no duplicates, so any sort gives the
+	// same result).
 	idx := make([]int32, len(a.touched))
 	val := make([]float64, len(a.touched))
 	for k, i := range a.touched {
 		idx[k] = i
 		val[k] = a.buf[i] * alpha
 	}
-	out := NewSparse(len(a.buf), idx, val)
+	sort.Sort(&entrySorter{idx, val})
+	out := &Sparse{N: len(a.buf), Idx: idx, Val: val}
 	a.reset()
 	return out
 }

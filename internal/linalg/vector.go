@@ -133,8 +133,11 @@ type Sparse struct {
 
 // NewSparse builds a sparse vector of dimension dim from parallel index and
 // value slices. The input is copied, sorted by index, and duplicate indices
-// are summed. Entries with value 0 are kept (callers may rely on explicit
-// zeros for presence semantics); use Compact to drop them.
+// are summed in input order (the sort is stable, so the sum does not depend
+// on the sorting algorithm). Entries with value 0 are kept (callers may rely
+// on explicit zeros for presence semantics); use Compact to drop them. It is
+// the general constructor; components that build a whole column of rows use
+// SparseBatch, which produces the same vectors.
 //cdml:deterministic
 func NewSparse(dim int, idx []int32, val []float64) *Sparse {
 	if len(idx) != len(val) {
@@ -151,7 +154,7 @@ func NewSparse(dim int, idx []int32, val []float64) *Sparse {
 		}
 		pairs[k] = pair{idx[k], val[k]}
 	}
-	sort.Slice(pairs, func(a, b int) bool { return pairs[a].i < pairs[b].i })
+	sort.SliceStable(pairs, func(a, b int) bool { return pairs[a].i < pairs[b].i })
 	s := &Sparse{N: dim, Idx: make([]int32, 0, len(pairs)), Val: make([]float64, 0, len(pairs))}
 	for _, p := range pairs {
 		if n := len(s.Idx); n > 0 && s.Idx[n-1] == p.i {

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"cdml/internal/data"
@@ -318,12 +317,12 @@ func (o *OneHotEncoder) Snapshot() Component {
 func (o *OneHotEncoder) Transform(f *data.Frame) (*data.Frame, error) {
 	src := f.String(o.Col)
 	out := make([]linalg.Vector, len(src))
+	b := linalg.NewSparseBatch(o.Size, len(src), len(src)) // at most one entry per row
 	for i, v := range src {
 		if ord, ok := o.domain.Ordinal(v); ok {
-			out[i] = linalg.NewSparse(o.Size, []int32{int32(ord % o.Size)}, []float64{1})
-		} else {
-			out[i] = linalg.NewSparse(o.Size, nil, nil)
+			b.Add(int32(ord%o.Size), 1)
 		}
+		out[i] = b.EndRow()
 	}
 	return f.ShallowCopy().SetVec(o.Out, out), nil
 }
@@ -368,70 +367,98 @@ func (h *FeatureHasher) Update(f *data.Frame) error { return nil }
 // Snapshot implements Component: stateless, shares itself.
 func (h *FeatureHasher) Snapshot() Component { return h }
 
-func (h *FeatureHasher) bucket(s string) int32 {
-	hh := fnv.New32a()
-	hh.Write([]byte(s))
-	return int32(hh.Sum32() % uint32(h.Size))
+// FNV-1a, 32 bit (hash/fnv's New32a, without the hash.Hash32 and []byte
+// allocations of going through the interface). The hashed buckets are part
+// of the model's input, so the helpers below are held to the determinism
+// contract.
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
+//cdml:deterministic
+func fnv1a(h uint32, s string) uint32 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * fnvPrime32
+	}
+	return h
 }
 
-// Transform implements Component.
+func (h *FeatureHasher) bucket(s string) int32 {
+	return int32(fnv1a(fnvOffset32, s) % uint32(h.Size))
+}
+
+// Transform implements Component. A row's entries are emitted numeric
+// columns first, then tokens left to right; entries landing in the same
+// bucket are summed in that order.
 func (h *FeatureHasher) Transform(f *data.Frame) (*data.Frame, error) {
 	n := f.Rows()
-	out := make([]linalg.Vector, n)
 	numSrcs := make([][]float64, len(h.NumCols))
 	numBuckets := make([]int32, len(h.NumCols))
 	for k, c := range h.NumCols {
 		numSrcs[k] = f.Float(c)
-		numBuckets[k] = h.bucket("num:" + c)
+		numBuckets[k] = int32(fnv1a(fnv1a(fnvOffset32, "num:"), c) % uint32(h.Size))
 	}
 	tokSrcs := make([][]string, len(h.TokenCols))
 	for k, c := range h.TokenCols {
 		tokSrcs[k] = f.String(c)
 	}
+	// Count the batch's entries first, so the whole column is laid out once.
+	nnz := 0
+	for k := range numSrcs {
+		for _, v := range numSrcs[k] {
+			if storedFloat(v) {
+				nnz++
+			}
+		}
+	}
+	for k := range tokSrcs {
+		for _, s := range tokSrcs[k] {
+			for tok, rest := nextField(s); tok != ""; tok, rest = nextField(rest) {
+				nnz++
+			}
+		}
+	}
+	out := make([]linalg.Vector, n)
+	b := linalg.NewSparseBatch(h.Size, n, nnz)
 	for i := 0; i < n; i++ {
-		var idx []int32
-		var val []float64
-		for k := range h.NumCols {
-			v := numSrcs[k][i]
-			//lint:allow floateq: sparse encoding stores only exactly-non-zero entries
-			if !data.IsMissingFloat(v) && v != 0 {
-				idx = append(idx, numBuckets[k])
-				val = append(val, v)
+		for k := range numSrcs {
+			if v := numSrcs[k][i]; storedFloat(v) {
+				b.Add(numBuckets[k], v)
 			}
 		}
-		for k := range h.TokenCols {
-			for _, tok := range fields(tokSrcs[k][i]) {
-				idx = append(idx, h.bucket(tok))
-				val = append(val, 1)
+		for k := range tokSrcs {
+			for tok, rest := nextField(tokSrcs[k][i]); tok != ""; tok, rest = nextField(rest) {
+				b.Add(h.bucket(tok), 1)
 			}
 		}
-		out[i] = linalg.NewSparse(h.Size, idx, val)
+		out[i] = b.EndRow()
 	}
 	return f.ShallowCopy().SetVec(h.Out, out), nil
 }
 
-// fields splits on single spaces without allocating a strings.Fields pass
-// for the common empty case.
-func fields(s string) []string {
-	if s == "" {
-		return nil
+// storedFloat reports whether a float cell contributes an entry to a sparse
+// row: the sparse encoding stores only present, exactly-non-zero values.
+func storedFloat(v float64) bool {
+	//lint:allow floateq: sparse encoding stores only exactly-non-zero entries
+	return v != 0 && !data.IsMissingFloat(v)
+}
+
+// nextField returns the first space-separated token of s and what follows
+// it; tok is "" once s holds no more tokens. Runs of spaces separate tokens
+// like a single one. Nothing is allocated: both results are sub-strings.
+//
+//cdml:deterministic
+func nextField(s string) (tok, rest string) {
+	start := 0
+	for start < len(s) && s[start] == ' ' {
+		start++
 	}
-	var out []string
-	start := -1
-	for i := 0; i < len(s); i++ {
-		if s[i] == ' ' {
-			if start >= 0 {
-				out = append(out, s[start:i])
-				start = -1
-			}
-		} else if start < 0 {
-			start = i
-		}
+	end := start
+	for end < len(s) && s[end] != ' ' {
+		end++
 	}
-	if start >= 0 {
-		out = append(out, s[start:])
-	}
-	return out
+	return s[start:end], s[end:]
 }
 
 // Filter drops rows failing a predicate. It is the anomaly-detector shape of
@@ -552,7 +579,9 @@ func (a *Assembler) Update(f *data.Frame) error { return nil }
 // Snapshot implements Component: stateless, shares itself.
 func (a *Assembler) Snapshot() Component { return a }
 
-// Transform implements Component.
+// Transform implements Component. Entries are emitted in index order by
+// construction — float columns first, then each vector column at its offset —
+// so the sparse rows need no sorting.
 func (a *Assembler) Transform(f *data.Frame) (*data.Frame, error) {
 	n := f.Rows()
 	floats := make([][]float64, len(a.FloatCols))
@@ -561,78 +590,95 @@ func (a *Assembler) Transform(f *data.Frame) (*data.Frame, error) {
 	}
 	vecs := make([][]linalg.Vector, len(a.VecCols))
 	vecDims := make([]int, len(a.VecCols))
+	totalDim := len(a.FloatCols)
+	sparse := false
 	for k, c := range a.VecCols {
 		vecs[k] = f.Vec(c)
 		if n > 0 {
 			vecDims[k] = vecs[k][0].Dim()
-		}
-	}
-	totalDim := len(a.FloatCols)
-	sparse := false
-	for k := range vecDims {
-		totalDim += vecDims[k]
-		if n > 0 {
 			if _, ok := vecs[k][0].(*linalg.Sparse); ok {
 				sparse = true
 			}
 		}
+		for _, v := range vecs[k] {
+			if v.Dim() != vecDims[k] {
+				return nil, fmt.Errorf("pipeline: assembler: vector column %q dim %d varies from %d", c, v.Dim(), vecDims[k])
+			}
+		}
+		totalDim += vecDims[k]
 	}
 	out := make([]linalg.Vector, n)
-	for i := 0; i < n; i++ {
-		if sparse {
-			var idx []int32
-			var val []float64
-			for k := range floats {
-				//lint:allow floateq: sparse encoding stores only exactly-non-zero entries
-				if v := floats[k][i]; v != 0 && !data.IsMissingFloat(v) {
-					idx = append(idx, int32(k))
-					val = append(val, v)
-				}
-			}
-			off := len(a.FloatCols)
-			for k := range vecs {
-				v := vecs[k][i]
-				if v.Dim() != vecDims[k] {
-					return nil, fmt.Errorf("pipeline: assembler: vector column %q dim %d varies from %d", a.VecCols[k], v.Dim(), vecDims[k])
-				}
-				switch t := v.(type) {
-				case *linalg.Sparse:
-					for j, ix := range t.Idx {
-						idx = append(idx, int32(off)+ix)
-						val = append(val, t.Val[j])
-					}
-				default:
-					for j := 0; j < v.Dim(); j++ {
-						//lint:allow floateq: sparse encoding stores only exactly-non-zero entries
-						if x := v.At(j); x != 0 {
-							idx = append(idx, int32(off+j))
-							val = append(val, x)
-						}
-					}
-				}
-				off += vecDims[k]
-			}
-			out[i] = linalg.NewSparse(totalDim, idx, val)
-		} else {
-			d := make(linalg.Dense, 0, totalDim)
+	if !sparse {
+		// Dense rows are carved from one backing array, capacity-clipped like
+		// the sparse batch's.
+		flat := make([]float64, 0, n*totalDim)
+		for i := range out {
+			start := len(flat)
 			for k := range floats {
 				v := floats[k][i]
 				if data.IsMissingFloat(v) {
 					v = 0
 				}
-				d = append(d, v)
+				flat = append(flat, v)
 			}
 			for k := range vecs {
 				v := vecs[k][i]
-				if v.Dim() != vecDims[k] {
-					return nil, fmt.Errorf("pipeline: assembler: vector column %q dim %d varies from %d", a.VecCols[k], v.Dim(), vecDims[k])
-				}
-				for j := 0; j < v.Dim(); j++ {
-					d = append(d, v.At(j))
+				for j := 0; j < vecDims[k]; j++ {
+					flat = append(flat, v.At(j))
 				}
 			}
-			out[i] = d
+			out[i] = linalg.Dense(flat[start:len(flat):len(flat)])
 		}
+		return f.ShallowCopy().SetVec(a.Out, out), nil
+	}
+	// Count the batch's entries first, so the whole column is laid out once.
+	nnz := 0
+	for k := range floats {
+		for _, v := range floats[k] {
+			if storedFloat(v) {
+				nnz++
+			}
+		}
+	}
+	for k := range vecs {
+		for _, v := range vecs[k] {
+			if t, ok := v.(*linalg.Sparse); ok {
+				nnz += len(t.Idx)
+				continue
+			}
+			for j := 0; j < vecDims[k]; j++ {
+				//lint:allow floateq: sparse encoding stores only exactly-non-zero entries
+				if v.At(j) != 0 {
+					nnz++
+				}
+			}
+		}
+	}
+	b := linalg.NewSparseBatch(totalDim, n, nnz)
+	for i := range out {
+		for k := range floats {
+			if v := floats[k][i]; storedFloat(v) {
+				b.Add(int32(k), v)
+			}
+		}
+		off := len(a.FloatCols)
+		for k := range vecs {
+			v := vecs[k][i]
+			if t, ok := v.(*linalg.Sparse); ok {
+				for j, ix := range t.Idx {
+					b.Add(int32(off)+ix, t.Val[j])
+				}
+			} else {
+				for j := 0; j < vecDims[k]; j++ {
+					//lint:allow floateq: sparse encoding stores only exactly-non-zero entries
+					if x := v.At(j); x != 0 {
+						b.Add(int32(off+j), x)
+					}
+				}
+			}
+			off += vecDims[k]
+		}
+		out[i] = b.EndRow()
 	}
 	return f.ShallowCopy().SetVec(a.Out, out), nil
 }

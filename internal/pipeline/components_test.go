@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"cdml/internal/data"
@@ -246,23 +247,17 @@ func TestFeatureHasherStatelessUpdateNoop(t *testing.T) {
 	}
 }
 
-func TestFieldsHelper(t *testing.T) {
-	cases := map[string][]string{
-		"":            nil,
-		"a":           {"a"},
-		"a b":         {"a", "b"},
-		"  a   b  ":   {"a", "b"},
-		"one two one": {"one", "two", "one"},
-	}
-	for in, want := range cases {
-		got := fields(in)
-		if len(got) != len(want) {
-			t.Fatalf("fields(%q) = %v, want %v", in, got, want)
+// nextField, iterated, yields the tokens fields() collects: runs of spaces
+// separate like one, other whitespace does not separate, and the empty
+// string holds none.
+func TestNextFieldIteratesTokens(t *testing.T) {
+	for _, in := range []string{"", " ", "a", "a b", "  a   b  ", "one two one", "a\tb c", " x"} {
+		var got []string
+		for tok, rest := nextField(in); tok != ""; tok, rest = nextField(rest) {
+			got = append(got, tok)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("fields(%q) = %v, want %v", in, got, want)
-			}
+		if want := fields(in); !reflect.DeepEqual(got, want) {
+			t.Fatalf("tokens of %q = %q, want %q", in, got, want)
 		}
 	}
 }

@@ -3,11 +3,15 @@ package pipeline
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"cdml/internal/data"
+	"cdml/internal/linalg"
 )
 
 // randomFrame builds a frame with a float column "x", a categorical column
@@ -72,6 +76,16 @@ func randomComponents(r *rand.Rand) []Component {
 	if r.Intn(2) == 0 {
 		comps = append(comps, NewBinarizer([]string{"x"}, 0))
 	}
+	// A filter that keeps every row about half the time — Select then hands
+	// its input frame on unchanged — and drops the negative ones otherwise.
+	floor := math.Inf(-1)
+	if r.Intn(2) == 0 {
+		floor = 0
+	}
+	comps = append(comps, NewFilter("floor", func(f *data.Frame, i int) bool {
+		x := f.Float("x")[i]
+		return data.IsMissingFloat(x) || x >= floor
+	}))
 	comps = append(comps, NewOneHotEncoder("c", "cv", 8))
 	comps = append(comps, NewAssembler([]string{"x"}, []string{"cv"}, "features"))
 	return comps
@@ -172,5 +186,284 @@ func TestQuickPipelineCheckpointRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The reference constructions: each vector-producing component's output built
+// row by row with linalg.NewSparse / linalg.Dense, the way the components did
+// before they filled a linalg.SparseBatch. The components must reproduce them
+// bit for bit.
+
+func refOneHot(o *OneHotEncoder, f *data.Frame) []linalg.Vector {
+	src := f.String(o.Col)
+	out := make([]linalg.Vector, len(src))
+	for i, v := range src {
+		if ord, ok := o.domain.Ordinal(v); ok {
+			out[i] = linalg.NewSparse(o.Size, []int32{int32(ord % o.Size)}, []float64{1})
+		} else {
+			out[i] = linalg.NewSparse(o.Size, nil, nil)
+		}
+	}
+	return out
+}
+
+func refHasher(h *FeatureHasher, f *data.Frame) []linalg.Vector {
+	bucket := func(s string) int32 {
+		hh := fnv.New32a()
+		hh.Write([]byte(s))
+		return int32(hh.Sum32() % uint32(h.Size))
+	}
+	out := make([]linalg.Vector, f.Rows())
+	for i := range out {
+		var idx []int32
+		var val []float64
+		for _, c := range h.NumCols {
+			if v := f.Float(c)[i]; !data.IsMissingFloat(v) && v != 0 {
+				idx = append(idx, bucket("num:"+c))
+				val = append(val, v)
+			}
+		}
+		for _, c := range h.TokenCols {
+			for _, tok := range fields(f.String(c)[i]) {
+				idx = append(idx, bucket(tok))
+				val = append(val, 1)
+			}
+		}
+		out[i] = linalg.NewSparse(h.Size, idx, val)
+	}
+	return out
+}
+
+func refAssembler(a *Assembler, f *data.Frame) []linalg.Vector {
+	n := f.Rows()
+	totalDim := len(a.FloatCols)
+	sparse := false
+	for _, c := range a.VecCols {
+		if n > 0 {
+			totalDim += f.Vec(c)[0].Dim()
+			if _, ok := f.Vec(c)[0].(*linalg.Sparse); ok {
+				sparse = true
+			}
+		}
+	}
+	out := make([]linalg.Vector, n)
+	for i := range out {
+		if !sparse {
+			d := make(linalg.Dense, 0, totalDim)
+			for _, c := range a.FloatCols {
+				v := f.Float(c)[i]
+				if data.IsMissingFloat(v) {
+					v = 0
+				}
+				d = append(d, v)
+			}
+			for _, c := range a.VecCols {
+				v := f.Vec(c)[i]
+				for j := 0; j < v.Dim(); j++ {
+					d = append(d, v.At(j))
+				}
+			}
+			out[i] = d
+			continue
+		}
+		var idx []int32
+		var val []float64
+		for k, c := range a.FloatCols {
+			if v := f.Float(c)[i]; v != 0 && !data.IsMissingFloat(v) {
+				idx = append(idx, int32(k))
+				val = append(val, v)
+			}
+		}
+		off := len(a.FloatCols)
+		for _, c := range a.VecCols {
+			v := f.Vec(c)[i]
+			switch t := v.(type) {
+			case *linalg.Sparse:
+				for j, ix := range t.Idx {
+					idx = append(idx, int32(off)+ix)
+					val = append(val, t.Val[j])
+				}
+			default:
+				for j := 0; j < v.Dim(); j++ {
+					if x := v.At(j); x != 0 {
+						idx = append(idx, int32(off+j))
+						val = append(val, x)
+					}
+				}
+			}
+			off += v.Dim()
+		}
+		out[i] = linalg.NewSparse(totalDim, idx, val)
+	}
+	return out
+}
+
+// fields splits on single spaces, building the []string the hasher used to
+// range over.
+func fields(s string) []string {
+	var out []string
+	start := -1
+	for i := 0; i < len(s); i++ {
+		if s[i] == ' ' {
+			if start >= 0 {
+				out = append(out, s[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		out = append(out, s[start:])
+	}
+	return out
+}
+
+// sameVectors reports whether two vector columns are equal bit for bit:
+// same representation, Dim, Idx and float64 bit patterns.
+func sameVectors(got, want []linalg.Vector) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d rows, want %d", len(got), len(want))
+	}
+	for i := range got {
+		switch w := want[i].(type) {
+		case *linalg.Sparse:
+			g, ok := got[i].(*linalg.Sparse)
+			if !ok || g.N != w.N || len(g.Idx) != len(w.Idx) || len(g.Val) != len(w.Val) {
+				return fmt.Errorf("row %d: got %v, want %v", i, got[i], w)
+			}
+			for k := range w.Idx {
+				if g.Idx[k] != w.Idx[k] || math.Float64bits(g.Val[k]) != math.Float64bits(w.Val[k]) {
+					return fmt.Errorf("row %d entry %d: got %v, want %v", i, k, g, w)
+				}
+			}
+		case linalg.Dense:
+			g, ok := got[i].(linalg.Dense)
+			if !ok || len(g) != len(w) {
+				return fmt.Errorf("row %d: got %v, want %v", i, got[i], w)
+			}
+			for k := range w {
+				if math.Float64bits(g[k]) != math.Float64bits(w[k]) {
+					return fmt.Errorf("row %d coordinate %d: got %v, want %v", i, k, g, w)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// vectorFrame builds a random frame for the vector-producing components:
+// float columns "x" and "z" (missing values, exact zeros), a categorical
+// "c", a token column "toks" over a vocabulary small enough for a 16-bucket
+// hasher to collide constantly, a dense vector column "dv" and a label.
+func vectorFrame(r *rand.Rand, rows int) *data.Frame {
+	f := randomFrame(r, rows)
+	zs := make([]float64, rows)
+	toks := make([]string, rows)
+	dv := make([]linalg.Vector, rows)
+	for i := 0; i < rows; i++ {
+		switch r.Intn(4) {
+		case 0:
+			zs[i] = 0
+		case 1:
+			zs[i] = data.Missing
+		default:
+			zs[i] = r.NormFloat64() * 1e8
+		}
+		words := make([]string, r.Intn(90)) // both sides of the batch's sort threshold
+		for k := range words {
+			words[k] = fmt.Sprintf("w%d", r.Intn(40))
+		}
+		toks[i] = strings.Join(words, strings.Repeat(" ", 1+r.Intn(2)))
+		dv[i] = linalg.Dense{r.NormFloat64(), 0, float64(r.Intn(3))}
+	}
+	f.SetFloat("z", zs)
+	f.SetString("toks", toks)
+	f.SetVec("dv", dv)
+	return f
+}
+
+// Property: every vector-producing component, fed random frames, emits the
+// column its row-by-row reference builds — same bits, fewer allocations.
+func TestQuickBatchBuiltColumnsMatchRowByRow(t *testing.T) {
+	f := func(seed int64) error {
+		r := rand.New(rand.NewSource(seed))
+		oneHot := NewOneHotEncoder("c", "cv", 4) // 5 categories into 4 slots: wraps
+		for b := 0; b < 2; b++ {
+			if err := oneHot.Update(vectorFrame(r, 10)); err != nil {
+				return err
+			}
+		}
+		fr := vectorFrame(r, r.Intn(30)) // sometimes no rows at all
+		hot, err := oneHot.Transform(fr)
+		if err != nil {
+			return err
+		}
+		if err := sameVectors(hot.Vec("cv"), refOneHot(oneHot, fr)); err != nil {
+			return fmt.Errorf("one-hot: %w", err)
+		}
+
+		hasher := NewFeatureHasher([]string{"toks", "c"}, []string{"x", "z"}, "hv", 16)
+		hashed, err := hasher.Transform(hot)
+		if err != nil {
+			return err
+		}
+		if err := sameVectors(hashed.Vec("hv"), refHasher(hasher, hot)); err != nil {
+			return fmt.Errorf("hasher: %w", err)
+		}
+
+		for _, a := range []*Assembler{
+			NewAssembler([]string{"x", "z"}, []string{"cv", "dv", "hv"}, "features"), // sparse: a sparse input
+			NewAssembler([]string{"z"}, []string{"dv", "cv"}, "features"),            // sparse, led by a dense input
+			NewAssembler([]string{"x", "z"}, []string{"dv"}, "features"),             // dense
+			NewAssembler([]string{"x"}, nil, "features"),                             // dense, floats only
+		} {
+			out, err := a.Transform(hashed)
+			if err != nil {
+				return err
+			}
+			if err := sameVectors(out.Vec("features"), refAssembler(a, hashed)); err != nil {
+				return fmt.Errorf("assembler %v+%v: %w", a.FloatCols, a.VecCols, err)
+			}
+		}
+		return nil
+	}
+	for seed := int64(0); seed < 150; seed++ {
+		if err := f(seed); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// Appending to one instance's vector never changes its neighbour, sparse or
+// dense: batch-built rows share a backing array but not their capacity.
+func TestBatchBuiltRowsDoNotAlias(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	fr := vectorFrame(r, 6)
+	oneHot := NewOneHotEncoder("c", "cv", 8)
+	if err := oneHot.Update(fr); err != nil {
+		t.Fatal(err)
+	}
+	hot, _ := oneHot.Transform(fr)
+	for _, a := range []*Assembler{
+		NewAssembler([]string{"x", "z"}, []string{"cv"}, "features"),
+		NewAssembler([]string{"x", "z"}, []string{"dv"}, "features"),
+	} {
+		out, err := a.Transform(hot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vecs := out.Vec("features")
+		before := vecs[1].Clone()
+		switch v := vecs[0].(type) {
+		case *linalg.Sparse:
+			v.Idx = append(v.Idx, 11)
+			v.Val = append(v.Val, 99)
+		case linalg.Dense:
+			_ = append(v, 99)
+		}
+		if err := sameVectors(vecs[1:2], []linalg.Vector{before}); err != nil {
+			t.Fatalf("append on row 0 reached row 1: %v", err)
+		}
 	}
 }

@@ -83,6 +83,14 @@
 // "deployment_exists", "challenger_exists", "conflict", "not_found",
 // "unsupported", "read_only_replica", and "over_quota".
 //
+// A response is encoded in full before its status line is written, so a
+// success status always comes with its body: a value JSON cannot carry — one
+// NaN or infinite prediction in a batch, a NaN statistic — answers 500
+// "internal" in the envelope, never 200 with nothing after the headers. The
+// predict response is appended by hand (strconv.AppendFloat into a pooled
+// buffer, one Write) in exactly the bytes encoding/json produces for
+// PredictResponse; everything else goes through encoding/json.
+//
 // A server started with WithReplicaOf runs every deployment in replica
 // mode: a per-deployment poller syncs the primary's published snapshots
 // through GET .../snapshot (conditional on ?since=, so steady state is a
@@ -113,11 +121,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -448,37 +458,79 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// readBody reads a request body of at most maxBody+1 bytes (one past the
+// cap, so the caller can tell an oversized body from one at the cap). A
+// declared Content-Length sizes the buffer once; a chunked body grows it the
+// way io.ReadAll does. The buffer is never pooled: /train and /ingest hand
+// these bytes to the chunk store, /restore to the snapshot sink.
+func readBody(r *http.Request) ([]byte, error) {
+	body := io.LimitReader(r.Body, maxBody+1)
+	if r.ContentLength < 0 {
+		return io.ReadAll(body)
+	}
+	// One byte more than declared: the Read that reports EOF needs room.
+	b := make([]byte, 0, min(r.ContentLength, maxBody+1)+1)
+	for {
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) { // longer than declared: keep growing
+			b = append(b, 0)[:len(b)]
+		}
+	}
+}
+
+var newline = []byte{'\n'}
+
 // readRecords splits a request body into newline-separated records,
 // dropping empty lines.
 func readRecords(r *http.Request) ([][]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
+	body, err := readBody(r)
 	if err != nil {
 		return nil, fmt.Errorf("serve: reading body: %w", err)
 	}
 	if len(body) > maxBody {
 		return nil, fmt.Errorf("serve: body exceeds %d bytes", maxBody)
 	}
-	var records [][]byte
-	start := 0
-	for i := 0; i <= len(body); i++ {
-		if i == len(body) || body[i] == '\n' {
-			line := body[start:i]
-			if len(line) > 0 && !(len(line) == 1 && line[0] == '\r') {
-				if line[len(line)-1] == '\r' {
-					line = line[:len(line)-1]
-				}
-				records = append(records, line)
-			}
-			start = i + 1
+	records := make([][]byte, 0, bytes.Count(body, newline)+1)
+	for rest := body; len(rest) > 0; {
+		line := rest
+		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = nil
+		}
+		if n := len(line); n > 0 && line[n-1] == '\r' {
+			line = line[:n-1]
+		}
+		if len(line) > 0 {
+			records = append(records, line)
 		}
 	}
 	return records, nil
 }
 
+// writeJSON encodes v before the status line is written, so a value
+// encoding/json refuses (a NaN somewhere inside it) answers 500 in the error
+// envelope instead of the intended status with a cut-off body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		// Two strings: this cannot fail.
+		_ = json.NewEncoder(&buf).Encode(ErrorBody{Error: ErrorDetail{
+			Code: codeInternal, Message: "serve: encoding response: " + err.Error(),
+		}})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // Machine-readable error codes of the uniform error envelope.
@@ -530,13 +582,22 @@ type PredictResponse struct {
 	LatencyMS float64 `json:"latency_ms"`
 }
 
-// errEmptyRequest is the static empty-batch error: a package-level value so
-// the hot handlers reject garbage without allocating a fresh error each time.
-var errEmptyRequest = errors.New("serve: empty request")
+// Static errors of the hot handlers: package-level values, so rejecting
+// garbage allocates no fresh error each time.
+var (
+	errEmptyRequest        = errors.New("serve: empty request")
+	errNonFinitePrediction = errors.New("serve: the model produced a non-finite prediction")
+)
+
+// predictBufs holds the buffers predict responses are assembled in. A buffer
+// goes back only after its bytes have been handed to the ResponseWriter,
+// which copies them.
+var predictBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // handlePredict serves predict requests. It sits on the serving fast path —
 // everything from here down to Snapshot scoring carries the hotpath
-// contract; the one deliberate allocation is the response envelope.
+// contract. The response is appended into a pooled buffer and written in one
+// Write; what the request itself allocates is the body and its record slice.
 //
 //cdml:hotpath
 func handlePredict(s *Server, name string, h *depHandle, w http.ResponseWriter, r *http.Request) {
@@ -555,12 +616,72 @@ func handlePredict(s *Server, name string, h *depHandle, w http.ResponseWriter, 
 		writeError(w, http.StatusInternalServerError, codeInternal, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, PredictResponse{
+	// JSON has no NaN or Inf: refuse before the status line is written.
+	for _, p := range preds {
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			writeError(w, http.StatusInternalServerError, codeInternal, errNonFinitePrediction)
+			return
+		}
+	}
+	buf := predictBufs.Get().(*[]byte)
+	*buf = appendPredictResponse((*buf)[:0], PredictResponse{
 		Predictions: preds,
 		Served:      len(preds),
 		Dropped:     len(records) - len(preds),
 		LatencyMS:   float64(time.Since(start).Microseconds()) / 1000,
 	})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(*buf)
+	predictBufs.Put(buf)
+}
+
+// appendPredictResponse appends resp exactly as json.NewEncoder(w).Encode(resp)
+// writes it — field order, number formatting, trailing newline — without the
+// reflection walk over every prediction. Clients compare answers as text, so
+// the equality is pinned byte for byte by TestAppendPredictResponseMatchesJSON.
+// Every float must be finite.
+//
+//cdml:hotpath
+func appendPredictResponse(b []byte, resp PredictResponse) []byte {
+	b = append(b, `{"predictions":`...)
+	if resp.Predictions == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, p := range resp.Predictions {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONFloat(b, p)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"served":`...)
+	b = strconv.AppendInt(b, int64(resp.Served), 10)
+	b = append(b, `,"dropped":`...)
+	b = strconv.AppendInt(b, int64(resp.Dropped), 10)
+	b = append(b, `,"latency_ms":`...)
+	b = appendJSONFloat(b, resp.LatencyMS)
+	return append(b, '}', '\n')
+}
+
+// appendJSONFloat appends a finite float64 in encoding/json's format: the
+// shortest decimal that round-trips, with an exponent below 1e-6 and from
+// 1e21 up, and a negative exponent's leading zero dropped.
+//
+//cdml:hotpath
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) { //lint:allow floateq: exact zero takes the plain format, as in encoding/json
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-09 → e-9
+		b = b[:n-1]
+	}
+	return b
 }
 
 // TrainResponse is the /train payload.
@@ -775,7 +896,7 @@ func handleRestore(s *Server, name string, h *depHandle, w http.ResponseWriter, 
 			fmt.Errorf("serve: checkpoint is %d bytes, exceeding the %d-byte body cap", r.ContentLength, maxBody))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
+	body, err := readBody(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("serve: reading checkpoint body: %w", err))
 		return
