@@ -45,7 +45,7 @@ type column struct {
 	v    []linalg.Vector
 }
 
-func (c column) len() int {
+func (c *column) len() int {
 	switch c.kind {
 	case KindFloat:
 		return len(c.f)
@@ -62,22 +62,16 @@ func (c column) len() int {
 // have the same length (the number of rows).
 type Frame struct {
 	rows  int
-	cols  map[string]column
+	cols  map[string]*column
 	order []string
 }
 
 // NewFrame returns an empty frame with the given row count.
 func NewFrame(rows int) *Frame {
-	return newFrame(rows, 8)
-}
-
-// newFrame returns an empty frame with room for cols columns, so that
-// installing them grows neither the map nor the order slice.
-func newFrame(rows, cols int) *Frame {
 	if rows < 0 {
 		panic("data: negative row count")
 	}
-	return &Frame{rows: rows, cols: make(map[string]column, cols), order: make([]string, 0, cols)}
+	return &Frame{rows: rows, cols: make(map[string]*column)}
 }
 
 // Rows returns the number of rows.
@@ -96,7 +90,7 @@ func (f *Frame) Has(name string) bool {
 // not exist.
 func (f *Frame) KindOf(name string) Kind { return f.col(name).kind }
 
-func (f *Frame) col(name string) column {
+func (f *Frame) col(name string) *column {
 	c, ok := f.cols[name]
 	if !ok {
 		panic(fmt.Sprintf("data: no column %q (have %v)", name, f.order))
@@ -104,7 +98,7 @@ func (f *Frame) col(name string) column {
 	return c
 }
 
-func (f *Frame) put(name string, c column) {
+func (f *Frame) put(name string, c *column) {
 	if c.len() != f.rows {
 		panic(fmt.Sprintf("data: column %q has %d rows, frame has %d", name, c.len(), f.rows))
 	}
@@ -117,19 +111,19 @@ func (f *Frame) put(name string, c column) {
 // SetFloat installs (or replaces) a float column. The slice is stored
 // without copying; callers hand over ownership.
 func (f *Frame) SetFloat(name string, vals []float64) *Frame {
-	f.put(name, column{kind: KindFloat, f: vals})
+	f.put(name, &column{kind: KindFloat, f: vals})
 	return f
 }
 
 // SetString installs (or replaces) a string column.
 func (f *Frame) SetString(name string, vals []string) *Frame {
-	f.put(name, column{kind: KindString, s: vals})
+	f.put(name, &column{kind: KindString, s: vals})
 	return f
 }
 
 // SetVec installs (or replaces) a vector column.
 func (f *Frame) SetVec(name string, vals []linalg.Vector) *Frame {
-	f.put(name, column{kind: KindVec, v: vals})
+	f.put(name, &column{kind: KindVec, v: vals})
 	return f
 }
 
@@ -163,11 +157,9 @@ func (f *Frame) Vec(name string) []linalg.Vector {
 }
 
 // ShallowCopy returns a new frame sharing all column storage with f.
-// Components use it to replace some columns without mutating their input; it
-// leaves room for the handful of columns a component adds.
+// Components use it to replace some columns without mutating their input.
 func (f *Frame) ShallowCopy() *Frame {
-	g := newFrame(f.rows, len(f.order)+4)
-	g.order = append(g.order, f.order...)
+	g := &Frame{rows: f.rows, cols: make(map[string]*column, len(f.cols)), order: append([]string(nil), f.order...)}
 	for name, c := range f.cols {
 		g.cols[name] = c
 	}
@@ -181,7 +173,7 @@ func (f *Frame) Drop(names ...string) *Frame {
 	for _, n := range names {
 		dropped[n] = true
 	}
-	g := newFrame(f.rows, len(f.order))
+	g := &Frame{rows: f.rows, cols: make(map[string]*column)}
 	for _, name := range f.order {
 		if !dropped[name] {
 			g.order = append(g.order, name)
@@ -194,64 +186,46 @@ func (f *Frame) Drop(names ...string) *Frame {
 // Select returns a frame keeping only the rows for which keep[i] is true.
 // When every row is kept the receiver itself is returned — frames are
 // immutable, so sharing it is safe and costs nothing. Otherwise each column
-// is copied once, a run of consecutive kept rows at a time: a filter drops
-// few rows, so a column moves in a handful of block copies.
+// is copied in one pass.
 func (f *Frame) Select(keep []bool) *Frame {
 	if len(keep) != f.rows {
 		panic(fmt.Sprintf("data: Select mask has %d entries, frame has %d rows", len(keep), f.rows))
 	}
-	n, nruns := 0, 0
-	for i, k := range keep {
+	n := 0
+	for _, k := range keep {
 		if k {
 			n++
-			if i == 0 || !keep[i-1] {
-				nruns++
-			}
 		}
 	}
 	if n == f.rows {
 		return f
 	}
-	type run struct{ lo, hi int } // rows [lo, hi) are kept
-	runs := make([]run, 0, nruns)
-	for i := 0; i < len(keep); i++ {
-		if keep[i] {
-			lo := i
-			for i < len(keep) && keep[i] {
-				i++
-			}
-			runs = append(runs, run{lo, i})
-		}
-	}
-	// The float columns — most of a frame — are carved from one backing
-	// array, capacity-clipped so that appending to one cannot reach the next.
-	nfloat := 0
-	for _, c := range f.cols {
-		if c.kind == KindFloat {
-			nfloat++
-		}
-	}
-	floats := make([]float64, 0, nfloat*n)
-	g := newFrame(n, len(f.order))
+	g := NewFrame(n)
 	for _, name := range f.order {
 		c := f.cols[name]
 		switch c.kind {
 		case KindFloat:
-			start := len(floats)
-			for _, r := range runs {
-				floats = append(floats, c.f[r.lo:r.hi]...)
+			out := make([]float64, 0, n)
+			for i, k := range keep {
+				if k {
+					out = append(out, c.f[i])
+				}
 			}
-			g.SetFloat(name, floats[start:len(floats):len(floats)])
+			g.SetFloat(name, out)
 		case KindString:
 			out := make([]string, 0, n)
-			for _, r := range runs {
-				out = append(out, c.s[r.lo:r.hi]...)
+			for i, k := range keep {
+				if k {
+					out = append(out, c.s[i])
+				}
 			}
 			g.SetString(name, out)
 		case KindVec:
 			out := make([]linalg.Vector, 0, n)
-			for _, r := range runs {
-				out = append(out, c.v[r.lo:r.hi]...)
+			for i, k := range keep {
+				if k {
+					out = append(out, c.v[i])
+				}
 			}
 			g.SetVec(name, out)
 		}

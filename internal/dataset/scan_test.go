@@ -138,43 +138,6 @@ func TestParseFiniteAgreesWithStrconv(t *testing.T) {
 	}
 }
 
-// The extractor's shared-cosine arithmetic and integer calendar give exactly
-// what the exported Haversine and Bearing and the time package give.
-func TestTaxiFeatureExtractorMatchesItsDefinitions(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	const n = 5000
-	cols := make([][]float64, 5)
-	for k := range cols {
-		cols[k] = make([]float64, n)
-	}
-	lo, hi := time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC).Unix(), time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC).Unix()
-	for i := 0; i < n; i++ {
-		cols[0][i], cols[1][i] = 40.75+0.5*r.NormFloat64(), -73.98+0.5*r.NormFloat64()
-		cols[2][i], cols[3][i] = cols[0][i]+0.3*r.NormFloat64(), cols[1][i]+0.3*r.NormFloat64()
-		cols[4][i] = float64(lo + r.Int63n(hi-lo+1))
-	}
-	f := data.NewFrame(n).
-		SetFloat("pickup_lat", cols[0]).SetFloat("pickup_lon", cols[1]).
-		SetFloat("dropoff_lat", cols[2]).SetFloat("dropoff_lon", cols[3]).
-		SetFloat("pickup_unix", cols[4])
-	g, err := TaxiFeatureExtractor{}.Transform(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		ts := time.Unix(int64(cols[4][i]), 0).UTC()
-		wantDist := Haversine(cols[0][i], cols[1][i], cols[2][i], cols[3][i])
-		wantBear := Bearing(cols[0][i], cols[1][i], cols[2][i], cols[3][i])
-		if math.Float64bits(g.Float("dist_km")[i]) != math.Float64bits(wantDist) ||
-			math.Float64bits(g.Float("bearing")[i]) != math.Float64bits(wantBear) ||
-			g.Float("hour")[i] != float64(ts.Hour()) || g.String("dow")[i] != weekdayNames[ts.Weekday()] {
-			t.Fatalf("row %d (%v): got dist %v bearing %v hour %v dow %s, want %v %v %d %s", i, ts,
-				g.Float("dist_km")[i], g.Float("bearing")[i], g.Float("hour")[i], g.String("dow")[i],
-				wantDist, wantBear, ts.Hour(), weekdayNames[ts.Weekday()])
-		}
-	}
-}
-
 // One record must not be able to destroy a feature. "Inf" is a number to
 // strconv.ParseFloat; folded into the standard scaler it turns the column's
 // running mean into NaN for good, and from then on every row's coordinate

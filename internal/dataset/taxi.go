@@ -94,30 +94,22 @@ func speedKmh(hour int, weekday time.Weekday) float64 {
 // Haversine returns the great-circle distance in kilometers between two
 // (lat, lon) points in degrees — the Taxi pipeline's distance feature.
 func Haversine(lat1, lon1, lat2, lon2 float64) float64 {
-	return haversine(math.Cos(lat1*rad), math.Cos(lat2*rad), (lat2-lat1)*rad, (lon2-lon1)*rad)
+	const R = 6371.0
+	rad := math.Pi / 180
+	dLat := (lat2 - lat1) * rad
+	dLon := (lon2 - lon1) * rad
+	a := math.Sin(dLat/2)*math.Sin(dLat/2) +
+		math.Cos(lat1*rad)*math.Cos(lat2*rad)*math.Sin(dLon/2)*math.Sin(dLon/2)
+	return 2 * R * math.Asin(math.Min(1, math.Sqrt(a)))
 }
 
 // Bearing returns the initial compass bearing in degrees from point 1 to
 // point 2 — the Taxi pipeline's direction feature.
 func Bearing(lat1, lon1, lat2, lon2 float64) float64 {
-	return bearing(math.Cos(lat1*rad), math.Cos(lat2*rad), lat1*rad, lat2*rad, (lon2-lon1)*rad)
-}
-
-const rad = math.Pi / 180
-
-// haversine and bearing take the two cosines of the latitudes as arguments,
-// so the feature extractor — which needs both features of every trip —
-// computes them once.
-func haversine(cosLat1, cosLat2, dLat, dLon float64) float64 {
-	const R = 6371.0
-	a := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		cosLat1*cosLat2*math.Sin(dLon/2)*math.Sin(dLon/2)
-	return 2 * R * math.Asin(math.Min(1, math.Sqrt(a)))
-}
-
-func bearing(cosLat1, cosLat2, lat1, lat2, dLon float64) float64 {
-	y := math.Sin(dLon) * cosLat2
-	x := cosLat1*math.Sin(lat2) - math.Sin(lat1)*cosLat2*math.Cos(dLon)
+	rad := math.Pi / 180
+	dLon := (lon2 - lon1) * rad
+	y := math.Sin(dLon) * math.Cos(lat2*rad)
+	x := math.Cos(lat1*rad)*math.Sin(lat2*rad) - math.Sin(lat1*rad)*math.Cos(lat2*rad)*math.Cos(dLon)
 	deg := math.Atan2(y, x) / rad
 	return math.Mod(deg+360, 360)
 }
@@ -347,13 +339,11 @@ func (TaxiFeatureExtractor) Transform(f *data.Frame) (*data.Frame, error) {
 	hour := make([]float64, n)
 	dow := make([]string, n)
 	for i := 0; i < n; i++ {
-		lat1, lat2, dl := pLat[i]*rad, dLat[i]*rad, (dLon[i]-pLon[i])*rad
-		cos1, cos2 := math.Cos(lat1), math.Cos(lat2)
-		dist[i] = haversine(cos1, cos2, (dLat[i]-pLat[i])*rad, dl)
-		bear[i] = bearing(cos1, cos2, lat1, lat2, dl)
-		h, wd := hourAndWeekday(int64(unix[i]))
-		hour[i] = float64(h)
-		dow[i] = weekdayNames[wd]
+		dist[i] = Haversine(pLat[i], pLon[i], dLat[i], dLon[i])
+		bear[i] = Bearing(pLat[i], pLon[i], dLat[i], dLon[i])
+		t := time.Unix(int64(unix[i]), 0).UTC()
+		hour[i] = float64(t.Hour())
+		dow[i] = weekdayNames[int(t.Weekday())]
 	}
 	g := f.ShallowCopy()
 	g.SetFloat("dist_km", dist)
@@ -363,50 +353,16 @@ func (TaxiFeatureExtractor) Transform(f *data.Frame) (*data.Frame, error) {
 	return g, nil
 }
 
-// hourAndWeekday returns the UTC hour of the day and day of the week
-// (Sunday = 0) of a Unix time, as time.Unix(sec, 0).UTC() reports them.
-func hourAndWeekday(sec int64) (hour, weekday int) {
-	days, rem := sec/86400, sec%86400
-	if rem < 0 { // floor, not truncate: before 1970
-		days, rem = days-1, rem+86400
-	}
-	weekday = int((days + 4) % 7) // 1970-01-01 was a Thursday
-	if weekday < 0 {
-		weekday += 7
-	}
-	return int(rem / 3600), weekday
-}
-
-// TaxiAnomalyFilter is the paper's anomaly detector: it drops trips longer
-// than 22 hours, shorter than 10 seconds, or with zero distance. It is
-// stateless. (It reads its two columns once per batch; a pipeline.Filter's
-// row predicate would look them up once per row.)
-type TaxiAnomalyFilter struct{}
-
-// NewTaxiAnomalyFilter returns the Taxi pipeline's anomaly detector.
-func NewTaxiAnomalyFilter() TaxiAnomalyFilter { return TaxiAnomalyFilter{} }
-
-// Name implements pipeline.Component.
-func (TaxiAnomalyFilter) Name() string { return "anomaly-detector" }
-
-// Stateless implements pipeline.Component.
-func (TaxiAnomalyFilter) Stateless() bool { return true }
-
-// Update implements pipeline.Component (no statistics).
-func (TaxiAnomalyFilter) Update(f *data.Frame) error { return nil }
-
-// Snapshot implements pipeline.Component: stateless, shares itself.
-func (x TaxiAnomalyFilter) Snapshot() pipeline.Component { return x }
-
-// Transform implements pipeline.Component.
-func (TaxiAnomalyFilter) Transform(f *data.Frame) (*data.Frame, error) {
-	dur := f.Float("duration")
-	dist := f.Float("dist_km")
-	keep := make([]bool, f.Rows())
-	for i, d := range dur {
-		keep[i] = !(d > 22*3600 || d < 10) && dist[i] > 0
-	}
-	return f.Select(keep), nil
+// NewTaxiAnomalyFilter returns the paper's anomaly detector: it drops trips
+// longer than 22 hours, shorter than 10 seconds, or with zero distance.
+func NewTaxiAnomalyFilter() *pipeline.Filter {
+	return pipeline.NewFilter("anomaly-detector", func(f *data.Frame, i int) bool {
+		d := f.Float("duration")[i]
+		if d > 22*3600 || d < 10 {
+			return false
+		}
+		return f.Float("dist_km")[i] > 0
+	})
 }
 
 // TaxiFeatureDim is the assembled feature dimensionality of the Taxi

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestParseScale(t *testing.T) {
@@ -281,31 +280,35 @@ func TestFig7Shape(t *testing.T) {
 	if len(r.Points) != len(SamplingStrategies)*len(Fig7Rates) {
 		t.Fatalf("points = %d", len(r.Points))
 	}
-	// Both shapes are asserted on the preprocessing cost, the one category
-	// materialization and online statistics act on. Training and prediction
-	// do identical work in every configuration, and at this scale — runs of
-	// tens of milliseconds — their wall-clock jitter is as large as the whole
-	// preprocessing bill, so the total only shows the shape at medium scale
-	// (EXPERIMENTS.md).
-	preprocessAt := func(strat string, rate float64) time.Duration {
-		for _, p := range r.Points {
-			if p.Strategy == strat && p.Rate == rate {
-				return p.Preprocess
-			}
+	// A small-scale run takes tens of milliseconds, and one sweep's wall-clock
+	// jitter can exceed the gap the no-opt assertion below looks for. Every
+	// configuration's total cost is therefore the minimum over three sweeps.
+	for rep := 1; rep < 3; rep++ {
+		again, err := Fig7(w)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("%s: missing sweep point at rate %v", strat, rate)
-		return 0
+		for i := range r.Points {
+			r.Points[i].Cost = min(r.Points[i].Cost, again.Points[i].Cost)
+		}
+		r.NoOptCost = min(r.NoOptCost, again.NoOptCost)
 	}
 	// Shape: for each strategy, cost at full materialization ≤ cost at none.
 	for _, strat := range SamplingStrategies {
-		c0, c1 := preprocessAt(strat, 0.0), preprocessAt(strat, 1.0)
+		c0, ok0 := r.CostAt(strat, 0.0)
+		c1, ok1 := r.CostAt(strat, 1.0)
+		if !ok0 || !ok1 {
+			t.Fatalf("%s: missing sweep points", strat)
+		}
+		// Allow jitter: the small-scale runs take tens of milliseconds, so
+		// only a clear inversion is a failure.
 		if float64(c1) > 1.3*float64(c0) {
-			t.Errorf("%s: preprocessing cost at rate 1.0 (%v) exceeds rate 0.0 (%v)", strat, c1, c0)
+			t.Errorf("%s: cost at rate 1.0 (%v) exceeds rate 0.0 (%v)", strat, c1, c0)
 		}
 	}
 	// Shape: NoOptimization is the most expensive configuration.
-	if full := preprocessAt("time", 1.0); r.NoOptPreprocess <= full {
-		t.Errorf("no-opt preprocessing cost %v should exceed fully optimized %v", r.NoOptPreprocess, full)
+	if full, ok := r.CostAt("time", 1.0); ok && r.NoOptCost <= full {
+		t.Errorf("no-opt cost %v should exceed fully optimized %v", r.NoOptCost, full)
 	}
 	// μ rises with the materialization rate for every strategy.
 	for _, strat := range SamplingStrategies {

@@ -351,22 +351,19 @@ func Table4(N, sampleChunks, window int) *Table4Result {
 // Fig7Rates are the materialization rates the paper sweeps.
 var Fig7Rates = []float64{0.0, 0.2, 0.6, 1.0}
 
-// Fig7Point is one (strategy, rate) deployment's total cost, and the share
-// of it spent preprocessing — the only category the two optimizations act on.
+// Fig7Point is one (strategy, rate) deployment's total cost.
 type Fig7Point struct {
-	Strategy   string
-	Rate       float64
-	Cost       time.Duration
-	Preprocess time.Duration
-	Mu         float64
+	Strategy string
+	Rate     float64
+	Cost     time.Duration
+	Mu       float64
 }
 
 // Fig7Result holds the cost sweep plus the NoOptimization baseline.
 type Fig7Result struct {
-	Workload        string
-	Points          []Fig7Point
-	NoOptCost       time.Duration
-	NoOptPreprocess time.Duration
+	Workload  string
+	Points    []Fig7Point
+	NoOptCost time.Duration
 }
 
 // Fig7 sweeps the materialization rate for each sampling strategy and runs
@@ -386,11 +383,10 @@ func Fig7(w *Workload) (*Fig7Result, error) {
 				return nil, fmt.Errorf("experiment: fig7 %s/%s/%.1f: %w", w.Name, strat, rate, err)
 			}
 			out.Points = append(out.Points, Fig7Point{
-				Strategy:   strat,
-				Rate:       rate,
-				Cost:       res.Cost.Total(),
-				Preprocess: res.Cost.Get(eval.CatPreprocess),
-				Mu:         res.MatStats.Mu(),
+				Strategy: strat,
+				Rate:     rate,
+				Cost:     res.Cost.Total(),
+				Mu:       res.MatStats.Mu(),
 			})
 		}
 	}
@@ -402,7 +398,6 @@ func Fig7(w *Workload) (*Fig7Result, error) {
 		return nil, fmt.Errorf("experiment: fig7 %s/noopt: %w", w.Name, err)
 	}
 	out.NoOptCost = res.Cost.Total()
-	out.NoOptPreprocess = res.Cost.Get(eval.CatPreprocess)
 	return out, nil
 }
 

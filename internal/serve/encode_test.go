@@ -105,6 +105,23 @@ func TestReadRecordsDeclaredAndChunkedLengths(t *testing.T) {
 	}
 }
 
+// A declared Content-Length reserves at most bodyPrealloc before any byte has
+// arrived, and a body longer than that is still read whole.
+func TestReadBodyPreallocIsBounded(t *testing.T) {
+	req := httptest.NewRequest(http.MethodPost, "/", io.NopCloser(strings.NewReader("")))
+	req.ContentLength = maxBody
+	b, err := readBody(req)
+	if err != nil || len(b) != 0 || cap(b) > bodyPrealloc+1 {
+		t.Fatalf("declared %d, sent nothing: len %d cap %d err %v", maxBody, len(b), cap(b), err)
+	}
+	big := strings.Repeat("x", 3*bodyPrealloc+17)
+	req = httptest.NewRequest(http.MethodPost, "/", io.NopCloser(strings.NewReader(big)))
+	req.ContentLength = int64(len(big))
+	if b, err = readBody(req); err != nil || string(b) != big {
+		t.Fatalf("body past the prealloc: len %d, want %d, err %v", len(b), len(big), err)
+	}
+}
+
 // nanServer serves a regression deployment over testParser whose model
 // answers NaN for any record with x0 > 100, and whose prequential error turns
 // NaN once a record labelled NaN has been trained on.

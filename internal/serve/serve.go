@@ -147,6 +147,10 @@ import (
 // exhaust memory.
 const maxBody = 16 << 20
 
+// bodyPrealloc bounds what a declared Content-Length may reserve before a
+// single body byte has arrived (1 MiB; a 256-record predict is ~32 KB).
+const bodyPrealloc = 1 << 20
+
 // requestTraceCapacity is the ring size of the request-span tracer: large
 // enough that a slow request's trace is still resolvable by id a few hundred
 // requests later, small enough to bound memory.
@@ -460,16 +464,19 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // readBody reads a request body of at most maxBody+1 bytes (one past the
 // cap, so the caller can tell an oversized body from one at the cap). A
-// declared Content-Length sizes the buffer once; a chunked body grows it the
-// way io.ReadAll does. The buffer is never pooled: /train and /ingest hand
-// these bytes to the chunk store, /restore to the snapshot sink.
+// declared Content-Length sizes the buffer once, up to bodyPrealloc — the
+// header is the client's word, so a connection that declares the cap and
+// sends nothing must not pin the cap; beyond that, and for a chunked body,
+// the buffer grows with the bytes received the way io.ReadAll's does. The
+// buffer is never pooled: /train and /ingest hand these bytes to the chunk
+// store, /restore to the snapshot sink.
 func readBody(r *http.Request) ([]byte, error) {
 	body := io.LimitReader(r.Body, maxBody+1)
 	if r.ContentLength < 0 {
 		return io.ReadAll(body)
 	}
 	// One byte more than declared: the Read that reports EOF needs room.
-	b := make([]byte, 0, min(r.ContentLength, maxBody+1)+1)
+	b := make([]byte, 0, min(r.ContentLength, bodyPrealloc)+1)
 	for {
 		n, err := body.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]
