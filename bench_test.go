@@ -969,6 +969,73 @@ func BenchmarkReplicaPredict(b *testing.B) {
 	}
 }
 
+// benchIngestTick measures one whole live tick — Deployer.Ingest of an
+// 80-row chunk: prequential scoring, online statistics and transform,
+// store, one gradient step, snapshot publish — on a deployment warmed with
+// 200 chunks and no checkpoint policy (the shape of the system benchmark's
+// in-process core.tick_us). B/op is the number that matters: everything a
+// tick allocates beyond its chunk's own columns is garbage the collector
+// pays for beside the readers.
+func benchIngestTick(b *testing.B, cfg core.Config, chunk func(i int) [][]byte) {
+	const warm, fresh = 200, 64
+	cfg.Mode = core.ModeContinuous
+	cfg.Store = data.NewStore(data.NewMemoryBackend())
+	cfg.Sampler = sample.NewTime(1)
+	cfg.SampleChunks = 8
+	cfg.ProactiveEvery = 1 << 30
+	dep, err := core.NewDeployer(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(dep.Shutdown)
+	for i := 0; i < warm; i++ {
+		if err := dep.Ingest(chunk(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	chunks := make([][][]byte, fresh)
+	for i := range chunks {
+		chunks[i] = chunk(warm + i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := dep.Ingest(chunks[i%fresh]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkIngestTickURL is the live tick of the URL pipeline at
+// cdml-serve's hashing dimension (2^15 weights, Adam): the workload whose
+// tick used to allocate several model-sized vectors.
+func BenchmarkIngestTickURL(b *testing.B) {
+	const hashDim = 1 << 15
+	cfg := dataset.DefaultURLConfig()
+	cfg.Days, cfg.ChunksPerDay, cfg.RowsPerChunk, cfg.Vocab = 300, 1, 80, 5000
+	benchIngestTick(b, core.Config{
+		NewPipeline:  func() *pipeline.Pipeline { return dataset.NewURLPipeline(hashDim) },
+		NewModel:     func() model.Model { return dataset.NewURLModel(hashDim, 1e-3) },
+		NewOptimizer: func() opt.Optimizer { return opt.NewAdam(0.05) },
+		Metric:       &eval.Misclassification{},
+		Predict:      core.ClassifyPredictor,
+	}, dataset.NewURL(cfg).Chunk)
+}
+
+// BenchmarkIngestTickTaxi is the same tick on the Taxi pipeline (12
+// weights, RMSProp), where nothing scales with the model.
+func BenchmarkIngestTickTaxi(b *testing.B) {
+	cfg := dataset.DefaultTaxiConfig()
+	cfg.Chunks, cfg.RowsPerChunk = 300, 80
+	benchIngestTick(b, core.Config{
+		NewPipeline:  dataset.NewTaxiPipeline,
+		NewModel:     func() model.Model { return dataset.NewTaxiModel(1e-4) },
+		NewOptimizer: func() opt.Optimizer { return opt.NewRMSProp(0.1) },
+		Metric:       &eval.RMSE{},
+		Predict:      core.RegressionPredictor,
+	}, dataset.NewTaxi(cfg).Chunk)
+}
+
 // walBenchChunk builds one ingest-sized chunk (30 records of ~40 bytes —
 // the shape the async ingest handler appends before every 202 ack).
 func walBenchChunk() [][]byte {

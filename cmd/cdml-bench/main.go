@@ -41,7 +41,7 @@ const defaultBench = "BenchmarkObsCounterInc|BenchmarkObsHistogramObserve|Benchm
 	"BenchmarkProactiveTrainingIteration|BenchmarkMFUpdate|" +
 	"BenchmarkKMeansUpdate|BenchmarkTieredBackendHit|BenchmarkDriftDetectorObserve|" +
 	"BenchmarkServePredictRouted|BenchmarkServePredictTaxiBatch256|BenchmarkReplicaPredict|" +
-	"BenchmarkIngestAppend"
+	"BenchmarkIngestAppend|BenchmarkIngestTickURL|BenchmarkIngestTickTaxi"
 
 func main() {
 	var (

@@ -19,23 +19,37 @@ import (
 // them within a process.
 //
 // Checkpoint encodes the published snapshot — the state as of the last
-// completed tick — and holds no lock shared with the writer: it streams
-// from immutable state, so an arbitrarily slow consumer (a stalled HTTP
-// checkpoint client, a saturated disk) can never block Ingest. Mid-tick
-// progress is by design not captured; ticks are the recovery grain.
+// completed tick. The only lock it shares with the writer is d.mu for the
+// length of one optimizer clone, and only when the published snapshot does
+// not carry resume state yet (resumePoint): the call waits out at most the
+// tick in flight and delays the next by at most that clone. The encode and
+// every write to w stream from immutable state with no lock held, so an
+// arbitrarily slow consumer (a stalled HTTP checkpoint client, a saturated
+// disk) can never block Ingest. Mid-tick progress is by design not
+// captured; ticks are the recovery grain. In the failed-tick window the
+// answer is ErrResumeUnavailable and nothing is written.
 //
 // The chunk store is not part of the checkpoint; it is durable storage
 // with its own lifecycle (point the restored deployment at the same store
 // or a fresh one).
 func (d *Deployer) Checkpoint(w io.Writer) error {
-	return d.snap.Load().encodeTo(w)
+	s, err := d.resumePoint()
+	if err != nil {
+		return err
+	}
+	return s.encodeTo(w)
 }
 
 // encodeTo writes the snapshot's resume state (model, optimizer, pipeline
 // statistics) as the checkpoint wire format: a sequence of independent gob
 // streams. Snapshots are immutable, so encoding needs no synchronization
-// and may run concurrently with the training writer.
+// and may run concurrently with the training writer. A snapshot published
+// without resume state has no optimizer section to write and says so
+// before a byte reaches w.
 func (s *Snapshot) encodeTo(w io.Writer) error {
+	if s.optm == nil {
+		return fmt.Errorf("core: encoding snapshot version %d: %w", s.version, ErrResumeUnavailable)
+	}
 	if err := model.Save(w, s.mdl); err != nil {
 		return fmt.Errorf("core: checkpointing model: %w", err)
 	}

@@ -81,8 +81,9 @@ func (p CheckpointPolicy) withDefaults() CheckpointPolicy {
 type CheckpointInfo = snapstream.FileInfo
 
 // ckptManager runs the auto-checkpoint loop. The writer side (publish,
-// under d.mu) only counts ticks and performs a non-blocking hand-off of the
-// due snapshot; the manager goroutine owns every byte of file IO.
+// under d.mu) only counts ticks, says whether a checkpoint is due (which is
+// when publish pays for resume state) and performs a non-blocking hand-off
+// of the due snapshot; the manager goroutine owns every byte of file IO.
 type ckptManager struct {
 	pol CheckpointPolicy
 
@@ -98,7 +99,7 @@ type ckptManager struct {
 	// qmu guards the hand-off into ch against shutdown: once stopped is set
 	// no further snapshot can enter the channel, so every send provably
 	// happens before close(stop) and run()'s final drain observes it. qmu is
-	// never held across file IO — observePublish stays non-blocking on the
+	// never held across file IO — due and handOff stay non-blocking on the
 	// tick path even while a write is in flight.
 	qmu     sync.Mutex
 	stopped bool //cdml:guardedby qmu
@@ -182,23 +183,43 @@ func newCkptManager(pol CheckpointPolicy, reg *obs.Registry, tracer *obs.Tracer,
 	return m, nil
 }
 
-// observePublish is the writer-side trigger: called after every snapshot
-// publish, under the deployment's writer serialization. It never blocks —
-// when the manager is still writing the previous checkpoint, this one is
-// skipped and the trigger state keeps accumulating, so the next publish
-// retries immediately.
-func (m *ckptManager) observePublish(s *Snapshot) {
+// due is the writer-side trigger: asked once per snapshot publish, before
+// the snapshot is built and under the deployment's writer serialization, it
+// reports whether this publish's snapshot goes to the checkpoint writer —
+// the trigger has fired and the hand-off will be accepted — so that publish
+// clones resume state for exactly those snapshots. It never blocks: when
+// the manager is still writing the previous checkpoint and one more is
+// already queued, this one is skipped and the trigger state keeps
+// accumulating, so the next publish retries immediately.
+func (m *ckptManager) due() bool {
 	m.ticksSince++
-	due := (m.pol.EveryTicks > 0 && m.ticksSince >= m.pol.EveryTicks) ||
+	fired := (m.pol.EveryTicks > 0 && m.ticksSince >= m.pol.EveryTicks) ||
 		(m.pol.Interval > 0 && time.Since(m.lastEnqueue) >= m.pol.Interval)
-	if !due {
-		return
+	if !fired {
+		return false
 	}
 	m.qmu.Lock()
 	defer m.qmu.Unlock()
 	if m.stopped {
-		// The manager is shutting down; dropping the hand-off here is the
-		// only alternative to enqueueing a snapshot nobody will ever write.
+		// The manager is shutting down; declining here is the only
+		// alternative to enqueueing a snapshot nobody will ever write.
+		return false
+	}
+	if len(m.ch) == cap(m.ch) {
+		m.skips.Inc()
+		return false
+	}
+	// Room now is room at handOff: the publishing writer is the channel's
+	// only sender and run() only ever drains it.
+	return true
+}
+
+// handOff enqueues the snapshot due() asked for and rearms the trigger. A
+// shutdown that slipped in between the two drops it (see due).
+func (m *ckptManager) handOff(s *Snapshot) {
+	m.qmu.Lock()
+	defer m.qmu.Unlock()
+	if m.stopped {
 		return
 	}
 	select {
@@ -447,12 +468,18 @@ func (d *Deployer) RecoverFromDir(dir string) (CheckpointInfo, error) {
 // configured checkpoint directory, regardless of the tick/interval
 // triggers. It needs an AutoCheckpoint policy; deployments without one
 // answer ErrNoCheckpointPolicy and should use Checkpoint with a destination
-// of their choice.
+// of their choice. Like every on-demand consumer it may have to attach
+// resume state first (resumePoint) and answers ErrResumeUnavailable in the
+// failed-tick window.
 func (d *Deployer) CheckpointNow() (CheckpointInfo, error) {
 	if d.ckpt == nil {
 		return CheckpointInfo{}, ErrNoCheckpointPolicy
 	}
-	return d.ckpt.write(d.snap.Load())
+	s, err := d.resumePoint()
+	if err != nil {
+		return CheckpointInfo{}, err
+	}
+	return d.ckpt.write(s)
 }
 
 // LastCheckpoint reports the newest durable checkpoint of this deployment

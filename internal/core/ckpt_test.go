@@ -265,7 +265,10 @@ func TestCheckpointShutdownHandoffGuarantee(t *testing.T) {
 	// and backs off: no hang, no new file, even for a due, newer snapshot.
 	late := *d.Current()
 	late.version++
-	d.ckpt.observePublish(&late)
+	if d.ckpt.due() {
+		t.Fatal("a stopped manager reported a checkpoint due")
+	}
+	d.ckpt.handOff(&late)
 	after, err := snapstream.List(dir)
 	if err != nil {
 		t.Fatal(err)

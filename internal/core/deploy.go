@@ -88,6 +88,13 @@ type Deployer struct {
 	snap atomic.Pointer[Snapshot]
 	//cdml:guardedby mu
 	publishSeq uint64
+	// optmAhead is true while the live optimizer has stepped since the last
+	// publish. Inside a tick that is the normal state; between ticks it is
+	// true only after a tick failed past its first optimizer step, and it
+	// keeps resumePoint from pairing the published weights with a later
+	// optimizer (see ErrResumeUnavailable).
+	//cdml:guardedby mu
+	optmAhead bool
 
 	// pendingQueries/pendingQueryNanos accumulate the read path's load
 	// observations for the dynamic scheduler until the writer drains them
@@ -607,6 +614,8 @@ func (d *Deployer) fetchRaw(ids []data.Timestamp) ([]data.RawChunk, error) {
 // history. With warm starting the deployed pipeline statistics, model
 // weights, and optimizer state are reused; otherwise everything restarts
 // from scratch, including a statistics-recomputation pass over the history.
+//
+//cdml:locked mu — tick helper; ingestTick holds d.mu and Run is single-threaded
 func (d *Deployer) retrain(res *Result) error {
 	start := time.Now()
 	defer func() {
@@ -662,6 +671,7 @@ func (d *Deployer) retrain(res *Result) error {
 	d.pipe = pipe
 	d.mdl = mdl
 	d.optm = om
+	d.optmAhead = true
 	return nil
 }
 

@@ -35,10 +35,17 @@ type deployObs struct {
 	gradUpdates       *obs.Counter
 	gatherChunks      *obs.Counter
 	snapshotPublishes *obs.Counter
+	// resumeCadence/resumeOnDemand count the optimizer clones attached to
+	// snapshots, by who asked: the auto-checkpoint trigger at publish, or an
+	// on-demand consumer afterwards (see Deployer.resumePoint).
+	resumeCadence  *obs.Counter
+	resumeOnDemand *obs.Counter
 
 	prequentialError  *obs.Gauge
 	gatherParallelism *obs.Gauge
 }
+
+const resumeClonesHelp = "Optimizer clones attached to snapshots as resume state: cause=cadence at the publish an auto-checkpoint takes, cause=demand for an on-demand checkpoint, frame or Current()."
 
 // withLabels copies base and appends extra, so repeated calls building
 // per-series label sets from one shared base never alias each other.
@@ -97,6 +104,10 @@ func newDeployObs(d *Deployer) *deployObs {
 			"Chunks gathered in parallel for proactive training samples.", ls...),
 		snapshotPublishes: reg.Counter("cdml_snapshot_publishes_total",
 			"Immutable deployment snapshots published for the lock-free read path.", ls...),
+		resumeCadence: reg.Counter("cdml_snapshot_resume_clones_total", resumeClonesHelp,
+			withLabels(ls, obs.L("cause", "cadence"))...),
+		resumeOnDemand: reg.Counter("cdml_snapshot_resume_clones_total", resumeClonesHelp,
+			withLabels(ls, obs.L("cause", "demand"))...),
 		prequentialError: reg.Gauge("cdml_prequential_error",
 			"Cumulative prequential error of the deployed model.", ls...),
 		gatherParallelism: reg.Gauge("cdml_gather_parallelism",

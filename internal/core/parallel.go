@@ -96,9 +96,16 @@ func ShardedUpdate(ctx context.Context, eng *engine.Engine, shardRows int, mdl m
 }
 
 // parallelUpdate is the deployment's training step: ShardedUpdate on the
-// configured engine plus the shard/reduce instrumentation.
+// configured engine plus the shard/reduce instrumentation. A step taken
+// (ShardedUpdate fails only before Apply) moves the optimizer past the
+// published snapshot until the next publish.
+//
+//cdml:locked mu — training helper; ingestTick holds d.mu and Run is single-threaded
 func (d *Deployer) parallelUpdate(mdl model.Model, om opt.Optimizer, batch []data.Instance) error {
 	_, st, err := ShardedUpdate(d.ctx, d.cfg.Engine, d.cfg.GradShardRows, mdl, om, batch)
+	if err == nil {
+		d.optmAhead = true
+	}
 	if st.Shards > 0 {
 		d.obs.gradShards.Add(int64(st.Shards))
 		d.obs.gradUpdates.Inc()

@@ -1,22 +1,24 @@
 package core
 
 import (
+	"errors"
 	"time"
 
-	"cdml/internal/eval"
 	"cdml/internal/model"
+	"cdml/internal/obs"
 	"cdml/internal/opt"
 	"cdml/internal/pipeline"
 )
 
 // Snapshot is one immutable published deployment state: the transform-only
 // pipeline clone, the cloned model weights, and the precomputed statistics
-// as of publish time. The writer (Ingest, Run, RestoreCheckpoint) builds a
-// fresh Snapshot at the end of every deployment tick and publishes it with
-// a single atomic pointer store; readers (Predict, Stats) load the pointer
-// and never synchronize with the writer — the Velox pattern (Crankshaw et
-// al., CIDR 2015) of serving from immutable model snapshots while training
-// continues.
+// as of publish time — everything a reader needs, and by default nothing a
+// reader does not (the optimizer is resume state, see optm). The writer
+// (Ingest, Run, RestoreCheckpoint) builds a fresh Snapshot at the end of
+// every deployment tick and publishes it with a single atomic pointer
+// store; readers (Predict, Stats) load the pointer and never synchronize
+// with the writer — the Velox pattern (Crankshaw et al., CIDR 2015) of
+// serving from immutable model snapshots while training continues.
 //
 // Nothing reachable from a Snapshot is ever mutated after publish, which is
 // the entire memory-safety argument: a reader holding an old snapshot keeps
@@ -31,11 +33,15 @@ import (
 type Snapshot struct {
 	pipe *pipeline.Pipeline
 	mdl  model.Model
-	// optm is the optimizer state cloned at publish time. It is not needed
-	// for serving, but it makes a Snapshot a complete resume point: the
-	// checkpoint path (auto-checkpointing and GET .../checkpoint) encodes
-	// snapshots without ever touching the writer mutex, so a slow
-	// checkpoint consumer can never stall Ingest.
+	// optm is the resume state: the optimizer exactly as of this snapshot's
+	// publish, or nil. Serving never reads it and cloning it costs two more
+	// model-sized vectors, so a snapshot carries it only when something is
+	// about to encode it — the publish the auto-checkpoint trigger takes,
+	// and the published snapshot once an on-demand consumer has asked for it
+	// (see resumePoint). It is never attached to a published Snapshot value:
+	// completing one builds a new value that shares pipe and mdl and is
+	// swapped in at the same version. A snapshot without it serves and
+	// reports like any other and refuses to encode (ErrResumeUnavailable).
 	optm    opt.Optimizer
 	version uint64
 	builtAt time.Time
@@ -65,34 +71,101 @@ func (s *Snapshot) Metric() float64 { return s.metric }
 //cdml:hotpath
 func (d *Deployer) current() *Snapshot { return d.snap.Load() }
 
-// Current exposes the published snapshot for status endpoints (version,
-// build time, staleness).
-func (d *Deployer) Current() *Snapshot { return d.snap.Load() }
+// Published returns the published snapshot as the read path sees it — one
+// atomic load, never a lock — for callers that want its Version, BuiltAt or
+// Metric (status and ack handlers). It may carry no resume state; use
+// Current for a snapshot to encode.
+func (d *Deployer) Published() *Snapshot { return d.current() }
 
-// freezeSeries returns a read-only view of a writer-owned curve using a
-// capped slice: the writer only ever appends, and with cap == len the
-// append after a capacity grow or in-place extension writes indices ≥ len —
-// memory the frozen view can never reach — so readers iterate the view
-// without racing the writer.
-func freezeSeries(s *eval.Series) *eval.Series {
-	nx, ny := len(s.Xs), len(s.Ys)
-	return &eval.Series{Name: s.Name, Xs: s.Xs[:nx:nx], Ys: s.Ys[:ny:ny]}
+// ErrResumeUnavailable reports that the published snapshot cannot be
+// completed into a resume point right now: a tick failed after it had
+// stepped the optimizer, so the writer's optimizer is ahead of the
+// published weights, and pairing the two would checkpoint a state the
+// deployment was never in. The next successful tick publishes a consistent
+// pair and clears the condition; the last durable checkpoint stays valid
+// throughout.
+var ErrResumeUnavailable = errors.New("core: resume state unavailable until the next publish (a failed tick left the optimizer ahead of the published snapshot)")
+
+// Current returns the published snapshot as a complete resume point — the
+// snapshot to hand to WriteCheckpointFile or Frame. When the published
+// snapshot carries no resume state yet, Current attaches it (see
+// resumePoint: d.mu for the length of one optimizer clone, so a call waits
+// out at most the tick in flight). In the failed-tick window described at
+// ErrResumeUnavailable it returns the published snapshot as it is, whose
+// Frame reports that error.
+func (d *Deployer) Current() *Snapshot {
+	s, _ := d.resumePoint()
+	return s
+}
+
+// resumePoint is the on-demand half of the resume-state rule: it returns
+// the published snapshot with the optimizer attached, cloning it now if the
+// publish did not. Every consumer that encodes outside the checkpoint
+// cadence comes through here — CheckpointNow, Checkpoint, the snapstream
+// source behind GET .../checkpoint and replication, Current.
+//
+// The pairing rule: resume state attached to version V must be the
+// optimizer exactly as of publish V. The optimizer only moves inside ticks,
+// under d.mu, and every successful tick ends in a publish, so with d.mu
+// held the live optimizer is the one of the published version — unless a
+// tick failed after stepping it, which optmAhead records; then the answer
+// is ErrResumeUnavailable rather than V's weights with a later optimizer.
+// d.mu is held for one Clone (two model-sized copies for Adam), never
+// across an encode or any IO. The completed snapshot replaces the
+// published one at the same version, so the clone is paid once per
+// version however many consumers ask.
+func (d *Deployer) resumePoint() (*Snapshot, error) {
+	if s := d.current(); s.optm != nil {
+		return s, nil
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	s := d.current()
+	if s.optm != nil {
+		return s, nil
+	}
+	if d.optmAhead {
+		return s, ErrResumeUnavailable
+	}
+	s = d.withResume(s, d.obs.resumeOnDemand)
+	d.snap.Store(s)
+	return s, nil
+}
+
+// withResume returns a copy of s that carries the live optimizer's clone —
+// the one place resume state enters a snapshot; cause is the counter of who
+// asked. s itself is not written: it may already be published. The caller
+// holds the writer serialization and has established the pairing rule
+// (publish: the optimizer it clones is the one it publishes beside;
+// resumePoint: no step since the publish of s).
+//
+//cdml:locked mu
+func (d *Deployer) withResume(s *Snapshot, cause *obs.Counter) *Snapshot {
+	c := *s
+	c.optm = d.optm.Clone()
+	cause.Inc()
+	return &c
 }
 
 // publish builds the next snapshot from the deployed pipeline, model, and
 // accumulated result and atomically swaps it in. Callers must hold the
 // writer serialization (d.mu for live use; NewDeployer and Run are
 // single-threaded by construction). Publishing is O(stateful components +
-// model dim) — the deep copies run once per tick, never per query.
+// model dim) and O(1) in uptime — one pipeline snapshot and one weight
+// copy per tick, never per query — and clones the optimizer only for the
+// publish the auto-checkpoint trigger is about to take.
 //
 //cdml:locked mu — the caller provides the writer serialization documented above
 func (d *Deployer) publish() {
 	res := d.liveResult()
+	// Ask before building: the answer decides whether this snapshot needs
+	// resume state at all (a due checkpoint the busy writer would skip gets
+	// none).
+	checkpoint := d.ckpt != nil && d.ckpt.due()
 	d.publishSeq++
 	snap := &Snapshot{
 		pipe:    d.pipe.Snapshot(),
 		mdl:     d.mdl.Clone(),
-		optm:    d.optm.Clone(),
 		version: d.publishSeq,
 		builtAt: time.Now(),
 		metric:  d.cfg.Metric.Value(),
@@ -106,17 +179,21 @@ func (d *Deployer) publish() {
 	// writer-owned state: shallow-copy the accumulating result, freeze the
 	// curves, and resolve the derived fields as of this publish.
 	st := *res
-	st.ErrorCurve = freezeSeries(res.ErrorCurve)
-	st.CostCurve = freezeSeries(res.CostCurve)
+	st.ErrorCurve = res.ErrorCurve.View()
+	st.CostCurve = res.CostCurve.View()
 	st.FinalError = snap.metric
 	st.AvgError = st.ErrorCurve.Mean()
 	st.MatStats = d.cfg.Store.Stats()
 	snap.stats = st //lint:allow snapfreeze: pre-publication construction — snap is unshared until the Store below
+	if checkpoint {
+		snap = d.withResume(snap, d.obs.resumeCadence)
+	}
 	d.snap.Store(snap)
+	d.optmAhead = false
 	d.obs.snapshotPublishes.Inc()
-	// Hand the snapshot to the auto-checkpoint loop (non-blocking: a due
-	// checkpoint is skipped, never waited on, when a write is in flight).
-	if d.ckpt != nil {
-		d.ckpt.observePublish(snap)
+	if checkpoint {
+		// Non-blocking: due() saw room in the hand-off channel and this
+		// writer is its only sender.
+		d.ckpt.handOff(snap)
 	}
 }

@@ -18,7 +18,9 @@ import (
 
 // Frame encodes the snapshot into one versioned snapstream frame.
 // Snapshots are immutable, so encoding needs no synchronization and may
-// run concurrently with the training writer.
+// run concurrently with the training writer. Only a snapshot that carries
+// resume state can be framed (Deployer.Current returns one); any other
+// reports ErrResumeUnavailable.
 func (s *Snapshot) Frame() (snapstream.Frame, error) {
 	var payload bytes.Buffer
 	if err := s.encodeTo(&payload); err != nil {
@@ -40,11 +42,17 @@ type snapshotSource struct {
 var _ snapstream.Source = (*snapshotSource)(nil)
 
 // Latest frames the published snapshot when it is newer than since;
-// ok=false otherwise (the poll idle case).
+// ok=false otherwise (the poll idle case, one atomic load). A version is
+// completed into a resume point the first time it is asked for
+// (resumePoint) and framed once; ErrResumeUnavailable in the failed-tick
+// window means "poll again", the consumer keeps what it has.
 func (s *snapshotSource) Latest(_ context.Context, since uint64) (snapstream.Frame, bool, error) {
-	snap := s.d.snap.Load()
-	if snap.version <= since {
+	if s.d.current().version <= since {
 		return snapstream.Frame{}, false, nil
+	}
+	snap, err := s.d.resumePoint()
+	if err != nil {
+		return snapstream.Frame{}, false, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

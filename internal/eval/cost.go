@@ -181,14 +181,29 @@ type Series struct {
 	Name string
 	// Xs is the x axis (chunk index / deployment time).
 	Xs []float64
-	// Ys is the y axis (error or cost at that x).
+	// Ys is the y axis (error or cost at that x). Append is its only writer.
 	Ys []float64
+	// sum is the running total of Ys, added up in append order — exactly
+	// the left-to-right sum a loop over Ys computes, so Mean is O(1) and
+	// bit-identical to that loop.
+	sum float64
 }
 
 // Append adds one point.
 func (s *Series) Append(x, y float64) {
 	s.Xs = append(s.Xs, x)
 	s.Ys = append(s.Ys, y)
+	s.sum += y
+}
+
+// View returns a read-only view of the points recorded so far that stays
+// valid while s keeps growing: the slices are capped at their length, so a
+// later Append to s — in place or after a capacity grow — only writes
+// indices the view cannot reach. A reader may iterate the view without
+// synchronizing with the one goroutine that appends to s.
+func (s *Series) View() *Series {
+	nx, ny := len(s.Xs), len(s.Ys)
+	return &Series{Name: s.Name, Xs: s.Xs[:nx:nx], Ys: s.Ys[:ny:ny], sum: s.sum}
 }
 
 // Len returns the number of points.
@@ -208,19 +223,14 @@ func (s *Series) Mean() float64 {
 	if len(s.Ys) == 0 {
 		return 0
 	}
-	var sum float64
-	for _, y := range s.Ys {
-		sum += y
-	}
-	return sum / float64(len(s.Ys))
+	return s.sum / float64(len(s.Ys))
 }
 
 // Downsample returns a copy with at most n points, evenly spaced, always
 // keeping the last point. It renders long deployments compactly.
 func (s *Series) Downsample(n int) *Series {
 	if n <= 0 || s.Len() <= n {
-		c := &Series{Name: s.Name, Xs: append([]float64(nil), s.Xs...), Ys: append([]float64(nil), s.Ys...)}
-		return c
+		return &Series{Name: s.Name, Xs: append([]float64(nil), s.Xs...), Ys: append([]float64(nil), s.Ys...), sum: s.sum}
 	}
 	out := &Series{Name: s.Name}
 	step := float64(s.Len()-1) / float64(n-1)

@@ -213,6 +213,53 @@ func TestSeriesDownsample(t *testing.T) {
 	}
 }
 
+// TestSeriesMeanMatchesLoopBitForBit pins the running sum behind Mean to
+// the loop it replaced: same left-to-right order, same float bits — on the
+// series itself, on a View taken at any length (which must not move when
+// the series grows afterwards) and through both branches of Downsample.
+func TestSeriesMeanMatchesLoopBitForBit(t *testing.T) {
+	loopMean := func(ys []float64) float64 {
+		if len(ys) == 0 {
+			return 0
+		}
+		var sum float64
+		for _, y := range ys {
+			sum += y
+		}
+		return sum / float64(len(ys))
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		s := &Series{Name: "m"}
+		var views []*Series
+		for i, n := 0, r.Intn(300); i < n; i++ {
+			// Mixed magnitudes, so that summation order shows in the bits.
+			s.Append(float64(i), r.NormFloat64()*math.Pow(10, float64(r.Intn(12)-6)))
+			if r.Intn(16) == 0 {
+				views = append(views, s.View())
+			}
+			if !same(s.Mean(), loopMean(s.Ys)) {
+				return false
+			}
+		}
+		for _, v := range views {
+			if v.Len() > s.Len() || !same(v.Mean(), loopMean(s.Ys[:v.Len()])) {
+				return false
+			}
+		}
+		for _, n := range []int{0, 7, s.Len() + 1} {
+			if d := s.Downsample(n); !same(d.Mean(), loopMean(d.Ys)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPrequential(t *testing.T) {
 	p := NewPrequential("test", &Misclassification{})
 	p.Observe(1, 1)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Axpy computes y += alpha*x for dense slices. It panics on dimension
@@ -63,9 +64,19 @@ func CopyOf(x []float64) []float64 {
 // Accumulator accumulates a weighted sum of vectors into a dense buffer and
 // tracks which coordinates were touched. It is the gradient workhorse of the
 // mini-batch SGD step: for sparse inputs only the touched coordinates are
-// visited when the result is extracted, which keeps a mini-batch gradient on
-// a 2^18-dimensional space proportional to the batch's NNZ rather than the
-// full dimension.
+// visited when the result is extracted — and when the accumulator is reset —
+// which keeps a mini-batch gradient on a 2^18-dimensional space proportional
+// to the batch's NNZ rather than the full dimension.
+//
+// That only holds if the dim-sized buffers are not allocated (and zeroed,
+// and later marked by the collector) once per gradient, so accumulators are
+// recycled: AcquireAccumulator hands out a clean one, Result copies the sum
+// out and resets it, Release puts it back. The contract that makes the
+// recycling safe is that nothing an Accumulator owns ever escapes it —
+// Result returns freshly allocated memory — so an accumulator's lifetime is
+// the one call that acquired it, and concurrent callers (gradient shards)
+// each hold their own. Reuse never changes a sum: every round starts from
+// all-zero buffers and adds in the caller's order.
 type Accumulator struct {
 	buf     []float64
 	touched []int32
@@ -73,10 +84,41 @@ type Accumulator struct {
 	dense   bool // a dense vector was added; all coordinates are live
 }
 
-// NewAccumulator returns an accumulator of dimension dim.
+// NewAccumulator returns a fresh accumulator of dimension dim that is not
+// tied to the recycling in AcquireAccumulator.
+//
 //cdml:deterministic
 func NewAccumulator(dim int) *Accumulator {
 	return &Accumulator{buf: make([]float64, dim), seen: make([]bool, dim)}
+}
+
+// accumulators holds released accumulators. Every one in it is clean over
+// its whole capacity (buf all zero, seen all false, touched empty), which
+// is what lets AcquireAccumulator re-slice one to a smaller dimension.
+var accumulators sync.Pool
+
+// AcquireAccumulator returns a clean accumulator of dimension dim, recycled
+// from an earlier Release when one of sufficient capacity is at hand. The
+// caller owns it until Release and must not retain it afterwards.
+//
+//cdml:deterministic
+func AcquireAccumulator(dim int) *Accumulator {
+	if a, ok := accumulators.Get().(*Accumulator); ok && cap(a.buf) >= dim {
+		a.buf, a.seen = a.buf[:dim], a.seen[:dim]
+		return a
+	}
+	// Nothing pooled, or a smaller one: it is dropped for the collector and
+	// its place is taken by the one allocated here, so a process whose
+	// models differ in dimension settles on accumulators of the largest.
+	return NewAccumulator(dim)
+}
+
+// Release resets the accumulator and hands it back for reuse.
+//
+//cdml:deterministic
+func (a *Accumulator) Release() {
+	a.reset()
+	accumulators.Put(a)
 }
 
 // Dim returns the accumulator dimension.
@@ -112,7 +154,8 @@ func (a *Accumulator) AddCoord(i int, alpha float64) {
 
 // Result extracts the accumulated vector, scaled by alpha. If any dense
 // vector was added the result is Dense; otherwise it is Sparse over the
-// touched coordinates. The accumulator is reset and may be reused.
+// touched coordinates. The result shares no memory with the accumulator,
+// which is reset and may be reused.
 //cdml:deterministic
 func (a *Accumulator) Result(alpha float64) Vector {
 	if a.dense {
@@ -147,22 +190,29 @@ func (a *Accumulator) Result(alpha float64) Vector {
 // is sparse, Dense otherwise.
 //cdml:deterministic
 func ReduceSum(dim int, parts []Vector) Vector {
-	acc := NewAccumulator(dim)
+	acc := AcquireAccumulator(dim)
 	for _, p := range parts {
 		acc.Add(p, 1)
 	}
-	return acc.Result(1)
+	sum := acc.Result(1)
+	acc.Release()
+	return sum
 }
 
+// reset returns the accumulator to its clean state in O(touched) — O(dim)
+// only after a dense add. seen is cleared for the touched list on both
+// branches: a dense round still marks coordinates through AddCoord (the
+// intercept of every gradient), and a mark left standing would keep that
+// coordinate off the next sparse round's touched list, i.e. out of its
+// Result.
 func (a *Accumulator) reset() {
+	for _, i := range a.touched {
+		a.buf[i] = 0
+		a.seen[i] = false
+	}
 	if a.dense {
 		Zero(a.buf)
 		a.dense = false
-	} else {
-		for _, i := range a.touched {
-			a.buf[i] = 0
-			a.seen[i] = false
-		}
 	}
 	a.touched = a.touched[:0]
 }

@@ -355,6 +355,143 @@ func TestQuickAccumulatorMatchesDenseSum(t *testing.T) {
 	}
 }
 
+// sameVector reports whether two accumulator results are the same vector
+// bit for bit: same representation, same stored coordinates, same float
+// bits.
+func sameVector(a, b Vector) bool {
+	switch x := a.(type) {
+	case Dense:
+		y, ok := b.(Dense)
+		if !ok || len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	case *Sparse:
+		y, ok := b.(*Sparse)
+		if !ok || x.N != y.N || len(x.Idx) != len(y.Idx) {
+			return false
+		}
+		for k := range x.Idx {
+			if x.Idx[k] != y.Idx[k] || math.Float64bits(x.Val[k]) != math.Float64bits(y.Val[k]) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// TestAccumulatorReuseAfterDense is the regression test for the reset that
+// forgot the seen marks of a dense round: a gradient over dense rows marks
+// the intercept through AddCoord, and the next sparse round on the same
+// accumulator then left the intercept out of its Result.
+func TestAccumulatorReuseAfterDense(t *testing.T) {
+	const dim, intercept = 5, 4
+	round := func(a *Accumulator) Vector {
+		a.Add(NewSparse(dim, []int32{1, 3}, []float64{0.25, -2}), 3)
+		a.AddCoord(intercept, 3)
+		a.Add(NewSparse(dim, []int32{0, 3}, []float64{1.5, 0.125}), -1)
+		a.AddCoord(intercept, -1)
+		return a.Result(0.5)
+	}
+	reused := NewAccumulator(dim)
+	reused.Add(Dense{1, 2, 3, 4, 0}, 2)
+	reused.AddCoord(intercept, 2)
+	if _, ok := reused.Result(1).(Dense); !ok {
+		t.Fatal("dense round did not produce a dense result")
+	}
+	got, want := round(reused), round(NewAccumulator(dim))
+	if !sameVector(got, want) {
+		t.Fatalf("sparse round after a dense one = %v, a fresh accumulator gives %v", got, want)
+	}
+}
+
+// Property: one accumulator reused over any sequence of rounds — each a
+// random interleaving of dense adds, sparse adds and AddCoord — returns
+// round by round exactly what a fresh accumulator returns, whether it is
+// kept by the caller or goes through Acquire/Release at varying dimensions.
+func TestQuickAccumulatorReuseMatchesFresh(t *testing.T) {
+	play := func(r *rand.Rand, dim int, accs ...*Accumulator) {
+		for ops := 1 + r.Intn(6); ops > 0; ops-- {
+			alpha := r.NormFloat64()
+			switch r.Intn(4) {
+			case 0:
+				d := make(Dense, dim)
+				for i := range d {
+					d[i] = r.NormFloat64()
+				}
+				for _, a := range accs {
+					a.Add(d, alpha)
+				}
+			case 1:
+				i := r.Intn(dim)
+				for _, a := range accs {
+					a.AddCoord(i, alpha)
+				}
+			default:
+				s := randomSparse(r, dim, r.Intn(dim+1))
+				for _, a := range accs {
+					a.Add(s, alpha)
+				}
+			}
+		}
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		maxDim := 1 + r.Intn(24)
+		kept := NewAccumulator(maxDim)
+		for round := 0; round < 8; round++ {
+			scale := r.NormFloat64()
+			// Same dimension on the kept accumulator.
+			fresh := NewAccumulator(maxDim)
+			play(r, maxDim, kept, fresh)
+			if !sameVector(kept.Result(scale), fresh.Result(scale)) {
+				return false
+			}
+			// Varying dimension through the recycling.
+			dim := 1 + r.Intn(maxDim)
+			pooled, fresh := AcquireAccumulator(dim), NewAccumulator(dim)
+			if pooled.Dim() != dim {
+				return false
+			}
+			play(r, dim, pooled, fresh)
+			got := pooled.Result(scale)
+			pooled.Release()
+			if !sameVector(got, fresh.Result(scale)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReleaseCleansAnUnfinishedRound: an accumulator released without
+// Result (a caller that bailed out) must not leak its partial sums into
+// the next acquirer.
+func TestReleaseCleansAnUnfinishedRound(t *testing.T) {
+	a := AcquireAccumulator(4)
+	a.Add(Dense{1, 2, 3, 4}, 1)
+	a.AddCoord(3, 1)
+	a.Release()
+	for i := 0; i < 4; i++ { // whichever accumulator comes back, it is clean
+		b := AcquireAccumulator(4)
+		b.AddCoord(0, 1)
+		res := b.Result(1)
+		b.Release()
+		if s, ok := res.(*Sparse); !ok || len(s.Idx) != 1 || s.At(0) != 1 {
+			t.Fatalf("acquired accumulator was not clean: %v", res)
+		}
+	}
+}
+
 func TestStringRenderings(t *testing.T) {
 	if got := (Dense{1, 2}).String(); got == "" {
 		t.Fatal("empty dense string")

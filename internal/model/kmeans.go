@@ -116,7 +116,7 @@ func (m *KMeans) GradientSum(batch []data.Instance) (linalg.Vector, float64) {
 	if len(batch) == 0 {
 		panic("model: empty mini-batch")
 	}
-	acc := linalg.NewAccumulator(len(m.w))
+	acc := linalg.AcquireAccumulator(len(m.w))
 	var lossSum float64
 	for _, ins := range batch {
 		j, dist := m.Assign(ins.X)
@@ -148,7 +148,9 @@ func (m *KMeans) GradientSum(batch []data.Instance) (linalg.Vector, float64) {
 			}
 		}
 	}
-	return acc.Result(1), lossSum
+	sum := acc.Result(1)
+	acc.Release()
+	return sum, lossSum
 }
 
 // Update implements Model.

@@ -129,7 +129,7 @@ func (m *MF) GradientSum(batch []data.Instance) (linalg.Vector, float64) {
 	if len(batch) == 0 {
 		panic("model: empty mini-batch")
 	}
-	acc := linalg.NewAccumulator(len(m.w))
+	acc := linalg.AcquireAccumulator(len(m.w))
 	var lossSum float64
 	factorBase := m.Users + m.Items
 	itemBase := factorBase + m.Users*m.Factors
@@ -151,7 +151,9 @@ func (m *MF) GradientSum(batch []data.Instance) (linalg.Vector, float64) {
 			acc.AddCoord(itemBase+i*m.Factors+k, e*pu[k]+m.reg*qi[k])
 		}
 	}
-	return acc.Result(1), lossSum
+	sum := acc.Result(1)
+	acc.Release()
+	return sum, lossSum
 }
 
 // Reduce implements Model, overriding the base: partial sums combine in
@@ -160,7 +162,7 @@ func (m *MF) GradientSum(batch []data.Instance) (linalg.Vector, float64) {
 //cdml:deterministic
 func (m *MF) Reduce(partials []linalg.Vector, lossSums []float64, n int) (linalg.Vector, float64) {
 	inv := 1 / float64(n)
-	g := scaleVec(linalg.ReduceSum(len(m.w), partials), inv)
+	g := scaleVec(sumPartials(len(m.w), partials), inv)
 	return g, sumOrdered(lossSums) * inv
 }
 

@@ -61,7 +61,8 @@ type Model interface {
 	// mean mini-batch gradient (applying any batch-level regularization)
 	// and mean loss; n is the total number of rows across all shards. For a
 	// fixed shard partition the result is a pure function of the partials —
-	// independent of how they were scheduled.
+	// independent of how they were scheduled. The partials are consumed: the
+	// result may reuse their memory.
 	//cdml:deterministic
 	Reduce(partials []linalg.Vector, lossSums []float64, n int) (linalg.Vector, float64)
 	// Apply takes one optimizer step with an already-reduced gradient.
@@ -147,7 +148,7 @@ func (b *base) gradientSum(batch []data.Instance, scale func(score, y float64) (
 	if len(batch) == 0 {
 		panic("model: empty mini-batch")
 	}
-	acc := linalg.NewAccumulator(len(b.w))
+	acc := linalg.AcquireAccumulator(len(b.w))
 	var lossSum float64
 	for _, ins := range batch {
 		s := b.score(ins.X)
@@ -159,7 +160,9 @@ func (b *base) gradientSum(batch []data.Instance, scale func(score, y float64) (
 			acc.AddCoord(b.Dim(), m)
 		}
 	}
-	return acc.Result(1), lossSum
+	sum := acc.Result(1)
+	acc.Release()
+	return sum, lossSum
 }
 
 // gradient computes the mean regularized mini-batch gradient as the
@@ -184,7 +187,21 @@ func (b *base) finishGradient(sum linalg.Vector, lossSum float64, n int) (linalg
 // per-example and already inside the partials.
 //cdml:deterministic
 func (b *base) Reduce(partials []linalg.Vector, lossSums []float64, n int) (linalg.Vector, float64) {
-	return b.finishGradient(linalg.ReduceSum(len(b.w), partials), sumOrdered(lossSums), n)
+	return b.finishGradient(sumPartials(len(b.w), partials), sumOrdered(lossSums), n)
+}
+
+// sumPartials returns the ordered sum of the per-shard partial gradients.
+// A batch that fit one shard — every online chunk — has nothing to add up:
+// its one partial is the sum (already sorted, one entry per coordinate) and
+// is handed through, to be scaled in place by the caller like any other
+// sum, rather than copied through a second dim-sized accumulator.
+//
+//cdml:deterministic
+func sumPartials(dim int, partials []linalg.Vector) linalg.Vector {
+	if len(partials) == 1 {
+		return partials[0]
+	}
+	return linalg.ReduceSum(dim, partials)
 }
 
 // Apply implements Model: one optimizer step with a reduced gradient.

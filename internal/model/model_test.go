@@ -395,3 +395,83 @@ func TestRegularizationShrinksWeights(t *testing.T) {
 		t.Fatalf("regularization did not shrink weights: %v vs %v", n1, n0)
 	}
 }
+
+// TestSinglePartialReduceMatchesReduceSum: Reduce hands a batch's only
+// partial straight to the finishing step instead of summing it through
+// linalg.ReduceSum. The two must leave the same weights bit for bit after
+// Apply — for sparse and dense partials, with a −0.0 entry (which the
+// accumulator would turn into +0.0), for the linear family and for MF's
+// override, over several steps of a stateful optimizer.
+func TestSinglePartialReduceMatchesReduceSum(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	randomize := func(r *rand.Rand, w []float64) {
+		for i := range w {
+			w[i] = r.NormFloat64()
+		}
+	}
+	const n = 7
+	cases := []struct {
+		name string
+		mdl  func() Model
+		// reference is the reduce this change replaced, spelled out.
+		reference func(m Model, part linalg.Vector, loss float64) linalg.Vector
+		dim       int
+	}{
+		{"svm", func() Model { return NewSVM(9, 1e-2) }, func(m Model, part linalg.Vector, loss float64) linalg.Vector {
+			g, _ := m.(*SVM).finishGradient(linalg.ReduceSum(10, []linalg.Vector{part}), loss, n)
+			return g
+		}, 10},
+		{"linreg-noreg", func() Model { return NewLinearRegression(9, 0) }, func(m Model, part linalg.Vector, loss float64) linalg.Vector {
+			g, _ := m.(*LinearRegression).finishGradient(linalg.ReduceSum(10, []linalg.Vector{part}), loss, n)
+			return g
+		}, 10},
+		{"mf", func() Model { return NewMF(2, 1, 2, 1e-2, 3) }, func(m Model, part linalg.Vector, loss float64) linalg.Vector {
+			return scaleVec(linalg.ReduceSum(10, []linalg.Vector{part}), 1/float64(n))
+		}, 10},
+	}
+	partials := map[string]func(r *rand.Rand) linalg.Vector{
+		"sparse": func(r *rand.Rand) linalg.Vector {
+			return linalg.NewSparse(10, []int32{0, 3, 4, 9}, []float64{r.NormFloat64(), negZero, r.NormFloat64(), r.NormFloat64()})
+		},
+		"dense": func(r *rand.Rand) linalg.Vector {
+			d := make(linalg.Dense, 10)
+			for i := range d {
+				d[i] = r.NormFloat64()
+			}
+			d[2], d[9] = negZero, negZero
+			return d
+		},
+	}
+	optimizers := map[string]func() opt.Optimizer{
+		"sgd":  func() opt.Optimizer { return opt.NewSGD(0.1) },
+		"adam": func() opt.Optimizer { return opt.NewAdam(0.05) },
+	}
+	for _, c := range cases {
+		for pname, mkPart := range partials {
+			for oname, mkOpt := range optimizers {
+				t.Run(c.name+"/"+pname+"/"+oname, func(t *testing.T) {
+					r := rand.New(rand.NewSource(11))
+					got, want := c.mdl(), c.mdl()
+					if len(got.Weights()) != c.dim {
+						t.Fatalf("%s has %d weights, the test assumes %d", c.name, len(got.Weights()), c.dim)
+					}
+					randomize(r, got.Weights())
+					want.SetWeights(got.Weights())
+					og, ow := mkOpt(), mkOpt()
+					for step := 0; step < 5; step++ {
+						part, loss := mkPart(r), r.Float64()
+						g, _ := got.Reduce([]linalg.Vector{part.Clone()}, []float64{loss}, n)
+						got.Apply(g, og)
+						want.Apply(c.reference(want, part.Clone(), loss), ow)
+						for i, w := range want.Weights() {
+							if math.Float64bits(got.Weights()[i]) != math.Float64bits(w) {
+								t.Fatalf("step %d: weight %d = %v (%#x), the summed reduce gives %v (%#x)",
+									step, i, got.Weights()[i], math.Float64bits(got.Weights()[i]), w, math.Float64bits(w))
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}

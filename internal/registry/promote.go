@@ -168,7 +168,7 @@ func (d *Deployment) Challenger() (ChallengerStatus, bool) {
 		ShadowErrs:      c.shadowErrs.Load(),
 		WindowLoss:      loss,
 		WindowCount:     n,
-		SnapshotVersion: c.e.dep.Current().Version(),
+		SnapshotVersion: c.e.dep.Published().Version(),
 		Policy:          c.pol,
 	}
 	if err, ok := c.lastErr.Load().(error); ok {

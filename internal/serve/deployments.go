@@ -191,7 +191,7 @@ func challengerInfo(st registry.ChallengerStatus) *ChallengerInfo {
 
 func deploymentInfo(d *registry.Deployment) DeploymentInfo {
 	dep := d.Serving()
-	snap := dep.Current()
+	snap := dep.Published()
 	loss, n := d.ChampionWindow()
 	info := DeploymentInfo{
 		Name:               d.Name(),

@@ -427,7 +427,7 @@ func lastTickSummary(tracer *obs.Tracer) *TickSummary {
 
 func handleStatus(s *Server, name string, h *depHandle, w http.ResponseWriter, r *http.Request) {
 	dep := h.dep.Serving()
-	snap := dep.Current()
+	snap := dep.Published()
 	loss, n := h.dep.ChampionWindow()
 	resp := StatusResponse{
 		Name:                   h.name,

@@ -163,7 +163,7 @@ func (s *Server) registerReplicaMetrics(name string) {
 	s.reg.GaugeFunc("cdml_replica_snapshot_age_seconds",
 		"Age of the snapshot this replica is answering predictions from.",
 		lookup(func(h *depHandle) float64 {
-			return time.Since(h.dep.Serving().Current().BuiltAt()).Seconds()
+			return time.Since(h.dep.Serving().Published().BuiltAt()).Seconds()
 		}), ls...)
 	s.reg.GaugeFunc("cdml_replica_last_sync_age_seconds",
 		"Time since the primary last answered a sync poll.",

@@ -546,3 +546,116 @@ func TestSnapshotEndpointProtocol(t *testing.T) {
 		t.Fatalf("garbage since: status %d, want 400", resp3.StatusCode)
 	}
 }
+
+// TestResumeUnavailableIs503 drives the failed-tick window over HTTP: a tick
+// that fails after its online step leaves the primary unable to pair its
+// published weights with their optimizer, so the checkpoint and snapshot
+// endpoints answer 503 "resume_unavailable" with Retry-After — an
+// up-to-date poll still gets its 304 — and a replica that needed that
+// version keeps what it has, records the error, and catches up once the
+// next successful tick publishes.
+func TestResumeUnavailableIs503(t *testing.T) {
+	fault := data.NewFaultBackend(data.NewMemoryBackend())
+	cfg := replicaTestConfig()
+	cfg.Store = data.NewStore(fault)
+	cfg.ProactiveEvery = 1
+	cfg.AutoCheckpoint = &core.CheckpointPolicy{Dir: t.TempDir(), EveryTicks: 1 << 20}
+	dep, err := core.NewDeployer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 3; i++ {
+		if err := dep.Ingest(recordChunk(r, 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ps := New(dep, WithSlog(nil))
+	pts := httptest.NewServer(ps)
+	t.Cleanup(func() { pts.Close(); ps.Close() })
+	published := getStatus(t, pts).SnapshotVersion
+
+	fault.FailN(data.OpGetFeatures, 1<<20, fmt.Errorf("injected store failure"))
+	resp, err := pts.Client().Post(pts.URL+"/v1/deployments/default/train", "text/plain", strings.NewReader(chunkBody(r, 40)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("train with a failing gather: status %d, want 500", resp.StatusCode)
+	}
+	if got := getStatus(t, pts).SnapshotVersion; got != published {
+		t.Fatalf("the failed tick published: version %d, want %d", got, published)
+	}
+
+	base := pts.URL + "/v1/deployments/default"
+	for _, c := range []struct{ method, path string }{
+		{http.MethodGet, "/checkpoint"},
+		{http.MethodPost, "/checkpoint"},
+		{http.MethodGet, "/snapshot"},
+		{http.MethodGet, "/snapshot?since=1"},
+	} {
+		req, err := http.NewRequest(c.method, base+c.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := pts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb ErrorBody
+		derr := json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || derr != nil || eb.Error.Code != codeResumeUnavailable {
+			t.Fatalf("%s %s in the window: status %d code %q (%v), want 503 %s",
+				c.method, c.path, resp.StatusCode, eb.Error.Code, derr, codeResumeUnavailable)
+		}
+		if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
+			t.Fatalf("%s %s: Retry-After %q", c.method, c.path, resp.Header.Get("Retry-After"))
+		}
+	}
+	resp, err = pts.Client().Get(base + "/snapshot?since=" + strconv.FormatUint(published, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotModified || resp.Header.Get(snapstream.VersionHeader) != strconv.FormatUint(published, 10) {
+		t.Fatalf("up-to-date poll in the window: status %d version %q, want 304 at %d",
+			resp.StatusCode, resp.Header.Get(snapstream.VersionHeader), published)
+	}
+
+	// A replica that boots into the window needs exactly the version the
+	// primary cannot frame: it keeps serving its own state and says why.
+	_, rts := newReplicaServer(t, pts.URL)
+	deadline := time.Now().Add(5 * time.Second)
+	var st StatusResponse
+	for {
+		st = getStatus(t, rts)
+		if st.Replica != nil && st.Replica.SyncErrors >= 2 || !time.Now().Before(deadline) {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st.Replica == nil || st.Replica.SyncErrors < 2 || st.Replica.Applies != 0 || st.Replica.SnapshotVersion != 0 {
+		t.Fatalf("replica in the window: %+v, want sync errors and nothing applied", st.Replica)
+	}
+	if !strings.Contains(st.Replica.LastSyncError, "503") {
+		t.Fatalf("replica's last sync error %q does not name the 503", st.Replica.LastSyncError)
+	}
+
+	// The next successful tick closes the window for everyone.
+	fault.Reset()
+	trainChunks(t, pts, r, 1)
+	waitReplicaVersion(t, rts, published+1)
+	resp, err = pts.Client().Post(base+"/checkpoint", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var now CheckpointNowResponse
+	derr := json.NewDecoder(resp.Body).Decode(&now)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || derr != nil || now.Version != published+1 {
+		t.Fatalf("POST checkpoint after the window: status %d version %d (%v), want 200 at %d",
+			resp.StatusCode, now.Version, derr, published+1)
+	}
+}

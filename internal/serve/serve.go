@@ -44,7 +44,11 @@
 //	                                              assembles one end-to-end trace
 //	GET    /v1/deployments/{name}/checkpoint      opaque binary snapshot
 //	POST   /v1/deployments/{name}/checkpoint      force a durable checkpoint now
-//	                                              (501 without a policy)
+//	                                              (501 without a policy); both,
+//	                                              and .../snapshot, answer 503
+//	                                              "resume_unavailable" with
+//	                                              Retry-After between a failed
+//	                                              tick and the next good one
 //	GET    /v1/deployments/{name}/snapshot        the replication feed: the
 //	                                              published snapshot as a
 //	                                              self-validating CDMLCKP1
@@ -81,7 +85,8 @@
 // with codes "bad_request", "method_not_allowed", "internal", "queue_full",
 // "shutting_down", "payload_too_large", "unknown_deployment",
 // "deployment_exists", "challenger_exists", "conflict", "not_found",
-// "unsupported", "read_only_replica", and "over_quota".
+// "unsupported", "read_only_replica", "over_quota", and
+// "resume_unavailable".
 //
 // A response is encoded in full before its status line is written, so a
 // success status always comes with its body: a value JSON cannot carry — one
@@ -556,6 +561,10 @@ const (
 	codeUnsupported       = "unsupported"
 	codeReadOnlyReplica   = "read_only_replica"
 	codeOverQuota         = "over_quota"
+	// codeResumeUnavailable: 503 with Retry-After from the checkpoint and
+	// snapshot endpoints while core.ErrResumeUnavailable holds — after a
+	// failed tick, until the next successful one publishes.
+	codeResumeUnavailable = "resume_unavailable"
 )
 
 // ErrorBody is the uniform JSON error envelope every non-2xx response
@@ -574,6 +583,19 @@ type ErrorDetail struct {
 
 func writeError(w http.ResponseWriter, status int, code string, err error) {
 	writeJSON(w, status, ErrorBody{Error: ErrorDetail{Code: code, Message: err.Error()}})
+}
+
+// writeSnapshotError answers a failed checkpoint/snapshot request: the
+// failed-tick window (core.ErrResumeUnavailable) is a transient condition
+// the next successful tick clears — 503 with Retry-After, a replica keeps
+// the version it has and polls again — and anything else is a 500.
+func writeSnapshotError(w http.ResponseWriter, err error) {
+	if errors.Is(err, core.ErrResumeUnavailable) {
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, codeResumeUnavailable, err)
+		return
+	}
+	writeError(w, http.StatusInternalServerError, codeInternal, err)
 }
 
 // PredictResponse is the /predict payload.
@@ -823,7 +845,7 @@ func handleCheckpointGet(s *Server, name string, h *depHandle, w http.ResponseWr
 		if err == nil {
 			err = errors.New("serve: no published snapshot")
 		}
-		writeError(w, http.StatusInternalServerError, codeInternal, err)
+		writeSnapshotError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -851,12 +873,12 @@ func handleSnapshotGet(s *Server, name string, h *depHandle, w http.ResponseWrit
 	}
 	f, ok, err := h.dep.Serving().SnapshotSource().Latest(r.Context(), since)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, codeInternal, err)
+		writeSnapshotError(w, err)
 		return
 	}
 	if !ok {
 		w.Header().Set(snapstream.VersionHeader,
-			strconv.FormatUint(h.dep.Serving().Current().Version(), 10))
+			strconv.FormatUint(h.dep.Serving().Published().Version(), 10))
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
@@ -884,7 +906,7 @@ func handleCheckpointNow(s *Server, name string, h *depHandle, w http.ResponseWr
 		writeError(w, http.StatusNotImplemented, codeUnsupported, err)
 		return
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, codeInternal, err)
+		writeSnapshotError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, CheckpointNowResponse{Version: info.Version, Path: info.Path})
