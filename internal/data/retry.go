@@ -220,18 +220,18 @@ func (r *RetryBackend) TotalRetries() int64 {
 }
 
 // Instrument registers per-operation retry/give-up counters with reg, read
-// at scrape time from the backend's atomics.
-func (r *RetryBackend) Instrument(reg *obs.Registry) {
+// at scrape time from the backend's atomics. labels keep the series of
+// several backends sharing one registry apart.
+func (r *RetryBackend) Instrument(reg *obs.Registry, labels ...obs.Label) {
 	for i, op := range ops {
 		i := i
+		ls := append(append([]obs.Label{}, labels...), obs.L("op", string(op)))
 		reg.CounterFunc("cdml_store_retries_total",
 			"Storage operations retried after a transient backend error.",
-			func() float64 { return float64(r.retries[i].Load()) },
-			obs.L("op", string(op)))
+			func() float64 { return float64(r.retries[i].Load()) }, ls...)
 		reg.CounterFunc("cdml_store_giveups_total",
 			"Storage operations that exhausted their retry budget.",
-			func() float64 { return float64(r.giveups[i].Load()) },
-			obs.L("op", string(op)))
+			func() float64 { return float64(r.giveups[i].Load()) }, ls...)
 	}
 }
 

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,8 +87,10 @@ type entry struct {
 	// metric the registry never wrapped).
 	win *window
 	// gen is the registry-wide generation, stamped on the entry's metric
-	// labels and checkpoint directory.
+	// labels and, for a challenger, its checkpoint directory.
 	gen uint64
+	// ckptDir is where the deployer checkpoints ("" when it does not).
+	ckptDir string
 }
 
 // Deployment is one named deployment: a serving champion, at most one
@@ -142,6 +145,7 @@ type Deployment struct {
 	shadowTicks     *obs.Counter
 	shadowErrs      *obs.Counter
 	autoChallengers *obs.Counter
+	autoChalFails   *obs.Counter
 }
 
 // initObs registers the deployment's promotion metrics, labeled by name
@@ -167,6 +171,8 @@ func (d *Deployment) initObs() {
 		"Shadow challenger ticks that failed (champion unaffected).", ls...)
 	d.autoChallengers = reg.Counter("cdml_auto_challengers_total",
 		"Shadow challengers started automatically by a drift-detector fire.", ls...)
+	d.autoChalFails = reg.Counter("cdml_auto_challenger_failures_total",
+		"Drift fires whose automatic challenger could not be built or started.", ls...)
 	name, r := d.name, d.reg
 	reg.GaugeFunc("cdml_deployment_version",
 		"Deployment version: 1 at creation, +1 per promotion or rollback.",
@@ -181,7 +187,7 @@ func (d *Deployment) initObs() {
 // Name returns the deployment's registered name.
 func (d *Deployment) Name() string { return d.name }
 
-// Quotas returns the deployment's effective quotas (defaults merged in).
+// Quotas returns the deployment's quotas.
 func (d *Deployment) Quotas() Quotas { return d.quotas }
 
 // Adopted reports whether the deployment wraps an externally built deployer
@@ -302,14 +308,16 @@ func (d *Deployment) maybeAutoChallenge() {
 	d.acLastStart = time.Now()
 	d.acMu.Unlock()
 	cfg, err := ac.Build(d.name)
-	if err != nil {
-		return
+	if err == nil {
+		err = d.StartChallenger(cfg, ac.Policy)
 	}
-	// ErrChallengerBusy/ErrClosed here are benign races (a manual challenger
-	// attached, or the deployment is being deleted); the drift remains
-	// consumed either way.
-	if d.StartChallenger(cfg, ac.Policy) == nil {
+	// ErrChallengerBusy/ErrClosed are benign races (a manual challenger
+	// attached, or the deployment is being deleted); anything else is a drift
+	// fire nobody answered with the cooldown armed. The drift is consumed.
+	if err == nil {
 		d.autoChallengers.Inc()
+	} else if !errors.Is(err, ErrChallengerBusy) && !errors.Is(err, ErrClosed) {
+		d.autoChalFails.Inc()
 	}
 }
 

@@ -1,0 +1,371 @@
+package registry
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"errors"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
+	"testing"
+	"time"
+
+	"cdml/internal/core"
+	"cdml/internal/model"
+	"cdml/internal/obs"
+	"cdml/internal/opt"
+	"cdml/internal/snapstream"
+)
+
+// stream is a fixed chunk sequence, so a reference run and a restarted run
+// can be fed exactly the same data.
+func stream(seed int64, n int) [][][]byte {
+	rnd := rand.New(rand.NewSource(seed))
+	out := make([][][]byte, n)
+	for i := range out {
+		out[i] = chunk(rnd, 20)
+	}
+	return out
+}
+
+// ingestLogged is the async ingest path without the queue: durable append
+// (the 202 ack point), then the consuming tick.
+func ingestLogged(t *testing.T, d *Deployment, chunks [][][]byte) {
+	t.Helper()
+	for i, c := range chunks {
+		seq, err := d.AppendIngestLog(c)
+		if err != nil {
+			t.Fatalf("append chunk %d: %v", i, err)
+		}
+		if err := d.IngestLogged(context.Background(), c, time.Time{}, seq); err != nil {
+			t.Fatalf("logged ingest chunk %d: %v", i, err)
+		}
+	}
+}
+
+func warmOn(chunks [][][]byte) func(*Deployment) error {
+	return func(d *Deployment) error {
+		for _, c := range chunks {
+			if err := d.Ingest(c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// resumeState is the deployed model and optimizer as bytes — equal bytes,
+// bit-identical training trajectory. They are read back out of a checkpoint
+// and re-encoded on their own: the pipeline section behind them gob-encodes
+// maps, whose byte order is not stable.
+func resumeState(t *testing.T, d *Deployment) []byte {
+	t.Helper()
+	var ckpt bytes.Buffer
+	if err := d.Serving().Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(&ckpt)
+	m, err := model.Load(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := opt.Load(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := model.Save(&out, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := opt.Save(&out, o); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestCreateRecoversElseWarmsThenReplays pins the boot order every door
+// shares. With a checkpoint under the name: restore it, replay the log past
+// it, never warm up. Without one: warm up, then replay the whole log. Either
+// way the second life ends bit-identical to a run that was never
+// interrupted, logged-but-unapplied chunks included.
+func TestCreateRecoversElseWarmsThenReplays(t *testing.T) {
+	chunks := stream(7, 12)
+	warm, applied, queued, rest := chunks[:3], chunks[3:8], chunks[8:10], chunks[10:]
+
+	refReg := New(Options{})
+	defer refReg.Close()
+	ref, err := refReg.Create("m", adamConfig(), Quotas{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := warmOn(chunks)(ref); err != nil {
+		t.Fatal(err)
+	}
+	want := resumeState(t, ref)
+
+	for _, tc := range []struct {
+		name        string
+		checkpoints bool
+	}{
+		{"checkpoint and log", true},
+		{"log only", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			opts := Options{WALRoot: root}
+			if tc.checkpoints {
+				opts.CheckpointRoot = root
+				opts.Checkpoint = core.CheckpointPolicy{EveryTicks: 3}
+			}
+
+			r1 := New(opts)
+			d1, err := r1.CreateWarm("m", adamConfig(), Quotas{}, warmOn(warm))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingestLogged(t, d1, applied)
+			for _, c := range queued { // acked, never ticked: the queue at the kill
+				if _, err := d1.AppendIngestLog(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r1.Close()
+
+			warmed := false
+			r2 := New(opts)
+			defer r2.Close()
+			d2, err := r2.CreateWarm("m", adamConfig(), Quotas{}, func(d *Deployment) error {
+				warmed = true
+				return warmOn(warm)(d)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warmed == tc.checkpoints {
+				t.Fatalf("warmup ran = %v with checkpoints = %v", warmed, tc.checkpoints)
+			}
+			if got, want := d2.Serving().Published().Version(), uint64(1+len(warm)+len(applied)+len(queued)); got != want {
+				t.Fatalf("second life is at version %d, want %d", got, want)
+			}
+			ingestLogged(t, d2, rest)
+			if !bytes.Equal(resumeState(t, d2), want) {
+				t.Fatal("second life is not bit-identical to the uninterrupted run")
+			}
+		})
+	}
+}
+
+// TestWarmupTailSurvivesRestart: warmup chunks are in no log, so the end of
+// the warmup must itself be a recovery point. Five warmup chunks at a
+// cadence of four used to leave the newest checkpoint one chunk short, and
+// a restart came back without the fifth.
+func TestWarmupTailSurvivesRestart(t *testing.T) {
+	root := t.TempDir()
+	opts := Options{CheckpointRoot: root, WALRoot: root, Checkpoint: core.CheckpointPolicy{EveryTicks: 4}}
+	chunks := stream(9, 6)
+	r1 := New(opts)
+	d1, err := r1.CreateWarm("m", adamConfig(), Quotas{}, warmOn(chunks[:5]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestLogged(t, d1, chunks[5:])
+	want := resumeState(t, d1)
+	r1.Close()
+
+	r2 := New(opts)
+	defer r2.Close()
+	d2, err := r2.Create("m", adamConfig(), Quotas{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d2.Serving().Published().Version(); got != 7 {
+		t.Fatalf("second life is at version %d, want 7 (5 warmup chunks + 1 logged)", got)
+	}
+	if !bytes.Equal(resumeState(t, d2), want) {
+		t.Fatal("second life is not bit-identical to the first at its kill")
+	}
+}
+
+// TestCreateFailsOnUnusableCheckpoints: a name whose every checkpoint is
+// torn must not silently cold-start over them.
+func TestCreateFailsOnUnusableCheckpoints(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "m", "ckpt")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snapstream.FilePath(dir, 5), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := New(Options{CheckpointRoot: root})
+	if _, err := r.Create("m", adamConfig(), Quotas{}); err == nil || errors.Is(err, core.ErrNoCheckpoint) {
+		t.Fatalf("Create over a torn checkpoint: err = %v, want a hard error", err)
+	}
+	if _, ok := r.Get("m"); ok {
+		t.Fatal("failed Create left the name registered")
+	}
+}
+
+// checkpointVersions lists the versions of the checkpoint files in dir,
+// oldest first.
+func checkpointVersions(t *testing.T, dir string) []uint64 {
+	t.Helper()
+	files, err := snapstream.List(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]uint64, len(files))
+	for i, f := range files {
+		out[len(files)-1-i] = f.Version
+	}
+	return out
+}
+
+// TestCheckpointCadenceComesFromOptions: a config that carries no policy —
+// what the spec builder hands PUT and the challenger endpoints — checkpoints
+// at the registry's cadence, champion and challenger alike, not at the core
+// default of 8.
+func TestCheckpointCadenceComesFromOptions(t *testing.T) {
+	root := t.TempDir()
+	r := New(Options{CheckpointRoot: root, Checkpoint: core.CheckpointPolicy{EveryTicks: 2, Keep: 10}})
+	d, err := r.Create("m", adamConfig(), Quotas{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.StartChallenger(adamConfig(), Policy{MinEvaluated: 1 << 40}); err != nil {
+		t.Fatal(err)
+	}
+	if err := warmOn(stream(3, 4))(d); err != nil {
+		t.Fatal(err)
+	}
+	r.Close() // drains both checkpoint writers
+	gens, _ := filepath.Glob(filepath.Join(root, "m", "gen*"))
+	if len(gens) != 1 {
+		t.Fatalf("challenger directories = %v, want 1", gens)
+	}
+	for _, dir := range []string{filepath.Join(root, "m", "ckpt"), gens[0]} {
+		// The first checkpoint is the telling one: a later hand-off is skipped
+		// when the writer is still busy with the one before.
+		if got := checkpointVersions(t, dir); len(got) == 0 || got[0] != 3 {
+			t.Fatalf("%s holds versions %v, want the first at 3 (every 2 ticks)", dir, got)
+		}
+	}
+}
+
+// TestDeleteRemovesNameStateCloseKeepsIt: Close is the process stopping and
+// must leave what the next life recovers; Delete frees the name, and whoever
+// takes it next must not inherit a checkpoint, a log to replay, or chunks.
+func TestDeleteRemovesNameStateCloseKeepsIt(t *testing.T) {
+	ck, wl, st := t.TempDir(), t.TempDir(), t.TempDir()
+	opts := Options{CheckpointRoot: ck, WALRoot: wl, StoreRoot: st, StoreCache: 4,
+		Checkpoint: core.CheckpointPolicy{EveryTicks: 1}}
+	chunks := stream(5, 3)
+	dirs := []string{filepath.Join(ck, "m"), filepath.Join(wl, "m"), filepath.Join(st, "m")}
+
+	r := New(opts)
+	d, err := r.Create("m", adamConfig(), Quotas{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestLogged(t, d, chunks)
+	r.Close()
+	for _, dir := range dirs {
+		if ents, err := os.ReadDir(dir); err != nil || len(ents) == 0 {
+			t.Fatalf("Close did not leave %s in place (err %v)", dir, err)
+		}
+	}
+
+	r = New(opts)
+	if d, err = r.Create("m", adamConfig(), Quotas{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Serving().Published().Version(); got != uint64(1+len(chunks)) {
+		t.Fatalf("recreated after Close at version %d, want %d", got, 1+len(chunks))
+	}
+	if err := r.Delete("m"); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range dirs {
+		if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("Delete left %s behind (err %v)", dir, err)
+		}
+	}
+	if d, err = r.Create("m", adamConfig(), Quotas{}); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := d.Serving().Published().Version(); got != 1 {
+		t.Fatalf("recreated after Delete at version %d, want a fresh deployment", got)
+	}
+}
+
+// TestDeleteHoldsTheNameUntilItsDirectoriesAreGone: a Create that slips in
+// between Delete unregistering the name and Delete removing its directories
+// would open a log that is then unlinked under it. The old holder leaves
+// enough files that removing them takes a while; the moment a racing Create
+// gets the name, none of them may be left.
+func TestDeleteHoldsTheNameUntilItsDirectoriesAreGone(t *testing.T) {
+	root := t.TempDir()
+	r := New(Options{CheckpointRoot: root, WALRoot: root})
+	defer r.Close()
+	if _, err := r.Create("hot", adamConfig(), Quotas{}); err != nil {
+		t.Fatal(err)
+	}
+	junk := filepath.Join(root, "hot", "ckpt", "junk")
+	if err := os.Mkdir(junk, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		if err := os.WriteFile(filepath.Join(junk, strconv.Itoa(i)), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deleted := make(chan error, 1)
+	go func() { deleted <- r.Delete("hot") }()
+	for {
+		_, err := r.Create("hot", adamConfig(), Quotas{})
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, ErrExists) {
+			t.Fatal(err)
+		}
+		runtime.Gosched()
+	}
+	if _, err := os.Stat(junk); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Create got the name while its previous holder's files were still there (stat: %v)", err)
+	}
+	if err := <-deleted; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAutoChallengerFailureIsCounted: a drift fire whose challenger cannot
+// be built arms the cooldown and starts nothing; the counter is the only
+// trace it leaves.
+func TestAutoChallengerFailureIsCounted(t *testing.T) {
+	det := &fireDetector{}
+	metrics := obs.NewRegistry()
+	reg := New(Options{Metrics: metrics, AutoChallenger: &AutoChallenger{
+		Build: func(name string) (core.Config, error) { return core.Config{}, errors.New("no spec recorded") },
+	}})
+	defer reg.Close()
+	d, err := reg.Create("m", driftConfig(det), Quotas{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	det.arm()
+	if err := d.Ingest(chunk(rand.New(rand.NewSource(1)), 30)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := d.Challenger(); ok {
+		t.Fatal("a challenger started from a failed build")
+	}
+	fails := metrics.Counter("cdml_auto_challenger_failures_total", "", obs.L("deployment", "m"))
+	if got := fails.Value(); got != 1 {
+		t.Fatalf("cdml_auto_challenger_failures_total = %d, want 1", got)
+	}
+}

@@ -126,7 +126,7 @@ func (d *Deployment) StartChallenger(cfg core.Config, pol Policy) error {
 	if d.adopted {
 		return fmt.Errorf("%w: %q", ErrNotChallengeble, d.name)
 	}
-	e, err := d.reg.buildEntry(d, cfg)
+	e, err := d.reg.buildEntry(d, cfg, false)
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,10 @@
 // Package registry hosts several named deployments in one process — the
 // multi-pipeline frontier of ROADMAP item 2. Each deployment owns its own
-// core.Deployer (pipeline, model, scheduler, checkpoint directory) while
-// sharing the process-wide engine pool and metrics registry under
-// per-deployment quotas. On top of the plain name→deployer map sits a
-// promotion controller (promote.go): a challenger configuration trains in
-// shadow mode on a tee of the champion's live ingest traffic, its
+// core.Deployer (pipeline, model, scheduler) and its directories under the
+// process-wide durability roots, while sharing the engine pool and metrics
+// registry under per-deployment quotas. On top of the plain name→deployer
+// map sits a promotion controller (promote.go): a challenger configuration
+// trains in shadow mode on a tee of the champion's live ingest traffic, its
 // predictions scored prequentially but never served, and a Policy compares
 // the two windowed error levels to auto-promote or auto-retire — the
 // champion/challenger loop every production ML ecosystem converges on, made
@@ -21,7 +21,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"sync"
@@ -29,6 +31,7 @@ import (
 	"time"
 
 	"cdml/internal/core"
+	"cdml/internal/data"
 	"cdml/internal/engine"
 	"cdml/internal/obs"
 	"cdml/internal/wal"
@@ -48,8 +51,8 @@ var (
 	ErrNotChallengeble = errors.New("registry: adopted deployment cannot host challengers")
 )
 
-// Quotas bounds one deployment's resource footprint. Zero fields inherit
-// the registry's defaults; a default of zero means unlimited. The JSON form
+// Quotas bounds one deployment's resource footprint; a zero field means
+// unlimited. The JSON form
 // is the "quotas" object of PUT /v1/deployments/{name} and of the
 // -deployments fleet file.
 type Quotas struct {
@@ -68,20 +71,6 @@ type Quotas struct {
 	MaxStoreChunks int `json:"max_store_chunks"`
 }
 
-// merged fills q's zero fields from the registry defaults.
-func (q Quotas) merged(def Quotas) Quotas {
-	if q.MaxIngestQueue == 0 {
-		q.MaxIngestQueue = def.MaxIngestQueue
-	}
-	if q.MaxCheckpointBytes == 0 {
-		q.MaxCheckpointBytes = def.MaxCheckpointBytes
-	}
-	if q.MaxStoreChunks == 0 {
-		q.MaxStoreChunks = def.MaxStoreChunks
-	}
-	return q
-}
-
 // Options configures a Registry.
 type Options struct {
 	// Engine is the shared worker pool; it overrides Config.Engine on every
@@ -93,16 +82,17 @@ type Options struct {
 	// on every created deployment, with per-deployment labels keeping the
 	// series apart. nil leaves each config's own registry in place.
 	Metrics *obs.Registry
-	// CheckpointRoot, when set, gives every created deployment an
-	// auto-checkpoint directory <CheckpointRoot>/<name>/gen<G> (G is the
-	// registry-wide generation of the deployer, so a challenger and the
-	// champion it shadows persist side by side and both survive a crash
-	// mid-promotion). When empty, deployments checkpoint only if their own
-	// config says so.
+	// CheckpointRoot, when set, gives every deployer an auto-checkpoint
+	// directory: <CheckpointRoot>/<name>/ckpt for the one built at Create —
+	// the same path in every life of the process, so Create can recover it —
+	// and <CheckpointRoot>/<name>/gen<G> for a challenger (G is its
+	// generation), so both survive a crash mid-promotion. When empty,
+	// deployments checkpoint only if their own config says so.
 	CheckpointRoot string
-	// DefaultQuotas seeds the per-deployment quotas; Create's explicit
-	// quotas override field by field.
-	DefaultQuotas Quotas
+	// Checkpoint is the cadence and retention (EveryTicks, Interval, Keep) of
+	// every deployer, champion or challenger, whose config carries no policy
+	// of its own. Its Dir is ignored.
+	Checkpoint core.CheckpointPolicy
 	// AutoChallenger, when set, arms the drift→challenger loop on every
 	// created deployment: a drift-detector fire during a live ingest tick
 	// starts a shadow challenger built by Build, governed by Policy, with a
@@ -110,15 +100,19 @@ type Options struct {
 	AutoChallenger *AutoChallenger
 	// WALRoot, when set, gives every created deployment a durable
 	// write-ahead ingest log at <WALRoot>/<name>/wal (unless its config
-	// already carries one). Only the deployer built at Create opens the
-	// log: a log directory admits exactly one writer, and challengers see
-	// every chunk through the champion's shadow tee anyway, so a promoted
-	// challenger runs without a log until the process restarts (tracked in
-	// ROADMAP).
+	// already carries one). Challengers get none — they see every chunk
+	// through the champion's shadow tee — so a promoted challenger runs
+	// without a log until the process restarts (tracked in ROADMAP).
 	WALRoot string
 	// WALSegmentBytes is the segment roll threshold for logs under WALRoot
 	// (0 = the wal package default).
 	WALSegmentBytes int64
+	// StoreRoot, when set, replaces every created deployment's store with
+	// one on disk under <StoreRoot>/<name>/store, behind a retrying backend
+	// (transient filesystem errors never reach a tick) and an in-memory LRU
+	// tier of StoreCache feature chunks. Challengers keep their config's.
+	StoreRoot  string
+	StoreCache int
 }
 
 // DefaultAutoChallengerCooldown is the minimum spacing between automatic
@@ -182,57 +176,75 @@ func New(opts Options) *Registry {
 // built without one and every deployment keeps a private registry).
 func (r *Registry) Metrics() *obs.Registry { return r.opts.Metrics }
 
-// validName reports whether name is a legal deployment name: 1–64 runes of
-// [a-zA-Z0-9_-], not starting with '-' or '_' (so names are safe in paths,
-// label values, and checkpoint directories without escaping).
-func validName(name string) bool {
-	if len(name) == 0 || len(name) > 64 {
-		return false
-	}
-	for i, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-		case (r == '-' || r == '_') && i > 0:
-		default:
-			return false
-		}
-	}
-	return true
-}
+// validName matches a legal deployment name: 1–64 characters of
+// [a-zA-Z0-9_-], not starting with '-' or '_', so a name is safe as a label
+// value and as the directory Delete removes, without escaping.
+var validName = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9_-]{0,63}$`).MatchString
 
 // Create builds a deployer from cfg and registers it under name. The
 // registry rewires the config before construction: the shared engine and
 // metrics registry are swapped in, every metric series gets
 // deployment/generation labels, the prequential metric is tee'd into a
-// windowed estimator (the promotion comparison input), the checkpoint
-// directory is rooted at <CheckpointRoot>/<name>/gen<G> under the byte
-// quota, and a shadow-ingest tee hook is installed so a challenger can
-// later mirror the live traffic.
+// windowed estimator (the promotion comparison input), the name's
+// checkpoint, log and store directories are assigned, and a shadow-ingest
+// tee hook lets a challenger mirror the live traffic later. Durable state
+// under the name is then recovered: Create is CreateWarm without a warm-up.
 func (r *Registry) Create(name string, cfg core.Config, q Quotas) (*Deployment, error) {
+	return r.CreateWarm(name, cfg, q, nil)
+}
+
+// CreateWarm is Create with the caller's warm-up (the paper's initial
+// training), and the one place the boot order lives: when the name's
+// checkpoint directory holds a checkpoint, the newest valid one is restored,
+// the ingest log replays past it and warmup does not run; otherwise warmup
+// runs, its end is checkpointed, and the whole log replays — the order of
+// the life that wrote it. Only then do Get and the serve layer see the name.
+func (r *Registry) CreateWarm(name string, cfg core.Config, q Quotas, warmup func(*Deployment) error) (*Deployment, error) {
 	// The name is claimed before anything is built: buildEntry opens the
 	// deployment's ingest log, and wal.Open truncates what it takes for a torn
 	// tail — a second writer on a live champion's log must never get that far.
 	if err := r.reserve(name); err != nil {
 		return nil, err
 	}
-	d := &Deployment{name: name, reg: r, quotas: q.merged(r.opts.DefaultQuotas)}
+	d := &Deployment{name: name, reg: r, quotas: q}
 	d.version.Store(1)
-	if r.opts.WALRoot != "" && cfg.IngestLog == nil {
-		// Champion-only: buildEntry is shared with the challenger path, and a
-		// second deployer opening the same log directory would corrupt it.
-		cfg.IngestLog = &wal.Options{
-			Dir:          filepath.Join(r.opts.WALRoot, name, "wal"),
-			SegmentBytes: r.opts.WALSegmentBytes,
-		}
-	}
-	e, err := r.buildEntry(d, cfg)
+	d.initObs()
+	e, err := r.buildEntry(d, cfg, true)
 	if err != nil {
 		r.settle(name, nil)
 		return nil, err
 	}
 	d.serving.Store(e)
+	if err := d.recoverOrWarm(e, warmup); err != nil {
+		d.close() // the champion, and a challenger a drift fire in warmup started
+		r.settle(name, nil)
+		return nil, err
+	}
 	r.settle(name, d)
 	return d, nil
+}
+
+// recoverOrWarm is the boot order described on CreateWarm.
+func (d *Deployment) recoverOrWarm(e *entry, warmup func(*Deployment) error) error {
+	if e.ckptDir != "" {
+		// RecoverFromDir replays the log past the checkpoint it restores.
+		if _, err := e.dep.RecoverFromDir(e.ckptDir); !errors.Is(err, core.ErrNoCheckpoint) {
+			return err
+		}
+	}
+	if warmup != nil {
+		if err := warmup(d); err != nil {
+			return err
+		}
+		// Warm-up chunks are in no log. Without a recovery point at their end,
+		// a restart resumes from the last cadence checkpoint inside the warm-up
+		// and the chunks after it are gone.
+		if _, err := e.dep.CheckpointNow(); err != nil && !errors.Is(err, core.ErrNoCheckpointPolicy) {
+			return err
+		}
+	}
+	_, err := e.dep.ReplayIngestLog()
+	return err
 }
 
 // Adopt registers an externally constructed deployer under name. Adopted
@@ -244,16 +256,19 @@ func (r *Registry) Adopt(name string, dep *core.Deployer, q Quotas) (*Deployment
 	if err := r.reserve(name); err != nil {
 		return nil, err
 	}
-	d := &Deployment{name: name, reg: r, quotas: q.merged(r.opts.DefaultQuotas), adopted: true}
+	d := &Deployment{name: name, reg: r, quotas: q, adopted: true}
 	d.version.Store(1)
+	d.initObs()
 	d.serving.Store(&entry{dep: dep, gen: r.genSeq.Add(1)})
 	r.settle(name, d)
 	return d, nil
 }
 
 // buildEntry constructs one deployer generation for d, applying the
-// registry-side config rewiring described on Create.
-func (r *Registry) buildEntry(d *Deployment, cfg core.Config) (*entry, error) {
+// registry-side config rewiring described on Create. Only the champion
+// built at Create gets the name's ckpt, wal and store directories: a log
+// admits one writer, and a challenger checkpoints into its own gen<G>.
+func (r *Registry) buildEntry(d *Deployment, cfg core.Config, champion bool) (*entry, error) {
 	gen := r.genSeq.Add(1)
 	if r.opts.Engine != nil {
 		cfg.Engine = r.opts.Engine
@@ -269,16 +284,44 @@ func (r *Registry) buildEntry(d *Deployment, cfg core.Config) (*entry, error) {
 	if cfg.Metric != nil {
 		cfg.Metric = &teeMetric{inner: cfg.Metric, win: win}
 	}
+	ckptKind := "gen" + strconv.FormatUint(gen, 10)
+	var retrying *data.RetryBackend
+	if champion {
+		ckptKind = "ckpt"
+		if r.opts.WALRoot != "" && cfg.IngestLog == nil {
+			cfg.IngestLog = &wal.Options{
+				Dir:          filepath.Join(r.opts.WALRoot, d.name, "wal"),
+				SegmentBytes: r.opts.WALSegmentBytes,
+			}
+		}
+		if r.opts.StoreRoot != "" {
+			disk, err := data.NewDiskBackend(filepath.Join(r.opts.StoreRoot, d.name, "store"))
+			if err != nil {
+				return nil, fmt.Errorf("registry: opening store of %q: %w", d.name, err)
+			}
+			retrying = data.NewRetryBackend(disk, data.DefaultRetryPolicy())
+			cfg.Store = data.NewStore(data.NewTieredBackend(retrying, r.opts.StoreCache))
+		}
+	}
+	ckptDir := ""
 	if r.opts.CheckpointRoot != "" || cfg.AutoCheckpoint != nil {
-		pol := core.CheckpointPolicy{}
+		pol := r.opts.Checkpoint
 		if cfg.AutoCheckpoint != nil {
 			pol = *cfg.AutoCheckpoint
 		}
 		if r.opts.CheckpointRoot != "" {
-			pol.Dir = filepath.Join(r.opts.CheckpointRoot, d.name, "gen"+strconv.FormatUint(gen, 10))
+			pol.Dir = filepath.Join(r.opts.CheckpointRoot, d.name, ckptKind)
+			if !champion {
+				// Files under a new challenger's generation number are a previous
+				// life's; retention would prune its checkpoints in their favour.
+				if err := os.RemoveAll(pol.Dir); err != nil {
+					return nil, fmt.Errorf("registry: clearing %s: %w", pol.Dir, err)
+				}
+			}
 		}
 		pol.MaxBytes = d.quotas.MaxCheckpointBytes
 		cfg.AutoCheckpoint = &pol
+		ckptDir = pol.Dir
 	}
 	if d.quotas.MaxStoreChunks > 0 && cfg.Store != nil {
 		// The quota is enforced where the chunks live: the store rejects
@@ -293,7 +336,10 @@ func (r *Registry) buildEntry(d *Deployment, cfg core.Config) (*entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &entry{dep: dep, win: win, gen: gen}, nil
+	if retrying != nil {
+		retrying.Instrument(dep.Metrics(), cfg.Labels...)
+	}
+	return &entry{dep: dep, win: win, gen: gen, ckptDir: ckptDir}, nil
 }
 
 // reserve validates name and claims it for a deployment under construction.
@@ -311,17 +357,13 @@ func (r *Registry) reserve(name string) error {
 }
 
 // settle ends name's reservation: a built deployment is published in the
-// name map and gets its per-deployment promotion metrics; nil (the build
-// failed) just frees the name.
+// name map; nil (the build failed) just frees the name.
 func (r *Registry) settle(name string, d *Deployment) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	delete(r.building, name)
 	if d != nil {
 		r.deps[name] = d
-	}
-	r.mu.Unlock()
-	if d != nil {
-		d.initObs()
 	}
 }
 
@@ -331,18 +373,6 @@ func (r *Registry) Get(name string) (*Deployment, bool) {
 	defer r.mu.Unlock()
 	d, ok := r.deps[name]
 	return d, ok
-}
-
-// Names returns the registered deployment names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.deps))
-	for name := range r.deps {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // List returns the registered deployments sorted by name.
@@ -357,32 +387,47 @@ func (r *Registry) List() []*Deployment {
 	return out
 }
 
-// Delete unregisters the named deployment and shuts it down: the promotion
-// controller (if any) is stopped first, then the challenger, previous
-// champion, and serving deployer are shut down in that order. In-flight
-// predictions against an already-obtained handle still answer — core
-// prediction is a pure snapshot read — but the name is free for reuse the
-// moment Delete returns.
+// Delete shuts the named deployment down — its promotion controller,
+// challenger, previous champion and serving deployer, in that order — and
+// removes its directories under the checkpoint, log and store roots: whoever
+// takes the name next starts from nothing instead of recovering, or
+// replaying the log of, a pipeline it never was. In-flight predictions
+// against an already-obtained handle still answer.
 func (r *Registry) Delete(name string) error {
 	r.mu.Lock()
 	d, ok := r.deps[name]
 	if ok {
+		// The name stays claimed until its directories are gone: a Create
+		// racing the removal would have them deleted from under it.
 		delete(r.deps, name)
+		r.building[name] = true
 	}
 	r.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknown, name)
 	}
+	defer r.settle(name, nil)
 	d.close()
+	for _, root := range []string{r.opts.CheckpointRoot, r.opts.WALRoot, r.opts.StoreRoot} {
+		if root == "" {
+			continue
+		}
+		if err := os.RemoveAll(filepath.Join(root, name)); err != nil {
+			return fmt.Errorf("registry: removing state of %q: %w", name, err)
+		}
+	}
 	return nil
 }
 
-// Close deletes every deployment. The registry stays usable (a drained
+// Close shuts every deployment down and leaves their directories for the
+// next life of the process to recover. The registry stays usable (a drained
 // server could in principle be repopulated), it is simply empty.
 func (r *Registry) Close() {
-	for _, name := range r.Names() {
-		// Ignoring the error is sound: ErrUnknown here only means another
-		// Close raced us to this name.
-		_ = r.Delete(name)
+	r.mu.Lock()
+	deps := r.deps
+	r.deps = make(map[string]*Deployment)
+	r.mu.Unlock()
+	for _, d := range deps {
+		d.close()
 	}
 }

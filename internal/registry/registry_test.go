@@ -128,8 +128,8 @@ func TestCreateGetDeleteLifecycle(t *testing.T) {
 	if !ok {
 		t.Fatal("Get lost the deployment")
 	}
-	if got := r.Names(); len(got) != 1 || got[0] != "m" {
-		t.Fatalf("Names() = %v", got)
+	if got := r.List(); len(got) != 1 || got[0] != d {
+		t.Fatalf("List() = %v", got)
 	}
 	rnd := rand.New(rand.NewSource(1))
 	if err := d.Ingest(chunk(rnd, 20)); err != nil {
@@ -231,17 +231,6 @@ func TestCreateExistingNameLeavesLiveLogAlone(t *testing.T) {
 	n, err := l.Replay(0, func(uint64, [][]byte) error { return nil })
 	if err != nil || n != appends {
 		t.Fatalf("reopen replayed %d chunks (err %v), want %d", n, err, appends)
-	}
-}
-
-func TestQuotasMergeDefaults(t *testing.T) {
-	r := New(Options{DefaultQuotas: Quotas{MaxIngestQueue: 64, MaxCheckpointBytes: 1 << 20}})
-	d, err := r.Create("a", adamConfig(), Quotas{MaxIngestQueue: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q := d.Quotas(); q.MaxIngestQueue != 8 || q.MaxCheckpointBytes != 1<<20 {
-		t.Fatalf("quotas = %+v", q)
 	}
 }
 
@@ -539,9 +528,9 @@ func TestSharedMetricsStaySeparable(t *testing.T) {
 // TestChaosKillDuringPromotion kills the process (Close stands in for the
 // kill, after which nothing references the old deployers) while a champion
 // and a shadow challenger are both auto-checkpointing, then verifies both
-// generations recover from their side-by-side checkpoint directories — the
-// invariant that makes a crash mid-promotion survivable no matter which
-// side wins.
+// lineages recover from their side-by-side checkpoint directories (the
+// champion's <name>/ckpt, the challenger's <name>/gen<G>) — the invariant
+// that makes a crash mid-promotion survivable no matter which side wins.
 func TestChaosKillDuringPromotion(t *testing.T) {
 	root := t.TempDir()
 	r := New(Options{CheckpointRoot: root})
@@ -575,12 +564,12 @@ func TestChaosKillDuringPromotion(t *testing.T) {
 	r.Close() // the "kill": drains checkpoint writers like a clean crash boundary
 
 	dirs, err := filepath.Glob(filepath.Join(root, "m", "gen*"))
-	if err != nil || len(dirs) != 2 {
-		t.Fatalf("checkpoint dirs = %v (err %v), want 2", dirs, err)
+	if err != nil || len(dirs) != 1 {
+		t.Fatalf("challenger checkpoint dirs = %v (err %v), want 1", dirs, err)
 	}
-	last, _ := champ.LastCheckpoint()
-	if champDir := filepath.Dir(last.Path); champDir != dirs[0] && champDir != dirs[1] {
-		t.Fatalf("champion dir %q not among %v", champDir, dirs)
+	dirs = append(dirs, filepath.Join(root, "m", "ckpt"))
+	if last, _ := champ.LastCheckpoint(); filepath.Dir(last.Path) != dirs[1] {
+		t.Fatalf("champion checkpoints into %q, want %q", filepath.Dir(last.Path), dirs[1])
 	}
 	for _, dir := range dirs {
 		if entries, err := os.ReadDir(dir); err != nil || len(entries) == 0 {

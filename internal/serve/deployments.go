@@ -288,7 +288,8 @@ func handleCreate(s *Server, name string, h *depHandle, w http.ResponseWriter, r
 		writeError(w, http.StatusBadRequest, codeBadRequest, err)
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, codeBadRequest, err)
+		// The spec was fine; opening or recovering the name's state was not.
+		writeError(w, http.StatusInternalServerError, codeInternal, err)
 		return
 	}
 	s.addHandle(d)

@@ -475,8 +475,8 @@ func TestMetricsExemplarAfterRequest(t *testing.T) {
 }
 
 // TestCheckpointNowUnsupportedVersusFailed separates the two ways POST
-// .../checkpoint can fail on an adopted deployment (the cdml-serve
-// single-mode configuration): no checkpoint policy is 501 "unsupported", a
+// .../checkpoint can fail on a deployment served through New: no checkpoint
+// policy is 501 "unsupported", a
 // policy whose write fails is 500 "internal" — an I/O failure must never be
 // reported as a missing feature.
 func TestCheckpointNowUnsupportedVersusFailed(t *testing.T) {
