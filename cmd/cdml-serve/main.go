@@ -416,11 +416,12 @@ func bootEntry(reg *registry.Registry, builder *specBuilder, e deployEntry, repl
 	ckpt, _ := dep.LastCheckpoint()
 	how := fmt.Sprintf("recovered checkpoint version %d", ckpt.Version)
 	if warmed {
-		how = fmt.Sprintf("warmed up on %d chunks", e.Warmup)
+		// Stats are not part of a checkpoint: only a warmup has an error to show.
+		how = fmt.Sprintf("warmed up on %d chunks (cumulative error %.4f)", e.Warmup, dep.Stats().FinalError)
 	}
 	wal, _ := dep.WALStats()
-	fmt.Printf("deployment %q: %s, replayed %d logged chunk(s), serving version %d (cumulative error %.4f)\n",
-		e.Name, how, wal.Replayed, dep.Published().Version(), dep.Stats().FinalError)
+	fmt.Printf("deployment %q: %s, replayed %d logged chunk(s), serving version %d\n",
+		e.Name, how, wal.Replayed, dep.Published().Version())
 	return nil
 }
 
@@ -439,7 +440,7 @@ func main() {
 // in-flight requests so clients mid-predict are answered, not reset.
 func serveUntilSignal(o options, api *serve.Server) error {
 	fmt.Printf("serving %d deployment(s) on %s — GET /v1/deployments, POST /v1/deployments/{name}/predict\n",
-		len(api.Registry().List()), o.addr)
+		len(api.Registry().Names()), o.addr)
 	srv := &http.Server{
 		Addr:         o.addr,
 		Handler:      api,

@@ -390,6 +390,28 @@ func TestPutCreatedDeploymentIsDurable(t *testing.T) {
 	if code := call(t, srv, "PUT", "/v1/deployments/exp", spec, &info); code != http.StatusCreated || info.SnapshotVersion != 1 {
 		t.Fatalf("PUT exp after DELETE: %d at snapshot version %d, want a fresh deployment", code, info.SnapshotVersion)
 	}
+	if code := call(t, srv, "POST", "/v1/deployments/exp/checkpoint", "", nil); code != http.StatusOK {
+		t.Fatalf("POST exp/checkpoint: %d", code)
+	}
+
+	// No boot re-creates a PUT-created deployment. When the next life's PUT
+	// names another pipeline, the checkpoint is not its own: 500 for as long
+	// as the directories are there, and DELETE of the unserved name is what
+	// removes them.
+	srv = serveLife(t, bootLife(t, o))
+	const other = `{"spec": {"workload": "url"}}`
+	if code := call(t, srv, "PUT", "/v1/deployments/exp", other, nil); code != http.StatusInternalServerError {
+		t.Fatalf("PUT exp as another pipeline over its checkpoint: %d, want 500", code)
+	}
+	if code := call(t, srv, "DELETE", "/v1/deployments/exp", "", nil); code != http.StatusOK {
+		t.Fatalf("DELETE of exp's leftover directories: %d", code)
+	}
+	if code := call(t, srv, "DELETE", "/v1/deployments/exp", "", nil); code != http.StatusNotFound {
+		t.Fatalf("second DELETE exp: %d, want 404", code)
+	}
+	if code := call(t, srv, "PUT", "/v1/deployments/exp", other, &info); code != http.StatusCreated || info.SnapshotVersion != 1 {
+		t.Fatalf("PUT exp as another pipeline after DELETE: %d at snapshot version %d, want a fresh deployment", code, info.SnapshotVersion)
+	}
 }
 
 // TestBootTimeDriftStartsChallenger: a deployment declared in the fleet file

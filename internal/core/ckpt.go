@@ -59,6 +59,9 @@ type CheckpointPolicy struct {
 	// exceeds the budget — a quota must never leave a deployment with no
 	// recovery point. 0 disables the byte budget (Keep still applies).
 	MaxBytes int64
+	// Labels are stamped on the cdml_checkpoint_* metric series, so several
+	// deployments checkpointing into one metrics registry stay separable.
+	Labels []obs.Label
 }
 
 // withDefaults fills unset policy fields.
@@ -131,13 +134,15 @@ type ckptManager struct {
 	walPrune func(keepVersion uint64)
 }
 
-// newCkptManager creates (and starts) the auto-checkpoint loop. labels keep
-// the cdml_checkpoint_* series of deployments sharing a registry apart.
-// walSync and walPrune couple the write-ahead ingest log's durability and
+// newCkptManager creates (and starts) the auto-checkpoint loop. walSync
+// and walPrune couple the write-ahead ingest log's durability and
 // retention to checkpointing; both may be nil.
-func newCkptManager(pol CheckpointPolicy, labels []obs.Label, reg *obs.Registry, tracer *obs.Tracer,
+func newCkptManager(pol CheckpointPolicy, reg *obs.Registry, tracer *obs.Tracer,
 	walSync func() error, walPrune func(uint64)) (*ckptManager, error) {
 	pol = pol.withDefaults()
+	if pol.Dir == "" {
+		return nil, fmt.Errorf("core: checkpoint policy requires a directory")
+	}
 	if err := os.MkdirAll(pol.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: creating checkpoint dir: %w", err)
 	}
@@ -151,20 +156,20 @@ func newCkptManager(pol CheckpointPolicy, labels []obs.Label, reg *obs.Registry,
 		walSync:     walSync,
 		walPrune:    walPrune,
 		writes: reg.Counter("cdml_checkpoint_writes_total",
-			"Checkpoints durably written (fsynced and renamed into place).", labels...),
+			"Checkpoints durably written (fsynced and renamed into place).", pol.Labels...),
 		errs: reg.Counter("cdml_checkpoint_errors_total",
-			"Checkpoint writes that failed (the previous checkpoint remains valid).", labels...),
+			"Checkpoint writes that failed (the previous checkpoint remains valid).", pol.Labels...),
 		skips: reg.Counter("cdml_checkpoint_skipped_total",
-			"Due checkpoints skipped because a write was still in flight.", labels...),
+			"Due checkpoints skipped because a write was still in flight.", pol.Labels...),
 		duration: reg.Histogram("cdml_checkpoint_write_seconds",
-			"Duration of one checkpoint write (encode, fsync, rename, prune).", labels...),
+			"Duration of one checkpoint write (encode, fsync, rename, prune).", pol.Labels...),
 	}
 	reg.GaugeFunc("cdml_checkpoint_last_version",
 		"Snapshot version of the newest durable checkpoint (0 = none yet).",
 		func() float64 {
 			info, _ := m.Last()
 			return float64(info.Version)
-		}, labels...)
+		}, pol.Labels...)
 	reg.GaugeFunc("cdml_checkpoint_age_seconds",
 		"Age of the newest durable checkpoint (0 until the first write).",
 		func() float64 {
@@ -173,7 +178,7 @@ func newCkptManager(pol CheckpointPolicy, labels []obs.Label, reg *obs.Registry,
 				return 0
 			}
 			return time.Since(info.At).Seconds()
-		}, labels...)
+		}, pol.Labels...)
 	go m.run()
 	return m, nil
 }

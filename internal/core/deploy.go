@@ -145,7 +145,13 @@ func NewDeployer(cfg Config) (*Deployer, error) {
 	// Start the checkpoint loop after the initial publish so only real
 	// ticks advance its trigger counter.
 	if cfg.AutoCheckpoint != nil {
-		ckpt, err := newCkptManager(*cfg.AutoCheckpoint, cfg.Labels, d.obs.reg, d.obs.tracer, d.walSyncHook(), d.walPruneHook())
+		pol := *cfg.AutoCheckpoint
+		if pol.Labels == nil {
+			// Checkpoint metrics inherit the deployment's label set unless
+			// the policy pins its own.
+			pol.Labels = cfg.Labels
+		}
+		ckpt, err := newCkptManager(pol, d.obs.reg, d.obs.tracer, d.walSyncHook(), d.walPruneHook())
 		if err != nil {
 			d.cancel()
 			if d.wal != nil {

@@ -201,11 +201,62 @@ func TestCreateFailsOnUnusableCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := New(Options{CheckpointRoot: root})
-	if _, err := r.Create("m", adamConfig(), Quotas{}); err == nil || errors.Is(err, core.ErrNoCheckpoint) {
-		t.Fatalf("Create over a torn checkpoint: err = %v, want a hard error", err)
+	if _, err := r.Create("m", adamConfig(), Quotas{}); !errors.Is(err, ErrState) || errors.Is(err, core.ErrNoCheckpoint) {
+		t.Fatalf("Create over a torn checkpoint: err = %v, want ErrState", err)
 	}
 	if _, ok := r.Get("m"); ok {
 		t.Fatal("failed Create left the name registered")
+	}
+	// A config core rejects is the caller's mistake, not the state's.
+	bad := adamConfig()
+	bad.Store = nil
+	if _, err := r.Create("n", bad, Quotas{}); err == nil || errors.Is(err, ErrState) {
+		t.Fatalf("Create with a config core rejects: err = %v, want a plain error", err)
+	}
+}
+
+// TestDeleteFreesANameStuckOnAPastLifesState: a deployment created at run
+// time leaves directories no boot re-creates it from. When the next life's
+// Create of that name fails on them — another pipeline's checkpoint — Delete
+// of the unregistered name is the way out; it removes nothing for a name
+// that is not one, and reports ErrUnknown when there was nothing to remove.
+func TestDeleteFreesANameStuckOnAPastLifesState(t *testing.T) {
+	ck, wl := t.TempDir(), t.TempDir()
+	opts := Options{CheckpointRoot: ck, WALRoot: wl, Checkpoint: core.CheckpointPolicy{EveryTicks: 1}}
+	r := New(opts)
+	d, err := r.Create("exp", adamConfig(), Quotas{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestLogged(t, d, stream(5, 3))
+	r.Close()
+
+	r = New(opts)
+	defer r.Close()
+	other := adamConfig()
+	other.NewModel = func() model.Model { return model.NewSVM(5, 1e-4) }
+	if _, err := r.Create("exp", other, Quotas{}); !errors.Is(err, ErrState) {
+		t.Fatalf("Create of another pipeline over exp's checkpoint: err = %v, want ErrState", err)
+	}
+	if err := r.Delete("ghost"); !errors.Is(err, ErrUnknown) {
+		t.Fatalf("Delete of a name with no deployment and no state: %v, want ErrUnknown", err)
+	}
+	if err := r.Delete("../" + filepath.Base(wl)); !errors.Is(err, ErrUnknown) {
+		t.Fatalf("Delete of a path: %v, want ErrUnknown", err)
+	}
+	if _, err := os.Stat(wl); err != nil {
+		t.Fatalf("Delete of a path removed the log root: %v", err)
+	}
+	if err := r.Delete("exp"); err != nil {
+		t.Fatalf("Delete of the unregistered name that owns directories: %v", err)
+	}
+	for _, dir := range []string{filepath.Join(ck, "exp"), filepath.Join(wl, "exp")} {
+		if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("Delete left %s behind (err %v)", dir, err)
+		}
+	}
+	if d, err = r.Create("exp", other, Quotas{}); err != nil || d.Serving().Published().Version() != 1 {
+		t.Fatalf("Create after Delete: %v, want a fresh deployment", err)
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strconv"
 	"sync"
@@ -49,10 +48,13 @@ var (
 	ErrNoChallenger    = errors.New("registry: deployment has no challenger")
 	ErrNoRollback      = errors.New("registry: deployment has no previous champion to roll back to")
 	ErrNotChallengeble = errors.New("registry: adopted deployment cannot host challengers")
+	// ErrState wraps a Create failure that is not the caller's config: the
+	// name's durable state could not be opened, recovered or replayed.
+	ErrState = errors.New("registry: unusable durable state")
 )
 
-// Quotas bounds one deployment's resource footprint; a zero field means
-// unlimited. The JSON form
+// Quotas bounds one deployment's resource footprint. Zero fields inherit
+// the registry's defaults; a default of zero means unlimited. The JSON form
 // is the "quotas" object of PUT /v1/deployments/{name} and of the
 // -deployments fleet file.
 type Quotas struct {
@@ -69,6 +71,20 @@ type Quotas struct {
 	// evicting — the hard per-tenant ceiling, distinct from the store's own
 	// eviction capacity.
 	MaxStoreChunks int `json:"max_store_chunks"`
+}
+
+// merged fills q's zero fields from the registry defaults.
+func (q Quotas) merged(def Quotas) Quotas {
+	if q.MaxIngestQueue == 0 {
+		q.MaxIngestQueue = def.MaxIngestQueue
+	}
+	if q.MaxCheckpointBytes == 0 {
+		q.MaxCheckpointBytes = def.MaxCheckpointBytes
+	}
+	if q.MaxStoreChunks == 0 {
+		q.MaxStoreChunks = def.MaxStoreChunks
+	}
+	return q
 }
 
 // Options configures a Registry.
@@ -89,9 +105,13 @@ type Options struct {
 	// generation), so both survive a crash mid-promotion. When empty,
 	// deployments checkpoint only if their own config says so.
 	CheckpointRoot string
+	// DefaultQuotas seeds the per-deployment quotas; Create's explicit
+	// quotas override field by field.
+	DefaultQuotas Quotas
 	// Checkpoint is the cadence and retention (EveryTicks, Interval, Keep) of
 	// every deployer, champion or challenger, whose config carries no policy
-	// of its own. Its Dir is ignored.
+	// of its own. Only those three fields are read: Dir is the name's
+	// directory under CheckpointRoot, MaxBytes the deployment's quota.
 	Checkpoint core.CheckpointPolicy
 	// AutoChallenger, when set, arms the drift→challenger loop on every
 	// created deployment: a drift-detector fire during a live ingest tick
@@ -176,10 +196,23 @@ func New(opts Options) *Registry {
 // built without one and every deployment keeps a private registry).
 func (r *Registry) Metrics() *obs.Registry { return r.opts.Metrics }
 
-// validName matches a legal deployment name: 1–64 characters of
-// [a-zA-Z0-9_-], not starting with '-' or '_', so a name is safe as a label
-// value and as the directory Delete removes, without escaping.
-var validName = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9_-]{0,63}$`).MatchString
+// validName reports whether name is a legal deployment name: 1–64 runes of
+// [a-zA-Z0-9_-], not starting with '-' or '_' (so names are safe in paths,
+// label values, and checkpoint directories without escaping).
+func validName(name string) bool {
+	if len(name) == 0 || len(name) > 64 {
+		return false
+	}
+	for i, r := range name {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
+		case (r == '-' || r == '_') && i > 0:
+		default:
+			return false
+		}
+	}
+	return true
+}
 
 // Create builds a deployer from cfg and registers it under name. The
 // registry rewires the config before construction: the shared engine and
@@ -206,7 +239,7 @@ func (r *Registry) CreateWarm(name string, cfg core.Config, q Quotas, warmup fun
 	if err := r.reserve(name); err != nil {
 		return nil, err
 	}
-	d := &Deployment{name: name, reg: r, quotas: q}
+	d := &Deployment{name: name, reg: r, quotas: q.merged(r.opts.DefaultQuotas)}
 	d.version.Store(1)
 	d.initObs()
 	e, err := r.buildEntry(d, cfg, true)
@@ -226,10 +259,16 @@ func (r *Registry) CreateWarm(name string, cfg core.Config, q Quotas, warmup fun
 
 // recoverOrWarm is the boot order described on CreateWarm.
 func (d *Deployment) recoverOrWarm(e *entry, warmup func(*Deployment) error) error {
+	stateErr := func(err error) error {
+		if err != nil {
+			err = fmt.Errorf("%w of %q: %w", ErrState, d.name, err)
+		}
+		return err
+	}
 	if e.ckptDir != "" {
 		// RecoverFromDir replays the log past the checkpoint it restores.
 		if _, err := e.dep.RecoverFromDir(e.ckptDir); !errors.Is(err, core.ErrNoCheckpoint) {
-			return err
+			return stateErr(err)
 		}
 	}
 	if warmup != nil {
@@ -240,11 +279,11 @@ func (d *Deployment) recoverOrWarm(e *entry, warmup func(*Deployment) error) err
 		// a restart resumes from the last cadence checkpoint inside the warm-up
 		// and the chunks after it are gone.
 		if _, err := e.dep.CheckpointNow(); err != nil && !errors.Is(err, core.ErrNoCheckpointPolicy) {
-			return err
+			return stateErr(err)
 		}
 	}
 	_, err := e.dep.ReplayIngestLog()
-	return err
+	return stateErr(err)
 }
 
 // Adopt registers an externally constructed deployer under name. Adopted
@@ -256,7 +295,7 @@ func (r *Registry) Adopt(name string, dep *core.Deployer, q Quotas) (*Deployment
 	if err := r.reserve(name); err != nil {
 		return nil, err
 	}
-	d := &Deployment{name: name, reg: r, quotas: q, adopted: true}
+	d := &Deployment{name: name, reg: r, quotas: q.merged(r.opts.DefaultQuotas), adopted: true}
 	d.version.Store(1)
 	d.initObs()
 	d.serving.Store(&entry{dep: dep, gen: r.genSeq.Add(1)})
@@ -297,7 +336,7 @@ func (r *Registry) buildEntry(d *Deployment, cfg core.Config, champion bool) (*e
 		if r.opts.StoreRoot != "" {
 			disk, err := data.NewDiskBackend(filepath.Join(r.opts.StoreRoot, d.name, "store"))
 			if err != nil {
-				return nil, fmt.Errorf("registry: opening store of %q: %w", d.name, err)
+				return nil, fmt.Errorf("%w of %q: %w", ErrState, d.name, err)
 			}
 			retrying = data.NewRetryBackend(disk, data.DefaultRetryPolicy())
 			cfg.Store = data.NewStore(data.NewTieredBackend(retrying, r.opts.StoreCache))
@@ -315,7 +354,7 @@ func (r *Registry) buildEntry(d *Deployment, cfg core.Config, champion bool) (*e
 				// Files under a new challenger's generation number are a previous
 				// life's; retention would prune its checkpoints in their favour.
 				if err := os.RemoveAll(pol.Dir); err != nil {
-					return nil, fmt.Errorf("registry: clearing %s: %w", pol.Dir, err)
+					return nil, fmt.Errorf("%w of %q: %w", ErrState, d.name, err)
 				}
 			}
 		}
@@ -375,6 +414,18 @@ func (r *Registry) Get(name string) (*Deployment, bool) {
 	return d, ok
 }
 
+// Names returns the registered deployment names, sorted.
+func (r *Registry) Names() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]string, 0, len(r.deps))
+	for name := range r.deps {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // List returns the registered deployments sorted by name.
 func (r *Registry) List() []*Deployment {
 	r.mu.Lock()
@@ -391,30 +442,41 @@ func (r *Registry) List() []*Deployment {
 // challenger, previous champion and serving deployer, in that order — and
 // removes its directories under the checkpoint, log and store roots: whoever
 // takes the name next starts from nothing instead of recovering, or
-// replaying the log of, a pipeline it never was. In-flight predictions
-// against an already-obtained handle still answer.
+// replaying the log of, a pipeline it never was. A name that is not
+// registered but has directories there — a deployment created at run time in
+// an earlier life of the process, or a Delete whose removal failed — loses
+// them the same way; ErrUnknown means there was neither. In-flight
+// predictions against an already-obtained handle still answer.
 func (r *Registry) Delete(name string) error {
 	r.mu.Lock()
 	d, ok := r.deps[name]
-	if ok {
-		// The name stays claimed until its directories are gone: a Create
-		// racing the removal would have them deleted from under it.
-		delete(r.deps, name)
-		r.building[name] = true
-	}
-	r.mu.Unlock()
-	if !ok {
+	if !ok && (!validName(name) || r.building[name]) {
+		r.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknown, name)
 	}
+	// The name stays claimed until its directories are gone: a Create
+	// racing the removal would have them deleted from under it.
+	delete(r.deps, name)
+	r.building[name] = true
+	r.mu.Unlock()
 	defer r.settle(name, nil)
-	d.close()
+	if ok {
+		d.close()
+	}
 	for _, root := range []string{r.opts.CheckpointRoot, r.opts.WALRoot, r.opts.StoreRoot} {
 		if root == "" {
 			continue
 		}
-		if err := os.RemoveAll(filepath.Join(root, name)); err != nil {
+		dir := filepath.Join(root, name)
+		if _, err := os.Stat(dir); err == nil {
+			ok = true
+		}
+		if err := os.RemoveAll(dir); err != nil {
 			return fmt.Errorf("registry: removing state of %q: %w", name, err)
 		}
+	}
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrUnknown, name)
 	}
 	return nil
 }

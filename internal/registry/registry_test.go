@@ -128,8 +128,8 @@ func TestCreateGetDeleteLifecycle(t *testing.T) {
 	if !ok {
 		t.Fatal("Get lost the deployment")
 	}
-	if got := r.List(); len(got) != 1 || got[0] != d {
-		t.Fatalf("List() = %v", got)
+	if got := r.Names(); len(got) != 1 || got[0] != "m" {
+		t.Fatalf("Names() = %v", got)
 	}
 	rnd := rand.New(rand.NewSource(1))
 	if err := d.Ingest(chunk(rnd, 20)); err != nil {
@@ -231,6 +231,17 @@ func TestCreateExistingNameLeavesLiveLogAlone(t *testing.T) {
 	n, err := l.Replay(0, func(uint64, [][]byte) error { return nil })
 	if err != nil || n != appends {
 		t.Fatalf("reopen replayed %d chunks (err %v), want %d", n, err, appends)
+	}
+}
+
+func TestQuotasMergeDefaults(t *testing.T) {
+	r := New(Options{DefaultQuotas: Quotas{MaxIngestQueue: 64, MaxCheckpointBytes: 1 << 20}})
+	d, err := r.Create("a", adamConfig(), Quotas{MaxIngestQueue: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := d.Quotas(); q.MaxIngestQueue != 8 || q.MaxCheckpointBytes != 1<<20 {
+		t.Fatalf("quotas = %+v", q)
 	}
 }
 

@@ -287,9 +287,12 @@ func handleCreate(s *Server, name string, h *depHandle, w http.ResponseWriter, r
 	case errors.Is(err, registry.ErrBadName):
 		writeError(w, http.StatusBadRequest, codeBadRequest, err)
 		return
-	case err != nil:
+	case errors.Is(err, registry.ErrState):
 		// The spec was fine; opening or recovering the name's state was not.
 		writeError(w, http.StatusInternalServerError, codeInternal, err)
+		return
+	case err != nil:
+		writeError(w, http.StatusBadRequest, codeBadRequest, err)
 		return
 	}
 	s.addHandle(d)
@@ -299,12 +302,18 @@ func handleCreate(s *Server, name string, h *depHandle, w http.ResponseWriter, r
 // handleDelete serves DELETE /v1/deployments/{name}: the handle is
 // unpublished first (requests start answering 404), queued ingest drains
 // into the still-live deployment, and only then is the deployment shut
-// down — so accepted (202) chunks are never dropped by a delete.
+// down — so accepted (202) chunks are never dropped by a delete. A name
+// nobody serves may still own directories (registry.Delete), so the registry
+// decides what is unknown.
 func handleDelete(s *Server, name string, h *depHandle, w http.ResponseWriter, r *http.Request) {
 	if removed := s.removeHandle(name); removed != nil {
 		<-removed.q.done
 	}
-	if err := s.registry.Delete(name); err != nil && !errors.Is(err, registry.ErrUnknown) {
+	switch err := s.registry.Delete(name); {
+	case errors.Is(err, registry.ErrUnknown) && h == nil:
+		writeError(w, http.StatusNotFound, codeUnknownDeployment, fmt.Errorf("serve: unknown deployment %q", name))
+		return
+	case err != nil && !errors.Is(err, registry.ErrUnknown):
 		writeError(w, http.StatusInternalServerError, codeInternal, err)
 		return
 	}

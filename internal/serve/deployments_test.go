@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -24,6 +26,7 @@ import (
 	"cdml/internal/opt"
 	"cdml/internal/pipeline"
 	"cdml/internal/registry"
+	"cdml/internal/snapstream"
 )
 
 // fleetConfig builds a minimal online deployment for registry-backed tests;
@@ -383,6 +386,45 @@ func TestManagementRequiresBuilder(t *testing.T) {
 	code, body = doJSON(t, http.MethodPost, ts.URL+"/v1/deployments/default/challengers", []byte(`{"spec":{}}`))
 	if code != http.StatusNotImplemented {
 		t.Fatalf("challenger without builder: %d %s", code, body)
+	}
+}
+
+// TestCreateFailureStatus separates the two ways registry.Create can fail
+// behind PUT /v1/deployments/{name}: a config core rejects is the client's
+// spec (400 "bad_request"), a name whose durable state cannot be recovered
+// is the server's (500 "internal").
+func TestCreateFailureStatus(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "torn", "ckpt")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snapstream.FilePath(dir, 5), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := registry.New(registry.Options{CheckpointRoot: root})
+	builder := func(name string, spec json.RawMessage) (core.Config, error) {
+		cfg, err := testBuilder(name, nil)
+		if name == "storeless" {
+			cfg.Store = nil
+		}
+		return cfg, err
+	}
+	ts := httptest.NewServer(NewWithRegistry(reg, WithSlog(nil), WithConfigBuilder(builder)))
+	defer ts.Close()
+	defer reg.Close()
+	for name, want := range map[string]struct {
+		status int
+		code   string
+	}{
+		"storeless": {http.StatusBadRequest, "bad_request"},
+		"torn":      {http.StatusInternalServerError, "internal"},
+		"fine":      {http.StatusCreated, ""},
+	} {
+		code, body := doJSON(t, http.MethodPut, ts.URL+"/v1/deployments/"+name, []byte(`{"spec":{}}`))
+		if code != want.status || (want.code != "" && errCode(t, body) != want.code) {
+			t.Errorf("PUT %s: %d %s, want %d %s", name, code, body, want.status, want.code)
+		}
 	}
 }
 

@@ -16,7 +16,8 @@ type depHandlerFunc func(s *Server, name string, h *depHandle, w http.ResponseWr
 
 // methodHandler is one method's handler on a route. allowUnknown lets the
 // handler run for names that do not resolve to a deployment (PUT creates
-// one); every other method answers 404 "unknown_deployment" first.
+// one, DELETE removes the directories a past one left); every other method
+// answers 404 "unknown_deployment" first.
 // mutates marks handlers that change deployment state (train, ingest,
 // restore, forced checkpoints, challenger/rollback management); on a
 // replica those answer 409 "read_only_replica" before the handler runs, so

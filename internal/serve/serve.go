@@ -380,7 +380,7 @@ func (s *Server) registerRoutes() {
 	s.scoped(base, map[string]methodHandler{
 		http.MethodGet:    {fn: handleDescribe},
 		http.MethodPut:    {fn: handleCreate, allowUnknown: true},
-		http.MethodDelete: {fn: handleDelete},
+		http.MethodDelete: {fn: handleDelete, allowUnknown: true},
 	})
 
 	// Global routes (not bound to a deployment).
