@@ -100,17 +100,22 @@ census:
 	@echo "cdml-serve flags:     $$(grep -cE '\b(flag|fs)\.(String|Int|Int64|Bool|Duration|Float64)(Var)?\(' cmd/cdml-serve/main.go)"
 	@echo "route-table rows:     $$(grep -cE '\bs\.(scoped|global)\(' internal/serve/serve.go)"
 
-# Brief fuzzing passes over the wire-format parsers.
+# Brief fuzzing passes over everything that reads bytes it did not write: the
+# wire-format parsers and the chunk-file decoders.
 fuzz:
 	$(GO) test ./internal/dataset/ -fuzz FuzzURLParser -fuzztime 15s
 	$(GO) test ./internal/dataset/ -fuzz FuzzTaxiParser -fuzztime 15s
 	$(GO) test ./internal/dataset/ -fuzz FuzzRatingsParser -fuzztime 15s
+	$(GO) test ./internal/data/ -fuzz FuzzDecodeFeatureChunk -fuzztime 15s
+	$(GO) test ./internal/data/ -fuzz FuzzDecodeRawChunk -fuzztime 15s
 
 # 10-second CI smoke of the same fuzz targets.
 fuzz-smoke:
 	$(GO) test ./internal/dataset/ -fuzz FuzzURLParser -fuzztime 10s
 	$(GO) test ./internal/dataset/ -fuzz FuzzTaxiParser -fuzztime 10s
 	$(GO) test ./internal/dataset/ -fuzz FuzzRatingsParser -fuzztime 10s
+	$(GO) test ./internal/data/ -fuzz FuzzDecodeFeatureChunk -fuzztime 10s
+	$(GO) test ./internal/data/ -fuzz FuzzDecodeRawChunk -fuzztime 10s
 
 # Regenerate every table and figure of the paper at the default size.
 experiments:

@@ -791,6 +791,36 @@ func BenchmarkTieredBackendHit(b *testing.B) {
 	}
 }
 
+// BenchmarkStorePutGet is what the data manager does with one 80-row URL
+// chunk on the memory backend: AppendRaw and PutFeatures copy it into its
+// packed form, Features rebuilds the row headers over it. B/op and
+// allocs/op are the packed arrays plus those headers — nothing per row.
+func BenchmarkStorePutGet(b *testing.B) {
+	const hashDim = 1 << 15
+	cfg := dataset.DefaultURLConfig()
+	cfg.Days, cfg.ChunksPerDay, cfg.RowsPerChunk, cfg.Vocab = 2, 1, 80, 5000
+	records := dataset.NewURL(cfg).Chunk(0)
+	ins, err := dataset.NewURLPipeline(hashDim).ProcessOnline(records)
+	if err != nil {
+		b.Fatal(err)
+	}
+	store := data.NewStore(data.NewMemoryBackend(), data.WithRawCapacity(1024)) // a 30 MB heap: the collector is not what is timed
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id, err := store.AppendRaw(records)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := store.PutFeatures(id, ins); err != nil {
+			b.Fatal(err)
+		}
+		if _, ok, err := store.Features(id); err != nil || !ok {
+			b.Fatal(ok, err)
+		}
+	}
+}
+
 // BenchmarkDriftDetectorObserve measures the per-prediction overhead of
 // running a drift detector inside the serving loop.
 func BenchmarkDriftDetectorObserve(b *testing.B) {

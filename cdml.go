@@ -116,7 +116,7 @@ func WithRawCapacity(n int) data.StoreOption { return data.WithRawCapacity(n) }
 // NewMemoryBackend returns an in-memory chunk backend.
 func NewMemoryBackend() *data.MemoryBackend { return data.NewMemoryBackend() }
 
-// NewDiskBackend returns a chunk backend storing gob files under dir.
+// NewDiskBackend returns a chunk backend storing flat chunk files under dir.
 func NewDiskBackend(dir string) (*data.DiskBackend, error) { return data.NewDiskBackend(dir) }
 
 // NewTieredBackend layers a bounded in-memory LRU cache of feature chunks

@@ -39,7 +39,7 @@ import (
 const defaultBench = "BenchmarkObsCounterInc|BenchmarkObsHistogramObserve|BenchmarkSparseDot|" +
 	"BenchmarkPipelineProcessOnline|BenchmarkPipelineProcessServeTaxi256|" +
 	"BenchmarkProactiveTrainingIteration|BenchmarkMFUpdate|" +
-	"BenchmarkKMeansUpdate|BenchmarkTieredBackendHit|BenchmarkDriftDetectorObserve|" +
+	"BenchmarkKMeansUpdate|BenchmarkTieredBackendHit|BenchmarkStorePutGet|BenchmarkDriftDetectorObserve|" +
 	"BenchmarkServePredictRouted|BenchmarkServePredictTaxiBatch256|BenchmarkReplicaPredict|" +
 	"BenchmarkIngestAppend|BenchmarkIngestTickURL|BenchmarkIngestTickTaxi"
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -364,5 +365,58 @@ func TestEvaluationSkipsInitialChunks(t *testing.T) {
 	wantEval := int64((smallStream.chunks - 10) * smallStream.rows)
 	if res.Evaluated != wantEval {
 		t.Fatalf("evaluated %d records, want %d", res.Evaluated, wantEval)
+	}
+}
+
+// One proactive training must not allocate in proportion to the deployment's
+// age: Store.RawIDs used to copy the whole id history on every call (8 bytes
+// a chunk, for ever). The time-based sampler allocates O(sample size), so
+// what is left is what the sampled chunks themselves cost.
+func TestProactiveTrainAllocationDoesNotGrowWithHistory(t *testing.T) {
+	cfg := baseConfig(ModeContinuous)
+	d, err := NewDeployer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+	s := driftStream{chunks: 1, rows: 10, seed: 5}
+	records := s.Chunk(0)
+	ins, err := d.pipe.ProcessOnline(records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grow := func(to int) {
+		for cfg.Store.NumRaw() < to {
+			id, err := cfg.Store.AppendRaw(records)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cfg.Store.PutFeatures(id, ins); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	perRun := func() uint64 {
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			for _, recent := range []bool{false, true} {
+				if err := d.proactiveTrain(&Result{}, recent); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	grow(1000)
+	perRun() // first-use allocations (pools, lazily built state) are not the subject
+	small := perRun()
+	grow(50000)
+	large := perRun()
+	t.Logf("a proactive training and a drift training allocate %d bytes over 1 000 chunks, %d over 50 000", small, large)
+	if large > small+small/4+1024 {
+		t.Fatalf("allocation grew with the history: %d bytes over 1 000 chunks, %d over 50 000", small, large)
 	}
 }

@@ -30,59 +30,75 @@ type Backend interface {
 	Close() error
 }
 
-// MemoryBackend stores chunks in process memory. It is the fast tier: a
-// materialization rate of 1.0 with a memory backend reproduces the paper's
-// fully-cached configuration.
+// MemoryBackend stores chunks in process memory, packed (chunk.go): a Put
+// copies the chunk into exact-size flat arrays, so the history the store
+// keeps for the life of the deployment is a few pointers per chunk to the
+// collector and pins neither the request body nor the transform's backing
+// arrays; a Get rebuilds the row headers as views over those arrays. It is
+// the fast tier: a materialization rate of 1.0 with a memory backend
+// reproduces the paper's fully-cached configuration.
 type MemoryBackend struct {
 	mu       sync.RWMutex
-	raw      map[Timestamp]RawChunk     //cdml:guardedby mu
-	features map[Timestamp]FeatureChunk //cdml:guardedby mu
+	raw      map[Timestamp][]byte          //cdml:guardedby mu — raw payloads
+	features map[Timestamp]*packedFeatures //cdml:guardedby mu
 }
 
 // NewMemoryBackend returns an empty in-memory backend.
 func NewMemoryBackend() *MemoryBackend {
 	return &MemoryBackend{
-		raw:      make(map[Timestamp]RawChunk),
-		features: make(map[Timestamp]FeatureChunk),
+		raw:      make(map[Timestamp][]byte),
+		features: make(map[Timestamp]*packedFeatures),
 	}
 }
 
-// PutRaw implements Backend.
+// PutRaw implements Backend. The records are copied: the caller may reuse
+// them.
 func (m *MemoryBackend) PutRaw(rc RawChunk) error {
+	b, err := appendRawPayload(make([]byte, 0, rawPayloadSize(rc.Records)), rc)
+	if err != nil {
+		return err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.raw[rc.ID] = rc
+	m.raw[rc.ID] = b
 	return nil
 }
 
-// GetRaw implements Backend.
+// GetRaw implements Backend. The records are read-only views over the
+// stored bytes, each clipped to its own capacity.
 func (m *MemoryBackend) GetRaw(id Timestamp) (RawChunk, error) {
 	m.mu.RLock()
-	defer m.mu.RUnlock()
-	rc, ok := m.raw[id]
+	b, ok := m.raw[id]
+	m.mu.RUnlock()
 	if !ok {
 		return RawChunk{}, fmt.Errorf("raw %d: %w", id, ErrNotFound)
 	}
-	return rc, nil
+	return viewRaw(b)
 }
 
-// PutFeatures implements Backend.
+// PutFeatures implements Backend. The vectors are copied: the caller may
+// reuse them.
 func (m *MemoryBackend) PutFeatures(fc FeatureChunk) error {
+	p, err := packFeatures(fc)
+	if err != nil {
+		return err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.features[fc.ID] = fc
+	m.features[fc.ID] = p
 	return nil
 }
 
-// GetFeatures implements Backend.
+// GetFeatures implements Backend. The vectors are read-only views over the
+// stored arrays, each clipped to its own capacity.
 func (m *MemoryBackend) GetFeatures(id Timestamp) (FeatureChunk, error) {
 	m.mu.RLock()
-	defer m.mu.RUnlock()
-	fc, ok := m.features[id]
+	p, ok := m.features[id]
+	m.mu.RUnlock()
 	if !ok {
 		return FeatureChunk{}, fmt.Errorf("features %d: %w", id, ErrNotFound)
 	}
-	return fc, nil
+	return p.view(), nil
 }
 
 // DeleteFeatures implements Backend.
@@ -105,10 +121,12 @@ func (m *MemoryBackend) DeleteRaw(id Timestamp) error {
 // Close implements Backend.
 func (m *MemoryBackend) Close() error { return nil }
 
-// DiskBackend stores gob-encoded chunks as files under a directory, one
-// file per chunk. It is the HDFS substitute: fetching from it pays real
-// serialization and file IO, giving dynamic materialization a measurable
-// price (paper §5.4 observes the larger IO overhead on the cluster).
+// DiskBackend stores chunks as files under a directory, one file per chunk,
+// in the flat format of EncodeRawChunk and EncodeFeatureChunk. It is the HDFS
+// substitute: fetching from it pays real decoding and file IO, giving
+// dynamic materialization a measurable price (paper §5.4 observes the larger
+// IO overhead on the cluster). A file that fails its checks surfaces as a
+// fetch error wrapping ErrCorruptChunk.
 type DiskBackend struct {
 	dir string
 	mu  sync.Mutex // serializes file creation; reads are lock-free
@@ -123,11 +141,11 @@ func NewDiskBackend(dir string) (*DiskBackend, error) {
 }
 
 func (d *DiskBackend) rawPath(id Timestamp) string {
-	return filepath.Join(d.dir, fmt.Sprintf("raw-%012d.gob", id))
+	return filepath.Join(d.dir, fmt.Sprintf("raw-%012d.chunk", id))
 }
 
 func (d *DiskBackend) featPath(id Timestamp) string {
-	return filepath.Join(d.dir, fmt.Sprintf("feat-%012d.gob", id))
+	return filepath.Join(d.dir, fmt.Sprintf("feat-%012d.chunk", id))
 }
 
 // PutRaw implements Backend.
@@ -148,7 +166,11 @@ func (d *DiskBackend) GetRaw(id Timestamp) (RawChunk, error) {
 	if err != nil {
 		return RawChunk{}, fmt.Errorf("data: reading raw chunk %d: %w", id, err)
 	}
-	return DecodeRawChunk(b)
+	rc, err := DecodeRawChunk(b)
+	if err != nil {
+		return RawChunk{}, fmt.Errorf("data: reading raw chunk %d: %w", id, err)
+	}
+	return rc, nil
 }
 
 // PutFeatures implements Backend.
@@ -169,7 +191,11 @@ func (d *DiskBackend) GetFeatures(id Timestamp) (FeatureChunk, error) {
 	if err != nil {
 		return FeatureChunk{}, fmt.Errorf("data: reading feature chunk %d: %w", id, err)
 	}
-	return DecodeFeatureChunk(b)
+	fc, err := DecodeFeatureChunk(b)
+	if err != nil {
+		return FeatureChunk{}, fmt.Errorf("data: reading feature chunk %d: %w", id, err)
+	}
+	return fc, nil
 }
 
 // DeleteFeatures implements Backend.

@@ -163,10 +163,12 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // retryable reports whether an error is worth another attempt. ErrNotFound
 // is the backend protocol for an absent chunk — retrying cannot make it
-// appear — and context errors mean the caller is gone.
+// appear — a chunk file that fails its checks reads the same the next time,
+// and context errors mean the caller is gone.
 func retryable(err error) bool {
 	return err != nil &&
 		!errors.Is(err, ErrNotFound) &&
+		!errors.Is(err, ErrCorruptChunk) &&
 		!errors.Is(err, context.Canceled) &&
 		!errors.Is(err, context.DeadlineExceeded)
 }

@@ -92,11 +92,14 @@ type Store struct {
 	// 0 or negative disables it.
 	quota int //cdml:guardedby mu
 
-	rawIDs       []Timestamp        //cdml:guardedby mu — all raw chunk ids, increasing
-	materialized []Timestamp        //cdml:guardedby mu — ids of materialized feature chunks, increasing
-	isMat        map[Timestamp]bool //cdml:guardedby mu — membership index for materialized
-	next         Timestamp          //cdml:guardedby mu — next id to assign
-	stats        MatStats           //cdml:guardedby mu
+	rawIDs       []Timestamp         //cdml:guardedby mu — all raw chunk ids, increasing; only ever appended to and re-sliced from the front (RawIDs hands out views)
+	rawSizes     []int64             //cdml:guardedby mu — packed size of each raw chunk, parallel to rawIDs
+	materialized []Timestamp         //cdml:guardedby mu — ids of materialized feature chunks, increasing
+	matSize      map[Timestamp]int64 //cdml:guardedby mu — packed size of each materialized feature chunk; presence is membership
+	rawBytes     int64               //cdml:guardedby mu — sum of rawSizes
+	featBytes    int64               //cdml:guardedby mu — sum of matSize
+	next         Timestamp           //cdml:guardedby mu — next id to assign
+	stats        MatStats            //cdml:guardedby mu
 }
 
 // StoreOption configures a Store.
@@ -131,7 +134,7 @@ func WithQuota(n int) StoreOption {
 
 // NewStore returns a store over the given backend.
 func NewStore(b Backend, opts ...StoreOption) *Store {
-	s := &Store{backend: b, capacity: -1, rawCapacity: -1, isMat: make(map[Timestamp]bool)}
+	s := &Store{backend: b, capacity: -1, rawCapacity: -1, matSize: make(map[Timestamp]int64)}
 	for _, o := range opts {
 		o(s)
 	}
@@ -173,15 +176,20 @@ func (s *Store) AppendRaw(records [][]byte) (Timestamp, error) {
 	}
 	id := s.next
 	s.next++
+	size := int64(rawPayloadSize(records))
 	s.rawIDs = append(s.rawIDs, id)
+	s.rawSizes = append(s.rawSizes, size)
+	s.rawBytes += size
 	var drop []Timestamp
 	if s.rawCapacity >= 0 {
 		for len(s.rawIDs) > s.rawCapacity {
 			victim := s.rawIDs[0]
-			s.rawIDs = s.rawIDs[1:]
+			s.rawBytes -= s.rawSizes[0]
+			s.rawIDs, s.rawSizes = s.rawIDs[1:], s.rawSizes[1:]
 			drop = append(drop, victim)
-			if s.isMat[victim] {
-				delete(s.isMat, victim)
+			if size, ok := s.matSize[victim]; ok {
+				s.featBytes -= size
+				delete(s.matSize, victim)
 				for k, m := range s.materialized {
 					if m == victim {
 						s.materialized = append(s.materialized[:k], s.materialized[k+1:]...)
@@ -222,12 +230,15 @@ func (s *Store) PutFeatures(rawID Timestamp, instances []Instance) error {
 	if err := s.backend.PutFeatures(fc); err != nil {
 		return fmt.Errorf("data: storing feature chunk: %w", err)
 	}
+	size := FeatureBytes(instances)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.isMat[rawID] {
-		s.isMat[rawID] = true
+	old, ok := s.matSize[rawID]
+	if !ok {
 		s.insertMaterializedLocked(rawID)
 	}
+	s.matSize[rawID] = size
+	s.featBytes += size - old
 	return s.evictLocked(rawID)
 }
 
@@ -259,7 +270,8 @@ func (s *Store) evictLocked(protect Timestamp) error {
 			k = 1
 		}
 		s.materialized = append(s.materialized[:k], s.materialized[k+1:]...)
-		delete(s.isMat, victim)
+		s.featBytes -= s.matSize[victim]
+		delete(s.matSize, victim)
 		s.stats.Evictions++
 		if err := s.backend.DeleteFeatures(victim); err != nil {
 			return fmt.Errorf("data: evicting feature chunk %d: %w", victim, err)
@@ -268,11 +280,17 @@ func (s *Store) evictLocked(protect Timestamp) error {
 	return nil
 }
 
-// RawIDs returns the ids of all raw chunks in increasing order (a copy).
+// RawIDs returns the ids of all raw chunks in increasing order: a read-only
+// view of the store's own history, not a copy — every proactive training
+// asks, and the history grows for the life of the deployment. The view is a
+// snapshot: its capacity is clipped to its length, later appends land beyond
+// it and raw-capacity drops only re-slice the store's front, so nothing the
+// store does afterwards changes what the caller sees. The caller must not
+// write to it.
 func (s *Store) RawIDs() []Timestamp {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]Timestamp(nil), s.rawIDs...)
+	return s.rawIDs[:len(s.rawIDs):len(s.rawIDs)]
 }
 
 // NumRaw returns the number of raw chunks (n in the μ analysis).
@@ -293,7 +311,8 @@ func (s *Store) NumMaterialized() int {
 func (s *Store) IsMaterialized(id Timestamp) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.isMat[id]
+	_, ok := s.matSize[id]
+	return ok
 }
 
 // Raw fetches a raw chunk.
@@ -305,10 +324,7 @@ func (s *Store) Raw(id Timestamp) (RawChunk, error) {
 // the chunk has been evicted (or never materialized); the caller must then
 // re-materialize from the raw chunk and report it via NoteRematerialized.
 func (s *Store) Features(id Timestamp) ([]Instance, bool, error) {
-	s.mu.Lock()
-	mat := s.isMat[id]
-	s.mu.Unlock()
-	if !mat {
+	if !s.IsMaterialized(id) {
 		return nil, false, nil
 	}
 	fc, err := s.backend.GetFeatures(id)
@@ -349,7 +365,8 @@ func (s *Store) NoteSample(hits, misses int) {
 
 // Instrument registers the store's materialization accounting with reg:
 // sampling hits/misses, evictions, re-materializations, the utilization
-// rate μ, and the raw/materialized chunk counts. All values are read at
+// rate μ, the raw/materialized chunk counts and the bytes they occupy at
+// rest (the storage requirement of paper §3.2.1). All values are read at
 // scrape time under the store lock, so instrumentation adds nothing to the
 // ingest path. Safe to call more than once with the same registry. The
 // optional labels are stamped on every series so per-deployment stores can
@@ -377,6 +394,21 @@ func (s *Store) Instrument(reg *obs.Registry, labels ...obs.Label) {
 	reg.GaugeFunc("cdml_store_materialized_chunks",
 		"Feature chunks currently materialized.",
 		func() float64 { return float64(s.NumMaterialized()) }, labels...)
+	kind := func(k string) []obs.Label { return append(labels[:len(labels):len(labels)], obs.L("kind", k)) }
+	const bytesHelp = "Bytes the retained chunks occupy at rest (packed payload sizes; paper §3.2.1)."
+	reg.GaugeFunc("cdml_store_bytes", bytesHelp,
+		func() float64 { raw, _ := s.Bytes(); return float64(raw) }, kind("raw")...)
+	reg.GaugeFunc("cdml_store_bytes", bytesHelp,
+		func() float64 { _, features := s.Bytes(); return float64(features) }, kind("features")...)
+}
+
+// Bytes returns what the retained raw chunks and the materialized feature
+// chunks occupy at rest: the sums of their packed payload sizes, maintained
+// on every put, eviction and drop.
+func (s *Store) Bytes() (raw, features int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.rawBytes, s.featBytes
 }
 
 // Stats returns a copy of the materialization accounting.

@@ -2,11 +2,14 @@ package data
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"cdml/internal/linalg"
+	"cdml/internal/obs"
 )
 
 func mkInstances(n int) []Instance {
@@ -294,11 +297,11 @@ func TestStoreWithDiskBackend(t *testing.T) {
 
 func TestFeatureBytes(t *testing.T) {
 	dense := []Instance{{X: linalg.Dense{1, 2, 3}, Y: 1}}
-	if got := FeatureBytes(dense); got != 3*8+8 {
+	if got := FeatureBytes(dense); got != featHeader+3*8+12 {
 		t.Fatalf("dense bytes = %d", got)
 	}
 	sparse := []Instance{{X: linalg.NewSparse(1000, []int32{1, 2}, []float64{1, 1}), Y: 0}}
-	if got := FeatureBytes(sparse); got != 2*8+2*4+8 {
+	if got := FeatureBytes(sparse); got != featHeader+2*8+2*4+12 {
 		t.Fatalf("sparse bytes = %d", got)
 	}
 }
@@ -372,5 +375,88 @@ func TestStoreUnlimitedRawCapacity(t *testing.T) {
 	}
 	if s.NumRaw() != 30 {
 		t.Fatalf("NumRaw = %d", s.NumRaw())
+	}
+}
+
+// RawIDs hands out a view of the store's own history instead of a copy; what
+// the store does afterwards must not show through it.
+func TestRawIDsIsAStableView(t *testing.T) {
+	s := NewStore(NewMemoryBackend(), WithRawCapacity(6))
+	appendN := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := s.AppendRaw([][]byte{[]byte("r")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendN(4)
+	view := s.RawIDs()
+	if cap(view) != len(view) {
+		t.Fatalf("view has spare capacity (%d > %d): an append on it would write the store's history", cap(view), len(view))
+	}
+	appendN(9) // appends beyond the view, then drops from the front
+	for i, id := range view {
+		if id != Timestamp(i) {
+			t.Fatalf("view changed under the caller: %v", view)
+		}
+	}
+	if got := s.RawIDs(); len(got) != 6 || got[0] != 7 || got[5] != 12 {
+		t.Fatalf("RawIDs = %v, want 7..12", got)
+	}
+}
+
+// cdml_store_bytes is the sum of the packed sizes of what is retained, kept
+// in step by every put, re-put, eviction and raw-capacity drop.
+func TestStoreBytesFollowsPutsEvictionsAndDrops(t *testing.T) {
+	s := NewStore(NewMemoryBackend(), WithCapacity(2), WithRawCapacity(3))
+	records := [][]byte{[]byte("abc"), []byte("de")}
+	rawSize := int64(rawPayloadSize(records))
+	want := func(raws int, feats ...int) {
+		t.Helper()
+		var featBytes int64
+		for _, rows := range feats {
+			featBytes += FeatureBytes(mkInstances(rows))
+		}
+		if raw, features := s.Bytes(); raw != int64(raws)*rawSize || features != featBytes {
+			t.Fatalf("Bytes() = %d, %d; want %d, %d", raw, features, int64(raws)*rawSize, featBytes)
+		}
+	}
+	put := func(rows int) Timestamp {
+		t.Helper()
+		id, err := s.AppendRaw(records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutFeatures(id, mkInstances(rows)); err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	want(0)
+	put(1)
+	id := put(2)
+	want(2, 1, 2)
+	if err := s.PutFeatures(id, mkInstances(5)); err != nil { // a re-put replaces, it does not add
+		t.Fatal(err)
+	}
+	want(2, 1, 5)
+	put(3) // evicts the 1-row chunk
+	want(3, 5, 3)
+	put(4) // drops the oldest raw chunk, evicts the 5-row chunk
+	want(3, 3, 4)
+
+	reg := obs.NewRegistry()
+	s.Instrument(reg, obs.L("deployment", "d"))
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		fmt.Sprintf(`cdml_store_bytes{deployment="d",kind="raw"} %d`, 3*rawSize),
+		fmt.Sprintf(`cdml_store_bytes{deployment="d",kind="features"} %d`, FeatureBytes(mkInstances(3))+FeatureBytes(mkInstances(4))),
+	} {
+		if !strings.Contains(b.String(), line) {
+			t.Errorf("exposition lacks %q:\n%s", line, b.String())
+		}
 	}
 }

@@ -29,6 +29,8 @@ var runtimeGaugeSpecs = []runtimeGaugeSpec{
 	{"/memory/classes/heap/objects:bytes", "cdml_runtime_heap_alloc_bytes", "Bytes of live heap objects."},
 	{"/memory/classes/total:bytes", "cdml_runtime_memory_total_bytes", "Total bytes mapped by the Go runtime."},
 	{"/gc/cycles/total:gc-cycles", "cdml_runtime_gc_cycles_total", "Completed GC cycles."},
+	{"/gc/scan/heap:bytes", "cdml_runtime_gc_scannable_heap_bytes", "Heap the collector has to read on every cycle: live objects that hold pointers."},
+	{"/cpu/classes/gc/total:cpu-seconds", "cdml_runtime_gc_cpu_seconds_total", "Estimated CPU time spent in the garbage collector."},
 }
 
 // runtimeHistSpecs are cumulative runtime histograms exposed as p50/p99

@@ -269,6 +269,8 @@ func TestRuntimeSampler(t *testing.T) {
 		"cdml_runtime_heap_alloc_bytes",
 		"cdml_runtime_memory_total_bytes",
 		"cdml_runtime_gc_cycles_total",
+		"cdml_runtime_gc_scannable_heap_bytes",
+		"cdml_runtime_gc_cpu_seconds_total",
 		"cdml_runtime_gc_pause_p50",
 		"cdml_runtime_sched_latency_p99",
 	} {
