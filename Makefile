@@ -101,21 +101,25 @@ census:
 	@echo "route-table rows:     $$(grep -cE '\bs\.(scoped|global)\(' internal/serve/serve.go)"
 
 # Brief fuzzing passes over everything that reads bytes it did not write: the
-# wire-format parsers and the chunk-file decoders.
+# wire-format parsers, the chunk-file decoders, the snapshot frame codec and
+# the snapshot payload decoder (both payload formats). One target list, two
+# durations. The payload seeds are whole checkpoints, so minimizing a new
+# input is bounded, or it eats the run.
+FUZZ_TARGETS = \
+	internal/dataset:FuzzURLParser internal/dataset:FuzzTaxiParser internal/dataset:FuzzRatingsParser \
+	internal/data:FuzzDecodeFeatureChunk internal/data:FuzzDecodeRawChunk \
+	internal/snapstream:FuzzDecodeFrame internal/snapstream:FuzzNextFrame \
+	internal/core:FuzzDecodeSnapshotPayload
+FUZZTIME = 15s
 fuzz:
-	$(GO) test ./internal/dataset/ -fuzz FuzzURLParser -fuzztime 15s
-	$(GO) test ./internal/dataset/ -fuzz FuzzTaxiParser -fuzztime 15s
-	$(GO) test ./internal/dataset/ -fuzz FuzzRatingsParser -fuzztime 15s
-	$(GO) test ./internal/data/ -fuzz FuzzDecodeFeatureChunk -fuzztime 15s
-	$(GO) test ./internal/data/ -fuzz FuzzDecodeRawChunk -fuzztime 15s
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $$t $(FUZZTIME)"; \
+		$(GO) test ./$${t%%:*}/ -run '^$$' -fuzz "^$${t##*:}$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 2s; \
+	done
 
 # 10-second CI smoke of the same fuzz targets.
 fuzz-smoke:
-	$(GO) test ./internal/dataset/ -fuzz FuzzURLParser -fuzztime 10s
-	$(GO) test ./internal/dataset/ -fuzz FuzzTaxiParser -fuzztime 10s
-	$(GO) test ./internal/dataset/ -fuzz FuzzRatingsParser -fuzztime 10s
-	$(GO) test ./internal/data/ -fuzz FuzzDecodeFeatureChunk -fuzztime 10s
-	$(GO) test ./internal/data/ -fuzz FuzzDecodeRawChunk -fuzztime 10s
+	$(MAKE) fuzz FUZZTIME=10s
 
 # Regenerate every table and figure of the paper at the default size.
 experiments:

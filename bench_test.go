@@ -40,6 +40,7 @@ import (
 	"cdml/internal/pipeline"
 	"cdml/internal/sample"
 	"cdml/internal/serve"
+	"cdml/internal/snapstream"
 	"cdml/internal/wal"
 )
 
@@ -1002,30 +1003,16 @@ func BenchmarkReplicaPredict(b *testing.B) {
 // benchIngestTick measures one whole live tick — Deployer.Ingest of an
 // 80-row chunk: prequential scoring, online statistics and transform,
 // store, one gradient step, snapshot publish — on a deployment warmed with
-// 200 chunks and no checkpoint policy (the shape of the system benchmark's
+// benchWarmChunks chunks and no checkpoint policy (the shape of the system benchmark's
 // in-process core.tick_us). B/op is the number that matters: everything a
 // tick allocates beyond its chunk's own columns is garbage the collector
 // pays for beside the readers.
 func benchIngestTick(b *testing.B, cfg core.Config, chunk func(i int) [][]byte) {
-	const warm, fresh = 200, 64
-	cfg.Mode = core.ModeContinuous
-	cfg.Store = data.NewStore(data.NewMemoryBackend())
-	cfg.Sampler = sample.NewTime(1)
-	cfg.SampleChunks = 8
-	cfg.ProactiveEvery = 1 << 30
-	dep, err := core.NewDeployer(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(dep.Shutdown)
-	for i := 0; i < warm; i++ {
-		if err := dep.Ingest(chunk(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
+	const fresh = 64
+	dep := warmDeployer(b, cfg, chunk)
 	chunks := make([][][]byte, fresh)
 	for i := range chunks {
-		chunks[i] = chunk(warm + i)
+		chunks[i] = chunk(benchWarmChunks + i)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -1036,20 +1023,97 @@ func benchIngestTick(b *testing.B, cfg core.Config, chunk func(i int) [][]byte) 
 	}
 }
 
-// BenchmarkIngestTickURL is the live tick of the URL pipeline at
-// cdml-serve's hashing dimension (2^15 weights, Adam): the workload whose
-// tick used to allocate several model-sized vectors.
-func BenchmarkIngestTickURL(b *testing.B) {
+// benchWarmChunks is how many chunks a tick or snapshot benchmark trains its
+// deployment on before it measures.
+const benchWarmChunks = 200
+
+// benchDeployer builds cfg as a continuous deployment with no checkpoint
+// policy and no proactive training in reach.
+func benchDeployer(b *testing.B, cfg core.Config) *core.Deployer {
+	cfg.Mode = core.ModeContinuous
+	cfg.Store = data.NewStore(data.NewMemoryBackend())
+	cfg.Sampler = sample.NewTime(1)
+	cfg.SampleChunks = 8
+	cfg.ProactiveEvery = 1 << 30
+	dep, err := core.NewDeployer(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(dep.Shutdown)
+	return dep
+}
+
+// warmDeployer is benchDeployer after benchWarmChunks ingested chunks.
+func warmDeployer(b *testing.B, cfg core.Config, chunk func(i int) [][]byte) *core.Deployer {
+	dep := benchDeployer(b, cfg)
+	for i := 0; i < benchWarmChunks; i++ {
+		if err := dep.Ingest(chunk(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return dep
+}
+
+// urlBenchDeployment is the URL pipeline at cdml-serve's hashing dimension
+// (2^15 weights, Adam) and its 80-row chunk stream.
+func urlBenchDeployment() (core.Config, func(i int) [][]byte) {
 	const hashDim = 1 << 15
 	cfg := dataset.DefaultURLConfig()
 	cfg.Days, cfg.ChunksPerDay, cfg.RowsPerChunk, cfg.Vocab = 300, 1, 80, 5000
-	benchIngestTick(b, core.Config{
+	return core.Config{
 		NewPipeline:  func() *pipeline.Pipeline { return dataset.NewURLPipeline(hashDim) },
 		NewModel:     func() model.Model { return dataset.NewURLModel(hashDim, 1e-3) },
 		NewOptimizer: func() opt.Optimizer { return opt.NewAdam(0.05) },
 		Metric:       &eval.Misclassification{},
 		Predict:      core.ClassifyPredictor,
-	}, dataset.NewURL(cfg).Chunk)
+	}, dataset.NewURL(cfg).Chunk
+}
+
+// BenchmarkIngestTickURL is the live tick of the URL pipeline at
+// cdml-serve's hashing dimension (2^15 weights, Adam): the workload whose
+// tick used to allocate several model-sized vectors.
+func BenchmarkIngestTickURL(b *testing.B) {
+	cfg, chunk := urlBenchDeployment()
+	benchIngestTick(b, cfg, chunk)
+}
+
+// BenchmarkSnapshotFrameURL encodes the URL deployment's published snapshot
+// — 32 768 weights and two Adam slots, ~85 % of them exact zeros, plus the
+// pipeline statistics — into a frame: what every cadence checkpoint, GET
+// .../checkpoint and replica poll of a new version pays. B/op is one
+// payload (the frame-B metric): the encode is a single allocation of exactly
+// that size plus the model's scan bitmap.
+func BenchmarkSnapshotFrameURL(b *testing.B) {
+	cfg, chunk := urlBenchDeployment()
+	snap := warmDeployer(b, cfg, chunk).Current()
+	var f snapstream.Frame
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if f, err = snap.Frame(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(f.Payload)), "frame-B")
+}
+
+// BenchmarkSnapshotApplyURL decodes, validates and swaps that frame into a
+// second deployment: a replica's apply, a restore, a recovery.
+func BenchmarkSnapshotApplyURL(b *testing.B) {
+	cfg, chunk := urlBenchDeployment()
+	f, err := warmDeployer(b, cfg, chunk).Current().Frame()
+	if err != nil {
+		b.Fatal(err)
+	}
+	sink := benchDeployer(b, cfg).SnapshotSink()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sink.Apply(f); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkIngestTickTaxi is the same tick on the Taxi pipeline (12

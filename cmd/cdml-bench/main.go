@@ -41,7 +41,8 @@ const defaultBench = "BenchmarkObsCounterInc|BenchmarkObsHistogramObserve|Benchm
 	"BenchmarkProactiveTrainingIteration|BenchmarkMFUpdate|" +
 	"BenchmarkKMeansUpdate|BenchmarkTieredBackendHit|BenchmarkStorePutGet|BenchmarkDriftDetectorObserve|" +
 	"BenchmarkServePredictRouted|BenchmarkServePredictTaxiBatch256|BenchmarkReplicaPredict|" +
-	"BenchmarkIngestAppend|BenchmarkIngestTickURL|BenchmarkIngestTickTaxi"
+	"BenchmarkIngestAppend|BenchmarkIngestTickURL|BenchmarkIngestTickTaxi|" +
+	"BenchmarkSnapshotFrameURL|BenchmarkSnapshotApplyURL"
 
 func main() {
 	var (

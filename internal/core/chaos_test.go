@@ -48,7 +48,7 @@ func TestChaosKillRecoverBitIdentical(t *testing.T) {
 	}
 	defer ref.Shutdown()
 	ingestChunks(t, ref, stream, 0, stream.chunks)
-	want := modelBytes(t, ref)
+	want := payloadBytes(t, ref)
 
 	// Victim: auto-checkpointing run, killed after killAt chunks. Shutdown
 	// here stands in for the kill — the crash-safety of the files
@@ -90,7 +90,7 @@ func TestChaosKillRecoverBitIdentical(t *testing.T) {
 	}
 	ingestChunks(t, revived, stream, resume, stream.chunks)
 
-	if got := modelBytes(t, revived); !bytes.Equal(got, want) {
+	if got := payloadBytes(t, revived); !bytes.Equal(got, want) {
 		t.Fatalf("recovered run is not bit-identical to the uninterrupted run (resumed at chunk %d)", resume)
 	}
 }
@@ -168,7 +168,7 @@ func TestChaosKillRecoverKillRecover(t *testing.T) {
 	}
 	defer ref.Shutdown()
 	ingestChunks(t, ref, stream, 0, stream.chunks)
-	if !bytes.Equal(modelBytes(t, d3), modelBytes(t, ref)) {
+	if !bytes.Equal(payloadBytes(t, d3), payloadBytes(t, ref)) {
 		t.Fatalf("doubly-recovered run is not bit-identical to the uninterrupted run (resumed at %d, then %d)",
 			resume1, resume2)
 	}
@@ -300,7 +300,7 @@ func TestChaosKillWithQueuedIngest(t *testing.T) {
 	}
 	defer ref.Shutdown()
 	ingestChunks(t, ref, stream, 0, stream.chunks)
-	want := modelBytes(t, ref)
+	want := payloadBytes(t, ref)
 
 	// Victim: consume `consumed` chunks through the logged path, then
 	// accept `accepted-consumed` more without ticking them — the on-disk
@@ -342,7 +342,7 @@ func TestChaosKillWithQueuedIngest(t *testing.T) {
 
 	// The rest of the stream arrives; the end state must be bit-identical.
 	ingestLogged(t, revived, stream, accepted, stream.chunks)
-	if got := modelBytes(t, revived); !bytes.Equal(got, want) {
+	if got := payloadBytes(t, revived); !bytes.Equal(got, want) {
 		t.Fatal("killed-with-queued-ingest run is not bit-identical to the uninterrupted run")
 	}
 }
@@ -415,7 +415,7 @@ func TestChaosWALTornTailReplaysIntactPrefix(t *testing.T) {
 	}
 	defer ref.Shutdown()
 	ingestChunks(t, ref, stream, 0, stream.chunks)
-	if !bytes.Equal(modelBytes(t, revived), modelBytes(t, ref)) {
+	if !bytes.Equal(payloadBytes(t, revived), payloadBytes(t, ref)) {
 		t.Fatal("torn-tail recovery is not bit-identical to the uninterrupted run")
 	}
 }

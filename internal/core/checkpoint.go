@@ -1,10 +1,11 @@
 package core
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 
+	"cdml/internal/flat"
 	"cdml/internal/model"
 	"cdml/internal/opt"
 	"cdml/internal/pipeline"
@@ -20,10 +21,10 @@ import (
 //
 // Checkpoint encodes the published snapshot — the state as of the last
 // completed tick. The only lock it shares with the writer is d.mu for the
-// length of one optimizer clone, and only when the published snapshot does
-// not carry resume state yet (resumePoint): the call waits out at most the
-// tick in flight and delays the next by at most that clone. The encode and
-// every write to w stream from immutable state with no lock held, so an
+// length of one scan of the optimizer, and only when the published snapshot
+// does not carry resume state yet (resumePoint): the call waits out at most
+// the tick in flight and delays the next by at most that scan. The encode
+// and the write to w run from immutable state with no lock held, so an
 // arbitrarily slow consumer (a stalled HTTP checkpoint client, a saturated
 // disk) can never block Ingest. Mid-tick progress is by design not
 // captured; ticks are the recovery grain. In the failed-tick window the
@@ -40,24 +41,54 @@ func (d *Deployer) Checkpoint(w io.Writer) error {
 	return s.encodeTo(w)
 }
 
-// encodeTo writes the snapshot's resume state (model, optimizer, pipeline
-// statistics) as the checkpoint wire format: a sequence of independent gob
-// streams. Snapshots are immutable, so encoding needs no synchronization
-// and may run concurrently with the training writer. A snapshot published
-// without resume state has no optimizer section to write and says so
-// before a byte reaches w.
+// payloadTag opens every snapshot payload this code writes. It lives in the
+// payload, not in the CDMLCKP1 frame around it, because POST .../restore and
+// GET .../checkpoint move a bare payload with no frame header; anything that
+// does not start with it is read as the gob payload of an older server
+// (decodePayloadV1).
+const payloadTag = "CDMLSNP2"
+
+// The snapshot payload (DESIGN.md §5n) — what a checkpoint file, a restore
+// body and a replica frame carry:
+//
+//	"CDMLSNP2" | model section | optimizer section | pipeline section
+//
+// each spelled in internal/flat by the package that owns the state
+// (model.NewSection, opt.Encode, pipeline.AppendState). Equal state
+// is equal bytes: no map is walked in map order and every []float64 is a
+// zero-skipping float block.
+
+// payload encodes the snapshot's resume state into one allocation of exactly
+// the payload's size: the model section from the immutable weights, the
+// optimizer section as captured at publish, the pipeline section from the
+// immutable statistics. Snapshots are immutable, so this needs no
+// synchronization and may run concurrently with the training writer. A
+// snapshot published without resume state has no optimizer section and says
+// so before anything is encoded.
+func (s *Snapshot) payload() ([]byte, error) {
+	if s.resume == nil {
+		return nil, fmt.Errorf("core: encoding snapshot version %d: %w", s.version, ErrResumeUnavailable)
+	}
+	mdl, err := model.NewSection(s.mdl)
+	if err != nil {
+		return nil, fmt.Errorf("core: checkpointing model: %w", err)
+	}
+	b := make([]byte, 0, len(payloadTag)+mdl.Size()+len(s.resume)+s.pipe.StateSize())
+	b = append(mdl.AppendTo(append(b, payloadTag...)), s.resume...)
+	if b, err = s.pipe.AppendState(b); err != nil {
+		return nil, fmt.Errorf("core: checkpointing pipeline: %w", err)
+	}
+	return b, nil
+}
+
+// encodeTo writes the snapshot's payload to w in one Write.
 func (s *Snapshot) encodeTo(w io.Writer) error {
-	if s.optm == nil {
-		return fmt.Errorf("core: encoding snapshot version %d: %w", s.version, ErrResumeUnavailable)
+	b, err := s.payload()
+	if err != nil {
+		return err
 	}
-	if err := model.Save(w, s.mdl); err != nil {
-		return fmt.Errorf("core: checkpointing model: %w", err)
-	}
-	if err := opt.Save(w, s.optm); err != nil {
-		return fmt.Errorf("core: checkpointing optimizer: %w", err)
-	}
-	if err := s.pipe.SaveState(w); err != nil {
-		return fmt.Errorf("core: checkpointing pipeline: %w", err)
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("core: writing checkpoint: %w", err)
 	}
 	return nil
 }
@@ -67,11 +98,15 @@ func (s *Snapshot) encodeTo(w io.Writer) error {
 // shape, optimizer kind, and pipeline layout); mismatches are reported as
 // errors.
 func (d *Deployer) RestoreCheckpoint(r io.Reader) error {
-	return d.restoreCheckpointAt(r, 0)
+	payload, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("core: reading checkpoint: %w", err)
+	}
+	return d.restoreCheckpointAt(payload, 0)
 }
 
-// restoreCheckpointAt is RestoreCheckpoint with an optional snapshot
-// version to resume the publish sequence at. The checkpoint wire format
+// restoreCheckpointAt is RestoreCheckpoint over the payload's bytes, with an
+// optional snapshot version to resume the publish sequence at. The payload
 // carries no version — checkpoint *files* do, in their frame header — so
 // RecoverFromDir passes the header version here and the restored state is
 // republished as exactly that version. That keeps two invariants across a
@@ -81,32 +116,16 @@ func (d *Deployer) RestoreCheckpoint(r io.Reader) error {
 // — sees the very next tick as newer than the recovered checkpoint instead
 // of silently skipping writes until the count catches up. version 0 keeps
 // the deployer's own sequence (the HTTP restore path, which has no header).
-func (d *Deployer) restoreCheckpointAt(r io.Reader, version uint64) error {
+//
+// The payload is decoded and validated in full before anything of the
+// deployment is touched: a payload that is refused leaves the serving
+// snapshot and the writer's state exactly as they were.
+func (d *Deployer) restoreCheckpointAt(payload []byte, version uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// The checkpoint is a sequence of independent gob streams. Each
-	// gob.Decoder buffers its reads unless the source is an io.ByteReader,
-	// which would swallow the following section's bytes — so wrap once and
-	// hand every section the same byte reader.
-	br := bufio.NewReader(r)
-	mdl, err := model.Load(br)
+	mdl, om, pipe, err := d.decodePayload(payload)
 	if err != nil {
-		return fmt.Errorf("core: restoring model: %w", err)
-	}
-	if mdl.Name() != d.mdl.Name() || mdl.Dim() != d.mdl.Dim() {
-		return fmt.Errorf("core: checkpoint model %s/%d does not match deployment %s/%d",
-			mdl.Name(), mdl.Dim(), d.mdl.Name(), d.mdl.Dim())
-	}
-	om, err := opt.Load(br)
-	if err != nil {
-		return fmt.Errorf("core: restoring optimizer: %w", err)
-	}
-	if om.Name() != d.optm.Name() {
-		return fmt.Errorf("core: checkpoint optimizer %s does not match deployment %s", om.Name(), d.optm.Name())
-	}
-	pipe := d.cfg.NewPipeline()
-	if err := pipe.LoadState(br); err != nil {
-		return fmt.Errorf("core: restoring pipeline: %w", err)
+		return err
 	}
 	d.mdl = mdl
 	d.optm = om
@@ -121,6 +140,79 @@ func (d *Deployer) restoreCheckpointAt(r io.Reader, version uint64) error {
 	// state, never a half-restored pipeline/model pair.
 	d.publish()
 	return nil
+}
+
+// decodePayload reads a snapshot payload of either format into a model, an
+// optimizer and a pipeline of this deployment's configuration. The bytes
+// come from files, restore bodies and other servers, so every count in them
+// is checked against the deployment's own model before it sizes anything
+// (the weight vector and each optimizer slot are at most as long as the
+// deployed model's), and the sections must be the deployment's kinds and
+// fill the payload exactly.
+//
+//cdml:locked mu — reads the deployed model's shape and the optimizer's kind
+func (d *Deployer) decodePayload(payload []byte) (model.Model, opt.Optimizer, *pipeline.Pipeline, error) {
+	var (
+		mdl     model.Model
+		om      opt.Optimizer
+		err     error
+		weights = len(d.mdl.Weights())
+		pipe    = d.cfg.NewPipeline()
+	)
+	if rest, ok := bytes.CutPrefix(payload, []byte(payloadTag)); ok {
+		r := flat.NewReader(rest)
+		if mdl, err = model.DecodeSection(r, weights); err != nil {
+			return nil, nil, nil, fmt.Errorf("core: restoring model: %w", err)
+		}
+		if om, err = opt.DecodeSection(r, weights); err != nil {
+			return nil, nil, nil, fmt.Errorf("core: restoring optimizer: %w", err)
+		}
+		if err = pipe.LoadState(r); err == nil {
+			err = r.Close()
+		}
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("core: restoring pipeline: %w", err)
+		}
+	} else if mdl, om, err = decodePayloadV1(payload, weights, pipe); err != nil {
+		return nil, nil, nil, err
+	}
+	if mdl.Name() != d.mdl.Name() || mdl.Dim() != d.mdl.Dim() {
+		return nil, nil, nil, fmt.Errorf("core: checkpoint model %s/%d does not match deployment %s/%d",
+			mdl.Name(), mdl.Dim(), d.mdl.Name(), d.mdl.Dim())
+	}
+	if om.Name() != d.optm.Name() {
+		return nil, nil, nil, fmt.Errorf("core: checkpoint optimizer %s does not match deployment %s", om.Name(), d.optm.Name())
+	}
+	return mdl, om, pipe, nil
+}
+
+// decodePayloadV1 is the v1 reader: the payload of a server older than the
+// flat format is three runs of gob streams — model, optimizer, one per
+// stateful component — with no tag in front. An operator's existing
+// ckpt-*.ckpt files, a restore body saved from such a server and an old
+// primary's frames are supported input; nothing writes this form, so the
+// first checkpoint after a recovery from one is in the current format. The
+// decoded state passes the same validation as a flat payload's.
+func decodePayloadV1(payload []byte, weights int, pipe *pipeline.Pipeline) (model.Model, opt.Optimizer, error) {
+	// Each section is an independent gob stream and a gob.Decoder buffers
+	// past its own unless the source is an io.ByteReader, which a
+	// bytes.Reader is.
+	r := bytes.NewReader(payload)
+	mdl, err := model.LoadV1(r, weights)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: restoring model: %w", err)
+	}
+	om, err := opt.LoadV1(r, weights)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: restoring optimizer: %w", err)
+	}
+	if err := pipe.LoadStateV1(r); err != nil {
+		return nil, nil, fmt.Errorf("core: restoring pipeline: %w", err)
+	}
+	if r.Len() != 0 {
+		return nil, nil, fmt.Errorf("core: restoring checkpoint: %d trailing bytes", r.Len())
+	}
+	return mdl, om, nil
 }
 
 // The interface assertion documents which bundled components participate

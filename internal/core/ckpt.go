@@ -22,8 +22,8 @@ import (
 // taken without stopping the computation.
 
 // The checkpoint file format (the CDMLCKP1 frame: magic, big-endian
-// version and payload length, Snapshot.encodeTo gob payload, IEEE CRC-32)
-// and the crash-safe tmp+fsync+rename file discipline live in
+// version and payload length, the snapshot payload of checkpoint.go, IEEE
+// CRC-32) and the crash-safe tmp+fsync+rename file discipline live in
 // internal/snapstream — the same frames ship over HTTP for restore and
 // primary→replica replication, so the torn-write and CRC validation here
 // is one code path with those transports. This file keeps the policy: when
@@ -116,6 +116,8 @@ type ckptManager struct {
 	errs     *obs.Counter
 	skips    *obs.Counter
 	duration *obs.Histogram
+	encode   *obs.Histogram
+	bytes    *obs.Gauge
 	// tracer receives one span tree per checkpoint write (encode → write →
 	// fsync → rename). The tree carries the trace id of the tick that
 	// produced the snapshot, extending an end-to-end trace across the
@@ -163,6 +165,10 @@ func newCkptManager(pol CheckpointPolicy, reg *obs.Registry, tracer *obs.Tracer,
 			"Due checkpoints skipped because a write was still in flight.", pol.Labels...),
 		duration: reg.Histogram("cdml_checkpoint_write_seconds",
 			"Duration of one checkpoint write (encode, fsync, rename, prune).", pol.Labels...),
+		encode: reg.Histogram("cdml_checkpoint_encode_seconds",
+			"Duration of the encode stage of one checkpoint write: snapshot to payload bytes.", pol.Labels...),
+		bytes: reg.Gauge("cdml_checkpoint_bytes",
+			"Size of the newest durable checkpoint frame (0 = none written yet).", pol.Labels...),
 	}
 	reg.GaugeFunc("cdml_checkpoint_last_version",
 		"Snapshot version of the newest durable checkpoint (0 = none yet).",
@@ -302,7 +308,14 @@ func (m *ckptManager) write(s *Snapshot) (CheckpointInfo, error) {
 	// a short "write" stage with no rename is exactly the diagnostic wanted.
 	sp := obs.StartSpan("checkpoint")
 	sp.TraceID = s.traceID
-	info, err := writeCheckpointFile(m.pol.Dir, s, sp)
+	enc := sp.StartChild("encode")
+	f, err := s.Frame()
+	enc.Finish()
+	var info CheckpointInfo
+	if err == nil {
+		m.encode.Observe(enc.Duration())
+		info, err = snapstream.WriteFile(m.pol.Dir, f, sp)
+	}
 	sp.Finish()
 	m.tracer.Record(sp)
 	if err != nil {
@@ -310,6 +323,7 @@ func (m *ckptManager) write(s *Snapshot) (CheckpointInfo, error) {
 	}
 	m.duration.Observe(time.Since(start))
 	m.writes.Inc()
+	m.bytes.Set(float64(snapstream.EncodedLen(f)))
 	m.lastWritten = s.version
 	m.mu.Lock()
 	m.last = info
@@ -318,63 +332,44 @@ func (m *ckptManager) write(s *Snapshot) (CheckpointInfo, error) {
 	return info, nil
 }
 
-// prune removes checkpoints beyond Keep, oldest first, then enforces the
-// MaxBytes budget over the survivors — again oldest first, never touching
-// the newest file (best-effort: a failed removal is retried at the next
-// prune). Called under wmu. Ingest-log retention follows: once the
-// checkpoint survivors are settled, segments every recoverable
-// checkpoint covers are reclaimed too.
+// prune removes checkpoints beyond Keep and beyond the MaxBytes budget,
+// oldest first, never touching the newest file — a byte quota bounds history
+// depth, not the existence of a recovery point (best-effort: a failed
+// removal is retried at the next prune). Called under wmu. Ingest-log
+// retention follows from the same directory listing: the oldest survivor's
+// version goes to the walPrune hook, since the log must keep every record
+// not covered by the oldest checkpoint recovery could still start from, and
+// nothing older.
 func (m *ckptManager) prune() {
-	defer m.pruneIngestLog()
-	files, err := snapstream.List(m.pol.Dir)
-	if err != nil {
-		return
-	}
-	keep := files[:min(m.pol.Keep, len(files))]
-	for _, f := range files[len(keep):] {
-		if err := os.Remove(f.Path); err != nil {
-			m.errs.Inc()
-		}
-	}
-	if m.pol.MaxBytes <= 0 || len(keep) == 0 {
-		return
-	}
-	// snapstream.List is newest-first; stat the survivors and drop from the
-	// tail (oldest) while over budget. Index 0 — the newest — is untouchable:
-	// a byte quota bounds history depth, not the existence of a recovery
-	// point.
-	sizes := make([]int64, len(keep))
-	var total int64
-	for i, f := range keep {
-		if fi, err := os.Stat(f.Path); err == nil {
-			sizes[i] = fi.Size()
-			total += fi.Size()
-		}
-	}
-	for i := len(keep) - 1; i > 0 && total > m.pol.MaxBytes; i-- {
-		if err := os.Remove(keep[i].Path); err != nil {
-			m.errs.Inc()
-			continue
-		}
-		total -= sizes[i]
-	}
-}
-
-// pruneIngestLog hands the oldest surviving checkpoint version to the
-// walPrune hook: the write-ahead log must keep every record not covered
-// by the oldest checkpoint recovery could still start from, and nothing
-// older. Called under wmu after checkpoint pruning.
-func (m *ckptManager) pruneIngestLog() {
-	if m.walPrune == nil {
-		return
-	}
 	files, err := snapstream.List(m.pol.Dir)
 	if err != nil || len(files) == 0 {
 		return
 	}
-	// snapstream.List is newest-first; the last survivor is the oldest
-	// recovery point.
-	m.walPrune(files[len(files)-1].Version)
+	// snapstream.List is newest-first, so one pass keeps a running size and
+	// everything from the first file that does not fit is history to drop.
+	var (
+		total     int64
+		over      bool
+		survivors = files[:0]
+	)
+	for i, f := range files {
+		if m.pol.MaxBytes > 0 && !over {
+			if fi, err := os.Stat(f.Path); err == nil {
+				total += fi.Size()
+			}
+		}
+		over = over || i >= m.pol.Keep || (m.pol.MaxBytes > 0 && total > m.pol.MaxBytes)
+		if over && i > 0 {
+			if err := os.Remove(f.Path); err == nil {
+				continue
+			}
+			m.errs.Inc()
+		}
+		survivors = append(survivors, f)
+	}
+	if m.walPrune != nil {
+		m.walPrune(survivors[len(survivors)-1].Version)
+	}
 }
 
 // Last returns the newest durable checkpoint, if any.
@@ -404,20 +399,11 @@ func (m *ckptManager) noteRecovered(info CheckpointInfo) {
 // crash at any point leaves either the old file set or the old set plus
 // one complete new file, never a torn checkpoint under the final name.
 func WriteCheckpointFile(dir string, s *Snapshot) (CheckpointInfo, error) {
-	return writeCheckpointFile(dir, s, nil)
-}
-
-// writeCheckpointFile is WriteCheckpointFile with stage spans attached under
-// parent (nil disables tracing; span methods are nil-safe): encode here,
-// write/fsync/rename inside the snapstream file layer.
-func writeCheckpointFile(dir string, s *Snapshot, parent *obs.Span) (CheckpointInfo, error) {
-	enc := parent.StartChild("encode")
 	f, err := s.Frame()
 	if err != nil {
 		return CheckpointInfo{}, err
 	}
-	enc.Finish()
-	return snapstream.WriteFile(dir, f, parent)
+	return snapstream.WriteFile(dir, f, nil)
 }
 
 // RecoverFromDir restores the newest valid checkpoint in dir into the

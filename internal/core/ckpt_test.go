@@ -9,8 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"cdml/internal/model"
-	"cdml/internal/opt"
 	"cdml/internal/snapstream"
 )
 
@@ -31,22 +29,17 @@ func ingestChunks(t *testing.T, d *Deployer, s Stream, from, to int) {
 	}
 }
 
-// modelBytes serializes the published model and optimizer state for
-// bit-identity comparisons. It deliberately excludes the pipeline section:
-// gob iterates the statistics maps in random order, so pipeline bytes vary
-// between encodes of identical state, while the weight and optimizer
-// slices are byte-deterministic.
-func modelBytes(t *testing.T, d *Deployer) []byte {
+// payloadBytes is the deployment's whole state as bytes — the snapshot
+// payload of its published version: model, optimizer and every stateful
+// component's statistics. Equal state is equal bytes (DESIGN.md §5n), so
+// bit-identity of two deployments is bytes.Equal of these.
+func payloadBytes(t *testing.T, d *Deployer) []byte {
 	t.Helper()
-	s := d.Current()
-	var buf bytes.Buffer
-	if err := model.Save(&buf, s.mdl); err != nil {
+	f, err := d.Current().Frame()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := opt.Save(&buf, s.optm); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return f.Payload
 }
 
 func TestCheckpointFileRoundTrip(t *testing.T) {
@@ -75,7 +68,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		t.Fatalf("read version %d, want %d", frame.Version, snap.Version())
 	}
 	// The payload must restore into an identically-configured deployment
-	// and reproduce the source's model and optimizer state exactly.
+	// and reproduce the source's whole state exactly.
 	d2, err := NewDeployer(liveConfig(ModeOnline))
 	if err != nil {
 		t.Fatal(err)
@@ -84,8 +77,8 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	if err := d2.RestoreCheckpoint(bytes.NewReader(frame.Payload)); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(modelBytes(t, d), modelBytes(t, d2)) {
-		t.Fatal("restored model/optimizer state differs from source")
+	if !bytes.Equal(payloadBytes(t, d), payloadBytes(t, d2)) {
+		t.Fatal("restored state differs from source")
 	}
 }
 

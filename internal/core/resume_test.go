@@ -26,35 +26,24 @@ import (
 // always-cloning publish of the previous design would have kept for that
 // version"; the reference below is that design, kept as test code.
 
-// alwaysCloneBytes is the always-clone reference: the model and optimizer
-// sections of a checkpoint taken from the live writer state between ticks —
-// what a publish that clones both on every tick holds for the version it
-// just published.
+// alwaysCloneBytes is the always-clone reference: the whole payload of a
+// snapshot built from the live writer state between ticks — pipeline,
+// weights and optimizer cloned there and then, as a publish that clones all
+// three on every tick holds them for the version it just published.
 func alwaysCloneBytes(t *testing.T, d *Deployer) []byte {
 	t.Helper()
 	d.mu.Lock()
-	mdl, om := d.mdl.Clone(), d.optm.Clone()
+	pipe, mdl, om := d.pipe.Snapshot(), d.mdl.Clone(), d.optm.Clone()
 	d.mu.Unlock()
-	var buf bytes.Buffer
-	if err := model.Save(&buf, mdl); err != nil {
+	resume, err := opt.Encode(om)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := opt.Save(&buf, om); err != nil {
+	b, err := (&Snapshot{pipe: pipe, mdl: mdl, resume: resume}).payload()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
-}
-
-// resumeSections returns the model and optimizer sections of a frame: the
-// payload is model ‖ optimizer ‖ pipeline, each an independent gob stream,
-// and only the first two are byte-deterministic (gob walks the pipeline's
-// statistics maps in random order).
-func resumeSections(t *testing.T, f snapstream.Frame, n int) []byte {
-	t.Helper()
-	if len(f.Payload) < n {
-		t.Fatalf("frame payload is %d bytes, shorter than its %d-byte model+optimizer prefix", len(f.Payload), n)
-	}
-	return f.Payload[:n]
+	return b
 }
 
 func TestResumeStateMatchesAlwaysClone(t *testing.T) {
@@ -96,8 +85,8 @@ func TestResumeStateMatchesAlwaysClone(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !bytes.Equal(resumeSections(t, f, len(want)), want) {
-						t.Fatalf("version %d: frame's model+optimizer differ from the always-clone reference", f.Version)
+					if !bytes.Equal(f.Payload, want) {
+						t.Fatalf("version %d: the frame differs from the always-clone reference", f.Version)
 					}
 					if c, dm := d.obs.resumeCadence.Value(), d.obs.resumeOnDemand.Value(); c != wantCadence || dm != wantDemand {
 						t.Fatalf("version %d: resume clones cadence=%d demand=%d, want %d/%d", f.Version, c, dm, wantCadence, wantDemand)
@@ -111,8 +100,8 @@ func TestResumeStateMatchesAlwaysClone(t *testing.T) {
 					if err := fresh.SnapshotSink().Apply(f); err != nil {
 						t.Fatalf("restoring version %d: %v", f.Version, err)
 					}
-					if !bytes.Equal(modelBytes(t, fresh), want) {
-						t.Fatalf("version %d restored to a different model/optimizer", f.Version)
+					if !bytes.Equal(payloadBytes(t, fresh), want) {
+						t.Fatalf("version %d restored to a different state", f.Version)
 					}
 				}
 				tick := func(from, to int) {
@@ -123,7 +112,7 @@ func TestResumeStateMatchesAlwaysClone(t *testing.T) {
 
 				for i := 0; i < 7; i++ {
 					tick(i, i+1)
-					if d.current().optm != nil {
+					if d.current().resume != nil {
 						t.Fatalf("tick %d published resume state nobody asked for", i+1)
 					}
 				}
@@ -131,12 +120,12 @@ func TestResumeStateMatchesAlwaysClone(t *testing.T) {
 				if every == 8 {
 					// The 8th publish is the one the trigger takes: cloned at
 					// publish, so asking for it on demand costs nothing more.
-					if d.current().optm == nil {
+					if d.current().resume == nil {
 						t.Fatal("the publish handed to the checkpoint writer carries no resume state")
 					}
 					wantCadence = 1
 				} else {
-					if d.current().optm != nil {
+					if d.current().resume != nil {
 						t.Fatal("a deployment without a policy published resume state")
 					}
 					wantDemand = 1
@@ -172,9 +161,9 @@ func TestResumeClonesFollowTheHandOff(t *testing.T) {
 		// neither, or a clone that does not follow the hand-off.
 		cloned := d.obs.resumeCadence.Value() - clones
 		skipped := d.ckpt.skips.Value() - skips
-		if cloned+skipped != 1 || (cloned == 1) != (d.current().optm != nil) {
+		if cloned+skipped != 1 || (cloned == 1) != (d.current().resume != nil) {
 			t.Fatalf("tick %d: cadence clones +%d, skips +%d, resume state attached: %v",
-				i+1, cloned, skipped, d.current().optm != nil)
+				i+1, cloned, skipped, d.current().resume != nil)
 		}
 	}
 
@@ -188,7 +177,7 @@ func TestResumeClonesFollowTheHandOff(t *testing.T) {
 		ingestChunks(t, d, stream, i, i+1)
 		if d.ckpt.skips.Value() > skipsBefore {
 			sawSkip = true
-			if d.current().optm != nil {
+			if d.current().resume != nil {
 				t.Fatal("a skipped hand-off still cloned the optimizer into its snapshot")
 			}
 			if d.obs.resumeCadence.Value() != clonesBefore {
@@ -216,8 +205,8 @@ func TestResumePointUnderConcurrentConsumers(t *testing.T) {
 	stream := driftStream{chunks: ticks + 1, rows: 20, drift: 2, seed: 31}
 	newCfg := func() Config { return liveConfig(ModeOnline) }
 
-	// The uninterrupted trajectory: after[v] is the model and optimizer
-	// behind version v.
+	// The uninterrupted trajectory: after[v] is the whole state behind
+	// version v.
 	ref, err := NewDeployer(newCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -330,11 +319,11 @@ func TestResumePointUnderConcurrentConsumers(t *testing.T) {
 	for version, payloads := range frames {
 		want := after[version]
 		for _, p := range payloads {
-			if len(p) < len(want) || !bytes.Equal(p[:len(want)], want) {
-				t.Fatalf("version %d: a consumer saw a model/optimizer pair the deployment was never in", version)
+			if !bytes.Equal(p, want) {
+				t.Fatalf("version %d: a consumer saw a state the deployment was never in", version)
 			}
 		}
-		// One restore per version: the payloads agree on the resume sections.
+		// One restore per version: the payloads are the same bytes.
 		fresh, err := NewDeployer(newCfg())
 		if err != nil {
 			t.Fatal(err)
@@ -343,7 +332,7 @@ func TestResumePointUnderConcurrentConsumers(t *testing.T) {
 			t.Fatalf("restoring version %d: %v", version, err)
 		}
 		ingestChunks(t, fresh, stream, int(version)-1, int(version))
-		if !bytes.Equal(modelBytes(t, fresh), after[version+1]) {
+		if !bytes.Equal(payloadBytes(t, fresh), after[version+1]) {
 			t.Fatalf("version %d: the tick after the restore diverged from the original's", version)
 		}
 		fresh.Shutdown()
@@ -375,7 +364,7 @@ func TestFailedTickWindow(t *testing.T) {
 	}
 	ingestChunks(t, d, stream, 2, 3)
 	before := d.Published()
-	if before.optm != nil {
+	if before.resume != nil {
 		t.Fatal("setup: the snapshot before the fault already carries resume state")
 	}
 
@@ -437,8 +426,7 @@ func TestFailedTickWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := alwaysCloneBytes(t, d)
-	if !bytes.Equal(resumeSections(t, f, len(want)), want) {
+	if !bytes.Equal(f.Payload, alwaysCloneBytes(t, d)) {
 		t.Fatal("the frame after the window does not pair the published weights with their optimizer")
 	}
 }
@@ -452,7 +440,7 @@ func TestEncodeWithoutResumeStateIsAnError(t *testing.T) {
 	}
 	defer d.Shutdown()
 	bare := d.Published()
-	if bare.optm != nil {
+	if bare.resume != nil {
 		t.Fatal("the initial publish cloned the optimizer")
 	}
 	var buf bytes.Buffer
@@ -462,7 +450,7 @@ func TestEncodeWithoutResumeStateIsAnError(t *testing.T) {
 	// Completing it builds a new value at the same version; the published
 	// one is never written.
 	full := d.Current()
-	if full == bare || bare.optm != nil || full.optm == nil || full.Version() != bare.Version() ||
+	if full == bare || bare.resume != nil || full.resume == nil || full.Version() != bare.Version() ||
 		full.pipe != bare.pipe || full.mdl != bare.mdl {
 		t.Fatal("Current must swap in a copy sharing pipeline and weights, leaving the published value untouched")
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"cdml/internal/model"
@@ -13,7 +14,7 @@ import (
 // Snapshot is one immutable published deployment state: the transform-only
 // pipeline clone, the cloned model weights, and the precomputed statistics
 // as of publish time — everything a reader needs, and by default nothing a
-// reader does not (the optimizer is resume state, see optm). The writer
+// reader does not (the optimizer is resume state, see resume). The writer
 // (Ingest, Run, RestoreCheckpoint) builds a fresh Snapshot at the end of
 // every deployment tick and publishes it with a single atomic pointer
 // store; readers (Predict, Stats) load the pointer and never synchronize
@@ -33,16 +34,21 @@ import (
 type Snapshot struct {
 	pipe *pipeline.Pipeline
 	mdl  model.Model
-	// optm is the resume state: the optimizer exactly as of this snapshot's
-	// publish, or nil. Serving never reads it and cloning it costs two more
-	// model-sized vectors, so a snapshot carries it only when something is
-	// about to encode it — the publish the auto-checkpoint trigger takes,
-	// and the published snapshot once an on-demand consumer has asked for it
-	// (see resumePoint). It is never attached to a published Snapshot value:
-	// completing one builds a new value that shares pipe and mdl and is
-	// swapped in at the same version. A snapshot without it serves and
-	// reports like any other and refuses to encode (ErrResumeUnavailable).
-	optm    opt.Optimizer
+	// resume is the resume state: the optimizer exactly as of this snapshot's
+	// publish, already encoded as the optimizer section of a snapshot
+	// payload (opt.Encode), or nil. Bytes, not an optimizer: capturing
+	// it is one scan under d.mu that writes the section's non-zero
+	// coordinates (~90 KB for the URL deployment's two Adam slots, where a
+	// clone allocated and copied 512 KB), and encoding the snapshot later
+	// appends it as it is. Serving never reads it, so a snapshot carries it
+	// only when something is about to encode it — the publish the
+	// auto-checkpoint trigger takes, and the published snapshot once an
+	// on-demand consumer has asked for it (see resumePoint). It is never
+	// attached to a published Snapshot value: completing one builds a new
+	// value that shares pipe and mdl and is swapped in at the same version. A
+	// snapshot without it serves and reports like any other and refuses to
+	// encode (ErrResumeUnavailable).
+	resume  []byte
 	version uint64
 	builtAt time.Time
 	metric  float64
@@ -89,9 +95,9 @@ var ErrResumeUnavailable = errors.New("core: resume state unavailable until the 
 // Current returns the published snapshot as a complete resume point — the
 // snapshot to hand to WriteCheckpointFile or Frame. When the published
 // snapshot carries no resume state yet, Current attaches it (see
-// resumePoint: d.mu for the length of one optimizer clone, so a call waits
-// out at most the tick in flight). In the failed-tick window described at
-// ErrResumeUnavailable it returns the published snapshot as it is, whose
+// resumePoint: d.mu for the length of one scan of the optimizer, so a call
+// waits out at most the tick in flight). In the failed-tick window described
+// at ErrResumeUnavailable it returns the published snapshot as it is, whose
 // Frame reports that error.
 func (d *Deployer) Current() *Snapshot {
 	s, _ := d.resumePoint()
@@ -99,8 +105,8 @@ func (d *Deployer) Current() *Snapshot {
 }
 
 // resumePoint is the on-demand half of the resume-state rule: it returns
-// the published snapshot with the optimizer attached, cloning it now if the
-// publish did not. Every consumer that encodes outside the checkpoint
+// the published snapshot with the optimizer section attached, encoding it
+// now if the publish did not. Every consumer that encodes outside the checkpoint
 // cadence comes through here — CheckpointNow, Checkpoint, the snapstream
 // source behind GET .../checkpoint and replication, Current.
 //
@@ -110,41 +116,52 @@ func (d *Deployer) Current() *Snapshot {
 // held the live optimizer is the one of the published version — unless a
 // tick failed after stepping it, which optmAhead records; then the answer
 // is ErrResumeUnavailable rather than V's weights with a later optimizer.
-// d.mu is held for one Clone (two model-sized copies for Adam), never
-// across an encode or any IO. The completed snapshot replaces the
-// published one at the same version, so the clone is paid once per
+// d.mu is held for one scan of the optimizer's slots (withResume), never
+// across the encode of a payload or any IO. The completed snapshot replaces
+// the published one at the same version, so the scan is paid once per
 // version however many consumers ask.
 func (d *Deployer) resumePoint() (*Snapshot, error) {
-	if s := d.current(); s.optm != nil {
+	if s := d.current(); s.resume != nil {
 		return s, nil
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s := d.current()
-	if s.optm != nil {
+	if s.resume != nil {
 		return s, nil
 	}
 	if d.optmAhead {
 		return s, ErrResumeUnavailable
 	}
-	s = d.withResume(s, d.obs.resumeOnDemand)
-	d.snap.Store(s)
-	return s, nil
+	c, err := d.withResume(s, d.obs.resumeOnDemand)
+	if err != nil {
+		return s, err
+	}
+	d.snap.Store(c)
+	return c, nil
 }
 
-// withResume returns a copy of s that carries the live optimizer's clone —
-// the one place resume state enters a snapshot; cause is the counter of who
-// asked. s itself is not written: it may already be published. The caller
-// holds the writer serialization and has established the pairing rule
-// (publish: the optimizer it clones is the one it publishes beside;
-// resumePoint: no step since the publish of s).
+// withResume returns a copy of s that carries the live optimizer's encoded
+// section — the one place resume state enters a snapshot; cause is the
+// counter of who asked. The section is one allocation of its exact size
+// (opt.Encode scans each slot once to size it); nothing of the optimizer is
+// retained. s itself is
+// not written: it may already be published. The caller holds the writer
+// serialization and has established the pairing rule (publish: the optimizer
+// it encodes is the one it publishes beside; resumePoint: no step since the
+// publish of s). The only failure is an optimizer type of the caller's own,
+// which has no encoding.
 //
 //cdml:locked mu
-func (d *Deployer) withResume(s *Snapshot, cause *obs.Counter) *Snapshot {
+func (d *Deployer) withResume(s *Snapshot, cause *obs.Counter) (*Snapshot, error) {
+	resume, err := opt.Encode(d.optm)
+	if err != nil {
+		return nil, fmt.Errorf("core: capturing resume state: %w", err)
+	}
 	c := *s
-	c.optm = d.optm.Clone()
+	c.resume = resume
 	cause.Inc()
-	return &c
+	return &c, nil
 }
 
 // publish builds the next snapshot from the deployed pipeline, model, and
@@ -152,7 +169,7 @@ func (d *Deployer) withResume(s *Snapshot, cause *obs.Counter) *Snapshot {
 // writer serialization (d.mu for live use; NewDeployer and Run are
 // single-threaded by construction). Publishing is O(stateful components +
 // model dim) and O(1) in uptime — one pipeline snapshot and one weight
-// copy per tick, never per query — and clones the optimizer only for the
+// copy per tick, never per query — and encodes the optimizer only for the
 // publish the auto-checkpoint trigger is about to take.
 //
 //cdml:locked mu — the caller provides the writer serialization documented above
@@ -186,7 +203,12 @@ func (d *Deployer) publish() {
 	st.MatStats = d.cfg.Store.Stats()
 	snap.stats = st //lint:allow snapfreeze: pre-publication construction — snap is unshared until the Store below
 	if checkpoint {
-		snap = d.withResume(snap, d.obs.resumeCadence)
+		// An optimizer with no encoding leaves the snapshot without resume
+		// state; it is handed off all the same and the writer counts the
+		// checkpoint it could not encode, once per cadence.
+		if c, err := d.withResume(snap, d.obs.resumeCadence); err == nil {
+			snap = c
+		}
 	}
 	d.snap.Store(snap)
 	d.optmAhead = false

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"sync"
 
@@ -22,11 +21,11 @@ import (
 // resume state can be framed (Deployer.Current returns one); any other
 // reports ErrResumeUnavailable.
 func (s *Snapshot) Frame() (snapstream.Frame, error) {
-	var payload bytes.Buffer
-	if err := s.encodeTo(&payload); err != nil {
+	payload, err := s.payload()
+	if err != nil {
 		return snapstream.Frame{}, err
 	}
-	return snapstream.Frame{Version: s.version, Payload: payload.Bytes()}, nil
+	return snapstream.Frame{Version: s.version, Payload: payload}, nil
 }
 
 // snapshotSource yields the deployer's published snapshot as a frame. The
@@ -86,7 +85,7 @@ var _ snapstream.Sink = snapshotSink{}
 // concurrent Predict serves either the full prior state or the full
 // restored state, and a rejected frame leaves the prior snapshot serving.
 func (k snapshotSink) Apply(f snapstream.Frame) error {
-	return k.d.restoreCheckpointAt(bytes.NewReader(f.Payload), f.Version)
+	return k.d.restoreCheckpointAt(f.Payload, f.Version)
 }
 
 // SnapshotSink returns the deployer's frame sink: checkpoint recovery,

@@ -71,6 +71,12 @@ func (e *Engine) ForEach(n int, fn func(i int) error) error {
 // Cancelling ctx stops the dispatch of new tasks; tasks already running
 // finish normally, and the context's error is joined into the result.
 //
+// The caller is one of the workers: min(workers, n)-1 goroutines are
+// started and the calling goroutine claims tasks beside them before it
+// waits, so a call that needs one worker — every online tick's single
+// gradient shard — starts no goroutine, shares nothing and waits for no
+// wake-up.
+//
 // Task errors are collected per index and joined in index order, so the
 // combined error is a deterministic function of the task outcomes —
 // independent of goroutine completion order across runs.
@@ -84,44 +90,61 @@ func (e *Engine) ForEachCtx(ctx context.Context, n int, fn func(i int) error) er
 		start := time.Now() //lint:allow determinism: latency instrumentation feeds the histogram, never task results
 		defer func() { h.Observe(time.Since(start)) }()
 	}
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
 	errs := make([]error, n)
-	done := ctx.Done()
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				e.tasks.Add(1)
-				if err := fn(i); err != nil {
-					errs[i] = fmt.Errorf("engine: task %d: %w", i, err)
-				}
-			}
-		}()
+	if workers := min(e.workers, n); workers == 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			e.runTask(i, fn, errs)
+		}
+	} else {
+		e.runShared(ctx.Done(), workers, n, fn, errs)
 	}
-	wg.Wait()
 	// errors.Join drops nil entries, so passing the full slice preserves
 	// index order without an explicit filter pass.
 	if err := ctx.Err(); err != nil {
 		return errors.Join(errors.Join(errs...), err)
 	}
 	return errors.Join(errs...)
+}
+
+// runTask runs task i and files its error under its index.
+func (e *Engine) runTask(i int, fn func(i int) error, errs []error) {
+	e.tasks.Add(1)
+	if err := fn(i); err != nil {
+		errs[i] = fmt.Errorf("engine: task %d: %w", i, err)
+	}
+}
+
+// runShared has workers-1 goroutines and the caller claim tasks off one
+// counter until none are left or done is closed, and returns when all of
+// them have stopped.
+func (e *Engine) runShared(done <-chan struct{}, workers, n int, fn func(i int) error, errs []error) {
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	work := func() {
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			e.runTask(i, fn, errs)
+		}
+	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // Map runs fn over [0, n) in parallel, collecting results in order.

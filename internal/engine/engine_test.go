@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -208,5 +209,51 @@ func TestForEachMoreWorkersThanTasks(t *testing.T) {
 	}
 	if n.Load() != 3 {
 		t.Fatalf("ran %d tasks", n.Load())
+	}
+}
+
+// goroutineID reads the running goroutine's id off its stack header
+// ("goroutine 17 [running]:"); tests only.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return string(bytes.Fields(buf)[1])
+}
+
+// The caller is one of the workers, so the single-shard call every online
+// tick makes runs fn where it was called and starts no goroutine: the tick
+// never waits for the scheduler to wake a parked thread for 3 µs of work.
+func TestForEachSingleTaskRunsOnTheCaller(t *testing.T) {
+	e := New(4)
+	caller, ran := goroutineID(), ""
+	if err := e.ForEachCtx(context.Background(), 1, func(int) error { ran = goroutineID(); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if ran != caller {
+		t.Fatalf("one-task ForEachCtx ran fn on goroutine %s, caller is %s", ran, caller)
+	}
+	// With several tasks the caller still takes its share: task 0 is claimed
+	// before any started goroutine can have been scheduled ahead of it on
+	// one worker.
+	one := New(1)
+	var others atomic.Int32
+	if err := one.ForEach(8, func(int) error {
+		if goroutineID() != caller {
+			others.Add(1)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if others.Load() != 0 {
+		t.Fatalf("a one-worker engine ran %d of 8 tasks off the calling goroutine", others.Load())
+	}
+	fn := func(int) error { return nil }
+	ctx := context.Background()
+	// The error slice is all a one-worker call allocates; the counter, wait
+	// group and closure workers share (3 more, and a goroutine start) are
+	// paid only when there are workers to share with.
+	if allocs := testing.AllocsPerRun(200, func() { _ = e.ForEachCtx(ctx, 1, fn) }); allocs > 1 {
+		t.Fatalf("one-task ForEachCtx allocates %.0f times, want at most 1", allocs)
 	}
 }

@@ -2,15 +2,19 @@ package model
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
+
+	"cdml/internal/flat"
 )
 
 // snapshot is the serialized form of a model. Only weights and the
-// constructor parameters are persisted; optimizer state is snapshotted
-// separately via opt.Optimizer.Clone when warm starting in process.
+// constructor parameters are persisted; optimizer state travels in its own
+// section (opt.NewSection). Both readers — the flat one below and the v1
+// gob reader in persist_v1.go — fill one of these and hand it to build,
+// which is the only place a model is constructed from bytes.
 type snapshot struct {
 	Kind    string
 	Dim     int
@@ -22,8 +26,15 @@ type snapshot struct {
 	Factors int // MF only
 }
 
-// Save serializes a model to w with encoding/gob.
-func Save(w io.Writer, m Model) error {
+// The model section of a snapshot payload (internal/flat, DESIGN.md §5n):
+//
+//	kind string | dim, k, users, items, factors uvarint | reg f64 | weights float block
+//
+// The five shape numbers are always present (zero where the kind has no use
+// for one), so there is one layout, not one per kind.
+
+// snapshotOf captures m; the weights are m's own slice, not a copy.
+func snapshotOf(m Model) (snapshot, error) {
 	s := snapshot{Dim: m.Dim(), Weights: m.Weights()}
 	switch t := m.(type) {
 	case *SVM:
@@ -38,56 +49,166 @@ func Save(w io.Writer, m Model) error {
 		s.Kind, s.Reg = "mf", t.Reg()
 		s.Users, s.Items, s.Factors = t.Users, t.Items, t.Factors
 	default:
-		return fmt.Errorf("model: cannot save unknown model type %T", m)
+		return snapshot{}, fmt.Errorf("model: cannot save unknown model type %T", m)
 	}
-	if err := gob.NewEncoder(w).Encode(s); err != nil {
-		return fmt.Errorf("model: encoding %s: %w", s.Kind, err)
-	}
-	return nil
+	return s, nil
 }
 
-// Load deserializes a model written by Save.
-func Load(r io.Reader) (Model, error) {
+func (s *snapshot) shape() [5]int { return [5]int{s.Dim, s.K, s.Users, s.Items, s.Factors} }
+
+// Section is a model ready to be encoded: captured and its weights scanned
+// once (flat.Scan), so that the size is known before the destination is
+// allocated. It references the model's weights, which must not change until
+// AppendTo has run — a published snapshot's model never does.
+type Section struct {
+	s       snapshot
+	weights flat.Block
+}
+
+// NewSection captures m.
+func NewSection(m Model) (Section, error) {
+	s, err := snapshotOf(m)
+	return Section{s: s, weights: flat.Scan(s.Weights)}, err
+}
+
+// Size is the number of bytes AppendTo appends.
+func (c Section) Size() int {
+	n := flat.StringSize(c.s.Kind) + 8 + c.weights.Size()
+	for _, v := range c.s.shape() {
+		n += flat.UvarintSize(uint64(v))
+	}
+	return n
+}
+
+// AppendTo appends the section to dst.
+func (c Section) AppendTo(dst []byte) []byte {
+	dst = flat.AppendString(dst, c.s.Kind)
+	for _, v := range c.s.shape() {
+		dst = flat.AppendUvarint(dst, uint64(v))
+	}
+	return c.weights.AppendTo(flat.AppendFloat64(dst, c.s.Reg))
+}
+
+// encode returns m's section in a buffer of its own.
+func encode(m Model) ([]byte, error) {
+	c, err := NewSection(m)
+	if err != nil {
+		return nil, err
+	}
+	return c.AppendTo(make([]byte, 0, c.Size())), nil
+}
+
+// DecodeSection reads one model section from r. maxWeights bounds the weight
+// vector before it is allocated: a deployment passes its own model's weight
+// count, so no payload can ask for more memory than the state it replaces.
+func DecodeSection(r *flat.Reader, maxWeights int) (Model, error) {
 	var s snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
+	s.Kind = r.String()
+	shape := [5]*int{&s.Dim, &s.K, &s.Users, &s.Items, &s.Factors}
+	for _, p := range shape {
+		*p = r.Count(maxWeights, "model shape")
+	}
+	s.Reg = r.Float64()
+	s.Weights = r.Floats(maxWeights)
+	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("model: decoding: %w", err)
 	}
-	var m Model
+	return s.build(maxWeights)
+}
+
+// build validates a decoded snapshot and constructs its model. Nothing is
+// allocated from a number the snapshot claims until the weights it actually
+// carries have been counted against it, and no constructor is reached with
+// an argument it would panic on.
+func (s *snapshot) build(maxWeights int) (Model, error) {
+	if len(s.Weights) > maxWeights {
+		return nil, fmt.Errorf("model: snapshot carries %d weights, at most %d allowed", len(s.Weights), maxWeights)
+	}
+	for _, v := range s.shape() {
+		// Every shape number is at most the weight count it contributes to,
+		// which also keeps the products below from overflowing.
+		if v < 0 || v > len(s.Weights) {
+			return nil, fmt.Errorf("model: corrupt %s snapshot: shape %v with %d weights", s.Kind, s.shape(), len(s.Weights))
+		}
+	}
+	if math.IsNaN(s.Reg) || math.IsInf(s.Reg, 0) || s.Reg < 0 {
+		return nil, fmt.Errorf("model: corrupt %s snapshot: regularization %v", s.Kind, s.Reg)
+	}
+	var want int
+	var mk func() Model
 	switch s.Kind {
 	case "svm":
-		m = NewSVM(s.Dim, s.Reg)
+		want, mk = s.Dim+1, func() Model { return NewSVM(s.Dim, s.Reg) }
 	case "linreg":
-		m = NewLinearRegression(s.Dim, s.Reg)
+		want, mk = s.Dim+1, func() Model { return NewLinearRegression(s.Dim, s.Reg) }
 	case "logreg":
-		m = NewLogisticRegression(s.Dim, s.Reg)
+		want, mk = s.Dim+1, func() Model { return NewLogisticRegression(s.Dim, s.Reg) }
 	case "kmeans":
-		if s.Dim <= 0 || len(s.Weights) != s.K*s.Dim+1 {
-			return nil, fmt.Errorf("model: corrupt k-means snapshot (k=%d dim=%d weights=%d)", s.K, s.Dim, len(s.Weights))
-		}
-		m = NewKMeans(s.K, s.Dim)
+		want, mk = s.K*s.Dim+1, func() Model { return NewKMeans(s.K, s.Dim) }
 	case "mf":
-		if s.Users <= 0 || s.Items <= 0 || s.Factors <= 0 {
-			return nil, fmt.Errorf("model: corrupt MF snapshot (%d users, %d items, %d factors)", s.Users, s.Items, s.Factors)
+		if s.Users > 0 && s.Items > 0 && s.Factors > 0 {
+			want = s.Users + s.Items + (s.Users+s.Items)*s.Factors + 1
 		}
-		m = NewMF(s.Users, s.Items, s.Factors, s.Reg, 0)
+		mk = func() Model { return NewMF(s.Users, s.Items, s.Factors, s.Reg, 0) }
 	default:
 		return nil, fmt.Errorf("model: unknown model kind %q", s.Kind)
 	}
-	if len(s.Weights) != len(m.Weights()) {
-		return nil, fmt.Errorf("model: snapshot weight length %d, want %d", len(s.Weights), len(m.Weights()))
+	// A bias slot and at least one weight: with the product above that makes
+	// every number a constructor takes positive.
+	if want < 2 || want != len(s.Weights) {
+		return nil, fmt.Errorf("model: corrupt %s snapshot: shape %v needs %d weights, have %d", s.Kind, s.shape(), want, len(s.Weights))
+	}
+	m := mk()
+	// The model must be the one the snapshot describes and no more: a number
+	// its kind has no use for (k on an SVM, a k-means regularizer) would be
+	// dropped here and the state would not re-encode to the bytes it came from.
+	if back, _ := snapshotOf(m); back.shape() != s.shape() || math.Float64bits(back.Reg) != math.Float64bits(s.Reg) {
+		return nil, fmt.Errorf("model: corrupt %s snapshot: shape %v, regularization %v", s.Kind, s.shape(), s.Reg)
 	}
 	m.SetWeights(s.Weights)
 	return m, nil
 }
 
+// Save writes m's section to w: a stream that holds one model and nothing
+// else.
+func Save(w io.Writer, m Model) error {
+	b, err := encode(m)
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("model: writing %s: %w", m.Name(), err)
+	}
+	return nil
+}
+
+// Load reads r to its end and decodes the one model Save wrote there.
+func Load(r io.Reader) (Model, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("model: reading: %w", err)
+	}
+	fr := flat.NewReader(b)
+	// Eight input bytes can stand for at most 64 zero weights, so the input's
+	// own length bounds what it may ask for.
+	m, err := DecodeSection(fr, 8*len(b))
+	if err != nil {
+		return nil, err
+	}
+	if err := fr.Close(); err != nil {
+		return nil, fmt.Errorf("model: decoding: %w", err)
+	}
+	return m, nil
+}
+
 // SaveFile writes a model to path atomically.
 func SaveFile(path string, m Model) error {
-	var buf bytes.Buffer
-	if err := Save(&buf, m); err != nil {
+	b, err := encode(m)
+	if err != nil {
 		return err
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(tmp, b, 0o644); err != nil {
 		return fmt.Errorf("model: writing %s: %w", tmp, err)
 	}
 	if err := os.Rename(tmp, path); err != nil {

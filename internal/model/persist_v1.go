@@ -1,0 +1,21 @@
+package model
+
+import (
+	"encoding/gob"
+	"fmt"
+	"io"
+)
+
+// LoadV1 reads the model section of a snapshot payload written before the
+// flat format (DESIGN.md §5n): one gob stream of the snapshot struct. It is
+// the v1 reader — checkpoints, restore bodies and primary frames from such a
+// server are still supported input — and nothing writes this form any more.
+// The decoded snapshot goes through the same validation as a flat one. r
+// must be an io.ByteReader, or gob reads past its own stream.
+func LoadV1(r io.Reader, maxWeights int) (Model, error) {
+	var s snapshot
+	if err := gob.NewDecoder(r).Decode(&s); err != nil {
+		return nil, fmt.Errorf("model: decoding: %w", err)
+	}
+	return s.build(maxWeights)
+}

@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 
 	"cdml/internal/data"
+	"cdml/internal/flat"
 	"cdml/internal/linalg"
 )
 
@@ -166,12 +167,20 @@ func TestQuickPipelineCheckpointRoundTrip(t *testing.T) {
 		comps2 := randomComponents(r2)
 		p2 := &Pipeline{Components: comps2, FeatureCol: "features", LabelCol: "label"}
 
-		var buf bytes.Buffer
-		if err := p.SaveState(&buf); err != nil {
+		state, err := p.AppendState(nil)
+		if err != nil || len(state) != p.StateSize() {
 			return false
 		}
-		if err := p2.LoadState(&buf); err != nil {
+		fr := flat.NewReader(state)
+		if err := p2.LoadState(fr); err != nil || fr.Close() != nil {
 			return false
+		}
+		// Equal state is equal bytes: the restored twin, and the serving
+		// snapshot of either, encode to what the original did.
+		for _, q := range []*Pipeline{p2, p.Snapshot(), p2.Snapshot()} {
+			if again, err := q.AppendState(nil); err != nil || !bytes.Equal(again, state) {
+				return false
+			}
 		}
 		query := randomFrame(r, 8)
 		a, err := p.Transform(query)

@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -16,7 +15,6 @@ import (
 	"cdml/internal/core"
 	"cdml/internal/model"
 	"cdml/internal/obs"
-	"cdml/internal/opt"
 	"cdml/internal/snapstream"
 )
 
@@ -57,33 +55,16 @@ func warmOn(chunks [][][]byte) func(*Deployment) error {
 	}
 }
 
-// resumeState is the deployed model and optimizer as bytes — equal bytes,
-// bit-identical training trajectory. They are read back out of a checkpoint
-// and re-encoded on their own: the pipeline section behind them gob-encodes
-// maps, whose byte order is not stable.
+// resumeState is the deployment's whole state as bytes — its checkpoint
+// payload: model, optimizer and pipeline statistics. Equal state is equal
+// bytes (DESIGN.md §5n), so equal bytes mean a bit-identical trajectory.
 func resumeState(t *testing.T, d *Deployment) []byte {
 	t.Helper()
 	var ckpt bytes.Buffer
 	if err := d.Serving().Checkpoint(&ckpt); err != nil {
 		t.Fatal(err)
 	}
-	br := bufio.NewReader(&ckpt)
-	m, err := model.Load(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := opt.Load(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := model.Save(&out, m); err != nil {
-		t.Fatal(err)
-	}
-	if err := opt.Save(&out, o); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
+	return ckpt.Bytes()
 }
 
 // TestCreateRecoversElseWarmsThenReplays pins the boot order every door

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -143,6 +145,24 @@ func predictions(t *testing.T, ts *httptest.Server, body string) []float64 {
 	return pr.Predictions
 }
 
+// checkpointBody is GET .../checkpoint: the server's whole state as its
+// snapshot payload. Equal state is equal bytes (DESIGN.md §5n), so a synced
+// replica's body is the primary's — pipeline statistics, weights and
+// optimizer slots, not only the predictions they happen to produce.
+func checkpointBody(t *testing.T, ts *httptest.Server) []byte {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/v1/deployments/default/checkpoint")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET .../checkpoint: status %d, %v", resp.StatusCode, err)
+	}
+	return b
+}
+
 func trainChunks(t *testing.T, ts *httptest.Server, r *rand.Rand, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -193,6 +213,9 @@ func TestReplicaSyncBitIdentical(t *testing.T) {
 		if want2[i] != got2[i] {
 			t.Fatalf("post-catchup prediction %d differs", i)
 		}
+	}
+	if !bytes.Equal(checkpointBody(t, rts), checkpointBody(t, pts)) {
+		t.Fatal("the synced replica's state is not the primary's, byte for byte")
 	}
 
 	st := getStatus(t, rts)
@@ -375,6 +398,9 @@ func TestChaosReplicaKillResync(t *testing.T) {
 			t.Fatalf("resynced prediction %d differs", i)
 		}
 	}
+	if !bytes.Equal(checkpointBody(t, rts2), checkpointBody(t, pts)) {
+		t.Fatal("the resynced replica's state is not the primary's, byte for byte")
+	}
 }
 
 // TestChaosPredictDuringReplicaSwap hammers a replica's lock-free predict
@@ -450,6 +476,9 @@ func TestChaosPredictDuringReplicaSwap(t *testing.T) {
 		if want[i] != got[i] {
 			t.Fatalf("prediction %d differs after concurrent swaps", i)
 		}
+	}
+	if !bytes.Equal(checkpointBody(t, rts), checkpointBody(t, pts)) {
+		t.Fatal("after concurrent swaps the replica's state is not the primary's, byte for byte")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,11 +16,13 @@ import (
 
 	"cdml/internal/core"
 	"cdml/internal/data"
+	"cdml/internal/dataset"
 	"cdml/internal/eval"
 	"cdml/internal/model"
 	"cdml/internal/opt"
 	"cdml/internal/pipeline"
 	"cdml/internal/sample"
+	"cdml/internal/snapstream"
 )
 
 // testParser parses "label,x0,x1".
@@ -357,6 +360,101 @@ func TestCheckpointRestoreOverHTTP(t *testing.T) {
 		if preds[0].Predictions[i] != preds[1].Predictions[i] {
 			t.Fatalf("prediction %d differs after HTTP restore", i)
 		}
+	}
+}
+
+// TestRestoreV1PayloadOverHTTP: a restore body saved from a server older
+// than the flat payload (DESIGN.md §5n) is still supported input. The raw
+// gob payload of core's committed v1 checkpoint restores to the state it was
+// written from — GET .../checkpoint then answers that state in the current
+// format, which is the committed v2 payload byte for byte — and a damaged
+// body of either format is a 400 that leaves the serving state as it was.
+func TestRestoreV1PayloadOverHTTP(t *testing.T) {
+	payload := func(name string) []byte {
+		t.Helper()
+		f, err := snapstream.ReadFile(filepath.Join("..", "core", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.Payload
+	}
+	v1, v2 := payload("ckpt-v1-url.ckpt"), payload("ckpt-v2-url.ckpt")
+	// The deployment core's fixtures were written from (core.v1Fixture).
+	dep, err := core.NewDeployer(core.Config{
+		Mode:           core.ModeContinuous,
+		NewPipeline:    func() *pipeline.Pipeline { return dataset.NewURLPipeline(256) },
+		NewModel:       func() model.Model { return dataset.NewURLModel(256, 1e-3) },
+		NewOptimizer:   func() opt.Optimizer { return opt.NewAdam(0.05) },
+		Store:          data.NewStore(data.NewMemoryBackend()),
+		Sampler:        sample.NewTime(1),
+		SampleChunks:   5,
+		ProactiveEvery: 4,
+		Metric:         &eval.Misclassification{},
+		Predict:        core.ClassifyPredictor,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(dep, WithSlog(nil)))
+	t.Cleanup(ts.Close)
+	restore := func(body []byte) int {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/v1/deployments/default/restore", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		_, _ = io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+	checkpoint := func() []byte {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/v1/deployments/default/checkpoint")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET .../checkpoint: status %d, %v", resp.StatusCode, err)
+		}
+		return b
+	}
+
+	fresh := checkpoint()
+	if bytes.Equal(fresh, v2) {
+		t.Fatal("setup: a fresh deployment already holds the fixture's state")
+	}
+	for name, body := range map[string][]byte{
+		"a torn v1 body":        v1[:len(v1)/2],
+		"a torn v2 body":        v2[:len(v2)/2],
+		"a v1 body grown":       append(append([]byte(nil), v1...), 0),
+		"a v2 body grown":       append(append([]byte(nil), v2...), 0),
+		"a v2 body, tag broken": append([]byte{'c'}, v2[1:]...),
+		"a v1 body, bit flipped": func() []byte {
+			b := append([]byte(nil), v1...)
+			b[2] ^= 0x10 // inside gob's first type definition
+			return b
+		}(),
+	} {
+		if status := restore(body); status != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", name, status)
+		}
+		if !bytes.Equal(checkpoint(), fresh) {
+			t.Fatalf("%s was refused but changed the serving state", name)
+		}
+	}
+	if status := restore(v1); status != http.StatusOK {
+		t.Fatalf("restoring the v1 payload: status %d", status)
+	}
+	if !bytes.Equal(checkpoint(), v2) {
+		t.Fatal("the state restored from the v1 body is not the state it was written from")
+	}
+	if status := restore(v2); status != http.StatusOK {
+		t.Fatalf("restoring the v2 payload: status %d", status)
+	}
+	if !bytes.Equal(checkpoint(), v2) {
+		t.Fatal("the state restored from the v2 body does not encode to that body")
 	}
 }
 

@@ -43,11 +43,14 @@ func FilePath(dir string, version uint64) string {
 
 // WriteFile durably persists one frame into dir. The write is crash-safe:
 // the encoded frame goes to a *.tmp file which is fsynced, atomically
-// renamed into place, and the directory entry is fsynced. Stage spans
-// (write, fsync, rename) attach under parent; nil disables tracing (span
-// methods are nil-safe).
+// renamed into place, and the directory entry is fsynced. The frame goes out
+// as three writes — header, payload, CRC: the bytes EncodeFrame produces,
+// without copying the payload into a second buffer of its size first (a
+// crash between the writes tears a temp file no reader ever opens). Stage
+// spans (write, fsync, rename) attach under parent; nil disables tracing
+// (span methods are nil-safe).
 func WriteFile(dir string, f Frame, parent *obs.Span) (FileInfo, error) {
-	frame := EncodeFrame(f)
+	parts := [3][]byte{appendHeader(nil, Magic, f), f.Payload, appendTrailer(nil, f)}
 	path := FilePath(dir, f.Version)
 	tmp := path + ".tmp"
 	wr := parent.StartChild("write")
@@ -55,10 +58,12 @@ func WriteFile(dir string, f Frame, parent *obs.Span) (FileInfo, error) {
 	if err != nil {
 		return FileInfo{}, fmt.Errorf("snapstream: creating frame temp file: %w", err)
 	}
-	if _, err := fh.Write(frame); err != nil {
-		_ = fh.Close()
-		_ = os.Remove(tmp)
-		return FileInfo{}, fmt.Errorf("snapstream: writing frame: %w", err)
+	for _, part := range parts {
+		if _, err := fh.Write(part); err != nil {
+			_ = fh.Close()
+			_ = os.Remove(tmp)
+			return FileInfo{}, fmt.Errorf("snapstream: writing frame: %w", err)
+		}
 	}
 	wr.Finish()
 	fs := parent.StartChild("fsync")

@@ -15,7 +15,7 @@
 //	magic   [8]byte  "CDMLCKP1"
 //	version uint64   big-endian snapshot version
 //	length  uint64   big-endian payload byte count
-//	payload []byte   Snapshot.encodeTo output (gob streams)
+//	payload []byte   the snapshot payload (core: "CDMLSNP2" ‖ model ‖ optimizer ‖ pipeline sections)
 //	crc     uint32   big-endian IEEE CRC-32 of payload
 //
 // A torn transfer — crash mid-write, truncated HTTP body, bit rot —
@@ -48,8 +48,8 @@ var ErrNoFrame = errors.New("snapstream: no frame available")
 // point and truncate there; a torn frame anywhere else is corruption.
 var ErrTornFrame = errors.New("snapstream: torn frame")
 
-// Frame is one versioned, encoded snapshot. The payload is the gob stream
-// produced by the snapshot encoder; snapstream treats it as opaque bytes.
+// Frame is one versioned, encoded snapshot. The payload is what the snapshot
+// encoder produced; snapstream treats it as opaque bytes.
 type Frame struct {
 	// Version is the snapshot version (ticks = version-1 for a live
 	// deployment). Monotonically increasing per deployment lineage.
@@ -89,10 +89,18 @@ func AppendFrame(dst []byte, f Frame) []byte {
 // frame; other record streams (the write-ahead ingest log) reuse the
 // codec with their own preamble so files cannot masquerade across formats.
 func AppendFrameMagic(dst []byte, magic string, f Frame) []byte {
+	return appendTrailer(append(appendHeader(dst, magic, f), f.Payload...), f)
+}
+
+// appendHeader appends what precedes f's payload in a frame, appendTrailer
+// what follows it.
+func appendHeader(dst []byte, magic string, f Frame) []byte {
 	dst = append(dst, magic...)
 	dst = binary.BigEndian.AppendUint64(dst, f.Version)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(len(f.Payload)))
-	dst = append(dst, f.Payload...)
+	return binary.BigEndian.AppendUint64(dst, uint64(len(f.Payload)))
+}
+
+func appendTrailer(dst []byte, f Frame) []byte {
 	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(f.Payload))
 }
 
@@ -115,7 +123,9 @@ func NextFrame(magic, name string, b []byte) (Frame, []byte, error) {
 	version := binary.BigEndian.Uint64(b[8:16])
 	n := binary.BigEndian.Uint64(b[16:24])
 	total := uint64(headerLen) + n + 4
-	if uint64(len(b)) < total {
+	// n is whatever the bytes say: one near 2^64 wraps total around to a
+	// small number, so it is checked on its own first.
+	if n > uint64(len(b)) || uint64(len(b)) < total {
 		return Frame{}, nil, fmt.Errorf("snapstream: %s: %w (have %d payload bytes, header says %d)",
 			name, ErrTornFrame, len(b)-headerLen, n)
 	}
