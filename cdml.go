@@ -271,16 +271,19 @@ func NewMF(users, items, factors int, reg float64, seed int64) *model.MF {
 // EncodePair builds the 2-hot instance vector MF consumes.
 func EncodePair(users, items, u, i int) *Sparse { return model.EncodePair(users, items, u, i) }
 
-// SaveModel serializes a model to w.
+// SaveModel serializes a model to w: one flat section (DESIGN.md §5n), and
+// the stream holds nothing else.
 func SaveModel(w io.Writer, m Model) error { return model.Save(w, m) }
 
-// LoadModel deserializes a model written by SaveModel.
+// LoadModel reads r to its end and deserializes the one model SaveModel
+// wrote there, in the current format or an older release's.
 func LoadModel(r io.Reader) (Model, error) { return model.Load(r) }
 
 // SaveModelFile writes a model to path atomically.
 func SaveModelFile(path string, m Model) error { return model.SaveFile(path, m) }
 
-// LoadModelFile reads a model written by SaveModelFile.
+// LoadModelFile reads a model written by SaveModelFile, in the current
+// format or an older release's.
 func LoadModelFile(path string) (Model, error) { return model.LoadFile(path) }
 
 // Optimizer applies gradient steps with optional per-coordinate adaptation.
@@ -308,7 +311,8 @@ func NewFTRL(l1, l2 float64) *opt.FTRL { return opt.NewFTRL(l1, l2) }
 // enabling warm restarts across process boundaries.
 func SaveOptimizer(w io.Writer, o Optimizer) error { return opt.Save(w, o) }
 
-// LoadOptimizer deserializes an optimizer written by SaveOptimizer.
+// LoadOptimizer reads r to its end and deserializes the one optimizer
+// SaveOptimizer wrote there, in the current format or an older release's.
 func LoadOptimizer(r io.Reader) (Optimizer, error) { return opt.Load(r) }
 
 // NewOptimizer constructs an optimizer by name ("sgd", "momentum", "adam",

@@ -116,6 +116,14 @@ func TestDamagedPayloadIsRefused(t *testing.T) {
 	}
 	refused("a payload with a trailing byte", append(append([]byte(nil), good...), 0))
 	refused("a payload under another tag", append([]byte("CDMLSNP3"), good[8:]...))
+	// The payload ends with the one-hot encoder's last count; its sign bit
+	// makes that a negative count, which no Observe produces.
+	negative := append([]byte(nil), good...)
+	negative[len(negative)-1] |= 0x80
+	refused("a negative categorical count", negative)
+	if err := d.RestoreCheckpoint(bytes.NewReader(negative)); !strings.Contains(err.Error(), "has count -") {
+		t.Fatalf("a negative categorical count was refused for another reason: %v", err)
+	}
 	accepted := 0
 	for i := len(payloadTag); i < len(good); i++ {
 		for bit := 0; bit < 8; bit++ {

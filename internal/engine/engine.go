@@ -74,8 +74,7 @@ func (e *Engine) ForEach(n int, fn func(i int) error) error {
 // The caller is one of the workers: min(workers, n)-1 goroutines are
 // started and the calling goroutine claims tasks beside them before it
 // waits, so a call that needs one worker — every online tick's single
-// gradient shard — starts no goroutine, shares nothing and waits for no
-// wake-up.
+// gradient shard — starts no goroutine and waits for no wake-up.
 //
 // Task errors are collected per index and joined in index order, so the
 // combined error is a deterministic function of the task outcomes —
@@ -90,61 +89,56 @@ func (e *Engine) ForEachCtx(ctx context.Context, n int, fn func(i int) error) er
 		start := time.Now() //lint:allow determinism: latency instrumentation feeds the histogram, never task results
 		defer func() { h.Observe(time.Since(start)) }()
 	}
-	errs := make([]error, n)
-	if workers := min(e.workers, n); workers == 1 {
-		for i := 0; i < n && ctx.Err() == nil; i++ {
-			e.runTask(i, fn, errs)
-		}
-	} else {
-		e.runShared(ctx.Done(), workers, n, fn, errs)
+	// One allocation holds everything the workers share, so a call that
+	// starts none pays for it and the error slice and nothing else.
+	r := &forEachRun{e: e, done: ctx.Done(), n: n, fn: fn, errs: make([]error, n)}
+	workers := min(e.workers, n)
+	r.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer r.wg.Done()
+			r.work()
+		}()
 	}
+	r.work()
+	r.wg.Wait()
 	// errors.Join drops nil entries, so passing the full slice preserves
 	// index order without an explicit filter pass.
 	if err := ctx.Err(); err != nil {
-		return errors.Join(errors.Join(errs...), err)
+		return errors.Join(errors.Join(r.errs...), err)
 	}
-	return errors.Join(errs...)
+	return errors.Join(r.errs...)
 }
 
-// runTask runs task i and files its error under its index.
-func (e *Engine) runTask(i int, fn func(i int) error, errs []error) {
-	e.tasks.Add(1)
-	if err := fn(i); err != nil {
-		errs[i] = fmt.Errorf("engine: task %d: %w", i, err)
-	}
+// forEachRun is one ForEachCtx call: its tasks, the counter its workers
+// claim them from and where their errors go.
+type forEachRun struct {
+	e    *Engine
+	done <-chan struct{}
+	n    int
+	fn   func(i int) error
+	errs []error
+	next atomic.Int64
+	wg   sync.WaitGroup
 }
 
-// runShared has workers-1 goroutines and the caller claim tasks off one
-// counter until none are left or done is closed, and returns when all of
-// them have stopped.
-func (e *Engine) runShared(done <-chan struct{}, workers, n int, fn func(i int) error, errs []error) {
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	work := func() {
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			e.runTask(i, fn, errs)
+// work claims and runs tasks until none are left or done is closed.
+func (r *forEachRun) work() {
+	for {
+		select {
+		case <-r.done:
+			return
+		default:
+		}
+		i := int(r.next.Add(1)) - 1
+		if i >= r.n {
+			return
+		}
+		r.e.tasks.Add(1)
+		if err := r.fn(i); err != nil {
+			r.errs[i] = fmt.Errorf("engine: task %d: %w", i, err)
 		}
 	}
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
 }
 
 // Map runs fn over [0, n) in parallel, collecting results in order.

@@ -91,23 +91,6 @@ func Scan(v []float64) Block {
 	return b
 }
 
-// ScanSeen is Scan for a slice known to be zero outside the coordinates set
-// in seen (bit i&63 of word i>>6): only those are examined, so a vector that
-// is mostly untouched costs what was touched. seen may cover coordinates
-// that hold a zero; it must not miss one that does not.
-func ScanSeen(v []float64, seen []uint64) Block {
-	b := Block{v: v, bitmap: make([]byte, (len(v)+7)/8)}
-	for w, m := range seen {
-		for ; m != 0; m &= m - 1 {
-			if i := w<<6 + bits.TrailingZeros64(m); i < len(v) && math.Float64bits(v[i]) != 0 {
-				b.bitmap[i>>3] |= 1 << (i & 7)
-				b.nz++
-			}
-		}
-	}
-	return b
-}
-
 // Size is the number of bytes AppendTo appends.
 func (b Block) Size() int { return UvarintSize(uint64(len(b.v))) + len(b.bitmap) + 8*b.nz }
 

@@ -89,38 +89,6 @@ func TestQuickFloatBlockRoundTrip(t *testing.T) {
 	}
 }
 
-// ScanSeen examines only the coordinates it is told may be non-zero and must
-// then agree with a scan of all of them, whatever else the set covers.
-func TestScanSeenAgreesWithScan(t *testing.T) {
-	f := func(seed int64, length uint16) bool {
-		r := rand.New(rand.NewSource(seed))
-		v := make([]float64, int(length)%700)
-		seen := make([]uint64, (len(v)+63)/64+1) // a word past the end, too
-		for i := range v {
-			switch r.Intn(6) {
-			case 0:
-				v[i] = r.NormFloat64()
-				seen[i>>6] |= 1 << (i & 63)
-			case 1:
-				seen[i>>6] |= 1 << (i & 63) // stepped, and zero again (or still)
-			case 2:
-				v[i] = math.Copysign(0, -1)
-				seen[i>>6] |= 1 << (i & 63)
-			}
-		}
-		seen[len(seen)-1] = ^uint64(0)
-		want := Scan(v)
-		got := ScanSeen(v, seen)
-		return got.Size() == want.Size() && bytes.Equal(got.AppendTo(nil), want.AppendTo(nil))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-	if b := ScanSeen(nil, nil); b.Size() != 1 || !bytes.Equal(b.AppendTo(nil), []byte{0}) {
-		t.Fatal("an unallocated slot is not the empty block")
-	}
-}
-
 func TestScalarsAndStringsRoundTrip(t *testing.T) {
 	b := AppendUvarint(nil, 300)
 	b = AppendString(b, "héllo")

@@ -12,7 +12,7 @@ import (
 
 // snapshot is the serialized form of a model. Only weights and the
 // constructor parameters are persisted; optimizer state travels in its own
-// section (opt.NewSection). Both readers — the flat one below and the v1
+// section (opt.Encode). Both readers — the flat one below and the v1
 // gob reader in persist_v1.go — fill one of these and hand it to build,
 // which is the only place a model is constructed from bytes.
 type snapshot struct {
@@ -182,23 +182,32 @@ func Save(w io.Writer, m Model) error {
 	return nil
 }
 
-// Load reads r to its end and decodes the one model Save wrote there.
+// Load reads r to its end and decodes the one model Save wrote there: the
+// stream holds one model and nothing else. A section carries no tag of its
+// own, so a stream that is not a flat section is tried as what Save wrote
+// before the flat format, one gob stream (LoadV1): model files of older
+// releases still load.
 func Load(r io.Reader) (Model, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("model: reading: %w", err)
 	}
-	fr := flat.NewReader(b)
 	// Eight input bytes can stand for at most 64 zero weights, so the input's
 	// own length bounds what it may ask for.
-	m, err := DecodeSection(fr, 8*len(b))
-	if err != nil {
-		return nil, err
+	max := 8 * len(b)
+	fr := flat.NewReader(b)
+	m, err := DecodeSection(fr, max)
+	if err == nil {
+		if err = fr.Close(); err == nil {
+			return m, nil
+		}
+		err = fmt.Errorf("model: decoding: %w", err)
 	}
-	if err := fr.Close(); err != nil {
-		return nil, fmt.Errorf("model: decoding: %w", err)
+	v1 := bytes.NewReader(b)
+	if m, v1err := LoadV1(v1, max); v1err == nil && v1.Len() == 0 {
+		return m, nil
 	}
-	return m, nil
+	return nil, err
 }
 
 // SaveFile writes a model to path atomically.

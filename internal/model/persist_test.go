@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"cdml/internal/flat"
+	"cdml/internal/linalg"
+	"cdml/internal/opt"
 )
 
 // everyKind is one trained-looking model of every kind a section can name,
@@ -189,4 +193,59 @@ func gobOf(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// testdata/svm-v1.model was written by SaveFile before the flat format (a
+// 6-feature SVM after five Adam steps; internal/opt/testdata/adam-v1.opt is
+// that optimizer): LoadFile still reads it, and what it
+// saves from then on is a flat section that loads to the same model. A
+// damaged file of either format is refused.
+func TestLoadFileReadsAnOlderReleasesModel(t *testing.T) {
+	const path = "testdata/svm-v1.model"
+	m, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The state the file was written from, rebuilt here.
+	want := NewSVM(6, 0.01)
+	o := opt.NewAdam(0.05)
+	for i := 0; i < 5; i++ {
+		o.Step(want.Weights(), linalg.NewSparse(7, []int32{int32(i % 3), 4, 6}, []float64{0.5 * float64(i+1), -1.25, 0.125}))
+	}
+	if !bytes.Equal(sectionOf(t, m), sectionOf(t, want)) {
+		t.Fatalf("loaded %T with weights %v, want %v", m, m.Weights(), want.Weights())
+	}
+	resaved := filepath.Join(t.TempDir(), "svm.model")
+	if err := SaveFile(resaved, m); err != nil {
+		t.Fatal(err)
+	}
+	flatBytes, err := os.ReadFile(resaved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(flatBytes, sectionOf(t, m)) {
+		t.Fatal("the file saved after loading a v1 model is not the flat section")
+	}
+	back, err := LoadFile(resaved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sectionOf(t, back), sectionOf(t, m)) {
+		t.Fatal("v1 file and its flat re-save load to different models")
+	}
+
+	v1, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string][]byte{
+		"torn v1":          v1[:len(v1)-3],
+		"v1 and more":      append(append([]byte(nil), v1...), v1...),
+		"torn flat":        flatBytes[:len(flatBytes)-3],
+		"neither encoding": []byte("not a model"),
+	} {
+		if _, err := Load(bytes.NewReader(b)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
 }

@@ -24,10 +24,9 @@ type FTRL struct {
 	// L1 and L2 are the regularization strengths.
 	L1, L2 float64
 
-	z    []float64 // per-coordinate FTRL state
-	n    []float64 // per-coordinate squared-gradient sum
-	seen seen
-	t    int64
+	z []float64 // per-coordinate FTRL state
+	n []float64 // per-coordinate squared-gradient sum
+	t int64
 }
 
 // NewFTRL returns FTRL-Proximal with the reference defaults α=0.1, β=1,
@@ -47,7 +46,6 @@ func (f *FTRL) Name() string { return "ftrl" }
 func (f *FTRL) Step(w []float64, g linalg.Vector) {
 	f.ensure(len(w))
 	coordUpdate(g, func(i int, gi float64) {
-		f.seen.mark(i)
 		sigma := (math.Sqrt(f.n[i]+gi*gi) - math.Sqrt(f.n[i])) / f.Alpha
 		f.z[i] += gi - sigma*w[i]
 		f.n[i] += gi * gi
@@ -74,7 +72,6 @@ func (f *FTRL) ensure(dim int) {
 	if f.z == nil {
 		f.z = make([]float64, dim)
 		f.n = make([]float64, dim)
-		f.seen = newSeen(dim)
 	} else if len(f.z) != dim {
 		panic(fmt.Sprintf("opt: ftrl state dim %d, weights dim %d", len(f.z), dim))
 	}
@@ -84,14 +81,13 @@ func (f *FTRL) ensure(dim int) {
 func (f *FTRL) Steps() int64 { return f.t }
 
 // Reset implements Optimizer.
-func (f *FTRL) Reset() { f.z, f.n, f.seen, f.t = nil, nil, nil, 0 }
+func (f *FTRL) Reset() { f.z, f.n, f.t = nil, nil, 0 }
 
 // Clone implements Optimizer.
 func (f *FTRL) Clone() Optimizer {
 	c := *f
 	c.z = linalg.CopyOf(f.z)
 	c.n = linalg.CopyOf(f.n)
-	c.seen = append(seen(nil), f.seen...)
 	return &c
 }
 

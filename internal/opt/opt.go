@@ -62,35 +62,6 @@ func coordUpdate(g linalg.Vector, f func(i int, gi float64)) {
 	}
 }
 
-// seen is the set of coordinates a lazily updating optimizer has stepped, one
-// bit each. Every slot is exactly zero outside it — slots start at zero and
-// only a Step's coordinate visit writes them — which is what lets a
-// checkpoint encode a slot by examining the stepped coordinates alone
-// instead of scanning all of a mostly untouched vector under the writer's
-// lock (Encode, DESIGN.md §5n). It is allocated with the slots, copied by
-// Clone, dropped by Reset and rebuilt from the slots when state is decoded.
-type seen []uint64
-
-func (s seen) mark(i int) { s[i>>6] |= 1 << (i & 63) }
-
-func newSeen(dim int) seen { return make(seen, (dim+63)/64) }
-
-// seenIn is the set of coordinates at which any of the slots is non-zero.
-func seenIn(dim int, slots ...[]float64) seen {
-	var s seen
-	for _, v := range slots {
-		if s == nil && len(v) > 0 {
-			s = newSeen(dim)
-		}
-		for i, x := range v {
-			if math.Float64bits(x) != 0 {
-				s.mark(i)
-			}
-		}
-	}
-	return s
-}
-
 // SGD is plain stochastic gradient descent with optional inverse-time
 // learning-rate decay: eta_t = LR / (1 + Decay·t).
 type SGD struct {
@@ -130,7 +101,6 @@ type Momentum struct {
 	LR   float64
 	Beta float64
 	v    []float64
-	seen seen
 	t    int64
 }
 
@@ -145,7 +115,6 @@ func (m *Momentum) Name() string { return "momentum" }
 func (m *Momentum) Step(w []float64, g linalg.Vector) {
 	m.ensure(len(w))
 	coordUpdate(g, func(i int, gi float64) {
-		m.seen.mark(i)
 		m.v[i] = m.Beta*m.v[i] + gi
 		w[i] -= m.LR * m.v[i]
 	})
@@ -155,7 +124,6 @@ func (m *Momentum) Step(w []float64, g linalg.Vector) {
 func (m *Momentum) ensure(dim int) {
 	if m.v == nil {
 		m.v = make([]float64, dim)
-		m.seen = newSeen(dim)
 	} else if len(m.v) != dim {
 		panic(fmt.Sprintf("opt: momentum state dim %d, weights dim %d", len(m.v), dim))
 	}
@@ -165,13 +133,12 @@ func (m *Momentum) ensure(dim int) {
 func (m *Momentum) Steps() int64 { return m.t }
 
 // Reset implements Optimizer.
-func (m *Momentum) Reset() { m.v, m.seen, m.t = nil, nil, 0 }
+func (m *Momentum) Reset() { m.v = nil; m.t = 0 }
 
 // Clone implements Optimizer.
 func (m *Momentum) Clone() Optimizer {
 	c := *m
 	c.v = linalg.CopyOf(m.v)
-	c.seen = append(seen(nil), m.seen...)
 	return &c
 }
 
@@ -182,7 +149,6 @@ type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 
 	m, v []float64
-	seen seen
 	t    int64
 }
 
@@ -203,7 +169,6 @@ func (a *Adam) Step(w []float64, g linalg.Vector) {
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	coordUpdate(g, func(i int, gi float64) {
-		a.seen.mark(i)
 		a.m[i] = a.Beta1*a.m[i] + (1-a.Beta1)*gi
 		a.v[i] = a.Beta2*a.v[i] + (1-a.Beta2)*gi*gi
 		mHat := a.m[i] / bc1
@@ -216,7 +181,6 @@ func (a *Adam) ensure(dim int) {
 	if a.m == nil {
 		a.m = make([]float64, dim)
 		a.v = make([]float64, dim)
-		a.seen = newSeen(dim)
 	} else if len(a.m) != dim {
 		panic(fmt.Sprintf("opt: adam state dim %d, weights dim %d", len(a.m), dim))
 	}
@@ -226,14 +190,13 @@ func (a *Adam) ensure(dim int) {
 func (a *Adam) Steps() int64 { return a.t }
 
 // Reset implements Optimizer.
-func (a *Adam) Reset() { a.m, a.v, a.seen, a.t = nil, nil, nil, 0 }
+func (a *Adam) Reset() { a.m, a.v, a.t = nil, nil, 0 }
 
 // Clone implements Optimizer.
 func (a *Adam) Clone() Optimizer {
 	c := *a
 	c.m = linalg.CopyOf(a.m)
 	c.v = linalg.CopyOf(a.v)
-	c.seen = append(seen(nil), a.seen...)
 	return &c
 }
 
@@ -241,9 +204,8 @@ func (a *Adam) Clone() Optimizer {
 type RMSProp struct {
 	LR, Rho, Eps float64
 
-	v    []float64
-	seen seen
-	t    int64
+	v []float64
+	t int64
 }
 
 // NewRMSProp returns RMSProp with the conventional rho=0.9, eps=1e-8.
@@ -259,7 +221,6 @@ func (r *RMSProp) Name() string { return "rmsprop" }
 func (r *RMSProp) Step(w []float64, g linalg.Vector) {
 	r.ensure(len(w))
 	coordUpdate(g, func(i int, gi float64) {
-		r.seen.mark(i)
 		r.v[i] = r.Rho*r.v[i] + (1-r.Rho)*gi*gi
 		w[i] -= r.LR * gi / (math.Sqrt(r.v[i]) + r.Eps)
 	})
@@ -269,7 +230,6 @@ func (r *RMSProp) Step(w []float64, g linalg.Vector) {
 func (r *RMSProp) ensure(dim int) {
 	if r.v == nil {
 		r.v = make([]float64, dim)
-		r.seen = newSeen(dim)
 	} else if len(r.v) != dim {
 		panic(fmt.Sprintf("opt: rmsprop state dim %d, weights dim %d", len(r.v), dim))
 	}
@@ -279,13 +239,12 @@ func (r *RMSProp) ensure(dim int) {
 func (r *RMSProp) Steps() int64 { return r.t }
 
 // Reset implements Optimizer.
-func (r *RMSProp) Reset() { r.v, r.seen, r.t = nil, nil, 0 }
+func (r *RMSProp) Reset() { r.v = nil; r.t = 0 }
 
 // Clone implements Optimizer.
 func (r *RMSProp) Clone() Optimizer {
 	c := *r
 	c.v = linalg.CopyOf(r.v)
-	c.seen = append(seen(nil), r.seen...)
 	return &c
 }
 
@@ -296,7 +255,6 @@ type AdaDelta struct {
 	Rho, Eps float64
 
 	eg, ex []float64
-	seen   seen
 	t      int64
 }
 
@@ -311,7 +269,6 @@ func (a *AdaDelta) Name() string { return "adadelta" }
 func (a *AdaDelta) Step(w []float64, g linalg.Vector) {
 	a.ensure(len(w))
 	coordUpdate(g, func(i int, gi float64) {
-		a.seen.mark(i)
 		a.eg[i] = a.Rho*a.eg[i] + (1-a.Rho)*gi*gi
 		dx := -math.Sqrt(a.ex[i]+a.Eps) / math.Sqrt(a.eg[i]+a.Eps) * gi
 		a.ex[i] = a.Rho*a.ex[i] + (1-a.Rho)*dx*dx
@@ -324,7 +281,6 @@ func (a *AdaDelta) ensure(dim int) {
 	if a.eg == nil {
 		a.eg = make([]float64, dim)
 		a.ex = make([]float64, dim)
-		a.seen = newSeen(dim)
 	} else if len(a.eg) != dim {
 		panic(fmt.Sprintf("opt: adadelta state dim %d, weights dim %d", len(a.eg), dim))
 	}
@@ -334,14 +290,13 @@ func (a *AdaDelta) ensure(dim int) {
 func (a *AdaDelta) Steps() int64 { return a.t }
 
 // Reset implements Optimizer.
-func (a *AdaDelta) Reset() { a.eg, a.ex, a.seen, a.t = nil, nil, nil, 0 }
+func (a *AdaDelta) Reset() { a.eg, a.ex, a.t = nil, nil, 0 }
 
 // Clone implements Optimizer.
 func (a *AdaDelta) Clone() Optimizer {
 	c := *a
 	c.eg = linalg.CopyOf(a.eg)
 	c.ex = linalg.CopyOf(a.ex)
-	c.seen = append(seen(nil), a.seen...)
 	return &c
 }
 

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 
@@ -23,11 +24,6 @@ type snapshot struct {
 	Alpha, BetaF, L1, L2 float64 // ftrl
 	T                    int64
 	V1, V2               []float64 // per-coordinate state vectors
-
-	// seen bounds where V1 and V2 can be non-zero (see the seen type): taken
-	// from a live optimizer by snapshotOf, rebuilt from the vectors by build.
-	// It is no part of either encoding.
-	seen seen
 }
 
 // The optimizer section of a snapshot payload (internal/flat, DESIGN.md
@@ -45,15 +41,15 @@ func snapshotOf(o Optimizer) (snapshot, error) {
 	case *SGD:
 		return snapshot{Kind: "sgd", LR: t.LR, Decay: t.Decay, T: t.t}, nil
 	case *Momentum:
-		return snapshot{Kind: "momentum", LR: t.LR, Beta: t.Beta, T: t.t, V1: t.v, seen: t.seen}, nil
+		return snapshot{Kind: "momentum", LR: t.LR, Beta: t.Beta, T: t.t, V1: t.v}, nil
 	case *Adam:
-		return snapshot{Kind: "adam", LR: t.LR, Beta1: t.Beta1, Beta2: t.Beta2, Eps: t.Eps, T: t.t, V1: t.m, V2: t.v, seen: t.seen}, nil
+		return snapshot{Kind: "adam", LR: t.LR, Beta1: t.Beta1, Beta2: t.Beta2, Eps: t.Eps, T: t.t, V1: t.m, V2: t.v}, nil
 	case *RMSProp:
-		return snapshot{Kind: "rmsprop", LR: t.LR, Beta1: t.Rho, Eps: t.Eps, T: t.t, V1: t.v, seen: t.seen}, nil
+		return snapshot{Kind: "rmsprop", LR: t.LR, Beta1: t.Rho, Eps: t.Eps, T: t.t, V1: t.v}, nil
 	case *AdaDelta:
-		return snapshot{Kind: "adadelta", Beta1: t.Rho, Eps: t.Eps, T: t.t, V1: t.eg, V2: t.ex, seen: t.seen}, nil
+		return snapshot{Kind: "adadelta", Beta1: t.Rho, Eps: t.Eps, T: t.t, V1: t.eg, V2: t.ex}, nil
 	case *FTRL:
-		return snapshot{Kind: "ftrl", Alpha: t.Alpha, BetaF: t.Beta, L1: t.L1, L2: t.L2, T: t.t, V1: t.z, V2: t.n, seen: t.seen}, nil
+		return snapshot{Kind: "ftrl", Alpha: t.Alpha, BetaF: t.Beta, L1: t.L1, L2: t.L2, T: t.t, V1: t.z, V2: t.n}, nil
 	default:
 		return snapshot{}, fmt.Errorf("opt: cannot save unknown optimizer type %T", o)
 	}
@@ -80,11 +76,10 @@ func (s *snapshot) layout() (hyper []*float64, slots []*[]float64, ok bool) {
 }
 
 // Encode returns o's section in a buffer of exactly its size. Each slot is
-// scanned for its non-zero coordinates — only among the coordinates o has
-// ever stepped (flat.ScanSeen), not across the whole, mostly untouched
-// vector — which sizes the buffer, and those are visited once more to be
-// written; nothing of o is retained. o is read, not copied: the caller holds
-// whatever keeps it from stepping meanwhile.
+// scanned once for its non-zero coordinates (flat.Scan), which sizes the
+// buffer, and those are visited once more to be written; nothing of o is
+// retained. o is read, not copied: the caller holds whatever keeps it from
+// stepping meanwhile.
 func Encode(o Optimizer) ([]byte, error) {
 	s, err := snapshotOf(o)
 	if err != nil {
@@ -98,7 +93,7 @@ func (s *snapshot) encode() []byte {
 	size := flat.StringSize(s.Kind) + 8*len(hyper) + 8
 	blocks := make([]flat.Block, len(slots))
 	for i, v := range slots {
-		blocks[i] = flat.ScanSeen(*v, s.seen)
+		blocks[i] = flat.Scan(*v)
 		size += blocks[i].Size()
 	}
 	dst := flat.AppendString(make([]byte, 0, size), s.Kind)
@@ -164,20 +159,19 @@ func (s *snapshot) build(dim int) (Optimizer, error) {
 	if s.T < 0 {
 		return nil, fmt.Errorf("opt: corrupt %s snapshot: step count %d", s.Kind, s.T)
 	}
-	seen := seenIn(dim, s.V1, s.V2)
 	switch s.Kind {
 	case "sgd":
 		return &SGD{LR: s.LR, Decay: s.Decay, t: s.T}, nil
 	case "momentum":
-		return &Momentum{LR: s.LR, Beta: s.Beta, v: s.V1, seen: seen, t: s.T}, nil
+		return &Momentum{LR: s.LR, Beta: s.Beta, v: s.V1, t: s.T}, nil
 	case "adam":
-		return &Adam{LR: s.LR, Beta1: s.Beta1, Beta2: s.Beta2, Eps: s.Eps, m: s.V1, v: s.V2, seen: seen, t: s.T}, nil
+		return &Adam{LR: s.LR, Beta1: s.Beta1, Beta2: s.Beta2, Eps: s.Eps, m: s.V1, v: s.V2, t: s.T}, nil
 	case "rmsprop":
-		return &RMSProp{LR: s.LR, Rho: s.Beta1, Eps: s.Eps, v: s.V1, seen: seen, t: s.T}, nil
+		return &RMSProp{LR: s.LR, Rho: s.Beta1, Eps: s.Eps, v: s.V1, t: s.T}, nil
 	case "adadelta":
-		return &AdaDelta{Rho: s.Beta1, Eps: s.Eps, eg: s.V1, ex: s.V2, seen: seen, t: s.T}, nil
+		return &AdaDelta{Rho: s.Beta1, Eps: s.Eps, eg: s.V1, ex: s.V2, t: s.T}, nil
 	default: // "ftrl": layout knows no other kind
-		return &FTRL{Alpha: s.Alpha, Beta: s.BetaF, L1: s.L1, L2: s.L2, z: s.V1, n: s.V2, seen: seen, t: s.T}, nil
+		return &FTRL{Alpha: s.Alpha, Beta: s.BetaF, L1: s.L1, L2: s.L2, z: s.V1, n: s.V2, t: s.T}, nil
 	}
 }
 
@@ -194,9 +188,12 @@ func Save(w io.Writer, o Optimizer) error {
 	return nil
 }
 
-// Load reads r to its end and decodes the one optimizer Save wrote there.
-// Its slots are taken at the length they were saved with; a deployment,
-// which knows its model, uses DecodeSection.
+// Load reads r to its end and decodes the one optimizer Save wrote there: the
+// stream holds one optimizer and nothing else. Its slots are taken at the
+// length they were saved with; a deployment, which knows its model, uses
+// DecodeSection. A section carries no tag of its own, so a stream that is not
+// a flat section is tried as what Save wrote before the flat format, one gob
+// stream (LoadV1): optimizer files of older releases still load.
 func Load(r io.Reader) (Optimizer, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {
@@ -206,11 +203,15 @@ func Load(r io.Reader) (Optimizer, error) {
 	// A coordinate costs at least a bit, so the input's own length bounds
 	// what it may ask for.
 	s, err := decode(fr, 8*len(b))
-	if err != nil {
-		return nil, err
+	if err == nil {
+		if err = fr.Close(); err == nil {
+			return s.build(len(s.V1))
+		}
+		err = fmt.Errorf("opt: decoding: %w", err)
 	}
-	if err := fr.Close(); err != nil {
-		return nil, fmt.Errorf("opt: decoding: %w", err)
+	v1 := bytes.NewReader(b)
+	if s, v1err := decodeV1(v1); v1err == nil && v1.Len() == 0 {
+		return s.build(len(s.V1))
 	}
-	return s.build(len(s.V1))
+	return nil, err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"os"
 	"testing"
 
 	"cdml/internal/flat"
@@ -22,23 +23,6 @@ func encodeOf(t *testing.T, o Optimizer) []byte {
 	}
 	if len(b) != cap(b) {
 		t.Fatalf("%s: section of %d bytes sits in a buffer of %d", o.Name(), len(b), cap(b))
-	}
-	// Encode examines only the coordinates the optimizer has stepped. That
-	// must find everything a scan of every coordinate finds: a Step that
-	// wrote a slot without marking the coordinate would drop state from
-	// every checkpoint.
-	s, err := snapshotOf(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.seen != nil {
-		s.seen = make(seen, len(s.seen)) // the snapshot's own: o keeps its set
-		for i := range s.seen {
-			s.seen[i] = ^uint64(0)
-		}
-		if full := s.encode(); !bytes.Equal(full, b) {
-			t.Fatalf("%s: encoding from the stepped coordinates differs from a scan of all of them", o.Name())
-		}
 	}
 	return b
 }
@@ -206,6 +190,47 @@ func TestLoadV1MatchesFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := LoadV1(&buf, dim); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// testdata/adam-v1.opt was written by Save before the flat format (Adam
+// after five sparse steps over 7 weights): Load still reads it, slot for
+// slot, and what Save writes from then on is the flat section. A damaged
+// stream of either format is refused.
+func TestLoadReadsAnOlderReleasesOptimizer(t *testing.T) {
+	v1, err := os.ReadFile("testdata/adam-v1.opt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := Load(bytes.NewReader(v1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The state the file was written from, rebuilt here.
+	want := NewAdam(0.05)
+	w := make([]float64, 7)
+	for i := 0; i < 5; i++ {
+		want.Step(w, linalg.NewSparse(7, []int32{int32(i % 3), 4, 6}, []float64{0.5 * float64(i+1), -1.25, 0.125}))
+	}
+	if !bytes.Equal(encodeOf(t, o), encodeOf(t, want)) {
+		t.Fatalf("loaded %+v, want %+v", o, want)
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, o); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), encodeOf(t, want)) {
+		t.Fatal("what Save writes after loading a v1 optimizer is not the flat section")
+	}
+	for name, b := range map[string][]byte{
+		"torn v1":          v1[:len(v1)-3],
+		"v1 and more":      append(append([]byte(nil), v1...), v1...),
+		"torn flat":        buf.Bytes()[:buf.Len()-3],
+		"neither encoding": []byte("not an optimizer"),
+	} {
+		if _, err := Load(bytes.NewReader(b)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

@@ -13,9 +13,17 @@ import (
 // more. The decoded snapshot goes through the same validation as a flat one.
 // r must be an io.ByteReader, or gob reads past its own stream.
 func LoadV1(r io.Reader, dim int) (Optimizer, error) {
-	var s snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("opt: decoding: %w", err)
+	s, err := decodeV1(r)
+	if err != nil {
+		return nil, err
 	}
 	return s.build(dim)
+}
+
+func decodeV1(r io.Reader) (snapshot, error) {
+	var s snapshot
+	if err := gob.NewDecoder(r).Decode(&s); err != nil {
+		return s, fmt.Errorf("opt: decoding: %w", err)
+	}
+	return s, nil
 }

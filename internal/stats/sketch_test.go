@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -242,6 +243,8 @@ func TestCategoricalGobRoundTrip(t *testing.T) {
 	for name, wire := range map[string]categoricalWire{
 		"count without a value": {Order: []string{"x"}, Counts: []int64{1, 2}},
 		"value twice":           {Order: []string{"x", "x"}, Counts: []int64{1, 2}},
+		"negative count":        {Order: []string{"x", "y"}, Counts: []int64{1, -2}},
+		"total past int64":      {Order: []string{"x", "y"}, Counts: []int64{math.MaxInt64, 1}},
 	} {
 		if err := got.GobDecode(gobV1(t, wire)); err == nil {
 			t.Fatalf("%s accepted", name)
@@ -252,6 +255,13 @@ func TestCategoricalGobRoundTrip(t *testing.T) {
 	r = flat.NewReader(dup)
 	if flatGot.LoadState(r); r.Err() == nil || flatGot.Cardinality() != 3 {
 		t.Fatalf("repeated value: err %v, cardinality %d", r.Err(), flatGot.Cardinality())
+	}
+	for name, count := range map[string]uint64{"negative count": 1 << 63, "total past int64": math.MaxInt64} {
+		b := flat.AppendUint64(flat.AppendString(flat.AppendUint64(flat.AppendString(flat.AppendUvarint(nil, 2), "x"), 1), "y"), count)
+		r = flat.NewReader(b)
+		if flatGot.LoadState(r); r.Err() == nil || flatGot.Cardinality() != 3 {
+			t.Fatalf("%s: err %v, cardinality %d", name, r.Err(), flatGot.Cardinality())
+		}
 	}
 	// A count the input cannot hold is refused before anything is sized.
 	r = flat.NewReader(flat.AppendUvarint(nil, 1<<40))

@@ -68,7 +68,9 @@ func (c *Categorical) LoadState(r *flat.Reader) {
 }
 
 // restore rebuilds the statistic from its values in ordinal order and their
-// counts. A repeated value has no ordinal of its own and is refused.
+// counts. A repeated value has no ordinal of its own and is refused, and so
+// is a negative count or a total past int64: Observe produces neither, and
+// the imputer's mode would rest on them.
 func (c *Categorical) restore(order []string, counts []int64) error {
 	if len(counts) != len(order) {
 		return fmt.Errorf("stats: Categorical has %d counts for %d values", len(counts), len(order))
@@ -81,6 +83,9 @@ func (c *Categorical) restore(order []string, counts []int64) error {
 	for i, v := range order {
 		if _, dup := n.ordinal[v]; dup {
 			return fmt.Errorf("stats: Categorical value %q appears twice", v)
+		}
+		if counts[i] < 0 || n.total+counts[i] < 0 {
+			return fmt.Errorf("stats: Categorical value %q has count %d on a total of %d", v, counts[i], n.total)
 		}
 		n.ordinal[v] = i
 		n.counts[v] = counts[i]
