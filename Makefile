@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build bench-module vet lint analysistest test test-short race cover bench bench-smoke bench-record bench-gate chaos census fuzz fuzz-smoke experiments examples clean
+.PHONY: all check build bench-module vet lint analysistest test test-short race cover bench bench-smoke bench-record bench-gate chaos census census-check fuzz fuzz-smoke experiments examples clean
 
 all: build vet test
 
@@ -85,7 +85,8 @@ chaos:
 # non-test Go files outside benchmark/: lines, code lines (not blank, not a
 # // comment), exported identifiers (top-level funcs, methods on exported
 # receivers, types, vars and consts, grouped declarations included; analyzer
-# fixtures under testdata/ left out), cdml-serve flags, and route-table rows.
+# fixtures under testdata/ left out), cdml-serve flags, route-table rows, and
+# the files that still import encoding/gob (the decode-only v1 readers).
 CENSUS_FILES = find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*'
 census:
 	@echo "non-test Go lines:    $$($(CENSUS_FILES) | xargs cat | wc -l)"
@@ -99,16 +100,30 @@ census:
 		END { print n }')"
 	@echo "cdml-serve flags:     $$(grep -cE '\b(flag|fs)\.(String|Int|Int64|Bool|Duration|Float64)(Var)?\(' cmd/cdml-serve/main.go)"
 	@echo "route-table rows:     $$(grep -cE '\bs\.(scoped|global)\(' internal/serve/serve.go)"
+	@echo "gob importers:        $$($(CENSUS_FILES) | xargs grep -l '"encoding/gob"' | wc -l)"
+
+# The size ratchet, bench-gate's analogue for lines: CENSUS is `make census`
+# as of the last commit, and every number in it but the first (which counts
+# comments) may only fall. A change that grows the tree edits CENSUS in the
+# same diff — `make census > CENSUS` — so the growth is a reviewed line.
+census-check:
+	@$(MAKE) -s census | awk -F': *' ' \
+		NR == FNR { was[$$1] = $$2; next } \
+		FNR > 1 && $$2 > was[$$1] { printf "census: %s grew %d -> %d (CENSUS)\n", $$1, was[$$1], $$2; bad = 1 } \
+		FNR > 1 && $$2 < was[$$1] { printf "census: %s fell %d -> %d: make census > CENSUS\n", $$1, was[$$1], $$2 } \
+		END { exit bad }' CENSUS -
 
 # Brief fuzzing passes over everything that reads bytes it did not write: the
-# wire-format parsers, the chunk-file decoders, the snapshot frame codec and
-# the snapshot payload decoder (both payload formats). One target list, two
+# wire-format parsers, the chunk-file decoders, the snapshot frame codec, the
+# ingest log's Open + Replay over an arbitrary active segment and the
+# snapshot payload decoder (both payload formats). One target list, two
 # durations. The payload seeds are whole checkpoints, so minimizing a new
 # input is bounded, or it eats the run.
 FUZZ_TARGETS = \
 	internal/dataset:FuzzURLParser internal/dataset:FuzzTaxiParser internal/dataset:FuzzRatingsParser \
 	internal/data:FuzzDecodeFeatureChunk internal/data:FuzzDecodeRawChunk \
 	internal/snapstream:FuzzDecodeFrame internal/snapstream:FuzzNextFrame \
+	internal/wal:FuzzReplay \
 	internal/core:FuzzDecodeSnapshotPayload
 FUZZTIME = 15s
 fuzz:

@@ -77,7 +77,9 @@ import (
 	"cdml/internal/core"
 	"cdml/internal/drift"
 	"cdml/internal/engine"
+	"cdml/internal/experiment"
 	"cdml/internal/obs"
+	"cdml/internal/opt"
 	"cdml/internal/registry"
 	"cdml/internal/sched"
 	"cdml/internal/serve"
@@ -149,9 +151,10 @@ func parseFlags(args []string) options {
 type deploySpec struct {
 	// Workload picks the pipeline family: "url" or "taxi".
 	Workload string `json:"workload"`
-	// Optimizer overrides the workload default ("adam", "sgd", "rmsprop").
+	// Optimizer overrides the workload default with any name opt.New knows
+	// ("sgd", "momentum", "adam", "rmsprop", "adadelta", "ftrl").
 	Optimizer string `json:"optimizer,omitempty"`
-	// LR overrides the optimizer's learning rate (0 = workload default).
+	// LR is that optimizer's learning rate (0 = the kind's default).
 	LR float64 `json:"lr,omitempty"`
 	// Rows sets the synthetic generator's records per chunk (warmup and
 	// datagen parity; 0 = 80).
@@ -171,29 +174,24 @@ type deployEntry struct {
 	Quotas registry.Quotas `json:"quotas"`
 }
 
-// newOptimizerFactory resolves the spec's optimizer choice.
-func newOptimizerFactory(kind string, lr float64, def func() cdml.Optimizer) (func() cdml.Optimizer, error) {
-	switch kind {
-	case "":
-		return def, nil
-	case "adam":
-		if lr <= 0 {
-			lr = 0.05
-		}
-		return func() cdml.Optimizer { return cdml.NewAdam(lr) }, nil
-	case "sgd":
-		if lr <= 0 {
-			lr = 0.1
-		}
-		return func() cdml.Optimizer { return cdml.NewSGD(lr) }, nil
-	case "rmsprop":
-		if lr <= 0 {
-			lr = 0.1
-		}
-		return func() cdml.Optimizer { return cdml.NewRMSProp(lr) }, nil
-	default:
-		return nil, fmt.Errorf("unknown optimizer %q (adam|sgd|rmsprop)", kind)
+// defaultLR is the learning rate of a spec that names an optimizer without
+// one. Kinds absent here run on 0: adadelta has no rate and ftrl keeps its
+// own default.
+var defaultLR = map[string]float64{"adam": 0.05, "sgd": 0.1, "momentum": 0.01, "rmsprop": 0.1}
+
+// newOptimizerFactory resolves a spec's optimizer override through opt.New,
+// whose names are the ones a spec accepts.
+func newOptimizerFactory(kind string, lr float64) (func() cdml.Optimizer, error) {
+	if lr <= 0 {
+		lr = defaultLR[kind]
 	}
+	if _, err := opt.New(kind, lr); err != nil {
+		return nil, err
+	}
+	return func() cdml.Optimizer {
+		o, _ := opt.New(kind, lr) // validated above
+		return o
+	}, nil
 }
 
 // specBuilder is the one spec → config path: boot's entries, PUT
@@ -221,11 +219,7 @@ func (b *specBuilder) config(name string, raw json.RawMessage, warmup int) (core
 	if rows <= 0 {
 		rows = 80
 	}
-	var (
-		cfg    core.Config
-		chunk  func(i int) [][]byte
-		defOpt func() cdml.Optimizer
-	)
+	var w *experiment.Workload
 	switch spec.Workload {
 	case "url":
 		dcfg := datasets.DefaultURLConfig()
@@ -233,36 +227,23 @@ func (b *specBuilder) config(name string, raw json.RawMessage, warmup int) (core
 		dcfg.RowsPerChunk = rows
 		dcfg.Vocab = 5000
 		dcfg.HashDim = 1 << 15
-		g := datasets.NewURL(dcfg)
-		chunk = g.Chunk
-		defOpt = func() cdml.Optimizer { return cdml.NewAdam(0.05) }
-		cfg = core.Config{
-			NewPipeline: func() *cdml.Pipeline { return datasets.NewURLPipeline(dcfg.HashDim) },
-			NewModel:    func() cdml.Model { return datasets.NewURLModel(dcfg.HashDim, 1e-3) },
-			Metric:      &cdml.Misclassification{},
-			Predict:     cdml.ClassifyPredictor,
-		}
+		w = experiment.NewURLWorkload(dcfg)
 	case "taxi":
 		dcfg := datasets.DefaultTaxiConfig()
 		dcfg.Chunks = max(warmup, 1)
 		dcfg.RowsPerChunk = rows
-		g := datasets.NewTaxi(dcfg)
-		chunk = g.Chunk
-		defOpt = func() cdml.Optimizer { return cdml.NewRMSProp(0.1) }
-		cfg = core.Config{
-			NewPipeline: func() *cdml.Pipeline { return datasets.NewTaxiPipeline() },
-			NewModel:    func() cdml.Model { return datasets.NewTaxiModel(1e-4) },
-			Metric:      &cdml.RMSE{},
-			Predict:     cdml.RegressionPredictor,
-		}
+		w = experiment.NewTaxiWorkload(dcfg)
 	case "":
 		return core.Config{}, nil, errors.New("spec is missing \"workload\"")
 	default:
 		return core.Config{}, nil, fmt.Errorf("unknown workload %q (url|taxi)", spec.Workload)
 	}
+	cfg := w.Deployment()
 	var err error
-	if cfg.NewOptimizer, err = newOptimizerFactory(spec.Optimizer, spec.LR, defOpt); err != nil {
-		return core.Config{}, nil, err
+	if spec.Optimizer != "" {
+		if cfg.NewOptimizer, err = newOptimizerFactory(spec.Optimizer, spec.LR); err != nil {
+			return core.Config{}, nil, err
+		}
 	}
 	if spec.Drift != "" {
 		if cfg.DriftDetector, err = drift.New(spec.Drift); err != nil {
@@ -278,7 +259,7 @@ func (b *specBuilder) config(name string, raw json.RawMessage, warmup int) (core
 	// the scheduler's pr/pl readings surface as gauges on /v1/metrics.
 	cfg.Scheduler = b.newScheduler()
 	b.specs.Store(name, raw)
-	return cfg, chunk, nil
+	return cfg, w.Stream.Chunk, nil
 }
 
 // decodeStrict is json.Unmarshal that rejects unknown fields: a typo'd
@@ -440,7 +421,7 @@ func main() {
 // in-flight requests so clients mid-predict are answered, not reset.
 func serveUntilSignal(o options, api *serve.Server) error {
 	fmt.Printf("serving %d deployment(s) on %s — GET /v1/deployments, POST /v1/deployments/{name}/predict\n",
-		len(api.Registry().Names()), o.addr)
+		len(api.Registry().List()), o.addr)
 	srv := &http.Server{
 		Addr:         o.addr,
 		Handler:      api,

@@ -17,6 +17,7 @@ import (
 
 	"cdml"
 	"cdml/datasets"
+	"cdml/internal/experiment"
 )
 
 func main() {
@@ -36,57 +37,43 @@ func main() {
 	seed := flag.Int64("seed", 1, "run seed")
 	flag.Parse()
 
+	// stream, the workload's share of the config (pipeline, model,
+	// optimizer, metric, predictor) and its initial-training chunk count.
 	var (
-		stream      cdml.Stream
-		newPipeline func() *cdml.Pipeline
-		newModel    func() cdml.Model
-		newOpt      func() cdml.Optimizer
-		metric      cdml.Metric
-		predict     cdml.Predictor
-		initial     int
+		stream  cdml.Stream
+		cfg     cdml.Config
+		initial int
 	)
 	switch *workload {
 	case "url":
-		cfg := datasets.DefaultURLConfig()
-		cfg.ChunksPerDay = 5
-		cfg.Days = (*chunks + cfg.ChunksPerDay - 1) / cfg.ChunksPerDay
-		cfg.RowsPerChunk = *rows
-		cfg.Vocab = 5000
-		cfg.HashDim = 1 << 15
-		g := datasets.NewURL(cfg)
-		stream = g
-		newPipeline = func() *cdml.Pipeline { return datasets.NewURLPipeline(cfg.HashDim) }
-		newModel = func() cdml.Model { return datasets.NewURLModel(cfg.HashDim, 1e-3) }
-		newOpt = func() cdml.Optimizer { return cdml.NewAdam(0.05) }
-		metric = &cdml.Misclassification{}
-		predict = cdml.ClassifyPredictor
-		initial = cfg.ChunksPerDay
+		dcfg := datasets.DefaultURLConfig()
+		dcfg.ChunksPerDay = 5
+		dcfg.Days = (*chunks + dcfg.ChunksPerDay - 1) / dcfg.ChunksPerDay
+		dcfg.RowsPerChunk = *rows
+		dcfg.Vocab = 5000
+		dcfg.HashDim = 1 << 15
+		w := experiment.NewURLWorkload(dcfg)
+		stream, cfg, initial = w.Stream, w.Deployment(), w.InitialChunks
 	case "taxi":
-		cfg := datasets.DefaultTaxiConfig()
-		cfg.Chunks = *chunks
-		cfg.HoursPerChunk = maxInt(1, 13128 / *chunks)
-		cfg.RowsPerChunk = *rows
-		g := datasets.NewTaxi(cfg)
-		stream = g
-		newPipeline = func() *cdml.Pipeline { return datasets.NewTaxiPipeline() }
-		newModel = func() cdml.Model { return datasets.NewTaxiModel(1e-4) }
-		newOpt = func() cdml.Optimizer { return cdml.NewRMSProp(0.1) }
-		metric = &cdml.RMSE{}
-		predict = cdml.RegressionPredictor
-		initial = maxInt(4, *chunks/18)
+		dcfg := datasets.DefaultTaxiConfig()
+		dcfg.Chunks = *chunks
+		dcfg.HoursPerChunk = max(1, 13128 / *chunks)
+		dcfg.RowsPerChunk = *rows
+		w := experiment.NewTaxiWorkload(dcfg)
+		stream, cfg, initial = w.Stream, w.Deployment(), w.InitialChunks
 	case "ratings":
-		cfg := datasets.DefaultRatingsConfig()
-		cfg.Users, cfg.Items = 100, 200 // keep learnable at short stream lengths
-		cfg.Chunks = *chunks
-		cfg.RowsPerChunk = *rows
-		g := datasets.NewRatings(cfg)
-		stream = g
-		newPipeline = func() *cdml.Pipeline { return datasets.NewRatingsPipeline(cfg.Users, cfg.Items) }
-		newModel = func() cdml.Model { return datasets.NewRatingsModel(cfg, 1e-3) }
-		newOpt = func() cdml.Optimizer { return cdml.NewAdam(0.05) }
-		metric = &cdml.RMSE{}
-		predict = cdml.RegressionPredictor
-		initial = maxInt(4, *chunks/15)
+		dcfg := datasets.DefaultRatingsConfig()
+		dcfg.Users, dcfg.Items = 100, 200 // keep learnable at short stream lengths
+		dcfg.Chunks = *chunks
+		dcfg.RowsPerChunk = *rows
+		stream, initial = datasets.NewRatings(dcfg), max(4, *chunks/15)
+		cfg = cdml.Config{
+			NewPipeline:  func() *cdml.Pipeline { return datasets.NewRatingsPipeline(dcfg.Users, dcfg.Items) },
+			NewModel:     func() cdml.Model { return datasets.NewRatingsModel(dcfg, 1e-3) },
+			NewOptimizer: func() cdml.Optimizer { return cdml.NewAdam(0.05) },
+			Metric:       &cdml.RMSE{},
+			Predict:      cdml.RegressionPredictor,
+		}
 	default:
 		log.Fatalf("cdml: unknown workload %q", *workload)
 	}
@@ -135,29 +122,22 @@ func main() {
 		log.Fatalf("cdml: unknown drift detector %q", *driftName)
 	}
 
-	sampler, err := cdml.NewSampler(*samplerName, maxInt(1, *chunks/2), *seed)
+	sampler, err := cdml.NewSampler(*samplerName, max(1, *chunks/2), *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	cfg := cdml.Config{
-		Mode:           m,
-		NewPipeline:    newPipeline,
-		NewModel:       newModel,
-		NewOptimizer:   newOpt,
-		Store:          store,
-		Sampler:        sampler,
-		SampleChunks:   *sampleChunks,
-		ProactiveEvery: *proactiveEvery,
-		RetrainEvery:   *retrainEvery,
-		WarmStart:      true,
-		NoOptimization: *noOpt,
-		DriftDetector:  detector,
-		InitialChunks:  initial,
-		Metric:         metric,
-		Predict:        predict,
-		Seed:           *seed,
-	}
+	cfg.Mode = m
+	cfg.Store = store
+	cfg.Sampler = sampler
+	cfg.SampleChunks = *sampleChunks
+	cfg.ProactiveEvery = *proactiveEvery
+	cfg.RetrainEvery = *retrainEvery
+	cfg.WarmStart = true
+	cfg.NoOptimization = *noOpt
+	cfg.DriftDetector = detector
+	cfg.InitialChunks = initial
+	cfg.Seed = *seed
 	d, err := cdml.NewDeployer(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -185,11 +165,4 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -47,7 +47,7 @@ import (
 )
 
 // Analyzer describes one static check. Run inspects a fully type-checked
-// package through the Pass and reports findings via Pass.Report/Reportf.
+// package through the Pass and reports findings via Pass.Reportf.
 type Analyzer struct {
 	// Name identifies the analyzer; it is the key accepted by //lint:allow.
 	Name string
@@ -87,9 +87,6 @@ type Diagnostic struct {
 	// Message states the violation and the remedy.
 	Message string
 }
-
-// Report records one diagnostic.
-func (p *Pass) Report(d Diagnostic) { p.report(d) }
 
 // Reportf records one diagnostic at pos with a formatted message.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {

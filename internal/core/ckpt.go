@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cdml/internal/obs"
@@ -59,9 +60,6 @@ type CheckpointPolicy struct {
 	// exceeds the budget — a quota must never leave a deployment with no
 	// recovery point. 0 disables the byte budget (Keep still applies).
 	MaxBytes int64
-	// Labels are stamped on the cdml_checkpoint_* metric series, so several
-	// deployments checkpointing into one metrics registry stay separable.
-	Labels []obs.Label
 }
 
 // withDefaults fills unset policy fields.
@@ -93,24 +91,22 @@ type ckptManager struct {
 	lastEnqueue time.Time
 
 	ch   chan *Snapshot // capacity 1: at most one write queued behind the in-flight one
-	stop chan struct{}
 	done chan struct{}
 
-	// qmu guards the hand-off into ch against shutdown: once stopped is set
-	// no further snapshot can enter the channel, so every send provably
-	// happens before close(stop) and run()'s final drain observes it. qmu is
+	// qmu guards the hand-off into ch against shutdown, which sets stopped
+	// and closes ch under it: no snapshot enters the channel afterwards, and
+	// every one that entered before is still there for run() to write. qmu is
 	// never held across file IO — due and handOff stay non-blocking on the
 	// tick path even while a write is in flight.
 	qmu     sync.Mutex
 	stopped bool //cdml:guardedby qmu
 
 	// wmu serializes file writes between the background loop and
-	// CheckpointNow.
-	wmu         sync.Mutex
-	lastWritten uint64 //cdml:guardedby wmu — version of the newest written checkpoint
-
-	mu   sync.Mutex
-	last CheckpointInfo //cdml:guardedby mu — newest durable checkpoint (written or recovered)
+	// CheckpointNow. last is the newest durable checkpoint, written or
+	// recovered (nil before the first): stored only under wmu, read without
+	// a lock.
+	wmu  sync.Mutex
+	last atomic.Pointer[CheckpointInfo]
 
 	writes   *obs.Counter
 	errs     *obs.Counter
@@ -136,10 +132,11 @@ type ckptManager struct {
 	walPrune func(keepVersion uint64)
 }
 
-// newCkptManager creates (and starts) the auto-checkpoint loop. walSync
-// and walPrune couple the write-ahead ingest log's durability and
-// retention to checkpointing; both may be nil.
-func newCkptManager(pol CheckpointPolicy, reg *obs.Registry, tracer *obs.Tracer,
+// newCkptManager creates (and starts) the auto-checkpoint loop; labels are
+// stamped on its cdml_checkpoint_* series. walSync and walPrune couple the
+// write-ahead ingest log's durability and retention to checkpointing; both
+// may be nil.
+func newCkptManager(pol CheckpointPolicy, labels []obs.Label, reg *obs.Registry, tracer *obs.Tracer,
 	walSync func() error, walPrune func(uint64)) (*ckptManager, error) {
 	pol = pol.withDefaults()
 	if pol.Dir == "" {
@@ -152,30 +149,29 @@ func newCkptManager(pol CheckpointPolicy, reg *obs.Registry, tracer *obs.Tracer,
 		pol:         pol,
 		lastEnqueue: time.Now(),
 		ch:          make(chan *Snapshot, 1),
-		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 		tracer:      tracer,
 		walSync:     walSync,
 		walPrune:    walPrune,
 		writes: reg.Counter("cdml_checkpoint_writes_total",
-			"Checkpoints durably written (fsynced and renamed into place).", pol.Labels...),
+			"Checkpoints durably written (fsynced and renamed into place).", labels...),
 		errs: reg.Counter("cdml_checkpoint_errors_total",
-			"Checkpoint writes that failed (the previous checkpoint remains valid).", pol.Labels...),
+			"Checkpoint writes that failed (the previous checkpoint remains valid).", labels...),
 		skips: reg.Counter("cdml_checkpoint_skipped_total",
-			"Due checkpoints skipped because a write was still in flight.", pol.Labels...),
+			"Due checkpoints skipped because a write was still in flight.", labels...),
 		duration: reg.Histogram("cdml_checkpoint_write_seconds",
-			"Duration of one checkpoint write (encode, fsync, rename, prune).", pol.Labels...),
+			"Duration of one checkpoint write (encode, fsync, rename, prune).", labels...),
 		encode: reg.Histogram("cdml_checkpoint_encode_seconds",
-			"Duration of the encode stage of one checkpoint write: snapshot to payload bytes.", pol.Labels...),
+			"Duration of the encode stage of one checkpoint write: snapshot to payload bytes.", labels...),
 		bytes: reg.Gauge("cdml_checkpoint_bytes",
-			"Size of the newest durable checkpoint frame (0 = none written yet).", pol.Labels...),
+			"Size of the newest durable checkpoint frame (0 = none written yet).", labels...),
 	}
 	reg.GaugeFunc("cdml_checkpoint_last_version",
 		"Snapshot version of the newest durable checkpoint (0 = none yet).",
 		func() float64 {
 			info, _ := m.Last()
 			return float64(info.Version)
-		}, pol.Labels...)
+		}, labels...)
 	reg.GaugeFunc("cdml_checkpoint_age_seconds",
 		"Age of the newest durable checkpoint (0 until the first write).",
 		func() float64 {
@@ -184,7 +180,7 @@ func newCkptManager(pol CheckpointPolicy, reg *obs.Registry, tracer *obs.Tracer,
 				return 0
 			}
 			return time.Since(info.At).Seconds()
-		}, pol.Labels...)
+		}, labels...)
 	go m.run()
 	return m, nil
 }
@@ -237,43 +233,28 @@ func (m *ckptManager) handOff(s *Snapshot) {
 	}
 }
 
-// run is the background checkpoint writer.
+// run is the background checkpoint writer. It ends when shutdown closes ch,
+// after writing what the channel still held: a snapshot handed off just
+// before shutdown (the loop may never have been scheduled on a busy machine)
+// is durable once shutdown returns.
 func (m *ckptManager) run() {
 	defer close(m.done)
-	for {
-		select {
-		case <-m.stop:
-			// A snapshot handed off just before shutdown is still pending in
-			// the channel (the loop may never have been scheduled on a busy
-			// machine). Write it now so an accepted hand-off is never lost:
-			// whatever observePublish enqueued is durable once shutdown
-			// returns.
-			select {
-			case s := <-m.ch:
-				if _, err := m.write(s); err != nil {
-					m.errs.Inc()
-				}
-			default:
-			}
-			return
-		case s := <-m.ch:
-			if _, err := m.write(s); err != nil {
-				m.errs.Inc()
-			}
+	for s := range m.ch {
+		if _, err := m.write(s); err != nil {
+			m.errs.Inc()
 		}
 	}
 }
 
-// shutdown stops the loop and waits for an in-flight write to finish.
-// Setting stopped before closing stop orders every accepted hand-off ahead
-// of run()'s final drain: a publish racing shutdown either enqueues first
-// (and is written by the drain) or observes stopped and backs off — an
-// accepted snapshot is never stranded in the channel.
+// shutdown stops the loop and waits for it to write what it was handed. A
+// publish racing shutdown either enqueues first, and is written, or observes
+// stopped and backs off — it never sends on the closed channel, and an
+// accepted snapshot is never stranded in it.
 func (m *ckptManager) shutdown() {
 	m.qmu.Lock()
 	m.stopped = true
+	close(m.ch)
 	m.qmu.Unlock()
-	close(m.stop)
 	<-m.done
 }
 
@@ -282,15 +263,12 @@ func (m *ckptManager) shutdown() {
 func (m *ckptManager) write(s *Snapshot) (CheckpointInfo, error) {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
-	if s.version <= m.lastWritten {
+	if last, _ := m.Last(); s.version <= last.Version {
 		// Already durable (CheckpointNow raced the loop, or the snapshot is
 		// not newer than a recovered checkpoint): report the checkpoint that
 		// covers it instead of a zero CheckpointInfo a caller could mistake
 		// for a fresh write.
-		m.mu.Lock()
-		info := m.last
-		m.mu.Unlock()
-		return info, nil
+		return last, nil
 	}
 	start := time.Now()
 	if m.walSync != nil {
@@ -324,10 +302,7 @@ func (m *ckptManager) write(s *Snapshot) (CheckpointInfo, error) {
 	m.duration.Observe(time.Since(start))
 	m.writes.Inc()
 	m.bytes.Set(float64(snapstream.EncodedLen(f)))
-	m.lastWritten = s.version
-	m.mu.Lock()
-	m.last = info
-	m.mu.Unlock()
+	m.last.Store(&info)
 	m.prune()
 	return info, nil
 }
@@ -374,24 +349,20 @@ func (m *ckptManager) prune() {
 
 // Last returns the newest durable checkpoint, if any.
 func (m *ckptManager) Last() (CheckpointInfo, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.last, m.last.Version != 0
+	if last := m.last.Load(); last != nil {
+		return *last, true
+	}
+	return CheckpointInfo{}, false
 }
 
 // noteRecovered records a checkpoint restored by RecoverFromDir so the
 // status surface reports it and duplicate writes are suppressed.
 func (m *ckptManager) noteRecovered(info CheckpointInfo) {
 	m.wmu.Lock()
-	if info.Version > m.lastWritten {
-		m.lastWritten = info.Version
+	defer m.wmu.Unlock()
+	if last, _ := m.Last(); info.Version > last.Version {
+		m.last.Store(&info)
 	}
-	m.wmu.Unlock()
-	m.mu.Lock()
-	if info.Version > m.last.Version {
-		m.last = info
-	}
-	m.mu.Unlock()
 }
 
 // WriteCheckpointFile durably persists one snapshot into dir and returns

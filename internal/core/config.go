@@ -94,6 +94,15 @@ func RegressionPredictor(m model.Model, x linalg.Vector) float64 {
 	return m.Predict(x)
 }
 
+// Threshold mode's two fixed parameters: the fading factor of the
+// recent-error monitor (an effective window of ~200 records) and the minimum
+// number of chunks between threshold-triggered retrainings, which prevents
+// retrain storms while the monitor recovers.
+const (
+	thresholdAlpha  = 0.995
+	retrainCooldown = 10
+)
+
 // Config assembles one deployment run.
 type Config struct {
 	// Mode selects the deployment strategy.
@@ -126,15 +135,9 @@ type Config struct {
 	RetrainEvery int
 	// RetrainThreshold triggers a full retraining when the recent (fading)
 	// per-record loss exceeds this value (threshold mode only). The loss
-	// signal is DriftLoss.
+	// signal is DriftLoss, faded by thresholdAlpha; retrainings are at least
+	// retrainCooldown chunks apart.
 	RetrainThreshold float64
-	// ThresholdAlpha is the fading factor of the recent-error monitor
-	// (default 0.995, an effective window of ~200 records).
-	ThresholdAlpha float64
-	// RetrainCooldown is the minimum number of chunks between
-	// threshold-triggered retrainings (default 10), preventing retrain
-	// storms while the monitor recovers.
-	RetrainCooldown int
 	// RetrainEpochs is the number of mini-batch SGD epochs per retraining.
 	RetrainEpochs int
 	// InitialEpochs is the number of epochs for the initial batch training
@@ -202,10 +205,6 @@ type Config struct {
 	// series are registered unlabeled, and the registry keeps the first
 	// registration.
 	Labels []obs.Label
-	// Tracer records each deployment tick as a tree of timed stages into a
-	// bounded ring buffer. nil creates a private 64-tick tracer; supply one
-	// to expose recent ticks (e.g. through serve's /trace).
-	Tracer *obs.Tracer
 	// AutoCheckpoint, when set, persists published snapshots to disk
 	// automatically (every EveryTicks ticks or Interval of wall clock,
 	// whichever fires first) so a crashed process can resume from the last
@@ -268,12 +267,6 @@ func (c *Config) validate() error {
 		if c.RetrainThreshold <= 0 {
 			return fmt.Errorf("core: threshold mode requires positive RetrainThreshold, got %v", c.RetrainThreshold)
 		}
-		if c.ThresholdAlpha <= 0 || c.ThresholdAlpha >= 1 {
-			c.ThresholdAlpha = 0.995
-		}
-		if c.RetrainCooldown <= 0 {
-			c.RetrainCooldown = 10
-		}
 	default:
 		return fmt.Errorf("core: unknown mode %v", c.Mode)
 	}
@@ -320,7 +313,9 @@ func (c *Config) validate() error {
 type Result struct {
 	// Mode echoes the strategy.
 	Mode Mode
-	// ErrorCurve is the cumulative prequential error over chunk time.
+	// ErrorCurve is the cumulative prequential error over chunk time. A live
+	// deployment's curves are bounded (liveCurvePoints): old history thins
+	// out, the x range and AvgError do not change.
 	ErrorCurve *eval.Series
 	// CostCurve is the cumulative deployment cost (seconds) over chunk
 	// time.
@@ -349,6 +344,10 @@ type Result struct {
 	RetrainTotal time.Duration
 	// Evaluated counts prequentially evaluated records.
 	Evaluated int64
+	// Chunks counts the chunks a live deployment has ingested (successful
+	// Ingest/IngestLogged ticks; Run leaves it 0). The curves cannot say: a
+	// live curve retains a bounded number of points.
+	Chunks int64
 }
 
 // AvgProactive returns the mean proactive-training duration.

@@ -102,11 +102,10 @@ type Deployer struct {
 	pendingQueries    atomic.Int64
 	pendingQueryNanos atomic.Int64
 
-	// snapSrc is the lazily built snapstream source over the published
-	// snapshot (see stream.go); one per deployer so its per-version encode
-	// cache is shared by every consumer.
-	snapSrcOnce sync.Once
-	snapSrc     *snapshotSource
+	// snapSrc is the snapstream source over the published snapshot (see
+	// stream.go); one per deployer so its per-version encode cache is shared
+	// by every consumer.
+	snapSrc snapshotSource
 }
 
 // NewDeployer validates the config and builds the deployment.
@@ -126,8 +125,9 @@ func NewDeployer(cfg Config) (*Deployer, error) {
 		proactiveCountdown: cfg.ProactiveEvery,
 		retrainCountdown:   cfg.RetrainEvery,
 	}
+	d.snapSrc.d = d
 	if cfg.Mode == ModeThreshold {
-		d.thresholdMonitor = eval.NewFading(cfg.ThresholdAlpha)
+		d.thresholdMonitor = eval.NewFading(thresholdAlpha)
 	}
 	d.ctx, d.cancel = context.WithCancel(context.Background())
 	d.obs = newDeployObs(d)
@@ -145,13 +145,7 @@ func NewDeployer(cfg Config) (*Deployer, error) {
 	// Start the checkpoint loop after the initial publish so only real
 	// ticks advance its trigger counter.
 	if cfg.AutoCheckpoint != nil {
-		pol := *cfg.AutoCheckpoint
-		if pol.Labels == nil {
-			// Checkpoint metrics inherit the deployment's label set unless
-			// the policy pins its own.
-			pol.Labels = cfg.Labels
-		}
-		ckpt, err := newCkptManager(pol, d.obs.reg, d.obs.tracer, d.walSyncHook(), d.walPruneHook())
+		ckpt, err := newCkptManager(*cfg.AutoCheckpoint, cfg.Labels, d.obs.reg, d.obs.tracer, d.walSyncHook(), d.walPruneHook())
 		if err != nil {
 			d.cancel()
 			if d.wal != nil {
@@ -303,7 +297,7 @@ func (d *Deployer) ingest(records [][]byte, res *Result) error {
 		d.thresholdCooldown--
 		if d.thresholdCooldown <= 0 && d.thresholdMonitor.Count() > 0 &&
 			d.thresholdMonitor.Value() > d.cfg.RetrainThreshold {
-			d.thresholdCooldown = d.cfg.RetrainCooldown
+			d.thresholdCooldown = retrainCooldown
 			d.thresholdMonitor.Reset()
 			sp := d.stage("retrain")
 			if err := d.retrain(res); err != nil {

@@ -8,6 +8,11 @@ import (
 	"cdml/internal/eval"
 )
 
+// liveCurvePoints bounds each curve of a live deployment, which is given a
+// point a tick for as long as the process lives: past it the curves keep the
+// whole x range at half the resolution (see eval.Series.Max).
+const liveCurvePoints = 1024
+
 // liveResult lazily creates the accumulating result for live use.
 //
 //cdml:locked mu — called from ingestTick (which holds d.mu) and the mu-taking checkpoint paths
@@ -15,8 +20,8 @@ func (d *Deployer) liveResult() *Result {
 	if d.live == nil {
 		d.live = &Result{
 			Mode:       d.cfg.Mode,
-			ErrorCurve: &eval.Series{Name: d.cfg.Mode.String() + "-error"},
-			CostCurve:  &eval.Series{Name: d.cfg.Mode.String() + "-cost"},
+			ErrorCurve: &eval.Series{Name: d.cfg.Mode.String() + "-error", Max: liveCurvePoints},
+			CostCurve:  &eval.Series{Name: d.cfg.Mode.String() + "-cost", Max: liveCurvePoints},
 			Cost:       d.cost,
 		}
 	}
@@ -106,6 +111,7 @@ func (d *Deployer) ingestTick(ctx context.Context, records [][]byte, enqueuedAt 
 			return fmt.Errorf("core: ingest log commit: %w", err)
 		}
 	}
+	res.Chunks++
 	d.publish()
 	return nil
 }

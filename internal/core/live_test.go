@@ -2,11 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"cdml/internal/data"
 	"cdml/internal/engine"
+	"cdml/internal/eval"
 )
 
 func TestLiveIngestPredictStats(t *testing.T) {
@@ -44,6 +47,53 @@ func TestLiveIngestPredictStats(t *testing.T) {
 	}
 	if st.ErrorCurve.Len() != 20 {
 		t.Fatalf("curve points = %d", st.ErrorCurve.Len())
+	}
+}
+
+// TestLiveCurvesAreBounded: a live deployment's curves gained a point a tick
+// for as long as the process lived, and /stats read the chunk count off their
+// length. Far more ticks than liveCurvePoints: the curves stay inside the
+// budget and still span the whole run, the chunk count and the average error
+// are those of every tick, and a Stats result taken before the curves were
+// thinned keeps the points it had.
+func TestLiveCurvesAreBounded(t *testing.T) {
+	d, err := NewDeployer(liveConfig(ModeOnline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+	const ticks = 2*liveCurvePoints + liveCurvePoints/2 + 7
+	s := driftStream{chunks: ticks, rows: 2, drift: 1, seed: 11}
+	var (
+		sum   float64
+		early Result
+		held  []float64
+	)
+	for i := 0; i < ticks; i++ {
+		ingestChunks(t, d, s, i, i+1)
+		sum += d.Stats().FinalError
+		if i == liveCurvePoints-1 {
+			early = d.Stats()
+			held = append([]float64(nil), early.ErrorCurve.Ys...)
+		}
+	}
+	st := d.Stats()
+	if st.Chunks != ticks {
+		t.Fatalf("Chunks = %d after %d ticks", st.Chunks, ticks)
+	}
+	for _, c := range []*eval.Series{st.ErrorCurve, st.CostCurve} {
+		if c.Len() > liveCurvePoints || c.Len() < liveCurvePoints/2 {
+			t.Fatalf("%s holds %d points after %d ticks, budget %d", c.Name, c.Len(), ticks, liveCurvePoints)
+		}
+		if first, last := c.Xs[0], c.Xs[c.Len()-1]; first != 1 || last <= ticks-4 {
+			t.Fatalf("%s spans x = %v..%v of a %d-tick run", c.Name, first, last, ticks)
+		}
+	}
+	if got, want := st.AvgError, sum/ticks; math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("AvgError = %v, the mean over every tick is %v", got, want)
+	}
+	if len(held) != liveCurvePoints || !slices.Equal(early.ErrorCurve.Ys, held) {
+		t.Fatalf("thinning the live curve rewrote a published one (%d points held)", len(held))
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // deployObs bundles the deployment's instruments. Every Deployer has one —
-// when the config supplies no registry/tracer a private pair is created —
-// so the instrumentation call sites never branch on "is observability on".
+// when the config supplies no registry a private one is created — so the
+// instrumentation call sites never branch on "is observability on".
 // The write path is atomic increments plus one span tree per tick (a chunk,
 // never a record), keeping the hot serving loop allocation-free.
 type deployObs struct {
@@ -67,14 +67,10 @@ func newDeployObs(d *Deployer) *deployObs {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	tracer := d.cfg.Tracer
-	if tracer == nil {
-		tracer = obs.NewTracer(obs.DefaultTraceCapacity)
-	}
 	ls := d.cfg.Labels
 	o := &deployObs{
 		reg:    reg,
-		tracer: tracer,
+		tracer: obs.NewTracer(obs.DefaultTraceCapacity),
 		ticks: reg.Counter("cdml_ticks_total",
 			"Deployment ticks executed (one per ingested chunk).", ls...),
 		chunksIngested: reg.Counter("cdml_chunks_ingested_total",

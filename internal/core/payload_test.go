@@ -210,7 +210,8 @@ func TestCheckpointWriterMetricsAndSpans(t *testing.T) {
 	dir := t.TempDir()
 	cfg := liveConfig(ModeOnline)
 	cfg.Metrics = obs.NewRegistry()
-	cfg.AutoCheckpoint = &CheckpointPolicy{Dir: dir, EveryTicks: 1 << 20, Labels: []obs.Label{obs.L("deployment", "m")}}
+	cfg.Labels = []obs.Label{obs.L("deployment", "m")}
+	cfg.AutoCheckpoint = &CheckpointPolicy{Dir: dir, EveryTicks: 1 << 20}
 	d, err := NewDeployer(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -69,10 +69,7 @@ func (s *snapshotSource) Latest(_ context.Context, since uint64) (snapstream.Fra
 // SnapshotSource returns the deployer's frame source: the published
 // snapshot, versioned and encoded on demand. The checkpoint GET handler
 // and the replication endpoint both read from it.
-func (d *Deployer) SnapshotSource() snapstream.Source {
-	d.snapSrcOnce.Do(func() { d.snapSrc = &snapshotSource{d: d} })
-	return d.snapSrc
-}
+func (d *Deployer) SnapshotSource() snapstream.Source { return &d.snapSrc }
 
 // snapshotSink swaps incoming frames into the deployer.
 type snapshotSink struct{ d *Deployer }

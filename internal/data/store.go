@@ -125,13 +125,6 @@ func WithRawCapacity(n int) StoreOption {
 	return func(s *Store) { s.rawCapacity = n }
 }
 
-// WithQuota sets a hard ceiling on retained raw chunks: an AppendRaw that
-// would exceed it is rejected with a QuotaError (errors.Is ErrOverQuota)
-// instead of evicting. 0 or negative disables the quota (the default).
-func WithQuota(n int) StoreOption {
-	return func(s *Store) { s.quota = n } //lint:allow guardedby: options run inside NewStore before the store is published to any other goroutine
-}
-
 // NewStore returns a store over the given backend.
 func NewStore(b Backend, opts ...StoreOption) *Store {
 	s := &Store{backend: b, capacity: -1, rawCapacity: -1, matSize: make(map[Timestamp]int64)}
@@ -153,7 +146,9 @@ func (s *Store) SetCapacity(m int) error {
 	return s.evictLocked(-1)
 }
 
-// SetQuota changes the raw-chunk quota; 0 or negative disables it. Already
+// SetQuota sets the hard ceiling on retained raw chunks: an AppendRaw that
+// would exceed it is rejected with a QuotaError (errors.Is ErrOverQuota)
+// instead of evicting. 0 or negative disables it (the default). Already
 // retained chunks are never dropped by a quota — only further ingest is
 // rejected.
 func (s *Store) SetQuota(n int) {

@@ -179,21 +179,45 @@ func (cc *CostClock) Reset() {
 type Series struct {
 	// Name labels the curve (e.g. "continuous").
 	Name string
+	// Max, when positive, bounds the retained points — a live deployment
+	// records its curves without end. A full series drops every second point
+	// and from then on retains every second one it is given, and so on: the
+	// whole x range at a resolution that halves each time, the newest
+	// retained point at most one step old. Mean is not affected.
+	Max int
 	// Xs is the x axis (chunk index / deployment time).
 	Xs []float64
 	// Ys is the y axis (error or cost at that x). Append is its only writer.
 	Ys []float64
-	// sum is the running total of Ys, added up in append order — exactly
-	// the left-to-right sum a loop over Ys computes, so Mean is O(1) and
-	// bit-identical to that loop.
-	sum float64
+	// sum and n are the running total and count of every y Append was given,
+	// retained or not, added up in append order — exactly the left-to-right
+	// sum a loop over an unbounded Ys computes, so Mean is O(1) and
+	// bit-identical to that loop. A bounded series retains every
+	// 2^shift-th point.
+	sum   float64
+	n     int
+	shift uint
 }
 
 // Append adds one point.
 func (s *Series) Append(x, y float64) {
+	s.sum += y
+	s.n++
+	if s.Max > 0 && len(s.Xs) >= s.Max {
+		// Into fresh arrays, never in place: the Views handed out so far
+		// still read the old ones.
+		xs, ys := make([]float64, 0, s.Max), make([]float64, 0, s.Max)
+		for i := 0; i < len(s.Xs); i += 2 {
+			xs, ys = append(xs, s.Xs[i]), append(ys, s.Ys[i])
+		}
+		s.Xs, s.Ys = xs, ys
+		s.shift++
+	}
+	if (s.n-1)&(1<<s.shift-1) != 0 {
+		return // falls between two retained points
+	}
 	s.Xs = append(s.Xs, x)
 	s.Ys = append(s.Ys, y)
-	s.sum += y
 }
 
 // View returns a read-only view of the points recorded so far that stays
@@ -203,10 +227,10 @@ func (s *Series) Append(x, y float64) {
 // synchronizing with the one goroutine that appends to s.
 func (s *Series) View() *Series {
 	nx, ny := len(s.Xs), len(s.Ys)
-	return &Series{Name: s.Name, Xs: s.Xs[:nx:nx], Ys: s.Ys[:ny:ny], sum: s.sum}
+	return &Series{Name: s.Name, Xs: s.Xs[:nx:nx], Ys: s.Ys[:ny:ny], sum: s.sum, n: s.n}
 }
 
-// Len returns the number of points.
+// Len returns the number of retained points.
 func (s *Series) Len() int { return len(s.Xs) }
 
 // Last returns the final y value, or 0 when empty.
@@ -217,20 +241,20 @@ func (s *Series) Last() float64 {
 	return s.Ys[len(s.Ys)-1]
 }
 
-// Mean returns the average y value, or 0 when empty — the paper's "average
-// error rate over the deployment".
+// Mean returns the average y value over every point appended, or 0 when
+// empty — the paper's "average error rate over the deployment".
 func (s *Series) Mean() float64 {
-	if len(s.Ys) == 0 {
+	if s.n == 0 {
 		return 0
 	}
-	return s.sum / float64(len(s.Ys))
+	return s.sum / float64(s.n)
 }
 
 // Downsample returns a copy with at most n points, evenly spaced, always
 // keeping the last point. It renders long deployments compactly.
 func (s *Series) Downsample(n int) *Series {
 	if n <= 0 || s.Len() <= n {
-		return &Series{Name: s.Name, Xs: append([]float64(nil), s.Xs...), Ys: append([]float64(nil), s.Ys...), sum: s.sum}
+		return &Series{Name: s.Name, Xs: append([]float64(nil), s.Xs...), Ys: append([]float64(nil), s.Ys...), sum: s.sum, n: s.n}
 	}
 	out := &Series{Name: s.Name}
 	step := float64(s.Len()-1) / float64(n-1)

@@ -3,6 +3,7 @@ package eval
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -210,6 +211,47 @@ func TestSeriesDownsample(t *testing.T) {
 	short.Append(1, 1)
 	if short.Downsample(10).Len() != 1 {
 		t.Fatal("short series should be unchanged")
+	}
+}
+
+// TestSeriesMaxBoundsRetainedPoints: a series with Max set never retains more
+// points than that however many it is given, still spans from the first point
+// to within one step of the newest at an even spacing, reports the mean of
+// every point it was given, and thins into fresh arrays — a View keeps the
+// points it had.
+func TestSeriesMaxBoundsRetainedPoints(t *testing.T) {
+	for _, budget := range []int{8, 7, 2} {
+		s := &Series{Name: "b", Max: budget}
+		var (
+			sum   float64
+			views []*Series
+			held  [][]float64
+		)
+		for i := 0; i < 1000; i++ {
+			y := float64(i%13) / 7
+			s.Append(float64(i), y)
+			sum += y
+			if i%97 == 0 {
+				views, held = append(views, s.View()), append(held, append([]float64(nil), s.Xs...))
+			}
+			step := float64(uint(1) << s.shift)
+			if s.Len() > budget || float64(i)-s.Xs[s.Len()-1] > step {
+				t.Fatalf("Max %d after %d points: %v", budget, i+1, s.Xs)
+			}
+			for k, x := range s.Xs {
+				if x != float64(k)*step {
+					t.Fatalf("Max %d after %d points: uneven spacing %v", budget, i+1, s.Xs)
+				}
+			}
+			if math.Float64bits(s.Mean()) != math.Float64bits(sum/float64(i+1)) {
+				t.Fatalf("Max %d after %d points: Mean = %v, want %v", budget, i+1, s.Mean(), sum/float64(i+1))
+			}
+		}
+		for k, v := range views {
+			if !slices.Equal(v.Xs, held[k]) {
+				t.Fatalf("Max %d: thinning rewrote view %d: %v, was %v", budget, k, v.Xs, held[k])
+			}
+		}
 	}
 }
 

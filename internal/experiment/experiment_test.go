@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestParseScale(t *testing.T) {
@@ -65,20 +66,36 @@ func TestFig4URLShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	on := r.Results["online"]
-	per := r.Results["periodical"]
 	cont := r.Results["continuous"]
+	// A small-scale run takes 25–40 ms, and one sweep's wall-clock jitter can
+	// exceed the margins the two cost assertions below allow (beside other
+	// packages' tests they failed 10 of 23 runs). Every approach's total cost
+	// is therefore the minimum over three sweeps, as in TestFig7Shape.
+	cost := map[string]time.Duration{}
+	for mode, res := range r.Results {
+		cost[mode] = res.Cost.Total()
+	}
+	for rep := 1; rep < 3; rep++ {
+		again, err := Fig4(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mode, res := range again.Results {
+			cost[mode] = min(cost[mode], res.Cost.Total())
+		}
+	}
 	// Shape 1: periodical is the most expensive approach. (The paper's
 	// 15× gap needs the full 12,000-chunk stream; at small scale the
 	// prequential serving cost, equal across approaches, dilutes the
 	// ratio, so only the ordering is asserted here. EXPERIMENTS.md records
 	// the medium-scale ratios.)
-	if float64(per.Cost.Total()) < 1.3*float64(cont.Cost.Total()) {
-		t.Errorf("periodical cost %v not ≫ continuous %v", per.Cost.Total(), cont.Cost.Total())
+	if float64(cost["periodical"]) < 1.3*float64(cost["continuous"]) {
+		t.Errorf("periodical cost %v not ≫ continuous %v", cost["periodical"], cost["continuous"])
 	}
 	// Shape 2: online is the cheapest (allow wall-clock jitter at this
 	// tiny scale — the runs only take a fraction of a second).
-	if float64(on.Cost.Total()) > 1.25*float64(cont.Cost.Total()) {
-		t.Errorf("online cost %v should be ≤ continuous %v", on.Cost.Total(), cont.Cost.Total())
+	if float64(cost["online"]) > 1.25*float64(cost["continuous"]) {
+		t.Errorf("online cost %v should be ≤ continuous %v", cost["online"], cost["continuous"])
 	}
 	// Shape 3: continuous quality not worse than online (drifting stream).
 	if cont.AvgError > on.AvgError*1.1 {

@@ -158,6 +158,13 @@ func URLWorkload(s Scale) *Workload {
 		cfg.Days, cfg.ChunksPerDay, cfg.RowsPerChunk, cfg.Vocab = 120, 100, 200, 50000
 	}
 	cfg.HashDim = urlHashDim(s)
+	return NewURLWorkload(cfg)
+}
+
+// NewURLWorkload binds a URL stream of cfg's shape to the URL pipeline, SVM
+// and deployment parameters: the one place the URL row of the "workload →
+// pipeline, model, hyperparameters, metric" table is written down.
+func NewURLWorkload(cfg dataset.URLConfig) *Workload {
 	gen := dataset.NewURL(cfg)
 	n := gen.NumChunks()
 	return &Workload{
@@ -198,6 +205,12 @@ func TaxiWorkload(s Scale) *Workload {
 	default:
 		cfg.Chunks, cfg.HoursPerChunk, cfg.RowsPerChunk = 12000, 1, 200
 	}
+	return NewTaxiWorkload(cfg)
+}
+
+// NewTaxiWorkload binds a Taxi stream of cfg's shape to the Taxi pipeline,
+// linear regression and deployment parameters — the table's Taxi row.
+func NewTaxiWorkload(cfg dataset.TaxiConfig) *Workload {
 	gen := dataset.NewTaxi(cfg)
 	n := gen.NumChunks()
 	monthChunks := max(4, n/18) // the stream spans ~18 months
@@ -237,27 +250,36 @@ func newStore(capacity int) *data.Store {
 	return data.NewStore(data.NewMemoryBackend(), data.WithCapacity(capacity))
 }
 
+// Deployment returns the part of a deployment config the workload fixes:
+// its pipeline, its model and optimizer at the hyperparameters the Table 3
+// grid selects, a fresh metric and the predictor. The experiments (through
+// BaseConfig), cmd/cdml and cmd/cdml-serve all start from it.
+func (w *Workload) Deployment() core.Config {
+	return core.Config{
+		NewPipeline:  w.NewPipeline,
+		NewModel:     func() model.Model { return w.NewModel(w.BestReg) },
+		NewOptimizer: func() opt.Optimizer { return w.NewOptimizer(w.BestOpt, w.BestLR) },
+		Metric:       w.NewMetric(),
+		Predict:      w.Predict,
+	}
+}
+
 // BaseConfig assembles the deployment config the experiments share;
 // callers override mode-specific fields.
 func (w *Workload) BaseConfig(mode core.Mode, seed int64) core.Config {
-	return core.Config{
-		Mode:             mode,
-		NewPipeline:      w.NewPipeline,
-		NewModel:         func() model.Model { return w.NewModel(w.BestReg) },
-		NewOptimizer:     func() opt.Optimizer { return w.NewOptimizer(w.BestOpt, w.BestLR) },
-		Store:            newStore(-1),
-		Sampler:          w.NewSampler("time", seed),
-		SampleChunks:     w.SampleChunks,
-		ProactiveEvery:   w.ProactiveEvery,
-		RetrainEvery:     w.RetrainEvery,
-		RetrainEpochs:    3,
-		RetrainBatchRows: 128,
-		InitialEpochs:    25,
-		WarmStart:        true,
-		InitialChunks:    w.InitialChunks,
-		Metric:           w.NewMetric(),
-		Predict:          w.Predict,
-		Seed:             seed,
-		CheckpointEvery:  max(1, w.Stream.NumChunks()/200),
-	}
+	cfg := w.Deployment()
+	cfg.Mode = mode
+	cfg.Store = newStore(-1)
+	cfg.Sampler = w.NewSampler("time", seed)
+	cfg.SampleChunks = w.SampleChunks
+	cfg.ProactiveEvery = w.ProactiveEvery
+	cfg.RetrainEvery = w.RetrainEvery
+	cfg.RetrainEpochs = 3
+	cfg.RetrainBatchRows = 128
+	cfg.InitialEpochs = 25
+	cfg.WarmStart = true
+	cfg.InitialChunks = w.InitialChunks
+	cfg.Seed = seed
+	cfg.CheckpointEvery = max(1, w.Stream.NumChunks()/200)
+	return cfg
 }

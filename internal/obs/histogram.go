@@ -119,11 +119,6 @@ func (h *Histogram) Exemplar() (Exemplar, bool) {
 	return *e, true
 }
 
-// ObserveSeconds records one duration given in seconds.
-func (h *Histogram) ObserveSeconds(s float64) {
-	h.Observe(time.Duration(s * float64(time.Second)))
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

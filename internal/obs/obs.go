@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -354,21 +353,4 @@ func formatFloat(v float64) string {
 		return strconv.FormatInt(int64(v), 10)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// Families returns the registered family names in registration order
-// (diagnostics and tests).
-func (r *Registry) Families() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := append([]string(nil), r.order...)
-	return out
-}
-
-// SortedFamilies returns the registered family names sorted (stable
-// test-friendly view).
-func (r *Registry) SortedFamilies() []string {
-	out := r.Families()
-	sort.Strings(out)
-	return out
 }

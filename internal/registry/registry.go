@@ -414,18 +414,6 @@ func (r *Registry) Get(name string) (*Deployment, bool) {
 	return d, ok
 }
 
-// Names returns the registered deployment names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.deps))
-	for name := range r.deps {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // List returns the registered deployments sorted by name.
 func (r *Registry) List() []*Deployment {
 	r.mu.Lock()

@@ -128,8 +128,8 @@ func TestCreateGetDeleteLifecycle(t *testing.T) {
 	if !ok {
 		t.Fatal("Get lost the deployment")
 	}
-	if got := r.Names(); len(got) != 1 || got[0] != "m" {
-		t.Fatalf("Names() = %v", got)
+	if got := r.List(); len(got) != 1 || got[0] != d {
+		t.Fatalf("List() = %v", got)
 	}
 	rnd := rand.New(rand.NewSource(1))
 	if err := d.Ingest(chunk(rnd, 20)); err != nil {

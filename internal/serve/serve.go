@@ -776,7 +776,7 @@ func handleStats(s *Server, name string, h *depHandle, w http.ResponseWriter, r 
 		DriftEvents:     st.DriftEvents,
 		CostSeconds:     st.Cost.Total().Seconds(),
 		Mu:              st.MatStats.Mu(),
-		Chunks:          int64(st.ErrorCurve.Len()), // one curve point per ingested chunk
+		Chunks:          st.Chunks,
 	})
 }
 
@@ -957,17 +957,4 @@ func handleRestore(s *Server, name string, h *depHandle, w http.ResponseWriter, 
 func handleHealth(s *Server, _ string, _ *depHandle, w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write([]byte("ok"))
-}
-
-// ListenAndServe starts the server on addr and blocks. Binaries that need
-// graceful shutdown should build their own http.Server around the Server
-// (see cmd/cdml-serve).
-func (s *Server) ListenAndServe(addr string) error {
-	srv := &http.Server{
-		Addr:         addr,
-		Handler:      s,
-		ReadTimeout:  30 * time.Second,
-		WriteTimeout: 60 * time.Second,
-	}
-	return srv.ListenAndServe()
 }

@@ -82,7 +82,7 @@ func WriteFile(dir string, f Frame, parent *obs.Span) (FileInfo, error) {
 		_ = os.Remove(tmp)
 		return FileInfo{}, fmt.Errorf("snapstream: publishing frame: %w", err)
 	}
-	if err := syncDir(dir); err != nil {
+	if err := SyncDir(dir); err != nil {
 		return FileInfo{}, err
 	}
 	rn.Finish()
@@ -93,11 +93,6 @@ func WriteFile(dir string, f Frame, parent *obs.Span) (FileInfo, error) {
 // survives power loss — shared by the checkpoint writer and the ingest
 // log's segment rolls.
 func SyncDir(dir string) error {
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives power loss.
-func syncDir(dir string) error {
 	df, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("snapstream: opening frame dir for sync: %w", err)
@@ -181,20 +176,19 @@ type DirSource struct {
 	Dir string
 }
 
-// Latest returns the newest valid frame with version > since, skipping
-// torn or corrupted files (recovery falls back to the next-older file).
-// ok is false when no file is newer than since; ErrNoFrame when the
-// directory holds no frame files at all.
-func (s DirSource) Latest(_ context.Context, since uint64) (Frame, bool, error) {
+// newest reads dir's frame files newest-first, skipping versions at or below
+// since, and returns the first one that is valid and that accept (nil = any)
+// takes — recovery falls back past torn, corrupted and rejected files to the
+// next-older one. ErrNoFrame when the directory is missing or holds no frame
+// files at all; ok is false when none is newer than since; an error naming
+// every rejected file when some were and none was usable.
+func (s DirSource) newest(since uint64, accept func(Frame) error) (Frame, FileInfo, bool, error) {
 	files, err := List(s.Dir)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return Frame{}, false, ErrNoFrame
-		}
-		return Frame{}, false, err
+	if errors.Is(err, os.ErrNotExist) || (err == nil && len(files) == 0) {
+		err = ErrNoFrame
 	}
-	if len(files) == 0 {
-		return Frame{}, false, ErrNoFrame
+	if err != nil {
+		return Frame{}, FileInfo{}, false, err
 	}
 	var reasons []string
 	for _, fi := range files {
@@ -202,17 +196,28 @@ func (s DirSource) Latest(_ context.Context, since uint64) (Frame, bool, error) 
 			break // newest-first: everything after is older still
 		}
 		f, err := ReadFile(fi.Path)
+		if err == nil && accept != nil {
+			err = accept(f)
+		}
 		if err != nil {
 			reasons = append(reasons, err.Error())
 			continue
 		}
-		return f, true, nil
+		return f, fi, true, nil
 	}
 	if len(reasons) > 0 {
-		return Frame{}, false, fmt.Errorf("snapstream: no valid frame newer than %d in %s: %s",
+		err = fmt.Errorf("snapstream: no valid frame newer than %d in %s: %s",
 			since, s.Dir, strings.Join(reasons, "; "))
 	}
-	return Frame{}, false, nil
+	return Frame{}, FileInfo{}, false, err
+}
+
+// Latest returns the newest valid frame with version > since, skipping
+// torn or corrupted files. ok is false when no file is newer than since;
+// ErrNoFrame when the directory holds no frame files at all.
+func (s DirSource) Latest(_ context.Context, since uint64) (Frame, bool, error) {
+	f, _, ok, err := s.newest(since, nil)
+	return f, ok, err
 }
 
 // Restore feeds the newest applicable frame into sink, falling back to
@@ -221,28 +226,9 @@ func (s DirSource) Latest(_ context.Context, since uint64) (Frame, bool, error) 
 // (cold start) and an error naming every rejected file when none of the
 // present frames is usable.
 func (s DirSource) Restore(sink Sink) (FileInfo, error) {
-	files, err := List(s.Dir)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return FileInfo{}, ErrNoFrame
-		}
-		return FileInfo{}, err
+	_, fi, ok, err := s.newest(0, sink.Apply)
+	if err == nil && !ok {
+		err = ErrNoFrame // only a version-0 file, which no deployment writes
 	}
-	if len(files) == 0 {
-		return FileInfo{}, ErrNoFrame
-	}
-	var reasons []string
-	for _, fi := range files {
-		f, err := ReadFile(fi.Path)
-		if err == nil {
-			err = sink.Apply(f)
-		}
-		if err != nil {
-			reasons = append(reasons, err.Error())
-			continue
-		}
-		return FileInfo{Version: f.Version, Path: fi.Path, At: fi.At}, nil
-	}
-	return FileInfo{}, fmt.Errorf("snapstream: no valid frame in %s: %s",
-		s.Dir, strings.Join(reasons, "; "))
+	return fi, err
 }

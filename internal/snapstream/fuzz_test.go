@@ -18,6 +18,7 @@ func seedFrames(f *testing.F) {
 	f.Add(whole[:len(whole)-3])
 	f.Add(EncodeFrame(Frame{}))
 	f.Add(append(append([]byte(nil), whole...), whole...))
+	f.Add(append(append([]byte(nil), whole...), 0)) // one byte after the frame
 	f.Add(AppendFrameMagic(nil, walMagic, Frame{Version: 1, Payload: []byte("a logged chunk")}))
 	// A length near 2^64: header + length + CRC wraps around to 2.
 	huge := append([]byte(nil), whole...)
@@ -40,13 +41,59 @@ func sealed(b []byte, magic string) []byte {
 	return b
 }
 
+// decodersAgree: DecodeFrame is NextFrame under the checkpoint magic plus
+// "nothing after the frame" — it accepts b exactly when NextFrame does and
+// leaves no bytes, and then returns the same frame.
+func decodersAgree(t *testing.T, b []byte) (Frame, error) {
+	t.Helper()
+	fr, err := DecodeFrame("fuzz", b)
+	next, rest, nerr := NextFrame(Magic, "fuzz", b)
+	if want := nerr == nil && len(rest) == 0; (err == nil) != want {
+		t.Fatalf("DecodeFrame(%x): %v; NextFrame: %d bytes left, %v", b, err, len(rest), nerr)
+	}
+	if err == nil && (fr.Version != next.Version || !bytes.Equal(fr.Payload, next.Payload)) {
+		t.Fatalf("DecodeFrame(%x) = %+v, NextFrame = %+v", b, fr, next)
+	}
+	return fr, err
+}
+
+// TestDecodeFrameIsNextFrameWithNothingLeft runs decodersAgree over every
+// truncation, every one-byte extension and every bit flip of a valid frame.
+func TestDecodeFrameIsNextFrameWithNothingLeft(t *testing.T) {
+	whole := EncodeFrame(Frame{Version: 7, Payload: []byte("snapshot payload bytes")})
+	accepted := 0
+	try := func(b []byte) {
+		if _, err := decodersAgree(t, b); err == nil {
+			accepted++
+		}
+	}
+	for n := range len(whole) + 1 {
+		try(whole[:n])
+	}
+	for x := range 256 {
+		try(append(bytes.Clone(whole), byte(x)))
+	}
+	for i := range whole {
+		for bit := range 8 {
+			b := bytes.Clone(whole)
+			b[i] ^= 1 << bit
+			try(b)
+		}
+	}
+	// The frame itself, and its 64 version-field flips: the version is not
+	// under the CRC.
+	if accepted != 1+64 {
+		t.Fatalf("%d variants accepted, want 65", accepted)
+	}
+}
+
 // DecodeFrame reads files and HTTP bodies: any input is an error, or a frame
-// that encodes back to exactly those bytes.
+// that encodes back to exactly those bytes — and NextFrame agrees.
 func FuzzDecodeFrame(f *testing.F) {
 	seedFrames(f)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		for _, b := range [][]byte{in, sealed(in, Magic)} {
-			fr, err := DecodeFrame("fuzz", b)
+			fr, err := decodersAgree(t, b)
 			if err != nil {
 				continue
 			}

@@ -78,12 +78,6 @@ func EncodedLen(f Frame) int {
 	return frameOverhead + len(f.Payload)
 }
 
-// AppendFrame appends the wire encoding of f to dst and returns the
-// extended slice.
-func AppendFrame(dst []byte, f Frame) []byte {
-	return AppendFrameMagic(dst, Magic, f)
-}
-
 // AppendFrameMagic appends the wire encoding of f under a caller-chosen
 // 8-byte magic. The frame layout is otherwise identical to the checkpoint
 // frame; other record streams (the write-ahead ingest log) reuse the
@@ -105,8 +99,9 @@ func appendTrailer(dst []byte, f Frame) []byte {
 }
 
 // NextFrame decodes the first frame in b under the given 8-byte magic and
-// returns it together with the remaining bytes — the sequential-scan
-// counterpart of DecodeFrame for files holding many concatenated frames.
+// returns it together with the remaining bytes, for files holding many
+// concatenated frames. It is the one place a frame's magic, length and CRC
+// are checked.
 // The returned payload aliases b. A buffer ending mid-frame reports
 // ErrTornFrame (wrapped, with the byte position); a wrong magic or CRC
 // mismatch is a plain corruption error. name labels the stream's origin
@@ -138,27 +133,25 @@ func NextFrame(magic, name string, b []byte) (Frame, []byte, error) {
 
 // EncodeFrame returns the full wire encoding of f.
 func EncodeFrame(f Frame) []byte {
-	return AppendFrame(make([]byte, 0, EncodedLen(f)), f)
+	return AppendFrameMagic(make([]byte, 0, EncodedLen(f)), Magic, f)
 }
 
-// DecodeFrame validates a wire-encoded frame (magic, length, CRC) and
+// DecodeFrame validates a buffer that is one wire-encoded frame and nothing
+// else — NextFrame under the checkpoint magic with no bytes left over — and
 // returns its version and payload. name labels the frame's origin (a file
-// base name, a primary URL) in error messages. The returned payload
-// aliases b. Torn or corrupted frames are reported as errors without any
-// partial result.
+// base name, a primary URL) in error messages. The returned payload aliases
+// b. Torn or corrupted frames are reported as errors without any partial
+// result.
 func DecodeFrame(name string, b []byte) (Frame, error) {
-	if len(b) < len(Magic)+20 || string(b[:len(Magic)]) != Magic {
+	if len(b) < len(Magic) || string(b[:len(Magic)]) != Magic {
 		return Frame{}, fmt.Errorf("snapstream: %s: not a checkpoint frame", name)
 	}
-	version := binary.BigEndian.Uint64(b[8:16])
-	n := binary.BigEndian.Uint64(b[16:24])
-	if uint64(len(b)) != 24+n+4 {
-		return Frame{}, fmt.Errorf("snapstream: %s: torn frame (have %d payload bytes, header says %d)",
-			name, len(b)-frameOverhead, n)
+	f, rest, err := NextFrame(Magic, name, b)
+	if err != nil {
+		return Frame{}, err
 	}
-	payload := b[24 : 24+n]
-	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(b[24+n:]); got != want {
-		return Frame{}, fmt.Errorf("snapstream: %s: frame CRC mismatch (corrupted payload)", name)
+	if len(rest) != 0 {
+		return Frame{}, fmt.Errorf("snapstream: %s: %d bytes after the frame", name, len(rest))
 	}
-	return Frame{Version: version, Payload: payload}, nil
+	return f, nil
 }

@@ -120,6 +120,16 @@ func TestDirSourceRestoreFallsBackPastTornFiles(t *testing.T) {
 	if info.Version != 1 || len(sink.frames) != 1 || sink.frames[0].Version != 1 {
 		t.Fatalf("Restore fell back wrong: info=%+v frames=%+v", info, sink.frames)
 	}
+	// Latest walks the same directory the same way: past the torn file, to
+	// the frame Restore applied.
+	if f, ok, err := (DirSource{Dir: dir}).Latest(context.Background(), 0); err != nil || !ok || f.Version != info.Version {
+		t.Fatalf("Latest(0) = %+v %v %v over the directory Restore took v%d from", f, ok, err, info.Version)
+	}
+	// With nothing valid above since, the torn file is the error, as it is
+	// Restore's when no file is usable.
+	if _, ok, err := (DirSource{Dir: dir}).Latest(context.Background(), 1); ok || err == nil || !strings.Contains(err.Error(), "torn") {
+		t.Fatalf("Latest(1) = ok=%v err=%v, want the torn newer file reported", ok, err)
+	}
 
 	if _, err := (DirSource{Dir: t.TempDir()}).Restore(&sink); !errors.Is(err, ErrNoFrame) {
 		t.Fatalf("empty dir: err = %v, want ErrNoFrame", err)
@@ -143,6 +153,14 @@ func TestDirSourceLatestHonorsSince(t *testing.T) {
 	}
 	if _, ok, err := src.Latest(context.Background(), 2); err != nil || ok {
 		t.Fatalf("Latest(2) = ok=%v err=%v, want idle", ok, err)
+	}
+	// Restore walks the same directory the same way: the file Latest
+	// returned is the one it applies.
+	var sink captureSink
+	info, err := src.Restore(&sink)
+	if err != nil || info.Version != f.Version || info.Path != FilePath(dir, f.Version) ||
+		len(sink.frames) != 1 || !bytes.Equal(sink.frames[0].Payload, f.Payload) {
+		t.Fatalf("Restore = %+v %v, frames %+v; Latest picked v%d", info, err, sink.frames, f.Version)
 	}
 }
 

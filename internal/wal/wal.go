@@ -691,6 +691,11 @@ func decodeChunk(payload []byte) (watermark uint64, records [][]byte, err error)
 	watermark = binary.BigEndian.Uint64(payload[1:9])
 	n := binary.BigEndian.Uint32(payload[9:13])
 	rest := payload[13:]
+	// n is whatever the bytes say; every record costs its four length bytes,
+	// so a count the payload cannot hold is refused before it sizes anything.
+	if uint64(n) > uint64(len(rest)/4) {
+		return 0, nil, errors.New("wal: record count exceeds data record size")
+	}
 	records = make([][]byte, 0, n)
 	for i := uint32(0); i < n; i++ {
 		if len(rest) < 4 {
