@@ -38,6 +38,7 @@ import (
 	"cdml/internal/obs"
 	"cdml/internal/opt"
 	"cdml/internal/pipeline"
+	"cdml/internal/registry"
 	"cdml/internal/sample"
 	"cdml/internal/serve"
 	"cdml/internal/snapstream"
@@ -1043,13 +1044,11 @@ func benchDeployer(b *testing.B, cfg core.Config) *core.Deployer {
 	return dep
 }
 
-// warmDeployer is benchDeployer after benchWarmChunks ingested chunks.
+// warmDeployer is benchDeployer after a warm-up of benchWarmChunks chunks.
 func warmDeployer(b *testing.B, cfg core.Config, chunk func(i int) [][]byte) *core.Deployer {
 	dep := benchDeployer(b, cfg)
-	for i := 0; i < benchWarmChunks; i++ {
-		if err := dep.Ingest(chunk(i)); err != nil {
-			b.Fatal(err)
-		}
+	if _, err := dep.Warm(benchWarmChunks, chunk); err != nil {
+		b.Fatal(err)
 	}
 	return dep
 }
@@ -1116,19 +1115,64 @@ func BenchmarkSnapshotApplyURL(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestTickTaxi is the same tick on the Taxi pipeline (12
-// weights, RMSProp), where nothing scales with the model.
-func BenchmarkIngestTickTaxi(b *testing.B) {
+// taxiBenchDeployment is the Taxi pipeline (12 weights, RMSProp) and its
+// 80-row chunk stream.
+func taxiBenchDeployment() (core.Config, func(i int) [][]byte) {
 	cfg := dataset.DefaultTaxiConfig()
 	cfg.Chunks, cfg.RowsPerChunk = 300, 80
-	benchIngestTick(b, core.Config{
+	return core.Config{
 		NewPipeline:  dataset.NewTaxiPipeline,
 		NewModel:     func() model.Model { return dataset.NewTaxiModel(1e-4) },
 		NewOptimizer: func() opt.Optimizer { return opt.NewRMSProp(0.1) },
 		Metric:       &eval.RMSE{},
 		Predict:      core.RegressionPredictor,
-	}, dataset.NewTaxi(cfg).Chunk)
+	}, dataset.NewTaxi(cfg).Chunk
 }
+
+// BenchmarkIngestTickTaxi is the same tick on the Taxi pipeline, where
+// nothing scales with the model.
+func BenchmarkIngestTickTaxi(b *testing.B) {
+	cfg, chunk := taxiBenchDeployment()
+	benchIngestTick(b, cfg, chunk)
+}
+
+// benchWarmup measures a cold boot's warm-up (DESIGN.md §5p): registry.
+// CreateWarm of benchWarmChunks generated chunks on a NumCPU engine into an
+// empty checkpoint directory, end-of-warm-up checkpoint included — what
+// cdml-serve's setup time is made of. The publishes metric counts snapshots
+// published by the warm-up itself (the deployer's initial one left out); a
+// warm-up is one batch, so it must read 1.
+func benchWarmup(b *testing.B, build func() (core.Config, func(i int) [][]byte)) {
+	workers := engine.New(0)
+	publishes := 0.0
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cfg, chunk := build()
+		cfg.Mode = core.ModeContinuous
+		cfg.Store = data.NewStore(data.NewMemoryBackend())
+		cfg.Sampler, cfg.SampleChunks, cfg.ProactiveEvery = sample.NewTime(1), 8, 16
+		reg := registry.New(registry.Options{Engine: workers, CheckpointRoot: b.TempDir()})
+		b.StartTimer()
+		d, _, err := reg.CreateWarm("bench", cfg, registry.Quotas{}, benchWarmChunks, chunk)
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if v := d.Serving().Published().Version(); v != benchWarmChunks+1 {
+			b.Fatalf("warmed up to version %d, want %d", v, benchWarmChunks+1)
+		}
+		// gen 1: the first deployer a registry builds.
+		publishes = float64(d.Serving().Metrics().Counter("cdml_snapshot_publishes_total", "",
+			obs.L("deployment", "bench"), obs.L("gen", "1")).Value() - 1)
+		reg.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(publishes, "publishes")
+}
+
+func BenchmarkWarmupURL(b *testing.B)  { benchWarmup(b, urlBenchDeployment) }
+func BenchmarkWarmupTaxi(b *testing.B) { benchWarmup(b, taxiBenchDeployment) }
 
 // walBenchChunk builds one ingest-sized chunk (30 records of ~40 bytes —
 // the shape the async ingest handler appends before every 202 ack).

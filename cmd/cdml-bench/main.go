@@ -42,7 +42,7 @@ const defaultBench = "BenchmarkObsCounterInc|BenchmarkObsHistogramObserve|Benchm
 	"BenchmarkKMeansUpdate|BenchmarkTieredBackendHit|BenchmarkStorePutGet|BenchmarkDriftDetectorObserve|" +
 	"BenchmarkServePredictRouted|BenchmarkServePredictTaxiBatch256|BenchmarkReplicaPredict|" +
 	"BenchmarkIngestAppend|BenchmarkIngestTickURL|BenchmarkIngestTickTaxi|" +
-	"BenchmarkSnapshotFrameURL|BenchmarkSnapshotApplyURL"
+	"BenchmarkSnapshotFrameURL|BenchmarkSnapshotApplyURL|BenchmarkWarmup"
 
 func main() {
 	var (

@@ -380,29 +380,20 @@ func bootEntry(reg *registry.Registry, builder *specBuilder, e deployEntry, repl
 		// Warm-up would only train state the first sync from the primary drops.
 		e.Warmup = 0
 	}
-	warmed := false
-	d, err := reg.CreateWarm(e.Name, cfg, e.Quotas, func(d *registry.Deployment) error {
-		warmed = true
-		for i := 0; i < e.Warmup; i++ {
-			if err := d.Ingest(chunk(i)); err != nil {
-				return fmt.Errorf("warmup chunk %d: %w", i, err)
-			}
-		}
-		return nil
-	})
+	d, boot, err := reg.CreateWarm(e.Name, cfg, e.Quotas, e.Warmup, chunk)
 	if err != nil {
 		return err
 	}
 	dep := d.Serving()
-	ckpt, _ := dep.LastCheckpoint()
-	how := fmt.Sprintf("recovered checkpoint version %d", ckpt.Version)
-	if warmed {
+	how := fmt.Sprintf("recovered checkpoint version %d", boot.Recovered)
+	if boot.Recovered == 0 {
 		// Stats are not part of a checkpoint: only a warmup has an error to show.
 		how = fmt.Sprintf("warmed up on %d chunks (cumulative error %.4f)", e.Warmup, dep.Stats().FinalError)
 	}
 	wal, _ := dep.WALStats()
-	fmt.Printf("deployment %q: %s, replayed %d logged chunk(s), serving version %d\n",
-		e.Name, how, wal.Replayed, dep.Published().Version())
+	fmt.Printf("deployment %q: %s, replayed %d logged chunk(s), serving version %d; boot took recover %.3fs, generate-wait %.3fs, train %.3fs, checkpoint %.3fs, replay %.3fs\n",
+		e.Name, how, wal.Replayed, dep.Published().Version(), boot.Recover.Seconds(), boot.GenerateWait.Seconds(),
+		boot.Train.Seconds(), boot.Checkpoint.Seconds(), boot.Replay.Seconds())
 	return nil
 }
 

@@ -345,8 +345,8 @@ type Result struct {
 	// Evaluated counts prequentially evaluated records.
 	Evaluated int64
 	// Chunks counts the chunks a live deployment has ingested (successful
-	// Ingest/IngestLogged ticks; Run leaves it 0). The curves cannot say: a
-	// live curve retains a bounded number of points.
+	// Ingest/IngestLogged and Warm ticks; Run leaves it 0). The curves cannot
+	// say: a live curve retains a bounded number of points.
 	Chunks int64
 }
 

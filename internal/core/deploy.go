@@ -22,8 +22,9 @@ import (
 // Deployer executes one deployment scenario. It can be driven two ways:
 // Run plays a whole recorded stream (the experiment harness), while
 // Ingest/Predict drive a live deployment one chunk or query batch at a
-// time (the serving path). The two entry points share the same training
-// machinery; use one or the other, not both.
+// time (the serving path; Warm is its initial training, many Ingests as one
+// batch). The two entry points share the same training machinery; use one
+// or the other, not both.
 type Deployer struct {
 	cfg  Config
 	pipe *pipeline.Pipeline

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"cdml/internal/engine"
 	"cdml/internal/eval"
 )
 
@@ -75,14 +76,26 @@ func (d *Deployer) IngestLogged(ctx context.Context, records [][]byte, enqueuedA
 }
 
 // ingestTick executes one serialized live tick (see Ingest for
-// semantics). walSeq, when nonzero, is the chunk's write-ahead ingest log
-// sequence number: a successful tick buffers a commit record carrying the
-// publish version it is about to produce — under d.mu and before
-// publish(), so the commit provably happens before the snapshot can reach
-// the checkpoint writer (whose pre-write log sync makes it durable).
+// semantics): the tick body, then the publish of what it trained.
 func (d *Deployer) ingestTick(ctx context.Context, records [][]byte, enqueuedAt time.Time, walSeq uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if err := d.tickBody(ctx, records, enqueuedAt, walSeq); err != nil {
+		return err
+	}
+	d.publish()
+	return nil
+}
+
+// tickBody is a live tick up to its publish: score, learn, store, schedule,
+// account. walSeq, when nonzero, is the chunk's write-ahead ingest log
+// sequence number: a successful body buffers a commit record carrying the
+// publish version its caller is about to produce — under d.mu and before
+// publish(), so the commit provably happens before the snapshot can reach
+// the checkpoint writer (whose pre-write log sync makes it durable).
+//
+//cdml:locked mu — ingestTick and Warm hold d.mu around it
+func (d *Deployer) tickBody(ctx context.Context, records [][]byte, enqueuedAt time.Time, walSeq uint64) error {
 	d.drainQueryLoad()
 	res := d.liveResult()
 	d.beginTickCtx(ctx)
@@ -104,16 +117,52 @@ func (d *Deployer) ingestTick(ctx context.Context, records [][]byte, enqueuedAt 
 	res.ErrorCurve.Append(float64(d.cfg.Store.NumRaw()), d.cfg.Metric.Value())
 	res.CostCurve.Append(float64(d.cfg.Store.NumRaw()), d.cost.Total().Seconds())
 	if walSeq != 0 && d.wal != nil {
-		// publish() below assigns publishSeq+1; committing that version here,
-		// before the publish, is what makes the checkpoint writer's log sync
-		// cover every consumed chunk (see internal/core/wal.go).
+		// The caller's publish() assigns publishSeq+1; committing that version
+		// here, before the publish, is what makes the checkpoint writer's log
+		// sync cover every consumed chunk (see internal/core/wal.go).
 		if err := d.wal.MarkApplied(walSeq, d.publishSeq+1); err != nil {
 			return fmt.Errorf("core: ingest log commit: %w", err)
 		}
 	}
 	res.Chunks++
-	d.publish()
 	return nil
+}
+
+// Warm is the deployment's initial training as one batch: n ticks over
+// chunk(0) … chunk(n-1), each scored, learned from, stored and scheduled
+// exactly as Ingest would, and one publish at the end, at the version n
+// Ingest calls would have reached (version − 1 stays the number of chunks
+// trained). What the n − 1 publishes in between would have bought — a
+// snapshot for readers, a cadence checkpoint to resume from — a deployment
+// nobody serves from yet has no use for: its chunks can be generated again,
+// so a warm-up that dies is started over, not resumed. The checkpoint
+// cadence is consulted at that one publish only.
+//
+// chunk runs on the deployment's engine, up to 2·Workers() chunks ahead of
+// the tick that consumes them and never under d.mu; it must be safe to call
+// from several goroutines. A failed tick stops it and publishes nothing —
+// until the next successful publish the deployment answers
+// ErrResumeUnavailable like after any failed tick — and Shutdown ends a
+// warm-up between two ticks. The chunks are in no ingest log and reach no
+// shadow tee: warm a deployment before anything reads from it. The returned
+// duration is what the ticks took; the rest of the call was the training
+// goroutine waiting for chunk.
+func (d *Deployer) Warm(n int, chunk func(i int) [][]byte) (time.Duration, error) {
+	var ticks time.Duration
+	err := engine.StreamCtx(d.ctx, d.cfg.Engine, n, chunk, func(i int, records [][]byte) error {
+		start := time.Now()
+		d.mu.Lock()
+		defer func() { d.mu.Unlock(); ticks += time.Since(start) }()
+		if err := d.tickBody(d.ctx, records, time.Time{}, 0); err != nil {
+			return fmt.Errorf("warm-up chunk %d: %w", i, err)
+		}
+		if i == n-1 {
+			d.publishSeq += uint64(n - 1) // publish() adds the nth
+			d.publish()
+		}
+		return nil
+	})
+	return ticks, err
 }
 
 // drainQueryLoad hands the read path's accumulated load observations to the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"cdml/internal/data"
@@ -126,9 +127,10 @@ func (g *Taxi) Chunk(i int) [][]byte {
 	r := rand.New(rand.NewSource(g.cfg.Seed ^ (0x517cc1b7 * int64(i+1))))
 	span := time.Duration(g.cfg.HoursPerChunk) * time.Hour
 	chunkStart := g.start.Add(time.Duration(i) * span)
-	records := make([][]byte, g.cfg.RowsPerChunk)
-	var buf bytes.Buffer
-	for row := range records {
+	// One buffer a chunk, cut into records at the end; a row is ~85 bytes.
+	buf := make([]byte, 0, g.cfg.RowsPerChunk*88)
+	ends := make([]int, g.cfg.RowsPerChunk)
+	for row := range ends {
 		pickup := chunkStart.Add(time.Duration(r.Int63n(int64(span))))
 		pLat := 40.75 + 0.05*r.NormFloat64()
 		pLon := -73.98 + 0.05*r.NormFloat64()
@@ -155,14 +157,15 @@ func (g *Taxi) Chunk(i int) [][]byte {
 		}
 		dropoff := pickup.Add(time.Duration(durSec * float64(time.Second)))
 
-		buf.Reset()
-		buf.WriteString(pickup.Format(taxiTimeLayout))
-		buf.WriteByte(',')
-		buf.WriteString(dropoff.Format(taxiTimeLayout))
-		fmt.Fprintf(&buf, ",%.6f,%.6f,%.6f,%.6f,%d", pLon, pLat, dLon, dLat, pax)
-		records[row] = append([]byte(nil), buf.Bytes()...)
+		buf = pickup.AppendFormat(buf, taxiTimeLayout)
+		buf = dropoff.AppendFormat(append(buf, ','), taxiTimeLayout)
+		for _, v := range [...]float64{pLon, pLat, dLon, dLat} {
+			buf = strconv.AppendFloat(append(buf, ','), v, 'f', 6, 64)
+		}
+		buf = strconv.AppendInt(append(buf, ','), int64(pax), 10)
+		ends[row] = len(buf)
 	}
-	return records
+	return cutRecords(buf, ends)
 }
 
 // TaxiParser parses trip records, computing the actual trip duration from

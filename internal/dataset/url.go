@@ -155,14 +155,18 @@ func (u *URL) Chunk(i int) [][]byte {
 	}
 	r := rand.New(rand.NewSource(u.cfg.Seed ^ (0x9e3779b9 * int64(i+1))))
 	day := float64(i) / float64(u.cfg.ChunksPerDay)
-	records := make([][]byte, u.cfg.RowsPerChunk)
-	var buf bytes.Buffer
-	for row := range records {
-		buf.Reset()
+	// The records are written back to back into one buffer and cut apart at
+	// the end (the buffer moves while it grows); a row averages 35 bytes of
+	// label and numbers plus 6 a token.
+	buf := make([]byte, 0, u.cfg.RowsPerChunk*(40+6*u.cfg.TokensPerRow))
+	ends := make([]int, u.cfg.RowsPerChunk)
+	toks := make([]int, 0, 2*u.cfg.TokensPerRow)
+	var nums [numURLFeatures]float64
+	for row := range ends {
 		// Draw tokens from the active vocabulary with a popularity skew:
 		// token index ~ floor(V * u^popExp) favors low indices.
 		nTok := 1 + r.Intn(2*u.cfg.TokensPerRow)
-		toks := make([]int, 0, nTok)
+		toks = toks[:0]
 		score := 0.0
 		for len(toks) < nTok {
 			tok := int(float64(u.cfg.Vocab) * math.Pow(r.Float64(), u.popExp))
@@ -177,7 +181,6 @@ func (u *URL) Chunk(i int) [][]byte {
 		}
 		score /= math.Sqrt(float64(len(toks)))
 		// Numeric features, standardized at the source, contribute too.
-		nums := make([]float64, numURLFeatures)
 		for k := range nums {
 			nums[k] = r.NormFloat64()
 			score += u.numW[k] * nums[k]
@@ -191,28 +194,40 @@ func (u *URL) Chunk(i int) [][]byte {
 		}
 		// Serialize.
 		if label > 0 {
-			buf.WriteString("+1\t")
+			buf = append(buf, "+1\t"...)
 		} else {
-			buf.WriteString("-1\t")
+			buf = append(buf, "-1\t"...)
 		}
 		for k, v := range nums {
 			if k > 0 {
-				buf.WriteByte(',')
+				buf = append(buf, ',')
 			}
 			if r.Float64() < 0.04 {
-				buf.WriteByte('?') // missing value for the imputer
+				buf = append(buf, '?') // missing value for the imputer
 			} else {
-				buf.WriteString(strconv.FormatFloat(v, 'f', 4, 64))
+				buf = strconv.AppendFloat(buf, v, 'f', 4, 64)
 			}
 		}
-		buf.WriteByte('\t')
+		buf = append(buf, '\t')
 		for k, tok := range toks {
 			if k > 0 {
-				buf.WriteByte(' ')
+				buf = append(buf, ' ')
 			}
-			fmt.Fprintf(&buf, "t%d", tok)
+			buf = strconv.AppendInt(append(buf, 't'), int64(tok), 10)
 		}
-		records[row] = append([]byte(nil), buf.Bytes()...)
+		ends[row] = len(buf)
+	}
+	return cutRecords(buf, ends)
+}
+
+// cutRecords slices a chunk's buffer into its records, each clipped to its
+// own length so that appending to one cannot reach the next.
+func cutRecords(buf []byte, ends []int) [][]byte {
+	records := make([][]byte, len(ends))
+	start := 0
+	for row, end := range ends {
+		records[row] = buf[start:end:end]
+		start = end
 	}
 	return records
 }

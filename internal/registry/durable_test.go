@@ -8,13 +8,18 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cdml/internal/core"
+	"cdml/internal/data"
+	"cdml/internal/engine"
 	"cdml/internal/model"
 	"cdml/internal/obs"
+	"cdml/internal/sample"
 	"cdml/internal/snapstream"
 )
 
@@ -42,6 +47,11 @@ func ingestLogged(t *testing.T, d *Deployment, chunks [][][]byte) {
 			t.Fatalf("logged ingest chunk %d: %v", i, err)
 		}
 	}
+}
+
+// from is chunks as a warm-up generator.
+func from(chunks [][][]byte) func(int) [][]byte {
+	return func(i int) [][]byte { return chunks[i] }
 }
 
 func warmOn(chunks [][][]byte) func(*Deployment) error {
@@ -103,7 +113,7 @@ func TestCreateRecoversElseWarmsThenReplays(t *testing.T) {
 			}
 
 			r1 := New(opts)
-			d1, err := r1.CreateWarm("m", adamConfig(), Quotas{}, warmOn(warm))
+			d1, _, err := r1.CreateWarm("m", adamConfig(), Quotas{}, len(warm), from(warm))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,18 +125,18 @@ func TestCreateRecoversElseWarmsThenReplays(t *testing.T) {
 			}
 			r1.Close()
 
-			warmed := false
+			var warmed atomic.Bool // the generator runs on the engine's goroutines
 			r2 := New(opts)
 			defer r2.Close()
-			d2, err := r2.CreateWarm("m", adamConfig(), Quotas{}, func(d *Deployment) error {
-				warmed = true
-				return warmOn(warm)(d)
+			d2, _, err := r2.CreateWarm("m", adamConfig(), Quotas{}, len(warm), func(i int) [][]byte {
+				warmed.Store(true)
+				return warm[i]
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if warmed == tc.checkpoints {
-				t.Fatalf("warmup ran = %v with checkpoints = %v", warmed, tc.checkpoints)
+			if warmed.Load() == tc.checkpoints {
+				t.Fatalf("warmup ran = %v with checkpoints = %v", warmed.Load(), tc.checkpoints)
 			}
 			if got, want := d2.Serving().Published().Version(), uint64(1+len(warm)+len(applied)+len(queued)); got != want {
 				t.Fatalf("second life is at version %d, want %d", got, want)
@@ -148,7 +158,7 @@ func TestWarmupTailSurvivesRestart(t *testing.T) {
 	opts := Options{CheckpointRoot: root, WALRoot: root, Checkpoint: core.CheckpointPolicy{EveryTicks: 4}}
 	chunks := stream(9, 6)
 	r1 := New(opts)
-	d1, err := r1.CreateWarm("m", adamConfig(), Quotas{}, warmOn(chunks[:5]))
+	d1, _, err := r1.CreateWarm("m", adamConfig(), Quotas{}, 5, from(chunks))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,5 +409,105 @@ func TestAutoChallengerFailureIsCounted(t *testing.T) {
 	fails := metrics.Counter("cdml_auto_challenger_failures_total", "", obs.L("deployment", "m"))
 	if got := fails.Value(); got != 1 {
 		t.Fatalf("cdml_auto_challenger_failures_total = %d, want 1", got)
+	}
+}
+
+// TestChaosKillDuringWarmupRewarms: a warm-up is a batch, and a batch that
+// died is run again. The first life's warm-up of 40 chunks dies at its 25th
+// (a store quota: the deployment is closed without an end-of-warm-up
+// checkpoint); the second life over the same directories, given the same
+// generator, must end where a life that never died ends — version 1+40,
+// the same state bytes, the same stored chunks — with the warm-up's end as
+// its one checkpoint. When every warm-up chunk was a live tick, the first
+// life left cadence checkpoints (versions 9, 17, …), and the second resumed
+// from the newest and never trained on the chunks after it.
+func TestChaosKillDuringWarmupRewarms(t *testing.T) {
+	const n, died = 40, 24
+	chunks := stream(13, n)
+	proactive := func() (core.Config, *data.Store) {
+		cfg := adamConfig()
+		cfg.Mode, cfg.ProactiveEvery = core.ModeContinuous, 4
+		cfg.Sampler, cfg.SampleChunks = sample.NewTime(1), 5
+		return cfg, cfg.Store
+	}
+	workers := engine.New(2)
+
+	refReg := New(Options{Engine: workers})
+	defer refReg.Close()
+	cfg, refStore := proactive()
+	ref, _, err := refReg.CreateWarm("m", cfg, Quotas{}, n, from(chunks))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	root := t.TempDir()
+	opts := Options{Engine: workers, CheckpointRoot: root, WALRoot: root, Checkpoint: core.CheckpointPolicy{EveryTicks: 8}}
+	ckptDir := filepath.Join(root, "m", "ckpt")
+	r1 := New(opts)
+	cfg, _ = proactive()
+	if _, _, err := r1.CreateWarm("m", cfg, Quotas{MaxStoreChunks: died}, n, from(chunks)); !errors.Is(err, data.ErrOverQuota) {
+		t.Fatalf("first life: err = %v, want the store quota to end the warm-up", err)
+	}
+	r1.Close()
+	if got := checkpointVersions(t, ckptDir); len(got) != 0 {
+		t.Fatalf("a warm-up that died after %d chunks left checkpoints %v: the next boot resumes inside it", died, got)
+	}
+
+	r2 := New(opts)
+	defer r2.Close()
+	cfg, store := proactive()
+	d, boot, err := r2.CreateWarm("m", cfg, Quotas{}, n, from(chunks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Serving().Published().Version(); got != 1+n || boot.Recovered != 0 {
+		t.Fatalf("second life is at version %d (recovered checkpoint %d), want a whole warm-up: version %d", got, boot.Recovered, 1+n)
+	}
+	if !bytes.Equal(resumeState(t, d), resumeState(t, ref)) {
+		t.Fatal("second life is not bit-identical to an uninterrupted warm-up")
+	}
+	if !slices.Equal(store.RawIDs(), refStore.RawIDs()) {
+		t.Fatalf("second life stored chunks %v, an uninterrupted warm-up %v", store.RawIDs(), refStore.RawIDs())
+	}
+	if got := checkpointVersions(t, ckptDir); !slices.Equal(got, []uint64{1 + n}) {
+		t.Fatalf("checkpoints after a cold boot: %v, want the warm-up's end alone, version %d", got, 1+n)
+	}
+}
+
+// TestBootReportsItsPhases: a boot says which way it went and what each
+// phase cost, to its caller and as cdml_boot_seconds{deployment,phase}; a
+// later boot of the name overwrites every phase, the ones it skipped with 0.
+func TestBootReportsItsPhases(t *testing.T) {
+	root := t.TempDir()
+	opts := Options{Metrics: obs.NewRegistry(), CheckpointRoot: root, WALRoot: root}
+	chunks := stream(4, 6)
+	gauge := func(phase string) float64 {
+		return opts.Metrics.Gauge("cdml_boot_seconds", "", obs.L("deployment", "m"), obs.L("phase", phase)).Value()
+	}
+
+	r := New(opts)
+	_, cold, err := r.CreateWarm("m", adamConfig(), Quotas{}, len(chunks), from(chunks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Recovered != 0 || cold.Train <= 0 || cold.Checkpoint <= 0 || cold.GenerateWait < 0 {
+		t.Fatalf("cold boot reported %+v, want a warm-up and its end checkpoint", cold)
+	}
+	if gauge("train") <= 0 || gauge("checkpoint") <= 0 {
+		t.Fatalf("gauges train=%v checkpoint=%v do not carry the report %+v", gauge("train"), gauge("checkpoint"), cold)
+	}
+	r.Close()
+
+	r = New(opts)
+	defer r.Close()
+	_, again, err := r.CreateWarm("m", adamConfig(), Quotas{}, len(chunks), from(chunks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Recovered != uint64(1+len(chunks)) || again.Recover <= 0 || again.Train != 0 {
+		t.Fatalf("second boot reported %+v, want a recovery of version %d and no warm-up", again, 1+len(chunks))
+	}
+	if gauge("train") != 0 || gauge("recover") <= 0 {
+		t.Fatalf("gauges after a recovery: train=%v recover=%v", gauge("train"), gauge("recover"))
 	}
 }

@@ -223,21 +223,27 @@ func validName(name string) bool {
 // tee hook lets a challenger mirror the live traffic later. Durable state
 // under the name is then recovered: Create is CreateWarm without a warm-up.
 func (r *Registry) Create(name string, cfg core.Config, q Quotas) (*Deployment, error) {
-	return r.CreateWarm(name, cfg, q, nil)
+	d, _, err := r.CreateWarm(name, cfg, q, 0, nil)
+	return d, err
 }
 
-// CreateWarm is Create with the caller's warm-up (the paper's initial
-// training), and the one place the boot order lives: when the name's
+// CreateWarm is Create with a warm-up (the paper's initial training) of n
+// chunks, chunk(0) … chunk(n-1) — core.Deployer.Warm says what chunk must
+// put up with — and the one place the boot order lives: when the name's
 // checkpoint directory holds a checkpoint, the newest valid one is restored,
-// the ingest log replays past it and warmup does not run; otherwise warmup
-// runs, its end is checkpointed, and the whole log replays — the order of
-// the life that wrote it. Only then do Get and the serve layer see the name.
-func (r *Registry) CreateWarm(name string, cfg core.Config, q Quotas, warmup func(*Deployment) error) (*Deployment, error) {
+// the ingest log replays past it and chunk is never called; otherwise the
+// warm-up runs as one batch, its end is checkpointed — the first checkpoint
+// of a cold boot, so a warm-up that died left nothing to recover and is run
+// again from chunk 0 — and the whole log replays: the order of the life that
+// wrote it. Only then do Get and the serve layer see the name. A nil chunk
+// is no warm-up at all, not even the checkpoint. The Boot says which way the
+// deployment came up and what each phase cost.
+func (r *Registry) CreateWarm(name string, cfg core.Config, q Quotas, n int, chunk func(i int) [][]byte) (*Deployment, Boot, error) {
 	// The name is claimed before anything is built: buildEntry opens the
 	// deployment's ingest log, and wal.Open truncates what it takes for a torn
 	// tail — a second writer on a live champion's log must never get that far.
 	if err := r.reserve(name); err != nil {
-		return nil, err
+		return nil, Boot{}, err
 	}
 	d := &Deployment{name: name, reg: r, quotas: q.merged(r.opts.DefaultQuotas)}
 	d.version.Store(1)
@@ -245,45 +251,80 @@ func (r *Registry) CreateWarm(name string, cfg core.Config, q Quotas, warmup fun
 	e, err := r.buildEntry(d, cfg, true)
 	if err != nil {
 		r.settle(name, nil)
-		return nil, err
+		return nil, Boot{}, err
 	}
 	d.serving.Store(e)
-	if err := d.recoverOrWarm(e, warmup); err != nil {
+	boot, err := d.recoverOrWarm(e, n, chunk)
+	if err != nil {
 		d.close() // the champion, and a challenger a drift fire in warmup started
 		r.settle(name, nil)
-		return nil, err
+		return nil, Boot{}, err
+	}
+	if r.opts.Metrics != nil {
+		for phase, took := range map[string]time.Duration{"recover": boot.Recover, "generate-wait": boot.GenerateWait,
+			"train": boot.Train, "checkpoint": boot.Checkpoint, "replay": boot.Replay} {
+			r.opts.Metrics.Gauge("cdml_boot_seconds",
+				"Seconds the deployment's last boot spent in each phase: recover (restore the newest valid checkpoint and replay the log past it) or, finding none, generate-wait and train (the warm-up: waiting for the next generated chunk, and its ticks), checkpoint (the warm-up's end) and replay (the whole log).",
+				obs.L("deployment", name), obs.L("phase", phase)).Set(took.Seconds())
+		}
 	}
 	r.settle(name, d)
-	return d, nil
+	return d, boot, nil
+}
+
+// Boot is how CreateWarm brought a deployment up and where the time went.
+type Boot struct {
+	// Recovered is the version of the checkpoint boot restored; 0 when the
+	// name had none and the deployment warmed up instead.
+	Recovered uint64
+	// Recover covers the restore and the log replay past it; GenerateWait and
+	// Train split the warm-up into the training goroutine waiting for the
+	// next chunk and the ticks; Checkpoint is the warm-up's end made durable;
+	// Replay is the whole log after a warm-up.
+	Recover, GenerateWait, Train, Checkpoint, Replay time.Duration
 }
 
 // recoverOrWarm is the boot order described on CreateWarm.
-func (d *Deployment) recoverOrWarm(e *entry, warmup func(*Deployment) error) error {
+func (d *Deployment) recoverOrWarm(e *entry, n int, chunk func(i int) [][]byte) (Boot, error) {
 	stateErr := func(err error) error {
 		if err != nil {
 			err = fmt.Errorf("%w of %q: %w", ErrState, d.name, err)
 		}
 		return err
 	}
+	var b Boot
+	mark := time.Now()
+	lap := func() (took time.Duration) {
+		took, mark = time.Since(mark), time.Now()
+		return took
+	}
 	if e.ckptDir != "" {
 		// RecoverFromDir replays the log past the checkpoint it restores.
-		if _, err := e.dep.RecoverFromDir(e.ckptDir); !errors.Is(err, core.ErrNoCheckpoint) {
-			return stateErr(err)
+		info, err := e.dep.RecoverFromDir(e.ckptDir)
+		b.Recovered, b.Recover = info.Version, lap()
+		if !errors.Is(err, core.ErrNoCheckpoint) {
+			return b, stateErr(err)
 		}
 	}
-	if warmup != nil {
-		if err := warmup(d); err != nil {
-			return err
+	if chunk != nil {
+		var err error
+		if b.Train, err = e.dep.Warm(n, chunk); err != nil {
+			return b, err
 		}
-		// Warm-up chunks are in no log. Without a recovery point at their end,
-		// a restart resumes from the last cadence checkpoint inside the warm-up
-		// and the chunks after it are gone.
+		b.GenerateWait = lap() - b.Train
+		// Warm-up chunks are in no log: their end is the recovery point, and
+		// the only one — nothing of a warm-up is durable before all of it is.
 		if _, err := e.dep.CheckpointNow(); err != nil && !errors.Is(err, core.ErrNoCheckpointPolicy) {
-			return stateErr(err)
+			return b, stateErr(err)
 		}
+		b.Checkpoint = lap()
+		// A drift fire inside the warm-up gets its challenger here: the check
+		// Ingest runs after every tick, Warm leaves to its caller.
+		d.maybeAutoChallenge()
 	}
 	_, err := e.dep.ReplayIngestLog()
-	return stateErr(err)
+	b.Replay = lap()
+	return b, stateErr(err)
 }
 
 // Adopt registers an externally constructed deployer under name. Adopted
