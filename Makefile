@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build bench-module vet lint analysistest test test-short race cover bench bench-smoke bench-record bench-gate chaos census census-check fuzz fuzz-smoke experiments examples clean
+.PHONY: all check build bench-module vet fmt-check lint analysistest test test-short race cover bench bench-smoke bench-record bench-gate chaos census census-check fuzz fuzz-smoke experiments examples clean
 
 all: build vet test
 
@@ -23,10 +23,17 @@ bench-module:
 vet:
 	$(GO) vet ./...
 
-# lint runs go vet plus the repo's own analyzers (globalrand, floateq,
-# mustcheck, hotpath, guardedby, snapfreeze, ctxflow, determinism — see
-# internal/analysis) and the //lint:allow format audit. Fails on any finding.
-lint: vet
+# fmt-check fails when gofmt would rewrite a file (the analyzer fixtures under
+# testdata/ are not held to it).
+fmt-check:
+	@out=$$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' | xargs gofmt -l); \
+		[ -z "$$out" ] || { echo "gofmt -w:"; echo "$$out"; exit 1; }
+
+# lint runs go vet, the gofmt check, plus the repo's own analyzers (globalrand,
+# floateq, mustcheck, hotpath, guardedby, snapfreeze, ctxflow, determinism —
+# see internal/analysis) and the //lint:allow format audit. Fails on any
+# finding.
+lint: vet fmt-check
 	$(GO) run ./cmd/cdml-lint ./...
 
 # analysistest runs the analyzers' own test suite: the framework units plus

@@ -30,7 +30,6 @@ type idle struct{}
 func (idle) Name() string                                 { return "idle" }
 func (idle) Due(time.Time) bool                           { return false }
 func (idle) TrainingDone(time.Time, time.Duration)        {}
-func (idle) ObservePrediction(time.Time, time.Duration)   {}
 func (idle) ObserveQueries(time.Time, int, time.Duration) {}
 
 // testOptions parses args as the command line would and pins the scheduler.

@@ -199,9 +199,9 @@ func expand(frozen, mutable map[*types.TypeName]bool) {
 type verdict int
 
 const (
-	keepWalking verdict = iota // not a decisive owner, continue toward root
-	frozenOwner                // written memory belongs to a frozen object
-	mutableOwner               // written memory belongs to a //cdml:mutable object
+	keepWalking  verdict = iota // not a decisive owner, continue toward root
+	frozenOwner                 // written memory belongs to a frozen object
+	mutableOwner                // written memory belongs to a //cdml:mutable object
 )
 
 // ownerVerdict inspects the type of a chain-prefix expression. Pointer,

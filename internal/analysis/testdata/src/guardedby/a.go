@@ -60,7 +60,7 @@ func (c *counter) reset() {
 	c.n = 0
 }
 
-// snapshotDuringInit is single-threaded by construction; the deliberate
+// snapshotDuringInit runs before the counter is shared; the deliberate
 // exception carries a reason.
 func (c *counter) snapshotDuringInit() int {
 	return c.n //lint:allow guardedby: called before the counter is shared with any goroutine

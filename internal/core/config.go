@@ -221,20 +221,18 @@ type Config struct {
 	// reclaimed after each checkpoint prune.
 	IngestLog *wal.Options
 	// ShadowTee, when set, receives every successfully ingested live chunk
-	// after its tick has completed and published (Ingest and IngestLogged;
-	// Run does not tee). The deployment registry uses it
-	// to mirror live ingest traffic into a shadow challenger: the hook runs
-	// after the writer mutex is released, so the champion's own training
-	// trajectory is bit-identical with and without a tee attached, and the
-	// hook may ingest into another deployer without any lock nesting. The
-	// hook runs synchronously on the ingest caller's goroutine and must not
-	// call back into this deployer's writer paths.
+	// after its tick has completed and published (Ingest and IngestLogged; the
+	// ticks of a batch — Run, Warm — publish once, at its end, and are not
+	// teed). The deployment registry uses it to mirror live ingest traffic
+	// into a shadow challenger: the hook runs after the writer mutex is
+	// released, so the champion's own training trajectory is bit-identical
+	// with and without a tee attached, and the hook may ingest into another
+	// deployer without any lock nesting. The hook runs synchronously on the
+	// ingest caller's goroutine and must not call back into this deployer's
+	// writer paths.
 	ShadowTee func(ctx context.Context, records [][]byte)
 	// Seed drives the retraining shuffles.
 	Seed int64
-	// CheckpointEvery controls error/cost curve resolution in chunks
-	// (default 1).
-	CheckpointEvery int
 }
 
 func (c *Config) validate() error {
@@ -279,9 +277,6 @@ func (c *Config) validate() error {
 	if c.RetrainBatchRows <= 0 {
 		c.RetrainBatchRows = 512
 	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 1
-	}
 	if c.Engine == nil {
 		c.Engine = engine.New(1)
 	}
@@ -309,21 +304,27 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// Result summarizes one deployment run.
+// curvePoints bounds each curve of a Result, which is given a point a tick
+// for as long as the deployment runs: past it the curves keep the whole x
+// range at half the resolution (see eval.Series.Max).
+const curvePoints = 1024
+
+// Result summarizes one deployment: what Run returns and what Stats answers.
 type Result struct {
 	// Mode echoes the strategy.
 	Mode Mode
-	// ErrorCurve is the cumulative prequential error over chunk time. A live
-	// deployment's curves are bounded (liveCurvePoints): old history thins
-	// out, the x range and AvgError do not change.
+	// ErrorCurve is the cumulative prequential error over chunk time — x is
+	// the number of chunks trained, InitialChunks + Chunks — one point a tick.
+	// The curves are bounded (curvePoints): old history thins out, the x range
+	// and AvgError do not change.
 	ErrorCurve *eval.Series
 	// CostCurve is the cumulative deployment cost (seconds) over chunk
 	// time.
 	CostCurve *eval.Series
 	// FinalError is the cumulative error at the end of the deployment.
 	FinalError float64
-	// AvgError is the mean of the error curve — the paper's "average error
-	// rate over the deployment".
+	// AvgError is the mean of the cumulative error after every tick — the
+	// paper's "average error rate over the deployment".
 	AvgError float64
 	// Cost is the per-category cost breakdown.
 	Cost *eval.CostClock
@@ -344,9 +345,9 @@ type Result struct {
 	RetrainTotal time.Duration
 	// Evaluated counts prequentially evaluated records.
 	Evaluated int64
-	// Chunks counts the chunks a live deployment has ingested (successful
-	// Ingest/IngestLogged and Warm ticks; Run leaves it 0). The curves cannot
-	// say: a live curve retains a bounded number of points.
+	// Chunks counts the ticks that succeeded: the chunks ingested after the
+	// initial training. The curves cannot say: they retain a bounded number of
+	// points.
 	Chunks int64
 }
 

@@ -19,12 +19,14 @@ import (
 	"cdml/internal/wal"
 )
 
-// Deployer executes one deployment scenario. It can be driven two ways:
-// Run plays a whole recorded stream (the experiment harness), while
-// Ingest/Predict drive a live deployment one chunk or query batch at a
-// time (the serving path; Warm is its initial training, many Ingests as one
-// batch). The two entry points share the same training machinery; use one
-// or the other, not both.
+// Deployer is one deployment: a pipeline and a model that every arriving
+// chunk is scored against and then trains, one tick at a time. Ingest is the
+// tick, followed by a publish of what it trained; Run and Warm are batches of
+// the same tick with one publish at their end — Run over a recorded stream,
+// after its initial training (the experiment harness, cmd/cdml), Warm over a
+// generator, ahead of a server's first request. Predict and Stats answer from
+// the published snapshot throughout, and Ingest after a batch continues the
+// same deployment.
 type Deployer struct {
 	cfg  Config
 	pipe *pipeline.Pipeline
@@ -36,7 +38,7 @@ type Deployer struct {
 	// consumed by the next training decision.
 	//cdml:guardedby mu
 	driftPending bool
-	// countdowns for the chunk-count triggers, shared by Run and Ingest.
+	// countdowns for the chunk-count triggers.
 	//cdml:guardedby mu
 	proactiveCountdown int
 	//cdml:guardedby mu
@@ -48,9 +50,7 @@ type Deployer struct {
 	//cdml:guardedby mu
 	thresholdCooldown int
 	// obs holds the deployment's instruments (always non-nil); tickSpan is
-	// the span tree of the tick in flight, nil between ticks. Both are
-	// guarded by the same serialization as the rest of the deployment
-	// state (d.mu for live use; Run is single-threaded).
+	// the span tree of the tick in flight, nil between ticks.
 	obs *deployObs
 	//cdml:guardedby mu
 	tickSpan *obs.Span
@@ -74,14 +74,14 @@ type Deployer struct {
 	cancel       context.CancelFunc
 	shutdownOnce sync.Once
 
-	// mu serializes the writers (Ingest, Checkpoint, RestoreCheckpoint).
-	// Run does not take it; a Run is single-threaded by construction, and
-	// its helpers carry //cdml:locked mu to document that the serialization
-	// is provided externally. Predict and Stats never take it — they read
-	// the published snapshot.
+	// mu serializes the writers (Ingest, Run, Warm, Checkpoint,
+	// RestoreCheckpoint). Predict and Stats never take it — they read the
+	// published snapshot.
 	mu sync.Mutex
+	// result is the accumulating result every tick adds to; publish freezes a
+	// copy of it into the snapshot Stats answers from.
 	//cdml:guardedby mu
-	live *Result // accumulating result for live use, lazily created
+	result *Result
 
 	// snap is the published deployment snapshot the lock-free read path
 	// serves from; publishSeq is the writer-owned version counter behind
@@ -125,6 +125,12 @@ func NewDeployer(cfg Config) (*Deployer, error) {
 		rng:                rand.New(rand.NewSource(cfg.Seed)),
 		proactiveCountdown: cfg.ProactiveEvery,
 		retrainCountdown:   cfg.RetrainEvery,
+	}
+	d.result = &Result{
+		Mode:       cfg.Mode,
+		ErrorCurve: &eval.Series{Name: cfg.Mode.String() + "-error", Max: curvePoints},
+		CostCurve:  &eval.Series{Name: cfg.Mode.String() + "-cost", Max: curvePoints},
+		Cost:       d.cost,
 	}
 	d.snapSrc.d = d
 	if cfg.Mode == ModeThreshold {
@@ -189,69 +195,43 @@ func (d *Deployer) Pipeline() *pipeline.Pipeline { return d.pipe }
 
 // Run plays the whole stream through the deployment: the first
 // InitialChunks train the initial model in batch mode; every later chunk is
-// prequentially evaluated, used for online learning, stored, and — per
-// strategy — triggers proactive training or periodical retraining.
-//
-//cdml:locked mu — a Run is single-threaded by construction (see the Deployer doc): it owns the writer state without taking the lock
+// one tick — prequentially evaluated, used for online learning, stored, and,
+// per strategy, a trigger of proactive training or periodical retraining —
+// taken serially in stream order on the calling goroutine. Like Warm it is a
+// batch with one publish at its end (per-tick deep copies nobody reads would
+// only distort the cost measurements), at the version as many Ingest calls
+// would have reached, and what it returns is Stats() of that publish.
 func (d *Deployer) Run(s Stream) (*Result, error) {
-	res := &Result{
-		Mode:       d.cfg.Mode,
-		ErrorCurve: &eval.Series{Name: d.cfg.Mode.String() + "-error"},
-		CostCurve:  &eval.Series{Name: d.cfg.Mode.String() + "-cost"},
-		Cost:       d.cost,
+	n := s.NumChunks() - d.cfg.InitialChunks
+	if n <= 0 {
+		return nil, fmt.Errorf("core: InitialChunks %d exceeds stream length %d", d.cfg.InitialChunks, s.NumChunks())
 	}
-	n := s.NumChunks()
-	if d.cfg.InitialChunks >= n {
-		return nil, fmt.Errorf("core: InitialChunks %d exceeds stream length %d", d.cfg.InitialChunks, n)
-	}
-	if err := d.initialTrain(s); err != nil {
+	d.mu.Lock()
+	err := d.initialTrain(s)
+	d.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
-	d.proactiveCountdown = d.cfg.ProactiveEvery
-	d.retrainCountdown = d.cfg.RetrainEvery
-	for i := d.cfg.InitialChunks; i < n; i++ {
-		records := s.Chunk(i)
-		d.beginTick()
-
-		// 1. Prequential evaluation: answer the chunk as prediction
-		// queries with the currently deployed model.
-		if err := d.serveAndScore(records, res); err != nil {
+	for i := 0; i < n; i++ {
+		if err := d.batchTick(s.Chunk(d.cfg.InitialChunks+i), i, n); err != nil {
 			return nil, err
-		}
-
-		// 2. Online learning plus strategy-specific training.
-		if err := d.ingest(records, res); err != nil {
-			return nil, err
-		}
-		d.endTick()
-
-		if (i-d.cfg.InitialChunks)%d.cfg.CheckpointEvery == 0 || i == n-1 {
-			x := float64(i)
-			res.ErrorCurve.Append(x, d.cfg.Metric.Value())
-			res.CostCurve.Append(x, d.cost.Total().Seconds())
 		}
 	}
-	res.FinalError = d.cfg.Metric.Value()
-	res.AvgError = res.ErrorCurve.Mean()
-	res.MatStats = d.cfg.Store.Stats()
-	// Publish once at the end so Predict calls after a Run serve the fully
-	// trained state. Run does not publish per tick: it is the
-	// single-threaded experiment harness with no concurrent readers, and
-	// per-tick deep copies would only distort the cost measurements.
-	d.publish()
-	return res, nil
+	res := d.Stats()
+	return &res, nil
 }
 
 // ingest runs the training half of one deployment tick: online learning on
 // the chunk, storage, and the strategy-specific training trigger.
 //
-//cdml:locked mu — tick helper; ingestTick holds d.mu and Run is single-threaded
-func (d *Deployer) ingest(records [][]byte, res *Result) error {
+//cdml:locked mu — tick helper; tickBody's callers hold d.mu
+func (d *Deployer) ingest(records [][]byte) error {
 	// Online learning: update pipeline statistics, transform, store, and
 	// apply one online gradient step on the fresh chunk.
 	if err := d.onlineUpdate(records); err != nil {
 		return err
 	}
+	retrainDue := false
 	switch d.cfg.Mode {
 	case ModeContinuous:
 		d.proactiveCountdown--
@@ -263,7 +243,7 @@ func (d *Deployer) ingest(records [][]byte, res *Result) error {
 			// training over the newest chunks instead of waiting for the
 			// schedule.
 			d.driftPending = false
-			res.DriftEvents++
+			d.result.DriftEvents++
 			d.obs.driftFires.Inc()
 			due = true
 			recent = true
@@ -274,38 +254,39 @@ func (d *Deployer) ingest(records [][]byte, res *Result) error {
 		}
 		if due {
 			d.proactiveCountdown = d.cfg.ProactiveEvery
-			start := time.Now()
-			sp := d.stage("proactive-train")
-			if err := d.proactiveTrain(res, recent); err != nil {
+			dur, err := d.timed("proactive-train", "", func() error { return d.proactiveTrain(recent) })
+			d.result.ProactiveRuns++
+			d.result.ProactiveTotal += dur
+			d.obs.proactiveRuns.Inc()
+			d.obs.proactiveDuration.Observe(dur)
+			if err != nil {
 				return err
 			}
-			sp.Finish()
 			if d.cfg.Scheduler != nil {
-				d.cfg.Scheduler.TrainingDone(time.Now(), time.Since(start))
+				d.cfg.Scheduler.TrainingDone(time.Now(), dur)
 			}
 		}
 	case ModePeriodical:
 		d.retrainCountdown--
-		if d.retrainCountdown <= 0 {
+		if retrainDue = d.retrainCountdown <= 0; retrainDue {
 			d.retrainCountdown = d.cfg.RetrainEvery
-			sp := d.stage("retrain")
-			if err := d.retrain(res); err != nil {
-				return err
-			}
-			sp.Finish()
 		}
 	case ModeThreshold:
 		d.thresholdCooldown--
-		if d.thresholdCooldown <= 0 && d.thresholdMonitor.Count() > 0 &&
-			d.thresholdMonitor.Value() > d.cfg.RetrainThreshold {
+		retrainDue = d.thresholdCooldown <= 0 && d.thresholdMonitor.Count() > 0 &&
+			d.thresholdMonitor.Value() > d.cfg.RetrainThreshold
+		if retrainDue {
 			d.thresholdCooldown = retrainCooldown
 			d.thresholdMonitor.Reset()
-			sp := d.stage("retrain")
-			if err := d.retrain(res); err != nil {
-				return err
-			}
-			sp.Finish()
 		}
+	}
+	if retrainDue {
+		dur, err := d.timed("retrain", "", d.retrain)
+		d.result.Retrains++
+		d.result.RetrainTotal += dur
+		d.obs.retrains.Inc()
+		d.obs.retrainDuration.Observe(dur)
+		return err
 	}
 	return nil
 }
@@ -313,26 +294,16 @@ func (d *Deployer) ingest(records [][]byte, res *Result) error {
 // initialTrain consumes the first InitialChunks for batch training: all
 // chunks are preprocessed with the online path (building the initial
 // pipeline statistics), stored, and the model is trained with
-// RetrainEpochs of mini-batch SGD.
+// InitialEpochs of mini-batch SGD.
 func (d *Deployer) initialTrain(s Stream) error {
 	if d.cfg.InitialChunks == 0 {
 		return nil
 	}
 	var all []data.Instance
 	for i := 0; i < d.cfg.InitialChunks; i++ {
-		records := s.Chunk(i)
-		var (
-			ins []data.Instance
-			err error
-		)
-		d.cost.Time(eval.CatPreprocess, func() {
-			ins, err = d.pipe.ProcessOnline(records)
-		})
+		ins, err := d.preprocessAndStore(s.Chunk(i))
 		if err != nil {
 			return fmt.Errorf("core: initial training chunk %d: %w", i, err)
-		}
-		if err := d.store(records, ins); err != nil {
-			return err
 		}
 		all = append(all, ins...)
 	}
@@ -344,25 +315,12 @@ func (d *Deployer) initialTrain(s Stream) error {
 // serveAndScore preprocesses the chunk on the transform-only path and
 // prequentially scores the deployed model on every resulting instance.
 //
-//cdml:locked mu — tick helper; ingestTick holds d.mu and Run is single-threaded
-func (d *Deployer) serveAndScore(records [][]byte, res *Result) error {
-	var (
-		ins   []data.Instance
-		err   error
-		start = time.Now()
-		sp    = d.stage("serve")
-	)
-	defer func() {
-		sp.Finish()
-		// Exemplar: a slow serve observation carries the tick's trace id, so
-		// the /v1/metrics top bucket links to the exact tick in .../trace.
-		d.obs.predictLatency.ObserveExemplar(time.Since(start), d.tickTraceID())
-		d.obs.recordsEvaluated.Add(int64(len(ins)))
-	}()
-	d.cost.Time(eval.CatPredict, func() {
-		ins, err = d.pipe.ProcessServe(records)
-		if err != nil {
-			return
+//cdml:locked mu — tick helper; tickBody's callers hold d.mu
+func (d *Deployer) serveAndScore(records [][]byte) error {
+	var ins []data.Instance
+	dur, err := d.timed("serve", eval.CatPredict, func() (err error) {
+		if ins, err = d.pipe.ProcessServe(records); err != nil {
+			return err
 		}
 		for _, in := range ins {
 			pred := d.cfg.Predict(d.mdl, in.X)
@@ -376,58 +334,54 @@ func (d *Deployer) serveAndScore(records [][]byte, res *Result) error {
 				d.thresholdMonitor.ObserveLoss(d.cfg.DriftLoss(pred, in.Y))
 			}
 		}
+		return nil
 	})
+	// Exemplar: a slow serve observation carries the tick's trace id, so
+	// the /v1/metrics top bucket links to the exact tick in .../trace.
+	d.obs.predictLatency.ObserveExemplar(dur, d.tickSpan.TraceID)
+	d.obs.recordsEvaluated.Add(int64(len(ins)))
 	if err != nil {
 		return fmt.Errorf("core: serving chunk: %w", err)
 	}
 	if d.cfg.Scheduler != nil && len(ins) > 0 {
-		d.cfg.Scheduler.ObserveQueries(time.Now(), len(ins), time.Since(start))
+		d.cfg.Scheduler.ObserveQueries(time.Now(), len(ins), dur)
 	}
-	res.Evaluated += int64(len(ins))
+	d.result.Evaluated += int64(len(ins))
 	return nil
 }
 
-// onlineUpdate runs the online path: Update+Transform through the pipeline
-// (computing the online statistics), stores raw and feature chunks, and
-// applies one online gradient step.
+// onlineUpdate runs the online path on the tick's chunk: preprocessing and
+// storage, then one online gradient step.
 func (d *Deployer) onlineUpdate(records [][]byte) error {
-	var (
-		ins []data.Instance
-		err error
-	)
-	d.timeStage("preprocess", func() {
-		d.cost.Time(eval.CatPreprocess, func() {
-			ins, err = d.pipe.ProcessOnline(records)
-		})
-	})
+	ins, err := d.preprocessAndStore(records)
 	if err != nil {
 		return fmt.Errorf("core: online update: %w", err)
 	}
-	sp := d.stage("materialize")
-	if err := d.store(records, ins); err != nil {
-		return err
-	}
-	sp.Finish()
 	d.obs.chunksIngested.Inc()
 	if len(ins) > 0 {
-		var uerr error
-		d.timeStage("online-update", func() {
-			uerr = d.cost.TimeErr(eval.CatTrain, func() error {
-				return d.parallelUpdate(d.mdl, d.optm, ins)
-			})
-		})
-		if uerr != nil {
-			return fmt.Errorf("core: online update: %w", uerr)
+		if _, err := d.timed("online-update", eval.CatTrain, func() error {
+			return d.parallelUpdate(d.mdl, d.optm, ins)
+		}); err != nil {
+			return fmt.Errorf("core: online update: %w", err)
 		}
 	}
 	return nil
 }
 
-// store persists the raw chunk always, and the feature chunk when the
-// optimizations are enabled (dynamic materialization needs stored features;
-// the NoOptimization baseline stores none).
-func (d *Deployer) store(records [][]byte, ins []data.Instance) error {
-	return d.cost.TimeErr(eval.CatIO, func() error {
+// preprocessAndStore takes a fresh chunk in: Update+Transform through the
+// pipeline (computing the online statistics), then storage — the raw chunk
+// always, and the feature chunk when the optimizations are enabled (dynamic
+// materialization needs stored features; the NoOptimization baseline stores
+// none). Inside a tick these are the preprocess and materialize stages.
+func (d *Deployer) preprocessAndStore(records [][]byte) ([]data.Instance, error) {
+	var ins []data.Instance
+	if _, err := d.timed("preprocess", eval.CatPreprocess, func() (err error) {
+		ins, err = d.pipe.ProcessOnline(records)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	_, err := d.timed("materialize", eval.CatIO, func() error {
 		id, err := d.cfg.Store.AppendRaw(records)
 		if err != nil {
 			return err
@@ -439,6 +393,7 @@ func (d *Deployer) store(records [][]byte, ins []data.Instance) error {
 		}
 		return nil
 	})
+	return ins, err
 }
 
 // proactiveTrain executes one proactive training (§3.3): sample chunks,
@@ -446,14 +401,7 @@ func (d *Deployer) store(records [][]byte, ins []data.Instance) error {
 // iteration on their union. A drift-triggered training (recent=true)
 // samples the newest chunks instead, so the model adapts to the post-drift
 // concept rather than re-learning stale history.
-func (d *Deployer) proactiveTrain(res *Result, recent bool) error {
-	start := time.Now()
-	defer func() {
-		res.ProactiveRuns++
-		res.ProactiveTotal += time.Since(start)
-		d.obs.proactiveRuns.Inc()
-		d.obs.proactiveDuration.Observe(time.Since(start))
-	}()
+func (d *Deployer) proactiveTrain(recent bool) error {
 	var ids []data.Timestamp
 	if recent {
 		all := d.cfg.Store.RawIDs()
@@ -526,13 +474,9 @@ func (d *Deployer) gatherOptimized(ids []data.Timestamp) ([]data.Instance, error
 			return ins, nil
 		}
 		misses.Add(1)
-		var raw data.RawChunk
-		if err = d.cost.TimeErr(eval.CatIO, func() error {
-			var e error
-			raw, e = d.cfg.Store.Raw(id)
-			return e
-		}); err != nil {
-			return nil, fmt.Errorf("core: fetching raw %d: %w", id, err)
+		raw, err := d.raw(id)
+		if err != nil {
+			return nil, err
 		}
 		d.cost.Time(eval.CatPreprocess, func() {
 			ins, err = d.pipe.ProcessServe(raw.Records)
@@ -540,9 +484,7 @@ func (d *Deployer) gatherOptimized(ids []data.Timestamp) ([]data.Instance, error
 		if err != nil {
 			return nil, fmt.Errorf("core: re-materializing chunk %d: %w", id, err)
 		}
-		if err := d.cfg.Store.NoteRematerialized(id, ins); err != nil {
-			return nil, err
-		}
+		d.cfg.Store.NoteRematerialized()
 		return ins, nil
 	})
 	if err != nil {
@@ -558,51 +500,56 @@ func (d *Deployer) gatherOptimized(ids []data.Timestamp) ([]data.Instance, error
 // component statistics are recomputed by scanning the sample (one full
 // Update pass, then Transform).
 func (d *Deployer) gatherNoOptimization(ids []data.Timestamp) ([]data.Instance, error) {
-	raws, err := d.fetchRaw(ids)
-	if err != nil {
-		return nil, err
-	}
-	d.cfg.Store.NoteSample(0, len(ids))
-	fresh := d.cfg.NewPipeline()
-	var batch []data.Instance
-	d.cost.Time(eval.CatPreprocess, func() {
-		// First pass: recompute every stateful component's statistics over
-		// the sample; second pass: transform.
-		for _, rc := range raws {
-			var ins []data.Instance
-			ins, err = fresh.ProcessOnline(rc.Records)
-			if err != nil {
-				return
-			}
-			_ = ins // statistics pass only
-		}
-		if err != nil {
-			return
-		}
-		batch, err = engine.UnionCtx(d.ctx, d.cfg.Engine, len(raws), func(k int) ([]data.Instance, error) {
-			return fresh.ProcessServe(raws[k].Records)
-		})
-	})
+	batch, err := d.reprocess(d.cfg.NewPipeline(), ids, true)
 	if err != nil {
 		return nil, fmt.Errorf("core: NoOptimization preprocessing: %w", err)
 	}
+	d.cfg.Store.NoteSample(0, len(ids))
 	return batch, nil
 }
 
-// fetchRaw reads the raw chunks of ids in parallel on the engine,
-// preserving id order and charging the IO cost per task.
-func (d *Deployer) fetchRaw(ids []data.Timestamp) ([]data.RawChunk, error) {
-	return engine.MapCtx(d.ctx, d.cfg.Engine, len(ids), func(k int) (data.RawChunk, error) {
-		var rc data.RawChunk
-		if err := d.cost.TimeErr(eval.CatIO, func() error {
-			var e error
-			rc, e = d.cfg.Store.Raw(ids[k])
-			return e
-		}); err != nil {
-			return data.RawChunk{}, fmt.Errorf("core: fetching raw %d: %w", ids[k], err)
-		}
-		return rc, nil
+// raw reads one stored raw chunk, charging the IO.
+func (d *Deployer) raw(id data.Timestamp) (data.RawChunk, error) {
+	var rc data.RawChunk
+	if err := d.cost.TimeErr(eval.CatIO, func() error {
+		var e error
+		rc, e = d.cfg.Store.Raw(id)
+		return e
+	}); err != nil {
+		return data.RawChunk{}, fmt.Errorf("core: fetching raw %d: %w", id, err)
+	}
+	return rc, nil
+}
+
+// reprocess is the one re-read of history: the raw chunks of ids are read in
+// parallel on the engine, then preprocessed by pipe into the union of their
+// instances, in id order. With recompute, pipe's component statistics are
+// first recomputed over the chunks (a fresh pipeline: the NoOptimization
+// sample, a cold-start retraining); that pass mutates component state and
+// runs sequentially. The transform pass only reads the statistics, so the
+// engine parallelizes it across chunks (the Spark analogue of the
+// prototype's retraining job).
+func (d *Deployer) reprocess(pipe *pipeline.Pipeline, ids []data.Timestamp, recompute bool) ([]data.Instance, error) {
+	raws, err := engine.MapCtx(d.ctx, d.cfg.Engine, len(ids), func(k int) (data.RawChunk, error) {
+		return d.raw(ids[k])
 	})
+	if err != nil {
+		return nil, err
+	}
+	var all []data.Instance
+	d.cost.Time(eval.CatPreprocess, func() {
+		if recompute {
+			for _, rc := range raws {
+				if _, err = pipe.ProcessOnline(rc.Records); err != nil {
+					return
+				}
+			}
+		}
+		all, err = engine.UnionCtx(d.ctx, d.cfg.Engine, len(raws), func(k int) ([]data.Instance, error) {
+			return pipe.ProcessServe(raws[k].Records)
+		})
+	})
+	return all, err
 }
 
 // retrain executes a full periodical retraining over the entire stored
@@ -610,15 +557,8 @@ func (d *Deployer) fetchRaw(ids []data.Timestamp) ([]data.RawChunk, error) {
 // weights, and optimizer state are reused; otherwise everything restarts
 // from scratch, including a statistics-recomputation pass over the history.
 //
-//cdml:locked mu — tick helper; ingestTick holds d.mu and Run is single-threaded
-func (d *Deployer) retrain(res *Result) error {
-	start := time.Now()
-	defer func() {
-		res.Retrains++
-		res.RetrainTotal += time.Since(start)
-		d.obs.retrains.Inc()
-		d.obs.retrainDuration.Observe(time.Since(start))
-	}()
+//cdml:locked mu — tick helper; tickBody's callers hold d.mu
+func (d *Deployer) retrain() error {
 	ids := d.cfg.Store.RawIDs()
 	if len(ids) == 0 {
 		return nil
@@ -631,31 +571,9 @@ func (d *Deployer) retrain(res *Result) error {
 		mdl = d.cfg.NewModel()
 		om = d.cfg.NewOptimizer()
 	}
-	raws, err := d.fetchRaw(ids)
+	all, err := d.reprocess(pipe, ids, !d.cfg.WarmStart)
 	if err != nil {
-		return fmt.Errorf("core: retraining fetch: %w", err)
-	}
-	var all []data.Instance
-	d.cost.Time(eval.CatPreprocess, func() {
-		if !d.cfg.WarmStart {
-			// Cold start: recompute component statistics over the history.
-			// The statistics pass mutates component state and must run
-			// sequentially.
-			for _, rc := range raws {
-				if _, err = pipe.ProcessOnline(rc.Records); err != nil {
-					return
-				}
-			}
-		}
-		// The transform pass only reads component statistics; the execution
-		// engine parallelizes it across chunks (the Spark analogue of the
-		// prototype's retraining job).
-		all, err = engine.UnionCtx(d.ctx, d.cfg.Engine, len(raws), func(k int) ([]data.Instance, error) {
-			return pipe.ProcessServe(raws[k].Records)
-		})
-	})
-	if err != nil {
-		return fmt.Errorf("core: retraining preprocessing: %w", err)
+		return fmt.Errorf("core: retraining: %w", err)
 	}
 	if err := d.cost.TimeErr(eval.CatTrain, func() error {
 		return d.sgdEpochs(mdl, om, all, d.cfg.RetrainEpochs)

@@ -306,16 +306,6 @@ func TestInitialChunksTooLarge(t *testing.T) {
 	}
 }
 
-func TestCheckpointEveryThinsCurves(t *testing.T) {
-	cfg := baseConfig(ModeOnline)
-	cfg.CheckpointEvery = 10
-	res := run(t, cfg, smallStream)
-	dense := run(t, baseConfig(ModeOnline), smallStream)
-	if res.ErrorCurve.Len() >= dense.ErrorCurve.Len() {
-		t.Fatalf("checkpointing did not thin: %d vs %d", res.ErrorCurve.Len(), dense.ErrorCurve.Len())
-	}
-}
-
 func TestModeString(t *testing.T) {
 	if ModeOnline.String() != "online" || ModePeriodical.String() != "periodical" || ModeContinuous.String() != "continuous" {
 		t.Fatal("mode strings wrong")
@@ -402,7 +392,7 @@ func TestProactiveTrainAllocationDoesNotGrowWithHistory(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
 			for _, recent := range []bool{false, true} {
-				if err := d.proactiveTrain(&Result{}, recent); err != nil {
+				if err := d.proactiveTrain(recent); err != nil {
 					t.Fatal(err)
 				}
 			}

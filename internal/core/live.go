@@ -6,33 +6,12 @@ import (
 	"time"
 
 	"cdml/internal/engine"
-	"cdml/internal/eval"
 )
 
-// liveCurvePoints bounds each curve of a live deployment, which is given a
-// point a tick for as long as the process lives: past it the curves keep the
-// whole x range at half the resolution (see eval.Series.Max).
-const liveCurvePoints = 1024
-
-// liveResult lazily creates the accumulating result for live use.
-//
-//cdml:locked mu — called from ingestTick (which holds d.mu) and the mu-taking checkpoint paths
-func (d *Deployer) liveResult() *Result {
-	if d.live == nil {
-		d.live = &Result{
-			Mode:       d.cfg.Mode,
-			ErrorCurve: &eval.Series{Name: d.cfg.Mode.String() + "-error", Max: liveCurvePoints},
-			CostCurve:  &eval.Series{Name: d.cfg.Mode.String() + "-cost", Max: liveCurvePoints},
-			Cost:       d.cost,
-		}
-	}
-	return d.live
-}
-
-// Ingest feeds one chunk of labeled training data into the live
-// deployment: the chunk is prequentially scored against the deployed
-// model, used for online learning, stored, and — per strategy — may
-// trigger proactive training or a periodical retraining. Ingest is the
+// Ingest feeds one chunk of labeled training data into the deployment: the
+// chunk is prequentially scored against the deployed model, used for online
+// learning, stored, and — per strategy — may trigger proactive training or a
+// periodical retraining. Ingest is the
 // serialized writer of the snapshot architecture: ticks run one at a time
 // under d.mu and end by publishing a fresh immutable Snapshot for the
 // lock-free readers (see reader.go). A failed tick publishes nothing, so
@@ -94,28 +73,27 @@ func (d *Deployer) ingestTick(ctx context.Context, records [][]byte, enqueuedAt 
 // publish(), so the commit provably happens before the snapshot can reach
 // the checkpoint writer (whose pre-write log sync makes it durable).
 //
-//cdml:locked mu — ingestTick and Warm hold d.mu around it
+//cdml:locked mu — ingestTick and batchTick hold d.mu around it
 func (d *Deployer) tickBody(ctx context.Context, records [][]byte, enqueuedAt time.Time, walSeq uint64) error {
 	d.drainQueryLoad()
-	res := d.liveResult()
-	d.beginTickCtx(ctx)
+	res := d.result
+	d.beginTick(ctx)
 	if !enqueuedAt.IsZero() {
-		// Backdate the queue-wait span to the enqueue time: the wait already
-		// happened by the time the tick starts, so the span is recorded
-		// retroactively rather than timed live.
-		qw := d.tickSpan.StartChild("queue-wait")
-		qw.Start = enqueuedAt
-		qw.Finish()
+		// The wait ended where the tick began: recorded, not timed.
+		d.tickSpan.AddChild("queue-wait", enqueuedAt, d.tickSpan.Start.Sub(enqueuedAt))
 	}
-	if err := d.serveAndScore(records, res); err != nil {
+	err := d.serveAndScore(records)
+	if err == nil {
+		err = d.ingest(records)
+	}
+	d.endTick(err == nil)
+	if err != nil {
 		return err
 	}
-	if err := d.ingest(records, res); err != nil {
-		return err
-	}
-	d.endTick()
-	res.ErrorCurve.Append(float64(d.cfg.Store.NumRaw()), d.cfg.Metric.Value())
-	res.CostCurve.Append(float64(d.cfg.Store.NumRaw()), d.cost.Total().Seconds())
+	// x is chunk time: the chunks trained so far, this one included.
+	x := float64(int64(d.cfg.InitialChunks) + res.Chunks + 1)
+	res.ErrorCurve.Append(x, d.cfg.Metric.Value())
+	res.CostCurve.Append(x, d.cost.Total().Seconds())
 	if walSeq != 0 && d.wal != nil {
 		// The caller's publish() assigns publishSeq+1; committing that version
 		// here, before the publish, is what makes the checkpoint writer's log
@@ -151,18 +129,29 @@ func (d *Deployer) Warm(n int, chunk func(i int) [][]byte) (time.Duration, error
 	var ticks time.Duration
 	err := engine.StreamCtx(d.ctx, d.cfg.Engine, n, chunk, func(i int, records [][]byte) error {
 		start := time.Now()
-		d.mu.Lock()
-		defer func() { d.mu.Unlock(); ticks += time.Since(start) }()
-		if err := d.tickBody(d.ctx, records, time.Time{}, 0); err != nil {
+		defer func() { ticks += time.Since(start) }()
+		if err := d.batchTick(records, i, n); err != nil {
 			return fmt.Errorf("warm-up chunk %d: %w", i, err)
-		}
-		if i == n-1 {
-			d.publishSeq += uint64(n - 1) // publish() adds the nth
-			d.publish()
 		}
 		return nil
 	})
 	return ticks, err
+}
+
+// batchTick is tick i of a batch of n (Run, Warm): the tick body under d.mu
+// and, after the last, the batch's one publish, at the version n Ingest calls
+// would have reached.
+func (d *Deployer) batchTick(records [][]byte, i, n int) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.tickBody(d.ctx, records, time.Time{}, 0); err != nil {
+		return err
+	}
+	if i == n-1 {
+		d.publishSeq += uint64(n - 1) // publish() adds the nth
+		d.publish()
+	}
+	return nil
 }
 
 // drainQueryLoad hands the read path's accumulated load observations to the

@@ -52,7 +52,7 @@ func TestLiveIngestPredictStats(t *testing.T) {
 
 // TestLiveCurvesAreBounded: a live deployment's curves gained a point a tick
 // for as long as the process lived, and /stats read the chunk count off their
-// length. Far more ticks than liveCurvePoints: the curves stay inside the
+// length. Far more ticks than curvePoints: the curves stay inside the
 // budget and still span the whole run, the chunk count and the average error
 // are those of every tick, and a Stats result taken before the curves were
 // thinned keeps the points it had.
@@ -62,7 +62,7 @@ func TestLiveCurvesAreBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Shutdown()
-	const ticks = 2*liveCurvePoints + liveCurvePoints/2 + 7
+	const ticks = 2*curvePoints + curvePoints/2 + 7
 	s := driftStream{chunks: ticks, rows: 2, drift: 1, seed: 11}
 	var (
 		sum   float64
@@ -72,7 +72,7 @@ func TestLiveCurvesAreBounded(t *testing.T) {
 	for i := 0; i < ticks; i++ {
 		ingestChunks(t, d, s, i, i+1)
 		sum += d.Stats().FinalError
-		if i == liveCurvePoints-1 {
+		if i == curvePoints-1 {
 			early = d.Stats()
 			held = append([]float64(nil), early.ErrorCurve.Ys...)
 		}
@@ -82,8 +82,8 @@ func TestLiveCurvesAreBounded(t *testing.T) {
 		t.Fatalf("Chunks = %d after %d ticks", st.Chunks, ticks)
 	}
 	for _, c := range []*eval.Series{st.ErrorCurve, st.CostCurve} {
-		if c.Len() > liveCurvePoints || c.Len() < liveCurvePoints/2 {
-			t.Fatalf("%s holds %d points after %d ticks, budget %d", c.Name, c.Len(), ticks, liveCurvePoints)
+		if c.Len() > curvePoints || c.Len() < curvePoints/2 {
+			t.Fatalf("%s holds %d points after %d ticks, budget %d", c.Name, c.Len(), ticks, curvePoints)
 		}
 		if first, last := c.Xs[0], c.Xs[c.Len()-1]; first != 1 || last <= ticks-4 {
 			t.Fatalf("%s spans x = %v..%v of a %d-tick run", c.Name, first, last, ticks)
@@ -92,7 +92,7 @@ func TestLiveCurvesAreBounded(t *testing.T) {
 	if got, want := st.AvgError, sum/ticks; math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("AvgError = %v, the mean over every tick is %v", got, want)
 	}
-	if len(held) != liveCurvePoints || !slices.Equal(early.ErrorCurve.Ys, held) {
+	if len(held) != curvePoints || !slices.Equal(early.ErrorCurve.Ys, held) {
 		t.Fatalf("thinning the live curve rewrote a published one (%d points held)", len(held))
 	}
 }
@@ -232,6 +232,37 @@ func TestStorageFailuresSurface(t *testing.T) {
 		if _, err := d.Run(smallStream); err == nil {
 			t.Fatalf("failAfter=%d: storage failure swallowed", failAfter)
 		}
+	}
+}
+
+// TestFailedTickIsTraced: the tick an operator wants to see is the one that
+// failed. Its span tree is recorded like any other and ends at the stage that
+// failed, and no span is left open behind it.
+func TestFailedTickIsTraced(t *testing.T) {
+	cfg := liveConfig(ModeOnline)
+	// Two store writes a tick: the third tick's first write fails.
+	cfg.Store = data.NewStore(&failingBackend{Backend: data.NewMemoryBackend(), failAfter: 4})
+	d, err := NewDeployer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+	ingestChunks(t, d, smallStream, 0, 2)
+	if err := d.Ingest(smallStream.Chunk(2)); err == nil {
+		t.Fatal("storage failure swallowed")
+	}
+	if got := d.Tracer().Total(); got != 3 {
+		t.Fatalf("%d ticks recorded after two that succeeded and one that failed", got)
+	}
+	tick := d.Tracer().Last(1)[0]
+	if n := len(tick.Children); n == 0 || tick.Children[n-1].Name != "materialize" || tick.DurationNS <= 0 {
+		t.Fatalf("the failed tick's tree: %+v, want it finished and ending at materialize", tick)
+	}
+	d.mu.Lock()
+	open := d.tickSpan
+	d.mu.Unlock()
+	if open != nil {
+		t.Fatal("the failed tick's span is still the tick in flight")
 	}
 }
 

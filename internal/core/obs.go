@@ -159,71 +159,57 @@ func (d *Deployer) Metrics() *obs.Registry { return d.obs.reg }
 // Tracer returns the deployment's tick tracer.
 func (d *Deployer) Tracer() *obs.Tracer { return d.obs.tracer }
 
-// beginTick opens the span tree for one deployment tick. The caller must
-// already hold the deployment serialization (d.mu for live use; Run is
-// single-threaded).
+// beginTick opens the span tree for one deployment tick and, when ctx carries
+// an obs.Span, copies its trace and request ids onto the tick root — the
+// receiving half of cross-boundary trace propagation (the sending half is the
+// HTTP middleware or the async-ingest drainer putting a carrier span in ctx).
 //
 //cdml:hotpath
-//cdml:locked mu — the caller provides the tick serialization documented above
-func (d *Deployer) beginTick() {
+//cdml:locked mu — tickBody's callers hold d.mu around it
+func (d *Deployer) beginTick(ctx context.Context) {
 	d.tickSpan = obs.StartSpan("tick")
 	d.obs.ticks.Inc()
-}
-
-// beginTickCtx opens the tick span tree and, when ctx carries an obs.Span,
-// copies its trace and request ids onto the tick root — the receiving half
-// of cross-boundary trace propagation (the sending half is the HTTP
-// middleware or the async-ingest drainer putting a carrier span in ctx).
-//
-//cdml:locked mu — the caller provides the tick serialization (see beginTick)
-func (d *Deployer) beginTickCtx(ctx context.Context) {
-	d.beginTick()
 	if carrier := obs.FromContext(ctx); carrier != nil {
 		d.tickSpan.TraceID = carrier.TraceID
 		d.tickSpan.RequestID = carrier.RequestID
 	}
 }
 
-// endTick finishes and records the tick span and refreshes the error gauge.
-// The tick's trace id is stashed so the next publish can stamp it onto the
-// snapshot — downstream consumers (the background checkpoint writer) tag
-// their span trees with it, extending the trace past the publish boundary.
+// endTick finishes and records the tick's span tree and refreshes the error
+// gauge. A failed tick (ok false) is recorded too: its tree ends at the stage
+// that failed, which is the one an operator following the drainer's trace_id
+// wants to see. The trace id of a tick that succeeded is stashed so the
+// publish that follows can stamp it onto the snapshot — downstream consumers
+// (the background checkpoint writer) tag their span trees with it, extending
+// the trace past the publish boundary.
 //
 //cdml:hotpath
-//cdml:locked mu — the caller provides the tick serialization (see beginTick)
-func (d *Deployer) endTick() {
+//cdml:locked mu — tickBody's callers hold d.mu around it
+func (d *Deployer) endTick(ok bool) {
 	d.tickSpan.Finish()
 	d.obs.tracer.Record(d.tickSpan)
-	d.lastTickTraceID = d.tickSpan.TraceID
+	if ok {
+		d.lastTickTraceID = d.tickSpan.TraceID
+	}
 	d.tickSpan = nil
 	d.obs.prequentialError.Set(d.cfg.Metric.Value())
 }
 
-// tickTraceID returns the trace id of the tick in flight ("" outside one),
-// used to attach slow-observation exemplars to histogram scrapes. Only
-// called from tick helpers, so it inherits their serialization.
+// timed runs f as the stage name of the tick in flight and is the one place
+// a stage is clocked: a single start/end pair, whose duration is charged to
+// the cost category cat (none when empty: a stage made of parts that charge
+// their own), recorded as a child of the tick span (dropped outside a tick,
+// e.g. during initial training) and returned for every other consumer — the
+// histogram, the Result total, the scheduler.
 //
-//cdml:hotpath
-//cdml:locked mu — the caller provides the tick serialization (see beginTick)
-func (d *Deployer) tickTraceID() string {
-	if d.tickSpan == nil {
-		return ""
+//cdml:locked mu — only tick helpers call it
+func (d *Deployer) timed(name string, cat eval.Category, f func() error) (time.Duration, error) {
+	start := time.Now()
+	err := f()
+	dur := time.Since(start)
+	if cat != "" {
+		d.cost.Add(cat, dur)
 	}
-	return d.tickSpan.TraceID
-}
-
-// stage opens a child span of the current tick (nil-safe outside a tick,
-// e.g. during initial training).
-//
-//cdml:hotpath
-//cdml:locked mu — the caller provides the tick serialization (see beginTick)
-func (d *Deployer) stage(name string) *obs.Span {
-	return d.tickSpan.StartChild(name)
-}
-
-// timeStage runs f under a named stage span.
-func (d *Deployer) timeStage(name string, f func()) {
-	sp := d.stage(name)
-	f()
-	sp.Finish()
+	d.tickSpan.AddChild(name, start, dur)
+	return dur, err
 }

@@ -65,6 +65,7 @@ type ShardStats struct {
 //
 // Cancelling ctx stops dispatching shards and returns the context error
 // without applying a step.
+//
 //cdml:deterministic
 func ShardedUpdate(ctx context.Context, eng *engine.Engine, shardRows int, mdl model.Model, om opt.Optimizer, batch []data.Instance) (float64, ShardStats, error) {
 	n := len(batch)
@@ -100,7 +101,7 @@ func ShardedUpdate(ctx context.Context, eng *engine.Engine, shardRows int, mdl m
 // (ShardedUpdate fails only before Apply) moves the optimizer past the
 // published snapshot until the next publish.
 //
-//cdml:locked mu — training helper; ingestTick holds d.mu and Run is single-threaded
+//cdml:locked mu — training helper; every caller runs under d.mu
 func (d *Deployer) parallelUpdate(mdl model.Model, om opt.Optimizer, batch []data.Instance) error {
 	_, st, err := ShardedUpdate(d.ctx, d.cfg.Engine, d.cfg.GradShardRows, mdl, om, batch)
 	if err == nil {

@@ -50,7 +50,7 @@ func (d *Deployer) Predict(records [][]byte) ([]float64, error) {
 	return out, nil
 }
 
-// Stats returns the live deployment's accumulated result as of the most
+// Stats returns the deployment's accumulated result as of the most
 // recently published snapshot. Like Predict it is a lock-free read: the
 // answer was precomputed by the writer at publish time.
 //

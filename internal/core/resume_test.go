@@ -469,7 +469,7 @@ func TestPublishDoesNotReadTheCurve(t *testing.T) {
 	}
 	defer d.Shutdown()
 	d.mu.Lock()
-	res := d.liveResult()
+	res := d.result
 	var sum float64
 	for i := 0; i < 50000; i++ {
 		y := 0.25 + float64(i%7)/64

@@ -54,7 +54,7 @@ type Snapshot struct {
 	metric  float64
 	stats   Result
 	// traceID is the trace id of the tick that produced this snapshot ("" for
-	// non-tick publishes: the initial snapshot, Run's final publish, restores).
+	// non-tick publishes: the initial snapshot, restores).
 	// The background checkpoint writer tags its span tree with it, so an
 	// end-to-end trace reaches all the way into the fsync.
 	traceID string
@@ -165,16 +165,15 @@ func (d *Deployer) withResume(s *Snapshot, cause *obs.Counter) (*Snapshot, error
 }
 
 // publish builds the next snapshot from the deployed pipeline, model, and
-// accumulated result and atomically swaps it in. Callers must hold the
-// writer serialization (d.mu for live use; NewDeployer and Run are
-// single-threaded by construction). Publishing is O(stateful components +
-// model dim) and O(1) in uptime — one pipeline snapshot and one weight
-// copy per tick, never per query — and encodes the optimizer only for the
-// publish the auto-checkpoint trigger is about to take.
+// accumulated result and atomically swaps it in. Callers hold d.mu
+// (NewDeployer publishes before the deployment is shared). Publishing is
+// O(stateful components + model dim) and O(1) in uptime — one pipeline
+// snapshot and one weight copy per tick, never per query — and encodes the
+// optimizer only for the publish the auto-checkpoint trigger is about to take.
 //
-//cdml:locked mu — the caller provides the writer serialization documented above
+//cdml:locked mu — every caller but the constructor holds d.mu
 func (d *Deployer) publish() {
-	res := d.liveResult()
+	res := d.result
 	// Ask before building: the answer decides whether this snapshot needs
 	// resume state at all (a due checkpoint the busy writer would skip gets
 	// none).

@@ -26,6 +26,9 @@ type Backend interface {
 	// DeleteFeatures removes a feature chunk's content. Deleting an absent
 	// chunk is not an error.
 	DeleteFeatures(id Timestamp) error
+	// DeleteRaw removes a raw chunk (the raw-capacity bound drops old
+	// history). Deleting an absent chunk is not an error.
+	DeleteRaw(id Timestamp) error
 	// Close releases backend resources.
 	Close() error
 }
@@ -109,8 +112,7 @@ func (m *MemoryBackend) DeleteFeatures(id Timestamp) error {
 	return nil
 }
 
-// DeleteRaw removes a raw chunk (used when the raw-capacity bound drops
-// old history). Deleting an absent chunk is not an error.
+// DeleteRaw implements Backend.
 func (m *MemoryBackend) DeleteRaw(id Timestamp) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -207,8 +209,7 @@ func (d *DiskBackend) DeleteFeatures(id Timestamp) error {
 	return nil
 }
 
-// DeleteRaw removes a raw chunk file. Deleting an absent chunk is not an
-// error.
+// DeleteRaw implements Backend.
 func (d *DiskBackend) DeleteRaw(id Timestamp) error {
 	err := os.Remove(d.rawPath(id))
 	if err != nil && !os.IsNotExist(err) {

@@ -167,16 +167,12 @@ func (f *FaultBackend) DeleteFeatures(id Timestamp) error {
 	return f.base.DeleteFeatures(id)
 }
 
-// DeleteRaw injects into raw deletion when the base supports it.
+// DeleteRaw implements Backend.
 func (f *FaultBackend) DeleteRaw(id Timestamp) error {
-	dr, ok := f.base.(rawDeleter)
-	if !ok {
-		return nil
-	}
 	if err := f.check(OpDeleteRaw); err != nil {
 		return err
 	}
-	return dr.DeleteRaw(id)
+	return f.base.DeleteRaw(id)
 }
 
 // Close implements Backend (never injected: teardown should stay clean).

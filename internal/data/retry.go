@@ -274,13 +274,9 @@ func (r *RetryBackend) DeleteFeatures(id Timestamp) error {
 	return r.do(OpDeleteFeatures, func() error { return r.base.DeleteFeatures(id) })
 }
 
-// DeleteRaw retries raw-chunk deletion when the base backend supports it.
+// DeleteRaw implements Backend with retries.
 func (r *RetryBackend) DeleteRaw(id Timestamp) error {
-	dr, ok := r.base.(rawDeleter)
-	if !ok {
-		return nil
-	}
-	return r.do(OpDeleteRaw, func() error { return dr.DeleteRaw(id) })
+	return r.do(OpDeleteRaw, func() error { return r.base.DeleteRaw(id) })
 }
 
 // Close implements Backend (no retry: closing is best-effort teardown).

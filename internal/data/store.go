@@ -63,8 +63,8 @@ func (s *MatStats) Mu() float64 {
 }
 
 // Store is the data manager's chunk store: raw chunks are always retained,
-// while at most Capacity feature chunks stay materialized. When the cap is
-// exceeded the oldest feature chunks are evicted — only the identifier and
+// while at most m (WithCapacity) feature chunks stay materialized. When the cap
+// is exceeded the oldest feature chunks are evicted — only the identifier and
 // the reference to the raw chunk survive — and a later sample hitting an
 // evicted chunk triggers dynamic re-materialization by the caller
 // (paper §3.2).
@@ -80,11 +80,6 @@ type Store struct {
 	// the platform simply ignores them during sampling (§3.2). Negative
 	// means unlimited.
 	rawCapacity int
-	// restoreOnRematerialize controls whether a re-materialized chunk is
-	// stored again (evicting others) or used once and discarded. The
-	// default, false, keeps the materialized set equal to the newest m
-	// chunks, matching the μ analysis of §3.2.2.
-	restoreOnRematerialize bool
 	// quota is the operator-set hard ceiling on retained raw chunks: unlike
 	// rawCapacity, which silently evicts the oldest chunks (the paper's N),
 	// reaching the quota rejects further ingest with a QuotaError — the
@@ -111,12 +106,6 @@ func WithCapacity(m int) StoreOption {
 	return func(s *Store) { s.capacity = m }
 }
 
-// WithRestoreOnRematerialize re-stores chunks after dynamic
-// re-materialization instead of using them once and discarding them.
-func WithRestoreOnRematerialize() StoreOption {
-	return func(s *Store) { s.restoreOnRematerialize = true }
-}
-
 // WithRawCapacity bounds the number of retained raw chunks to n (the
 // paper's N). Older raw chunks are dropped together with their feature
 // chunks; sampling never sees them again. Negative means unlimited (the
@@ -132,18 +121,6 @@ func NewStore(b Backend, opts ...StoreOption) *Store {
 		o(s)
 	}
 	return s
-}
-
-// Capacity returns the materialized-chunk capacity (m); negative is
-// unlimited.
-func (s *Store) Capacity() int { return s.capacity }
-
-// SetCapacity changes the cap and immediately evicts down to it.
-func (s *Store) SetCapacity(m int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.capacity = m
-	return s.evictLocked(-1)
 }
 
 // SetQuota sets the hard ceiling on retained raw chunks: an AppendRaw that
@@ -202,20 +179,11 @@ func (s *Store) AppendRaw(records [][]byte) (Timestamp, error) {
 		if err := s.backend.DeleteFeatures(victim); err != nil {
 			return 0, fmt.Errorf("data: dropping feature chunk %d with its raw chunk: %w", victim, err)
 		}
-		if dr, ok := s.backend.(rawDeleter); ok {
-			if err := dr.DeleteRaw(victim); err != nil {
-				return 0, fmt.Errorf("data: dropping raw chunk %d: %w", victim, err)
-			}
+		if err := s.backend.DeleteRaw(victim); err != nil {
+			return 0, fmt.Errorf("data: dropping raw chunk %d: %w", victim, err)
 		}
 	}
 	return id, nil
-}
-
-// rawDeleter is the optional backend capability of physically deleting raw
-// chunks; backends without it simply orphan the bytes (the store never
-// hands out a dropped id again).
-type rawDeleter interface {
-	DeleteRaw(id Timestamp) error
 }
 
 // PutFeatures stores the preprocessed features of raw chunk rawID and
@@ -234,7 +202,7 @@ func (s *Store) PutFeatures(rawID Timestamp, instances []Instance) error {
 	}
 	s.matSize[rawID] = size
 	s.featBytes += size - old
-	return s.evictLocked(rawID)
+	return s.evictLocked()
 }
 
 func (s *Store) insertMaterializedLocked(id Timestamp) {
@@ -250,21 +218,13 @@ func (s *Store) insertMaterializedLocked(id Timestamp) {
 }
 
 // evictLocked removes the oldest materialized chunks until within capacity.
-// The chunk identified by protect (the one just inserted) is skipped so a
-// re-stored old chunk is not immediately re-evicted; pass a negative value
-// to protect nothing.
-func (s *Store) evictLocked(protect Timestamp) error {
+func (s *Store) evictLocked() error {
 	if s.capacity < 0 {
 		return nil
 	}
 	for len(s.materialized) > s.capacity {
 		victim := s.materialized[0]
-		k := 0
-		if victim == protect && len(s.materialized) > 1 {
-			victim = s.materialized[1]
-			k = 1
-		}
-		s.materialized = append(s.materialized[:k], s.materialized[k+1:]...)
+		s.materialized = append(s.materialized[:0], s.materialized[1:]...)
 		s.featBytes -= s.matSize[victim]
 		delete(s.matSize, victim)
 		s.stats.Evictions++
@@ -329,18 +289,14 @@ func (s *Store) Features(id Timestamp) ([]Instance, bool, error) {
 	return fc.Instances, true, nil
 }
 
-// NoteRematerialized records that the caller rebuilt the feature chunk for
-// id from its raw chunk; when the store is configured with
-// WithRestoreOnRematerialize the rebuilt chunk is stored again.
-func (s *Store) NoteRematerialized(id Timestamp, instances []Instance) error {
+// NoteRematerialized records that the caller rebuilt a feature chunk from
+// its raw chunk. The rebuilt chunk is used once and not stored again, which
+// keeps the materialized set equal to the newest m chunks, matching the μ
+// analysis of §3.2.2.
+func (s *Store) NoteRematerialized() {
 	s.mu.Lock()
 	s.stats.Rematerializations++
-	restore := s.restoreOnRematerialize
 	s.mu.Unlock()
-	if restore {
-		return s.PutFeatures(id, instances)
-	}
-	return nil
 }
 
 // NoteSample records the hit/miss outcome of one sampling operation for μ

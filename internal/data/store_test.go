@@ -147,53 +147,18 @@ func TestStoreFeaturesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStoreSetCapacityEvictsImmediately(t *testing.T) {
-	s := NewStore(NewMemoryBackend())
-	for i := 0; i < 5; i++ {
-		id, _ := s.AppendRaw(nil)
-		if err := s.PutFeatures(id, mkInstances(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.SetCapacity(2); err != nil {
-		t.Fatal(err)
-	}
-	if s.NumMaterialized() != 2 || s.Capacity() != 2 {
-		t.Fatalf("after SetCapacity: mat=%d", s.NumMaterialized())
-	}
-}
-
 func TestStoreNoteRematerializedDefaultDiscards(t *testing.T) {
 	s := NewStore(NewMemoryBackend(), WithCapacity(1))
 	a, _ := s.AppendRaw(nil)
 	b, _ := s.AppendRaw(nil)
 	_ = s.PutFeatures(a, mkInstances(1))
 	_ = s.PutFeatures(b, mkInstances(1)) // evicts a
-	if err := s.NoteRematerialized(a, mkInstances(1)); err != nil {
-		t.Fatal(err)
-	}
+	s.NoteRematerialized()
 	if s.IsMaterialized(a) {
 		t.Fatal("default policy must not restore rematerialized chunks")
 	}
 	if s.Stats().Rematerializations != 1 {
 		t.Fatal("rematerialization not counted")
-	}
-}
-
-func TestStoreNoteRematerializedRestores(t *testing.T) {
-	s := NewStore(NewMemoryBackend(), WithCapacity(1), WithRestoreOnRematerialize())
-	a, _ := s.AppendRaw(nil)
-	b, _ := s.AppendRaw(nil)
-	_ = s.PutFeatures(a, mkInstances(1))
-	_ = s.PutFeatures(b, mkInstances(1)) // evicts a
-	if err := s.NoteRematerialized(a, mkInstances(1)); err != nil {
-		t.Fatal(err)
-	}
-	if !s.IsMaterialized(a) {
-		t.Fatal("restore policy should re-store the chunk")
-	}
-	if s.IsMaterialized(b) {
-		t.Fatal("restoring a must evict b (capacity 1, b newer but a re-inserted)")
 	}
 }
 

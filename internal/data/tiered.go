@@ -55,6 +55,9 @@ func (t *TieredBackend) PutRaw(rc RawChunk) error { return t.base.PutRaw(rc) }
 // GetRaw implements Backend (pass-through).
 func (t *TieredBackend) GetRaw(id Timestamp) (RawChunk, error) { return t.base.GetRaw(id) }
 
+// DeleteRaw implements Backend (pass-through).
+func (t *TieredBackend) DeleteRaw(id Timestamp) error { return t.base.DeleteRaw(id) }
+
 // PutFeatures implements Backend: writes through to the base and installs
 // the chunk in the cache.
 func (t *TieredBackend) PutFeatures(fc FeatureChunk) error {
@@ -102,15 +105,6 @@ func (t *TieredBackend) GetFeatures(id Timestamp) (FeatureChunk, error) {
 	t.installLocked(fc)
 	t.mu.Unlock()
 	return fc, nil
-}
-
-// DeleteRaw drops a raw chunk from the base backend when it supports
-// deletion (the raw-capacity bound uses it).
-func (t *TieredBackend) DeleteRaw(id Timestamp) error {
-	if dr, ok := t.base.(rawDeleter); ok {
-		return dr.DeleteRaw(id)
-	}
-	return nil
 }
 
 // DeleteFeatures implements Backend: evicts from both tiers.

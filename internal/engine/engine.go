@@ -58,18 +58,10 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 		"Wall-clock duration of engine ForEach calls."))
 }
 
-// ForEach runs fn(i) for every i in [0, n) across the worker pool and
-// returns the combined errors. All tasks run even if some fail. It is a
-// thin wrapper over ForEachCtx with a background context.
-//
-//cdml:detached convenience wrapper for context-free callers (tests, offline harness); request paths use ForEachCtx
-func (e *Engine) ForEach(n int, fn func(i int) error) error {
-	return e.ForEachCtx(context.Background(), n, fn)
-}
-
-// ForEachCtx runs fn(i) for every i in [0, n) across the worker pool.
-// Cancelling ctx stops the dispatch of new tasks; tasks already running
-// finish normally, and the context's error is joined into the result.
+// ForEachCtx runs fn(i) for every i in [0, n) across the worker pool and
+// returns the combined errors; all tasks run even if some fail. Cancelling
+// ctx stops the dispatch of new tasks; tasks already running finish
+// normally, and the context's error is joined into the result.
 //
 // The caller is one of the workers: min(workers, n)-1 goroutines are
 // started and the calling goroutine claims tasks beside them before it
@@ -141,17 +133,10 @@ func (r *forEachRun) work() {
 	}
 }
 
-// Map runs fn over [0, n) in parallel, collecting results in order.
-//
-//cdml:detached convenience wrapper for context-free callers (tests, offline harness); request paths use MapCtx
-func Map[T any](e *Engine, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), e, n, fn)
-}
-
-// MapCtx is Map with cancellation: no new tasks are dispatched once ctx is
-// cancelled, and a nil slice plus the context error are returned. Results
-// land at their task index, so the output order is deterministic whatever
-// the goroutine schedule.
+// MapCtx runs fn over [0, n) in parallel, collecting results in order. No new
+// tasks are dispatched once ctx is cancelled, and a nil slice plus the context
+// error are returned. Results land at their task index, so the output order
+// is deterministic whatever the goroutine schedule.
 //
 //cdml:deterministic
 func MapCtx[T any](ctx context.Context, e *Engine, n int, fn func(i int) (T, error)) ([]T, error) {
@@ -170,17 +155,10 @@ func MapCtx[T any](ctx context.Context, e *Engine, n int, fn func(i int) (T, err
 	return out, nil
 }
 
-// Union concatenates the per-partition slices produced by fn — the
+// UnionCtx concatenates the per-partition slices produced by fn — the
 // analogue of the prototype's context.union over sampled chunk RDDs
 // (paper §5.4). Partitions are produced in parallel; the result preserves
-// partition order.
-//
-//cdml:detached convenience wrapper for context-free callers (tests, offline harness); request paths use UnionCtx
-func Union[T any](e *Engine, n int, fn func(i int) ([]T, error)) ([]T, error) {
-	return UnionCtx(context.Background(), e, n, fn)
-}
-
-// UnionCtx is Union with cancellation, mirroring MapCtx.
+// partition order. Cancellation is MapCtx's.
 //
 //cdml:deterministic
 func UnionCtx[T any](ctx context.Context, e *Engine, n int, fn func(i int) ([]T, error)) ([]T, error) {

@@ -23,7 +23,7 @@ func TestNewDefaults(t *testing.T) {
 func TestForEachRunsAllTasks(t *testing.T) {
 	e := New(4)
 	var hits [100]atomic.Int32
-	if err := e.ForEach(100, func(i int) error {
+	if err := e.ForEachCtx(context.Background(), 100, func(i int) error {
 		hits[i].Add(1)
 		return nil
 	}); err != nil {
@@ -41,11 +41,11 @@ func TestForEachRunsAllTasks(t *testing.T) {
 
 func TestForEachEmptyAndSingle(t *testing.T) {
 	e := New(4)
-	if err := e.ForEach(0, func(int) error { return nil }); err != nil {
+	if err := e.ForEachCtx(context.Background(), 0, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	ran := false
-	if err := e.ForEach(1, func(int) error { ran = true; return nil }); err != nil {
+	if err := e.ForEachCtx(context.Background(), 1, func(int) error { ran = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {
@@ -56,7 +56,7 @@ func TestForEachEmptyAndSingle(t *testing.T) {
 func TestForEachCollectsAllErrors(t *testing.T) {
 	e := New(2)
 	var completed atomic.Int32
-	err := e.ForEach(10, func(i int) error {
+	err := e.ForEachCtx(context.Background(), 10, func(i int) error {
 		completed.Add(1)
 		if i%2 == 0 {
 			return fmt.Errorf("fail-%d", i)
@@ -73,7 +73,7 @@ func TestForEachCollectsAllErrors(t *testing.T) {
 
 func TestMapPreservesOrder(t *testing.T) {
 	e := New(8)
-	out, err := Map(e, 50, func(i int) (int, error) { return i * i, nil })
+	out, err := MapCtx(context.Background(), e, 50, func(i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestMapPreservesOrder(t *testing.T) {
 
 func TestMapError(t *testing.T) {
 	e := New(2)
-	_, err := Map(e, 5, func(i int) (int, error) {
+	_, err := MapCtx(context.Background(), e, 5, func(i int) (int, error) {
 		if i == 3 {
 			return 0, fmt.Errorf("boom")
 		}
@@ -99,7 +99,7 @@ func TestMapError(t *testing.T) {
 
 func TestUnionConcatenatesInOrder(t *testing.T) {
 	e := New(4)
-	out, err := Union(e, 3, func(i int) ([]int, error) {
+	out, err := UnionCtx(context.Background(), e, 3, func(i int) ([]int, error) {
 		part := make([]int, i+1)
 		for j := range part {
 			part[j] = i*10 + j
@@ -122,7 +122,7 @@ func TestUnionConcatenatesInOrder(t *testing.T) {
 
 func TestUnionError(t *testing.T) {
 	e := New(2)
-	if _, err := Union(e, 2, func(i int) ([]int, error) { return nil, fmt.Errorf("x") }); err == nil {
+	if _, err := UnionCtx(context.Background(), e, 2, func(i int) ([]int, error) { return nil, fmt.Errorf("x") }); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -135,7 +135,7 @@ func TestForEachErrorOrderDeterministic(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		e := New(workers)
 		for trial := 0; trial < 20; trial++ {
-			err := e.ForEach(9, func(i int) error {
+			err := e.ForEachCtx(context.Background(), 9, func(i int) error {
 				if i%3 == 1 {
 					return fmt.Errorf("fail-%d", i)
 				}
@@ -204,7 +204,7 @@ func TestMapCtxCancelled(t *testing.T) {
 func TestForEachMoreWorkersThanTasks(t *testing.T) {
 	e := New(64)
 	var n atomic.Int32
-	if err := e.ForEach(3, func(int) error { n.Add(1); return nil }); err != nil {
+	if err := e.ForEachCtx(context.Background(), 3, func(int) error { n.Add(1); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n.Load() != 3 {
@@ -237,7 +237,7 @@ func TestForEachSingleTaskRunsOnTheCaller(t *testing.T) {
 	// one worker.
 	one := New(1)
 	var others atomic.Int32
-	if err := one.ForEach(8, func(int) error {
+	if err := one.ForEachCtx(context.Background(), 8, func(int) error {
 		if goroutineID() != caller {
 			others.Add(1)
 		}

@@ -267,32 +267,3 @@ func (s *Series) Downsample(n int) *Series {
 	}
 	return out
 }
-
-// Prequential implements prequential ("test-then-train") evaluation: each
-// incoming chunk is first used to evaluate the deployed model, then to
-// train it. It wraps a cumulative Metric and records the over-time error
-// curve.
-type Prequential struct {
-	metric Metric
-	curve  Series
-}
-
-// NewPrequential returns a prequential evaluator over the given metric.
-func NewPrequential(name string, m Metric) *Prequential {
-	return &Prequential{metric: m, curve: Series{Name: name}}
-}
-
-// Observe folds one prediction/actual pair into the underlying metric.
-func (p *Prequential) Observe(pred, actual float64) { p.metric.Observe(pred, actual) }
-
-// Checkpoint records the current cumulative error at time x.
-func (p *Prequential) Checkpoint(x float64) { p.curve.Append(x, p.metric.Value()) }
-
-// Curve returns the recorded error-over-time series.
-func (p *Prequential) Curve() *Series { return &p.curve }
-
-// Value returns the current cumulative error.
-func (p *Prequential) Value() float64 { return p.metric.Value() }
-
-// Count returns the number of evaluated pairs.
-func (p *Prequential) Count() int64 { return p.metric.Count() }

@@ -301,24 +301,3 @@ func TestSeriesMeanMatchesLoopBitForBit(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPrequential(t *testing.T) {
-	p := NewPrequential("test", &Misclassification{})
-	p.Observe(1, 1)
-	p.Checkpoint(0)
-	p.Observe(1, -1)
-	p.Checkpoint(1)
-	c := p.Curve()
-	if c.Len() != 2 {
-		t.Fatalf("curve len = %d", c.Len())
-	}
-	if c.Ys[0] != 0 || c.Ys[1] != 0.5 {
-		t.Fatalf("curve values = %v", c.Ys)
-	}
-	if p.Value() != 0.5 || p.Count() != 2 {
-		t.Fatalf("value = %v count = %d", p.Value(), p.Count())
-	}
-	if c.Name != "test" {
-		t.Fatal("name lost")
-	}
-}

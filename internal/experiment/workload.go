@@ -280,6 +280,5 @@ func (w *Workload) BaseConfig(mode core.Mode, seed int64) core.Config {
 	cfg.WarmStart = true
 	cfg.InitialChunks = w.InitialChunks
 	cfg.Seed = seed
-	cfg.CheckpointEvery = max(1, w.Stream.NumChunks()/200)
 	return cfg
 }

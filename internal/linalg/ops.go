@@ -19,6 +19,7 @@ func Axpy(alpha float64, x, y []float64) {
 }
 
 // Scale multiplies x by alpha in place.
+//
 //cdml:deterministic
 func Scale(alpha float64, x []float64) {
 	for i := range x {
@@ -125,6 +126,7 @@ func (a *Accumulator) Release() {
 func (a *Accumulator) Dim() int { return len(a.buf) }
 
 // Add accumulates alpha*v.
+//
 //cdml:deterministic
 func (a *Accumulator) Add(v Vector, alpha float64) {
 	switch t := v.(type) {
@@ -143,6 +145,7 @@ func (a *Accumulator) Add(v Vector, alpha float64) {
 }
 
 // AddCoord accumulates alpha at a single coordinate.
+//
 //cdml:deterministic
 func (a *Accumulator) AddCoord(i int, alpha float64) {
 	if !a.seen[i] {
@@ -156,6 +159,7 @@ func (a *Accumulator) AddCoord(i int, alpha float64) {
 // vector was added the result is Dense; otherwise it is Sparse over the
 // touched coordinates. The result shares no memory with the accumulator,
 // which is reset and may be reused.
+//
 //cdml:deterministic
 func (a *Accumulator) Result(alpha float64) Vector {
 	if a.dense {
@@ -188,6 +192,7 @@ func (a *Accumulator) Result(alpha float64) Vector {
 // concurrently, but combined in fixed shard order, so seeded runs stay
 // bit-identical at any worker count). The result is Sparse when every part
 // is sparse, Dense otherwise.
+//
 //cdml:deterministic
 func ReduceSum(dim int, parts []Vector) Vector {
 	acc := AcquireAccumulator(dim)

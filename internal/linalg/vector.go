@@ -48,18 +48,22 @@ type Vector interface {
 type Dense []float64
 
 // NewDense returns a zero dense vector of dimension dim.
+//
 //cdml:deterministic
 func NewDense(dim int) Dense { return make(Dense, dim) }
 
 // Dim implements Vector.
+//
 //cdml:deterministic
 func (d Dense) Dim() int { return len(d) }
 
 // At implements Vector.
+//
 //cdml:deterministic
 func (d Dense) At(i int) float64 { return d[i] }
 
 // NNZ implements Vector. For a dense vector every entry is stored.
+//
 //cdml:deterministic
 func (d Dense) NNZ() int { return len(d) }
 
@@ -138,6 +142,7 @@ type Sparse struct {
 // on explicit zeros for presence semantics); use Compact to drop them. It is
 // the general constructor; components that build a whole column of rows use
 // SparseBatch, which produces the same vectors.
+//
 //cdml:deterministic
 func NewSparse(dim int, idx []int32, val []float64) *Sparse {
 	if len(idx) != len(val) {
@@ -168,14 +173,17 @@ func NewSparse(dim int, idx []int32, val []float64) *Sparse {
 }
 
 // Dim implements Vector.
+//
 //cdml:deterministic
 func (s *Sparse) Dim() int { return s.N }
 
 // NNZ implements Vector.
+//
 //cdml:deterministic
 func (s *Sparse) NNZ() int { return len(s.Idx) }
 
 // At implements Vector. It is O(log NNZ).
+//
 //cdml:deterministic
 func (s *Sparse) At(i int) float64 {
 	if i < 0 || i >= s.N {
@@ -262,6 +270,7 @@ func (s *Sparse) ToDense() Dense {
 }
 
 // Scale multiplies every stored value by alpha in place and returns s.
+//
 //cdml:deterministic
 func (s *Sparse) Scale(alpha float64) *Sparse {
 	for k := range s.Val {

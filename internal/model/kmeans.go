@@ -111,6 +111,7 @@ func (m *KMeans) Gradient(batch []data.Instance) (linalg.Vector, float64) {
 // GradientSum implements Model: the unaveraged quantization-error gradient
 // sum over a batch shard. Assignments read the current centroids only, so
 // shards may run concurrently.
+//
 //cdml:deterministic
 func (m *KMeans) GradientSum(batch []data.Instance) (linalg.Vector, float64) {
 	if len(batch) == 0 {

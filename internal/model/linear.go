@@ -59,6 +59,7 @@ func (m *SVM) Gradient(batch []data.Instance) (linalg.Vector, float64) {
 }
 
 // GradientSum implements Model.
+//
 //cdml:deterministic
 func (m *SVM) GradientSum(batch []data.Instance) (linalg.Vector, float64) {
 	return m.gradientSum(batch, hingeScale)
@@ -117,6 +118,7 @@ func (m *LinearRegression) Gradient(batch []data.Instance) (linalg.Vector, float
 }
 
 // GradientSum implements Model.
+//
 //cdml:deterministic
 func (m *LinearRegression) GradientSum(batch []data.Instance) (linalg.Vector, float64) {
 	return m.gradientSum(batch, squaredScale)
@@ -187,6 +189,7 @@ func (m *LogisticRegression) Gradient(batch []data.Instance) (linalg.Vector, flo
 }
 
 // GradientSum implements Model.
+//
 //cdml:deterministic
 func (m *LogisticRegression) GradientSum(batch []data.Instance) (linalg.Vector, float64) {
 	return m.gradientSum(batch, logisticScale)

@@ -124,6 +124,7 @@ func (m *MF) Gradient(batch []data.Instance) (linalg.Vector, float64) {
 // (each occurrence of a user/item regularizes its own parameters), so the
 // reg terms live inside the partial sums and Reduce must not add them
 // again.
+//
 //cdml:deterministic
 func (m *MF) GradientSum(batch []data.Instance) (linalg.Vector, float64) {
 	if len(batch) == 0 {
@@ -159,6 +160,7 @@ func (m *MF) GradientSum(batch []data.Instance) (linalg.Vector, float64) {
 // Reduce implements Model, overriding the base: partial sums combine in
 // shard order and are only averaged — regularization is already inside the
 // per-example contributions of GradientSum.
+//
 //cdml:deterministic
 func (m *MF) Reduce(partials []linalg.Vector, lossSums []float64, n int) (linalg.Vector, float64) {
 	inv := 1 / float64(n)

@@ -185,6 +185,7 @@ func (b *base) finishGradient(sum linalg.Vector, lossSum float64, n int) (linalg
 // k-means): partial sums combine in shard order, then the mean is
 // regularized once. MF overrides it because its regularization is
 // per-example and already inside the partials.
+//
 //cdml:deterministic
 func (b *base) Reduce(partials []linalg.Vector, lossSums []float64, n int) (linalg.Vector, float64) {
 	return b.finishGradient(sumPartials(len(b.w), partials), sumOrdered(lossSums), n)
@@ -205,6 +206,7 @@ func sumPartials(dim int, partials []linalg.Vector) linalg.Vector {
 }
 
 // Apply implements Model: one optimizer step with a reduced gradient.
+//
 //cdml:deterministic
 func (b *base) Apply(g linalg.Vector, o opt.Optimizer) {
 	o.Step(b.w, g)

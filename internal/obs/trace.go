@@ -86,6 +86,17 @@ func (s *Span) StartChild(name string) *Span {
 	return c
 }
 
+// AddChild records under s a stage that has already happened — one its caller
+// timed itself, or one that ended before s began (a queue wait). The clock is
+// not read. No-op on a nil span.
+func (s *Span) AddChild(name string, start time.Time, d time.Duration) {
+	if s == nil {
+		return
+	}
+	ns := d.Nanoseconds()
+	s.Children = append(s.Children, &Span{Name: name, Start: start, DurationNS: ns, DurationMS: float64(ns) / 1e6})
+}
+
 // Finish stamps the span's duration. No-op on a nil span.
 func (s *Span) Finish() {
 	if s == nil {

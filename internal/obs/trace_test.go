@@ -16,10 +16,16 @@ func TestSpanTree(t *testing.T) {
 	gc := c2.StartChild("preprocess")
 	gc.Finish()
 	c2.Finish()
+	// A stage its caller timed: recorded as given, the clock is not read.
+	root.AddChild("queue-wait", root.Start.Add(-time.Second), 1500*time.Microsecond)
 	root.Finish()
 
-	if len(root.Children) != 2 {
-		t.Fatalf("children = %d, want 2", len(root.Children))
+	if len(root.Children) != 3 {
+		t.Fatalf("children = %d, want 3", len(root.Children))
+	}
+	if qw := root.Children[2]; qw.Name != "queue-wait" || qw.Duration() != 1500*time.Microsecond || qw.DurationMS != 1.5 ||
+		!qw.Start.Equal(root.Start.Add(-time.Second)) {
+		t.Fatalf("recorded child: %+v", qw)
 	}
 	if root.Children[0].Name != "serve" || root.Children[1].Children[0].Name != "preprocess" {
 		t.Fatal("span tree shape wrong")
@@ -37,6 +43,7 @@ func TestNilSpanSafe(t *testing.T) {
 	}
 	c.Finish() // must not panic
 	s.Finish()
+	s.AddChild("x", time.Now(), time.Second)
 	if s.Duration() != 0 {
 		t.Fatal("nil span duration")
 	}

@@ -42,6 +42,7 @@ func NewFTRL(l1, l2 float64) *FTRL {
 func (f *FTRL) Name() string { return "ftrl" }
 
 // Step implements Optimizer.
+//
 //cdml:deterministic
 func (f *FTRL) Step(w []float64, g linalg.Vector) {
 	f.ensure(len(w))

@@ -78,6 +78,7 @@ func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
 func (s *SGD) Name() string { return "sgd" }
 
 // Step implements Optimizer.
+//
 //cdml:deterministic
 func (s *SGD) Step(w []float64, g linalg.Vector) {
 	eta := s.LR / (1 + s.Decay*float64(s.t))
@@ -111,6 +112,7 @@ func NewMomentum(lr float64) *Momentum { return &Momentum{LR: lr, Beta: 0.9} }
 func (m *Momentum) Name() string { return "momentum" }
 
 // Step implements Optimizer.
+//
 //cdml:deterministic
 func (m *Momentum) Step(w []float64, g linalg.Vector) {
 	m.ensure(len(w))
@@ -162,6 +164,7 @@ func NewAdam(lr float64) *Adam {
 func (a *Adam) Name() string { return "adam" }
 
 // Step implements Optimizer.
+//
 //cdml:deterministic
 func (a *Adam) Step(w []float64, g linalg.Vector) {
 	a.ensure(len(w))
@@ -217,6 +220,7 @@ func NewRMSProp(lr float64) *RMSProp {
 func (r *RMSProp) Name() string { return "rmsprop" }
 
 // Step implements Optimizer.
+//
 //cdml:deterministic
 func (r *RMSProp) Step(w []float64, g linalg.Vector) {
 	r.ensure(len(w))
@@ -265,6 +269,7 @@ func NewAdaDelta() *AdaDelta { return &AdaDelta{Rho: 0.95, Eps: 1e-6} }
 func (a *AdaDelta) Name() string { return "adadelta" }
 
 // Step implements Optimizer.
+//
 //cdml:deterministic
 func (a *AdaDelta) Step(w []float64, g linalg.Vector) {
 	a.ensure(len(w))

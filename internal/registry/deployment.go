@@ -187,7 +187,7 @@ func (d *Deployment) initObs() {
 // Name returns the deployment's registered name.
 func (d *Deployment) Name() string { return d.name }
 
-// Quotas returns the deployment's effective quotas (defaults merged in).
+// Quotas returns the deployment's quotas.
 func (d *Deployment) Quotas() Quotas { return d.quotas }
 
 // Adopted reports whether the deployment wraps an externally built deployer

@@ -53,10 +53,9 @@ var (
 	ErrState = errors.New("registry: unusable durable state")
 )
 
-// Quotas bounds one deployment's resource footprint. Zero fields inherit
-// the registry's defaults; a default of zero means unlimited. The JSON form
-// is the "quotas" object of PUT /v1/deployments/{name} and of the
-// -deployments fleet file.
+// Quotas bounds one deployment's resource footprint; a zero field means
+// unlimited. The JSON form is the "quotas" object of PUT
+// /v1/deployments/{name} and of the -deployments fleet file.
 type Quotas struct {
 	// MaxIngestQueue caps the deployment's async ingest queue depth. The
 	// registry only records the quota — the serve layer sizes its queues
@@ -71,20 +70,6 @@ type Quotas struct {
 	// evicting — the hard per-tenant ceiling, distinct from the store's own
 	// eviction capacity.
 	MaxStoreChunks int `json:"max_store_chunks"`
-}
-
-// merged fills q's zero fields from the registry defaults.
-func (q Quotas) merged(def Quotas) Quotas {
-	if q.MaxIngestQueue == 0 {
-		q.MaxIngestQueue = def.MaxIngestQueue
-	}
-	if q.MaxCheckpointBytes == 0 {
-		q.MaxCheckpointBytes = def.MaxCheckpointBytes
-	}
-	if q.MaxStoreChunks == 0 {
-		q.MaxStoreChunks = def.MaxStoreChunks
-	}
-	return q
 }
 
 // Options configures a Registry.
@@ -105,9 +90,6 @@ type Options struct {
 	// generation), so both survive a crash mid-promotion. When empty,
 	// deployments checkpoint only if their own config says so.
 	CheckpointRoot string
-	// DefaultQuotas seeds the per-deployment quotas; Create's explicit
-	// quotas override field by field.
-	DefaultQuotas Quotas
 	// Checkpoint is the cadence and retention (EveryTicks, Interval, Keep) of
 	// every deployer, champion or challenger, whose config carries no policy
 	// of its own. Only those three fields are read: Dir is the name's
@@ -245,7 +227,7 @@ func (r *Registry) CreateWarm(name string, cfg core.Config, q Quotas, n int, chu
 	if err := r.reserve(name); err != nil {
 		return nil, Boot{}, err
 	}
-	d := &Deployment{name: name, reg: r, quotas: q.merged(r.opts.DefaultQuotas)}
+	d := &Deployment{name: name, reg: r, quotas: q}
 	d.version.Store(1)
 	d.initObs()
 	e, err := r.buildEntry(d, cfg, true)
@@ -336,7 +318,7 @@ func (r *Registry) Adopt(name string, dep *core.Deployer, q Quotas) (*Deployment
 	if err := r.reserve(name); err != nil {
 		return nil, err
 	}
-	d := &Deployment{name: name, reg: r, quotas: q.merged(r.opts.DefaultQuotas), adopted: true}
+	d := &Deployment{name: name, reg: r, quotas: q, adopted: true}
 	d.version.Store(1)
 	d.initObs()
 	d.serving.Store(&entry{dep: dep, gen: r.genSeq.Add(1)})

@@ -234,17 +234,6 @@ func TestCreateExistingNameLeavesLiveLogAlone(t *testing.T) {
 	}
 }
 
-func TestQuotasMergeDefaults(t *testing.T) {
-	r := New(Options{DefaultQuotas: Quotas{MaxIngestQueue: 64, MaxCheckpointBytes: 1 << 20}})
-	d, err := r.Create("a", adamConfig(), Quotas{MaxIngestQueue: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q := d.Quotas(); q.MaxIngestQueue != 8 || q.MaxCheckpointBytes != 1<<20 {
-		t.Fatalf("quotas = %+v", q)
-	}
-}
-
 // TestConcurrentCreateDeletePredict hammers one name with create/delete
 // cycles while other goroutines resolve and use whatever deployment is
 // present — the race test behind the registry's locking story (run with

@@ -23,9 +23,6 @@ type Scheduler interface {
 	// TrainingDone informs the scheduler that a proactive training just
 	// completed, taking d of wall-clock time.
 	TrainingDone(now time.Time, d time.Duration)
-	// ObservePrediction feeds one served prediction query and its latency
-	// into the scheduler's load statistics.
-	ObservePrediction(now time.Time, latency time.Duration)
 	// ObserveQueries feeds a batch of n served queries that together took
 	// total of serving time, ending at now. The platform serves whole
 	// chunks, so this is the natural reporting grain.
@@ -75,9 +72,6 @@ func (s *Static) Due(now time.Time) bool {
 func (s *Static) TrainingDone(now time.Time, d time.Duration) {
 	s.next = now.Add(s.Interval)
 }
-
-// ObservePrediction implements Scheduler (static scheduling ignores load).
-func (s *Static) ObservePrediction(now time.Time, latency time.Duration) {}
 
 // ObserveQueries implements Scheduler (static scheduling ignores load).
 func (s *Static) ObserveQueries(now time.Time, n int, total time.Duration) {}
@@ -132,25 +126,7 @@ func (d *Dynamic) Due(now time.Time) bool { return !now.Before(d.next) }
 
 // TrainingDone implements Scheduler: applies Formula (6).
 func (d *Dynamic) TrainingDone(now time.Time, dur time.Duration) {
-	t := dur.Seconds()
-	interval := time.Duration(d.Slack * t * d.rate.Value() * d.latency.Value() * float64(time.Second))
-	if interval < d.MinInterval {
-		interval = d.MinInterval
-	}
-	d.next = now.Add(interval)
-}
-
-// ObservePrediction implements Scheduler: updates pr and pl.
-func (d *Dynamic) ObservePrediction(now time.Time, latency time.Duration) {
-	d.latency.Observe(latency.Seconds())
-	if !d.lastQuery.IsZero() {
-		gap := now.Sub(d.lastQuery).Seconds()
-		if gap > 0 {
-			d.rate.Observe(1 / gap)
-		}
-	}
-	d.lastQuery = now
-	d.publishLoad()
+	d.next = now.Add(d.NextInterval(dur.Seconds()))
 }
 
 // ObserveQueries implements Scheduler: updates pl with the batch's average
@@ -196,35 +172,4 @@ func (d *Dynamic) NextInterval(trainingSeconds float64) time.Duration {
 		return d.MinInterval
 	}
 	return iv
-}
-
-// EveryN is a chunk-count trigger used by the discrete-time experiment
-// harness: rather than wall-clock intervals it fires every N incoming
-// chunks, which makes experiment runs deterministic and
-// hardware-independent. It is the discrete analogue of Static scheduling
-// (the paper's URL scenario trains every 5 minutes of a 1-minute-per-chunk
-// stream, i.e. every 5 chunks).
-type EveryN struct {
-	// N is the trigger period in chunks.
-	N int
-
-	count int
-}
-
-// NewEveryN returns a trigger firing every n chunks.
-func NewEveryN(n int) *EveryN {
-	if n <= 0 {
-		panic(fmt.Sprintf("sched: non-positive chunk period %d", n))
-	}
-	return &EveryN{N: n}
-}
-
-// Tick advances by one chunk and reports whether the trigger fires.
-func (e *EveryN) Tick() bool {
-	e.count++
-	if e.count >= e.N {
-		e.count = 0
-		return true
-	}
-	return false
 }

@@ -36,7 +36,7 @@ func TestDynamicFormula(t *testing.T) {
 	now := t0
 	for i := 0; i < 50; i++ {
 		now = now.Add(100 * time.Millisecond)
-		d.ObservePrediction(now, 50*time.Millisecond)
+		d.ObserveQueries(now, 1, 50*time.Millisecond)
 	}
 	// T' = S*T*pr*pl = 2 * 4s * 10/s * 0.05s = 4s
 	iv := d.NextInterval(4)
@@ -51,7 +51,7 @@ func TestDynamicGuaranteesQueryTime(t *testing.T) {
 	now := t0
 	for i := 0; i < 50; i++ {
 		now = now.Add(50 * time.Millisecond) // 20 qps
-		d.ObservePrediction(now, 20*time.Millisecond)
+		d.ObserveQueries(now, 1, 20*time.Millisecond)
 	}
 	T := 2.0
 	backlog := T * d.rate.Value() * d.latency.Value()
@@ -104,7 +104,7 @@ func TestDynamicLargerSlackLargerInterval(t *testing.T) {
 		now := t0
 		for i := 0; i < 20; i++ {
 			now = now.Add(100 * time.Millisecond)
-			d.ObservePrediction(now, 50*time.Millisecond)
+			d.ObserveQueries(now, 1, 50*time.Millisecond)
 		}
 		return d
 	}
@@ -113,37 +113,6 @@ func TestDynamicLargerSlackLargerInterval(t *testing.T) {
 	if large <= small {
 		t.Fatalf("slack 3 interval %v should exceed slack 1.2 interval %v", large, small)
 	}
-}
-
-func TestEveryN(t *testing.T) {
-	e := NewEveryN(3)
-	fires := 0
-	for i := 0; i < 9; i++ {
-		if e.Tick() {
-			fires++
-		}
-	}
-	if fires != 3 {
-		t.Fatalf("fires = %d, want 3", fires)
-	}
-}
-
-func TestEveryNOne(t *testing.T) {
-	e := NewEveryN(1)
-	for i := 0; i < 5; i++ {
-		if !e.Tick() {
-			t.Fatal("period 1 should fire every tick")
-		}
-	}
-}
-
-func TestEveryNBadPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewEveryN(0)
 }
 
 func TestSchedulerNames(t *testing.T) {
@@ -181,7 +150,6 @@ func TestObserveQueriesZeroBatchIgnored(t *testing.T) {
 func TestStaticObserveQueriesNoop(t *testing.T) {
 	s := NewStatic(time.Minute)
 	s.ObserveQueries(t0, 10, time.Second) // must not panic or change state
-	s.ObservePrediction(t0, time.Second)
 	if !s.Due(t0) {
 		t.Fatal("static state changed by observations")
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -238,12 +237,9 @@ type CreateDeploymentRequest struct {
 
 // readJSONBody decodes a JSON request body into v (size-capped).
 func readJSONBody(r *http.Request, v any) error {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
+	body, err := readBody(r)
 	if err != nil {
-		return fmt.Errorf("serve: reading body: %w", err)
-	}
-	if len(body) > maxBody {
-		return fmt.Errorf("serve: body exceeds %d bytes", maxBody)
+		return err
 	}
 	if len(body) == 0 {
 		return errEmptyRequest

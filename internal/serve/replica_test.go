@@ -613,8 +613,13 @@ func TestResumeUnavailableIs503(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("train with a failing gather: status %d, want 500", resp.StatusCode)
 	}
-	if got := getStatus(t, pts).SnapshotVersion; got != published {
+	failed := getStatus(t, pts)
+	if got := failed.SnapshotVersion; got != published {
 		t.Fatalf("the failed tick published: version %d, want %d", got, published)
+	}
+	// The failed tick is the last one recorded, up to the stage that failed.
+	if lt := failed.LastTick; lt == nil || lt.TraceID != resp.Header.Get("X-Trace-ID") || lt.StagesMS["proactive-train"] <= 0 {
+		t.Fatalf("last_tick after the failed tick (trace %s): %+v", resp.Header.Get("X-Trace-ID"), lt)
 	}
 
 	base := pts.URL + "/v1/deployments/default"

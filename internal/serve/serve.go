@@ -467,34 +467,44 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// readBody reads a request body of at most maxBody+1 bytes (one past the
-// cap, so the caller can tell an oversized body from one at the cap). A
+// errBodyTooLarge is readBody's answer to a body of more than maxBody bytes.
+var errBodyTooLarge = fmt.Errorf("serve: body exceeds %d bytes", maxBody)
+
+// readBody is the one reader of request bodies: it reads at most maxBody+1
+// bytes (one past the cap, to tell an oversized body from one at the cap) and
+// answers errBodyTooLarge for an oversized one — never a truncated prefix. A
 // declared Content-Length sizes the buffer once, up to bodyPrealloc — the
 // header is the client's word, so a connection that declares the cap and
 // sends nothing must not pin the cap; beyond that, and for a chunked body,
 // the buffer grows with the bytes received the way io.ReadAll's does. The
 // buffer is never pooled: /train and /ingest hand these bytes to the chunk
 // store, /restore to the snapshot sink.
-func readBody(r *http.Request) ([]byte, error) {
+func readBody(r *http.Request) (b []byte, err error) {
 	body := io.LimitReader(r.Body, maxBody+1)
 	if r.ContentLength < 0 {
-		return io.ReadAll(body)
-	}
-	// One byte more than declared: the Read that reports EOF needs room.
-	b := make([]byte, 0, min(r.ContentLength, bodyPrealloc)+1)
-	for {
-		n, err := body.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
+		b, err = io.ReadAll(body)
+	} else {
+		// One byte more than declared: the Read that reports EOF needs room.
+		b = make([]byte, 0, min(r.ContentLength, bodyPrealloc)+1)
+		for err == nil {
+			if len(b) == cap(b) { // longer than declared: keep growing
+				b = append(b, 0)[:len(b)]
+			}
+			var n int
+			n, err = body.Read(b[len(b):cap(b)])
+			b = b[:len(b)+n]
+		}
 		if err == io.EOF {
-			return b, nil
-		}
-		if err != nil {
-			return b, err
-		}
-		if len(b) == cap(b) { // longer than declared: keep growing
-			b = append(b, 0)[:len(b)]
+			err = nil
 		}
 	}
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("serve: reading body: %w", err)
+	case len(b) > maxBody:
+		return nil, errBodyTooLarge
+	}
+	return b, nil
 }
 
 var newline = []byte{'\n'}
@@ -504,10 +514,7 @@ var newline = []byte{'\n'}
 func readRecords(r *http.Request) ([][]byte, error) {
 	body, err := readBody(r)
 	if err != nil {
-		return nil, fmt.Errorf("serve: reading body: %w", err)
-	}
-	if len(body) > maxBody {
-		return nil, fmt.Errorf("serve: body exceeds %d bytes", maxBody)
+		return nil, err
 	}
 	records := make([][]byte, 0, bytes.Count(body, newline)+1)
 	for rest := body; len(rest) > 0; {
@@ -926,13 +933,12 @@ func handleRestore(s *Server, name string, h *depHandle, w http.ResponseWriter, 
 		return
 	}
 	body, err := readBody(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("serve: reading checkpoint body: %w", err))
+	switch {
+	case errors.Is(err, errBodyTooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, codePayloadTooLarge, err)
 		return
-	}
-	if len(body) > maxBody {
-		writeError(w, http.StatusRequestEntityTooLarge, codePayloadTooLarge,
-			fmt.Errorf("serve: checkpoint exceeds the %d-byte body cap", maxBody))
+	case err != nil:
+		writeError(w, http.StatusBadRequest, codeBadRequest, err)
 		return
 	}
 	// The body is a frame payload; an X-Snapshot-Version header (as sent by

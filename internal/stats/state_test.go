@@ -3,151 +3,11 @@ package stats
 import (
 	"bytes"
 	"encoding/gob"
-	"fmt"
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"cdml/internal/flat"
 )
-
-func TestCountMinNeverUndercounts(t *testing.T) {
-	c := NewCountMin(0.01, 0.01)
-	truth := map[string]uint64{}
-	r := rand.New(rand.NewSource(1))
-	for i := 0; i < 5000; i++ {
-		v := fmt.Sprintf("key-%d", r.Intn(300))
-		c.Observe(v)
-		truth[v]++
-	}
-	for v, want := range truth {
-		if got := c.Count(v); got < want {
-			t.Fatalf("Count(%q) = %d < true %d", v, got, want)
-		}
-	}
-	if c.Total() != 5000 {
-		t.Fatalf("Total = %d", c.Total())
-	}
-}
-
-func TestCountMinErrorBound(t *testing.T) {
-	const eps = 0.01
-	c := NewCountMin(eps, 0.001)
-	r := rand.New(rand.NewSource(2))
-	const n = 20000
-	truth := map[string]uint64{}
-	for i := 0; i < n; i++ {
-		v := fmt.Sprintf("k%d", int(1000*r.ExpFloat64())) // skewed stream
-		c.Observe(v)
-		truth[v]++
-	}
-	bound := uint64(eps * n * 3) // generous: bound holds w.h.p. per query
-	violations := 0
-	for v, want := range truth {
-		if c.Count(v)-want > bound {
-			violations++
-		}
-	}
-	if violations > len(truth)/100 {
-		t.Fatalf("%d/%d estimates exceed 3εN overestimation", violations, len(truth))
-	}
-}
-
-func TestCountMinUnseenKeySmall(t *testing.T) {
-	c := NewCountMin(0.001, 0.001)
-	for i := 0; i < 100; i++ {
-		c.Observe("present")
-	}
-	if got := c.Count("absent"); got > 100 {
-		t.Fatalf("unseen key estimate %d", got)
-	}
-}
-
-func TestCountMinAdd(t *testing.T) {
-	c := NewCountMin(0.01, 0.01)
-	c.Add("x", 7)
-	if c.Count("x") < 7 || c.Total() != 7 {
-		t.Fatalf("Add wrong: count=%d total=%d", c.Count("x"), c.Total())
-	}
-}
-
-func TestCountMinMerge(t *testing.T) {
-	a := NewCountMin(0.01, 0.01)
-	b := NewCountMin(0.01, 0.01)
-	a.Add("x", 3)
-	b.Add("x", 4)
-	b.Add("y", 5)
-	a.Merge(b)
-	if a.Count("x") < 7 || a.Count("y") < 5 || a.Total() != 12 {
-		t.Fatalf("merge wrong: x=%d y=%d total=%d", a.Count("x"), a.Count("y"), a.Total())
-	}
-}
-
-func TestCountMinMergeShapeMismatchPanics(t *testing.T) {
-	a := NewCountMin(0.01, 0.01)
-	b := NewCountMin(0.1, 0.01)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	a.Merge(b)
-}
-
-func TestCountMinBadParamsPanic(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewCountMin(0, 0.1) },
-		func() { NewCountMin(0.1, 1) },
-		func() { NewCountMin(1.5, 0.1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestCountMinShape(t *testing.T) {
-	c := NewCountMin(0.01, 0.01)
-	if c.Width() < 100 || c.Depth() < 2 {
-		t.Fatalf("shape %dx%d too small for ε=δ=0.01", c.Depth(), c.Width())
-	}
-}
-
-// Property: merging two sketches equals sketching the concatenated stream.
-func TestQuickCountMinMergeEquivalence(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a := NewCountMin(0.05, 0.05)
-		b := NewCountMin(0.05, 0.05)
-		all := NewCountMin(0.05, 0.05)
-		keys := []string{"p", "q", "r", "s"}
-		for i := 0; i < 100; i++ {
-			v := keys[r.Intn(len(keys))]
-			if r.Intn(2) == 0 {
-				a.Observe(v)
-			} else {
-				b.Observe(v)
-			}
-			all.Observe(v)
-		}
-		a.Merge(b)
-		for _, v := range keys {
-			if a.Count(v) != all.Count(v) {
-				return false
-			}
-		}
-		return a.Total() == all.Total()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // gobV1 encodes v the way the pre-flat GobEncode methods did: the v1 writers
 // are gone from the package, so the tests of the v1 readers carry their own.

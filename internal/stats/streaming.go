@@ -1,10 +1,5 @@
 package stats
 
-import (
-	"math"
-	"math/rand"
-)
-
 // EWMA maintains an exponentially weighted moving average. The scheduler
 // uses it to track prediction rate and latency (paper §4.1), which must
 // reflect recent load rather than the whole deployment history.
@@ -38,98 +33,3 @@ func (e *EWMA) Value() float64 { return e.value }
 
 // Initialized reports whether at least one value was observed.
 func (e *EWMA) Initialized() bool { return e.init }
-
-// Counter is a simple monotonically increasing event counter with a sum, so
-// rates (sum/count) can be derived.
-type Counter struct {
-	n   int64
-	sum float64
-}
-
-// Observe adds one event with the given magnitude.
-func (c *Counter) Observe(x float64) { c.n++; c.sum += x }
-
-// Add adds n events totalling sum.
-func (c *Counter) Add(n int64, sum float64) { c.n += n; c.sum += sum }
-
-// Count returns the number of events.
-func (c *Counter) Count() int64 { return c.n }
-
-// Sum returns the accumulated magnitude.
-func (c *Counter) Sum() float64 { return c.sum }
-
-// Mean returns sum/count, or 0 when empty.
-func (c *Counter) Mean() float64 {
-	if c.n == 0 {
-		return 0
-	}
-	return c.sum / float64(c.n)
-}
-
-// Reservoir maintains a uniform random sample of fixed capacity over an
-// unbounded stream (Vitter's algorithm R). The platform uses it for
-// approximate distributional sanity checks on unbounded columns.
-type Reservoir struct {
-	cap   int
-	seen  int64
-	items []float64
-	rng   *rand.Rand
-}
-
-// NewReservoir returns a reservoir of the given capacity seeded
-// deterministically.
-func NewReservoir(capacity int, seed int64) *Reservoir {
-	if capacity <= 0 {
-		panic("stats: reservoir capacity must be positive")
-	}
-	return &Reservoir{cap: capacity, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Observe folds a value into the reservoir.
-func (r *Reservoir) Observe(x float64) {
-	r.seen++
-	if len(r.items) < r.cap {
-		r.items = append(r.items, x)
-		return
-	}
-	if j := r.rng.Int63n(r.seen); j < int64(r.cap) {
-		r.items[j] = x
-	}
-}
-
-// Seen returns the number of observed values.
-func (r *Reservoir) Seen() int64 { return r.seen }
-
-// Sample returns a copy of the current sample.
-func (r *Reservoir) Sample() []float64 { return append([]float64(nil), r.items...) }
-
-// Quantile returns the q-quantile (q in [0,1]) estimated from the reservoir
-// sample, or NaN when empty. This is an approximation: exact streaming
-// percentiles are non-incremental and therefore unsupported as pipeline
-// statistics (paper §3.1); the reservoir estimate exists for diagnostics
-// only.
-func (r *Reservoir) Quantile(q float64) float64 {
-	if len(r.items) == 0 {
-		return math.NaN()
-	}
-	s := r.Sample()
-	// insertion sort is fine at reservoir sizes
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
-}

@@ -84,93 +84,3 @@ func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
 
 // Reset clears the statistic.
 func (w *Welford) Reset() { *w = Welford{} }
-
-// Moments maintains per-feature Welford statistics plus min/max over dense
-// feature vectors of a fixed dimension. It is the state behind the standard
-// scaler.
-type Moments struct {
-	cols []Welford
-	min  []float64
-	max  []float64
-}
-
-// NewMoments returns per-feature moments for dim features.
-func NewMoments(dim int) *Moments {
-	m := &Moments{
-		cols: make([]Welford, dim),
-		min:  make([]float64, dim),
-		max:  make([]float64, dim),
-	}
-	for i := range m.min {
-		m.min[i] = math.Inf(1)
-		m.max[i] = math.Inf(-1)
-	}
-	return m
-}
-
-// Dim returns the number of tracked features.
-func (m *Moments) Dim() int { return len(m.cols) }
-
-// Observe folds a dense row into the per-feature statistics. It panics if
-// the row dimension differs from the tracked dimension.
-func (m *Moments) Observe(row []float64) {
-	if len(row) != len(m.cols) {
-		panic("stats: Moments.Observe dimension mismatch")
-	}
-	for i, v := range row {
-		m.cols[i].Observe(v)
-		if v < m.min[i] {
-			m.min[i] = v
-		}
-		if v > m.max[i] {
-			m.max[i] = v
-		}
-	}
-}
-
-// Count returns the number of observed rows.
-func (m *Moments) Count() int64 {
-	if len(m.cols) == 0 {
-		return 0
-	}
-	return m.cols[0].Count()
-}
-
-// Mean returns the running mean of feature i.
-func (m *Moments) Mean(i int) float64 { return m.cols[i].Mean() }
-
-// Std returns the population standard deviation of feature i.
-func (m *Moments) Std(i int) float64 { return m.cols[i].Std() }
-
-// Min returns the minimum observed value of feature i.
-func (m *Moments) Min(i int) float64 { return m.min[i] }
-
-// Max returns the maximum observed value of feature i.
-func (m *Moments) Max(i int) float64 { return m.max[i] }
-
-// Merge folds another Moments of the same dimension into m.
-func (m *Moments) Merge(o *Moments) {
-	if len(o.cols) != len(m.cols) {
-		panic("stats: Moments.Merge dimension mismatch")
-	}
-	for i := range m.cols {
-		m.cols[i].Merge(o.cols[i])
-		if o.min[i] < m.min[i] {
-			m.min[i] = o.min[i]
-		}
-		if o.max[i] > m.max[i] {
-			m.max[i] = o.max[i]
-		}
-	}
-}
-
-// Snapshot returns a deep copy, used to freeze pipeline statistics when a
-// model is handed to the proactive trainer.
-func (m *Moments) Snapshot() *Moments {
-	c := &Moments{
-		cols: append([]Welford(nil), m.cols...),
-		min:  append([]float64(nil), m.min...),
-		max:  append([]float64(nil), m.max...),
-	}
-	return c
-}

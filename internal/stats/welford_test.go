@@ -138,61 +138,6 @@ func TestWelfordMergeEmptyCases(t *testing.T) {
 	}
 }
 
-func TestMomentsBasics(t *testing.T) {
-	m := NewMoments(2)
-	m.Observe([]float64{1, 10})
-	m.Observe([]float64{3, 30})
-	if m.Count() != 2 {
-		t.Fatalf("Count = %d", m.Count())
-	}
-	if m.Mean(0) != 2 || m.Mean(1) != 20 {
-		t.Fatalf("means: %v %v", m.Mean(0), m.Mean(1))
-	}
-	if m.Min(0) != 1 || m.Max(1) != 30 {
-		t.Fatalf("min/max wrong")
-	}
-	if m.Dim() != 2 {
-		t.Fatalf("Dim = %d", m.Dim())
-	}
-}
-
-func TestMomentsDimensionPanic(t *testing.T) {
-	m := NewMoments(2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	m.Observe([]float64{1})
-}
-
-func TestMomentsEmptyCount(t *testing.T) {
-	if NewMoments(0).Count() != 0 {
-		t.Fatal("zero-dim moments should count 0")
-	}
-}
-
-func TestMomentsMergeAndSnapshot(t *testing.T) {
-	a := NewMoments(1)
-	b := NewMoments(1)
-	a.Observe([]float64{1})
-	b.Observe([]float64{3})
-	snap := a.Snapshot()
-	a.Merge(b)
-	if a.Mean(0) != 2 {
-		t.Fatalf("merged mean = %v", a.Mean(0))
-	}
-	if snap.Mean(0) != 1 {
-		t.Fatalf("snapshot mutated: %v", snap.Mean(0))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected merge dim panic")
-		}
-	}()
-	a.Merge(NewMoments(2))
-}
-
 func TestCategoricalOrdinalsStable(t *testing.T) {
 	c := NewCategorical()
 	if ord := c.Observe("b"); ord != 0 {
@@ -291,86 +236,4 @@ func TestEWMABadAlphaPanics(t *testing.T) {
 		}
 	}()
 	NewEWMA(0)
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	if c.Mean() != 0 {
-		t.Fatal("empty mean should be 0")
-	}
-	c.Observe(2)
-	c.Add(3, 10)
-	if c.Count() != 4 || c.Sum() != 12 || c.Mean() != 3 {
-		t.Fatalf("counter wrong: n=%d sum=%v", c.Count(), c.Sum())
-	}
-}
-
-func TestReservoirFillsToCapacity(t *testing.T) {
-	r := NewReservoir(5, 1)
-	for i := 0; i < 3; i++ {
-		r.Observe(float64(i))
-	}
-	if len(r.Sample()) != 3 || r.Seen() != 3 {
-		t.Fatal("reservoir under capacity should keep everything")
-	}
-	for i := 0; i < 100; i++ {
-		r.Observe(float64(i))
-	}
-	if len(r.Sample()) != 5 {
-		t.Fatalf("reservoir size = %d, want 5", len(r.Sample()))
-	}
-}
-
-func TestReservoirUniformity(t *testing.T) {
-	// Each of 0..99 should land in a 10-slot reservoir with p=0.1; over many
-	// trials the hit rate of item 0 should be near 0.1.
-	hits := 0
-	const trials = 2000
-	for tr := 0; tr < trials; tr++ {
-		r := NewReservoir(10, int64(tr))
-		for i := 0; i < 100; i++ {
-			r.Observe(float64(i))
-		}
-		for _, v := range r.Sample() {
-			if v == 0 {
-				hits++
-			}
-		}
-	}
-	rate := float64(hits) / trials
-	if rate < 0.07 || rate > 0.13 {
-		t.Fatalf("item-0 inclusion rate = %v, want ≈0.1", rate)
-	}
-}
-
-func TestReservoirQuantile(t *testing.T) {
-	r := NewReservoir(1000, 7)
-	for i := 1; i <= 1000; i++ {
-		r.Observe(float64(i))
-	}
-	if q := r.Quantile(0.5); math.Abs(q-500) > 2 {
-		t.Fatalf("median = %v", q)
-	}
-	if q := r.Quantile(0); q != 1 {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q := r.Quantile(1); q != 1000 {
-		t.Fatalf("q1 = %v", q)
-	}
-}
-
-func TestReservoirQuantileEmpty(t *testing.T) {
-	r := NewReservoir(4, 1)
-	if !math.IsNaN(r.Quantile(0.5)) {
-		t.Fatal("empty quantile should be NaN")
-	}
-}
-
-func TestReservoirBadCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewReservoir(0, 1)
 }

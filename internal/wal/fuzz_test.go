@@ -59,7 +59,7 @@ func TestReplayRefusesAnImpossibleRecordCount(t *testing.T) {
 // the file itself and as the payload of a valid frame between two good
 // records.
 func FuzzReplay(f *testing.F) {
-	good := encodeDataFrame(1, chunk("seed", 2), 7)
+	good := frame(1, encodeDataPayload(chunk("seed", 2), 7))
 	commit := append([]byte{kindCommit}, make([]byte, 8)...)
 	f.Add(good)
 	f.Add(good[:len(good)-5])
@@ -68,7 +68,7 @@ func FuzzReplay(f *testing.F) {
 	f.Add(commit[:4])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, in []byte) {
-		framed := append(append(append([]byte(nil), good...), frame(2, in)...), encodeDataFrame(3, chunk("after", 1), 9)...)
+		framed := append(append(append([]byte(nil), good...), frame(2, in)...), frame(3, encodeDataPayload(chunk("after", 1), 9))...)
 		dir := t.TempDir() // Open adds no file beside an active segment
 		for _, seg := range [][]byte{in, framed} {
 			if err := os.WriteFile(filepath.Join(dir, "wal-0000000000000001.seg.open"), seg, 0o644); err != nil {

@@ -667,12 +667,6 @@ func encodeDataPayload(records [][]byte, watermark uint64) []byte {
 	return payload
 }
 
-// encodeDataFrame produces the full wire bytes of one data record.
-func encodeDataFrame(seq uint64, records [][]byte, watermark uint64) []byte {
-	f := snapstream.Frame{Version: seq, Payload: encodeDataPayload(records, watermark)}
-	return snapstream.AppendFrameMagic(make([]byte, 0, snapstream.EncodedLen(f)), Magic, f)
-}
-
 // chunkLen sums the encoded size of a chunk's records.
 func chunkLen(records [][]byte) int {
 	n := 0

@@ -435,7 +435,7 @@ func activeSegPath(t *testing.T, dir string) string {
 // path, returning how many bytes landed.
 func appendPartialRecord(t *testing.T, path string) int {
 	t.Helper()
-	full := encodeDataFrame(999, chunk("torn", 3), 7)
+	full := frame(999, encodeDataPayload(chunk("torn", 3), 7))
 	half := full[:len(full)/2]
 	fh, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
