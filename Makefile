@@ -29,10 +29,10 @@ fmt-check:
 	@out=$$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' | xargs gofmt -l); \
 		[ -z "$$out" ] || { echo "gofmt -w:"; echo "$$out"; exit 1; }
 
-# lint runs go vet, the gofmt check, plus the repo's own analyzers (globalrand,
-# floateq, mustcheck, hotpath, guardedby, snapfreeze, ctxflow, determinism —
-# see internal/analysis) and the //lint:allow format audit. Fails on any
-# finding.
+# lint runs go vet, the gofmt check, plus the repo's own nine analyzers
+# (globalrand, floateq, mustcheck, hotpath, guardedby, snapfreeze, ctxflow,
+# determinism, deadexport — see internal/analysis) and the //lint:allow format
+# audit. Fails on any finding.
 lint: vet fmt-check
 	$(GO) run ./cmd/cdml-lint ./...
 
@@ -93,7 +93,7 @@ chaos:
 # // comment), exported identifiers (top-level funcs, methods on exported
 # receivers, types, vars and consts, grouped declarations included; analyzer
 # fixtures under testdata/ left out), cdml-serve flags, route-table rows, and
-# the files that still import encoding/gob (the decode-only v1 readers).
+# the files that import encoding/gob (none: the ratchet keeps it so).
 CENSUS_FILES = find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*'
 census:
 	@echo "non-test Go lines:    $$($(CENSUS_FILES) | xargs cat | wc -l)"
@@ -122,16 +122,17 @@ census-check:
 
 # Brief fuzzing passes over everything that reads bytes it did not write: the
 # wire-format parsers, the chunk-file decoders, the snapshot frame codec, the
-# ingest log's Open + Replay over an arbitrary active segment and the
-# snapshot payload decoder (both payload formats). One target list, two
-# durations. The payload seeds are whole checkpoints, so minimizing a new
-# input is bounded, or it eats the run.
+# ingest log's Open + Replay over an arbitrary active segment, the snapshot
+# payload decoder, the request-body reader and the -deployments file / spec
+# decoders. One target list, two durations. The payload seeds are whole
+# checkpoints, so minimizing a new input is bounded, or it eats the run.
 FUZZ_TARGETS = \
 	internal/dataset:FuzzURLParser internal/dataset:FuzzTaxiParser internal/dataset:FuzzRatingsParser \
 	internal/data:FuzzDecodeFeatureChunk internal/data:FuzzDecodeRawChunk \
 	internal/snapstream:FuzzDecodeFrame internal/snapstream:FuzzNextFrame \
 	internal/wal:FuzzReplay \
-	internal/core:FuzzDecodeSnapshotPayload
+	internal/core:FuzzDecodeSnapshotPayload \
+	internal/serve:FuzzReadRecords cmd/cdml-serve:FuzzDeploymentsFile
 FUZZTIME = 15s
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -45,7 +45,6 @@
 package cdml
 
 import (
-	"io"
 	"time"
 
 	"cdml/internal/core"
@@ -143,10 +142,10 @@ type RetryBackend = data.RetryBackend
 type FaultBackend = data.FaultBackend
 
 // NewRetryBackend wraps a backend with bounded exponential-backoff retries
-// for transient failures; ErrNotFound and context cancellation are never
+// for transient failures; a missing chunk and context cancellation are never
 // retried.
-func NewRetryBackend(base Backend, pol RetryPolicy, opts ...data.RetryOption) *RetryBackend {
-	return data.NewRetryBackend(base, pol, opts...)
+func NewRetryBackend(base Backend, pol RetryPolicy) *RetryBackend {
+	return data.NewRetryBackend(base, pol)
 }
 
 // NewFaultBackend wraps a backend with programmable failpoints (fail-N,
@@ -271,21 +270,6 @@ func NewMF(users, items, factors int, reg float64, seed int64) *model.MF {
 // EncodePair builds the 2-hot instance vector MF consumes.
 func EncodePair(users, items, u, i int) *Sparse { return model.EncodePair(users, items, u, i) }
 
-// SaveModel serializes a model to w: one flat section (DESIGN.md §5n), and
-// the stream holds nothing else.
-func SaveModel(w io.Writer, m Model) error { return model.Save(w, m) }
-
-// LoadModel reads r to its end and deserializes the one model SaveModel
-// wrote there, in the current format or an older release's.
-func LoadModel(r io.Reader) (Model, error) { return model.Load(r) }
-
-// SaveModelFile writes a model to path atomically.
-func SaveModelFile(path string, m Model) error { return model.SaveFile(path, m) }
-
-// LoadModelFile reads a model written by SaveModelFile, in the current
-// format or an older release's.
-func LoadModelFile(path string) (Model, error) { return model.LoadFile(path) }
-
 // Optimizer applies gradient steps with optional per-coordinate adaptation.
 type Optimizer = opt.Optimizer
 
@@ -306,14 +290,6 @@ func NewAdaDelta() *opt.AdaDelta { return opt.NewAdaDelta() }
 
 // NewFTRL returns the FTRL-Proximal optimizer with L1-induced sparsity.
 func NewFTRL(l1, l2 float64) *opt.FTRL { return opt.NewFTRL(l1, l2) }
-
-// SaveOptimizer serializes an optimizer (including adaptive state) to w,
-// enabling warm restarts across process boundaries.
-func SaveOptimizer(w io.Writer, o Optimizer) error { return opt.Save(w, o) }
-
-// LoadOptimizer reads r to its end and deserializes the one optimizer
-// SaveOptimizer wrote there, in the current format or an older release's.
-func LoadOptimizer(r io.Reader) (Optimizer, error) { return opt.Load(r) }
 
 // NewOptimizer constructs an optimizer by name ("sgd", "momentum", "adam",
 // "rmsprop", "adadelta").

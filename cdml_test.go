@@ -142,22 +142,6 @@ func TestPublicAPIVectors(t *testing.T) {
 	}
 }
 
-func TestPublicAPIModelPersistence(t *testing.T) {
-	m := cdml.NewSVM(2, 0.1)
-	m.SetWeights([]float64{1, 2, 3})
-	var buf bytes.Buffer
-	if err := cdml.SaveModel(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cdml.LoadModel(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Weights()[1] != 2 {
-		t.Fatal("round trip lost weights")
-	}
-}
-
 func TestPublicAPIKMeans(t *testing.T) {
 	km := cdml.NewKMeans(2, 2)
 	copy(km.Centroid(0), []float64{0, 0})

@@ -1,8 +1,8 @@
 // Command cdml-lint is the repo's multichecker: it loads the packages
 // matched by its argument patterns (default ./...) and runs the cdml
 // analyzers — globalrand, floateq, mustcheck, hotpath, plus the contract
-// suite guardedby, snapfreeze, ctxflow, determinism — over every non-test
-// source file, printing findings as
+// suite guardedby, snapfreeze, ctxflow, determinism, and the whole-module
+// deadexport — over every non-test source file, printing findings as
 //
 //	path:line:col: message (analyzer)
 //
@@ -27,6 +27,7 @@ import (
 
 	"cdml/internal/analysis"
 	"cdml/internal/analysis/ctxflow"
+	"cdml/internal/analysis/deadexport"
 	"cdml/internal/analysis/determinism"
 	"cdml/internal/analysis/floateq"
 	"cdml/internal/analysis/globalrand"
@@ -46,6 +47,7 @@ var analyzers = []*analysis.Analyzer{
 	snapfreeze.Analyzer,
 	ctxflow.Analyzer,
 	determinism.Analyzer,
+	deadexport.Analyzer,
 }
 
 func main() {

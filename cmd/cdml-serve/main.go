@@ -127,9 +127,9 @@ func parseFlags(args []string) options {
 	fs.IntVar(&o.engineWorkers, "engine-workers", 0, "engine worker pool size for parallel gather and gradient shards, shared by every deployment (0 = NumCPU); results are bit-identical at any setting")
 	fs.IntVar(&o.ingestQueue, "ingest-queue", serve.DefaultIngestQueue, "bounded async-ingest queue capacity in chunks per deployment (POST .../ingest answers 503 queue_full beyond it)")
 	fs.StringVar(&o.reg.CheckpointRoot, "checkpoint-dir", "", "root for automatic crash-safe checkpoints, <dir>/<name>/ckpt per deployment; a deployment recovers the newest valid one on startup (empty = checkpointing off)")
-	fs.IntVar(&o.reg.Checkpoint.EveryTicks, "checkpoint-every", 8, "checkpoint after every N ingested chunks")
-	fs.DurationVar(&o.reg.Checkpoint.Interval, "checkpoint-interval", 0, "also checkpoint when this much wall-clock time has passed (0 = tick trigger only)")
-	fs.IntVar(&o.reg.Checkpoint.Keep, "checkpoint-keep", 3, "checkpoint files retained before pruning the oldest")
+	fs.IntVar(&o.reg.CheckpointEvery, "checkpoint-every", 8, "checkpoint after every N ingested chunks")
+	fs.DurationVar(&o.reg.CheckpointInterval, "checkpoint-interval", 0, "also checkpoint when this much wall-clock time has passed (0 = tick trigger only)")
+	fs.IntVar(&o.reg.CheckpointKeep, "checkpoint-keep", 3, "checkpoint files retained before pruning the oldest")
 	fs.StringVar(&o.reg.WALRoot, "wal-dir", "", "root for the durable write-ahead ingest logs, <dir>/<name>/wal per deployment: async ingest fsyncs each accepted chunk before acking 202 and recovery replays what the newest checkpoint misses (empty = log off)")
 	fs.Int64Var(&o.reg.WALSegmentBytes, "wal-segment-bytes", wal.DefaultSegmentBytes, "ingest-log segment roll threshold; sealed segments are reclaimed as checkpoints age past them")
 	fs.StringVar(&o.reg.StoreRoot, "store-dir", "", "root for durable chunk storage, <dir>/<name>/store per deployment (tiered LRU cache over retrying disk backend); empty keeps chunks in memory")
@@ -270,7 +270,7 @@ func decodeStrict(raw []byte, v any) error {
 	return dec.Decode(v)
 }
 
-// build is the serve.ConfigBuilder of the runtime management API.
+// build is the builder (serve.WithConfigBuilder) of the runtime management API.
 func (b *specBuilder) build(name string, spec json.RawMessage) (core.Config, error) {
 	cfg, _, err := b.config(name, spec, 0)
 	return cfg, err

@@ -88,10 +88,10 @@ func commentText(c *ast.Comment) string {
 	return strings.TrimSuffix(text, "*/")
 }
 
-// Suppress drops diagnostics covered by a //lint:allow comment for the
+// suppress drops diagnostics covered by a //lint:allow comment for the
 // named analyzer. A comment covers its own line (trailing-comment form) and
 // the line immediately after it (standalone-comment form).
-func Suppress(fset *token.FileSet, files []*ast.File, name string, diags []Diagnostic) []Diagnostic {
+func suppress(fset *token.FileSet, files []*ast.File, name string, diags []Diagnostic) []Diagnostic {
 	if len(diags) == 0 {
 		return diags
 	}

@@ -31,6 +31,12 @@
 //     GradientSum/Reduce/Apply training chain) avoid map iteration, wall
 //     clocks, and global rand — transitively, across packages.
 //
+// And one about the module as a whole:
+//
+//   - deadexport: an exported identifier under internal/ is named by some
+//     other package, binary, example or benchmark — or it is unexported or
+//     gone.
+//
 // Suppression: a `//lint:allow <name>: <why>` comment on the offending line
 // (or on the line directly above it) silences one analyzer for that line.
 // The reason after the colon is mandatory — CheckAllows, run by cdml-lint
@@ -76,6 +82,9 @@ type Pass struct {
 	// "does this imported wrapper detach its context". Nil entries never
 	// occur; the map may be empty (fixture packages, leaf packages).
 	Deps map[string]*Package
+	// Module is the whole module the package was loaded with (see
+	// Package.Module); nil when the package was built by hand.
+	Module *Module
 
 	report func(Diagnostic)
 }
@@ -104,12 +113,13 @@ func (pkg *Package) Run(a *Analyzer) ([]Diagnostic, error) {
 		Pkg:       pkg.Types,
 		TypesInfo: pkg.TypesInfo,
 		Deps:      pkg.Deps,
+		Module:    pkg.Module,
 		report:    func(d Diagnostic) { diags = append(diags, d) },
 	}
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.PkgPath, err)
 	}
-	diags = Suppress(pkg.Fset, pkg.Files, a.Name, diags)
+	diags = suppress(pkg.Fset, pkg.Files, a.Name, diags)
 	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
 	return diags, nil
 }

@@ -89,7 +89,7 @@ func f() {
 	for line := 4; line <= 10; line++ {
 		diags = append(diags, Diagnostic{Pos: tf.LineStart(line), Message: "x"})
 	}
-	kept := Suppress(fset, []*ast.File{f}, "demo", diags)
+	kept := suppress(fset, []*ast.File{f}, "demo", diags)
 	var keptLines []int
 	for _, d := range kept {
 		keptLines = append(keptLines, fset.Position(d.Pos).Line)

@@ -47,7 +47,7 @@ type expectation struct {
 }
 
 // Run type-checks the fixture package rooted at dir (all .go files,
-// stdlib imports only), runs the analyzer with //lint:allow suppression
+// stdlib imports only; subdirectories are packages that use it), runs the analyzer with //lint:allow suppression
 // applied, and reports mismatches against the fixture's want comments.
 func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	t.Helper()
@@ -105,27 +105,65 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	}
 }
 
-// loadFixture parses and type-checks every .go file under dir as one
-// package.
+// loadFixture parses and type-checks every .go file in dir as one package
+// (stdlib imports only), then every subdirectory as a package that may
+// import it; together they are the fixture's Module.
 func loadFixture(dir string) (*analysis.Package, error) {
+	fset := token.NewFileSet()
+	std := analysis.NewStdlibImporter(fset)
+	pkg, subdirs, err := checkDir(fset, dir, "fixture/"+filepath.Base(dir), std)
+	if err != nil {
+		return nil, err
+	}
+	pkg.Module = &analysis.Module{Units: []*analysis.Package{pkg}}
+	for _, sub := range subdirs {
+		user, _, err := checkDir(fset, filepath.Join(dir, sub), pkg.PkgPath+"/"+sub, fixtureImporter{pkg.Types, std})
+		if err != nil {
+			return nil, err
+		}
+		pkg.Module.Units = append(pkg.Module.Units, user)
+	}
+	return pkg, nil
+}
+
+// fixtureImporter resolves the fixture package itself and leaves the rest to
+// the standard library.
+type fixtureImporter struct {
+	fixture *types.Package
+	std     types.Importer
+}
+
+func (fi fixtureImporter) Import(path string) (*types.Package, error) {
+	if path == fi.fixture.Path() {
+		return fi.fixture, nil
+	}
+	return fi.std.Import(path)
+}
+
+// checkDir parses and type-checks the .go files of one directory as the
+// package path, and names its subdirectories.
+func checkDir(fset *token.FileSet, dir, path string, imp types.Importer) (*analysis.Package, []string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("analysistest: %v", err)
+		return nil, nil, fmt.Errorf("analysistest: %v", err)
 	}
-	fset := token.NewFileSet()
 	var files []*ast.File
+	var subdirs []string
 	for _, e := range entries {
+		if e.IsDir() {
+			subdirs = append(subdirs, e.Name())
+		}
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
 		if err != nil {
-			return nil, fmt.Errorf("analysistest: parsing %s: %v", e.Name(), err)
+			return nil, nil, fmt.Errorf("analysistest: parsing %s: %v", e.Name(), err)
 		}
 		files = append(files, f)
 	}
 	if len(files) == 0 {
-		return nil, fmt.Errorf("analysistest: no fixture files in %s", dir)
+		return nil, nil, fmt.Errorf("analysistest: no fixture files in %s", dir)
 	}
 	info := &types.Info{
 		Types:     make(map[ast.Expr]types.TypeAndValue),
@@ -133,10 +171,9 @@ func loadFixture(dir string) (*analysis.Package, error) {
 		Uses:      make(map[*ast.Ident]types.Object),
 		Implicits: make(map[ast.Node]types.Object),
 	}
-	conf := types.Config{Importer: analysis.NewStdlibImporter(fset)}
-	tpkg, err := conf.Check("fixture/"+filepath.Base(dir), fset, files, info)
+	tpkg, err := (&types.Config{Importer: imp}).Check(path, fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("analysistest: type-checking %s: %v", dir, err)
+		return nil, nil, fmt.Errorf("analysistest: type-checking %s: %v", dir, err)
 	}
 	return &analysis.Package{
 		PkgPath:   tpkg.Path(),
@@ -145,7 +182,7 @@ func loadFixture(dir string) (*analysis.Package, error) {
 		Files:     files,
 		Types:     tpkg,
 		TypesInfo: info,
-	}, nil
+	}, subdirs, nil
 }
 
 // collectWants gathers the want comments of the fixture files; a comment

@@ -40,9 +40,9 @@ import (
 	"cdml/internal/analysis"
 )
 
-// DetachedMarker documents a legitimate context detachment point:
+// detachedMarker documents a legitimate context detachment point:
 // `//cdml:detached <why>`.
-const DetachedMarker = "cdml:detached"
+const detachedMarker = "cdml:detached"
 
 // Analyzer implements the check.
 var Analyzer = &analysis.Analyzer{
@@ -62,7 +62,7 @@ func run(pass *analysis.Pass) error {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			reason, detached := analysis.MarkerArg(fn.Doc, DetachedMarker)
+			reason, detached := analysis.MarkerArg(fn.Doc, detachedMarker)
 			if detached && reason == "" {
 				pass.Reportf(fn.Pos(), "//cdml:detached needs a reason: //cdml:detached <why>")
 			}

@@ -43,8 +43,8 @@ import (
 	"cdml/internal/analysis"
 )
 
-// Marker is the function/interface-method annotation: `//cdml:deterministic`.
-const Marker = "cdml:deterministic"
+// marker is the function/interface-method annotation: `//cdml:deterministic`.
+const marker = "cdml:deterministic"
 
 // Analyzer implements the check.
 var Analyzer = &analysis.Analyzer{
@@ -83,7 +83,7 @@ func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !analysis.HasMarker(fn.Doc, Marker) {
+			if !ok || fn.Body == nil || !analysis.HasMarker(fn.Doc, marker) {
 				continue
 			}
 			c.check(fn, fn.Name.Name)
@@ -103,7 +103,7 @@ func collectAnnotated(files []*ast.File, info *types.Info) map[*types.Func]bool 
 func collectInto(annotated map[*types.Func]bool, files []*ast.File, info *types.Info) {
 	for _, f := range files {
 		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && analysis.HasMarker(fn.Doc, Marker) {
+			if fn, ok := decl.(*ast.FuncDecl); ok && analysis.HasMarker(fn.Doc, marker) {
 				if obj, ok := info.Defs[fn.Name].(*types.Func); ok {
 					annotated[obj] = true
 				}
@@ -117,7 +117,7 @@ func collectInto(annotated map[*types.Func]bool, files []*ast.File, info *types.
 				return true
 			}
 			for _, field := range it.Methods.List {
-				if !analysis.HasMarker(field.Doc, Marker) && !analysis.HasMarker(field.Comment, Marker) {
+				if !analysis.HasMarker(field.Doc, marker) && !analysis.HasMarker(field.Comment, marker) {
 					continue
 				}
 				for _, name := range field.Names {

@@ -37,12 +37,12 @@ import (
 	"cdml/internal/analysis"
 )
 
-// Marker is the field annotation: `//cdml:guardedby <mu>`.
-const Marker = "cdml:guardedby"
+// marker is the field annotation: `//cdml:guardedby <mu>`.
+const marker = "cdml:guardedby"
 
-// LockedMarker is the function annotation asserting the caller provides the
+// lockedMarker is the function annotation asserting the caller provides the
 // named guard's critical section: `//cdml:locked <mu>`.
-const LockedMarker = "cdml:locked"
+const lockedMarker = "cdml:locked"
 
 // Analyzer implements the check.
 var Analyzer = &analysis.Analyzer{
@@ -138,7 +138,7 @@ func fieldAnnotation(field *ast.Field) (string, bool) {
 			continue
 		}
 		for _, c := range cg.List {
-			if arg, ok := markerArg(c, Marker); ok {
+			if arg, ok := markerArg(c, marker); ok {
 				return arg, true
 			}
 		}
@@ -224,7 +224,7 @@ func lockedGuards(fn *ast.FuncDecl) map[string]bool {
 	}
 	var held map[string]bool
 	for _, c := range fn.Doc.List {
-		if arg, ok := markerArg(c, LockedMarker); ok && arg != "" {
+		if arg, ok := markerArg(c, lockedMarker); ok && arg != "" {
 			if held == nil {
 				held = make(map[string]bool)
 			}

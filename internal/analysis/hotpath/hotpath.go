@@ -26,8 +26,8 @@ import (
 	"cdml/internal/analysis"
 )
 
-// Marker is the doc-comment line that opts a function into the check.
-const Marker = "cdml:hotpath"
+// marker is the doc-comment line that opts a function into the check.
+const marker = "cdml:hotpath"
 
 // Analyzer implements the check.
 var Analyzer = &analysis.Analyzer{
@@ -58,7 +58,7 @@ func isHotPath(fn *ast.FuncDecl) bool {
 	}
 	for _, c := range fn.Doc.List {
 		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if strings.HasPrefix(text, Marker) {
+		if strings.HasPrefix(text, marker) {
 			return true
 		}
 	}

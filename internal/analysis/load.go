@@ -10,8 +10,11 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"io/fs"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 )
 
 // Package is one loaded, parsed, and type-checked package.
@@ -36,15 +39,36 @@ type Package struct {
 	// framework's ImportPackageFact. Dependency packages share this package's
 	// FileSet, so their token positions render through the same Fset.
 	Deps map[string]*Package
+	// Module is everything the load saw, for the analyzers whose question is
+	// about the whole module (deadexport). Nil for a package built by hand.
+	Module *Module
+}
+
+// Module is one Load's view of the whole module.
+type Module struct {
+	// Units are the type-checked bodies of code that can name a package's
+	// declarations: every package, every package again together with its
+	// in-package _test.go files, and every external test package (PkgPath
+	// "<path>_test"). They share one FileSet and one set of canonical
+	// packages, so an identifier in any unit that refers to a declaration of
+	// another package resolves to that package's own types.Object.
+	Units []*Package
+	// Foreign are the files of nested modules (benchmark/), parsed but not
+	// type-checked: they import this module's internal packages, and the
+	// loader's `go list` stops at their go.mod.
+	Foreign []*ast.File
 }
 
 // listedPackage is the slice of `go list -json` output the loader consumes.
 type listedPackage struct {
-	ImportPath string
-	Dir        string
-	Standard   bool
-	GoFiles    []string
-	Imports    []string
+	ImportPath   string
+	Dir          string
+	Standard     bool
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Imports      []string
+	Module       *struct{ Path, Dir string }
 }
 
 // goList runs `go list -json` with args and decodes the JSON stream.
@@ -127,21 +151,28 @@ func (mi *moduleImporter) Import(path string) (*types.Package, error) {
 	return mi.std.Import(path)
 }
 
-// Load lists, parses, and type-checks the packages matched by patterns
-// (plus their in-module dependencies, which are checked but not returned).
+// Load lists, parses, and type-checks the packages matched by patterns and
+// returns them. The rest of their module is checked too, tests included, and
+// hangs off every returned package as its Module: who refers to a
+// declaration is a question about all of it, whatever the patterns.
 // dir is the working directory for `go list`; "" means the current one.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	// -deps pulls in the in-module dependency closure so packages matched by
-	// a narrow pattern still type-check; standard-library entries are
-	// resolved through export data instead.
-	listed, err := goList(dir, append([]string{"-deps"}, patterns...)...)
+	requested, err := goList(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	requested, err := goList(dir, patterns...)
+	// -deps pulls in the in-module dependency closure so every package
+	// type-checks; standard-library entries are resolved through export data
+	// instead.
+	all := append([]string{"-deps"}, patterns...)
+	var moduleDir string
+	if len(requested) > 0 && requested[0].Module != nil {
+		all, moduleDir = append(all, requested[0].Module.Path+"/..."), requested[0].Module.Dir
+	}
+	listed, err := goList(dir, all...)
 	if err != nil {
 		return nil, err
 	}
@@ -212,14 +243,76 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 	// Iterate in listed order (go list output is deterministic) so results
 	// and error reporting are stable.
+	mod := &Module{}
 	for _, p := range listed {
 		if _, ok := local[p.ImportPath]; ok {
 			if err := visit(p.ImportPath); err != nil {
 				return nil, err
 			}
+			built[p.ImportPath].Module = mod
+			mod.Units = append(mod.Units, built[p.ImportPath])
+		}
+	}
+	// The test units come last: every package they import is checked by now.
+	for _, p := range listed {
+		if p.Standard {
+			continue
+		}
+		tests := []listedPackage{{ImportPath: p.ImportPath + "_test", Dir: p.Dir, GoFiles: p.XTestGoFiles}}
+		if len(p.TestGoFiles) > 0 {
+			// In-package tests are checked together with the package's files.
+			both := append(append([]string(nil), p.GoFiles...), p.TestGoFiles...)
+			tests = append(tests, listedPackage{ImportPath: p.ImportPath, Dir: p.Dir, GoFiles: both})
+		}
+		for _, t := range tests {
+			if len(t.GoFiles) == 0 {
+				continue
+			}
+			u, err := checkPackage(fset, &t, imp)
+			if err != nil {
+				return nil, err
+			}
+			mod.Units = append(mod.Units, u)
+		}
+	}
+	if moduleDir != "" {
+		if mod.Foreign, err = parseNestedModules(fset, moduleDir); err != nil {
+			return nil, err
 		}
 	}
 	return result, nil
+}
+
+// parseNestedModules parses every .go file of the modules nested below root:
+// a directory other than root that holds a go.mod, and everything under it.
+func parseNestedModules(fset *token.FileSet, root string) ([]*ast.File, error) {
+	var files []*ast.File
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() || path == root {
+			return err
+		}
+		if strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err != nil {
+			return nil
+		}
+		err = filepath.WalkDir(path, func(file string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(file, ".go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, file, nil, 0)
+			if err == nil {
+				files = append(files, f)
+			}
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("analysis: parsing nested module %s: %v", path, err)
+		}
+		return filepath.SkipDir
+	})
+	return files, err
 }
 
 // checkPackage parses and type-checks one listed package.

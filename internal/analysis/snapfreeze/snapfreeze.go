@@ -40,11 +40,11 @@ import (
 	"cdml/internal/analysis"
 )
 
-// FrozenMarker roots the immutability closure: `//cdml:frozen`.
-const FrozenMarker = "cdml:frozen"
+// frozenMarker roots the immutability closure: `//cdml:frozen`.
+const frozenMarker = "cdml:frozen"
 
-// MutableMarker prunes a type from the closure: `//cdml:mutable`.
-const MutableMarker = "cdml:mutable"
+// mutableMarker prunes a type from the closure: `//cdml:mutable`.
+const mutableMarker = "cdml:mutable"
 
 // Analyzer implements the check.
 var Analyzer = &analysis.Analyzer{
@@ -104,10 +104,10 @@ func collectMarked(pass *analysis.Pass) (frozen, mutable map[*types.TypeName]boo
 					if doc == nil && len(gd.Specs) == 1 {
 						doc = gd.Doc
 					}
-					isFrozen := analysis.HasMarker(doc, FrozenMarker) ||
-						analysis.HasMarker(ts.Comment, FrozenMarker)
-					isMutable := analysis.HasMarker(doc, MutableMarker) ||
-						analysis.HasMarker(ts.Comment, MutableMarker)
+					isFrozen := analysis.HasMarker(doc, frozenMarker) ||
+						analysis.HasMarker(ts.Comment, frozenMarker)
+					isMutable := analysis.HasMarker(doc, mutableMarker) ||
+						analysis.HasMarker(ts.Comment, mutableMarker)
 					if !isFrozen && !isMutable {
 						continue
 					}

@@ -115,8 +115,8 @@ func WriteBaseline(path string, b *Baseline) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// ReadBaseline loads a BENCH_<pr>.json file.
-func ReadBaseline(path string) (*Baseline, error) {
+// readBaseline loads a BENCH_<pr>.json file.
+func readBaseline(path string) (*Baseline, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("benchfmt: reading baseline: %w", err)
@@ -154,7 +154,7 @@ func NewestBaseline(dir string) (string, *Baseline, error) {
 	if best == "" {
 		return "", nil, nil
 	}
-	b, err := ReadBaseline(filepath.Join(dir, best))
+	b, err := readBaseline(filepath.Join(dir, best))
 	if err != nil {
 		return "", nil, err
 	}

@@ -44,8 +44,7 @@ func (d *Deployer) Checkpoint(w io.Writer) error {
 // payloadTag opens every snapshot payload this code writes. It lives in the
 // payload, not in the CDMLCKP1 frame around it, because POST .../restore and
 // GET .../checkpoint move a bare payload with no frame header; anything that
-// does not start with it is read as the gob payload of an older server
-// (decodePayloadV1).
+// does not start with it is refused (decodePayload).
 const payloadTag = "CDMLSNP2"
 
 // The snapshot payload (DESIGN.md §5n) — what a checkpoint file, a restore
@@ -142,39 +141,37 @@ func (d *Deployer) restoreCheckpointAt(payload []byte, version uint64) error {
 	return nil
 }
 
-// decodePayload reads a snapshot payload of either format into a model, an
-// optimizer and a pipeline of this deployment's configuration. The bytes
-// come from files, restore bodies and other servers, so every count in them
-// is checked against the deployment's own model before it sizes anything
-// (the weight vector and each optimizer slot are at most as long as the
-// deployed model's), and the sections must be the deployment's kinds and
+// decodePayload reads a snapshot payload into a model, an optimizer and a
+// pipeline of this deployment's configuration. The bytes come from files,
+// restore bodies and other servers: one that does not open with payloadTag
+// is refused by name before anything is read from it, every count in the
+// rest is checked against the deployment's own model before it sizes
+// anything (the weight vector and each optimizer slot are at most as long as
+// the deployed model's), and the sections must be the deployment's kinds and
 // fill the payload exactly.
 //
 //cdml:locked mu — reads the deployed model's shape and the optimizer's kind
 func (d *Deployer) decodePayload(payload []byte) (model.Model, opt.Optimizer, *pipeline.Pipeline, error) {
-	var (
-		mdl     model.Model
-		om      opt.Optimizer
-		err     error
-		weights = len(d.mdl.Weights())
-		pipe    = d.cfg.NewPipeline()
-	)
-	if rest, ok := bytes.CutPrefix(payload, []byte(payloadTag)); ok {
-		r := flat.NewReader(rest)
-		if mdl, err = model.DecodeSection(r, weights); err != nil {
-			return nil, nil, nil, fmt.Errorf("core: restoring model: %w", err)
-		}
-		if om, err = opt.DecodeSection(r, weights); err != nil {
-			return nil, nil, nil, fmt.Errorf("core: restoring optimizer: %w", err)
-		}
-		if err = pipe.LoadState(r); err == nil {
-			err = r.Close()
-		}
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("core: restoring pipeline: %w", err)
-		}
-	} else if mdl, om, err = decodePayloadV1(payload, weights, pipe); err != nil {
-		return nil, nil, nil, err
+	rest, ok := bytes.CutPrefix(payload, []byte(payloadTag))
+	if !ok {
+		return nil, nil, nil, fmt.Errorf("core: restoring checkpoint: payload does not open with %q: not a snapshot payload of this format", payloadTag)
+	}
+	weights := len(d.mdl.Weights())
+	r := flat.NewReader(rest)
+	mdl, err := model.DecodeSection(r, weights)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("core: restoring model: %w", err)
+	}
+	om, err := opt.DecodeSection(r, weights)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("core: restoring optimizer: %w", err)
+	}
+	pipe := d.cfg.NewPipeline()
+	if err = pipe.LoadState(r); err == nil {
+		err = r.Close()
+	}
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("core: restoring pipeline: %w", err)
 	}
 	if mdl.Name() != d.mdl.Name() || mdl.Dim() != d.mdl.Dim() {
 		return nil, nil, nil, fmt.Errorf("core: checkpoint model %s/%d does not match deployment %s/%d",
@@ -184,35 +181,6 @@ func (d *Deployer) decodePayload(payload []byte) (model.Model, opt.Optimizer, *p
 		return nil, nil, nil, fmt.Errorf("core: checkpoint optimizer %s does not match deployment %s", om.Name(), d.optm.Name())
 	}
 	return mdl, om, pipe, nil
-}
-
-// decodePayloadV1 is the v1 reader: the payload of a server older than the
-// flat format is three runs of gob streams — model, optimizer, one per
-// stateful component — with no tag in front. An operator's existing
-// ckpt-*.ckpt files, a restore body saved from such a server and an old
-// primary's frames are supported input; nothing writes this form, so the
-// first checkpoint after a recovery from one is in the current format. The
-// decoded state passes the same validation as a flat payload's.
-func decodePayloadV1(payload []byte, weights int, pipe *pipeline.Pipeline) (model.Model, opt.Optimizer, error) {
-	// Each section is an independent gob stream and a gob.Decoder buffers
-	// past its own unless the source is an io.ByteReader, which a
-	// bytes.Reader is.
-	r := bytes.NewReader(payload)
-	mdl, err := model.LoadV1(r, weights)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: restoring model: %w", err)
-	}
-	om, err := opt.LoadV1(r, weights)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: restoring optimizer: %w", err)
-	}
-	if err := pipe.LoadStateV1(r); err != nil {
-		return nil, nil, fmt.Errorf("core: restoring pipeline: %w", err)
-	}
-	if r.Len() != 0 {
-		return nil, nil, fmt.Errorf("core: restoring checkpoint: %d trailing bytes", r.Len())
-	}
-	return mdl, om, nil
 }
 
 // The interface assertion documents which bundled components participate

@@ -2,9 +2,10 @@ package core
 
 import (
 	"bytes"
-	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cdml/internal/dataset"
@@ -15,17 +16,12 @@ import (
 	"cdml/internal/snapstream"
 )
 
-// The checkpoint fixtures. testdata/ckpt-v1-url.ckpt and ckpt-v1-taxi.ckpt
-// are CDMLCKP1 checkpoint files whose payload is the gob format of servers
-// before the flat payload (DESIGN.md §5n), written by the last commit that
-// had that writer (4df9e4b, `WriteCheckpointFile(dir, d.Current())`) from the
-// deployments v1Fixture describes after v1Chunks ingested chunks. That
-// writer is gone, so they cannot be regenerated; they are the supported
-// input the v1 reader exists for. ckpt-v2-*.ckpt are the same two states in
-// the current format, written by the commit that introduced it from
-// deployments that ingested the same chunks there. Nothing below re-runs
-// that training: a later change to the arithmetic of a tick must not be able
-// to fail — or to vouch for — a test of the readers.
+// The checkpoint fixtures. testdata/ckpt-v2-url.ckpt and ckpt-v2-taxi.ckpt
+// are CDMLCKP1 checkpoint files in the one payload format (DESIGN.md §5n),
+// written by the commit that introduced it from the deployments v1Fixture
+// describes after v1Chunks ingested chunks. They are committed so that a
+// change to the format — or to the arithmetic of a tick — cannot land
+// without touching a file a reviewer sees.
 const v1Chunks = 12
 
 // v1Fixture is the deployment a fixture was written from — a small cousin of
@@ -77,99 +73,81 @@ func fixturePayload(t testing.TB, fixture string) []byte {
 	return f.Payload
 }
 
-// TestV1CheckpointStillLoads: an operator's checkpoint from before the flat
-// payload recovers to the state it was written from — weight for weight,
-// slot for slot, statistic for statistic, which with one deterministic
-// encoding is byte for byte: the recovered deployment's payload is the
-// committed current-format payload of that state, and recovering from that
-// one gives it again. Both recoveries continue alike, and the first
-// checkpoint written after recovering the v1 file carries the current tag.
-func TestV1CheckpointStillLoads(t *testing.T) {
+// TestCheckpointFormatIsPinned: the committed checkpoint of each workload
+// recovers to the version in its header, the recovered deployment encodes to
+// the fixture's own bytes, and two ticks on it is in the state an
+// uninterrupted run over the same chunks reaches.
+func TestCheckpointFormatIsPinned(t *testing.T) {
 	for _, workload := range []string{"url", "taxi"} {
 		t.Run(workload, func(t *testing.T) {
 			want := fixturePayload(t, "ckpt-v2-"+workload+".ckpt")
-			if old := fixturePayload(t, "ckpt-v1-"+workload+".ckpt"); bytes.HasPrefix(old, []byte(payloadTag)) || !bytes.HasPrefix(want, []byte(payloadTag)) {
-				t.Fatal("the fixtures are not one payload of each format")
+			cfg, stream := v1Fixture(workload)
+			d, err := NewDeployer(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			recovered := map[string]*Deployer{}
-			for _, format := range []string{"v1", "v2"} {
-				cfg, _ := v1Fixture(workload)
-				dir := fixtureDir(t, "ckpt-"+format+"-"+workload+".ckpt")
-				cfg.AutoCheckpoint = &CheckpointPolicy{Dir: dir, EveryTicks: 2}
-				d, err := NewDeployer(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer d.Shutdown()
-				info, err := d.RecoverFromDir(dir)
-				if err != nil {
-					t.Fatalf("%s: %v", format, err)
-				}
-				if info.Version != v1Chunks+1 || d.Published().Version() != v1Chunks+1 {
-					t.Fatalf("%s: recovered version %d, serving %d, want %d", format, info.Version, d.Published().Version(), v1Chunks+1)
-				}
-				if !bytes.Equal(payloadBytes(t, d), want) {
-					t.Fatalf("the state recovered from the %s checkpoint is not the state it was written from", format)
-				}
-				recovered[format] = d
+			defer d.Shutdown()
+			info, err := d.RecoverFromDir(fixtureDir(t, "ckpt-v2-"+workload+".ckpt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Version != v1Chunks+1 || d.Published().Version() != v1Chunks+1 {
+				t.Fatalf("recovered version %d, serving %d, want %d", info.Version, d.Published().Version(), v1Chunks+1)
+			}
+			if !bytes.Equal(payloadBytes(t, d), want) {
+				t.Fatal("the recovered state does not encode to the bytes it was read from")
 			}
 
-			_, stream := v1Fixture(workload)
-			for _, d := range recovered {
-				ingestChunks(t, d, stream, v1Chunks, v1Chunks+2)
+			refCfg, _ := v1Fixture(workload)
+			ref, err := NewDeployer(refCfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !bytes.Equal(payloadBytes(t, recovered["v1"]), payloadBytes(t, recovered["v2"])) {
-				t.Fatal("the two recoveries diverged two ticks on")
-			}
-			// The cadence has fired since: Shutdown drains the writer, and the
-			// file it wrote is in the current format.
-			d := recovered["v1"]
-			d.Shutdown()
-			next, ok, err := snapstream.DirSource{Dir: d.cfg.AutoCheckpoint.Dir}.Latest(context.Background(), v1Chunks+1)
-			if err != nil || !ok {
-				t.Fatalf("no checkpoint written after the recovery: ok=%v err=%v", ok, err)
-			}
-			if !bytes.HasPrefix(next.Payload, []byte(payloadTag)) {
-				t.Fatal("the first checkpoint after recovering a v1 file is not in the current format")
+			defer ref.Shutdown()
+			ingestChunks(t, ref, stream, 0, v1Chunks+2)
+			ingestChunks(t, d, stream, v1Chunks, v1Chunks+2)
+			if !bytes.Equal(payloadBytes(t, d), payloadBytes(t, ref)) {
+				t.Fatal("two ticks after the recovery the state is not the uninterrupted run's")
 			}
 		})
 	}
 }
 
-// A v1 payload damaged anywhere is refused and the serving snapshot stays.
-func TestV1PayloadDamageIsRefused(t *testing.T) {
-	for _, workload := range []string{"url", "taxi"} {
-		cfg, _ := v1Fixture(workload)
-		old := snapstream.Frame{Payload: fixturePayload(t, "ckpt-v1-"+workload+".ckpt")}
-		d, err := NewDeployer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer d.Shutdown()
-		before := d.Published()
-		for n := 0; n < len(old.Payload); n += 1 + len(old.Payload)/200 {
-			if err := d.RestoreCheckpoint(bytes.NewReader(old.Payload[:n])); err == nil {
-				t.Fatalf("%s: a v1 payload torn at byte %d of %d was restored", workload, n, len(old.Payload))
-			}
-		}
-		if err := d.RestoreCheckpoint(bytes.NewReader(append(append([]byte(nil), old.Payload...), 0))); err == nil {
-			t.Fatalf("%s: a v1 payload with a trailing byte was restored", workload)
-		}
-		if d.Published() != before {
-			t.Fatalf("%s: a refused restore moved the serving snapshot", workload)
-		}
-		// Another deployment's checkpoint is refused whole.
-		otherCfg, _ := v1Fixture(map[string]string{"url": "taxi", "taxi": "url"}[workload])
-		other, err := NewDeployer(otherCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer other.Shutdown()
-		if err := other.RestoreCheckpoint(bytes.NewReader(old.Payload)); err == nil {
-			t.Fatalf("the %s checkpoint restored into the other workload's deployment", workload)
-		}
-		if err := d.RestoreCheckpoint(bytes.NewReader(old.Payload)); err != nil {
-			t.Fatalf("%s: the undamaged payload: %v", workload, err)
-		}
+// untagged is a payload that does not open with payloadTag: the first bytes
+// of the gob stream a server wrote for a model section before the flat format.
+var untagged = []byte("a\x7f\x03\x01\x01\x08snapshot\x01\xff\x80\x00\x01\x08\x01\x04Kind\x01\x0c\x00")
+
+// TestUntaggedPayloadIsRefused: bytes that do not open with the payload tag
+// are refused by name at both doors of the core — a restore leaves the
+// serving snapshot where it was, and directory recovery skips the file for
+// the next-older valid one, or fails naming the file when there is none.
+func TestUntaggedPayloadIsRefused(t *testing.T) {
+	cfg, _ := v1Fixture("url")
+	d, err := NewDeployer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+	before := d.Published()
+	err = d.RestoreCheckpoint(bytes.NewReader(untagged))
+	if err == nil || !strings.Contains(err.Error(), payloadTag) || d.Published() != before {
+		t.Fatalf("restore of an untagged payload: err %v, snapshot moved %v", err, d.Published() != before)
+	}
+
+	dir := fixtureDir(t, "ckpt-v2-url.ckpt")
+	newer, err := snapstream.WriteFile(dir, snapstream.Frame{Version: v1Chunks + 2, Payload: untagged}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := d.RecoverFromDir(dir)
+	if err != nil || info.Version != v1Chunks+1 {
+		t.Fatalf("recovery past an untagged newest file: version %d, err %v", info.Version, err)
+	}
+	if err := os.Remove(snapstream.FilePath(dir, v1Chunks+1)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = d.RecoverFromDir(dir)
+	if err == nil || errors.Is(err, ErrNoCheckpoint) || !strings.Contains(err.Error(), payloadTag) || !strings.Contains(err.Error(), filepath.Base(newer.Path)) {
+		t.Fatalf("recovery from only an untagged file: %v", err)
 	}
 }

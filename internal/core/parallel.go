@@ -43,6 +43,8 @@ func shardBounds(n, shards, s int) (int, int) {
 }
 
 // ShardStats reports how one sharded update executed.
+//
+//lint:allow deadexport: the second result of ShardedUpdate, which benchmark/ and bench_test.go call and discard; a result type callers cannot name is worse than one they do not
 type ShardStats struct {
 	// Shards is the number of partial-gradient shards the batch split into.
 	Shards int

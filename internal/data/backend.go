@@ -7,8 +7,8 @@ import (
 	"sync"
 )
 
-// ErrNotFound is returned by backends when a requested chunk is absent.
-var ErrNotFound = fmt.Errorf("data: chunk not found")
+// errNotFound is returned by backends when a requested chunk is absent.
+var errNotFound = fmt.Errorf("data: chunk not found")
 
 // Backend is the physical storage layer for chunks. The Store layers
 // eviction policy and materialization accounting on top of it.
@@ -17,11 +17,11 @@ var ErrNotFound = fmt.Errorf("data: chunk not found")
 type Backend interface {
 	// PutRaw persists a raw chunk.
 	PutRaw(rc RawChunk) error
-	// GetRaw fetches a raw chunk; ErrNotFound if absent.
+	// GetRaw fetches a raw chunk; errNotFound if absent.
 	GetRaw(id Timestamp) (RawChunk, error)
 	// PutFeatures persists a feature chunk.
 	PutFeatures(fc FeatureChunk) error
-	// GetFeatures fetches a feature chunk; ErrNotFound if absent.
+	// GetFeatures fetches a feature chunk; errNotFound if absent.
 	GetFeatures(id Timestamp) (FeatureChunk, error)
 	// DeleteFeatures removes a feature chunk's content. Deleting an absent
 	// chunk is not an error.
@@ -74,7 +74,7 @@ func (m *MemoryBackend) GetRaw(id Timestamp) (RawChunk, error) {
 	b, ok := m.raw[id]
 	m.mu.RUnlock()
 	if !ok {
-		return RawChunk{}, fmt.Errorf("raw %d: %w", id, ErrNotFound)
+		return RawChunk{}, fmt.Errorf("raw %d: %w", id, errNotFound)
 	}
 	return viewRaw(b)
 }
@@ -99,7 +99,7 @@ func (m *MemoryBackend) GetFeatures(id Timestamp) (FeatureChunk, error) {
 	p, ok := m.features[id]
 	m.mu.RUnlock()
 	if !ok {
-		return FeatureChunk{}, fmt.Errorf("features %d: %w", id, ErrNotFound)
+		return FeatureChunk{}, fmt.Errorf("features %d: %w", id, errNotFound)
 	}
 	return p.view(), nil
 }
@@ -124,11 +124,11 @@ func (m *MemoryBackend) DeleteRaw(id Timestamp) error {
 func (m *MemoryBackend) Close() error { return nil }
 
 // DiskBackend stores chunks as files under a directory, one file per chunk,
-// in the flat format of EncodeRawChunk and EncodeFeatureChunk. It is the HDFS
+// in the flat format of encodeRawChunk and encodeFeatureChunk. It is the HDFS
 // substitute: fetching from it pays real decoding and file IO, giving
 // dynamic materialization a measurable price (paper §5.4 observes the larger
 // IO overhead on the cluster). A file that fails its checks surfaces as a
-// fetch error wrapping ErrCorruptChunk.
+// fetch error wrapping errCorruptChunk.
 type DiskBackend struct {
 	dir string
 	mu  sync.Mutex // serializes file creation; reads are lock-free
@@ -152,7 +152,7 @@ func (d *DiskBackend) featPath(id Timestamp) string {
 
 // PutRaw implements Backend.
 func (d *DiskBackend) PutRaw(rc RawChunk) error {
-	b, err := EncodeRawChunk(rc)
+	b, err := encodeRawChunk(rc)
 	if err != nil {
 		return err
 	}
@@ -163,12 +163,12 @@ func (d *DiskBackend) PutRaw(rc RawChunk) error {
 func (d *DiskBackend) GetRaw(id Timestamp) (RawChunk, error) {
 	b, err := os.ReadFile(d.rawPath(id))
 	if os.IsNotExist(err) {
-		return RawChunk{}, fmt.Errorf("raw %d: %w", id, ErrNotFound)
+		return RawChunk{}, fmt.Errorf("raw %d: %w", id, errNotFound)
 	}
 	if err != nil {
 		return RawChunk{}, fmt.Errorf("data: reading raw chunk %d: %w", id, err)
 	}
-	rc, err := DecodeRawChunk(b)
+	rc, err := decodeRawChunk(b)
 	if err != nil {
 		return RawChunk{}, fmt.Errorf("data: reading raw chunk %d: %w", id, err)
 	}
@@ -177,7 +177,7 @@ func (d *DiskBackend) GetRaw(id Timestamp) (RawChunk, error) {
 
 // PutFeatures implements Backend.
 func (d *DiskBackend) PutFeatures(fc FeatureChunk) error {
-	b, err := EncodeFeatureChunk(fc)
+	b, err := encodeFeatureChunk(fc)
 	if err != nil {
 		return err
 	}
@@ -188,12 +188,12 @@ func (d *DiskBackend) PutFeatures(fc FeatureChunk) error {
 func (d *DiskBackend) GetFeatures(id Timestamp) (FeatureChunk, error) {
 	b, err := os.ReadFile(d.featPath(id))
 	if os.IsNotExist(err) {
-		return FeatureChunk{}, fmt.Errorf("features %d: %w", id, ErrNotFound)
+		return FeatureChunk{}, fmt.Errorf("features %d: %w", id, errNotFound)
 	}
 	if err != nil {
 		return FeatureChunk{}, fmt.Errorf("data: reading feature chunk %d: %w", id, err)
 	}
-	fc, err := DecodeFeatureChunk(b)
+	fc, err := decodeFeatureChunk(b)
 	if err != nil {
 		return FeatureChunk{}, fmt.Errorf("data: reading feature chunk %d: %w", id, err)
 	}

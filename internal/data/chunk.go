@@ -63,12 +63,12 @@ const (
 
 var le = binary.LittleEndian
 
-// ErrCorruptChunk is matched by errors.Is for every decode failure: bytes
+// errCorruptChunk is matched by errors.Is for every decode failure: bytes
 // that are not a chunk encoding, or that were one and rotted.
-var ErrCorruptChunk = errors.New("data: corrupt chunk")
+var errCorruptChunk = errors.New("data: corrupt chunk")
 
 func corrupt(format string, args ...any) error {
-	return fmt.Errorf("%w: "+format, append([]any{ErrCorruptChunk}, args...)...)
+	return fmt.Errorf("%w: "+format, append([]any{errCorruptChunk}, args...)...)
 }
 
 // packedFeatures is a feature chunk at rest. A dense row owns
@@ -353,10 +353,10 @@ func unseal(b []byte, magic string) ([]byte, error) {
 	return b[frameLen:], nil
 }
 
-// EncodeFeatureChunk serializes a feature chunk in the flat format the disk
+// encodeFeatureChunk serializes a feature chunk in the flat format the disk
 // backend stores. A non-finite label is refused here, when the chunk is
-// written, rather than by DecodeFeatureChunk when it is needed.
-func EncodeFeatureChunk(fc FeatureChunk) ([]byte, error) {
+// written, rather than by decodeFeatureChunk when it is needed.
+func encodeFeatureChunk(fc FeatureChunk) ([]byte, error) {
 	p, err := packFeatures(fc)
 	if err != nil {
 		return nil, err
@@ -371,10 +371,10 @@ func EncodeFeatureChunk(fc FeatureChunk) ([]byte, error) {
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// DecodeFeatureChunk deserializes a feature chunk produced by
-// EncodeFeatureChunk. Any other input is an error wrapping ErrCorruptChunk,
+// decodeFeatureChunk deserializes a feature chunk produced by
+// encodeFeatureChunk. Any other input is an error wrapping errCorruptChunk,
 // never a panic.
-func DecodeFeatureChunk(b []byte) (FeatureChunk, error) {
+func decodeFeatureChunk(b []byte) (FeatureChunk, error) {
 	payload, err := unseal(b, featMagic)
 	if err != nil {
 		return FeatureChunk{}, err
@@ -386,9 +386,9 @@ func DecodeFeatureChunk(b []byte) (FeatureChunk, error) {
 	return p.view(), nil
 }
 
-// EncodeRawChunk serializes a raw chunk in the flat format the disk backend
+// encodeRawChunk serializes a raw chunk in the flat format the disk backend
 // stores.
-func EncodeRawChunk(rc RawChunk) ([]byte, error) {
+func encodeRawChunk(rc RawChunk) ([]byte, error) {
 	b, err := appendRawPayload(newFrame(rawMagic, rawPayloadSize(rc.Records)), rc)
 	if err != nil {
 		return nil, err
@@ -396,10 +396,10 @@ func EncodeRawChunk(rc RawChunk) ([]byte, error) {
 	return seal(b), nil
 }
 
-// DecodeRawChunk deserializes a raw chunk produced by EncodeRawChunk; the
+// decodeRawChunk deserializes a raw chunk produced by encodeRawChunk; the
 // records are views over b. Any other input is an error wrapping
-// ErrCorruptChunk, never a panic.
-func DecodeRawChunk(b []byte) (RawChunk, error) {
+// errCorruptChunk, never a panic.
+func decodeRawChunk(b []byte) (RawChunk, error) {
 	payload, err := unseal(b, rawMagic)
 	if err != nil {
 		return RawChunk{}, err
@@ -407,13 +407,13 @@ func DecodeRawChunk(b []byte) (RawChunk, error) {
 	return viewRaw(payload)
 }
 
-// FeatureBytes is the exact size of a feature chunk at rest — its flat
+// featureBytes is the exact size of a feature chunk at rest — its flat
 // payload: 8 bytes per stored value, 4 per sparse index, 12 per row (label
 // and offset) and a fixed header. This is the quantity the
 // storage-requirement analysis of paper §3.2.1 bounds: with sparse
 // encodings every supported component keeps the footprint linear in the
 // input size.
-func FeatureBytes(instances []Instance) int64 {
+func featureBytes(instances []Instance) int64 {
 	var nIdx, nVal int64
 	for _, ins := range instances {
 		switch x := ins.X.(type) {

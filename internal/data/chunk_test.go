@@ -169,17 +169,17 @@ func TestQuickPackedChunkRoundTrip(t *testing.T) {
 			}
 			gf, _ := mem.GetFeatures(fc.ID)
 			gr, _ := mem.GetRaw(rc.ID)
-			wantF, _ := EncodeFeatureChunk(gf)
-			wantR, _ := EncodeRawChunk(gr)
+			wantF, _ := encodeFeatureChunk(gf)
+			wantR, _ := encodeRawChunk(gr)
 			gotF, errF := os.ReadFile(disk.featPath(fc.ID))
 			gotR, errR := os.ReadFile(disk.rawPath(rc.ID))
 			if errF != nil || errR != nil || !bytes.Equal(gotF, wantF) || !bytes.Equal(gotR, wantR) {
 				t.Errorf("disk bytes differ from the encoding of the memory backend's chunk (%v, %v)", errF, errR)
 				return false
 			}
-			if FeatureBytes(fc.Instances) != int64(len(gotF)-frameLen) || rawPayloadSize(rc.Records) != len(gotR)-frameLen {
+			if featureBytes(fc.Instances) != int64(len(gotF)-frameLen) || rawPayloadSize(rc.Records) != len(gotR)-frameLen {
 				t.Errorf("size accounting: features %d raw %d, files hold %d and %d payload bytes",
-					FeatureBytes(fc.Instances), rawPayloadSize(rc.Records), len(gotF)-frameLen, len(gotR)-frameLen)
+					featureBytes(fc.Instances), rawPayloadSize(rc.Records), len(gotF)-frameLen, len(gotR)-frameLen)
 				return false
 			}
 		}
@@ -254,7 +254,7 @@ func TestPackRejectsWhatHasNoPackedForm(t *testing.T) {
 			t.Errorf("%s: stored", name)
 		}
 	}
-	if _, err := EncodeFeatureChunk(FeatureChunk{Instances: []Instance{{X: linalg.Dense{1}, Y: math.NaN()}}}); err == nil {
+	if _, err := encodeFeatureChunk(FeatureChunk{Instances: []Instance{{X: linalg.Dense{1}, Y: math.NaN()}}}); err == nil {
 		t.Error("a NaN label was encoded; the decoder would refuse the file")
 	}
 }
@@ -273,14 +273,14 @@ func validEncodings(t testing.TB) (features, raws [][]byte) {
 		chunks = append(chunks, fc)
 	}
 	for _, fc := range chunks {
-		b, err := EncodeFeatureChunk(fc)
+		b, err := encodeFeatureChunk(fc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		features = append(features, b)
 	}
 	for _, rc := range []RawChunk{{ID: 4}, {ID: 5, Records: [][]byte{[]byte("a\tb"), {}, []byte("label 1")}}} {
-		b, err := EncodeRawChunk(rc)
+		b, err := encodeRawChunk(rc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,15 +293,15 @@ func validEncodings(t testing.TB) (features, raws [][]byte) {
 func reseal(b []byte) []byte { return seal(append([]byte(nil), b...)) }
 
 func TestDecodersRejectCorruptChunks(t *testing.T) {
-	sparse, err := EncodeFeatureChunk(FeatureChunk{ID: 1, RawID: 1, Instances: []Instance{
+	sparse, err := encodeFeatureChunk(FeatureChunk{ID: 1, RawID: 1, Instances: []Instance{
 		{X: linalg.NewSparse(8, []int32{1, 5}, []float64{2, 3}), Y: 1},
 		{X: linalg.NewSparse(8, []int32{2}, []float64{4}), Y: 0},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, _ := EncodeFeatureChunk(FeatureChunk{ID: 1, RawID: 1, Instances: []Instance{{X: linalg.Dense{1, 2}, Y: 1}}})
-	raw, _ := EncodeRawChunk(RawChunk{ID: 1, Records: [][]byte{[]byte("ab"), []byte("cde")}})
+	dense, _ := encodeFeatureChunk(FeatureChunk{ID: 1, RawID: 1, Instances: []Instance{{X: linalg.Dense{1, 2}, Y: 1}}})
+	raw, _ := encodeRawChunk(RawChunk{ID: 1, Records: [][]byte{[]byte("ab"), []byte("cde")}})
 	const p = frameLen // payload start
 	patch := func(b []byte, off int, v uint32) []byte {
 		c := append([]byte(nil), b...)
@@ -331,7 +331,7 @@ func TestDecodersRejectCorruptChunks(t *testing.T) {
 		"sparse bit, no indices": patch(dense, p+featHeader, 2|sparseRow),
 		"dim without sparse row": patch(dense, p+16, 4),
 	} {
-		if _, err := DecodeFeatureChunk(b); !errors.Is(err, ErrCorruptChunk) {
+		if _, err := decodeFeatureChunk(b); !errors.Is(err, errCorruptChunk) {
 			t.Errorf("feature chunk, %s: err = %v", name, err)
 		}
 	}
@@ -346,7 +346,7 @@ func TestDecodersRejectCorruptChunks(t *testing.T) {
 		"offset past the end": patch(raw, p+rawHeader+4, 6),
 		"header only":         reseal(raw[:p+4]),
 	} {
-		if _, err := DecodeRawChunk(b); !errors.Is(err, ErrCorruptChunk) {
+		if _, err := decodeRawChunk(b); !errors.Is(err, errCorruptChunk) {
 			t.Errorf("raw chunk, %s: err = %v", name, err)
 		}
 	}
@@ -379,13 +379,13 @@ func TestDiskBackendSurfacesCorruptFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok, err := s.Features(id); ok || !errors.Is(err, ErrCorruptChunk) || errors.Is(err, ErrNotFound) {
+	if _, ok, err := s.Features(id); ok || !errors.Is(err, errCorruptChunk) || errors.Is(err, errNotFound) {
 		t.Fatalf("corrupt feature file: ok=%v err=%v", ok, err)
 	}
-	if _, err := s.Raw(id); !errors.Is(err, ErrCorruptChunk) {
+	if _, err := s.Raw(id); !errors.Is(err, errCorruptChunk) {
 		t.Fatalf("corrupt raw file: err=%v", err)
 	}
-	if n := retrying.TotalRetries(); n != 0 {
+	if n := retrying.totalRetries(); n != 0 {
 		t.Fatalf("%d retries of a read that cannot heal", n)
 	}
 	// A previous life's gob files are never looked at.
@@ -421,14 +421,14 @@ func FuzzDecodeFeatureChunk(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		for _, b := range framed(in, featMagic) {
-			fc, err := DecodeFeatureChunk(b)
+			fc, err := decodeFeatureChunk(b)
 			if err != nil {
-				if !errors.Is(err, ErrCorruptChunk) {
-					t.Fatalf("decode error does not wrap ErrCorruptChunk: %v", err)
+				if !errors.Is(err, errCorruptChunk) {
+					t.Fatalf("decode error does not wrap errCorruptChunk: %v", err)
 				}
 				continue
 			}
-			again, err := EncodeFeatureChunk(fc)
+			again, err := encodeFeatureChunk(fc)
 			if err != nil || !bytes.Equal(again, b) {
 				t.Fatalf("accepted %x, re-encoded to %x (err %v)", b, again, err)
 			}
@@ -443,14 +443,14 @@ func FuzzDecodeRawChunk(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		for _, b := range framed(in, rawMagic) {
-			rc, err := DecodeRawChunk(b)
+			rc, err := decodeRawChunk(b)
 			if err != nil {
-				if !errors.Is(err, ErrCorruptChunk) {
-					t.Fatalf("decode error does not wrap ErrCorruptChunk: %v", err)
+				if !errors.Is(err, errCorruptChunk) {
+					t.Fatalf("decode error does not wrap errCorruptChunk: %v", err)
 				}
 				continue
 			}
-			again, err := EncodeRawChunk(rc)
+			again, err := encodeRawChunk(rc)
 			if err != nil || !bytes.Equal(again, b) {
 				t.Fatalf("accepted %x, re-encoded to %x (err %v)", b, again, err)
 			}

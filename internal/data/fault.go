@@ -1,7 +1,7 @@
 // Fault injection for storage chaos tests. FaultBackend wraps any Backend
-// with programmable failpoints — fail the next N calls, fail a seeded
-// fraction of calls, or delay calls — so tests can prove that transient
-// errors heal through RetryBackend, that exhausted retries surface as one
+// with programmable failpoints — fail the next N calls, or a seeded fraction
+// of calls — so tests can prove that transient errors heal through
+// RetryBackend, that exhausted retries surface as one
 // clean failed tick, and that recovery machinery tolerates a misbehaving
 // store. It lives in the main build (not a _test file) so chaos suites in
 // other packages and future load-testing binaries can reuse it; production
@@ -12,24 +12,21 @@ package data
 import (
 	"math/rand"
 	"sync"
-	"sync/atomic"
-	"time"
 )
 
-// OpAll targets every backend operation when installing a fault rule.
-const OpAll Op = "*"
+// opAll targets every backend operation when installing a fault rule.
+const opAll Op = "*"
 
 // faultRule is one armed failpoint.
 type faultRule struct {
-	op        Op    // operation it applies to (OpAll matches everything)
+	op        Op    // operation it applies to (opAll matches everything)
 	remaining int64 // >0: fail this many more matching calls; -1: unlimited
 	rate      float64
 	rnd       func() float64
 	err       error
-	delay     time.Duration
 }
 
-// FaultBackend injects failures and latency into a wrapped Backend.
+// FaultBackend injects failures into a wrapped Backend.
 // All methods are safe for concurrent use; rule installation may race with
 // in-flight operations (that is the point of a chaos test).
 type FaultBackend struct {
@@ -37,29 +34,26 @@ type FaultBackend struct {
 
 	mu    sync.Mutex
 	rules []*faultRule //cdml:guardedby mu
-
-	injected atomic.Int64 // errors injected
-	delayed  atomic.Int64 // delays injected
 }
 
-// NewFaultBackend wraps base with no failpoints armed: until a Fail* or
-// Delay rule is installed it is a transparent pass-through.
+// NewFaultBackend wraps base with no failpoints armed: until a fail rule is
+// installed it is a transparent pass-through.
 func NewFaultBackend(base Backend) *FaultBackend {
 	return &FaultBackend{base: base}
 }
 
 // FailN arms a failpoint: the next n matching calls return err instead of
-// reaching the base backend. Use OpAll to match every operation.
+// reaching the base backend.
 func (f *FaultBackend) FailN(op Op, n int, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.rules = append(f.rules, &faultRule{op: op, remaining: int64(n), err: err})
 }
 
-// FailRate arms a probabilistic failpoint: each matching call fails with
+// failRate arms a probabilistic failpoint: each matching call fails with
 // probability p, drawn from the seeded source so chaos runs replay
 // identically. The rule stays armed until Reset.
-func (f *FaultBackend) FailRate(op Op, p float64, err error, seed int64) {
+func (f *FaultBackend) failRate(op Op, p float64, err error, seed int64) {
 	src := rand.New(rand.NewSource(seed))
 	var mu sync.Mutex
 	rnd := func() float64 {
@@ -72,14 +66,6 @@ func (f *FaultBackend) FailRate(op Op, p float64, err error, seed int64) {
 	f.rules = append(f.rules, &faultRule{op: op, remaining: -1, rate: p, rnd: rnd, err: err})
 }
 
-// Delay arms a latency failpoint: every matching call sleeps d before
-// reaching the base backend (models a slow disk or overloaded store).
-func (f *FaultBackend) Delay(op Op, d time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.rules = append(f.rules, &faultRule{op: op, remaining: -1, delay: d})
-}
-
 // Reset disarms every failpoint.
 func (f *FaultBackend) Reset() {
 	f.mu.Lock()
@@ -87,44 +73,24 @@ func (f *FaultBackend) Reset() {
 	f.rules = nil
 }
 
-// Injected returns the number of errors injected so far.
-func (f *FaultBackend) Injected() int64 { return f.injected.Load() }
-
-// check consults the armed rules for op: it applies at most one delay and
-// returns the first matching injected error.
+// check consults the armed rules for op and returns the first matching
+// injected error.
 func (f *FaultBackend) check(op Op) error {
-	var (
-		delay time.Duration
-		err   error
-	)
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	for _, r := range f.rules {
-		if r.op != OpAll && r.op != op {
-			continue
-		}
-		if r.delay > 0 && delay == 0 {
-			delay = r.delay
-		}
-		if err != nil || r.err == nil {
+		if r.op != opAll && r.op != op {
 			continue
 		}
 		switch {
 		case r.remaining > 0:
 			r.remaining--
-			err = r.err
+			return r.err
 		case r.remaining < 0 && r.rnd != nil && r.rnd() < r.rate:
-			err = r.err
+			return r.err
 		}
 	}
-	f.mu.Unlock()
-	if delay > 0 {
-		f.delayed.Add(1)
-		time.Sleep(delay)
-	}
-	if err != nil {
-		f.injected.Add(1)
-	}
-	return err
+	return nil
 }
 
 // PutRaw implements Backend.

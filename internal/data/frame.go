@@ -166,23 +166,6 @@ func (f *Frame) ShallowCopy() *Frame {
 	return g
 }
 
-// Drop returns a shallow copy without the named columns. Missing names are
-// ignored.
-func (f *Frame) Drop(names ...string) *Frame {
-	dropped := make(map[string]bool, len(names))
-	for _, n := range names {
-		dropped[n] = true
-	}
-	g := &Frame{rows: f.rows, cols: make(map[string]*column)}
-	for _, name := range f.order {
-		if !dropped[name] {
-			g.order = append(g.order, name)
-			g.cols[name] = f.cols[name]
-		}
-	}
-	return g
-}
-
 // Select returns a frame keeping only the rows for which keep[i] is true.
 // When every row is kept the receiver itself is returned — frames are
 // immutable, so sharing it is safe and costs nothing. Otherwise each column

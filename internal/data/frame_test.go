@@ -109,19 +109,6 @@ func TestFrameShallowCopyIsolatesColumnSet(t *testing.T) {
 	}
 }
 
-func TestFrameDrop(t *testing.T) {
-	f := NewFrame(1)
-	f.SetFloat("a", []float64{1})
-	f.SetFloat("b", []float64{2})
-	g := f.Drop("a", "ghost")
-	if g.Has("a") || !g.Has("b") {
-		t.Fatalf("Drop wrong: %v", g.Columns())
-	}
-	if !f.Has("a") {
-		t.Fatal("Drop mutated input")
-	}
-}
-
 func TestFrameSelect(t *testing.T) {
 	f := NewFrame(3)
 	f.SetFloat("x", []float64{1, 2, 3})

@@ -100,9 +100,9 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // RetryBackend decorates any Backend with bounded exponential-backoff
 // retries, healing transient storage errors (a flaky disk, a briefly
 // unreachable store) before they fail a whole training tick. Permanent
-// conditions pass through untouched: ErrNotFound is the protocol for "chunk
-// absent" and is never retried, and a canceled context aborts the backoff
-// sleep immediately.
+// conditions pass through untouched: errNotFound is the protocol for "chunk
+// absent" and is never retried, and neither is a context error from the base
+// backend.
 //
 // The decorator sits under TieredBackend in the default stack — cache hits
 // never pay a retry check; only real base-backend IO does.
@@ -115,25 +115,12 @@ type RetryBackend struct {
 	giveups [numOps]atomic.Int64
 }
 
-// RetryOption configures a RetryBackend.
-type RetryOption func(*RetryBackend)
-
-// WithRetryContext cancels in-flight backoff sleeps when ctx is done —
-// typically the deployment's lifecycle context, so a draining server never
-// sits out a multi-second backoff.
-func WithRetryContext(ctx context.Context) RetryOption {
-	return func(r *RetryBackend) { r.ctx = ctx }
-}
-
 // NewRetryBackend wraps base with the given retry policy (zero-value fields
 // take defaults; see RetryPolicy).
 //
-//cdml:detached default backoff lifetime when no WithRetryContext is supplied; the deployment passes its lifecycle ctx
-func NewRetryBackend(base Backend, pol RetryPolicy, opts ...RetryOption) *RetryBackend {
+//cdml:detached backoff sleeps belong to no request: the default policy's whole backoff is 10 + 20 + 40 ms ± 20 %, which a drain can sit out
+func NewRetryBackend(base Backend, pol RetryPolicy) *RetryBackend {
 	r := &RetryBackend{base: base, pol: pol.withDefaults(), ctx: context.Background()}
-	for _, o := range opts {
-		o(r)
-	}
 	if r.pol.Rand == nil {
 		src := rand.New(rand.NewSource(1))
 		var mu sync.Mutex
@@ -161,14 +148,14 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// retryable reports whether an error is worth another attempt. ErrNotFound
+// retryable reports whether an error is worth another attempt. errNotFound
 // is the backend protocol for an absent chunk — retrying cannot make it
 // appear — a chunk file that fails its checks reads the same the next time,
 // and context errors mean the caller is gone.
 func retryable(err error) bool {
 	return err != nil &&
-		!errors.Is(err, ErrNotFound) &&
-		!errors.Is(err, ErrCorruptChunk) &&
+		!errors.Is(err, errNotFound) &&
+		!errors.Is(err, errCorruptChunk) &&
 		!errors.Is(err, context.Canceled) &&
 		!errors.Is(err, context.DeadlineExceeded)
 }
@@ -212,8 +199,8 @@ func (r *RetryBackend) Retries(op Op) int64 { return r.retries[opIndex(op)].Load
 // backoff canceled) of one operation.
 func (r *RetryBackend) Giveups(op Op) int64 { return r.giveups[opIndex(op)].Load() }
 
-// TotalRetries sums retries across all operations.
-func (r *RetryBackend) TotalRetries() int64 {
+// totalRetries sums retries across all operations.
+func (r *RetryBackend) totalRetries() int64 {
 	var n int64
 	for i := range r.retries {
 		n += r.retries[i].Load()

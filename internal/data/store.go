@@ -31,6 +31,8 @@ func (e *QuotaError) Error() string {
 
 // Is reports QuotaError as an ErrOverQuota so errors.Is works across the
 // wrapped chain.
+//
+//lint:allow deadexport: errors.Is calls it through an interface declared inside a function body of package errors, which no export data shows
 func (e *QuotaError) Is(target error) bool { return target == ErrOverQuota }
 
 // MatStats accumulates materialization-utilization accounting across
@@ -193,7 +195,7 @@ func (s *Store) PutFeatures(rawID Timestamp, instances []Instance) error {
 	if err := s.backend.PutFeatures(fc); err != nil {
 		return fmt.Errorf("data: storing feature chunk: %w", err)
 	}
-	size := FeatureBytes(instances)
+	size := featureBytes(instances)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old, ok := s.matSize[rawID]
@@ -255,15 +257,15 @@ func (s *Store) NumRaw() int {
 	return len(s.rawIDs)
 }
 
-// NumMaterialized returns the number of materialized feature chunks.
-func (s *Store) NumMaterialized() int {
+// numMaterialized returns the number of materialized feature chunks.
+func (s *Store) numMaterialized() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.materialized)
 }
 
-// IsMaterialized reports whether the feature chunk for id is materialized.
-func (s *Store) IsMaterialized(id Timestamp) bool {
+// isMaterialized reports whether the feature chunk for id is materialized.
+func (s *Store) isMaterialized(id Timestamp) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, ok := s.matSize[id]
@@ -279,7 +281,7 @@ func (s *Store) Raw(id Timestamp) (RawChunk, error) {
 // the chunk has been evicted (or never materialized); the caller must then
 // re-materialize from the raw chunk and report it via NoteRematerialized.
 func (s *Store) Features(id Timestamp) ([]Instance, bool, error) {
-	if !s.IsMaterialized(id) {
+	if !s.isMaterialized(id) {
 		return nil, false, nil
 	}
 	fc, err := s.backend.GetFeatures(id)
@@ -344,7 +346,7 @@ func (s *Store) Instrument(reg *obs.Registry, labels ...obs.Label) {
 		func() float64 { return float64(s.NumRaw()) }, labels...)
 	reg.GaugeFunc("cdml_store_materialized_chunks",
 		"Feature chunks currently materialized.",
-		func() float64 { return float64(s.NumMaterialized()) }, labels...)
+		func() float64 { return float64(s.numMaterialized()) }, labels...)
 	kind := func(k string) []obs.Label { return append(labels[:len(labels):len(labels)], obs.L("kind", k)) }
 	const bytesHelp = "Bytes the retained chunks occupy at rest (packed payload sizes; paper §3.2.1)."
 	reg.GaugeFunc("cdml_store_bytes", bytesHelp,

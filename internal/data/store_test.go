@@ -59,16 +59,16 @@ func TestBackendRoundTrip(t *testing.T) {
 				t.Fatalf("feature round trip wrong: %+v", gf)
 			}
 
-			if _, err := b.GetRaw(99); !errors.Is(err, ErrNotFound) {
+			if _, err := b.GetRaw(99); !errors.Is(err, errNotFound) {
 				t.Fatalf("missing raw: err = %v", err)
 			}
-			if _, err := b.GetFeatures(99); !errors.Is(err, ErrNotFound) {
+			if _, err := b.GetFeatures(99); !errors.Is(err, errNotFound) {
 				t.Fatalf("missing features: err = %v", err)
 			}
 			if err := b.DeleteFeatures(7); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := b.GetFeatures(7); !errors.Is(err, ErrNotFound) {
+			if _, err := b.GetFeatures(7); !errors.Is(err, errNotFound) {
 				t.Fatal("delete did not remove features")
 			}
 			if err := b.DeleteFeatures(7); err != nil {
@@ -109,14 +109,14 @@ func TestStoreEvictionOldestFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.NumMaterialized() != 2 {
-		t.Fatalf("materialized = %d, want 2", s.NumMaterialized())
+	if s.numMaterialized() != 2 {
+		t.Fatalf("materialized = %d, want 2", s.numMaterialized())
 	}
 	// Newest two (2, 3) survive.
-	if s.IsMaterialized(0) || s.IsMaterialized(1) {
+	if s.isMaterialized(0) || s.isMaterialized(1) {
 		t.Fatal("old chunks not evicted")
 	}
-	if !s.IsMaterialized(2) || !s.IsMaterialized(3) {
+	if !s.isMaterialized(2) || !s.isMaterialized(3) {
 		t.Fatal("new chunks wrongly evicted")
 	}
 	if got := s.Stats().Evictions; got != 2 {
@@ -154,7 +154,7 @@ func TestStoreNoteRematerializedDefaultDiscards(t *testing.T) {
 	_ = s.PutFeatures(a, mkInstances(1))
 	_ = s.PutFeatures(b, mkInstances(1)) // evicts a
 	s.NoteRematerialized()
-	if s.IsMaterialized(a) {
+	if s.isMaterialized(a) {
 		t.Fatal("default policy must not restore rematerialized chunks")
 	}
 	if s.Stats().Rematerializations != 1 {
@@ -187,8 +187,8 @@ func TestStoreUnlimitedCapacity(t *testing.T) {
 		id, _ := s.AppendRaw(nil)
 		_ = s.PutFeatures(id, mkInstances(1))
 	}
-	if s.NumMaterialized() != 50 {
-		t.Fatalf("unlimited store evicted: %d", s.NumMaterialized())
+	if s.numMaterialized() != 50 {
+		t.Fatalf("unlimited store evicted: %d", s.numMaterialized())
 	}
 }
 
@@ -215,11 +215,11 @@ func TestQuickStoreEvictionInvariant(t *testing.T) {
 		if k < m {
 			want = k
 		}
-		if s.NumMaterialized() != want {
+		if s.numMaterialized() != want {
 			return false
 		}
 		for i, id := range ids {
-			mat := s.IsMaterialized(id)
+			mat := s.isMaterialized(id)
 			shouldBe := i >= k-want
 			if mat != shouldBe {
 				return false
@@ -262,20 +262,20 @@ func TestStoreWithDiskBackend(t *testing.T) {
 
 func TestFeatureBytes(t *testing.T) {
 	dense := []Instance{{X: linalg.Dense{1, 2, 3}, Y: 1}}
-	if got := FeatureBytes(dense); got != featHeader+3*8+12 {
+	if got := featureBytes(dense); got != featHeader+3*8+12 {
 		t.Fatalf("dense bytes = %d", got)
 	}
 	sparse := []Instance{{X: linalg.NewSparse(1000, []int32{1, 2}, []float64{1, 1}), Y: 0}}
-	if got := FeatureBytes(sparse); got != featHeader+2*8+2*4+12 {
+	if got := featureBytes(sparse); got != featHeader+2*8+2*4+12 {
 		t.Fatalf("sparse bytes = %d", got)
 	}
 }
 
 func TestEncodeDecodeChunkErrors(t *testing.T) {
-	if _, err := DecodeFeatureChunk([]byte("garbage")); err == nil {
+	if _, err := decodeFeatureChunk([]byte("garbage")); err == nil {
 		t.Fatal("expected decode error")
 	}
-	if _, err := DecodeRawChunk([]byte("garbage")); err == nil {
+	if _, err := decodeRawChunk([]byte("garbage")); err == nil {
 		t.Fatal("expected decode error")
 	}
 }
@@ -296,11 +296,11 @@ func TestStoreRawCapacityDropsOldest(t *testing.T) {
 		t.Fatalf("RawIDs = %v, want newest 3", ids)
 	}
 	// Dropped raw chunks are physically gone.
-	if _, err := s.Raw(0); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Raw(0); !errors.Is(err, errNotFound) {
 		t.Fatalf("dropped raw chunk still readable: %v", err)
 	}
 	// Their feature chunks are gone too.
-	if s.IsMaterialized(0) || s.IsMaterialized(1) {
+	if s.isMaterialized(0) || s.isMaterialized(1) {
 		t.Fatal("dropped chunks still materialized")
 	}
 	// Surviving chunks work.
@@ -323,7 +323,7 @@ func TestStoreRawCapacityWithDisk(t *testing.T) {
 	if len(s.RawIDs()) != 2 {
 		t.Fatalf("RawIDs = %v", s.RawIDs())
 	}
-	if _, err := s.Raw(0); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Raw(0); !errors.Is(err, errNotFound) {
 		t.Fatal("dropped raw chunk file survived")
 	}
 	if _, err := s.Raw(3); err != nil {
@@ -380,7 +380,7 @@ func TestStoreBytesFollowsPutsEvictionsAndDrops(t *testing.T) {
 		t.Helper()
 		var featBytes int64
 		for _, rows := range feats {
-			featBytes += FeatureBytes(mkInstances(rows))
+			featBytes += featureBytes(mkInstances(rows))
 		}
 		if raw, features := s.Bytes(); raw != int64(raws)*rawSize || features != featBytes {
 			t.Fatalf("Bytes() = %d, %d; want %d, %d", raw, features, int64(raws)*rawSize, featBytes)
@@ -418,7 +418,7 @@ func TestStoreBytesFollowsPutsEvictionsAndDrops(t *testing.T) {
 	}
 	for _, line := range []string{
 		fmt.Sprintf(`cdml_store_bytes{deployment="d",kind="raw"} %d`, 3*rawSize),
-		fmt.Sprintf(`cdml_store_bytes{deployment="d",kind="features"} %d`, FeatureBytes(mkInstances(3))+FeatureBytes(mkInstances(4))),
+		fmt.Sprintf(`cdml_store_bytes{deployment="d",kind="features"} %d`, featureBytes(mkInstances(3))+featureBytes(mkInstances(4))),
 	} {
 		if !strings.Contains(b.String(), line) {
 			t.Errorf("exposition lacks %q:\n%s", line, b.String())

@@ -42,8 +42,8 @@ func NewTieredBackend(base Backend, capacity int) *TieredBackend {
 	}
 }
 
-// CacheStats returns the cache hit/miss counters.
-func (t *TieredBackend) CacheStats() (hits, misses int64) {
+// cacheStats returns the cache hit/miss counters.
+func (t *TieredBackend) cacheStats() (hits, misses int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.hits, t.misses

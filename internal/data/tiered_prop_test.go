@@ -167,7 +167,7 @@ func TestTieredConcurrentReadersWriters(t *testing.T) {
 				case 1, 2:
 					// Concurrent deletes make honest misses possible; only
 					// unexpected error shapes are failures.
-					if _, err := tb.GetFeatures(id); err != nil && !errors.Is(err, ErrNotFound) {
+					if _, err := tb.GetFeatures(id); err != nil && !errors.Is(err, errNotFound) {
 						errCh <- fmt.Errorf("get %d: %w", id, err)
 						return
 					}
@@ -178,7 +178,7 @@ func TestTieredConcurrentReadersWriters(t *testing.T) {
 					}
 				}
 				if i%64 == 0 {
-					tb.CacheStats() // races the counters against the ops
+					tb.cacheStats() // races the counters against the ops
 				}
 			}
 		}()
@@ -204,7 +204,7 @@ func TestTieredConcurrentReadersWriters(t *testing.T) {
 	}
 	tb.mu.Unlock()
 
-	hits, misses := tb.CacheStats()
+	hits, misses := tb.cacheStats()
 	if hits+misses == 0 {
 		t.Error("no cache traffic recorded; test is vacuous")
 	}

@@ -28,7 +28,7 @@ func TestTieredHitAfterPut(t *testing.T) {
 	if err != nil || got.ID != 1 {
 		t.Fatalf("get: %v", err)
 	}
-	hits, misses := tb.CacheStats()
+	hits, misses := tb.cacheStats()
 	if hits != 1 || misses != 0 {
 		t.Fatalf("hits=%d misses=%d", hits, misses)
 	}
@@ -46,7 +46,7 @@ func TestTieredColdFetchWarmsCache(t *testing.T) {
 	if _, err := tb.GetFeatures(7); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := tb.CacheStats()
+	hits, misses := tb.cacheStats()
 	if misses != 1 || hits != 1 {
 		t.Fatalf("hits=%d misses=%d, want 1/1", hits, misses)
 	}
@@ -63,7 +63,7 @@ func TestTieredLRUEviction(t *testing.T) {
 	if _, err := tb.GetFeatures(1); err != nil {
 		t.Fatal(err)
 	}
-	_, misses := tb.CacheStats()
+	_, misses := tb.cacheStats()
 	if misses != 1 {
 		t.Fatalf("misses=%d, want 1 (chunk 1 evicted from hot tier)", misses)
 	}
@@ -80,7 +80,7 @@ func TestTieredLRUTouchKeepsHot(t *testing.T) {
 	if _, err := tb.GetFeatures(1); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := tb.CacheStats()
+	hits, misses := tb.cacheStats()
 	if hits != 2 || misses != 0 {
 		t.Fatalf("hits=%d misses=%d after touch-based retention", hits, misses)
 	}
@@ -92,7 +92,7 @@ func TestTieredDeleteEvictsBothTiers(t *testing.T) {
 	if err := tb.DeleteFeatures(5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tb.GetFeatures(5); !errors.Is(err, ErrNotFound) {
+	if _, err := tb.GetFeatures(5); !errors.Is(err, errNotFound) {
 		t.Fatalf("deleted chunk still reachable: %v", err)
 	}
 }
@@ -155,8 +155,8 @@ func TestStoreOverTieredBackend(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.NumMaterialized() != 8 {
-		t.Fatalf("materialized = %d", s.NumMaterialized())
+	if s.numMaterialized() != 8 {
+		t.Fatalf("materialized = %d", s.numMaterialized())
 	}
 	// Fetch newest-first: the newest four hit the hot tier, the older
 	// materialized ones come from disk.
@@ -167,7 +167,7 @@ func TestStoreOverTieredBackend(t *testing.T) {
 			t.Fatalf("chunk %d: ok=%v err=%v", ids[k], ok, err)
 		}
 	}
-	hits, misses := tb.CacheStats()
+	hits, misses := tb.cacheStats()
 	if hits == 0 || misses == 0 {
 		t.Fatalf("expected mixed cache outcomes, hits=%d misses=%d", hits, misses)
 	}

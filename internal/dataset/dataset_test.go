@@ -72,7 +72,7 @@ func TestURLBadConfigPanics(t *testing.T) {
 func TestURLParserRoundTrip(t *testing.T) {
 	g := NewURL(smallURLConfig())
 	recs := g.Chunk(0)
-	f, err := URLParser{}.Parse(recs)
+	f, err := urlParser{}.Parse(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestURLParserDropsMalformed(t *testing.T) {
 		[]byte("+1\t1,x,3,4\tt1"), // unparseable numeric
 		[]byte("-1\t?,2,3,4\tt1"), // missing numeric is fine
 	}
-	f, err := URLParser{}.Parse(recs)
+	f, err := urlParser{}.Parse(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +112,9 @@ func TestURLParserDropsMalformed(t *testing.T) {
 
 func TestURLHasMissingValues(t *testing.T) {
 	g := NewURL(smallURLConfig())
-	f, _ := URLParser{}.Parse(g.Chunk(0))
+	f, _ := urlParser{}.Parse(g.Chunk(0))
 	missing := 0
-	for _, c := range URLNumCols() {
+	for _, c := range urlNumCols {
 		for _, v := range f.Float(c) {
 			if data.IsMissingFloat(v) {
 				missing++
@@ -128,7 +128,7 @@ func TestURLHasMissingValues(t *testing.T) {
 
 func TestURLLabelsBothClasses(t *testing.T) {
 	g := NewURL(smallURLConfig())
-	f, _ := URLParser{}.Parse(g.Chunk(1))
+	f, _ := urlParser{}.Parse(g.Chunk(1))
 	pos, neg := 0, 0
 	for _, y := range f.Float("label") {
 		if y > 0 {
@@ -226,7 +226,7 @@ func TestTaxiChunkRangePanics(t *testing.T) {
 
 func TestTaxiParser(t *testing.T) {
 	g := NewTaxi(smallTaxiConfig())
-	f, err := TaxiParser{}.Parse(g.Chunk(0))
+	f, err := taxiParser{}.Parse(g.Chunk(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestTaxiParserDropsMalformed(t *testing.T) {
 		[]byte("2015-02-01 00:10:00,2015-02-01 00:00:00,-73.98,40.75,-73.97,40.76,2"), // negative duration
 		[]byte("2015-02-01 00:00:00,2015-02-01 00:10:00,x,40.75,-73.97,40.76,2"),
 	}
-	f, err := TaxiParser{}.Parse(recs)
+	f, err := taxiParser{}.Parse(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,8 +294,8 @@ func TestBearingCardinalDirections(t *testing.T) {
 
 func TestTaxiFeatureExtractor(t *testing.T) {
 	g := NewTaxi(smallTaxiConfig())
-	f, _ := TaxiParser{}.Parse(g.Chunk(0))
-	out, err := TaxiFeatureExtractor{}.Transform(f)
+	f, _ := taxiParser{}.Parse(g.Chunk(0))
+	out, err := taxiFeatureExtractor{}.Transform(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,9 +321,9 @@ func TestTaxiAnomalyFilterRemovesAnomalies(t *testing.T) {
 	cfg := smallTaxiConfig()
 	cfg.AnomalyRate = 0.3 // force plenty of anomalies
 	g := NewTaxi(cfg)
-	f, _ := TaxiParser{}.Parse(g.Chunk(0))
-	f2, _ := (TaxiFeatureExtractor{}).Transform(f)
-	filtered, err := NewTaxiAnomalyFilter().Transform(f2)
+	f, _ := taxiParser{}.Parse(g.Chunk(0))
+	f2, _ := (taxiFeatureExtractor{}).Transform(f)
+	filtered, err := newTaxiAnomalyFilter().Transform(f2)
 	if err != nil {
 		t.Fatal(err)
 	}

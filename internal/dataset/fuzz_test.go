@@ -201,13 +201,13 @@ func FuzzURLParser(f *testing.F) {
 	f.Add([]byte("1.0\t1,-infinity,NaN,4\tt0"))
 	f.Add([]byte("+1\t0x1p-2,1_0,.5,5.\tt0\tt1"))
 	f.Fuzz(func(t *testing.T, rec []byte) {
-		frame, err := URLParser{}.Parse([][]byte{rec, []byte("+1\t1,2,3,4\tt1")})
+		frame, err := urlParser{}.Parse([][]byte{rec, []byte("+1\t1,2,3,4\tt1")})
 		if err != nil {
 			t.Fatalf("parser returned error on arbitrary input: %v", err)
 		}
 		checkParsedFrame(t, frame, true, func(y float64) bool { return y == 1 || y == -1 })
 		// A record's fate and values do not depend on its neighbours.
-		alone, _ := URLParser{}.Parse([][]byte{rec})
+		alone, _ := urlParser{}.Parse([][]byte{rec})
 		if alone.Rows() != frame.Rows()-1 {
 			t.Fatalf("%q: %d rows alone, %d beside a valid record", rec, alone.Rows(), frame.Rows())
 		}
@@ -231,7 +231,7 @@ func FuzzTaxiParser(f *testing.F) {
 		f.Add([]byte("0000-01-01 00:00:00," + ts + ",1e0,2.,.3,-0,5"))
 	}
 	f.Fuzz(func(t *testing.T, rec []byte) {
-		frame, err := TaxiParser{}.Parse([][]byte{rec})
+		frame, err := taxiParser{}.Parse([][]byte{rec})
 		if err != nil {
 			t.Fatalf("parser returned error on arbitrary input: %v", err)
 		}
@@ -265,7 +265,7 @@ func FuzzRatingsParser(f *testing.F) {
 	f.Add([]byte("u-1,i-1,NaN"))
 	f.Add([]byte("u1,i2,-Inf"))
 	f.Fuzz(func(t *testing.T, rec []byte) {
-		frame, err := RatingsParser{}.Parse([][]byte{rec})
+		frame, err := ratingsParser{}.Parse([][]byte{rec})
 		if err != nil {
 			t.Fatalf("parser returned error on arbitrary input: %v", err)
 		}
@@ -289,9 +289,9 @@ func FuzzTwoHotEncoder(f *testing.F) {
 	f.Add([]byte("u1,i2,3.5"))
 	f.Add([]byte("u999999999999999999999,i2,3.5"))
 	f.Add([]byte("u0x10,i2,3.5"))
-	enc := NewTwoHotEncoder(10, 10, "features")
+	enc := newTwoHotEncoder(10, 10, "features")
 	f.Fuzz(func(t *testing.T, rec []byte) {
-		frame, err := RatingsParser{}.Parse([][]byte{rec})
+		frame, err := ratingsParser{}.Parse([][]byte{rec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func FuzzTwoHotEncoder(f *testing.F) {
 // Keep a deterministic sanity check that the fuzz seeds parse cleanly (the
 // fuzz targets above only run their seed corpus under plain `go test`).
 func TestFuzzSeedsParse(t *testing.T) {
-	u, _ := URLParser{}.Parse(bytes.Fields([]byte("")))
+	u, _ := urlParser{}.Parse(bytes.Fields([]byte("")))
 	if u.Rows() != 0 {
 		t.Fatal("empty input should parse to empty frame")
 	}

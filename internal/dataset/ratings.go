@@ -3,7 +3,6 @@ package dataset
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
 	"strconv"
 
@@ -87,9 +86,9 @@ func (g *Ratings) Name() string { return "ratings" }
 // NumChunks returns the stream length.
 func (g *Ratings) NumChunks() int { return g.cfg.Chunks }
 
-// TrueRating returns the noiseless rating of (u, i) at deployment progress
+// trueRating returns the noiseless rating of (u, i) at deployment progress
 // t in [0, 1], with user preferences drifted by t.
-func (g *Ratings) TrueRating(u, i int, t float64) float64 {
+func (g *Ratings) trueRating(u, i int, t float64) float64 {
 	v := g.mu
 	for k := 0; k < g.cfg.Factors; k++ {
 		v += (g.uf[u][k] + t*g.ut[u][k]) * g.vf[i][k]
@@ -109,7 +108,7 @@ func (g *Ratings) Chunk(c int) [][]byte {
 	for row := range records {
 		u := r.Intn(g.cfg.Users)
 		i := r.Intn(g.cfg.Items)
-		rating := g.TrueRating(u, i, t) + g.cfg.Noise*r.NormFloat64()
+		rating := g.trueRating(u, i, t) + g.cfg.Noise*r.NormFloat64()
 		buf.Reset()
 		fmt.Fprintf(&buf, "u%d,i%d,%.3f", u, i, rating)
 		records[row] = append([]byte(nil), buf.Bytes()...)
@@ -117,17 +116,17 @@ func (g *Ratings) Chunk(c int) [][]byte {
 	return records
 }
 
-// RatingsParser parses rating records into a frame with string columns
+// ratingsParser parses rating records into a frame with string columns
 // "user" and "item" plus the float "label" (the rating).
-type RatingsParser struct{}
+type ratingsParser struct{}
 
 // Name implements pipeline.Parser.
-func (RatingsParser) Name() string { return "ratings-parser" }
+func (ratingsParser) Name() string { return "ratings-parser" }
 
 // Parse implements pipeline.Parser; malformed records — a wrong field count,
 // an id without its u/i prefix, a non-finite rating — are dropped. Fields are
 // scanned in place; the id strings of the whole batch share one allocation.
-func (RatingsParser) Parse(records [][]byte) (*data.Frame, error) {
+func (ratingsParser) Parse(records [][]byte) (*data.Frame, error) {
 	labels := make([]float64, 0, len(records))
 	// The accepted records' user and item ids, back to back, and where each
 	// id ends; a record's length bounds its ids'.
@@ -168,10 +167,10 @@ func (RatingsParser) Parse(records [][]byte) (*data.Frame, error) {
 	return f, nil
 }
 
-// TwoHotEncoder turns the "user"/"item" id columns into the 2-hot sparse
+// twoHotEncoder turns the "user"/"item" id columns into the 2-hot sparse
 // vectors the MF model consumes. It is stateless: ids carry their indices
 // ("u17" → 17), so no mapping table is needed.
-type TwoHotEncoder struct {
+type twoHotEncoder struct {
 	// Users and Items bound the id spaces; rows with out-of-range or
 	// unparseable ids are filtered out.
 	Users, Items int
@@ -179,29 +178,29 @@ type TwoHotEncoder struct {
 	Out string
 }
 
-// NewTwoHotEncoder returns an encoder over the given id spaces.
-func NewTwoHotEncoder(users, items int, out string) *TwoHotEncoder {
+// newTwoHotEncoder returns an encoder over the given id spaces.
+func newTwoHotEncoder(users, items int, out string) *twoHotEncoder {
 	if users <= 0 || items <= 0 {
 		panic(fmt.Sprintf("dataset: invalid two-hot shape %d×%d", users, items))
 	}
-	return &TwoHotEncoder{Users: users, Items: items, Out: out}
+	return &twoHotEncoder{Users: users, Items: items, Out: out}
 }
 
 // Name implements pipeline.Component.
-func (e *TwoHotEncoder) Name() string { return "two-hot-encoder" }
+func (e *twoHotEncoder) Name() string { return "two-hot-encoder" }
 
 // Stateless implements pipeline.Component.
-func (e *TwoHotEncoder) Stateless() bool { return true }
+func (e *twoHotEncoder) Stateless() bool { return true }
 
 // Update implements pipeline.Component (no statistics).
-func (e *TwoHotEncoder) Update(f *data.Frame) error { return nil }
+func (e *twoHotEncoder) Update(f *data.Frame) error { return nil }
 
 // Snapshot implements pipeline.Component: stateless, shares itself.
-func (e *TwoHotEncoder) Snapshot() pipeline.Component { return e }
+func (e *twoHotEncoder) Snapshot() pipeline.Component { return e }
 
 // Transform implements pipeline.Component: encodes each (user, item) row
 // and filters rows whose ids fall outside the configured spaces.
-func (e *TwoHotEncoder) Transform(f *data.Frame) (*data.Frame, error) {
+func (e *twoHotEncoder) Transform(f *data.Frame) (*data.Frame, error) {
 	users := f.String("user")
 	items := f.String("item")
 	keep := make([]bool, f.Rows())
@@ -225,19 +224,13 @@ func (e *TwoHotEncoder) Transform(f *data.Frame) (*data.Frame, error) {
 // NewRatingsPipeline constructs the recommender pipeline: parser → rating
 // clipper (ratings live on a bounded scale) → two-hot encoder.
 func NewRatingsPipeline(users, items int) *pipeline.Pipeline {
-	return pipeline.New(RatingsParser{},
+	return pipeline.New(ratingsParser{},
 		pipeline.NewStdClipper([]string{"label"}, 4),
-		NewTwoHotEncoder(users, items, "features"),
+		newTwoHotEncoder(users, items, "features"),
 	)
 }
 
 // NewRatingsModel constructs the matrix factorization model for the stream.
 func NewRatingsModel(cfg RatingsConfig, reg float64) *model.MF {
 	return model.NewMF(cfg.Users, cfg.Items, cfg.Factors+1, reg, cfg.Seed)
-}
-
-// RatingsRMSEFloor estimates the irreducible RMSE of the stream (its noise
-// level), useful for tests and reporting.
-func RatingsRMSEFloor(cfg RatingsConfig) float64 {
-	return math.Sqrt(cfg.Noise * cfg.Noise)
 }

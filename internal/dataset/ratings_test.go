@@ -55,7 +55,7 @@ func TestRatingsParser(t *testing.T) {
 		[]byte("u1,i2,abc"), // bad rating
 		[]byte("u9,i0,4.125"),
 	}
-	f, err := RatingsParser{}.Parse(recs)
+	f, err := ratingsParser{}.Parse(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +68,8 @@ func TestRatingsParser(t *testing.T) {
 }
 
 func TestTwoHotEncoder(t *testing.T) {
-	e := NewTwoHotEncoder(10, 20, "features")
-	f, _ := RatingsParser{}.Parse([][]byte{
+	e := newTwoHotEncoder(10, 20, "features")
+	f, _ := ratingsParser{}.Parse([][]byte{
 		[]byte("u3,i15,4.0"),
 		[]byte("u99,i1,2.0"), // user out of range → filtered
 	})
@@ -95,7 +95,7 @@ func TestTwoHotBadShapePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewTwoHotEncoder(0, 5, "f")
+	newTwoHotEncoder(0, 5, "f")
 }
 
 func TestRatingsPipelineEndToEnd(t *testing.T) {
@@ -155,7 +155,7 @@ func TestRatingsDriftMovesRatings(t *testing.T) {
 	var moved float64
 	for u := 0; u < 10; u++ {
 		for i := 0; i < 10; i++ {
-			moved += math.Abs(g.TrueRating(u, i, 1) - g.TrueRating(u, i, 0))
+			moved += math.Abs(g.trueRating(u, i, 1) - g.trueRating(u, i, 0))
 		}
 	}
 	if moved/100 < 0.1 {
@@ -164,15 +164,8 @@ func TestRatingsDriftMovesRatings(t *testing.T) {
 	cfg.Drift = 0
 	g0 := NewRatings(cfg)
 	for u := 0; u < 5; u++ {
-		if g0.TrueRating(u, 3, 0) != g0.TrueRating(u, 3, 1) {
+		if g0.trueRating(u, 3, 0) != g0.trueRating(u, 3, 1) {
 			t.Fatal("zero drift should be stationary")
 		}
-	}
-}
-
-func TestRatingsRMSEFloor(t *testing.T) {
-	cfg := smallRatingsConfig()
-	if RatingsRMSEFloor(cfg) != cfg.Noise {
-		t.Fatal("floor should equal noise std")
 	}
 }

@@ -168,20 +168,20 @@ func (g *Taxi) Chunk(i int) [][]byte {
 	return cutRecords(buf, ends)
 }
 
-// TaxiParser parses trip records, computing the actual trip duration from
+// taxiParser parses trip records, computing the actual trip duration from
 // the pickup and dropoff times (the paper's input parser does exactly
 // this). Output columns: float "pickup_lat", "pickup_lon", "dropoff_lat",
 // "dropoff_lon", "passengers", "pickup_unix", "duration" (seconds), and
 // "label" = log1p(duration) — the regression target in RMSLE space.
-type TaxiParser struct{}
+type taxiParser struct{}
 
 // Name implements pipeline.Parser.
-func (TaxiParser) Name() string { return "taxi-parser" }
+func (taxiParser) Name() string { return "taxi-parser" }
 
 // Parse implements pipeline.Parser; malformed records — a wrong field count,
 // an unparseable time, a non-numeric or non-finite number, a dropoff before
 // the pickup — are dropped. Fields are scanned in place.
-func (TaxiParser) Parse(records [][]byte) (*data.Frame, error) {
+func (taxiParser) Parse(records [][]byte) (*data.Frame, error) {
 	n := len(records)
 	pLat := make([]float64, 0, n)
 	pLon := make([]float64, 0, n)
@@ -310,27 +310,27 @@ func daysFromCivil(y, m, d int) int {
 	return era*146097 + doe - 719468
 }
 
-// TaxiFeatureExtractor is the Taxi pipeline's feature-extraction component:
+// taxiFeatureExtractor is the Taxi pipeline's feature-extraction component:
 // from the parsed trip it derives the haversine distance, the bearing, the
 // hour of the day, and the day of the week (paper §5.1). It is stateless.
-type TaxiFeatureExtractor struct{}
+type taxiFeatureExtractor struct{}
 
 // Name implements pipeline.Component.
-func (TaxiFeatureExtractor) Name() string { return "taxi-feature-extractor" }
+func (taxiFeatureExtractor) Name() string { return "taxi-feature-extractor" }
 
 // Stateless implements pipeline.Component.
-func (TaxiFeatureExtractor) Stateless() bool { return true }
+func (taxiFeatureExtractor) Stateless() bool { return true }
 
 // Update implements pipeline.Component (no statistics).
-func (TaxiFeatureExtractor) Update(f *data.Frame) error { return nil }
+func (taxiFeatureExtractor) Update(f *data.Frame) error { return nil }
 
 // Snapshot implements pipeline.Component: stateless, shares itself.
-func (x TaxiFeatureExtractor) Snapshot() pipeline.Component { return x }
+func (x taxiFeatureExtractor) Snapshot() pipeline.Component { return x }
 
 var weekdayNames = [...]string{"sun", "mon", "tue", "wed", "thu", "fri", "sat"}
 
 // Transform implements pipeline.Component.
-func (TaxiFeatureExtractor) Transform(f *data.Frame) (*data.Frame, error) {
+func (taxiFeatureExtractor) Transform(f *data.Frame) (*data.Frame, error) {
 	n := f.Rows()
 	pLat := f.Float("pickup_lat")
 	pLon := f.Float("pickup_lon")
@@ -356,9 +356,9 @@ func (TaxiFeatureExtractor) Transform(f *data.Frame) (*data.Frame, error) {
 	return g, nil
 }
 
-// NewTaxiAnomalyFilter returns the paper's anomaly detector: it drops trips
+// newTaxiAnomalyFilter returns the paper's anomaly detector: it drops trips
 // longer than 22 hours, shorter than 10 seconds, or with zero distance.
-func NewTaxiAnomalyFilter() *pipeline.Filter {
+func newTaxiAnomalyFilter() *pipeline.Filter {
 	return pipeline.NewFilter("anomaly-detector", func(f *data.Frame, i int) bool {
 		d := f.Float("duration")[i]
 		if d > 22*3600 || d < 10 {
@@ -379,9 +379,9 @@ const TaxiFeatureDim = 4 + 8
 // with NewTaxiModel.
 func NewTaxiPipeline() *pipeline.Pipeline {
 	numCols := []string{"dist_km", "bearing", "hour", "passengers"}
-	return pipeline.New(TaxiParser{},
-		TaxiFeatureExtractor{},
-		NewTaxiAnomalyFilter(),
+	return pipeline.New(taxiParser{},
+		taxiFeatureExtractor{},
+		newTaxiAnomalyFilter(),
 		pipeline.NewStandardScaler(numCols),
 		pipeline.NewOneHotEncoder("dow", "dow_vec", 8),
 		pipeline.NewAssembler(numCols, []string{"dow_vec"}, "features"),

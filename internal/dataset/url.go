@@ -232,19 +232,19 @@ func cutRecords(buf []byte, ends []int) [][]byte {
 	return records
 }
 
-// URLParser parses URL records into a frame with float columns
+// urlParser parses URL records into a frame with float columns
 // "num0".."num3" (Missing for "?"), string column "tokens", and float
 // column "label" (+1/−1).
-type URLParser struct{}
+type urlParser struct{}
 
 // Name implements pipeline.Parser.
-func (URLParser) Name() string { return "url-parser" }
+func (urlParser) Name() string { return "url-parser" }
 
 // Parse implements pipeline.Parser; malformed records — a wrong field count,
 // a label other than ±1, a numeric field that is neither "?" nor a finite
 // number — are dropped. Fields are scanned in place; the token strings of
 // the whole batch share one allocation.
-func (URLParser) Parse(records [][]byte) (*data.Frame, error) {
+func (urlParser) Parse(records [][]byte) (*data.Frame, error) {
 	labels := make([]float64, 0, len(records))
 	var nums [numURLFeatures][]float64
 	for k := range nums {
@@ -311,18 +311,13 @@ var urlNumCols = func() (cols [numURLFeatures]string) {
 	return cols
 }()
 
-// URLNumCols returns the numeric column names the URL pipeline scales.
-func URLNumCols() []string {
-	return append([]string(nil), urlNumCols[:]...)
-}
-
 // NewURLPipeline constructs the paper's URL pipeline: input parser →
 // missing-value imputer → standard scaler → feature hasher (into the
 // configured dimensionality). The SVM model is created separately with
 // NewURLModel.
 func NewURLPipeline(hashDim int) *pipeline.Pipeline {
-	numCols := URLNumCols()
-	return pipeline.New(URLParser{},
+	numCols := append([]string(nil), urlNumCols[:]...)
+	return pipeline.New(urlParser{},
 		pipeline.NewImputer(numCols, nil),
 		pipeline.NewStandardScaler(numCols),
 		pipeline.NewFeatureHasher([]string{"tokens"}, numCols, "features", hashDim),

@@ -40,9 +40,6 @@ func New(workers int) *Engine {
 // Workers returns the engine parallelism.
 func (e *Engine) Workers() int { return e.workers }
 
-// TasksExecuted returns the number of tasks run so far (diagnostics).
-func (e *Engine) TasksExecuted() int64 { return e.tasks.Load() }
-
 // Instrument registers the engine's task counter, worker gauge, and
 // per-ForEach latency histogram with reg. Safe to call more than once with
 // the same registry (get-or-create semantics) and concurrently with running
@@ -58,7 +55,7 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 		"Wall-clock duration of engine ForEach calls."))
 }
 
-// ForEachCtx runs fn(i) for every i in [0, n) across the worker pool and
+// forEachCtx runs fn(i) for every i in [0, n) across the worker pool and
 // returns the combined errors; all tasks run even if some fail. Cancelling
 // ctx stops the dispatch of new tasks; tasks already running finish
 // normally, and the context's error is joined into the result.
@@ -73,7 +70,7 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 // independent of goroutine completion order across runs.
 //
 //cdml:deterministic
-func (e *Engine) ForEachCtx(ctx context.Context, n int, fn func(i int) error) error {
+func (e *Engine) forEachCtx(ctx context.Context, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -102,7 +99,7 @@ func (e *Engine) ForEachCtx(ctx context.Context, n int, fn func(i int) error) er
 	return errors.Join(r.errs...)
 }
 
-// forEachRun is one ForEachCtx call: its tasks, the counter its workers
+// forEachRun is one forEachCtx call: its tasks, the counter its workers
 // claim them from and where their errors go.
 type forEachRun struct {
 	e    *Engine
@@ -141,7 +138,7 @@ func (r *forEachRun) work() {
 //cdml:deterministic
 func MapCtx[T any](ctx context.Context, e *Engine, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := e.ForEachCtx(ctx, n, func(i int) error {
+	err := e.forEachCtx(ctx, n, func(i int) error {
 		v, err := fn(i)
 		if err != nil {
 			return err

@@ -23,7 +23,7 @@ func TestNewDefaults(t *testing.T) {
 func TestForEachRunsAllTasks(t *testing.T) {
 	e := New(4)
 	var hits [100]atomic.Int32
-	if err := e.ForEachCtx(context.Background(), 100, func(i int) error {
+	if err := e.forEachCtx(context.Background(), 100, func(i int) error {
 		hits[i].Add(1)
 		return nil
 	}); err != nil {
@@ -34,18 +34,18 @@ func TestForEachRunsAllTasks(t *testing.T) {
 			t.Fatalf("task %d ran %d times", i, hits[i].Load())
 		}
 	}
-	if e.TasksExecuted() != 100 {
-		t.Fatalf("tasks executed = %d", e.TasksExecuted())
+	if e.tasks.Load() != 100 {
+		t.Fatalf("tasks executed = %d", e.tasks.Load())
 	}
 }
 
 func TestForEachEmptyAndSingle(t *testing.T) {
 	e := New(4)
-	if err := e.ForEachCtx(context.Background(), 0, func(int) error { return nil }); err != nil {
+	if err := e.forEachCtx(context.Background(), 0, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	ran := false
-	if err := e.ForEachCtx(context.Background(), 1, func(int) error { ran = true; return nil }); err != nil {
+	if err := e.forEachCtx(context.Background(), 1, func(int) error { ran = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {
@@ -56,7 +56,7 @@ func TestForEachEmptyAndSingle(t *testing.T) {
 func TestForEachCollectsAllErrors(t *testing.T) {
 	e := New(2)
 	var completed atomic.Int32
-	err := e.ForEachCtx(context.Background(), 10, func(i int) error {
+	err := e.forEachCtx(context.Background(), 10, func(i int) error {
 		completed.Add(1)
 		if i%2 == 0 {
 			return fmt.Errorf("fail-%d", i)
@@ -135,7 +135,7 @@ func TestForEachErrorOrderDeterministic(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		e := New(workers)
 		for trial := 0; trial < 20; trial++ {
-			err := e.ForEachCtx(context.Background(), 9, func(i int) error {
+			err := e.forEachCtx(context.Background(), 9, func(i int) error {
 				if i%3 == 1 {
 					return fmt.Errorf("fail-%d", i)
 				}
@@ -158,7 +158,7 @@ func TestForEachCtxCancellationStopsDispatch(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- e.ForEachCtx(ctx, 1000, func(i int) error {
+		done <- e.forEachCtx(ctx, 1000, func(i int) error {
 			started.Add(1)
 			<-release
 			return nil
@@ -183,7 +183,7 @@ func TestForEachCtxCancellationStopsDispatch(t *testing.T) {
 func TestForEachCtxCompletesWithoutCancellation(t *testing.T) {
 	e := New(4)
 	var n atomic.Int32
-	if err := e.ForEachCtx(context.Background(), 50, func(int) error { n.Add(1); return nil }); err != nil {
+	if err := e.forEachCtx(context.Background(), 50, func(int) error { n.Add(1); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n.Load() != 50 {
@@ -204,7 +204,7 @@ func TestMapCtxCancelled(t *testing.T) {
 func TestForEachMoreWorkersThanTasks(t *testing.T) {
 	e := New(64)
 	var n atomic.Int32
-	if err := e.ForEachCtx(context.Background(), 3, func(int) error { n.Add(1); return nil }); err != nil {
+	if err := e.forEachCtx(context.Background(), 3, func(int) error { n.Add(1); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n.Load() != 3 {
@@ -226,18 +226,18 @@ func goroutineID() string {
 func TestForEachSingleTaskRunsOnTheCaller(t *testing.T) {
 	e := New(4)
 	caller, ran := goroutineID(), ""
-	if err := e.ForEachCtx(context.Background(), 1, func(int) error { ran = goroutineID(); return nil }); err != nil {
+	if err := e.forEachCtx(context.Background(), 1, func(int) error { ran = goroutineID(); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if ran != caller {
-		t.Fatalf("one-task ForEachCtx ran fn on goroutine %s, caller is %s", ran, caller)
+		t.Fatalf("one-task forEachCtx ran fn on goroutine %s, caller is %s", ran, caller)
 	}
 	// With several tasks the caller still takes its share: task 0 is claimed
 	// before any started goroutine can have been scheduled ahead of it on
 	// one worker.
 	one := New(1)
 	var others atomic.Int32
-	if err := one.ForEachCtx(context.Background(), 8, func(int) error {
+	if err := one.forEachCtx(context.Background(), 8, func(int) error {
 		if goroutineID() != caller {
 			others.Add(1)
 		}
@@ -252,7 +252,7 @@ func TestForEachSingleTaskRunsOnTheCaller(t *testing.T) {
 	ctx := context.Background()
 	// The shared state and the error slice; the parent also allocated the
 	// counter, the wait group and the worker closure one by one (4).
-	if allocs := testing.AllocsPerRun(200, func() { _ = e.ForEachCtx(ctx, 1, fn) }); allocs >= 4 {
-		t.Fatalf("one-task ForEachCtx allocates %.0f times, no fewer than before the caller was a worker", allocs)
+	if allocs := testing.AllocsPerRun(200, func() { _ = e.forEachCtx(ctx, 1, fn) }); allocs >= 4 {
+		t.Fatalf("one-task forEachCtx allocates %.0f times, no fewer than before the caller was a worker", allocs)
 	}
 }

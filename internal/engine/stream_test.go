@@ -170,8 +170,8 @@ func TestStreamOneWorkerSpawnsNothing(t *testing.T) {
 			}
 			return nil
 		})
-		if err != nil || e.TasksExecuted() != int64(tc.n) {
-			t.Fatalf("workers=%d: err = %v, %d tasks counted of %d", tc.workers, err, e.TasksExecuted(), tc.n)
+		if err != nil || e.tasks.Load() != int64(tc.n) {
+			t.Fatalf("workers=%d: err = %v, %d tasks counted of %d", tc.workers, err, e.tasks.Load(), tc.n)
 		}
 	}
 }

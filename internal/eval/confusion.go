@@ -44,8 +44,8 @@ func (c *Confusion) Count() int64 { return c.tp + c.fp + c.tn + c.fn }
 // Reset implements Metric.
 func (c *Confusion) Reset() { *c = Confusion{} }
 
-// Accuracy returns (TP+TN)/N, or 0 when empty.
-func (c *Confusion) Accuracy() float64 {
+// accuracy returns (TP+TN)/N, or 0 when empty.
+func (c *Confusion) accuracy() float64 {
 	n := c.Count()
 	if n == 0 {
 		return 0
@@ -53,26 +53,26 @@ func (c *Confusion) Accuracy() float64 {
 	return float64(c.tp+c.tn) / float64(n)
 }
 
-// Precision returns TP/(TP+FP), or 0 when no positive was predicted.
-func (c *Confusion) Precision() float64 {
+// precision returns TP/(TP+FP), or 0 when no positive was predicted.
+func (c *Confusion) precision() float64 {
 	if c.tp+c.fp == 0 {
 		return 0
 	}
 	return float64(c.tp) / float64(c.tp+c.fp)
 }
 
-// Recall returns TP/(TP+FN), or 0 when no positive was observed.
-func (c *Confusion) Recall() float64 {
+// recall returns TP/(TP+FN), or 0 when no positive was observed.
+func (c *Confusion) recall() float64 {
 	if c.tp+c.fn == 0 {
 		return 0
 	}
 	return float64(c.tp) / float64(c.tp+c.fn)
 }
 
-// F1 returns the harmonic mean of precision and recall, or 0 when either
+// f1 returns the harmonic mean of precision and recall, or 0 when either
 // is 0.
-func (c *Confusion) F1() float64 {
-	p, r := c.Precision(), c.Recall()
+func (c *Confusion) f1() float64 {
+	p, r := c.precision(), c.recall()
 	//lint:allow floateq: both ratios are nonnegative; the sum is exactly 0 only when both are
 	if p+r == 0 {
 		return 0
@@ -80,11 +80,8 @@ func (c *Confusion) F1() float64 {
 	return 2 * p * r / (p + r)
 }
 
-// Matrix returns the four counts (tp, fp, tn, fn).
-func (c *Confusion) Matrix() (tp, fp, tn, fn int64) { return c.tp, c.fp, c.tn, c.fn }
-
 // String renders the matrix and derived rates.
 func (c *Confusion) String() string {
 	return fmt.Sprintf("tp=%d fp=%d tn=%d fn=%d acc=%.4f p=%.4f r=%.4f f1=%.4f",
-		c.tp, c.fp, c.tn, c.fn, c.Accuracy(), c.Precision(), c.Recall(), c.F1())
+		c.tp, c.fp, c.tn, c.fn, c.accuracy(), c.precision(), c.recall(), c.f1())
 }

@@ -233,14 +233,6 @@ func (s *Series) View() *Series {
 // Len returns the number of retained points.
 func (s *Series) Len() int { return len(s.Xs) }
 
-// Last returns the final y value, or 0 when empty.
-func (s *Series) Last() float64 {
-	if len(s.Ys) == 0 {
-		return 0
-	}
-	return s.Ys[len(s.Ys)-1]
-}
-
 // Mean returns the average y value over every point appended, or 0 when
 // empty — the paper's "average error rate over the deployment".
 func (s *Series) Mean() float64 {

@@ -66,10 +66,6 @@ func (f *Fading) Count() int64 { return f.n }
 // Reset implements Metric.
 func (f *Fading) Reset() { f.num, f.den, f.n = 0, 0, 0 }
 
-// EffectiveWindow returns the approximate number of observations the
-// estimator remembers, 1/(1−Alpha).
-func (f *Fading) EffectiveWindow() float64 { return 1 / (1 - f.Alpha) }
-
 // FadedRMSE wraps Fading to report the square root of the faded squared
 // error — a drop-in recent-window counterpart of RMSE.
 type FadedRMSE struct {

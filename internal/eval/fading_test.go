@@ -56,9 +56,6 @@ func TestFadingInterface(t *testing.T) {
 	if f.Count() != 0 || f.Value() != 0 {
 		t.Fatal("reset failed")
 	}
-	if w := f.EffectiveWindow(); math.Abs(w-10) > 1e-9 {
-		t.Fatalf("effective window %v, want 10", w)
-	}
 }
 
 func TestFadingSaturatesLargeErrors(t *testing.T) {

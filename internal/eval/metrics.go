@@ -5,10 +5,7 @@
 // deployment time to data preprocessing, model training, and prediction.
 package eval
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Metric is a cumulative error measure over a stream of (prediction,
 // actual) pairs.
@@ -187,22 +184,3 @@ func (m *LogLoss) Count() int64 { return m.n }
 
 // Reset implements Metric.
 func (m *LogLoss) Reset() { *m = LogLoss{} }
-
-// NewMetric constructs a metric by name: "misclassification", "rmse",
-// "rmsle", "mae", or "logloss".
-func NewMetric(name string) (Metric, error) {
-	switch name {
-	case "misclassification":
-		return &Misclassification{}, nil
-	case "rmse":
-		return &RMSE{}, nil
-	case "rmsle":
-		return &RMSLE{}, nil
-	case "mae":
-		return &MAE{}, nil
-	case "logloss":
-		return &LogLoss{}, nil
-	default:
-		return nil, fmt.Errorf("eval: unknown metric %q", name)
-	}
-}

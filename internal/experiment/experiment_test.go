@@ -40,7 +40,7 @@ func TestWorkloadConstructors(t *testing.T) {
 		if w.NewMetric() == nil {
 			t.Fatalf("%s: nil metric", w.Name)
 		}
-		if w.NewOptimizer("adam", 0.1) == nil || w.NewSampler("uniform", 1) == nil {
+		if w.NewOptimizer("adam", 0.1) == nil || w.newSampler("uniform", 1) == nil {
 			t.Fatalf("%s: factories failed", w.Name)
 		}
 	}
@@ -141,7 +141,7 @@ func TestTable3GridComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Cells) != len(Table3Adaptations)*len(Table3Regs) {
+	if len(r.Cells) != len(table3Adaptations)*len(table3Regs) {
 		t.Fatalf("grid has %d cells", len(r.Cells))
 	}
 	for _, c := range r.Cells {
@@ -155,8 +155,8 @@ func TestTable3GridComplete(t *testing.T) {
 			t.Fatal("BestOverall is not minimal")
 		}
 	}
-	for _, ad := range Table3Adaptations {
-		b := r.Best(ad)
+	for _, ad := range table3Adaptations {
+		b := r.best(ad)
 		if b.Adaptation != ad {
 			t.Fatalf("Best(%s) returned %s", ad, b.Adaptation)
 		}
@@ -179,7 +179,7 @@ func TestFig5RunsAllAdaptations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Curves) != len(Table3Adaptations) {
+	if len(r.Curves) != len(table3Adaptations) {
 		t.Fatalf("curves = %d", len(r.Curves))
 	}
 	for _, c := range r.Curves {
@@ -227,7 +227,7 @@ func TestFig6SamplingShapes(t *testing.T) {
 
 func TestTable4MatchesTheory(t *testing.T) {
 	r := Table4(1200, 20, 600)
-	if len(r.Rows) != len(SamplingStrategies)*len(Table4Rates) {
+	if len(r.Rows) != len(samplingStrategies)*len(table4Rates) {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
 	for _, row := range r.Rows {
@@ -294,7 +294,7 @@ func TestFig7Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Points) != len(SamplingStrategies)*len(Fig7Rates) {
+	if len(r.Points) != len(samplingStrategies)*len(fig7Rates) {
 		t.Fatalf("points = %d", len(r.Points))
 	}
 	// A small-scale run takes tens of milliseconds, and one sweep's wall-clock
@@ -311,7 +311,7 @@ func TestFig7Shape(t *testing.T) {
 		r.NoOptCost = min(r.NoOptCost, again.NoOptCost)
 	}
 	// Shape: for each strategy, cost at full materialization ≤ cost at none.
-	for _, strat := range SamplingStrategies {
+	for _, strat := range samplingStrategies {
 		c0, ok0 := r.CostAt(strat, 0.0)
 		c1, ok1 := r.CostAt(strat, 1.0)
 		if !ok0 || !ok1 {
@@ -328,9 +328,9 @@ func TestFig7Shape(t *testing.T) {
 		t.Errorf("no-opt cost %v should exceed fully optimized %v", r.NoOptCost, full)
 	}
 	// μ rises with the materialization rate for every strategy.
-	for _, strat := range SamplingStrategies {
+	for _, strat := range samplingStrategies {
 		var prev float64 = -1
-		for _, rate := range Fig7Rates {
+		for _, rate := range fig7Rates {
 			for _, p := range r.Points {
 				if p.Strategy == strat && p.Rate == rate {
 					if p.Mu < prev-0.05 {

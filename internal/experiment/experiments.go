@@ -51,10 +51,10 @@ func Fig4(w *Workload) (*Fig4Result, error) {
 // ---------------------------------------------------------------------------
 // Experiment 2 — Table 3: hyperparameter grid during initial training
 
-// Table3Adaptations and Table3Regs define the paper's grid.
+// table3Adaptations and table3Regs define the paper's grid.
 var (
-	Table3Adaptations = []string{"adam", "rmsprop", "adadelta"}
-	Table3Regs        = []float64{1e-2, 1e-3, 1e-4}
+	table3Adaptations = []string{"adam", "rmsprop", "adadelta"}
+	table3Regs        = []float64{1e-2, 1e-3, 1e-4}
 )
 
 // Table3Cell is one grid point's held-out error.
@@ -71,8 +71,8 @@ type Table3Result struct {
 	Cells    []Table3Cell
 }
 
-// Best returns the lowest-error cell for the given adaptation technique.
-func (t *Table3Result) Best(adaptation string) Table3Cell {
+// best returns the lowest-error cell for the given adaptation technique.
+func (t *Table3Result) best(adaptation string) Table3Cell {
 	var best Table3Cell
 	first := true
 	for _, c := range t.Cells {
@@ -158,8 +158,8 @@ func Table3(w *Workload) (*Table3Result, error) {
 		return nil, err
 	}
 	out := &Table3Result{Workload: w.Name, Metric: w.MetricName}
-	for _, ad := range Table3Adaptations {
-		for _, reg := range Table3Regs {
+	for _, ad := range table3Adaptations {
+		for _, reg := range table3Regs {
 			m := w.NewModel(reg)
 			o := w.NewOptimizer(ad, w.BestLR)
 			sgdTrain(m, o, train, 8, 256, 5)
@@ -209,8 +209,8 @@ func Fig5(w *Workload, grid *Table3Result) (*Fig5Result, error) {
 		n = w.Stream.NumChunks()
 	}
 	out := &Fig5Result{Workload: w.Name, Metric: w.MetricName}
-	for _, ad := range Table3Adaptations {
-		best := grid.Best(ad)
+	for _, ad := range table3Adaptations {
+		best := grid.best(ad)
 		cfg := w.BaseConfig(core.ModeContinuous, 2)
 		cfg.NewModel = func() model.Model { return w.NewModel(best.Reg) }
 		adName := ad
@@ -233,8 +233,8 @@ func Fig5(w *Workload, grid *Table3Result) (*Fig5Result, error) {
 // ---------------------------------------------------------------------------
 // Experiment 2 — Figure 6: sampling strategies
 
-// SamplingStrategies are the three strategies the data manager offers.
-var SamplingStrategies = []string{"time", "window", "uniform"}
+// samplingStrategies are the three strategies the data manager offers.
+var samplingStrategies = []string{"time", "window", "uniform"}
 
 // Fig6Curve is one sampling strategy's deployed quality curve.
 type Fig6Curve struct {
@@ -257,9 +257,9 @@ type Fig6Result struct {
 // the stationary Taxi stream the strategies should tie.
 func Fig6(w *Workload) (*Fig6Result, error) {
 	out := &Fig6Result{Workload: w.Name, Metric: w.MetricName, Drifting: w.Drifting}
-	for _, strat := range SamplingStrategies {
+	for _, strat := range samplingStrategies {
 		cfg := w.BaseConfig(core.ModeContinuous, 3)
-		cfg.Sampler = w.NewSampler(strat, 3)
+		cfg.Sampler = w.newSampler(strat, 3)
 		res, err := deploy(cfg, w.Stream)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: fig6 %s/%s: %w", w.Name, strat, err)
@@ -295,9 +295,9 @@ type Table4Result struct {
 	Rows   []Table4Row
 }
 
-// Table4Rates are the materialization rates the paper reports (0.0 and 1.0
+// table4Rates are the materialization rates the paper reports (0.0 and 1.0
 // are omitted: μ is 0 and 1 by construction).
-var Table4Rates = []float64{0.2, 0.6}
+var table4Rates = []float64{0.2, 0.6}
 
 // Table4 measures the empirical average materialization utilization rate of
 // each sampling strategy under a capacity-bounded store and compares it
@@ -306,8 +306,8 @@ var Table4Rates = []float64{0.2, 0.6}
 // at the newest m chunks by the store's oldest-first eviction.
 func Table4(N, sampleChunks, window int) *Table4Result {
 	out := &Table4Result{N: N, Sample: sampleChunks, Window: window}
-	for _, strat := range SamplingStrategies {
-		for _, rate := range Table4Rates {
+	for _, strat := range samplingStrategies {
+		for _, rate := range table4Rates {
 			m := int(rate * float64(N))
 			sampler, err := sample.New(strat, window, 17)
 			if err != nil {
@@ -348,11 +348,11 @@ func Table4(N, sampleChunks, window int) *Table4Result {
 // ---------------------------------------------------------------------------
 // Experiment 3 — Figure 7: optimization effects on deployment cost
 
-// Fig7Rates are the materialization rates the paper sweeps.
-var Fig7Rates = []float64{0.0, 0.2, 0.6, 1.0}
+// fig7Rates are the materialization rates the paper sweeps.
+var fig7Rates = []float64{0.0, 0.2, 0.6, 1.0}
 
-// Fig7Point is one (strategy, rate) deployment's total cost.
-type Fig7Point struct {
+// fig7Point is one (strategy, rate) deployment's total cost.
+type fig7Point struct {
 	Strategy string
 	Rate     float64
 	Cost     time.Duration
@@ -362,7 +362,7 @@ type Fig7Point struct {
 // Fig7Result holds the cost sweep plus the NoOptimization baseline.
 type Fig7Result struct {
 	Workload  string
-	Points    []Fig7Point
+	Points    []fig7Point
 	NoOptCost time.Duration
 }
 
@@ -373,16 +373,16 @@ type Fig7Result struct {
 func Fig7(w *Workload) (*Fig7Result, error) {
 	out := &Fig7Result{Workload: w.Name}
 	N := w.Stream.NumChunks()
-	for _, strat := range SamplingStrategies {
-		for _, rate := range Fig7Rates {
+	for _, strat := range samplingStrategies {
+		for _, rate := range fig7Rates {
 			cfg := w.BaseConfig(core.ModeContinuous, 4)
-			cfg.Sampler = w.NewSampler(strat, 4)
+			cfg.Sampler = w.newSampler(strat, 4)
 			cfg.Store = newStore(int(rate * float64(N)))
 			res, err := deploy(cfg, w.Stream)
 			if err != nil {
 				return nil, fmt.Errorf("experiment: fig7 %s/%s/%.1f: %w", w.Name, strat, rate, err)
 			}
-			out.Points = append(out.Points, Fig7Point{
+			out.Points = append(out.Points, fig7Point{
 				Strategy: strat,
 				Rate:     rate,
 				Cost:     res.Cost.Total(),

@@ -3,6 +3,10 @@ package experiment
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"cdml/internal/core"
+	"cdml/internal/drift"
 )
 
 func TestExtDriftDetectorsHelp(t *testing.T) {
@@ -124,5 +128,50 @@ func TestExtVeloxContinuousDominates(t *testing.T) {
 	}
 	if !strings.Contains(r.Render(), "Velox") {
 		t.Error("render missing header")
+	}
+}
+
+// slowedStream is a Taxi stream whose trips, from chunk `from` on, take three
+// times as long: each record's dropoff moves to pickup + 3·(dropoff − pickup).
+type slowedStream struct {
+	core.Stream
+	from int
+}
+
+func (s slowedStream) Chunk(i int) [][]byte {
+	const layout = "2006-01-02 15:04:05"
+	recs := s.Stream.Chunk(i)
+	if i < s.from {
+		return recs
+	}
+	for k, rec := range recs {
+		f := strings.SplitN(string(rec), ",", 3)
+		pickup, _ := time.Parse(layout, f[0])
+		dropoff, _ := time.Parse(layout, f[1])
+		f[1] = pickup.Add(3 * dropoff.Sub(pickup)).Format(layout)
+		recs[k] = []byte(strings.Join(f, ","))
+	}
+	return recs
+}
+
+// TestTaxiDriftDetectorCanFire: the Taxi row's drift loss is bounded absolute
+// error, so a detector on a regression deployment sees a signal that moves.
+// Under 0/1 mismatch every prediction of a regression is a miss, the signal
+// is constantly 1, and no stream can ever trigger.
+func TestTaxiDriftDetectorCanFire(t *testing.T) {
+	w := TaxiWorkload(ScaleSmall)
+	cfg := w.BaseConfig(core.ModeContinuous, 1)
+	cfg.DriftDetector = drift.NewDDM()
+	d, err := core.NewDeployer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+	res, err := d.Run(slowedStream{Stream: w.Stream, from: w.Stream.NumChunks() / 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DriftEvents == 0 {
+		t.Fatal("durations tripled halfway and DDM recorded no drift")
 	}
 }

@@ -76,14 +76,14 @@ func (t *Table3Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 3 — hyperparameter grid, initial training (%s, metric=%s)\n", t.Workload, t.Metric)
 	fmt.Fprintf(&b, "%-10s", "adaptation")
-	for _, reg := range Table3Regs {
+	for _, reg := range table3Regs {
 		fmt.Fprintf(&b, " %12.0e", reg)
 	}
 	b.WriteByte('\n')
-	for _, ad := range Table3Adaptations {
+	for _, ad := range table3Adaptations {
 		fmt.Fprintf(&b, "%-10s", ad)
-		best := t.Best(ad)
-		for _, reg := range Table3Regs {
+		best := t.best(ad)
+		for _, reg := range table3Regs {
 			for _, c := range t.Cells {
 				//lint:allow floateq: cell lookup by the exact grid constant it was built from
 				if c.Adaptation == ad && c.Reg == reg {
@@ -143,7 +143,7 @@ func (t *Table4Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 4 — materialization utilization μ (N=%d, s=%d, w=%d)\n", t.N, t.Sample, t.Window)
 	fmt.Fprintf(&b, "%-14s", "sampling")
-	for _, rate := range Table4Rates {
+	for _, rate := range table4Rates {
 		fmt.Fprintf(&b, " %18s", fmt.Sprintf("m/n=%.1f", rate))
 	}
 	b.WriteByte('\n')
@@ -154,7 +154,7 @@ func (t *Table4Result) Render() string {
 	}
 	for _, s := range strategies {
 		fmt.Fprintf(&b, "%-14s", s)
-		for _, rate := range Table4Rates {
+		for _, rate := range table4Rates {
 			row, ok := byKey[fmt.Sprintf("%s/%.1f", s, rate)]
 			if !ok {
 				fmt.Fprintf(&b, " %18s", "-")
@@ -176,14 +176,14 @@ func (r *Fig7Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 7 — optimization effects on deployment cost (%s)\n", r.Workload)
 	fmt.Fprintf(&b, "%-10s", "strategy")
-	for _, rate := range Fig7Rates {
+	for _, rate := range fig7Rates {
 		fmt.Fprintf(&b, " %14s", fmt.Sprintf("m/n=%.1f", rate))
 	}
 	b.WriteByte('\n')
 	strategies := []string{"time", "window", "uniform"}
 	for _, s := range strategies {
 		fmt.Fprintf(&b, "%-10s", s)
-		for _, rate := range Fig7Rates {
+		for _, rate := range fig7Rates {
 			if c, ok := r.CostAt(s, rate); ok {
 				fmt.Fprintf(&b, " %14v", c.Round(time.Millisecond))
 			} else {

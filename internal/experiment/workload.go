@@ -19,6 +19,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 
 	"cdml/internal/core"
 	"cdml/internal/data"
@@ -88,6 +89,11 @@ type Workload struct {
 	MetricName string
 	// Predict maps model output to the metric's label space.
 	Predict core.Predictor
+	// DriftLoss is the metric's per-record loss on [0, 1], the signal a drift
+	// detector and the threshold monitor watch. Nil is core's default, 0/1
+	// mismatch — the URL metric, record by record; for a regression every
+	// prediction mismatches, so Taxi bounds its absolute error instead.
+	DriftLoss func(pred, actual float64) float64
 	// InitialChunks are consumed by initial training (the paper's day 0 /
 	// Jan15).
 	InitialChunks int
@@ -123,9 +129,9 @@ func (w *Workload) NewOptimizer(name string, lr float64) opt.Optimizer {
 	return o
 }
 
-// NewSampler builds a sampling strategy by name with the workload's window
+// newSampler builds a sampling strategy by name with the workload's window
 // size.
-func (w *Workload) NewSampler(name string, seed int64) sample.Strategy {
+func (w *Workload) newSampler(name string, seed int64) sample.Strategy {
 	s, err := sample.New(name, w.WindowChunks, seed)
 	if err != nil {
 		panic(err)
@@ -229,6 +235,7 @@ func NewTaxiWorkload(cfg dataset.TaxiConfig) *Workload {
 		NewMetric:      func() eval.Metric { return &eval.RMSE{} },
 		MetricName:     "rmsle",
 		Predict:        core.RegressionPredictor,
+		DriftLoss:      func(pred, actual float64) float64 { return math.Min(math.Abs(pred-actual), 1) },
 		InitialChunks:  initial,     // Jan15
 		ProactiveEvery: 5,           // every 5 hours
 		RetrainEvery:   monthChunks, // monthly
@@ -261,6 +268,7 @@ func (w *Workload) Deployment() core.Config {
 		NewOptimizer: func() opt.Optimizer { return w.NewOptimizer(w.BestOpt, w.BestLR) },
 		Metric:       w.NewMetric(),
 		Predict:      w.Predict,
+		DriftLoss:    w.DriftLoss,
 	}
 }
 
@@ -270,7 +278,7 @@ func (w *Workload) BaseConfig(mode core.Mode, seed int64) core.Config {
 	cfg := w.Deployment()
 	cfg.Mode = mode
 	cfg.Store = newStore(-1)
-	cfg.Sampler = w.NewSampler("time", seed)
+	cfg.Sampler = w.newSampler("time", seed)
 	cfg.SampleChunks = w.SampleChunks
 	cfg.ProactiveEvery = w.ProactiveEvery
 	cfg.RetrainEvery = w.RetrainEvery

@@ -168,9 +168,9 @@ func (r *Reader) take(n int, what string) []byte {
 // Bytes returns the next n bytes as a view of the input.
 func (r *Reader) Bytes(n int) []byte { return r.take(n, "byte run") }
 
-// Uvarint reads an unsigned varint in its shortest form; a padded encoding
+// uvarint reads an unsigned varint in its shortest form; a padded encoding
 // of the same number is refused, since it would not re-encode to itself.
-func (r *Reader) Uvarint() uint64 {
+func (r *Reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
@@ -185,7 +185,7 @@ func (r *Reader) Uvarint() uint64 {
 
 // Count reads a uvarint that counts something and must not exceed max.
 func (r *Reader) Count(max int, what string) int {
-	v := r.Uvarint()
+	v := r.uvarint()
 	if r.err == nil && v > uint64(max) {
 		r.Failf("%d %s, at most %d allowed", v, what, max)
 		return 0

@@ -99,7 +99,7 @@ func TestScalarsAndStringsRoundTrip(t *testing.T) {
 		t.Fatalf("encoded %d bytes, the size functions say %d", len(b), want)
 	}
 	r := NewReader(b)
-	if v := r.Uvarint(); v != 300 {
+	if v := r.uvarint(); v != 300 {
 		t.Fatalf("uvarint = %d", v)
 	}
 	if s := r.String(); s != "héllo" {

@@ -7,17 +7,6 @@ import (
 	"sync"
 )
 
-// Axpy computes y += alpha*x for dense slices. It panics on dimension
-// mismatch.
-func Axpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: Axpy dimension mismatch: %d vs %d", len(x), len(y)))
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
 // Scale multiplies x by alpha in place.
 //
 //cdml:deterministic
@@ -48,8 +37,8 @@ func Norm2(x []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// Zero clears a dense slice in place.
-func Zero(x []float64) {
+// zero clears a dense slice in place.
+func zero(x []float64) {
 	for i := range x {
 		x[i] = 0
 	}
@@ -85,11 +74,11 @@ type Accumulator struct {
 	dense   bool // a dense vector was added; all coordinates are live
 }
 
-// NewAccumulator returns a fresh accumulator of dimension dim that is not
+// newAccumulator returns a fresh accumulator of dimension dim that is not
 // tied to the recycling in AcquireAccumulator.
 //
 //cdml:deterministic
-func NewAccumulator(dim int) *Accumulator {
+func newAccumulator(dim int) *Accumulator {
 	return &Accumulator{buf: make([]float64, dim), seen: make([]bool, dim)}
 }
 
@@ -111,7 +100,7 @@ func AcquireAccumulator(dim int) *Accumulator {
 	// Nothing pooled, or a smaller one: it is dropped for the collector and
 	// its place is taken by the one allocated here, so a process whose
 	// models differ in dimension settles on accumulators of the largest.
-	return NewAccumulator(dim)
+	return newAccumulator(dim)
 }
 
 // Release resets the accumulator and hands it back for reuse.
@@ -121,9 +110,6 @@ func (a *Accumulator) Release() {
 	a.reset()
 	accumulators.Put(a)
 }
-
-// Dim returns the accumulator dimension.
-func (a *Accumulator) Dim() int { return len(a.buf) }
 
 // Add accumulates alpha*v.
 //
@@ -216,7 +202,7 @@ func (a *Accumulator) reset() {
 		a.seen[i] = false
 	}
 	if a.dense {
-		Zero(a.buf)
+		zero(a.buf)
 		a.dense = false
 	}
 	a.touched = a.touched[:0]

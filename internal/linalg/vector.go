@@ -244,22 +244,6 @@ func (s *Sparse) Clone() Vector {
 	return c
 }
 
-// Compact removes explicitly stored zero entries in place and returns s.
-func (s *Sparse) Compact() *Sparse {
-	w := 0
-	for k := range s.Idx {
-		//lint:allow floateq: Compact removes exactly-zero stored entries by contract
-		if s.Val[k] != 0 {
-			s.Idx[w] = s.Idx[k]
-			s.Val[w] = s.Val[k]
-			w++
-		}
-	}
-	s.Idx = s.Idx[:w]
-	s.Val = s.Val[:w]
-	return s
-}
-
 // ToDense expands the sparse vector into a freshly allocated dense vector.
 func (s *Sparse) ToDense() Dense {
 	d := NewDense(s.N)

@@ -127,14 +127,6 @@ func TestSparseDotMatchesDense(t *testing.T) {
 	}
 }
 
-func TestSparseCompact(t *testing.T) {
-	s := NewSparse(5, []int32{1, 2, 3}, []float64{0, 7, 0})
-	s.Compact()
-	if s.NNZ() != 1 || s.At(2) != 7 {
-		t.Fatalf("Compact wrong: %v", s)
-	}
-}
-
 func TestSparseScale(t *testing.T) {
 	s := NewSparse(3, []int32{1}, []float64{4})
 	s.Scale(0.5)
@@ -219,13 +211,9 @@ func TestQuickNewSparseSorted(t *testing.T) {
 	}
 }
 
-func TestOpsAxpyScaleDot(t *testing.T) {
+func TestOpsScaleDot(t *testing.T) {
 	x := []float64{1, 2}
-	y := []float64{10, 20}
-	Axpy(2, x, y)
-	if y[0] != 12 || y[1] != 24 {
-		t.Fatalf("Axpy = %v", y)
-	}
+	y := []float64{12, 24}
 	Scale(0.5, y)
 	if y[0] != 6 || y[1] != 12 {
 		t.Fatalf("Scale = %v", y)
@@ -238,19 +226,10 @@ func TestOpsAxpyScaleDot(t *testing.T) {
 	}
 }
 
-func TestOpsAxpyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Axpy(1, []float64{1}, []float64{1, 2})
-}
-
 func TestZeroAndCopyOf(t *testing.T) {
 	x := []float64{1, 2, 3}
 	c := CopyOf(x)
-	Zero(x)
+	zero(x)
 	if x[0] != 0 || x[2] != 0 {
 		t.Fatalf("Zero failed: %v", x)
 	}
@@ -260,7 +239,7 @@ func TestZeroAndCopyOf(t *testing.T) {
 }
 
 func TestAccumulatorSparseOnly(t *testing.T) {
-	a := NewAccumulator(6)
+	a := newAccumulator(6)
 	a.Add(NewSparse(6, []int32{1, 4}, []float64{1, 2}), 1)
 	a.Add(NewSparse(6, []int32{1, 3}, []float64{3, 4}), 2)
 	res := a.Result(0.5)
@@ -280,7 +259,7 @@ func TestAccumulatorSparseOnly(t *testing.T) {
 }
 
 func TestAccumulatorDensePromotion(t *testing.T) {
-	a := NewAccumulator(3)
+	a := newAccumulator(3)
 	a.Add(NewSparse(3, []int32{0}, []float64{1}), 1)
 	a.Add(Dense{0, 1, 0}, 1)
 	res := a.Result(1)
@@ -293,7 +272,7 @@ func TestAccumulatorDensePromotion(t *testing.T) {
 }
 
 func TestAccumulatorReuseAfterReset(t *testing.T) {
-	a := NewAccumulator(4)
+	a := newAccumulator(4)
 	a.Add(NewSparse(4, []int32{2}, []float64{5}), 1)
 	_ = a.Result(1)
 	a.Add(NewSparse(4, []int32{1}, []float64{7}), 1)
@@ -307,7 +286,7 @@ func TestAccumulatorReuseAfterReset(t *testing.T) {
 }
 
 func TestAccumulatorReuseAfterDenseReset(t *testing.T) {
-	a := NewAccumulator(3)
+	a := newAccumulator(3)
 	a.Add(Dense{1, 2, 3}, 1)
 	_ = a.Result(1)
 	a.Add(NewSparse(3, []int32{0}, []float64{1}), 1)
@@ -318,7 +297,7 @@ func TestAccumulatorReuseAfterDenseReset(t *testing.T) {
 }
 
 func TestAccumulatorAddCoord(t *testing.T) {
-	a := NewAccumulator(3)
+	a := newAccumulator(3)
 	a.AddCoord(2, 1.5)
 	a.AddCoord(2, 0.5)
 	res := a.Result(2)
@@ -333,7 +312,7 @@ func TestQuickAccumulatorMatchesDenseSum(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		dim := 1 + r.Intn(32)
 		k := 1 + r.Intn(8)
-		a := NewAccumulator(dim)
+		a := newAccumulator(dim)
 		want := make([]float64, dim)
 		for j := 0; j < k; j++ {
 			s := randomSparse(r, dim, r.Intn(dim+1))
@@ -399,13 +378,13 @@ func TestAccumulatorReuseAfterDense(t *testing.T) {
 		a.AddCoord(intercept, -1)
 		return a.Result(0.5)
 	}
-	reused := NewAccumulator(dim)
+	reused := newAccumulator(dim)
 	reused.Add(Dense{1, 2, 3, 4, 0}, 2)
 	reused.AddCoord(intercept, 2)
 	if _, ok := reused.Result(1).(Dense); !ok {
 		t.Fatal("dense round did not produce a dense result")
 	}
-	got, want := round(reused), round(NewAccumulator(dim))
+	got, want := round(reused), round(newAccumulator(dim))
 	if !sameVector(got, want) {
 		t.Fatalf("sparse round after a dense one = %v, a fresh accumulator gives %v", got, want)
 	}
@@ -444,19 +423,19 @@ func TestQuickAccumulatorReuseMatchesFresh(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		maxDim := 1 + r.Intn(24)
-		kept := NewAccumulator(maxDim)
+		kept := newAccumulator(maxDim)
 		for round := 0; round < 8; round++ {
 			scale := r.NormFloat64()
 			// Same dimension on the kept accumulator.
-			fresh := NewAccumulator(maxDim)
+			fresh := newAccumulator(maxDim)
 			play(r, maxDim, kept, fresh)
 			if !sameVector(kept.Result(scale), fresh.Result(scale)) {
 				return false
 			}
 			// Varying dimension through the recycling.
 			dim := 1 + r.Intn(maxDim)
-			pooled, fresh := AcquireAccumulator(dim), NewAccumulator(dim)
-			if pooled.Dim() != dim {
+			pooled, fresh := AcquireAccumulator(dim), newAccumulator(dim)
+			if len(pooled.buf) != dim {
 				return false
 			}
 			play(r, dim, pooled, fresh)

@@ -55,9 +55,9 @@ func (m *KMeans) Init(batch []data.Instance) {
 	}
 }
 
-// Assign returns the index of the nearest centroid and the squared distance
+// assign returns the index of the nearest centroid and the squared distance
 // to it.
-func (m *KMeans) Assign(x linalg.Vector) (int, float64) {
+func (m *KMeans) assign(x linalg.Vector) (int, float64) {
 	if x.Dim() != m.FeatureDim {
 		panic(fmt.Sprintf("model: k-means input dim %d, want %d", x.Dim(), m.FeatureDim))
 	}
@@ -90,14 +90,14 @@ func (m *KMeans) Assign(x linalg.Vector) (int, float64) {
 // Predict implements Model: the index of the nearest centroid (as a
 // float64, so the platform's Predictor plumbing applies unchanged).
 func (m *KMeans) Predict(x linalg.Vector) float64 {
-	j, _ := m.Assign(x)
+	j, _ := m.assign(x)
 	return float64(j)
 }
 
 // Loss implements Model: half the squared distance to the nearest centroid
 // (the quantization error). The label is ignored.
 func (m *KMeans) Loss(x linalg.Vector, y float64) float64 {
-	_, dist := m.Assign(x)
+	_, dist := m.assign(x)
 	return 0.5 * dist
 }
 
@@ -120,7 +120,7 @@ func (m *KMeans) GradientSum(batch []data.Instance) (linalg.Vector, float64) {
 	acc := linalg.AcquireAccumulator(len(m.w))
 	var lossSum float64
 	for _, ins := range batch {
-		j, dist := m.Assign(ins.X)
+		j, dist := m.assign(ins.X)
 		lossSum += 0.5 * dist
 		// ∂/∂c_j ½||x − c_j||² = c_j − x
 		off := j * m.FeatureDim

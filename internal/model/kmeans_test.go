@@ -1,13 +1,12 @@
 package model
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"cdml/internal/data"
+	"cdml/internal/flat"
 	"cdml/internal/linalg"
 	"cdml/internal/opt"
 )
@@ -68,7 +67,7 @@ func TestKMeansAssignAndPredict(t *testing.T) {
 	m := NewKMeans(2, 2)
 	copy(m.Centroid(0), []float64{0, 0})
 	copy(m.Centroid(1), []float64{10, 10})
-	j, dist := m.Assign(linalg.Dense{1, 1})
+	j, dist := m.assign(linalg.Dense{1, 1})
 	if j != 0 || math.Abs(dist-2) > 1e-9 {
 		t.Fatalf("Assign = %d, %v", j, dist)
 	}
@@ -83,8 +82,8 @@ func TestKMeansSparseAgreement(t *testing.T) {
 	copy(m.Centroid(1), []float64{-5, -5, -5, -5})
 	sx := linalg.NewSparse(4, []int32{0, 2}, []float64{1, 2})
 	dx := sx.ToDense()
-	js, ds := m.Assign(sx)
-	jd, dd := m.Assign(dx)
+	js, ds := m.assign(sx)
+	jd, dd := m.assign(dx)
 	if js != jd || math.Abs(ds-dd) > 1e-9 {
 		t.Fatalf("sparse/dense Assign disagree: (%d,%v) vs (%d,%v)", js, ds, jd, dd)
 	}
@@ -139,7 +138,7 @@ func TestKMeansDimMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.Assign(linalg.Dense{1, 2})
+	m.assign(linalg.Dense{1, 2})
 }
 
 func TestKMeansClone(t *testing.T) {
@@ -165,14 +164,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}(),
 	}
 	for _, m := range models {
-		var buf bytes.Buffer
-		if err := Save(&buf, m); err != nil {
-			t.Fatalf("%s: %v", m.Name(), err)
-		}
-		got, err := Load(&buf)
-		if err != nil {
-			t.Fatalf("%s: %v", m.Name(), err)
-		}
+		got := roundTrip(t, m)
 		if got.Name() != m.Name() || got.Dim() != m.Dim() {
 			t.Fatalf("%s: round trip changed identity to %s/%d", m.Name(), got.Name(), got.Dim())
 		}
@@ -184,27 +176,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSaveLoadFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "model.gob")
-	m := NewSVM(2, 0.1)
-	m.SetWeights([]float64{1, 2, 3})
-	if err := SaveFile(path, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Weights()[2] != 3 {
-		t.Fatal("file round trip lost weights")
-	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
-		t.Fatal("expected error for missing file")
-	}
-}
-
 func TestLoadGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("junk"))); err == nil {
+	if _, err := DecodeSection(flat.NewReader([]byte("junk")), 16); err == nil {
 		t.Fatal("expected decode error")
 	}
 }
@@ -224,14 +197,7 @@ func TestPredictionsSurviveRoundTrip(t *testing.T) {
 		}
 		m.Update(batch, opt.NewSGD(0.05))
 	}
-	var buf bytes.Buffer
-	if err := Save(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := roundTrip(t, m)
 	for i := 0; i < 20; i++ {
 		x := linalg.Dense{r.NormFloat64(), r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
 		if m.Predict(x) != got.Predict(x) {

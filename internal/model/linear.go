@@ -157,16 +157,6 @@ func (m *LogisticRegression) Predict(x linalg.Vector) float64 {
 	return sigmoid(m.score(x))
 }
 
-// Classify returns the predicted class label in {0, 1}.
-//
-//cdml:hotpath
-func (m *LogisticRegression) Classify(x linalg.Vector) float64 {
-	if m.score(x) >= 0 {
-		return 1
-	}
-	return 0
-}
-
 // Loss implements Model: the logistic (cross-entropy) loss, computed in a
 // numerically stable form.
 func (m *LogisticRegression) Loss(x linalg.Vector, y float64) float64 {

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -183,14 +182,7 @@ func TestMFCloneAndPersist(t *testing.T) {
 	if m.Weights()[0] == 99 {
 		t.Fatal("Clone shares weights")
 	}
-	var buf bytes.Buffer
-	if err := Save(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := roundTrip(t, m)
 	mf, ok := got.(*MF)
 	if !ok {
 		t.Fatalf("loaded %T", got)

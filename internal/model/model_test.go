@@ -91,7 +91,7 @@ func TestLogisticRegressionLearns(t *testing.T) {
 	test := mk(500)
 	errs := 0
 	for _, ins := range test {
-		if m.Classify(ins.X) != ins.Y {
+		if (m.Predict(ins.X) >= 0.5) != (ins.Y == 1) {
 			errs++
 		}
 	}

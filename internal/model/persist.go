@@ -1,20 +1,16 @@
 package model
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"math"
-	"os"
 
 	"cdml/internal/flat"
 )
 
 // snapshot is the serialized form of a model. Only weights and the
 // constructor parameters are persisted; optimizer state travels in its own
-// section (opt.Encode). Both readers — the flat one below and the v1
-// gob reader in persist_v1.go — fill one of these and hand it to build,
-// which is the only place a model is constructed from bytes.
+// section (opt.Encode). build is the only place a model is constructed from
+// bytes.
 type snapshot struct {
 	Kind    string
 	Dim     int
@@ -89,15 +85,6 @@ func (c Section) AppendTo(dst []byte) []byte {
 	return c.weights.AppendTo(flat.AppendFloat64(dst, c.s.Reg))
 }
 
-// encode returns m's section in a buffer of its own.
-func encode(m Model) ([]byte, error) {
-	c, err := NewSection(m)
-	if err != nil {
-		return nil, err
-	}
-	return c.AppendTo(make([]byte, 0, c.Size())), nil
-}
-
 // DecodeSection reads one model section from r. maxWeights bounds the weight
 // vector before it is allocated: a deployment passes its own model's weight
 // count, so no payload can ask for more memory than the state it replaces.
@@ -167,70 +154,4 @@ func (s *snapshot) build(maxWeights int) (Model, error) {
 	}
 	m.SetWeights(s.Weights)
 	return m, nil
-}
-
-// Save writes m's section to w: a stream that holds one model and nothing
-// else.
-func Save(w io.Writer, m Model) error {
-	b, err := encode(m)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(b); err != nil {
-		return fmt.Errorf("model: writing %s: %w", m.Name(), err)
-	}
-	return nil
-}
-
-// Load reads r to its end and decodes the one model Save wrote there: the
-// stream holds one model and nothing else. A section carries no tag of its
-// own, so a stream that is not a flat section is tried as what Save wrote
-// before the flat format, one gob stream (LoadV1): model files of older
-// releases still load.
-func Load(r io.Reader) (Model, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("model: reading: %w", err)
-	}
-	// Eight input bytes can stand for at most 64 zero weights, so the input's
-	// own length bounds what it may ask for.
-	max := 8 * len(b)
-	fr := flat.NewReader(b)
-	m, err := DecodeSection(fr, max)
-	if err == nil {
-		if err = fr.Close(); err == nil {
-			return m, nil
-		}
-		err = fmt.Errorf("model: decoding: %w", err)
-	}
-	v1 := bytes.NewReader(b)
-	if m, v1err := LoadV1(v1, max); v1err == nil && v1.Len() == 0 {
-		return m, nil
-	}
-	return nil, err
-}
-
-// SaveFile writes a model to path atomically.
-func SaveFile(path string, m Model) error {
-	b, err := encode(m)
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return fmt.Errorf("model: writing %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("model: renaming %s: %w", tmp, err)
-	}
-	return nil
-}
-
-// LoadFile reads a model written by SaveFile.
-func LoadFile(path string) (Model, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("model: reading %s: %w", path, err)
-	}
-	return Load(bytes.NewReader(b))
 }

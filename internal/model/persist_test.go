@@ -2,16 +2,10 @@ package model
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"cdml/internal/flat"
-	"cdml/internal/linalg"
-	"cdml/internal/opt"
 )
 
 // everyKind is one trained-looking model of every kind a section can name,
@@ -52,6 +46,20 @@ func sectionOf(t *testing.T, m Model) []byte {
 		t.Fatalf("%s: section is %d bytes, Size says %d", m.Name(), len(b), c.Size())
 	}
 	return b
+}
+
+// roundTrip is m encoded to its section and decoded again.
+func roundTrip(t *testing.T, m Model) Model {
+	t.Helper()
+	r := flat.NewReader(sectionOf(t, m))
+	got, err := DecodeSection(r, len(m.Weights()))
+	if err != nil {
+		t.Fatalf("%s: %v", m.Name(), err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("%s: %v", m.Name(), err)
+	}
+	return got
 }
 
 // Every model kind round-trips bit for bit, and the decoded model encodes to
@@ -138,114 +146,6 @@ func TestDecodeSectionRefusesMalformedInput(t *testing.T) {
 	} {
 		if _, err := DecodeSection(flat.NewReader(b), 16); err != nil {
 			t.Errorf("%s: %v", name, err)
-		}
-	}
-	// Load takes one model per stream.
-	two := append(sectionOf(t, NewSVM(2, 0)), sectionOf(t, NewSVM(2, 0))...)
-	if _, err := Load(bytes.NewReader(two)); err == nil || !strings.Contains(err.Error(), "trailing") {
-		t.Fatalf("two models in one stream: %v", err)
-	}
-}
-
-// The v1 reader decodes the gob stream servers before the flat format wrote
-// into the same model, weight for weight, as the flat section of that state,
-// through the same validation.
-func TestLoadV1MatchesFlat(t *testing.T) {
-	for _, m := range everyKind() {
-		s, err := snapshotOf(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(s); err != nil { // what model.Save did
-			t.Fatal(err)
-		}
-		buf.WriteString("next section")
-		got, err := LoadV1(&buf, len(m.Weights()))
-		if err != nil {
-			t.Fatalf("%s: %v", m.Name(), err)
-		}
-		if buf.String() != "next section" {
-			t.Fatalf("%s: the v1 reader read past its stream, %q left", m.Name(), buf.String())
-		}
-		if !bytes.Equal(sectionOf(t, got), sectionOf(t, m)) {
-			t.Fatalf("%s: v1 and flat decode to different models", m.Name())
-		}
-		if _, err := LoadV1(bytes.NewReader(gobOf(t, s)), len(m.Weights())-1); err == nil {
-			t.Fatalf("%s: a v1 model larger than the caller's bound was accepted", m.Name())
-		}
-	}
-	for name, s := range map[string]snapshot{
-		"negative reg": {Kind: "svm", Dim: 2, Reg: -1, Weights: make([]float64, 3)},
-		"huge dim":     {Kind: "svm", Dim: 1 << 40, Weights: make([]float64, 3)},
-		"mf no shape":  {Kind: "mf", Dim: 2, Weights: make([]float64, 3)},
-	} {
-		if _, err := LoadV1(bytes.NewReader(gobOf(t, s)), 16); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
-func gobOf(t *testing.T, v any) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// testdata/svm-v1.model was written by SaveFile before the flat format (a
-// 6-feature SVM after five Adam steps; internal/opt/testdata/adam-v1.opt is
-// that optimizer): LoadFile still reads it, and what it
-// saves from then on is a flat section that loads to the same model. A
-// damaged file of either format is refused.
-func TestLoadFileReadsAnOlderReleasesModel(t *testing.T) {
-	const path = "testdata/svm-v1.model"
-	m, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The state the file was written from, rebuilt here.
-	want := NewSVM(6, 0.01)
-	o := opt.NewAdam(0.05)
-	for i := 0; i < 5; i++ {
-		o.Step(want.Weights(), linalg.NewSparse(7, []int32{int32(i % 3), 4, 6}, []float64{0.5 * float64(i+1), -1.25, 0.125}))
-	}
-	if !bytes.Equal(sectionOf(t, m), sectionOf(t, want)) {
-		t.Fatalf("loaded %T with weights %v, want %v", m, m.Weights(), want.Weights())
-	}
-	resaved := filepath.Join(t.TempDir(), "svm.model")
-	if err := SaveFile(resaved, m); err != nil {
-		t.Fatal(err)
-	}
-	flatBytes, err := os.ReadFile(resaved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(flatBytes, sectionOf(t, m)) {
-		t.Fatal("the file saved after loading a v1 model is not the flat section")
-	}
-	back, err := LoadFile(resaved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sectionOf(t, back), sectionOf(t, m)) {
-		t.Fatal("v1 file and its flat re-save load to different models")
-	}
-
-	v1, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, b := range map[string][]byte{
-		"torn v1":          v1[:len(v1)-3],
-		"v1 and more":      append(append([]byte(nil), v1...), v1...),
-		"torn flat":        flatBytes[:len(flatBytes)-3],
-		"neither encoding": []byte("not a model"),
-	} {
-		if _, err := Load(bytes.NewReader(b)); err == nil {
-			t.Errorf("%s: accepted", name)
 		}
 	}
 }

@@ -6,18 +6,18 @@ import (
 	"time"
 )
 
-// NumBuckets is the fixed bucket count of every Histogram. Bucket i counts
+// numBuckets is the fixed bucket count of every Histogram. Bucket i counts
 // observations whose duration in nanoseconds d satisfies
 // bits.Len64(d) == i, i.e. d in [2^(i-1), 2^i) (bucket 0 holds exactly 0).
 // The geometric ladder spans 1ns to ~2.5h with a worst-case relative error
 // of 2x per bucket, which quantile interpolation reduces further — ample
 // resolution for latencies whose interesting range covers nine orders of
 // magnitude.
-const NumBuckets = 44
+const numBuckets = 44
 
-// BucketUpperBound returns bucket i's exclusive upper bound in seconds
+// bucketUpperBound returns bucket i's exclusive upper bound in seconds
 // (2^i nanoseconds).
-func BucketUpperBound(i int) float64 {
+func bucketUpperBound(i int) float64 {
 	return float64(uint64(1)<<uint(i)) / 1e9
 }
 
@@ -27,20 +27,20 @@ func BucketUpperBound(i int) float64 {
 // racing an observation may be off by the in-flight event — harmless for
 // monitoring). The zero value is ready to use.
 type Histogram struct {
-	buckets [NumBuckets]atomic.Int64
+	buckets [numBuckets]atomic.Int64
 	sum     atomic.Int64 // nanoseconds
 	count   atomic.Int64
 
 	// exemplar is the most interesting recent traced observation (highest
 	// bucket wins; a stale exemplar is displaced by any traced observation).
 	// Written only by ObserveExemplar, read at scrape time.
-	exemplar atomic.Pointer[Exemplar]
+	exemplar atomic.Pointer[exemplar]
 }
 
-// Exemplar links one concrete observation to the trace that produced it, so
+// exemplar links one concrete observation to the trace that produced it, so
 // a slow histogram bucket can be followed to the exact request via
 // .../trace?id=<trace id>.
-type Exemplar struct {
+type exemplar struct {
 	// TraceID identifies the trace behind this observation.
 	TraceID string
 	// Bucket is the histogram bucket the observation landed in.
@@ -67,8 +67,8 @@ func bucketIndex(nanos int64) int {
 		return 0
 	}
 	idx := bits.Len64(uint64(nanos))
-	if idx >= NumBuckets {
-		idx = NumBuckets - 1
+	if idx >= numBuckets {
+		idx = numBuckets - 1
 	}
 	return idx
 }
@@ -106,15 +106,15 @@ func (h *Histogram) ObserveExemplar(d time.Duration, traceID string) {
 	if cur != nil && idx < cur.Bucket && time.Since(cur.At) < exemplarTTL {
 		return
 	}
-	h.exemplar.Store(&Exemplar{TraceID: traceID, Bucket: idx, Duration: d, At: time.Now()})
+	h.exemplar.Store(&exemplar{TraceID: traceID, Bucket: idx, Duration: d, At: time.Now()})
 }
 
-// Exemplar returns the current exemplar, if any traced observation has been
+// lastExemplar returns the current exemplar, if any traced observation has been
 // recorded.
-func (h *Histogram) Exemplar() (Exemplar, bool) {
+func (h *Histogram) lastExemplar() (exemplar, bool) {
 	e := h.exemplar.Load()
 	if e == nil {
-		return Exemplar{}, false
+		return exemplar{}, false
 	}
 	return *e, true
 }
@@ -122,30 +122,18 @@ func (h *Histogram) Exemplar() (Exemplar, bool) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum returns the total observed time in seconds.
-func (h *Histogram) Sum() float64 { return float64(h.sum.Load()) / 1e9 }
-
-// Mean returns the average observation in seconds, or 0 when empty.
-func (h *Histogram) Mean() float64 {
-	c := h.count.Load()
-	if c == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / 1e9 / float64(c)
-}
-
 // Snapshot returns per-bucket counts, the sum in seconds, and the count.
-func (h *Histogram) Snapshot() (counts [NumBuckets]int64, sum float64, count int64) {
+func (h *Histogram) Snapshot() (counts [numBuckets]int64, sum float64, count int64) {
 	for i := range h.buckets {
 		counts[i] = h.buckets[i].Load()
 	}
 	return counts, float64(h.sum.Load()) / 1e9, h.count.Load()
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) in seconds by linear
+// quantile estimates the q-quantile (q in [0,1]) in seconds by linear
 // interpolation within the target bucket. Estimates are monotone in q by
 // construction. Returns 0 when the histogram is empty.
-func (h *Histogram) Quantile(q float64) float64 {
+func (h *Histogram) quantile(q float64) float64 {
 	counts, _, _ := h.Snapshot()
 	var total int64
 	for _, c := range counts {
@@ -176,13 +164,13 @@ func (h *Histogram) Quantile(q float64) float64 {
 		if cum+c >= rank {
 			lo := 0.0
 			if i > 0 {
-				lo = BucketUpperBound(i - 1)
+				lo = bucketUpperBound(i - 1)
 			}
-			hi := BucketUpperBound(i)
+			hi := bucketUpperBound(i)
 			frac := (float64(rank-cum) - 0.5) / float64(c)
 			return lo + frac*(hi-lo)
 		}
 		cum += c
 	}
-	return BucketUpperBound(NumBuckets - 1)
+	return bucketUpperBound(numBuckets - 1)
 }

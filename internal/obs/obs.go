@@ -299,7 +299,7 @@ func writeFamily(b *strings.Builder, f *family) {
 			fmt.Fprintf(b, "# HELP %s%s %s (quantile estimate)\n", f.name, q.suffix, f.help)
 			fmt.Fprintf(b, "# TYPE %s%s gauge\n", f.name, q.suffix)
 			for _, ls := range f.order {
-				writeSample(b, f.name+q.suffix, "", ls, f.metrics[ls].hist.Quantile(q.q))
+				writeSample(b, f.name+q.suffix, "", ls, f.metrics[ls].hist.quantile(q.q))
 			}
 		}
 	}
@@ -333,13 +333,13 @@ func writeHistogram(b *strings.Builder, name, labels string, h *Histogram) {
 			// cumulative counts stay correct, and le="+Inf" is always present.
 			continue
 		}
-		le := strconv.FormatFloat(BucketUpperBound(i), 'g', -1, 64)
+		le := strconv.FormatFloat(bucketUpperBound(i), 'g', -1, 64)
 		writeSample(b, name+"_bucket", `le="`+le+`"`, labels, float64(cum))
 	}
 	writeSample(b, name+"_bucket", `le="+Inf"`, labels, float64(count))
 	writeSample(b, name+"_sum", "", labels, sum)
 	writeSample(b, name+"_count", "", labels, float64(count))
-	if e, ok := h.Exemplar(); ok {
+	if e, ok := h.lastExemplar(); ok {
 		// Exposed as a comment so text-format 0.0.4 parsers (which skip
 		// '#' lines) stay compatible; follow the trace via .../trace?id=.
 		fmt.Fprintf(b, "# exemplar %s{%s} trace_id=%s duration_seconds=%s\n",

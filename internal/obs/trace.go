@@ -71,11 +71,6 @@ func StartSpan(name string) *Span {
 	return &Span{Name: name, Start: time.Now()}
 }
 
-// StartTrace starts a root span carrying a fresh trace id.
-func StartTrace(name string) *Span {
-	return &Span{Name: name, Start: time.Now(), TraceID: NewTraceID()}
-}
-
 // StartChild starts a nested stage under s. Returns nil when s is nil.
 func (s *Span) StartChild(name string) *Span {
 	if s == nil {
@@ -150,16 +145,6 @@ func (t *Tracer) Record(s *Span) {
 	t.next = (t.next + 1) % cap(t.ring)
 	t.total++
 	t.mu.Unlock()
-}
-
-// Len returns the number of retained spans.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.ring)
 }
 
 // Total returns the number of spans ever recorded.

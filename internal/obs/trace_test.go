@@ -49,7 +49,7 @@ func TestNilSpanSafe(t *testing.T) {
 	}
 	var tr *Tracer
 	tr.Record(StartSpan("x")) // must not panic
-	if tr.Len() != 0 || tr.Last(5) != nil {
+	if tr.Total() != 0 || tr.Last(5) != nil {
 		t.Fatal("nil tracer should be empty")
 	}
 }
@@ -61,8 +61,8 @@ func TestTracerRingBounded(t *testing.T) {
 		s.Finish()
 		tr.Record(s)
 	}
-	if tr.Len() != 8 {
-		t.Fatalf("ring len = %d, want 8", tr.Len())
+	if n := len(tr.Last(0)); n != 8 {
+		t.Fatalf("ring len = %d, want 8", n)
 	}
 	if tr.Total() != 100 {
 		t.Fatalf("total = %d, want 100", tr.Total())
@@ -142,7 +142,7 @@ func TestTracerConcurrentRecord(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		<-done
 	}
-	if tr.Len() != 32 || tr.Total() != 800 {
-		t.Fatalf("len=%d total=%d", tr.Len(), tr.Total())
+	if len(tr.Last(0)) != 32 || tr.Total() != 800 {
+		t.Fatalf("len=%d total=%d", len(tr.Last(0)), tr.Total())
 	}
 }

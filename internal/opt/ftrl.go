@@ -91,19 +91,3 @@ func (f *FTRL) Clone() Optimizer {
 	c.n = linalg.CopyOf(f.n)
 	return &c
 }
-
-// Sparsity returns the fraction of coordinates currently held at exactly
-// zero by the L1 term, and 0 before any step.
-func (f *FTRL) Sparsity(w []float64) float64 {
-	if len(w) == 0 {
-		return 0
-	}
-	zero := 0
-	for _, v := range w {
-		//lint:allow floateq: FTRL's proximal step produces exact zeros; that is what sparsity counts
-		if v == 0 {
-			zero++
-		}
-	}
-	return float64(zero) / float64(len(w))
-}

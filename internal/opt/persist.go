@@ -1,9 +1,7 @@
 package opt
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 
 	"cdml/internal/flat"
 )
@@ -13,8 +11,7 @@ import (
 // Clone). All per-coordinate state vectors are persisted; the paper's warm
 // starting explicitly carries "learning rate adaptation parameters (e.g.
 // the average of past gradients used in Adadelta, Adam, and Rmsprop)"
-// across trainings (§5.2). Both readers — the flat one below and the v1 gob
-// reader in persist_v1.go — fill one of these and hand it to build.
+// across trainings (§5.2).
 type snapshot struct {
 	Kind string
 
@@ -173,45 +170,4 @@ func (s *snapshot) build(dim int) (Optimizer, error) {
 	default: // "ftrl": layout knows no other kind
 		return &FTRL{Alpha: s.Alpha, Beta: s.BetaF, L1: s.L1, L2: s.L2, z: s.V1, n: s.V2, t: s.T}, nil
 	}
-}
-
-// Save writes o's section to w: a stream that holds one optimizer and
-// nothing else.
-func Save(w io.Writer, o Optimizer) error {
-	b, err := Encode(o)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(b); err != nil {
-		return fmt.Errorf("opt: writing %s: %w", o.Name(), err)
-	}
-	return nil
-}
-
-// Load reads r to its end and decodes the one optimizer Save wrote there: the
-// stream holds one optimizer and nothing else. Its slots are taken at the
-// length they were saved with; a deployment, which knows its model, uses
-// DecodeSection. A section carries no tag of its own, so a stream that is not
-// a flat section is tried as what Save wrote before the flat format, one gob
-// stream (LoadV1): optimizer files of older releases still load.
-func Load(r io.Reader) (Optimizer, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("opt: reading: %w", err)
-	}
-	fr := flat.NewReader(b)
-	// A coordinate costs at least a bit, so the input's own length bounds
-	// what it may ask for.
-	s, err := decode(fr, 8*len(b))
-	if err == nil {
-		if err = fr.Close(); err == nil {
-			return s.build(len(s.V1))
-		}
-		err = fmt.Errorf("opt: decoding: %w", err)
-	}
-	v1 := bytes.NewReader(b)
-	if s, v1err := decodeV1(v1); v1err == nil && v1.Len() == 0 {
-		return s.build(len(s.V1))
-	}
-	return nil, err
 }

@@ -2,9 +2,7 @@ package opt
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
-	"os"
 	"testing"
 
 	"cdml/internal/flat"
@@ -138,100 +136,6 @@ func TestDecodeSectionRefusesMalformedInput(t *testing.T) {
 	} {
 		if _, err := DecodeSection(flat.NewReader(b), 4); err != nil {
 			t.Errorf("%s: %v", name, err)
-		}
-	}
-	if _, err := Load(bytes.NewReader(append(section("sgd", 2, 3), 0))); err == nil {
-		t.Error("Load accepted a trailing byte")
-	}
-}
-
-// The v1 reader decodes the gob stream servers before the flat format wrote
-// into the same optimizer, slot for slot, as the flat section of that state,
-// through the same validation.
-func TestLoadV1MatchesFlat(t *testing.T) {
-	const dim = 6
-	for _, stepped := range []bool{false, true} {
-		for _, o := range everyKind() {
-			if stepped {
-				w := make([]float64, dim)
-				for i := 0; i < 3; i++ {
-					o.Step(w, linalg.NewSparse(dim, []int32{0, 3}, []float64{1, -1}))
-				}
-			}
-			s, err := snapshotOf(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(s); err != nil { // what opt.Save did
-				t.Fatal(err)
-			}
-			buf.WriteString("next section")
-			got, err := LoadV1(&buf, dim)
-			if err != nil {
-				t.Fatalf("%s: %v", o.Name(), err)
-			}
-			if buf.String() != "next section" {
-				t.Fatalf("%s: the v1 reader read past its stream, %q left", o.Name(), buf.String())
-			}
-			if !bytes.Equal(encodeOf(t, got), encodeOf(t, o)) {
-				t.Fatalf("%s (stepped=%v): v1 and flat decode to different optimizers", o.Name(), stepped)
-			}
-		}
-	}
-	// What would panic at the next Step is refused at the door.
-	for name, s := range map[string]snapshot{
-		"slot of another dimension": {Kind: "adam", V1: make([]float64, 3), V2: make([]float64, 3)},
-		"half-allocated":            {Kind: "adam", V1: []float64{1, 2, 3, 4, 5, 6}},
-		"unknown kind":              {Kind: "lion"},
-	} {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadV1(&buf, dim); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
-// testdata/adam-v1.opt was written by Save before the flat format (Adam
-// after five sparse steps over 7 weights): Load still reads it, slot for
-// slot, and what Save writes from then on is the flat section. A damaged
-// stream of either format is refused.
-func TestLoadReadsAnOlderReleasesOptimizer(t *testing.T) {
-	v1, err := os.ReadFile("testdata/adam-v1.opt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := Load(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The state the file was written from, rebuilt here.
-	want := NewAdam(0.05)
-	w := make([]float64, 7)
-	for i := 0; i < 5; i++ {
-		want.Step(w, linalg.NewSparse(7, []int32{int32(i % 3), 4, 6}, []float64{0.5 * float64(i+1), -1.25, 0.125}))
-	}
-	if !bytes.Equal(encodeOf(t, o), encodeOf(t, want)) {
-		t.Fatalf("loaded %+v, want %+v", o, want)
-	}
-	var buf bytes.Buffer
-	if err := Save(&buf, o); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), encodeOf(t, want)) {
-		t.Fatal("what Save writes after loading a v1 optimizer is not the flat section")
-	}
-	for name, b := range map[string][]byte{
-		"torn v1":          v1[:len(v1)-3],
-		"v1 and more":      append(append([]byte(nil), v1...), v1...),
-		"torn flat":        buf.Bytes()[:buf.Len()-3],
-		"neither encoding": []byte("not an optimizer"),
-	} {
-		if _, err := Load(bytes.NewReader(b)); err == nil {
-			t.Errorf("%s: accepted", name)
 		}
 	}
 }

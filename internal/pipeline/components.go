@@ -183,13 +183,6 @@ func (s *StandardScaler) Transform(f *data.Frame) (*data.Frame, error) {
 	return g, nil
 }
 
-// Mean exposes the running mean of a scaled column (for tests and
-// diagnostics).
-func (s *StandardScaler) Mean(col string) float64 { return s.moments[col].Mean() }
-
-// Std exposes the running standard deviation of a scaled column.
-func (s *StandardScaler) Std(col string) float64 { return s.moments[col].Std() }
-
 // MinMaxScaler rescales float columns to [0, 1] using incrementally
 // maintained minima and maxima.
 type MinMaxScaler struct {
@@ -326,9 +319,6 @@ func (o *OneHotEncoder) Transform(f *data.Frame) (*data.Frame, error) {
 	}
 	return f.ShallowCopy().SetVec(o.Out, out), nil
 }
-
-// Cardinality exposes the number of distinct categories observed.
-func (o *OneHotEncoder) Cardinality() int { return o.domain.Cardinality() }
 
 // FeatureHasher hashes string tokens and numeric columns into a fixed-size
 // sparse feature vector (the hashing trick). It is stateless: the hash
@@ -681,14 +671,4 @@ func (a *Assembler) Transform(f *data.Frame) (*data.Frame, error) {
 		out[i] = b.EndRow()
 	}
 	return f.ShallowCopy().SetVec(a.Out, out), nil
-}
-
-// OutputDim returns the assembled dimensionality given the per-column vector
-// dimensions; callers size their models with it.
-func (a *Assembler) OutputDim(vecDims map[string]int) int {
-	d := len(a.FloatCols)
-	for _, c := range a.VecCols {
-		d += vecDims[c]
-	}
-	return d
 }

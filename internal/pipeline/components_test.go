@@ -74,8 +74,8 @@ func TestStandardScaler(t *testing.T) {
 	if math.Abs(got[0]+1.5) > 1e-9 { // (2-5)/2
 		t.Fatalf("scaled[0] = %v, want -1.5", got[0])
 	}
-	if s.Mean("x") != 5 || math.Abs(s.Std("x")-2) > 1e-12 {
-		t.Fatalf("stats: mean=%v std=%v", s.Mean("x"), s.Std("x"))
+	if s.moments["x"].Mean() != 5 || math.Abs(s.moments["x"].Std()-2) > 1e-12 {
+		t.Fatalf("stats: mean=%v std=%v", s.moments["x"].Mean(), s.moments["x"].Std())
 	}
 }
 
@@ -94,8 +94,8 @@ func TestStandardScalerZeroVariance(t *testing.T) {
 func TestStandardScalerSkipsMissing(t *testing.T) {
 	s := NewStandardScaler([]string{"x"})
 	_ = s.Update(floatFrame(1, 3, data.Missing))
-	if s.Mean("x") != 2 {
-		t.Fatalf("missing values contaminated mean: %v", s.Mean("x"))
+	if s.moments["x"].Mean() != 2 {
+		t.Fatalf("missing values contaminated mean: %v", s.moments["x"].Mean())
 	}
 }
 
@@ -134,8 +134,8 @@ func TestOneHotEncoder(t *testing.T) {
 	if vs[0].At(0) != 1 || vs[1].At(1) != 1 || vs[2].At(0) != 1 {
 		t.Fatalf("one-hot positions wrong: %v %v %v", vs[0], vs[1], vs[2])
 	}
-	if o.Cardinality() != 2 {
-		t.Fatalf("cardinality = %d", o.Cardinality())
+	if o.domain.Cardinality() != 2 {
+		t.Fatalf("cardinality = %d", o.domain.Cardinality())
 	}
 }
 
@@ -350,12 +350,5 @@ func TestAssemblerVaryingDimErrors(t *testing.T) {
 	f.SetVec("v", []linalg.Vector{linalg.Dense{1}, linalg.Dense{1, 2}})
 	if _, err := a.Transform(f); err == nil {
 		t.Fatal("expected error on varying vector dims")
-	}
-}
-
-func TestAssemblerOutputDim(t *testing.T) {
-	a := NewAssembler([]string{"a", "b"}, []string{"v"}, "features")
-	if got := a.OutputDim(map[string]int{"v": 10}); got != 12 {
-		t.Fatalf("OutputDim = %d", got)
 	}
 }

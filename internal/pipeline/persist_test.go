@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"math/rand"
 	"strings"
@@ -10,7 +9,6 @@ import (
 
 	"cdml/internal/data"
 	"cdml/internal/flat"
-	"cdml/internal/stats"
 )
 
 // trainedPipeline is a pipeline holding every bundled Persistent component,
@@ -20,7 +18,7 @@ func trainedPipeline(t *testing.T, seed int64) *Pipeline {
 	p := everyPersistent()
 	r := rand.New(rand.NewSource(seed))
 	for b := 0; b < 3; b++ {
-		if _, err := p.UpdateTransform(randomFrame(r, 12)); err != nil {
+		if _, err := p.updateTransform(randomFrame(r, 12)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,132 +43,6 @@ func loadState(p *Pipeline, state []byte) error {
 		return err
 	}
 	return r.Close()
-}
-
-// The v1 writers are gone from stats and from this package; the v1 reader's
-// test keeps them. welfordV1 and categoricalV1 encode a statistic the way
-// its GobEncode method did: a nested gob stream of the wire struct.
-type welfordV1 struct{ w *stats.Welford }
-
-func (e welfordV1) GobEncode() ([]byte, error) {
-	r := flat.NewReader(e.w.AppendState(nil))
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(struct {
-		N        int64
-		Mean, M2 float64
-	}{int64(r.Uint64()), r.Float64(), r.Float64()})
-	return buf.Bytes(), err
-}
-
-type categoricalV1 struct{ c *stats.Categorical }
-
-func (e categoricalV1) GobEncode() ([]byte, error) {
-	wire := struct {
-		Order  []string
-		Counts []int64
-		Total  int64
-	}{Order: e.c.Values(), Total: e.c.Total()}
-	for _, v := range wire.Order {
-		wire.Counts = append(wire.Counts, e.c.Count(v))
-	}
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(wire)
-	return buf.Bytes(), err
-}
-
-func momentsV1(m map[string]*stats.Welford) map[string]welfordV1 {
-	out := make(map[string]welfordV1, len(m))
-	for k, w := range m {
-		out[k] = welfordV1{w}
-	}
-	return out
-}
-
-// saveStateV1 writes the pipeline section the way servers before the flat
-// format did: one gob stream per stateful component over its statistics
-// maps.
-func saveStateV1(t *testing.T, p *Pipeline) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	for _, c := range p.Components {
-		enc := gob.NewEncoder(&buf)
-		var vals []any
-		switch c := c.(type) {
-		case *Imputer:
-			modes := make(map[string]categoricalV1, len(c.modes))
-			for k, m := range c.modes {
-				modes[k] = categoricalV1{m}
-			}
-			vals = []any{momentsV1(c.means), modes}
-		case *StandardScaler:
-			vals = []any{momentsV1(c.moments)}
-		case *MinMaxScaler:
-			vals = []any{c.min, c.max}
-		case *OneHotEncoder:
-			vals = []any{categoricalV1{c.domain}}
-		case *StdClipper:
-			vals = []any{momentsV1(c.moments)}
-		}
-		for _, v := range vals {
-			if err := enc.Encode(v); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return buf.Bytes()
-}
-
-// A v1 pipeline section restores to the same statistics as the flat section
-// of the same state, statistic for statistic: the restored pipelines encode
-// to equal bytes and transform alike.
-func TestLoadStateV1MatchesFlat(t *testing.T) {
-	p := trainedPipeline(t, 3)
-	want, err := p.AppendState(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromV1 := everyPersistent()
-	r := bytes.NewReader(saveStateV1(t, p))
-	if err := fromV1.LoadStateV1(r); err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 0 {
-		t.Fatalf("v1 reader left %d bytes", r.Len())
-	}
-	got, err := fromV1.AppendState(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("state restored from the v1 section encodes differently from the state it was written from")
-	}
-	query := randomFrame(rand.New(rand.NewSource(9)), 8)
-	a, err := p.Transform(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := fromV1.Transform(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snapshotFrame(a) != snapshotFrame(b) {
-		t.Fatal("pipeline restored from the v1 section transforms differently")
-	}
-
-	// A v1 section of another column configuration is refused, not loaded
-	// into maps the components would dereference a missing column of.
-	other := everyPersistent()
-	other.Components[1] = NewStandardScaler([]string{"y"})
-	if err := other.LoadStateV1(bytes.NewReader(saveStateV1(t, p))); err == nil || !strings.Contains(err.Error(), "standard-scaler") {
-		t.Fatalf("v1 state of column x into a scaler of column y: %v", err)
-	}
-	if err := everyPersistent().LoadStateV1(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Fatal("garbage accepted as a v1 section")
-	}
-	custom := &Pipeline{Components: []Component{statefulStub{}}}
-	if err := custom.LoadStateV1(bytes.NewReader(nil)); err == nil || !strings.Contains(err.Error(), "no v1 checkpoint reader") {
-		t.Fatalf("a component that never wrote v1 state: %v", err)
-	}
 }
 
 // statefulStub is a caller's own Persistent component: its state is opaque

@@ -74,7 +74,7 @@ func New(p Parser, comps ...Component) *Pipeline {
 
 // Snapshot returns a transform-only copy of the pipeline whose ProcessServe
 // and Transform paths are safe to run concurrently with further
-// UpdateTransform calls on the receiver. Stateless components are shared;
+// updateTransform calls on the receiver. Stateless components are shared;
 // stateful components contribute a deep copy of their statistics (see
 // Component.Snapshot). The Parser is shared: parsers are stateless by
 // convention (Parse builds a fresh frame per call), which keeps Snapshot
@@ -99,10 +99,10 @@ func (p *Pipeline) Transform(f *data.Frame) (*data.Frame, error) {
 	return f, nil
 }
 
-// UpdateTransform runs the online path over a parsed frame: every component
+// updateTransform runs the online path over a parsed frame: every component
 // first updates its statistics from its input, then transforms it for the
 // next component.
-func (p *Pipeline) UpdateTransform(f *data.Frame) (*data.Frame, error) {
+func (p *Pipeline) updateTransform(f *data.Frame) (*data.Frame, error) {
 	var err error
 	for _, c := range p.Components {
 		if err = c.Update(f); err != nil {
@@ -122,7 +122,7 @@ func (p *Pipeline) ProcessOnline(records [][]byte) ([]data.Instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: parser %s: %w", p.Parser.Name(), err)
 	}
-	f, err = p.UpdateTransform(f)
+	f, err = p.updateTransform(f)
 	if err != nil {
 		return nil, err
 	}
@@ -159,16 +159,4 @@ func (p *Pipeline) Instances(f *data.Frame) ([]data.Instance, error) {
 		out[i] = data.Instance{X: xs[i], Y: ys[i]}
 	}
 	return out, nil
-}
-
-// StatefulCount returns how many components carry statistics; the
-// NoOptimization baseline recomputes these on every sample.
-func (p *Pipeline) StatefulCount() int {
-	n := 0
-	for _, c := range p.Components {
-		if !c.Stateless() {
-			n++
-		}
-	}
-	return n
 }

@@ -74,11 +74,11 @@ func TestProcessServeDoesNotUpdateStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	scaler := p.Components[0].(*StandardScaler)
-	before := scaler.Mean("x")
+	before := scaler.moments["x"].Mean()
 	if _, err := p.ProcessServe(recs("1,100", "1,100")); err != nil {
 		t.Fatal(err)
 	}
-	if scaler.Mean("x") != before {
+	if scaler.moments["x"].Mean() != before {
 		t.Fatal("serve path updated statistics")
 	}
 }
@@ -152,13 +152,6 @@ func TestComponentErrorsPropagate(t *testing.T) {
 	p2 := New(csvParser{}, failingComponent{onUpdate: false})
 	if _, err := p2.ProcessServe(recs("1,2")); err == nil {
 		t.Fatal("transform error swallowed")
-	}
-}
-
-func TestStatefulCount(t *testing.T) {
-	p := testPipeline() // scaler (stateful) + assembler (stateless)
-	if got := p.StatefulCount(); got != 1 {
-		t.Fatalf("StatefulCount = %d, want 1", got)
 	}
 }
 

@@ -104,7 +104,7 @@ func TestQuickPipelinePurity(t *testing.T) {
 		// Train statistics on some batches.
 		for b := 0; b < 3; b++ {
 			train := randomFrame(r, 1+r.Intn(20))
-			if _, err := p.UpdateTransform(train); err != nil {
+			if _, err := p.updateTransform(train); err != nil {
 				return false
 			}
 		}
@@ -158,7 +158,7 @@ func TestQuickPipelineCheckpointRoundTrip(t *testing.T) {
 		comps := randomComponents(r)
 		p := &Pipeline{Components: comps, FeatureCol: "features", LabelCol: "label"}
 		for b := 0; b < 3; b++ {
-			if _, err := p.UpdateTransform(randomFrame(r, 10)); err != nil {
+			if _, err := p.updateTransform(randomFrame(r, 10)); err != nil {
 				return false
 			}
 		}

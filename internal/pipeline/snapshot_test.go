@@ -129,10 +129,10 @@ func TestSnapshotDeepCopiesCategoricalState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := snap.Cardinality(); got != 2 {
+	if got := snap.domain.Cardinality(); got != 2 {
 		t.Fatalf("snapshot cardinality = %d, want 2 (receiver's later categories leaked in)", got)
 	}
-	if got := enc.Cardinality(); got != 5 {
+	if got := enc.domain.Cardinality(); got != 5 {
 		t.Fatalf("receiver cardinality = %d, want 5", got)
 	}
 	// The snapshot encodes known values and zero-encodes unseen ones.

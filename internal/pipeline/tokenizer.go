@@ -42,8 +42,8 @@ func isAlnum(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= '0' && c <= '9'
 }
 
-// Tokenize converts one raw string into the token list.
-func (t *Tokenizer) Tokenize(s string) []string {
+// tokenize converts one raw string into the token list.
+func (t *Tokenizer) tokenize(s string) []string {
 	s = strings.ToLower(s)
 	minLen := t.MinTokenLen
 	if minLen < 1 {
@@ -85,7 +85,7 @@ func (t *Tokenizer) Transform(f *data.Frame) (*data.Frame, error) {
 	src := f.String(t.Col)
 	out := make([]string, len(src))
 	for i, s := range src {
-		out[i] = strings.Join(t.Tokenize(s), " ")
+		out[i] = strings.Join(t.tokenize(s), " ")
 	}
 	return f.ShallowCopy().SetString(t.Out, out), nil
 }

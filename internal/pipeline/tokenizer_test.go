@@ -9,7 +9,7 @@ import (
 
 func TestTokenizerBasics(t *testing.T) {
 	tok := NewTokenizer("raw", "tokens")
-	got := tok.Tokenize("HTTP://Login.Example.com/path?id=42")
+	got := tok.tokenize("HTTP://Login.Example.com/path?id=42")
 	want := []string{"http", "login", "example", "com", "path", "id", "42"}
 	if len(got) != len(want) {
 		t.Fatalf("tokens = %v, want %v", got, want)
@@ -24,7 +24,7 @@ func TestTokenizerBasics(t *testing.T) {
 func TestTokenizerMinLen(t *testing.T) {
 	tok := NewTokenizer("raw", "tokens")
 	tok.MinTokenLen = 3
-	got := tok.Tokenize("a bb ccc dddd")
+	got := tok.tokenize("a bb ccc dddd")
 	if len(got) != 2 || got[0] != "ccc" || got[1] != "dddd" {
 		t.Fatalf("tokens = %v", got)
 	}
@@ -33,24 +33,24 @@ func TestTokenizerMinLen(t *testing.T) {
 func TestTokenizerNGrams(t *testing.T) {
 	tok := NewTokenizer("raw", "tokens")
 	tok.NGram = 3
-	got := tok.Tokenize("evil")
+	got := tok.tokenize("evil")
 	// "evil" + its 3-grams "evi", "vil".
 	want := []string{"evil", "evi", "vil"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("tokens = %v, want %v", got, want)
 	}
 	// Tokens not longer than the n-gram size emit no grams.
-	if got := tok.Tokenize("abc"); len(got) != 1 {
+	if got := tok.tokenize("abc"); len(got) != 1 {
 		t.Fatalf("short token grams: %v", got)
 	}
 }
 
 func TestTokenizerEmptyAndPunctuation(t *testing.T) {
 	tok := NewTokenizer("raw", "tokens")
-	if got := tok.Tokenize(""); len(got) != 0 {
+	if got := tok.tokenize(""); len(got) != 0 {
 		t.Fatalf("empty input tokens: %v", got)
 	}
-	if got := tok.Tokenize("...!!!"); len(got) != 0 {
+	if got := tok.tokenize("...!!!"); len(got) != 0 {
 		t.Fatalf("punctuation-only tokens: %v", got)
 	}
 }
@@ -90,7 +90,7 @@ func TestTokenizerFeedsHasher(t *testing.T) {
 		FeatureCol: "features",
 		LabelCol:   "label",
 	}
-	out, err := p.UpdateTransform(f)
+	out, err := p.updateTransform(f)
 	if err != nil {
 		t.Fatal(err)
 	}

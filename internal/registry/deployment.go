@@ -12,12 +12,12 @@ import (
 	"cdml/internal/obs"
 )
 
-// DefaultWindowAlpha is the forgetting factor of the promotion comparison
+// defaultWindowAlpha is the forgetting factor of the promotion comparison
 // windows (an effective window of ~200 observations). Champion and
 // challenger always use the same factor — a fair comparison needs both
 // estimators to forget at the same rate — which is why the Policy carries
 // thresholds but no alpha.
-const DefaultWindowAlpha = 0.995
+const defaultWindowAlpha = 0.995
 
 // window is a mutex-wrapped fading prequential estimator. The core tick
 // path observes into it (under the deployer's writer serialization) while

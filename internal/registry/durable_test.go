@@ -109,7 +109,7 @@ func TestCreateRecoversElseWarmsThenReplays(t *testing.T) {
 			opts := Options{WALRoot: root}
 			if tc.checkpoints {
 				opts.CheckpointRoot = root
-				opts.Checkpoint = core.CheckpointPolicy{EveryTicks: 3}
+				opts.CheckpointEvery = 3
 			}
 
 			r1 := New(opts)
@@ -155,7 +155,7 @@ func TestCreateRecoversElseWarmsThenReplays(t *testing.T) {
 // a restart came back without the fifth.
 func TestWarmupTailSurvivesRestart(t *testing.T) {
 	root := t.TempDir()
-	opts := Options{CheckpointRoot: root, WALRoot: root, Checkpoint: core.CheckpointPolicy{EveryTicks: 4}}
+	opts := Options{CheckpointRoot: root, WALRoot: root, CheckpointEvery: 4}
 	chunks := stream(9, 6)
 	r1 := New(opts)
 	d1, _, err := r1.CreateWarm("m", adamConfig(), Quotas{}, 5, from(chunks))
@@ -213,7 +213,7 @@ func TestCreateFailsOnUnusableCheckpoints(t *testing.T) {
 // that is not one, and reports ErrUnknown when there was nothing to remove.
 func TestDeleteFreesANameStuckOnAPastLifesState(t *testing.T) {
 	ck, wl := t.TempDir(), t.TempDir()
-	opts := Options{CheckpointRoot: ck, WALRoot: wl, Checkpoint: core.CheckpointPolicy{EveryTicks: 1}}
+	opts := Options{CheckpointRoot: ck, WALRoot: wl, CheckpointEvery: 1}
 	r := New(opts)
 	d, err := r.Create("exp", adamConfig(), Quotas{})
 	if err != nil {
@@ -272,7 +272,7 @@ func checkpointVersions(t *testing.T, dir string) []uint64 {
 // default of 8.
 func TestCheckpointCadenceComesFromOptions(t *testing.T) {
 	root := t.TempDir()
-	r := New(Options{CheckpointRoot: root, Checkpoint: core.CheckpointPolicy{EveryTicks: 2, Keep: 10}})
+	r := New(Options{CheckpointRoot: root, CheckpointEvery: 2, CheckpointKeep: 10})
 	d, err := r.Create("m", adamConfig(), Quotas{})
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +303,7 @@ func TestCheckpointCadenceComesFromOptions(t *testing.T) {
 func TestDeleteRemovesNameStateCloseKeepsIt(t *testing.T) {
 	ck, wl, st := t.TempDir(), t.TempDir(), t.TempDir()
 	opts := Options{CheckpointRoot: ck, WALRoot: wl, StoreRoot: st, StoreCache: 4,
-		Checkpoint: core.CheckpointPolicy{EveryTicks: 1}}
+		CheckpointEvery: 1}
 	chunks := stream(5, 3)
 	dirs := []string{filepath.Join(ck, "m"), filepath.Join(wl, "m"), filepath.Join(st, "m")}
 
@@ -441,7 +441,7 @@ func TestChaosKillDuringWarmupRewarms(t *testing.T) {
 	}
 
 	root := t.TempDir()
-	opts := Options{Engine: workers, CheckpointRoot: root, WALRoot: root, Checkpoint: core.CheckpointPolicy{EveryTicks: 8}}
+	opts := Options{Engine: workers, CheckpointRoot: root, WALRoot: root, CheckpointEvery: 8}
 	ckptDir := filepath.Join(root, "m", "ckpt")
 	r1 := New(opts)
 	cfg, _ = proactive()

@@ -14,7 +14,7 @@ import (
 type Policy struct {
 	// MinEvaluated is the number of observations both windows must hold
 	// before a comparison counts (default 200 — roughly one effective
-	// window at DefaultWindowAlpha). Promoting on thin evidence is how
+	// window at defaultWindowAlpha). Promoting on thin evidence is how
 	// canary systems flap.
 	MinEvaluated int64 `json:"min_evaluated"`
 	// Margin is the absolute windowed-loss improvement the challenger must
@@ -29,17 +29,17 @@ type Policy struct {
 
 // Policy defaults.
 const (
-	DefaultMinEvaluated   = 200
-	DefaultMaxShadowTicks = 64
+	defaultMinEvaluated   = 200
+	defaultMaxShadowTicks = 64
 )
 
 // withDefaults fills unset policy fields.
 func (p Policy) withDefaults() Policy {
 	if p.MinEvaluated <= 0 {
-		p.MinEvaluated = DefaultMinEvaluated
+		p.MinEvaluated = defaultMinEvaluated
 	}
 	if p.MaxShadowTicks == 0 {
-		p.MaxShadowTicks = DefaultMaxShadowTicks
+		p.MaxShadowTicks = defaultMaxShadowTicks
 	}
 	return p
 }
@@ -252,15 +252,20 @@ func (d *Deployment) promote(c *challenger) bool {
 }
 
 // retireChallenger removes and shuts down a challenger the policy gave up
-// on. Runs on the controller goroutine.
+// on. Runs on the controller goroutine. When the slot is no longer c's —
+// StopChallenger or close cleared it and is waiting for this goroutine —
+// whoever cleared it shuts the deployer down and counts the retirement.
 func (d *Deployment) retireChallenger(c *challenger) {
 	d.mu.Lock()
-	if d.chal.Load() == c {
+	mine := d.chal.Load() == c
+	if mine {
 		d.chal.Store(nil)
 	}
 	d.mu.Unlock()
-	c.e.dep.Shutdown()
-	d.retirements.Inc()
+	if mine {
+		c.e.dep.Shutdown()
+		d.retirements.Inc()
+	}
 }
 
 // Rollback swaps the previous champion back in (undoing the most recent

@@ -90,11 +90,14 @@ type Options struct {
 	// generation), so both survive a crash mid-promotion. When empty,
 	// deployments checkpoint only if their own config says so.
 	CheckpointRoot string
-	// Checkpoint is the cadence and retention (EveryTicks, Interval, Keep) of
-	// every deployer, champion or challenger, whose config carries no policy
-	// of its own. Only those three fields are read: Dir is the name's
-	// directory under CheckpointRoot, MaxBytes the deployment's quota.
-	Checkpoint core.CheckpointPolicy
+	// CheckpointEvery, CheckpointInterval and CheckpointKeep are the cadence
+	// and retention (core.CheckpointPolicy's EveryTicks, Interval and Keep,
+	// with its defaults) of every deployer, champion or challenger, whose
+	// config carries no policy of its own. The policy's directory is the
+	// name's under CheckpointRoot, its byte budget the deployment's quota.
+	CheckpointEvery    int
+	CheckpointInterval time.Duration
+	CheckpointKeep     int
 	// AutoChallenger, when set, arms the drift→challenger loop on every
 	// created deployment: a drift-detector fire during a live ingest tick
 	// starts a shadow challenger built by Build, governed by Policy, with a
@@ -342,7 +345,7 @@ func (r *Registry) buildEntry(d *Deployment, cfg core.Config, champion bool) (*e
 		obs.L("deployment", d.name),
 		obs.L("gen", strconv.FormatUint(gen, 10)),
 	}
-	win := newWindow(DefaultWindowAlpha)
+	win := newWindow(defaultWindowAlpha)
 	if cfg.Metric != nil {
 		cfg.Metric = &teeMetric{inner: cfg.Metric, win: win}
 	}
@@ -367,7 +370,7 @@ func (r *Registry) buildEntry(d *Deployment, cfg core.Config, champion bool) (*e
 	}
 	ckptDir := ""
 	if r.opts.CheckpointRoot != "" || cfg.AutoCheckpoint != nil {
-		pol := r.opts.Checkpoint
+		pol := core.CheckpointPolicy{EveryTicks: r.opts.CheckpointEvery, Interval: r.opts.CheckpointInterval, Keep: r.opts.CheckpointKeep}
 		if cfg.AutoCheckpoint != nil {
 			pol = *cfg.AutoCheckpoint
 		}

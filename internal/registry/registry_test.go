@@ -468,6 +468,30 @@ func TestChallengerAutoRetires(t *testing.T) {
 	}
 }
 
+// TestStoppedChallengerIsRetiredOnce: StopChallenger clears the slot, shuts
+// the challenger down and counts the retirement; a controller that had
+// already decided to retire the same challenger finds the slot is no longer
+// its own and must not count it again.
+func TestStoppedChallengerIsRetiredOnce(t *testing.T) {
+	r := New(Options{})
+	d, err := r.Create("m", adamConfig(), Quotas{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := d.StartChallenger(frozenConfig(), Policy{MinEvaluated: 1 << 40}); err != nil {
+		t.Fatal(err)
+	}
+	c := d.chal.Load()
+	if err := d.StopChallenger(); err != nil {
+		t.Fatal(err)
+	}
+	d.retireChallenger(c)
+	if n := d.retirements.Value(); n != 1 {
+		t.Fatalf("cdml_challenger_retirements_total = %v for one challenger", n)
+	}
+}
+
 func TestAdoptedDeploymentRejectsChallengers(t *testing.T) {
 	dep, err := core.NewDeployer(adamConfig())
 	if err != nil {

@@ -2,10 +2,10 @@ package sample
 
 import "math"
 
-// Harmonic returns the t-th harmonic number H_t = 1 + 1/2 + ... + 1/t,
+// harmonic returns the t-th harmonic number H_t = 1 + 1/2 + ... + 1/t,
 // computed exactly for small t and by the asymptotic expansion
 // ln t + γ + 1/(2t) − 1/(12t²) beyond 10,000 terms.
-func Harmonic(t int) float64 {
+func harmonic(t int) float64 {
 	if t <= 0 {
 		return 0
 	}
@@ -38,7 +38,7 @@ func MuUniform(N, m int) float64 {
 	if m <= 0 {
 		return 0
 	}
-	return float64(m) * (1 + Harmonic(N) - Harmonic(m)) / float64(N)
+	return float64(m) * (1 + harmonic(N) - harmonic(m)) / float64(N)
 }
 
 // MuWindow returns the theoretical μ for window-based sampling with window
@@ -65,18 +65,5 @@ func MuWindow(N, m, w int) float64 {
 	if w > N {
 		w = N
 	}
-	return float64(m) * (1 + Harmonic(w) - Harmonic(m) + float64(N-w)/float64(w)) / float64(N)
-}
-
-// MuUniformLogApprox is Formula (4) with the paper's ln-based approximation
-// of harmonic numbers, kept for fidelity checks against the paper's own
-// numbers: μ ≈ m(1 + ln N − ln m)/N.
-func MuUniformLogApprox(N, m int) float64 {
-	if N <= 0 || m >= N {
-		return 1
-	}
-	if m <= 0 {
-		return 0
-	}
-	return float64(m) * (1 + math.Log(float64(N)) - math.Log(float64(m))) / float64(N)
+	return float64(m) * (1 + harmonic(w) - harmonic(m) + float64(N-w)/float64(w)) / float64(N)
 }

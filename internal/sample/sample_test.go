@@ -208,13 +208,13 @@ func TestQuickSamplesAreSubsets(t *testing.T) {
 }
 
 func TestHarmonic(t *testing.T) {
-	if Harmonic(0) != 0 {
+	if harmonic(0) != 0 {
 		t.Fatal("H_0 should be 0")
 	}
-	if Harmonic(1) != 1 {
+	if harmonic(1) != 1 {
 		t.Fatal("H_1 should be 1")
 	}
-	if got := Harmonic(4); math.Abs(got-(1+0.5+1.0/3+0.25)) > 1e-12 {
+	if got := harmonic(4); math.Abs(got-(1+0.5+1.0/3+0.25)) > 1e-12 {
 		t.Fatalf("H_4 = %v", got)
 	}
 	// Asymptotic branch must agree with exact summation.
@@ -222,7 +222,7 @@ func TestHarmonic(t *testing.T) {
 	for i := 1; i <= 20000; i++ {
 		exact += 1 / float64(i)
 	}
-	if got := Harmonic(20000); math.Abs(got-exact) > 1e-9 {
+	if got := harmonic(20000); math.Abs(got-exact) > 1e-9 {
 		t.Fatalf("asymptotic H_20000 = %v, exact %v", got, exact)
 	}
 }
@@ -260,19 +260,6 @@ func TestMuEdgeCases(t *testing.T) {
 	}
 	if MuWindow(10, 3, 0) != 1 {
 		t.Fatal("w=0 degenerate should give 1")
-	}
-}
-
-func TestMuLogApproxCloseToExact(t *testing.T) {
-	for _, c := range []struct{ N, m int }{{12000, 2400}, {12000, 7200}, {5000, 1000}} {
-		exact := MuUniform(c.N, c.m)
-		approx := MuUniformLogApprox(c.N, c.m)
-		if math.Abs(exact-approx) > 0.005 {
-			t.Fatalf("N=%d m=%d: exact %v vs approx %v", c.N, c.m, exact, approx)
-		}
-	}
-	if MuUniformLogApprox(10, 0) != 0 || MuUniformLogApprox(0, 1) != 1 {
-		t.Fatal("approx edge cases wrong")
 	}
 }
 

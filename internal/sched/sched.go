@@ -126,7 +126,7 @@ func (d *Dynamic) Due(now time.Time) bool { return !now.Before(d.next) }
 
 // TrainingDone implements Scheduler: applies Formula (6).
 func (d *Dynamic) TrainingDone(now time.Time, dur time.Duration) {
-	d.next = now.Add(d.NextInterval(dur.Seconds()))
+	d.next = now.Add(d.nextInterval(dur.Seconds()))
 }
 
 // ObserveQueries implements Scheduler: updates pl with the batch's average
@@ -164,9 +164,9 @@ func (d *Dynamic) QueryLatency() float64 {
 	return math.Float64frombits(d.latBits.Load())
 }
 
-// NextInterval exposes the Formula (6) computation for a hypothetical
+// nextInterval exposes the Formula (6) computation for a hypothetical
 // training duration, for tests and capacity planning.
-func (d *Dynamic) NextInterval(trainingSeconds float64) time.Duration {
+func (d *Dynamic) nextInterval(trainingSeconds float64) time.Duration {
 	iv := time.Duration(d.Slack * trainingSeconds * d.rate.Value() * d.latency.Value() * float64(time.Second))
 	if iv < d.MinInterval {
 		return d.MinInterval

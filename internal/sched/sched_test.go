@@ -39,7 +39,7 @@ func TestDynamicFormula(t *testing.T) {
 		d.ObserveQueries(now, 1, 50*time.Millisecond)
 	}
 	// T' = S*T*pr*pl = 2 * 4s * 10/s * 0.05s = 4s
-	iv := d.NextInterval(4)
+	iv := d.nextInterval(4)
 	if iv < 3*time.Second || iv > 5*time.Second {
 		t.Fatalf("interval = %v, want ≈4s", iv)
 	}
@@ -55,7 +55,7 @@ func TestDynamicGuaranteesQueryTime(t *testing.T) {
 	}
 	T := 2.0
 	backlog := T * d.rate.Value() * d.latency.Value()
-	if iv := d.NextInterval(T); iv.Seconds() <= backlog {
+	if iv := d.nextInterval(T); iv.Seconds() <= backlog {
 		t.Fatalf("interval %v does not cover backlog %vs", iv, backlog)
 	}
 }
@@ -63,7 +63,7 @@ func TestDynamicGuaranteesQueryTime(t *testing.T) {
 func TestDynamicMinIntervalFloor(t *testing.T) {
 	d := NewDynamic(2, time.Second)
 	// No queries observed → rate and latency are 0 → floor applies.
-	if iv := d.NextInterval(10); iv != time.Second {
+	if iv := d.nextInterval(10); iv != time.Second {
 		t.Fatalf("interval = %v, want floor 1s", iv)
 	}
 }
@@ -108,8 +108,8 @@ func TestDynamicLargerSlackLargerInterval(t *testing.T) {
 		}
 		return d
 	}
-	small := mk(1.2).NextInterval(5)
-	large := mk(3).NextInterval(5)
+	small := mk(1.2).nextInterval(5)
+	large := mk(3).nextInterval(5)
 	if large <= small {
 		t.Fatalf("slack 3 interval %v should exceed slack 1.2 interval %v", large, small)
 	}
@@ -133,7 +133,7 @@ func TestDynamicObserveQueriesBatch(t *testing.T) {
 		d.ObserveQueries(now, 100, 200*time.Millisecond)
 	}
 	// pr ≈ 100 qps, pl ≈ 2ms → T' = 2 * T * 100 * 0.002 = 0.4*T.
-	iv := d.NextInterval(10)
+	iv := d.nextInterval(10)
 	if iv < 3*time.Second || iv > 5*time.Second {
 		t.Fatalf("interval = %v, want ≈4s", iv)
 	}
@@ -142,7 +142,7 @@ func TestDynamicObserveQueriesBatch(t *testing.T) {
 func TestObserveQueriesZeroBatchIgnored(t *testing.T) {
 	d := NewDynamic(2, time.Second)
 	d.ObserveQueries(t0, 0, time.Second)
-	if iv := d.NextInterval(100); iv != time.Second {
+	if iv := d.nextInterval(100); iv != time.Second {
 		t.Fatalf("zero batch changed state: %v", iv)
 	}
 }

@@ -131,8 +131,8 @@ func (s *Server) registerQueueMetrics(name string) {
 		lookup(func(h *depHandle) float64 { return float64(h.q.rejected.Load()) }), ls...)
 }
 
-// ChallengerInfo describes an attached shadow challenger.
-type ChallengerInfo struct {
+// challengerInfo describes an attached shadow challenger.
+type challengerInfo struct {
 	Role      string `json:"role"` // always "challenger"
 	StartedAt string `json:"started_at"`
 	// Ticks counts live chunks shadowed so far; ShadowErrors the ones whose
@@ -171,11 +171,11 @@ type DeploymentInfo struct {
 	// Adopted deployments wrap an externally built deployer and cannot host
 	// challengers.
 	Adopted    bool            `json:"adopted,omitempty"`
-	Challenger *ChallengerInfo `json:"challenger,omitempty"`
+	Challenger *challengerInfo `json:"challenger,omitempty"`
 }
 
-func challengerInfo(st registry.ChallengerStatus) *ChallengerInfo {
-	return &ChallengerInfo{
+func newChallengerInfo(st registry.ChallengerStatus) *challengerInfo {
+	return &challengerInfo{
 		Role:            "challenger",
 		StartedAt:       st.StartedAt.UTC().Format(time.RFC3339Nano),
 		Ticks:           st.Ticks,
@@ -205,19 +205,19 @@ func deploymentInfo(d *registry.Deployment) DeploymentInfo {
 		Adopted:            d.Adopted(),
 	}
 	if st, ok := d.Challenger(); ok {
-		info.Challenger = challengerInfo(st)
+		info.Challenger = newChallengerInfo(st)
 	}
 	return info
 }
 
-// DeploymentList is the GET /v1/deployments payload.
-type DeploymentList struct {
+// deploymentList is the GET /v1/deployments payload.
+type deploymentList struct {
 	Deployments []DeploymentInfo `json:"deployments"`
 }
 
 func handleList(s *Server, _ string, _ *depHandle, w http.ResponseWriter, r *http.Request) {
 	deps := s.registry.List()
-	out := DeploymentList{Deployments: make([]DeploymentInfo, 0, len(deps))}
+	out := deploymentList{Deployments: make([]DeploymentInfo, 0, len(deps))}
 	for _, d := range deps {
 		out.Deployments = append(out.Deployments, deploymentInfo(d))
 	}
@@ -228,9 +228,9 @@ func handleDescribe(s *Server, name string, h *depHandle, w http.ResponseWriter,
 	writeJSON(w, http.StatusOK, deploymentInfo(h.dep))
 }
 
-// CreateDeploymentRequest is the PUT /v1/deployments/{name} body. Spec is
-// opaque to the server and interpreted by the operator's ConfigBuilder.
-type CreateDeploymentRequest struct {
+// createDeploymentRequest is the PUT /v1/deployments/{name} body. Spec is
+// opaque to the server and interpreted by the operator's configBuilder.
+type createDeploymentRequest struct {
 	Spec   json.RawMessage `json:"spec"`
 	Quotas registry.Quotas `json:"quotas"`
 }
@@ -251,13 +251,13 @@ func readJSONBody(r *http.Request, v any) error {
 }
 
 // handleCreate serves PUT /v1/deployments/{name}: builds a config from the
-// request's spec via the ConfigBuilder and registers a new deployment under
+// request's spec via the configBuilder and registers a new deployment under
 // the name. Existing names answer 409 "deployment_exists" — a deployment's
 // pipeline is not mutable in place; deploy a challenger instead.
 func handleCreate(s *Server, name string, h *depHandle, w http.ResponseWriter, r *http.Request) {
 	if s.builder == nil {
 		writeError(w, http.StatusNotImplemented, codeUnsupported,
-			errors.New("serve: deployment creation requires a ConfigBuilder (WithConfigBuilder)"))
+			errors.New("serve: deployment creation requires a config builder (WithConfigBuilder)"))
 		return
 	}
 	if h != nil {
@@ -265,7 +265,7 @@ func handleCreate(s *Server, name string, h *depHandle, w http.ResponseWriter, r
 			fmt.Errorf("serve: deployment %q already exists", name))
 		return
 	}
-	var req CreateDeploymentRequest
+	var req createDeploymentRequest
 	if err := readJSONBody(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err)
 		return
@@ -316,8 +316,8 @@ func handleDelete(s *Server, name string, h *depHandle, w http.ResponseWriter, r
 	writeJSON(w, http.StatusOK, map[string]string{"status": "deleted", "name": name})
 }
 
-// ChallengerRequest is the POST /v1/deployments/{name}/challengers body.
-type ChallengerRequest struct {
+// challengerRequest is the POST /v1/deployments/{name}/challengers body.
+type challengerRequest struct {
 	Spec   json.RawMessage `json:"spec"`
 	Policy registry.Policy `json:"policy"`
 }
@@ -328,10 +328,10 @@ type ChallengerRequest struct {
 func handleChallengerStart(s *Server, name string, h *depHandle, w http.ResponseWriter, r *http.Request) {
 	if s.builder == nil {
 		writeError(w, http.StatusNotImplemented, codeUnsupported,
-			errors.New("serve: challenger creation requires a ConfigBuilder (WithConfigBuilder)"))
+			errors.New("serve: challenger creation requires a config builder (WithConfigBuilder)"))
 		return
 	}
-	var req ChallengerRequest
+	var req challengerRequest
 	if err := readJSONBody(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err)
 		return
@@ -353,7 +353,7 @@ func handleChallengerStart(s *Server, name string, h *depHandle, w http.Response
 		writeJSON(w, http.StatusAccepted, map[string]any{
 			"status":     "shadowing",
 			"name":       name,
-			"challenger": challengerInfo(st),
+			"challenger": newChallengerInfo(st),
 		})
 	}
 }

@@ -70,7 +70,7 @@ func testBuilder(name string, spec json.RawMessage) (core.Config, error) {
 }
 
 // newFleetServer starts a server over an empty registry with the test
-// ConfigBuilder wired in, so deployments are created over HTTP.
+// config builder wired in, so deployments are created over HTTP.
 func newFleetServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	reg := registry.New(registry.Options{Metrics: obs.NewRegistry()})
@@ -121,7 +121,7 @@ func doJSON(t *testing.T, method, url string, body []byte) (int, []byte) {
 
 func errCode(t *testing.T, body []byte) string {
 	t.Helper()
-	var e ErrorBody
+	var e errorBody
 	if err := json.Unmarshal(body, &e); err != nil {
 		t.Fatalf("not an error envelope: %s", body)
 	}
@@ -212,7 +212,7 @@ func TestSingleDeploymentServedAsDefault(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("scoped status: %d %s", code, body)
 	}
-	var st StatusResponse
+	var st statusResponse
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestSingleDeploymentServedAsDefault(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("list: %d %s", code, body)
 	}
-	var list DeploymentList
+	var list deploymentList
 	if err := json.Unmarshal(body, &list); err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestDeploymentLifecycleOverHTTP(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status: %d %s", code, body)
 	}
-	var st StatusResponse
+	var st statusResponse
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestDeploymentLifecycleOverHTTP(t *testing.T) {
 }
 
 // TestManagementRequiresBuilder verifies the management surface degrades to
-// 501 "unsupported" when no ConfigBuilder is wired in (the single-deployment
+// 501 "unsupported" when no config builder is wired in (the single-deployment
 // compat topology).
 func TestManagementRequiresBuilder(t *testing.T) {
 	_, ts := newTestServer(t)
@@ -551,7 +551,7 @@ func TestHTTPPromotionEndToEnd(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("status: %d %s", code, body)
 		}
-		var st StatusResponse
+		var st statusResponse
 		if err := json.Unmarshal(body, &st); err != nil {
 			t.Fatal(err)
 		}
@@ -575,7 +575,7 @@ func TestHTTPPromotionEndToEnd(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status: %d %s", code, body)
 	}
-	var st StatusResponse
+	var st statusResponse
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func wantErrorEnvelope(t *testing.T, resp *http.Response, status int, code strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	var eb ErrorBody
+	var eb errorBody
 	if resp.StatusCode != status || json.Unmarshal(raw, &eb) != nil || eb.Error.Code != code || eb.Error.Message == "" {
 		t.Fatalf("status %d body %q, want %d with an error envelope of code %q", resp.StatusCode, raw, status, code)
 	}

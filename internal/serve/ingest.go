@@ -246,8 +246,8 @@ func (s *Server) DrainIngest(ctx context.Context) error {
 	return nil
 }
 
-// IngestResponse is the 202 payload of the async POST .../ingest endpoint.
-type IngestResponse struct {
+// ingestResponse is the 202 payload of the async POST .../ingest endpoint.
+type ingestResponse struct {
 	// Queued counts the raw records accepted into the ingest queue.
 	Queued int `json:"queued"`
 	// QueueDepth is the number of chunks waiting (including this one).
@@ -309,13 +309,13 @@ func handleIngest(s *Server, name string, h *depHandle, w http.ResponseWriter, r
 		return
 	}
 	h.q.accepted.Add(1)
-	writeJSON(w, http.StatusAccepted, IngestResponse{Queued: len(records), QueueDepth: depth})
+	writeJSON(w, http.StatusAccepted, ingestResponse{Queued: len(records), QueueDepth: depth})
 }
 
-// StatusResponse is the /status payload: the published snapshot's identity
+// statusResponse is the /status payload: the published snapshot's identity
 // and staleness, the async-ingest queue state, and the deployment's
 // champion/challenger posture.
-type StatusResponse struct {
+type statusResponse struct {
 	// Name is the deployment's registered name; Role is always "champion"
 	// (the serving side — the challenger, if any, appears under Challenger).
 	Name string `json:"name"`
@@ -340,10 +340,10 @@ type StatusResponse struct {
 	// POST .../rollback.
 	HasRollback bool `json:"has_rollback"`
 	// Challenger describes the attached shadow challenger, if any.
-	Challenger *ChallengerInfo `json:"challenger,omitempty"`
+	Challenger *challengerInfo `json:"challenger,omitempty"`
 	// Replica describes replica-mode sync state (primary URL, version lag,
 	// last sync); present only on replicas, whose Role is "replica".
-	Replica *ReplicaInfo `json:"replica,omitempty"`
+	Replica *replicaInfo `json:"replica,omitempty"`
 	// IngestQueueDepth / IngestQueueCapacity describe the async queue.
 	IngestQueueDepth    int64 `json:"ingest_queue_depth"`
 	IngestQueueCapacity int   `json:"ingest_queue_capacity"`
@@ -360,7 +360,7 @@ type StatusResponse struct {
 	// tree — where the last tick's time went, stage by stage — so the usual
 	// "why is training slow" question is answerable from /status alone.
 	// Omitted before the first tick.
-	LastTick *TickSummary `json:"last_tick,omitempty"`
+	LastTick *tickSummary `json:"last_tick,omitempty"`
 	// LastCheckpointVersion / LastCheckpointAgeSeconds describe the newest
 	// durable checkpoint of a deployment running with an AutoCheckpoint
 	// policy; both are omitted when checkpointing is off or none has been
@@ -369,11 +369,11 @@ type StatusResponse struct {
 	LastCheckpointAgeSeconds float64 `json:"last_checkpoint_age_seconds,omitempty"`
 	// WAL describes the durable write-ahead ingest log; present only when
 	// the deployment runs one (Config.IngestLog / -wal-dir).
-	WAL *WALInfo `json:"wal,omitempty"`
+	WAL *walInfo `json:"wal,omitempty"`
 }
 
-// WALInfo is the /status view of the write-ahead ingest log.
-type WALInfo struct {
+// walInfo is the /status view of the write-ahead ingest log.
+type walInfo struct {
 	// LastSeq is the highest log sequence number appended so far.
 	LastSeq uint64 `json:"last_seq"`
 	// AppendedTotal / AppliedTotal / AbortedTotal count chunks durably
@@ -392,8 +392,8 @@ type WALInfo struct {
 	Bytes    int64 `json:"bytes"`
 }
 
-// TickSummary is the per-stage breakdown of one recorded deployment tick.
-type TickSummary struct {
+// tickSummary is the per-stage breakdown of one recorded deployment tick.
+type tickSummary struct {
 	// TraceID is the tick's trace id ("" for ticks outside any trace);
 	// feed it to /trace?id= for the full tree.
 	TraceID string `json:"trace_id,omitempty"`
@@ -407,12 +407,12 @@ type TickSummary struct {
 // lastTickSummary summarizes the newest recorded tick span tree, or nil
 // before the first tick. Scanning a few recent spans tolerates tracers
 // shared with non-tick recordings (the checkpoint writer).
-func lastTickSummary(tracer *obs.Tracer) *TickSummary {
+func lastTickSummary(tracer *obs.Tracer) *tickSummary {
 	for _, sp := range tracer.Last(16) {
 		if sp.Name != "tick" {
 			continue
 		}
-		sum := &TickSummary{
+		sum := &tickSummary{
 			TraceID:    sp.TraceID,
 			DurationMS: sp.DurationMS,
 			StagesMS:   make(map[string]float64, len(sp.Children)),
@@ -429,7 +429,7 @@ func handleStatus(s *Server, name string, h *depHandle, w http.ResponseWriter, r
 	dep := h.dep.Serving()
 	snap := dep.Published()
 	loss, n := h.dep.ChampionWindow()
-	resp := StatusResponse{
+	resp := statusResponse{
 		Name:                   h.name,
 		Role:                   "champion",
 		DeploymentVersion:      h.dep.Version(),
@@ -448,11 +448,11 @@ func handleStatus(s *Server, name string, h *depHandle, w http.ResponseWriter, r
 		LastTick:               lastTickSummary(dep.Tracer()),
 	}
 	if st, ok := h.dep.Challenger(); ok {
-		resp.Challenger = challengerInfo(st)
+		resp.Challenger = newChallengerInfo(st)
 	}
 	if h.rep != nil {
 		resp.Role = "replica"
-		resp.Replica = replicaInfo(h)
+		resp.Replica = newReplicaInfo(h)
 	}
 	if msg, ok := h.q.lastErr.Load().(string); ok {
 		resp.IngestLastError = msg
@@ -462,7 +462,7 @@ func handleStatus(s *Server, name string, h *depHandle, w http.ResponseWriter, r
 		resp.LastCheckpointAgeSeconds = time.Since(info.At).Seconds()
 	}
 	if st, ok := dep.WALStats(); ok {
-		resp.WAL = &WALInfo{
+		resp.WAL = &walInfo{
 			LastSeq:            st.LastSeq,
 			AppendedTotal:      st.Appends,
 			AppliedTotal:       st.Applied,

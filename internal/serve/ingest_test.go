@@ -40,7 +40,7 @@ func TestAsyncIngestAcceptsAndDrains(t *testing.T) {
 			body, _ := io.ReadAll(resp.Body)
 			t.Fatalf(".../ingest status %d: %s", resp.StatusCode, body)
 		}
-		var ir IngestResponse
+		var ir ingestResponse
 		if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestAsyncIngestAcceptsAndDrains(t *testing.T) {
 		t.Fatalf("evaluated %d records after drain, want %d", got, chunks*rows)
 	}
 	// The final tick published; .../status reflects the drained state.
-	var st StatusResponse
+	var st statusResponse
 	resp, err := client.Get(ts.URL + "/v1/deployments/default/status")
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestIngestShuttingDownDistinctFromQueueFull(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		t.Fatalf("draining 503 carries Retry-After %q; shutdown is not backpressure", ra)
 	}
-	var eb ErrorBody
+	var eb errorBody
 	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestIngestWALSurfacesOnStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var st StatusResponse
+	var st statusResponse
 	resp, err := client.Get(ts.URL + "/v1/deployments/default/status")
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +325,7 @@ func TestIngestQueueFullBackpressure(t *testing.T) {
 	if secs, err := strconv.Atoi(ra); err != nil || secs < 1 || secs > 60 {
 		t.Fatalf("Retry-After %q, want an integer in [1, 60]", ra)
 	}
-	var eb ErrorBody
+	var eb errorBody
 	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestIngestQueueFullBackpressure(t *testing.T) {
 	}
 
 	// Queue state is visible on .../status while the drainer is stuck.
-	var st StatusResponse
+	var st statusResponse
 	resp, err = client.Get(ts.URL + "/v1/deployments/default/status")
 	if err != nil {
 		t.Fatal(err)
@@ -383,7 +383,7 @@ func TestStatusEndpointFields(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf(".../status status %d", resp.StatusCode)
 	}
-	var st StatusResponse
+	var st statusResponse
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func TestAsyncIngestErrorSurfacesOnStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var st StatusResponse
+	var st statusResponse
 	resp, err := client.Get(ts.URL + "/v1/deployments/default/status")
 	if err != nil {
 		t.Fatal(err)

@@ -243,7 +243,7 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var tr TraceResponse
+	var tr traceResponse
 	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestTraceRingBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var tr TraceResponse
+	var tr traceResponse
 	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
 		t.Fatal(err)
 	}

@@ -179,9 +179,9 @@ func (s *Server) registerReplicaMetrics(name string) {
 		lookup(func(h *depHandle) float64 { return float64(h.rep.syncErrs.Load()) }), ls...)
 }
 
-// ReplicaInfo is the replica-mode section of /status: where the deployment
+// replicaInfo is the replica-mode section of /status: where the deployment
 // syncs from and how stale it is.
-type ReplicaInfo struct {
+type replicaInfo struct {
 	// Primary is the snapshot feed URL this replica polls.
 	Primary string `json:"primary"`
 	// SnapshotVersion is the last primary version swapped in (0 before the
@@ -199,9 +199,9 @@ type ReplicaInfo struct {
 	LastSyncError      string  `json:"last_sync_error,omitempty"`
 }
 
-func replicaInfo(h *depHandle) *ReplicaInfo {
+func newReplicaInfo(h *depHandle) *replicaInfo {
 	rep := h.rep
-	info := &ReplicaInfo{
+	info := &replicaInfo{
 		Primary:            rep.primary,
 		SnapshotVersion:    rep.lastApplied.Load(),
 		PrimaryVersion:     rep.src.KnownVersion(),

@@ -96,7 +96,7 @@ func newReplicaServer(t *testing.T, primaryURL string) (*Server, *httptest.Serve
 	return s, ts
 }
 
-func getStatus(t *testing.T, ts *httptest.Server) StatusResponse {
+func getStatus(t *testing.T, ts *httptest.Server) statusResponse {
 	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + "/v1/deployments/default/status")
 	if err != nil {
@@ -106,7 +106,7 @@ func getStatus(t *testing.T, ts *httptest.Server) StatusResponse {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf(".../status status %d", resp.StatusCode)
 	}
-	var st StatusResponse
+	var st statusResponse
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestReplicaRejectsWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var eb ErrorBody
+		var eb errorBody
 		err = json.NewDecoder(resp.Body).Decode(&eb)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusConflict {
@@ -513,7 +513,7 @@ func TestTrainOverQuota(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("train over quota: status %d, want 429", resp.StatusCode)
 	}
-	var eb ErrorBody
+	var eb errorBody
 	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error.Code != "over_quota" {
 		t.Fatalf("over-quota error code %q, want over_quota", eb.Error.Code)
 	}
@@ -637,7 +637,7 @@ func TestResumeUnavailableIs503(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var eb ErrorBody
+		var eb errorBody
 		derr := json.NewDecoder(resp.Body).Decode(&eb)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusServiceUnavailable || derr != nil || eb.Error.Code != codeResumeUnavailable {
@@ -662,7 +662,7 @@ func TestResumeUnavailableIs503(t *testing.T) {
 	// primary cannot frame: it keeps serving its own state and says why.
 	_, rts := newReplicaServer(t, pts.URL)
 	deadline := time.Now().Add(5 * time.Second)
-	var st StatusResponse
+	var st statusResponse
 	for {
 		st = getStatus(t, rts)
 		if st.Replica != nil && st.Replica.SyncErrors >= 2 || !time.Now().Before(deadline) {
@@ -685,7 +685,7 @@ func TestResumeUnavailableIs503(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var now CheckpointNowResponse
+	var now checkpointNowResponse
 	derr := json.NewDecoder(resp.Body).Decode(&now)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || derr != nil || now.Version != published+1 {

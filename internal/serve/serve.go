@@ -13,7 +13,7 @@
 //	                                              attached
 //	PUT    /v1/deployments/{name}                 create a deployment from a
 //	                                              JSON spec (requires a
-//	                                              ConfigBuilder; 501 otherwise)
+//	                                              config builder; 501 otherwise)
 //	GET    /v1/deployments/{name}                 describe one deployment
 //	DELETE /v1/deployments/{name}                 retire a deployment: stop its
 //	                                              ingest drainer, shut down its
@@ -165,12 +165,12 @@ const requestTraceCapacity = 256
 // deployer under.
 const DefaultDeployment = "default"
 
-// ConfigBuilder turns a client-supplied JSON spec into a deployment config.
+// configBuilder turns a client-supplied JSON spec into a deployment config.
 // The server never interprets specs itself — what a spec may express
 // (workloads, optimizers, data sources) is the operator's policy, supplied
 // via WithConfigBuilder. Without one, PUT /v1/deployments/{name} and the
 // challenger endpoints answer 501 "unsupported".
-type ConfigBuilder func(name string, spec json.RawMessage) (core.Config, error)
+type configBuilder func(name string, spec json.RawMessage) (core.Config, error)
 
 // Server fronts a registry of deployments with HTTP handlers.
 type Server struct {
@@ -182,7 +182,7 @@ type Server struct {
 	// /v1/deployments/{name}/trace?id= searches both.
 	reqTracer *obs.Tracer
 	log       *slog.Logger
-	builder   ConfigBuilder
+	builder   configBuilder
 
 	inFlight   *obs.Gauge
 	reqSeq     atomic.Uint64
@@ -248,7 +248,7 @@ func WithIngestQueue(capacity int) Option {
 // WithConfigBuilder enables the spec-driven management endpoints (PUT
 // /v1/deployments/{name} and POST .../challengers), which build deployment
 // configs through b.
-func WithConfigBuilder(b ConfigBuilder) Option {
+func WithConfigBuilder(b configBuilder) Option {
 	return func(s *Server) { s.builder = b }
 }
 
@@ -543,7 +543,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		buf.Reset()
 		status = http.StatusInternalServerError
 		// Two strings: this cannot fail.
-		_ = json.NewEncoder(&buf).Encode(ErrorBody{Error: ErrorDetail{
+		_ = json.NewEncoder(&buf).Encode(errorBody{Error: errorDetail{
 			Code: codeInternal, Message: "serve: encoding response: " + err.Error(),
 		}})
 	}
@@ -574,22 +574,22 @@ const (
 	codeResumeUnavailable = "resume_unavailable"
 )
 
-// ErrorBody is the uniform JSON error envelope every non-2xx response
+// errorBody is the uniform JSON error envelope every non-2xx response
 // carries: {"error": {"code": ..., "message": ...}}. Code is stable and
 // machine-readable; Message is human-readable and may change between
 // releases.
-type ErrorBody struct {
-	Error ErrorDetail `json:"error"`
+type errorBody struct {
+	Error errorDetail `json:"error"`
 }
 
-// ErrorDetail is the inner object of ErrorBody.
-type ErrorDetail struct {
+// errorDetail is the inner object of errorBody.
+type errorDetail struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
 }
 
 func writeError(w http.ResponseWriter, status int, code string, err error) {
-	writeJSON(w, status, ErrorBody{Error: ErrorDetail{Code: code, Message: err.Error()}})
+	writeJSON(w, status, errorBody{Error: errorDetail{Code: code, Message: err.Error()}})
 }
 
 // writeSnapshotError answers a failed checkpoint/snapshot request: the
@@ -720,8 +720,8 @@ func appendJSONFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// TrainResponse is the /train payload.
-type TrainResponse struct {
+// trainResponse is the /train payload.
+type trainResponse struct {
 	// Ingested counts the raw records accepted into the platform.
 	Ingested int `json:"ingested"`
 	// LatencyMS is the server-side handling time.
@@ -753,14 +753,14 @@ func handleTrain(s *Server, name string, h *depHandle, w http.ResponseWriter, r 
 		writeError(w, http.StatusInternalServerError, codeInternal, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, TrainResponse{
+	writeJSON(w, http.StatusOK, trainResponse{
 		Ingested:  len(records),
 		LatencyMS: float64(time.Since(start).Microseconds()) / 1000,
 	})
 }
 
-// StatsResponse is the /stats payload.
-type StatsResponse struct {
+// statsResponse is the /stats payload.
+type statsResponse struct {
 	Mode            string  `json:"mode"`
 	CumulativeError float64 `json:"cumulative_error"`
 	Evaluated       int64   `json:"evaluated"`
@@ -774,7 +774,7 @@ type StatsResponse struct {
 
 func handleStats(s *Server, name string, h *depHandle, w http.ResponseWriter, r *http.Request) {
 	st := h.dep.Serving().Stats()
-	writeJSON(w, http.StatusOK, StatsResponse{
+	writeJSON(w, http.StatusOK, statsResponse{
 		Mode:            st.Mode.String(),
 		CumulativeError: st.FinalError,
 		Evaluated:       st.Evaluated,
@@ -795,8 +795,8 @@ func handleMetrics(s *Server, _ string, _ *depHandle, w http.ResponseWriter, r *
 	_ = s.reg.WriteText(w)
 }
 
-// TraceResponse is the /trace payload.
-type TraceResponse struct {
+// traceResponse is the /trace payload.
+type traceResponse struct {
 	// ID echoes the ?id= filter when one was given.
 	ID string `json:"id,omitempty"`
 	// Total counts deployment ticks recorded since startup.
@@ -819,7 +819,7 @@ func handleTrace(s *Server, name string, h *depHandle, w http.ResponseWriter, r 
 	if id := r.URL.Query().Get("id"); id != "" {
 		spans := append(tracer.ByID(id), s.reqTracer.ByID(id)...)
 		sort.Slice(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
-		writeJSON(w, http.StatusOK, TraceResponse{
+		writeJSON(w, http.StatusOK, traceResponse{
 			ID:    id,
 			Total: tracer.Total(),
 			Spans: spans,
@@ -835,7 +835,7 @@ func handleTrace(s *Server, name string, h *depHandle, w http.ResponseWriter, r 
 		}
 		n = v
 	}
-	writeJSON(w, http.StatusOK, TraceResponse{
+	writeJSON(w, http.StatusOK, traceResponse{
 		Total: tracer.Total(),
 		Spans: tracer.Last(n),
 	})
@@ -894,8 +894,8 @@ func handleSnapshotGet(s *Server, name string, h *depHandle, w http.ResponseWrit
 	_, _ = w.Write(snapstream.EncodeFrame(f))
 }
 
-// CheckpointNowResponse is the payload of POST .../checkpoint.
-type CheckpointNowResponse struct {
+// checkpointNowResponse is the payload of POST .../checkpoint.
+type checkpointNowResponse struct {
 	// Version is the snapshot version written (v − 1 completed ticks).
 	Version uint64 `json:"version"`
 	// Path is the durable checkpoint file.
@@ -916,7 +916,7 @@ func handleCheckpointNow(s *Server, name string, h *depHandle, w http.ResponseWr
 		writeSnapshotError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, CheckpointNowResponse{Version: info.Version, Path: info.Path})
+	writeJSON(w, http.StatusOK, checkpointNowResponse{Version: info.Version, Path: info.Path})
 }
 
 // handleRestore loads a snapshot produced by /checkpoint into the live

@@ -121,7 +121,7 @@ func TestTrainThenPredict(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf(".../train status %d", resp.StatusCode)
 		}
-		var tr TrainResponse
+		var tr trainResponse
 		if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st StatsResponse
+	var st statsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -363,22 +363,18 @@ func TestCheckpointRestoreOverHTTP(t *testing.T) {
 	}
 }
 
-// TestRestoreV1PayloadOverHTTP: a restore body saved from a server older
-// than the flat payload (DESIGN.md §5n) is still supported input. The raw
-// gob payload of core's committed v1 checkpoint restores to the state it was
-// written from — GET .../checkpoint then answers that state in the current
-// format, which is the committed v2 payload byte for byte — and a damaged
-// body of either format is a 400 that leaves the serving state as it was.
-func TestRestoreV1PayloadOverHTTP(t *testing.T) {
-	payload := func(name string) []byte {
-		t.Helper()
-		f, err := snapstream.ReadFile(filepath.Join("..", "core", "testdata", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f.Payload
+// TestRestoreRefusesUntaggedPayload: a restore body is one snapshot payload
+// (DESIGN.md §5n). Core's committed checkpoint restores to the state it was
+// written from — GET .../checkpoint then answers the fixture's payload byte
+// for byte — and a damaged body, or one that does not open with the payload
+// tag (here the first bytes of a gob stream), is a 400 that names
+// the tag and leaves the serving state as it was.
+func TestRestoreRefusesUntaggedPayload(t *testing.T) {
+	fixture, err := snapstream.ReadFile(filepath.Join("..", "core", "testdata", "ckpt-v2-url.ckpt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	v1, v2 := payload("ckpt-v1-url.ckpt"), payload("ckpt-v2-url.ckpt")
+	v2 := fixture.Payload
 	// The deployment core's fixtures were written from (core.v1Fixture).
 	dep, err := core.NewDeployer(core.Config{
 		Mode:           core.ModeContinuous,
@@ -397,15 +393,15 @@ func TestRestoreV1PayloadOverHTTP(t *testing.T) {
 	}
 	ts := httptest.NewServer(New(dep, WithSlog(nil)))
 	t.Cleanup(ts.Close)
-	restore := func(body []byte) int {
+	restore := func(body []byte) (int, string) {
 		t.Helper()
 		resp, err := ts.Client().Post(ts.URL+"/v1/deployments/default/restore", "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode
+		answer, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(answer)
 	}
 	checkpoint := func() []byte {
 		t.Helper()
@@ -426,32 +422,24 @@ func TestRestoreV1PayloadOverHTTP(t *testing.T) {
 		t.Fatal("setup: a fresh deployment already holds the fixture's state")
 	}
 	for name, body := range map[string][]byte{
-		"a torn v1 body":        v1[:len(v1)/2],
-		"a torn v2 body":        v2[:len(v2)/2],
-		"a v1 body grown":       append(append([]byte(nil), v1...), 0),
-		"a v2 body grown":       append(append([]byte(nil), v2...), 0),
-		"a v2 body, tag broken": append([]byte{'c'}, v2[1:]...),
-		"a v1 body, bit flipped": func() []byte {
-			b := append([]byte(nil), v1...)
-			b[2] ^= 0x10 // inside gob's first type definition
-			return b
-		}(),
+		"a torn body":        v2[:len(v2)/2],
+		"a body grown":       append(append([]byte(nil), v2...), 0),
+		"a body, tag broken": append([]byte{'c'}, v2[1:]...),
+		"a gob stream":       []byte("a\x7f\x03\x01\x01\x08snapshot\x01\xff\x80\x00\x01\x08\x01\x04Kind\x01\x0c\x00"),
 	} {
-		if status := restore(body); status != http.StatusBadRequest {
+		status, answer := restore(body)
+		if status != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", name, status)
+		}
+		if untagged := !bytes.HasPrefix(body, v2[:8]); untagged && !strings.Contains(answer, string(v2[:8])) {
+			t.Fatalf("%s: the refusal does not name the payload tag: %s", name, answer)
 		}
 		if !bytes.Equal(checkpoint(), fresh) {
 			t.Fatalf("%s was refused but changed the serving state", name)
 		}
 	}
-	if status := restore(v1); status != http.StatusOK {
-		t.Fatalf("restoring the v1 payload: status %d", status)
-	}
-	if !bytes.Equal(checkpoint(), v2) {
-		t.Fatal("the state restored from the v1 body is not the state it was written from")
-	}
-	if status := restore(v2); status != http.StatusOK {
-		t.Fatalf("restoring the v2 payload: status %d", status)
+	if status, answer := restore(v2); status != http.StatusOK {
+		t.Fatalf("restoring the committed payload: status %d: %s", status, answer)
 	}
 	if !bytes.Equal(checkpoint(), v2) {
 		t.Fatal("the state restored from the v2 body does not encode to that body")
@@ -496,7 +484,7 @@ func TestRestoreOversizedBodyIs413(t *testing.T) {
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Fatalf("status %d, want 413", resp.StatusCode)
 		}
-		var eb ErrorBody
+		var eb errorBody
 		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
 			t.Fatal(err)
 		}
@@ -601,7 +589,7 @@ func TestErrorEnvelope(t *testing.T) {
 		if resp.StatusCode != c.wantStatus {
 			t.Fatalf("%s: status %d, want %d", c.name, resp.StatusCode, c.wantStatus)
 		}
-		var eb ErrorBody
+		var eb errorBody
 		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
 			t.Fatalf("%s: decoding envelope: %v", c.name, err)
 		}

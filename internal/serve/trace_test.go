@@ -62,7 +62,7 @@ func newTraceTestServer(t *testing.T, ckptDir string, opts ...Option) (*Server, 
 	return s, ts
 }
 
-func getTrace(t *testing.T, ts *httptest.Server, id string) TraceResponse {
+func getTrace(t *testing.T, ts *httptest.Server, id string) traceResponse {
 	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + "/v1/deployments/default/trace?id=" + id)
 	if err != nil {
@@ -72,7 +72,7 @@ func getTrace(t *testing.T, ts *httptest.Server, id string) TraceResponse {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf(".../trace?id= status %d", resp.StatusCode)
 	}
-	var tr TraceResponse
+	var tr traceResponse
 	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestTraceEndToEndAsyncIngest(t *testing.T) {
 
 	// The tick and the checkpoint write happen after the 202: poll until the
 	// request, tick, and checkpoint trees have all been recorded.
-	var tr TraceResponse
+	var tr traceResponse
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		tr = getTrace(t, ts, traceID)
@@ -216,7 +216,7 @@ func TestTraceSyncTrainClientSuppliedID(t *testing.T) {
 
 	// The tick is recorded before the 200; the request span a moment after
 	// the response flushes — poll for both.
-	var tr TraceResponse
+	var tr traceResponse
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		tr = getTrace(t, ts, traceID)
@@ -245,7 +245,7 @@ func TestStatusLastTickBreakdown(t *testing.T) {
 	_, ts := newTraceTestServer(t, "")
 	r := rand.New(rand.NewSource(9))
 
-	getStatus := func() (StatusResponse, map[string]any) {
+	getStatus := func() (statusResponse, map[string]any) {
 		resp, err := ts.Client().Get(ts.URL + "/v1/deployments/default/status")
 		if err != nil {
 			t.Fatal(err)
@@ -255,7 +255,7 @@ func TestStatusLastTickBreakdown(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st StatusResponse
+		var st statusResponse
 		if err := json.Unmarshal(raw, &st); err != nil {
 			t.Fatal(err)
 		}

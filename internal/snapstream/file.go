@@ -50,7 +50,7 @@ func FilePath(dir string, version uint64) string {
 // spans (write, fsync, rename) attach under parent; nil disables tracing
 // (span methods are nil-safe).
 func WriteFile(dir string, f Frame, parent *obs.Span) (FileInfo, error) {
-	parts := [3][]byte{appendHeader(nil, Magic, f), f.Payload, appendTrailer(nil, f)}
+	parts := [3][]byte{appendHeader(nil, ckptMagic, f), f.Payload, appendTrailer(nil, f)}
 	path := FilePath(dir, f.Version)
 	tmp := path + ".tmp"
 	wr := parent.StartChild("write")
@@ -197,7 +197,9 @@ func (s DirSource) newest(since uint64, accept func(Frame) error) (Frame, FileIn
 		}
 		f, err := ReadFile(fi.Path)
 		if err == nil && accept != nil {
-			err = accept(f)
+			if err = accept(f); err != nil {
+				err = fmt.Errorf("snapstream: %s: %w", filepath.Base(fi.Path), err)
+			}
 		}
 		if err != nil {
 			reasons = append(reasons, err.Error())

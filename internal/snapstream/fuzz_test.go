@@ -47,7 +47,7 @@ func sealed(b []byte, magic string) []byte {
 func decodersAgree(t *testing.T, b []byte) (Frame, error) {
 	t.Helper()
 	fr, err := DecodeFrame("fuzz", b)
-	next, rest, nerr := NextFrame(Magic, "fuzz", b)
+	next, rest, nerr := NextFrame(ckptMagic, "fuzz", b)
 	if want := nerr == nil && len(rest) == 0; (err == nil) != want {
 		t.Fatalf("DecodeFrame(%x): %v; NextFrame: %d bytes left, %v", b, err, len(rest), nerr)
 	}
@@ -92,7 +92,7 @@ func TestDecodeFrameIsNextFrameWithNothingLeft(t *testing.T) {
 func FuzzDecodeFrame(f *testing.F) {
 	seedFrames(f)
 	f.Fuzz(func(t *testing.T, in []byte) {
-		for _, b := range [][]byte{in, sealed(in, Magic)} {
+		for _, b := range [][]byte{in, sealed(in, ckptMagic)} {
 			fr, err := decodersAgree(t, b)
 			if err != nil {
 				continue
@@ -110,14 +110,14 @@ func FuzzDecodeFrame(f *testing.F) {
 func FuzzNextFrame(f *testing.F) {
 	seedFrames(f)
 	f.Fuzz(func(t *testing.T, in []byte) {
-		for _, magic := range []string{Magic, walMagic} {
+		for _, magic := range []string{ckptMagic, walMagic} {
 			for _, b := range [][]byte{in, sealed(in, magic)} {
 				fr, rest, err := NextFrame(magic, "fuzz", b)
 				if err != nil {
 					if rest != nil {
 						t.Fatalf("an error came with %d bytes of rest", len(rest))
 					}
-					if len(b) < frameOverhead && !errors.Is(err, ErrTornFrame) && bytes.HasPrefix(b, []byte(magic)) {
+					if len(b) < frameOverhead && !errors.Is(err, errTornFrame) && bytes.HasPrefix(b, []byte(magic)) {
 						t.Fatalf("%d bytes under the right magic cannot hold a frame, yet are not torn: %v", len(b), err)
 					}
 					continue

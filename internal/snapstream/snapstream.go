@@ -31,22 +31,22 @@ import (
 	"hash/crc32"
 )
 
-// Magic is the 8-byte frame preamble shared with the checkpoint files.
-const Magic = "CDMLCKP1"
+// ckptMagic is the 8-byte frame preamble shared with the checkpoint files.
+const ckptMagic = "CDMLCKP1"
 
 // frameOverhead is the fixed byte cost around a payload: magic + version +
 // length header plus the trailing CRC.
-const frameOverhead = len(Magic) + 8 + 8 + 4
+const frameOverhead = len(ckptMagic) + 8 + 8 + 4
 
 // ErrNoFrame reports that a source holds no frame at all — an empty
 // checkpoint directory on a cold start, not a failure.
 var ErrNoFrame = errors.New("snapstream: no frame available")
 
-// ErrTornFrame reports a frame cut short mid-write: the buffer ends before
+// errTornFrame reports a frame cut short mid-write: the buffer ends before
 // the header, payload, or CRC completes. Sequential readers (the ingest
 // log) treat a torn frame at the tail of the active file as the crash
 // point and truncate there; a torn frame anywhere else is corruption.
-var ErrTornFrame = errors.New("snapstream: torn frame")
+var errTornFrame = errors.New("snapstream: torn frame")
 
 // Frame is one versioned, encoded snapshot. The payload is what the snapshot
 // encoder produced; snapstream treats it as opaque bytes.
@@ -103,14 +103,14 @@ func appendTrailer(dst []byte, f Frame) []byte {
 // concatenated frames. It is the one place a frame's magic, length and CRC
 // are checked.
 // The returned payload aliases b. A buffer ending mid-frame reports
-// ErrTornFrame (wrapped, with the byte position); a wrong magic or CRC
+// errTornFrame (wrapped, with the byte position); a wrong magic or CRC
 // mismatch is a plain corruption error. name labels the stream's origin
 // in error messages.
 func NextFrame(magic, name string, b []byte) (Frame, []byte, error) {
 	const headerLen = 24 // magic + version + length
 	if len(b) < headerLen {
 		return Frame{}, nil, fmt.Errorf("snapstream: %s: %w (%d header bytes of %d)",
-			name, ErrTornFrame, len(b), headerLen)
+			name, errTornFrame, len(b), headerLen)
 	}
 	if string(b[:len(magic)]) != magic {
 		return Frame{}, nil, fmt.Errorf("snapstream: %s: bad frame magic %q", name, b[:len(magic)])
@@ -122,7 +122,7 @@ func NextFrame(magic, name string, b []byte) (Frame, []byte, error) {
 	// small number, so it is checked on its own first.
 	if n > uint64(len(b)) || uint64(len(b)) < total {
 		return Frame{}, nil, fmt.Errorf("snapstream: %s: %w (have %d payload bytes, header says %d)",
-			name, ErrTornFrame, len(b)-headerLen, n)
+			name, errTornFrame, len(b)-headerLen, n)
 	}
 	payload := b[headerLen : headerLen+n]
 	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(b[headerLen+n:]); got != want {
@@ -133,7 +133,7 @@ func NextFrame(magic, name string, b []byte) (Frame, []byte, error) {
 
 // EncodeFrame returns the full wire encoding of f.
 func EncodeFrame(f Frame) []byte {
-	return AppendFrameMagic(make([]byte, 0, EncodedLen(f)), Magic, f)
+	return AppendFrameMagic(make([]byte, 0, EncodedLen(f)), ckptMagic, f)
 }
 
 // DecodeFrame validates a buffer that is one wire-encoded frame and nothing
@@ -143,10 +143,10 @@ func EncodeFrame(f Frame) []byte {
 // b. Torn or corrupted frames are reported as errors without any partial
 // result.
 func DecodeFrame(name string, b []byte) (Frame, error) {
-	if len(b) < len(Magic) || string(b[:len(Magic)]) != Magic {
+	if len(b) < len(ckptMagic) || string(b[:len(ckptMagic)]) != ckptMagic {
 		return Frame{}, fmt.Errorf("snapstream: %s: not a checkpoint frame", name)
 	}
-	f, rest, err := NextFrame(Magic, name, b)
+	f, rest, err := NextFrame(ckptMagic, name, b)
 	if err != nil {
 		return Frame{}, err
 	}

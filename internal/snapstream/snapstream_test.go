@@ -39,7 +39,7 @@ func TestDecodeFrameDetectsCorruption(t *testing.T) {
 		{"bad-magic", append([]byte("NOTACKPT"), whole[8:]...), "not a checkpoint"},
 		{"bit-flip", func() []byte {
 			b := bytes.Clone(whole)
-			b[len(Magic)+20] ^= 0x40
+			b[len(ckptMagic)+20] ^= 0x40
 			return b
 		}(), "CRC"},
 		{"empty", nil, "not a checkpoint"},

@@ -1,7 +1,5 @@
 package stats
 
-import "sort"
-
 // Categorical maintains the incrementally updatable hash table behind the
 // one-hot encoder: the set of distinct values seen in a categorical column,
 // each mapped to a stable ordinal assigned in first-seen order, plus
@@ -43,12 +41,6 @@ func (c *Categorical) Ordinal(v string) (int, bool) {
 // Cardinality returns the number of distinct observed values.
 func (c *Categorical) Cardinality() int { return len(c.order) }
 
-// Total returns the number of observations.
-func (c *Categorical) Total() int64 { return c.total }
-
-// Count returns how many times v was observed.
-func (c *Categorical) Count(v string) int64 { return c.counts[v] }
-
 // Values returns the distinct values in first-seen order. The slice is a
 // copy.
 func (c *Categorical) Values() []string {
@@ -88,35 +80,4 @@ func (c *Categorical) Clone() *Categorical {
 		n.counts[k] = v
 	}
 	return n
-}
-
-// Merge folds another categorical statistic into c. Ordinals of values new
-// to c are assigned in the other statistic's first-seen order, keeping the
-// merge deterministic.
-func (c *Categorical) Merge(o *Categorical) {
-	c.total += o.total
-	for _, v := range o.order {
-		c.counts[v] += o.counts[v]
-		if _, ok := c.ordinal[v]; !ok {
-			c.ordinal[v] = len(c.order)
-			c.order = append(c.order, v)
-		}
-	}
-}
-
-// TopK returns up to k values sorted by descending count, ties broken
-// lexicographically.
-func (c *Categorical) TopK(k int) []string {
-	vals := c.Values()
-	sort.Slice(vals, func(a, b int) bool {
-		ca, cb := c.counts[vals[a]], c.counts[vals[b]]
-		if ca != cb {
-			return ca > cb
-		}
-		return vals[a] < vals[b]
-	})
-	if k < len(vals) {
-		vals = vals[:k]
-	}
-	return vals
 }

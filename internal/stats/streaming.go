@@ -30,6 +30,3 @@ func (e *EWMA) Observe(x float64) {
 
 // Value returns the current average, or 0 before any observation.
 func (e *EWMA) Value() float64 { return e.value }
-
-// Initialized reports whether at least one value was observed.
-func (e *EWMA) Initialized() bool { return e.init }

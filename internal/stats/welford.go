@@ -29,58 +29,22 @@ func (w *Welford) Observe(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// ObserveN folds a value observed with integer weight n ≥ 1. It is
-// equivalent to calling Observe(x) n times.
-func (w *Welford) ObserveN(x float64, n int64) {
-	if n <= 0 {
-		return
-	}
-	other := Welford{n: n, mean: x}
-	w.Merge(other)
-}
-
-// Merge folds another Welford statistic into w (Chan et al. parallel
-// variance formula).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	w.m2 += o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += delta * float64(o.n) / float64(n)
-	w.n = n
-}
-
 // Count returns the number of observed values.
 func (w *Welford) Count() int64 { return w.n }
 
 // Mean returns the running mean, or 0 before any observation.
 func (w *Welford) Mean() float64 { return w.mean }
 
-// Var returns the population variance, or 0 with fewer than one observation.
-func (w *Welford) Var() float64 {
+// variance returns the population variance, or 0 with fewer than one observation.
+func (w *Welford) variance() float64 {
 	if w.n < 1 {
 		return 0
 	}
 	return w.m2 / float64(w.n)
 }
 
-// SampleVar returns the sample (Bessel-corrected) variance, or 0 with fewer
-// than two observations.
-func (w *Welford) SampleVar() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
 // Std returns the population standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
+func (w *Welford) Std() float64 { return math.Sqrt(w.variance()) }
 
 // Reset clears the statistic.
 func (w *Welford) Reset() { *w = Welford{} }

@@ -12,7 +12,7 @@ import (
 // frame wraps payload in a CRC-valid log frame: a fuzzer does not guess a
 // CRC, and the payload decoders sit behind it.
 func frame(seq uint64, payload []byte) []byte {
-	return snapstream.AppendFrameMagic(nil, Magic, snapstream.Frame{Version: seq, Payload: payload})
+	return snapstream.AppendFrameMagic(nil, magic, snapstream.Frame{Version: seq, Payload: payload})
 }
 
 // countBomb is a data record that declares 2^32-1 records and holds none.

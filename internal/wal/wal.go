@@ -53,8 +53,8 @@ import (
 	"cdml/internal/snapstream"
 )
 
-// Magic is the 8-byte preamble of every ingest-log frame.
-const Magic = "CDMLWAL1"
+// magic is the 8-byte preamble of every ingest-log frame.
+const magic = "CDMLWAL1"
 
 const (
 	kindData   = 1
@@ -240,7 +240,7 @@ func (l *Log) indexSegment(path string, open bool) error {
 	valid := int64(0)
 	rest := b
 	for len(rest) > 0 {
-		f, next, err := snapstream.NextFrame(Magic, name, rest)
+		f, next, err := snapstream.NextFrame(magic, name, rest)
 		if err != nil {
 			if !open {
 				return fmt.Errorf("wal: sealed segment corrupt: %w", err)
@@ -450,7 +450,7 @@ func (l *Log) Replay(ckptVersion uint64, fn func(seq uint64, records [][]byte) e
 		name := filepath.Base(path)
 		rest := b
 		for len(rest) > 0 {
-			f, next, err := snapstream.NextFrame(Magic, name, rest)
+			f, next, err := snapstream.NextFrame(magic, name, rest)
 			if err != nil {
 				// Open already truncated torn tails; hitting one here means
 				// the file changed or rotted underneath us.
@@ -565,7 +565,7 @@ func (l *Log) activeSegment() *segment {
 //
 //cdml:locked mu
 func (l *Log) writeFrame(f snapstream.Frame) error {
-	b := snapstream.AppendFrameMagic(make([]byte, 0, snapstream.EncodedLen(f)), Magic, f)
+	b := snapstream.AppendFrameMagic(make([]byte, 0, snapstream.EncodedLen(f)), magic, f)
 	if _, err := l.active.Write(b); err != nil {
 		return fmt.Errorf("wal: appending record: %w", err)
 	}
