@@ -92,9 +92,14 @@ chaos:
 # non-test Go files outside benchmark/: lines, code lines (not blank, not a
 # // comment), exported identifiers (top-level funcs, methods on exported
 # receivers, types, vars and consts, grouped declarations included; analyzer
-# fixtures under testdata/ left out), cdml-serve flags, route-table rows, and
-# the files that import encoding/gob (none: the ratchet keeps it so).
+# fixtures under testdata/ left out), cdml-serve flags, route-table rows, the
+# files that import encoding/gob (none: the ratchet keeps it so), and option
+# fields — what a caller can set besides a flag: the exported field lines of
+# core.Config, core.CheckpointPolicy, registry.Options, Quotas, AutoChallenger
+# and Policy, wal.Options and data.RetryPolicy, plus the With* functions of
+# internal/serve and internal/data.
 CENSUS_FILES = find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*'
+OPTION_FILES = find internal/core internal/registry internal/wal internal/data internal/serve -name '*.go' -not -name '*_test.go'
 census:
 	@echo "non-test Go lines:    $$($(CENSUS_FILES) | xargs cat | wc -l)"
 	@echo "code lines:           $$($(CENSUS_FILES) | xargs cat | grep -v '^[[:space:]]*//' | grep -vc '^[[:space:]]*$$')"
@@ -108,6 +113,12 @@ census:
 	@echo "cdml-serve flags:     $$(grep -cE '\b(flag|fs)\.(String|Int|Int64|Bool|Duration|Float64)(Var)?\(' cmd/cdml-serve/main.go)"
 	@echo "route-table rows:     $$(grep -cE '\bs\.(scoped|global)\(' internal/serve/serve.go)"
 	@echo "gob importers:        $$($(CENSUS_FILES) | xargs grep -l '"encoding/gob"' | wc -l)"
+	@echo "option fields:        $$($(OPTION_FILES) | xargs awk '\
+		/^type (Config|CheckpointPolicy|Options|Quotas|AutoChallenger|Policy|RetryPolicy) struct \{$$/ { body = 1; next } \
+		body && /^\}/ { body = 0 } \
+		body && /^\t[A-Z]/ { n++ } \
+		/^func With[A-Z]/ { n++ } \
+		END { print n }')"
 
 # The size ratchet, bench-gate's analogue for lines: CENSUS is `make census`
 # as of the last commit, and every number in it but the first (which counts

@@ -24,9 +24,10 @@
 // a deployment can do never depends on how it was declared. Each shares the
 // engine pool and metric registry under its quotas, recovers its own
 // durable state, and can host a shadow challenger (POST .../challengers)
-// that trains on a tee of the live traffic and is auto-promoted when its
-// windowed error beats the champion's; -auto-challenger starts one when a
-// champion's drift detector fires, debounced by -auto-challenger-cooldown.
+// that trains on the live traffic the champion accepts and is promoted on
+// the tick its recent error beats the champion's; -auto-challenger starts
+// one when a champion's drift detector fires, debounced by
+// -auto-challenger-cooldown.
 //
 // With -replica-of http://primary:8080 the process serves every
 // deployment as a read-only replica: a per-deployment poller fetches
@@ -45,11 +46,13 @@
 // 202 ack (segments roll at -wal-segment-bytes and are reclaimed as
 // checkpoints age past them), and recovery replays the logged chunks the
 // restored checkpoint does not cover — the restarted deployment's state is
-// bit-identical to one that never crashed. -store-dir D keeps chunks in
+// bit-identical to one that never crashed. -store-dir D spills chunks to
 // D/<name>/store behind a retrying backend and an LRU tier of -store-cache
-// feature chunks. DELETE removes a name's directories; stopping the process
-// does not, and a restart comes back on the lineage Create built (a
-// promotion is not durable yet). boot refuses a D that holds a single
+// feature chunks: they survive a tick, not a restart — the store's index is
+// in memory, boot empties the directory, and a recovered deployment's sample
+// history is what it has replayed or ingested since. DELETE removes a name's
+// directories; stopping the process does not, and a restart comes back on
+// the lineage Create built (a promotion is not durable yet). boot refuses a D that holds a single
 // deployment's files itself, the old layout: move D/ckpt-*.ckpt to
 // D/default/ckpt/ and D/wal-*.seg* to D/default/wal/.
 //
@@ -132,7 +135,7 @@ func parseFlags(args []string) options {
 	fs.IntVar(&o.reg.CheckpointKeep, "checkpoint-keep", 3, "checkpoint files retained before pruning the oldest")
 	fs.StringVar(&o.reg.WALRoot, "wal-dir", "", "root for the durable write-ahead ingest logs, <dir>/<name>/wal per deployment: async ingest fsyncs each accepted chunk before acking 202 and recovery replays what the newest checkpoint misses (empty = log off)")
 	fs.Int64Var(&o.reg.WALSegmentBytes, "wal-segment-bytes", wal.DefaultSegmentBytes, "ingest-log segment roll threshold; sealed segments are reclaimed as checkpoints age past them")
-	fs.StringVar(&o.reg.StoreRoot, "store-dir", "", "root for durable chunk storage, <dir>/<name>/store per deployment (tiered LRU cache over retrying disk backend); empty keeps chunks in memory")
+	fs.StringVar(&o.reg.StoreRoot, "store-dir", "", "root for on-disk chunk storage, <dir>/<name>/store per deployment (tiered LRU cache over retrying disk backend), emptied at boot: chunks survive a tick, not a restart; empty keeps chunks in memory")
 	fs.IntVar(&o.reg.StoreCache, "store-cache", 64, "feature chunks held in the in-memory tier of a -store-dir backend")
 	fs.BoolVar(&o.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/ (debugging surface; keep off internet-facing listeners)")
 	fs.DurationVar(&o.runtimeMetrics, "runtime-metrics", 10*time.Second, "sampling period for the cdml_runtime_* metric family (0 disables)")
@@ -434,8 +437,8 @@ func serveUntilSignal(o options, api *serve.Server) error {
 	defer cancel()
 	// Drain order: (1) stop the async-ingest intake and let queued chunks
 	// finish training — the last tick publishes each deployment's final
-	// snapshot; (2) shut every deployment down (promotion controllers,
-	// challengers, checkpoint loops); (3) drain HTTP. Predict is a lock-free
+	// snapshot; (2) shut every deployment down (challengers, checkpoint
+	// loops); (3) drain HTTP. Predict is a lock-free
 	// snapshot read and keeps answering until the listener closes in step 3.
 	if err := api.DrainIngest(shutdownCtx); err != nil {
 		log.Printf("cdml-serve: ingest drain: %v", err)

@@ -311,8 +311,7 @@ func serveLife(t *testing.T, l *life) *httptest.Server {
 }
 
 // TestFlagsDefaultIsAFullDeployment: "default" declared by flags is built by
-// Create like any other, so it has a promotion window and hosts a challenger
-// (an adopted deployer answered 409 and reported zeros).
+// Create like any other, so it reports its recent loss and hosts a challenger.
 func TestFlagsDefaultIsAFullDeployment(t *testing.T) {
 	l := bootLife(t, testOptions(doors[0].args(t)...))
 	srv := serveLife(t, l)
@@ -320,8 +319,8 @@ func TestFlagsDefaultIsAFullDeployment(t *testing.T) {
 	if code := call(t, srv, "GET", "/v1/deployments/default", "", &info); code != http.StatusOK {
 		t.Fatalf("describe: %d", code)
 	}
-	if info.WindowEvaluated == 0 || info.Adopted {
-		t.Fatalf("default after warmup: window_evaluated = %d, adopted = %v", info.WindowEvaluated, info.Adopted)
+	if info.WindowEvaluated == 0 {
+		t.Fatalf("default after warmup: window_evaluated = %d", info.WindowEvaluated)
 	}
 	if code := call(t, srv, "POST", "/v1/deployments/default/challengers",
 		`{"spec": {"workload": "taxi", "optimizer": "adam"}}`, nil); code != http.StatusAccepted {

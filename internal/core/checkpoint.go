@@ -30,9 +30,10 @@ import (
 // captured; ticks are the recovery grain. In the failed-tick window the
 // answer is ErrResumeUnavailable and nothing is written.
 //
-// The chunk store is not part of the checkpoint; it is durable storage
-// with its own lifecycle (point the restored deployment at the same store
-// or a fresh one).
+// The chunk store is not part of the checkpoint, and neither is its index,
+// which lives in memory: a deployment restored in a new process samples from
+// the chunks it has replayed or ingested since, not from the history the
+// checkpointed one had stored.
 func (d *Deployer) Checkpoint(w io.Writer) error {
 	s, err := d.resumePoint()
 	if err != nil {

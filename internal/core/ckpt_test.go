@@ -82,6 +82,43 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecentLossIsNotCheckpointed: the recent loss describes what a process
+// has scored, not the state it resumes from — the payload does not carry it
+// (no byte of the format moved for it), so a deployer that restored a payload
+// or recovered a directory reports it empty.
+func TestRecentLossIsNotCheckpointed(t *testing.T) {
+	dir := t.TempDir()
+	d, err := NewDeployer(liveConfig(ModeOnline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+	ingestChunks(t, d, driftStream{chunks: 10, rows: 20, drift: 2, seed: 5}, 0, 3)
+	if got := d.Stats().RecentCount; got != 60 {
+		t.Fatalf("recent loss has seen %d records after 3 chunks of 20", got)
+	}
+	if _, err := WriteCheckpointFile(dir, d.Current()); err != nil {
+		t.Fatal(err)
+	}
+	for name, load := range map[string]func(*Deployer) error{
+		"restored":  func(d2 *Deployer) error { return d2.RestoreCheckpoint(bytes.NewReader(payloadBytes(t, d))) },
+		"recovered": func(d2 *Deployer) error { _, err := d2.RecoverFromDir(dir); return err },
+	} {
+		d2, err := NewDeployer(liveConfig(ModeOnline))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d2.Shutdown()
+		if err := load(d2); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := d2.Stats(); got.RecentCount != 0 || got.RecentLoss != 0 || d2.Published().Version() < 2 {
+			t.Fatalf("%s deployer at version %d reports recent loss %v over %d records, want none",
+				name, d2.Published().Version(), got.RecentLoss, got.RecentCount)
+		}
+	}
+}
+
 func TestCheckpointFileCorruptionDetected(t *testing.T) {
 	dir := t.TempDir()
 	d, err := NewDeployer(liveConfig(ModeOnline))

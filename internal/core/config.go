@@ -16,7 +16,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -94,12 +93,15 @@ func RegressionPredictor(m model.Model, x linalg.Vector) float64 {
 	return m.Predict(x)
 }
 
-// Threshold mode's two fixed parameters: the fading factor of the
-// recent-error monitor (an effective window of ~200 records) and the minimum
-// number of chunks between threshold-triggered retrainings, which prevents
-// retrain storms while the monitor recovers.
+// recentAlpha is the fading factor of every deployment's recent-loss
+// estimate (an effective window of ~200 records). It is one constant, not a
+// setting: a promotion compares two deployments' recent losses, and the
+// comparison is fair only when both forget at the same rate.
+//
+// retrainCooldown is the minimum number of chunks between threshold-triggered
+// retrainings, which prevents retrain storms while the estimate recovers.
 const (
-	thresholdAlpha  = 0.995
+	recentAlpha     = 0.995
 	retrainCooldown = 10
 )
 
@@ -134,9 +136,9 @@ type Config struct {
 	// (periodical mode only).
 	RetrainEvery int
 	// RetrainThreshold triggers a full retraining when the recent (fading)
-	// per-record loss exceeds this value (threshold mode only). The loss
-	// signal is DriftLoss, faded by thresholdAlpha; retrainings are at least
-	// retrainCooldown chunks apart.
+	// per-record loss — Result.RecentLoss — exceeds this value (threshold mode
+	// only); retrainings are at least retrainCooldown chunks apart and each
+	// starts the recent loss over.
 	RetrainThreshold float64
 	// RetrainEpochs is the number of mini-batch SGD epochs per retraining.
 	RetrainEpochs int
@@ -165,10 +167,10 @@ type Config struct {
 	// whenever a drift is detected — the paper's future-work extension of
 	// native drift alleviation (§7).
 	DriftDetector drift.Detector
-	// DriftLoss maps a (prediction, actual) pair to the loss signal the
-	// detector consumes; it defaults to 0/1 exact mismatch, which suits
-	// classification. Regression deployments should supply a bounded loss
-	// (e.g. clipped absolute error).
+	// DriftLoss maps a (prediction, actual) pair to the per-record loss the
+	// drift detector consumes and Result.RecentLoss fades; it defaults to 0/1
+	// exact mismatch, which suits classification. Regression deployments
+	// should supply a bounded loss (e.g. clipped absolute error).
 	DriftLoss func(pred, actual float64) float64
 	// DriftBoost is the number of SGD iterations a drift-triggered
 	// training performs over the recent chunks (default 3) — one step
@@ -220,17 +222,6 @@ type Config struct {
 	// pruning: segments fully covered by the oldest retained checkpoint are
 	// reclaimed after each checkpoint prune.
 	IngestLog *wal.Options
-	// ShadowTee, when set, receives every successfully ingested live chunk
-	// after its tick has completed and published (Ingest and IngestLogged; the
-	// ticks of a batch — Run, Warm — publish once, at its end, and are not
-	// teed). The deployment registry uses it to mirror live ingest traffic
-	// into a shadow challenger: the hook runs after the writer mutex is
-	// released, so the champion's own training trajectory is bit-identical
-	// with and without a tee attached, and the hook may ingest into another
-	// deployer without any lock nesting. The hook runs synchronously on the
-	// ingest caller's goroutine and must not call back into this deployer's
-	// writer paths.
-	ShadowTee func(ctx context.Context, records [][]byte)
 	// Seed drives the retraining shuffles.
 	Seed int64
 }
@@ -345,6 +336,13 @@ type Result struct {
 	RetrainTotal time.Duration
 	// Evaluated counts prequentially evaluated records.
 	Evaluated int64
+	// RecentLoss is the faded mean (recentAlpha) of DriftLoss over the scored
+	// records, RecentCount how many it has seen: the error level of the model
+	// as it is now, which threshold mode retrains on (and then starts over)
+	// and a promotion policy compares between two deployments. It is not part
+	// of a checkpoint: a restored deployment starts it at zero.
+	RecentLoss  float64
+	RecentCount int64
 	// Chunks counts the ticks that succeeded: the chunks ingested after the
 	// initial training. The curves cannot say: they retain a bounded number of
 	// points.

@@ -43,10 +43,12 @@ type Deployer struct {
 	proactiveCountdown int
 	//cdml:guardedby mu
 	retrainCountdown int
-	// threshold-mode state: the recent-error monitor and the retrain
-	// cooldown counter.
+	// recent is the faded mean of DriftLoss over every scored record; publish
+	// freezes it into Result.RecentLoss / RecentCount.
 	//cdml:guardedby mu
-	thresholdMonitor *eval.Fading
+	recent *eval.Fading
+	// thresholdCooldown counts down to the next chunk a threshold-mode
+	// retraining may start on.
 	//cdml:guardedby mu
 	thresholdCooldown int
 	// obs holds the deployment's instruments (always non-nil); tickSpan is
@@ -125,6 +127,7 @@ func NewDeployer(cfg Config) (*Deployer, error) {
 		rng:                rand.New(rand.NewSource(cfg.Seed)),
 		proactiveCountdown: cfg.ProactiveEvery,
 		retrainCountdown:   cfg.RetrainEvery,
+		recent:             eval.NewFading(recentAlpha),
 	}
 	d.result = &Result{
 		Mode:       cfg.Mode,
@@ -133,9 +136,6 @@ func NewDeployer(cfg Config) (*Deployer, error) {
 		Cost:       d.cost,
 	}
 	d.snapSrc.d = d
-	if cfg.Mode == ModeThreshold {
-		d.thresholdMonitor = eval.NewFading(thresholdAlpha)
-	}
 	d.ctx, d.cancel = context.WithCancel(context.Background())
 	d.obs = newDeployObs(d)
 	// Open the ingest log before the checkpoint loop starts: the loop's
@@ -273,11 +273,11 @@ func (d *Deployer) ingest(records [][]byte) error {
 		}
 	case ModeThreshold:
 		d.thresholdCooldown--
-		retrainDue = d.thresholdCooldown <= 0 && d.thresholdMonitor.Count() > 0 &&
-			d.thresholdMonitor.Value() > d.cfg.RetrainThreshold
+		retrainDue = d.thresholdCooldown <= 0 && d.recent.Count() > 0 &&
+			d.recent.Value() > d.cfg.RetrainThreshold
 		if retrainDue {
 			d.thresholdCooldown = retrainCooldown
-			d.thresholdMonitor.Reset()
+			d.recent.Reset()
 		}
 	}
 	if retrainDue {
@@ -325,13 +325,10 @@ func (d *Deployer) serveAndScore(records [][]byte) error {
 		for _, in := range ins {
 			pred := d.cfg.Predict(d.mdl, in.X)
 			d.cfg.Metric.Observe(pred, in.Y)
-			if d.cfg.DriftDetector != nil {
-				if d.cfg.DriftDetector.Observe(d.cfg.DriftLoss(pred, in.Y)) == drift.StateDrift {
-					d.driftPending = true
-				}
-			}
-			if d.thresholdMonitor != nil {
-				d.thresholdMonitor.ObserveLoss(d.cfg.DriftLoss(pred, in.Y))
+			loss := d.cfg.DriftLoss(pred, in.Y)
+			d.recent.ObserveLoss(loss)
+			if d.cfg.DriftDetector != nil && d.cfg.DriftDetector.Observe(loss) == drift.StateDrift {
+				d.driftPending = true
 			}
 		}
 		return nil

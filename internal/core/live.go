@@ -35,21 +35,10 @@ func (d *Deployer) Ingest(records [][]byte) error {
 // successful tick commits it with the publish version it produced; a failed
 // tick aborts it — failed ticks are surfaced, not retried, and replaying
 // one on recovery would diverge from the uninterrupted run.
-//
-// A successfully ingested chunk is then mirrored to the Config.ShadowTee
-// hook. The hook runs after ingestTick has released d.mu, so it can ingest
-// into another deployer (the shadow challenger) with no lock held on this
-// one — the champion's trajectory is untouched by the tee target's training
-// cost. Failed ticks published nothing and are not teed: a shadow
-// challenger sees exactly the chunk sequence that reached the champion's
-// model.
 func (d *Deployer) IngestLogged(ctx context.Context, records [][]byte, enqueuedAt time.Time, walSeq uint64) error {
 	err := d.ingestTick(ctx, records, enqueuedAt, walSeq)
-	switch {
-	case err != nil:
+	if err != nil {
 		d.AbortIngestLog(walSeq)
-	case d.cfg.ShadowTee != nil:
-		d.cfg.ShadowTee(ctx, records)
 	}
 	return err
 }
@@ -122,9 +111,9 @@ func (d *Deployer) tickBody(ctx context.Context, records [][]byte, enqueuedAt ti
 // until the next successful publish the deployment answers
 // ErrResumeUnavailable like after any failed tick — and Shutdown ends a
 // warm-up between two ticks. The chunks are in no ingest log and reach no
-// shadow tee: warm a deployment before anything reads from it. The returned
-// duration is what the ticks took; the rest of the call was the training
-// goroutine waiting for chunk.
+// shadow challenger: warm a deployment before anything reads from it. The
+// returned duration is what the ticks took; the rest of the call was the
+// training goroutine waiting for chunk.
 func (d *Deployer) Warm(n int, chunk func(i int) [][]byte) (time.Duration, error) {
 	var ticks time.Duration
 	err := engine.StreamCtx(d.ctx, d.cfg.Engine, n, chunk, func(i int, records [][]byte) error {

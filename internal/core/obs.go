@@ -110,8 +110,8 @@ func newDeployObs(d *Deployer) *deployObs {
 		gatherParallelism: reg.Gauge("cdml_gather_parallelism",
 			"Effective parallelism of the most recent sample gather (min of engine workers and sampled chunks).", ls...),
 	}
-	// Bridge the CostClock's per-category accounting into gauges; the clock
-	// keeps its own mutex, paid only at scrape time.
+	// Bridge the CostClock's per-category accounting into gauges, read at
+	// scrape time.
 	for _, cat := range []eval.Category{eval.CatPreprocess, eval.CatTrain, eval.CatPredict, eval.CatIO} {
 		c := cat
 		reg.GaugeFunc("cdml_cost_seconds",
@@ -129,6 +129,15 @@ func newDeployObs(d *Deployer) *deployObs {
 				return 0
 			}
 			return time.Since(s.builtAt).Seconds()
+		}, ls...)
+	reg.GaugeFunc("cdml_recent_loss",
+		"Faded mean of the per-record drift loss over the records scored so far (Result.RecentLoss): the number threshold mode retrains on and a promotion compares.",
+		func() float64 {
+			s := d.snap.Load()
+			if s == nil {
+				return 0
+			}
+			return s.stats.RecentLoss
 		}, ls...)
 	reg.GaugeFunc("cdml_snapshot_version",
 		"Version of the published deployment snapshot (publish sequence number).",

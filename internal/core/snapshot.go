@@ -199,6 +199,7 @@ func (d *Deployer) publish() {
 	st.CostCurve = res.CostCurve.View()
 	st.FinalError = snap.metric
 	st.AvgError = st.ErrorCurve.Mean()
+	st.RecentLoss, st.RecentCount = d.recent.Value(), d.recent.Count()
 	st.MatStats = d.cfg.Store.Stats()
 	snap.stats = st //lint:allow snapfreeze: pre-publication construction — snap is unshared until the Store below
 	if checkpoint {

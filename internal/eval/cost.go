@@ -2,9 +2,7 @@ package eval
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -24,32 +22,27 @@ const (
 )
 
 // CostClock accumulates wall-clock time by category. It is safe for
-// concurrent use, and the four standard categories are lock-free: the
-// serving path charges CatPredict on every query while training charges
-// CatTrain, so sharing a mutex here would reintroduce exactly the
-// reader/writer coupling the snapshot architecture removes. Unknown
-// (caller-defined) categories fall back to a mutex-protected map.
+// concurrent use and lock-free: the serving path charges CatPredict on every
+// query while training charges CatTrain, so sharing a mutex here would
+// reintroduce exactly the reader/writer coupling the snapshot architecture
+// removes. The four categories above are all there are: charging or reading
+// any other is a programming error, and panics.
 //
 // The clock is //cdml:mutable — the one deliberately live object reachable
 // from a published core.Snapshot (Result.Cost): it keeps accumulating after
-// publish, and its internal synchronization (atomics plus mu) is what makes
-// that safe. The marker prunes it from snapfreeze's immutability closure.
+// publish, and being four atomics is what makes that safe. The marker prunes
+// it from snapfreeze's immutability closure.
 //
 //cdml:mutable
 type CostClock struct {
-	// known holds nanoseconds for the standard categories, indexed by
+	// nanos holds the nanoseconds charged to each category, indexed by
 	// catIndex.
-	known [numKnownCats]atomic.Int64
-
-	mu sync.Mutex
-	//cdml:guardedby mu
-	extra map[Category]time.Duration // lazily allocated; non-standard categories only
+	nanos [numCats]atomic.Int64
 }
 
-const numKnownCats = 4
+const numCats = 4
 
-// catIndex maps the standard categories to their fixed atomic slot, or -1
-// for caller-defined categories.
+// catIndex maps a category to its fixed atomic slot.
 //
 //cdml:hotpath
 func catIndex(c Category) int {
@@ -63,7 +56,7 @@ func catIndex(c Category) int {
 	case CatIO:
 		return 3
 	}
-	return -1
+	panic("eval: unknown cost category " + string(c))
 }
 
 // NewCostClock returns an empty clock.
@@ -75,16 +68,7 @@ func NewCostClock() *CostClock {
 //
 //cdml:hotpath
 func (cc *CostClock) Add(c Category, d time.Duration) {
-	if i := catIndex(c); i >= 0 {
-		cc.known[i].Add(int64(d))
-		return
-	}
-	cc.mu.Lock()
-	if cc.extra == nil {
-		cc.extra = make(map[Category]time.Duration)
-	}
-	cc.extra[c] += d
-	cc.mu.Unlock()
+	cc.nanos[catIndex(c)].Add(int64(d))
 }
 
 // Time runs f and charges its duration to category c.
@@ -107,70 +91,36 @@ func (cc *CostClock) TimeErr(c Category, f func() error) error {
 //
 //cdml:hotpath
 func (cc *CostClock) Get(c Category) time.Duration {
-	if i := catIndex(c); i >= 0 {
-		return time.Duration(cc.known[i].Load())
-	}
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return cc.extra[c]
+	return time.Duration(cc.nanos[catIndex(c)].Load())
 }
 
 // Total returns the time charged across all categories — the paper's
 // deployment cost.
 func (cc *CostClock) Total() time.Duration {
 	var t time.Duration
-	for i := range cc.known {
-		t += time.Duration(cc.known[i].Load())
-	}
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	for _, d := range cc.extra {
-		t += d
+	for i := range cc.nanos {
+		t += time.Duration(cc.nanos[i].Load())
 	}
 	return t
 }
 
-// snapshot returns every non-zero category, for Breakdown.
-func (cc *CostClock) snapshot() map[Category]time.Duration {
-	out := make(map[Category]time.Duration)
-	for _, c := range [numKnownCats]Category{CatPreprocess, CatTrain, CatPredict, CatIO} {
-		if d := cc.Get(c); d != 0 {
-			out[c] = d
-		}
-	}
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	for c, d := range cc.extra {
-		if d != 0 {
-			out[c] = d
-		}
-	}
-	return out
-}
-
-// Breakdown returns a stable, human-readable per-category summary.
+// Breakdown returns a stable, human-readable summary of the non-zero
+// categories, in alphabetical order.
 func (cc *CostClock) Breakdown() string {
-	spent := cc.snapshot()
-	cats := make([]string, 0, len(spent))
-	for c := range spent {
-		cats = append(cats, string(c))
-	}
-	sort.Strings(cats)
-	parts := make([]string, 0, len(cats))
-	for _, c := range cats {
-		parts = append(parts, fmt.Sprintf("%s=%v", c, spent[Category(c)].Round(time.Microsecond)))
+	var parts []string
+	for _, c := range [numCats]Category{CatIO, CatPredict, CatPreprocess, CatTrain} {
+		if d := cc.Get(c); d != 0 {
+			parts = append(parts, fmt.Sprintf("%s=%v", c, d.Round(time.Microsecond)))
+		}
 	}
 	return strings.Join(parts, " ")
 }
 
 // Reset clears the clock.
 func (cc *CostClock) Reset() {
-	for i := range cc.known {
-		cc.known[i].Store(0)
+	for i := range cc.nanos {
+		cc.nanos[i].Store(0)
 	}
-	cc.mu.Lock()
-	cc.extra = nil
-	cc.mu.Unlock()
 }
 
 // Series is an (x, y) curve recorded during a deployment run — the raw

@@ -137,6 +137,20 @@ func TestCostClock(t *testing.T) {
 	if cc.Total() != 0 {
 		t.Fatal("reset failed")
 	}
+	// The four categories are all there are.
+	for name, f := range map[string]func(){
+		"Add": func() { cc.Add("gpu", time.Second) },
+		"Get": func() { cc.Get("gpu") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of an unknown category did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 func TestCostClockTime(t *testing.T) {

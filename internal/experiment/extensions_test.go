@@ -7,6 +7,7 @@ import (
 
 	"cdml/internal/core"
 	"cdml/internal/drift"
+	"cdml/internal/eval"
 )
 
 func TestExtDriftDetectorsHelp(t *testing.T) {
@@ -173,5 +174,54 @@ func TestTaxiDriftDetectorCanFire(t *testing.T) {
 	}
 	if res.DriftEvents == 0 {
 		t.Fatal("durations tripled halfway and DDM recorded no drift")
+	}
+}
+
+// pairTap is a metric that hands every scored (prediction, actual) pair on.
+type pairTap struct {
+	eval.Metric
+	each func(pred, actual float64)
+}
+
+func (p pairTap) Observe(pred, actual float64) {
+	p.Metric.Observe(pred, actual)
+	p.each(pred, actual)
+}
+
+// TestRecentLossIsTheFadedDriftLoss: what a deployment publishes as its recent
+// loss — the number threshold mode retrains on and a promotion compares — is,
+// after every tick and to the bit, the faded mean (α 0.995) of the workload
+// row's per-record drift loss: 0/1 mismatch on the URL row, clipped absolute
+// error on the Taxi row.
+func TestRecentLossIsTheFadedDriftLoss(t *testing.T) {
+	for _, w := range []*Workload{URLWorkload(ScaleSmall), TaxiWorkload(ScaleSmall)} {
+		loss := w.DriftLoss
+		if loss == nil {
+			loss = func(pred, actual float64) float64 {
+				//lint:allow floateq: class labels compare exactly
+				if pred != actual {
+					return 1
+				}
+				return 0
+			}
+		}
+		ref := eval.NewFading(0.995)
+		cfg := w.BaseConfig(core.ModeContinuous, 1)
+		cfg.Metric = pairTap{cfg.Metric, func(pred, actual float64) { ref.ObserveLoss(loss(pred, actual)) }}
+		d, err := core.NewDeployer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Shutdown()
+		for i := 0; i < 12; i++ {
+			if err := d.Ingest(w.Stream.Chunk(i)); err != nil {
+				t.Fatal(err)
+			}
+			//lint:allow floateq: the same losses folded in the same order
+			if got := d.Stats(); got.RecentLoss != ref.Value() || got.RecentCount != ref.Count() || ref.Count() == 0 {
+				t.Fatalf("%s after chunk %d: recent loss %v over %d records, the reference %v over %d",
+					w.Name, i, got.RecentLoss, got.RecentCount, ref.Value(), ref.Count())
+			}
+		}
 	}
 }

@@ -8,74 +8,8 @@ import (
 	"time"
 
 	"cdml/internal/core"
-	"cdml/internal/eval"
 	"cdml/internal/obs"
 )
-
-// defaultWindowAlpha is the forgetting factor of the promotion comparison
-// windows (an effective window of ~200 observations). Champion and
-// challenger always use the same factor — a fair comparison needs both
-// estimators to forget at the same rate — which is why the Policy carries
-// thresholds but no alpha.
-const defaultWindowAlpha = 0.995
-
-// window is a mutex-wrapped fading prequential estimator. The core tick
-// path observes into it (under the deployer's writer serialization) while
-// the promotion controller reads it from its own goroutine, so unlike the
-// deployer-private metric it needs its own lock.
-type window struct {
-	mu sync.Mutex
-	f  *eval.Fading //cdml:guardedby mu
-}
-
-func newWindow(alpha float64) *window {
-	return &window{f: eval.NewFading(alpha)}
-}
-
-// Observe folds one (prediction, actual) pair.
-func (w *window) Observe(pred, actual float64) {
-	w.mu.Lock()
-	w.f.Observe(pred, actual)
-	w.mu.Unlock()
-}
-
-// Stats returns the faded loss and the observation count.
-func (w *window) Stats() (loss float64, n int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.f.Value(), w.f.Count()
-}
-
-// Reset clears the window.
-func (w *window) Reset() {
-	w.mu.Lock()
-	w.f.Reset()
-	w.mu.Unlock()
-}
-
-// teeMetric wraps a deployment's prequential metric so every observation
-// also feeds the promotion window. The inner metric's values are untouched
-// — Value/Count/Reset delegate — so wrapping never changes a deployment's
-// training trajectory or reported error.
-type teeMetric struct {
-	inner eval.Metric
-	win   *window
-}
-
-func (t *teeMetric) Name() string { return t.inner.Name() }
-
-func (t *teeMetric) Observe(pred, actual float64) {
-	t.inner.Observe(pred, actual)
-	t.win.Observe(pred, actual)
-}
-
-func (t *teeMetric) Value() float64 { return t.inner.Value() }
-func (t *teeMetric) Count() int64   { return t.inner.Count() }
-
-func (t *teeMetric) Reset() {
-	t.inner.Reset()
-	t.win.Reset()
-}
 
 // entry is one deployer generation: a champion, a previous champion kept
 // for rollback, or a shadow challenger. Entries are immutable after
@@ -83,9 +17,6 @@ func (t *teeMetric) Reset() {
 // Deployment's slots.
 type entry struct {
 	dep *core.Deployer
-	// win is the promotion comparison window (nil on adopted entries, whose
-	// metric the registry never wrapped).
-	win *window
 	// gen is the registry-wide generation, stamped on the entry's metric
 	// labels and, for a challenger, its checkpoint directory.
 	gen uint64
@@ -101,13 +32,12 @@ type entry struct {
 // atomics so the read path (Predict, Serving, status) never takes a lock.
 // d.mu serializes everything that changes which deployer plays which role —
 // ingest ticks, challenger lifecycle, promotion, rollback, and close — so a
-// chunk is always trained into exactly one champion and tee'd against the
-// challenger that shadowed that champion.
+// chunk is always trained into exactly one champion and shadowed by the
+// challenger attached to that champion.
 type Deployment struct {
-	name    string
-	reg     *Registry
-	quotas  Quotas
-	adopted bool
+	name   string
+	reg    *Registry
+	quotas Quotas
 
 	// serving is the champion. Never nil after construction.
 	serving atomic.Pointer[entry]
@@ -166,7 +96,7 @@ func (d *Deployment) initObs() {
 	d.retirements = reg.Counter("cdml_challenger_retirements_total",
 		"Challengers retired without promotion (policy gave up or the deployment closed).", ls...)
 	d.shadowTicks = reg.Counter("cdml_shadow_ticks_total",
-		"Live chunks tee'd into a shadow challenger.", ls...)
+		"Live chunks a shadow challenger was ticked on.", ls...)
 	d.shadowErrs = reg.Counter("cdml_shadow_errors_total",
 		"Shadow challenger ticks that failed (champion unaffected).", ls...)
 	d.autoChallengers = reg.Counter("cdml_auto_challengers_total",
@@ -189,10 +119,6 @@ func (d *Deployment) Name() string { return d.name }
 
 // Quotas returns the deployment's quotas.
 func (d *Deployment) Quotas() Quotas { return d.quotas }
-
-// Adopted reports whether the deployment wraps an externally built deployer
-// (and therefore cannot host challengers).
-func (d *Deployment) Adopted() bool { return d.adopted }
 
 // Version returns the deployment version: 1 at creation, incremented by
 // every promotion and rollback. A reader that predicts across a swap sees
@@ -226,14 +152,15 @@ func (d *Deployment) Ingest(records [][]byte) error {
 }
 
 // IngestLogged feeds one chunk of labeled training data into the champion
-// and — via the champion's shadow tee — into the attached challenger, if
-// any. Ticks are serialized under d.mu together with promotions, so every
-// chunk trains exactly one champion generation and the challenger sees
-// exactly the champion's accepted chunk sequence. enqueuedAt is when the
-// chunk entered an async queue (zero = not queued) and walSeq the sequence
-// AppendIngestLog returned at accept time (0 = not logged); the tick
-// commits or aborts the sequence in the champion's log — see
-// core.Deployer.IngestLogged.
+// and, once that tick has published, into the attached challenger, whose
+// fate is decided on the spot (shadow) — all under d.mu, so every chunk
+// trains exactly one champion generation, the challenger sees exactly the
+// champion's accepted chunk sequence, and a promotion happens at a chunk
+// index that is a function of that sequence. A failed champion tick reaches
+// no challenger. enqueuedAt is when the chunk entered an async queue (zero =
+// not queued) and walSeq the sequence AppendIngestLog returned at accept time
+// (0 = not logged); the tick commits or aborts the sequence in the champion's
+// log — see core.Deployer.IngestLogged.
 func (d *Deployment) IngestLogged(ctx context.Context, records [][]byte, enqueuedAt time.Time, walSeq uint64) error {
 	d.mu.Lock()
 	if d.closed {
@@ -241,7 +168,16 @@ func (d *Deployment) IngestLogged(ctx context.Context, records [][]byte, enqueue
 		return ErrClosed
 	}
 	err := d.serving.Load().dep.IngestLogged(ctx, records, enqueuedAt, walSeq)
+	var displaced *entry
+	if err == nil {
+		displaced = d.shadow(ctx, records)
+	}
 	d.mu.Unlock()
+	// What the verdict put out of every role is shut down by this caller, with
+	// the lock released: Shutdown waits for a checkpoint write in flight.
+	if displaced != nil {
+		displaced.dep.Shutdown()
+	}
 	// The drift check runs outside d.mu: StartChallenger re-acquires it.
 	d.maybeAutoChallenge()
 	return err
@@ -271,10 +207,10 @@ func (d *Deployment) AbortIngestLog(seq uint64) {
 // from a flapping detector (the fire is still recorded as seen, so the
 // next fire after the cooldown starts exactly one challenger), and a
 // deployment already hosting a challenger starts nothing — the drifted
-// data is already flowing into the candidate via the tee.
+// data is already flowing into the candidate.
 func (d *Deployment) maybeAutoChallenge() {
 	ac := d.reg.opts.AutoChallenger
-	if ac == nil || d.adopted {
+	if ac == nil {
 		return
 	}
 	cur := d.serving.Load()
@@ -321,60 +257,13 @@ func (d *Deployment) maybeAutoChallenge() {
 	}
 }
 
-// tee is the shadow-ingest hook, installed as cfg.ShadowTee on every
-// deployer the registry builds with that deployer's generation bound in.
-// It runs on the ingesting goroutine after the champion's tick published
-// (d.mu is held by IngestLogged above, which is what serializes the tee with
-// promotions). Only the current champion's tee forwards: a stale generation
-// — a demoted champion still draining, or the challenger's own hook firing
-// during its shadow tick — returns immediately, which is also what breaks
-// the recursion champion→challenger→(challenger's hook)→stop.
-func (d *Deployment) tee(gen uint64, ctx context.Context, records [][]byte) {
-	cur := d.serving.Load()
-	if cur == nil || cur.gen != gen {
-		return
-	}
-	c := d.chal.Load()
-	if c == nil {
-		return
-	}
-	d.shadowTicks.Inc()
-	if err := c.e.dep.IngestLogged(ctx, records, time.Time{}, 0); err != nil {
-		c.shadowErrs.Add(1)
-		c.lastErr.Store(err)
-		d.shadowErrs.Inc()
-	}
-	c.ticks.Add(1)
-	// Wake the promotion controller; a full notify slot already guarantees
-	// a pending wake-up, so dropping the send loses nothing.
-	select {
-	case c.notify <- struct{}{}:
-	default:
-	}
-}
-
-// ChampionWindow returns the champion's windowed prequential loss and the
-// number of observations in it (zeros for adopted deployments, whose
-// metric the registry never wrapped).
-func (d *Deployment) ChampionWindow() (loss float64, n int64) {
-	e := d.serving.Load()
-	if e.win == nil {
-		return 0, 0
-	}
-	return e.win.Stats()
-}
-
 // HasRollback reports whether a previous champion is retained. Lock-free,
 // like every other status read.
 func (d *Deployment) HasRollback() bool {
 	return d.prev.Load() != nil
 }
 
-// close stops the promotion controller and shuts down every deployer the
-// deployment holds. The challenger is stopped outside d.mu: the controller
-// may be blocked on d.mu inside a promotion attempt, which will abort once
-// it observes closed (or its cleared challenger slot) — waiting for it
-// while holding the lock would deadlock.
+// close shuts down every deployer the deployment holds.
 func (d *Deployment) close() {
 	d.mu.Lock()
 	if d.closed {
@@ -389,7 +278,6 @@ func (d *Deployment) close() {
 	cur := d.serving.Load()
 	d.mu.Unlock()
 	if c != nil {
-		c.stopAndWait()
 		c.e.dep.Shutdown()
 		d.retirements.Inc()
 	}

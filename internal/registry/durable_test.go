@@ -511,3 +511,43 @@ func TestBootReportsItsPhases(t *testing.T) {
 		t.Fatalf("gauges after a recovery: train=%v recover=%v", gauge("train"), gauge("recover"))
 	}
 }
+
+// TestStoreDirectoryHoldsOnlyThisLifesChunks: the store's index lives in
+// memory, so the files a previous life left under -store-dir are files no
+// read can reach — the second life numbers its chunks from 0 over them and
+// never learns of the rest. Boot empties the directory: after a kill, a
+// recovery and two more chunks it holds a raw and a feature file for each
+// chunk the second life has ticked (replayed or ingested), and nothing else.
+func TestStoreDirectoryHoldsOnlyThisLifesChunks(t *testing.T) {
+	root := t.TempDir()
+	opts := Options{CheckpointRoot: root, WALRoot: root, StoreRoot: root, StoreCache: 4, CheckpointEvery: 8}
+	chunks := stream(11, 18)
+	const warm, firstLife = 6, 16
+
+	r1 := New(opts)
+	d1, _, err := r1.CreateWarm("m", adamConfig(), Quotas{}, warm, from(chunks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestLogged(t, d1, chunks[warm:firstLife])
+	r1.Close()
+
+	r2 := New(opts)
+	defer r2.Close()
+	d2, boot, err := r2.CreateWarm("m", adamConfig(), Quotas{}, warm, from(chunks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestLogged(t, d2, chunks[firstLife:])
+	version := d2.Serving().Published().Version()
+	if boot.Recovered == 0 || version != uint64(1+len(chunks)) {
+		t.Fatalf("second life recovered checkpoint %d and is at version %d, want a recovery and version %d", boot.Recovered, version, 1+len(chunks))
+	}
+	files, err := os.ReadDir(filepath.Join(root, "m", "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ticked := int(version - boot.Recovered); len(files) != 2*ticked {
+		t.Fatalf("store directory holds %d files, the second life's store %d chunks (2 files each)", len(files), ticked)
+	}
+}

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -8,16 +9,19 @@ import (
 	"cdml/internal/core"
 )
 
-// Policy decides a shadow challenger's fate from the two windowed
-// prequential error levels. The zero value is usable: every field defaults.
-// The JSON form is the "policy" object of the challenger endpoints.
+// Policy decides a shadow challenger's fate from the two deployers' recent
+// loss (core.Result.RecentLoss: the workload's DriftLoss, faded at the one
+// rate every deployer uses — a fair comparison needs both sides to forget
+// equally fast, which is why the Policy carries thresholds but no alpha).
+// The zero value is usable: every field defaults. The JSON form is the
+// "policy" object of the challenger endpoints.
 type Policy struct {
-	// MinEvaluated is the number of observations both windows must hold
-	// before a comparison counts (default 200 — roughly one effective
-	// window at defaultWindowAlpha). Promoting on thin evidence is how
-	// canary systems flap.
+	// MinEvaluated is the number of records both recent losses must have seen
+	// before a comparison counts (default 200 — roughly one effective window
+	// of the fading factor). Promoting on thin evidence is how canary systems
+	// flap.
 	MinEvaluated int64 `json:"min_evaluated"`
-	// Margin is the absolute windowed-loss improvement the challenger must
+	// Margin is the absolute recent-loss improvement the challenger must
 	// show: promote when challengerLoss < championLoss − Margin (default 0,
 	// i.e. strictly better).
 	Margin float64 `json:"margin"`
@@ -44,7 +48,7 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-// decision is a policy verdict for one wake-up of the controller.
+// decision is a policy verdict on one shadow tick.
 type decision int
 
 const (
@@ -53,13 +57,11 @@ const (
 	decideRetire
 )
 
-// decide compares the champion and challenger windows. Called from the
-// controller goroutine; both windows are internally synchronized.
-func (p Policy) decide(champ *window, c *challenger) decision {
-	ticks := c.ticks.Load()
-	champLoss, champN := champ.Stats()
-	chalLoss, chalN := c.e.win.Stats()
-	if champN >= p.MinEvaluated && chalN >= p.MinEvaluated && chalLoss < champLoss-p.Margin {
+// decide is the verdict after the challenger's ticks-th shadow tick, a pure
+// function of what champion and challenger published at the end of it.
+func (p Policy) decide(champ, chal core.Result, ticks int64) decision {
+	if champ.RecentCount >= p.MinEvaluated && chal.RecentCount >= p.MinEvaluated &&
+		chal.RecentLoss < champ.RecentLoss-p.Margin {
 		return decidePromote
 	}
 	if p.MaxShadowTicks > 0 && ticks >= p.MaxShadowTicks {
@@ -68,7 +70,8 @@ func (p Policy) decide(champ *window, c *challenger) decision {
 	return decideWait
 }
 
-// challenger is a shadow deployer plus its promotion controller plumbing.
+// challenger is a shadow deployer, its policy and its shadow-tick counters
+// (atomics: the tick writes them under d.mu, status reads take no lock).
 type challenger struct {
 	e         *entry
 	pol       Policy
@@ -77,21 +80,6 @@ type challenger struct {
 	ticks      atomic.Int64
 	shadowErrs atomic.Int64
 	lastErr    atomic.Value // error
-
-	// notify (capacity 1) wakes the controller after each shadow tick; stop
-	// ends the controller; done closes when it has returned.
-	notify chan struct{}
-	stop   chan struct{}
-	done   chan struct{}
-}
-
-// stopAndWait ends the controller goroutine and blocks until it returns.
-// Idempotent via the stop channel's sync.Once wrapper would be overkill:
-// the single caller paths (close, retire-after-promote) never race, because
-// both run exactly once per challenger pointer they removed from d.chal.
-func (c *challenger) stopAndWait() {
-	close(c.stop)
-	<-c.done
 }
 
 // ChallengerStatus is a point-in-time snapshot of a shadow challenger, for
@@ -105,8 +93,8 @@ type ChallengerStatus struct {
 	ShadowErrs int64
 	// LastError is the most recent shadow-tick failure ("" when none).
 	LastError string
-	// WindowLoss and WindowCount are the challenger's faded prequential
-	// loss and its observation count.
+	// WindowLoss and WindowCount are the challenger's recent loss and the
+	// number of records it has seen (core.Result.RecentLoss / RecentCount).
 	WindowLoss  float64
 	WindowCount int64
 	// SnapshotVersion is the challenger deployer's published snapshot
@@ -118,26 +106,15 @@ type ChallengerStatus struct {
 
 // StartChallenger builds a challenger deployer from cfg and attaches it in
 // shadow mode: from the next champion tick on, every accepted live chunk is
-// mirrored into it, its predictions are scored prequentially into its own
-// window, and the promotion controller compares the two windows after each
-// shadow tick until the policy promotes or retires it. One challenger at a
-// time; adopted deployments cannot host one.
+// ticked into it as well, its predictions are scored prequentially but never
+// served, and the policy compares the two recent losses after each shadow
+// tick until it promotes or retires it (shadow). One challenger at a time.
 func (d *Deployment) StartChallenger(cfg core.Config, pol Policy) error {
-	if d.adopted {
-		return fmt.Errorf("%w: %q", ErrNotChallengeble, d.name)
-	}
 	e, err := d.reg.buildEntry(d, cfg, false)
 	if err != nil {
 		return err
 	}
-	c := &challenger{
-		e:         e,
-		pol:       pol.withDefaults(),
-		startedAt: time.Now(),
-		notify:    make(chan struct{}, 1),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
-	}
+	c := &challenger{e: e, pol: pol.withDefaults(), startedAt: time.Now()}
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -151,7 +128,6 @@ func (d *Deployment) StartChallenger(cfg core.Config, pol Policy) error {
 	}
 	d.chal.Store(c)
 	d.mu.Unlock()
-	go d.runController(c)
 	return nil
 }
 
@@ -161,13 +137,13 @@ func (d *Deployment) Challenger() (ChallengerStatus, bool) {
 	if c == nil {
 		return ChallengerStatus{}, false
 	}
-	loss, n := c.e.win.Stats()
+	res := c.e.dep.Stats()
 	st := ChallengerStatus{
 		StartedAt:       c.startedAt,
 		Ticks:           c.ticks.Load(),
 		ShadowErrs:      c.shadowErrs.Load(),
-		WindowLoss:      loss,
-		WindowCount:     n,
+		WindowLoss:      res.RecentLoss,
+		WindowCount:     res.RecentCount,
 		SnapshotVersion: c.e.dep.Published().Version(),
 		Policy:          c.pol,
 	}
@@ -187,85 +163,53 @@ func (d *Deployment) StopChallenger() error {
 	}
 	d.chal.Store(nil)
 	d.mu.Unlock()
-	c.stopAndWait()
 	c.e.dep.Shutdown()
 	d.retirements.Inc()
 	return nil
 }
 
-// runController is the promotion controller loop: it sleeps until the tee
-// reports a shadow tick (or stop), asks the policy for a verdict, and acts
-// on it. The loop owns no deployment state — every mutation happens under
-// d.mu inside promote/retireChallenger — and exits after the first terminal
-// verdict or stop signal.
+// shadow is the second half of a live tick whose champion half succeeded:
+// the attached challenger, if any, is ticked on the same chunk (its failure
+// is counted and leaves the champion alone), and the policy's verdict on the
+// two results just published is carried out with pointer stores. A promotion
+// moves the serving pointer in one atomic store — an in-flight prediction
+// sees the old champion, still answering from its immutable snapshot, or the
+// new one, never an error — keeps the old champion as the rollback point and
+// increments the deployment version. The returned entry is the deployer the
+// verdict left without a role (the retired challenger, or the rollback point
+// the promotion displaced; nil when there is none), for the caller to shut
+// down once d.mu is released.
 //
-//cdml:detached the controller outlives any request: it is stopped by StopChallenger, Delete, or Close via the stop channel
-func (d *Deployment) runController(c *challenger) {
-	defer close(c.done)
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-c.notify:
-			switch c.pol.decide(d.serving.Load().win, c) {
-			case decidePromote:
-				if d.promote(c) {
-					return
-				}
-				// The slot changed under us (close or StopChallenger won the
-				// race); keep looping — the stop signal is imminent.
-			case decideRetire:
-				d.retireChallenger(c)
-				return
-			}
-		}
+//cdml:locked mu
+func (d *Deployment) shadow(ctx context.Context, records [][]byte) *entry {
+	c := d.chal.Load()
+	if c == nil {
+		return nil
 	}
-}
-
-// promote atomically swaps the challenger in as champion: the serving
-// pointer moves in one atomic store (in-flight predictions either see the
-// old champion — still answering from its immutable snapshot — or the new
-// one, never an error), the old champion is retained for rollback, and the
-// deployment version increments. Runs on the controller goroutine; returns
-// false when the challenger slot changed before the lock was held, in
-// which case nothing is swapped.
-func (d *Deployment) promote(c *challenger) bool {
-	d.mu.Lock()
-	if d.closed || d.chal.Load() != c {
-		d.mu.Unlock()
-		return false
+	d.shadowTicks.Inc()
+	if err := c.e.dep.IngestLogged(ctx, records, time.Time{}, 0); err != nil {
+		c.shadowErrs.Add(1)
+		c.lastErr.Store(err)
+		d.shadowErrs.Inc()
 	}
-	old := d.serving.Load()
-	d.chal.Store(nil)
-	d.serving.Store(c.e)
-	// Replace the rollback point: the demoted champion supersedes any older
-	// one, which nothing can reach anymore.
-	stale := d.prev.Load()
-	d.prev.Store(old)
-	d.version.Add(1)
-	d.mu.Unlock()
-	if stale != nil {
-		stale.dep.Shutdown()
-	}
-	d.promotions.Inc()
-	return true
-}
-
-// retireChallenger removes and shuts down a challenger the policy gave up
-// on. Runs on the controller goroutine. When the slot is no longer c's —
-// StopChallenger or close cleared it and is waiting for this goroutine —
-// whoever cleared it shuts the deployer down and counts the retirement.
-func (d *Deployment) retireChallenger(c *challenger) {
-	d.mu.Lock()
-	mine := d.chal.Load() == c
-	if mine {
+	champ := d.serving.Load()
+	switch c.pol.decide(champ.dep.Stats(), c.e.dep.Stats(), c.ticks.Add(1)) {
+	case decidePromote:
 		d.chal.Store(nil)
-	}
-	d.mu.Unlock()
-	if mine {
-		c.e.dep.Shutdown()
+		d.serving.Store(c.e)
+		// The demoted champion supersedes any older rollback point, which
+		// nothing can reach anymore.
+		stale := d.prev.Load()
+		d.prev.Store(champ)
+		d.version.Add(1)
+		d.promotions.Inc()
+		return stale
+	case decideRetire:
+		d.chal.Store(nil)
 		d.retirements.Inc()
+		return c.e
 	}
+	return nil
 }
 
 // Rollback swaps the previous champion back in (undoing the most recent

@@ -3,12 +3,12 @@
 // core.Deployer (pipeline, model, scheduler) and its directories under the
 // process-wide durability roots, while sharing the engine pool and metrics
 // registry under per-deployment quotas. On top of the plain name→deployer
-// map sits a promotion controller (promote.go): a challenger configuration
-// trains in shadow mode on a tee of the champion's live ingest traffic, its
-// predictions scored prequentially but never served, and a Policy compares
-// the two windowed error levels to auto-promote or auto-retire — the
-// champion/challenger loop every production ML ecosystem converges on, made
-// rigorous with the platform's deterministic prequential evaluation.
+// map sits a promotion policy (promote.go): a challenger configuration
+// trains in shadow mode on every chunk the champion's live tick accepted,
+// its predictions scored prequentially but never served, and on that same
+// tick a Policy compares the two recent error levels to promote or retire —
+// the champion/challenger loop every production ML ecosystem converges on,
+// made rigorous with the platform's deterministic prequential evaluation.
 //
 // Sharing boundaries: the engine pool and the obs registry are process-wide
 // (the registry labels every deployment's series with deployment=<name> and
@@ -18,7 +18,6 @@
 package registry
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -40,14 +39,13 @@ import (
 // (ErrUnknown → 404 unknown_deployment, ErrExists → 409 deployment_exists,
 // and so on), so they are sentinel values rather than formatted strings.
 var (
-	ErrUnknown         = errors.New("registry: unknown deployment")
-	ErrExists          = errors.New("registry: deployment already exists")
-	ErrClosed          = errors.New("registry: deployment is closed")
-	ErrBadName         = errors.New("registry: invalid deployment name")
-	ErrChallengerBusy  = errors.New("registry: deployment already has a challenger")
-	ErrNoChallenger    = errors.New("registry: deployment has no challenger")
-	ErrNoRollback      = errors.New("registry: deployment has no previous champion to roll back to")
-	ErrNotChallengeble = errors.New("registry: adopted deployment cannot host challengers")
+	ErrUnknown        = errors.New("registry: unknown deployment")
+	ErrExists         = errors.New("registry: deployment already exists")
+	ErrClosed         = errors.New("registry: deployment is closed")
+	ErrBadName        = errors.New("registry: invalid deployment name")
+	ErrChallengerBusy = errors.New("registry: deployment already has a challenger")
+	ErrNoChallenger   = errors.New("registry: deployment has no challenger")
+	ErrNoRollback     = errors.New("registry: deployment has no previous champion to roll back to")
 	// ErrState wraps a Create failure that is not the caller's config: the
 	// name's durable state could not be opened, recovered or replayed.
 	ErrState = errors.New("registry: unusable durable state")
@@ -106,8 +104,8 @@ type Options struct {
 	// WALRoot, when set, gives every created deployment a durable
 	// write-ahead ingest log at <WALRoot>/<name>/wal (unless its config
 	// already carries one). Challengers get none — they see every chunk
-	// through the champion's shadow tee — so a promoted challenger runs
-	// without a log until the process restarts (tracked in ROADMAP).
+	// the champion's tick accepted — so a promoted challenger runs without
+	// a log until the process restarts (tracked in ROADMAP).
 	WALRoot string
 	// WALSegmentBytes is the segment roll threshold for logs under WALRoot
 	// (0 = the wal package default).
@@ -115,7 +113,10 @@ type Options struct {
 	// StoreRoot, when set, replaces every created deployment's store with
 	// one on disk under <StoreRoot>/<name>/store, behind a retrying backend
 	// (transient filesystem errors never reach a tick) and an in-memory LRU
-	// tier of StoreCache feature chunks. Challengers keep their config's.
+	// tier of StoreCache feature chunks. Challengers keep their config's. The
+	// directory is a spill tier, not durable state: the store's index lives
+	// in memory, so Create empties it and a recovered deployment's sample
+	// history is what it has replayed or ingested since.
 	StoreRoot  string
 	StoreCache int
 }
@@ -126,8 +127,8 @@ const DefaultAutoChallengerCooldown = 5 * time.Minute
 
 // AutoChallenger configures the automatic drift response: when the serving
 // champion's drift detector fires, the registry attaches a freshly built
-// shadow challenger (warm from nothing, trained on the tee of live
-// traffic) and lets the usual promotion policy decide whether the rebuilt
+// shadow challenger (warm from nothing, trained on the live traffic from
+// then on) and lets the usual promotion policy decide whether the rebuilt
 // pipeline beats the drifted champion — the deployment_trigger pattern,
 // closed end to end.
 type AutoChallenger struct {
@@ -202,11 +203,9 @@ func validName(name string) bool {
 // Create builds a deployer from cfg and registers it under name. The
 // registry rewires the config before construction: the shared engine and
 // metrics registry are swapped in, every metric series gets
-// deployment/generation labels, the prequential metric is tee'd into a
-// windowed estimator (the promotion comparison input), the name's
-// checkpoint, log and store directories are assigned, and a shadow-ingest
-// tee hook lets a challenger mirror the live traffic later. Durable state
-// under the name is then recovered: Create is CreateWarm without a warm-up.
+// deployment/generation labels, the name's checkpoint, log and store
+// directories are assigned and the store quota is set. Durable state under
+// the name is then recovered: Create is CreateWarm without a warm-up.
 func (r *Registry) Create(name string, cfg core.Config, q Quotas) (*Deployment, error) {
 	d, _, err := r.CreateWarm(name, cfg, q, 0, nil)
 	return d, err
@@ -312,16 +311,16 @@ func (d *Deployment) recoverOrWarm(e *entry, n int, chunk func(i int) [][]byte) 
 	return b, stateErr(err)
 }
 
-// Adopt registers an externally constructed deployer under name. Adopted
-// deployments serve and train like created ones but cannot host challengers:
-// the registry neither wired their metric window nor installed the shadow
-// tee, so there is nothing to compare against. The single-deployment
-// compatibility path (serve.New with a bare deployer) adopts as "default".
+// Adopt registers an externally constructed deployer under name as it is:
+// its config was not rewired (no shared engine, labels, directories or store
+// quota) and nothing is recovered. From then on it serves, trains and hosts
+// challengers like a created one. serve.New adopts its bare deployer as
+// "default".
 func (r *Registry) Adopt(name string, dep *core.Deployer, q Quotas) (*Deployment, error) {
 	if err := r.reserve(name); err != nil {
 		return nil, err
 	}
-	d := &Deployment{name: name, reg: r, quotas: q, adopted: true}
+	d := &Deployment{name: name, reg: r, quotas: q}
 	d.version.Store(1)
 	d.initObs()
 	d.serving.Store(&entry{dep: dep, gen: r.genSeq.Add(1)})
@@ -345,10 +344,6 @@ func (r *Registry) buildEntry(d *Deployment, cfg core.Config, champion bool) (*e
 		obs.L("deployment", d.name),
 		obs.L("gen", strconv.FormatUint(gen, 10)),
 	}
-	win := newWindow(defaultWindowAlpha)
-	if cfg.Metric != nil {
-		cfg.Metric = &teeMetric{inner: cfg.Metric, win: win}
-	}
 	ckptKind := "gen" + strconv.FormatUint(gen, 10)
 	var retrying *data.RetryBackend
 	if champion {
@@ -360,7 +355,13 @@ func (r *Registry) buildEntry(d *Deployment, cfg core.Config, champion bool) (*e
 			}
 		}
 		if r.opts.StoreRoot != "" {
-			disk, err := data.NewDiskBackend(filepath.Join(r.opts.StoreRoot, d.name, "store"))
+			// Files found here are a previous life's: the index that could
+			// reach them died with it, and this life numbers its chunks from 0.
+			dir := filepath.Join(r.opts.StoreRoot, d.name, "store")
+			if err := os.RemoveAll(dir); err != nil {
+				return nil, fmt.Errorf("%w of %q: %w", ErrState, d.name, err)
+			}
+			disk, err := data.NewDiskBackend(dir)
 			if err != nil {
 				return nil, fmt.Errorf("%w of %q: %w", ErrState, d.name, err)
 			}
@@ -394,9 +395,6 @@ func (r *Registry) buildEntry(d *Deployment, cfg core.Config, champion bool) (*e
 		// /v1 envelope.
 		cfg.Store.SetQuota(d.quotas.MaxStoreChunks)
 	}
-	cfg.ShadowTee = func(ctx context.Context, records [][]byte) {
-		d.tee(gen, ctx, records)
-	}
 	dep, err := core.NewDeployer(cfg)
 	if err != nil {
 		return nil, err
@@ -404,7 +402,7 @@ func (r *Registry) buildEntry(d *Deployment, cfg core.Config, champion bool) (*e
 	if retrying != nil {
 		retrying.Instrument(dep.Metrics(), cfg.Labels...)
 	}
-	return &entry{dep: dep, win: win, gen: gen, ckptDir: ckptDir}, nil
+	return &entry{dep: dep, gen: gen, ckptDir: ckptDir}, nil
 }
 
 // reserve validates name and claims it for a deployment under construction.
@@ -452,8 +450,8 @@ func (r *Registry) List() []*Deployment {
 	return out
 }
 
-// Delete shuts the named deployment down — its promotion controller,
-// challenger, previous champion and serving deployer, in that order — and
+// Delete shuts the named deployment down — its challenger, previous
+// champion and serving deployer, in that order — and
 // removes its directories under the checkpoint, log and store roots: whoever
 // takes the name next starts from nothing instead of recovering, or
 // replaying the log of, a pipeline it never was. A name that is not

@@ -12,12 +12,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"cdml/internal/core"
 	"cdml/internal/data"
 	"cdml/internal/engine"
 	"cdml/internal/eval"
+	"cdml/internal/experiment"
 	"cdml/internal/model"
 	"cdml/internal/obs"
 	"cdml/internal/opt"
@@ -363,14 +363,8 @@ func TestPromotionAtomicUnderPredicts(t *testing.T) {
 		t.Fatal("challenger not attached")
 	}
 	rnd := rand.New(rand.NewSource(3))
-	deadline := time.Now().Add(30 * time.Second)
-	for d.Version() == 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("challenger was never promoted")
-		}
-		if err := d.Ingest(chunk(rnd, 50)); err != nil {
-			t.Fatal(err)
-		}
+	if at := ingestUntilPromoted(t, d, rnd, 50, 40); at < 3 {
+		t.Fatalf("promoted at chunk %d, before both sides had seen MinEvaluated records", at)
 	}
 	close(stop)
 	wg.Wait()
@@ -430,9 +424,135 @@ func TestPromotionAtomicUnderPredicts(t *testing.T) {
 	}
 }
 
+// ingestUntilPromoted feeds d chunks of rows records until its version moves
+// and returns how many it took; more than limit is a failure. The verdict is
+// taken on the tick that produced its evidence, so there is nothing to wait
+// for between two chunks.
+func ingestUntilPromoted(t *testing.T, d *Deployment, rnd *rand.Rand, rows, limit int) int {
+	t.Helper()
+	for n := 1; n <= limit; n++ {
+		if err := d.Ingest(chunk(rnd, rows)); err != nil {
+			t.Fatal(err)
+		}
+		if d.Version() != 1 {
+			return n
+		}
+	}
+	t.Fatalf("challenger not promoted within %d chunks", limit)
+	return 0
+}
+
+// TestPromotionIndexIsDeterministic: a promotion is a function of the chunk
+// sequence. Twenty runs of one seeded sequence — with readers on other
+// goroutines, under -race in CI — promote on the same chunk, which is the
+// first whose published evidence satisfies the policy: the run is repeated
+// with the policy evaluated by hand on the two Stats() after every chunk.
+func TestPromotionIndexIsDeterministic(t *testing.T) {
+	pol := Policy{MinEvaluated: 150, Margin: 0.1, MaxShadowTicks: -1}
+	run := func() int {
+		r := New(Options{})
+		defer r.Close()
+		d, err := r.Create("m", frozenConfig(), Quotas{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.StartChallenger(adamConfig(), pol); err != nil {
+			t.Fatal(err)
+		}
+		stop, done := make(chan struct{}), make(chan struct{})
+		defer func() { close(stop); <-done }()
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					d.Challenger()
+					d.Serving().Stats()
+				}
+			}
+		}()
+		return ingestUntilPromoted(t, d, rand.New(rand.NewSource(3)), 50, 40)
+	}
+
+	// The reference: two deployers nobody compares, the policy applied by hand.
+	champ, err := core.NewDeployer(frozenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer champ.Shutdown()
+	chal, err := core.NewDeployer(adamConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer chal.Shutdown()
+	rnd, want := rand.New(rand.NewSource(3)), 0
+	for n := int64(1); want == 0; n++ {
+		c := chunk(rnd, 50)
+		if err := champ.Ingest(c); err != nil {
+			t.Fatal(err)
+		}
+		if err := chal.Ingest(c); err != nil {
+			t.Fatal(err)
+		}
+		if pol.decide(champ.Stats(), chal.Stats(), n) == decidePromote {
+			want = int(n)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if got := run(); got != want {
+			t.Fatalf("run %d promoted at chunk %d, the sequential reference at chunk %d", i, got, want)
+		}
+	}
+}
+
+// TestRegressionChallengerPromotes: the policy compares the workload row's
+// drift loss, so it can tell two regressions apart. On the Taxi row a frozen
+// champion (rmsprop at rate 0: it predicts 0 for log1p(duration) and its
+// clipped absolute error sits at 1) is shadowed by the row's own learning
+// configuration, which must win; under 0/1 mismatch both sides would read 1
+// forever.
+func TestRegressionChallengerPromotes(t *testing.T) {
+	w := experiment.TaxiWorkload(experiment.ScaleSmall)
+	config := func(lr float64) core.Config {
+		cfg := w.Deployment()
+		cfg.Mode = core.ModeOnline
+		cfg.Store = data.NewStore(data.NewMemoryBackend())
+		cfg.NewOptimizer = func() opt.Optimizer { return w.NewOptimizer(w.BestOpt, lr) }
+		return cfg
+	}
+	r := New(Options{})
+	defer r.Close()
+	d, err := r.Create("taxi", config(0), Quotas{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.StartChallenger(config(w.BestLR), Policy{MinEvaluated: 150, Margin: 0.1, MaxShadowTicks: -1}); err != nil {
+		t.Fatal(err)
+	}
+	frozen := d.Serving()
+	for i := 0; d.Version() == 1; i++ {
+		if i == w.Stream.NumChunks() {
+			st, _ := d.Challenger()
+			t.Fatalf("challenger not promoted over %d chunks: champion recent loss %v, challenger %v over %d records",
+				i, frozen.Stats().RecentLoss, st.WindowLoss, st.WindowCount)
+		}
+		if err := d.Ingest(w.Stream.Chunk(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lost, won := frozen.Stats(), d.Serving().Stats()
+	if lost.RecentLoss < 0.99 || won.RecentLoss >= lost.RecentLoss-0.1 || won.RecentCount < 150 {
+		t.Fatalf("promoted on recent loss %v (%d records) against the frozen champion's %v",
+			won.RecentLoss, won.RecentCount, lost.RecentLoss)
+	}
+}
+
 // TestChallengerAutoRetires gives the policy a challenger that cannot win
-// (frozen optimizer shadowing a learning champion): after MaxShadowTicks it
-// must be detached and shut down without a version change.
+// (frozen optimizer shadowing a learning champion): on the MaxShadowTicks-th
+// shadowed chunk, not before and not later, it must be detached and shut down
+// without a version change.
 func TestChallengerAutoRetires(t *testing.T) {
 	r := New(Options{})
 	d, err := r.Create("m", adamConfig(), Quotas{})
@@ -447,16 +567,12 @@ func TestChallengerAutoRetires(t *testing.T) {
 		t.Fatal("second concurrent challenger accepted")
 	}
 	rnd := rand.New(rand.NewSource(9))
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if _, ok := d.Challenger(); !ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("challenger was never retired")
-		}
+	for n := 1; n <= 5; n++ {
 		if err := d.Ingest(chunk(rnd, 10)); err != nil {
 			t.Fatal(err)
+		}
+		if _, attached := d.Challenger(); attached != (n < 5) {
+			t.Fatalf("after shadowed chunk %d of MaxShadowTicks 5: challenger attached = %v", n, attached)
 		}
 	}
 	if v := d.Version(); v != 1 {
@@ -469,31 +585,38 @@ func TestChallengerAutoRetires(t *testing.T) {
 }
 
 // TestStoppedChallengerIsRetiredOnce: StopChallenger clears the slot, shuts
-// the challenger down and counts the retirement; a controller that had
-// already decided to retire the same challenger finds the slot is no longer
-// its own and must not count it again.
+// the challenger down and counts the retirement; the chunk on which the
+// policy would have retired the same challenger finds no challenger and must
+// not count it again.
 func TestStoppedChallengerIsRetiredOnce(t *testing.T) {
-	r := New(Options{})
+	metrics := obs.NewRegistry()
+	r := New(Options{Metrics: metrics})
 	d, err := r.Create("m", adamConfig(), Quotas{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := d.StartChallenger(frozenConfig(), Policy{MinEvaluated: 1 << 40}); err != nil {
+	if err := d.StartChallenger(frozenConfig(), Policy{MinEvaluated: 1 << 40, MaxShadowTicks: 1}); err != nil {
 		t.Fatal(err)
 	}
-	c := d.chal.Load()
 	if err := d.StopChallenger(); err != nil {
 		t.Fatal(err)
 	}
-	d.retireChallenger(c)
-	if n := d.retirements.Value(); n != 1 {
+	if err := d.Ingest(chunk(rand.New(rand.NewSource(2)), 10)); err != nil {
+		t.Fatal(err)
+	}
+	retired := metrics.Counter("cdml_challenger_retirements_total", "", obs.L("deployment", "m"))
+	if n := retired.Value(); n != 1 {
 		t.Fatalf("cdml_challenger_retirements_total = %v for one challenger", n)
 	}
 }
 
-func TestAdoptedDeploymentRejectsChallengers(t *testing.T) {
-	dep, err := core.NewDeployer(adamConfig())
+// TestAdoptedDeploymentHostsChallengers: a deployer built outside the
+// registry is a deployment like any other once adopted — it reports its
+// recent loss, is shadowed, loses to a better challenger and comes back on
+// rollback.
+func TestAdoptedDeploymentHostsChallengers(t *testing.T) {
+	dep, err := core.NewDeployer(frozenConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,15 +626,20 @@ func TestAdoptedDeploymentRejectsChallengers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if !d.Adopted() {
-		t.Fatal("Adopted() = false")
-	}
-	if err := d.StartChallenger(adamConfig(), Policy{}); err == nil {
-		t.Fatal("adopted deployment accepted a challenger")
+	if err := d.StartChallenger(adamConfig(), Policy{MinEvaluated: 150, Margin: 0.1, MaxShadowTicks: -1}); err != nil {
+		t.Fatalf("adopted deployment refused a challenger: %v", err)
 	}
 	rnd := rand.New(rand.NewSource(2))
-	if err := d.Ingest(chunk(rnd, 10)); err != nil {
+	ingestUntilPromoted(t, d, rnd, 50, 40)
+	if d.Serving() == dep || d.Serving().Stats().RecentCount == 0 {
+		t.Fatal("the adopted deployer still serves after its challenger's promotion")
+	}
+	if err := d.Rollback(); err != nil {
 		t.Fatal(err)
+	}
+	if d.Serving() != dep || dep.Stats().RecentCount == 0 {
+		t.Fatalf("after rollback: adopted deployer serving = %v, its recent loss has seen %d records",
+			d.Serving() == dep, dep.Stats().RecentCount)
 	}
 	if _, err := d.Predict(chunk(rnd, 3)); err != nil {
 		t.Fatal(err)

@@ -140,8 +140,8 @@ type challengerInfo struct {
 	Ticks        int64  `json:"ticks"`
 	ShadowErrors int64  `json:"shadow_errors"`
 	LastError    string `json:"last_error,omitempty"`
-	// WindowLoss / WindowEvaluated are the challenger's faded prequential
-	// loss and its observation count — the promotion comparison input.
+	// WindowLoss / WindowEvaluated are the challenger's recent loss and the
+	// records it has seen — the promotion comparison input.
 	WindowLoss      float64 `json:"window_loss"`
 	WindowEvaluated int64   `json:"window_evaluated"`
 	SnapshotVersion uint64  `json:"snapshot_version"`
@@ -162,16 +162,13 @@ type DeploymentInfo struct {
 	// answering predictions and its staleness.
 	SnapshotVersion    uint64  `json:"snapshot_version"`
 	SnapshotAgeSeconds float64 `json:"snapshot_age_seconds"`
-	// WindowLoss / WindowEvaluated are the champion's promotion-window
-	// state (zeros for adopted deployments, which have no window).
+	// WindowLoss / WindowEvaluated are the champion's recent loss and the
+	// records it has seen: its side of the promotion comparison.
 	WindowLoss      float64 `json:"window_loss"`
 	WindowEvaluated int64   `json:"window_evaluated"`
 	// HasRollback reports whether a previous champion is retained.
-	HasRollback bool `json:"has_rollback"`
-	// Adopted deployments wrap an externally built deployer and cannot host
-	// challengers.
-	Adopted    bool            `json:"adopted,omitempty"`
-	Challenger *challengerInfo `json:"challenger,omitempty"`
+	HasRollback bool            `json:"has_rollback"`
+	Challenger  *challengerInfo `json:"challenger,omitempty"`
 }
 
 func newChallengerInfo(st registry.ChallengerStatus) *challengerInfo {
@@ -191,18 +188,17 @@ func newChallengerInfo(st registry.ChallengerStatus) *challengerInfo {
 func deploymentInfo(d *registry.Deployment) DeploymentInfo {
 	dep := d.Serving()
 	snap := dep.Published()
-	loss, n := d.ChampionWindow()
+	res := dep.Stats()
 	info := DeploymentInfo{
 		Name:               d.Name(),
 		Role:               "champion",
 		Version:            d.Version(),
-		Mode:               dep.Stats().Mode.String(),
+		Mode:               res.Mode.String(),
 		SnapshotVersion:    snap.Version(),
 		SnapshotAgeSeconds: time.Since(snap.BuiltAt()).Seconds(),
-		WindowLoss:         loss,
-		WindowEvaluated:    n,
+		WindowLoss:         res.RecentLoss,
+		WindowEvaluated:    res.RecentCount,
 		HasRollback:        d.HasRollback(),
-		Adopted:            d.Adopted(),
 	}
 	if st, ok := d.Challenger(); ok {
 		info.Challenger = newChallengerInfo(st)
@@ -344,7 +340,7 @@ func handleChallengerStart(s *Server, name string, h *depHandle, w http.Response
 	switch err := h.dep.StartChallenger(cfg, req.Policy); {
 	case errors.Is(err, registry.ErrChallengerBusy):
 		writeError(w, http.StatusConflict, codeChallengerExists, err)
-	case errors.Is(err, registry.ErrNotChallengeble), errors.Is(err, registry.ErrClosed):
+	case errors.Is(err, registry.ErrClosed):
 		writeError(w, http.StatusConflict, codeConflict, err)
 	case err != nil:
 		writeError(w, http.StatusBadRequest, codeBadRequest, err)

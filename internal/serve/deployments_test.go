@@ -16,7 +16,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"cdml/internal/core"
 	"cdml/internal/data"
@@ -228,7 +227,7 @@ func TestSingleDeploymentServedAsDefault(t *testing.T) {
 	if err := json.Unmarshal(body, &list); err != nil {
 		t.Fatal(err)
 	}
-	if len(list.Deployments) != 1 || list.Deployments[0].Name != "default" || !list.Deployments[0].Adopted {
+	if len(list.Deployments) != 1 || list.Deployments[0].Name != "default" {
 		t.Fatalf("list = %s", body)
 	}
 }
@@ -314,7 +313,7 @@ func TestDeploymentLifecycleOverHTTP(t *testing.T) {
 	if err := json.Unmarshal(body, &info); err != nil {
 		t.Fatal(err)
 	}
-	if info.Name != "exp" || info.Version != 1 || info.Adopted {
+	if info.Name != "exp" || info.Version != 1 {
 		t.Fatalf("created info = %+v", info)
 	}
 
@@ -428,25 +427,70 @@ func TestCreateFailureStatus(t *testing.T) {
 	}
 }
 
-// TestChallengerOnAdoptedIsConflict verifies adopted deployments (externally
-// built deployers) refuse challengers with a 409.
-func TestChallengerOnAdoptedIsConflict(t *testing.T) {
-	cfg := fleetConfig(func() opt.Optimizer { return opt.NewAdam(0.05) })
-	dep, err := core.NewDeployer(cfg)
+// TestServeNewServerHostsChallenger: a server built around a bare deployer
+// (New) is a full deployment — it reports its recent loss after one /train,
+// takes a challenger over HTTP, is promoted over and rolled back.
+func TestServeNewServerHostsChallenger(t *testing.T) {
+	dep, err := core.NewDeployer(fleetConfig(func() opt.Optimizer { return opt.NewSGD(0) }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := New(dep, WithSlog(nil), WithConfigBuilder(testBuilder))
 	ts := httptest.NewServer(s)
+	t.Cleanup(s.Registry().Close)
 	t.Cleanup(ts.Close)
-	t.Cleanup(dep.Shutdown)
+	base := ts.URL + "/v1/deployments/default"
 
-	code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/deployments/default/challengers", []byte(`{"spec":{}}`))
-	if code != http.StatusConflict {
-		t.Fatalf("challenger on adopted: %d %s", code, body)
+	rnd := rand.New(rand.NewSource(3))
+	if code, body := doJSON(t, http.MethodPost, base+"/train", trainChunk(rnd, 50)); code != http.StatusOK {
+		t.Fatalf("train: %d %s", code, body)
 	}
-	if got := errCode(t, body); got != "conflict" {
-		t.Fatalf("challenger on adopted code %q", got)
+	if st := statusOf(t, base); st.WindowEvaluated != 50 {
+		t.Fatalf("window_evaluated = %d after one /train of 50 records", st.WindowEvaluated)
+	}
+	code, body := doJSON(t, http.MethodPost, base+"/challengers",
+		[]byte(`{"spec":{"optimizer":"adam"},"policy":{"min_evaluated":150,"margin":0.1,"max_shadow_ticks":-1}}`))
+	if code != http.StatusAccepted {
+		t.Fatalf("challenger on a New server: %d %s, want 202", code, body)
+	}
+	trainUntilPromoted(t, base, rnd)
+	if st := statusOf(t, base); !st.HasRollback || st.Challenger != nil || st.WindowEvaluated == 0 {
+		t.Fatalf("after promotion: %+v", st)
+	}
+	if code, body = doJSON(t, http.MethodPost, base+"/rollback", nil); code != http.StatusOK {
+		t.Fatalf("rollback: %d %s", code, body)
+	}
+	if s.Registry().List()[0].Serving() != dep {
+		t.Fatal("rollback did not bring the adopted deployer back")
+	}
+}
+
+// statusOf is GET base/status, decoded.
+func statusOf(t *testing.T, base string) statusResponse {
+	t.Helper()
+	code, body := doJSON(t, http.MethodGet, base+"/status", nil)
+	if code != http.StatusOK {
+		t.Fatalf("status: %d %s", code, body)
+	}
+	var st statusResponse
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// trainUntilPromoted posts 50-record chunks to base/train until the
+// deployment version moves: the /train that returns has taken the verdict,
+// so the next status read sees it.
+func trainUntilPromoted(t *testing.T, base string, rnd *rand.Rand) {
+	t.Helper()
+	for n := 0; statusOf(t, base).DeploymentVersion == 1; n++ {
+		if n == 40 {
+			t.Fatal("challenger not promoted within 40 chunks")
+		}
+		if code, body := doJSON(t, http.MethodPost, base+"/train", trainChunk(rnd, 50)); code != http.StatusOK {
+			t.Fatalf("train: %d %s", code, body)
+		}
 	}
 }
 
@@ -544,41 +588,14 @@ func TestHTTPPromotionEndToEnd(t *testing.T) {
 		t.Fatalf("challenger start: %d %s", code, body)
 	}
 
-	rnd := rand.New(rand.NewSource(3))
-	deadline := time.Now().Add(30 * time.Second)
-	version := func() uint64 {
-		code, body := doJSON(t, http.MethodGet, ts.URL+"/v1/deployments/exp/status", nil)
-		if code != http.StatusOK {
-			t.Fatalf("status: %d %s", code, body)
-		}
-		var st statusResponse
-		if err := json.Unmarshal(body, &st); err != nil {
-			t.Fatal(err)
-		}
-		return st.DeploymentVersion
-	}
-	for version() == 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("challenger was never promoted")
-		}
-		if code, body = doJSON(t, http.MethodPost, ts.URL+"/v1/deployments/exp/train", trainChunk(rnd, 50)); code != http.StatusOK {
-			t.Fatalf("train: %d %s", code, body)
-		}
-	}
+	trainUntilPromoted(t, ts.URL+"/v1/deployments/exp", rand.New(rand.NewSource(3)))
 	close(stop)
 	wg.Wait()
 	if n := predictErrs.Load(); n != 0 {
 		t.Fatalf("%d predictions failed across the promotion swap", n)
 	}
 
-	code, body = doJSON(t, http.MethodGet, ts.URL+"/v1/deployments/exp/status", nil)
-	if code != http.StatusOK {
-		t.Fatalf("status: %d %s", code, body)
-	}
-	var st statusResponse
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
+	st := statusOf(t, ts.URL+"/v1/deployments/exp")
 	if st.DeploymentVersion != 2 {
 		t.Fatalf("version = %d, want 2", st.DeploymentVersion)
 	}

@@ -332,8 +332,8 @@ type statusResponse struct {
 	// SnapshotAgeSeconds is the staleness of the serving state: time since
 	// the training writer last published.
 	SnapshotAgeSeconds float64 `json:"snapshot_age_seconds"`
-	// WindowLoss / WindowEvaluated are the champion's promotion comparison
-	// window (zeros for adopted deployments, which have none).
+	// WindowLoss / WindowEvaluated are the champion's recent loss and the
+	// records it has seen: its side of the promotion comparison.
 	WindowLoss      float64 `json:"window_loss"`
 	WindowEvaluated int64   `json:"window_evaluated"`
 	// HasRollback reports whether a previous champion is retained for
@@ -428,17 +428,17 @@ func lastTickSummary(tracer *obs.Tracer) *tickSummary {
 func handleStatus(s *Server, name string, h *depHandle, w http.ResponseWriter, r *http.Request) {
 	dep := h.dep.Serving()
 	snap := dep.Published()
-	loss, n := h.dep.ChampionWindow()
+	res := dep.Stats()
 	resp := statusResponse{
 		Name:                   h.name,
 		Role:                   "champion",
 		DeploymentVersion:      h.dep.Version(),
-		Mode:                   dep.Stats().Mode.String(),
+		Mode:                   res.Mode.String(),
 		SnapshotVersion:        snap.Version(),
 		SnapshotBuiltAt:        snap.BuiltAt().UTC().Format(time.RFC3339Nano),
 		SnapshotAgeSeconds:     time.Since(snap.BuiltAt()).Seconds(),
-		WindowLoss:             loss,
-		WindowEvaluated:        n,
+		WindowLoss:             res.RecentLoss,
+		WindowEvaluated:        res.RecentCount,
 		HasRollback:            h.dep.HasRollback(),
 		IngestQueueDepth:       h.q.depth.Load(),
 		IngestQueueCapacity:    cap(h.q.ch),

@@ -148,6 +148,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"cdml_store_mu",
 		"cdml_engine_tasks_total",
 		"cdml_prequential_error",
+		"cdml_recent_loss 0.",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/v1/metrics missing %q:\n%s", want, text)

@@ -98,19 +98,7 @@ func newReplicaServer(t *testing.T, primaryURL string) (*Server, *httptest.Serve
 
 func getStatus(t *testing.T, ts *httptest.Server) statusResponse {
 	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + "/v1/deployments/default/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf(".../status status %d", resp.StatusCode)
-	}
-	var st statusResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	return st
+	return statusOf(t, ts.URL+"/v1/deployments/default")
 }
 
 // waitReplicaVersion polls the replica's .../status until its snapshot

@@ -271,10 +271,9 @@ func WithReplicaOf(primary string, poll time.Duration) Option {
 
 // New returns a single-deployment server: dep is adopted into a fresh
 // registry as "default" and addressed by that name through the
-// deployment-scoped API (/v1/deployments/default/...). Adopted
-// deployments cannot host challengers (the registry did not wire their
-// config); use NewWithRegistry and registry.Create for the full feature
-// set.
+// deployment-scoped API (/v1/deployments/default/...). The registry did
+// not build dep, so it has no directories, labels or recovery of the
+// registry's; use NewWithRegistry and registry.Create for those.
 func New(dep *core.Deployer, opts ...Option) *Server {
 	r := registry.New(registry.Options{Metrics: dep.Metrics()})
 	if _, err := r.Adopt(DefaultDeployment, dep, registry.Quotas{}); err != nil {
@@ -770,6 +769,10 @@ type statsResponse struct {
 	CostSeconds     float64 `json:"cost_seconds"`
 	Mu              float64 `json:"materialization_utilization"`
 	Chunks          int64   `json:"chunks_ingested"`
+	// RecentLoss / RecentEvaluated are the faded per-record loss a promotion
+	// compares and the records it has seen (.../status: window_loss).
+	RecentLoss      float64 `json:"recent_loss"`
+	RecentEvaluated int64   `json:"recent_evaluated"`
 }
 
 func handleStats(s *Server, name string, h *depHandle, w http.ResponseWriter, r *http.Request) {
@@ -784,6 +787,8 @@ func handleStats(s *Server, name string, h *depHandle, w http.ResponseWriter, r 
 		CostSeconds:     st.Cost.Total().Seconds(),
 		Mu:              st.MatStats.Mu(),
 		Chunks:          st.Chunks,
+		RecentLoss:      st.RecentLoss,
+		RecentEvaluated: st.RecentCount,
 	})
 }
 

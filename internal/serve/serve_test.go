@@ -186,6 +186,9 @@ func TestStatsEndpoint(t *testing.T) {
 	if st.CostSeconds <= 0 {
 		t.Fatal("no cost recorded")
 	}
+	if st.RecentEvaluated != 120 || st.RecentLoss <= 0 || st.RecentLoss > 1 {
+		t.Fatalf("recent loss %v over %d records, want a loss in (0, 1] over 120", st.RecentLoss, st.RecentEvaluated)
+	}
 }
 
 func TestHealthz(t *testing.T) {
