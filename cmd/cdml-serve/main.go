@@ -22,7 +22,9 @@
 // and either way every entry goes through the spec builder and the
 // registry.Create that PUT /v1/deployments/{name} uses at run time, so what
 // a deployment can do never depends on how it was declared. Each shares the
-// engine pool and metric registry under its quotas, recovers its own
+// engine pool and metric registry under its quotas — "max_store_chunks" is
+// the N raw chunks its store keeps, the oldest dropped first (0 = 12 000)
+// — recovers its own
 // durable state, and can host a shadow challenger (POST .../challengers)
 // that trains on the live traffic the champion accepts and is promoted on
 // the tick its recent error beats the champion's; -auto-challenger starts

@@ -505,6 +505,50 @@ func TestChaosExhaustedRetriesFailTickCleanly(t *testing.T) {
 	}
 }
 
+// TestChaosPhantomChunkNeverSampled: a raw chunk the backend refused does
+// not enter the store's history. A continuous deployment whose put exhausts
+// its retries once fails that tick; every later tick trains on a sample of
+// every retained id and succeeds, and the refused chunk's timestamp goes to
+// the next chunk the backend takes.
+func TestChaosPhantomChunkNeverSampled(t *testing.T) {
+	skipInShort(t)
+	store, fault, retry := chaosStore()
+	cfg := liveConfig(ModeContinuous)
+	cfg.Store = store
+	cfg.ProactiveEvery, cfg.SampleChunks = 1, 1<<10 // every tick samples the whole history
+	d, err := NewDeployer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+	stream := driftStream{chunks: 8, rows: 20, drift: 2, seed: 13}
+	ingestChunks(t, d, stream, 0, 2)
+
+	fault.FailN(data.OpPutRaw, 100, errChaosStore)
+	if err := d.Ingest(stream.Chunk(2)); !errors.Is(err, errChaosStore) {
+		t.Fatalf("exhausted-retry tick: err = %v, want wrapped injected error", err)
+	}
+	if got := retry.Giveups(data.OpPutRaw); got != 1 {
+		t.Fatalf("put_raw giveups = %d, want 1", got)
+	}
+	fault.Reset()
+
+	runs := d.Stats().ProactiveRuns
+	ingestChunks(t, d, stream, 2, stream.chunks)
+	if got := d.Stats().ProactiveRuns - runs; got != stream.chunks-2 {
+		t.Fatalf("%d proactive trainings over %d ticks, want one each", got, stream.chunks-2)
+	}
+	ids := store.RawIDs()
+	for i, id := range ids {
+		if id != data.Timestamp(i) {
+			t.Fatalf("RawIDs = %v, want 0..%d", ids, stream.chunks-1)
+		}
+	}
+	if len(ids) != stream.chunks {
+		t.Fatalf("RawIDs = %v, want %d chunks", ids, stream.chunks)
+	}
+}
+
 // TestChaosAutoCheckpointConcurrentWithIngest runs auto-checkpointing at
 // maximum frequency while ticks stream in (run under -race): the background
 // writer and the training writer must never interfere, and the newest

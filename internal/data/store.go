@@ -1,39 +1,12 @@
 package data
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
 	"cdml/internal/obs"
 )
-
-// ErrOverQuota is the sentinel matched by errors.Is for quota rejections:
-// an ingest that would grow the store past its operator-set ceiling. It is
-// a client-visible backpressure signal, not corruption — the store and the
-// deployment remain fully usable.
-var ErrOverQuota = errors.New("data: store over quota")
-
-// QuotaError is the typed rejection AppendRaw returns when a store quota
-// is exceeded. It matches ErrOverQuota via errors.Is so callers can branch
-// without losing the limit/usage detail.
-type QuotaError struct {
-	// Limit is the configured ceiling on retained raw chunks.
-	Limit int
-	// Have is the number of raw chunks retained when the ingest arrived.
-	Have int
-}
-
-func (e *QuotaError) Error() string {
-	return fmt.Sprintf("data: store over quota: %d raw chunks retained, limit %d", e.Have, e.Limit)
-}
-
-// Is reports QuotaError as an ErrOverQuota so errors.Is works across the
-// wrapped chain.
-//
-//lint:allow deadexport: errors.Is calls it through an interface declared inside a function body of package errors, which no export data shows
-func (e *QuotaError) Is(target error) bool { return target == ErrOverQuota }
 
 // MatStats accumulates materialization-utilization accounting across
 // sampling operations. The empirical μ of paper §3.2.2 / Table 4 is
@@ -64,12 +37,12 @@ func (s *MatStats) Mu() float64 {
 	return s.MuSum / float64(s.Ops)
 }
 
-// Store is the data manager's chunk store: raw chunks are always retained,
-// while at most m (WithCapacity) feature chunks stay materialized. When the cap
-// is exceeded the oldest feature chunks are evicted — only the identifier and
-// the reference to the raw chunk survive — and a later sample hitting an
-// evicted chunk triggers dynamic re-materialization by the caller
-// (paper §3.2).
+// Store is the data manager's chunk store: at most N (WithRawCapacity) raw
+// chunks are retained, the oldest dropped first, while at most m
+// (WithCapacity) feature chunks stay materialized. When m is exceeded the
+// oldest feature chunks are evicted — only the identifier and the reference
+// to the raw chunk survive — and a later sample hitting an evicted chunk
+// triggers dynamic re-materialization by the caller (paper §3.2).
 type Store struct {
 	mu      sync.Mutex
 	backend Backend
@@ -81,21 +54,19 @@ type Store struct {
 	// data chunks"). When exceeded the oldest raw chunks are dropped and
 	// the platform simply ignores them during sampling (§3.2). Negative
 	// means unlimited.
-	rawCapacity int
-	// quota is the operator-set hard ceiling on retained raw chunks: unlike
-	// rawCapacity, which silently evicts the oldest chunks (the paper's N),
-	// reaching the quota rejects further ingest with a QuotaError — the
-	// per-deployment resource boundary a multi-tenant registry enforces.
-	// 0 or negative disables it.
-	quota int //cdml:guardedby mu
+	rawCapacity int //cdml:guardedby mu
+
+	// appendMu serializes AppendRaw, so the index grows in id order while
+	// the backend put runs outside mu.
+	appendMu sync.Mutex
+	next     Timestamp //cdml:guardedby appendMu — id of the next chunk the backend takes
 
 	rawIDs       []Timestamp         //cdml:guardedby mu — all raw chunk ids, increasing; only ever appended to and re-sliced from the front (RawIDs hands out views)
 	rawSizes     []int64             //cdml:guardedby mu — packed size of each raw chunk, parallel to rawIDs
-	materialized []Timestamp         //cdml:guardedby mu — ids of materialized feature chunks, increasing
+	materialized []Timestamp         //cdml:guardedby mu — ids of materialized feature chunks, increasing, a subset of rawIDs
 	matSize      map[Timestamp]int64 //cdml:guardedby mu — packed size of each materialized feature chunk; presence is membership
 	rawBytes     int64               //cdml:guardedby mu — sum of rawSizes
 	featBytes    int64               //cdml:guardedby mu — sum of matSize
-	next         Timestamp           //cdml:guardedby mu — next id to assign
 	stats        MatStats            //cdml:guardedby mu
 }
 
@@ -113,7 +84,7 @@ func WithCapacity(m int) StoreOption {
 // chunks; sampling never sees them again. Negative means unlimited (the
 // default).
 func WithRawCapacity(n int) StoreOption {
-	return func(s *Store) { s.rawCapacity = n }
+	return func(s *Store) { s.SetRawCapacity(n) }
 }
 
 // NewStore returns a store over the given backend.
@@ -125,58 +96,48 @@ func NewStore(b Backend, opts ...StoreOption) *Store {
 	return s
 }
 
-// SetQuota sets the hard ceiling on retained raw chunks: an AppendRaw that
-// would exceed it is rejected with a QuotaError (errors.Is ErrOverQuota)
-// instead of evicting. 0 or negative disables it (the default). Already
-// retained chunks are never dropped by a quota — only further ingest is
-// rejected.
-func (s *Store) SetQuota(n int) {
+// SetRawCapacity is WithRawCapacity on a built store: the deployment
+// registry bounds every store it is handed. A store already holding more
+// than n chunks drops the excess, oldest first, on its next AppendRaw.
+func (s *Store) SetRawCapacity(n int) {
 	s.mu.Lock()
-	s.quota = n
+	s.rawCapacity = n
 	s.mu.Unlock()
 }
 
 // AppendRaw discretizes one batch of records into a new raw chunk, assigns
-// the next timestamp, persists it, and returns its id. When the raw
-// capacity N is exceeded the oldest raw chunks (and their feature chunks)
-// are dropped; when the operator quota would be exceeded the chunk is
-// rejected with a QuotaError before any state changes.
+// the next timestamp, persists it, and returns its id. Only a chunk the
+// backend took enters the index — a failed put leaves no id for a sample to
+// draw, and the next append reuses its timestamp. When the raw capacity N
+// is exceeded the oldest raw chunks (and their feature chunks) are dropped.
 func (s *Store) AppendRaw(records [][]byte) (Timestamp, error) {
-	s.mu.Lock()
-	if s.quota > 0 && len(s.rawIDs) >= s.quota {
-		qErr := &QuotaError{Limit: s.quota, Have: len(s.rawIDs)}
-		s.mu.Unlock()
-		return 0, qErr
-	}
+	s.appendMu.Lock()
+	defer s.appendMu.Unlock()
 	id := s.next
-	s.next++
-	size := int64(rawPayloadSize(records))
-	s.rawIDs = append(s.rawIDs, id)
-	s.rawSizes = append(s.rawSizes, size)
-	s.rawBytes += size
-	var drop []Timestamp
-	if s.rawCapacity >= 0 {
-		for len(s.rawIDs) > s.rawCapacity {
-			victim := s.rawIDs[0]
-			s.rawBytes -= s.rawSizes[0]
-			s.rawIDs, s.rawSizes = s.rawIDs[1:], s.rawSizes[1:]
-			drop = append(drop, victim)
-			if size, ok := s.matSize[victim]; ok {
-				s.featBytes -= size
-				delete(s.matSize, victim)
-				for k, m := range s.materialized {
-					if m == victim {
-						s.materialized = append(s.materialized[:k], s.materialized[k+1:]...)
-						break
-					}
-				}
-			}
-		}
-	}
-	s.mu.Unlock()
 	if err := s.backend.PutRaw(RawChunk{ID: id, Records: records}); err != nil {
 		return 0, fmt.Errorf("data: appending raw chunk: %w", err)
 	}
+	s.next++
+	size := int64(rawPayloadSize(records))
+	s.mu.Lock()
+	s.rawIDs = append(s.rawIDs, id)
+	s.rawSizes = append(s.rawSizes, size)
+	s.rawBytes += size
+	drop := make([]Timestamp, 0, 1) // past N, one chunk in drops one
+	for s.rawCapacity >= 0 && len(s.rawIDs) > s.rawCapacity {
+		victim := s.rawIDs[0]
+		s.rawBytes -= s.rawSizes[0]
+		s.rawIDs, s.rawSizes = s.rawIDs[1:], s.rawSizes[1:]
+		drop = append(drop, victim)
+		if size, ok := s.matSize[victim]; ok {
+			// materialized ⊆ rawIDs, both increasing: the oldest raw
+			// chunk's features are the oldest materialized.
+			s.featBytes -= size
+			delete(s.matSize, victim)
+			s.materialized = s.materialized[1:]
+		}
+	}
+	s.mu.Unlock()
 	for _, victim := range drop {
 		if err := s.backend.DeleteFeatures(victim); err != nil {
 			return 0, fmt.Errorf("data: dropping feature chunk %d with its raw chunk: %w", victim, err)
@@ -188,8 +149,9 @@ func (s *Store) AppendRaw(records [][]byte) (Timestamp, error) {
 	return id, nil
 }
 
-// PutFeatures stores the preprocessed features of raw chunk rawID and
-// applies the eviction policy.
+// PutFeatures stores the preprocessed features of raw chunk rawID, which
+// must still be retained (the id AppendRaw just returned), and applies the
+// eviction policy.
 func (s *Store) PutFeatures(rawID Timestamp, instances []Instance) error {
 	fc := FeatureChunk{ID: rawID, RawID: rawID, Instances: instances}
 	if err := s.backend.PutFeatures(fc); err != nil {
@@ -226,7 +188,7 @@ func (s *Store) evictLocked() error {
 	}
 	for len(s.materialized) > s.capacity {
 		victim := s.materialized[0]
-		s.materialized = append(s.materialized[:0], s.materialized[1:]...)
+		s.materialized = s.materialized[1:]
 		s.featBytes -= s.matSize[victim]
 		delete(s.matSize, victim)
 		s.stats.Evictions++
@@ -239,7 +201,7 @@ func (s *Store) evictLocked() error {
 
 // RawIDs returns the ids of all raw chunks in increasing order: a read-only
 // view of the store's own history, not a copy — every proactive training
-// asks, and the history grows for the life of the deployment. The view is a
+// asks, and the history is up to N chunks long. The view is a
 // snapshot: its capacity is clipped to its length, later appends land beyond
 // it and raw-capacity drops only re-slice the store's front, so nothing the
 // store does afterwards changes what the caller sees. The caller must not

@@ -1,15 +1,17 @@
 package registry
 
 import (
-	"errors"
+	"bytes"
 	"math/rand"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"cdml/internal/core"
-	"cdml/internal/data"
 	"cdml/internal/drift"
+	"cdml/internal/obs"
 	"cdml/internal/sample"
 )
 
@@ -154,32 +156,81 @@ func TestAutoChallengerCooldownExpiry(t *testing.T) {
 	}
 }
 
-// TestStoreQuotaEnforced pins the per-deployment store quota to the data
-// boundary: ingest past MaxStoreChunks fails with the typed over-quota
-// error, and the chunks already retained keep serving.
-func TestStoreQuotaEnforced(t *testing.T) {
-	reg := New(Options{})
+// TestStoreKeepsNewestNChunks: MaxStoreChunks is the paper's N. A
+// continuous deployment fed 10·N chunks retains N raw and N feature chunks,
+// the raw bytes at rest stay level once N binds, and proactive training —
+// each run sampling every retained chunk — keeps running on every tick.
+func TestStoreKeepsNewestNChunks(t *testing.T) {
+	const n = 16
+	metrics := obs.NewRegistry()
+	reg := New(Options{Metrics: metrics})
 	defer reg.Close()
-	d, err := reg.Create("q", adamConfig(), Quotas{MaxStoreChunks: 2})
+	cfg := adamConfig()
+	cfg.Mode, cfg.ProactiveEvery = core.ModeContinuous, 1
+	cfg.Sampler, cfg.SampleChunks = sample.NewTime(1), n
+	d, err := reg.Create("q", cfg, Quotas{MaxStoreChunks: n})
 	if err != nil {
 		t.Fatal(err)
 	}
+	series := func(name string, labels ...string) float64 {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := metrics.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		prefix := name + `{` + strings.Join(append([]string{`deployment="q"`, `gen="1"`}, labels...), ",") + `} `
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("no %s… in the exposition:\n%s", prefix, buf.String())
+		return 0
+	}
 	rnd := rand.New(rand.NewSource(3))
-	for i := 0; i < 2; i++ {
+	var full, runs float64
+	for i := 0; i < 10*n; i++ {
 		if err := d.Ingest(chunk(rnd, 10)); err != nil {
-			t.Fatalf("ingest %d under quota: %v", i, err)
+			t.Fatalf("ingest %d of %d (N = %d): %v", i+1, 10*n, n, err)
+		}
+		want := float64(min(i+1, n))
+		if raw, feat := series("cdml_store_raw_chunks"), series("cdml_store_materialized_chunks"); raw != want || feat != want {
+			t.Fatalf("after %d chunks the store holds %v raw and %v feature chunks, want %v", i+1, raw, feat, want)
+		}
+		rawBytes := series("cdml_store_bytes", `kind="raw"`)
+		if i == n-1 {
+			full = rawBytes
+		}
+		if i >= n && (rawBytes < 0.75*full || rawBytes > 1.25*full) {
+			t.Fatalf("after %d chunks the raw chunks take %v bytes, %v when N first bound", i+1, rawBytes, full)
+		}
+		next := series("cdml_proactive_runs_total")
+		if next <= runs {
+			t.Fatalf("chunk %d ran no proactive training (%v runs)", i+1, next)
+		}
+		runs = next
+	}
+}
+
+// TestZeroStoreQuotaIsDefaultN: a deployment whose quotas name no N keeps
+// defaultStoreChunks chunks, not all of them.
+func TestZeroStoreQuotaIsDefaultN(t *testing.T) {
+	reg := New(Options{})
+	defer reg.Close()
+	cfg := adamConfig()
+	if _, err := reg.Create("z", cfg, Quotas{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= defaultStoreChunks; i++ {
+		if _, err := cfg.Store.AppendRaw(nil); err != nil {
+			t.Fatal(err)
 		}
 	}
-	err = d.Ingest(chunk(rnd, 10))
-	if !errors.Is(err, data.ErrOverQuota) {
-		t.Fatalf("ingest over quota = %v, want ErrOverQuota", err)
-	}
-	var qe *data.QuotaError
-	if !errors.As(err, &qe) || qe.Limit != 2 {
-		t.Fatalf("over-quota error %v does not carry the limit", err)
-	}
-	// The deployment still answers predictions from its retained state.
-	if _, err := d.Predict(chunk(rnd, 5)); err != nil {
-		t.Fatalf("predict after over-quota rejection: %v", err)
+	if got := cfg.Store.NumRaw(); got != defaultStoreChunks {
+		t.Fatalf("a store fed %d chunks under a zero quota holds %d, want %d", defaultStoreChunks+1, got, defaultStoreChunks)
 	}
 }

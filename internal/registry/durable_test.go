@@ -412,9 +412,25 @@ func TestAutoChallengerFailureIsCounted(t *testing.T) {
 	}
 }
 
+// diesAt is a storage backend that dies at chunk id at: every PutRaw from
+// there on fails.
+type diesAt struct {
+	data.Backend
+	at data.Timestamp
+}
+
+var errStoreDied = errors.New("test: the store died")
+
+func (b diesAt) PutRaw(rc data.RawChunk) error {
+	if rc.ID >= b.at {
+		return errStoreDied
+	}
+	return b.Backend.PutRaw(rc)
+}
+
 // TestChaosKillDuringWarmupRewarms: a warm-up is a batch, and a batch that
 // died is run again. The first life's warm-up of 40 chunks dies at its 25th
-// (a store quota: the deployment is closed without an end-of-warm-up
+// (its store dies: the deployment is closed without an end-of-warm-up
 // checkpoint); the second life over the same directories, given the same
 // generator, must end where a life that never died ends — version 1+40,
 // the same state bytes, the same stored chunks — with the warm-up's end as
@@ -445,8 +461,9 @@ func TestChaosKillDuringWarmupRewarms(t *testing.T) {
 	ckptDir := filepath.Join(root, "m", "ckpt")
 	r1 := New(opts)
 	cfg, _ = proactive()
-	if _, _, err := r1.CreateWarm("m", cfg, Quotas{MaxStoreChunks: died}, n, from(chunks)); !errors.Is(err, data.ErrOverQuota) {
-		t.Fatalf("first life: err = %v, want the store quota to end the warm-up", err)
+	cfg.Store = data.NewStore(diesAt{Backend: data.NewMemoryBackend(), at: died})
+	if _, _, err := r1.CreateWarm("m", cfg, Quotas{}, n, from(chunks)); !errors.Is(err, errStoreDied) {
+		t.Fatalf("first life: err = %v, want the store's death to end the warm-up", err)
 	}
 	r1.Close()
 	if got := checkpointVersions(t, ckptDir); len(got) != 0 {

@@ -51,24 +51,28 @@ var (
 	ErrState = errors.New("registry: unusable durable state")
 )
 
-// Quotas bounds one deployment's resource footprint; a zero field means
-// unlimited. The JSON form is the "quotas" object of PUT
-// /v1/deployments/{name} and of the -deployments fleet file.
+// Quotas bounds one deployment's resource footprint. The JSON form is the
+// "quotas" object of PUT /v1/deployments/{name} and of the -deployments
+// fleet file.
 type Quotas struct {
-	// MaxIngestQueue caps the deployment's async ingest queue depth. The
-	// registry only records the quota — the serve layer sizes its queues
-	// from it.
+	// MaxIngestQueue caps the deployment's async ingest queue depth below
+	// the server's (0 = the server's). The registry only records the quota
+	// — the serve layer sizes its queues from it.
 	MaxIngestQueue int `json:"max_ingest_queue"`
 	// MaxCheckpointBytes caps the total on-disk size of the deployment's
-	// retained checkpoints (CheckpointPolicy.MaxBytes).
+	// retained checkpoints (CheckpointPolicy.MaxBytes; 0 = unlimited).
 	MaxCheckpointBytes int64 `json:"max_checkpoint_bytes"`
-	// MaxStoreChunks caps the deployment's retained raw chunks: an ingest
-	// that would exceed it is rejected at the data.Store boundary with a
-	// typed over-quota error (data.ErrOverQuota) instead of silently
-	// evicting — the hard per-tenant ceiling, distinct from the store's own
-	// eviction capacity.
+	// MaxStoreChunks is the paper's N (§3.2): the raw chunks the
+	// deployment's store retains. Ingest past it drops the oldest chunk and
+	// its feature chunk, and sampling never sees them again, so the
+	// deployment keeps learning at a bounded cost. 0 (or less) means
+	// 12 000 (defaultStoreChunks).
 	MaxStoreChunks int `json:"max_store_chunks"`
 }
+
+// defaultStoreChunks is the N of a deployment whose quota names none: the
+// paper's history length of 12 000 chunks.
+const defaultStoreChunks = 12000
 
 // Options configures a Registry.
 type Options struct {
@@ -204,7 +208,8 @@ func validName(name string) bool {
 // registry rewires the config before construction: the shared engine and
 // metrics registry are swapped in, every metric series gets
 // deployment/generation labels, the name's checkpoint, log and store
-// directories are assigned and the store quota is set. Durable state under
+// directories are assigned and the store is bounded to N chunks
+// (Quotas.MaxStoreChunks). Durable state under
 // the name is then recovered: Create is CreateWarm without a warm-up.
 func (r *Registry) Create(name string, cfg core.Config, q Quotas) (*Deployment, error) {
 	d, _, err := r.CreateWarm(name, cfg, q, 0, nil)
@@ -313,7 +318,7 @@ func (d *Deployment) recoverOrWarm(e *entry, n int, chunk func(i int) [][]byte) 
 
 // Adopt registers an externally constructed deployer under name as it is:
 // its config was not rewired (no shared engine, labels, directories or store
-// quota) and nothing is recovered. From then on it serves, trains and hosts
+// bound) and nothing is recovered. From then on it serves, trains and hosts
 // challengers like a created one. serve.New adopts its bare deployer as
 // "default".
 func (r *Registry) Adopt(name string, dep *core.Deployer, q Quotas) (*Deployment, error) {
@@ -389,11 +394,12 @@ func (r *Registry) buildEntry(d *Deployment, cfg core.Config, champion bool) (*e
 		cfg.AutoCheckpoint = &pol
 		ckptDir = pol.Dir
 	}
-	if d.quotas.MaxStoreChunks > 0 && cfg.Store != nil {
-		// The quota is enforced where the chunks live: the store rejects
-		// over-quota ingest with a typed error the serve layer maps onto the
-		// /v1 envelope.
-		cfg.Store.SetQuota(d.quotas.MaxStoreChunks)
+	if cfg.Store != nil {
+		n := d.quotas.MaxStoreChunks
+		if n <= 0 {
+			n = defaultStoreChunks
+		}
+		cfg.Store.SetRawCapacity(n)
 	}
 	dep, err := core.NewDeployer(cfg)
 	if err != nil {

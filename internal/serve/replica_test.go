@@ -522,12 +522,13 @@ func TestChaosPredictDuringReplicaSwap(t *testing.T) {
 	}
 }
 
-// TestTrainOverQuota pins the per-deployment store quota to the HTTP
-// envelope: ingest past max_store_chunks answers 429 over_quota.
+// TestTrainOverQuota: max_store_chunks is the store's N, not a refusal —
+// /train past it answers 200 and the deployment keeps its newest N chunks.
 func TestTrainOverQuota(t *testing.T) {
+	const n = 2
 	reg := registry.New(registry.Options{})
 	cfg := replicaTestConfig()
-	if _, err := reg.Create("q", cfg, registry.Quotas{MaxStoreChunks: 2}); err != nil {
+	if _, err := reg.Create("q", cfg, registry.Quotas{MaxStoreChunks: n}); err != nil {
 		t.Fatal(err)
 	}
 	s := NewWithRegistry(reg, WithSlog(nil))
@@ -535,27 +536,18 @@ func TestTrainOverQuota(t *testing.T) {
 	t.Cleanup(func() { ts.Close(); s.Close(); reg.Close() })
 
 	r := rand.New(rand.NewSource(5))
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 2*n; i++ {
 		resp, err := ts.Client().Post(ts.URL+"/v1/deployments/q/train", "text/plain", strings.NewReader(chunkBody(r, 10)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("train %d under quota: status %d", i, resp.StatusCode)
+			t.Fatalf("train %d with N = %d: status %d, want 200", i+1, n, resp.StatusCode)
 		}
 	}
-	resp, err := ts.Client().Post(ts.URL+"/v1/deployments/q/train", "text/plain", strings.NewReader(chunkBody(r, 10)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("train over quota: status %d, want 429", resp.StatusCode)
-	}
-	var eb errorBody
-	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error.Code != "over_quota" {
-		t.Fatalf("over-quota error code %q, want over_quota", eb.Error.Code)
+	if got := cfg.Store.RawIDs(); len(got) != n || got[0] != n || got[n-1] != 2*n-1 {
+		t.Fatalf("store holds chunks %v, want the newest %d", got, n)
 	}
 }
 

@@ -86,8 +86,9 @@
 // with codes "bad_request", "method_not_allowed", "internal", "queue_full",
 // "shutting_down", "payload_too_large", "unknown_deployment",
 // "deployment_exists", "challenger_exists", "conflict", "not_found",
-// "unsupported", "read_only_replica", "over_quota", and
-// "resume_unavailable".
+// "unsupported", "read_only_replica" and "resume_unavailable". Ingest
+// never answers for a full store: a deployment keeps its newest N chunks
+// (registry.Quotas.MaxStoreChunks) and drops the oldest.
 //
 // A response is encoded in full before its status line is written, so a
 // success status always comes with its body: a value JSON cannot carry — one
@@ -143,7 +144,6 @@ import (
 	"time"
 
 	"cdml/internal/core"
-	"cdml/internal/data"
 	"cdml/internal/obs"
 	"cdml/internal/registry"
 	"cdml/internal/snapstream"
@@ -564,7 +564,6 @@ const (
 	codeNotFound          = "not_found"
 	codeUnsupported       = "unsupported"
 	codeReadOnlyReplica   = "read_only_replica"
-	codeOverQuota         = "over_quota"
 	// codeResumeUnavailable: 503 with Retry-After from the checkpoint and
 	// snapshot endpoints while core.ErrResumeUnavailable holds — after a
 	// failed tick, until the next successful one publishes.
@@ -741,12 +740,6 @@ func handleTrain(s *Server, name string, h *depHandle, w http.ResponseWriter, r 
 	// and, through the deployment, tees the chunk into a shadow challenger
 	// if one is attached. Synchronous chunks are neither queued nor logged.
 	if err := h.dep.IngestLogged(r.Context(), records, time.Time{}, 0); err != nil {
-		if errors.Is(err, data.ErrOverQuota) {
-			// The deployment's retained-chunk quota is exhausted: a standing
-			// condition, not transient backpressure, so no Retry-After.
-			writeError(w, http.StatusTooManyRequests, codeOverQuota, err)
-			return
-		}
 		writeError(w, http.StatusInternalServerError, codeInternal, err)
 		return
 	}
