@@ -435,7 +435,8 @@ func trainedTaxiPipeline(b *testing.B, rows int) (*pipeline.Pipeline, [][]byte) 
 }
 
 // BenchmarkProactiveTrainingIteration measures one mini-batch SGD iteration
-// over a proactive-training sample (8 chunks × 200 rows, sparse SVM).
+// over a proactive-training sample (8 chunks × 200 rows, sparse SVM): the
+// seven-shard step proactive training takes, on a one-worker engine.
 func BenchmarkProactiveTrainingIteration(b *testing.B) {
 	cfg := dataset.DefaultURLConfig()
 	cfg.Days, cfg.ChunksPerDay, cfg.RowsPerChunk, cfg.Vocab = 4, 2, 200, 2000
@@ -451,10 +452,19 @@ func BenchmarkProactiveTrainingIteration(b *testing.B) {
 		batch = append(batch, ins...)
 	}
 	m := model.NewSVM(cfg.HashDim, 1e-3)
-	o := opt.NewAdam(0.05)
+	benchUpdates(b, m, opt.NewAdam(0.05), batch)
+}
+
+// benchUpdates times b.N training steps of m over batch as a deployment
+// takes them, on a one-worker engine.
+func benchUpdates(b *testing.B, m model.Model, o opt.Optimizer, batch []data.Instance) {
+	b.Helper()
+	eng := engine.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Update(batch, o)
+		if _, _, err := core.ShardedUpdate(context.Background(), eng, core.DefaultGradShardRows, m, o, batch); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -565,19 +575,18 @@ func BenchmarkPredictDuringTraining(b *testing.B) {
 	gen := dataset.NewURL(cfg)
 	newDep := func(b *testing.B, ckpt bool) *cdml.Deployer {
 		deployCfg := cdml.Config{
-			Mode:          cdml.ModePeriodical,
-			NewPipeline:   func() *cdml.Pipeline { return dataset.NewURLPipeline(cfg.HashDim) },
-			NewModel:      func() cdml.Model { return dataset.NewURLModel(cfg.HashDim, 1e-3) },
-			NewOptimizer:  func() cdml.Optimizer { return cdml.NewAdam(0.05) },
-			Store:         cdml.NewStore(cdml.NewMemoryBackend()),
-			Sampler:       cdml.NewTimeSampler(1),
-			SampleChunks:  5,
-			RetrainEvery:  3, // writer retrains on every third tick
-			RetrainEpochs: 3,
-			WarmStart:     true,
-			Seed:          7,
-			Metric:        &cdml.Misclassification{},
-			Predict:       cdml.ClassifyPredictor,
+			Mode:         cdml.ModePeriodical,
+			NewPipeline:  func() *cdml.Pipeline { return dataset.NewURLPipeline(cfg.HashDim) },
+			NewModel:     func() cdml.Model { return dataset.NewURLModel(cfg.HashDim, 1e-3) },
+			NewOptimizer: func() cdml.Optimizer { return cdml.NewAdam(0.05) },
+			Store:        cdml.NewStore(cdml.NewMemoryBackend()),
+			Sampler:      cdml.NewTimeSampler(1),
+			SampleChunks: 5,
+			RetrainEvery: 3, // writer retrains on every third tick
+			WarmStart:    true,
+			Seed:         7,
+			Metric:       &cdml.Misclassification{},
+			Predict:      cdml.ClassifyPredictor,
 		}
 		if ckpt {
 			// Checkpoint after every tick — the most aggressive durability
@@ -748,10 +757,7 @@ func BenchmarkMFUpdate(b *testing.B) {
 			Y: 3.5,
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Update(batch, o)
-	}
+	benchUpdates(b, m, o, batch)
 }
 
 // BenchmarkKMeansUpdate measures one mini-batch k-means iteration.
@@ -767,10 +773,7 @@ func BenchmarkKMeansUpdate(b *testing.B) {
 		batch[k] = data.Instance{X: x}
 	}
 	m.Init(batch)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Update(batch, o)
-	}
+	benchUpdates(b, m, o, batch)
 }
 
 // BenchmarkTieredBackendHit measures the hot-tier payoff of the tiered

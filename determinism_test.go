@@ -12,6 +12,7 @@ import (
 
 	"cdml"
 	"cdml/internal/dataset"
+	"cdml/internal/obs"
 )
 
 // runSeededDeployment executes one small continuous deployment with every
@@ -22,14 +23,18 @@ func runSeededDeployment(t *testing.T) (*cdml.Result, []float64) {
 }
 
 // runSeededDeploymentWorkers is runSeededDeployment on an engine with the
-// given worker count — everything else, seeds included, stays fixed.
+// given worker count — everything else, seeds included, stays fixed. Its
+// chunks are sized so that the initial and proactive batches (4 chunks)
+// exceed core.DefaultGradShardRows, and it fails unless some training step
+// ran on several gradient shards.
 func runSeededDeploymentWorkers(t *testing.T, workers int) (*cdml.Result, []float64) {
 	t.Helper()
 	cfg := dataset.DefaultURLConfig()
-	cfg.Days, cfg.ChunksPerDay, cfg.RowsPerChunk, cfg.Vocab = 8, 4, 40, 500
+	cfg.Days, cfg.ChunksPerDay, cfg.RowsPerChunk, cfg.Vocab = 8, 4, 80, 500
 	cfg.HashDim = 1 << 12
 	cfg.Seed = 7
 	gen := dataset.NewURL(cfg)
+	metrics := obs.NewRegistry()
 	d, err := cdml.NewDeployer(cdml.Config{
 		Mode:           cdml.ModeContinuous,
 		NewPipeline:    func() *cdml.Pipeline { return dataset.NewURLPipeline(cfg.HashDim) },
@@ -41,7 +46,7 @@ func runSeededDeploymentWorkers(t *testing.T, workers int) (*cdml.Result, []floa
 		ProactiveEvery: 4,
 		InitialChunks:  4,
 		Engine:         cdml.NewEngine(workers),
-		GradShardRows:  64, // small enough that training batches multi-shard
+		Metrics:        metrics,
 		Seed:           7,
 		Metric:         &cdml.Misclassification{},
 		Predict:        cdml.ClassifyPredictor,
@@ -52,6 +57,10 @@ func runSeededDeploymentWorkers(t *testing.T, workers int) (*cdml.Result, []floa
 	res, err := d.Run(gen)
 	if err != nil {
 		t.Fatal(err)
+	}
+	shards := metrics.Counter("cdml_grad_shards_total", "").Value()
+	if steps := metrics.Counter("cdml_grad_updates_total", "").Value(); shards <= steps {
+		t.Fatalf("%d gradient shards over %d steps: no step ran on several", shards, steps)
 	}
 	w := append([]float64(nil), d.Model().Weights()...)
 	return res, w

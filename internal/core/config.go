@@ -100,9 +100,12 @@ func RegressionPredictor(m model.Model, x linalg.Vector) float64 {
 //
 // retrainCooldown is the minimum number of chunks between threshold-triggered
 // retrainings, which prevents retrain storms while the estimate recovers.
+//
+// retrainEpochs is the number of mini-batch SGD epochs per full retraining.
 const (
 	recentAlpha     = 0.995
 	retrainCooldown = 10
+	retrainEpochs   = 3
 )
 
 // Config assembles one deployment run.
@@ -140,8 +143,6 @@ type Config struct {
 	// only); retrainings are at least retrainCooldown chunks apart and each
 	// starts the recent loss over.
 	RetrainThreshold float64
-	// RetrainEpochs is the number of mini-batch SGD epochs per retraining.
-	RetrainEpochs int
 	// InitialEpochs is the number of epochs for the initial batch training
 	// (the paper trains the initial model to convergence with a sampling
 	// ratio of 1.0; defaults to 20).
@@ -186,13 +187,6 @@ type Config struct {
 	// at any worker count (fixed shard partitions, ordered reduces), so the
 	// parallelism knob is purely a throughput choice.
 	Engine *engine.Engine
-	// GradShardRows is the number of rows per partial-gradient shard for
-	// data-parallel mini-batch updates (default DefaultGradShardRows). The
-	// shard partition is a pure function of the batch size and this value —
-	// never of the engine's worker count — which is what keeps seeded runs
-	// reproducible across hardware. It must therefore be held fixed when
-	// comparing runs.
-	GradShardRows int
 	// Metrics receives the deployment's counters, gauges, and latency
 	// histograms (plus bridged store/engine/scheduler/cost-clock stats).
 	// nil creates a private registry, so instrumentation is always on;
@@ -259,9 +253,6 @@ func (c *Config) validate() error {
 	default:
 		return fmt.Errorf("core: unknown mode %v", c.Mode)
 	}
-	if c.RetrainEpochs <= 0 {
-		c.RetrainEpochs = 3
-	}
 	if c.InitialEpochs <= 0 {
 		c.InitialEpochs = 20
 	}
@@ -270,9 +261,6 @@ func (c *Config) validate() error {
 	}
 	if c.Engine == nil {
 		c.Engine = engine.New(1)
-	}
-	if c.GradShardRows <= 0 {
-		c.GradShardRows = DefaultGradShardRows
 	}
 	if c.DriftBoost <= 0 {
 		c.DriftBoost = 3

@@ -99,9 +99,10 @@ type Deployer struct {
 	//cdml:guardedby mu
 	optmAhead bool
 
-	// pendingQueries/pendingQueryNanos accumulate the read path's load
-	// observations for the dynamic scheduler until the writer drains them
-	// (drainQueryLoad) at the next tick.
+	// pendingQueries/pendingQueryNanos accumulate the serving load — the
+	// read path's predicts and the rows ticks score — for the dynamic
+	// scheduler until the writer drains them (drainQueryLoad) at the next
+	// tick.
 	pendingQueries    atomic.Int64
 	pendingQueryNanos atomic.Int64
 
@@ -340,8 +341,12 @@ func (d *Deployer) serveAndScore(records [][]byte) error {
 	if err != nil {
 		return fmt.Errorf("core: serving chunk: %w", err)
 	}
-	if d.cfg.Scheduler != nil && len(ins) > 0 {
-		d.cfg.Scheduler.ObserveQueries(time.Now(), len(ins), dur)
+	if d.cfg.Scheduler != nil {
+		// The next tick's drainQueryLoad reports these rows together with the
+		// predicts answered meanwhile: one observation a tick, whose gap is
+		// the time since the last one.
+		d.pendingQueries.Add(int64(len(ins)))
+		d.pendingQueryNanos.Add(int64(dur))
 	}
 	d.result.Evaluated += int64(len(ins))
 	return nil
@@ -573,7 +578,7 @@ func (d *Deployer) retrain() error {
 		return fmt.Errorf("core: retraining: %w", err)
 	}
 	if err := d.cost.TimeErr(eval.CatTrain, func() error {
-		return d.sgdEpochs(mdl, om, all, d.cfg.RetrainEpochs)
+		return d.sgdEpochs(mdl, om, all, retrainEpochs)
 	}); err != nil {
 		return err
 	}

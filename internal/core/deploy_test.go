@@ -107,7 +107,6 @@ func baseConfig(mode Mode) Config {
 		SampleChunks:   5,
 		ProactiveEvery: 4,
 		RetrainEvery:   20,
-		RetrainEpochs:  2,
 		WarmStart:      true,
 
 		InitialChunks: 5,
@@ -189,7 +188,6 @@ func TestPeriodicalCostExceedsContinuous(t *testing.T) {
 	cfg := baseConfig(ModePeriodical)
 	cfg.Store = data.NewStore(data.NewMemoryBackend())
 	cfg.RetrainEvery = 10
-	cfg.RetrainEpochs = 3
 	per := run(t, cfg, big)
 
 	if per.Cost.Total() <= cont.Cost.Total() {

@@ -91,6 +91,41 @@ func TestDynamicSchedulerDrivesProactiveTraining(t *testing.T) {
 	}
 }
 
+// TestDynamicSchedulerQueryRateUnderMixedLoad: the query rate Formula (6)
+// multiplies by is the rate the deployment answered queries at — predicts
+// and the rows its ticks scored, one observation a tick — not rows over
+// the duration of one tick's serve stage.
+func TestDynamicSchedulerQueryRateUnderMixedLoad(t *testing.T) {
+	cfg := liveConfig(ModeContinuous)
+	cfg.ProactiveEvery = 0
+	dyn := sched.NewDynamic(2, time.Hour)
+	cfg.Scheduler = dyn
+	d, err := NewDeployer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+	var predicted int
+	start := time.Now()
+	for i := 0; i < 50; i++ {
+		for k := 0; k < 5; k++ {
+			out, err := d.Predict(smallStream.Chunk(i)[:20])
+			if err != nil {
+				t.Fatal(err)
+			}
+			predicted += len(out)
+		}
+		if err := d.Ingest(smallStream.Chunk(i)); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	want := float64(predicted+int(d.Stats().Evaluated)) / time.Since(start).Seconds()
+	if got := dyn.QueryRate(); got < want/3 || got > want*3 {
+		t.Fatalf("query rate %.0f/s, the deployment answered %.0f/s", got, want)
+	}
+}
+
 func TestStaticWallClockScheduler(t *testing.T) {
 	cfg := baseConfig(ModeContinuous)
 	cfg.ProactiveEvery = 0

@@ -143,11 +143,13 @@ func (d *Deployer) batchTick(records [][]byte, i, n int) error {
 	return nil
 }
 
-// drainQueryLoad hands the read path's accumulated load observations to the
-// dynamic scheduler. Predict cannot call Scheduler.ObserveQueries itself —
-// the EWMA state is unsynchronized writer-owned state — so readers add to
-// atomic pending counters and the writer folds them in at the start of each
-// tick, under the same serialization as every other scheduler call.
+// drainQueryLoad hands the accumulated serving load to the dynamic
+// scheduler, its only load input: one observation a tick, so the rate's gap
+// is the time between ticks. Predict cannot call Scheduler.ObserveQueries
+// itself — the EWMA state is unsynchronized writer-owned state — so readers
+// add to atomic pending counters, as the tick's own scoring does, and the
+// writer folds them in at the start of each tick, under the same
+// serialization as every other scheduler call.
 func (d *Deployer) drainQueryLoad() {
 	if d.cfg.Scheduler == nil {
 		return

@@ -11,14 +11,17 @@ import (
 	"cdml/internal/opt"
 )
 
-// DefaultGradShardRows is the default number of rows per gradient shard.
-// It is large enough that a typical online chunk stays single-shard (no
-// parallelism overhead on the latency-sensitive path) while proactive and
-// retraining mini-batches split across the worker pool.
+// DefaultGradShardRows is the number of rows per gradient shard of every
+// deployment's training step. It is large enough that a typical online
+// chunk stays single-shard (no parallelism overhead on the
+// latency-sensitive path) while proactive and retraining mini-batches split
+// across the worker pool. The shard partition is a pure function of the
+// batch size and this constant — never of the engine's worker count — which
+// is what keeps seeded runs reproducible across hardware.
 const DefaultGradShardRows = 256
 
 // numShards returns the shard count for an n-row mini-batch: a pure
-// function of the batch size and the configured shard rows, never of the
+// function of the batch size and the shard rows, never of the
 // engine parallelism — the root of the sharded path's determinism
 // guarantee.
 //
@@ -62,8 +65,9 @@ type ShardStats struct {
 //
 // Determinism: the shard partition depends only on len(batch) and
 // shardRows, and the reduce order is the shard order, so the updated
-// weights are bit-identical across engine worker counts — and, when the
-// batch fits one shard, bit-identical to the fused model.Update path.
+// weights are bit-identical across engine worker counts. This is the one
+// composition of the model's GradientSum, Reduce and Apply: every training
+// step in the tree goes through it.
 //
 // Cancelling ctx stops dispatching shards and returns the context error
 // without applying a step.
@@ -99,13 +103,13 @@ func ShardedUpdate(ctx context.Context, eng *engine.Engine, shardRows int, mdl m
 }
 
 // parallelUpdate is the deployment's training step: ShardedUpdate on the
-// configured engine plus the shard/reduce instrumentation. A step taken
-// (ShardedUpdate fails only before Apply) moves the optimizer past the
-// published snapshot until the next publish.
+// configured engine at DefaultGradShardRows plus the shard/reduce
+// instrumentation. A step taken (ShardedUpdate fails only before Apply)
+// moves the optimizer past the published snapshot until the next publish.
 //
 //cdml:locked mu — training helper; every caller runs under d.mu
 func (d *Deployer) parallelUpdate(mdl model.Model, om opt.Optimizer, batch []data.Instance) error {
-	_, st, err := ShardedUpdate(d.ctx, d.cfg.Engine, d.cfg.GradShardRows, mdl, om, batch)
+	_, st, err := ShardedUpdate(d.ctx, d.cfg.Engine, DefaultGradShardRows, mdl, om, batch)
 	if err == nil {
 		d.optmAhead = true
 	}

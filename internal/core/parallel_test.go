@@ -110,9 +110,10 @@ func wantSameWeights(t *testing.T, name string, a, b []float64) {
 }
 
 // TestShardedUpdateMatchesFusedSingleShard verifies the determinism
-// contract's anchor: when the batch fits one shard, ShardedUpdate is
-// bit-identical to the fused model.Update path — same weights, same loss —
-// even on a multi-worker engine.
+// contract's anchor: when the batch fits one shard, ShardedUpdate on a
+// multi-worker engine is the fused step spelled out serially — one
+// GradientSum over the whole batch, Reduce of that one partial, Apply —
+// with the same weights and the same loss, bit for bit.
 func TestShardedUpdateMatchesFusedSingleShard(t *testing.T) {
 	eng := engine.New(4)
 	for _, c := range parallelCases() {
@@ -123,7 +124,9 @@ func TestShardedUpdateMatchesFusedSingleShard(t *testing.T) {
 			optF, optS := opt.NewAdam(0.05), opt.NewAdam(0.05)
 			for iter := 0; iter < 5; iter++ {
 				batch := c.batch(r, 48)
-				lossF := fused.Update(batch, optF)
+				sum, lossSum := fused.GradientSum(batch)
+				g, lossF := fused.Reduce([]linalg.Vector{sum}, []float64{lossSum}, len(batch))
+				fused.Apply(g, optF)
 				lossS, st, err := ShardedUpdate(context.Background(), eng, len(batch), sharded, optS, batch)
 				if err != nil {
 					t.Fatal(err)

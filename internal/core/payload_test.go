@@ -360,5 +360,3 @@ func TestOptimizerWithoutEncoding(t *testing.T) {
 }
 
 type ownOptimizer struct{ *opt.SGD }
-
-func (o ownOptimizer) Clone() opt.Optimizer { return ownOptimizer{o.SGD.Clone().(*opt.SGD)} }

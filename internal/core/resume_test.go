@@ -25,15 +25,16 @@ import (
 // version"; the reference below is that design, kept as test code.
 
 // alwaysCloneBytes is the always-clone reference: the whole payload of a
-// snapshot built from the live writer state between ticks — pipeline,
-// weights and optimizer cloned there and then, as a publish that clones all
-// three on every tick holds them for the version it just published.
+// snapshot built from the live writer state between ticks — pipeline and
+// weights cloned and the optimizer encoded there and then, as a publish that
+// copies all three on every tick holds them for the version it just
+// published.
 func alwaysCloneBytes(t *testing.T, d *Deployer) []byte {
 	t.Helper()
 	d.mu.Lock()
-	pipe, mdl, om := d.pipe.Snapshot(), d.mdl.Clone(), d.optm.Clone()
+	pipe, mdl := d.pipe.Snapshot(), d.mdl.Clone()
+	resume, err := opt.Encode(d.optm)
 	d.mu.Unlock()
-	resume, err := opt.Encode(om)
 	if err != nil {
 		t.Fatal(err)
 	}

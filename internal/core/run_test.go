@@ -97,14 +97,15 @@ func TestRunHoldsTheWriterLock(t *testing.T) {
 // TestRunIsInitialTrainingPlusIngest: Run(s) leaves what the initial training
 // followed by one Ingest per remaining chunk leaves — payload bytes (model,
 // optimizer, pipeline statistics), version and counts — in every mode, at any
-// engine size.
+// engine size. Its chunks are sized so that the initial, proactive and
+// retraining batches (5 chunks and more) exceed DefaultGradShardRows, and the
+// shard counters show that some steps ran on several shards.
 func TestRunIsInitialTrainingPlusIngest(t *testing.T) {
-	s := driftStream{chunks: 50, rows: 30, drift: 2.5, seed: 23}
+	s := driftStream{chunks: 50, rows: 60, drift: 2.5, seed: 23}
 	for _, mode := range []Mode{ModeOnline, ModePeriodical, ModeContinuous, ModeThreshold} {
 		build := func(workers int) *Deployer {
 			cfg := baseConfig(mode)
 			cfg.RetrainThreshold = 0.05
-			cfg.GradShardRows = 16 // batches split into several shards
 			cfg.Engine = engine.New(workers)
 			d, err := NewDeployer(cfg)
 			if err != nil {
@@ -130,6 +131,9 @@ func TestRunIsInitialTrainingPlusIngest(t *testing.T) {
 			res, err := d.Run(s)
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", mode, workers, err)
+			}
+			if shards, steps := d.obs.gradShards.Value(), d.obs.gradUpdates.Value(); shards <= steps {
+				t.Errorf("%v workers=%d: %d shards over %d steps, no step ran on several", mode, workers, shards, steps)
 			}
 			if got := d.Published().Version(); got != loop.Published().Version() {
 				t.Errorf("%v workers=%d: version %d, the loop's is %d", mode, workers, got, loop.Published().Version())

@@ -16,7 +16,6 @@ import (
 func TestPredictDuringRetrain(t *testing.T) {
 	cfg := baseConfig(ModePeriodical)
 	cfg.RetrainEvery = 2 // retrain on every other tick: writer is busy
-	cfg.RetrainEpochs = 3
 	d, err := NewDeployer(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -2,13 +2,26 @@ package dataset
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 	"time"
 
+	"cdml/internal/core"
 	"cdml/internal/data"
+	"cdml/internal/engine"
+	"cdml/internal/model"
 	"cdml/internal/opt"
 )
+
+// step takes one mini-batch SGD step on a chunk's instances the way a
+// deployment's online update does.
+func step(t *testing.T, m model.Model, o opt.Optimizer, ins []data.Instance) {
+	t.Helper()
+	if _, _, err := core.ShardedUpdate(context.Background(), engine.New(1), core.DefaultGradShardRows, m, o, ins); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func smallURLConfig() URLConfig {
 	cfg := DefaultURLConfig()
@@ -185,7 +198,7 @@ func TestURLModelLearnsStream(t *testing.T) {
 				}
 			}
 		}
-		m.Update(ins, o)
+		step(t, m, o, ins)
 	}
 	rate := float64(wrong) / float64(total)
 	if rate > 0.35 {
@@ -373,7 +386,7 @@ func TestTaxiModelLearnsStream(t *testing.T) {
 			}
 		}
 		for k := 0; k < 10; k++ { // several passes per chunk to converge fast
-			m.Update(ins, o)
+			step(t, m, o, ins)
 		}
 	}
 	rmsle := math.Sqrt(sse / float64(n))

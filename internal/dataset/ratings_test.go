@@ -138,7 +138,7 @@ func TestRatingsModelLearnsStream(t *testing.T) {
 			}
 		}
 		for pass := 0; pass < 4; pass++ {
-			m.Update(ins, o)
+			step(t, m, o, ins)
 		}
 	}
 	rmse := math.Sqrt(sse / float64(n))

@@ -1,12 +1,14 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
 
 	"cdml/internal/core"
 	"cdml/internal/data"
+	"cdml/internal/engine"
 	"cdml/internal/eval"
 	"cdml/internal/model"
 	"cdml/internal/opt"
@@ -116,8 +118,12 @@ func initialInstances(w *Workload) (train, evalSet []data.Instance, err error) {
 	return all[:cut], all[cut:], nil
 }
 
-// sgdTrain runs epochs of shuffled mini-batch SGD.
-func sgdTrain(m model.Model, o opt.Optimizer, train []data.Instance, epochs, batchRows int, seed int64) {
+// sgdTrain runs epochs of shuffled mini-batch SGD, one serial
+// core.ShardedUpdate step per batch: a batch of batchRows rows is one shard.
+//
+//cdml:detached an offline grid search that no request or deployment owns
+func sgdTrain(m model.Model, o opt.Optimizer, train []data.Instance, epochs, batchRows int, seed int64) error {
+	eng := engine.New(1)
 	r := rand.New(rand.NewSource(seed))
 	idx := make([]int, len(train))
 	for i := range idx {
@@ -135,9 +141,12 @@ func sgdTrain(m model.Model, o opt.Optimizer, train []data.Instance, epochs, bat
 			for _, k := range idx[s:end] {
 				batch = append(batch, train[k])
 			}
-			m.Update(batch, o)
+			if _, _, err := core.ShardedUpdate(context.Background(), eng, batchRows, m, o, batch); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
 // evaluate scores a model on instances with the workload's metric.
@@ -162,7 +171,9 @@ func Table3(w *Workload) (*Table3Result, error) {
 		for _, reg := range table3Regs {
 			m := w.NewModel(reg)
 			o := w.NewOptimizer(ad, w.BestLR)
-			sgdTrain(m, o, train, 8, 256, 5)
+			if err := sgdTrain(m, o, train, 8, 256, 5); err != nil {
+				return nil, err
+			}
 			out.Cells = append(out.Cells, Table3Cell{
 				Adaptation: ad,
 				Reg:        reg,

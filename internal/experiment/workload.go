@@ -282,7 +282,6 @@ func (w *Workload) BaseConfig(mode core.Mode, seed int64) core.Config {
 	cfg.SampleChunks = w.SampleChunks
 	cfg.ProactiveEvery = w.ProactiveEvery
 	cfg.RetrainEvery = w.RetrainEvery
-	cfg.RetrainEpochs = 3
 	cfg.RetrainBatchRows = 128
 	cfg.InitialEpochs = 25
 	cfg.WarmStart = true

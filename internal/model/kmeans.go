@@ -6,7 +6,6 @@ import (
 
 	"cdml/internal/data"
 	"cdml/internal/linalg"
-	"cdml/internal/opt"
 )
 
 // KMeans is mini-batch k-means expressed as an SGD model, demonstrating the
@@ -101,13 +100,6 @@ func (m *KMeans) Loss(x linalg.Vector, y float64) float64 {
 	return 0.5 * dist
 }
 
-// Gradient implements Model: the mean gradient of the quantization error
-// with respect to the flattened centroids.
-func (m *KMeans) Gradient(batch []data.Instance) (linalg.Vector, float64) {
-	sum, lossSum := m.GradientSum(batch)
-	return m.finishGradient(sum, lossSum, len(batch))
-}
-
 // GradientSum implements Model: the unaveraged quantization-error gradient
 // sum over a batch shard. Assignments read the current centroids only, so
 // shards may run concurrently.
@@ -152,13 +144,6 @@ func (m *KMeans) GradientSum(batch []data.Instance) (linalg.Vector, float64) {
 	sum := acc.Result(1)
 	acc.Release()
 	return sum, lossSum
-}
-
-// Update implements Model.
-func (m *KMeans) Update(batch []data.Instance, o opt.Optimizer) float64 {
-	g, loss := m.Gradient(batch)
-	m.Apply(g, o)
-	return loss
 }
 
 // Clone implements Model.

@@ -36,7 +36,7 @@ func TestKMeansClustersBlobs(t *testing.T) {
 	m.Init(init)
 	o := opt.NewSGD(0.1)
 	for i := 0; i < 300; i++ {
-		m.Update(threeBlobs(r, 32), o)
+		step(m, threeBlobs(r, 32), o)
 	}
 	// Each true center must have a centroid within distance 1.
 	for _, c := range [][2]float64{{0, 0}, {10, 0}, {0, 10}} {
@@ -88,8 +88,8 @@ func TestKMeansSparseAgreement(t *testing.T) {
 		t.Fatalf("sparse/dense Assign disagree: (%d,%v) vs (%d,%v)", js, ds, jd, dd)
 	}
 	// Gradient agreement.
-	gs, ls := m.Gradient([]data.Instance{{X: sx}})
-	gd, ld := m.Gradient([]data.Instance{{X: dx}})
+	gs, ls := gradient(m, []data.Instance{{X: sx}})
+	gd, ld := gradient(m, []data.Instance{{X: dx}})
 	if math.Abs(ls-ld) > 1e-9 {
 		t.Fatalf("losses differ: %v vs %v", ls, ld)
 	}
@@ -105,7 +105,7 @@ func TestKMeansGradientPullsCentroidTowardPoint(t *testing.T) {
 	copy(m.Centroid(0), []float64{5, 5})
 	batch := []data.Instance{{X: linalg.Dense{0, 0}}}
 	before := m.Loss(batch[0].X, 0)
-	m.Update(batch, opt.NewSGD(0.1))
+	step(m, batch, opt.NewSGD(0.1))
 	after := m.Loss(batch[0].X, 0)
 	if after >= before {
 		t.Fatalf("update did not reduce quantization error: %v → %v", before, after)
@@ -195,7 +195,7 @@ func TestPredictionsSurviveRoundTrip(t *testing.T) {
 			}
 			batch[k] = data.Instance{X: x, Y: y}
 		}
-		m.Update(batch, opt.NewSGD(0.05))
+		step(m, batch, opt.NewSGD(0.05))
 	}
 	got := roundTrip(t, m)
 	for i := 0; i < 20; i++ {

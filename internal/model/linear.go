@@ -5,7 +5,6 @@ import (
 
 	"cdml/internal/data"
 	"cdml/internal/linalg"
-	"cdml/internal/opt"
 )
 
 // SVM is a linear support vector machine trained with hinge loss, the
@@ -53,23 +52,11 @@ func hingeScale(score, y float64) (float64, float64) {
 	return -y, 1 - margin
 }
 
-// Gradient implements Model.
-func (m *SVM) Gradient(batch []data.Instance) (linalg.Vector, float64) {
-	return m.gradient(batch, hingeScale)
-}
-
 // GradientSum implements Model.
 //
 //cdml:deterministic
 func (m *SVM) GradientSum(batch []data.Instance) (linalg.Vector, float64) {
 	return m.gradientSum(batch, hingeScale)
-}
-
-// Update implements Model.
-func (m *SVM) Update(batch []data.Instance, o opt.Optimizer) float64 {
-	g, loss := m.Gradient(batch)
-	m.Apply(g, o)
-	return loss
 }
 
 // Clone implements Model.
@@ -112,23 +99,11 @@ func squaredScale(score, y float64) (float64, float64) {
 	return r, 0.5 * r * r
 }
 
-// Gradient implements Model.
-func (m *LinearRegression) Gradient(batch []data.Instance) (linalg.Vector, float64) {
-	return m.gradient(batch, squaredScale)
-}
-
 // GradientSum implements Model.
 //
 //cdml:deterministic
 func (m *LinearRegression) GradientSum(batch []data.Instance) (linalg.Vector, float64) {
 	return m.gradientSum(batch, squaredScale)
-}
-
-// Update implements Model.
-func (m *LinearRegression) Update(batch []data.Instance, o opt.Optimizer) float64 {
-	g, loss := m.Gradient(batch)
-	m.Apply(g, o)
-	return loss
 }
 
 // Clone implements Model.
@@ -173,23 +148,11 @@ func logisticScale(score, y float64) (float64, float64) {
 	return sigmoid(score) - y, logOnePlusExp(score) - y*score
 }
 
-// Gradient implements Model.
-func (m *LogisticRegression) Gradient(batch []data.Instance) (linalg.Vector, float64) {
-	return m.gradient(batch, logisticScale)
-}
-
 // GradientSum implements Model.
 //
 //cdml:deterministic
 func (m *LogisticRegression) GradientSum(batch []data.Instance) (linalg.Vector, float64) {
 	return m.gradientSum(batch, logisticScale)
-}
-
-// Update implements Model.
-func (m *LogisticRegression) Update(batch []data.Instance, o opt.Optimizer) float64 {
-	g, loss := m.Gradient(batch)
-	m.Apply(g, o)
-	return loss
 }
 
 // Clone implements Model.

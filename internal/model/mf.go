@@ -6,7 +6,6 @@ import (
 
 	"cdml/internal/data"
 	"cdml/internal/linalg"
-	"cdml/internal/opt"
 )
 
 // MF is biased matrix factorization for rating prediction, trained with
@@ -110,15 +109,6 @@ func (m *MF) Loss(x linalg.Vector, y float64) float64 {
 	return 0.5 * r * r
 }
 
-// Gradient implements Model: the mean squared-error gradient over the
-// batch's touched biases and factors, with L2 regularization applied to
-// the touched parameters.
-func (m *MF) Gradient(batch []data.Instance) (linalg.Vector, float64) {
-	sum, lossSum := m.GradientSum(batch)
-	inv := 1 / float64(len(batch))
-	return scaleVec(sum, inv), lossSum * inv
-}
-
 // GradientSum implements Model: the unaveraged gradient sum over a batch
 // shard. Unlike the linear family, MF's regularization is per-example
 // (each occurrence of a user/item regularizes its own parameters), so the
@@ -166,13 +156,6 @@ func (m *MF) Reduce(partials []linalg.Vector, lossSums []float64, n int) (linalg
 	inv := 1 / float64(n)
 	g := scaleVec(sumPartials(len(m.w), partials), inv)
 	return g, sumOrdered(lossSums) * inv
-}
-
-// Update implements Model.
-func (m *MF) Update(batch []data.Instance, o opt.Optimizer) float64 {
-	g, loss := m.Gradient(batch)
-	m.Apply(g, o)
-	return loss
 }
 
 // Clone implements Model.

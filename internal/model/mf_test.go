@@ -63,7 +63,7 @@ func TestMFLearnsLatentStructure(t *testing.T) {
 	m := NewMF(40, 60, 4, 1e-3, 7)
 	o := opt.NewAdam(0.05)
 	for it := 0; it < 3000; it++ {
-		m.Update(world.batch(r, 32), o)
+		step(m, world.batch(r, 32), o)
 	}
 	var sse float64
 	const nTest = 500
@@ -93,7 +93,7 @@ func TestMFBiasOnlyBaseline(t *testing.T) {
 				Y: 4.2,
 			}
 		}
-		m.Update(batch, o)
+		step(m, batch, o)
 	}
 	if math.Abs(m.PredictPair(3, 7)-4.2) > 0.1 {
 		t.Fatalf("constant ratings not recovered: %v", m.PredictPair(3, 7))
@@ -137,7 +137,7 @@ func TestMFGradientMatchesFiniteDifference(t *testing.T) {
 		{X: EncodePair(4, 5, 3, 0), Y: 2},
 		{X: EncodePair(4, 5, 1, 4), Y: 5},
 	}
-	g, _ := m.Gradient(batch)
+	g, _ := gradient(m, batch)
 	obj := func(w []float64) float64 {
 		old := linalg.CopyOf(m.Weights())
 		m.SetWeights(w)
@@ -216,7 +216,7 @@ func TestMFPredictPairRangePanics(t *testing.T) {
 
 func TestMFProactiveResumability(t *testing.T) {
 	// The conditional-independence property must hold for MF too: a clone
-	// resumed with a cloned optimizer matches the uninterrupted run.
+	// resumed with a copy of the optimizer matches the uninterrupted run.
 	r1 := rand.New(rand.NewSource(9))
 	r2 := rand.New(rand.NewSource(9))
 	world1 := newRatingsWorld(r1, 8, 8, 2)
@@ -224,15 +224,15 @@ func TestMFProactiveResumability(t *testing.T) {
 	a := NewMF(8, 8, 2, 1e-3, 1)
 	oa := opt.NewAdam(0.05)
 	for it := 0; it < 5; it++ {
-		a.Update(world1.batch(r1, 8), oa)
+		step(a, world1.batch(r1, 8), oa)
 		world2.batch(r2, 8) // keep streams aligned
 	}
 	b := a.Clone().(*MF)
-	ob := oa.Clone()
+	ob := optimizerCopy(t, oa, len(a.Weights()))
 	for it := 0; it < 5; it++ {
 		batch := world1.batch(r1, 8)
-		a.Update(batch, oa)
-		b.Update(batch, ob)
+		step(a, batch, oa)
+		step(b, batch, ob)
 	}
 	for i := range a.Weights() {
 		if math.Abs(a.Weights()[i]-b.Weights()[i]) > 1e-12 {

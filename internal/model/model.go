@@ -3,19 +3,16 @@
 // (squared loss, used by the Taxi pipeline), and logistic regression
 // (log loss, the third MLlib class the prototype wires in).
 //
-// Every model exposes the paper's update contract (§4.4) in two grains.
-// The fused grain is Update: compute the mini-batch gradient and apply one
-// optimizer step. The split grain is the data-parallel decomposition the
-// proactive trainer runs on the execution engine: GradientSum produces the
-// unaveraged partial gradient of a batch shard (safe to call concurrently —
-// it only reads the weights), Reduce combines the per-shard partials in
-// fixed shard order into the mini-batch mean gradient, and Apply takes the
-// single optimizer step. Update(batch) is exactly
-// Apply(Reduce([GradientSum(batch)], n)) — bit-identical, not merely
-// approximately equal — so serial and sharded training agree. Iterations
-// are conditionally independent given the weights and optimizer state,
-// which is exactly what lets the proactive trainer run them at arbitrary
-// points in time (§3.3).
+// Every model exposes the paper's update contract (§4.4) as three calls,
+// the data-parallel decomposition every training step runs on the
+// execution engine (core.ShardedUpdate is their one composition):
+// GradientSum produces the unaveraged partial gradient of a batch shard
+// (safe to call concurrently — it only reads the weights), Reduce combines
+// the per-shard partials in fixed shard order into the mini-batch mean
+// gradient, and Apply takes the single optimizer step. Iterations are
+// conditionally independent given the weights and optimizer state, which
+// is exactly what lets the proactive trainer run them at arbitrary points
+// in time (§3.3).
 //
 // Weights have dimension Dim()+1: the last coordinate is the intercept,
 // which is never regularized. Gradients over sparse batches stay sparse and
@@ -47,10 +44,6 @@ type Model interface {
 	Predict(x linalg.Vector) float64
 	// Loss returns the per-example loss at the current weights.
 	Loss(x linalg.Vector, y float64) float64
-	// Gradient returns the mini-batch gradient (mean loss gradient plus L2
-	// on the touched coordinates) and the mean unregularized loss. The
-	// batch must be non-empty.
-	Gradient(batch []data.Instance) (linalg.Vector, float64)
 	// GradientSum returns the partial gradient of a batch shard: the
 	// per-example gradient contributions summed (not averaged) plus the
 	// summed loss. It reads but never writes model state, so shards may be
@@ -58,19 +51,17 @@ type Model interface {
 	//cdml:deterministic
 	GradientSum(batch []data.Instance) (linalg.Vector, float64)
 	// Reduce combines per-shard partial gradients in slice order into the
-	// mean mini-batch gradient (applying any batch-level regularization)
-	// and mean loss; n is the total number of rows across all shards. For a
-	// fixed shard partition the result is a pure function of the partials —
-	// independent of how they were scheduled. The partials are consumed: the
-	// result may reuse their memory.
+	// mean mini-batch gradient (mean loss gradient plus L2 on the touched
+	// coordinates) and the mean unregularized loss; n is the total number
+	// of rows across all shards. For a fixed shard partition the result is
+	// a pure function of the partials — independent of how they were
+	// scheduled. The partials are consumed: the result may reuse their
+	// memory.
 	//cdml:deterministic
 	Reduce(partials []linalg.Vector, lossSums []float64, n int) (linalg.Vector, float64)
 	// Apply takes one optimizer step with an already-reduced gradient.
 	//cdml:deterministic
 	Apply(g linalg.Vector, o opt.Optimizer)
-	// Update performs one SGD iteration: Gradient followed by one optimizer
-	// step. It returns the mean loss before the step.
-	Update(batch []data.Instance, o opt.Optimizer) float64
 	// Clone returns a deep copy (weights included).
 	Clone() Model
 }
@@ -163,13 +154,6 @@ func (b *base) gradientSum(batch []data.Instance, scale func(score, y float64) (
 	sum := acc.Result(1)
 	acc.Release()
 	return sum, lossSum
-}
-
-// gradient computes the mean regularized mini-batch gradient as the
-// single-shard case of the sum/finish split.
-func (b *base) gradient(batch []data.Instance, scale func(score, y float64) (mult, loss float64)) (linalg.Vector, float64) {
-	sum, lossSum := b.gradientSum(batch, scale)
-	return b.finishGradient(sum, lossSum, len(batch))
 }
 
 // finishGradient turns an ordered gradient sum over n rows into the mean

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"cdml/internal/data"
+	"cdml/internal/flat"
 	"cdml/internal/linalg"
 	"cdml/internal/opt"
 )
@@ -29,6 +30,36 @@ func separableBatch(r *rand.Rand, n int) []data.Instance {
 	return out
 }
 
+// step is one mini-batch SGD iteration as core.ShardedUpdate takes it on a
+// batch that fits one shard: GradientSum over the batch, Reduce of that one
+// partial, Apply.
+func step(m Model, batch []data.Instance, o opt.Optimizer) {
+	g, _ := gradient(m, batch)
+	m.Apply(g, o)
+}
+
+// gradient is the mean regularized gradient and mean loss of a batch: its
+// one partial, reduced.
+func gradient(m Model, batch []data.Instance) (linalg.Vector, float64) {
+	sum, lossSum := m.GradientSum(batch)
+	return m.Reduce([]linalg.Vector{sum}, []float64{lossSum}, len(batch))
+}
+
+// optimizerCopy returns an optimizer in o's state that shares none of it,
+// through the encoding a snapshot carries the optimizer in.
+func optimizerCopy(t *testing.T, o opt.Optimizer, dim int) opt.Optimizer {
+	t.Helper()
+	b, err := opt.Encode(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := opt.DecodeSection(flat.NewReader(b), dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func regressionBatch(r *rand.Rand, n int, noise float64) []data.Instance {
 	// y = 2*x0 - 3*x1 + 1 + noise
 	out := make([]data.Instance, n)
@@ -45,7 +76,7 @@ func TestSVMLearnsSeparableData(t *testing.T) {
 	m := NewSVM(2, 1e-4)
 	o := opt.NewAdam(0.05)
 	for i := 0; i < 400; i++ {
-		m.Update(separableBatch(r, 32), o)
+		step(m, separableBatch(r, 32), o)
 	}
 	test := separableBatch(r, 500)
 	errs := 0
@@ -64,7 +95,7 @@ func TestLinearRegressionRecoversCoefficients(t *testing.T) {
 	m := NewLinearRegression(2, 0)
 	o := opt.NewAdam(0.05)
 	for i := 0; i < 2000; i++ {
-		m.Update(regressionBatch(r, 32, 0.01), o)
+		step(m, regressionBatch(r, 32, 0.01), o)
 	}
 	w := m.Weights()
 	if math.Abs(w[0]-2) > 0.1 || math.Abs(w[1]+3) > 0.1 || math.Abs(w[2]-1) > 0.1 {
@@ -86,7 +117,7 @@ func TestLogisticRegressionLearns(t *testing.T) {
 		return batch
 	}
 	for i := 0; i < 400; i++ {
-		m.Update(mk(32), o)
+		step(m, mk(32), o)
 	}
 	test := mk(500)
 	errs := 0
@@ -179,14 +210,14 @@ func TestEmptyBatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.Gradient(nil)
+	gradient(m, nil)
 }
 
 func TestSVMGradientZeroOutsideMargin(t *testing.T) {
 	m := NewSVM(2, 0)
 	m.SetWeights([]float64{10, 0, 0})
 	// x = (1,0), y = +1 → margin = 10 ≥ 1 → zero gradient
-	g, loss := m.Gradient([]data.Instance{{X: linalg.Dense{1, 0}, Y: 1}})
+	g, loss := gradient(m, []data.Instance{{X: linalg.Dense{1, 0}, Y: 1}})
 	if loss != 0 {
 		t.Fatalf("loss = %v", loss)
 	}
@@ -217,7 +248,7 @@ func TestLinRegGradientMatchesFiniteDifference(t *testing.T) {
 			batch[i].X = linalg.Dense{d[0], d[1], 0.5}
 		}
 	}
-	g, _ := m.Gradient(batch)
+	g, _ := gradient(m, batch)
 	const eps = 1e-6
 	obj := func(w []float64) float64 {
 		old := linalg.CopyOf(m.Weights())
@@ -255,7 +286,7 @@ func TestLogRegGradientMatchesFiniteDifference(t *testing.T) {
 		{X: linalg.Dense{-1, 0.5}, Y: 0},
 		{X: linalg.Dense{0.3, -1}, Y: 1},
 	}
-	g, _ := m.Gradient(batch)
+	g, _ := gradient(m, batch)
 	const eps = 1e-6
 	obj := func(w []float64) float64 {
 		old := linalg.CopyOf(m.Weights())
@@ -290,7 +321,7 @@ func TestSparseGradientStaysSparse(t *testing.T) {
 		{X: linalg.NewSparse(dim, []int32{3, 500}, []float64{1, 1}), Y: 1},
 		{X: linalg.NewSparse(dim, []int32{7}, []float64{2}), Y: -1},
 	}
-	g, _ := m.Gradient(batch)
+	g, _ := gradient(m, batch)
 	s, ok := g.(*linalg.Sparse)
 	if !ok {
 		t.Fatalf("gradient type %T, want *Sparse", g)
@@ -316,8 +347,8 @@ func TestLogisticNumericalStability(t *testing.T) {
 	}
 }
 
-// Property: one Update step with SGD decreases loss on that batch (convex
-// losses, small step).
+// Property: one SGD step decreases loss on that batch (convex losses, small
+// step).
 func TestQuickUpdateDecreasesBatchLoss(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -329,7 +360,7 @@ func TestQuickUpdateDecreasesBatchLoss(t *testing.T) {
 		for _, ins := range batch {
 			lossBefore += m.Loss(ins.X, ins.Y)
 		}
-		m.Update(batch, opt.NewSGD(0.01))
+		step(m, batch, opt.NewSGD(0.01))
 		lossAfter := 0.0
 		for _, ins := range batch {
 			lossAfter += m.Loss(ins.X, ins.Y)
@@ -351,11 +382,11 @@ func TestQuickProactiveResumability(t *testing.T) {
 		a := NewSVM(2, 1e-3)
 		oa := opt.NewAdam(0.05)
 		for i := 0; i < 5; i++ {
-			a.Update(separableBatch(r1, 8), oa)
+			step(a, separableBatch(r1, 8), oa)
 		}
 		// Interrupt: snapshot weights + optimizer, resume on a clone.
 		b := a.Clone().(*SVM)
-		ob := oa.Clone()
+		ob := optimizerCopy(t, oa, len(a.Weights()))
 		for i := 0; i < 5; i++ {
 			_ = separableBatch(r2, 8) // drain r2 to align streams
 		}
@@ -363,8 +394,8 @@ func TestQuickProactiveResumability(t *testing.T) {
 			batch := separableBatch(r1, 8)
 			batchCopy := make([]data.Instance, len(batch))
 			copy(batchCopy, batch)
-			a.Update(batch, oa)
-			b.Update(batchCopy, ob)
+			step(a, batch, oa)
+			step(b, batchCopy, ob)
 		}
 		wa, wb := a.Weights(), b.Weights()
 		for i := range wa {
@@ -386,8 +417,8 @@ func TestRegularizationShrinksWeights(t *testing.T) {
 	withReg := NewLinearRegression(2, 1.0)
 	oa, ob := opt.NewSGD(0.05), opt.NewSGD(0.05)
 	for i := 0; i < 300; i++ {
-		noReg.Update(batch, oa)
-		withReg.Update(batch, ob)
+		step(noReg, batch, oa)
+		step(withReg, batch, ob)
 	}
 	n0 := linalg.Norm2(noReg.Weights()[:2])
 	n1 := linalg.Norm2(withReg.Weights()[:2])

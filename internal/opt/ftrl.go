@@ -80,14 +80,3 @@ func (f *FTRL) ensure(dim int) {
 
 // Steps implements Optimizer.
 func (f *FTRL) Steps() int64 { return f.t }
-
-// Reset implements Optimizer.
-func (f *FTRL) Reset() { f.z, f.n, f.t = nil, nil, 0 }
-
-// Clone implements Optimizer.
-func (f *FTRL) Clone() Optimizer {
-	c := *f
-	c.z = linalg.CopyOf(f.z)
-	c.n = linalg.CopyOf(f.n)
-	return &c
-}

@@ -113,23 +113,6 @@ func TestFTRLNegativeRegPanics(t *testing.T) {
 	NewFTRL(-1, 0)
 }
 
-func TestFTRLCloneAndReset(t *testing.T) {
-	f := NewFTRL(0.01, 0.01)
-	w := []float64{0, 0}
-	f.Step(w, linalg.Dense{1, 1})
-	c := f.Clone().(*FTRL)
-	c.z[0] = 999
-	if f.z[0] == 999 {
-		t.Fatal("clone shares state")
-	}
-	f.Reset()
-	w2 := []float64{0, 0, 0}
-	f.Step(w2, linalg.Dense{1, 1, 1}) // re-allocates at new dim
-	if f.Name() != "ftrl" {
-		t.Fatal("name wrong")
-	}
-}
-
 func TestNewByNameFTRL(t *testing.T) {
 	o, err := New("ftrl", 0.3)
 	if err != nil {

@@ -11,9 +11,9 @@
 // the weight vector has hundreds of thousands of coordinates but each
 // mini-batch touches only a few thousand.
 //
-// Optimizer state is snapshot-able (Clone) so the periodical baseline can
-// implement TFX-style warm starting, which reuses the adaptive-rate moments
-// across retrainings (paper §5.2).
+// Optimizer state carries across trainings: the periodical baseline's
+// TFX-style warm starting keeps stepping the live optimizer, adaptive-rate
+// moments included (paper §5.2), and a snapshot carries it as Encode bytes.
 package opt
 
 import (
@@ -31,17 +31,11 @@ type Optimizer interface {
 	// internal iteration counter. The gradient may be dense or sparse.
 	//cdml:deterministic
 	Step(w []float64, g linalg.Vector)
-	// Steps returns the number of optimizer steps taken since creation or
-	// the last Reset. Data-parallel training reduces per-shard partial
-	// gradients before a single Step, so the counter — and every adaptive
-	// moment — advances once per mini-batch regardless of shard count.
+	// Steps returns the number of optimizer steps taken since creation.
+	// Data-parallel training reduces per-shard partial gradients before a
+	// single Step, so the counter — and every adaptive moment — advances
+	// once per mini-batch regardless of shard count.
 	Steps() int64
-	// Reset clears all per-coordinate state and the iteration counter.
-	Reset()
-	// Clone returns a deep copy of the optimizer including its state, used
-	// for warm starting and for hyperparameter sweeps that must not share
-	// state.
-	Clone() Optimizer
 }
 
 // coordUpdate visits every touched coordinate of g, calling f(i, gi).
@@ -91,12 +85,6 @@ func (s *SGD) Step(w []float64, g linalg.Vector) {
 // Steps implements Optimizer.
 func (s *SGD) Steps() int64 { return s.t }
 
-// Reset implements Optimizer.
-func (s *SGD) Reset() { s.t = 0 }
-
-// Clone implements Optimizer.
-func (s *SGD) Clone() Optimizer { c := *s; return &c }
-
 // Momentum is SGD with classical (heavy-ball) momentum.
 type Momentum struct {
 	LR   float64
@@ -133,16 +121,6 @@ func (m *Momentum) ensure(dim int) {
 
 // Steps implements Optimizer.
 func (m *Momentum) Steps() int64 { return m.t }
-
-// Reset implements Optimizer.
-func (m *Momentum) Reset() { m.v = nil; m.t = 0 }
-
-// Clone implements Optimizer.
-func (m *Momentum) Clone() Optimizer {
-	c := *m
-	c.v = linalg.CopyOf(m.v)
-	return &c
-}
 
 // Adam implements Kingma & Ba's Adam with lazy sparse updates: first/second
 // moments decay only when a coordinate is touched, while the bias correction
@@ -192,17 +170,6 @@ func (a *Adam) ensure(dim int) {
 // Steps implements Optimizer.
 func (a *Adam) Steps() int64 { return a.t }
 
-// Reset implements Optimizer.
-func (a *Adam) Reset() { a.m, a.v, a.t = nil, nil, 0 }
-
-// Clone implements Optimizer.
-func (a *Adam) Clone() Optimizer {
-	c := *a
-	c.m = linalg.CopyOf(a.m)
-	c.v = linalg.CopyOf(a.v)
-	return &c
-}
-
 // RMSProp implements Tieleman & Hinton's RMSProp with lazy sparse updates.
 type RMSProp struct {
 	LR, Rho, Eps float64
@@ -241,16 +208,6 @@ func (r *RMSProp) ensure(dim int) {
 
 // Steps implements Optimizer.
 func (r *RMSProp) Steps() int64 { return r.t }
-
-// Reset implements Optimizer.
-func (r *RMSProp) Reset() { r.v = nil; r.t = 0 }
-
-// Clone implements Optimizer.
-func (r *RMSProp) Clone() Optimizer {
-	c := *r
-	c.v = linalg.CopyOf(r.v)
-	return &c
-}
 
 // AdaDelta implements Zeiler's AdaDelta. It has no learning-rate parameter;
 // the per-coordinate step is derived from the ratio of accumulated update
@@ -293,17 +250,6 @@ func (a *AdaDelta) ensure(dim int) {
 
 // Steps implements Optimizer.
 func (a *AdaDelta) Steps() int64 { return a.t }
-
-// Reset implements Optimizer.
-func (a *AdaDelta) Reset() { a.eg, a.ex, a.t = nil, nil, 0 }
-
-// Clone implements Optimizer.
-func (a *AdaDelta) Clone() Optimizer {
-	c := *a
-	c.eg = linalg.CopyOf(a.eg)
-	c.ex = linalg.CopyOf(a.ex)
-	return &c
-}
 
 // New constructs an optimizer by name: "sgd", "momentum", "adam", "rmsprop",
 // or "adadelta". The learning rate is ignored by AdaDelta. It returns an

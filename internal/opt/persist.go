@@ -7,8 +7,7 @@ import (
 )
 
 // snapshot is the serialized form of an optimizer, enabling warm restarts
-// of a deployment across process boundaries (the in-process counterpart is
-// Clone). All per-coordinate state vectors are persisted; the paper's warm
+// of a deployment across process boundaries. All per-coordinate state vectors are persisted; the paper's warm
 // starting explicitly carries "learning rate adaptation parameters (e.g.
 // the average of past gradients used in Adadelta, Adam, and Rmsprop)"
 // across trainings (§5.2).

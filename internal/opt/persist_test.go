@@ -57,7 +57,7 @@ func TestSectionRoundTripEveryKind(t *testing.T) {
 			fresh.Step(w2, sparse) // panics if a slot came back empty instead of nil
 		}
 		b := encodeOf(t, o)
-		if !bytes.Equal(encodeOf(t, fresh), b) || !bytes.Equal(encodeOf(t, o.Clone()), b) {
+		if !bytes.Equal(encodeOf(t, fresh), b) {
 			t.Fatalf("%s: equal optimizers encode to different bytes", o.Name())
 		}
 		got := decodeOf(t, b, dim)

@@ -9,7 +9,6 @@ package sample
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"cdml/internal/data"
@@ -71,19 +70,15 @@ func (w *Window) Sample(ids []data.Timestamp, s int) []data.Timestamp {
 }
 
 // Time samples with probability increasing in recency: the i-th oldest of n
-// chunks carries weight (i+1)^Bias, so recent chunks are favored while old
-// chunks always retain non-zero probability. Bias=1 (linear decay) is the
-// default.
+// chunks carries weight i+1, so recent chunks are favored while old chunks
+// always retain non-zero probability.
 type Time struct {
-	// Bias ≥ 0 controls how sharply recent chunks are preferred; 0 degrades
-	// to uniform.
-	Bias float64
-	rng  *rand.Rand
+	rng *rand.Rand
 }
 
 // NewTime returns a time-based sampler with linear recency weighting.
 func NewTime(seed int64) *Time {
-	return &Time{Bias: 1, rng: rand.New(rand.NewSource(seed))}
+	return &Time{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Name implements Strategy.
@@ -92,9 +87,9 @@ func (t *Time) Name() string { return "time" }
 // Sample implements Strategy using the Efraimidis-Spirakis weighted
 // reservoir in its exponential form: element i draws e_i = Exp(1)/w_i and
 // the s smallest draws win (equivalent to taking the s largest u^(1/w)
-// keys, since −ln u ~ Exp(1), but without any math.Pow in the loop for the
-// default linear bias). A size-s max-heap keeps the draw O(n log s) — the
-// data manager samples on every proactive training, so this path is hot.
+// keys, since −ln u ~ Exp(1), but without any math.Pow in the loop). A
+// size-s max-heap keeps the draw O(n log s) — the data manager samples on
+// every proactive training, so this path is hot.
 func (t *Time) Sample(ids []data.Timestamp, s int) []data.Timestamp {
 	if s >= len(ids) {
 		return append([]data.Timestamp(nil), ids...)
@@ -122,15 +117,8 @@ func (t *Time) Sample(ids []data.Timestamp, s int) []data.Timestamp {
 			i = max
 		}
 	}
-	linear := t.Bias == 1 //lint:allow floateq: Bias defaults to the exact constant 1 (linear decay fast path)
 	for i, id := range ids {
-		var w float64
-		if linear {
-			w = float64(i + 1)
-		} else {
-			w = math.Pow(float64(i+1), t.Bias)
-		}
-		e := t.rng.ExpFloat64() / w
+		e := t.rng.ExpFloat64() / float64(i+1)
 		if len(heapKeys) < s {
 			heapKeys = append(heapKeys, e)
 			heapIDs = append(heapIDs, id)

@@ -114,23 +114,6 @@ func TestTimeFavorsRecent(t *testing.T) {
 	}
 }
 
-func TestTimeZeroBiasIsUniformish(t *testing.T) {
-	tb := &Time{Bias: 0, rng: rand.New(rand.NewSource(1))}
-	var recent, total int
-	for trial := 0; trial < 400; trial++ {
-		for _, id := range tb.Sample(seqIDs(100), 10) {
-			total++
-			if id >= 50 {
-				recent++
-			}
-		}
-	}
-	frac := float64(recent) / float64(total)
-	if frac < 0.4 || frac > 0.6 {
-		t.Fatalf("bias=0 should be near-uniform, recent fraction = %v", frac)
-	}
-}
-
 func TestUniformCoverage(t *testing.T) {
 	// Every id should be sampled eventually.
 	u := NewUniform(42)
