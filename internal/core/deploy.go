@@ -226,10 +226,10 @@ func (d *Deployer) Run(s Stream) (*Result, error) {
 // the chunk, storage, and the strategy-specific training trigger.
 //
 //cdml:locked mu — tick helper; tickBody's callers hold d.mu
-func (d *Deployer) ingest(records [][]byte) error {
+func (d *Deployer) ingest(records [][]byte, in pipeline.Parsed) error {
 	// Online learning: update pipeline statistics, transform, store, and
 	// apply one online gradient step on the fresh chunk.
-	if err := d.onlineUpdate(records); err != nil {
+	if err := d.onlineUpdate(records, in); err != nil {
 		return err
 	}
 	retrainDue := false
@@ -302,7 +302,12 @@ func (d *Deployer) initialTrain(s Stream) error {
 	}
 	var all []data.Instance
 	for i := 0; i < d.cfg.InitialChunks; i++ {
-		ins, err := d.preprocessAndStore(s.Chunk(i))
+		records := s.Chunk(i)
+		in, err := d.parse(records)
+		if err != nil {
+			return fmt.Errorf("core: initial training chunk %d: %w", i, err)
+		}
+		ins, err := d.preprocessAndStore(records, in)
 		if err != nil {
 			return fmt.Errorf("core: initial training chunk %d: %w", i, err)
 		}
@@ -313,14 +318,27 @@ func (d *Deployer) initialTrain(s Stream) error {
 	})
 }
 
-// serveAndScore preprocesses the chunk on the transform-only path and
+// parse runs the chunk through the parser and the pipeline's stateless head
+// once, for both the serve and the online pass.
+func (d *Deployer) parse(records [][]byte) (pipeline.Parsed, error) {
+	var in pipeline.Parsed
+	if _, err := d.timed("parse", eval.CatPreprocess, func() (err error) {
+		in, err = d.pipe.Parse(records)
+		return err
+	}); err != nil {
+		return pipeline.Parsed{}, fmt.Errorf("core: parsing chunk: %w", err)
+	}
+	return in, nil
+}
+
+// serveAndScore finishes the parsed chunk on the transform-only path and
 // prequentially scores the deployed model on every resulting instance.
 //
 //cdml:locked mu — tick helper; tickBody's callers hold d.mu
-func (d *Deployer) serveAndScore(records [][]byte) error {
+func (d *Deployer) serveAndScore(in pipeline.Parsed) error {
 	var ins []data.Instance
 	dur, err := d.timed("serve", eval.CatPredict, func() (err error) {
-		if ins, err = d.pipe.ProcessServe(records); err != nil {
+		if ins, err = d.pipe.Serve(in); err != nil {
 			return err
 		}
 		for _, in := range ins {
@@ -354,8 +372,8 @@ func (d *Deployer) serveAndScore(records [][]byte) error {
 
 // onlineUpdate runs the online path on the tick's chunk: preprocessing and
 // storage, then one online gradient step.
-func (d *Deployer) onlineUpdate(records [][]byte) error {
-	ins, err := d.preprocessAndStore(records)
+func (d *Deployer) onlineUpdate(records [][]byte, in pipeline.Parsed) error {
+	ins, err := d.preprocessAndStore(records, in)
 	if err != nil {
 		return fmt.Errorf("core: online update: %w", err)
 	}
@@ -371,14 +389,15 @@ func (d *Deployer) onlineUpdate(records [][]byte) error {
 }
 
 // preprocessAndStore takes a fresh chunk in: Update+Transform through the
-// pipeline (computing the online statistics), then storage — the raw chunk
-// always, and the feature chunk when the optimizations are enabled (dynamic
-// materialization needs stored features; the NoOptimization baseline stores
-// none). Inside a tick these are the preprocess and materialize stages.
-func (d *Deployer) preprocessAndStore(records [][]byte) ([]data.Instance, error) {
+// rest of the pipeline after its parse in (computing the online statistics),
+// then storage — the raw records always, and the feature chunk when the
+// optimizations are enabled (dynamic materialization needs stored features;
+// the NoOptimization baseline stores none). Inside a tick these are the
+// preprocess and materialize stages.
+func (d *Deployer) preprocessAndStore(records [][]byte, in pipeline.Parsed) ([]data.Instance, error) {
 	var ins []data.Instance
 	if _, err := d.timed("preprocess", eval.CatPreprocess, func() (err error) {
-		ins, err = d.pipe.ProcessOnline(records)
+		ins, err = d.pipe.Online(in)
 		return err
 	}); err != nil {
 		return nil, err

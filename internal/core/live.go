@@ -55,8 +55,10 @@ func (d *Deployer) ingestTick(ctx context.Context, records [][]byte, enqueuedAt 
 	return nil
 }
 
-// tickBody is a live tick up to its publish: score, learn, store, schedule,
-// account. walSeq, when nonzero, is the chunk's write-ahead ingest log
+// tickBody is a live tick up to its publish: parse, score, learn, store,
+// schedule, account. The chunk is parsed once — the parser and the
+// pipeline's stateless head — and both passes start from that frame (see
+// pipeline.Parsed). walSeq, when nonzero, is the chunk's write-ahead ingest log
 // sequence number: a successful body buffers a commit record carrying the
 // publish version its caller is about to produce — under d.mu and before
 // publish(), so the commit provably happens before the snapshot can reach
@@ -71,9 +73,12 @@ func (d *Deployer) tickBody(ctx context.Context, records [][]byte, enqueuedAt ti
 		// The wait ended where the tick began: recorded, not timed.
 		d.tickSpan.AddChild("queue-wait", enqueuedAt, d.tickSpan.Start.Sub(enqueuedAt))
 	}
-	err := d.serveAndScore(records)
+	in, err := d.parse(records)
 	if err == nil {
-		err = d.ingest(records)
+		err = d.serveAndScore(in)
+	}
+	if err == nil {
+		err = d.ingest(records, in)
 	}
 	d.endTick(err == nil)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -10,6 +11,8 @@ import (
 	"cdml/internal/data"
 	"cdml/internal/engine"
 	"cdml/internal/eval"
+	"cdml/internal/model"
+	"cdml/internal/pipeline"
 )
 
 func TestLiveIngestPredictStats(t *testing.T) {
@@ -133,6 +136,110 @@ func TestLiveMatchesRun(t *testing.T) {
 	}
 	if runRes.ProactiveRuns != liveRes.ProactiveRuns {
 		t.Fatalf("Run trainings %d != live trainings %d", runRes.ProactiveRuns, liveRes.ProactiveRuns)
+	}
+}
+
+// countingParser and counted count the calls a tick makes into its pipeline.
+type countingParser struct {
+	driftParser
+	parses int
+}
+
+func (p *countingParser) Parse(records [][]byte) (*data.Frame, error) {
+	p.parses++
+	return p.driftParser.Parse(records)
+}
+
+type counted struct {
+	pipeline.Component
+	transforms int
+}
+
+func (c *counted) Transform(f *data.Frame) (*data.Frame, error) {
+	c.transforms++
+	return c.Component.Transform(f)
+}
+
+// recordingMetric keeps every prequential score the deployment observes.
+type recordingMetric struct {
+	eval.Misclassification
+	preds []float64
+}
+
+func (m *recordingMetric) Observe(pred, actual float64) {
+	m.preds = append(m.preds, pred)
+	m.Misclassification.Observe(pred, actual)
+}
+
+// TestTickParsesOnce: a tick runs the parser and the pipeline's stateless
+// head once, and only the rest of the pipeline twice (serve, then online),
+// while scoring exactly what a ProcessServe before a ProcessOnline of each
+// chunk scores.
+func TestTickParsesOnce(t *testing.T) {
+	const ticks = 12
+	newComps := func() []pipeline.Component {
+		return []pipeline.Component{
+			pipeline.NewInteraction([][2]string{{"x0", "x1"}}),
+			pipeline.NewStandardScaler([]string{"x0", "x1"}),
+			pipeline.NewAssembler([]string{"x0", "x1", "x0*x1"}, nil, "features"),
+		}
+	}
+	comps := newComps()
+	parser := &countingParser{}
+	head, stateful, tail := &counted{Component: comps[0]}, &counted{Component: comps[1]}, &counted{Component: comps[2]}
+	metric := &recordingMetric{}
+	cfg := baseConfig(ModeOnline)
+	cfg.InitialChunks = 0
+	cfg.Predict = RegressionPredictor
+	cfg.Metric = metric
+	cfg.NewModel = func() model.Model { return model.NewSVM(3, 1e-4) }
+	cfg.NewPipeline = func() *pipeline.Pipeline { return pipeline.New(parser, head, stateful, tail) }
+	d, err := NewDeployer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+	ingestChunks(t, d, smallStream, 0, ticks)
+	for _, c := range []struct {
+		what      string
+		got, want int
+	}{
+		{"parser", parser.parses, ticks},
+		{"stateless head", head.transforms, ticks},
+		{"stateful component", stateful.transforms, 2 * ticks},
+		{"stateless tail", tail.transforms, 2 * ticks},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s ran %d times over %d ticks, want %d", c.what, c.got, ticks, c.want)
+		}
+	}
+
+	ref := pipeline.New(driftParser{}, newComps()...)
+	mdl, om := cfg.NewModel(), cfg.NewOptimizer()
+	var want []float64
+	for i := 0; i < ticks; i++ {
+		served, err := ref.ProcessServe(smallStream.Chunk(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range served {
+			want = append(want, RegressionPredictor(mdl, in.X))
+		}
+		online, err := ref.ProcessOnline(smallStream.Chunk(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ShardedUpdate(context.Background(), engine.New(1), DefaultGradShardRows, mdl, om, online); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(metric.preds) != len(want) {
+		t.Fatalf("%d prequential scores, want %d", len(metric.preds), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(metric.preds[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("prequential score %d = %v, want %v", i, metric.preds[i], want[i])
+		}
 	}
 }
 

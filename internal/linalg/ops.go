@@ -3,7 +3,7 @@ package linalg
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -156,16 +156,16 @@ func (a *Accumulator) Result(alpha float64) Vector {
 		a.reset()
 		return out
 	}
-	// touched holds each index once, in insertion order: sorting the entries
-	// in place is all a Sparse needs (no duplicates, so any sort gives the
-	// same result).
+	// touched holds each index once, in insertion order: sorting the indices
+	// is all a Sparse needs (no duplicates, so any sort gives the same
+	// result), and the values are gathered in that order.
 	idx := make([]int32, len(a.touched))
-	val := make([]float64, len(a.touched))
-	for k, i := range a.touched {
-		idx[k] = i
+	copy(idx, a.touched)
+	slices.Sort(idx)
+	val := make([]float64, len(idx))
+	for k, i := range idx {
 		val[k] = a.buf[i] * alpha
 	}
-	sort.Sort(&entrySorter{idx, val})
 	out := &Sparse{N: len(a.buf), Idx: idx, Val: val}
 	a.reset()
 	return out

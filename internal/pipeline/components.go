@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"cdml/internal/data"
 	"cdml/internal/linalg"
@@ -393,7 +394,8 @@ func (h *FeatureHasher) Transform(f *data.Frame) (*data.Frame, error) {
 	for k, c := range h.TokenCols {
 		tokSrcs[k] = f.String(c)
 	}
-	// Count the batch's entries first, so the whole column is laid out once.
+	// Bound the batch's entries first, so the whole column is laid out once:
+	// a cell holds at most one token more than it has spaces.
 	nnz := 0
 	for k := range numSrcs {
 		for _, v := range numSrcs[k] {
@@ -404,9 +406,7 @@ func (h *FeatureHasher) Transform(f *data.Frame) (*data.Frame, error) {
 	}
 	for k := range tokSrcs {
 		for _, s := range tokSrcs[k] {
-			for tok, rest := nextField(s); tok != ""; tok, rest = nextField(rest) {
-				nnz++
-			}
+			nnz += strings.Count(s, " ") + 1
 		}
 	}
 	out := make([]linalg.Vector, n)

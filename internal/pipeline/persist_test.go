@@ -18,7 +18,7 @@ func trainedPipeline(t *testing.T, seed int64) *Pipeline {
 	p := everyPersistent()
 	r := rand.New(rand.NewSource(seed))
 	for b := 0; b < 3; b++ {
-		if _, err := p.updateTransform(randomFrame(r, 12)); err != nil {
+		if _, err := updateTransform(p.Components, randomFrame(r, 12)); err != nil {
 			t.Fatal(err)
 		}
 	}

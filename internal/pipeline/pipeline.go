@@ -73,8 +73,8 @@ func New(p Parser, comps ...Component) *Pipeline {
 }
 
 // Snapshot returns a transform-only copy of the pipeline whose ProcessServe
-// and Transform paths are safe to run concurrently with further
-// updateTransform calls on the receiver. Stateless components are shared;
+// and Serve paths are safe to run concurrently with further online calls on
+// the receiver. Stateless components are shared;
 // stateful components contribute a deep copy of their statistics (see
 // Component.Snapshot). The Parser is shared: parsers are stateless by
 // convention (Parse builds a fresh frame per call), which keeps Snapshot
@@ -87,11 +87,86 @@ func (p *Pipeline) Snapshot() *Pipeline {
 	return &Pipeline{Parser: p.Parser, Components: comps, FeatureCol: p.FeatureCol, LabelCol: p.LabelCol}
 }
 
-// Transform runs the transform-only path over a parsed frame (prediction
+// Parsed is a chunk after the pipeline's parser and its stateless head: the
+// leading components whose Stateless() is true. Their output is the same on
+// the transform-only and the online path, so one Parsed can feed both — a
+// live tick parses its chunk once and hands the frame to Serve for the
+// prequential score and to Online for the update. Two contracts make that
+// sharing exact:
+//
+//   - Component.Transform never mutates its input frame, so the frame Serve
+//     reads from is still the one Online starts from;
+//   - a stateless component's Update is a no-op, so running the head
+//     Transform-only on the online path skips nothing.
+//
+// A Parsed belongs to the pipeline that made it, or to one built the same
+// way (its Snapshot, a fresh one from the same constructor).
+type Parsed struct {
+	frame *data.Frame
+	next  int // index of the first component Parse did not run
+}
+
+// Parse runs the parser and the stateless head over raw records.
+func (p *Pipeline) Parse(records [][]byte) (Parsed, error) {
+	f, err := p.Parser.Parse(records)
+	if err != nil {
+		return Parsed{}, fmt.Errorf("pipeline: parser %s: %w", p.Parser.Name(), err)
+	}
+	next := 0
+	for next < len(p.Components) && p.Components[next].Stateless() {
+		next++
+	}
+	if f, err = transform(p.Components[:next], f); err != nil {
+		return Parsed{}, err
+	}
+	return Parsed{frame: f, next: next}, nil
+}
+
+// Serve runs the transform-only path over the rest of the pipeline (prediction
 // queries and dynamic re-materialization).
-func (p *Pipeline) Transform(f *data.Frame) (*data.Frame, error) {
+func (p *Pipeline) Serve(in Parsed) ([]data.Instance, error) {
+	f, err := transform(p.Components[in.next:], in.frame)
+	if err != nil {
+		return nil, err
+	}
+	return p.Instances(f)
+}
+
+// Online runs the online Update+Transform path over the rest of the
+// pipeline: every component first updates its statistics from its input,
+// then transforms it for the next component.
+func (p *Pipeline) Online(in Parsed) ([]data.Instance, error) {
+	f, err := updateTransform(p.Components[in.next:], in.frame)
+	if err != nil {
+		return nil, err
+	}
+	return p.Instances(f)
+}
+
+// ProcessOnline parses raw records and runs the online Update+Transform
+// path, returning preprocessed instances.
+func (p *Pipeline) ProcessOnline(records [][]byte) ([]data.Instance, error) {
+	in, err := p.Parse(records)
+	if err != nil {
+		return nil, err
+	}
+	return p.Online(in)
+}
+
+// ProcessServe parses raw records and runs the transform-only path. It is
+// used for prediction queries and for re-materializing evicted feature
+// chunks.
+func (p *Pipeline) ProcessServe(records [][]byte) ([]data.Instance, error) {
+	in, err := p.Parse(records)
+	if err != nil {
+		return nil, err
+	}
+	return p.Serve(in)
+}
+
+func transform(comps []Component, f *data.Frame) (*data.Frame, error) {
 	var err error
-	for _, c := range p.Components {
+	for _, c := range comps {
 		if f, err = c.Transform(f); err != nil {
 			return nil, fmt.Errorf("pipeline: component %s: %w", c.Name(), err)
 		}
@@ -99,12 +174,9 @@ func (p *Pipeline) Transform(f *data.Frame) (*data.Frame, error) {
 	return f, nil
 }
 
-// updateTransform runs the online path over a parsed frame: every component
-// first updates its statistics from its input, then transforms it for the
-// next component.
-func (p *Pipeline) updateTransform(f *data.Frame) (*data.Frame, error) {
+func updateTransform(comps []Component, f *data.Frame) (*data.Frame, error) {
 	var err error
-	for _, c := range p.Components {
+	for _, c := range comps {
 		if err = c.Update(f); err != nil {
 			return nil, fmt.Errorf("pipeline: updating component %s: %w", c.Name(), err)
 		}
@@ -113,35 +185,6 @@ func (p *Pipeline) updateTransform(f *data.Frame) (*data.Frame, error) {
 		}
 	}
 	return f, nil
-}
-
-// ProcessOnline parses raw records and runs the online Update+Transform
-// path, returning preprocessed instances.
-func (p *Pipeline) ProcessOnline(records [][]byte) ([]data.Instance, error) {
-	f, err := p.Parser.Parse(records)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: parser %s: %w", p.Parser.Name(), err)
-	}
-	f, err = p.updateTransform(f)
-	if err != nil {
-		return nil, err
-	}
-	return p.Instances(f)
-}
-
-// ProcessServe parses raw records and runs the transform-only path. It is
-// used for prediction queries and for re-materializing evicted feature
-// chunks.
-func (p *Pipeline) ProcessServe(records [][]byte) ([]data.Instance, error) {
-	f, err := p.Parser.Parse(records)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: parser %s: %w", p.Parser.Name(), err)
-	}
-	f, err = p.Transform(f)
-	if err != nil {
-		return nil, err
-	}
-	return p.Instances(f)
 }
 
 // Instances extracts (feature, label) pairs from a fully transformed frame.

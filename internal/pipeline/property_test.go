@@ -60,9 +60,24 @@ func snapshotFrame(f *data.Frame) string {
 }
 
 // randomComponents builds a random stack of stateful and stateless
-// components over the random frame's schema.
+// components over the random frame's schema: stateless ones before, between
+// and after the stateful ones.
 func randomComponents(r *rand.Rand) []Component {
 	var comps []Component
+	features := []string{"x"}
+	// A stateless head: a filter that drops rows below a random floor, and
+	// a derived column the assembler picks up.
+	if r.Intn(2) == 0 {
+		headFloor := -20 * r.Float64()
+		comps = append(comps, NewFilter("head-floor", func(f *data.Frame, i int) bool {
+			x := f.Float("x")[i]
+			return data.IsMissingFloat(x) || x >= headFloor
+		}))
+	}
+	if r.Intn(2) == 0 {
+		comps = append(comps, NewInteraction([][2]string{{"x", "x"}}))
+		features = append(features, "x*x")
+	}
 	if r.Intn(2) == 0 {
 		comps = append(comps, NewImputer([]string{"x"}, []string{"c"}))
 	}
@@ -88,65 +103,122 @@ func randomComponents(r *rand.Rand) []Component {
 		return data.IsMissingFloat(x) || x >= floor
 	}))
 	comps = append(comps, NewOneHotEncoder("c", "cv", 8))
-	comps = append(comps, NewAssembler([]string{"x"}, []string{"cv"}, "features"))
+	comps = append(comps, NewAssembler(features, []string{"cv"}, "features"))
 	return comps
 }
 
-// Property: for any random pipeline and data, (1) Transform never mutates
-// its input, (2) the serve path is deterministic, and (3) Update+Transform
-// leaves the pipeline in a state where serve output matches the last
-// transform of the same data (train/serve consistency with frozen stats).
+// frameParser hands out a prepared frame as the parse of any records.
+type frameParser struct{ f *data.Frame }
+
+func (p *frameParser) Name() string                          { return "frame" }
+func (p *frameParser) Parse(_ [][]byte) (*data.Frame, error) { return p.f, nil }
+
+// refInstances is the component-by-component reference of the online path
+// (update) and the transform-only path: every component in order, the
+// stateless head included, Update before Transform when updating.
+func refInstances(p *Pipeline, comps []Component, f *data.Frame, update bool) ([]data.Instance, error) {
+	var err error
+	for _, c := range comps {
+		if update {
+			if err = c.Update(f); err != nil {
+				return nil, err
+			}
+		}
+		if f, err = c.Transform(f); err != nil {
+			return nil, err
+		}
+	}
+	return p.Instances(f)
+}
+
+// sameInstances reports whether two instance slices are equal bit for bit.
+func sameInstances(got, want []data.Instance) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d instances, want %d", len(got), len(want))
+	}
+	gx, wx := make([]linalg.Vector, len(got)), make([]linalg.Vector, len(want))
+	for i := range got {
+		if math.Float64bits(got[i].Y) != math.Float64bits(want[i].Y) {
+			return fmt.Errorf("instance %d label %v, want %v", i, got[i].Y, want[i].Y)
+		}
+		gx[i], wx[i] = got[i].X, want[i].X
+	}
+	return sameVectors(gx, wx)
+}
+
+// Property: for any random pipeline and data, (1) Serve and Online over one
+// Parse — the serve pass first, as a tick runs them — are bit-identical to
+// running every component in order, (2) nothing mutates the parsed input,
+// and (3) the serve path is deterministic.
 func TestQuickPipelinePurity(t *testing.T) {
-	f := func(seed int64) bool {
+	f := func(seed int64) error {
 		r := rand.New(rand.NewSource(seed))
-		p := &Pipeline{Components: randomComponents(r), FeatureCol: "features", LabelCol: "label"}
+		src := &frameParser{}
+		p := &Pipeline{Parser: src, Components: randomComponents(r), FeatureCol: "features", LabelCol: "label"}
+		ref := randomComponents(rand.New(rand.NewSource(seed)))
 
 		// Train statistics on some batches.
 		for b := 0; b < 3; b++ {
-			train := randomFrame(r, 1+r.Intn(20))
-			if _, err := p.updateTransform(train); err != nil {
-				return false
+			src.f = randomFrame(r, 1+r.Intn(20))
+			in, err := p.Parse(nil)
+			if err != nil {
+				return err
+			}
+			served, err := p.Serve(in)
+			if err != nil {
+				return err
+			}
+			want, err := refInstances(p, ref, src.f, false)
+			if err != nil {
+				return err
+			}
+			if err := sameInstances(served, want); err != nil {
+				return fmt.Errorf("batch %d, serve: %w", b, err)
+			}
+			online, err := p.Online(in)
+			if err != nil {
+				return err
+			}
+			if want, err = refInstances(p, ref, src.f, true); err != nil {
+				return err
+			}
+			if err := sameInstances(online, want); err != nil {
+				return fmt.Errorf("batch %d, online: %w", b, err)
 			}
 		}
-		query := randomFrame(r, 1+r.Intn(10))
-		before := snapshotFrame(query)
-
-		out1, err := p.Transform(query)
+		src.f = randomFrame(r, 1+r.Intn(10))
+		before := snapshotFrame(src.f)
+		in, err := p.Parse(nil)
 		if err != nil {
-			return false
+			return err
 		}
-		if snapshotFrame(query) != before {
-			return false // input mutated
-		}
-		out2, err := p.Transform(query)
+		ins1, err := p.Serve(in)
 		if err != nil {
-			return false
+			return err
 		}
-		if snapshotFrame(out1) != snapshotFrame(out2) {
-			return false // nondeterministic serve path
+		if snapshotFrame(src.f) != before {
+			return fmt.Errorf("input mutated")
 		}
-		ins1, err := p.Instances(out1)
+		ins2, err := p.Serve(in)
 		if err != nil {
-			return false
+			return err
 		}
-		ins2, err := p.Instances(out2)
+		if err := sameInstances(ins2, ins1); err != nil {
+			return fmt.Errorf("nondeterministic serve path: %w", err)
+		}
+		want, err := refInstances(p, ref, src.f, false)
 		if err != nil {
-			return false
+			return err
 		}
-		for i := range ins1 {
-			if ins1[i].Y != ins2[i].Y {
-				return false
-			}
-			for k := 0; k < ins1[i].X.Dim(); k++ {
-				if ins1[i].X.At(k) != ins2[i].X.At(k) {
-					return false
-				}
-			}
+		if err := sameInstances(ins1, want); err != nil {
+			return fmt.Errorf("query: %w", err)
 		}
-		return true
+		return nil
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
+	for seed := int64(0); seed < 80; seed++ {
+		if err := f(seed); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 	}
 }
 
@@ -158,7 +230,7 @@ func TestQuickPipelineCheckpointRoundTrip(t *testing.T) {
 		comps := randomComponents(r)
 		p := &Pipeline{Components: comps, FeatureCol: "features", LabelCol: "label"}
 		for b := 0; b < 3; b++ {
-			if _, err := p.updateTransform(randomFrame(r, 10)); err != nil {
+			if _, err := updateTransform(p.Components, randomFrame(r, 10)); err != nil {
 				return false
 			}
 		}
@@ -183,11 +255,11 @@ func TestQuickPipelineCheckpointRoundTrip(t *testing.T) {
 			}
 		}
 		query := randomFrame(r, 8)
-		a, err := p.Transform(query)
+		a, err := transform(p.Components, query)
 		if err != nil {
 			return false
 		}
-		b, err := p2.Transform(query)
+		b, err := transform(p2.Components, query)
 		if err != nil {
 			return false
 		}

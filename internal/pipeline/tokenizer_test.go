@@ -90,7 +90,7 @@ func TestTokenizerFeedsHasher(t *testing.T) {
 		FeatureCol: "features",
 		LabelCol:   "label",
 	}
-	out, err := p.updateTransform(f)
+	out, err := updateTransform(p.Components, f)
 	if err != nil {
 		t.Fatal(err)
 	}

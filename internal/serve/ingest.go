@@ -399,8 +399,9 @@ type tickSummary struct {
 	TraceID string `json:"trace_id,omitempty"`
 	// DurationMS is the whole tick's duration.
 	DurationMS float64 `json:"duration_ms"`
-	// StagesMS maps the tick's top-level stage names (serve, preprocess,
-	// materialize, online-update, proactive-train, ...) to their durations.
+	// StagesMS maps the tick's top-level stage names (parse, serve,
+	// preprocess, materialize, online-update, proactive-train, ...) to their
+	// durations.
 	StagesMS map[string]float64 `json:"stages_ms"`
 }
 

@@ -262,7 +262,7 @@ func TestTraceEndpoint(t *testing.T) {
 	for _, c := range root.Children {
 		stages[c.Name] = true
 	}
-	for _, want := range []string{"serve", "preprocess", "materialize"} {
+	for _, want := range []string{"parse", "serve", "preprocess", "materialize"} {
 		if !stages[want] {
 			t.Fatalf("tick span missing stage %q (has %v)", want, stages)
 		}
