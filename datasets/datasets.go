@@ -3,8 +3,8 @@
 //
 //   - URL: a sparse, high-dimensional, gradually drifting binary
 //     classification stream in the spirit of the malicious-URL dataset,
-//     together with its parser → imputer → scaler → feature-hasher
-//     pipeline and SVM model.
+//     together with its parser → token hasher → imputer → scaler →
+//     numeric fold pipeline and SVM model.
 //   - Taxi: a dense, stationary regression stream of synthetic NYC-like
 //     taxi trips, together with its parser → feature-extractor →
 //     anomaly-filter → scaler → one-hot → assembler pipeline and linear
@@ -31,8 +31,9 @@ func DefaultURLConfig() URLConfig { return dataset.DefaultURLConfig() }
 // NewURL returns a URL stream generator.
 func NewURL(cfg URLConfig) *URL { return dataset.NewURL(cfg) }
 
-// NewURLPipeline constructs the URL pipeline (parser → imputer → standard
-// scaler → feature hasher).
+// NewURLPipeline constructs the URL pipeline (parser → feature hasher over
+// the tokens → imputer → standard scaler → feature hasher folding the scaled
+// numerics into the hashed tokens).
 func NewURLPipeline(hashDim int) *pipeline.Pipeline { return dataset.NewURLPipeline(hashDim) }
 
 // NewURLModel constructs the URL pipeline's SVM.

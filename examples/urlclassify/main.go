@@ -1,6 +1,7 @@
 // Command urlclassify deploys the paper's URL scenario: a malicious-URL
-// classifier (imputer → standard scaler → feature hasher → SVM) over a
-// sparse, high-dimensional, gradually drifting stream. It runs the same
+// classifier (token hasher → imputer → standard scaler → a second hasher
+// folding the scaled numerics into the hashed tokens → SVM) over a sparse,
+// high-dimensional, gradually drifting stream. It runs the same
 // stream under the online, periodical, and continuous deployment
 // approaches and prints the quality/cost comparison of the paper's
 // Experiment 1 (Figure 4a/4b) at laptop scale.

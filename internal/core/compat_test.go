@@ -25,10 +25,10 @@ import (
 const v1Chunks = 12
 
 // v1Fixture is the deployment a fixture was written from — a small cousin of
-// the benchmark's two workloads: the URL pipeline (imputer, standard scaler,
-// hasher) over 256 hashed weights under Adam, and the Taxi pipeline
-// (standard scaler, one-hot) under RMSProp — with proactive training on, and
-// the stream it had ingested.
+// the benchmark's two workloads: the URL pipeline (token hasher, imputer,
+// standard scaler, numeric fold) over 256 hashed weights under Adam, and the
+// Taxi pipeline (standard scaler, one-hot) under RMSProp — with proactive
+// training on, and the stream it had ingested.
 func v1Fixture(workload string) (Config, Stream) {
 	cfg := liveConfig(ModeContinuous)
 	if workload == "url" {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cdml/internal/data"
+	"cdml/internal/dataset"
 	"cdml/internal/engine"
 	"cdml/internal/eval"
 	"cdml/internal/model"
@@ -240,6 +241,33 @@ func TestTickParsesOnce(t *testing.T) {
 		if math.Float64bits(metric.preds[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("prequential score %d = %v, want %v", i, metric.preds[i], want[i])
 		}
+	}
+}
+
+// TestURLTickHashesTokensOnce: the URL pipeline's token hasher is part of
+// its stateless head, so a tick runs it once; the hasher that folds the
+// scaled numerics in comes after the stateful components and runs twice.
+func TestURLTickHashesTokensOnce(t *testing.T) {
+	const ticks, dim = 12, 256
+	p := dataset.NewURLPipeline(dim)
+	last := len(p.Components) - 1
+	tokens, fold := &counted{Component: p.Components[0]}, &counted{Component: p.Components[last]}
+	p.Components[0], p.Components[last] = tokens, fold
+	cfg := baseConfig(ModeOnline)
+	cfg.InitialChunks = 0
+	cfg.NewModel = func() model.Model { return dataset.NewURLModel(dim, 1e-3) }
+	cfg.NewPipeline = func() *pipeline.Pipeline { return p }
+	d, err := NewDeployer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+	gen := dataset.DefaultURLConfig()
+	gen.Days, gen.ChunksPerDay, gen.RowsPerChunk, gen.Vocab = ticks, 1, 40, 400
+	ingestChunks(t, d, dataset.NewURL(gen), 0, ticks)
+	if tokens.transforms != ticks || fold.transforms != 2*ticks {
+		t.Fatalf("over %d ticks the token hasher ran %d times and the fold %d, want %d and %d",
+			ticks, tokens.transforms, fold.transforms, ticks, 2*ticks)
 	}
 }
 

@@ -3,15 +3,19 @@ package dataset
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"cdml/internal/core"
 	"cdml/internal/data"
 	"cdml/internal/engine"
+	"cdml/internal/linalg"
 	"cdml/internal/model"
 	"cdml/internal/opt"
+	"cdml/internal/pipeline"
 )
 
 // step takes one mini-batch SGD step on a chunk's instances the way a
@@ -171,6 +175,198 @@ func TestURLPipelineEndToEnd(t *testing.T) {
 	}
 	if ins[0].X.NNZ() == 0 {
 		t.Fatal("empty feature vector")
+	}
+}
+
+// oneHasherURLPipeline is the URL pipeline with a single hasher over the
+// tokens and the scaled numerics at its end, and so no stateless head.
+func oneHasherURLPipeline(hashDim int) *pipeline.Pipeline {
+	numCols := urlNumCols[:]
+	return pipeline.New(urlParser{},
+		pipeline.NewImputer(numCols, nil),
+		pipeline.NewStandardScaler(numCols),
+		pipeline.NewFeatureHasher([]string{"tokens"}, numCols, "features", hashDim),
+	)
+}
+
+// urlHashing holds what decides where the two URL compositions may round
+// apart: the buckets the numerics land in and each row's token counts.
+type urlHashing struct {
+	numBuckets []int32
+	tokens     []linalg.Vector
+}
+
+func newURLHashing(t *testing.T, dim int, records [][]byte) urlHashing {
+	t.Helper()
+	ones := data.NewFrame(1)
+	for _, c := range urlNumCols {
+		ones.SetFloat(c, []float64{1})
+	}
+	nums, err := pipeline.NewFeatureHasher(nil, urlNumCols[:], "v", dim).Transform(ones)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := urlParser{}.Parse(records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	toks, err := pipeline.NewFeatureHasher([]string{"tokens"}, nil, "v", dim).Transform(parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return urlHashing{numBuckets: nums.Vec("v")[0].(*linalg.Sparse).Idx, tokens: toks.Vec("v")}
+}
+
+// diffRows compares the split composition's instances with the one-hasher
+// composition's and returns how many rows differ. A row may differ only in
+// an entry one unit in the last place apart, in a bucket that holds a
+// numeric and two or more tokens: the split sums n + k there, one hasher
+// (n + 1) + 1 + …. Anything else is an error.
+func (h urlHashing) diffRows(got, want []data.Instance) (int, error) {
+	if len(got) != len(want) {
+		return 0, fmt.Errorf("%d instances, want %d", len(got), len(want))
+	}
+	diff := 0
+	for i := range want {
+		g, w := got[i].X.(*linalg.Sparse), want[i].X.(*linalg.Sparse)
+		if math.Float64bits(got[i].Y) != math.Float64bits(want[i].Y) || g.N != w.N || !slices.Equal(g.Idx, w.Idx) {
+			return 0, fmt.Errorf("instance %d: %v %v, want %v %v", i, got[i].Y, g, want[i].Y, w)
+		}
+		differs := false
+		for k, b := range w.Idx {
+			if math.Float64bits(g.Val[k]) == math.Float64bits(w.Val[k]) {
+				continue
+			}
+			if math.Nextafter(w.Val[k], g.Val[k]) != g.Val[k] || !slices.Contains(h.numBuckets, b) || h.tokens[i].At(int(b)) < 2 {
+				return 0, fmt.Errorf("instance %d bucket %d: %v, want %v", i, b, g.Val[k], w.Val[k])
+			}
+			differs = true
+		}
+		if differs {
+			diff++
+		}
+	}
+	return diff, nil
+}
+
+// TestURLPipelineMatchesOneHasher: hashing the tokens in the stateless head
+// and folding the scaled numerics in after the scaler builds, on the URL
+// stream, the instances of one hasher over both, on the serve and the online
+// path, and the same pipeline state. Where the summation orders differ (see
+// diffRows) the sums may round apart by one unit in the last place: never at
+// the benchmark's 2^15 buckets, in a few rows at 64 and 256, where buckets
+// collide in most rows.
+func TestURLPipelineMatchesOneHasher(t *testing.T) {
+	const chunks = 300
+	g := NewURL(DefaultURLConfig())
+	dims := []int{64, 256, 1 << 15}
+	split, one := make([]*pipeline.Pipeline, len(dims)), make([]*pipeline.Pipeline, len(dims))
+	for k, dim := range dims {
+		split[k], one[k] = NewURLPipeline(dim), oneHasherURLPipeline(dim)
+	}
+	diffs := make([]int, len(dims))
+	rows := 0
+	for i := 0; i < chunks; i++ {
+		records := g.Chunk(i)
+		rows += len(records)
+		for k, dim := range dims {
+			hashing := newURLHashing(t, dim, records)
+			in, err := split[k].Parse(records)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pass := range []struct {
+				name      string
+				got       func(pipeline.Parsed) ([]data.Instance, error)
+				reference func([][]byte) ([]data.Instance, error)
+			}{
+				{"serve", split[k].Serve, one[k].ProcessServe},
+				{"online", split[k].Online, one[k].ProcessOnline},
+			} {
+				got, err := pass.got(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := pass.reference(records)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n, err := hashing.diffRows(got, want)
+				if err != nil {
+					t.Fatalf("dim %d, chunk %d, %s: %v", dim, i, pass.name, err)
+				}
+				if pass.name == "online" {
+					diffs[k] += n
+				}
+			}
+		}
+	}
+	for k, dim := range dims {
+		t.Logf("dim %d: %d of %d rows one unit in the last place apart", dim, diffs[k], rows)
+		a, err := split[k].AppendState(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := one[k].AppendState(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("dim %d: pipeline state differs", dim)
+		}
+	}
+	if diffs[len(dims)-1] != 0 {
+		t.Errorf("%d rows differ at %d buckets, want none", diffs[len(dims)-1], dims[len(dims)-1])
+	}
+}
+
+// firstInput records the frame its component's first Transform sees.
+type firstInput struct {
+	pipeline.Component
+	seen *data.Frame
+}
+
+func (c *firstInput) Transform(f *data.Frame) (*data.Frame, error) {
+	if c.seen == nil {
+		c.seen = f
+	}
+	return c.Component.Transform(f)
+}
+
+// TestURLParseHashesTokens: the URL pipeline hashes its tokens in the
+// stateless head, so the frame Parse hands both passes of a tick already
+// holds the hashed-token column, one vector of the model's dimension a row.
+func TestURLParseHashesTokens(t *testing.T) {
+	cfg := smallURLConfig()
+	p := NewURLPipeline(cfg.HashDim)
+	k := 0
+	for p.Components[k].Stateless() {
+		k++
+	}
+	spy := &firstInput{Component: p.Components[k]}
+	p.Components[k] = spy
+	in, err := p.Parse(NewURL(cfg).Chunk(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spy.seen != nil {
+		t.Fatal("Parse ran a stateful component")
+	}
+	if _, err := p.Serve(in); err != nil {
+		t.Fatal(err)
+	}
+	f := spy.seen
+	if !f.Has(urlTokenCol) {
+		t.Fatalf("parsed frame lacks %q (have %v)", urlTokenCol, f.Columns())
+	}
+	rows := f.Vec(urlTokenCol)
+	if len(rows) != cfg.RowsPerChunk {
+		t.Fatalf("%d hashed-token rows, want %d", len(rows), cfg.RowsPerChunk)
+	}
+	for i, v := range rows {
+		if v.Dim() != cfg.HashDim || v.NNZ() == 0 {
+			t.Fatalf("row %d: dim %d, %d entries", i, v.Dim(), v.NNZ())
+		}
 	}
 }
 

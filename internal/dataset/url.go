@@ -5,7 +5,8 @@
 //   - URL: a sparse, high-dimensional binary classification stream with
 //     gradual concept drift and a feature set that grows over time,
 //     mirroring the malicious-URL dataset of Ma et al. [22]. It feeds the
-//     parser → imputer → standard scaler → feature hasher → SVM pipeline.
+//     parser → token hasher → imputer → standard scaler → numeric fold →
+//     SVM pipeline (both hashers are FeatureHashers; see NewURLPipeline).
 //   - Taxi: a dense tabular regression stream of synthetic NYC-like taxi
 //     trips with a stationary distribution and injected anomalies. It feeds
 //     the parser → feature extractor → anomaly filter → scaler → one-hot →
@@ -311,16 +312,28 @@ var urlNumCols = func() (cols [numURLFeatures]string) {
 	return cols
 }()
 
-// NewURLPipeline constructs the paper's URL pipeline: input parser →
-// missing-value imputer → standard scaler → feature hasher (into the
-// configured dimensionality). The SVM model is created separately with
-// NewURLModel.
+// urlTokenCol is the URL pipeline's hashed-token column.
+const urlTokenCol = "hashed-tokens"
+
+// NewURLPipeline constructs the paper's URL pipeline: input parser → feature
+// hasher (the tokens, into the configured dimensionality) → missing-value
+// imputer → standard scaler → feature hasher (the scaled numerics, folded
+// into the hashed tokens). The token hasher is stateless and comes before
+// every stateful component, so it is part of the stateless head a tick runs
+// once for both of its passes (Pipeline.Parse). A bucket shared by numerics
+// and tokens sums the numerics, then the token count n + k, where one hasher
+// over both would add the tokens one at a time, (n + 1) + 1: the two can
+// differ in the last bit when a bucket holds a numeric and two or more
+// tokens. The SVM model is created separately with NewURLModel.
 func NewURLPipeline(hashDim int) *pipeline.Pipeline {
 	numCols := append([]string(nil), urlNumCols[:]...)
+	fold := pipeline.NewFeatureHasher(nil, numCols, "features", hashDim)
+	fold.BaseCol = urlTokenCol
 	return pipeline.New(urlParser{},
+		pipeline.NewFeatureHasher([]string{"tokens"}, nil, urlTokenCol, hashDim),
 		pipeline.NewImputer(numCols, nil),
 		pipeline.NewStandardScaler(numCols),
-		pipeline.NewFeatureHasher([]string{"tokens"}, numCols, "features", hashDim),
+		fold,
 	)
 }
 

@@ -3,7 +3,7 @@ package linalg
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 	"sync"
 )
 
@@ -52,11 +52,12 @@ func CopyOf(x []float64) []float64 {
 }
 
 // Accumulator accumulates a weighted sum of vectors into a dense buffer and
-// tracks which coordinates were touched. It is the gradient workhorse of the
-// mini-batch SGD step: for sparse inputs only the touched coordinates are
-// visited when the result is extracted — and when the accumulator is reset —
-// which keeps a mini-batch gradient on a 2^18-dimensional space proportional
-// to the batch's NNZ rather than the full dimension.
+// tracks which coordinates were touched in a bitmap. It is the gradient
+// workhorse of the mini-batch SGD step: for sparse inputs only the touched
+// coordinates and one bit per coordinate are visited when the result is
+// extracted — and when the accumulator is reset — which keeps a mini-batch
+// gradient on a 2^18-dimensional space proportional to the batch's NNZ plus
+// dim/64 words rather than to the full dimension.
 //
 // That only holds if the dim-sized buffers are not allocated (and zeroed,
 // and later marked by the collector) once per gradient, so accumulators are
@@ -68,23 +69,26 @@ func CopyOf(x []float64) []float64 {
 // each hold their own. Reuse never changes a sum: every round starts from
 // all-zero buffers and adds in the caller's order.
 type Accumulator struct {
-	buf     []float64
-	touched []int32
-	seen    []bool
-	dense   bool // a dense vector was added; all coordinates are live
+	buf   []float64
+	seen  []uint64 // bit i%64 of word i/64 set: coordinate i was touched
+	n     int      // coordinates touched
+	dense bool     // a dense vector was added; all coordinates are live
 }
+
+// words is the length of the seen bitmap of a dim-dimensional accumulator.
+func words(dim int) int { return (dim + 63) / 64 }
 
 // newAccumulator returns a fresh accumulator of dimension dim that is not
 // tied to the recycling in AcquireAccumulator.
 //
 //cdml:deterministic
 func newAccumulator(dim int) *Accumulator {
-	return &Accumulator{buf: make([]float64, dim), seen: make([]bool, dim)}
+	return &Accumulator{buf: make([]float64, dim), seen: make([]uint64, words(dim))}
 }
 
 // accumulators holds released accumulators. Every one in it is clean over
-// its whole capacity (buf all zero, seen all false, touched empty), which
-// is what lets AcquireAccumulator re-slice one to a smaller dimension.
+// its whole capacity (buf all zero, seen all clear), which is what lets
+// AcquireAccumulator re-slice one to a smaller dimension.
 var accumulators sync.Pool
 
 // AcquireAccumulator returns a clean accumulator of dimension dim, recycled
@@ -94,7 +98,7 @@ var accumulators sync.Pool
 //cdml:deterministic
 func AcquireAccumulator(dim int) *Accumulator {
 	if a, ok := accumulators.Get().(*Accumulator); ok && cap(a.buf) >= dim {
-		a.buf, a.seen = a.buf[:dim], a.seen[:dim]
+		a.buf, a.seen = a.buf[:dim], a.seen[:words(dim)]
 		return a
 	}
 	// Nothing pooled, or a smaller one: it is dropped for the collector and
@@ -111,6 +115,16 @@ func (a *Accumulator) Release() {
 	accumulators.Put(a)
 }
 
+// mark records that coordinate i was touched.
+//
+//cdml:deterministic
+func (a *Accumulator) mark(i int32) {
+	if w, bit := i>>6, uint64(1)<<(i&63); a.seen[w]&bit == 0 {
+		a.seen[w] |= bit
+		a.n++
+	}
+}
+
 // Add accumulates alpha*v.
 //
 //cdml:deterministic
@@ -118,11 +132,8 @@ func (a *Accumulator) Add(v Vector, alpha float64) {
 	switch t := v.(type) {
 	case *Sparse:
 		for k, i := range t.Idx {
-			if !a.seen[i] {
-				a.seen[i] = true
-				a.touched = append(a.touched, i)
-			}
 			a.buf[i] += alpha * t.Val[k]
+			a.mark(i)
 		}
 	default:
 		a.dense = true
@@ -134,11 +145,8 @@ func (a *Accumulator) Add(v Vector, alpha float64) {
 //
 //cdml:deterministic
 func (a *Accumulator) AddCoord(i int, alpha float64) {
-	if !a.seen[i] {
-		a.seen[i] = true
-		a.touched = append(a.touched, int32(i))
-	}
 	a.buf[i] += alpha
+	a.mark(int32(i))
 }
 
 // Result extracts the accumulated vector, scaled by alpha. If any dense
@@ -156,19 +164,22 @@ func (a *Accumulator) Result(alpha float64) Vector {
 		a.reset()
 		return out
 	}
-	// touched holds each index once, in insertion order: sorting the indices
-	// is all a Sparse needs (no duplicates, so any sort gives the same
-	// result), and the values are gathered in that order.
-	idx := make([]int32, len(a.touched))
-	copy(idx, a.touched)
-	slices.Sort(idx)
-	val := make([]float64, len(idx))
-	for k, i := range idx {
-		val[k] = a.buf[i] * alpha
+	// The bitmap holds each touched index once, and is read in increasing
+	// order: what a Sparse needs, with no sort. Each coordinate is cleared as
+	// it is gathered, which leaves the accumulator clean.
+	idx := make([]int32, 0, a.n)
+	val := make([]float64, 0, a.n)
+	for w, word := range a.seen {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			idx = append(idx, int32(i))
+			val = append(val, a.buf[i]*alpha)
+			a.buf[i] = 0
+		}
+		a.seen[w] = 0
 	}
-	out := &Sparse{N: len(a.buf), Idx: idx, Val: val}
-	a.reset()
-	return out
+	a.n = 0
+	return &Sparse{N: len(a.buf), Idx: idx, Val: val}
 }
 
 // ReduceSum returns the ordered sum of the partial vectors: parts are
@@ -190,20 +201,23 @@ func ReduceSum(dim int, parts []Vector) Vector {
 	return sum
 }
 
-// reset returns the accumulator to its clean state in O(touched) — O(dim)
-// only after a dense add. seen is cleared for the touched list on both
-// branches: a dense round still marks coordinates through AddCoord (the
-// intercept of every gradient), and a mark left standing would keep that
-// coordinate off the next sparse round's touched list, i.e. out of its
-// Result.
+// reset returns the accumulator to its clean state in O(dim/64 + touched),
+// O(dim) after a dense add. seen is cleared on both branches: a dense round
+// still marks coordinates through AddCoord (the intercept of every
+// gradient), and a mark left standing would keep that coordinate out of the
+// next sparse round's Result.
 func (a *Accumulator) reset() {
-	for _, i := range a.touched {
-		a.buf[i] = 0
-		a.seen[i] = false
-	}
 	if a.dense {
 		zero(a.buf)
+		clear(a.seen)
 		a.dense = false
+	} else if a.n > 0 {
+		for w, word := range a.seen {
+			for ; word != 0; word &= word - 1 {
+				a.buf[w<<6|bits.TrailingZeros64(word)] = 0
+			}
+			a.seen[w] = 0
+		}
 	}
-	a.touched = a.touched[:0]
+	a.n = 0
 }

@@ -1,8 +1,10 @@
 package pipeline
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"cdml/internal/data"
@@ -327,11 +329,19 @@ func (o *OneHotEncoder) Transform(f *data.Frame) (*data.Frame, error) {
 // apply it to an unbounded, growing token vocabulary. Token occurrences
 // accumulate counts; numeric columns contribute their value at the hash of
 // the column name.
+//
+// A hasher can also start each row from another hasher's output (BaseCol).
+// That lets a pipeline hash its tokens in its stateless head, where a tick
+// runs them once, and fold the numerics in after the stateful components
+// that scale them.
 type FeatureHasher struct {
 	// TokenCols are string columns of whitespace-separated tokens.
 	TokenCols []string
 	// NumCols are numeric columns folded in by column-name hash.
 	NumCols []string
+	// BaseCol, if set, names a sparse vector column of dimension Size whose
+	// rows the hashed entries are merged into.
+	BaseCol string
 	// Out is the produced vector column.
 	Out string
 	// Size is the number of hash buckets (the feature dimensionality).
@@ -379,17 +389,26 @@ func (h *FeatureHasher) bucket(s string) int32 {
 	return int32(fnv1a(fnvOffset32, s) % uint32(h.Size))
 }
 
+// hashedNum is a numeric column and the bucket its values land in.
+type hashedNum struct {
+	src    []float64
+	bucket int32
+}
+
 // Transform implements Component. A row's entries are emitted numeric
-// columns first, then tokens left to right; entries landing in the same
-// bucket are summed in that order.
+// columns first, then the base row, then tokens left to right; entries
+// landing in the same bucket are summed in that order, numerics in column
+// order. The numerics are sorted by bucket once per call and merged into the
+// base row, which is sorted already, so a row without tokens is built in
+// order and never sorted. A base row that is not sparse or not of dimension
+// Size is an error.
 func (h *FeatureHasher) Transform(f *data.Frame) (*data.Frame, error) {
 	n := f.Rows()
-	numSrcs := make([][]float64, len(h.NumCols))
-	numBuckets := make([]int32, len(h.NumCols))
+	nums := make([]hashedNum, len(h.NumCols))
 	for k, c := range h.NumCols {
-		numSrcs[k] = f.Float(c)
-		numBuckets[k] = int32(fnv1a(fnv1a(fnvOffset32, "num:"), c) % uint32(h.Size))
+		nums[k] = hashedNum{src: f.Float(c), bucket: int32(fnv1a(fnv1a(fnvOffset32, "num:"), c) % uint32(h.Size))}
 	}
+	slices.SortStableFunc(nums, func(a, b hashedNum) int { return cmp.Compare(a.bucket, b.bucket) })
 	tokSrcs := make([][]string, len(h.TokenCols))
 	for k, c := range h.TokenCols {
 		tokSrcs[k] = f.String(c)
@@ -397,11 +416,22 @@ func (h *FeatureHasher) Transform(f *data.Frame) (*data.Frame, error) {
 	// Bound the batch's entries first, so the whole column is laid out once:
 	// a cell holds at most one token more than it has spaces.
 	nnz := 0
-	for k := range numSrcs {
-		for _, v := range numSrcs[k] {
+	for _, c := range nums {
+		for _, v := range c.src {
 			if storedFloat(v) {
 				nnz++
 			}
+		}
+	}
+	var base []linalg.Vector
+	if h.BaseCol != "" {
+		base = f.Vec(h.BaseCol)
+		for i, v := range base {
+			s, ok := v.(*linalg.Sparse)
+			if !ok || s.N != h.Size {
+				return nil, fmt.Errorf("pipeline: feature hasher: base column %q row %d is %T, want a sparse vector of dimension %d", h.BaseCol, i, v, h.Size)
+			}
+			nnz += len(s.Idx)
 		}
 	}
 	for k := range tokSrcs {
@@ -412,10 +442,35 @@ func (h *FeatureHasher) Transform(f *data.Frame) (*data.Frame, error) {
 	out := make([]linalg.Vector, n)
 	b := linalg.NewSparseBatch(h.Size, n, nnz)
 	for i := 0; i < n; i++ {
-		for k := range numSrcs {
-			if v := numSrcs[k][i]; storedFloat(v) {
-				b.Add(numBuckets[k], v)
+		var idx []int32
+		var val []float64
+		if base != nil {
+			s := base[i].(*linalg.Sparse)
+			idx, val = s.Idx, s.Val
+		}
+		j := 0
+		for k := 0; k < len(nums); {
+			bucket, sum, stored := nums[k].bucket, 0.0, false
+			for ; k < len(nums) && nums[k].bucket == bucket; k++ {
+				if v := nums[k].src[i]; storedFloat(v) {
+					sum += v // exact on the first: 0 + v is v for any stored v
+					stored = true
+				}
 			}
+			if !stored {
+				continue
+			}
+			for ; j < len(idx) && idx[j] < bucket; j++ {
+				b.Add(idx[j], val[j])
+			}
+			if j < len(idx) && idx[j] == bucket {
+				sum += val[j]
+				j++
+			}
+			b.Add(bucket, sum)
+		}
+		for ; j < len(idx); j++ {
+			b.Add(idx[j], val[j])
 		}
 		for k := range tokSrcs {
 			for tok, rest := nextField(tokSrcs[k][i]); tok != ""; tok, rest = nextField(rest) {

@@ -247,6 +247,24 @@ func TestFeatureHasherStatelessUpdateNoop(t *testing.T) {
 	}
 }
 
+// A base column the hasher cannot merge into — a dense row, a sparse row of
+// another dimension, no row at all — is an error, not a panic.
+func TestFeatureHasherRefusesBadBase(t *testing.T) {
+	f := floatFrame(1, 2)
+	ok := linalg.NewSparse(8, []int32{3}, []float64{1})
+	for what, rows := range map[string][]linalg.Vector{
+		"dense":           {ok, linalg.Dense(make([]float64, 8))},
+		"wrong dimension": {linalg.NewSparse(16, []int32{3}, []float64{1}), ok},
+		"nil":             {ok, nil},
+	} {
+		h := NewFeatureHasher(nil, []string{"x"}, "v", 8)
+		h.BaseCol = "base"
+		if _, err := h.Transform(f.ShallowCopy().SetVec("base", rows)); err == nil {
+			t.Errorf("%s base row: no error", what)
+		}
+	}
+}
+
 // nextField, iterated, yields the tokens fields() collects: runs of spaces
 // separate like one, other whitespace does not separate, and the empty
 // string holds none.

@@ -304,6 +304,11 @@ func refHasher(h *FeatureHasher, f *data.Frame) []linalg.Vector {
 				val = append(val, v)
 			}
 		}
+		if h.BaseCol != "" {
+			b := f.Vec(h.BaseCol)[i].(*linalg.Sparse)
+			idx = append(idx, b.Idx...)
+			val = append(val, b.Val...)
+		}
 		for _, c := range h.TokenCols {
 			for _, tok := range fields(f.String(c)[i]) {
 				idx = append(idx, bucket(tok))
@@ -510,6 +515,84 @@ func TestQuickBatchBuiltColumnsMatchRowByRow(t *testing.T) {
 		return nil
 	}
 	for seed := int64(0); seed < 150; seed++ {
+		if err := f(seed); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// Property: a hasher that folds numerics into a base column — another
+// hasher's output, or arbitrary sparse rows with explicit zeros — emits the
+// rows its reference builds by appending the numerics in column order, the
+// base entries, then the tokens, and summing shared buckets in that order.
+// At most 16 buckets for up to seven numeric columns force collisions among
+// the numerics, with the base and with the tokens; every row must come out
+// strictly increasing.
+func TestQuickHasherBaseMergeMatchesReference(t *testing.T) {
+	f := func(seed int64) error {
+		r := rand.New(rand.NewSource(seed))
+		size := 1 + r.Intn(16)
+		fr := vectorFrame(r, r.Intn(30))
+		numCols := []string{"x", "z"}
+		for k := r.Intn(6); k > 0; k-- {
+			col := make([]float64, fr.Rows())
+			for i := range col {
+				switch r.Intn(4) {
+				case 0: // zero: no entry
+				case 1:
+					col[i] = data.Missing
+				default:
+					col[i] = r.NormFloat64()
+				}
+			}
+			name := fmt.Sprintf("n%d", k)
+			fr.SetFloat(name, col)
+			numCols = append(numCols, name)
+		}
+		in := fr
+		if r.Intn(2) == 0 {
+			var err error
+			if in, err = NewFeatureHasher([]string{"toks"}, nil, "base", size).Transform(fr); err != nil {
+				return err
+			}
+		} else {
+			rows := make([]linalg.Vector, fr.Rows())
+			for i := range rows {
+				idx := make([]int32, r.Intn(2*size))
+				val := make([]float64, len(idx))
+				for k := range idx {
+					idx[k] = int32(r.Intn(size))
+					val[k] = float64(r.Intn(3)) * r.NormFloat64()
+				}
+				rows[i] = linalg.NewSparse(size, idx, val)
+			}
+			in = fr.ShallowCopy().SetVec("base", rows)
+		}
+		var tokCols []string
+		if r.Intn(2) == 0 {
+			tokCols = []string{"c", "toks"}
+		}
+		fold := NewFeatureHasher(tokCols, numCols, "hv", size)
+		fold.BaseCol = "base"
+		out, err := fold.Transform(in)
+		if err != nil {
+			return err
+		}
+		got := out.Vec("hv")
+		if err := sameVectors(got, refHasher(fold, in)); err != nil {
+			return err
+		}
+		for i, v := range got {
+			idx := v.(*linalg.Sparse).Idx
+			for k := 1; k < len(idx); k++ {
+				if idx[k-1] >= idx[k] {
+					return fmt.Errorf("row %d not strictly increasing: %v", i, idx)
+				}
+			}
+		}
+		return nil
+	}
+	for seed := int64(0); seed < 300; seed++ {
 		if err := f(seed); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
