@@ -85,9 +85,10 @@ bench-gate:
 # Fault-injection suite (skipped by -short runs): kill-and-recover
 # bit-identity, torn-checkpoint fallback, kill-with-queued-ingest WAL
 # replay, torn WAL tails, flaky-storage healing, kill-during-promotion,
-# replica kill-resync/swap-under-load, and cdml-serve's boot matrix (both
-# doors × cold start, kill with queued chunks, torn newest checkpoint), all
-# under the race detector.
+# replica kill-resync/swap-under-load, cdml-serve's boot matrix (both
+# doors × cold start, kill with queued chunks, torn newest checkpoint), and
+# the crash-point simulator (a power cut at every I/O boundary of async
+# ingest, ~20 s of the run), all under the race detector.
 chaos:
 	$(GO) test -race -run '^TestChaos' ./cmd/cdml-serve/ ./internal/core/ ./internal/data/ ./internal/registry/ ./internal/serve/ ./internal/wal/ -v
 

@@ -207,12 +207,29 @@ func (m *ckptManager) due() bool {
 		// alternative to enqueueing a snapshot nobody will ever write.
 		return false
 	}
-	if len(m.ch) == cap(m.ch) {
+	if len(m.ch) == cap(m.ch) && !m.dropDurable() {
 		m.skips.Inc()
 		return false
 	}
 	// Room now is room at handOff: the publishing writer is the channel's
 	// only sender and run() only ever drains it.
+	return true
+}
+
+// dropDurable takes the queued snapshot out of the hand-off channel when a
+// CheckpointNow has already written it, and reports whether the slot is
+// free: a snapshot already on disk must not cost the due checkpoint its
+// turn. Called under qmu by the channel's only sender, so a snapshot it
+// puts back always fits.
+func (m *ckptManager) dropDurable() bool {
+	select {
+	case s := <-m.ch:
+		if last, _ := m.Last(); s.version > last.Version {
+			m.ch <- s
+			return false
+		}
+	default: // run() took it meanwhile
+	}
 	return true
 }
 
@@ -302,8 +319,10 @@ func (m *ckptManager) write(s *Snapshot) (CheckpointInfo, error) {
 	m.duration.Observe(time.Since(start))
 	m.writes.Inc()
 	m.bytes.Set(float64(snapstream.EncodedLen(f)))
-	m.last.Store(&info)
 	m.prune()
+	// Stored once retention is done: whoever sees this checkpoint sees the
+	// directories its write left behind.
+	m.last.Store(&info)
 	return info, nil
 }
 
@@ -335,7 +354,7 @@ func (m *ckptManager) prune() {
 		}
 		over = over || i >= m.pol.Keep || (m.pol.MaxBytes > 0 && total > m.pol.MaxBytes)
 		if over && i > 0 {
-			if err := os.Remove(f.Path); err == nil {
+			if err := snapstream.Disk.Remove(f.Path); err == nil {
 				continue
 			}
 			m.errs.Inc()

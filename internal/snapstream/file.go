@@ -53,45 +53,111 @@ func WriteFile(dir string, f Frame, parent *obs.Span) (FileInfo, error) {
 	path := FilePath(dir, f.Version)
 	tmp := path + ".tmp"
 	wr := parent.StartChild("write")
-	fh, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	fh, err := Disk.Create(tmp, os.O_TRUNC)
 	if err != nil {
 		return FileInfo{}, fmt.Errorf("snapstream: creating frame temp file: %w", err)
 	}
 	for _, part := range parts {
-		if _, err := fh.Write(part); err != nil {
-			_ = fh.Close()
-			_ = os.Remove(tmp)
-			return FileInfo{}, fmt.Errorf("snapstream: writing frame: %w", err)
+		if err == nil {
+			err = Disk.Write(fh, part)
 		}
 	}
 	wr.Finish()
-	fs := parent.StartChild("fsync")
-	if err := fh.Sync(); err != nil {
-		_ = fh.Close()
-		_ = os.Remove(tmp)
-		return FileInfo{}, fmt.Errorf("snapstream: syncing frame: %w", err)
+	if err == nil {
+		fs := parent.StartChild("fsync")
+		err = Disk.Sync(fh)
+		fs.Finish()
 	}
-	if err := fh.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return FileInfo{}, fmt.Errorf("snapstream: closing frame: %w", err)
+	if cerr := fh.Close(); err == nil {
+		err = cerr
 	}
-	fs.Finish()
+	if err != nil {
+		_ = Disk.Remove(tmp)
+		return FileInfo{}, fmt.Errorf("snapstream: writing frame: %w", err)
+	}
 	rn := parent.StartChild("rename")
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
+	if err := Disk.Rename(tmp, path); err != nil {
+		_ = Disk.Remove(tmp)
 		return FileInfo{}, fmt.Errorf("snapstream: publishing frame: %w", err)
 	}
-	if err := SyncDir(dir); err != nil {
+	if err := Disk.SyncDir(dir); err != nil {
 		return FileInfo{}, err
 	}
 	rn.Finish()
 	return FileInfo{Version: f.Version, Path: path, At: time.Now()}, nil
 }
 
+// Disk is the file layer every durable write of this package and of
+// internal/wal goes through: create, write, fsync, rename, remove and
+// directory fsync — the I/O boundaries a crash can fall between.
+var Disk disk
+
+// disk performs file operations, asking Fault first when it is set.
+type disk struct {
+	// Fault is nil outside tests. A crash-point test sets it to count the
+	// boundaries and fail one: it is asked before each operation — op is
+	// "create", "write", "fsync", "rename", "remove" or "fsync-dir", to is a
+	// rename's target — and an error it returns fails the operation without
+	// performing it.
+	Fault func(op, path, to string) error
+}
+
+func (d *disk) fault(op, path, to string) error {
+	if d.Fault == nil {
+		return nil
+	}
+	return d.Fault(op, path, to)
+}
+
+// Create opens path for writing, creating it; flag adds O_TRUNC, O_EXCL or
+// O_APPEND.
+func (d *disk) Create(path string, flag int) (*os.File, error) {
+	if err := d.fault("create", path, ""); err != nil {
+		return nil, err
+	}
+	return os.OpenFile(path, os.O_WRONLY|os.O_CREATE|flag, 0o644)
+}
+
+// Write writes all of b to f.
+func (d *disk) Write(f *os.File, b []byte) error {
+	if err := d.fault("write", f.Name(), ""); err != nil {
+		return err
+	}
+	_, err := f.Write(b)
+	return err
+}
+
+// Sync fsyncs f.
+func (d *disk) Sync(f *os.File) error {
+	if err := d.fault("fsync", f.Name(), ""); err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
+// Rename moves from to to.
+func (d *disk) Rename(from, to string) error {
+	if err := d.fault("rename", from, to); err != nil {
+		return err
+	}
+	return os.Rename(from, to)
+}
+
+// Remove deletes path.
+func (d *disk) Remove(path string) error {
+	if err := d.fault("remove", path, ""); err != nil {
+		return err
+	}
+	return os.Remove(path)
+}
+
 // SyncDir fsyncs a directory so a just-renamed or just-created entry
 // survives power loss — shared by the checkpoint writer and the ingest
 // log's segment rolls.
-func SyncDir(dir string) error {
+func (d *disk) SyncDir(dir string) error {
+	if err := d.fault("fsync-dir", dir, ""); err != nil {
+		return err
+	}
 	df, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("snapstream: opening frame dir for sync: %w", err)
@@ -151,7 +217,7 @@ func List(dir string) ([]FileInfo, error) {
 		if strings.HasSuffix(name, fileSuffix+".tmp") {
 			// A crash between create and rename leaves a temp file; it is by
 			// definition not a published frame, so clear it out.
-			_ = os.Remove(filepath.Join(dir, name))
+			_ = Disk.Remove(filepath.Join(dir, name))
 			continue
 		}
 		v, ok := versionFromName(name)

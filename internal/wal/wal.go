@@ -267,7 +267,7 @@ func (l *Log) indexSegment(path string, open bool) error {
 			return fmt.Errorf("wal: opening active segment: %w", err)
 		}
 		if valid != int64(len(b)) && !l.noSync {
-			if err := fh.Sync(); err != nil {
+			if err := snapstream.Disk.Sync(fh); err != nil {
 				_ = fh.Close()
 				return fmt.Errorf("wal: syncing truncated segment: %w", err)
 			}
@@ -496,7 +496,7 @@ func (l *Log) Prune(keepVersion uint64) error {
 		if s.unapplied > 0 || s.maxApplied > keepVersion {
 			break
 		}
-		if err := os.Remove(s.path); err != nil {
+		if err := snapstream.Disk.Remove(s.path); err != nil {
 			return fmt.Errorf("wal: pruning segment: %w", err)
 		}
 		for seq := s.firstSeq; s.firstSeq != 0 && seq <= s.lastSeq; seq++ {
@@ -507,7 +507,7 @@ func (l *Log) Prune(keepVersion uint64) error {
 		removed = true
 	}
 	if removed {
-		if err := snapstream.SyncDir(l.dir); err != nil {
+		if err := snapstream.Disk.SyncDir(l.dir); err != nil {
 			return err
 		}
 	}
@@ -566,7 +566,7 @@ func (l *Log) activeSegment() *segment {
 //cdml:locked mu
 func (l *Log) writeFrame(f snapstream.Frame) error {
 	b := snapstream.AppendFrameMagic(make([]byte, 0, snapstream.EncodedLen(f)), magic, f)
-	if _, err := l.active.Write(b); err != nil {
+	if err := snapstream.Disk.Write(l.active, b); err != nil {
 		return fmt.Errorf("wal: appending record: %w", err)
 	}
 	l.activeSegment().bytes += int64(len(b))
@@ -578,7 +578,7 @@ func (l *Log) writeFrame(f snapstream.Frame) error {
 //cdml:locked mu
 func (l *Log) sync() error {
 	if !l.noSync {
-		if err := l.active.Sync(); err != nil {
+		if err := snapstream.Disk.Sync(l.active); err != nil {
 			return fmt.Errorf("wal: syncing segment: %w", err)
 		}
 	}
@@ -602,10 +602,10 @@ func (l *Log) roll(nextSeq uint64) error {
 	l.active = nil
 	seg := l.activeSegment()
 	sealed := strings.TrimSuffix(seg.path, ".open")
-	if err := os.Rename(seg.path, sealed); err != nil {
+	if err := snapstream.Disk.Rename(seg.path, sealed); err != nil {
 		return fmt.Errorf("wal: sealing segment: %w", err)
 	}
-	if err := snapstream.SyncDir(l.dir); err != nil {
+	if err := snapstream.Disk.SyncDir(l.dir); err != nil {
 		return err
 	}
 	seg.path = sealed
@@ -618,11 +618,11 @@ func (l *Log) roll(nextSeq uint64) error {
 //cdml:locked mu
 func (l *Log) newActive(firstSeq uint64) error {
 	path := filepath.Join(l.dir, fmt.Sprintf("%s%016d%s", segPrefix, firstSeq, openSuffix))
-	fh, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
+	fh, err := snapstream.Disk.Create(path, os.O_EXCL|os.O_APPEND)
 	if err != nil {
 		return fmt.Errorf("wal: creating active segment: %w", err)
 	}
-	if err := snapstream.SyncDir(l.dir); err != nil {
+	if err := snapstream.Disk.SyncDir(l.dir); err != nil {
 		_ = fh.Close()
 		return err
 	}
