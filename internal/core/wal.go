@@ -102,8 +102,9 @@ func (d *Deployer) AppendIngestLog(records [][]byte) (uint64, error) {
 
 // AbortIngestLog marks a logged chunk as never-to-replay: its enqueue was
 // rejected after the append succeeded, or its tick failed. Safe to call
-// with the 0 sentinel. Best-effort: if the abort record cannot be
-// written, recovery replays the chunk (at-least-once for this rare
+// with the 0 sentinel. The abort record is fsynced before this returns, so
+// the rejection a caller answers next survives a crash; if the record
+// cannot be written, recovery replays the chunk (at-least-once for this
 // disk-failure case) rather than losing it.
 func (d *Deployer) AbortIngestLog(seq uint64) {
 	if d.wal == nil || seq == 0 {

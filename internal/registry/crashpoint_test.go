@@ -226,12 +226,13 @@ func TestChaosCrashPointAsyncIngest(t *testing.T) {
 		return f
 	}
 	defer func() { snapstream.Disk.Fault = nil }()
-	// Seeds 3 and 6 reject no chunk.
+	// Seeds 3 and 6 reject no chunk; 1 rejects chunks 3 and 4, 7 rejects 2,
+	// 4 and 7, and 11 rejects 1 and 8.
 	for _, tc := range []struct {
 		every int
 		seed  int64
 	}{
-		{1, 3}, {2, 6}, {3, 3},
+		{1, 3}, {1, 11}, {2, 6}, {2, 1}, {3, 3}, {3, 7},
 	} {
 		t.Run(fmt.Sprintf("every=%d/seed=%d", tc.every, tc.seed), func(t *testing.T) {
 			plan := newCrashPlan(tc.seed, len(live))
