@@ -8,6 +8,7 @@ import (
 	"cdml/internal/model"
 	"cdml/internal/opt"
 	"cdml/internal/pipeline"
+	"cdml/internal/snapstream"
 )
 
 // A snapshot payload is the deployed state — model weights, optimizer state,
@@ -115,3 +116,84 @@ var (
 	_ pipeline.Persistent = (*pipeline.OneHotEncoder)(nil)
 	_ pipeline.Persistent = (*pipeline.StdClipper)(nil)
 )
+
+// This file is the one bridge between a Deployer and the frames its state
+// moves in. State leaves one way — a framed snapshot: Snapshot.Frame for
+// checkpoint files, FrameSince (the same, cached per version) for GET
+// .../snapshot and replica polls — and enters one way, SnapshotSink().Apply:
+// recovery, replicas and POST .../restore.
+
+// Frame encodes the snapshot into one versioned snapstream frame.
+// Snapshots are immutable, so encoding needs no synchronization and may
+// run concurrently with the training writer. Only a snapshot that carries
+// resume state can be framed (Deployer.Current returns one); any other
+// reports ErrResumeUnavailable.
+func (s *Snapshot) Frame() (snapstream.Frame, error) {
+	payload, err := s.payload()
+	if err != nil {
+		return snapstream.Frame{}, err
+	}
+	return snapstream.Frame{Version: s.version, Payload: payload}, nil
+}
+
+// FrameSince frames the published snapshot when it is newer than since;
+// ok=false otherwise (the poll idle case, one atomic load). since 0 always
+// frames it: that is the download POST .../restore takes. A version is
+// completed into a resume point the first time it is asked for (resumePoint)
+// and framed once; ErrResumeUnavailable in the failed-tick window means "ask
+// again", the consumer keeps what it has.
+func (d *Deployer) FrameSince(since uint64) (snapstream.Frame, bool, error) {
+	if d.current().version <= since {
+		return snapstream.Frame{}, false, nil
+	}
+	snap, err := d.resumePoint()
+	if err != nil {
+		return snapstream.Frame{}, false, err
+	}
+	d.frameMu.Lock()
+	defer d.frameMu.Unlock()
+	if d.frame.Version == snap.version {
+		return d.frame, true, nil
+	}
+	f, err := snap.Frame()
+	if err != nil {
+		return snapstream.Frame{}, false, err
+	}
+	d.frame = f
+	return f, true, nil
+}
+
+// snapshotSink swaps incoming frames into the deployer.
+type snapshotSink struct{ d *Deployer }
+
+// Apply decodes the frame's payload in full, then installs it and publishes
+// it as one atomic snapshot swap: a concurrent Predict serves either the full
+// prior state or the full restored state, and a refused payload leaves the
+// serving snapshot and the writer's state exactly as they were. The version
+// only moves forward. The restored snapshot is published at the frame's
+// version when that is newer than the published snapshot's — or equal to it
+// while the published snapshot is still the initial one, version 1 — so
+// recovery and replication keep "version v means v-1 completed ticks" and
+// the checkpoint writer's duplicate suppression sees the next tick as new.
+// Any other frame is published at the next version: a live restore of an
+// older state, or a primary that came back lower, never moves the version
+// behind commits the ingest log has already recorded.
+func (k snapshotSink) Apply(f snapstream.Frame) error {
+	d := k.d
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	mdl, om, pipe, err := d.decodePayload(f.Payload)
+	if err != nil {
+		return err
+	}
+	d.mdl, d.optm, d.pipe = mdl, om, pipe
+	if f.Version > d.publishSeq || (f.Version == 1 && d.publishSeq == 1) {
+		d.publishSeq = f.Version - 1 // publish() adds one
+	}
+	d.publish()
+	return nil
+}
+
+// SnapshotSink returns the deployer's frame sink: checkpoint recovery,
+// HTTP restore, and replica swaps all apply frames through it.
+func (d *Deployer) SnapshotSink() snapshotSink { return snapshotSink{d: d} }
