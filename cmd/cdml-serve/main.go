@@ -41,20 +41,20 @@
 // Durability is process-wide and a name owns its directories. With
 // -checkpoint-dir D every deployment checkpoints itself crash-safely into
 // D/<name>/ckpt (a challenger into D/<name>/gen<G>) every -checkpoint-every
-// chunks and/or -checkpoint-interval, keeping -checkpoint-keep files, and a
-// name that has a checkpoint there resumes from the newest valid one instead
-// of warming up. Adding -wal-dir D closes the gap between checkpoints: every
-// chunk accepted by POST .../ingest is fsynced to D/<name>/wal before the
-// 202 ack (segments roll at -wal-segment-bytes and are reclaimed as
-// checkpoints age past them), and recovery replays the logged chunks the
-// restored checkpoint does not cover — the restarted deployment's state is
-// bit-identical to one that never crashed. -store-dir D spills chunks to
-// D/<name>/store behind a retrying backend and an LRU tier of -store-cache
-// feature chunks: they survive a tick, not a restart — the store's index is
-// in memory, boot empties the directory, and a recovered deployment's sample
-// history is what it has replayed or ingested since. DELETE removes a name's
-// directories; stopping the process does not, and a restart comes back on
-// the lineage Create built (a promotion is not durable yet). boot refuses a D that holds a single
+// chunks, keeping -checkpoint-keep files, and a name that has a checkpoint
+// there resumes from the newest valid one instead of warming up. Adding
+// -wal-dir D closes the gap between checkpoints: every chunk accepted by POST
+// .../ingest is fsynced to D/<name>/wal before the 202 ack (segments roll at
+// -wal-segment-bytes and are reclaimed as checkpoints age past them), and
+// recovery replays the logged chunks the restored checkpoint does not cover —
+// the restarted deployment's state is bit-identical to one that never
+// crashed. -store-dir D spills chunks to D/<name>/store behind a retrying
+// backend and an LRU tier of -store-cache feature chunks: they survive a
+// tick, not a restart — the store's index is in memory, boot empties the
+// directory, and a recovered deployment's sample history is what it has
+// replayed or ingested since. DELETE removes a name's directories; stopping
+// the process does not, and a restart comes back on the lineage Create built
+// (a promotion is not durable yet). boot refuses a D that holds a single
 // deployment's files itself, the old layout: move D/ckpt-*.ckpt to
 // D/default/ckpt/ and D/wal-*.seg* to D/default/wal/.
 //
@@ -141,7 +141,6 @@ func declareFlags() (*options, *flag.FlagSet) {
 	fs.IntVar(&o.ingestQueue, "ingest-queue", serve.DefaultIngestQueue, "bounded async-ingest queue capacity in chunks per deployment (POST .../ingest answers 503 queue_full beyond it)")
 	fs.StringVar(&o.reg.CheckpointRoot, "checkpoint-dir", "", "root for automatic crash-safe checkpoints, <dir>/<name>/ckpt per deployment; a deployment recovers the newest valid one on startup (empty = checkpointing off)")
 	fs.IntVar(&o.reg.CheckpointEvery, "checkpoint-every", 8, "checkpoint after every N ingested chunks")
-	fs.DurationVar(&o.reg.CheckpointInterval, "checkpoint-interval", 0, "also checkpoint when this much wall-clock time has passed (0 = tick trigger only)")
 	fs.IntVar(&o.reg.CheckpointKeep, "checkpoint-keep", 3, "checkpoint files retained before pruning the oldest")
 	fs.StringVar(&o.reg.WALRoot, "wal-dir", "", "root for the durable write-ahead ingest logs, <dir>/<name>/wal per deployment: async ingest fsyncs each accepted chunk before acking 202 and recovery replays what the newest checkpoint misses (empty = log off)")
 	fs.Int64Var(&o.reg.WALSegmentBytes, "wal-segment-bytes", wal.DefaultSegmentBytes, "ingest-log segment roll threshold; sealed segments are reclaimed as checkpoints age past them")

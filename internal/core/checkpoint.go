@@ -17,9 +17,14 @@ import (
 // independence of SGD iterations (§3.3) makes this sound: the next proactive
 // training needs only the model and optimizer state, and the pipeline
 // statistics are carried the same way warm starting carries them within a
-// process. It leaves a deployer framed (Snapshot.Frame, Deployer.FrameSince)
-// and enters one through SnapshotSink().Apply; ticks are the recovery grain,
-// and mid-tick progress is by design not captured.
+// process. Ticks are the recovery grain; mid-tick progress is by design not
+// captured.
+//
+// This file is also the one bridge between a Deployer and the frames its
+// state moves in. State leaves one way — a framed snapshot: Snapshot.Frame
+// for checkpoint files, FrameSince (the same, cached per version) for GET
+// .../snapshot and replica polls — and enters one way, SnapshotSink().Apply:
+// recovery, replicas and POST .../restore.
 //
 // The chunk store is not part of the payload, and neither is its index,
 // which lives in memory: a deployment restored in a new process samples from
@@ -116,12 +121,6 @@ var (
 	_ pipeline.Persistent = (*pipeline.OneHotEncoder)(nil)
 	_ pipeline.Persistent = (*pipeline.StdClipper)(nil)
 )
-
-// This file is the one bridge between a Deployer and the frames its state
-// moves in. State leaves one way — a framed snapshot: Snapshot.Frame for
-// checkpoint files, FrameSince (the same, cached per version) for GET
-// .../snapshot and replica polls — and enters one way, SnapshotSink().Apply:
-// recovery, replicas and POST .../restore.
 
 // Frame encodes the snapshot into one versioned snapstream frame.
 // Snapshots are immutable, so encoding needs no synchronization and may

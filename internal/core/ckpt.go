@@ -10,25 +10,19 @@ import (
 
 	"cdml/internal/obs"
 	"cdml/internal/snapstream"
+	"cdml/internal/wal"
 )
 
 // This file is the crash-durability layer: a deployment configured with a
-// CheckpointPolicy automatically persists its published snapshots to disk,
-// and a restarted process resumes from the newest valid checkpoint. The
-// design follows the snapshot-publishing split of the serving path — the
-// writer loop only decides "is a checkpoint due" and hands the immutable
-// snapshot to a background goroutine; all file IO (encode, fsync, rename,
-// prune) happens off the tick path. GraphLab (Low et al., 2011) derives
-// fault tolerance from exactly this shape: periodic consistent snapshots
-// taken without stopping the computation.
-
-// The checkpoint file format (the CDMLCKP1 frame: magic, big-endian
-// version and payload length, the snapshot payload of checkpoint.go, IEEE
-// CRC-32) and the crash-safe tmp+fsync+rename file discipline live in
-// internal/snapstream — the same frames ship over HTTP for restore and
-// primary→replica replication, so the torn-write and CRC validation here
-// is one code path with those transports. This file keeps the policy: when
-// checkpoints are due, retention, and how recovery feeds the deployer.
+// CheckpointPolicy persists its published snapshots to disk, and a restarted
+// process resumes from the newest valid checkpoint. It owns the policy, the
+// hand-off, the write, retention and recovery; checkpoint.go owns the
+// payload and its frame, wal.go the ingest log's glue, and internal/snapstream
+// the file format and the tmp+fsync+rename discipline. The writer loop only
+// decides "is a checkpoint due" and hands the immutable snapshot to a
+// background goroutine that does all file IO off the tick path — the shape
+// GraphLab (Low et al., 2011) derives fault tolerance from: periodic
+// consistent snapshots taken without stopping the computation.
 
 var (
 	// ErrNoCheckpoint reports that a recovery directory holds no checkpoint
@@ -44,13 +38,8 @@ var (
 type CheckpointPolicy struct {
 	// Dir receives the checkpoint files; created if absent.
 	Dir string
-	// EveryTicks checkpoints after every N successful ticks (0 with a zero
-	// Interval defaults to 8).
+	// EveryTicks checkpoints after every N successful ticks (0 defaults to 8).
 	EveryTicks int
-	// Interval checkpoints when this much wall-clock time has passed since
-	// the last one, whichever of the two triggers fires first (0 disables
-	// the time trigger).
-	Interval time.Duration
 	// Keep bounds the retained files; older checkpoints are pruned after
 	// each successful write (default 3, minimum 1).
 	Keep int
@@ -64,7 +53,7 @@ type CheckpointPolicy struct {
 
 // withDefaults fills unset policy fields.
 func (p CheckpointPolicy) withDefaults() CheckpointPolicy {
-	if p.EveryTicks <= 0 && p.Interval <= 0 {
+	if p.EveryTicks <= 0 {
 		p.EveryTicks = 8
 	}
 	if p.Keep <= 0 {
@@ -85,10 +74,9 @@ type CheckpointInfo = snapstream.FileInfo
 type ckptManager struct {
 	pol CheckpointPolicy
 
-	// Writer-owned trigger state, touched only under the deployment's
-	// writer serialization.
-	ticksSince  int
-	lastEnqueue time.Time
+	// ticksSince is the trigger: publishes since the last hand-off, touched
+	// only under the deployment's writer serialization.
+	ticksSince int
 
 	ch   chan *Snapshot // capacity 1: at most one write queued behind the in-flight one
 	done chan struct{}
@@ -120,24 +108,17 @@ type ckptManager struct {
 	// publish→background-writer boundary.
 	tracer *obs.Tracer
 
-	// walSync, when set, fsyncs the write-ahead ingest log's buffered
-	// commit records and runs before every checkpoint file write: a
-	// checkpoint at version V durable on disk then implies every log
-	// commit with version ≤ V is durable too, which is the invariant
-	// exact replay rests on (see internal/core/wal.go).
-	walSync func() error
-	// walPrune, when set, receives the oldest checkpoint version the
-	// retention still holds after each prune, so ingest-log segments
-	// fully covered by a recoverable checkpoint are reclaimed.
-	walPrune func(keepVersion uint64)
+	// log is the deployment's write-ahead ingest log, nil without one. The
+	// writer syncs it before every checkpoint file — a checkpoint at version
+	// V on disk then implies every commit ≤ V is on disk, the invariant exact
+	// replay rests on (see wal.go) — and prunes it with the checkpoints.
+	log *wal.Log
 }
 
 // newCkptManager creates (and starts) the auto-checkpoint loop; labels are
-// stamped on its cdml_checkpoint_* series. walSync and walPrune couple the
-// write-ahead ingest log's durability and retention to checkpointing; both
-// may be nil.
-func newCkptManager(pol CheckpointPolicy, labels []obs.Label, reg *obs.Registry, tracer *obs.Tracer,
-	walSync func() error, walPrune func(uint64)) (*ckptManager, error) {
+// stamped on its cdml_checkpoint_* series, and log (nil when there is none)
+// is the ingest log it syncs and prunes.
+func newCkptManager(pol CheckpointPolicy, labels []obs.Label, reg *obs.Registry, tracer *obs.Tracer, log *wal.Log) (*ckptManager, error) {
 	pol = pol.withDefaults()
 	if pol.Dir == "" {
 		return nil, fmt.Errorf("core: checkpoint policy requires a directory")
@@ -146,13 +127,11 @@ func newCkptManager(pol CheckpointPolicy, labels []obs.Label, reg *obs.Registry,
 		return nil, fmt.Errorf("core: creating checkpoint dir: %w", err)
 	}
 	m := &ckptManager{
-		pol:         pol,
-		lastEnqueue: time.Now(),
-		ch:          make(chan *Snapshot, 1),
-		done:        make(chan struct{}),
-		tracer:      tracer,
-		walSync:     walSync,
-		walPrune:    walPrune,
+		pol:    pol,
+		ch:     make(chan *Snapshot, 1),
+		done:   make(chan struct{}),
+		tracer: tracer,
+		log:    log,
 		writes: reg.Counter("cdml_checkpoint_writes_total",
 			"Checkpoints durably written (fsynced and renamed into place).", labels...),
 		errs: reg.Counter("cdml_checkpoint_errors_total",
@@ -195,9 +174,7 @@ func newCkptManager(pol CheckpointPolicy, labels []obs.Label, reg *obs.Registry,
 // accumulating, so the next publish retries immediately.
 func (m *ckptManager) due() bool {
 	m.ticksSince++
-	fired := (m.pol.EveryTicks > 0 && m.ticksSince >= m.pol.EveryTicks) ||
-		(m.pol.Interval > 0 && time.Since(m.lastEnqueue) >= m.pol.Interval)
-	if !fired {
+	if m.ticksSince < m.pol.EveryTicks {
 		return false
 	}
 	m.qmu.Lock()
@@ -207,29 +184,22 @@ func (m *ckptManager) due() bool {
 		// alternative to enqueueing a snapshot nobody will ever write.
 		return false
 	}
-	if len(m.ch) == cap(m.ch) && !m.dropDurable() {
-		m.skips.Inc()
-		return false
+	if len(m.ch) == cap(m.ch) {
+		// A queued snapshot CheckpointNow has already written must not cost
+		// this one its turn: take it out (unless run() just did). A snapshot
+		// put back always fits: this writer is the channel's only sender.
+		select {
+		case s := <-m.ch:
+			if last, _ := m.Last(); s.version > last.Version {
+				m.ch <- s
+				m.skips.Inc()
+				return false
+			}
+		default:
+		}
 	}
 	// Room now is room at handOff: the publishing writer is the channel's
 	// only sender and run() only ever drains it.
-	return true
-}
-
-// dropDurable takes the queued snapshot out of the hand-off channel when a
-// CheckpointNow has already written it, and reports whether the slot is
-// free: a snapshot already on disk must not cost the due checkpoint its
-// turn. Called under qmu by the channel's only sender, so a snapshot it
-// puts back always fits.
-func (m *ckptManager) dropDurable() bool {
-	select {
-	case s := <-m.ch:
-		if last, _ := m.Last(); s.version > last.Version {
-			m.ch <- s
-			return false
-		}
-	default: // run() took it meanwhile
-	}
 	return true
 }
 
@@ -244,7 +214,6 @@ func (m *ckptManager) handOff(s *Snapshot) {
 	select {
 	case m.ch <- s:
 		m.ticksSince = 0
-		m.lastEnqueue = time.Now()
 	default:
 		m.skips.Inc()
 	}
@@ -288,12 +257,12 @@ func (m *ckptManager) write(s *Snapshot) (CheckpointInfo, error) {
 		return last, nil
 	}
 	start := time.Now()
-	if m.walSync != nil {
+	if m.log != nil {
 		// Make the ingest log's buffered commits durable before the
 		// checkpoint file: once this checkpoint exists on disk, every chunk
 		// it covers must be marked consumed, or a crash would replay them
 		// on top of the recovered state (double-apply).
-		if err := m.walSync(); err != nil {
+		if err := m.log.Sync(); err != nil {
 			return CheckpointInfo{}, fmt.Errorf("core: syncing ingest log before checkpoint: %w", err)
 		}
 	}
@@ -320,8 +289,7 @@ func (m *ckptManager) write(s *Snapshot) (CheckpointInfo, error) {
 	m.writes.Inc()
 	m.bytes.Set(float64(snapstream.EncodedLen(f)))
 	m.prune()
-	// Stored once retention is done: whoever sees this checkpoint sees the
-	// directories its write left behind.
+	// Stored last: whoever sees this checkpoint sees what retention left.
 	m.last.Store(&info)
 	return info, nil
 }
@@ -330,10 +298,10 @@ func (m *ckptManager) write(s *Snapshot) (CheckpointInfo, error) {
 // oldest first, never touching the newest file — a byte quota bounds history
 // depth, not the existence of a recovery point (best-effort: a failed
 // removal is retried at the next prune). Called under wmu. Ingest-log
-// retention follows from the same directory listing: the oldest survivor's
-// version goes to the walPrune hook, since the log must keep every record
-// not covered by the oldest checkpoint recovery could still start from, and
-// nothing older.
+// retention follows from the same directory listing: the log is pruned to
+// the oldest survivor's version, since it must keep every record not
+// covered by the oldest checkpoint recovery could still start from, and
+// nothing older (a failed log prune retries after the next checkpoint).
 func (m *ckptManager) prune() {
 	files, err := snapstream.List(m.pol.Dir)
 	if err != nil || len(files) == 0 {
@@ -347,11 +315,7 @@ func (m *ckptManager) prune() {
 		survivors = files[:0]
 	)
 	for i, f := range files {
-		if m.pol.MaxBytes > 0 && !over {
-			if fi, err := os.Stat(f.Path); err == nil {
-				total += fi.Size()
-			}
-		}
+		total += f.Size
 		over = over || i >= m.pol.Keep || (m.pol.MaxBytes > 0 && total > m.pol.MaxBytes)
 		if over && i > 0 {
 			if err := snapstream.Disk.Remove(f.Path); err == nil {
@@ -361,8 +325,8 @@ func (m *ckptManager) prune() {
 		}
 		survivors = append(survivors, f)
 	}
-	if m.walPrune != nil {
-		m.walPrune(survivors[len(survivors)-1].Version)
+	if m.log != nil {
+		_ = m.log.Prune(survivors[len(survivors)-1].Version)
 	}
 }
 
@@ -432,21 +396,17 @@ func (d *Deployer) RecoverFromDir(dir string) (CheckpointInfo, error) {
 	if d.ckpt != nil {
 		d.ckpt.noteRecovered(info)
 	}
-	if d.wal != nil {
-		if _, err := d.replayIngestLog(info.Version); err != nil {
-			return info, err
-		}
-	}
-	return info, nil
+	_, err = d.replayIngestLog(info.Version)
+	return info, err
 }
 
 // CheckpointNow synchronously writes the current published snapshot to the
-// configured checkpoint directory, regardless of the tick/interval
-// triggers. It needs an AutoCheckpoint policy; deployments without one
-// answer ErrNoCheckpointPolicy and should hand Current() to
-// WriteCheckpointFile with a directory of their choice. Like every on-demand
-// consumer it may have to attach resume state first (resumePoint) and
-// answers ErrResumeUnavailable in the failed-tick window.
+// configured checkpoint directory, regardless of the tick trigger. It needs
+// an AutoCheckpoint policy; deployments without one answer
+// ErrNoCheckpointPolicy and should hand Current() to WriteCheckpointFile with
+// a directory of their choice. Like every on-demand consumer it may have to
+// attach resume state first (resumePoint) and answers ErrResumeUnavailable in
+// the failed-tick window.
 func (d *Deployer) CheckpointNow() (CheckpointInfo, error) {
 	if d.ckpt == nil {
 		return CheckpointInfo{}, ErrNoCheckpointPolicy

@@ -202,10 +202,9 @@ type Config struct {
 	// registration.
 	Labels []obs.Label
 	// AutoCheckpoint, when set, persists published snapshots to disk
-	// automatically (every EveryTicks ticks or Interval of wall clock,
-	// whichever fires first) so a crashed process can resume from the last
-	// completed tick via RecoverFromDir. The writes happen on a background
-	// goroutine off the tick path; see CheckpointPolicy.
+	// automatically, every EveryTicks ticks, so a crashed process can resume
+	// from the last completed tick via RecoverFromDir. The writes happen on a
+	// background goroutine off the tick path; see CheckpointPolicy.
 	AutoCheckpoint *CheckpointPolicy
 	// IngestLog, when set, opens a durable write-ahead ingest log (see
 	// internal/wal): chunks appended via AppendIngestLog are fsynced before

@@ -139,8 +139,8 @@ func NewDeployer(cfg Config) (*Deployer, error) {
 	}
 	d.ctx, d.cancel = context.WithCancel(context.Background())
 	d.obs = newDeployObs(d)
-	// Open the ingest log before the checkpoint loop starts: the loop's
-	// walSync hook must observe the final d.wal value.
+	// The ingest log opens before the checkpoint writer that syncs and
+	// prunes it starts, and closes (Shutdown) after that writer drains.
 	if cfg.IngestLog != nil {
 		if err := d.openIngestLog(*cfg.IngestLog); err != nil {
 			d.cancel()
@@ -153,7 +153,7 @@ func NewDeployer(cfg Config) (*Deployer, error) {
 	// Start the checkpoint loop after the initial publish so only real
 	// ticks advance its trigger counter.
 	if cfg.AutoCheckpoint != nil {
-		ckpt, err := newCkptManager(*cfg.AutoCheckpoint, cfg.Labels, d.obs.reg, d.obs.tracer, d.walSyncHook(), d.walPruneHook())
+		ckpt, err := newCkptManager(*cfg.AutoCheckpoint, cfg.Labels, d.obs.reg, d.obs.tracer, d.wal)
 		if err != nil {
 			d.cancel()
 			if d.wal != nil {
@@ -180,8 +180,6 @@ func (d *Deployer) Shutdown() {
 		if d.ckpt != nil {
 			d.ckpt.shutdown()
 		}
-		// Close the ingest log only after the checkpoint loop has drained:
-		// its final write may still call the walSync hook.
 		if d.wal != nil {
 			_ = d.wal.Close()
 		}

@@ -2,17 +2,20 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"cdml/internal/flat"
 	"cdml/internal/obs"
 	"cdml/internal/opt"
 	"cdml/internal/snapstream"
+	"cdml/internal/wal"
 )
 
 // restorePayload applies a bare payload, framed at version 0: the next
@@ -265,20 +268,41 @@ func TestCheckpointWriterMetricsAndSpans(t *testing.T) {
 
 // TestPruneKeepsBudgetsAndTellsTheLog: retention by count and by bytes,
 // oldest first and never the newest, from one directory listing, and the
-// ingest log hears the oldest survivor — the oldest state recovery could
-// still start from.
+// ingest log is pruned to the oldest survivor — the oldest state recovery
+// could still start from. Each log segment holds one chunk and its commit,
+// and chunk i commits at version i+2, so the segments pruned after a write
+// are the chunks at or below the oldest survivor, bar the active segment's.
 func TestPruneKeepsBudgetsAndTellsTheLog(t *testing.T) {
 	dir := t.TempDir()
 	cfg := liveConfig(ModeOnline)
 	cfg.AutoCheckpoint = &CheckpointPolicy{Dir: dir, EveryTicks: 1 << 20, Keep: 3}
+	cfg.IngestLog = &wal.Options{Dir: t.TempDir(), SegmentBytes: 1, NoSync: true}
 	d, err := NewDeployer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Shutdown()
-	var logKeeps []uint64
-	d.ckpt.walPrune = func(v uint64) { logKeeps = append(logKeeps, v) }
 	stream := driftStream{chunks: 12, rows: 20, drift: 2, seed: 5}
+	var pruned []uint64
+	// checkpointChunk ticks chunk i through the log, checkpoints, and notes
+	// how many log segments retention has pruned so far.
+	checkpointChunk := func(i int) CheckpointInfo {
+		t.Helper()
+		seq, err := d.AppendIngestLog(stream.Chunk(i))
+		if err == nil {
+			err = d.IngestLogged(context.Background(), stream.Chunk(i), time.Time{}, seq)
+		}
+		if err != nil {
+			t.Fatalf("chunk %d: %v", i, err)
+		}
+		info, err := d.CheckpointNow()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, _ := d.WALStats()
+		pruned = append(pruned, st.PrunedSegments)
+		return info
+	}
 	versions := func() []uint64 {
 		t.Helper()
 		files, err := snapstream.List(dir)
@@ -293,12 +317,7 @@ func TestPruneKeepsBudgetsAndTellsTheLog(t *testing.T) {
 	}
 	var size int64
 	for i := 0; i < 5; i++ {
-		ingestChunks(t, d, stream, i, i+1)
-		info, err := d.CheckpointNow()
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := os.Stat(info.Path)
+		st, err := os.Stat(checkpointChunk(i).Path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,30 +326,26 @@ func TestPruneKeepsBudgetsAndTellsTheLog(t *testing.T) {
 	if got := versions(); !slices.Equal(got, []uint64{6, 5, 4}) {
 		t.Fatalf("Keep 3 left versions %v, want [6 5 4]", got)
 	}
-	if !slices.Equal(logKeeps, []uint64{2, 2, 2, 3, 4}) {
-		t.Fatalf("the log was told to keep from %v, want the oldest survivor after each write: [2 2 2 3 4]", logKeeps)
+	// Oldest survivors 2, 2, 2, 3, 4.
+	if !slices.Equal(pruned, []uint64{0, 1, 1, 2, 3}) {
+		t.Fatalf("the log pruned %v segments after each write, want [0 1 1 2 3]: the chunks the oldest survivor covers", pruned)
 	}
 	// A byte budget of two files and a bit: the third-newest goes.
 	d.ckpt.pol.MaxBytes = 2*size + size/2
-	ingestChunks(t, d, stream, 5, 6)
-	if _, err := d.CheckpointNow(); err != nil {
-		t.Fatal(err)
-	}
+	checkpointChunk(5)
 	if got := versions(); !slices.Equal(got, []uint64{7, 6}) {
 		t.Fatalf("a budget of 2.5 files left versions %v, want [7 6]", got)
 	}
 	// A budget smaller than one file bounds history, not the existence of a
 	// recovery point.
 	d.ckpt.pol.MaxBytes = 1
-	ingestChunks(t, d, stream, 6, 7)
-	if _, err := d.CheckpointNow(); err != nil {
-		t.Fatal(err)
-	}
+	checkpointChunk(6)
 	if got := versions(); !slices.Equal(got, []uint64{8}) {
 		t.Fatalf("a one-byte budget left versions %v, want the newest alone", got)
 	}
-	if got := logKeeps[len(logKeeps)-2:]; !slices.Equal(got, []uint64{6, 8}) {
-		t.Fatalf("under the byte budgets the log was told %v, want [6 8]", got)
+	// Oldest survivors 6, then 8.
+	if got := pruned[len(pruned)-2:]; !slices.Equal(got, []uint64{5, 6}) {
+		t.Fatalf("under the byte budgets the log pruned %v segments, want [5 6]", got)
 	}
 }
 

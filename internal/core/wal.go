@@ -17,9 +17,9 @@ import (
 //  2. The tick that consumes it buffers a commit record carrying the
 //     publish version it is about to produce, under d.mu, *before*
 //     publish() hands the snapshot to the checkpoint manager.
-//  3. The checkpoint manager's write calls the walSync hook before the
-//     checkpoint file becomes durable. A checkpoint at version V on disk
-//     therefore implies every commit with version ≤ V is on disk too.
+//  3. The checkpoint writer syncs the log before the checkpoint file
+//     becomes durable: a checkpoint at version V on disk implies every
+//     commit with version ≤ V is on disk too.
 //  4. RecoverFromDir restores the newest checkpoint at V and replays
 //     exactly the logged chunks with no commit or a commit > V — each
 //     exactly once, in the original order — so the recovered model is
@@ -61,29 +61,6 @@ func (d *Deployer) openIngestLog(opts wal.Options) error {
 		"Logged chunks not yet consumed by a tick — what a crash right now would replay.",
 		func() float64 { return float64(l.Stats().Unapplied) }, labels...)
 	return nil
-}
-
-// walSyncHook returns the checkpoint manager's pre-write sync hook, nil
-// when no ingest log is configured.
-func (d *Deployer) walSyncHook() func() error {
-	if d.wal == nil {
-		return nil
-	}
-	return d.wal.Sync
-}
-
-// walPruneHook returns the checkpoint manager's retention hook: called
-// with the oldest publish version the checkpoint retention still holds,
-// so the log keeps exactly the records past the oldest recoverable
-// checkpoint. nil when no ingest log is configured.
-func (d *Deployer) walPruneHook() func(uint64) {
-	if d.wal == nil {
-		return nil
-	}
-	return func(keepVersion uint64) {
-		// Best-effort: a failed prune retries after the next checkpoint.
-		_ = d.wal.Prune(keepVersion)
-	}
 }
 
 // AppendIngestLog durably appends one accepted chunk to the write-ahead
@@ -130,17 +107,17 @@ func (d *Deployer) WALStats() (wal.Stats, bool) {
 // no-op only if every record was committed during that replay, so use one
 // path or the other. Returns the number of chunks replayed.
 func (d *Deployer) ReplayIngestLog() (int, error) {
-	if d.wal == nil {
-		return 0, nil
-	}
 	return d.replayIngestLog(0)
 }
 
 // replayIngestLog re-ticks every logged chunk the checkpoint at
-// ckptVersion does not cover, in append order. Replay ticks run without
-// abort-on-error: a transient failure during recovery fails recovery
-// loudly instead of permanently dropping an acknowledged chunk.
+// ckptVersion does not cover, in append order (none without a log), with no
+// abort-on-error: a transient failure fails recovery loudly instead of
+// permanently dropping an acknowledged chunk.
 func (d *Deployer) replayIngestLog(ckptVersion uint64) (int, error) {
+	if d.wal == nil {
+		return 0, nil
+	}
 	n, err := d.wal.Replay(ckptVersion, func(seq uint64, records [][]byte) error {
 		return d.ingestTick(d.ctx, records, time.Time{}, seq)
 	})

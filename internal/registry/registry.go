@@ -92,14 +92,13 @@ type Options struct {
 	// generation), so both survive a crash mid-promotion. When empty,
 	// deployments checkpoint only if their own config says so.
 	CheckpointRoot string
-	// CheckpointEvery, CheckpointInterval and CheckpointKeep are the cadence
-	// and retention (core.CheckpointPolicy's EveryTicks, Interval and Keep,
-	// with its defaults) of every deployer, champion or challenger, whose
-	// config carries no policy of its own. The policy's directory is the
-	// name's under CheckpointRoot, its byte budget the deployment's quota.
-	CheckpointEvery    int
-	CheckpointInterval time.Duration
-	CheckpointKeep     int
+	// CheckpointEvery and CheckpointKeep are the cadence and retention
+	// (core.CheckpointPolicy's EveryTicks and Keep, with its defaults) of
+	// every deployer, champion or challenger, whose config carries no policy
+	// of its own. The policy's directory is the name's under CheckpointRoot,
+	// its byte budget the deployment's quota.
+	CheckpointEvery int
+	CheckpointKeep  int
 	// AutoChallenger, when set, arms the drift→challenger loop on every
 	// created deployment: a drift-detector fire during a live ingest tick
 	// starts a shadow challenger built by Build, governed by Policy, with a
@@ -376,7 +375,7 @@ func (r *Registry) buildEntry(d *Deployment, cfg core.Config, champion bool) (*e
 	}
 	ckptDir := ""
 	if r.opts.CheckpointRoot != "" || cfg.AutoCheckpoint != nil {
-		pol := core.CheckpointPolicy{EveryTicks: r.opts.CheckpointEvery, Interval: r.opts.CheckpointInterval, Keep: r.opts.CheckpointKeep}
+		pol := core.CheckpointPolicy{EveryTicks: r.opts.CheckpointEvery, Keep: r.opts.CheckpointKeep}
 		if cfg.AutoCheckpoint != nil {
 			pol = *cfg.AutoCheckpoint
 		}

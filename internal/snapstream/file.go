@@ -33,6 +33,8 @@ type FileInfo struct {
 	Path string
 	// At is when the file was written.
 	At time.Time
+	// Size is the file's length in bytes.
+	Size int64
 }
 
 // FilePath names the frame file of a snapshot version inside dir.
@@ -84,7 +86,7 @@ func WriteFile(dir string, f Frame, parent *obs.Span) (FileInfo, error) {
 		return FileInfo{}, err
 	}
 	rn.Finish()
-	return FileInfo{Version: f.Version, Path: path, At: time.Now()}, nil
+	return FileInfo{Version: f.Version, Path: path, At: time.Now(), Size: int64(EncodedLen(f))}, nil
 }
 
 // Disk is the file layer every durable write of this package and of
@@ -92,7 +94,6 @@ func WriteFile(dir string, f Frame, parent *obs.Span) (FileInfo, error) {
 // directory fsync — the I/O boundaries a crash can fall between.
 var Disk disk
 
-// disk performs file operations, asking Fault first when it is set.
 type disk struct {
 	// Fault is nil outside tests. A crash-point test sets it to count the
 	// boundaries and fail one: it is asked before each operation — op is
@@ -119,11 +120,10 @@ func (d *disk) Create(path string, flag int) (*os.File, error) {
 }
 
 // Write writes all of b to f.
-func (d *disk) Write(f *os.File, b []byte) error {
-	if err := d.fault("write", f.Name(), ""); err != nil {
-		return err
+func (d *disk) Write(f *os.File, b []byte) (err error) {
+	if err = d.fault("write", f.Name(), ""); err == nil {
+		_, err = f.Write(b)
 	}
-	_, err := f.Write(b)
 	return err
 }
 
@@ -159,16 +159,14 @@ func (d *disk) SyncDir(dir string) error {
 		return err
 	}
 	df, err := os.Open(dir)
+	if err == nil {
+		err = df.Sync()
+		if cerr := df.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
-		return fmt.Errorf("snapstream: opening frame dir for sync: %w", err)
-	}
-	serr := df.Sync()
-	cerr := df.Close()
-	if serr != nil {
-		return fmt.Errorf("snapstream: syncing frame dir: %w", serr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("snapstream: closing frame dir: %w", cerr)
+		return fmt.Errorf("snapstream: syncing frame dir: %w", err)
 	}
 	return nil
 }
@@ -226,7 +224,7 @@ func List(dir string) ([]FileInfo, error) {
 		}
 		info := FileInfo{Version: v, Path: filepath.Join(dir, name)}
 		if fi, err := e.Info(); err == nil {
-			info.At = fi.ModTime()
+			info.At, info.Size = fi.ModTime(), fi.Size()
 		}
 		out = append(out, info)
 	}

@@ -370,14 +370,33 @@ func (l *Log) Append(records [][]byte, watermark uint64) (uint64, error) {
 }
 
 // MarkApplied records that the tick consuming data seq published the given
-// version. The commit record is buffered, not fsynced: it is made durable
-// by the next append's fsync or by the checkpoint writer's Sync call
+// version. The commit record is buffered, not fsynced (an abort record is:
+// see MarkAborted): it is made durable by the next append's fsync or by the checkpoint writer's Sync call
 // before any checkpoint that could cover it becomes durable — losing a
 // buffered commit in a crash merely replays a record whose effect was
 // never checkpointed. Unknown sequence numbers (already pruned, or a
 // chunk logged by a since-replaced champion) are ignored.
 func (l *Log) MarkApplied(seq, version uint64) error {
-	return l.commit(seq, version)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.active == nil {
+		return errors.New("wal: log is closed")
+	}
+	if l.segmentOf(seq) == nil {
+		return nil
+	}
+	payload := binary.BigEndian.AppendUint64(append(make([]byte, 0, 9), kindCommit), version)
+	if err := l.writeFrame(snapstream.Frame{Version: seq, Payload: payload}); err != nil {
+		return err
+	}
+	l.dirty = true
+	l.noteCommit(seq, version)
+	if version == abortedMark {
+		l.aborted++
+		return l.sync()
+	}
+	l.committed++
+	return nil
 }
 
 // MarkAborted records that data seq must never replay: its enqueue was
@@ -387,32 +406,7 @@ func (l *Log) MarkApplied(seq, version uint64) error {
 // before MarkAborted returns: the rejection it stands for is answered next,
 // and nothing else would make it durable before a checkpoint covers it.
 func (l *Log) MarkAborted(seq uint64) error {
-	return l.commit(seq, abortedMark)
-}
-
-func (l *Log) commit(seq, applied uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.active == nil {
-		return errors.New("wal: log is closed")
-	}
-	if l.segmentOf(seq) == nil {
-		return nil
-	}
-	payload := make([]byte, 0, 9)
-	payload = append(payload, kindCommit)
-	payload = binary.BigEndian.AppendUint64(payload, applied)
-	if err := l.writeFrame(snapstream.Frame{Version: seq, Payload: payload}); err != nil {
-		return err
-	}
-	l.dirty = true
-	l.noteCommit(seq, applied)
-	if applied == abortedMark {
-		l.aborted++
-		return l.sync()
-	}
-	l.committed++
-	return nil
+	return l.MarkApplied(seq, abortedMark)
 }
 
 // Sync fsyncs buffered commit records. The checkpoint writer calls this
@@ -638,24 +632,12 @@ func (l *Log) newActive(firstSeq uint64) error {
 // parseSegName extracts the first-sequence number from a segment file
 // name and reports whether it is the active (open) segment.
 func parseSegName(name string) (seq uint64, open, ok bool) {
-	var core string
-	switch {
-	case strings.HasSuffix(name, openSuffix):
-		core = strings.TrimSuffix(name, openSuffix)
-		open = true
-	case strings.HasSuffix(name, segSuffix):
-		core = strings.TrimSuffix(name, segSuffix)
-	default:
-		return 0, false, false
+	core, open := strings.CutSuffix(name, ".open")
+	if core, ok = strings.CutSuffix(core, segSuffix); ok {
+		core, ok = strings.CutPrefix(core, segPrefix)
 	}
-	if !strings.HasPrefix(core, segPrefix) {
-		return 0, false, false
-	}
-	v, err := strconv.ParseUint(strings.TrimPrefix(core, segPrefix), 10, 64)
-	if err != nil {
-		return 0, false, false
-	}
-	return v, open, true
+	seq, err := strconv.ParseUint(core, 10, 64)
+	return seq, open, ok && err == nil
 }
 
 // encodeDataPayload builds a data record payload.
