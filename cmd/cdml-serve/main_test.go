@@ -335,7 +335,8 @@ func TestFlagsDefaultIsAFullDeployment(t *testing.T) {
 
 // TestREADMENamesEveryFlag is the flags half of the catalogue guard: every
 // flag cdml-serve registers appears in README.md as `-name`, a whole word,
-// in prose or in a command line.
+// in prose or in a command line — and, the other way, every `-name` README.md
+// puts in backticks is a flag cdml-serve registers (bar go test's -short).
 func TestREADMENamesEveryFlag(t *testing.T) {
 	readme, err := os.ReadFile("../../README.md")
 	if err != nil {
@@ -351,6 +352,11 @@ func TestREADMENamesEveryFlag(t *testing.T) {
 	})
 	if n == 0 {
 		t.Fatal("cdml-serve registers no flags")
+	}
+	for _, m := range regexp.MustCompile("`-([a-z][a-z0-9-]*[a-z0-9])[` ]").FindAllSubmatch(readme, -1) {
+		if name := string(m[1]); fs.Lookup(name) == nil && name != "short" {
+			t.Errorf("README.md names -%s, which cdml-serve does not register", name)
+		}
 	}
 }
 
