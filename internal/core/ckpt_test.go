@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"cdml/internal/obs"
 	"cdml/internal/snapstream"
 	"cdml/internal/wal"
 )
@@ -270,6 +271,25 @@ func TestCheckpointNowIsSynchronous(t *testing.T) {
 	}
 	if len(files) != 1 {
 		t.Fatalf("duplicate CheckpointNow left %d files, want 1", len(files))
+	}
+}
+
+// TestDueReclaimsTheSlotOfAWrittenSnapshot: a queued snapshot CheckpointNow
+// has already written holds the hand-off slot for nothing, so the due
+// checkpoint takes the slot over; a queued snapshot not yet written keeps it,
+// and the due one is skipped. The manager has no writer loop here, so the
+// slot holds what the test put in it.
+func TestDueReclaimsTheSlotOfAWrittenSnapshot(t *testing.T) {
+	m := &ckptManager{pol: CheckpointPolicy{EveryTicks: 1}, ch: make(chan *Snapshot, 1),
+		skips: obs.NewRegistry().Counter("skips", "")}
+	m.last.Store(&CheckpointInfo{Version: 5})
+	m.ch <- &Snapshot{version: 5}
+	if !m.due() || len(m.ch) != 0 || m.skips.Value() != 0 {
+		t.Fatalf("a written snapshot kept the slot: due false or %d queued, %v skips", len(m.ch), m.skips.Value())
+	}
+	m.ch <- &Snapshot{version: 6}
+	if m.due() || len(m.ch) != 1 || m.skips.Value() != 1 {
+		t.Fatalf("an unwritten snapshot lost the slot: due true or %d queued, %v skips", len(m.ch), m.skips.Value())
 	}
 }
 
