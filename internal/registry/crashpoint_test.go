@@ -164,7 +164,8 @@ func crashLife(t *testing.T, opts Options, p *powerCut, plan crashPlan, warm, li
 		}
 		acked = append(acked, i)
 		if plan.reject[i] {
-			if d.AbortIngestLog(seq); !alive(nil) {
+			d.AbortIngestLog(seq)
+			if !alive(nil) {
 				return acked
 			}
 			acked = acked[:len(acked)-1]
