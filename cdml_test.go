@@ -157,8 +157,8 @@ func TestPublicAPISchedulers(t *testing.T) {
 		t.Fatal("static scheduler should be due initially")
 	}
 	dy := cdml.NewDynamicScheduler(2, time.Millisecond)
-	if dy.Name() != "dynamic" {
-		t.Fatal("dynamic name wrong")
+	if !dy.Due(time.Now()) {
+		t.Fatal("dynamic scheduler should be due initially")
 	}
 }
 

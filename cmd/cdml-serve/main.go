@@ -112,8 +112,9 @@ type options struct {
 	autoChalCooldown time.Duration
 
 	// newScheduler builds each deployer's proactive-training scheduler, the
-	// wall-clock dynamic one of -slack and -min-train-interval. A field so
-	// that the restart tests can pin one that does not read the clock.
+	// wall-clock dynamic one of -slack and -min-train-interval, fed the
+	// serving time the deployment's cost clock charged. A field so that the
+	// restart tests can pin one that does not read the clock.
 	newScheduler func() sched.Scheduler
 }
 
@@ -267,7 +268,8 @@ func (b *specBuilder) config(name string, raw json.RawMessage, warmup int) (core
 	cfg.SampleChunks = 8
 	// A live serving deployment schedules proactive training in wall-clock
 	// time from the observed query load (Formula 6), not by chunk count —
-	// the scheduler's pr/pl readings surface as gauges on /v1/metrics.
+	// the load it reads is the predict cost on /v1/metrics,
+	// cdml_cost_seconds{category="predict"}.
 	cfg.Scheduler = b.newScheduler()
 	b.specs.Store(name, raw)
 	return cfg, w.Stream.Chunk, nil

@@ -29,10 +29,8 @@ import (
 // clock out to compare whole runs.
 type idle struct{}
 
-func (idle) Name() string                                 { return "idle" }
-func (idle) Due(time.Time) bool                           { return false }
-func (idle) TrainingDone(time.Time, time.Duration)        {}
-func (idle) ObserveQueries(time.Time, int, time.Duration) {}
+func (idle) Due(time.Time) bool                                   { return false }
+func (idle) TrainingDone(time.Time, time.Duration, time.Duration) {}
 
 // testOptions parses args as the command line would and pins the scheduler.
 func testOptions(args ...string) options {

@@ -1,10 +1,16 @@
 package cdml_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -45,5 +51,75 @@ func TestDesignInventoryNamesEveryPackage(t *testing.T) {
 	sort.Strings(tree)
 	if !reflect.DeepEqual(listed, tree) {
 		t.Fatalf("DESIGN.md §1 names\n%q\nthe tree holds\n%q", listed, tree)
+	}
+}
+
+// TestREADMENamesOnlyRegisteredMetrics is the metrics half of the catalogue
+// guard: every `cdml_*` name README.md puts in backticks is a string literal
+// of the non-test Go under internal/, cmd/ or cdml.go — a metric cannot be
+// deleted and stay documented. A trailing `*` names a family: some literal
+// must start with what precedes it.
+func TestREADMENamesOnlyRegisteredMetrics(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	literals := map[string]bool{}
+	collect := func(path string) {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if s, err := strconv.Unquote(lit.Value); err == nil {
+					literals[s] = true
+				}
+			}
+			return true
+		})
+	}
+	collect("cdml.go")
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if e.IsDir() && e.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if !e.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+				collect(path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	registered := func(name string) bool {
+		prefix, family := strings.CutSuffix(name, "*")
+		if !family {
+			return literals[name]
+		}
+		for s := range literals {
+			if strings.HasPrefix(s, prefix) {
+				return true
+			}
+		}
+		return false
+	}
+	name := regexp.MustCompile(`\bcdml_[a-z0-9_]+\*?`)
+	n := 0
+	for _, span := range regexp.MustCompile("`[^`\n]+`").FindAll(readme, -1) {
+		for _, m := range name.FindAll(span, -1) {
+			n++
+			if !registered(string(m)) {
+				t.Errorf("README.md names %s, which no non-test Go registers", m)
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("README.md names no cdml_* metric")
 	}
 }

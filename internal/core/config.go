@@ -131,8 +131,9 @@ type Config struct {
 	// (static scheduling in chunk time; continuous mode only).
 	ProactiveEvery int
 	// Scheduler, when set (continuous mode), replaces the chunk-count
-	// trigger with wall-clock scheduling: the platform reports serving
-	// load and training durations to it and trains whenever it is due.
+	// trigger with wall-clock scheduling: the platform reports each
+	// training's duration and the cumulative serving time (the cost clock's
+	// predict category) to it and trains whenever it is due.
 	// Use sched.NewDynamic for the paper's Formula (6) policy (§4.1).
 	Scheduler sched.Scheduler
 	// RetrainEvery triggers a full retraining every K incoming chunks

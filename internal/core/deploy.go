@@ -99,13 +99,6 @@ type Deployer struct {
 	//cdml:guardedby mu
 	optmAhead bool
 
-	// pendingQueries/pendingQueryNanos accumulate the serving load — the
-	// read path's predicts and the rows ticks score — for the dynamic
-	// scheduler until the writer drains them (drainQueryLoad) at the next
-	// tick.
-	pendingQueries    atomic.Int64
-	pendingQueryNanos atomic.Int64
-
 	// frame is the encoded frame of the newest snapshot FrameSince framed, so
 	// N replicas polling one primary cost one encode per published version,
 	// not one per poll.
@@ -262,7 +255,9 @@ func (d *Deployer) ingest(records [][]byte, in pipeline.Parsed) error {
 				return err
 			}
 			if d.cfg.Scheduler != nil {
-				d.cfg.Scheduler.TrainingDone(time.Now(), dur)
+				// The serving load since the last training is the predict
+				// cost charged since then: Formula (6)'s pr·pl.
+				d.cfg.Scheduler.TrainingDone(time.Now(), dur, d.cost.Get(eval.CatPredict))
 			}
 		}
 	case ModePeriodical:
@@ -356,13 +351,6 @@ func (d *Deployer) serveAndScore(in pipeline.Parsed) error {
 	d.obs.recordsEvaluated.Add(int64(len(ins)))
 	if err != nil {
 		return fmt.Errorf("core: serving chunk: %w", err)
-	}
-	if d.cfg.Scheduler != nil {
-		// The next tick's drainQueryLoad reports these rows together with the
-		// predicts answered meanwhile: one observation a tick, whose gap is
-		// the time since the last one.
-		d.pendingQueries.Add(int64(len(ins)))
-		d.pendingQueryNanos.Add(int64(dur))
 	}
 	d.result.Evaluated += int64(len(ins))
 	return nil

@@ -8,6 +8,7 @@ import (
 
 	"cdml/internal/data"
 	"cdml/internal/drift"
+	"cdml/internal/eval"
 	"cdml/internal/sched"
 )
 
@@ -91,38 +92,51 @@ func TestDynamicSchedulerDrivesProactiveTraining(t *testing.T) {
 	}
 }
 
-// TestDynamicSchedulerQueryRateUnderMixedLoad: the query rate Formula (6)
-// multiplies by is the rate the deployment answered queries at — predicts
-// and the rows its ticks scored, one observation a tick — not rows over
-// the duration of one tick's serve stage.
+// servedLog is a Scheduler that is due at every tick and records the
+// cumulative serving time each training reports.
+type servedLog struct{ served []time.Duration }
+
+func (l *servedLog) Due(time.Time) bool { return true }
+
+func (l *servedLog) TrainingDone(_ time.Time, _, served time.Duration) {
+	l.served = append(l.served, served)
+}
+
+// TestDynamicSchedulerQueryRateUnderMixedLoad: the serving load Formula (6)
+// reads is the deployment's predict cost — predicts and the rows its ticks
+// scored — handed to the scheduler at each training, so it grows from one
+// training to the next and ends at what the cost clock says.
 func TestDynamicSchedulerQueryRateUnderMixedLoad(t *testing.T) {
 	cfg := liveConfig(ModeContinuous)
 	cfg.ProactiveEvery = 0
-	dyn := sched.NewDynamic(2, time.Hour)
-	cfg.Scheduler = dyn
+	log := &servedLog{}
+	cfg.Scheduler = log
 	d, err := NewDeployer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Shutdown()
-	var predicted int
-	start := time.Now()
-	for i := 0; i < 50; i++ {
+	const ticks = 20
+	for i := 0; i < ticks; i++ {
 		for k := 0; k < 5; k++ {
-			out, err := d.Predict(smallStream.Chunk(i)[:20])
-			if err != nil {
+			if _, err := d.Predict(smallStream.Chunk(i)[:20]); err != nil {
 				t.Fatal(err)
 			}
-			predicted += len(out)
 		}
 		if err := d.Ingest(smallStream.Chunk(i)); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	want := float64(predicted+int(d.Stats().Evaluated)) / time.Since(start).Seconds()
-	if got := dyn.QueryRate(); got < want/3 || got > want*3 {
-		t.Fatalf("query rate %.0f/s, the deployment answered %.0f/s", got, want)
+	if len(log.served) != ticks {
+		t.Fatalf("%d trainings reported, want one a tick (%d)", len(log.served), ticks)
+	}
+	for i := 1; i < len(log.served); i++ {
+		if log.served[i] <= log.served[i-1] {
+			t.Fatalf("training %d reported served %v after %v: it must grow", i, log.served[i], log.served[i-1])
+		}
+	}
+	if last, want := log.served[ticks-1], d.Stats().Cost.Get(eval.CatPredict); last != want {
+		t.Fatalf("last training reported served %v, the cost clock says %v", last, want)
 	}
 }
 

@@ -66,7 +66,6 @@ func (d *Deployer) ingestTick(ctx context.Context, records [][]byte, enqueuedAt 
 //
 //cdml:locked mu — ingestTick and batchTick hold d.mu around it
 func (d *Deployer) tickBody(ctx context.Context, records [][]byte, enqueuedAt time.Time, walSeq uint64) error {
-	d.drainQueryLoad()
 	res := d.result
 	d.beginTick(ctx)
 	if !enqueuedAt.IsZero() {
@@ -146,22 +145,4 @@ func (d *Deployer) batchTick(records [][]byte, i, n int) error {
 		d.publish()
 	}
 	return nil
-}
-
-// drainQueryLoad hands the accumulated serving load to the dynamic
-// scheduler, its only load input: one observation a tick, so the rate's gap
-// is the time between ticks. Predict cannot call Scheduler.ObserveQueries
-// itself — the EWMA state is unsynchronized writer-owned state — so readers
-// add to atomic pending counters, as the tick's own scoring does, and the
-// writer folds them in at the start of each tick, under the same
-// serialization as every other scheduler call.
-func (d *Deployer) drainQueryLoad() {
-	if d.cfg.Scheduler == nil {
-		return
-	}
-	n := d.pendingQueries.Swap(0)
-	nanos := d.pendingQueryNanos.Swap(0)
-	if n > 0 {
-		d.cfg.Scheduler.ObserveQueries(time.Now(), int(n), time.Duration(nanos))
-	}
 }

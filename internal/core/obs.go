@@ -6,7 +6,6 @@ import (
 
 	"cdml/internal/eval"
 	"cdml/internal/obs"
-	"cdml/internal/sched"
 )
 
 // deployObs bundles the deployment's instruments. Every Deployer has one —
@@ -150,14 +149,6 @@ func newDeployObs(d *Deployer) *deployObs {
 		}, ls...)
 	d.cfg.Store.Instrument(reg, ls...)
 	d.cfg.Engine.Instrument(reg)
-	if ls, ok := d.cfg.Scheduler.(sched.LoadStats); ok {
-		reg.GaugeFunc("cdml_sched_query_rate",
-			"Scheduler-observed prediction query rate pr (queries/second; Formula 6 input).",
-			ls.QueryRate, d.cfg.Labels...)
-		reg.GaugeFunc("cdml_sched_query_latency_seconds",
-			"Scheduler-observed prediction latency pl (seconds/query; Formula 6 input).",
-			ls.QueryLatency, d.cfg.Labels...)
-	}
 	return o
 }
 

@@ -38,13 +38,6 @@ func (d *Deployer) Predict(records [][]byte) ([]float64, error) {
 		out[i] = d.cfg.Predict(snap.mdl, in.X)
 	}
 	d.cost.Add(eval.CatPredict, time.Since(start))
-	if d.cfg.Scheduler != nil && len(ins) > 0 {
-		// The dynamic scheduler's EWMA state is writer-owned; readers hand
-		// their load observations over through atomic pending counters the
-		// writer drains at the next tick (see drainQueryLoad).
-		d.pendingQueries.Add(int64(len(ins)))
-		d.pendingQueryNanos.Add(int64(time.Since(start)))
-	}
 	d.obs.predictLatency.Observe(time.Since(start))
 	d.obs.predictQueries.Add(int64(len(ins)))
 	return out, nil

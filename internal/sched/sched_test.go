@@ -7,12 +7,25 @@ import (
 
 var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
+// interval is the gap the scheduler's last TrainingDone at now set before
+// the next training.
+func interval(d *Dynamic, now time.Time) time.Duration { return d.next.Sub(now) }
+
+// trainAfter reports a training that took trained and ended a window of
+// length window in which the deployment served served; it returns the end
+// of the window.
+func trainAfter(d *Dynamic, start time.Time, window, trained, served time.Duration) time.Time {
+	end := start.Add(window)
+	d.TrainingDone(end, trained, d.lastServed+served)
+	return end
+}
+
 func TestStaticFiresImmediatelyThenWaits(t *testing.T) {
 	s := NewStatic(time.Minute)
 	if !s.Due(t0) {
 		t.Fatal("first training should be due immediately")
 	}
-	s.TrainingDone(t0, time.Second)
+	s.TrainingDone(t0, time.Second, 0)
 	if s.Due(t0.Add(30 * time.Second)) {
 		t.Fatal("should not be due before interval")
 	}
@@ -32,38 +45,34 @@ func TestStaticBadIntervalPanics(t *testing.T) {
 
 func TestDynamicFormula(t *testing.T) {
 	d := NewDynamic(2, time.Millisecond)
-	// Feed a steady load: 10 queries/second, 50ms latency each.
-	now := t0
-	for i := 0; i < 50; i++ {
-		now = now.Add(100 * time.Millisecond)
-		d.ObserveQueries(now, 1, 50*time.Millisecond)
-	}
+	d.TrainingDone(t0, 4*time.Second, 0)
+	// A steady load over 10 s: 10 queries/second at 50 ms each is 0.5 s
+	// served per second, 5 s in the window.
+	now := trainAfter(d, t0, 10*time.Second, 4*time.Second, 5*time.Second)
 	// T' = S*T*pr*pl = 2 * 4s * 10/s * 0.05s = 4s
-	iv := d.nextInterval(4)
-	if iv < 3*time.Second || iv > 5*time.Second {
-		t.Fatalf("interval = %v, want ≈4s", iv)
+	if iv := interval(d, now); iv != 4*time.Second {
+		t.Fatalf("interval = %v, want 4s", iv)
 	}
 }
 
 func TestDynamicGuaranteesQueryTime(t *testing.T) {
 	// T' must exceed T*pr*pl for any slack ≥ 1 (paper's guarantee).
 	d := NewDynamic(1.5, time.Millisecond)
-	now := t0
-	for i := 0; i < 50; i++ {
-		now = now.Add(50 * time.Millisecond) // 20 qps
-		d.ObserveQueries(now, 1, 20*time.Millisecond)
-	}
-	T := 2.0
-	backlog := T * d.rate.Value() * d.latency.Value()
-	if iv := d.nextInterval(T); iv.Seconds() <= backlog {
+	d.TrainingDone(t0, 2*time.Second, 0)
+	// 20 qps at 20 ms each for 5 s: 2 s served.
+	now := trainAfter(d, t0, 5*time.Second, 2*time.Second, 2*time.Second)
+	backlog := 2.0 * 20 * 0.020
+	if iv := interval(d, now); iv.Seconds() <= backlog {
 		t.Fatalf("interval %v does not cover backlog %vs", iv, backlog)
 	}
 }
 
 func TestDynamicMinIntervalFloor(t *testing.T) {
 	d := NewDynamic(2, time.Second)
-	// No queries observed → rate and latency are 0 → floor applies.
-	if iv := d.nextInterval(10); iv != time.Second {
+	// The first training has no window to read a load from, however much
+	// the deployment served before it → floor applies.
+	d.TrainingDone(t0, 10*time.Second, time.Hour)
+	if iv := interval(d, t0); iv != time.Second {
 		t.Fatalf("interval = %v, want floor 1s", iv)
 	}
 }
@@ -73,7 +82,7 @@ func TestDynamicDueCycle(t *testing.T) {
 	if !d.Due(t0) {
 		t.Fatal("first training due immediately")
 	}
-	d.TrainingDone(t0, time.Second)
+	d.TrainingDone(t0, time.Second, 0)
 	if d.Due(t0.Add(50 * time.Millisecond)) {
 		t.Fatal("not due before floor")
 	}
@@ -99,58 +108,61 @@ func TestDynamicBadParamsPanic(t *testing.T) {
 }
 
 func TestDynamicLargerSlackLargerInterval(t *testing.T) {
-	mk := func(slack float64) *Dynamic {
+	mk := func(slack float64) time.Duration {
 		d := NewDynamic(slack, time.Millisecond)
-		now := t0
-		for i := 0; i < 20; i++ {
-			now = now.Add(100 * time.Millisecond)
-			d.ObserveQueries(now, 1, 50*time.Millisecond)
-		}
-		return d
+		d.TrainingDone(t0, 5*time.Second, 0)
+		now := trainAfter(d, t0, 2*time.Second, 5*time.Second, time.Second)
+		return interval(d, now)
 	}
-	small := mk(1.2).nextInterval(5)
-	large := mk(3).nextInterval(5)
+	small, large := mk(1.2), mk(3)
 	if large <= small {
 		t.Fatalf("slack 3 interval %v should exceed slack 1.2 interval %v", large, small)
 	}
 }
 
-func TestSchedulerNames(t *testing.T) {
-	if NewStatic(time.Second).Name() != "static" {
-		t.Fatal("static name")
-	}
-	if NewDynamic(2, time.Second).Name() != "dynamic" {
-		t.Fatal("dynamic name")
-	}
-}
-
-func TestDynamicObserveQueriesBatch(t *testing.T) {
+// TestDynamicFollowsWindowDelta: pr·pl is the load since the previous
+// training, not the deployment's whole history — a long busy past does not
+// stretch the interval after a quiet window.
+func TestDynamicFollowsWindowDelta(t *testing.T) {
 	d := NewDynamic(2, time.Millisecond)
-	now := t0
-	// 5 batches of 100 queries each, 1 second apart, 2ms per query.
-	for i := 0; i < 5; i++ {
-		now = now.Add(time.Second)
-		d.ObserveQueries(now, 100, 200*time.Millisecond)
+	d.TrainingDone(t0, 10*time.Second, 0)
+	// An hour at full load: one second served per second.
+	now := trainAfter(d, t0, time.Hour, 10*time.Second, time.Hour)
+	if iv := interval(d, now); iv != 20*time.Second {
+		t.Fatalf("busy window: interval = %v, want 20s", iv)
 	}
-	// pr ≈ 100 qps, pl ≈ 2ms → T' = 2 * T * 100 * 0.002 = 0.4*T.
-	iv := d.nextInterval(10)
-	if iv < 3*time.Second || iv > 5*time.Second {
-		t.Fatalf("interval = %v, want ≈4s", iv)
+	// Then 10 s at 100 qps × 2 ms: 2 s served, a load of 0.2.
+	now = trainAfter(d, now, 10*time.Second, 10*time.Second, 2*time.Second)
+	if d.lastServed <= time.Hour {
+		t.Fatalf("cumulative served = %v, want over an hour", d.lastServed)
+	}
+	// T' = 2 * 10s * 0.2 = 4s, where the cumulative quotient would give
+	// about 20s.
+	if iv := interval(d, now); iv != 4*time.Second {
+		t.Fatalf("quiet window: interval = %v, want 4s", iv)
 	}
 }
 
-func TestObserveQueriesZeroBatchIgnored(t *testing.T) {
+func TestDynamicIdleWindowFloors(t *testing.T) {
 	d := NewDynamic(2, time.Second)
-	d.ObserveQueries(t0, 0, time.Second)
-	if iv := d.nextInterval(100); iv != time.Second {
-		t.Fatalf("zero batch changed state: %v", iv)
+	d.TrainingDone(t0, 100*time.Second, 5*time.Second)
+	// Nothing served since the previous training: pr·pl is 0.
+	now := trainAfter(d, t0, time.Minute, 100*time.Second, 0)
+	if iv := interval(d, now); iv != time.Second {
+		t.Fatalf("idle window: interval = %v, want floor 1s", iv)
+	}
+	// A window of no wall-clock time reads no load either.
+	d.TrainingDone(now, 100*time.Second, d.lastServed+time.Second)
+	if iv := interval(d, now); iv != time.Second {
+		t.Fatalf("empty window: interval = %v, want floor 1s", iv)
 	}
 }
 
-func TestStaticObserveQueriesNoop(t *testing.T) {
-	s := NewStatic(time.Minute)
-	s.ObserveQueries(t0, 10, time.Second) // must not panic or change state
-	if !s.Due(t0) {
-		t.Fatal("static state changed by observations")
+func TestStaticIgnoresServed(t *testing.T) {
+	a, b := NewStatic(time.Minute), NewStatic(time.Minute)
+	a.TrainingDone(t0, time.Second, 0)
+	b.TrainingDone(t0, time.Second, time.Hour)
+	if a.next != b.next {
+		t.Fatalf("served moved the static schedule: %v vs %v", a.next, b.next)
 	}
 }

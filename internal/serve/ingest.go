@@ -74,14 +74,15 @@ type ingestQueue struct {
 	lastErr  atomic.Value // string: message of the most recent failure
 	accepted atomic.Int64 // chunks accepted (202)
 	rejected atomic.Int64 // chunks rejected with queue_full (503)
-	// tickNanos is an EWMA (alpha 0.3) of recent Ingest tick durations,
-	// maintained by the drainer and read by the 503 path to derive an
-	// honest Retry-After: the queue frees one slot per tick, so one recent
-	// tick duration is the time until an immediate retry can succeed.
+	// tickNanos is a moving average (weight 0.3 on the newest) of Ingest
+	// tick durations, maintained by the drainer and read by the 503 path to
+	// derive an honest Retry-After: the queue frees one slot per tick, so
+	// one recent tick duration is the time until an immediate retry can
+	// succeed.
 	tickNanos atomic.Int64
 }
 
-// observeTick folds one tick duration into the EWMA.
+// observeTick folds one tick duration into the moving average.
 func (q *ingestQueue) observeTick(d time.Duration) {
 	const alpha = 0.3
 	prev := q.tickNanos.Load()

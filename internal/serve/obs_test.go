@@ -8,16 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
-
-	"cdml/internal/core"
-	"cdml/internal/data"
-	"cdml/internal/eval"
-	"cdml/internal/model"
-	"cdml/internal/opt"
-	"cdml/internal/pipeline"
-	"cdml/internal/sample"
-	"cdml/internal/sched"
 )
 
 // --- readRecords edge cases -------------------------------------------------
@@ -162,65 +152,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 		if len(strings.Fields(line)) != 2 {
 			t.Fatalf("malformed exposition line %q", line)
-		}
-	}
-}
-
-// TestSchedulerGaugesExposed checks that a deployment driven by the dynamic
-// (Formula 6) scheduler surfaces its observed query rate and latency on
-// /v1/metrics — the configuration cmd/cdml-serve runs with.
-func TestSchedulerGaugesExposed(t *testing.T) {
-	cfg := core.Config{
-		Mode: core.ModeContinuous,
-		NewPipeline: func() *pipeline.Pipeline {
-			return pipeline.New(testParser{},
-				pipeline.NewStandardScaler([]string{"x0", "x1"}),
-				pipeline.NewAssembler([]string{"x0", "x1"}, nil, "features"),
-			)
-		},
-		NewModel:     func() model.Model { return model.NewSVM(2, 1e-4) },
-		NewOptimizer: func() opt.Optimizer { return opt.NewAdam(0.05) },
-		Store:        data.NewStore(data.NewMemoryBackend()),
-		Sampler:      sample.NewTime(1),
-		SampleChunks: 3,
-		Scheduler:    sched.NewDynamic(2, time.Hour),
-		Metric:       &eval.Misclassification{},
-		Predict:      core.ClassifyPredictor,
-	}
-	dep, err := core.NewDeployer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(New(dep, WithSlog(nil)))
-	t.Cleanup(ts.Close)
-
-	client := ts.Client()
-	r := rand.New(rand.NewSource(17))
-	for i := 0; i < 4; i++ {
-		resp, err := client.Post(ts.URL+"/v1/deployments/default/train", "text/plain", strings.NewReader(chunkBody(r, 20)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-	}
-	resp, err := client.Post(ts.URL+"/v1/deployments/default/predict", "text/plain", strings.NewReader(chunkBody(r, 20)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	mresp, err := client.Get(ts.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	raw, err := io.ReadAll(mresp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"cdml_sched_query_rate", "cdml_sched_query_latency_seconds"} {
-		if !strings.Contains(string(raw), want) {
-			t.Fatalf("/v1/metrics missing %q:\n%s", want, raw)
 		}
 	}
 }

@@ -127,24 +127,3 @@ func TestCategoricalValuesIsCopy(t *testing.T) {
 		t.Fatal("Values leaked internal slice")
 	}
 }
-
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	e.Observe(10)
-	if e.Value() != 10 {
-		t.Fatalf("first value = %v", e.Value())
-	}
-	e.Observe(20)
-	if e.Value() != 15 {
-		t.Fatalf("smoothed = %v, want 15", e.Value())
-	}
-}
-
-func TestEWMABadAlphaPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewEWMA(0)
-}
