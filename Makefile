@@ -7,8 +7,8 @@ GO ?= go
 all: build vet test
 
 # The full pre-merge gate: compile (both modules), vet + custom analyzers,
-# then the whole suite under the race detector.
-check: build bench-module lint race
+# the size ratchet, then the whole suite under the race detector.
+check: build bench-module lint census-check race
 
 build:
 	$(GO) build ./...

@@ -4,7 +4,7 @@
 // /v1/deployments/{name}/predict for real-time answers, GET /v1/deployments
 // for the fleet.
 //
-//	cdml-serve -workload url -addr :8080 -warmup 20 -engine-workers 0
+//	cdml-serve -workload url -addr :8080 -warmup 20
 //
 //	curl -s -X POST --data-binary @chunk.txt localhost:8080/v1/deployments/default/predict
 //	curl -s localhost:8080/v1/deployments
@@ -28,15 +28,14 @@
 // durable state, and can host a shadow challenger (POST .../challengers)
 // that trains on the live traffic the champion accepts and is promoted on
 // the tick its recent error beats the champion's; -auto-challenger starts
-// one when a champion's drift detector fires, debounced by
-// -auto-challenger-cooldown.
+// one when a champion's drift detector fires, at most one per deployment
+// every 5 minutes.
 //
 // With -replica-of http://primary:8080 the process serves every
 // deployment as a read-only replica: a per-deployment poller fetches
 // GET /v1/deployments/{name}/snapshot?since=<version> from the primary
-// every -replica-poll and atomically swaps new snapshots in; mutating
-// routes answer 409 read_only_replica and .../status reports the sync
-// lag.
+// every 250ms and atomically swaps new snapshots in; mutating routes
+// answer 409 read_only_replica and .../status reports the sync lag.
 //
 // Durability is process-wide and a name owns its directories. With
 // -checkpoint-dir D every deployment checkpoints itself crash-safely into
@@ -45,11 +44,11 @@
 // there resumes from the newest valid one instead of warming up. Adding
 // -wal-dir D closes the gap between checkpoints: every chunk accepted by POST
 // .../ingest is fsynced to D/<name>/wal before the 202 ack (segments roll at
-// -wal-segment-bytes and are reclaimed as checkpoints age past them), and
+// 4 MiB and are reclaimed as checkpoints age past them), and
 // recovery replays the logged chunks the restored checkpoint does not cover —
 // the restarted deployment's state is bit-identical to one that never
 // crashed. -store-dir D spills chunks to D/<name>/store behind a retrying
-// backend and an LRU tier of -store-cache feature chunks: they survive a
+// backend and an LRU tier of 64 feature chunks: they survive a
 // tick, not a restart — the store's index is in memory, boot empties the
 // directory, and a recovered deployment's sample history is what it has
 // replayed or ingested since. DELETE removes a name's directories; stopping
@@ -88,28 +87,23 @@ import (
 	"cdml/internal/registry"
 	"cdml/internal/sched"
 	"cdml/internal/serve"
-	"cdml/internal/wal"
 )
 
 // options is the parsed command line; it travels whole. The durability
 // flags parse straight into the registry.Options that every deployment's
 // directories and checkpoint cadence come from.
 type options struct {
-	deployments   string     // the file listing the entries to boot, or
-	spec          deploySpec // the one entry, "default", the flags describe
-	warmup        int
-	addr          string
-	drain         time.Duration
-	engineWorkers int
-	ingestQueue   int
-	reg           registry.Options
+	deployments string     // the file listing the entries to boot, or
+	spec        deploySpec // the one entry, "default", the flags describe
+	warmup      int
+	addr        string
+	drain       time.Duration
+	reg         registry.Options
 
-	pprof            bool
-	runtimeMetrics   time.Duration
-	replicaOf        string
-	replicaPoll      time.Duration
-	autoChal         bool
-	autoChalCooldown time.Duration
+	pprof          bool
+	runtimeMetrics time.Duration
+	replicaOf      string
+	autoChal       bool
 
 	// newScheduler builds each deployer's proactive-training scheduler, the
 	// wall-clock dynamic one of -slack and -min-train-interval, fed the
@@ -138,21 +132,15 @@ func declareFlags() (*options, *flag.FlagSet) {
 	fs.DurationVar(&o.drain, "drain", 15*time.Second, "graceful-shutdown drain timeout")
 	slack := fs.Float64("slack", 2.0, "dynamic-scheduling slack S (Formula 6; ≥2 favors serving)")
 	minTrain := fs.Duration("min-train-interval", 2*time.Second, "floor between proactive trainings")
-	fs.IntVar(&o.engineWorkers, "engine-workers", 0, "engine worker pool size for parallel gather and gradient shards, shared by every deployment (0 = NumCPU); results are bit-identical at any setting")
-	fs.IntVar(&o.ingestQueue, "ingest-queue", serve.DefaultIngestQueue, "bounded async-ingest queue capacity in chunks per deployment (POST .../ingest answers 503 queue_full beyond it)")
 	fs.StringVar(&o.reg.CheckpointRoot, "checkpoint-dir", "", "root for automatic crash-safe checkpoints, <dir>/<name>/ckpt per deployment; a deployment recovers the newest valid one on startup (empty = checkpointing off)")
 	fs.IntVar(&o.reg.CheckpointEvery, "checkpoint-every", 8, "checkpoint after every N ingested chunks")
 	fs.IntVar(&o.reg.CheckpointKeep, "checkpoint-keep", 3, "checkpoint files retained before pruning the oldest")
 	fs.StringVar(&o.reg.WALRoot, "wal-dir", "", "root for the durable write-ahead ingest logs, <dir>/<name>/wal per deployment: async ingest fsyncs each accepted chunk before acking 202 and recovery replays what the newest checkpoint misses (empty = log off)")
-	fs.Int64Var(&o.reg.WALSegmentBytes, "wal-segment-bytes", wal.DefaultSegmentBytes, "ingest-log segment roll threshold; sealed segments are reclaimed as checkpoints age past them")
 	fs.StringVar(&o.reg.StoreRoot, "store-dir", "", "root for on-disk chunk storage, <dir>/<name>/store per deployment (tiered LRU cache over retrying disk backend), emptied at boot: chunks survive a tick, not a restart; empty keeps chunks in memory")
-	fs.IntVar(&o.reg.StoreCache, "store-cache", 64, "feature chunks held in the in-memory tier of a -store-dir backend")
 	fs.BoolVar(&o.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/ (debugging surface; keep off internet-facing listeners)")
 	fs.DurationVar(&o.runtimeMetrics, "runtime-metrics", 10*time.Second, "sampling period for the cdml_runtime_* metric family (0 disables)")
 	fs.StringVar(&o.replicaOf, "replica-of", "", "primary base URL to replicate (e.g. http://primary:8080): every deployment becomes a read-only replica syncing published snapshots; warmup is skipped")
-	fs.DurationVar(&o.replicaPoll, "replica-poll", serve.DefaultReplicaPoll, "replica snapshot poll interval")
 	fs.BoolVar(&o.autoChal, "auto-challenger", false, "start a shadow challenger automatically when a deployment's drift detector fires (needs a spec with \"drift\" set)")
-	fs.DurationVar(&o.autoChalCooldown, "auto-challenger-cooldown", registry.DefaultAutoChallengerCooldown, "minimum wall-clock gap between automatic challenger starts per deployment")
 	o.newScheduler = func() sched.Scheduler { return sched.NewDynamic(*slack, *minTrain) }
 	return o, fs
 }
@@ -358,11 +346,11 @@ func boot(o options) (*serve.Server, error) {
 	}
 	replica := o.replicaOf != ""
 	builder := &specBuilder{newScheduler: o.newScheduler}
-	o.reg.Engine, o.reg.Metrics = engine.New(o.engineWorkers), obs.NewRegistry()
+	o.reg.Engine, o.reg.Metrics = engine.New(0), obs.NewRegistry()
 	// Replicas never train, so a drift detector cannot fire there — the
 	// auto-challenger loop only makes sense on a primary.
 	if o.autoChal && !replica {
-		o.reg.AutoChallenger = &registry.AutoChallenger{Build: builder.rebuild, Cooldown: o.autoChalCooldown}
+		o.reg.AutoChallenger = &registry.AutoChallenger{Build: builder.rebuild}
 	}
 	reg := registry.New(o.reg)
 	for _, e := range entries {
@@ -372,10 +360,9 @@ func boot(o options) (*serve.Server, error) {
 		}
 	}
 	sopts := []serve.Option{
-		serve.WithIngestQueue(o.ingestQueue),
 		serve.WithConfigBuilder(builder.build),
-		serve.WithReplicaOf(o.replicaOf, o.replicaPoll), // "" is a primary
-		serve.WithRuntimeMetrics(o.runtimeMetrics),      // 0 samples nothing
+		serve.WithReplicaOf(o.replicaOf, serve.DefaultReplicaPoll), // "" is a primary
+		serve.WithRuntimeMetrics(o.runtimeMetrics),                 // 0 samples nothing
 	}
 	if o.pprof {
 		sopts = append(sopts, serve.WithPprof())

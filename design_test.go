@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,16 +55,10 @@ func TestDesignInventoryNamesEveryPackage(t *testing.T) {
 	}
 }
 
-// TestREADMENamesOnlyRegisteredMetrics is the metrics half of the catalogue
-// guard: every `cdml_*` name README.md puts in backticks is a string literal
-// of the non-test Go under internal/, cmd/ or cdml.go — a metric cannot be
-// deleted and stay documented. A trailing `*` names a family: some literal
-// must start with what precedes it.
-func TestREADMENamesOnlyRegisteredMetrics(t *testing.T) {
-	readme, err := os.ReadFile("README.md")
-	if err != nil {
-		t.Fatal(err)
-	}
+// goStringLiterals collects every string literal of the non-test Go under
+// internal/, cmd/ and cdml.go, analyzer fixtures under testdata/ left out.
+func goStringLiterals(t *testing.T) map[string]bool {
+	t.Helper()
 	literals := map[string]bool{}
 	collect := func(path string) {
 		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
@@ -97,6 +92,37 @@ func TestREADMENamesOnlyRegisteredMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return literals
+}
+
+// readmeMetricNames lists the `cdml_*` names README.md puts in backticks; a
+// trailing `*` names a family.
+func readmeMetricNames(t *testing.T) []string {
+	t.Helper()
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := regexp.MustCompile(`\bcdml_[a-z0-9_]+\*?`)
+	var names []string
+	for _, span := range regexp.MustCompile("`[^`\n]+`").FindAll(readme, -1) {
+		for _, m := range name.FindAll(span, -1) {
+			names = append(names, string(m))
+		}
+	}
+	if len(names) == 0 {
+		t.Fatal("README.md names no cdml_* metric")
+	}
+	return names
+}
+
+// TestREADMENamesOnlyRegisteredMetrics is the metrics half of the catalogue
+// guard: every `cdml_*` name README.md puts in backticks is a string literal
+// of the non-test Go under internal/, cmd/ or cdml.go — a metric cannot be
+// deleted and stay documented. A trailing `*` names a family: some literal
+// must start with what precedes it.
+func TestREADMENamesOnlyRegisteredMetrics(t *testing.T) {
+	literals := goStringLiterals(t)
 	registered := func(name string) bool {
 		prefix, family := strings.CutSuffix(name, "*")
 		if !family {
@@ -109,17 +135,38 @@ func TestREADMENamesOnlyRegisteredMetrics(t *testing.T) {
 		}
 		return false
 	}
-	name := regexp.MustCompile(`\bcdml_[a-z0-9_]+\*?`)
-	n := 0
-	for _, span := range regexp.MustCompile("`[^`\n]+`").FindAll(readme, -1) {
-		for _, m := range name.FindAll(span, -1) {
-			n++
-			if !registered(string(m)) {
-				t.Errorf("README.md names %s, which no non-test Go registers", m)
-			}
+	for _, m := range readmeMetricNames(t) {
+		if !registered(m) {
+			t.Errorf("README.md names %s, which no non-test Go registers", m)
 		}
 	}
-	if n == 0 {
-		t.Fatal("README.md names no cdml_* metric")
+}
+
+// TestREADMENamesEveryMetric is the other direction: every `cdml_*` string
+// literal of that Go is in README.md in backticks, by its name or under a
+// `family*` whose prefix it starts with — a metric cannot be added and stay
+// undocumented.
+func TestREADMENamesEveryMetric(t *testing.T) {
+	documented := map[string]bool{}
+	var families []string
+	for _, m := range readmeMetricNames(t) {
+		if prefix, family := strings.CutSuffix(m, "*"); family {
+			families = append(families, prefix)
+		} else {
+			documented[m] = true
+		}
+	}
+	metric := regexp.MustCompile(`^cdml_[a-z0-9_]+$`)
+	var missing []string
+	for s := range goStringLiterals(t) {
+		if !metric.MatchString(s) || documented[s] ||
+			slices.ContainsFunc(families, func(p string) bool { return strings.HasPrefix(s, p) }) {
+			continue
+		}
+		missing = append(missing, s)
+	}
+	slices.Sort(missing)
+	for _, s := range missing {
+		t.Errorf("non-test Go registers %s, which README.md does not name", s)
 	}
 }

@@ -29,10 +29,10 @@ type Engine struct {
 }
 
 // New returns an engine with the given parallelism; workers ≤ 0 selects
-// runtime.NumCPU().
+// runtime.GOMAXPROCS(0).
 func New(workers int) *Engine {
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{workers: workers}
 }

@@ -12,7 +12,7 @@ import (
 
 func TestNewDefaults(t *testing.T) {
 	e := New(0)
-	if e.Workers() != runtime.NumCPU() {
+	if e.Workers() != runtime.GOMAXPROCS(0) {
 		t.Fatalf("workers = %d", e.Workers())
 	}
 	if New(3).Workers() != 3 {

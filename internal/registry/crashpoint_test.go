@@ -15,7 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"cdml/internal/core"
 	"cdml/internal/snapstream"
+	"cdml/internal/wal"
 )
 
 // The crash-point simulator kills a deployment at every I/O boundary its
@@ -109,6 +111,14 @@ func newCrashPlan(seed int64, n int) crashPlan {
 	return p
 }
 
+// rollingConfig is adamConfig with deployment "m"'s own ingest log under
+// root, its segments small enough to roll and be pruned.
+func rollingConfig(root string) core.Config {
+	cfg := adamConfig()
+	cfg.IngestLog = &wal.Options{Dir: filepath.Join(root, "m", "wal"), SegmentBytes: 1024}
+	return cfg
+}
+
 // crashLife runs one life of the plan on opts' roots until it ends or the
 // power is cut, and returns the live chunks it acknowledged, in sequence
 // order: AppendIngestLog returned nil and no abort completed. An abort the
@@ -123,7 +133,7 @@ func crashLife(t *testing.T, opts Options, p *powerCut, plan crashPlan, warm, li
 		}
 		return !p.dead.Load()
 	}
-	d, _, err := r.CreateWarm("m", adamConfig(), Quotas{}, len(warm), from(warm))
+	d, _, err := r.CreateWarm("m", rollingConfig(opts.CheckpointRoot), Quotas{}, len(warm), from(warm))
 	if !alive(err) {
 		return nil
 	}
@@ -239,7 +249,7 @@ func TestChaosCrashPointAsyncIngest(t *testing.T) {
 			plan := newCrashPlan(tc.seed, len(live))
 			life := func(at int) (*powerCut, []int) {
 				root := t.TempDir()
-				opts := Options{CheckpointRoot: root, WALRoot: root, CheckpointEvery: tc.every, WALSegmentBytes: 1024}
+				opts := Options{CheckpointRoot: root, CheckpointEvery: tc.every}
 				p := newPowerCut(root, at)
 				snapstream.Disk.Fault = p.fault
 				acked := crashLife(t, opts, p, plan, warm, live)
@@ -256,8 +266,8 @@ func TestChaosCrashPointAsyncIngest(t *testing.T) {
 				if err := p.cut(); err != nil {
 					t.Fatal(err)
 				}
-				r := New(Options{CheckpointRoot: p.root, WALRoot: p.root, CheckpointEvery: tc.every, WALSegmentBytes: 1024})
-				d, _, err := r.CreateWarm("m", adamConfig(), Quotas{}, len(warm), from(warm))
+				r := New(Options{CheckpointRoot: p.root, CheckpointEvery: tc.every})
+				d, _, err := r.CreateWarm("m", rollingConfig(p.root), Quotas{}, len(warm), from(warm))
 				if err != nil {
 					r.Close()
 					t.Fatalf("k=%d (%s): recovery failed: %v", k, p.ops[k-1], err)

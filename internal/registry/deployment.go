@@ -231,7 +231,7 @@ func (d *Deployment) maybeAutoChallenge() {
 	}
 	cooldown := ac.Cooldown
 	if cooldown <= 0 {
-		cooldown = DefaultAutoChallengerCooldown
+		cooldown = defaultAutoChallengerCooldown
 	}
 	if !d.acLastStart.IsZero() && time.Since(d.acLastStart) < cooldown {
 		d.acMu.Unlock()

@@ -302,7 +302,7 @@ func TestCheckpointCadenceComesFromOptions(t *testing.T) {
 // takes it next must not inherit a checkpoint, a log to replay, or chunks.
 func TestDeleteRemovesNameStateCloseKeepsIt(t *testing.T) {
 	ck, wl, st := t.TempDir(), t.TempDir(), t.TempDir()
-	opts := Options{CheckpointRoot: ck, WALRoot: wl, StoreRoot: st, StoreCache: 4,
+	opts := Options{CheckpointRoot: ck, WALRoot: wl, StoreRoot: st,
 		CheckpointEvery: 1}
 	chunks := stream(5, 3)
 	dirs := []string{filepath.Join(ck, "m"), filepath.Join(wl, "m"), filepath.Join(st, "m")}
@@ -537,7 +537,7 @@ func TestBootReportsItsPhases(t *testing.T) {
 // chunk the second life has ticked (replayed or ingested), and nothing else.
 func TestStoreDirectoryHoldsOnlyThisLifesChunks(t *testing.T) {
 	root := t.TempDir()
-	opts := Options{CheckpointRoot: root, WALRoot: root, StoreRoot: root, StoreCache: 4, CheckpointEvery: 8}
+	opts := Options{CheckpointRoot: root, WALRoot: root, StoreRoot: root, CheckpointEvery: 8}
 	chunks := stream(11, 18)
 	const warm, firstLife = 6, 16
 
@@ -566,5 +566,39 @@ func TestStoreDirectoryHoldsOnlyThisLifesChunks(t *testing.T) {
 	}
 	if ticked := int(version - boot.Recovered); len(files) != 2*ticked {
 		t.Fatalf("store directory holds %d files, the second life's store %d chunks (2 files each)", len(files), ticked)
+	}
+}
+
+// TestStoreRootNeedsNoCacheSize: Options with a StoreRoot and nothing else
+// build a working disk store — the LRU tier in front of it has a fixed size
+// the caller does not pick — and proactive training reads its samples'
+// feature chunks back through it, past the point where the tier has
+// evicted the oldest.
+func TestStoreRootNeedsNoCacheSize(t *testing.T) {
+	root := t.TempDir()
+	r := New(Options{StoreRoot: root})
+	defer r.Close()
+	cfg := adamConfig()
+	cfg.Mode, cfg.ProactiveEvery = core.ModeContinuous, 4
+	cfg.Sampler, cfg.SampleChunks = sample.NewTime(1), 8
+	d, err := r.Create("m", cfg, Quotas{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = storeCacheChunks + 16
+	for i, c := range stream(17, n) {
+		if err := d.Ingest(c); err != nil {
+			t.Fatalf("ingest %d of %d: %v", i+1, n, err)
+		}
+	}
+	if got := d.Serving().Stats().ProactiveRuns; got != n/4 {
+		t.Fatalf("%d proactive trainings over %d chunks, want %d", got, n, n/4)
+	}
+	files, err := os.ReadDir(filepath.Join(root, "m", "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 2*n {
+		t.Fatalf("the store directory holds %d files, want a raw and a feature file for each of %d chunks", len(files), n)
 	}
 }

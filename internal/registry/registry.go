@@ -55,9 +55,10 @@ var (
 // "quotas" object of PUT /v1/deployments/{name} and of the -deployments
 // fleet file.
 type Quotas struct {
-	// MaxIngestQueue caps the deployment's async ingest queue depth below
-	// the server's (0 = the server's). The registry only records the quota
-	// — the serve layer sizes its queues from it.
+	// MaxIngestQueue lowers the deployment's async ingest queue capacity
+	// below the server's fixed 256 chunks (0 = 256); a larger value changes
+	// nothing. The registry only records the quota — the serve layer sizes
+	// its queues from it.
 	MaxIngestQueue int `json:"max_ingest_queue"`
 	// MaxCheckpointBytes caps the total on-disk size of the deployment's
 	// retained checkpoints (CheckpointPolicy.MaxBytes; 0 = unlimited).
@@ -105,28 +106,29 @@ type Options struct {
 	// cooldown so a flapping detector cannot spawn challengers unboundedly.
 	AutoChallenger *AutoChallenger
 	// WALRoot, when set, gives every created deployment a durable
-	// write-ahead ingest log at <WALRoot>/<name>/wal (unless its config
-	// already carries one). Challengers get none — they see every chunk
-	// the champion's tick accepted — so a promoted challenger runs without
-	// a log until the process restarts (tracked in ROADMAP).
+	// write-ahead ingest log at <WALRoot>/<name>/wal, its segments rolling
+	// at the wal package's 4 MiB (a config that carries its own wal.Options
+	// keeps them, segment size included). Challengers get none — they see
+	// every chunk the champion's tick accepted — so a promoted challenger
+	// runs without a log until the process restarts (tracked in ROADMAP).
 	WALRoot string
-	// WALSegmentBytes is the segment roll threshold for logs under WALRoot
-	// (0 = the wal package default).
-	WALSegmentBytes int64
 	// StoreRoot, when set, replaces every created deployment's store with
 	// one on disk under <StoreRoot>/<name>/store, behind a retrying backend
 	// (transient filesystem errors never reach a tick) and an in-memory LRU
-	// tier of StoreCache feature chunks. Challengers keep their config's. The
-	// directory is a spill tier, not durable state: the store's index lives
-	// in memory, so Create empties it and a recovered deployment's sample
-	// history is what it has replayed or ingested since.
-	StoreRoot  string
-	StoreCache int
+	// tier of storeCacheChunks feature chunks. Challengers keep their
+	// config's. The directory is a spill tier, not durable state: the
+	// store's index lives in memory, so Create empties it and a recovered
+	// deployment's sample history is what it has replayed or ingested since.
+	StoreRoot string
 }
 
-// DefaultAutoChallengerCooldown is the minimum spacing between automatic
+// storeCacheChunks is the capacity, in feature chunks, of the in-memory
+// LRU tier in front of a StoreRoot disk backend.
+const storeCacheChunks = 64
+
+// defaultAutoChallengerCooldown is the minimum spacing between automatic
 // challenger starts of one deployment when AutoChallenger.Cooldown is 0.
-const DefaultAutoChallengerCooldown = 5 * time.Minute
+const defaultAutoChallengerCooldown = 5 * time.Minute
 
 // AutoChallenger configures the automatic drift response: when the serving
 // champion's drift detector fires, the registry attaches a freshly built
@@ -143,8 +145,8 @@ type AutoChallenger struct {
 	// policy defaults).
 	Policy Policy
 	// Cooldown is the minimum time between automatic challenger starts per
-	// deployment (default DefaultAutoChallengerCooldown). Drift fires
-	// inside the cooldown are observed but start nothing.
+	// deployment (0 = 5 minutes). Drift fires inside the cooldown are
+	// observed but start nothing.
 	Cooldown time.Duration
 }
 
@@ -353,10 +355,7 @@ func (r *Registry) buildEntry(d *Deployment, cfg core.Config, champion bool) (*e
 	if champion {
 		ckptKind = "ckpt"
 		if r.opts.WALRoot != "" && cfg.IngestLog == nil {
-			cfg.IngestLog = &wal.Options{
-				Dir:          filepath.Join(r.opts.WALRoot, d.name, "wal"),
-				SegmentBytes: r.opts.WALSegmentBytes,
-			}
+			cfg.IngestLog = &wal.Options{Dir: filepath.Join(r.opts.WALRoot, d.name, "wal")}
 		}
 		if r.opts.StoreRoot != "" {
 			// Files found here are a previous life's: the index that could
@@ -370,7 +369,7 @@ func (r *Registry) buildEntry(d *Deployment, cfg core.Config, champion bool) (*e
 				return nil, fmt.Errorf("%w of %q: %w", ErrState, d.name, err)
 			}
 			retrying = data.NewRetryBackend(disk, data.DefaultRetryPolicy())
-			cfg.Store = data.NewStore(data.NewTieredBackend(retrying, r.opts.StoreCache))
+			cfg.Store = data.NewStore(data.NewTieredBackend(retrying, storeCacheChunks))
 		}
 	}
 	ckptDir := ""

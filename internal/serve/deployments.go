@@ -18,7 +18,7 @@ import (
 type depHandle struct {
 	name string
 	dep  *registry.Deployment
-	q    *ingestQueue
+	q    *chunkQueue
 	// rep is non-nil when the server runs in replica mode (WithReplicaOf):
 	// the deployment's sync poller is then its only writer, and mutating
 	// routes answer 409 read_only_replica.
@@ -45,14 +45,14 @@ func (s *Server) addHandle(d *registry.Deployment) *depHandle {
 	if h, ok := cur[d.Name()]; ok {
 		return h
 	}
-	capacity := s.queueCap
+	capacity := chunkQueueCap
 	if q := d.Quotas().MaxIngestQueue; q > 0 && q < capacity {
 		capacity = q
 	}
 	h := &depHandle{
 		name: d.Name(),
 		dep:  d,
-		q:    newIngestQueue(capacity),
+		q:    newChunkQueue(capacity),
 		em:   make([]*endpointMetrics, s.nScoped),
 	}
 	for _, rt := range s.routes {

@@ -261,8 +261,8 @@ func TestSingleDeploymentServedAsDefault(t *testing.T) {
 }
 
 // TestUnknownDeployment404 verifies every scoped route answers a JSON 404
-// with code "unknown_deployment" for names that are not registered —
-// including predict, which takes the zero-alloc fast path around the mux.
+// with code "unknown_deployment" for names that are not registered,
+// predict included.
 func TestUnknownDeployment404(t *testing.T) {
 	_, ts := newFleetServer(t)
 	cases := []struct{ method, path string }{

@@ -39,11 +39,13 @@ var (
 	errQueueClosed = errors.New("serve: ingest queue closed")
 )
 
-// DefaultIngestQueue is the bounded async-ingest queue capacity (chunks)
-// per deployment when WithIngestQueue is not given.
-const DefaultIngestQueue = 256
+// chunkQueueCap is the bounded async-ingest queue capacity (chunks) per
+// deployment. A deployment's MaxIngestQueue quota may lower it, never raise
+// it: the quota arrives over PUT, and a request must not size a huge
+// channel.
+const chunkQueueCap = 256
 
-// ingestQueue is the bounded buffer behind POST .../ingest — one per
+// chunkQueue is the bounded buffer behind POST .../ingest — one per
 // deployment, so a backlogged pipeline never delays its neighbors.
 // Handlers enqueue chunks without blocking; the deployment's single drainer
 // goroutine feeds them to the champion in arrival order, so the
@@ -51,7 +53,7 @@ const DefaultIngestQueue = 256
 // an immediate 202. When the queue is full (training cannot keep up with
 // arrivals) the handler answers 503 queue_full instead of buffering
 // unboundedly — explicit backpressure the client can react to.
-type ingestQueue struct {
+type chunkQueue struct {
 	ch   chan ingestItem
 	done chan struct{} // closed when the drainer exits
 
@@ -83,7 +85,7 @@ type ingestQueue struct {
 }
 
 // observeTick folds one tick duration into the moving average.
-func (q *ingestQueue) observeTick(d time.Duration) {
+func (q *chunkQueue) observeTick(d time.Duration) {
 	const alpha = 0.3
 	prev := q.tickNanos.Load()
 	if prev == 0 {
@@ -96,7 +98,7 @@ func (q *ingestQueue) observeTick(d time.Duration) {
 // retryAfterSeconds suggests how long a backpressured client should wait
 // before retrying, clamped to [1, 60] whole seconds (HTTP Retry-After has
 // one-second resolution; 1 is the floor even for sub-second ticks).
-func (q *ingestQueue) retryAfterSeconds() int {
+func (q *chunkQueue) retryAfterSeconds() int {
 	nanos := q.tickNanos.Load()
 	if nanos <= 0 {
 		return 1
@@ -108,8 +110,8 @@ func (q *ingestQueue) retryAfterSeconds() int {
 	return min(max(secs, 1), 60)
 }
 
-func newIngestQueue(capacity int) *ingestQueue {
-	return &ingestQueue{
+func newChunkQueue(capacity int) *chunkQueue {
+	return &chunkQueue{
 		ch:   make(chan ingestItem, capacity),
 		done: make(chan struct{}),
 	}
@@ -125,7 +127,7 @@ func newIngestQueue(capacity int) *ingestQueue {
 // appending after the send, as this path once did, let a fast drainer pop
 // an empty slice first and leave an orphaned timestamp that made
 // ingest_oldest_age_seconds grow forever on an idle queue.
-func (q *ingestQueue) enqueue(it ingestItem) (int64, error) {
+func (q *chunkQueue) enqueue(it ingestItem) (int64, error) {
 	q.mu.RLock()
 	defer q.mu.RUnlock()
 	if q.closed {
@@ -147,7 +149,7 @@ func (q *ingestQueue) enqueue(it ingestItem) (int64, error) {
 // now — the handler's fast path to avoid a durable log append for a chunk
 // that is about to be 503'd anyway (under overload, wasted fsyncs are
 // exactly what the disk does not need). enqueue re-checks authoritatively.
-func (q *ingestQueue) refusal() error {
+func (q *chunkQueue) refusal() error {
 	q.mu.RLock()
 	defer q.mu.RUnlock()
 	if q.closed {
@@ -161,7 +163,7 @@ func (q *ingestQueue) refusal() error {
 
 // itemDone pops the head of the pending-times mirror after the drainer has
 // finished one item.
-func (q *ingestQueue) itemDone() {
+func (q *chunkQueue) itemDone() {
 	q.pmu.Lock()
 	if len(q.pending) > 0 {
 		q.pending = q.pending[1:]
@@ -172,7 +174,7 @@ func (q *ingestQueue) itemDone() {
 // oldestAge reports how long the oldest unfinished queued chunk has been
 // waiting (0 when the queue is idle) — the staleness answer /status gives
 // without anyone scraping /trace.
-func (q *ingestQueue) oldestAge() time.Duration {
+func (q *chunkQueue) oldestAge() time.Duration {
 	q.pmu.Lock()
 	defer q.pmu.Unlock()
 	if len(q.pending) == 0 {
@@ -182,7 +184,7 @@ func (q *ingestQueue) oldestAge() time.Duration {
 }
 
 // close stops intake; idempotent. Chunks already queued still drain.
-func (q *ingestQueue) close() {
+func (q *chunkQueue) close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if !q.closed {

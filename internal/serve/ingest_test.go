@@ -21,6 +21,7 @@ import (
 	"cdml/internal/model"
 	"cdml/internal/opt"
 	"cdml/internal/pipeline"
+	"cdml/internal/registry"
 	"cdml/internal/sample"
 	"cdml/internal/wal"
 )
@@ -103,7 +104,7 @@ func TestAsyncIngestAcceptsAndDrains(t *testing.T) {
 // section as the send; with a full-speed consumer hammering itemDone, an
 // idle queue must end with zero pending entries.
 func TestIngestQueuePendingMirrorNoOrphans(t *testing.T) {
-	q := newIngestQueue(1)
+	q := newChunkQueue(1)
 	past := time.Now().Add(-time.Hour)
 	done := make(chan struct{})
 	go func() {
@@ -282,7 +283,11 @@ func TestIngestQueueFullBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(dep, WithSlog(nil), WithIngestQueue(1))
+	reg := registry.New(registry.Options{Metrics: dep.Metrics()})
+	if _, err := reg.Adopt(DefaultDeployment, dep, registry.Quotas{MaxIngestQueue: 1}); err != nil {
+		t.Fatal(err)
+	}
+	s := NewWithRegistry(reg, WithSlog(nil))
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	client := ts.Client()
@@ -404,8 +409,8 @@ func TestStatusEndpointFields(t *testing.T) {
 	if st.SnapshotAgeSeconds < 0 {
 		t.Fatalf("snapshot age %v negative", st.SnapshotAgeSeconds)
 	}
-	if st.IngestQueueCapacity != DefaultIngestQueue {
-		t.Fatalf("capacity %d, want default %d", st.IngestQueueCapacity, DefaultIngestQueue)
+	if st.IngestQueueCapacity != chunkQueueCap {
+		t.Fatalf("capacity %d, want the cap %d", st.IngestQueueCapacity, chunkQueueCap)
 	}
 	if st.IngestAsyncErrors != 0 || st.IngestLastError != "" {
 		t.Fatalf("unexpected async errors: %d %q", st.IngestAsyncErrors, st.IngestLastError)

@@ -131,8 +131,8 @@ func (s *Server) nextRequestID() string {
 	return fmt.Sprintf("%x-%06d", s.startNanos, s.reqSeq.Add(1))
 }
 
-// serveRoute is the middleware every request passes through — both the mux
-// dispatch and the predict fast path land here. It resolves the deployment
+// serveRoute is the middleware every request the mux dispatches passes
+// through. It resolves the deployment
 // handle, assigns/echoes X-Request-ID and X-Trace-ID, opens a per-request
 // span carried in the request context (handlers and the deployment extend
 // it across async boundaries), enforces the route's method set (405 plus

@@ -11,8 +11,8 @@ import (
 	"cdml/internal/snapstream"
 )
 
-// DefaultReplicaPoll is the replica sync interval when WithReplicaOf is
-// given a non-positive one.
+// DefaultReplicaPoll is the replica sync interval of cdml-serve, and of
+// WithReplicaOf when it is given a non-positive one.
 const DefaultReplicaPoll = 250 * time.Millisecond
 
 // replicaHTTPTimeout caps one snapshot fetch from the primary — generous,
@@ -111,7 +111,7 @@ func (s *Server) pollReplica(h *depHandle) {
 	rep := h.rep
 	defer close(rep.done)
 	ctx := context.Background()
-	t := time.NewTicker(s.replicaPoll)
+	t := time.NewTicker(s.pollEvery)
 	defer t.Stop()
 	for {
 		rep.pollOnce(ctx)

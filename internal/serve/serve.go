@@ -192,9 +192,8 @@ type Server struct {
 	// routes is the route table, fixed after construction. nScoped counts
 	// the deployment-scoped routes; each depHandle carries one pre-created
 	// endpointMetrics per scoped route, indexed by routeDef.idx.
-	routes       []*routeDef
-	nScoped      int
-	predictRoute *routeDef
+	routes  []*routeDef
+	nScoped int
 
 	// handles maps deployment name → per-deployment serving state. Reads are
 	// a lock-free atomic load on every request; writes copy the map under
@@ -202,7 +201,6 @@ type Server struct {
 	hmu     sync.Mutex
 	handles atomic.Pointer[map[string]*depHandle]
 
-	queueCap     int
 	pprof        bool
 	runtimeEvery time.Duration
 	sampler      *obs.RuntimeSampler
@@ -211,8 +209,8 @@ type Server struct {
 	// replica mode: a per-deployment poller syncs published snapshots from
 	// the primary at replicaOf (base URL), predict/status/stats answer from
 	// the synced state, and mutating endpoints answer 409 read_only_replica.
-	replicaOf   string
-	replicaPoll time.Duration
+	replicaOf string
+	pollEvery time.Duration
 }
 
 // Option configures a Server.
@@ -238,14 +236,6 @@ func WithRuntimeMetrics(every time.Duration) Option {
 	return func(s *Server) { s.runtimeEvery = every }
 }
 
-// WithIngestQueue sets the async-ingest queue capacity in chunks per
-// deployment (default DefaultIngestQueue); a deployment's MaxIngestQueue
-// quota caps it further. Values < 1 are clamped to 1 — the queue is the
-// backpressure boundary and must exist for /ingest to be meaningful.
-func WithIngestQueue(capacity int) Option {
-	return func(s *Server) { s.queueCap = max(1, capacity) }
-}
-
 // WithConfigBuilder enables the spec-driven management endpoints (PUT
 // /v1/deployments/{name} and POST .../challengers), which build deployment
 // configs through b.
@@ -266,7 +256,7 @@ func WithReplicaOf(primary string, poll time.Duration) Option {
 		if poll <= 0 {
 			poll = DefaultReplicaPoll
 		}
-		s.replicaPoll = poll
+		s.pollEvery = poll
 	}
 }
 
@@ -298,7 +288,6 @@ func NewWithRegistry(r *registry.Registry, opts ...Option) *Server {
 		reqTracer:  obs.NewTracer(requestTraceCapacity),
 		log:        slog.Default(),
 		startNanos: time.Now().UnixNano(),
-		queueCap:   DefaultIngestQueue,
 	}
 	if s.reg == nil {
 		// A registry without shared metrics still gets HTTP instrumentation —
@@ -360,7 +349,7 @@ func (s *Server) registerRoutes() {
 	}
 
 	// Deployment-scoped routes ({name} from the path).
-	s.predictRoute = s.scoped(base+"/predict", post(handlePredict))
+	s.scoped(base+"/predict", post(handlePredict))
 	s.scoped(base+"/train", mut(handleTrain))
 	s.scoped(base+"/ingest", mut(handleIngest))
 	s.scoped(base+"/status", get(handleStatus))
@@ -396,7 +385,7 @@ func (s *Server) registerRoutes() {
 
 // scoped registers one deployment-scoped route resolved from the {name}
 // path wildcard.
-func (s *Server) scoped(template string, methods map[string]methodHandler) *routeDef {
+func (s *Server) scoped(template string, methods map[string]methodHandler) {
 	rt := &routeDef{
 		idx:      s.nScoped,
 		template: template,
@@ -407,7 +396,6 @@ func (s *Server) scoped(template string, methods map[string]methodHandler) *rout
 	// must be countable without minting a series per probed name.
 	rt.em = newEndpointMetrics(s.reg, template, "unknown")
 	s.register(rt)
-	return rt
 }
 
 // global registers a route that is not bound to any deployment.
@@ -445,22 +433,9 @@ func (s *Server) register(rt *routeDef) {
 	})
 }
 
-// ServeHTTP implements http.Handler. POST predict requests are matched
-// ahead of the mux: ServeMux's wildcard matching allocates its segment
-// slice per request, and predict is the one route where that shows up in
-// profiles, so the hot path string-matches the pattern itself and enters
-// the exact same middleware the mux would. Routed predict therefore costs
-// no more allocations than an exact-match pattern would.
+// ServeHTTP implements http.Handler: every request, predict included, is
+// routed by the mux.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodPost {
-		if rest, ok := strings.CutPrefix(r.URL.Path, "/v1/deployments/"); ok {
-			if name, ok := strings.CutSuffix(rest, "/predict"); ok &&
-				name != "" && !strings.Contains(name, "/") {
-				s.serveRoute(s.predictRoute, name, w, r, true)
-				return
-			}
-		}
-	}
 	s.mux.ServeHTTP(w, r)
 }
 

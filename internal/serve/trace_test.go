@@ -307,7 +307,7 @@ func TestStatusLastTickBreakdown(t *testing.T) {
 // TestIngestQueueOldestAge pins the FIFO-mirror bookkeeping directly: the
 // head item's age is reported until the drainer finishes it.
 func TestIngestQueueOldestAge(t *testing.T) {
-	q := newIngestQueue(4)
+	q := newChunkQueue(4)
 	if q.oldestAge() != 0 {
 		t.Fatal("empty queue must report zero age")
 	}

@@ -70,10 +70,10 @@ const (
 	abortedMark = ^uint64(0)
 )
 
-// DefaultSegmentBytes is the roll threshold when Options.SegmentBytes is
+// defaultSegmentBytes is the roll threshold when Options.SegmentBytes is
 // zero: small enough that retention reclaims space promptly, large enough
 // that steady ingest does not churn directory entries.
-const DefaultSegmentBytes = 4 << 20
+const defaultSegmentBytes = 4 << 20
 
 // Options configures an ingest log.
 type Options struct {
@@ -82,7 +82,7 @@ type Options struct {
 	Dir string
 	// SegmentBytes rolls the active segment once it reaches this size
 	// (the record that crosses the line stays in the old segment).
-	// 0 means DefaultSegmentBytes.
+	// 0 means 4 MiB.
 	SegmentBytes int64
 	// NoSync skips the per-append fsync. Test and benchmark use only: it
 	// voids the durable-ack guarantee the log exists to provide.
@@ -162,7 +162,7 @@ func Open(opts Options) (*Log, error) {
 		return nil, errors.New("wal: Options.Dir is required")
 	}
 	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = DefaultSegmentBytes
+		opts.SegmentBytes = defaultSegmentBytes
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: creating log dir: %w", err)
