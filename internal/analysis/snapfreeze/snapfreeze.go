@@ -23,13 +23,20 @@
 // closure — the escape hatch for types that are reachable from a snapshot
 // but internally synchronized (e.g. a stats clock shared with the writer).
 //
-// A diagnostic fires on any assignment, ++/--, or &-escape whose target is
-// reached through frozen memory: walking the access chain from the store
+// A diagnostic fires on any assignment, ++/--, &-escape, or copy/clear
+// builtin whose target is reached through frozen memory: walking the access chain from the store
 // toward the root, the first pointer/slice/map crossing whose element type
 // is frozen owns the written memory. Construction sites are exempt:
 // functions named New*/new*, and methods named Clone or Snapshot (the
 // repo's copy-on-write vocabulary). Anything else that is deliberate gets
 // `//lint:allow snapfreeze: <why>`.
+//
+// The closure follows struct fields, not interfaces: memory behind an
+// interface value — a snapshot's model.Model and its weights — is invisible
+// to it, and so is a store through a method call. The weights have their
+// own rules (the pin and private-copy rules of core.Snapshot), and the
+// check for them is the consistency oracle run under -race
+// (core.TestChaosPredictAnswersOneVersion), not this analyzer.
 package snapfreeze
 
 import (
@@ -271,9 +278,28 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl, frozen, mutable map[*types
 			if stmt.Op.String() == "&" && frozenStore(pass, stmt.X, frozen, mutable) {
 				report(stmt.X, "address of")
 			}
+		case *ast.CallExpr:
+			// copy(dst, src) and clear(dst) write dst's elements: the
+			// builtins are stores through their first argument.
+			if name := builtinName(pass, stmt.Fun); (name == "copy" || name == "clear") && len(stmt.Args) > 0 &&
+				frozenStore(pass, stmt.Args[0], frozen, mutable) {
+				report(stmt.Args[0], name+" into")
+			}
 		}
 		return true
 	})
+}
+
+// builtinName returns the name of the builtin fun denotes, or "".
+func builtinName(pass *analysis.Pass, fun ast.Expr) string {
+	id, ok := ast.Unparen(fun).(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok {
+		return b.Name()
+	}
+	return ""
 }
 
 // frozenStore walks the access chain of a store target from the store

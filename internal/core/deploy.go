@@ -57,10 +57,6 @@ type Deployer struct {
 	obs *deployObs
 	//cdml:guardedby mu
 	tickSpan *obs.Span
-	// lastTickTraceID is the trace id of the most recently completed tick,
-	// stashed by endTick and consumed by the next publish (see snapshot.go).
-	//cdml:guardedby mu
-	lastTickTraceID string
 	// ckpt is the auto-checkpoint manager (nil without an AutoCheckpoint
 	// policy). The writer only hands it published snapshots; all file IO
 	// runs on the manager's goroutine.
@@ -91,6 +87,10 @@ type Deployer struct {
 	snap atomic.Pointer[Snapshot]
 	//cdml:guardedby mu
 	publishSeq uint64
+	// ring holds the recycled weight buffers publish copies the model into
+	// (see ring.go).
+	//cdml:guardedby mu
+	ring weightRing
 	// optmAhead is true while the live optimizer has stepped since the last
 	// publish. Inside a tick that is the normal state; between ticks it is
 	// true only after a tick failed past its first optimizer step, and it

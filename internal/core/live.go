@@ -51,7 +51,8 @@ func (d *Deployer) ingestTick(ctx context.Context, records [][]byte, enqueuedAt 
 	if err := d.tickBody(ctx, records, enqueuedAt, walSeq); err != nil {
 		return err
 	}
-	d.publish()
+	d.publishTick()
+	d.endTick()
 	return nil
 }
 
@@ -62,12 +63,19 @@ func (d *Deployer) ingestTick(ctx context.Context, records [][]byte, enqueuedAt 
 // sequence number: a successful body buffers a commit record carrying the
 // publish version its caller is about to produce — under d.mu and before
 // publish(), so the commit provably happens before the snapshot can reach
-// the checkpoint writer (whose pre-write log sync makes it durable).
+// the checkpoint writer (whose pre-write log sync makes it durable). It
+// opens the tick's span tree and closes it only when it fails; a caller
+// that succeeds closes it (endTick) after its publish.
 //
 //cdml:locked mu — ingestTick and batchTick hold d.mu around it
-func (d *Deployer) tickBody(ctx context.Context, records [][]byte, enqueuedAt time.Time, walSeq uint64) error {
+func (d *Deployer) tickBody(ctx context.Context, records [][]byte, enqueuedAt time.Time, walSeq uint64) (err error) {
 	res := d.result
 	d.beginTick(ctx)
+	defer func() {
+		if err != nil {
+			d.endTick()
+		}
+	}()
 	if !enqueuedAt.IsZero() {
 		// The wait ended where the tick began: recorded, not timed.
 		d.tickSpan.AddChild("queue-wait", enqueuedAt, d.tickSpan.Start.Sub(enqueuedAt))
@@ -79,7 +87,6 @@ func (d *Deployer) tickBody(ctx context.Context, records [][]byte, enqueuedAt ti
 	if err == nil {
 		err = d.ingest(records, in)
 	}
-	d.endTick(err == nil)
 	if err != nil {
 		return err
 	}
@@ -142,7 +149,8 @@ func (d *Deployer) batchTick(records [][]byte, i, n int) error {
 	}
 	if i == n-1 {
 		d.publishSeq += uint64(n - 1) // publish() adds the nth
-		d.publish()
+		d.publishTick()
 	}
+	d.endTick()
 	return nil
 }

@@ -7,12 +7,14 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"cdml/internal/data"
 	"cdml/internal/dataset"
 	"cdml/internal/engine"
 	"cdml/internal/eval"
 	"cdml/internal/model"
+	"cdml/internal/obs"
 	"cdml/internal/pipeline"
 )
 
@@ -398,6 +400,42 @@ func TestFailedTickIsTraced(t *testing.T) {
 	d.mu.Unlock()
 	if open != nil {
 		t.Fatal("the failed tick's span is still the tick in flight")
+	}
+}
+
+// TestTickSpanEndsAfterPublish: a successful tick's span tree closes after
+// its publish, which is its last stage, and the snapshot it published
+// carries the tick's trace id. Only the last tick of a batch publishes.
+func TestTickSpanEndsAfterPublish(t *testing.T) {
+	d, err := NewDeployer(liveConfig(ModeOnline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+	carrier := &obs.Span{TraceID: obs.NewTraceID()}
+	if err := d.IngestLogged(obs.ContextWithSpan(context.Background(), carrier), smallStream.Chunk(0), time.Time{}, 0); err != nil {
+		t.Fatal(err)
+	}
+	tick := d.Tracer().Last(1)[0]
+	n := len(tick.Children)
+	if n == 0 || tick.Children[n-1].Name != "publish" {
+		t.Fatalf("the tick's last stage is not its publish: %+v", tick.Children)
+	}
+	pub := tick.Children[n-1]
+	if end, tickEnd := pub.Start.Add(pub.Duration()), tick.Start.Add(tick.Duration()); end.After(tickEnd) {
+		t.Fatalf("the publish ended %v after its tick", end.Sub(tickEnd))
+	}
+	if got := d.Published().traceID; got != carrier.TraceID || tick.TraceID != carrier.TraceID {
+		t.Fatalf("snapshot trace id %q, tick %q, want %q", got, tick.TraceID, carrier.TraceID)
+	}
+	if _, err := d.Warm(3, smallStream.Chunk); err != nil {
+		t.Fatal(err)
+	}
+	for i, sp := range d.Tracer().Last(3) { // newest first
+		published := slices.ContainsFunc(sp.Children, func(c *obs.Span) bool { return c.Name == "publish" })
+		if published != (i == 0) {
+			t.Fatalf("warm-up tick %d of 3 has a publish stage: %v", 3-i, published)
+		}
 	}
 }
 

@@ -176,23 +176,30 @@ func (d *Deployer) beginTick(ctx context.Context) {
 }
 
 // endTick finishes and records the tick's span tree and refreshes the error
-// gauge. A failed tick (ok false) is recorded too: its tree ends at the stage
-// that failed, which is the one an operator following the drainer's trace_id
-// wants to see. The trace id of a tick that succeeded is stashed so the
-// publish that follows can stamp it onto the snapshot — downstream consumers
-// (the background checkpoint writer) tag their span trees with it, extending
-// the trace past the publish boundary.
+// gauge. A successful tick ends after its publish, so the tree shows it; a
+// failed tick is recorded too: its tree ends at the stage that failed,
+// which is the one an operator following the drainer's trace_id wants to
+// see.
 //
 //cdml:hotpath
 //cdml:locked mu — tickBody's callers hold d.mu around it
-func (d *Deployer) endTick(ok bool) {
+func (d *Deployer) endTick() {
 	d.tickSpan.Finish()
 	d.obs.tracer.Record(d.tickSpan)
-	if ok {
-		d.lastTickTraceID = d.tickSpan.TraceID
-	}
 	d.tickSpan = nil
 	d.obs.prequentialError.Set(d.cfg.Metric.Value())
+}
+
+// publishTick is the publish that ends a successful tick, recorded as the
+// tick's "publish" stage and charged to no cost category: it is the serving
+// side's bookkeeping, not one of the paper's cost components.
+//
+//cdml:locked mu — tickBody's callers hold d.mu around it
+func (d *Deployer) publishTick() {
+	_, _ = d.timed("publish", "", func() error {
+		d.publish()
+		return nil
+	})
 }
 
 // timed runs f as the stage name of the tick in flight and is the one place

@@ -299,6 +299,9 @@ func TestStatusLastTickBreakdown(t *testing.T) {
 			t.Fatalf("stage %q has negative duration %v", stage, ms)
 		}
 	}
+	if _, ok := st.LastTick.StagesMS["publish"]; !ok {
+		t.Fatalf("LastTick has no publish stage: %v", st.LastTick.StagesMS)
+	}
 	if st.LastTick.TraceID == "" {
 		t.Fatal("LastTick of a traced train request must carry its trace id")
 	}
