@@ -24,7 +24,8 @@
 //   - guardedby: fields annotated //cdml:guardedby <mu> are only touched by
 //     functions that acquire the named mutex (Abseil GUARDED_BY style).
 //   - snapfreeze: nothing reachable from a //cdml:frozen type (the published
-//     core.Snapshot graph) is written outside constructors/Clone/Snapshot.
+//     core.Snapshot graph) is written — assigned, ++/--, address taken,
+//     copy/clear into — outside constructors/Clone/Snapshot.
 //   - ctxflow: request/tick paths never detach from their context via
 //     context.Background()/TODO() or context-detaching wrappers.
 //   - determinism: //cdml:deterministic functions (the sharded
