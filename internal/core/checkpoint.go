@@ -21,10 +21,10 @@ import (
 // captured.
 //
 // This file is also the one bridge between a Deployer and the frames its
-// state moves in. State leaves one way — a framed snapshot: Snapshot.Frame
-// for checkpoint files, FrameSince (the same, cached per version) for GET
-// .../snapshot and replica polls — and enters one way, SnapshotSink().Apply:
-// recovery, replicas and POST .../restore.
+// state moves in. State leaves one way — the frame of the published
+// snapshot completed by resumePoint: Snapshot.Frame for checkpoint files,
+// FrameSince for GET .../snapshot and replica polls — and enters one way,
+// SnapshotSink().Apply: recovery, replicas and POST .../restore.
 //
 // The chunk store is not part of the payload, and neither is its index,
 // which lives in memory: a deployment restored in a new process samples from
@@ -139,26 +139,20 @@ func (s *Snapshot) Frame() (snapstream.Frame, error) {
 // ok=false otherwise (the poll idle case, one atomic load). since 0 always
 // frames it: that is the download POST .../restore takes. A version is
 // completed into a resume point the first time it is asked for (resumePoint)
-// and framed once; ErrResumeUnavailable in the failed-tick window means "ask
-// again", the consumer keeps what it has.
+// and encoded for every caller; ErrResumeUnavailable in the failed-tick
+// window means "ask again", the consumer keeps what it has.
 func (d *Deployer) FrameSince(since uint64) (snapstream.Frame, bool, error) {
 	if d.current().version <= since {
 		return snapstream.Frame{}, false, nil
 	}
-	snap, err := d.resumePoint()
+	snap, err := d.resumePoint(d.obs.resumeOnDemand, nil)
 	if err != nil {
 		return snapstream.Frame{}, false, err
-	}
-	d.frameMu.Lock()
-	defer d.frameMu.Unlock()
-	if d.frame.Version == snap.version {
-		return d.frame, true, nil
 	}
 	f, err := snap.Frame()
 	if err != nil {
 		return snapstream.Frame{}, false, err
 	}
-	d.frame = f
 	return f, true, nil
 }
 

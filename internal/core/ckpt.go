@@ -16,13 +16,13 @@ import (
 // This file is the crash-durability layer: a deployment configured with a
 // CheckpointPolicy persists its published snapshots to disk, and a restarted
 // process resumes from the newest valid checkpoint. It owns the policy, the
-// hand-off, the write, retention and recovery; checkpoint.go owns the
+// trigger, the write, retention and recovery; checkpoint.go owns the
 // payload and its frame, wal.go the ingest log's glue, and internal/snapstream
-// the file format and the tmp+fsync+rename discipline. The writer loop only
-// decides "is a checkpoint due" and hands the immutable snapshot to a
-// background goroutine that does all file IO off the tick path — the shape
-// GraphLab (Low et al., 2011) derives fault tolerance from: periodic
-// consistent snapshots taken without stopping the computation.
+// the file format and the tmp+fsync+rename discipline. A publish only
+// counts toward "a checkpoint is due" and pokes a background goroutine that
+// completes the published snapshot and does all file IO off the tick path —
+// the shape GraphLab (Low et al., 2011) derives fault tolerance from:
+// periodic consistent snapshots taken without stopping the computation.
 
 var (
 	// ErrNoCheckpoint reports that a recovery directory holds no checkpoint
@@ -34,11 +34,13 @@ var (
 	ErrNoCheckpointPolicy = errors.New("core: deployment has no checkpoint policy configured")
 )
 
-// CheckpointPolicy configures automatic checkpointing of a live deployment.
+// CheckpointPolicy configures automatic checkpointing of a live deployment:
+// every EveryTicks publishes a background writer checkpoints the snapshot
+// published when it runs, completed into a resume point as by CheckpointNow.
 type CheckpointPolicy struct {
 	// Dir receives the checkpoint files; created if absent.
 	Dir string
-	// EveryTicks checkpoints after every N successful ticks (0 defaults to 8).
+	// EveryTicks checkpoints after every N publishes (0 defaults to 8).
 	EveryTicks int
 	// Keep bounds the retained files; older checkpoints are pruned after
 	// each successful write (default 3, minimum 1).
@@ -68,26 +70,19 @@ func (p CheckpointPolicy) withDefaults() CheckpointPolicy {
 type CheckpointInfo = snapstream.FileInfo
 
 // ckptManager runs the auto-checkpoint loop. The writer side (publish,
-// under d.mu) only counts ticks, says whether a checkpoint is due (which is
-// when publish pays for resume state) and performs a non-blocking hand-off
-// of the due snapshot; the manager goroutine owns every byte of file IO.
+// under d.mu) only counts publishes and, when a checkpoint is due, pokes
+// the loop without blocking; the loop takes the checkpoint as CheckpointNow
+// does — resumePoint, then write — and owns every byte of file IO.
 type ckptManager struct {
 	pol CheckpointPolicy
 
-	// ticksSince is the trigger: publishes since the last hand-off, touched
-	// only under the deployment's writer serialization.
+	// ticksSince is the trigger: publishes since the last accepted poke,
+	// touched only under the deployment's d.mu.
 	ticksSince int
 
-	ch   chan *Snapshot // capacity 1: at most one write queued behind the in-flight one
-	done chan struct{}
-
-	// qmu guards the hand-off into ch against shutdown, which sets stopped
-	// and closes ch under it: no snapshot enters the channel afterwards, and
-	// every one that entered before is still there for run() to write. qmu is
-	// never held across file IO — due and handOff stay non-blocking on the
-	// tick path even while a write is in flight.
-	qmu     sync.Mutex
-	stopped bool //cdml:guardedby qmu
+	poke chan struct{} // capacity 1: at most one checkpoint pending behind the one in flight
+	stop chan struct{} // closed by shutdown
+	done chan struct{} // closed when the loop has ended
 
 	// wmu serializes file writes between the background loop and
 	// CheckpointNow. last is the newest durable checkpoint, written or
@@ -102,9 +97,9 @@ type ckptManager struct {
 	duration *obs.Histogram
 	encode   *obs.Histogram
 	bytes    *obs.Gauge
-	// tracer receives one span tree per checkpoint write (encode → write →
-	// fsync → rename). The tree carries the trace id of the tick that
-	// produced the snapshot, extending an end-to-end trace across the
+	// tracer receives one span tree per checkpoint write (resume → encode →
+	// write → fsync → rename). The tree carries the trace id of the tick
+	// that produced the snapshot, extending an end-to-end trace across the
 	// publish→background-writer boundary.
 	tracer *obs.Tracer
 
@@ -115,9 +110,10 @@ type ckptManager struct {
 	log *wal.Log
 }
 
-// newCkptManager creates (and starts) the auto-checkpoint loop; labels are
-// stamped on its cdml_checkpoint_* series, and log (nil when there is none)
-// is the ingest log it syncs and prunes.
+// newCkptManager creates the auto-checkpoint manager, whose loop is
+// Deployer.checkpointLoop; labels are stamped on its cdml_checkpoint_*
+// series, and log (nil when there is none) is the ingest log it syncs and
+// prunes.
 func newCkptManager(pol CheckpointPolicy, labels []obs.Label, reg *obs.Registry, tracer *obs.Tracer, log *wal.Log) (*ckptManager, error) {
 	pol = pol.withDefaults()
 	if pol.Dir == "" {
@@ -128,7 +124,8 @@ func newCkptManager(pol CheckpointPolicy, labels []obs.Label, reg *obs.Registry,
 	}
 	m := &ckptManager{
 		pol:    pol,
-		ch:     make(chan *Snapshot, 1),
+		poke:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 		tracer: tracer,
 		log:    log,
@@ -137,7 +134,7 @@ func newCkptManager(pol CheckpointPolicy, labels []obs.Label, reg *obs.Registry,
 		errs: reg.Counter("cdml_checkpoint_errors_total",
 			"Checkpoint writes that failed (the previous checkpoint remains valid).", labels...),
 		skips: reg.Counter("cdml_checkpoint_skipped_total",
-			"Due checkpoints skipped because a write was still in flight.", labels...),
+			"Due checkpoints coalesced into one already pending.", labels...),
 		duration: reg.Histogram("cdml_checkpoint_write_seconds",
 			"Duration of one checkpoint write (encode, fsync, rename, prune).", labels...),
 		encode: reg.Histogram("cdml_checkpoint_encode_seconds",
@@ -160,93 +157,85 @@ func newCkptManager(pol CheckpointPolicy, labels []obs.Label, reg *obs.Registry,
 			}
 			return time.Since(info.At).Seconds()
 		}, labels...)
-	go m.run()
 	return m, nil
 }
 
-// due is the writer-side trigger: asked once per snapshot publish, before
-// the snapshot is built and under the deployment's writer serialization, it
-// reports whether this publish's snapshot goes to the checkpoint writer —
-// the trigger has fired and the hand-off will be accepted — so that publish
-// clones resume state for exactly those snapshots. It never blocks: when
-// the manager is still writing the previous checkpoint and one more is
-// already queued, this one is skipped and the trigger state keeps
-// accumulating, so the next publish retries immediately.
-func (m *ckptManager) due() bool {
+// published is the writer-side trigger, run by every publish under d.mu
+// after the snapshot is stored. It never blocks: when a poke is already
+// pending the due checkpoint is coalesced into it (skipped) and the count
+// keeps accumulating, so the next publish pokes again.
+func (m *ckptManager) published() {
 	m.ticksSince++
 	if m.ticksSince < m.pol.EveryTicks {
-		return false
-	}
-	m.qmu.Lock()
-	defer m.qmu.Unlock()
-	if m.stopped {
-		// The manager is shutting down; declining here is the only
-		// alternative to enqueueing a snapshot nobody will ever write.
-		return false
-	}
-	if len(m.ch) == cap(m.ch) {
-		// A queued snapshot CheckpointNow has already written must not cost
-		// this one its turn: take it out (unless run() just did). A snapshot
-		// put back always fits: this writer is the channel's only sender.
-		select {
-		case s := <-m.ch:
-			if last, _ := m.Last(); s.version > last.Version {
-				m.ch <- s
-				m.skips.Inc()
-				return false
-			}
-		default:
-		}
-	}
-	// Room now is room at handOff: the publishing writer is the channel's
-	// only sender and run() only ever drains it.
-	return true
-}
-
-// handOff enqueues the snapshot due() asked for and rearms the trigger. A
-// shutdown that slipped in between the two drops it (see due).
-func (m *ckptManager) handOff(s *Snapshot) {
-	m.qmu.Lock()
-	defer m.qmu.Unlock()
-	if m.stopped {
 		return
 	}
 	select {
-	case m.ch <- s:
+	case m.poke <- struct{}{}:
 		m.ticksSince = 0
 	default:
 		m.skips.Inc()
 	}
 }
 
-// run is the background checkpoint writer. It ends when shutdown closes ch,
-// after writing what the channel still held: a snapshot handed off just
-// before shutdown (the loop may never have been scheduled on a busy machine)
-// is durable once shutdown returns.
-func (m *ckptManager) run() {
+// checkpointLoop is the background checkpoint writer: each poke is one
+// checkpoint of the snapshot published when it pulls. A pull in the
+// failed-tick window (ErrResumeUnavailable) re-arms the trigger, so the
+// publish that closes the window pokes again. After shutdown it takes the
+// checkpoint still pending, if any, and ends: a checkpoint due before
+// Shutdown is durable when Shutdown returns, and a poke after it is never
+// read.
+func (d *Deployer) checkpointLoop() {
+	m := d.ckpt
 	defer close(m.done)
-	for s := range m.ch {
-		if _, err := m.write(s); err != nil {
+	pull := func() {
+		_, err := d.checkpoint(d.obs.resumeCadence)
+		switch {
+		case errors.Is(err, ErrResumeUnavailable):
+			d.mu.Lock()
+			m.ticksSince = m.pol.EveryTicks
+			d.mu.Unlock()
+		case err != nil:
 			m.errs.Inc()
+		}
+	}
+	for {
+		select {
+		case <-m.poke:
+			pull()
+		case <-m.stop:
+			select {
+			case <-m.poke:
+				pull()
+			default:
+			}
+			return
 		}
 	}
 }
 
-// shutdown stops the loop and waits for it to write what it was handed. A
-// publish racing shutdown either enqueues first, and is written, or observes
-// stopped and backs off — it never sends on the closed channel, and an
-// accepted snapshot is never stranded in it.
+// shutdown stops the loop and waits for it to take the checkpoint still
+// pending.
 func (m *ckptManager) shutdown() {
-	m.qmu.Lock()
-	m.stopped = true
-	close(m.ch)
-	m.qmu.Unlock()
+	close(m.stop)
 	<-m.done
 }
 
-// write persists one snapshot and prunes old files. Serialized with
-// CheckpointNow via wmu.
-func (m *ckptManager) write(s *Snapshot) (CheckpointInfo, error) {
+// checkpoint is the one way a checkpoint is taken, for the loop and
+// CheckpointNow alike: the published snapshot completed into a resume
+// point (cause counts the capture, if one is needed), then written. Its
+// span tree shows the capture's d.mu hold as "resume".
+func (d *Deployer) checkpoint(cause *obs.Counter) (CheckpointInfo, error) {
+	sp := obs.StartSpan("checkpoint")
+	s, err := d.resumePoint(cause, sp)
+	if err != nil {
+		return CheckpointInfo{}, err
+	}
+	return d.ckpt.write(s, sp)
+}
+
+// write persists one snapshot and prunes old files, recording sp's tree.
+// Serialized with CheckpointNow via wmu.
+func (m *ckptManager) write(s *Snapshot, sp *obs.Span) (CheckpointInfo, error) {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
 	if last, _ := m.Last(); s.version <= last.Version {
@@ -270,7 +259,6 @@ func (m *ckptManager) write(s *Snapshot) (CheckpointInfo, error) {
 	// .../trace?id= shows the write stages next to the request and tick that
 	// produced the snapshot. Recorded on failure too — a trace that ends in
 	// a short "write" stage with no rename is exactly the diagnostic wanted.
-	sp := obs.StartSpan("checkpoint")
 	sp.TraceID = s.traceID
 	enc := sp.StartChild("encode")
 	f, err := s.Frame()
@@ -411,11 +399,7 @@ func (d *Deployer) CheckpointNow() (CheckpointInfo, error) {
 	if d.ckpt == nil {
 		return CheckpointInfo{}, ErrNoCheckpointPolicy
 	}
-	s, err := d.resumePoint()
-	if err != nil {
-		return CheckpointInfo{}, err
-	}
-	return d.ckpt.write(s)
+	return d.checkpoint(d.obs.resumeOnDemand)
 }
 
 // LastCheckpoint reports the newest durable checkpoint of this deployment

@@ -89,9 +89,11 @@ func sameBits(a, b []float64) bool {
 // TestChaosPredictAnswersOneVersion runs the URL and Taxi deployments with
 // checkpoints every tick and at the default cadence. Readers predict a
 // fixed probe, another goroutine frames the published state, the writer
-// ingests and, at a fixed tick, restores an earlier frame. Every (version,
-// answer) pair must be the sequential run's answer at that version, bit for
-// bit, and every frame taken must answer the same way in a cold deployer.
+// ingests and, at a fixed tick, restores an earlier frame. A cold replica
+// applies the primary's FrameSince frames while readers of its own predict.
+// Every (version, answer) pair, on the primary and on the replica mid-swap,
+// must be the sequential run's answer at that version, bit for bit, and
+// every frame taken must answer the same way in a cold deployer.
 func TestChaosPredictAnswersOneVersion(t *testing.T) {
 	skipInShort(t)
 	for _, c := range oracleCases() {
@@ -150,55 +152,87 @@ func oracleRun(t *testing.T, c oracleCase, everyTicks int) {
 		t.Fatal(err)
 	}
 	defer live.Shutdown()
+	replica, err := NewDeployer(c.config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Shutdown()
 
 	var (
 		stop     = make(chan struct{})
 		wg       sync.WaitGroup
-		answered atomic.Uint64 // the newest version any reader has answered at
 		mu       sync.Mutex
-		versions = map[uint64]bool{}
 		frames   = map[uint64]snapstream.Frame{}
+		answered [2]atomic.Uint64 // per deployer, the newest version any of its readers answered at
+		versions = [2]map[uint64]bool{{}, {}}
 	)
 	halt := sync.OnceFunc(func() { close(stop); wg.Wait() })
 	defer halt()
-	for g := 0; g < oracleReaders; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			seen := map[uint64]bool{}
-			defer func() {
-				mu.Lock()
-				for v := range seen {
-					versions[v] = true
-				}
-				mu.Unlock()
-			}()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				out, v, err := live.predict(probe)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				w, ok := want[v]
-				if !ok || !sameBits(out, w) {
-					t.Errorf("version %d answered %v, the sequential run answers %v", v, out, w)
-					return
-				}
-				seen[v] = true
+	for i, d := range []*Deployer{live, replica} {
+		for g := 0; g < oracleReaders; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				seen := map[uint64]bool{}
+				defer func() {
+					mu.Lock()
+					for v := range seen {
+						versions[i][v] = true
+					}
+					mu.Unlock()
+				}()
 				for {
-					old := answered.Load()
-					if v <= old || answered.CompareAndSwap(old, v) {
-						break
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					out, v, err := d.predict(probe)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					w, ok := want[v]
+					if !ok || !sameBits(out, w) {
+						t.Errorf("deployer %d: version %d answered %v, the sequential run answers %v", i, v, out, w)
+						return
+					}
+					seen[v] = true
+					for {
+						old := answered[i].Load()
+						if v <= old || answered[i].CompareAndSwap(old, v) {
+							break
+						}
 					}
 				}
-			}
-		}()
+			}()
+		}
 	}
+	// The replica feed: the primary's newest frame, applied mid-read.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var last uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			f, ok, err := live.FrameSince(last)
+			if err == nil && ok {
+				err = replica.SnapshotSink().Apply(f)
+				last = f.Version
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !ok {
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+	}()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -230,11 +264,13 @@ func oracleRun(t *testing.T, c oracleCase, everyTicks int) {
 		}
 	}()
 
-	// waitAnswered holds the writer until a reader has answered at the
-	// published version, so every version is read while the next tick runs.
+	// waitAnswered holds the writer until readers of the primary and of the
+	// replica have answered at the published version, so every version is
+	// read on both while the next tick runs.
 	waitAnswered := func() {
 		deadline := time.Now().Add(10 * time.Second)
-		for answered.Load() < live.Published().Version() && time.Now().Before(deadline) && !t.Failed() {
+		for v := live.Published().Version(); (answered[0].Load() < v || answered[1].Load() < v) &&
+			time.Now().Before(deadline) && !t.Failed(); {
 			time.Sleep(50 * time.Microsecond)
 		}
 	}
@@ -257,8 +293,10 @@ func oracleRun(t *testing.T, c oracleCase, everyTicks int) {
 	if !bytes.Equal(liveFrame.Payload, refFrame.Payload) {
 		t.Fatal("the frame the live run restores is not the sequential run's")
 	}
-	if len(versions) < 20 {
-		t.Fatalf("readers answered at %d distinct versions, want at least 20", len(versions))
+	for i, vs := range versions {
+		if len(vs) < 20 {
+			t.Fatalf("deployer %d: readers answered at %d distinct versions, want at least 20", i, len(vs))
+		}
 	}
 	for v, f := range frames {
 		cold, err := NewDeployer(c.config())
@@ -276,5 +314,5 @@ func oracleRun(t *testing.T, c oracleCase, everyTicks int) {
 		}
 		cold.Shutdown()
 	}
-	t.Logf("%d versions answered, %d frames checked", len(versions), len(frames))
+	t.Logf("%d versions answered on the primary, %d on the replica, %d frames checked", len(versions[0]), len(versions[1]), len(frames))
 }

@@ -36,8 +36,8 @@ type deployObs struct {
 	snapshotPublishes *obs.Counter
 	// resumeCadence/resumeOnDemand count the times the optimizer was encoded
 	// into a snapshot as resume state (a clone, before DESIGN.md §5n; the
-	// family keeps its name), by who asked: the auto-checkpoint trigger at publish, or an
-	// on-demand consumer afterwards (see Deployer.resumePoint).
+	// family keeps its name), by who asked: the auto-checkpoint writer's
+	// pull, or an on-demand consumer (see Deployer.resumePoint).
 	resumeCadence  *obs.Counter
 	resumeOnDemand *obs.Counter
 
@@ -45,7 +45,7 @@ type deployObs struct {
 	gatherParallelism *obs.Gauge
 }
 
-const resumeClonesHelp = "Times the optimizer was captured into a snapshot as resume state (its encoded section; one scan under the writer lock): cause=cadence at the publish an auto-checkpoint takes, cause=demand for an on-demand checkpoint, frame or Current()."
+const resumeClonesHelp = "Times the optimizer was captured into a snapshot as resume state (its encoded section; one scan under the writer lock): cause=cadence for the auto-checkpoint writer's pull, cause=demand for an on-demand checkpoint, frame or Current()."
 
 // withLabels copies base and appends extra, so repeated calls building
 // per-series label sets from one shared base never alias each other.

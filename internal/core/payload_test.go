@@ -222,6 +222,11 @@ func TestCheckpointWriterMetricsAndSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The capture's d.mu hold leads the tree, before the encode.
+	if sp := d.obs.tracer.Last(1)[0]; sp.Name != "checkpoint" || len(sp.Children) < 2 ||
+		sp.Children[0].Name != "resume" || sp.Children[1].Name != "encode" || sp.Children[0].DurationNS <= 0 {
+		t.Fatalf("checkpoint tree: %+v", sp)
+	}
 	st, err := os.Stat(info.Path)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +250,7 @@ func TestCheckpointWriterMetricsAndSpans(t *testing.T) {
 	// A snapshot that cannot be encoded: the write fails, and the recorded
 	// tree shows an encode stage that ended and nothing after it.
 	recorded := d.obs.tracer.Total()
-	if _, err := d.ckpt.write(&Snapshot{version: 99, pipe: d.Published().pipe, mdl: d.Published().mdl}); !errors.Is(err, ErrResumeUnavailable) {
+	if _, err := d.ckpt.write(&Snapshot{version: 99, pipe: d.Published().pipe, mdl: d.Published().mdl}, obs.StartSpan("checkpoint")); !errors.Is(err, ErrResumeUnavailable) {
 		t.Fatalf("writing a snapshot without resume state: %v", err)
 	}
 	if d.obs.tracer.Total() != recorded+1 {

@@ -117,10 +117,11 @@ func TestResumeStateMatchesAlwaysClone(t *testing.T) {
 				}
 				tick(7, 8)
 				if every == 8 {
-					// The 8th publish is the one the trigger takes: cloned at
-					// publish, so asking for it on demand costs nothing more.
+					// The 8th publish pokes the checkpoint writer, whose pull
+					// completes it, so asking for it on demand costs nothing more.
+					waitDurable(t, d, d.current().version)
 					if d.current().resume == nil {
-						t.Fatal("the publish handed to the checkpoint writer carries no resume state")
+						t.Fatal("the version the checkpoint writer pulled carries no resume state")
 					}
 					wantCadence = 1
 				} else {
@@ -139,12 +140,13 @@ func TestResumeStateMatchesAlwaysClone(t *testing.T) {
 	}
 }
 
-// TestResumeClonesFollowTheHandOff: with EveryTicks 1 every publish the
-// writer accepts is cloned at publish, and a due checkpoint the busy writer
-// skips (write in flight, one more queued) is not cloned at all.
+// TestResumeClonesFollowTheHandOff: a plain publish captures nothing, and
+// each cadence checkpoint is exactly one cause="cadence" capture — the
+// writer's pull of the version it writes.
 func TestResumeClonesFollowTheHandOff(t *testing.T) {
+	const every = 3
 	cfg := liveConfig(ModeOnline)
-	cfg.AutoCheckpoint = &CheckpointPolicy{Dir: t.TempDir(), EveryTicks: 1, Keep: 100}
+	cfg.AutoCheckpoint = &CheckpointPolicy{Dir: t.TempDir(), EveryTicks: every, Keep: 100}
 	d, err := NewDeployer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -152,45 +154,23 @@ func TestResumeClonesFollowTheHandOff(t *testing.T) {
 	defer d.Shutdown()
 	stream := driftStream{chunks: 40, rows: 20, drift: 2, seed: 29}
 
-	for i := 0; i < 5; i++ {
-		clones, skips := d.obs.resumeCadence.Value(), d.ckpt.skips.Value()
-		ingestChunks(t, d, stream, i, i+1)
-		// On a slow machine the cap-1 channel may still hold the previous
-		// hand-off, so a skip is legal here; what is not is a publish that is
-		// neither, or a clone that does not follow the hand-off.
-		cloned := d.obs.resumeCadence.Value() - clones
-		skipped := d.ckpt.skips.Value() - skips
-		if cloned+skipped != 1 || (cloned == 1) != (d.current().resume != nil) {
-			t.Fatalf("tick %d: cadence clones +%d, skips +%d, resume state attached: %v",
-				i+1, cloned, skipped, d.current().resume != nil)
+	for i := 1; i <= 4*every; i++ {
+		ingestChunks(t, d, stream, i-1, i)
+		if i%every == 0 {
+			waitDurable(t, d, d.current().version)
+			if d.current().resume == nil {
+				t.Fatalf("tick %d: the checkpointed version carries no resume state", i)
+			}
+		} else if d.current().resume != nil {
+			t.Fatalf("tick %d: a plain publish carries resume state", i)
+		}
+		if c, w := d.obs.resumeCadence.Value(), d.ckpt.writes.Value(); c != int64(i/every) || w != c {
+			t.Fatalf("tick %d: %d cadence captures for %d checkpoints, want %d of each", i, c, w, i/every)
 		}
 	}
-
-	// Stall the writer (it takes wmu for every file write) and tick until
-	// the hand-off is refused: one snapshot in flight, one queued, then skips.
-	d.ckpt.wmu.Lock()
-	skipsBefore := d.ckpt.skips.Value()
-	sawSkip := false
-	for i := 5; i < 12; i++ {
-		clonesBefore := d.obs.resumeCadence.Value()
-		ingestChunks(t, d, stream, i, i+1)
-		if d.ckpt.skips.Value() > skipsBefore {
-			sawSkip = true
-			if d.current().resume != nil {
-				t.Fatal("a skipped hand-off still cloned the optimizer into its snapshot")
-			}
-			if d.obs.resumeCadence.Value() != clonesBefore {
-				t.Fatal("a skipped hand-off counted a cadence clone")
-			}
-			break
-		}
-	}
-	d.ckpt.wmu.Unlock()
-	if !sawSkip {
-		t.Fatal("the stalled checkpoint writer never refused a hand-off")
-	}
-	if d.obs.resumeOnDemand.Value() != 0 {
-		t.Fatalf("demand clones = %d with no on-demand consumer", d.obs.resumeOnDemand.Value())
+	if d.obs.resumeOnDemand.Value() != 0 || d.ckpt.skips.Value() != 0 {
+		t.Fatalf("demand captures = %d, skips = %d with no on-demand consumer and an idle writer",
+			d.obs.resumeOnDemand.Value(), d.ckpt.skips.Value())
 	}
 }
 

@@ -38,9 +38,8 @@ import (
 //     snapshot's. A pinned snapshot's weights are as fixed as its pipeline.
 //   - Private-copy rule. A snapshot that can be encoded owns its weights
 //     (buf is nil): withResume, the one place resume state enters a
-//     snapshot, clones shared weights, and the checkpoint-due publish clones
-//     as it always did. Checkpoints, frames, Current and replicas hold such
-//     snapshots as long as they like and never pin.
+//     snapshot, clones shared weights. Checkpoints, frames, Current and
+//     replicas hold such snapshots as long as they like and never pin.
 //
 //cdml:frozen
 type Snapshot struct {
@@ -56,9 +55,8 @@ type Snapshot struct {
 	// coordinates (~90 KB for the URL deployment's two Adam slots, where a
 	// clone allocated and copied 512 KB), and encoding the snapshot later
 	// appends it as it is. Serving never reads it, so a snapshot carries it
-	// only when something is about to encode it — the publish the
-	// auto-checkpoint trigger takes, and the published snapshot once an
-	// on-demand consumer has asked for it (see resumePoint). It is never
+	// only once something that encodes it — the checkpoint writer or an
+	// on-demand consumer — has asked (see resumePoint). It is never
 	// attached to a published Snapshot value: completing one builds a new
 	// value that shares pipe and mdl and is swapped in at the same version. A
 	// snapshot without it serves and reports like any other and refuses to
@@ -115,15 +113,16 @@ var ErrResumeUnavailable = errors.New("core: resume state unavailable until the 
 // at ErrResumeUnavailable it returns the published snapshot as it is, whose
 // Frame reports that error.
 func (d *Deployer) Current() *Snapshot {
-	s, _ := d.resumePoint()
+	s, _ := d.resumePoint(d.obs.resumeOnDemand, nil)
 	return s
 }
 
-// resumePoint is the on-demand half of the resume-state rule: it returns
-// the published snapshot with the optimizer section attached, encoding it
-// now if the publish did not. Every consumer that encodes outside the checkpoint
-// cadence comes through here — CheckpointNow, FrameSince (behind GET
-// .../snapshot and replication), Current.
+// resumePoint is the resume-state rule: it returns the published snapshot
+// with the optimizer section attached, encoding it now if nobody has yet.
+// Every snapshot that is encoded comes through here — the cadence
+// checkpoint, CheckpointNow, FrameSince (behind GET .../snapshot and
+// replication), Current; cause counts a capture, and sp, when non-nil, gets
+// the capture's d.mu hold as a "resume" child.
 //
 // The pairing rule: resume state attached to version V must be the
 // optimizer exactly as of publish V. The optimizer only moves inside ticks,
@@ -135,7 +134,7 @@ func (d *Deployer) Current() *Snapshot {
 // across the encode of a payload or any IO. The completed snapshot replaces
 // the published one at the same version, so the scan is paid once per
 // version however many consumers ask.
-func (d *Deployer) resumePoint() (*Snapshot, error) {
+func (d *Deployer) resumePoint(cause *obs.Counter, sp *obs.Span) (*Snapshot, error) {
 	if s := d.current(); s.resume != nil {
 		return s, nil
 	}
@@ -148,7 +147,8 @@ func (d *Deployer) resumePoint() (*Snapshot, error) {
 	if d.optmAhead {
 		return s, ErrResumeUnavailable
 	}
-	c, err := d.withResume(s, d.obs.resumeOnDemand)
+	defer sp.StartChild("resume").Finish()
+	c, err := d.withResume(s, cause)
 	if err != nil {
 		return s, err
 	}
@@ -163,8 +163,7 @@ func (d *Deployer) resumePoint() (*Snapshot, error) {
 // retained. A copy that can be encoded owns its weights, so weights s shares
 // with the ring are cloned (the private-copy rule). s itself is not written:
 // it may already be published. The caller holds the writer
-// serialization and has established the pairing rule (publish: the optimizer
-// it encodes is the one it publishes beside; resumePoint: no step since the
+// serialization and has established the pairing rule (no step since the
 // publish of s). The only failure is an optimizer type of the caller's own,
 // which has no encoding.
 //
@@ -187,32 +186,19 @@ func (d *Deployer) withResume(s *Snapshot, cause *obs.Counter) (*Snapshot, error
 // accumulated result and atomically swaps it in. Callers hold d.mu
 // (NewDeployer publishes before the deployment is shared). Publishing is
 // O(stateful components + model dim) and O(1) in uptime — one pipeline
-// snapshot and one weight copy per tick, never per query — and encodes the
-// optimizer only for the publish the auto-checkpoint trigger is about to take.
-// The weight copy goes into a recycled ring buffer (weightRing.take) except
-// at that publish, whose snapshot is encoded and so owns a clone.
+// snapshot and one weight copy into a recycled ring buffer (weightRing.take)
+// per tick, never per query. It encodes nothing: the checkpoint trigger only
+// counts it, and whatever encodes the snapshot completes it (resumePoint).
 //
 //cdml:locked mu — every caller but the constructor holds d.mu
 func (d *Deployer) publish() {
 	res := d.result
-	// Ask before building: the answer decides whether this snapshot needs
-	// resume state at all (a due checkpoint the busy writer would skip gets
-	// none).
-	checkpoint := d.ckpt != nil && d.ckpt.due()
-	var (
-		mdl     model.Model
-		buf     *weightBuf
-		traceID string
-	)
-	if checkpoint {
-		mdl = d.mdl.Clone()
-	} else {
-		var published *weightBuf
-		if p := d.current(); p != nil {
-			published = p.buf
-		}
-		mdl, buf = d.ring.take(d.mdl, published)
+	var published *weightBuf
+	if p := d.current(); p != nil {
+		published = p.buf
 	}
+	mdl, buf := d.ring.take(d.mdl, published)
+	var traceID string
 	if d.tickSpan != nil {
 		// Only a publish inside a tick carries its trace id — never a
 		// restore or the initial publish.
@@ -239,20 +225,10 @@ func (d *Deployer) publish() {
 	st.RecentLoss, st.RecentCount = d.recent.Value(), d.recent.Count()
 	st.MatStats = d.cfg.Store.Stats()
 	snap.stats = st //lint:allow snapfreeze: pre-publication construction — snap is unshared until the Store below
-	if checkpoint {
-		// An optimizer with no encoding leaves the snapshot without resume
-		// state; it is handed off all the same and the writer counts the
-		// checkpoint it could not encode, once per cadence.
-		if c, err := d.withResume(snap, d.obs.resumeCadence); err == nil {
-			snap = c
-		}
-	}
 	d.snap.Store(snap)
 	d.optmAhead = false
 	d.obs.snapshotPublishes.Inc()
-	if checkpoint {
-		// Non-blocking: due() saw room in the hand-off channel and this
-		// writer is its only sender.
-		d.ckpt.handOff(snap)
+	if d.ckpt != nil {
+		d.ckpt.published()
 	}
 }

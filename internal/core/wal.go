@@ -16,7 +16,7 @@ import (
 //     AppendIngestLog — so an acknowledged chunk survives any crash.
 //  2. The tick that consumes it buffers a commit record carrying the
 //     publish version it is about to produce, under d.mu, *before*
-//     publish() hands the snapshot to the checkpoint manager.
+//     publish() makes the snapshot visible to the checkpoint writer.
 //  3. The checkpoint writer syncs the log before the checkpoint file
 //     becomes durable: a checkpoint at version V on disk implies every
 //     commit with version ≤ V is on disk too.

@@ -81,7 +81,7 @@ func TestWarmGeneratesOutsideTheWriterLock(t *testing.T) {
 		// Not before chunk 0: that would complete the initial snapshot, rightly,
 		// and every later call would be handed it without taking the lock.
 		if i > 0 {
-			if _, err := d.resumePoint(); !errors.Is(err, ErrResumeUnavailable) {
+			if _, err := d.resumePoint(d.obs.resumeOnDemand, nil); !errors.Is(err, ErrResumeUnavailable) {
 				t.Errorf("resume point between ticks %d and %d: err = %v", i-1, i, err)
 			}
 		}

@@ -137,8 +137,8 @@ func crashLife(t *testing.T, opts Options, p *powerCut, plan crashPlan, warm, li
 	if !alive(err) {
 		return nil
 	}
-	// Checkpoint hand-offs follow the tick count: the warm-up's publish is
-	// the first count, and every CheckpointEvery-th count hands one off.
+	// Checkpoint pokes follow the tick count: the warm-up's publish is
+	// the first count, and every CheckpointEvery-th count pokes the writer.
 	counted := 1
 	type queued struct {
 		i   int
