@@ -84,13 +84,13 @@ bench-gate:
 
 # Fault-injection suite (skipped by -short runs): kill-and-recover
 # bit-identity, torn-checkpoint fallback, kill-with-queued-ingest WAL
-# replay, torn WAL tails, flaky-storage healing, kill-during-promotion,
+# replay, torn WAL tails, failed storage puts, kill-during-promotion,
 # replica kill-resync/swap-under-load, cdml-serve's boot matrix (both
 # doors × cold start, kill with queued chunks, torn newest checkpoint), and
 # the crash-point simulator (a power cut at every I/O boundary of async
 # ingest, ~20 s of the run), all under the race detector.
 chaos:
-	$(GO) test -race -run '^TestChaos' ./cmd/cdml-serve/ ./internal/core/ ./internal/data/ ./internal/registry/ ./internal/serve/ ./internal/wal/ -v
+	$(GO) test -race -run '^TestChaos' ./cmd/cdml-serve/ ./internal/core/ ./internal/registry/ ./internal/serve/ ./internal/wal/ -v
 
 # The size census CHANGES.md reports per PR (ROADMAP item 4), over the
 # non-test Go files outside benchmark/: lines, code lines (not blank, not a
@@ -100,7 +100,7 @@ chaos:
 # files that import encoding/gob (none: the ratchet keeps it so), and option
 # fields — what a caller can set besides a flag: the exported field lines of
 # core.Config, core.CheckpointPolicy, registry.Options, Quotas, AutoChallenger
-# and Policy, wal.Options and data.RetryPolicy, plus the With* functions of
+# and Policy and wal.Options, plus the With* functions of
 # internal/serve and internal/data — and the bytes of README.md + DESIGN.md,
 # the prose a reader has to get through (CHANGES.md and ROADMAP.md grow by
 # design and stay out).
@@ -120,7 +120,7 @@ census:
 	@echo "route-table rows:     $$(grep -cE '\bs\.(scoped|global)\(' internal/serve/serve.go)"
 	@echo "gob importers:        $$($(CENSUS_FILES) | xargs grep -l '"encoding/gob"' | wc -l)"
 	@echo "option fields:        $$($(OPTION_FILES) | xargs awk '\
-		/^type (Config|CheckpointPolicy|Options|Quotas|AutoChallenger|Policy|RetryPolicy) struct \{$$/ { body = 1; next } \
+		/^type (Config|CheckpointPolicy|Options|Quotas|AutoChallenger|Policy) struct \{$$/ { body = 1; next } \
 		body && /^\}/ { body = 0 } \
 		body && /^\t[A-Z]/ { n++ } \
 		/^func With[A-Z]/ { n++ } \

@@ -776,26 +776,6 @@ func BenchmarkKMeansUpdate(b *testing.B) {
 	benchUpdates(b, m, o, batch)
 }
 
-// BenchmarkTieredBackendHit measures the hot-tier payoff of the tiered
-// chunk store over disk.
-func BenchmarkTieredBackendHit(b *testing.B) {
-	disk, err := data.NewDiskBackend(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	tb := data.NewTieredBackend(disk, 4)
-	fc := data.FeatureChunk{ID: 1, RawID: 1, Instances: []data.Instance{{X: linalg.Dense{1, 2, 3}, Y: 1}}}
-	if err := tb.PutFeatures(fc); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tb.GetFeatures(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkStorePutGet is what the data manager does with one 80-row URL
 // chunk on the memory backend: AppendRaw and PutFeatures copy it into its
 // packed form, Features rebuilds the row headers over it. B/op and

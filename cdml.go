@@ -118,38 +118,12 @@ func NewMemoryBackend() *data.MemoryBackend { return data.NewMemoryBackend() }
 // NewDiskBackend returns a chunk backend storing flat chunk files under dir.
 func NewDiskBackend(dir string) (*data.DiskBackend, error) { return data.NewDiskBackend(dir) }
 
-// NewTieredBackend layers a bounded in-memory LRU cache of feature chunks
-// over a slower base backend.
-func NewTieredBackend(base Backend, capacity int) *data.TieredBackend {
-	return data.NewTieredBackend(base, capacity)
-}
-
-// RetryPolicy configures the retrying storage decorator: attempt budget,
-// exponential backoff bounds, and jitter.
-type RetryPolicy = data.RetryPolicy
-
-// DefaultRetryPolicy is the production retry configuration (4 attempts,
-// 10ms base delay doubling to a 1s cap, 20% jitter).
-func DefaultRetryPolicy() RetryPolicy { return data.DefaultRetryPolicy() }
-
-// RetryBackend decorates a backend with bounded exponential-backoff
-// retries; its counters can be exposed on a metrics registry via
-// Instrument.
-type RetryBackend = data.RetryBackend
-
 // FaultBackend decorates a backend with programmable failpoints for
 // resilience testing.
 type FaultBackend = data.FaultBackend
 
-// NewRetryBackend wraps a backend with bounded exponential-backoff retries
-// for transient failures; a missing chunk and context cancellation are never
-// retried.
-func NewRetryBackend(base Backend, pol RetryPolicy) *RetryBackend {
-	return data.NewRetryBackend(base, pol)
-}
-
-// NewFaultBackend wraps a backend with programmable failpoints (fail-N,
-// fail-rate, latency injection) for resilience testing.
+// NewFaultBackend wraps a backend with programmable failpoints (fail the
+// next N calls of an operation) for resilience testing.
 func NewFaultBackend(base Backend) *FaultBackend { return data.NewFaultBackend(base) }
 
 // ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ import (
 const defaultBench = "BenchmarkObsCounterInc|BenchmarkObsHistogramObserve|BenchmarkSparseDot|" +
 	"BenchmarkPipelineProcessOnline|BenchmarkPipelineProcessServeTaxi256|" +
 	"BenchmarkProactiveTrainingIteration|BenchmarkMFUpdate|" +
-	"BenchmarkKMeansUpdate|BenchmarkTieredBackendHit|BenchmarkStorePutGet|BenchmarkDriftDetectorObserve|" +
+	"BenchmarkKMeansUpdate|BenchmarkStorePutGet|BenchmarkDriftDetectorObserve|" +
 	"BenchmarkServePredictRouted|BenchmarkServePredictTaxiBatch256|BenchmarkReplicaPredict|" +
 	"BenchmarkIngestAppend|BenchmarkIngestTickURL|BenchmarkIngestTickTaxi|" +
 	"BenchmarkSnapshotFrameURL|BenchmarkSnapshotApplyURL|BenchmarkWarmup"

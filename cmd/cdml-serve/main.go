@@ -47,11 +47,10 @@
 // 4 MiB and are reclaimed as checkpoints age past them), and
 // recovery replays the logged chunks the restored checkpoint does not cover —
 // the restarted deployment's state is bit-identical to one that never
-// crashed. -store-dir D spills chunks to D/<name>/store behind a retrying
-// backend and an LRU tier of 64 feature chunks: they survive a
-// tick, not a restart — the store's index is in memory, boot empties the
-// directory, and a recovered deployment's sample history is what it has
-// replayed or ingested since. DELETE removes a name's directories; stopping
+// crashed. A deployment's chunk store is in memory, bounded by
+// "max_store_chunks": the log is the durable copy of every chunk, and a
+// recovered deployment's sample history is what it has replayed or ingested
+// since. DELETE removes a name's directories; stopping
 // the process does not, and a restart comes back on the lineage Create built
 // (a promotion is not durable yet). boot refuses a D that holds a single
 // deployment's files itself, the old layout: move D/ckpt-*.ckpt to
@@ -136,7 +135,6 @@ func declareFlags() (*options, *flag.FlagSet) {
 	fs.IntVar(&o.reg.CheckpointEvery, "checkpoint-every", 8, "checkpoint after every N ingested chunks")
 	fs.IntVar(&o.reg.CheckpointKeep, "checkpoint-keep", 3, "checkpoint files retained before pruning the oldest")
 	fs.StringVar(&o.reg.WALRoot, "wal-dir", "", "root for the durable write-ahead ingest logs, <dir>/<name>/wal per deployment: async ingest fsyncs each accepted chunk before acking 202 and recovery replays what the newest checkpoint misses (empty = log off)")
-	fs.StringVar(&o.reg.StoreRoot, "store-dir", "", "root for on-disk chunk storage, <dir>/<name>/store per deployment (tiered LRU cache over retrying disk backend), emptied at boot: chunks survive a tick, not a restart; empty keeps chunks in memory")
 	fs.BoolVar(&o.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/ (debugging surface; keep off internet-facing listeners)")
 	fs.DurationVar(&o.runtimeMetrics, "runtime-metrics", 10*time.Second, "sampling period for the cdml_runtime_* metric family (0 disables)")
 	fs.StringVar(&o.replicaOf, "replica-of", "", "primary base URL to replicate (e.g. http://primary:8080): every deployment becomes a read-only replica syncing published snapshots; warmup is skipped")

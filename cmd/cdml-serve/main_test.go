@@ -217,7 +217,7 @@ func TestChaosBootRecoversEveryDeployment(t *testing.T) {
 				dir := t.TempDir()
 				o := testOptions(append(dr.args(t),
 					"-checkpoint-dir", filepath.Join(dir, "ck"), "-checkpoint-every", "3",
-					"-wal-dir", filepath.Join(dir, "wal"), "-store-dir", filepath.Join(dir, "store"))...)
+					"-wal-dir", filepath.Join(dir, "wal"))...)
 				l := bootLife(t, o)
 				resumeAt := 0
 				if scenario != "cold start" {
@@ -360,14 +360,14 @@ func TestREADMENamesEveryFlag(t *testing.T) {
 
 // TestPutCreatedDeploymentIsDurable: a deployment created at run time on a
 // server booted from flags gets the process-wide durability settings — its
-// own checkpoint, log and store directories and the -checkpoint-every
+// own checkpoint and log directories and the -checkpoint-every
 // cadence, for it and for its challenger — and a later PUT of the same name
 // recovers it, in this life or the next.
 func TestPutCreatedDeploymentIsDurable(t *testing.T) {
 	dir := t.TempDir()
 	o := testOptions(append(doors[0].args(t),
 		"-checkpoint-dir", filepath.Join(dir, "ck"), "-checkpoint-every", "2", "-checkpoint-keep", "10",
-		"-wal-dir", filepath.Join(dir, "wal"), "-store-dir", filepath.Join(dir, "store"))...)
+		"-wal-dir", filepath.Join(dir, "wal"))...)
 	l := bootLife(t, o)
 	srv := serveLife(t, l)
 	const spec = `{"spec": {"workload": "taxi"}}`
@@ -415,10 +415,9 @@ func TestPutCreatedDeploymentIsDurable(t *testing.T) {
 		}
 		newest = files[0].Version
 	}
-	for _, d := range []string{filepath.Join(dir, "wal", "exp", "wal"), filepath.Join(dir, "store", "exp", "store")} {
-		if ents, err := os.ReadDir(d); err != nil || len(ents) == 0 {
-			t.Fatalf("%s: %d entries (err %v), want the deployment's own files", d, len(ents), err)
-		}
+	wl := filepath.Join(dir, "wal", "exp", "wal")
+	if ents, err := os.ReadDir(wl); err != nil || len(ents) == 0 {
+		t.Fatalf("%s: %d entries (err %v), want the deployment's own files", wl, len(ents), err)
 	}
 
 	srv = serveLife(t, bootLife(t, o))
@@ -453,6 +452,54 @@ func TestPutCreatedDeploymentIsDurable(t *testing.T) {
 	}
 	if code := call(t, srv, "PUT", "/v1/deployments/exp", other, &info); code != http.StatusCreated || info.SnapshotVersion != 1 {
 		t.Fatalf("PUT exp as another pipeline after DELETE: %d at snapshot version %d, want a fresh deployment", code, info.SnapshotVersion)
+	}
+}
+
+// always schedules a proactive training on every tick.
+type always struct{}
+
+func (always) Due(time.Time) bool                                   { return true }
+func (always) TrainingDone(time.Time, time.Duration, time.Duration) {}
+
+// TestServerNeverReadsRawChunksBack pins the traffic fact the server's
+// in-memory chunk store rests on: with the log on and a proactive training
+// on every tick, every sampled chunk is answered from materialized
+// features — no miss, no re-materialization, μ = 1 — so a raw chunk is
+// written and never read back. A change that makes the server read raw
+// chunks back (a bounded feature cache, say) reopens the question of a
+// raw-chunk reader over the ingest log (ROADMAP item 13).
+func TestServerNeverReadsRawChunksBack(t *testing.T) {
+	o := testOptions(append(doors[1].args(t), "-wal-dir", t.TempDir())...)
+	o.newScheduler = func() sched.Scheduler { return always{} }
+	l := bootLife(t, o)
+	const chunks = 64
+	for name, w := range doors[1].workloads {
+		d := mustGet(t, l.api, name)
+		runs := d.Serving().Stats().ProactiveRuns
+		ingestLogged(t, d, liveChunks(w, chunks))
+		if got := d.Serving().Stats().ProactiveRuns - runs; got != chunks {
+			t.Fatalf("%s: %d proactive trainings over %d ticks, want one each", name, got, chunks)
+		}
+	}
+	var text bytes.Buffer
+	if err := l.api.Registry().Metrics().WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	for name := range doors[1].workloads {
+		for metric, want := range map[string]string{
+			"cdml_store_sample_misses_total":      "0",
+			"cdml_store_rematerializations_total": "0",
+			"cdml_store_mu":                       "1",
+		} {
+			m := regexp.MustCompile(`(?m)^` + metric + `\{deployment="` + name + `"[^}]*\} (\S+)$`).FindSubmatch(text.Bytes())
+			got := "absent"
+			if m != nil {
+				got = string(m[1])
+			}
+			if got != want {
+				t.Errorf("%s: %s = %s, want %s", name, metric, got, want)
+			}
+		}
 	}
 }
 

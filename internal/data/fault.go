@@ -1,8 +1,7 @@
 // Fault injection for storage chaos tests. FaultBackend wraps any Backend
 // with programmable failpoints — fail the next N calls, or a seeded fraction
-// of calls — so tests can prove that transient errors heal through
-// RetryBackend, that exhausted retries surface as one
-// clean failed tick, and that recovery machinery tolerates a misbehaving
+// of calls — so tests can prove that a failed storage operation surfaces as
+// one clean failed tick and that recovery machinery tolerates a misbehaving
 // store. It lives in the main build (not a _test file) so chaos suites in
 // other packages and future load-testing binaries can reuse it; production
 // stacks simply never construct one.
@@ -12,6 +11,19 @@ package data
 import (
 	"math/rand"
 	"sync"
+)
+
+// Op identifies one Backend operation a failpoint targets.
+type Op string
+
+// Backend operations.
+const (
+	OpPutRaw         Op = "put_raw"
+	OpGetRaw         Op = "get_raw"
+	OpPutFeatures    Op = "put_features"
+	OpGetFeatures    Op = "get_features"
+	OpDeleteFeatures Op = "delete_features"
+	OpDeleteRaw      Op = "delete_raw"
 )
 
 // opAll targets every backend operation when installing a fault rule.

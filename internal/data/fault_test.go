@@ -5,6 +5,8 @@ import (
 	"testing"
 )
 
+var errFlaky = errors.New("transient backend failure")
+
 func TestFaultFailNCountsDown(t *testing.T) {
 	fb := NewFaultBackend(NewMemoryBackend())
 	fb.FailN(OpPutRaw, 2, errFlaky)

@@ -316,13 +316,12 @@ func TestCheckpointCadenceComesFromOptions(t *testing.T) {
 
 // TestDeleteRemovesNameStateCloseKeepsIt: Close is the process stopping and
 // must leave what the next life recovers; Delete frees the name, and whoever
-// takes it next must not inherit a checkpoint, a log to replay, or chunks.
+// takes it next must not inherit a checkpoint or a log to replay.
 func TestDeleteRemovesNameStateCloseKeepsIt(t *testing.T) {
-	ck, wl, st := t.TempDir(), t.TempDir(), t.TempDir()
-	opts := Options{CheckpointRoot: ck, WALRoot: wl, StoreRoot: st,
-		CheckpointEvery: 1}
+	ck, wl := t.TempDir(), t.TempDir()
+	opts := Options{CheckpointRoot: ck, WALRoot: wl, CheckpointEvery: 1}
 	chunks := stream(5, 3)
-	dirs := []string{filepath.Join(ck, "m"), filepath.Join(wl, "m"), filepath.Join(st, "m")}
+	dirs := []string{filepath.Join(ck, "m"), filepath.Join(wl, "m")}
 
 	r := New(opts)
 	d, err := r.Create("m", adamConfig(), Quotas{})
@@ -543,79 +542,5 @@ func TestBootReportsItsPhases(t *testing.T) {
 	}
 	if gauge("train") != 0 || gauge("recover") <= 0 {
 		t.Fatalf("gauges after a recovery: train=%v recover=%v", gauge("train"), gauge("recover"))
-	}
-}
-
-// TestStoreDirectoryHoldsOnlyThisLifesChunks: the store's index lives in
-// memory, so the files a previous life left under -store-dir are files no
-// read can reach — the second life numbers its chunks from 0 over them and
-// never learns of the rest. Boot empties the directory: after a kill, a
-// recovery and two more chunks it holds a raw and a feature file for each
-// chunk the second life has ticked (replayed or ingested), and nothing else.
-func TestStoreDirectoryHoldsOnlyThisLifesChunks(t *testing.T) {
-	root := t.TempDir()
-	opts := Options{CheckpointRoot: root, WALRoot: root, StoreRoot: root, CheckpointEvery: 8}
-	chunks := stream(11, 18)
-	const warm, firstLife = 6, 16
-
-	r1 := New(opts)
-	d1, _, err := r1.CreateWarm("m", adamConfig(), Quotas{}, warm, from(chunks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestLogged(t, d1, chunks[warm:firstLife])
-	r1.Close()
-
-	r2 := New(opts)
-	defer r2.Close()
-	d2, boot, err := r2.CreateWarm("m", adamConfig(), Quotas{}, warm, from(chunks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestLogged(t, d2, chunks[firstLife:])
-	version := d2.Serving().Published().Version()
-	if boot.Recovered == 0 || version != uint64(1+len(chunks)) {
-		t.Fatalf("second life recovered checkpoint %d and is at version %d, want a recovery and version %d", boot.Recovered, version, 1+len(chunks))
-	}
-	files, err := os.ReadDir(filepath.Join(root, "m", "store"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ticked := int(version - boot.Recovered); len(files) != 2*ticked {
-		t.Fatalf("store directory holds %d files, the second life's store %d chunks (2 files each)", len(files), ticked)
-	}
-}
-
-// TestStoreRootNeedsNoCacheSize: Options with a StoreRoot and nothing else
-// build a working disk store — the LRU tier in front of it has a fixed size
-// the caller does not pick — and proactive training reads its samples'
-// feature chunks back through it, past the point where the tier has
-// evicted the oldest.
-func TestStoreRootNeedsNoCacheSize(t *testing.T) {
-	root := t.TempDir()
-	r := New(Options{StoreRoot: root})
-	defer r.Close()
-	cfg := adamConfig()
-	cfg.Mode, cfg.ProactiveEvery = core.ModeContinuous, 4
-	cfg.Sampler, cfg.SampleChunks = sample.NewTime(1), 8
-	d, err := r.Create("m", cfg, Quotas{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = storeCacheChunks + 16
-	for i, c := range stream(17, n) {
-		if err := d.Ingest(c); err != nil {
-			t.Fatalf("ingest %d of %d: %v", i+1, n, err)
-		}
-	}
-	if got := d.Serving().Stats().ProactiveRuns; got != n/4 {
-		t.Fatalf("%d proactive trainings over %d chunks, want %d", got, n, n/4)
-	}
-	files, err := os.ReadDir(filepath.Join(root, "m", "store"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 2*n {
-		t.Fatalf("the store directory holds %d files, want a raw and a feature file for each of %d chunks", len(files), n)
 	}
 }

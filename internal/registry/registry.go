@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"cdml/internal/core"
-	"cdml/internal/data"
 	"cdml/internal/engine"
 	"cdml/internal/obs"
 	"cdml/internal/wal"
@@ -112,19 +111,7 @@ type Options struct {
 	// every chunk the champion's tick accepted — so a promoted challenger
 	// runs without a log until the process restarts (tracked in ROADMAP).
 	WALRoot string
-	// StoreRoot, when set, replaces every created deployment's store with
-	// one on disk under <StoreRoot>/<name>/store, behind a retrying backend
-	// (transient filesystem errors never reach a tick) and an in-memory LRU
-	// tier of storeCacheChunks feature chunks. Challengers keep their
-	// config's. The directory is a spill tier, not durable state: the
-	// store's index lives in memory, so Create empties it and a recovered
-	// deployment's sample history is what it has replayed or ingested since.
-	StoreRoot string
 }
-
-// storeCacheChunks is the capacity, in feature chunks, of the in-memory
-// LRU tier in front of a StoreRoot disk backend.
-const storeCacheChunks = 64
 
 // defaultAutoChallengerCooldown is the minimum spacing between automatic
 // challenger starts of one deployment when AutoChallenger.Cooldown is 0.
@@ -208,8 +195,8 @@ func validName(name string) bool {
 // Create builds a deployer from cfg and registers it under name. The
 // registry rewires the config before construction: the shared engine and
 // metrics registry are swapped in, every metric series gets
-// deployment/generation labels, the name's checkpoint, log and store
-// directories are assigned and the store is bounded to N chunks
+// deployment/generation labels, the name's checkpoint and log directories
+// are assigned and the config's own store is bounded to N chunks
 // (Quotas.MaxStoreChunks). Durable state under
 // the name is then recovered: Create is CreateWarm without a warm-up.
 func (r *Registry) Create(name string, cfg core.Config, q Quotas) (*Deployment, error) {
@@ -336,7 +323,7 @@ func (r *Registry) Adopt(name string, dep *core.Deployer, q Quotas) (*Deployment
 
 // buildEntry constructs one deployer generation for d, applying the
 // registry-side config rewiring described on Create. Only the champion
-// built at Create gets the name's ckpt, wal and store directories: a log
+// built at Create gets the name's ckpt and wal directories: a log
 // admits one writer, and a challenger checkpoints into its own gen<G>.
 func (r *Registry) buildEntry(d *Deployment, cfg core.Config, champion bool) (*entry, error) {
 	gen := r.genSeq.Add(1)
@@ -351,25 +338,10 @@ func (r *Registry) buildEntry(d *Deployment, cfg core.Config, champion bool) (*e
 		obs.L("gen", strconv.FormatUint(gen, 10)),
 	}
 	ckptKind := "gen" + strconv.FormatUint(gen, 10)
-	var retrying *data.RetryBackend
 	if champion {
 		ckptKind = "ckpt"
 		if r.opts.WALRoot != "" && cfg.IngestLog == nil {
 			cfg.IngestLog = &wal.Options{Dir: filepath.Join(r.opts.WALRoot, d.name, "wal")}
-		}
-		if r.opts.StoreRoot != "" {
-			// Files found here are a previous life's: the index that could
-			// reach them died with it, and this life numbers its chunks from 0.
-			dir := filepath.Join(r.opts.StoreRoot, d.name, "store")
-			if err := os.RemoveAll(dir); err != nil {
-				return nil, fmt.Errorf("%w of %q: %w", ErrState, d.name, err)
-			}
-			disk, err := data.NewDiskBackend(dir)
-			if err != nil {
-				return nil, fmt.Errorf("%w of %q: %w", ErrState, d.name, err)
-			}
-			retrying = data.NewRetryBackend(disk, data.DefaultRetryPolicy())
-			cfg.Store = data.NewStore(data.NewTieredBackend(retrying, storeCacheChunks))
 		}
 	}
 	ckptDir := ""
@@ -402,9 +374,6 @@ func (r *Registry) buildEntry(d *Deployment, cfg core.Config, champion bool) (*e
 	dep, err := core.NewDeployer(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if retrying != nil {
-		retrying.Instrument(dep.Metrics(), cfg.Labels...)
 	}
 	return &entry{dep: dep, gen: gen, ckptDir: ckptDir}, nil
 }
@@ -456,7 +425,7 @@ func (r *Registry) List() []*Deployment {
 
 // Delete shuts the named deployment down — its challenger, previous
 // champion and serving deployer, in that order — and
-// removes its directories under the checkpoint, log and store roots: whoever
+// removes its directories under the checkpoint and log roots: whoever
 // takes the name next starts from nothing instead of recovering, or
 // replaying the log of, a pipeline it never was. A name that is not
 // registered but has directories there — a deployment created at run time in
@@ -479,7 +448,7 @@ func (r *Registry) Delete(name string) error {
 	if ok {
 		d.close()
 	}
-	for _, root := range []string{r.opts.CheckpointRoot, r.opts.WALRoot, r.opts.StoreRoot} {
+	for _, root := range []string{r.opts.CheckpointRoot, r.opts.WALRoot} {
 		if root == "" {
 			continue
 		}
