@@ -483,26 +483,29 @@ func benchWorkerCounts() []int {
 // update at 1 worker vs NumCPU workers on a proactive-training-sized batch
 // (8 chunks × 200 rows, sparse SVM). The two runs compute bit-identical
 // weights — the worker count is purely a throughput knob — so the sub-run
-// ratio is the tentpole speedup.
+// ratio is the tentpole speedup. The proactive/shards=N runs are the rent
+// audit of sharding at cdml-serve's own proactive shape (8 sampled 80-row
+// URL chunks at 2^15 weights, Adam, the default engine): one shard against
+// the three DefaultGradShardRows makes of 640 rows.
 func BenchmarkParallelShardedUpdate(b *testing.B) {
-	cfg := dataset.DefaultURLConfig()
-	cfg.Days, cfg.ChunksPerDay, cfg.RowsPerChunk, cfg.Vocab = 4, 2, 200, 2000
-	cfg.HashDim = 1 << 14
-	gen := dataset.NewURL(cfg)
-	pipe := dataset.NewURLPipeline(cfg.HashDim)
-	var batch []data.Instance
-	for i := 0; i < 8; i++ {
-		ins, err := pipe.ProcessOnline(gen.Chunk(i))
-		if err != nil {
-			b.Fatal(err)
+	batchOf := func(rows, hashDim int) []data.Instance {
+		cfg := dataset.DefaultURLConfig()
+		cfg.Days, cfg.ChunksPerDay, cfg.RowsPerChunk, cfg.Vocab = 4, 2, rows, 2000
+		cfg.HashDim = hashDim
+		gen := dataset.NewURL(cfg)
+		pipe := dataset.NewURLPipeline(hashDim)
+		var batch []data.Instance
+		for i := 0; i < 8; i++ {
+			ins, err := pipe.ProcessOnline(gen.Chunk(i))
+			if err != nil {
+				b.Fatal(err)
+			}
+			batch = append(batch, ins...)
 		}
-		batch = append(batch, ins...)
+		return batch
 	}
-	const shardRows = 64
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			eng := engine.New(workers)
-			m := model.NewSVM(cfg.HashDim, 1e-3)
+	run := func(name string, eng *engine.Engine, shardRows int, m model.Model, batch []data.Instance) {
+		b.Run(name, func(b *testing.B) {
 			o := opt.NewAdam(0.05)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -511,6 +514,16 @@ func BenchmarkParallelShardedUpdate(b *testing.B) {
 				}
 			}
 		})
+	}
+	const hashDim = 1 << 14
+	batch := batchOf(200, hashDim)
+	for _, workers := range benchWorkerCounts() {
+		run(fmt.Sprintf("workers=%d", workers), engine.New(workers), 64, model.NewSVM(hashDim, 1e-3), batch)
+	}
+	proactive := batchOf(80, 1<<15)
+	for _, shardRows := range []int{len(proactive), core.DefaultGradShardRows} {
+		shards := (len(proactive) + shardRows - 1) / shardRows
+		run(fmt.Sprintf("proactive/shards=%d", shards), engine.New(0), shardRows, dataset.NewURLModel(1<<15, 1e-3), proactive)
 	}
 }
 
@@ -1061,9 +1074,9 @@ func BenchmarkIngestTickURL(b *testing.B) {
 // BenchmarkSnapshotFrameURL encodes the URL deployment's published snapshot
 // — 32 768 weights and two Adam slots, ~85 % of them exact zeros, plus the
 // pipeline statistics — into a frame: what every cadence checkpoint, GET
-// .../snapshot and replica poll of a new version pays. B/op is one
-// payload (the frame-B metric): the encode is a single allocation of exactly
-// that size plus the model's scan bitmap.
+// .../snapshot and replica poll of a new version pays. It allocates the
+// payload (the frame-B metric) and the optimizer section appended to it, each
+// at exactly its size; the scan bitmaps are recycled.
 func BenchmarkSnapshotFrameURL(b *testing.B) {
 	cfg, chunk := urlBenchDeployment()
 	snap := warmDeployer(b, cfg, chunk).Current()

@@ -22,7 +22,7 @@ import (
 //
 // This file is also the one bridge between a Deployer and the frames its
 // state moves in. State leaves one way — the frame of the published
-// snapshot completed by resumePoint: Snapshot.Frame for checkpoint files,
+// snapshot as Current copies it: Snapshot.Frame for checkpoint files,
 // FrameSince for GET .../snapshot and replica polls — and enters one way,
 // SnapshotSink().Apply: recovery, replicas and POST .../restore.
 //
@@ -48,22 +48,29 @@ const payloadTag = "CDMLSNP2"
 // zero-skipping float block.
 
 // payload encodes the snapshot's resume state into one allocation of exactly
-// the payload's size: the model section from the immutable weights, the
-// optimizer section as captured at publish, the pipeline section from the
-// immutable statistics. Snapshots are immutable, so this needs no
-// synchronization and may run concurrently with the training writer. A
-// snapshot published without resume state has no optimizer section and says
-// so before anything is encoded.
+// the payload's size: the model section from the weights, the optimizer
+// section from the optimizer as of publish, the pipeline section from the
+// immutable statistics. It needs no synchronization and may run concurrently
+// with the training writer, on a snapshot that owns its memory (Current); a
+// ring-backed one from Published may be rewritten meanwhile and is refused
+// before anything is encoded.
 func (s *Snapshot) payload() ([]byte, error) {
-	if s.resume == nil {
-		return nil, fmt.Errorf("core: encoding snapshot version %d: %w", s.version, ErrResumeUnavailable)
+	if s.buf != nil {
+		return nil, fmt.Errorf("core: encoding snapshot version %d: its weights are the writer's ring buffer; encode Deployer.Current()", s.version)
+	}
+	if s.optm == nil {
+		return nil, fmt.Errorf("core: encoding snapshot version %d: the deployment's optimizer has no encoding", s.version)
 	}
 	mdl, err := model.NewSection(s.mdl)
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpointing model: %w", err)
 	}
-	b := make([]byte, 0, len(payloadTag)+mdl.Size()+len(s.resume)+s.pipe.StateSize())
-	b = append(mdl.AppendTo(append(b, payloadTag...)), s.resume...)
+	optm, err := opt.Encode(s.optm)
+	if err != nil {
+		return nil, fmt.Errorf("core: checkpointing optimizer: %w", err)
+	}
+	b := make([]byte, 0, len(payloadTag)+mdl.Size()+len(optm)+s.pipe.StateSize())
+	b = append(mdl.AppendTo(append(b, payloadTag...)), optm...)
 	if b, err = s.pipe.AppendState(b); err != nil {
 		return nil, fmt.Errorf("core: checkpointing pipeline: %w", err)
 	}
@@ -122,11 +129,9 @@ var (
 	_ pipeline.Persistent = (*pipeline.StdClipper)(nil)
 )
 
-// Frame encodes the snapshot into one versioned snapstream frame.
-// Snapshots are immutable, so encoding needs no synchronization and may
-// run concurrently with the training writer. Only a snapshot that carries
-// resume state can be framed (Deployer.Current returns one); any other
-// reports ErrResumeUnavailable.
+// Frame encodes the snapshot into one versioned snapstream frame, with no
+// lock held. Frame a snapshot from Deployer.Current: one from Published may
+// share the writer's ring buffer and is refused.
 func (s *Snapshot) Frame() (snapstream.Frame, error) {
 	payload, err := s.payload()
 	if err != nil {
@@ -135,21 +140,14 @@ func (s *Snapshot) Frame() (snapstream.Frame, error) {
 	return snapstream.Frame{Version: s.version, Payload: payload}, nil
 }
 
-// FrameSince frames the published snapshot when it is newer than since;
-// ok=false otherwise (the poll idle case, one atomic load). since 0 always
-// frames it: that is the download POST .../restore takes. A version is
-// completed into a resume point the first time it is asked for (resumePoint)
-// and encoded for every caller; ErrResumeUnavailable in the failed-tick
-// window means "ask again", the consumer keeps what it has.
+// FrameSince frames the published snapshot (Current) when it is newer than
+// since; ok=false otherwise (the poll idle case, one atomic load). since 0
+// always frames it: that is the download POST .../restore takes.
 func (d *Deployer) FrameSince(since uint64) (snapstream.Frame, bool, error) {
 	if d.current().version <= since {
 		return snapstream.Frame{}, false, nil
 	}
-	snap, err := d.resumePoint(d.obs.resumeOnDemand, nil)
-	if err != nil {
-		return snapstream.Frame{}, false, err
-	}
-	f, err := snap.Frame()
+	f, err := d.Current().Frame()
 	if err != nil {
 		return snapstream.Frame{}, false, err
 	}

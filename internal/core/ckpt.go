@@ -20,7 +20,7 @@ import (
 // payload and its frame, wal.go the ingest log's glue, and internal/snapstream
 // the file format and the tmp+fsync+rename discipline. A publish only
 // counts toward "a checkpoint is due" and pokes a background goroutine that
-// completes the published snapshot and does all file IO off the tick path —
+// copies the published snapshot and does all file IO off the tick path —
 // the shape GraphLab (Low et al., 2011) derives fault tolerance from:
 // periodic consistent snapshots taken without stopping the computation.
 
@@ -36,7 +36,7 @@ var (
 
 // CheckpointPolicy configures automatic checkpointing of a live deployment:
 // every EveryTicks publishes a background writer checkpoints the snapshot
-// published when it runs, completed into a resume point as by CheckpointNow.
+// published when it runs, as CheckpointNow does.
 type CheckpointPolicy struct {
 	// Dir receives the checkpoint files; created if absent.
 	Dir string
@@ -72,7 +72,7 @@ type CheckpointInfo = snapstream.FileInfo
 // ckptManager runs the auto-checkpoint loop. The writer side (publish,
 // under d.mu) only counts publishes and, when a checkpoint is due, pokes
 // the loop without blocking; the loop takes the checkpoint as CheckpointNow
-// does — resumePoint, then write — and owns every byte of file IO.
+// does — Current, then write — and owns every byte of file IO.
 type ckptManager struct {
 	pol CheckpointPolicy
 
@@ -178,23 +178,15 @@ func (m *ckptManager) published() {
 }
 
 // checkpointLoop is the background checkpoint writer: each poke is one
-// checkpoint of the snapshot published when it pulls. A pull in the
-// failed-tick window (ErrResumeUnavailable) re-arms the trigger, so the
-// publish that closes the window pokes again. After shutdown it takes the
-// checkpoint still pending, if any, and ends: a checkpoint due before
-// Shutdown is durable when Shutdown returns, and a poke after it is never
-// read.
+// checkpoint of the snapshot published when it pulls. After shutdown it
+// takes the checkpoint still pending, if any, and ends: a checkpoint due
+// before Shutdown is durable when Shutdown returns, and a poke after it is
+// never read.
 func (d *Deployer) checkpointLoop() {
 	m := d.ckpt
 	defer close(m.done)
 	pull := func() {
-		_, err := d.checkpoint(d.obs.resumeCadence)
-		switch {
-		case errors.Is(err, ErrResumeUnavailable):
-			d.mu.Lock()
-			m.ticksSince = m.pol.EveryTicks
-			d.mu.Unlock()
-		case err != nil:
+		if _, err := d.checkpoint(); err != nil {
 			m.errs.Inc()
 		}
 	}
@@ -221,15 +213,13 @@ func (m *ckptManager) shutdown() {
 }
 
 // checkpoint is the one way a checkpoint is taken, for the loop and
-// CheckpointNow alike: the published snapshot completed into a resume
-// point (cause counts the capture, if one is needed), then written. Its
-// span tree shows the capture's d.mu hold as "resume".
-func (d *Deployer) checkpoint(cause *obs.Counter) (CheckpointInfo, error) {
+// CheckpointNow alike: the published snapshot as Current copies it, then
+// written. Its span tree shows the copy as "resume".
+func (d *Deployer) checkpoint() (CheckpointInfo, error) {
 	sp := obs.StartSpan("checkpoint")
-	s, err := d.resumePoint(cause, sp)
-	if err != nil {
-		return CheckpointInfo{}, err
-	}
+	rs := sp.StartChild("resume")
+	s := d.Current()
+	rs.Finish()
 	return d.ckpt.write(s, sp)
 }
 
@@ -392,14 +382,12 @@ func (d *Deployer) RecoverFromDir(dir string) (CheckpointInfo, error) {
 // configured checkpoint directory, regardless of the tick trigger. It needs
 // an AutoCheckpoint policy; deployments without one answer
 // ErrNoCheckpointPolicy and should hand Current() to WriteCheckpointFile with
-// a directory of their choice. Like every on-demand consumer it may have to
-// attach resume state first (resumePoint) and answers ErrResumeUnavailable in
-// the failed-tick window.
+// a directory of their choice. It never waits for a tick in flight.
 func (d *Deployer) CheckpointNow() (CheckpointInfo, error) {
 	if d.ckpt == nil {
 		return CheckpointInfo{}, ErrNoCheckpointPolicy
 	}
-	return d.checkpoint(d.obs.resumeOnDemand)
+	return d.checkpoint()
 }
 
 // LastCheckpoint reports the newest durable checkpoint of this deployment

@@ -6,12 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"cdml/internal/data"
 	"cdml/internal/snapstream"
 	"cdml/internal/wal"
 )
@@ -289,13 +287,12 @@ func waitDurable(t *testing.T, d *Deployer, v uint64) {
 	}
 }
 
-// waitPulled waits until the checkpoint writer has pulled n cadence
-// checkpoints.
-func waitPulled(t *testing.T, d *Deployer, n int64) {
+// waitPulled waits until the checkpoint writer has taken the pending poke.
+func waitPulled(t *testing.T, d *Deployer) {
 	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); d.obs.resumeCadence.Value() < n; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); len(d.ckpt.poke) > 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("the checkpoint writer never pulled checkpoint %d", n)
+			t.Fatal("the checkpoint writer never took the pending poke")
 		}
 	}
 }
@@ -319,7 +316,7 @@ func TestCheckpointShutdownHandoffGuarantee(t *testing.T) {
 	// behind it, and version 4's finds the poke slot full.
 	d.ckpt.wmu.Lock()
 	ingestChunks(t, d, stream, 0, 1)
-	waitPulled(t, d, 1)
+	waitPulled(t, d)
 	ingestChunks(t, d, stream, 1, 3)
 	if n := d.ckpt.skips.Value(); n != 1 {
 		t.Fatalf("skipped checkpoints = %d, want 1 (version 4 coalesced into version 3's pending poke)", n)
@@ -375,10 +372,10 @@ func (g *gateScheduler) TrainingDone(time.Time, time.Duration, time.Duration) {}
 
 // TestShutdownTakesTheDueCheckpointBeforeCancelling: a checkpoint is
 // pending when Shutdown runs, and a tick that has already stepped the
-// optimizer online is in flight. Shutdown must let the writer take the
-// pending checkpoint before it cancels the deployment's context: a cancel
-// first would fail the tick's proactive training after its online step,
-// and the pull would then meet the failed-tick window and write nothing.
+// optimizer online is in flight. The checkpoint due before Shutdown is
+// durable when Shutdown returns: the writer pulls the version published
+// before the tick, which the tick (failed by the cancel or not) never
+// rewrites.
 func TestShutdownTakesTheDueCheckpointBeforeCancelling(t *testing.T) {
 	gate := &gateScheduler{entered: make(chan struct{}), release: make(chan struct{})}
 	cfg := liveConfig(ModeContinuous)
@@ -393,7 +390,7 @@ func TestShutdownTakesTheDueCheckpointBeforeCancelling(t *testing.T) {
 	// stays pending.
 	d.ckpt.wmu.Lock()
 	ingestChunks(t, d, stream, 0, 1)
-	waitPulled(t, d, 1)
+	waitPulled(t, d)
 	ingestChunks(t, d, stream, 1, 2)
 	due := d.Published().Version()
 
@@ -415,61 +412,6 @@ func TestShutdownTakesTheDueCheckpointBeforeCancelling(t *testing.T) {
 		t.Fatalf("the checkpoint due at version %d is not durable after Shutdown: newest is version %d (tick in flight: %v)",
 			due, last.Version, tickErr)
 	}
-}
-
-// TestFailedPullRearmsTheTrigger: a tick fails between a due publish's poke
-// and the writer's pull, so the pull meets ErrResumeUnavailable; the
-// trigger stays armed, and the next successful publish is checkpointed
-// although the cadence count alone would not be due yet.
-func TestFailedPullRearmsTheTrigger(t *testing.T) {
-	fault := data.NewFaultBackend(data.NewMemoryBackend())
-	cfg := liveConfig(ModeContinuous)
-	cfg.Store = data.NewStore(fault)
-	cfg.ProactiveEvery = 1
-	cfg.AutoCheckpoint = &CheckpointPolicy{Dir: t.TempDir(), EveryTicks: 2, Keep: 100}
-	d, err := NewDeployer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Shutdown()
-	stream := driftStream{chunks: 8, rows: 20, drift: 2, seed: 37}
-
-	// The writer takes version 3's poke and stalls in its write, so version
-	// 5's poke stays pending until the failed tick is over.
-	d.ckpt.wmu.Lock()
-	unstall := sync.OnceFunc(d.ckpt.wmu.Unlock)
-	defer unstall() // before Shutdown, which waits for the writer
-	ingestChunks(t, d, stream, 0, 2)
-	for deadline := time.Now().Add(10 * time.Second); d.obs.resumeCadence.Value() == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the writer never pulled version 3")
-		}
-	}
-	ingestChunks(t, d, stream, 2, 4)
-	fault.FailN(data.OpGetFeatures, 1<<20, errChaosStore)
-	if err := d.Ingest(stream.Chunk(4)); !errors.Is(err, errChaosStore) {
-		t.Fatalf("tick with a failing gather: err = %v, want the injected error", err)
-	}
-	fault.Reset()
-	unstall()
-	waitDurable(t, d, 3)
-	// The pending pull meets the failed-tick window and re-arms.
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		d.mu.Lock()
-		armed := d.ckpt.ticksSince >= d.ckpt.pol.EveryTicks
-		d.mu.Unlock()
-		if armed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the pull in the failed-tick window left the trigger disarmed")
-		}
-	}
-	if last, _ := d.LastCheckpoint(); last.Version != 3 {
-		t.Fatalf("a checkpoint was written in the failed-tick window: version %d", last.Version)
-	}
-	ingestChunks(t, d, stream, 5, 6)
-	waitDurable(t, d, 6)
 }
 
 // gatedWriter blocks inside its first Write until released, emulating an

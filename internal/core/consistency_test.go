@@ -18,7 +18,8 @@ import (
 
 // The consistency oracle (ROADMAP item 2): every answer a live deployment
 // gives is the answer of exactly one published version — the pipeline and
-// the weights of the same snapshot, never a mix — checked mechanically
+// the weights of the same snapshot, never a mix — and every frame it encodes
+// is that version's whole state, optimizer included, checked mechanically
 // against a sequential run of the same chunks.
 
 // oracleCase is one deployment the oracle replays: config builds a fresh
@@ -92,8 +93,10 @@ func sameBits(a, b []float64) bool {
 // ingests and, at a fixed tick, restores an earlier frame. A cold replica
 // applies the primary's FrameSince frames while readers of its own predict.
 // Every (version, answer) pair, on the primary and on the replica mid-swap,
-// must be the sequential run's answer at that version, bit for bit, and
-// every frame taken must answer the same way in a cold deployer.
+// must be the sequential run's answer at that version, bit for bit; every
+// frame taken and every cadence checkpoint file must be the sequential run's
+// frame of its version, byte for byte, and answer the same way in a cold
+// deployer.
 func TestChaosPredictAnswersOneVersion(t *testing.T) {
 	skipInShort(t)
 	for _, c := range oracleCases() {
@@ -129,24 +132,37 @@ func oracleRun(t *testing.T, c oracleCase, everyTicks int) {
 		t.Fatal(err)
 	}
 	defer ref.Shutdown()
-	want := map[uint64][]float64{ref.Published().Version(): answer(ref)}
+	want := map[uint64][]float64{}
+	wantFrame := map[uint64][]byte{}
+	record := func() {
+		v := ref.Published().Version()
+		want[v], wantFrame[v] = answer(ref), frameOf(t, ref).Payload
+	}
+	record()
 	var refFrame snapstream.Frame
 	for i := 0; i < oracleTicks; i++ {
 		if i == oracleApplyAt {
 			if err := ref.SnapshotSink().Apply(refFrame); err != nil {
 				t.Fatal(err)
 			}
-			want[ref.Published().Version()] = answer(ref)
+			record()
 		}
 		ingest(ref, i)
-		want[ref.Published().Version()] = answer(ref)
+		record()
 		if i == oracleFrameAt-1 {
 			refFrame = frameOf(t, ref)
 		}
 	}
+	// isWantFrame reports whether f is the sequential run's frame of its
+	// version.
+	isWantFrame := func(f snapstream.Frame) bool {
+		w, ok := wantFrame[f.Version]
+		return ok && bytes.Equal(f.Payload, w)
+	}
 
 	cfg := c.config()
-	cfg.AutoCheckpoint = &CheckpointPolicy{Dir: t.TempDir(), EveryTicks: everyTicks}
+	ckptDir := t.TempDir()
+	cfg.AutoCheckpoint = &CheckpointPolicy{Dir: ckptDir, EveryTicks: everyTicks, Keep: 2 * oracleTicks}
 	live, err := NewDeployer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -221,6 +237,10 @@ func oracleRun(t *testing.T, c oracleCase, everyTicks int) {
 			}
 			f, ok, err := live.FrameSince(last)
 			if err == nil && ok {
+				if !isWantFrame(f) {
+					t.Errorf("the replica feed framed version %d differently from the sequential run", f.Version)
+					return
+				}
 				err = replica.SnapshotSink().Apply(f)
 				last = f.Version
 			}
@@ -257,6 +277,10 @@ func oracleRun(t *testing.T, c oracleCase, everyTicks int) {
 				t.Error(err)
 				return
 			}
+			if !isWantFrame(f) {
+				t.Errorf("version %d framed differently from the sequential run", f.Version)
+				return
+			}
 			since = f.Version
 			mu.Lock()
 			frames[f.Version] = f
@@ -289,9 +313,23 @@ func oracleRun(t *testing.T, c oracleCase, everyTicks int) {
 		}
 	}
 	halt()
+	live.Shutdown() // the checkpoint writer's last file is on disk
 
 	if !bytes.Equal(liveFrame.Payload, refFrame.Payload) {
 		t.Fatal("the frame the live run restores is not the sequential run's")
+	}
+	files, err := snapstream.List(ckptDir)
+	if err != nil || len(files) == 0 {
+		t.Fatalf("cadence checkpoints: %v (err %v)", files, err)
+	}
+	for _, fi := range files {
+		f, err := snapstream.ReadFile(fi.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !isWantFrame(f) {
+			t.Fatalf("the cadence checkpoint of version %d is not the sequential run's frame", f.Version)
+		}
 	}
 	for i, vs := range versions {
 		if len(vs) < 20 {
@@ -314,5 +352,6 @@ func oracleRun(t *testing.T, c oracleCase, everyTicks int) {
 		}
 		cold.Shutdown()
 	}
-	t.Logf("%d versions answered on the primary, %d on the replica, %d frames checked", len(versions[0]), len(versions[1]), len(frames))
+	t.Logf("%d versions answered on the primary, %d on the replica, %d frames and %d checkpoint files checked",
+		len(versions[0]), len(versions[1]), len(frames), len(files))
 }

@@ -57,7 +57,7 @@ type Deployer struct {
 	//cdml:guardedby mu
 	tickSpan *obs.Span
 	// ckpt is the auto-checkpoint manager (nil without an AutoCheckpoint
-	// policy). A publish only counts and pokes it; the capture and all file
+	// policy). A publish only counts and pokes it; the encode and all file
 	// IO run on its goroutine.
 	ckpt *ckptManager
 	// wal is the durable write-ahead ingest log (nil without an IngestLog
@@ -86,17 +86,10 @@ type Deployer struct {
 	snap atomic.Pointer[Snapshot]
 	//cdml:guardedby mu
 	publishSeq uint64
-	// ring holds the recycled weight buffers publish copies the model into
-	// (see ring.go).
+	// ring holds the recycled buffers publish copies the model and the
+	// optimizer into (see ring.go).
 	//cdml:guardedby mu
 	ring weightRing
-	// optmAhead is true while the live optimizer has stepped since the last
-	// publish. Inside a tick that is the normal state; between ticks it is
-	// true only after a tick failed past its first optimizer step, and it
-	// keeps resumePoint from pairing the published weights with a later
-	// optimizer (see ErrResumeUnavailable).
-	//cdml:guardedby mu
-	optmAhead bool
 }
 
 // NewDeployer validates the config and builds the deployment.
@@ -159,9 +152,8 @@ func NewDeployer(cfg Config) (*Deployer, error) {
 // keeps working, which is exactly the drain behavior a serving deployment
 // wants — answer queries, stop starting expensive training. Before the
 // cancel it stops the checkpoint loop, which writes a checkpoint still due
-// (after a tick in flight, which a cancel could fail past an optimizer
-// step) and leaves no *.tmp file. Idempotent and concurrency-safe, before
-// or after Run.
+// and leaves no *.tmp file. Idempotent and concurrency-safe, before or
+// after Run.
 func (d *Deployer) Shutdown() {
 	d.shutdownOnce.Do(func() {
 		if d.ckpt != nil {
@@ -586,7 +578,6 @@ func (d *Deployer) retrain() error {
 	d.pipe = pipe
 	d.mdl = mdl
 	d.optm = om
-	d.optmAhead = true
 	return nil
 }
 

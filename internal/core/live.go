@@ -119,9 +119,8 @@ func (d *Deployer) tickBody(ctx context.Context, records [][]byte, enqueuedAt ti
 // chunk runs on the deployment's engine, up to 2·Workers() chunks ahead of
 // the tick that consumes them and never under d.mu; it must be safe to call
 // from several goroutines. A failed tick stops it and publishes nothing —
-// until the next successful publish the deployment answers
-// ErrResumeUnavailable like after any failed tick — and Shutdown ends a
-// warm-up between two ticks. The chunks are in no ingest log and reach no
+// encoders keep getting the version before the warm-up — and Shutdown ends
+// a warm-up between two ticks. The chunks are in no ingest log and reach no
 // shadow challenger: warm a deployment before anything reads from it. The
 // returned duration is what the ticks took; the rest of the call was the
 // training goroutine waiting for chunk.

@@ -34,18 +34,10 @@ type deployObs struct {
 	gradUpdates       *obs.Counter
 	gatherChunks      *obs.Counter
 	snapshotPublishes *obs.Counter
-	// resumeCadence/resumeOnDemand count the times the optimizer was encoded
-	// into a snapshot as resume state (a clone, before DESIGN.md §5n; the
-	// family keeps its name), by who asked: the auto-checkpoint writer's
-	// pull, or an on-demand consumer (see Deployer.resumePoint).
-	resumeCadence  *obs.Counter
-	resumeOnDemand *obs.Counter
 
 	prequentialError  *obs.Gauge
 	gatherParallelism *obs.Gauge
 }
-
-const resumeClonesHelp = "Times the optimizer was captured into a snapshot as resume state (its encoded section; one scan under the writer lock): cause=cadence for the auto-checkpoint writer's pull, cause=demand for an on-demand checkpoint, frame or Current()."
 
 // withLabels copies base and appends extra, so repeated calls building
 // per-series label sets from one shared base never alias each other.
@@ -100,10 +92,6 @@ func newDeployObs(d *Deployer) *deployObs {
 			"Chunks gathered in parallel for proactive training samples.", ls...),
 		snapshotPublishes: reg.Counter("cdml_snapshot_publishes_total",
 			"Immutable deployment snapshots published for the lock-free read path.", ls...),
-		resumeCadence: reg.Counter("cdml_snapshot_resume_clones_total", resumeClonesHelp,
-			withLabels(ls, obs.L("cause", "cadence"))...),
-		resumeOnDemand: reg.Counter("cdml_snapshot_resume_clones_total", resumeClonesHelp,
-			withLabels(ls, obs.L("cause", "demand"))...),
 		prequentialError: reg.Gauge("cdml_prequential_error",
 			"Cumulative prequential error of the deployed model.", ls...),
 		gatherParallelism: reg.Gauge("cdml_gather_parallelism",

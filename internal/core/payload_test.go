@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 	"os"
 	"slices"
 	"strconv"
@@ -250,8 +249,8 @@ func TestCheckpointWriterMetricsAndSpans(t *testing.T) {
 	// A snapshot that cannot be encoded: the write fails, and the recorded
 	// tree shows an encode stage that ended and nothing after it.
 	recorded := d.obs.tracer.Total()
-	if _, err := d.ckpt.write(&Snapshot{version: 99, pipe: d.Published().pipe, mdl: d.Published().mdl}, obs.StartSpan("checkpoint")); !errors.Is(err, ErrResumeUnavailable) {
-		t.Fatalf("writing a snapshot without resume state: %v", err)
+	if _, err := d.ckpt.write(&Snapshot{version: 99, pipe: d.Published().pipe, mdl: d.Published().mdl}, obs.StartSpan("checkpoint")); err == nil || !strings.Contains(err.Error(), "no encoding") {
+		t.Fatalf("writing a snapshot without an optimizer: %v", err)
 	}
 	if d.obs.tracer.Total() != recorded+1 {
 		t.Fatal("the failed checkpoint recorded no span tree")
@@ -354,9 +353,9 @@ func TestPruneKeepsBudgetsAndTellsTheLog(t *testing.T) {
 	}
 }
 
-// An optimizer of the caller's own has no encoding: ticks and serving go on,
-// every on-demand consumer gets the reason, and the cadence counts the
-// checkpoints it could not write.
+// An optimizer of the caller's own has no encoding (and no copy): ticks and
+// serving go on, every on-demand consumer gets the reason, and the cadence
+// counts the checkpoints it could not write.
 func TestOptimizerWithoutEncoding(t *testing.T) {
 	cfg := liveConfig(ModeOnline)
 	cfg.NewOptimizer = func() opt.Optimizer { return ownOptimizer{opt.NewSGD(0.1)} }
@@ -366,11 +365,11 @@ func TestOptimizerWithoutEncoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestChunks(t, d, driftStream{chunks: 4, rows: 20, drift: 2, seed: 5}, 0, 3)
-	if _, err := d.CheckpointNow(); err == nil || !strings.Contains(err.Error(), "unknown optimizer type") {
-		t.Fatalf("CheckpointNow: %v, want the optimizer's type named", err)
+	if _, err := d.CheckpointNow(); err == nil || !strings.Contains(err.Error(), "optimizer has no encoding") {
+		t.Fatalf("CheckpointNow: %v, want the optimizer named as the reason", err)
 	}
-	if _, err := d.Current().Frame(); !errors.Is(err, ErrResumeUnavailable) {
-		t.Fatalf("Frame of a snapshot that could not capture resume state: %v", err)
+	if _, ok, err := d.FrameSince(0); ok || err == nil || !strings.Contains(err.Error(), "optimizer has no encoding") {
+		t.Fatalf("FrameSince: ok=%v err=%v, want the optimizer named as the reason", ok, err)
 	}
 	d.Shutdown()
 	if d.ckpt.writes.Value() != 0 || d.ckpt.errs.Value() == 0 {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cdml/internal/data"
 	"cdml/internal/dataset"
@@ -19,26 +20,20 @@ import (
 	"cdml/internal/snapstream"
 )
 
-// These tests pin the resume-state rule of DESIGN.md §5l: a snapshot's
-// optimizer is exact or absent, never mixed. Exact means "the bytes the
-// always-cloning publish of the previous design would have kept for that
+// These tests pin the resume-state rule of DESIGN.md §5l: every published
+// version carries its own weights and optimizer, exact — "the bytes the
+// always-cloning publish of an earlier design would have kept for that
 // version"; the reference below is that design, kept as test code.
 
-// alwaysCloneBytes is the always-clone reference: the whole payload of a
-// snapshot built from the live writer state between ticks — pipeline and
-// weights cloned and the optimizer encoded there and then, as a publish that
-// copies all three on every tick holds them for the version it just
-// published.
+// alwaysCloneBytes is the always-clone reference: the whole payload of the
+// live writer state between ticks — pipeline, weights and optimizer encoded
+// there and then, under the writer lock, as a publish that copies all three
+// on every tick holds them for the version it just published.
 func alwaysCloneBytes(t *testing.T, d *Deployer) []byte {
 	t.Helper()
 	d.mu.Lock()
-	pipe, mdl := d.pipe.Snapshot(), d.mdl.Clone()
-	resume, err := opt.Encode(d.optm)
+	b, err := (&Snapshot{pipe: d.pipe.Snapshot(), mdl: d.mdl, optm: d.optm}).payload()
 	d.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := (&Snapshot{pipe: pipe, mdl: mdl, resume: resume}).payload()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +69,7 @@ func TestResumeStateMatchesAlwaysClone(t *testing.T) {
 				defer ref.Shutdown()
 
 				// check asks for the current version as a frame and compares it
-				// with the reference; wantCadence/wantDemand are the clones
-				// that must have been paid for so far.
-				var wantCadence, wantDemand int64
+				// with the reference.
 				check := func() {
 					t.Helper()
 					want := alwaysCloneBytes(t, ref)
@@ -86,9 +79,6 @@ func TestResumeStateMatchesAlwaysClone(t *testing.T) {
 					}
 					if !bytes.Equal(f.Payload, want) {
 						t.Fatalf("version %d: the frame differs from the always-clone reference", f.Version)
-					}
-					if c, dm := d.obs.resumeCadence.Value(), d.obs.resumeOnDemand.Value(); c != wantCadence || dm != wantDemand {
-						t.Fatalf("version %d: resume clones cadence=%d demand=%d, want %d/%d", f.Version, c, dm, wantCadence, wantDemand)
 					}
 					// And the whole frame is a resume point: it restores.
 					fresh, err := NewDeployer(refCfg)
@@ -109,41 +99,33 @@ func TestResumeStateMatchesAlwaysClone(t *testing.T) {
 					ingestChunks(t, ref, stream, from, to)
 				}
 
-				for i := 0; i < 7; i++ {
-					tick(i, i+1)
-					if d.current().resume != nil {
-						t.Fatalf("tick %d published resume state nobody asked for", i+1)
-					}
-				}
-				tick(7, 8)
+				check()
+				tick(0, 8)
 				if every == 8 {
-					// The 8th publish pokes the checkpoint writer, whose pull
-					// completes it, so asking for it on demand costs nothing more.
+					// The 8th publish pokes the checkpoint writer: its file is
+					// the reference's bytes too.
 					waitDurable(t, d, d.current().version)
-					if d.current().resume == nil {
-						t.Fatal("the version the checkpoint writer pulled carries no resume state")
+					last, _ := d.LastCheckpoint()
+					f, err := snapstream.ReadFile(last.Path)
+					if err != nil {
+						t.Fatal(err)
 					}
-					wantCadence = 1
-				} else {
-					if d.current().resume != nil {
-						t.Fatal("a deployment without a policy published resume state")
+					if !bytes.Equal(f.Payload, alwaysCloneBytes(t, ref)) {
+						t.Fatalf("the cadence checkpoint of version %d differs from the always-clone reference", f.Version)
 					}
-					wantDemand = 1
 				}
 				check()
-				check() // asked again: same version, no second clone
 				tick(8, 13)
-				wantDemand++
 				check()
 			})
 		}
 	}
 }
 
-// TestResumeClonesFollowTheHandOff: a plain publish captures nothing, and
-// each cadence checkpoint is exactly one cause="cadence" capture — the
-// writer's pull of the version it writes.
-func TestResumeClonesFollowTheHandOff(t *testing.T) {
+// TestCadenceCheckpointsFollowTheHandOff: each cadence checkpoint is the
+// version of the publish that poked the writer, and a plain publish writes
+// nothing.
+func TestCadenceCheckpointsFollowTheHandOff(t *testing.T) {
 	const every = 3
 	cfg := liveConfig(ModeOnline)
 	cfg.AutoCheckpoint = &CheckpointPolicy{Dir: t.TempDir(), EveryTicks: every, Keep: 100}
@@ -158,19 +140,71 @@ func TestResumeClonesFollowTheHandOff(t *testing.T) {
 		ingestChunks(t, d, stream, i-1, i)
 		if i%every == 0 {
 			waitDurable(t, d, d.current().version)
-			if d.current().resume == nil {
-				t.Fatalf("tick %d: the checkpointed version carries no resume state", i)
-			}
-		} else if d.current().resume != nil {
-			t.Fatalf("tick %d: a plain publish carries resume state", i)
 		}
-		if c, w := d.obs.resumeCadence.Value(), d.ckpt.writes.Value(); c != int64(i/every) || w != c {
-			t.Fatalf("tick %d: %d cadence captures for %d checkpoints, want %d of each", i, c, w, i/every)
+		if w := d.ckpt.writes.Value(); w != int64(i/every) {
+			t.Fatalf("tick %d: %d checkpoints written, want %d", i, w, i/every)
 		}
 	}
-	if d.obs.resumeOnDemand.Value() != 0 || d.ckpt.skips.Value() != 0 {
-		t.Fatalf("demand captures = %d, skips = %d with no on-demand consumer and an idle writer",
-			d.obs.resumeOnDemand.Value(), d.ckpt.skips.Value())
+	if d.ckpt.skips.Value() != 0 {
+		t.Fatalf("skips = %d with an idle writer", d.ckpt.skips.Value())
+	}
+}
+
+// TestEncodersNeverTakeTheWriterLock: with d.mu held — a tick in flight, as
+// far as an encoder can tell — Current().Frame(), FrameSince(0) and
+// CheckpointNow each return the published version's frame, each on a
+// version nobody has encoded yet.
+func TestEncodersNeverTakeTheWriterLock(t *testing.T) {
+	cfg := liveConfig(ModeOnline)
+	cfg.AutoCheckpoint = &CheckpointPolicy{Dir: t.TempDir(), EveryTicks: 1 << 20}
+	d, err := NewDeployer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+	stream := driftStream{chunks: 8, rows: 20, drift: 2, seed: 43}
+	encoders := []struct {
+		name  string
+		frame func() (snapstream.Frame, error)
+	}{
+		{"Current().Frame()", func() (snapstream.Frame, error) { return d.Current().Frame() }},
+		{"FrameSince(0)", func() (snapstream.Frame, error) {
+			f, _, err := d.FrameSince(0)
+			return f, err
+		}},
+		{"CheckpointNow()", func() (snapstream.Frame, error) {
+			info, err := d.CheckpointNow()
+			if err != nil {
+				return snapstream.Frame{}, err
+			}
+			return snapstream.ReadFile(info.Path)
+		}},
+	}
+	type result struct {
+		f   snapstream.Frame
+		err error
+	}
+	for i, e := range encoders {
+		ingestChunks(t, d, stream, i, i+1)
+		want, version := alwaysCloneBytes(t, d), d.Published().Version()
+		done := make(chan result, 1)
+		d.mu.Lock()
+		go func() {
+			f, err := e.frame()
+			done <- result{f, err}
+		}()
+		var r result
+		select {
+		case r = <-done:
+			d.mu.Unlock()
+		case <-time.After(5 * time.Second):
+			d.mu.Unlock()
+			<-done
+			t.Fatalf("%s waited for the writer lock", e.name)
+		}
+		if r.err != nil || r.f.Version != version || !bytes.Equal(r.f.Payload, want) {
+			t.Fatalf("%s with the writer lock held: version %d (err %v), want version %d's frame", e.name, r.f.Version, r.err, version)
+		}
 	}
 }
 
@@ -308,10 +342,10 @@ func TestResumePointUnderConcurrentConsumers(t *testing.T) {
 }
 
 // TestFailedTickWindow: a tick that fails after its online step (here the
-// proactive gather hits a broken store) leaves the optimizer ahead of the
-// published snapshot. Until the next successful tick every on-demand
-// consumer answers ErrResumeUnavailable — never version V's weights with a
-// later optimizer — and the last durable checkpoint stays what it was.
+// proactive gather hits a broken store) publishes nothing. Until the next
+// successful tick every consumer gets version V's own frame — byte-equal to
+// one taken before the failing tick — and a deployer revived from the
+// checkpoint written in the window recovers V.
 func TestFailedTickWindow(t *testing.T) {
 	dir := t.TempDir()
 	fault := data.NewFaultBackend(data.NewMemoryBackend())
@@ -325,15 +359,11 @@ func TestFailedTickWindow(t *testing.T) {
 	}
 	defer d.Shutdown()
 	stream := driftStream{chunks: 8, rows: 20, drift: 2, seed: 37}
-	ingestChunks(t, d, stream, 0, 2)
-	durable, err := d.CheckpointNow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestChunks(t, d, stream, 2, 3)
+	ingestChunks(t, d, stream, 0, 3)
 	before := d.Published()
-	if before.resume != nil {
-		t.Fatal("setup: the snapshot before the fault already carries resume state")
+	want, ok, err := d.FrameSince(0)
+	if err != nil || !ok || want.Version != before.Version() {
+		t.Fatalf("setup: frame of version %d: ok=%v err=%v", want.Version, ok, err)
 	}
 
 	fault.FailN(data.OpGetFeatures, 1<<20, errChaosStore)
@@ -343,90 +373,49 @@ func TestFailedTickWindow(t *testing.T) {
 	if d.Published() != before {
 		t.Fatal("the failed tick published")
 	}
-	if _, err := d.CheckpointNow(); !errors.Is(err, ErrResumeUnavailable) {
-		t.Fatalf("CheckpointNow in the window: %v, want ErrResumeUnavailable", err)
+	isV := func(what string, f snapstream.Frame, err error) {
+		t.Helper()
+		if err != nil || f.Version != want.Version || !bytes.Equal(f.Payload, want.Payload) {
+			t.Fatalf("%s in the window: version %d (err %v), want version %d's frame", what, f.Version, err, want.Version)
+		}
 	}
-	if _, ok, err := d.FrameSince(0); ok || !errors.Is(err, ErrResumeUnavailable) {
-		t.Fatalf("FrameSince in the window: ok=%v err=%v, want ErrResumeUnavailable", ok, err)
+	info, err := d.CheckpointNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := snapstream.ReadFile(info.Path)
+	isV("CheckpointNow", f, err)
+	f, ok, err = d.FrameSince(0)
+	isV("FrameSince(0)", f, err)
+	if !ok {
+		t.Fatal("FrameSince(0) in the window framed nothing")
 	}
 	if _, ok, err := d.FrameSince(before.Version()); ok || err != nil {
 		t.Fatalf("an up-to-date poll in the window: ok=%v err=%v, want the idle answer", ok, err)
 	}
-	cur := d.Current()
-	if cur != before {
-		t.Fatal("Current in the window swapped the published snapshot")
-	}
-	if _, err := cur.Frame(); !errors.Is(err, ErrResumeUnavailable) {
-		t.Fatalf("Frame of the window's snapshot: %v, want ErrResumeUnavailable", err)
-	}
-	if _, err := WriteCheckpointFile(t.TempDir(), cur); !errors.Is(err, ErrResumeUnavailable) {
-		t.Fatalf("WriteCheckpointFile of the window's snapshot: %v, want ErrResumeUnavailable", err)
-	}
-	if d.obs.resumeOnDemand.Value() != 1 { // the CheckpointNow before the fault
-		t.Fatalf("demand clones = %d: a refused request still cloned", d.obs.resumeOnDemand.Value())
-	}
-	if last, ok := d.LastCheckpoint(); !ok || last != durable {
-		t.Fatalf("last durable checkpoint moved in the window: %+v, want %+v", last, durable)
-	}
+	f, err = d.Current().Frame()
+	isV("Current().Frame()", f, err)
+
 	revived, err := NewDeployer(liveConfig(ModeContinuous))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer revived.Shutdown()
-	if info, err := revived.RecoverFromDir(dir); err != nil || info.Version != durable.Version {
-		t.Fatalf("recovering in the window: %+v, %v", info, err)
+	if info, err := revived.RecoverFromDir(dir); err != nil || info.Version != want.Version {
+		t.Fatalf("recovering the window's checkpoint: %+v, %v", info, err)
+	}
+	if !bytes.Equal(payloadBytes(t, revived), want.Payload) {
+		t.Fatal("the revived deployer is not in version V's state")
 	}
 
-	// The next successful tick publishes a consistent pair again.
+	// The next successful tick publishes the live state.
 	fault.Reset()
 	ingestChunks(t, d, stream, 4, 5)
-	info, err := d.CheckpointNow()
-	if err != nil {
-		t.Fatalf("CheckpointNow after the window: %v", err)
+	if info, err = d.CheckpointNow(); err != nil || info.Version != before.Version()+1 {
+		t.Fatalf("checkpoint after the window: version %d (err %v), want %d", info.Version, err, before.Version()+1)
 	}
-	if info.Version != before.Version()+1 {
-		t.Fatalf("checkpoint after the window is version %d, want %d", info.Version, before.Version()+1)
-	}
-	f, err := d.Current().Frame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(f.Payload, alwaysCloneBytes(t, d)) {
+	if !bytes.Equal(payloadBytes(t, d), alwaysCloneBytes(t, d)) {
 		t.Fatal("the frame after the window does not pair the published weights with their optimizer")
-	}
-}
-
-// TestEncodeWithoutResumeStateIsAnError: a snapshot that carries no
-// optimizer refuses to encode before writing a byte.
-func TestEncodeWithoutResumeStateIsAnError(t *testing.T) {
-	d, err := NewDeployer(liveConfig(ModeOnline))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Shutdown()
-	bare := d.Published()
-	if bare.resume != nil {
-		t.Fatal("the initial publish cloned the optimizer")
-	}
-	if f, err := bare.Frame(); !errors.Is(err, ErrResumeUnavailable) || f.Payload != nil {
-		t.Fatalf("Frame without resume state: err=%v after %d bytes", err, len(f.Payload))
-	}
-	if bare.buf == nil {
-		t.Fatal("the initial publish did not serve from a ring buffer")
-	}
-	// Completing it builds a new value at the same version; the published
-	// one is never written. The copy can be encoded, so it owns its weights
-	// (the private-copy rule) and shares only the pipeline.
-	full := d.Current()
-	if full == bare || bare.resume != nil || full.resume == nil || full.Version() != bare.Version() ||
-		full.pipe != bare.pipe || full.mdl == bare.mdl || full.buf != nil {
-		t.Fatal("Current must swap in a copy sharing the pipeline and owning its weights, leaving the published value untouched")
-	}
-	if !sameBits(full.mdl.Weights(), bare.mdl.Weights()) {
-		t.Fatal("the completed snapshot's weights differ from the published ones")
-	}
-	if d.Published() != full {
-		t.Fatal("the completed snapshot was not swapped in")
 	}
 }
 

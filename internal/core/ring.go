@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"cdml/internal/model"
+	"cdml/internal/opt"
 )
 
 // ringSize bounds the weight buffers a deployment recycles across publishes:
@@ -12,10 +13,10 @@ import (
 // of them busy clones, as every publish did before the ring.
 const ringSize = 3
 
-// weightBuf is one recycled copy of the deployed model. readers counts the
-// Predict calls that pinned a snapshot serving from it. The writer rewrites
-// the weights only under d.mu, only while no reader holds a pin, and never
-// while the buffer is the published snapshot's (see Deployer.pin).
+// weightBuf is one recycled copy of the deployed model and optimizer.
+// readers counts the pins on a snapshot serving from it (Predict, Current).
+// The writer rewrites it only under d.mu, only while no reader holds a pin,
+// and never while the buffer is the published snapshot's (see Deployer.pin).
 //
 // A snapshot reaches it, but its memory is the writer's: the pin protocol,
 // not immutability, keeps a reader from seeing it change.
@@ -23,6 +24,7 @@ const ringSize = 3
 //cdml:mutable
 type weightBuf struct {
 	mdl     model.Model
+	optm    opt.Optimizer
 	readers atomic.Int32
 }
 
@@ -32,15 +34,15 @@ type weightRing struct {
 	bufs []*weightBuf
 }
 
-// take returns a copy of m's weights for the next snapshot: a ring buffer
-// brought current with one whole-vector copy when one is neither published
-// nor pinned, otherwise a fresh clone, kept in the ring while it has room.
-// buf is nil when the copy is private to the snapshot. When m is not the
-// model the ring was cloned from (a restore, a replica apply, a cold
+// take returns a copy of m's weights and o's slots for the next snapshot: a
+// ring buffer brought current with whole-vector copies when one is neither
+// published nor pinned, otherwise fresh copies, kept in the ring while it has
+// room. buf is nil when the copy is private to the snapshot. When m is
+// not the model the ring was cloned from (a restore, a replica apply, a cold
 // retrain), the ring starts over.
 //
 //cdml:locked mu
-func (r *weightRing) take(m model.Model, published *weightBuf) (model.Model, *weightBuf) {
+func (r *weightRing) take(m model.Model, o opt.Optimizer, published *weightBuf) (model.Model, opt.Optimizer, *weightBuf) {
 	if r.src != m {
 		clear(r.bufs)
 		r.src, r.bufs = m, r.bufs[:0]
@@ -48,16 +50,16 @@ func (r *weightRing) take(m model.Model, published *weightBuf) (model.Model, *we
 	for _, b := range r.bufs {
 		if b != published && b.readers.Load() == 0 {
 			b.mdl.SetWeights(m.Weights())
-			return b.mdl, b
+			b.optm = opt.Copy(o, b.optm)
+			return b.mdl, b.optm, b
 		}
 	}
-	c := m.Clone()
+	b := &weightBuf{mdl: m.Clone(), optm: opt.Copy(o, nil)}
 	if len(r.bufs) == ringSize {
-		return c, nil
+		return b.mdl, b.optm, nil
 	}
-	b := &weightBuf{mdl: c}
 	r.bufs = append(r.bufs, b)
-	return c, b
+	return b.mdl, b.optm, b
 }
 
 // pin returns the published snapshot with its weight buffer held against

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cdml/internal/model"
+	"cdml/internal/opt"
 )
 
 // ringState returns the ring's buffers and the model they were cloned from.
@@ -116,8 +117,11 @@ func TestApplyEmptiesTheRing(t *testing.T) {
 	}
 }
 
-// TestCurrentOwnsItsWeights: a snapshot that can be encoded is not in the
-// ring, so its frame is the same bytes however many publishes follow.
+// TestCurrentOwnsItsWeights: the published snapshot serves from a ring
+// buffer and refuses to encode; Current copies it into a snapshot at the
+// same version that shares only the pipeline, owns its weights and
+// optimizer, and leaves the published value as it was — so its frame is the
+// same bytes however many publishes follow.
 func TestCurrentOwnsItsWeights(t *testing.T) {
 	d, err := NewDeployer(liveConfig(ModeOnline))
 	if err != nil {
@@ -125,9 +129,20 @@ func TestCurrentOwnsItsWeights(t *testing.T) {
 	}
 	defer d.Shutdown()
 	ingestChunks(t, d, smallStream, 0, 5)
+	p := d.Published()
+	if p.buf == nil {
+		t.Fatal("the published snapshot does not serve from a ring buffer")
+	}
+	if f, err := p.Frame(); err == nil || f.Payload != nil {
+		t.Fatalf("Frame of a ring-backed snapshot: err=%v after %d bytes", err, len(f.Payload))
+	}
 	c := d.Current()
-	if c.buf != nil {
-		t.Fatal("Current returned a snapshot that shares a ring buffer")
+	if c == p || c.buf != nil || c.Version() != p.Version() || c.pipe != p.pipe ||
+		c.mdl == p.mdl || c.optm == p.optm || d.Published() != p || p.buf == nil {
+		t.Fatal("Current must return a copy sharing the pipeline and owning its weights and optimizer, leaving the published value untouched")
+	}
+	if !sameBits(c.mdl.Weights(), p.mdl.Weights()) {
+		t.Fatal("the copy's weights differ from the published ones")
 	}
 	before, err := c.Frame()
 	if err != nil {
@@ -140,5 +155,53 @@ func TestCurrentOwnsItsWeights(t *testing.T) {
 	}
 	if !bytes.Equal(before.Payload, after.Payload) {
 		t.Fatal("the frame of a Current() snapshot changed across 10 publishes")
+	}
+}
+
+// TestPinsAcrossPublishesKeepWeightsAndSlots: with every ring buffer pinned,
+// three more publishes fall back to private copies, and each pinned buffer's
+// weights and optimizer slots stay what they were when it was pinned.
+func TestPinsAcrossPublishesKeepWeightsAndSlots(t *testing.T) {
+	d, err := NewDeployer(liveConfig(ModeOnline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+	type held struct {
+		s     *Snapshot
+		w     []float64
+		slots []byte
+	}
+	var pins []held
+	for i := 0; i < ringSize; i++ {
+		ingestChunks(t, d, smallStream, i, i+1)
+		s := d.pin()
+		slots, err := opt.Encode(s.optm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pins = append(pins, held{s, slices.Clone(s.mdl.Weights()), slots})
+	}
+	for i := ringSize; i < 2*ringSize; i++ {
+		ingestChunks(t, d, smallStream, i, i+1)
+		if p := d.Published(); p.buf != nil {
+			t.Fatalf("publish %d with every buffer pinned took a ring buffer", p.Version())
+		}
+		if !bytes.Equal(payloadBytes(t, d), alwaysCloneBytes(t, d)) {
+			t.Fatalf("the private copy of version %d is not the live state", d.Published().Version())
+		}
+	}
+	if sameBits(d.Model().Weights(), pins[0].w) {
+		t.Fatal("the deployed weights did not move: the test exercises nothing")
+	}
+	for _, h := range pins {
+		slots, err := opt.Encode(h.s.optm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(h.s.mdl.Weights(), h.w) || !bytes.Equal(slots, h.slots) {
+			t.Fatalf("the weights or slots of pinned version %d changed", h.s.Version())
+		}
+		unpin(h.s)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"sync"
 	"testing"
 
@@ -42,7 +41,7 @@ func TestStatsAfterRun(t *testing.T) {
 // TestRunHoldsTheWriterLock: Run is a writer like Ingest, so a checkpoint or a
 // Current() from another goroutine beside it is no data race (this test is
 // for the race detector), and every payload such a call gets is a state the
-// deployment was in — it restores.
+// deployment was in — one per version, and it restores.
 func TestRunHoldsTheWriterLock(t *testing.T) {
 	d, err := NewDeployer(baseConfig(ModePeriodical))
 	if err != nil {
@@ -52,7 +51,7 @@ func TestRunHoldsTheWriterLock(t *testing.T) {
 	var (
 		wg     sync.WaitGroup
 		done   = make(chan struct{})
-		frames []snapstream.Frame
+		frames = map[uint64]snapstream.Frame{}
 	)
 	wg.Add(1)
 	go func() {
@@ -63,12 +62,16 @@ func TestRunHoldsTheWriterLock(t *testing.T) {
 				return
 			default:
 			}
-			switch f, _, err := d.FrameSince(0); {
-			case err == nil:
-				frames = append(frames, f)
-			case !errors.Is(err, ErrResumeUnavailable):
-				t.Errorf("checkpoint beside Run: %v", err)
+			f, _, err := d.FrameSince(0)
+			if err != nil {
+				t.Errorf("frame beside Run: %v", err)
+				return
 			}
+			if seen, ok := frames[f.Version]; ok && !bytes.Equal(seen.Payload, f.Payload) {
+				t.Errorf("two frames of version %d differ", f.Version)
+				return
+			}
+			frames[f.Version] = f
 			_ = d.Current().Version()
 		}
 	}()
@@ -82,13 +85,14 @@ func TestRunHoldsTheWriterLock(t *testing.T) {
 	if err != nil {
 		t.Fatalf("checkpoint after Run: %v", err)
 	}
-	for i, f := range append(frames, last) {
+	frames[last.Version] = last
+	for v, f := range frames {
 		fresh, err := NewDeployer(baseConfig(ModePeriodical))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := fresh.SnapshotSink().Apply(f); err != nil {
-			t.Fatalf("payload %d taken beside Run does not restore: %v", i, err)
+			t.Fatalf("the payload of version %d taken beside Run does not restore: %v", v, err)
 		}
 		fresh.Shutdown()
 	}

@@ -67,8 +67,8 @@ func TestWarmIsTheIngestLoop(t *testing.T) {
 
 // The generator runs outside d.mu — on a one-worker engine it shares the
 // training goroutine, so taking the lock from inside it proves that — and
-// between two ticks of a warm-up the optimizer is ahead of the published
-// snapshot: nothing can be checkpointed there, so nothing is.
+// between two ticks of a warm-up nothing is published: an encoder there gets
+// version 1's frame, and the cadence writes only the warm-up's one publish.
 func TestWarmGeneratesOutsideTheWriterLock(t *testing.T) {
 	dir := t.TempDir()
 	cfg, s := v1Fixture("url")
@@ -77,13 +77,12 @@ func TestWarmGeneratesOutsideTheWriterLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	initial := frameOf(t, d)
 	if _, err := d.Warm(6, func(i int) [][]byte {
-		// Not before chunk 0: that would complete the initial snapshot, rightly,
-		// and every later call would be handed it without taking the lock.
-		if i > 0 {
-			if _, err := d.resumePoint(d.obs.resumeOnDemand, nil); !errors.Is(err, ErrResumeUnavailable) {
-				t.Errorf("resume point between ticks %d and %d: err = %v", i-1, i, err)
-			}
+		d.mu.Lock()
+		d.mu.Unlock()
+		if f, err := d.Current().Frame(); err != nil || f.Version != 1 || !bytes.Equal(f.Payload, initial.Payload) {
+			t.Errorf("frame before warm-up chunk %d: version %d (err %v), want version 1's", i, f.Version, err)
 		}
 		return s.Chunk(i)
 	}); err != nil {
@@ -108,11 +107,12 @@ func TestWarmStopsAtTheFirstFailureAndPublishesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Shutdown()
+	initial := frameOf(t, d)
 	if _, err := d.Warm(12, s.Chunk); err == nil || d.Published().Version() != 1 {
 		t.Fatalf("warm-up over a store that fails at its tenth write: err = %v, version %d", err, d.Published().Version())
 	}
-	if _, err := d.Current().Frame(); !errors.Is(err, ErrResumeUnavailable) {
-		t.Fatalf("frame after a failed warm-up: err = %v, want ErrResumeUnavailable", err)
+	if f := frameOf(t, d); f.Version != 1 || !bytes.Equal(f.Payload, initial.Payload) {
+		t.Fatalf("frame after a failed warm-up: version %d, want version 1's frame", f.Version)
 	}
 
 	cfg, s = v1Fixture("taxi")

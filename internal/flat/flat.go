@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // ErrCorrupt is matched by errors.Is for every decode failure.
@@ -58,12 +59,18 @@ func AppendString(dst []byte, s string) []byte {
 // Block is a []float64 scanned for encoding: Scan walks the values once and
 // keeps which of them are non-zero, so that Size is known before the
 // destination is allocated and AppendTo visits only the values it stores.
-// The slice is referenced, not copied: encode before it changes.
+// The slice is referenced, not copied: encode before it changes. A block is
+// appended once: AppendTo hands its bitmap on to the next Scan.
 type Block struct {
 	v      []float64
-	bitmap []byte // bit i&7 of byte i>>3 is set when v[i] has any bit set
-	nz     int    // set bits
+	bitmap []byte  // bit i&7 of byte i>>3 is set when v[i] has any bit set
+	pooled *[]byte // bitmap's buffer, returned to bitmaps by AppendTo
+	nz     int     // set bits
 }
+
+// bitmaps recycles the bitmaps of appended blocks, so that encoding a
+// snapshot allocates its output and nothing else.
+var bitmaps sync.Pool
 
 // nonZero is 1 when any bit of b is set, else 0, without a branch: which
 // coordinates of a hashed vector are zero is as good as random, and a loop
@@ -72,7 +79,16 @@ func nonZero(b uint64) uint64 { return (b | -b) >> 63 }
 
 // Scan prepares v for encoding as a float block.
 func Scan(v []float64) Block {
-	b := Block{v: v, bitmap: make([]byte, (len(v)+7)/8)}
+	n := (len(v) + 7) / 8
+	p, _ := bitmaps.Get().(*[]byte)
+	if p == nil || cap(*p) < n {
+		p = new([]byte)
+		*p = make([]byte, n)
+	}
+	b := Block{v: v, bitmap: (*p)[:n], pooled: p}
+	if len(v)%8 != 0 {
+		b.bitmap[n-1] = 0 // the tail below ORs its bits in
+	}
 	i := 0
 	for ; i+8 <= len(v); i += 8 {
 		s := v[i : i+8 : i+8]
@@ -111,6 +127,7 @@ func (b Block) AppendTo(dst []byte) []byte {
 			dst = le.AppendUint64(dst, math.Float64bits(b.v[k<<3+bits.TrailingZeros8(m)]))
 		}
 	}
+	bitmaps.Put(b.pooled)
 	return dst
 }
 

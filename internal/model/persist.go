@@ -55,7 +55,8 @@ func (s *snapshot) shape() [5]int { return [5]int{s.Dim, s.K, s.Users, s.Items, 
 // Section is a model ready to be encoded: captured and its weights scanned
 // once (flat.Scan), so that the size is known before the destination is
 // allocated. It references the model's weights, which must not change until
-// AppendTo has run — a published snapshot's model never does.
+// AppendTo has run — an encoded snapshot's model never does — and it is
+// appended once (flat.Block).
 type Section struct {
 	s       snapshot
 	weights flat.Block

@@ -51,24 +51,57 @@ func snapshotOf(o Optimizer) (snapshot, error) {
 	}
 }
 
-// layout lists, for s.Kind, the hyperparameters and the slots a section
-// carries, in order; ok is false for a kind nobody wrote.
-func (s *snapshot) layout() (hyper []*float64, slots []*[]float64, ok bool) {
+// fields are the hyperparameters and the slots a section carries, in order,
+// as pointers into a snapshot. Arrays, not slices, so that listing them
+// allocates nothing: an encode allocates its output alone.
+type fields struct {
+	hyper  [4]*float64
+	slots  [2]*[]float64
+	nh, ns int
+}
+
+// layout lists s.Kind's fields; ok is false for a kind nobody wrote.
+func (s *snapshot) layout() (f fields, ok bool) {
 	switch s.Kind {
 	case "sgd":
-		return []*float64{&s.LR, &s.Decay}, nil, true
+		return fields{hyper: [4]*float64{&s.LR, &s.Decay}, nh: 2}, true
 	case "momentum":
-		return []*float64{&s.LR, &s.Beta}, []*[]float64{&s.V1}, true
+		return fields{hyper: [4]*float64{&s.LR, &s.Beta}, nh: 2, slots: [2]*[]float64{&s.V1}, ns: 1}, true
 	case "adam":
-		return []*float64{&s.LR, &s.Beta1, &s.Beta2, &s.Eps}, []*[]float64{&s.V1, &s.V2}, true
+		return fields{hyper: [4]*float64{&s.LR, &s.Beta1, &s.Beta2, &s.Eps}, nh: 4, slots: [2]*[]float64{&s.V1, &s.V2}, ns: 2}, true
 	case "rmsprop":
-		return []*float64{&s.LR, &s.Beta1, &s.Eps}, []*[]float64{&s.V1}, true
+		return fields{hyper: [4]*float64{&s.LR, &s.Beta1, &s.Eps}, nh: 3, slots: [2]*[]float64{&s.V1}, ns: 1}, true
 	case "adadelta":
-		return []*float64{&s.Beta1, &s.Eps}, []*[]float64{&s.V1, &s.V2}, true
+		return fields{hyper: [4]*float64{&s.Beta1, &s.Eps}, nh: 2, slots: [2]*[]float64{&s.V1, &s.V2}, ns: 2}, true
 	case "ftrl":
-		return []*float64{&s.Alpha, &s.BetaF, &s.L1, &s.L2}, []*[]float64{&s.V1, &s.V2}, true
+		return fields{hyper: [4]*float64{&s.Alpha, &s.BetaF, &s.L1, &s.L2}, nh: 4, slots: [2]*[]float64{&s.V1, &s.V2}, ns: 2}, true
 	}
-	return nil, nil, false
+	return fields{}, false
+}
+
+// Copy returns a copy of o that shares no memory with it, or nil when o is
+// of a kind Encode cannot write either. The slots are copied whole into
+// into's when into is an earlier copy of the same kind and size, so a warm
+// copy allocates no slot.
+func Copy(o, into Optimizer) Optimizer {
+	s, err := snapshotOf(o)
+	if err != nil {
+		return nil
+	}
+	warm, _ := snapshotOf(into)
+	f, _ := s.layout()
+	reuse, _ := warm.layout()
+	for i, v := range f.slots[:f.ns] {
+		var dst []float64
+		if warm.Kind == s.Kind {
+			dst = *reuse.slots[i]
+		}
+		if *v != nil {
+			*v = append(dst[:0], *v...)
+		}
+	}
+	c, _ := s.build(len(s.V1))
+	return c
 }
 
 // Encode returns o's section in a buffer of exactly its size. Each slot is
@@ -85,19 +118,19 @@ func Encode(o Optimizer) ([]byte, error) {
 }
 
 func (s *snapshot) encode() []byte {
-	hyper, slots, _ := s.layout()
-	size := flat.StringSize(s.Kind) + 8*len(hyper) + 8
-	blocks := make([]flat.Block, len(slots))
-	for i, v := range slots {
+	f, _ := s.layout()
+	size := flat.StringSize(s.Kind) + 8*f.nh + 8
+	var blocks [len(f.slots)]flat.Block
+	for i, v := range f.slots[:f.ns] {
 		blocks[i] = flat.Scan(*v)
 		size += blocks[i].Size()
 	}
 	dst := flat.AppendString(make([]byte, 0, size), s.Kind)
-	for _, h := range hyper {
+	for _, h := range f.hyper[:f.nh] {
 		dst = flat.AppendFloat64(dst, *h)
 	}
 	dst = flat.AppendUint64(dst, uint64(s.T))
-	for _, b := range blocks {
+	for _, b := range blocks[:f.ns] {
 		dst = b.AppendTo(dst)
 	}
 	return dst
@@ -107,15 +140,15 @@ func (s *snapshot) encode() []byte {
 // max, which bounds it before it is allocated.
 func decode(r *flat.Reader, max int) (snapshot, error) {
 	s := snapshot{Kind: r.String()}
-	hyper, slots, ok := s.layout()
+	f, ok := s.layout()
 	if !ok && r.Err() == nil {
 		return s, fmt.Errorf("opt: unknown optimizer kind %q", s.Kind)
 	}
-	for _, h := range hyper {
+	for _, h := range f.hyper[:f.nh] {
 		*h = r.Float64()
 	}
 	s.T = int64(r.Uint64())
-	for _, v := range slots {
+	for _, v := range f.slots[:f.ns] {
 		*v = r.Floats(max)
 	}
 	if err := r.Err(); err != nil {
@@ -140,12 +173,12 @@ func DecodeSection(r *flat.Reader, dim int) (Optimizer, error) {
 // allocated beside one that is not, would panic there; they are refused
 // here.
 func (s *snapshot) build(dim int) (Optimizer, error) {
-	_, slots, ok := s.layout()
+	f, ok := s.layout()
 	if !ok {
 		return nil, fmt.Errorf("opt: unknown optimizer kind %q", s.Kind)
 	}
-	for _, v := range slots {
-		if len(*v) != len(*slots[0]) || (len(*v) != 0 && len(*v) != dim) {
+	for _, v := range f.slots[:f.ns] {
+		if len(*v) != len(*f.slots[0]) || (len(*v) != 0 && len(*v) != dim) {
 			return nil, fmt.Errorf("opt: corrupt %s snapshot: state of %d and %d coordinates for %d weights", s.Kind, len(s.V1), len(s.V2), dim)
 		}
 		if len(*v) == 0 {

@@ -43,11 +43,7 @@
 //	                                              ?id=<trace or request id>
 //	                                              assembles one end-to-end trace
 //	POST   /v1/deployments/{name}/checkpoint      force a durable checkpoint now
-//	                                              (501 without a policy); it
-//	                                              and .../snapshot answer 503
-//	                                              "resume_unavailable" with
-//	                                              Retry-After between a failed
-//	                                              tick and the next good one
+//	                                              (501 without a policy)
 //	GET    /v1/deployments/{name}/snapshot        the published snapshot as a
 //	                                              self-validating CDMLCKP1
 //	                                              frame: the download, and the
@@ -86,7 +82,7 @@
 // with codes "bad_request", "method_not_allowed", "internal", "queue_full",
 // "shutting_down", "payload_too_large", "unknown_deployment",
 // "deployment_exists", "challenger_exists", "conflict", "not_found",
-// "unsupported", "read_only_replica" and "resume_unavailable". Ingest
+// "unsupported" and "read_only_replica". Ingest
 // never answers for a full store: a deployment keeps its newest N chunks
 // (registry.Quotas.MaxStoreChunks) and drops the oldest.
 //
@@ -539,10 +535,6 @@ const (
 	codeNotFound          = "not_found"
 	codeUnsupported       = "unsupported"
 	codeReadOnlyReplica   = "read_only_replica"
-	// codeResumeUnavailable: 503 with Retry-After from the checkpoint and
-	// snapshot endpoints while core.ErrResumeUnavailable holds — after a
-	// failed tick, until the next successful one publishes.
-	codeResumeUnavailable = "resume_unavailable"
 )
 
 // errorBody is the uniform JSON error envelope every non-2xx response
@@ -561,19 +553,6 @@ type errorDetail struct {
 
 func writeError(w http.ResponseWriter, status int, code string, err error) {
 	writeJSON(w, status, errorBody{Error: errorDetail{Code: code, Message: err.Error()}})
-}
-
-// writeSnapshotError answers a failed checkpoint/snapshot request: the
-// failed-tick window (core.ErrResumeUnavailable) is a transient condition
-// the next successful tick clears — 503 with Retry-After, a replica keeps
-// the version it has and polls again — and anything else is a 500.
-func writeSnapshotError(w http.ResponseWriter, err error) {
-	if errors.Is(err, core.ErrResumeUnavailable) {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, codeResumeUnavailable, err)
-		return
-	}
-	writeError(w, http.StatusInternalServerError, codeInternal, err)
 }
 
 // PredictResponse is the /predict payload.
@@ -833,7 +812,7 @@ func handleSnapshotGet(s *Server, name string, h *depHandle, w http.ResponseWrit
 	}
 	f, ok, err := h.dep.Serving().FrameSince(since)
 	if err != nil {
-		writeSnapshotError(w, err)
+		writeError(w, http.StatusInternalServerError, codeInternal, err)
 		return
 	}
 	if !ok {
@@ -866,7 +845,7 @@ func handleCheckpointNow(s *Server, name string, h *depHandle, w http.ResponseWr
 		writeError(w, http.StatusNotImplemented, codeUnsupported, err)
 		return
 	case err != nil:
-		writeSnapshotError(w, err)
+		writeError(w, http.StatusInternalServerError, codeInternal, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, checkpointNowResponse{Version: info.Version, Path: info.Path})
