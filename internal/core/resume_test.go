@@ -419,6 +419,43 @@ func TestFailedTickWindow(t *testing.T) {
 	}
 }
 
+// TestEncodeWithoutResumeStateIsAnError: a snapshot whose optimizer state
+// cannot be encoded in place — one carrying no optimizer, or the published
+// one, whose weights and optimizer are the writer's ring buffer — refuses to
+// encode before writing a byte. Current copies the published snapshot into
+// one at the same version that shares only the pipeline, owns its weights
+// and optimizer, and leaves the published value as it was.
+func TestEncodeWithoutResumeStateIsAnError(t *testing.T) {
+	d, err := NewDeployer(liveConfig(ModeOnline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+	bare := &Snapshot{pipe: d.Published().pipe, mdl: d.Model(), version: 1}
+	if f, err := bare.Frame(); err == nil || f.Payload != nil {
+		t.Fatalf("Frame without an optimizer: err=%v after %d bytes", err, len(f.Payload))
+	}
+	ingestChunks(t, d, smallStream, 0, 5)
+	p := d.Published()
+	if p.buf == nil {
+		t.Fatal("the published snapshot does not serve from a ring buffer")
+	}
+	if f, err := p.Frame(); err == nil || f.Payload != nil {
+		t.Fatalf("Frame of a ring-backed snapshot: err=%v after %d bytes", err, len(f.Payload))
+	}
+	c := d.Current()
+	if c == p || c.buf != nil || c.Version() != p.Version() || c.pipe != p.pipe ||
+		c.mdl == p.mdl || c.optm == p.optm || d.Published() != p || p.buf == nil {
+		t.Fatal("Current must return a copy sharing the pipeline and owning its weights and optimizer, leaving the published value untouched")
+	}
+	if !sameBits(c.mdl.Weights(), p.mdl.Weights()) {
+		t.Fatal("the copy's weights differ from the published ones")
+	}
+	if _, err := c.Frame(); err != nil {
+		t.Fatalf("Frame of the copy: %v", err)
+	}
+}
+
 // TestPublishDoesNotReadTheCurve: publish is O(1) in uptime. After 50 000
 // ticks' worth of error curve every recorded point is poisoned behind
 // Append's back; a publish that still summed the curve would report NaN.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"cdml/internal/core"
@@ -41,6 +42,9 @@ func Fig4(w *Workload) (*Fig4Result, error) {
 	out := &Fig4Result{Workload: w.Name, Metric: w.MetricName, Results: map[string]*core.Result{}}
 	for _, mode := range []core.Mode{core.ModeOnline, core.ModePeriodical, core.ModeContinuous} {
 		cfg := w.BaseConfig(mode, 1)
+		// Each approach starts on a collected heap, so none is charged for
+		// collecting the garbage the one before it left.
+		runtime.GC()
 		res, err := deploy(cfg, w.Stream)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: fig4 %s/%s: %w", w.Name, mode, err)
