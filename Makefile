@@ -62,8 +62,8 @@ bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
 # One-iteration CI smoke of the data-parallel training benches: proves the
-# sharded-update and parallel-gather paths run at 1 and NumCPU workers
-# without measuring them (use `make bench` for numbers).
+# parallel-gather path runs at 1 and NumCPU workers without measuring it
+# (use `make bench` for numbers).
 bench-smoke:
 	$(GO) test -bench 'BenchmarkParallel|BenchmarkPredictDuringTraining' -benchtime 1x -benchmem -run '^$$' .
 

@@ -436,7 +436,7 @@ func trainedTaxiPipeline(b *testing.B, rows int) (*pipeline.Pipeline, [][]byte) 
 
 // BenchmarkProactiveTrainingIteration measures one mini-batch SGD iteration
 // over a proactive-training sample (8 chunks × 200 rows, sparse SVM): the
-// seven-shard step proactive training takes, on a one-worker engine.
+// one core.Step proactive training takes.
 func BenchmarkProactiveTrainingIteration(b *testing.B) {
 	cfg := dataset.DefaultURLConfig()
 	cfg.Days, cfg.ChunksPerDay, cfg.RowsPerChunk, cfg.Vocab = 4, 2, 200, 2000
@@ -456,13 +456,12 @@ func BenchmarkProactiveTrainingIteration(b *testing.B) {
 }
 
 // benchUpdates times b.N training steps of m over batch as a deployment
-// takes them, on a one-worker engine.
+// takes them.
 func benchUpdates(b *testing.B, m model.Model, o opt.Optimizer, batch []data.Instance) {
 	b.Helper()
-	eng := engine.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.ShardedUpdate(context.Background(), eng, core.DefaultGradShardRows, m, o, batch); err != nil {
+		if _, err := core.Step(context.Background(), m, o, batch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -477,54 +476,6 @@ func benchWorkerCounts() []int {
 		return []int{1, n}
 	}
 	return []int{1, 4}
-}
-
-// BenchmarkParallelShardedUpdate measures the data-parallel mini-batch
-// update at 1 worker vs NumCPU workers on a proactive-training-sized batch
-// (8 chunks × 200 rows, sparse SVM). The two runs compute bit-identical
-// weights — the worker count is purely a throughput knob — so the sub-run
-// ratio is the tentpole speedup. The proactive/shards=N runs are the rent
-// audit of sharding at cdml-serve's own proactive shape (8 sampled 80-row
-// URL chunks at 2^15 weights, Adam, the default engine): one shard against
-// the three DefaultGradShardRows makes of 640 rows.
-func BenchmarkParallelShardedUpdate(b *testing.B) {
-	batchOf := func(rows, hashDim int) []data.Instance {
-		cfg := dataset.DefaultURLConfig()
-		cfg.Days, cfg.ChunksPerDay, cfg.RowsPerChunk, cfg.Vocab = 4, 2, rows, 2000
-		cfg.HashDim = hashDim
-		gen := dataset.NewURL(cfg)
-		pipe := dataset.NewURLPipeline(hashDim)
-		var batch []data.Instance
-		for i := 0; i < 8; i++ {
-			ins, err := pipe.ProcessOnline(gen.Chunk(i))
-			if err != nil {
-				b.Fatal(err)
-			}
-			batch = append(batch, ins...)
-		}
-		return batch
-	}
-	run := func(name string, eng *engine.Engine, shardRows int, m model.Model, batch []data.Instance) {
-		b.Run(name, func(b *testing.B) {
-			o := opt.NewAdam(0.05)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.ShardedUpdate(context.Background(), eng, shardRows, m, o, batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	const hashDim = 1 << 14
-	batch := batchOf(200, hashDim)
-	for _, workers := range benchWorkerCounts() {
-		run(fmt.Sprintf("workers=%d", workers), engine.New(workers), 64, model.NewSVM(hashDim, 1e-3), batch)
-	}
-	proactive := batchOf(80, 1<<15)
-	for _, shardRows := range []int{len(proactive), core.DefaultGradShardRows} {
-		shards := (len(proactive) + shardRows - 1) / shardRows
-		run(fmt.Sprintf("proactive/shards=%d", shards), engine.New(0), shardRows, dataset.NewURLModel(1<<15, 1e-3), proactive)
-	}
 }
 
 // BenchmarkParallelProactiveGather measures the parallel sample gather —

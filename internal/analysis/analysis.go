@@ -28,9 +28,9 @@
 //     copy/clear into — outside constructors/Clone/Snapshot.
 //   - ctxflow: request/tick paths never detach from their context via
 //     context.Background()/TODO() or context-detaching wrappers.
-//   - determinism: //cdml:deterministic functions (the sharded
-//     GradientSum/Reduce/Apply training chain) avoid map iteration, wall
-//     clocks, and global rand — transitively, across packages.
+//   - determinism: //cdml:deterministic functions (the training step's
+//     Gradient/Apply chain) avoid map iteration, wall clocks, and global
+//     rand — transitively, across packages.
 //
 // And one about the module as a whole:
 //

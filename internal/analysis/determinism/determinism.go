@@ -1,10 +1,10 @@
 // Package determinism verifies replay determinism at lint time.
 //
-// The sharded update path promises bit-identical results regardless of
-// shard count: GradientSum over any partition, Reduce in index order,
-// Apply once. That promise — and with it checkpoint replay and the
-// cross-replica comparability of the benchmark trajectory — breaks the
-// moment anything on the path consults a source that differs between runs.
+// The training step promises bit-identical results for a seeded run:
+// Gradient sums the batch in batch order, Apply steps once. That promise —
+// and with it checkpoint replay and the cross-replica comparability of the
+// benchmark trajectory — breaks the moment anything on the path consults a
+// source that differs between runs.
 // The three offenders in Go are map iteration order (randomized per run by
 // the runtime), the wall clock, and unseeded global randomness.
 //

@@ -98,7 +98,7 @@ func apply(r reducer) int {
 //
 //cdml:deterministic
 func instrumented(xs []float64) float64 {
-	start := time.Now() //lint:allow determinism: timing feeds shard stats, never the numeric result
+	start := time.Now() //lint:allow determinism: timing feeds a latency histogram, never the numeric result
 	var total float64
 	for _, x := range xs {
 		total += x

@@ -73,24 +73,24 @@ func arrayLiteralsAreFine() int {
 	return classes[1]
 }
 
-// shardArithmetic mirrors the data-parallel trainer's shard partition
-// (core.numShards/shardBounds): pure integer arithmetic, nothing flagged.
+// clampedIndex mirrors a histogram's bucket choice (obs.bucketIndex):
+// pure integer arithmetic, nothing flagged.
 //
 //cdml:hotpath
-func shardArithmetic(n, shardRows, s int) (int, int, int) {
-	shards := (n + shardRows - 1) / shardRows
-	if shards < 1 {
-		shards = 1
+func clampedIndex(n, width, limit int) int {
+	idx := (n + width - 1) / width
+	if idx >= limit {
+		idx = limit - 1
 	}
-	return shards, s * n / shards, (s + 1) * n / shards
+	return idx
 }
 
-// orderedReduce mirrors the trainer's fixed-order partial-gradient reduce
-// (model.sumOrdered / linalg.ReduceSum's inner loop): index-order
-// accumulation into a caller-provided buffer stays annotation-clean.
+// accumulate mirrors a gradient sum's inner loop (linalg.Dense.AddScaledTo):
+// index-order accumulation into a caller-provided buffer stays
+// annotation-clean.
 //
 //cdml:hotpath
-func orderedReduce(dst []float64, parts [][]float64) float64 {
+func accumulate(dst []float64, parts [][]float64) float64 {
 	var lossSum float64
 	for _, p := range parts {
 		for i, v := range p {

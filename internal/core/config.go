@@ -183,9 +183,10 @@ type Config struct {
 	Metric eval.Metric
 	// Predict maps model output to the metric's label space.
 	Predict Predictor
-	// Engine runs parallel chunk work — gather, transform, and gradient
-	// shards; nil defaults to a single worker. Seeded runs are bit-identical
-	// at any worker count (fixed shard partitions, ordered reduces), so the
+	// Engine runs parallel chunk work — the gather of sampled chunks,
+	// retraining's re-read of history and the warm-up's look-ahead; nil
+	// defaults to a single worker. Seeded runs are bit-identical at any
+	// worker count (results are assembled in task order), so the
 	// parallelism knob is purely a throughput choice.
 	Engine *engine.Engine
 	// Metrics receives the deployment's counters, gauges, and latency

@@ -146,14 +146,14 @@ func NewDeployer(cfg Config) (*Deployer, error) {
 	return d, nil
 }
 
-// Shutdown stops dispatching new engine tasks (parallel gather and gradient
-// shards): in-flight tasks finish, and subsequent training work fails fast
-// with the context error. Prediction answering does not use the engine and
-// keeps working, which is exactly the drain behavior a serving deployment
-// wants — answer queries, stop starting expensive training. Before the
-// cancel it stops the checkpoint loop, which writes a checkpoint still due
-// and leaves no *.tmp file. Idempotent and concurrency-safe, before or
-// after Run.
+// Shutdown stops dispatching new engine tasks (the parallel gather,
+// retraining's re-read of history and the warm-up look-ahead): in-flight
+// tasks finish, and subsequent training steps fail fast with the context
+// error. Prediction answering does not use the engine and keeps working,
+// which is exactly the drain behavior a serving deployment wants — answer
+// queries, stop starting expensive training. Before the cancel it stops the
+// checkpoint loop, which writes a checkpoint still due and leaves no *.tmp
+// file. Idempotent and concurrency-safe, before or after Run.
 func (d *Deployer) Shutdown() {
 	d.shutdownOnce.Do(func() {
 		if d.ckpt != nil {
@@ -353,7 +353,8 @@ func (d *Deployer) onlineUpdate(records [][]byte, in pipeline.Parsed) error {
 	d.obs.chunksIngested.Inc()
 	if len(ins) > 0 {
 		if _, err := d.timed("online-update", eval.CatTrain, func() error {
-			return d.parallelUpdate(d.mdl, d.optm, ins)
+			_, err := Step(d.ctx, d.mdl, d.optm, ins)
+			return err
 		}); err != nil {
 			return fmt.Errorf("core: online update: %w", err)
 		}
@@ -428,8 +429,7 @@ func (d *Deployer) proactiveTrain(recent bool) error {
 	}
 	return d.cost.TimeErr(eval.CatTrain, func() error {
 		for it := 0; it < iterations; it++ {
-			// iterations of data-parallel mini-batch SGD
-			if err := d.parallelUpdate(d.mdl, d.optm, batch); err != nil {
+			if _, err := Step(d.ctx, d.mdl, d.optm, batch); err != nil {
 				return err
 			}
 		}
@@ -604,7 +604,7 @@ func (d *Deployer) sgdEpochs(mdl model.Model, om opt.Optimizer, all []data.Insta
 			for _, k := range idx[start:end] {
 				batch = append(batch, all[k])
 			}
-			if err := d.parallelUpdate(mdl, om, batch); err != nil {
+			if _, err := Step(d.ctx, mdl, om, batch); err != nil {
 				return err
 			}
 		}

@@ -232,7 +232,7 @@ func TestTickParsesOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := ShardedUpdate(context.Background(), engine.New(1), DefaultGradShardRows, mdl, om, online); err != nil {
+		if _, err := Step(context.Background(), mdl, om, online); err != nil {
 			t.Fatal(err)
 		}
 	}

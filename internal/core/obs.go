@@ -28,10 +28,7 @@ type deployObs struct {
 	predictLatency    *obs.Histogram
 	proactiveDuration *obs.Histogram
 	retrainDuration   *obs.Histogram
-	reduceLatency     *obs.Histogram
 
-	gradShards        *obs.Counter
-	gradUpdates       *obs.Counter
 	gatherChunks      *obs.Counter
 	snapshotPublishes *obs.Counter
 
@@ -82,12 +79,6 @@ func newDeployObs(d *Deployer) *deployObs {
 			"Duration of proactive trainings.", ls...),
 		retrainDuration: reg.Histogram("cdml_retrain_seconds",
 			"Duration of full retrainings.", ls...),
-		reduceLatency: reg.Histogram("cdml_grad_reduce_seconds",
-			"Duration of the ordered partial-gradient reduce plus optimizer step.", ls...),
-		gradShards: reg.Counter("cdml_grad_shards_total",
-			"Partial-gradient shards computed by data-parallel mini-batch updates.", ls...),
-		gradUpdates: reg.Counter("cdml_grad_updates_total",
-			"Data-parallel mini-batch updates executed (one optimizer step each).", ls...),
 		gatherChunks: reg.Counter("cdml_gather_chunks_total",
 			"Chunks gathered in parallel for proactive training samples.", ls...),
 		snapshotPublishes: reg.Counter("cdml_snapshot_publishes_total",

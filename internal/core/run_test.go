@@ -101,9 +101,8 @@ func TestRunHoldsTheWriterLock(t *testing.T) {
 // TestRunIsInitialTrainingPlusIngest: Run(s) leaves what the initial training
 // followed by one Ingest per remaining chunk leaves — payload bytes (model,
 // optimizer, pipeline statistics), version and counts — in every mode, at any
-// engine size. Its chunks are sized so that the initial, proactive and
-// retraining batches (5 chunks and more) exceed DefaultGradShardRows, and the
-// shard counters show that some steps ran on several shards.
+// engine size: the gather and the re-read of history run on the engine and
+// assemble their batches in chunk order.
 func TestRunIsInitialTrainingPlusIngest(t *testing.T) {
 	s := driftStream{chunks: 50, rows: 60, drift: 2.5, seed: 23}
 	for _, mode := range []Mode{ModeOnline, ModePeriodical, ModeContinuous, ModeThreshold} {
@@ -135,9 +134,6 @@ func TestRunIsInitialTrainingPlusIngest(t *testing.T) {
 			res, err := d.Run(s)
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", mode, workers, err)
-			}
-			if shards, steps := d.obs.gradShards.Value(), d.obs.gradUpdates.Value(); shards <= steps {
-				t.Errorf("%v workers=%d: %d shards over %d steps, no step ran on several", mode, workers, shards, steps)
 			}
 			if got := d.Published().Version(); got != loop.Published().Version() {
 				t.Errorf("%v workers=%d: version %d, the loop's is %d", mode, workers, got, loop.Published().Version())

@@ -11,7 +11,6 @@ import (
 
 	"cdml/internal/core"
 	"cdml/internal/data"
-	"cdml/internal/engine"
 	"cdml/internal/linalg"
 	"cdml/internal/model"
 	"cdml/internal/opt"
@@ -22,7 +21,7 @@ import (
 // deployment's online update does.
 func step(t *testing.T, m model.Model, o opt.Optimizer, ins []data.Instance) {
 	t.Helper()
-	if _, _, err := core.ShardedUpdate(context.Background(), engine.New(1), core.DefaultGradShardRows, m, o, ins); err != nil {
+	if _, err := core.Step(context.Background(), m, o, ins); err != nil {
 		t.Fatal(err)
 	}
 }

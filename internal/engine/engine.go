@@ -62,8 +62,8 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 //
 // The caller is one of the workers: min(workers, n)-1 goroutines are
 // started and the calling goroutine claims tasks beside them before it
-// waits, so a call that needs one worker — every online tick's single
-// gradient shard — starts no goroutine and waits for no wake-up.
+// waits, so a call that needs one worker — a gather of one sampled chunk —
+// starts no goroutine and waits for no wake-up.
 //
 // Task errors are collected per index and joined in index order, so the
 // combined error is a deterministic function of the task outcomes —

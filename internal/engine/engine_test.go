@@ -220,8 +220,8 @@ func goroutineID() string {
 	return string(bytes.Fields(buf)[1])
 }
 
-// The caller is one of the workers, so the single-shard call every online
-// tick makes runs fn where it was called and starts no goroutine: the tick
+// The caller is one of the workers, so a one-task call (a gather of one
+// sampled chunk) runs fn where it was called and starts no goroutine: it
 // never waits for the scheduler to wake a parked thread for 3 µs of work.
 func TestForEachSingleTaskRunsOnTheCaller(t *testing.T) {
 	e := New(4)

@@ -9,7 +9,6 @@ import (
 
 	"cdml/internal/core"
 	"cdml/internal/data"
-	"cdml/internal/engine"
 	"cdml/internal/eval"
 	"cdml/internal/model"
 	"cdml/internal/opt"
@@ -122,12 +121,11 @@ func initialInstances(w *Workload) (train, evalSet []data.Instance, err error) {
 	return all[:cut], all[cut:], nil
 }
 
-// sgdTrain runs epochs of shuffled mini-batch SGD, one serial
-// core.ShardedUpdate step per batch: a batch of batchRows rows is one shard.
+// sgdTrain runs epochs of shuffled mini-batch SGD, one core.Step per batch
+// of batchRows rows.
 //
 //cdml:detached an offline grid search that no request or deployment owns
 func sgdTrain(m model.Model, o opt.Optimizer, train []data.Instance, epochs, batchRows int, seed int64) error {
-	eng := engine.New(1)
 	r := rand.New(rand.NewSource(seed))
 	idx := make([]int, len(train))
 	for i := range idx {
@@ -145,7 +143,7 @@ func sgdTrain(m model.Model, o opt.Optimizer, train []data.Instance, epochs, bat
 			for _, k := range idx[s:end] {
 				batch = append(batch, train[k])
 			}
-			if _, _, err := core.ShardedUpdate(context.Background(), eng, batchRows, m, o, batch); err != nil {
+			if _, err := core.Step(context.Background(), m, o, batch); err != nil {
 				return err
 			}
 		}

@@ -65,9 +65,9 @@ func CopyOf(x []float64) []float64 {
 // out and resets it, Release puts it back. The contract that makes the
 // recycling safe is that nothing an Accumulator owns ever escapes it —
 // Result returns freshly allocated memory — so an accumulator's lifetime is
-// the one call that acquired it, and concurrent callers (gradient shards)
-// each hold their own. Reuse never changes a sum: every round starts from
-// all-zero buffers and adds in the caller's order.
+// the one call that acquired it, and concurrent callers (two deployments'
+// training steps) each hold their own. Reuse never changes a sum: every
+// round starts from all-zero buffers and adds in the caller's order.
 type Accumulator struct {
 	buf   []float64
 	seen  []uint64 // bit i%64 of word i/64 set: coordinate i was touched
@@ -180,25 +180,6 @@ func (a *Accumulator) Result(alpha float64) Vector {
 	}
 	a.n = 0
 	return &Sparse{N: len(a.buf), Idx: idx, Val: val}
-}
-
-// ReduceSum returns the ordered sum of the partial vectors: parts are
-// accumulated in slice order, so for a fixed partition the result is a pure
-// function of the inputs — the deterministic reduce step of the
-// data-parallel gradient computation (partial gradients are produced
-// concurrently, but combined in fixed shard order, so seeded runs stay
-// bit-identical at any worker count). The result is Sparse when every part
-// is sparse, Dense otherwise.
-//
-//cdml:deterministic
-func ReduceSum(dim int, parts []Vector) Vector {
-	acc := AcquireAccumulator(dim)
-	for _, p := range parts {
-		acc.Add(p, 1)
-	}
-	sum := acc.Result(1)
-	acc.Release()
-	return sum
 }
 
 // reset returns the accumulator to its clean state in O(dim/64 + touched),

@@ -100,12 +100,11 @@ func (m *KMeans) Loss(x linalg.Vector, y float64) float64 {
 	return 0.5 * dist
 }
 
-// GradientSum implements Model: the unaveraged quantization-error gradient
-// sum over a batch shard. Assignments read the current centroids only, so
-// shards may run concurrently.
+// Gradient implements Model: the mean quantization-error gradient over a
+// batch, each example pulling its nearest centroid.
 //
 //cdml:deterministic
-func (m *KMeans) GradientSum(batch []data.Instance) (linalg.Vector, float64) {
+func (m *KMeans) Gradient(batch []data.Instance) (linalg.Vector, float64) {
 	if len(batch) == 0 {
 		panic("model: empty mini-batch")
 	}
@@ -143,7 +142,7 @@ func (m *KMeans) GradientSum(batch []data.Instance) (linalg.Vector, float64) {
 	}
 	sum := acc.Result(1)
 	acc.Release()
-	return sum, lossSum
+	return m.finishGradient(sum, lossSum, len(batch))
 }
 
 // Clone implements Model.

@@ -88,8 +88,8 @@ func TestKMeansSparseAgreement(t *testing.T) {
 		t.Fatalf("sparse/dense Assign disagree: (%d,%v) vs (%d,%v)", js, ds, jd, dd)
 	}
 	// Gradient agreement.
-	gs, ls := gradient(m, []data.Instance{{X: sx}})
-	gd, ld := gradient(m, []data.Instance{{X: dx}})
+	gs, ls := m.Gradient([]data.Instance{{X: sx}})
+	gd, ld := m.Gradient([]data.Instance{{X: dx}})
 	if math.Abs(ls-ld) > 1e-9 {
 		t.Fatalf("losses differ: %v vs %v", ls, ld)
 	}

@@ -52,11 +52,11 @@ func hingeScale(score, y float64) (float64, float64) {
 	return -y, 1 - margin
 }
 
-// GradientSum implements Model.
+// Gradient implements Model.
 //
 //cdml:deterministic
-func (m *SVM) GradientSum(batch []data.Instance) (linalg.Vector, float64) {
-	return m.gradientSum(batch, hingeScale)
+func (m *SVM) Gradient(batch []data.Instance) (linalg.Vector, float64) {
+	return m.gradient(batch, hingeScale)
 }
 
 // Clone implements Model.
@@ -99,11 +99,11 @@ func squaredScale(score, y float64) (float64, float64) {
 	return r, 0.5 * r * r
 }
 
-// GradientSum implements Model.
+// Gradient implements Model.
 //
 //cdml:deterministic
-func (m *LinearRegression) GradientSum(batch []data.Instance) (linalg.Vector, float64) {
-	return m.gradientSum(batch, squaredScale)
+func (m *LinearRegression) Gradient(batch []data.Instance) (linalg.Vector, float64) {
+	return m.gradient(batch, squaredScale)
 }
 
 // Clone implements Model.
@@ -148,11 +148,11 @@ func logisticScale(score, y float64) (float64, float64) {
 	return sigmoid(score) - y, logOnePlusExp(score) - y*score
 }
 
-// GradientSum implements Model.
+// Gradient implements Model.
 //
 //cdml:deterministic
-func (m *LogisticRegression) GradientSum(batch []data.Instance) (linalg.Vector, float64) {
-	return m.gradientSum(batch, logisticScale)
+func (m *LogisticRegression) Gradient(batch []data.Instance) (linalg.Vector, float64) {
+	return m.gradient(batch, logisticScale)
 }
 
 // Clone implements Model.

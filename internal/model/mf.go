@@ -109,14 +109,13 @@ func (m *MF) Loss(x linalg.Vector, y float64) float64 {
 	return 0.5 * r * r
 }
 
-// GradientSum implements Model: the unaveraged gradient sum over a batch
-// shard. Unlike the linear family, MF's regularization is per-example
-// (each occurrence of a user/item regularizes its own parameters), so the
-// reg terms live inside the partial sums and Reduce must not add them
-// again.
+// Gradient implements Model: the mean gradient over a batch. Unlike the
+// linear family, MF's regularization is per-example (each occurrence of a
+// user/item regularizes its own parameters), so the reg terms are summed
+// with the loss gradient and the sum is only averaged.
 //
 //cdml:deterministic
-func (m *MF) GradientSum(batch []data.Instance) (linalg.Vector, float64) {
+func (m *MF) Gradient(batch []data.Instance) (linalg.Vector, float64) {
 	if len(batch) == 0 {
 		panic("model: empty mini-batch")
 	}
@@ -144,18 +143,8 @@ func (m *MF) GradientSum(batch []data.Instance) (linalg.Vector, float64) {
 	}
 	sum := acc.Result(1)
 	acc.Release()
-	return sum, lossSum
-}
-
-// Reduce implements Model, overriding the base: partial sums combine in
-// shard order and are only averaged — regularization is already inside the
-// per-example contributions of GradientSum.
-//
-//cdml:deterministic
-func (m *MF) Reduce(partials []linalg.Vector, lossSums []float64, n int) (linalg.Vector, float64) {
-	inv := 1 / float64(n)
-	g := scaleVec(sumPartials(len(m.w), partials), inv)
-	return g, sumOrdered(lossSums) * inv
+	inv := 1 / float64(len(batch))
+	return scaleVec(sum, inv), lossSum * inv
 }
 
 // Clone implements Model.

@@ -137,7 +137,7 @@ func TestMFGradientMatchesFiniteDifference(t *testing.T) {
 		{X: EncodePair(4, 5, 3, 0), Y: 2},
 		{X: EncodePair(4, 5, 1, 4), Y: 5},
 	}
-	g, _ := gradient(m, batch)
+	g, _ := m.Gradient(batch)
 	obj := func(w []float64) float64 {
 		old := linalg.CopyOf(m.Weights())
 		m.SetWeights(w)

@@ -3,13 +3,10 @@
 // (squared loss, used by the Taxi pipeline), and logistic regression
 // (log loss, the third MLlib class the prototype wires in).
 //
-// Every model exposes the paper's update contract (§4.4) as three calls,
-// the data-parallel decomposition every training step runs on the
-// execution engine (core.ShardedUpdate is their one composition):
-// GradientSum produces the unaveraged partial gradient of a batch shard
-// (safe to call concurrently — it only reads the weights), Reduce combines
-// the per-shard partials in fixed shard order into the mini-batch mean
-// gradient, and Apply takes the single optimizer step. Iterations are
+// Every model exposes the paper's update contract (§4.4) as two calls,
+// which core.Step composes into one training step: Gradient returns the
+// mean regularized gradient and mean loss of a mini-batch (it only reads
+// the weights), and Apply takes the single optimizer step. Iterations are
 // conditionally independent given the weights and optimizer state, which
 // is exactly what lets the proactive trainer run them at arbitrary points
 // in time (§3.3).
@@ -44,22 +41,13 @@ type Model interface {
 	Predict(x linalg.Vector) float64
 	// Loss returns the per-example loss at the current weights.
 	Loss(x linalg.Vector, y float64) float64
-	// GradientSum returns the partial gradient of a batch shard: the
-	// per-example gradient contributions summed (not averaged) plus the
-	// summed loss. It reads but never writes model state, so shards may be
-	// computed concurrently. The batch must be non-empty.
+	// Gradient returns the mean mini-batch gradient (mean loss gradient
+	// plus L2 on the touched coordinates) and the mean unregularized loss,
+	// summed in batch order. It reads but never writes model state. The
+	// batch must be non-empty.
 	//cdml:deterministic
-	GradientSum(batch []data.Instance) (linalg.Vector, float64)
-	// Reduce combines per-shard partial gradients in slice order into the
-	// mean mini-batch gradient (mean loss gradient plus L2 on the touched
-	// coordinates) and the mean unregularized loss; n is the total number
-	// of rows across all shards. For a fixed shard partition the result is
-	// a pure function of the partials — independent of how they were
-	// scheduled. The partials are consumed: the result may reuse their
-	// memory.
-	//cdml:deterministic
-	Reduce(partials []linalg.Vector, lossSums []float64, n int) (linalg.Vector, float64)
-	// Apply takes one optimizer step with an already-reduced gradient.
+	Gradient(batch []data.Instance) (linalg.Vector, float64)
+	// Apply takes one optimizer step with a gradient from Gradient.
 	//cdml:deterministic
 	Apply(g linalg.Vector, o opt.Optimizer)
 	// Clone returns a deep copy (weights included).
@@ -130,12 +118,13 @@ func (b *base) addReg(g linalg.Vector) linalg.Vector {
 	}
 }
 
-// gradientSum accumulates the unaveraged, unregularized gradient sum over a
-// batch shard. For each example, scale(score, y) returns (multiplier of the
-// example's feature vector and intercept, per-example loss). A zero
-// multiplier skips the accumulation (e.g. hinge loss outside the margin).
-// It only reads the weights, so shards may run concurrently.
-func (b *base) gradientSum(batch []data.Instance, scale func(score, y float64) (mult, loss float64)) (linalg.Vector, float64) {
+// gradient returns the mean regularized gradient and mean loss of a batch.
+// For each example, scale(score, y) returns (multiplier of the example's
+// feature vector and intercept, per-example loss). A zero multiplier skips
+// the accumulation (e.g. hinge loss outside the margin).
+//
+//cdml:deterministic
+func (b *base) gradient(batch []data.Instance, scale func(score, y float64) (mult, loss float64)) (linalg.Vector, float64) {
 	if len(batch) == 0 {
 		panic("model: empty mini-batch")
 	}
@@ -153,10 +142,10 @@ func (b *base) gradientSum(batch []data.Instance, scale func(score, y float64) (
 	}
 	sum := acc.Result(1)
 	acc.Release()
-	return sum, lossSum
+	return b.finishGradient(sum, lossSum, len(batch))
 }
 
-// finishGradient turns an ordered gradient sum over n rows into the mean
+// finishGradient turns a gradient sum over n rows into the mean
 // regularized gradient and mean loss. The sum is consumed (scaled in
 // place).
 func (b *base) finishGradient(sum linalg.Vector, lossSum float64, n int) (linalg.Vector, float64) {
@@ -164,48 +153,11 @@ func (b *base) finishGradient(sum linalg.Vector, lossSum float64, n int) (linalg
 	return b.addReg(scaleVec(sum, inv)), lossSum * inv
 }
 
-// Reduce implements Model for the models whose regularization is a
-// batch-level term on the touched coordinates (the linear family and
-// k-means): partial sums combine in shard order, then the mean is
-// regularized once. MF overrides it because its regularization is
-// per-example and already inside the partials.
-//
-//cdml:deterministic
-func (b *base) Reduce(partials []linalg.Vector, lossSums []float64, n int) (linalg.Vector, float64) {
-	return b.finishGradient(sumPartials(len(b.w), partials), sumOrdered(lossSums), n)
-}
-
-// sumPartials returns the ordered sum of the per-shard partial gradients.
-// A batch that fit one shard — every online chunk — has nothing to add up:
-// its one partial is the sum (already sorted, one entry per coordinate) and
-// is handed through, to be scaled in place by the caller like any other
-// sum, rather than copied through a second dim-sized accumulator.
-//
-//cdml:deterministic
-func sumPartials(dim int, partials []linalg.Vector) linalg.Vector {
-	if len(partials) == 1 {
-		return partials[0]
-	}
-	return linalg.ReduceSum(dim, partials)
-}
-
-// Apply implements Model: one optimizer step with a reduced gradient.
+// Apply implements Model: one optimizer step.
 //
 //cdml:deterministic
 func (b *base) Apply(g linalg.Vector, o opt.Optimizer) {
 	o.Step(b.w, g)
-}
-
-// sumOrdered adds the per-shard loss sums in shard order (fixed
-// associativity keeps sharded runs bit-identical).
-//
-//cdml:hotpath
-func sumOrdered(vs []float64) float64 {
-	var s float64
-	for _, v := range vs {
-		s += v
-	}
-	return s
 }
 
 // scaleVec scales a gradient vector in place and returns it.

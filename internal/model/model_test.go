@@ -30,19 +30,11 @@ func separableBatch(r *rand.Rand, n int) []data.Instance {
 	return out
 }
 
-// step is one mini-batch SGD iteration as core.ShardedUpdate takes it on a
-// batch that fits one shard: GradientSum over the batch, Reduce of that one
-// partial, Apply.
+// step is one mini-batch SGD iteration as core.Step takes it: the batch's
+// mean gradient, then one optimizer step.
 func step(m Model, batch []data.Instance, o opt.Optimizer) {
-	g, _ := gradient(m, batch)
+	g, _ := m.Gradient(batch)
 	m.Apply(g, o)
-}
-
-// gradient is the mean regularized gradient and mean loss of a batch: its
-// one partial, reduced.
-func gradient(m Model, batch []data.Instance) (linalg.Vector, float64) {
-	sum, lossSum := m.GradientSum(batch)
-	return m.Reduce([]linalg.Vector{sum}, []float64{lossSum}, len(batch))
 }
 
 // optimizerCopy returns an optimizer in o's state that shares none of it,
@@ -210,14 +202,14 @@ func TestEmptyBatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	gradient(m, nil)
+	m.Gradient(nil)
 }
 
 func TestSVMGradientZeroOutsideMargin(t *testing.T) {
 	m := NewSVM(2, 0)
 	m.SetWeights([]float64{10, 0, 0})
 	// x = (1,0), y = +1 → margin = 10 ≥ 1 → zero gradient
-	g, loss := gradient(m, []data.Instance{{X: linalg.Dense{1, 0}, Y: 1}})
+	g, loss := m.Gradient([]data.Instance{{X: linalg.Dense{1, 0}, Y: 1}})
 	if loss != 0 {
 		t.Fatalf("loss = %v", loss)
 	}
@@ -248,7 +240,7 @@ func TestLinRegGradientMatchesFiniteDifference(t *testing.T) {
 			batch[i].X = linalg.Dense{d[0], d[1], 0.5}
 		}
 	}
-	g, _ := gradient(m, batch)
+	g, _ := m.Gradient(batch)
 	const eps = 1e-6
 	obj := func(w []float64) float64 {
 		old := linalg.CopyOf(m.Weights())
@@ -286,7 +278,7 @@ func TestLogRegGradientMatchesFiniteDifference(t *testing.T) {
 		{X: linalg.Dense{-1, 0.5}, Y: 0},
 		{X: linalg.Dense{0.3, -1}, Y: 1},
 	}
-	g, _ := gradient(m, batch)
+	g, _ := m.Gradient(batch)
 	const eps = 1e-6
 	obj := func(w []float64) float64 {
 		old := linalg.CopyOf(m.Weights())
@@ -321,7 +313,7 @@ func TestSparseGradientStaysSparse(t *testing.T) {
 		{X: linalg.NewSparse(dim, []int32{3, 500}, []float64{1, 1}), Y: 1},
 		{X: linalg.NewSparse(dim, []int32{7}, []float64{2}), Y: -1},
 	}
-	g, _ := gradient(m, batch)
+	g, _ := m.Gradient(batch)
 	s, ok := g.(*linalg.Sparse)
 	if !ok {
 		t.Fatalf("gradient type %T, want *Sparse", g)
@@ -427,76 +419,139 @@ func TestRegularizationShrinksWeights(t *testing.T) {
 	}
 }
 
-// TestSinglePartialReduceMatchesReduceSum: Reduce hands a batch's only
-// partial straight to the finishing step instead of summing it through
-// linalg.ReduceSum. The two must leave the same weights bit for bit after
-// Apply — for sparse and dense partials, with a −0.0 entry (which the
-// accumulator would turn into +0.0), for the linear family and for MF's
-// override, over several steps of a stateful optimizer.
-func TestSinglePartialReduceMatchesReduceSum(t *testing.T) {
+// TestGradientMatchesReference: Gradient is the batch's gradient summed
+// in batch order, then averaged (and, for the linear family, regularized
+// once). The reference spells the sum out in a plain buffer; the two must
+// leave the same weights bit for bit after Apply — for sparse and dense
+// inputs, with −0.0 features and weights, for the linear family and for
+// MF's per-example regularization, over several steps of a stateful
+// optimizer.
+func TestGradientMatchesReference(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	randomize := func(r *rand.Rand, w []float64) {
-		for i := range w {
-			w[i] = r.NormFloat64()
+	const n, dim = 7, 10
+	const reg = 1e-2
+	linear := func(scale func(s, y float64) (float64, float64), reg float64) func(m Model, batch []data.Instance) (linalg.Vector, float64) {
+		return func(m Model, batch []data.Instance) (linalg.Vector, float64) {
+			sum := newRefSum(dim)
+			var loss float64
+			for _, ins := range batch {
+				mult, l := scale(m.Predict(ins.X), ins.Y)
+				loss += l
+				if mult == 0 {
+					continue
+				}
+				switch x := ins.X.(type) {
+				case *linalg.Sparse:
+					for k, i := range x.Idx {
+						sum.add(int(i), mult*x.Val[k])
+					}
+				case linalg.Dense:
+					sum.dense = true
+					for i, v := range x {
+						sum.add(i, mult*v)
+					}
+				}
+				sum.add(dim-1, mult)
+			}
+			return sum.mean(len(batch), reg, m.Weights()), loss * (1 / float64(len(batch)))
 		}
 	}
-	const n = 7
+	linearBatches := map[string]func(r *rand.Rand) []data.Instance{
+		"sparse": func(r *rand.Rand) []data.Instance {
+			b := make([]data.Instance, n)
+			for k := range b {
+				b[k] = data.Instance{X: linalg.NewSparse(dim-1, []int32{0, 3, 4, 8}, []float64{r.NormFloat64(), negZero, r.NormFloat64(), r.NormFloat64()}), Y: label(r)}
+			}
+			return b
+		},
+		"dense": func(r *rand.Rand) []data.Instance {
+			b := make([]data.Instance, n)
+			for k := range b {
+				d := make(linalg.Dense, dim-1)
+				for i := range d {
+					d[i] = r.NormFloat64()
+				}
+				d[2] = negZero
+				b[k] = data.Instance{X: d, Y: label(r)}
+			}
+			return b
+		},
+	}
+	// MF takes 2-hot sparse inputs only: 2 users, 1 item, 2 factors.
+	mfBatches := map[string]func(r *rand.Rand) []data.Instance{
+		"sparse": func(r *rand.Rand) []data.Instance {
+			b := make([]data.Instance, n)
+			for k := range b {
+				b[k] = data.Instance{X: EncodePair(2, 1, r.Intn(2), 0), Y: 5 * r.Float64()}
+			}
+			return b
+		},
+	}
 	cases := []struct {
 		name string
 		mdl  func() Model
-		// reference is the reduce this change replaced, spelled out.
-		reference func(m Model, part linalg.Vector, loss float64) linalg.Vector
-		dim       int
+		// reference is the model's mean gradient, spelled out.
+		reference func(m Model, batch []data.Instance) (linalg.Vector, float64)
+		batches   map[string]func(r *rand.Rand) []data.Instance
 	}{
-		{"svm", func() Model { return NewSVM(9, 1e-2) }, func(m Model, part linalg.Vector, loss float64) linalg.Vector {
-			g, _ := m.(*SVM).finishGradient(linalg.ReduceSum(10, []linalg.Vector{part}), loss, n)
-			return g
-		}, 10},
-		{"linreg-noreg", func() Model { return NewLinearRegression(9, 0) }, func(m Model, part linalg.Vector, loss float64) linalg.Vector {
-			g, _ := m.(*LinearRegression).finishGradient(linalg.ReduceSum(10, []linalg.Vector{part}), loss, n)
-			return g
-		}, 10},
-		{"mf", func() Model { return NewMF(2, 1, 2, 1e-2, 3) }, func(m Model, part linalg.Vector, loss float64) linalg.Vector {
-			return scaleVec(linalg.ReduceSum(10, []linalg.Vector{part}), 1/float64(n))
-		}, 10},
-	}
-	partials := map[string]func(r *rand.Rand) linalg.Vector{
-		"sparse": func(r *rand.Rand) linalg.Vector {
-			return linalg.NewSparse(10, []int32{0, 3, 4, 9}, []float64{r.NormFloat64(), negZero, r.NormFloat64(), r.NormFloat64()})
-		},
-		"dense": func(r *rand.Rand) linalg.Vector {
-			d := make(linalg.Dense, 10)
-			for i := range d {
-				d[i] = r.NormFloat64()
+		{"svm", func() Model { return NewSVM(dim-1, reg) }, linear(hingeScale, reg), linearBatches},
+		{"linreg-noreg", func() Model { return NewLinearRegression(dim-1, 0) }, linear(squaredScale, 0), linearBatches},
+		{"mf", func() Model { return NewMF(2, 1, 2, reg, 3) }, func(m Model, batch []data.Instance) (linalg.Vector, float64) {
+			mf := m.(*MF)
+			sum := newRefSum(dim)
+			var loss float64
+			for _, ins := range batch {
+				u, i, err := mf.pair(ins.X)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := mf.PredictPair(u, i) - ins.Y
+				loss += 0.5 * e * e
+				w := mf.Weights()
+				sum.add(u, e+mf.reg*w[u])
+				sum.add(mf.Users+i, e+mf.reg*w[mf.Users+i])
+				sum.add(dim-1, e)
+				pu, qi := mf.userFactors(u), mf.itemFactors(i)
+				fb := mf.Users + mf.Items
+				for k := 0; k < mf.Factors; k++ {
+					sum.add(fb+u*mf.Factors+k, e*qi[k]+mf.reg*pu[k])
+					sum.add(fb+mf.Users*mf.Factors+i*mf.Factors+k, e*pu[k]+mf.reg*qi[k])
+				}
 			}
-			d[2], d[9] = negZero, negZero
-			return d
-		},
+			return sum.mean(len(batch), 0, nil), loss * (1 / float64(len(batch)))
+		}, mfBatches},
 	}
 	optimizers := map[string]func() opt.Optimizer{
 		"sgd":  func() opt.Optimizer { return opt.NewSGD(0.1) },
 		"adam": func() opt.Optimizer { return opt.NewAdam(0.05) },
 	}
 	for _, c := range cases {
-		for pname, mkPart := range partials {
+		for input, mkBatch := range c.batches {
 			for oname, mkOpt := range optimizers {
-				t.Run(c.name+"/"+pname+"/"+oname, func(t *testing.T) {
+				t.Run(c.name+"/"+input+"/"+oname, func(t *testing.T) {
 					r := rand.New(rand.NewSource(11))
 					got, want := c.mdl(), c.mdl()
-					if len(got.Weights()) != c.dim {
-						t.Fatalf("%s has %d weights, the test assumes %d", c.name, len(got.Weights()), c.dim)
+					if len(got.Weights()) != dim {
+						t.Fatalf("%s has %d weights, the test assumes %d", c.name, len(got.Weights()), dim)
 					}
-					randomize(r, got.Weights())
+					for i := range got.Weights() {
+						got.Weights()[i] = r.NormFloat64()
+					}
+					got.Weights()[1] = negZero
 					want.SetWeights(got.Weights())
 					og, ow := mkOpt(), mkOpt()
 					for step := 0; step < 5; step++ {
-						part, loss := mkPart(r), r.Float64()
-						g, _ := got.Reduce([]linalg.Vector{part.Clone()}, []float64{loss}, n)
+						batch := mkBatch(r)
+						g, lossG := got.Gradient(batch)
+						ref, lossR := c.reference(want, batch)
+						if math.Float64bits(lossG) != math.Float64bits(lossR) {
+							t.Fatalf("step %d: loss %v, the reference gives %v", step, lossG, lossR)
+						}
 						got.Apply(g, og)
-						want.Apply(c.reference(want, part.Clone(), loss), ow)
+						want.Apply(ref, ow)
 						for i, w := range want.Weights() {
 							if math.Float64bits(got.Weights()[i]) != math.Float64bits(w) {
-								t.Fatalf("step %d: weight %d = %v (%#x), the summed reduce gives %v (%#x)",
+								t.Fatalf("step %d: weight %d = %v (%#x), the reference gives %v (%#x)",
 									step, i, got.Weights()[i], math.Float64bits(got.Weights()[i]), w, math.Float64bits(w))
 							}
 						}
@@ -505,4 +560,53 @@ func TestSinglePartialReduceMatchesReduceSum(t *testing.T) {
 			}
 		}
 	}
+}
+
+// label is a ±1 label, which the regression cases read as a target.
+func label(r *rand.Rand) float64 {
+	if r.Intn(2) == 0 {
+		return -1
+	}
+	return 1
+}
+
+// refSum is a gradient sum in a plain buffer: each coordinate adds its
+// contributions in call order, as the accumulator does, and the mean is
+// Sparse over the touched coordinates unless a dense input was added.
+type refSum struct {
+	buf     []float64
+	touched []bool
+	dense   bool
+}
+
+func newRefSum(dim int) *refSum {
+	return &refSum{buf: make([]float64, dim), touched: make([]bool, dim)}
+}
+
+func (s *refSum) add(i int, v float64) {
+	s.buf[i] += v
+	s.touched[i] = true
+}
+
+// mean is the sum over n rows times 1/n, plus reg·w on every touched
+// coordinate but the intercept (the last).
+func (s *refSum) mean(n int, reg float64, w []float64) linalg.Vector {
+	inv := 1 / float64(n)
+	for i := range s.buf {
+		s.buf[i] *= inv
+		if reg != 0 && i < len(s.buf)-1 && s.touched[i] {
+			s.buf[i] += reg * w[i]
+		}
+	}
+	if s.dense {
+		return linalg.Dense(s.buf)
+	}
+	var idx []int32
+	var val []float64
+	for i, ok := range s.touched {
+		if ok {
+			idx, val = append(idx, int32(i)), append(val, s.buf[i])
+		}
+	}
+	return linalg.NewSparse(len(s.buf), idx, val)
 }

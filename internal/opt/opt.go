@@ -31,10 +31,8 @@ type Optimizer interface {
 	// internal iteration counter. The gradient may be dense or sparse.
 	//cdml:deterministic
 	Step(w []float64, g linalg.Vector)
-	// Steps returns the number of optimizer steps taken since creation.
-	// Data-parallel training reduces per-shard partial gradients before a
-	// single Step, so the counter — and every adaptive moment — advances
-	// once per mini-batch regardless of shard count.
+	// Steps returns the number of optimizer steps taken since creation:
+	// one per mini-batch, as every adaptive moment advances.
 	Steps() int64
 }
 
