@@ -61,11 +61,11 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
-# One-iteration CI smoke of the data-parallel training benches: proves the
-# parallel-gather path runs at 1 and NumCPU workers without measuring it
-# (use `make bench` for numbers).
+# One-iteration CI smoke of the multi-worker paths: the warm-up's look-ahead
+# (engine.StreamCtx on a NumCPU engine) and prediction beside a training
+# writer, run once without measuring them (use `make bench` for numbers).
 bench-smoke:
-	$(GO) test -bench 'BenchmarkParallel|BenchmarkPredictDuringTraining' -benchtime 1x -benchmem -run '^$$' .
+	$(GO) test -bench 'BenchmarkWarmup|BenchmarkPredictDuringTraining' -benchtime 1x -benchmem -run '^$$' .
 
 # Record this PR's benchmark baseline: make bench-record PR=7 writes
 # BENCH_7.json (commit it — the file is the repo's perf trajectory). Each

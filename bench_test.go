@@ -19,7 +19,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -464,56 +463,6 @@ func benchUpdates(b *testing.B, m model.Model, o opt.Optimizer, batch []data.Ins
 		if _, err := core.Step(context.Background(), m, o, batch); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// benchWorkerCounts returns the engine sizes the parallel benches compare:
-// serial vs the machine's full parallelism. On a single-CPU machine the
-// second run uses 4 workers so the multi-worker dispatch path is still
-// exercised (it then measures coordination overhead, not speedup).
-func benchWorkerCounts() []int {
-	if n := runtime.NumCPU(); n > 1 {
-		return []int{1, n}
-	}
-	return []int{1, 4}
-}
-
-// BenchmarkParallelProactiveGather measures the parallel sample gather —
-// feature fetch plus pipeline re-materialization per chunk — through a full
-// proactive-training deployment at 1 worker vs NumCPU workers.
-func BenchmarkParallelProactiveGather(b *testing.B) {
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := dataset.DefaultURLConfig()
-			cfg.Days, cfg.ChunksPerDay, cfg.RowsPerChunk, cfg.Vocab = 6, 4, 100, 2000
-			cfg.HashDim = 1 << 14
-			for i := 0; i < b.N; i++ {
-				gen := dataset.NewURL(cfg)
-				d, err := cdml.NewDeployer(cdml.Config{
-					Mode:           cdml.ModeContinuous,
-					NewPipeline:    func() *cdml.Pipeline { return dataset.NewURLPipeline(cfg.HashDim) },
-					NewModel:       func() cdml.Model { return dataset.NewURLModel(cfg.HashDim, 1e-3) },
-					NewOptimizer:   func() cdml.Optimizer { return cdml.NewAdam(0.05) },
-					Store:          cdml.NewStore(cdml.NewMemoryBackend()),
-					Sampler:        cdml.NewTimeSampler(1),
-					SampleChunks:   8,
-					ProactiveEvery: 4,
-					InitialChunks:  4,
-					Engine:         cdml.NewEngine(workers),
-					Seed:           7,
-					Metric:         &cdml.Misclassification{},
-					Predict:        cdml.ClassifyPredictor,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := d.Run(gen)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.FinalError, "final-error")
-			}
-		})
 	}
 }
 

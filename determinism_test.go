@@ -18,14 +18,6 @@ import (
 // seed pinned and returns the result together with the final model weights.
 func runSeededDeployment(t *testing.T) (*cdml.Result, []float64) {
 	t.Helper()
-	return runSeededDeploymentWorkers(t, 1)
-}
-
-// runSeededDeploymentWorkers is runSeededDeployment on an engine with the
-// given worker count — everything else, seeds included, stays fixed. The
-// engine runs the gather of each proactive training's 4 sampled chunks.
-func runSeededDeploymentWorkers(t *testing.T, workers int) (*cdml.Result, []float64) {
-	t.Helper()
 	cfg := dataset.DefaultURLConfig()
 	cfg.Days, cfg.ChunksPerDay, cfg.RowsPerChunk, cfg.Vocab = 8, 4, 80, 500
 	cfg.HashDim = 1 << 12
@@ -41,7 +33,6 @@ func runSeededDeploymentWorkers(t *testing.T, workers int) (*cdml.Result, []floa
 		SampleChunks:   4,
 		ProactiveEvery: 4,
 		InitialChunks:  4,
-		Engine:         cdml.NewEngine(workers),
 		Seed:           7,
 		Metric:         &cdml.Misclassification{},
 		Predict:        cdml.ClassifyPredictor,
@@ -94,42 +85,6 @@ func TestDeterministicDeployment(t *testing.T) {
 	for i := range c1.Ys {
 		if math.Float64bits(c1.Ys[i]) != math.Float64bits(c2.Ys[i]) {
 			t.Fatalf("error curve point %d differs: %v vs %v", i, c1.Ys[i], c2.Ys[i])
-		}
-	}
-}
-
-// TestDeterministicDeploymentAcrossWorkers runs the identical seeded
-// experiment on a 1-worker and a 4-worker engine and requires bit-identical
-// weights and error curves: the parallel gather assembles its batch in
-// sample order, never in completion order, so the engine worker count is
-// purely a throughput knob.
-func TestDeterministicDeploymentAcrossWorkers(t *testing.T) {
-	res1, w1 := runSeededDeploymentWorkers(t, 1)
-	res4, w4 := runSeededDeploymentWorkers(t, 4)
-
-	if len(w1) != len(w4) {
-		t.Fatalf("weight lengths differ: %d vs %d", len(w1), len(w4))
-	}
-	for i := range w1 {
-		if math.Float64bits(w1[i]) != math.Float64bits(w4[i]) {
-			t.Fatalf("weight %d differs across worker counts: %x vs %x",
-				i, math.Float64bits(w1[i]), math.Float64bits(w4[i]))
-		}
-	}
-	if math.Float64bits(res1.FinalError) != math.Float64bits(res4.FinalError) {
-		t.Errorf("FinalError differs: %v vs %v", res1.FinalError, res4.FinalError)
-	}
-	if res1.ProactiveRuns != res4.ProactiveRuns {
-		t.Errorf("ProactiveRuns differs: %d vs %d", res1.ProactiveRuns, res4.ProactiveRuns)
-	}
-	c1, c4 := res1.ErrorCurve, res4.ErrorCurve
-	if c1.Len() != c4.Len() {
-		t.Fatalf("error curve lengths differ: %d vs %d", c1.Len(), c4.Len())
-	}
-	for i := range c1.Ys {
-		if math.Float64bits(c1.Ys[i]) != math.Float64bits(c4.Ys[i]) {
-			t.Fatalf("error curve point %d differs across worker counts: %v vs %v",
-				i, c1.Ys[i], c4.Ys[i])
 		}
 	}
 }

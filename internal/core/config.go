@@ -183,11 +183,11 @@ type Config struct {
 	Metric eval.Metric
 	// Predict maps model output to the metric's label space.
 	Predict Predictor
-	// Engine runs parallel chunk work — the gather of sampled chunks,
-	// retraining's re-read of history and the warm-up's look-ahead; nil
-	// defaults to a single worker. Seeded runs are bit-identical at any
-	// worker count (results are assembled in task order), so the
-	// parallelism knob is purely a throughput choice.
+	// Engine runs the warm-up's look-ahead (Warm), generating chunks on up
+	// to Workers() goroutines ahead of the tick; nil defaults to a single
+	// worker. Ticks consume the chunks in index order, so a warm-up is
+	// bit-identical at any worker count. Nothing else a deployment does
+	// runs on it.
 	Engine *engine.Engine
 	// Metrics receives the deployment's counters, gauges, and latency
 	// histograms (plus bridged store/engine/scheduler/cost-clock stats).

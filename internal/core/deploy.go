@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"cdml/internal/data"
 	"cdml/internal/drift"
-	"cdml/internal/engine"
 	"cdml/internal/eval"
 	"cdml/internal/model"
 	"cdml/internal/obs"
@@ -66,8 +66,8 @@ type Deployer struct {
 	// writer syncs the log before any checkpoint becomes durable — see
 	// internal/wal for the replay-correctness invariant.
 	wal *wal.Log
-	// ctx gates all engine work dispatched by this deployment; Shutdown
-	// cancels it so a draining server stops scheduling new parallel tasks.
+	// ctx gates the deployment's training: Step and the warm-up's look-ahead
+	// check it, and Shutdown cancels it so a draining server stops training.
 	ctx          context.Context
 	cancel       context.CancelFunc
 	shutdownOnce sync.Once
@@ -146,10 +146,10 @@ func NewDeployer(cfg Config) (*Deployer, error) {
 	return d, nil
 }
 
-// Shutdown stops dispatching new engine tasks (the parallel gather,
-// retraining's re-read of history and the warm-up look-ahead): in-flight
-// tasks finish, and subsequent training steps fail fast with the context
-// error. Prediction answering does not use the engine and keeps working,
+// Shutdown cancels the deployment's context: a warm-up stops between two
+// ticks, its look-ahead with it, and every later training step fails fast
+// with the context error (a gather in flight finishes, and the Step after it
+// refuses). Prediction answering never reads the context and keeps working,
 // which is exactly the drain behavior a serving deployment wants — answer
 // queries, stop starting expensive training. Before the cancel it stops the
 // checkpoint loop, which writes a checkpoint still due and leaves no *.tmp
@@ -437,37 +437,33 @@ func (d *Deployer) proactiveTrain(recent bool) error {
 	})
 }
 
-// gatherOptimized fetches sampled chunks, reusing materialized features and
-// re-materializing evicted ones through the deployed pipeline's
-// transform-only path (online statistics are already up to date). Chunks
-// are gathered as parallel engine tasks — the feature fetch, the raw
-// fallback, and the re-materialization of a miss are all per-chunk
-// independent — with the union preserving sample order, so the assembled
-// batch is identical at any worker count. Hit/miss accounting is atomic
-// and the CostClock serializes its own category charges, keeping per-chunk
-// cost attribution safe under concurrency.
+// gatherOptimized fetches the sampled chunks in sample order, reusing
+// materialized features and re-materializing evicted ones through the
+// deployed pipeline's transform-only path (online statistics are already up
+// to date). It is a loop on the training goroutine — a handful of in-memory
+// chunk lookups does not pay for a fan-out (DESIGN.md §5c) — and the first
+// chunk that fails ends it.
 func (d *Deployer) gatherOptimized(ids []data.Timestamp) ([]data.Instance, error) {
-	var hits, misses atomic.Int64
-	d.obs.gatherParallelism.Set(float64(min(d.cfg.Engine.Workers(), len(ids))))
-	batch, err := engine.UnionCtx(d.ctx, d.cfg.Engine, len(ids), func(k int) ([]data.Instance, error) {
-		id := ids[k]
+	parts := make([][]data.Instance, len(ids))
+	hits, misses := 0, 0
+	for k, id := range ids {
 		var (
 			ins []data.Instance
 			ok  bool
-			err error
 		)
-		if err = d.cost.TimeErr(eval.CatIO, func() error {
-			var e error
-			ins, ok, e = d.cfg.Store.Features(id)
-			return e
+		if err := d.cost.TimeErr(eval.CatIO, func() error {
+			var err error
+			ins, ok, err = d.cfg.Store.Features(id)
+			return err
 		}); err != nil {
 			return nil, fmt.Errorf("core: fetching features %d: %w", id, err)
 		}
 		if ok {
-			hits.Add(1)
-			return ins, nil
+			hits++
+			parts[k] = ins
+			continue
 		}
-		misses.Add(1)
+		misses++
 		raw, err := d.raw(id)
 		if err != nil {
 			return nil, err
@@ -479,14 +475,11 @@ func (d *Deployer) gatherOptimized(ids []data.Timestamp) ([]data.Instance, error
 			return nil, fmt.Errorf("core: re-materializing chunk %d: %w", id, err)
 		}
 		d.cfg.Store.NoteRematerialized()
-		return ins, nil
-	})
-	if err != nil {
-		return nil, err
+		parts[k] = ins
 	}
 	d.obs.gatherChunks.Add(int64(len(ids)))
-	d.cfg.Store.NoteSample(int(hits.Load()), int(misses.Load()))
-	return batch, nil
+	d.cfg.Store.NoteSample(hits, misses)
+	return slices.Concat(parts...), nil
 }
 
 // gatherNoOptimization is the Figure 7 baseline: every sampled chunk is
@@ -515,22 +508,22 @@ func (d *Deployer) raw(id data.Timestamp) (data.RawChunk, error) {
 	return rc, nil
 }
 
-// reprocess is the one re-read of history: the raw chunks of ids are read in
-// parallel on the engine, then preprocessed by pipe into the union of their
-// instances, in id order. With recompute, pipe's component statistics are
-// first recomputed over the chunks (a fresh pipeline: the NoOptimization
-// sample, a cold-start retraining); that pass mutates component state and
-// runs sequentially. The transform pass only reads the statistics, so the
-// engine parallelizes it across chunks (the Spark analogue of the
-// prototype's retraining job).
+// reprocess is the one re-read of history: the raw chunks of ids are read,
+// then preprocessed by pipe into the union of their instances, in id order.
+// With recompute, pipe's component statistics are first recomputed over all
+// the chunks (a fresh pipeline: the NoOptimization sample, a cold-start
+// retraining), and only then does the transform pass read them.
 func (d *Deployer) reprocess(pipe *pipeline.Pipeline, ids []data.Timestamp, recompute bool) ([]data.Instance, error) {
-	raws, err := engine.MapCtx(d.ctx, d.cfg.Engine, len(ids), func(k int) (data.RawChunk, error) {
-		return d.raw(ids[k])
-	})
-	if err != nil {
-		return nil, err
+	raws := make([]data.RawChunk, len(ids))
+	for k, id := range ids {
+		rc, err := d.raw(id)
+		if err != nil {
+			return nil, err
+		}
+		raws[k] = rc
 	}
-	var all []data.Instance
+	parts := make([][]data.Instance, len(raws))
+	var err error
 	d.cost.Time(eval.CatPreprocess, func() {
 		if recompute {
 			for _, rc := range raws {
@@ -539,11 +532,16 @@ func (d *Deployer) reprocess(pipe *pipeline.Pipeline, ids []data.Timestamp, reco
 				}
 			}
 		}
-		all, err = engine.UnionCtx(d.ctx, d.cfg.Engine, len(raws), func(k int) ([]data.Instance, error) {
-			return pipe.ProcessServe(raws[k].Records)
-		})
+		for k, rc := range raws {
+			if parts[k], err = pipe.ProcessServe(rc.Records); err != nil {
+				return
+			}
+		}
 	})
-	return all, err
+	if err != nil {
+		return nil, err
+	}
+	return slices.Concat(parts...), nil
 }
 
 // retrain executes a full periodical retraining over the entire stored
@@ -581,8 +579,8 @@ func (d *Deployer) retrain() error {
 	return nil
 }
 
-// sgdEpochs runs epochs of shuffled mini-batch SGD over the instances;
-// each mini-batch updates data-parallel through the engine.
+// sgdEpochs runs epochs of shuffled mini-batch SGD over the instances, one
+// Step per mini-batch.
 func (d *Deployer) sgdEpochs(mdl model.Model, om opt.Optimizer, all []data.Instance, epochs int) error {
 	if len(all) == 0 {
 		return nil

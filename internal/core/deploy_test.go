@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strconv"
 	"testing"
@@ -233,7 +234,14 @@ func TestDynamicMaterializationAccounting(t *testing.T) {
 	cfg := baseConfig(ModeContinuous)
 	cfg.Store = data.NewStore(data.NewMemoryBackend(), data.WithCapacity(10))
 	cfg.Sampler = sample.NewUniform(3)
-	res := run(t, cfg, driftStream{chunks: 80, rows: 30, drift: 1, seed: 13})
+	d, err := NewDeployer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Run(driftStream{chunks: 80, rows: 30, drift: 1, seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := res.MatStats
 	if st.Misses == 0 {
 		t.Fatal("capacity-bounded store should force re-materializations")
@@ -243,6 +251,49 @@ func TestDynamicMaterializationAccounting(t *testing.T) {
 	}
 	if mu := st.Mu(); mu <= 0 || mu >= 1 {
 		t.Fatalf("μ = %v, want in (0,1)", mu)
+	}
+
+	// One gather over a held and an evicted chunk each way round: a held
+	// chunk comes back as stored, an evicted one re-materialized through the
+	// deployed pipeline, and the batch is the chunks in sample order.
+	ids := cfg.Store.RawIDs()
+	sampled := []data.Timestamp{ids[len(ids)-1], ids[0], ids[1], ids[len(ids)-2]}
+	var want []data.Instance
+	evicted := 0
+	for _, id := range sampled {
+		ins, ok, err := cfg.Store.Features(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			evicted++
+			raw, err := cfg.Store.Raw(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ins, err = d.pipe.ProcessServe(raw.Records); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want = append(want, ins...)
+	}
+	if evicted != 2 {
+		t.Fatalf("%d of the sampled chunks are evicted, want the oldest two", evicted)
+	}
+	before := cfg.Store.Stats()
+	d.mu.Lock()
+	got, err := d.gatherOptimized(sampled)
+	d.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the gathered batch is not the sampled chunks in sample order")
+	}
+	after := cfg.Store.Stats()
+	if after.Hits-before.Hits != 2 || after.Misses-before.Misses != 2 || after.Rematerializations-before.Rematerializations != 2 {
+		t.Fatalf("gather counted %d hits, %d misses, %d re-materializations; want 2 each",
+			after.Hits-before.Hits, after.Misses-before.Misses, after.Rematerializations-before.Rematerializations)
 	}
 }
 

@@ -116,14 +116,15 @@ func (d *Deployer) tickBody(ctx context.Context, records [][]byte, enqueuedAt ti
 // so a warm-up that dies is started over, not resumed. The checkpoint
 // cadence is consulted at that one publish only.
 //
-// chunk runs on the deployment's engine, up to 2·Workers() chunks ahead of
-// the tick that consumes them and never under d.mu; it must be safe to call
-// from several goroutines. A failed tick stops it and publishes nothing —
-// encoders keep getting the version before the warm-up — and Shutdown ends
-// a warm-up between two ticks. The chunks are in no ingest log and reach no
-// shadow challenger: warm a deployment before anything reads from it. The
-// returned duration is what the ticks took; the rest of the call was the
-// training goroutine waiting for chunk.
+// chunk runs on the deployment's engine — the one thing a deployment runs
+// there — up to 2·Workers() chunks ahead of the tick that consumes them and
+// never under d.mu; it must be safe to call from several goroutines. A
+// failed tick stops it and publishes nothing — encoders keep getting the
+// version before the warm-up — and Shutdown ends a warm-up between two
+// ticks. The chunks are in no ingest log and reach no shadow challenger:
+// warm a deployment before anything reads from it. The returned duration is
+// what the ticks took; the rest of the call was the training goroutine
+// waiting for chunk.
 func (d *Deployer) Warm(n int, chunk func(i int) [][]byte) (time.Duration, error) {
 	var ticks time.Duration
 	err := engine.StreamCtx(d.ctx, d.cfg.Engine, n, chunk, func(i int, records [][]byte) error {

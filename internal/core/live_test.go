@@ -11,7 +11,6 @@ import (
 
 	"cdml/internal/data"
 	"cdml/internal/dataset"
-	"cdml/internal/engine"
 	"cdml/internal/eval"
 	"cdml/internal/model"
 	"cdml/internal/obs"
@@ -454,22 +453,5 @@ func TestRetrainStorageFailureSurfaces(t *testing.T) {
 	}
 	if _, err := d.Run(smallStream); err == nil {
 		t.Fatal("retraining storage failure swallowed")
-	}
-}
-
-func TestParallelEngineIsDeterministic(t *testing.T) {
-	// The engine parallelizes the retraining transform pass; results must
-	// not depend on worker count.
-	mk := func(workers int) *Result {
-		cfg := baseConfig(ModePeriodical)
-		cfg.Store = data.NewStore(data.NewMemoryBackend())
-		cfg.RetrainEvery = 15
-		cfg.Engine = engine.New(workers)
-		return run(t, cfg, driftStream{chunks: 45, rows: 30, drift: 1, seed: 41})
-	}
-	a := mk(1)
-	b := mk(8)
-	if a.FinalError != b.FinalError {
-		t.Fatalf("worker count changed results: %v vs %v", a.FinalError, b.FinalError)
 	}
 }

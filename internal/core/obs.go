@@ -32,8 +32,7 @@ type deployObs struct {
 	gatherChunks      *obs.Counter
 	snapshotPublishes *obs.Counter
 
-	prequentialError  *obs.Gauge
-	gatherParallelism *obs.Gauge
+	prequentialError *obs.Gauge
 }
 
 // withLabels copies base and appends extra, so repeated calls building
@@ -80,13 +79,11 @@ func newDeployObs(d *Deployer) *deployObs {
 		retrainDuration: reg.Histogram("cdml_retrain_seconds",
 			"Duration of full retrainings.", ls...),
 		gatherChunks: reg.Counter("cdml_gather_chunks_total",
-			"Chunks gathered in parallel for proactive training samples.", ls...),
+			"Chunks gathered for proactive training samples.", ls...),
 		snapshotPublishes: reg.Counter("cdml_snapshot_publishes_total",
 			"Immutable deployment snapshots published for the lock-free read path.", ls...),
 		prequentialError: reg.Gauge("cdml_prequential_error",
 			"Cumulative prequential error of the deployed model.", ls...),
-		gatherParallelism: reg.Gauge("cdml_gather_parallelism",
-			"Effective parallelism of the most recent sample gather (min of engine workers and sampled chunks).", ls...),
 	}
 	// Bridge the CostClock's per-category accounting into gauges, read at
 	// scrape time.

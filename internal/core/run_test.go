@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cdml/internal/data"
-	"cdml/internal/engine"
 	"cdml/internal/snapstream"
 )
 
@@ -100,16 +99,13 @@ func TestRunHoldsTheWriterLock(t *testing.T) {
 
 // TestRunIsInitialTrainingPlusIngest: Run(s) leaves what the initial training
 // followed by one Ingest per remaining chunk leaves — payload bytes (model,
-// optimizer, pipeline statistics), version and counts — in every mode, at any
-// engine size: the gather and the re-read of history run on the engine and
-// assemble their batches in chunk order.
+// optimizer, pipeline statistics), version and counts — in every mode.
 func TestRunIsInitialTrainingPlusIngest(t *testing.T) {
 	s := driftStream{chunks: 50, rows: 60, drift: 2.5, seed: 23}
 	for _, mode := range []Mode{ModeOnline, ModePeriodical, ModeContinuous, ModeThreshold} {
-		build := func(workers int) *Deployer {
+		build := func() *Deployer {
 			cfg := baseConfig(mode)
 			cfg.RetrainThreshold = 0.05
-			cfg.Engine = engine.New(workers)
 			d, err := NewDeployer(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -117,7 +113,7 @@ func TestRunIsInitialTrainingPlusIngest(t *testing.T) {
 			t.Cleanup(d.Shutdown)
 			return d
 		}
-		loop := build(1)
+		loop := build()
 		loop.mu.Lock()
 		err := loop.initialTrain(s)
 		loop.mu.Unlock()
@@ -129,24 +125,22 @@ func TestRunIsInitialTrainingPlusIngest(t *testing.T) {
 		if mode != ModeOnline && wantStats.ProactiveRuns+wantStats.Retrains == 0 {
 			t.Fatalf("%v: the reference never trained beyond the online step", mode)
 		}
-		for _, workers := range []int{1, 2, 4} {
-			d := build(workers)
-			res, err := d.Run(s)
-			if err != nil {
-				t.Fatalf("%v workers=%d: %v", mode, workers, err)
-			}
-			if got := d.Published().Version(); got != loop.Published().Version() {
-				t.Errorf("%v workers=%d: version %d, the loop's is %d", mode, workers, got, loop.Published().Version())
-			}
-			if !bytes.Equal(payloadBytes(t, d), want) {
-				t.Errorf("%v workers=%d: payload differs from the loop's", mode, workers)
-			}
-			if res.Chunks != wantStats.Chunks || res.Evaluated != wantStats.Evaluated ||
-				res.FinalError != wantStats.FinalError || res.AvgError != wantStats.AvgError ||
-				res.ProactiveRuns != wantStats.ProactiveRuns || res.Retrains != wantStats.Retrains ||
-				res.ErrorCurve.Len() != wantStats.ErrorCurve.Len() {
-				t.Errorf("%v workers=%d: Run returned %+v, the loop's stats are %+v", mode, workers, res, wantStats)
-			}
+		d := build()
+		res, err := d.Run(s)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if got := d.Published().Version(); got != loop.Published().Version() {
+			t.Errorf("%v: version %d, the loop's is %d", mode, got, loop.Published().Version())
+		}
+		if !bytes.Equal(payloadBytes(t, d), want) {
+			t.Errorf("%v: payload differs from the loop's", mode)
+		}
+		if res.Chunks != wantStats.Chunks || res.Evaluated != wantStats.Evaluated ||
+			res.FinalError != wantStats.FinalError || res.AvgError != wantStats.AvgError ||
+			res.ProactiveRuns != wantStats.ProactiveRuns || res.Retrains != wantStats.Retrains ||
+			res.ErrorCurve.Len() != wantStats.ErrorCurve.Len() {
+			t.Errorf("%v: Run returned %+v, the loop's stats are %+v", mode, res, wantStats)
 		}
 	}
 }

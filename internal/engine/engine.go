@@ -1,31 +1,27 @@
 // Package engine is the execution-engine substrate (paper §4.5). The
 // paper's prototype delegates batch work (proactive training over sampled
 // chunks) and stream work (online learning, prediction answering) to Apache
-// Spark; here a worker pool over chunk partitions plays that role. The
-// engine is deliberately generic: it executes closures over index ranges
-// and knows nothing about pipelines or models.
+// Spark. Here the engine does one job: the warm-up's look-ahead, a bounded
+// pool of goroutines producing chunks ahead of a serial consumer
+// (StreamCtx). Proactive training's gather and retraining's re-read of
+// history are plain loops on the training goroutine: eight in-memory chunk
+// lookups do not pay for a dispatch. The engine knows nothing about
+// pipelines or models.
 package engine
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cdml/internal/obs"
 )
 
-// Engine executes tasks over partitions with bounded parallelism.
+// Engine executes tasks with bounded parallelism.
 type Engine struct {
 	workers int
 	tasks   atomic.Int64
-	// forEachLatency, when set via Instrument, records the wall-clock
-	// duration of every ForEach call. Held as an atomic pointer so an
-	// uninstrumented engine pays one nil-check per ForEach (not per task).
-	forEachLatency atomic.Pointer[obs.Histogram]
 }
 
 // New returns an engine with the given parallelism; workers ≤ 0 selects
@@ -40,138 +36,23 @@ func New(workers int) *Engine {
 // Workers returns the engine parallelism.
 func (e *Engine) Workers() int { return e.workers }
 
-// Instrument registers the engine's task counter, worker gauge, and
-// per-ForEach latency histogram with reg. Safe to call more than once with
-// the same registry (get-or-create semantics) and concurrently with running
-// work.
+// Instrument registers the engine's task counter and worker gauge with reg.
+// Safe to call more than once with the same registry (get-or-create
+// semantics) and concurrently with running work.
 func (e *Engine) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("cdml_engine_tasks_total",
-		"Partition tasks executed by the execution engine.",
+		"Tasks executed by the execution engine.",
 		func() float64 { return float64(e.tasks.Load()) })
 	reg.GaugeFunc("cdml_engine_workers",
 		"Execution engine parallelism.",
 		func() float64 { return float64(e.workers) })
-	e.forEachLatency.Store(reg.Histogram("cdml_engine_foreach_seconds",
-		"Wall-clock duration of engine ForEach calls."))
-}
-
-// forEachCtx runs fn(i) for every i in [0, n) across the worker pool and
-// returns the combined errors; all tasks run even if some fail. Cancelling
-// ctx stops the dispatch of new tasks; tasks already running finish
-// normally, and the context's error is joined into the result.
-//
-// The caller is one of the workers: min(workers, n)-1 goroutines are
-// started and the calling goroutine claims tasks beside them before it
-// waits, so a call that needs one worker — a gather of one sampled chunk —
-// starts no goroutine and waits for no wake-up.
-//
-// Task errors are collected per index and joined in index order, so the
-// combined error is a deterministic function of the task outcomes —
-// independent of goroutine completion order across runs.
-//
-//cdml:deterministic
-func (e *Engine) forEachCtx(ctx context.Context, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	if h := e.forEachLatency.Load(); h != nil {
-		start := time.Now() //lint:allow determinism: latency instrumentation feeds the histogram, never task results
-		defer func() { h.Observe(time.Since(start)) }()
-	}
-	// One allocation holds everything the workers share, so a call that
-	// starts none pays for it and the error slice and nothing else.
-	r := &forEachRun{e: e, done: ctx.Done(), n: n, fn: fn, errs: make([]error, n)}
-	workers := min(e.workers, n)
-	r.wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer r.wg.Done()
-			r.work()
-		}()
-	}
-	r.work()
-	r.wg.Wait()
-	// errors.Join drops nil entries, so passing the full slice preserves
-	// index order without an explicit filter pass.
-	if err := ctx.Err(); err != nil {
-		return errors.Join(errors.Join(r.errs...), err)
-	}
-	return errors.Join(r.errs...)
-}
-
-// forEachRun is one forEachCtx call: its tasks, the counter its workers
-// claim them from and where their errors go.
-type forEachRun struct {
-	e    *Engine
-	done <-chan struct{}
-	n    int
-	fn   func(i int) error
-	errs []error
-	next atomic.Int64
-	wg   sync.WaitGroup
-}
-
-// work claims and runs tasks until none are left or done is closed.
-func (r *forEachRun) work() {
-	for {
-		select {
-		case <-r.done:
-			return
-		default:
-		}
-		i := int(r.next.Add(1)) - 1
-		if i >= r.n {
-			return
-		}
-		r.e.tasks.Add(1)
-		if err := r.fn(i); err != nil {
-			r.errs[i] = fmt.Errorf("engine: task %d: %w", i, err)
-		}
-	}
-}
-
-// MapCtx runs fn over [0, n) in parallel, collecting results in order. No new
-// tasks are dispatched once ctx is cancelled, and a nil slice plus the context
-// error are returned. Results land at their task index, so the output order
-// is deterministic whatever the goroutine schedule.
-//
-//cdml:deterministic
-func MapCtx[T any](ctx context.Context, e *Engine, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := e.forEachCtx(ctx, n, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// UnionCtx concatenates the per-partition slices produced by fn — the
-// analogue of the prototype's context.union over sampled chunk RDDs
-// (paper §5.4). Partitions are produced in parallel; the result preserves
-// partition order. Cancellation is MapCtx's.
-//
-//cdml:deterministic
-func UnionCtx[T any](ctx context.Context, e *Engine, n int, fn func(i int) ([]T, error)) ([]T, error) {
-	parts, err := MapCtx(ctx, e, n, fn)
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]T, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out, nil
+	// Deprecated: nothing observes cdml_engine_foreach_seconds since the
+	// gather became a loop; it stays registered, always empty, because
+	// benchmark/workload.go:582 scrapes it and fails the run on a missing
+	// series. The next change that may edit benchmark/ (ROADMAP item 6)
+	// deletes both.
+	reg.Histogram("cdml_engine_foreach_seconds",
+		"Deprecated, never observed: the duration of a fan-out the engine no longer runs.")
 }
 
 // StreamCtx runs fn(i) for every i in [0, n) on up to Workers() goroutines
