@@ -142,14 +142,16 @@ census-check:
 # wire-format parsers, the chunk-file decoders, the snapshot frame codec, the
 # ingest log's Open + Replay over an arbitrary active segment, the snapshot
 # payload decoder, the request-body reader and the -deployments file / spec
-# decoders. One target list, two durations. The payload seeds are whole
-# checkpoints, so minimizing a new input is bounded, or it eats the run.
+# decoders; and over the weight ring's refresh, under an arbitrary mix of
+# sparse and dense steps, pins, unpins and publishes. One target list, two
+# durations. The payload seeds are whole checkpoints, so minimizing a new
+# input is bounded, or it eats the run.
 FUZZ_TARGETS = \
 	internal/dataset:FuzzURLParser internal/dataset:FuzzTaxiParser internal/dataset:FuzzRatingsParser \
 	internal/data:FuzzDecodeFeatureChunk internal/data:FuzzDecodeRawChunk \
 	internal/snapstream:FuzzDecodeFrame internal/snapstream:FuzzNextFrame \
 	internal/wal:FuzzReplay \
-	internal/core:FuzzDecodeSnapshotPayload \
+	internal/core:FuzzDecodeSnapshotPayload internal/core:FuzzRingRefresh \
 	internal/serve:FuzzReadRecords cmd/cdml-serve:FuzzDeploymentsFile
 FUZZTIME = 15s
 fuzz:

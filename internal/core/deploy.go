@@ -166,7 +166,10 @@ func (d *Deployer) Shutdown() {
 	})
 }
 
-// Model exposes the deployed model (for inspection after Run).
+// Model exposes the deployed model (for inspection after Run). It is read
+// only: the weight ring refreshes its buffers by the coordinates the
+// deployment's own steps mark, so a write from outside would reach some
+// later snapshots and not others.
 func (d *Deployer) Model() model.Model { return d.mdl }
 
 // Pipeline exposes the deployed pipeline.
@@ -353,8 +356,7 @@ func (d *Deployer) onlineUpdate(records [][]byte, in pipeline.Parsed) error {
 	d.obs.chunksIngested.Inc()
 	if len(ins) > 0 {
 		if _, err := d.timed("online-update", eval.CatTrain, func() error {
-			_, err := Step(d.ctx, d.mdl, d.optm, ins)
-			return err
+			return d.stepDeployed(ins)
 		}); err != nil {
 			return fmt.Errorf("core: online update: %w", err)
 		}
@@ -429,7 +431,7 @@ func (d *Deployer) proactiveTrain(recent bool) error {
 	}
 	return d.cost.TimeErr(eval.CatTrain, func() error {
 		for it := 0; it < iterations; it++ {
-			if _, err := Step(d.ctx, d.mdl, d.optm, batch); err != nil {
+			if err := d.stepDeployed(batch); err != nil {
 				return err
 			}
 		}
@@ -579,11 +581,31 @@ func (d *Deployer) retrain() error {
 	return nil
 }
 
+// stepDeployed is Step on the deployed model and optimizer — the online and
+// the proactive step — with the coordinates it changed marked in every ring
+// buffer, so the next publish that recycles one copies only those.
+//
+//cdml:locked mu — tick helper; tickBody's callers hold d.mu
+func (d *Deployer) stepDeployed(batch []data.Instance) error {
+	g, _, err := step(d.ctx, d.mdl, d.optm, batch)
+	if g != nil {
+		d.ring.mark(g)
+	}
+	return err
+}
+
 // sgdEpochs runs epochs of shuffled mini-batch SGD over the instances, one
-// Step per mini-batch.
+// Step per mini-batch. On the deployed model (the initial training, a
+// warm-start retraining) it marks every coordinate of every ring buffer
+// stale first, so that even a training that fails midway is copied whole.
+//
+//cdml:locked mu — Run holds d.mu around initialTrain, and retrain is a tick helper
 func (d *Deployer) sgdEpochs(mdl model.Model, om opt.Optimizer, all []data.Instance, epochs int) error {
 	if len(all) == 0 {
 		return nil
+	}
+	if mdl == d.mdl {
+		d.ring.markAll()
 	}
 	batchRows := d.cfg.RetrainBatchRows
 	idx := make([]int, len(all))

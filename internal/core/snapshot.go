@@ -98,10 +98,12 @@ func (d *Deployer) Current() *Snapshot {
 // publish builds the next snapshot from the deployed pipeline, model,
 // optimizer and accumulated result and atomically swaps it in. Callers hold
 // d.mu (NewDeployer publishes before the deployment is shared). Publishing is
-// O(stateful components + model dim) and O(1) in uptime — one pipeline
-// snapshot and one copy of the weights and the optimizer slots into a
-// recycled ring buffer (weightRing.take) per tick, never per query. It
-// encodes nothing: the checkpoint trigger only counts it.
+// O(stateful components + coordinates stepped since the recycled buffer's
+// last copy) and O(1) in uptime — one pipeline snapshot and a refresh of a
+// ring buffer's weights and optimizer slots (weightRing.take) per tick,
+// never per query; a dense model, a first step or a retraining makes that
+// refresh a whole copy, O(model dim). It encodes nothing: the checkpoint
+// trigger only counts it.
 //
 //cdml:locked mu — every caller but the constructor holds d.mu
 func (d *Deployer) publish() {

@@ -5,6 +5,7 @@ import (
 
 	"cdml/internal/data"
 	"cdml/internal/engine"
+	"cdml/internal/linalg"
 	"cdml/internal/model"
 	"cdml/internal/opt"
 )
@@ -18,15 +19,25 @@ import (
 //
 //cdml:deterministic
 func Step(ctx context.Context, mdl model.Model, om opt.Optimizer, batch []data.Instance) (float64, error) {
+	_, loss, err := step(ctx, mdl, om, batch)
+	return loss, err
+}
+
+// step is Step that also returns the gradient it applied: the coordinates
+// the optimizer changed are exactly the gradient's (all of them when it is
+// dense). The gradient is nil when nothing was stepped.
+//
+//cdml:deterministic
+func step(ctx context.Context, mdl model.Model, om opt.Optimizer, batch []data.Instance) (linalg.Vector, float64, error) {
 	if len(batch) == 0 {
-		return 0, nil
+		return nil, 0, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	g, loss := mdl.Gradient(batch)
 	mdl.Apply(g, om)
-	return loss, nil
+	return g, loss, nil
 }
 
 // DefaultGradShardRows is the shard size callers of ShardedUpdate pass.

@@ -80,9 +80,10 @@ func (s *snapshot) layout() (f fields, ok bool) {
 }
 
 // Copy returns a copy of o that shares no memory with it, or nil when o is
-// of a kind Encode cannot write either. The slots are copied whole into
-// into's when into is an earlier copy of the same kind and size, so a warm
-// copy allocates no slot.
+// of a kind Encode cannot write either. When into is an earlier copy of the
+// same kind, the copy is into itself, rewritten in place, and its slots are
+// copied whole into into's when they are of the same size, so a warm copy
+// allocates nothing.
 func Copy(o, into Optimizer) Optimizer {
 	s, err := snapshotOf(o)
 	if err != nil {
@@ -100,8 +101,39 @@ func Copy(o, into Optimizer) Optimizer {
 			*v = append(dst[:0], *v...)
 		}
 	}
-	c, _ := s.build(len(s.V1))
+	c, _ := s.build(len(s.V1), into)
 	return c
+}
+
+// Refresh brings into, an earlier Copy of o, up to date in place: the
+// hyperparameters and the step count whole, and of every slot only the
+// coordinates in idx, which must be all o has stepped since into was last
+// brought up to date. It returns false and leaves into as it was when into
+// is not of o's kind with slots of o's sizes (a slot o allocated on its
+// first step after the copy, say): only a whole Copy brings that one up to
+// date.
+func Refresh(o, into Optimizer, idx []int32) bool {
+	s, err := snapshotOf(o)
+	warm, _ := snapshotOf(into)
+	if err != nil || warm.Kind != s.Kind {
+		return false
+	}
+	f, _ := s.layout()
+	reuse, _ := warm.layout()
+	for i, v := range f.slots[:f.ns] {
+		if len(*v) != len(*reuse.slots[i]) {
+			return false
+		}
+	}
+	for i, v := range f.slots[:f.ns] {
+		src, dst := *v, *reuse.slots[i]
+		for _, k := range idx {
+			dst[k] = src[k]
+		}
+		*v = dst
+	}
+	s.build(len(s.V1), into)
+	return true
 }
 
 // Encode returns o's section in a buffer of exactly its size. Each slot is
@@ -164,15 +196,16 @@ func DecodeSection(r *flat.Reader, dim int) (Optimizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.build(dim)
+	return s.build(dim, nil)
 }
 
-// build validates a decoded snapshot and constructs its optimizer. The
-// optimizers index their slots by weight coordinate and allocate them
-// together on the first step, so slots of any other length than dim, or one
-// allocated beside one that is not, would panic there; they are refused
-// here.
-func (s *snapshot) build(dim int) (Optimizer, error) {
+// build validates a decoded snapshot and constructs its optimizer, in into
+// when into is of its kind (its fields are all overwritten), else in a new
+// one. The optimizers index their slots by weight coordinate and allocate
+// them together on the first step, so slots of any other length than dim,
+// or one allocated beside one that is not, would panic there; they are
+// refused here.
+func (s *snapshot) build(dim int, into Optimizer) (Optimizer, error) {
 	f, ok := s.layout()
 	if !ok {
 		return nil, fmt.Errorf("opt: unknown optimizer kind %q", s.Kind)
@@ -190,16 +223,29 @@ func (s *snapshot) build(dim int) (Optimizer, error) {
 	}
 	switch s.Kind {
 	case "sgd":
-		return &SGD{LR: s.LR, Decay: s.Decay, t: s.T}, nil
+		return put(into, SGD{LR: s.LR, Decay: s.Decay, t: s.T}), nil
 	case "momentum":
-		return &Momentum{LR: s.LR, Beta: s.Beta, v: s.V1, t: s.T}, nil
+		return put(into, Momentum{LR: s.LR, Beta: s.Beta, v: s.V1, t: s.T}), nil
 	case "adam":
-		return &Adam{LR: s.LR, Beta1: s.Beta1, Beta2: s.Beta2, Eps: s.Eps, m: s.V1, v: s.V2, t: s.T}, nil
+		return put(into, Adam{LR: s.LR, Beta1: s.Beta1, Beta2: s.Beta2, Eps: s.Eps, m: s.V1, v: s.V2, t: s.T}), nil
 	case "rmsprop":
-		return &RMSProp{LR: s.LR, Rho: s.Beta1, Eps: s.Eps, v: s.V1, t: s.T}, nil
+		return put(into, RMSProp{LR: s.LR, Rho: s.Beta1, Eps: s.Eps, v: s.V1, t: s.T}), nil
 	case "adadelta":
-		return &AdaDelta{Rho: s.Beta1, Eps: s.Eps, eg: s.V1, ex: s.V2, t: s.T}, nil
+		return put(into, AdaDelta{Rho: s.Beta1, Eps: s.Eps, eg: s.V1, ex: s.V2, t: s.T}), nil
 	default: // "ftrl": layout knows no other kind
-		return &FTRL{Alpha: s.Alpha, Beta: s.BetaF, L1: s.L1, L2: s.L2, z: s.V1, n: s.V2, t: s.T}, nil
+		return put(into, FTRL{Alpha: s.Alpha, Beta: s.BetaF, L1: s.L1, L2: s.L2, z: s.V1, n: s.V2, t: s.T}), nil
 	}
+}
+
+// put stores v in into when into is a *T, else in a new T, and returns it.
+func put[T any, P interface {
+	*T
+	Optimizer
+}](into Optimizer, v T) Optimizer {
+	p, ok := into.(P)
+	if !ok {
+		p = new(T)
+	}
+	*p = v
+	return p
 }

@@ -139,3 +139,45 @@ func TestDecodeSectionRefusesMalformedInput(t *testing.T) {
 		}
 	}
 }
+
+// Refresh with the coordinates stepped since a Copy brings that copy to the
+// bytes of a fresh Copy, in place and without allocating; a copy taken
+// before the first step allocated the slots is refused and left as it was.
+func TestRefreshMatchesCopy(t *testing.T) {
+	const dim = 11
+	idx := []int32{1, 4, 9}
+	sparse := linalg.NewSparse(dim, idx, []float64{0.5, -2, 1e-3})
+	for _, o := range everyKind() {
+		w := make([]float64, dim)
+		early := Copy(o, nil)
+		before := encodeOf(t, early)
+		o.Step(w, sparse)
+		if o.Name() != "sgd" {
+			if Refresh(o, early, idx) {
+				t.Fatalf("%s: refreshed a copy taken before the slots were allocated", o.Name())
+			}
+			if !bytes.Equal(encodeOf(t, early), before) {
+				t.Fatalf("%s: a refused refresh changed the copy", o.Name())
+			}
+		}
+		c := Copy(o, nil)
+		for i := 0; i < 3; i++ {
+			o.Step(w, sparse)
+		}
+		if !Refresh(o, c, idx) {
+			t.Fatalf("%s: refused a copy of its own kind and size", o.Name())
+		}
+		if !bytes.Equal(encodeOf(t, c), encodeOf(t, o)) {
+			t.Fatalf("%s: a refreshed copy is not the optimizer", o.Name())
+		}
+		if Refresh(o, Copy(NewSGD(1), nil), idx) && o.Name() != "sgd" {
+			t.Fatalf("%s: refreshed a copy of another kind", o.Name())
+		}
+		if n := testing.AllocsPerRun(10, func() { Refresh(o, c, idx) }); n != 0 {
+			t.Fatalf("%s: Refresh allocates %v times", o.Name(), n)
+		}
+		if n := testing.AllocsPerRun(10, func() { c = Copy(o, c) }); n != 0 {
+			t.Fatalf("%s: a warm Copy allocates %v times", o.Name(), n)
+		}
+	}
+}
