@@ -80,25 +80,25 @@ func (s *Snapshot) payload() ([]byte, error) {
 // decodePayload reads a snapshot payload into a model, an optimizer and a
 // pipeline of this deployment's configuration. The bytes come from files,
 // restore bodies and other servers: one that does not open with payloadTag
-// is refused by name before anything is read from it, every count in the
-// rest is checked against the deployment's own model before it sizes
-// anything (the weight vector and each optimizer slot are at most as long as
-// the deployed model's), and the sections must be the deployment's kinds and
-// fill the payload exactly.
+// is refused by name before anything is read from it, the model section
+// must describe the deployed model's kind, shape and regularizer exactly
+// (model.DecodeSection, which bounds every count by the deployed model's
+// weights before it sizes anything), the optimizer section must be the
+// deployed optimizer's kind with slots no longer than the weights, and the
+// sections must fill the payload exactly.
 //
-//cdml:locked mu — reads the deployed model's shape and the optimizer's kind
+//cdml:locked mu — reads the deployed model and the optimizer's kind
 func (d *Deployer) decodePayload(payload []byte) (model.Model, opt.Optimizer, *pipeline.Pipeline, error) {
 	rest, ok := bytes.CutPrefix(payload, []byte(payloadTag))
 	if !ok {
 		return nil, nil, nil, fmt.Errorf("core: restoring checkpoint: payload does not open with %q: not a snapshot payload of this format", payloadTag)
 	}
-	weights := len(d.mdl.Weights())
 	r := flat.NewReader(rest)
-	mdl, err := model.DecodeSection(r, weights)
+	mdl, err := model.DecodeSection(r, d.mdl)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("core: restoring model: %w", err)
 	}
-	om, err := opt.DecodeSection(r, weights)
+	om, err := opt.DecodeSection(r, len(d.mdl.Weights()))
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("core: restoring optimizer: %w", err)
 	}
@@ -108,10 +108,6 @@ func (d *Deployer) decodePayload(payload []byte) (model.Model, opt.Optimizer, *p
 	}
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("core: restoring pipeline: %w", err)
-	}
-	if mdl.Name() != d.mdl.Name() || mdl.Dim() != d.mdl.Dim() {
-		return nil, nil, nil, fmt.Errorf("core: checkpoint model %s/%d does not match deployment %s/%d",
-			mdl.Name(), mdl.Dim(), d.mdl.Name(), d.mdl.Dim())
 	}
 	if om.Name() != d.optm.Name() {
 		return nil, nil, nil, fmt.Errorf("core: checkpoint optimizer %s does not match deployment %s", om.Name(), d.optm.Name())
@@ -168,7 +164,9 @@ type snapshotSink struct{ d *Deployer }
 // the checkpoint writer's duplicate suppression sees the next tick as new.
 // Any other frame is published at the next version: a live restore of an
 // older state, or a primary that came back lower, never moves the version
-// behind commits the ingest log has already recorded.
+// behind commits the ingest log has already recorded. The installed state
+// is a model of the deployed one's shape (decodePayload), so the ring keeps
+// its buffers and marks them stale everywhere.
 func (k snapshotSink) Apply(f snapstream.Frame) error {
 	d := k.d
 	d.mu.Lock()
@@ -178,6 +176,7 @@ func (k snapshotSink) Apply(f snapstream.Frame) error {
 		return err
 	}
 	d.mdl, d.optm, d.pipe = mdl, om, pipe
+	d.ring.markAll()
 	if f.Version > d.publishSeq || (f.Version == 1 && d.publishSeq == 1) {
 		d.publishSeq = f.Version - 1 // publish() adds one
 	}

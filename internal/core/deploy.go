@@ -574,10 +574,12 @@ func (d *Deployer) retrain() error {
 	}); err != nil {
 		return err
 	}
-	// Deploy the retrained artifacts.
+	// Deploy the retrained artifacts. A cold retraining's model and
+	// optimizer are new objects sgdEpochs did not mark the ring for.
 	d.pipe = pipe
 	d.mdl = mdl
 	d.optm = om
+	d.ring.markAll()
 	return nil
 }
 

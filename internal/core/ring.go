@@ -83,9 +83,12 @@ func (s *staleSet) reset() {
 	s.idx, s.all = s.idx[:0], false
 }
 
-// weightRing is the writer's set of recycled buffers, all cloned from src.
+// weightRing is the writer's set of recycled buffers. They live as long as
+// the deployer: its model keeps one kind, shape and regularizer for life (a
+// restore or a replica apply decodes only a model like it, and a cold
+// retraining builds one from the same Config), so a buffer cloned from the
+// first deployed model can hold every later one.
 type weightRing struct {
-	src  model.Model
 	bufs []*weightBuf
 }
 
@@ -102,7 +105,7 @@ func (r *weightRing) mark(g linalg.Vector) {
 
 // markAll records in every buffer that the deployed model and optimizer
 // changed everywhere: a write that is not a stepDeployed step (the initial
-// training, a warm-start retraining).
+// training, a retraining, a restore or replica apply).
 //
 //cdml:locked mu
 func (r *weightRing) markAll() {
@@ -118,16 +121,12 @@ func (r *weightRing) markAll() {
 // coordinates the buffer's stale set holds, of the weights and of every
 // optimizer slot, and o's scalar state whole; a stale set of all
 // coordinates, or an optimizer slot allocated since the buffer's last copy,
-// takes whole-vector copies. When m is not the model the ring was cloned
-// from (a restore, a replica apply, a cold retrain: each replaces the
-// optimizer with it), the ring starts over.
+// takes whole-vector copies. m has the shape of every model the ring has
+// cloned (see weightRing), so a buffer serves across a restore, a replica
+// apply or a cold retraining — each marks every buffer stale.
 //
 //cdml:locked mu
 func (r *weightRing) take(m model.Model, o opt.Optimizer, published *weightBuf) (model.Model, opt.Optimizer, *weightBuf) {
-	if r.src != m {
-		clear(r.bufs)
-		r.src, r.bufs = m, r.bufs[:0]
-	}
 	for _, b := range r.bufs {
 		if b != published && b.readers.Load() == 0 {
 			b.refresh(m, o)

@@ -17,11 +17,11 @@ import (
 	"cdml/internal/pipeline"
 )
 
-// ringState returns the ring's buffers and the model they were cloned from.
-func ringState(d *Deployer) ([]*weightBuf, model.Model) {
+// ringState returns the ring's buffers.
+func ringState(d *Deployer) []*weightBuf {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return slices.Clone(d.ring.bufs), d.ring.src
+	return slices.Clone(d.ring.bufs)
 }
 
 // TestPinnedSnapshotKeepsItsWeights: a pinned snapshot's buffer is never
@@ -67,7 +67,7 @@ func TestPublishWithEveryBufferPinned(t *testing.T) {
 		s := d.pin()
 		pins = append(pins, held{s, slices.Clone(s.mdl.Weights())})
 		ingestChunks(t, d, smallStream, i, i+1)
-		bufs, _ := ringState(d)
+		bufs := ringState(d)
 		if len(bufs) > ringSize {
 			t.Fatalf("the ring grew to %d buffers", len(bufs))
 		}
@@ -95,33 +95,36 @@ func TestPublishWithEveryBufferPinned(t *testing.T) {
 	}
 }
 
-// TestApplyEmptiesTheRing: after a restore the deployed model is a new one,
-// and no buffer cloned from the old model is reused.
-func TestApplyEmptiesTheRing(t *testing.T) {
-	d, err := NewDeployer(liveConfig(ModeOnline))
+// TestApplyRecyclesTheRing: a restore keeps the ring's buffers — the
+// restored model has the deployed one's shape — and its publish and the ones
+// after it recycle them, each holding the deployed state bit for bit, the
+// first of them the restored payload's.
+func TestApplyRecyclesTheRing(t *testing.T) {
+	d, err := NewDeployer(sparseURLConfig(ModeOnline))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Shutdown()
-	ingestChunks(t, d, smallStream, 0, 4)
+	ingestChunks(t, d, sparseURLStream, 0, 4)
 	f := frameOf(t, d)
-	ingestChunks(t, d, smallStream, 4, 8)
-	old, oldSrc := ringState(d)
+	ingestChunks(t, d, sparseURLStream, 4, 8)
+	old := ringState(d)
 	if len(old) == 0 {
 		t.Fatal("no ring buffers before the restore")
 	}
 	if err := d.SnapshotSink().Apply(f); err != nil {
 		t.Fatal(err)
 	}
-	ingestChunks(t, d, smallStream, 8, 12)
-	bufs, src := ringState(d)
-	if src == oldSrc || src != d.Model() {
-		t.Fatal("the ring was not re-cloned from the restored model")
+	requirePublishedIsDeployed(t, d, old)
+	if !bytes.Equal(payloadBytes(t, d), f.Payload) {
+		t.Fatal("the recycled buffer does not hold the restored state")
 	}
-	for _, b := range bufs {
-		if slices.Contains(old, b) {
-			t.Fatal("the ring kept a buffer cloned from the model before the restore")
-		}
+	for i := 8; i < 12; i++ {
+		ingestChunks(t, d, sparseURLStream, i, i+1)
+		requirePublishedIsDeployed(t, d, old)
+	}
+	if bufs := ringState(d); !slices.Equal(bufs, old) {
+		t.Fatal("the restore replaced the ring's buffers")
 	}
 }
 
@@ -369,39 +372,47 @@ type firstChunks struct {
 func (s firstChunks) NumChunks() int { return s.n }
 
 // requirePublishedIsDeployed fails unless the published snapshot's weights
-// and optimizer are the deployed ones bit for bit, and — unless the path
-// replaced the model, which starts the ring over — were refreshed in a
-// buffer the ring held before the path ran.
-func requirePublishedIsDeployed(t *testing.T, d *Deployer, before []*weightBuf, replaced bool) {
+// and optimizer are the deployed ones bit for bit, refreshed in a buffer the
+// ring held before the path ran.
+func requirePublishedIsDeployed(t *testing.T, d *Deployer, before []*weightBuf) {
 	t.Helper()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	p := d.current()
-	if p.buf == nil || (!replaced && !slices.Contains(before, p.buf)) {
+	if p.buf == nil || !slices.Contains(before, p.buf) {
 		t.Fatal("the publish did not refresh a recycled buffer: the test exercises nothing")
 	}
 	requireSameState(t, p.mdl, p.optm, d.mdl, d.optm)
 }
 
+// sparseURLConfig is a url deployment of 2^14 features, trained on
+// sparseURLStream. Its steps are sparse, so its ring buffers are refreshed
+// by their stale coordinates, and a write that leaves the ring unmarked
+// leaves a recycled buffer stale.
+func sparseURLConfig(mode Mode) Config {
+	cfg := liveConfig(mode)
+	cfg.NewPipeline = func() *pipeline.Pipeline { return dataset.NewURLPipeline(sparseURLDim) }
+	cfg.NewModel = func() model.Model { return dataset.NewURLModel(sparseURLDim, 1e-3) }
+	cfg.ProactiveEvery, cfg.RetrainEvery = 1<<30, 1<<30
+	return cfg
+}
+
+const sparseURLDim = 1 << 14
+
+var sparseURLStream = func() Stream {
+	gen := dataset.DefaultURLConfig()
+	gen.Days, gen.ChunksPerDay, gen.RowsPerChunk, gen.Vocab, gen.HashDim = 4, 3, 20, 2000, sparseURLDim
+	return dataset.NewURL(gen)
+}()
+
 // TestEveryWritePathMarksTheRing: after each way the deployed model and
 // optimizer are written — an online tick, a drift-triggered proactive
 // training of DriftBoost > 1 steps, a warm-start and a cold periodical
 // retraining, Run's initial training, a restore — the buffer the following
-// publish took holds them bit for bit. The deployment is a sparse url one,
-// whose buffers are refreshed by their stale coordinates, so a write that
-// leaves the ring unmarked leaves a recycled buffer stale.
+// publish took holds them bit for bit, and it is a buffer the ring held
+// before. The deployment is a sparseURLConfig one.
 func TestEveryWritePathMarksTheRing(t *testing.T) {
-	const urlDim = 1 << 14
-	gen := dataset.DefaultURLConfig()
-	gen.Days, gen.ChunksPerDay, gen.RowsPerChunk, gen.Vocab, gen.HashDim = 4, 3, 20, 2000, urlDim
-	stream := dataset.NewURL(gen)
-	config := func(mode Mode) Config {
-		cfg := liveConfig(mode)
-		cfg.NewPipeline = func() *pipeline.Pipeline { return dataset.NewURLPipeline(urlDim) }
-		cfg.NewModel = func() model.Model { return dataset.NewURLModel(urlDim, 1e-3) }
-		cfg.ProactiveEvery, cfg.RetrainEvery = 1<<30, 1<<30
-		return cfg
-	}
+	config, stream := sparseURLConfig, sparseURLStream
 	retraining := func(warm bool) func() Config {
 		return func() Config {
 			cfg := config(ModePeriodical)
@@ -413,19 +424,18 @@ func TestEveryWritePathMarksTheRing(t *testing.T) {
 	// and publishes, and its publish takes the older of the two.
 	tick := func(t *testing.T, d *Deployer) { ingestChunks(t, d, stream, 3, 4) }
 	paths := []struct {
-		name     string
-		config   func() Config
-		write    func(t *testing.T, d *Deployer)
-		replaced bool
+		name   string
+		config func() Config
+		write  func(t *testing.T, d *Deployer)
 	}{
-		{"online tick", func() Config { return config(ModeOnline) }, tick, false},
+		{"online tick", func() Config { return config(ModeOnline) }, tick},
 		{"drift-boosted proactive training", func() Config {
 			cfg := config(ModeContinuous)
 			cfg.DriftDetector, cfg.DriftBoost = alwaysDrift{}, 3
 			return cfg
-		}, tick, false},
-		{"warm-start retraining", retraining(true), tick, false},
-		{"cold retraining", retraining(false), tick, true},
+		}, tick},
+		{"warm-start retraining", retraining(true), tick},
+		{"cold retraining", retraining(false), tick},
 		{"initial training", func() Config {
 			cfg := config(ModeOnline)
 			cfg.InitialChunks = 3
@@ -437,14 +447,14 @@ func TestEveryWritePathMarksTheRing(t *testing.T) {
 			if _, err := d.Run(firstChunks{stream, 4}); err != nil {
 				t.Fatal(err)
 			}
-		}, false},
+		}},
 		{"restore", func() Config { return config(ModeOnline) }, func(t *testing.T, d *Deployer) {
 			f := frameOf(t, d)
 			ingestChunks(t, d, stream, 3, 5)
 			if err := d.SnapshotSink().Apply(f); err != nil {
 				t.Fatal(err)
 			}
-		}, true},
+		}},
 	}
 	for _, p := range paths {
 		t.Run(p.name, func(t *testing.T) {
@@ -454,13 +464,13 @@ func TestEveryWritePathMarksTheRing(t *testing.T) {
 			}
 			defer d.Shutdown()
 			ingestChunks(t, d, stream, 0, 3)
-			before, _ := ringState(d)
+			before := ringState(d)
 			p.write(t, d)
-			requirePublishedIsDeployed(t, d, before, p.replaced)
+			requirePublishedIsDeployed(t, d, before)
 			// The ring after the path recycles its buffers on their marks.
-			before, _ = ringState(d)
+			before = ringState(d)
 			ingestChunks(t, d, stream, 5, 7)
-			requirePublishedIsDeployed(t, d, before, false)
+			requirePublishedIsDeployed(t, d, before)
 		})
 	}
 }

@@ -177,7 +177,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadGarbage(t *testing.T) {
-	if _, err := DecodeSection(flat.NewReader([]byte("junk")), 16); err == nil {
+	if _, err := DecodeSection(flat.NewReader([]byte("junk")), NewSVM(15, 0)); err == nil {
 		t.Fatal("expected decode error")
 	}
 }

@@ -9,8 +9,9 @@ import (
 
 // snapshot is the serialized form of a model. Only weights and the
 // constructor parameters are persisted; optimizer state travels in its own
-// section (opt.Encode). build is the only place a model is constructed from
-// bytes.
+// section (opt.Encode). A model is never constructed from bytes: a decoded
+// one is a copy of the deployed one with the section's weights
+// (DecodeSection).
 type snapshot struct {
 	Kind    string
 	Dim     int
@@ -86,73 +87,35 @@ func (c Section) AppendTo(dst []byte) []byte {
 	return c.weights.AppendTo(flat.AppendFloat64(dst, c.s.Reg))
 }
 
-// DecodeSection reads one model section from r. maxWeights bounds the weight
-// vector before it is allocated: a deployment passes its own model's weight
-// count, so no payload can ask for more memory than the state it replaces.
-func DecodeSection(r *flat.Reader, maxWeights int) (Model, error) {
+// DecodeSection reads one model section from r that must describe a model
+// of tmpl's kind, shape and regularizer — a deployment passes its own model,
+// whose kind, shape and regularizer it keeps for life — and returns a new
+// model like tmpl holding the section's weights; tmpl is not written. Every
+// count is bounded by tmpl's weight count before it sizes anything, so no
+// section can ask for more memory than the state it replaces.
+func DecodeSection(r *flat.Reader, tmpl Model) (Model, error) {
+	want, err := snapshotOf(tmpl)
+	if err != nil {
+		return nil, err
+	}
+	n := len(want.Weights)
 	var s snapshot
 	s.Kind = r.String()
-	shape := [5]*int{&s.Dim, &s.K, &s.Users, &s.Items, &s.Factors}
-	for _, p := range shape {
-		*p = r.Count(maxWeights, "model shape")
+	for _, p := range [5]*int{&s.Dim, &s.K, &s.Users, &s.Items, &s.Factors} {
+		*p = r.Count(n, "model shape")
 	}
 	s.Reg = r.Float64()
-	s.Weights = r.Floats(maxWeights)
+	s.Weights = r.Floats(n)
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("model: decoding: %w", err)
 	}
-	return s.build(maxWeights)
-}
-
-// build validates a decoded snapshot and constructs its model. Nothing is
-// allocated from a number the snapshot claims until the weights it actually
-// carries have been counted against it, and no constructor is reached with
-// an argument it would panic on.
-func (s *snapshot) build(maxWeights int) (Model, error) {
-	if len(s.Weights) > maxWeights {
-		return nil, fmt.Errorf("model: snapshot carries %d weights, at most %d allowed", len(s.Weights), maxWeights)
+	// Equal down to the regularizer's bits: a model that differs in any
+	// of them would not re-encode to the bytes it came from.
+	if s.Kind != want.Kind || s.shape() != want.shape() || math.Float64bits(s.Reg) != math.Float64bits(want.Reg) || len(s.Weights) != n {
+		return nil, fmt.Errorf("model: snapshot of a %s of shape %v, regularization %v, %d weights does not match the deployed %s of shape %v, regularization %v, %d weights",
+			s.Kind, s.shape(), s.Reg, len(s.Weights), want.Kind, want.shape(), want.Reg, n)
 	}
-	for _, v := range s.shape() {
-		// Every shape number is at most the weight count it contributes to,
-		// which also keeps the products below from overflowing.
-		if v < 0 || v > len(s.Weights) {
-			return nil, fmt.Errorf("model: corrupt %s snapshot: shape %v with %d weights", s.Kind, s.shape(), len(s.Weights))
-		}
-	}
-	if math.IsNaN(s.Reg) || math.IsInf(s.Reg, 0) || s.Reg < 0 {
-		return nil, fmt.Errorf("model: corrupt %s snapshot: regularization %v", s.Kind, s.Reg)
-	}
-	var want int
-	var mk func() Model
-	switch s.Kind {
-	case "svm":
-		want, mk = s.Dim+1, func() Model { return NewSVM(s.Dim, s.Reg) }
-	case "linreg":
-		want, mk = s.Dim+1, func() Model { return NewLinearRegression(s.Dim, s.Reg) }
-	case "logreg":
-		want, mk = s.Dim+1, func() Model { return NewLogisticRegression(s.Dim, s.Reg) }
-	case "kmeans":
-		want, mk = s.K*s.Dim+1, func() Model { return NewKMeans(s.K, s.Dim) }
-	case "mf":
-		if s.Users > 0 && s.Items > 0 && s.Factors > 0 {
-			want = s.Users + s.Items + (s.Users+s.Items)*s.Factors + 1
-		}
-		mk = func() Model { return NewMF(s.Users, s.Items, s.Factors, s.Reg, 0) }
-	default:
-		return nil, fmt.Errorf("model: unknown model kind %q", s.Kind)
-	}
-	// A bias slot and at least one weight: with the product above that makes
-	// every number a constructor takes positive.
-	if want < 2 || want != len(s.Weights) {
-		return nil, fmt.Errorf("model: corrupt %s snapshot: shape %v needs %d weights, have %d", s.Kind, s.shape(), want, len(s.Weights))
-	}
-	m := mk()
-	// The model must be the one the snapshot describes and no more: a number
-	// its kind has no use for (k on an SVM, a k-means regularizer) would be
-	// dropped here and the state would not re-encode to the bytes it came from.
-	if back, _ := snapshotOf(m); back.shape() != s.shape() || math.Float64bits(back.Reg) != math.Float64bits(s.Reg) {
-		return nil, fmt.Errorf("model: corrupt %s snapshot: shape %v, regularization %v", s.Kind, s.shape(), s.Reg)
-	}
+	m := tmpl.Clone()
 	m.SetWeights(s.Weights)
 	return m, nil
 }

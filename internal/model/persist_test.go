@@ -3,6 +3,7 @@ package model
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"cdml/internal/flat"
@@ -52,7 +53,7 @@ func sectionOf(t *testing.T, m Model) []byte {
 func roundTrip(t *testing.T, m Model) Model {
 	t.Helper()
 	r := flat.NewReader(sectionOf(t, m))
-	got, err := DecodeSection(r, len(m.Weights()))
+	got, err := DecodeSection(r, m)
 	if err != nil {
 		t.Fatalf("%s: %v", m.Name(), err)
 	}
@@ -62,13 +63,19 @@ func roundTrip(t *testing.T, m Model) Model {
 	return got
 }
 
-// Every model kind round-trips bit for bit, and the decoded model encodes to
-// the bytes it came from.
+// Every model kind round-trips bit for bit into a new model, leaving the
+// template alone; the decoded model encodes to the bytes it came from, and
+// a template of any other kind or shape refuses them.
 func TestSectionRoundTripEveryKind(t *testing.T) {
-	for _, m := range everyKind() {
+	kinds := everyKind()
+	for _, m := range kinds {
 		b := sectionOf(t, m)
+		tmpl := m.Clone()
+		for i := range tmpl.Weights() {
+			tmpl.Weights()[i] = 0
+		}
 		r := flat.NewReader(b)
-		got, err := DecodeSection(r, len(m.Weights()))
+		got, err := DecodeSection(r, tmpl)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
@@ -86,9 +93,13 @@ func TestSectionRoundTripEveryKind(t *testing.T) {
 		if !bytes.Equal(sectionOf(t, got), b) || !bytes.Equal(sectionOf(t, m.Clone()), b) {
 			t.Fatalf("%s: equal models encode to different bytes", m.Name())
 		}
-		// One weight fewer than the section carries is one too few.
-		if _, err := DecodeSection(flat.NewReader(b), len(m.Weights())-1); err == nil {
-			t.Fatalf("%s: a section larger than the caller's bound was accepted", m.Name())
+		if got == tmpl || slices.ContainsFunc(tmpl.Weights(), func(w float64) bool { return w != 0 }) {
+			t.Fatalf("%s: decoding wrote into the template", m.Name())
+		}
+		for _, other := range kinds {
+			if _, err := DecodeSection(flat.NewReader(b), other); other != m && err == nil {
+				t.Fatalf("%s: a %s/%d template took the section", m.Name(), other.Name(), other.Dim())
+			}
 		}
 	}
 	if _, err := NewSection(unknownModel{NewSVM(2, 0)}); err == nil {
@@ -98,9 +109,11 @@ func TestSectionRoundTripEveryKind(t *testing.T) {
 
 type unknownModel struct{ *SVM }
 
-// DecodeSection reads bytes it did not write: everything malformed is an
-// error before a constructor that would panic on it is reached, and nothing
-// is allocated from a number the bytes merely claim.
+// DecodeSection reads bytes it did not write: everything malformed, and
+// every well-formed section of another kind, shape or regularizer than the
+// template's, is an error, and nothing is allocated from a number the bytes
+// merely claim. Each input is tried against every template, among them the
+// model it is closest to.
 func TestDecodeSectionRefusesMalformedInput(t *testing.T) {
 	section := func(kind string, shape [5]uint64, reg float64, weights []float64) []byte {
 		b := flat.AppendString(nil, kind)
@@ -110,41 +123,56 @@ func TestDecodeSectionRefusesMalformedInput(t *testing.T) {
 		return flat.Scan(weights).AppendTo(flat.AppendFloat64(b, reg))
 	}
 	w := func(n int) []float64 { return make([]float64, n) }
+	templates := []Model{
+		NewSVM(2, 0.5), NewSVM(2, 0), NewLinearRegression(2, 0), NewLogisticRegression(2, 0),
+		NewKMeans(2, 2), NewKMeans(2, 3), NewMF(1, 1, 1, 0, 1), NewMF(2, 1, 1, 0, 1),
+	}
 	cases := map[string][]byte{
-		"unknown kind":            section("forest", [5]uint64{2}, 0, w(3)),
-		"dim does not fit":        section("svm", [5]uint64{3}, 0, w(3)),
-		"zero dim":                section("svm", [5]uint64{0}, 0, w(1)),
-		"no weights":              section("svm", [5]uint64{2}, 0, nil),
-		"negative reg":            section("svm", [5]uint64{2}, -0.5, w(3)),
-		"NaN reg":                 section("linreg", [5]uint64{2}, math.NaN(), w(3)),
-		"infinite reg":            section("logreg", [5]uint64{2}, math.Inf(1), w(3)),
-		"huge dim":                section("svm", [5]uint64{1 << 60}, 0, w(3)),
-		"svm with a k":            section("svm", [5]uint64{2, 5}, 0, w(3)),
-		"kmeans with a reg":       section("kmeans", [5]uint64{2, 1}, 0.5, w(3)),
-		"kmeans k=0":              section("kmeans", [5]uint64{2, 0}, 0, w(1)),
-		"kmeans dim=0":            section("kmeans", [5]uint64{0, 2}, 0, w(1)),
-		"kmeans wrong count":      section("kmeans", [5]uint64{2, 2}, 0, w(4)),
-		"mf zero factors":         section("mf", [5]uint64{6, 0, 2, 3, 0}, 0, w(6)),
-		"mf zero users":           section("mf", [5]uint64{6, 0, 0, 3, 1}, 0, w(7)),
-		"mf wrong dim":            section("mf", [5]uint64{5, 0, 1, 1, 1}, 0, w(5)),
-		"mf wrong count":          section("mf", [5]uint64{4, 0, 1, 1, 1}, 0, w(6)),
-		"a 2^60-weight block":     append(section("svm", [5]uint64{2}, 0, nil)[:len(section("svm", [5]uint64{2}, 0, nil))-1], flat.AppendUvarint(nil, 1<<60)...),
-		"torn":                    section("svm", [5]uint64{2}, 0, []float64{1, 2, 3})[:20],
-		"empty":                   nil,
-		"more weights than bound": section("svm", [5]uint64{40}, 0, w(41)),
+		"unknown kind":               section("forest", [5]uint64{2}, 0, w(3)),
+		"dim does not fit":           section("svm", [5]uint64{3}, 0, w(3)),
+		"zero dim":                   section("svm", [5]uint64{0}, 0, w(1)),
+		"no weights":                 section("svm", [5]uint64{2}, 0, nil),
+		"negative reg":               section("svm", [5]uint64{2}, -0.5, w(3)),
+		"NaN reg":                    section("linreg", [5]uint64{2}, math.NaN(), w(3)),
+		"infinite reg":               section("logreg", [5]uint64{2}, math.Inf(1), w(3)),
+		"huge dim":                   section("svm", [5]uint64{1 << 60}, 0, w(3)),
+		"svm with a k":               section("svm", [5]uint64{2, 5}, 0, w(3)),
+		"kmeans with a reg":          section("kmeans", [5]uint64{2, 1}, 0.5, w(3)),
+		"kmeans k=0":                 section("kmeans", [5]uint64{2, 0}, 0, w(1)),
+		"kmeans dim=0":               section("kmeans", [5]uint64{0, 2}, 0, w(1)),
+		"kmeans wrong count":         section("kmeans", [5]uint64{2, 2}, 0, w(4)),
+		"mf zero factors":            section("mf", [5]uint64{6, 0, 2, 3, 0}, 0, w(6)),
+		"mf zero users":              section("mf", [5]uint64{6, 0, 0, 3, 1}, 0, w(7)),
+		"mf wrong dim":               section("mf", [5]uint64{5, 0, 1, 1, 1}, 0, w(5)),
+		"mf wrong count":             section("mf", [5]uint64{4, 0, 1, 1, 1}, 0, w(6)),
+		"a 2^60-weight block":        append(section("svm", [5]uint64{2}, 0, nil)[:len(section("svm", [5]uint64{2}, 0, nil))-1], flat.AppendUvarint(nil, 1<<60)...),
+		"torn":                       section("svm", [5]uint64{2}, 0, []float64{1, 2, 3})[:20],
+		"empty":                      nil,
+		"more weights than bound":    section("svm", [5]uint64{40}, 0, w(41)),
+		"kmeans k and dim swapped":   section("kmeans", [5]uint64{2, 3}, 0, w(7)),
+		"mf users and items swapped": section("mf", [5]uint64{6, 0, 1, 2, 1}, 0, w(7)),
+		"svm of another regularizer": section("svm", [5]uint64{2}, 0.25, w(3)),
 	}
 	for name, b := range cases {
-		if m, err := DecodeSection(flat.NewReader(b), 16); err == nil {
-			t.Errorf("%s: decoded a %s/%d", name, m.Name(), m.Dim())
+		for _, tmpl := range templates {
+			if m, err := DecodeSection(flat.NewReader(b), tmpl); err == nil {
+				t.Errorf("%s: decoded a %s/%d", name, m.Name(), m.Dim())
+			}
 		}
 	}
-	// The valid neighbours of the cases above do decode.
-	for name, b := range map[string][]byte{
-		"svm":    section("svm", [5]uint64{2}, 0.5, w(3)),
-		"kmeans": section("kmeans", [5]uint64{2, 2}, 0, w(5)),
-		"mf":     section("mf", [5]uint64{4, 0, 1, 1, 1}, 0, w(5)),
+	// The valid neighbours of the cases above do decode, each against its
+	// own template.
+	for name, c := range map[string]struct {
+		b    []byte
+		tmpl Model
+	}{
+		"svm":        {section("svm", [5]uint64{2}, 0.5, w(3)), templates[0]},
+		"kmeans":     {section("kmeans", [5]uint64{2, 2}, 0, w(5)), templates[4]},
+		"kmeans 2x3": {section("kmeans", [5]uint64{3, 2}, 0, w(7)), templates[5]},
+		"mf":         {section("mf", [5]uint64{4, 0, 1, 1, 1}, 0, w(5)), templates[6]},
+		"mf 2x1":     {section("mf", [5]uint64{6, 0, 2, 1, 1}, 0, w(7)), templates[7]},
 	} {
-		if _, err := DecodeSection(flat.NewReader(b), 16); err != nil {
+		if _, err := DecodeSection(flat.NewReader(c.b), c.tmpl); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}

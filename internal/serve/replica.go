@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,9 +32,11 @@ type replicaState struct {
 	// pins a stale one.
 	dep *registry.Deployment
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{} // closed when the poller exits
+	// ctx is the poller's: stop cancels it, which also ends a poll in
+	// flight, so a hung primary never holds up a stop.
+	ctx  context.Context
+	stop context.CancelFunc
+	done chan struct{} // closed when the poller exits
 
 	// lastApplied is the primary's version of the last frame swapped in (0
 	// before the first sync) — the ?since= watermark, so steady-state polls
@@ -52,13 +53,17 @@ type replicaState struct {
 
 // newReplicaState wires one deployment's sync state against the primary
 // configured by WithReplicaOf.
+//
+//cdml:detached replica sync outlives any single request; failures surface via /status and the cdml_replica_* series, never a request error
 func (s *Server) newReplicaState(d *registry.Deployment) *replicaState {
 	url := s.replicaOf + "/v1/deployments/" + d.Name() + "/snapshot"
+	ctx, stop := context.WithCancel(context.Background())
 	return &replicaState{
 		primary: url,
 		src:     snapstream.NewHTTPSource(url, replicaHTTPTimeout),
 		dep:     d,
-		stop:    make(chan struct{}),
+		ctx:     ctx,
+		stop:    stop,
 		done:    make(chan struct{}),
 	}
 }
@@ -96,27 +101,25 @@ func (rep *replicaState) pollOnce(ctx context.Context) {
 	rep.applies.Add(1)
 }
 
-// stopPoller stops the sync goroutine and waits for it to exit; idempotent.
+// stopPoller stops the sync goroutine, a poll in flight included, and waits
+// for it to exit; idempotent.
 func (rep *replicaState) stopPoller() {
-	rep.stopOnce.Do(func() { close(rep.stop) })
+	rep.stop()
 	<-rep.done
 }
 
 // pollReplica is a replica deployment's sync goroutine: an immediate poll
 // at startup (a fresh replica converges without waiting out an interval),
 // then one conditional poll per interval until stopped.
-//
-//cdml:detached replica sync outlives any single request; failures surface via /status and the cdml_replica_* series, never a request error
 func (s *Server) pollReplica(h *depHandle) {
 	rep := h.rep
 	defer close(rep.done)
-	ctx := context.Background()
 	t := time.NewTicker(s.pollEvery)
 	defer t.Stop()
 	for {
-		rep.pollOnce(ctx)
+		rep.pollOnce(rep.ctx)
 		select {
-		case <-rep.stop:
+		case <-rep.ctx.Done():
 			return
 		case <-t.C:
 		}

@@ -333,6 +333,40 @@ func TestReplicaTornFrameFallsBack(t *testing.T) {
 	}
 }
 
+// TestReplicaStopsBehindAHungPrimary: Close cancels a poll in flight, so a
+// replica whose primary never answers stops at once rather than waiting out
+// the fetch timeout.
+func TestReplicaStopsBehindAHungPrimary(t *testing.T) {
+	polled, release := make(chan struct{}, 1), make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		select {
+		case polled <- struct{}{}:
+		default:
+		}
+		select {
+		case <-req.Context().Done():
+		case <-release:
+		}
+	}))
+	t.Cleanup(hung.Close)
+	t.Cleanup(func() { close(release) })
+	dep, err := core.NewDeployer(replicaTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(dep, WithSlog(nil), WithReplicaOf(hung.URL, 10*time.Millisecond))
+	select {
+	case <-polled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the replica never polled its primary")
+	}
+	start := time.Now()
+	s.Close()
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Close took %v behind a primary that never answers", took)
+	}
+}
+
 // TestReplicaFollowsAPrimaryBack: a primary that comes back at a lower
 // version (it restarted and recovered less than it had published) is
 // followed there within a few polls — the replica serves the primary's
