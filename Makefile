@@ -164,10 +164,11 @@ fuzz:
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s
 
-# Regenerate every table and figure of the paper at the default size.
+# Regenerate every table and figure of the paper, the extensions included, at
+# the default size (EXPERIMENTS.md). The committed EXPERIMENTS.json is the same
+# run at -scale small with -json.
 experiments:
 	$(GO) run ./cmd/experiments -exp all -scale medium
-	$(GO) run ./cmd/experiments -exp ext
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -72,7 +72,7 @@ func BenchmarkFig4DeploymentURL(b *testing.B) {
 		}
 		per := r.Results["periodical"]
 		cont := r.Results["continuous"]
-		b.ReportMetric(float64(per.Cost.Total())/float64(cont.Cost.Total()), "periodical/continuous-cost")
+		b.ReportMetric(float64(per.Cost.Work)/float64(cont.Cost.Work), "periodical/continuous-rows")
 		b.ReportMetric(cont.FinalError, "continuous-error")
 		b.ReportMetric(per.FinalError, "periodical-error")
 	}
@@ -89,7 +89,7 @@ func BenchmarkFig4DeploymentTaxi(b *testing.B) {
 		}
 		per := r.Results["periodical"]
 		cont := r.Results["continuous"]
-		b.ReportMetric(float64(per.Cost.Total())/float64(cont.Cost.Total()), "periodical/continuous-cost")
+		b.ReportMetric(float64(per.Cost.Work)/float64(cont.Cost.Work), "periodical/continuous-rows")
 		b.ReportMetric(cont.FinalError, "continuous-rmsle")
 	}
 }
@@ -166,14 +166,10 @@ func BenchmarkFig7OptimizationCost(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if full, ok := r.CostAt("time", 1.0); ok && full > 0 {
-			b.ReportMetric(float64(r.NoOptCost)/float64(full), "noopt/optimized-cost")
-		}
-		if c0, ok := r.CostAt("time", 0.0); ok {
-			if c1, ok2 := r.CostAt("time", 1.0); ok2 && c1 > 0 {
-				b.ReportMetric(float64(c0)/float64(c1), "rate0/rate1-cost")
-			}
-		}
+		c0, _ := r.CostAt("time", 0.0)
+		c1, _ := r.CostAt("time", 1.0)
+		b.ReportMetric(float64(r.NoOptCost.Work)/float64(c1.Work), "noopt/optimized-rows")
+		b.ReportMetric(float64(c0.Work)/float64(c1.Work), "rate0/rate1-rows")
 	}
 }
 
@@ -741,7 +737,7 @@ func BenchmarkExtVeloxBaseline(b *testing.B) {
 		}
 		for _, row := range r.Rows {
 			b.ReportMetric(row.FinalError, row.Strategy+"-error")
-			b.ReportMetric(row.Cost.Seconds(), row.Strategy+"-cost-s")
+			b.ReportMetric(float64(row.Cost.Work), row.Strategy+"-cost-rows")
 		}
 	}
 }

@@ -5,62 +5,23 @@
 //	experiments -exp fig4  -scale medium    # Experiment 1 at default size
 //	experiments -exp table4                 # pure simulation, paper-sized
 //	experiments -exp ext                    # beyond-the-paper extensions
-//	experiments -exp fig4 -json             # machine-readable output
+//	experiments -exp all -scale small -json > EXPERIMENTS.json
 //
 // Experiments: fig4, table3, fig5, fig6, table4, fig7, fig8, ext, all.
-// Workloads: url, taxi, both (default).
+// Workloads: url, taxi, both (default). -json prints every number but the
+// wall-clock ones; the committed EXPERIMENTS.json is its small-scale run,
+// and a test in internal/experiment fails when it is stale.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"strings"
 	"time"
 
 	"cdml/internal/experiment"
 )
-
-// renderer is what every experiment result knows how to do.
-type renderer interface {
-	Render() string
-}
-
-// emitter collects results and prints them as text or JSON.
-type emitter struct {
-	jsonOut bool
-	results map[string]any
-	order   []string
-}
-
-func (e *emitter) emit(name string, r renderer) {
-	if e.jsonOut {
-		if _, seen := e.results[name]; seen {
-			name = name + "-2" // the ext block can repeat under -exp all
-		}
-		e.results[name] = r
-		e.order = append(e.order, name)
-		return
-	}
-	fmt.Println(r.Render())
-}
-
-func (e *emitter) flush() {
-	if !e.jsonOut {
-		return
-	}
-	ordered := make(map[string]any, len(e.results))
-	for _, name := range e.order {
-		ordered[name] = e.results[name]
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(ordered); err != nil {
-		log.Fatal(err)
-	}
-}
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: fig4|table3|fig5|fig6|table4|fig7|fig8|ext|all")
@@ -85,106 +46,21 @@ func main() {
 		log.Fatalf("unknown workload %q", *workloadFlag)
 	}
 
-	out := &emitter{jsonOut: *jsonOut, results: map[string]any{}}
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-	ran := 0
 	start := time.Now()
-
-	if want("ext") {
-		r, err := experiment.ExtDrift()
+	r, err := experiment.Run(*exp, workloads)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if *jsonOut {
+		b, err := r.JSON()
 		if err != nil {
 			log.Fatal(err)
 		}
-		out.emit("ext-drift", r)
-		r2, err := experiment.ExtRecsys()
-		if err != nil {
+		if _, err := os.Stdout.Write(b); err != nil {
 			log.Fatal(err)
 		}
-		out.emit("ext-recsys", r2)
-		r3, err := experiment.ExtVelox()
-		if err != nil {
-			log.Fatal(err)
-		}
-		out.emit("ext-velox", r3)
-		ran++
+		return
 	}
-	if want("table4") {
-		// Table 4 is a pure sampling simulation; it runs at the paper's own
-		// size regardless of -scale.
-		out.emit("table4", experiment.Table4(12000, 50, 6000))
-		ran++
-	}
-	wantWorkload := false
-	for _, name := range []string{"fig4", "table3", "fig5", "fig6", "fig7", "fig8"} {
-		if want(name) {
-			wantWorkload = true
-		}
-	}
-	if !wantWorkload {
-		workloads = nil
-	}
-	for _, w := range workloads {
-		if !*jsonOut {
-			fmt.Printf("=== workload %s (scale %s, %d chunks) ===\n\n", w.Name, scale, w.Stream.NumChunks())
-		}
-		var fig4 *experiment.Fig4Result
-		if want("fig4") || want("fig8") {
-			fig4, err = experiment.Fig4(w)
-			if err != nil {
-				log.Fatal(err)
-			}
-		}
-		if want("fig4") {
-			out.emit("fig4-"+w.Name, fig4)
-			ran++
-		}
-		var grid *experiment.Table3Result
-		if want("table3") || want("fig5") {
-			grid, err = experiment.Table3(w)
-			if err != nil {
-				log.Fatal(err)
-			}
-		}
-		if want("table3") {
-			out.emit("table3-"+w.Name, grid)
-			ran++
-		}
-		if want("fig5") {
-			r, err := experiment.Fig5(w, grid)
-			if err != nil {
-				log.Fatal(err)
-			}
-			out.emit("fig5-"+w.Name, r)
-			ran++
-		}
-		if want("fig6") {
-			r, err := experiment.Fig6(w)
-			if err != nil {
-				log.Fatal(err)
-			}
-			out.emit("fig6-"+w.Name, r)
-			ran++
-		}
-		if want("fig7") {
-			r, err := experiment.Fig7(w)
-			if err != nil {
-				log.Fatal(err)
-			}
-			out.emit("fig7-"+w.Name, r)
-			ran++
-		}
-		if want("fig8") {
-			out.emit("fig8-"+w.Name, experiment.Fig8(fig4))
-			ran++
-		}
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; choose one of %s\n",
-			*exp, strings.Join([]string{"fig4", "table3", "fig5", "fig6", "table4", "fig7", "fig8", "ext", "all"}, "|"))
-		os.Exit(2)
-	}
-	out.flush()
-	if !*jsonOut {
-		fmt.Printf("completed %d experiment(s) in %v\n", ran, time.Since(start).Round(time.Millisecond))
-	}
+	fmt.Print(r.Render())
+	fmt.Printf("completed in %v (scale %s)\n", time.Since(start).Round(time.Millisecond), scale)
 }

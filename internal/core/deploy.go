@@ -236,7 +236,7 @@ func (d *Deployer) ingest(records [][]byte, in pipeline.Parsed) error {
 		}
 		if due {
 			d.proactiveCountdown = d.cfg.ProactiveEvery
-			dur, err := d.timed("proactive-train", "", func() error { return d.proactiveTrain(recent) })
+			dur, err := d.timed("proactive-train", "", 0, func() error { return d.proactiveTrain(recent) })
 			d.result.ProactiveRuns++
 			d.result.ProactiveTotal += dur
 			d.obs.proactiveRuns.Inc()
@@ -265,7 +265,7 @@ func (d *Deployer) ingest(records [][]byte, in pipeline.Parsed) error {
 		}
 	}
 	if retrainDue {
-		dur, err := d.timed("retrain", "", d.retrain)
+		dur, err := d.timed("retrain", "", 0, d.retrain)
 		d.result.Retrains++
 		d.result.RetrainTotal += dur
 		d.obs.retrains.Inc()
@@ -296,7 +296,7 @@ func (d *Deployer) initialTrain(s Stream) error {
 		}
 		all = append(all, ins...)
 	}
-	return d.cost.TimeErr(eval.CatTrain, func() error {
+	return d.cost.Time(eval.CatTrain, len(all)*d.cfg.InitialEpochs, func() error {
 		return d.sgdEpochs(d.mdl, d.optm, all, d.cfg.InitialEpochs)
 	})
 }
@@ -305,7 +305,7 @@ func (d *Deployer) initialTrain(s Stream) error {
 // once, for both the serve and the online pass.
 func (d *Deployer) parse(records [][]byte) (pipeline.Parsed, error) {
 	var in pipeline.Parsed
-	if _, err := d.timed("parse", eval.CatPreprocess, func() (err error) {
+	if _, err := d.timed("parse", eval.CatPreprocess, len(records), func() (err error) {
 		in, err = d.pipe.Parse(records)
 		return err
 	}); err != nil {
@@ -314,13 +314,14 @@ func (d *Deployer) parse(records [][]byte) (pipeline.Parsed, error) {
 	return in, nil
 }
 
-// serveAndScore finishes the parsed chunk on the transform-only path and
-// prequentially scores the deployed model on every resulting instance.
+// serveAndScore finishes the parsed chunk of records on the transform-only
+// path and prequentially scores the deployed model on every resulting
+// instance.
 //
 //cdml:locked mu — tick helper; tickBody's callers hold d.mu
-func (d *Deployer) serveAndScore(in pipeline.Parsed) error {
+func (d *Deployer) serveAndScore(records [][]byte, in pipeline.Parsed) error {
 	var ins []data.Instance
-	dur, err := d.timed("serve", eval.CatPredict, func() (err error) {
+	dur, err := d.timed("serve", eval.CatPredict, len(records), func() (err error) {
 		if ins, err = d.pipe.Serve(in); err != nil {
 			return err
 		}
@@ -355,7 +356,7 @@ func (d *Deployer) onlineUpdate(records [][]byte, in pipeline.Parsed) error {
 	}
 	d.obs.chunksIngested.Inc()
 	if len(ins) > 0 {
-		if _, err := d.timed("online-update", eval.CatTrain, func() error {
+		if _, err := d.timed("online-update", eval.CatTrain, len(ins), func() error {
 			return d.stepDeployed(ins)
 		}); err != nil {
 			return fmt.Errorf("core: online update: %w", err)
@@ -372,13 +373,17 @@ func (d *Deployer) onlineUpdate(records [][]byte, in pipeline.Parsed) error {
 // preprocess and materialize stages.
 func (d *Deployer) preprocessAndStore(records [][]byte, in pipeline.Parsed) ([]data.Instance, error) {
 	var ins []data.Instance
-	if _, err := d.timed("preprocess", eval.CatPreprocess, func() (err error) {
+	if _, err := d.timed("preprocess", eval.CatPreprocess, len(records), func() (err error) {
 		ins, err = d.pipe.Online(in)
 		return err
 	}); err != nil {
 		return nil, err
 	}
-	_, err := d.timed("materialize", eval.CatIO, func() error {
+	stored := len(records)
+	if !d.cfg.NoOptimization {
+		stored += len(ins)
+	}
+	_, err := d.timed("materialize", eval.CatIO, stored, func() error {
 		id, err := d.cfg.Store.AppendRaw(records)
 		if err != nil {
 			return err
@@ -429,7 +434,7 @@ func (d *Deployer) proactiveTrain(recent bool) error {
 	if recent {
 		iterations = d.cfg.DriftBoost
 	}
-	return d.cost.TimeErr(eval.CatTrain, func() error {
+	return d.cost.Time(eval.CatTrain, len(batch)*iterations, func() error {
 		for it := 0; it < iterations; it++ {
 			if err := d.stepDeployed(batch); err != nil {
 				return err
@@ -449,15 +454,10 @@ func (d *Deployer) gatherOptimized(ids []data.Timestamp) ([]data.Instance, error
 	parts := make([][]data.Instance, len(ids))
 	hits, misses := 0, 0
 	for k, id := range ids {
-		var (
-			ins []data.Instance
-			ok  bool
-		)
-		if err := d.cost.TimeErr(eval.CatIO, func() error {
-			var err error
-			ins, ok, err = d.cfg.Store.Features(id)
-			return err
-		}); err != nil {
+		start := time.Now()
+		ins, ok, err := d.cfg.Store.Features(id)
+		d.cost.Add(eval.CatIO, time.Since(start), len(ins))
+		if err != nil {
 			return nil, fmt.Errorf("core: fetching features %d: %w", id, err)
 		}
 		if ok {
@@ -470,10 +470,10 @@ func (d *Deployer) gatherOptimized(ids []data.Timestamp) ([]data.Instance, error
 		if err != nil {
 			return nil, err
 		}
-		d.cost.Time(eval.CatPreprocess, func() {
+		if err := d.cost.Time(eval.CatPreprocess, len(raw.Records), func() (err error) {
 			ins, err = d.pipe.ProcessServe(raw.Records)
-		})
-		if err != nil {
+			return err
+		}); err != nil {
 			return nil, fmt.Errorf("core: re-materializing chunk %d: %w", id, err)
 		}
 		d.cfg.Store.NoteRematerialized()
@@ -499,12 +499,10 @@ func (d *Deployer) gatherNoOptimization(ids []data.Timestamp) ([]data.Instance, 
 
 // raw reads one stored raw chunk, charging the IO.
 func (d *Deployer) raw(id data.Timestamp) (data.RawChunk, error) {
-	var rc data.RawChunk
-	if err := d.cost.TimeErr(eval.CatIO, func() error {
-		var e error
-		rc, e = d.cfg.Store.Raw(id)
-		return e
-	}); err != nil {
+	start := time.Now()
+	rc, err := d.cfg.Store.Raw(id)
+	d.cost.Add(eval.CatIO, time.Since(start), len(rc.Records))
+	if err != nil {
 		return data.RawChunk{}, fmt.Errorf("core: fetching raw %d: %w", id, err)
 	}
 	return rc, nil
@@ -517,30 +515,35 @@ func (d *Deployer) raw(id data.Timestamp) (data.RawChunk, error) {
 // retraining), and only then does the transform pass read them.
 func (d *Deployer) reprocess(pipe *pipeline.Pipeline, ids []data.Timestamp, recompute bool) ([]data.Instance, error) {
 	raws := make([]data.RawChunk, len(ids))
+	rows := 0
 	for k, id := range ids {
 		rc, err := d.raw(id)
 		if err != nil {
 			return nil, err
 		}
 		raws[k] = rc
+		rows += len(rc.Records)
+	}
+	if recompute {
+		rows *= 2
 	}
 	parts := make([][]data.Instance, len(raws))
-	var err error
-	d.cost.Time(eval.CatPreprocess, func() {
+	if err := d.cost.Time(eval.CatPreprocess, rows, func() error {
 		if recompute {
 			for _, rc := range raws {
-				if _, err = pipe.ProcessOnline(rc.Records); err != nil {
-					return
+				if _, err := pipe.ProcessOnline(rc.Records); err != nil {
+					return err
 				}
 			}
 		}
 		for k, rc := range raws {
+			var err error
 			if parts[k], err = pipe.ProcessServe(rc.Records); err != nil {
-				return
+				return err
 			}
 		}
-	})
-	if err != nil {
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	return slices.Concat(parts...), nil
@@ -569,7 +572,7 @@ func (d *Deployer) retrain() error {
 	if err != nil {
 		return fmt.Errorf("core: retraining: %w", err)
 	}
-	if err := d.cost.TimeErr(eval.CatTrain, func() error {
+	if err := d.cost.Time(eval.CatTrain, len(all)*retrainEpochs, func() error {
 		return d.sgdEpochs(mdl, om, all, retrainEpochs)
 	}); err != nil {
 		return err

@@ -82,7 +82,7 @@ func (d *Deployer) tickBody(ctx context.Context, records [][]byte, enqueuedAt ti
 	}
 	in, err := d.parse(records)
 	if err == nil {
-		err = d.serveAndScore(in)
+		err = d.serveAndScore(records, in)
 	}
 	if err == nil {
 		err = d.ingest(records, in)

@@ -172,26 +172,26 @@ func (d *Deployer) endTick() {
 //
 //cdml:locked mu — tickBody's callers hold d.mu around it
 func (d *Deployer) publishTick() {
-	_, _ = d.timed("publish", "", func() error {
+	_, _ = d.timed("publish", "", 0, func() error {
 		d.publish()
 		return nil
 	})
 }
 
 // timed runs f as the stage name of the tick in flight and is the one place
-// a stage is clocked: a single start/end pair, whose duration is charged to
-// the cost category cat (none when empty: a stage made of parts that charge
-// their own), recorded as a child of the tick span (dropped outside a tick,
-// e.g. during initial training) and returned for every other consumer — the
-// histogram, the Result total, the scheduler.
+// a stage is clocked: a single start/end pair, whose duration is charged with
+// the stage's rows of work to the cost category cat (none when empty: a stage
+// made of parts that charge their own), recorded as a child of the tick span
+// (dropped outside a tick, e.g. during initial training) and returned for
+// every other consumer — the histogram, the Result total, the scheduler.
 //
 //cdml:locked mu — only tick helpers call it
-func (d *Deployer) timed(name string, cat eval.Category, f func() error) (time.Duration, error) {
+func (d *Deployer) timed(name string, cat eval.Category, rows int, f func() error) (time.Duration, error) {
 	start := time.Now()
 	err := f()
 	dur := time.Since(start)
 	if cat != "" {
-		d.cost.Add(cat, dur)
+		d.cost.Add(cat, dur, rows)
 	}
 	d.tickSpan.AddChild(name, start, dur)
 	return dur, err

@@ -50,7 +50,7 @@ func (d *Deployer) predict(records [][]byte) ([]float64, uint64, error) {
 		out[i] = d.cfg.Predict(snap.mdl, in.X)
 	}
 	unpin(snap)
-	d.cost.Add(eval.CatPredict, time.Since(start))
+	d.cost.Add(eval.CatPredict, time.Since(start), len(records))
 	d.obs.predictLatency.Observe(time.Since(start))
 	d.obs.predictQueries.Add(int64(len(ins)))
 	return out, snap.version, nil

@@ -21,7 +21,13 @@ const (
 	CatIO         Category = "io"
 )
 
-// CostClock accumulates wall-clock time by category. It is safe for
+// CostClock accumulates, by category, wall-clock time and work: the rows
+// (records or instances) each charged operation handled, counted once per
+// pass over them — a chunk stored raw and as features is two rows a record, a
+// mini-batch stepped three times is three a row. The time is what a
+// deployment paid on this machine; the work is the same on every run, which
+// is what lets the paper's cost shapes (periodical ≫ continuous ≈ online,
+// cost falls as materialization rises) be checked exactly. It is safe for
 // concurrent use and lock-free: the serving path charges CatPredict on every
 // query while training charges CatTrain, so sharing a mutex here would
 // reintroduce exactly the reader/writer coupling the snapshot architecture
@@ -30,14 +36,15 @@ const (
 //
 // The clock is //cdml:mutable — the one deliberately live object reachable
 // from a published core.Snapshot (Result.Cost): it keeps accumulating after
-// publish, and being four atomics is what makes that safe. The marker prunes
-// it from snapfreeze's immutability closure.
+// publish, and being atomics is what makes that safe. The marker prunes it
+// from snapfreeze's immutability closure.
 //
 //cdml:mutable
 type CostClock struct {
-	// nanos holds the nanoseconds charged to each category, indexed by
-	// catIndex.
+	// nanos and rows hold the nanoseconds and the rows charged to each
+	// category, indexed by catIndex.
 	nanos [numCats]atomic.Int64
+	rows  [numCats]atomic.Int64
 }
 
 const numCats = 4
@@ -64,26 +71,21 @@ func NewCostClock() *CostClock {
 	return &CostClock{}
 }
 
-// Add charges d to category c.
+// Add charges d and rows of work to category c.
 //
 //cdml:hotpath
-func (cc *CostClock) Add(c Category, d time.Duration) {
-	cc.nanos[catIndex(c)].Add(int64(d))
+func (cc *CostClock) Add(c Category, d time.Duration, rows int) {
+	i := catIndex(c)
+	cc.nanos[i].Add(int64(d))
+	cc.rows[i].Add(int64(rows))
 }
 
-// Time runs f and charges its duration to category c.
-func (cc *CostClock) Time(c Category, f func()) {
-	start := time.Now()
-	f()
-	cc.Add(c, time.Since(start))
-}
-
-// TimeErr runs f and charges its duration to category c, passing through
-// f's error.
-func (cc *CostClock) TimeErr(c Category, f func() error) error {
+// Time runs f and charges its duration and rows of work to category c,
+// passing through f's error.
+func (cc *CostClock) Time(c Category, rows int, f func() error) error {
 	start := time.Now()
 	err := f()
-	cc.Add(c, time.Since(start))
+	cc.Add(c, time.Since(start), rows)
 	return err
 }
 
@@ -104,23 +106,31 @@ func (cc *CostClock) Total() time.Duration {
 	return t
 }
 
+// Work returns the rows charged to category c.
+func (cc *CostClock) Work(c Category) int64 {
+	return cc.rows[catIndex(c)].Load()
+}
+
+// TotalWork returns the rows charged across all categories — the paper's
+// deployment cost, counted instead of timed.
+func (cc *CostClock) TotalWork() int64 {
+	var n int64
+	for i := range cc.rows {
+		n += cc.rows[i].Load()
+	}
+	return n
+}
+
 // Breakdown returns a stable, human-readable summary of the non-zero
-// categories, in alphabetical order.
+// categories, in alphabetical order: time, then rows.
 func (cc *CostClock) Breakdown() string {
 	var parts []string
 	for _, c := range [numCats]Category{CatIO, CatPredict, CatPreprocess, CatTrain} {
-		if d := cc.Get(c); d != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%v", c, d.Round(time.Microsecond)))
+		if d, n := cc.Get(c), cc.Work(c); d != 0 || n != 0 {
+			parts = append(parts, fmt.Sprintf("%s=%v/%d rows", c, d.Round(time.Microsecond), n))
 		}
 	}
 	return strings.Join(parts, " ")
-}
-
-// Reset clears the clock.
-func (cc *CostClock) Reset() {
-	for i := range cc.nanos {
-		cc.nanos[i].Store(0)
-	}
 }
 
 // Series is an (x, y) curve recorded during a deployment run — the raw

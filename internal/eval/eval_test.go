@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -121,26 +122,23 @@ func TestQuickRMSEProperties(t *testing.T) {
 
 func TestCostClock(t *testing.T) {
 	cc := NewCostClock()
-	cc.Add(CatTrain, 100*time.Millisecond)
-	cc.Add(CatTrain, 50*time.Millisecond)
-	cc.Add(CatPredict, 25*time.Millisecond)
-	if cc.Get(CatTrain) != 150*time.Millisecond {
-		t.Fatalf("train = %v", cc.Get(CatTrain))
+	cc.Add(CatTrain, 100*time.Millisecond, 40)
+	cc.Add(CatTrain, 50*time.Millisecond, 2)
+	cc.Add(CatPredict, 25*time.Millisecond, 7)
+	if cc.Get(CatTrain) != 150*time.Millisecond || cc.Work(CatTrain) != 42 {
+		t.Fatalf("train = %v, %d rows", cc.Get(CatTrain), cc.Work(CatTrain))
 	}
-	if cc.Total() != 175*time.Millisecond {
-		t.Fatalf("total = %v", cc.Total())
+	if cc.Total() != 175*time.Millisecond || cc.TotalWork() != 49 {
+		t.Fatalf("total = %v, %d rows", cc.Total(), cc.TotalWork())
 	}
-	if cc.Breakdown() == "" {
-		t.Fatal("empty breakdown")
-	}
-	cc.Reset()
-	if cc.Total() != 0 {
-		t.Fatal("reset failed")
+	if got, want := cc.Breakdown(), "predict=25ms/7 rows train=150ms/42 rows"; got != want {
+		t.Fatalf("breakdown %q, want %q", got, want)
 	}
 	// The four categories are all there are.
 	for name, f := range map[string]func(){
-		"Add": func() { cc.Add("gpu", time.Second) },
-		"Get": func() { cc.Get("gpu") },
+		"Add":  func() { cc.Add("gpu", time.Second, 1) },
+		"Get":  func() { cc.Get("gpu") },
+		"Work": func() { cc.Work("gpu") },
 	} {
 		func() {
 			defer func() {
@@ -155,13 +153,13 @@ func TestCostClock(t *testing.T) {
 
 func TestCostClockTime(t *testing.T) {
 	cc := NewCostClock()
-	cc.Time(CatPreprocess, func() { time.Sleep(time.Millisecond) })
-	if cc.Get(CatPreprocess) < time.Millisecond {
-		t.Fatalf("Time did not charge: %v", cc.Get(CatPreprocess))
+	boom := errors.New("boom")
+	err := cc.Time(CatPreprocess, 5, func() error { time.Sleep(time.Millisecond); return boom })
+	if !errors.Is(err, boom) {
+		t.Fatalf("Time returned %v, want f's error", err)
 	}
-	err := cc.TimeErr(CatIO, func() error { return nil })
-	if err != nil {
-		t.Fatal(err)
+	if cc.Get(CatPreprocess) < time.Millisecond || cc.Work(CatPreprocess) != 5 {
+		t.Fatalf("Time charged %v and %d rows", cc.Get(CatPreprocess), cc.Work(CatPreprocess))
 	}
 }
 
@@ -173,13 +171,13 @@ func TestCostClockConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				cc.Add(CatTrain, time.Microsecond)
+				cc.Add(CatTrain, time.Microsecond, 3)
 			}
 		}()
 	}
 	wg.Wait()
-	if cc.Get(CatTrain) != 800*time.Microsecond {
-		t.Fatalf("concurrent adds lost: %v", cc.Get(CatTrain))
+	if cc.Get(CatTrain) != 800*time.Microsecond || cc.Work(CatTrain) != 2400 {
+		t.Fatalf("concurrent adds lost: %v, %d rows", cc.Get(CatTrain), cc.Work(CatTrain))
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"cdml/internal/core"
@@ -24,31 +23,76 @@ func deploy(cfg core.Config, s core.Stream) (*core.Result, error) {
 	return d.Run(s)
 }
 
+// curvePoints is how many points of a quality curve a result keeps: the
+// shape of the paper's over-time figures, not every tick.
+const curvePoints = 8
+
+// Cost is one deployment's cost in both of eval.CostClock's units.
+type Cost struct {
+	// Work is the rows charged across all categories, and Rows the rows
+	// charged to each: exact, and the same on every run.
+	Work int64
+	Rows map[eval.Category]int64
+	// Time is the wall-clock total. It differs between runs and machines,
+	// so it stays out of the JSON form.
+	Time time.Duration `json:"-"`
+}
+
+// costOf reads a deployment's cost clock.
+func costOf(cc *eval.CostClock) Cost {
+	rows := make(map[eval.Category]int64)
+	for _, c := range []eval.Category{eval.CatPreprocess, eval.CatTrain, eval.CatPredict, eval.CatIO} {
+		rows[c] = cc.Work(c)
+	}
+	return Cost{Work: cc.TotalWork(), Rows: rows, Time: cc.Total()}
+}
+
 // ---------------------------------------------------------------------------
 // Experiment 1 — Figure 4: deployment approaches
 
-// Fig4Result holds quality and cost curves for the three deployment
-// approaches on one workload.
+// Fig4Result holds quality and cost for the three deployment approaches on
+// one workload.
 type Fig4Result struct {
 	Workload string
 	Metric   string
-	Results  map[string]*core.Result // keyed by mode name
+	Results  map[string]*fig4Approach // keyed by mode name
+}
+
+// fig4Approach is one approach's deployment.
+type fig4Approach struct {
+	FinalError    float64
+	AvgError      float64
+	ProactiveRuns int
+	Retrains      int
+	Cost          Cost
+	ErrorCurve    *eval.Series
+	// CostCurve (seconds over chunk time) and the mean durations of one
+	// proactive training and one retraining are wall clock: out of the JSON.
+	CostCurve    *eval.Series  `json:"-"`
+	AvgProactive time.Duration `json:"-"`
+	AvgRetrain   time.Duration `json:"-"`
 }
 
 // Fig4 runs the online, periodical, and continuous deployments of one
 // workload (paper §5.2, Figure 4a–d).
 func Fig4(w *Workload) (*Fig4Result, error) {
-	out := &Fig4Result{Workload: w.Name, Metric: w.MetricName, Results: map[string]*core.Result{}}
+	out := &Fig4Result{Workload: w.Name, Metric: w.MetricName, Results: map[string]*fig4Approach{}}
 	for _, mode := range []core.Mode{core.ModeOnline, core.ModePeriodical, core.ModeContinuous} {
-		cfg := w.BaseConfig(mode, 1)
-		// Each approach starts on a collected heap, so none is charged for
-		// collecting the garbage the one before it left.
-		runtime.GC()
-		res, err := deploy(cfg, w.Stream)
+		res, err := deploy(w.BaseConfig(mode, 1), w.Stream)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: fig4 %s/%s: %w", w.Name, mode, err)
 		}
-		out.Results[mode.String()] = res
+		out.Results[mode.String()] = &fig4Approach{
+			FinalError:    res.FinalError,
+			AvgError:      res.AvgError,
+			ProactiveRuns: res.ProactiveRuns,
+			Retrains:      res.Retrains,
+			Cost:          costOf(res.Cost),
+			ErrorCurve:    res.ErrorCurve.Downsample(curvePoints),
+			CostCurve:     res.CostCurve.Downsample(curvePoints),
+			AvgProactive:  res.AvgProactive(),
+			AvgRetrain:    res.AvgRetrain(),
+		}
 	}
 	return out, nil
 }
@@ -235,7 +279,7 @@ func Fig5(w *Workload, grid *Table3Result) (*Fig5Result, error) {
 		out.Curves = append(out.Curves, Fig5Curve{
 			Adaptation: ad,
 			Reg:        best.Reg,
-			Curve:      res.ErrorCurve,
+			Curve:      res.ErrorCurve.Downsample(curvePoints),
 			AvgError:   res.AvgError,
 			FinalError: res.FinalError,
 		})
@@ -279,7 +323,7 @@ func Fig6(w *Workload) (*Fig6Result, error) {
 		}
 		out.Curves = append(out.Curves, Fig6Curve{
 			Strategy:   strat,
-			Curve:      res.ErrorCurve,
+			Curve:      res.ErrorCurve.Downsample(curvePoints),
 			AvgError:   res.AvgError,
 			FinalError: res.FinalError,
 		})
@@ -364,11 +408,11 @@ func Table4(N, sampleChunks, window int) *Table4Result {
 // fig7Rates are the materialization rates the paper sweeps.
 var fig7Rates = []float64{0.0, 0.2, 0.6, 1.0}
 
-// fig7Point is one (strategy, rate) deployment's total cost.
+// fig7Point is one (strategy, rate) deployment's cost.
 type fig7Point struct {
 	Strategy string
 	Rate     float64
-	Cost     time.Duration
+	Cost     Cost
 	Mu       float64
 }
 
@@ -376,7 +420,7 @@ type fig7Point struct {
 type Fig7Result struct {
 	Workload  string
 	Points    []fig7Point
-	NoOptCost time.Duration
+	NoOptCost Cost
 }
 
 // Fig7 sweeps the materialization rate for each sampling strategy and runs
@@ -398,7 +442,7 @@ func Fig7(w *Workload) (*Fig7Result, error) {
 			out.Points = append(out.Points, fig7Point{
 				Strategy: strat,
 				Rate:     rate,
-				Cost:     res.Cost.Total(),
+				Cost:     costOf(res.Cost),
 				Mu:       res.MatStats.Mu(),
 			})
 		}
@@ -410,20 +454,20 @@ func Fig7(w *Workload) (*Fig7Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: fig7 %s/noopt: %w", w.Name, err)
 	}
-	out.NoOptCost = res.Cost.Total()
+	out.NoOptCost = costOf(res.Cost)
 	return out, nil
 }
 
 // CostAt returns the measured cost for a strategy/rate pair, and false if
 // absent.
-func (f *Fig7Result) CostAt(strategy string, rate float64) (time.Duration, bool) {
+func (f *Fig7Result) CostAt(strategy string, rate float64) (Cost, bool) {
 	for _, p := range f.Points {
 		//lint:allow floateq: materialization rates are exact grid constants (0.0, 0.25, ...)
 		if p.Strategy == strategy && p.Rate == rate {
 			return p.Cost, true
 		}
 	}
-	return 0, false
+	return Cost{}, false
 }
 
 // ---------------------------------------------------------------------------
@@ -433,7 +477,7 @@ func (f *Fig7Result) CostAt(strategy string, rate float64) (time.Duration, bool)
 type Fig8Point struct {
 	Mode     string
 	AvgError float64
-	Cost     time.Duration
+	Cost     Cost
 }
 
 // Fig8Result holds the trade-off scatter for one workload.
@@ -455,7 +499,7 @@ func Fig8(f4 *Fig4Result) *Fig8Result {
 		out.Points = append(out.Points, Fig8Point{
 			Mode:     mode,
 			AvgError: res.AvgError,
-			Cost:     res.Cost.Total(),
+			Cost:     res.Cost,
 		})
 	}
 	return out

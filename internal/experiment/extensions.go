@@ -135,7 +135,7 @@ func (r *ExtDriftResult) Render() string {
 type ExtVeloxRow struct {
 	Strategy   string
 	FinalError float64
-	Cost       time.Duration
+	Cost       Cost
 	Retrains   int
 	Proactive  int
 }
@@ -183,7 +183,7 @@ func ExtVelox() (*ExtVeloxResult, error) {
 		out.Rows = append(out.Rows, ExtVeloxRow{
 			Strategy:   mode.String(),
 			FinalError: res.FinalError,
-			Cost:       res.Cost.Total(),
+			Cost:       costOf(res.Cost),
 			Retrains:   res.Retrains,
 			Proactive:  res.ProactiveRuns,
 		})
@@ -195,10 +195,10 @@ func ExtVelox() (*ExtVeloxResult, error) {
 func (r *ExtVeloxResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Extension — Velox-style threshold retraining vs continuous (flipping stream)\n")
-	fmt.Fprintf(&b, "%-12s %12s %14s %10s %10s\n", "strategy", "final-error", "cost", "retrains", "proactive")
+	fmt.Fprintf(&b, "%-12s %12s %12s %10s %10s %10s\n", "strategy", "final-error", "cost-rows", "cost", "retrains", "proactive")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-12s %12.4f %14v %10d %10d\n",
-			row.Strategy, row.FinalError, row.Cost.Round(time.Millisecond), row.Retrains, row.Proactive)
+		fmt.Fprintf(&b, "%-12s %12.4f %12d %10v %10d %10d\n",
+			row.Strategy, row.FinalError, row.Cost.Work, row.Cost.Time.Round(time.Millisecond), row.Retrains, row.Proactive)
 	}
 	return b.String()
 }
@@ -211,8 +211,8 @@ func (r *ExtVeloxResult) Render() string {
 type ExtRecsysResult struct {
 	OnlineRMSE     float64
 	ContinuousRMSE float64
-	OnlineCost     time.Duration
-	ContinuousCost time.Duration
+	OnlineCost     Cost
+	ContinuousCost Cost
 	NoiseFloor     float64
 }
 
@@ -251,8 +251,8 @@ func ExtRecsys() (*ExtRecsysResult, error) {
 	return &ExtRecsysResult{
 		OnlineRMSE:     on.FinalError,
 		ContinuousRMSE: cont.FinalError,
-		OnlineCost:     on.Cost.Total(),
-		ContinuousCost: cont.Cost.Total(),
+		OnlineCost:     costOf(on.Cost),
+		ContinuousCost: costOf(cont.Cost),
 		NoiseFloor:     cfg.Noise,
 	}, nil
 }
@@ -261,9 +261,9 @@ func ExtRecsys() (*ExtRecsysResult, error) {
 func (r *ExtRecsysResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Extension — recommender deployment (matrix factorization, drifting preferences)\n")
-	fmt.Fprintf(&b, "%-12s %12s %14s\n", "deployment", "final-RMSE", "cost")
-	fmt.Fprintf(&b, "%-12s %12.4f %14v\n", "online", r.OnlineRMSE, r.OnlineCost.Round(time.Millisecond))
-	fmt.Fprintf(&b, "%-12s %12.4f %14v\n", "continuous", r.ContinuousRMSE, r.ContinuousCost.Round(time.Millisecond))
+	fmt.Fprintf(&b, "%-12s %12s %12s %10s\n", "deployment", "final-RMSE", "cost-rows", "cost")
+	fmt.Fprintf(&b, "%-12s %12.4f %12d %10v\n", "online", r.OnlineRMSE, r.OnlineCost.Work, r.OnlineCost.Time.Round(time.Millisecond))
+	fmt.Fprintf(&b, "%-12s %12.4f %12d %10v\n", "continuous", r.ContinuousRMSE, r.ContinuousCost.Work, r.ContinuousCost.Time.Round(time.Millisecond))
 	fmt.Fprintf(&b, "noise floor ≈ %.2f\n", r.NoiseFloor)
 	return b.String()
 }

@@ -24,29 +24,25 @@ func (r *Fig4Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 4 — deployment approaches (%s, metric=%s)\n", r.Workload, r.Metric)
 	modes := []string{"online", "periodical", "continuous"}
-	fmt.Fprintf(&b, "%-12s %12s %12s %14s %12s %10s\n",
-		"approach", "final-error", "avg-error", "cost", "proactive", "retrains")
+	fmt.Fprintf(&b, "%-12s %12s %12s %12s %10s %12s %10s\n",
+		"approach", "final-error", "avg-error", "cost-rows", "cost", "proactive", "retrains")
 	for _, m := range modes {
 		res, ok := r.Results[m]
 		if !ok {
 			continue
 		}
-		fmt.Fprintf(&b, "%-12s %12.4f %12.4f %14v %12d %10d\n",
-			m, res.FinalError, res.AvgError, res.Cost.Total().Round(time.Millisecond),
+		fmt.Fprintf(&b, "%-12s %12.4f %12.4f %12d %10v %12d %10d\n",
+			m, res.FinalError, res.AvgError, res.Cost.Work, res.Cost.Time.Round(time.Millisecond),
 			res.ProactiveRuns, res.Retrains)
 	}
-	if on, ok := r.Results["online"]; ok {
-		if per, ok2 := r.Results["periodical"]; ok2 {
-			if cont, ok3 := r.Results["continuous"]; ok3 {
-				fmt.Fprintf(&b, "cost ratios: periodical/continuous=%.1fx continuous/online=%.2fx\n",
-					ratio(per.Cost.Total(), cont.Cost.Total()),
-					ratio(cont.Cost.Total(), on.Cost.Total()))
-				// §5.5 staleness: one proactive training vs one retraining.
-				fmt.Fprintf(&b, "avg training event: proactive=%v retraining=%v\n",
-					cont.AvgProactive().Round(time.Microsecond),
-					per.AvgRetrain().Round(time.Millisecond))
-			}
-		}
+	on, per, cont := r.Results["online"], r.Results["periodical"], r.Results["continuous"]
+	if on != nil && per != nil && cont != nil {
+		fmt.Fprintf(&b, "cost ratios (rows / time): periodical/continuous=%.2fx / %.2fx continuous/online=%.2fx / %.2fx\n",
+			ratio(per.Cost.Work, cont.Cost.Work), ratio(per.Cost.Time, cont.Cost.Time),
+			ratio(cont.Cost.Work, on.Cost.Work), ratio(cont.Cost.Time, on.Cost.Time))
+		// §5.5 staleness: one proactive training vs one retraining.
+		fmt.Fprintf(&b, "avg training event: proactive=%v retraining=%v\n",
+			cont.AvgProactive.Round(time.Microsecond), per.AvgRetrain.Round(time.Millisecond))
 	}
 	b.WriteString("error-over-time (chunk:error):\n")
 	for _, m := range modes {
@@ -63,7 +59,7 @@ func (r *Fig4Result) Render() string {
 	return b.String()
 }
 
-func ratio(a, b time.Duration) float64 {
+func ratio[T int64 | time.Duration](a, b T) float64 {
 	if b == 0 {
 		return 0
 	}
@@ -180,24 +176,31 @@ func (r *Fig7Result) Render() string {
 		fmt.Fprintf(&b, " %14s", fmt.Sprintf("m/n=%.1f", rate))
 	}
 	b.WriteByte('\n')
+	b.WriteString("(rows / time)\n")
 	strategies := []string{"time", "window", "uniform"}
 	for _, s := range strategies {
 		fmt.Fprintf(&b, "%-10s", s)
 		for _, rate := range fig7Rates {
 			if c, ok := r.CostAt(s, rate); ok {
-				fmt.Fprintf(&b, " %14v", c.Round(time.Millisecond))
+				fmt.Fprintf(&b, " %14s", fig7Cell(c))
 			} else {
 				fmt.Fprintf(&b, " %14s", "-")
 			}
 		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "%-10s %14v\n", "no-opt", r.NoOptCost.Round(time.Millisecond))
-	if full, ok := r.CostAt("time", 1.0); ok && full > 0 {
-		fmt.Fprintf(&b, "no-opt overhead vs fully optimized: +%.0f%%\n",
-			100*(float64(r.NoOptCost)/float64(full)-1))
+	fmt.Fprintf(&b, "%-10s %14s\n", "no-opt", fig7Cell(r.NoOptCost))
+	if full, ok := r.CostAt("time", 1.0); ok {
+		fmt.Fprintf(&b, "no-opt vs fully optimized (rows / time): %+.0f%% / %+.0f%%; preprocess rows %+.0f%%\n",
+			100*(ratio(r.NoOptCost.Work, full.Work)-1), 100*(ratio(r.NoOptCost.Time, full.Time)-1),
+			100*(ratio(r.NoOptCost.Rows[eval.CatPreprocess], full.Rows[eval.CatPreprocess])-1))
 	}
 	return b.String()
+}
+
+// fig7Cell prints one Figure 7 cost as rows / time.
+func fig7Cell(c Cost) string {
+	return fmt.Sprintf("%d/%v", c.Work, c.Time.Round(time.Millisecond))
 }
 
 // Render prints the Figure 8 trade-off scatter.
@@ -205,10 +208,10 @@ func (r *Fig8Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 8 — quality vs cost trade-off (%s, metric=%s)\n", r.Workload, r.Metric)
 	pts := append([]Fig8Point(nil), r.Points...)
-	sort.Slice(pts, func(a, c int) bool { return pts[a].Cost < pts[c].Cost })
-	fmt.Fprintf(&b, "%-12s %12s %14s\n", "approach", "avg-error", "cost")
+	sort.Slice(pts, func(a, c int) bool { return pts[a].Cost.Work < pts[c].Cost.Work })
+	fmt.Fprintf(&b, "%-12s %12s %12s %10s\n", "approach", "avg-error", "cost-rows", "cost")
 	for _, p := range pts {
-		fmt.Fprintf(&b, "%-12s %12.4f %14v\n", p.Mode, p.AvgError, p.Cost.Round(time.Millisecond))
+		fmt.Fprintf(&b, "%-12s %12.4f %12d %10v\n", p.Mode, p.AvgError, p.Cost.Work, p.Cost.Time.Round(time.Millisecond))
 	}
 	return b.String()
 }
