@@ -898,7 +898,8 @@ func BenchmarkReplicaPredict(b *testing.B) {
 // benchWarmChunks chunks and no checkpoint policy (the shape of the system benchmark's
 // in-process core.tick_us). B/op is the number that matters: everything a
 // tick allocates beyond its chunk's own columns is garbage the collector
-// pays for beside the readers.
+// pays for beside the readers. The tick's stages are reported beside it, in
+// µs per tick (tickStages).
 func benchIngestTick(b *testing.B, cfg core.Config, chunk func(i int) [][]byte) {
 	const fresh = 64
 	dep := warmDeployer(b, cfg, chunk)
@@ -912,6 +913,36 @@ func benchIngestTick(b *testing.B, cfg core.Config, chunk func(i int) [][]byte) 
 		if err := dep.Ingest(chunks[i%fresh]); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.StopTimer()
+	reportTickStages(b, dep.Tracer().Last(b.N))
+}
+
+// tickStages are the stages of an ingest tick that Deployer.timed clocks, in
+// tick order.
+var tickStages = []string{"parse", "serve", "preprocess", "online-update", "materialize", "publish"}
+
+// reportTickStages reports each of tickStages as "<stage>-us/op": its mean
+// over the tick span trees given (the tracer keeps the newest 64, so a
+// long run reports its last 64 ticks). Reading the trees after the loop
+// leaves the measured ticks and their allocations untouched.
+func reportTickStages(b *testing.B, spans []*obs.Span) {
+	sums := make(map[string]time.Duration, len(tickStages))
+	ticks := 0
+	for _, sp := range spans {
+		if sp.Name != "tick" {
+			continue
+		}
+		ticks++
+		for _, c := range sp.Children {
+			sums[c.Name] += c.Duration()
+		}
+	}
+	if ticks == 0 {
+		return
+	}
+	for _, stage := range tickStages {
+		b.ReportMetric(float64(sums[stage].Nanoseconds())/1e3/float64(ticks), stage+"-us/op")
 	}
 }
 
