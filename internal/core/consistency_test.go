@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"cdml/internal/data"
 	"cdml/internal/dataset"
 	"cdml/internal/eval"
+	"cdml/internal/linalg"
 	"cdml/internal/model"
 	"cdml/internal/pipeline"
 	"cdml/internal/snapstream"
@@ -354,4 +357,75 @@ func oracleRun(t *testing.T, c oracleCase, everyTicks int) {
 	}
 	t.Logf("%d versions answered on the primary, %d on the replica, %d frames and %d checkpoint files checked",
 		len(versions[0]), len(versions[1]), len(frames), len(files))
+}
+
+// TestStoredFeaturesAreThePublishedServePath is the oracle's training half
+// (paper §3.1): the statistics a tick's online transform used are the ones
+// its Update produced for that chunk. After every tick of the url and taxi
+// deployments, the feature chunk the tick stored equals ProcessServe of the
+// tick's records through the pipeline of the snapshot the tick published,
+// bit for bit.
+func TestStoredFeaturesAreThePublishedServePath(t *testing.T) {
+	const ticks = 24
+	for _, c := range oracleCases() {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.config()
+			d, err := NewDeployer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Shutdown()
+			for i := 0; i < ticks; i++ {
+				records := c.chunk(i)
+				if err := d.Ingest(records); err != nil {
+					t.Fatalf("tick %d: %v", i, err)
+				}
+				ids := cfg.Store.RawIDs()
+				stored, ok, err := cfg.Store.Features(ids[len(ids)-1])
+				if err != nil || !ok {
+					t.Fatalf("tick %d: the tick's feature chunk is not stored (err %v)", i, err)
+				}
+				snap := d.Published()
+				if want := uint64(i + 2); snap.Version() != want {
+					t.Fatalf("tick %d published version %d, want %d", i, snap.Version(), want)
+				}
+				want, err := snap.pipe.ProcessServe(records)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameInstanceBits(stored, want); err != nil {
+					t.Fatalf("tick %d: stored features are not the serve path of version %d: %v", i, snap.Version(), err)
+				}
+			}
+		})
+	}
+}
+
+// sameInstanceBits reports how two instance slices differ: in length, in a
+// label's bits, or in a feature vector's kind, dimension, indices or value
+// bits.
+func sameInstanceBits(got, want []data.Instance) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d instances, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i].Y) != math.Float64bits(want[i].Y) {
+			return fmt.Errorf("instance %d: label %v, want %v", i, got[i].Y, want[i].Y)
+		}
+		switch w := want[i].X.(type) {
+		case *linalg.Sparse:
+			g, ok := got[i].X.(*linalg.Sparse)
+			if !ok || g.N != w.N || !slices.Equal(g.Idx, w.Idx) || !sameBits(g.Val, w.Val) {
+				return fmt.Errorf("instance %d: features %v, want %v", i, got[i].X, w)
+			}
+		case linalg.Dense:
+			g, ok := got[i].X.(linalg.Dense)
+			if !ok || !sameBits(g, w) {
+				return fmt.Errorf("instance %d: features %v, want %v", i, got[i].X, w)
+			}
+		default:
+			return fmt.Errorf("instance %d: features of kind %T", i, w)
+		}
+	}
+	return nil
 }
