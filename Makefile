@@ -142,16 +142,19 @@ census-check:
 # wire-format parsers, the chunk-file decoders, the snapshot frame codec, the
 # ingest log's Open + Replay over an arbitrary active segment, the snapshot
 # payload decoder, the request-body reader and the -deployments file / spec
-# decoders; and over the weight ring's refresh, under an arbitrary mix of
-# sparse and dense steps, pins, unpins and publishes. One target list, two
-# durations. The payload seeds are whole checkpoints, so minimizing a new
-# input is bounded, or it eats the run.
+# decoders; over the weight ring's refresh, under an arbitrary mix of
+# sparse and dense steps, pins, unpins and publishes; and over the online
+# pass's in-place rewrite of the served rows (FuzzFoldReuse), which must
+# equal the fold's Transform on any chunks. One target list, two durations.
+# The payload seeds are whole checkpoints, so minimizing a new input is
+# bounded, or it eats the run.
 FUZZ_TARGETS = \
 	internal/dataset:FuzzURLParser internal/dataset:FuzzTaxiParser internal/dataset:FuzzRatingsParser \
 	internal/data:FuzzDecodeFeatureChunk internal/data:FuzzDecodeRawChunk \
 	internal/snapstream:FuzzDecodeFrame internal/snapstream:FuzzNextFrame \
 	internal/wal:FuzzReplay \
 	internal/core:FuzzDecodeSnapshotPayload internal/core:FuzzRingRefresh \
+	internal/pipeline:FuzzFoldReuse \
 	internal/serve:FuzzReadRecords cmd/cdml-serve:FuzzDeploymentsFile
 FUZZTIME = 15s
 fuzz:

@@ -77,7 +77,10 @@ func (m Mode) String() string {
 }
 
 // Predictor maps a deployed model's output into the metric's label space
-// (e.g. SVM margin → class label, regression score → value).
+// (e.g. SVM margin → class label, regression score → value). x is lent for
+// the length of the call: a tick rewrites the row it scored into its online
+// pass's row afterwards (pipeline.Pipeline.Online), so a Predictor must not
+// keep x or anything that shares its memory.
 type Predictor func(m model.Model, x linalg.Vector) float64
 
 // ClassifyPredictor returns the ±1 class label of an SVM-style model.
@@ -181,7 +184,8 @@ type Config struct {
 	DriftBoost int
 	// Metric accumulates the prequential error.
 	Metric eval.Metric
-	// Predict maps model output to the metric's label space.
+	// Predict maps model output to the metric's label space. The row it is
+	// given is valid only during the call (see Predictor).
 	Predict Predictor
 	// Engine runs the warm-up's look-ahead (Warm), generating chunks on up
 	// to Workers() goroutines ahead of the tick; nil defaults to a single

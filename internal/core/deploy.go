@@ -207,10 +207,10 @@ func (d *Deployer) Run(s Stream) (*Result, error) {
 // the chunk, storage, and the strategy-specific training trigger.
 //
 //cdml:locked mu — tick helper; tickBody's callers hold d.mu
-func (d *Deployer) ingest(records [][]byte, in pipeline.Parsed) error {
+func (d *Deployer) ingest(records [][]byte, in pipeline.Parsed, served []data.Instance) error {
 	// Online learning: update pipeline statistics, transform, store, and
 	// apply one online gradient step on the fresh chunk.
-	if err := d.onlineUpdate(records, in); err != nil {
+	if err := d.onlineUpdate(records, in, served); err != nil {
 		return err
 	}
 	retrainDue := false
@@ -290,7 +290,7 @@ func (d *Deployer) initialTrain(s Stream) error {
 		if err != nil {
 			return fmt.Errorf("core: initial training chunk %d: %w", i, err)
 		}
-		ins, err := d.preprocessAndStore(records, in)
+		ins, err := d.preprocessAndStore(records, in, nil)
 		if err != nil {
 			return fmt.Errorf("core: initial training chunk %d: %w", i, err)
 		}
@@ -316,10 +316,11 @@ func (d *Deployer) parse(records [][]byte) (pipeline.Parsed, error) {
 
 // serveAndScore finishes the parsed chunk of records on the transform-only
 // path and prequentially scores the deployed model on every resulting
-// instance.
+// instance. It returns the instances for the tick's online pass, which
+// rewrites them (Pipeline.Online).
 //
 //cdml:locked mu — tick helper; tickBody's callers hold d.mu
-func (d *Deployer) serveAndScore(records [][]byte, in pipeline.Parsed) error {
+func (d *Deployer) serveAndScore(records [][]byte, in pipeline.Parsed) ([]data.Instance, error) {
 	var ins []data.Instance
 	dur, err := d.timed("serve", eval.CatPredict, len(records), func() (err error) {
 		if ins, err = d.pipe.Serve(in); err != nil {
@@ -341,16 +342,16 @@ func (d *Deployer) serveAndScore(records [][]byte, in pipeline.Parsed) error {
 	d.obs.predictLatency.ObserveExemplar(dur, d.tickSpan.TraceID)
 	d.obs.recordsEvaluated.Add(int64(len(ins)))
 	if err != nil {
-		return fmt.Errorf("core: serving chunk: %w", err)
+		return nil, fmt.Errorf("core: serving chunk: %w", err)
 	}
 	d.result.Evaluated += int64(len(ins))
-	return nil
+	return ins, nil
 }
 
 // onlineUpdate runs the online path on the tick's chunk: preprocessing and
 // storage, then one online gradient step.
-func (d *Deployer) onlineUpdate(records [][]byte, in pipeline.Parsed) error {
-	ins, err := d.preprocessAndStore(records, in)
+func (d *Deployer) onlineUpdate(records [][]byte, in pipeline.Parsed, served []data.Instance) error {
+	ins, err := d.preprocessAndStore(records, in, served)
 	if err != nil {
 		return fmt.Errorf("core: online update: %w", err)
 	}
@@ -370,11 +371,13 @@ func (d *Deployer) onlineUpdate(records [][]byte, in pipeline.Parsed) error {
 // then storage — the raw records always, and the feature chunk when the
 // optimizations are enabled (dynamic materialization needs stored features;
 // the NoOptimization baseline stores none). Inside a tick these are the
-// preprocess and materialize stages.
-func (d *Deployer) preprocessAndStore(records [][]byte, in pipeline.Parsed) ([]data.Instance, error) {
+// preprocess and materialize stages, and served are the instances its serve
+// pass scored, which the online pass may rewrite into its own
+// (Pipeline.Online); the initial training has none.
+func (d *Deployer) preprocessAndStore(records [][]byte, in pipeline.Parsed, served []data.Instance) ([]data.Instance, error) {
 	var ins []data.Instance
 	if _, err := d.timed("preprocess", eval.CatPreprocess, len(records), func() (err error) {
-		ins, err = d.pipe.Online(in)
+		ins, err = d.pipe.Online(in, served)
 		return err
 	}); err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"cdml/internal/data"
 	"cdml/internal/engine"
 )
 
@@ -81,11 +82,12 @@ func (d *Deployer) tickBody(ctx context.Context, records [][]byte, enqueuedAt ti
 		d.tickSpan.AddChild("queue-wait", enqueuedAt, d.tickSpan.Start.Sub(enqueuedAt))
 	}
 	in, err := d.parse(records)
+	var served []data.Instance
 	if err == nil {
-		err = d.serveAndScore(records, in)
+		served, err = d.serveAndScore(records, in)
 	}
 	if err == nil {
-		err = d.ingest(records, in)
+		err = d.ingest(records, in, served)
 	}
 	if err != nil {
 		return err

@@ -247,7 +247,10 @@ func TestTickParsesOnce(t *testing.T) {
 
 // TestURLTickHashesTokensOnce: the URL pipeline's token hasher is part of
 // its stateless head, so a tick runs it once; the hasher that folds the
-// scaled numerics in comes after the stateful components and runs twice.
+// scaled numerics in comes after the stateful components and runs on both
+// passes. Wrapped, the fold is no *pipeline.FeatureHasher, so the online
+// pass runs its Transform; unwrapped, it rewrites the served rows instead
+// (dataset:TestURLPipelineMatchesOneHasher counts the chunks it does not).
 func TestURLTickHashesTokensOnce(t *testing.T) {
 	const ticks, dim = 12, 256
 	p := dataset.NewURLPipeline(dim)

@@ -404,11 +404,7 @@ type hashedNum struct {
 // Size is an error.
 func (h *FeatureHasher) Transform(f *data.Frame) (*data.Frame, error) {
 	n := f.Rows()
-	nums := make([]hashedNum, len(h.NumCols))
-	for k, c := range h.NumCols {
-		nums[k] = hashedNum{src: f.Float(c), bucket: int32(fnv1a(fnv1a(fnvOffset32, "num:"), c) % uint32(h.Size))}
-	}
-	slices.SortStableFunc(nums, func(a, b hashedNum) int { return cmp.Compare(a.bucket, b.bucket) })
+	nums := h.hashedNums(f)
 	tokSrcs := make([][]string, len(h.TokenCols))
 	for k, c := range h.TokenCols {
 		tokSrcs[k] = f.String(c)
@@ -450,13 +446,7 @@ func (h *FeatureHasher) Transform(f *data.Frame) (*data.Frame, error) {
 		}
 		j := 0
 		for k := 0; k < len(nums); {
-			bucket, sum, stored := nums[k].bucket, 0.0, false
-			for ; k < len(nums) && nums[k].bucket == bucket; k++ {
-				if v := nums[k].src[i]; storedFloat(v) {
-					sum += v // exact on the first: 0 + v is v for any stored v
-					stored = true
-				}
-			}
+			bucket, sum, stored := numSum(nums, &k, i)
 			if !stored {
 				continue
 			}
@@ -480,6 +470,96 @@ func (h *FeatureHasher) Transform(f *data.Frame) (*data.Frame, error) {
 		out[i] = b.EndRow()
 	}
 	return f.ShallowCopy().SetVec(h.Out, out), nil
+}
+
+// hashedNums returns f's numeric columns with their buckets, sorted by
+// bucket and, within a bucket, in column order: the order a row sums them in.
+func (h *FeatureHasher) hashedNums(f *data.Frame) []hashedNum {
+	nums := make([]hashedNum, len(h.NumCols))
+	for k, c := range h.NumCols {
+		nums[k] = hashedNum{src: f.Float(c), bucket: int32(fnv1a(fnv1a(fnvOffset32, "num:"), c) % uint32(h.Size))}
+	}
+	slices.SortStableFunc(nums, func(a, b hashedNum) int { return cmp.Compare(a.bucket, b.bucket) })
+	return nums
+}
+
+// numSum sums row i's stored values of the bucket group that starts at
+// nums[*k], in column order, and moves *k past the group. stored is false
+// when no value of the group is stored: the row has no entry there.
+func numSum(nums []hashedNum, k *int, i int) (bucket int32, sum float64, stored bool) {
+	bucket = nums[*k].bucket
+	for ; *k < len(nums) && nums[*k].bucket == bucket; *k++ {
+		if v := nums[*k].src[i]; storedFloat(v) {
+			sum += v // exact on the first: 0 + v is v for any stored v
+			stored = true
+		}
+	}
+	return bucket, sum, stored
+}
+
+// refold is Transform for a hasher that folds numerics into a base row
+// (BaseCol set, no TokenCols), written into rows that an earlier Transform
+// emitted instead of into new ones: each row's values are rewritten in
+// place, in one walk over the row and its base row in f, with the sums
+// Transform forms. Base entries are copied too, so the result is Transform's
+// row i whether or not rows[i] was built from the same record. refold
+// reports false, possibly having rewritten some rows, when the row counts
+// differ, a row is not sparse of dimension Size, or a row's indices are not
+// the ones Transform would emit: a numeric bucket is stored in one and not
+// the other (a value scaled to exactly 0 or missing on one side only). The
+// caller then runs Transform.
+func (h *FeatureHasher) refold(f *data.Frame, rows []data.Instance) bool {
+	if h.BaseCol == "" || len(h.TokenCols) != 0 || len(rows) != f.Rows() {
+		return false
+	}
+	nums := h.hashedNums(f)
+	base := f.Vec(h.BaseCol)
+	for i := range rows {
+		b, ok := base[i].(*linalg.Sparse)
+		if !ok || b.N != h.Size {
+			return false
+		}
+		row, ok := rows[i].X.(*linalg.Sparse)
+		if !ok || row.N != h.Size || !refoldRow(row, b, nums, i) {
+			return false
+		}
+	}
+	return true
+}
+
+// refoldRow rewrites row's values to Transform's merge of row i's numerics
+// into base, and reports false at the first index that is not Transform's.
+func refoldRow(row, base *linalg.Sparse, nums []hashedNum, i int) bool {
+	idx, val := row.Idx, row.Val
+	r, j := 0, 0
+	for k := 0; k < len(nums); {
+		bucket, sum, stored := numSum(nums, &k, i)
+		if !stored {
+			continue
+		}
+		for ; j < len(base.Idx) && base.Idx[j] < bucket; j, r = j+1, r+1 {
+			if r == len(idx) || idx[r] != base.Idx[j] {
+				return false
+			}
+			val[r] = base.Val[j]
+		}
+		if j < len(base.Idx) && base.Idx[j] == bucket {
+			sum += base.Val[j]
+			j++
+		}
+		if r == len(idx) || idx[r] != bucket {
+			return false
+		}
+		val[r] = sum
+		r++
+	}
+	for ; j < len(base.Idx); j, r = j+1, r+1 {
+		if r == len(idx) || idx[r] != base.Idx[j] {
+			return false
+		}
+		val[r] = base.Val[j]
+	}
+	return r == len(idx)
 }
 
 // storedFloat reports whether a float cell contributes an entry to a sparse

@@ -123,7 +123,10 @@ func (p *Pipeline) Parse(records [][]byte) (Parsed, error) {
 }
 
 // Serve runs the transform-only path over the rest of the pipeline (prediction
-// queries and dynamic re-materialization).
+// queries and dynamic re-materialization). The rows belong to the caller; a
+// caller that hands them to Online gives them up, since Online may rewrite
+// them in place. A live tick does: a served row is valid only for the
+// length of its prequential score (core.Predictor).
 func (p *Pipeline) Serve(in Parsed) ([]data.Instance, error) {
 	f, err := transform(p.Components[in.next:], in.frame)
 	if err != nil {
@@ -135,8 +138,33 @@ func (p *Pipeline) Serve(in Parsed) ([]data.Instance, error) {
 // Online runs the online Update+Transform path over the rest of the
 // pipeline: every component first updates its statistics from its input,
 // then transforms it for the next component.
-func (p *Pipeline) Online(in Parsed) ([]data.Instance, error) {
-	f, err := updateTransform(p.Components[in.next:], in.frame)
+//
+// served is nil, or what Serve returned for the same in (a live tick's serve
+// pass), and Online takes it over. When the last component is a
+// FeatureHasher that folds numerics into a base row and writes the feature
+// column, Online does not run its Transform: it rewrites the values of the
+// served rows in place (FeatureHasher.refold) — the two passes' rows differ
+// only in the numerics the statistics scale — and returns served itself,
+// relabelled. The instances equal Transform's bit for bit; a chunk the
+// rewrite does not fit runs Transform.
+func (p *Pipeline) Online(in Parsed, served []data.Instance) ([]data.Instance, error) {
+	comps, f := p.Components[in.next:], in.frame
+	if last := len(comps) - 1; served != nil && last >= 0 {
+		if fold, ok := comps[last].(*FeatureHasher); ok && fold.Out == p.FeatureCol {
+			var err error
+			if f, err = updateTransform(comps[:last], f); err != nil {
+				return nil, err
+			}
+			if f.Has(p.LabelCol) && fold.refold(f, served) {
+				for i, y := range f.Float(p.LabelCol) {
+					served[i].Y = y
+				}
+				return served, nil
+			}
+			comps = comps[last:]
+		}
+	}
+	f, err := updateTransform(comps, f)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +178,7 @@ func (p *Pipeline) ProcessOnline(records [][]byte) ([]data.Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.Online(in)
+	return p.Online(in, nil)
 }
 
 // ProcessServe parses raw records and runs the transform-only path. It is

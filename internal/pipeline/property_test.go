@@ -16,12 +16,19 @@ import (
 )
 
 // randomFrame builds a frame with a float column "x", a categorical column
-// "c", and a label, with occasional missing values.
+// "c", a token column "toks" of up to four tokens over a vocabulary of six,
+// and a label, with occasional missing values and empty cells.
 func randomFrame(r *rand.Rand, rows int) *data.Frame {
 	xs := make([]float64, rows)
 	cs := make([]string, rows)
+	toks := make([]string, rows)
 	ys := make([]float64, rows)
 	for i := 0; i < rows; i++ {
+		words := make([]string, r.Intn(5))
+		for k := range words {
+			words[k] = fmt.Sprintf("t%d", r.Intn(6))
+		}
+		toks[i] = strings.Join(words, " ")
 		if r.Float64() < 0.1 {
 			xs[i] = data.Missing
 		} else {
@@ -37,6 +44,7 @@ func randomFrame(r *rand.Rand, rows int) *data.Frame {
 	f := data.NewFrame(rows)
 	f.SetFloat("x", xs)
 	f.SetString("c", cs)
+	f.SetString("toks", toks)
 	f.SetFloat("label", ys)
 	return f
 }
@@ -61,18 +69,26 @@ func snapshotFrame(f *data.Frame) string {
 
 // randomComponents builds a random stack of stateful and stateless
 // components over the random frame's schema: stateless ones before, between
-// and after the stateful ones.
+// and after the stateful ones. Half the stacks end the URL pipeline's way: a
+// token hasher in the stateless head and a hasher that folds the scaled
+// numerics into its rows last, into at most eight buckets, so numerics
+// collide with tokens and with each other.
 func randomComponents(r *rand.Rand) []Component {
 	var comps []Component
 	features := []string{"x"}
-	// A stateless head: a filter that drops rows below a random floor, and
-	// a derived column the assembler picks up.
+	// A stateless head: a filter that drops rows below a random floor, a
+	// token hasher, and a derived column the assembler or the fold picks up.
 	if r.Intn(2) == 0 {
 		headFloor := -20 * r.Float64()
 		comps = append(comps, NewFilter("head-floor", func(f *data.Frame, i int) bool {
 			x := f.Float("x")[i]
 			return data.IsMissingFloat(x) || x >= headFloor
 		}))
+	}
+	foldSize := 0
+	if r.Intn(2) == 0 {
+		foldSize = 1 + r.Intn(8)
+		comps = append(comps, NewFeatureHasher([]string{"toks"}, nil, "hashed", foldSize))
 	}
 	if r.Intn(2) == 0 {
 		comps = append(comps, NewInteraction([][2]string{{"x", "x"}}))
@@ -103,8 +119,12 @@ func randomComponents(r *rand.Rand) []Component {
 		return data.IsMissingFloat(x) || x >= floor
 	}))
 	comps = append(comps, NewOneHotEncoder("c", "cv", 8))
-	comps = append(comps, NewAssembler(features, []string{"cv"}, "features"))
-	return comps
+	if foldSize == 0 {
+		return append(comps, NewAssembler(features, []string{"cv"}, "features"))
+	}
+	fold := NewFeatureHasher(nil, features, "features", foldSize)
+	fold.BaseCol = "hashed"
+	return append(comps, fold)
 }
 
 // frameParser hands out a prepared frame as the parse of any records.
@@ -147,10 +167,13 @@ func sameInstances(got, want []data.Instance) error {
 }
 
 // Property: for any random pipeline and data, (1) Serve and Online over one
-// Parse — the serve pass first, as a tick runs them — are bit-identical to
-// running every component in order, (2) nothing mutates the parsed input,
-// and (3) the serve path is deterministic.
+// Parse — the serve pass first, and the online pass over the served rows, as
+// a tick runs them — are bit-identical to running every component in order,
+// (2) nothing mutates the parsed input, and (3) the serve path is
+// deterministic. Over the seeds, the online pass of a stack that ends in a
+// fold both rewrites the served rows and falls back to the fold's Transform.
 func TestQuickPipelinePurity(t *testing.T) {
+	reused, fellBack := 0, 0
 	f := func(seed int64) error {
 		r := rand.New(rand.NewSource(seed))
 		src := &frameParser{}
@@ -175,7 +198,7 @@ func TestQuickPipelinePurity(t *testing.T) {
 			if err := sameInstances(served, want); err != nil {
 				return fmt.Errorf("batch %d, serve: %w", b, err)
 			}
-			online, err := p.Online(in)
+			online, err := p.Online(in, served)
 			if err != nil {
 				return err
 			}
@@ -184,6 +207,13 @@ func TestQuickPipelinePurity(t *testing.T) {
 			}
 			if err := sameInstances(online, want); err != nil {
 				return fmt.Errorf("batch %d, online: %w", b, err)
+			}
+			if _, fold := p.Components[len(p.Components)-1].(*FeatureHasher); fold && len(served) > 0 && len(online) > 0 {
+				if &online[0] == &served[0] {
+					reused++
+				} else {
+					fellBack++
+				}
 			}
 		}
 		src.f = randomFrame(r, 1+r.Intn(10))
@@ -220,6 +250,10 @@ func TestQuickPipelinePurity(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
+	if reused == 0 || fellBack == 0 {
+		t.Fatalf("the fold's online pass rewrote the served rows of %d batches and fell back on %d: want both", reused, fellBack)
+	}
+	t.Logf("fold batches: %d rewritten, %d fell back", reused, fellBack)
 }
 
 // Property: checkpoint round-trips preserve every stateful component's
