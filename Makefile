@@ -82,13 +82,13 @@ bench-record:
 bench-gate:
 	$(GO) run ./cmd/cdml-bench -compare -threshold 3.0 -out bench_current.json
 
-# Fault-injection suite (skipped by -short runs): kill-and-recover
-# bit-identity, torn-checkpoint fallback, kill-with-queued-ingest WAL
-# replay, torn WAL tails, failed storage puts, kill-during-promotion,
-# replica kill-resync/swap-under-load, cdml-serve's boot matrix (both
-# doors × cold start, kill with queued chunks, torn newest checkpoint), and
-# the crash-point simulator (a power cut at every I/O boundary of async
-# ingest, ~20 s of the run), all under the race detector.
+# Fault-injection suite (skipped by -short runs): torn-checkpoint fallback,
+# kill-recover-kill-recover, torn WAL tails, failed storage puts,
+# kill-during-promotion, replica kill-resync/swap-under-load, cdml-serve's
+# boot matrix (both doors × cold start, kill with queued chunks, torn newest
+# checkpoint), and internal/core's life generator (readers checked against a
+# sequential run, and a power cut at every I/O boundary of each life; ~20 s
+# of a ~22 s run on 2 vCPU), all under the race detector.
 chaos:
 	$(GO) test -race -run '^TestChaos' ./cmd/cdml-serve/ ./internal/core/ ./internal/registry/ ./internal/serve/ ./internal/wal/ -v
 

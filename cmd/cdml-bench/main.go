@@ -93,7 +93,6 @@ func main() {
 			RecordedAt: time.Now().UTC().Format(time.RFC3339),
 			GoVersion:  runtime.Version(),
 			Benchtime:  *benchtime,
-			Count:      len(runs) / len(results),
 			Benchmarks: results,
 		}
 	}

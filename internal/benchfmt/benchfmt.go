@@ -39,6 +39,9 @@ type Result struct {
 	// every baseline before -count recorded).
 	NsP25 float64 `json:"ns_p25,omitempty"`
 	NsP75 float64 `json:"ns_p75,omitempty"`
+	// Runs is how many runs Fold merged into this row (0: a baseline recorded
+	// before rows carried their own count).
+	Runs int `json:"runs,omitempty"`
 	// Metrics holds any additional unit→value pairs the benchmark reported
 	// via b.ReportMetric.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
@@ -108,9 +111,9 @@ func Parse(r io.Reader) ([]Result, error) {
 // Fold merges the rows of a benchmark run more than once (`go test -count
 // N`) into one row per name, in order of first appearance: ns/op becomes the
 // median of the runs with its quartiles in NsP25/NsP75, B/op and each custom
-// metric their median, N the iterations summed. allocs/op is a count and
-// must repeat: a benchmark whose runs disagree on it is an error. The row
-// keeps the largest count.
+// metric their median, N the iterations summed, Runs the row's own number of
+// runs. allocs/op is a count and must repeat: a benchmark whose runs disagree
+// on it is an error. The row keeps the largest count.
 func Fold(results []Result) ([]Result, error) {
 	var names []string
 	runs := make(map[string][]Result)
@@ -125,10 +128,11 @@ func Fold(results []Result) ([]Result, error) {
 	for _, name := range names {
 		rs := runs[name]
 		if len(rs) == 1 {
+			rs[0].Runs = 1
 			out = append(out, rs[0])
 			continue
 		}
-		row := Result{Name: name}
+		row := Result{Name: name, Runs: len(rs)}
 		ns := make([]float64, len(rs))
 		bop := make([]float64, len(rs))
 		allocs := make([]float64, len(rs))
@@ -187,9 +191,6 @@ type Baseline struct {
 	GoVersion string `json:"go_version"`
 	// Benchtime is the -benchtime the suite ran with.
 	Benchtime string `json:"benchtime"`
-	// Count is how many runs of each benchmark were folded into a row (0:
-	// one run, as every baseline before folding recorded).
-	Count int `json:"count,omitempty"`
 	// Benchmarks holds the results keyed by nothing — a sorted list, stable
 	// for diffs.
 	Benchmarks []Result `json:"benchmarks"`

@@ -169,6 +169,27 @@ func TestFoldTakesMedianAndQuartiles(t *testing.T) {
 	}
 }
 
+// Each row counts its own runs: a suite that repeats one benchmark 30 times
+// and another 5 times records 30 and 5, not one count for the whole file.
+func TestFoldCountsEachRowsRuns(t *testing.T) {
+	var runs []Result
+	for i := 0; i < 30; i++ {
+		runs = append(runs, Result{Name: "BenchmarkMany", NsPerOp: 10, AllocsPerOp: 1})
+		if i < 5 {
+			runs = append(runs, Result{Name: "BenchmarkFew", NsPerOp: 10, AllocsPerOp: 1})
+		}
+	}
+	rows, err := Fold(append(runs, Result{Name: "BenchmarkOnce", NsPerOp: 10}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{30, 5, 1} {
+		if rows[i].Runs != want {
+			t.Errorf("%s folded %d runs, want %d", rows[i].Name, rows[i].Runs, want)
+		}
+	}
+}
+
 func TestFoldRefusesAllocsThatDoNotRepeat(t *testing.T) {
 	runs := []Result{
 		{Name: "BenchmarkA", NsPerOp: 10, AllocsPerOp: 5},

@@ -29,72 +29,6 @@ func skipInShort(t *testing.T) {
 
 var errChaosStore = errors.New("chaos: injected store failure")
 
-// TestChaosKillRecoverBitIdentical is the central durability property: a
-// deployment killed mid-stream and recovered from its newest checkpoint,
-// then fed the remaining chunks, ends bit-identical (model weights and
-// optimizer state) to an uninterrupted run over the same stream. ModeOnline
-// weights are a pure function of (model, optimizer, pipeline statistics,
-// chunk sequence) — exactly the checkpointed state — which is what makes
-// the property exact rather than approximate.
-func TestChaosKillRecoverBitIdentical(t *testing.T) {
-	skipInShort(t)
-	stream := driftStream{chunks: 30, rows: 25, drift: 2, seed: 9}
-	const killAt = 17 // chunks ingested before the simulated crash
-
-	// Reference: one uninterrupted run.
-	ref, err := NewDeployer(liveConfig(ModeOnline))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Shutdown()
-	ingestChunks(t, ref, stream, 0, stream.chunks)
-	want := payloadBytes(t, ref)
-
-	// Victim: auto-checkpointing run, killed after killAt chunks. Shutdown
-	// here stands in for the kill — the crash-safety of the files
-	// themselves (torn writes) is covered separately; this test is about
-	// resuming from a checkpoint that lags the kill point.
-	dir := t.TempDir()
-	cfg := liveConfig(ModeOnline)
-	cfg.AutoCheckpoint = &CheckpointPolicy{Dir: dir, EveryTicks: 3, Keep: 3}
-	victim, err := NewDeployer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestChunks(t, victim, stream, 0, killAt)
-	victim.Shutdown()
-
-	// Recover in a "new process": a fresh deployer from the same config.
-	cfg2 := liveConfig(ModeOnline)
-	cfg2.AutoCheckpoint = &CheckpointPolicy{Dir: dir, EveryTicks: 3, Keep: 3}
-	revived, err := NewDeployer(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer revived.Shutdown()
-	info, err := revived.RecoverFromDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Version < 2 || info.Version > killAt+1 {
-		t.Fatalf("recovered version %d, want in [2, %d]", info.Version, killAt+1)
-	}
-	if got, ok := revived.LastCheckpoint(); !ok || got.Version != info.Version {
-		t.Fatalf("LastCheckpoint after recovery = %+v, want version %d", got, info.Version)
-	}
-
-	// Header version v means v-1 chunks were ingested; resume at chunk v-1.
-	resume := int(info.Version) - 1
-	if resume > killAt {
-		t.Fatalf("checkpoint ahead of the kill point: resume %d > %d", resume, killAt)
-	}
-	ingestChunks(t, revived, stream, resume, stream.chunks)
-
-	if got := payloadBytes(t, revived); !bytes.Equal(got, want) {
-		t.Fatalf("recovered run is not bit-identical to the uninterrupted run (resumed at chunk %d)", resume)
-	}
-}
-
 // TestChaosKillRecoverKillRecover crashes, recovers, ticks, crashes, and
 // recovers again. It pins down the regression where the recovered header
 // version was not restored into the publish sequence: the new process's
@@ -271,82 +205,6 @@ func openSegmentPath(t *testing.T, dir string) string {
 	return ""
 }
 
-// TestChaosKillWithQueuedIngest is the tentpole durability property of the
-// write-ahead ingest log: a deployment killed with chunks accepted (202,
-// durably appended) but not yet consumed by a tick loses nothing. Recovery
-// restores the newest checkpoint and replays every logged chunk the
-// checkpoint does not cover — the consumed-but-past-checkpoint ones and
-// the still-queued ones — in order, exactly once, ending bit-identical to
-// a run that was never interrupted. Run under -race by `make chaos`.
-func TestChaosKillWithQueuedIngest(t *testing.T) {
-	skipInShort(t)
-	stream := driftStream{chunks: 30, rows: 25, drift: 2, seed: 33}
-	const (
-		consumed = 14 // chunks whose tick finished before the kill
-		accepted = 19 // chunks durably acked before the kill (last 5 queued)
-	)
-	dir := t.TempDir()
-	newCfg := func() Config {
-		cfg := liveConfig(ModeOnline)
-		cfg.AutoCheckpoint = &CheckpointPolicy{Dir: filepath.Join(dir, "ckpt"), EveryTicks: 3, Keep: 3}
-		cfg.IngestLog = &wal.Options{Dir: filepath.Join(dir, "wal")}
-		return cfg
-	}
-
-	// Reference: one uninterrupted run over the full stream.
-	ref, err := NewDeployer(liveConfig(ModeOnline))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Shutdown()
-	ingestChunks(t, ref, stream, 0, stream.chunks)
-	want := payloadBytes(t, ref)
-
-	// Victim: consume `consumed` chunks through the logged path, then
-	// accept `accepted-consumed` more without ticking them — the on-disk
-	// image of a crash with a non-empty ingest queue.
-	victim, err := NewDeployer(newCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestLogged(t, victim, stream, 0, consumed)
-	for i := consumed; i < accepted; i++ {
-		if _, err := victim.AppendIngestLog(stream.Chunk(i)); err != nil {
-			t.Fatalf("append queued chunk %d: %v", i, err)
-		}
-	}
-	victim.Shutdown()
-
-	// New process: recovery must reach exactly chunk `accepted` — zero
-	// accepted ticks lost, none applied twice.
-	revived, err := NewDeployer(newCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer revived.Shutdown()
-	info, err := revived.RecoverFromDir(filepath.Join(dir, "ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, ok := revived.WALStats()
-	if !ok {
-		t.Fatal("revived deployer has no ingest log")
-	}
-	// Header version v covers v-1 chunks; everything after replays.
-	if wantReplay := uint64(accepted) - info.Version + 1; st.Replayed != wantReplay {
-		t.Fatalf("replayed %d chunks after recovering version %d, want %d", st.Replayed, info.Version, wantReplay)
-	}
-	if got := revived.Current().Version(); got != uint64(accepted)+1 {
-		t.Fatalf("post-replay snapshot version %d, want %d (all accepted chunks applied)", got, accepted+1)
-	}
-
-	// The rest of the stream arrives; the end state must be bit-identical.
-	ingestLogged(t, revived, stream, accepted, stream.chunks)
-	if got := payloadBytes(t, revived); !bytes.Equal(got, want) {
-		t.Fatal("killed-with-queued-ingest run is not bit-identical to the uninterrupted run")
-	}
-}
-
 // TestChaosWALTornTailReplaysIntactPrefix kills the process mid-append: the
 // active segment ends in half a record. Opening the log must cut the torn
 // tail (that chunk was never acked, so the client retries it) and replay
@@ -501,39 +359,5 @@ func TestChaosPhantomChunkNeverSampled(t *testing.T) {
 	}
 	if len(ids) != stream.chunks {
 		t.Fatalf("RawIDs = %v, want %d chunks", ids, stream.chunks)
-	}
-}
-
-// TestChaosAutoCheckpointConcurrentWithIngest runs auto-checkpointing at
-// maximum frequency while ticks stream in (run under -race): the background
-// writer and the training writer must never interfere, and the newest
-// retained checkpoint must stay restorable throughout.
-func TestChaosAutoCheckpointConcurrentWithIngest(t *testing.T) {
-	skipInShort(t)
-	dir := t.TempDir()
-	cfg := liveConfig(ModeOnline)
-	cfg.AutoCheckpoint = &CheckpointPolicy{Dir: dir, EveryTicks: 1, Keep: 2}
-	d, err := NewDeployer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := driftStream{chunks: 40, rows: 20, drift: 2, seed: 17}
-	ingestChunks(t, d, stream, 0, stream.chunks)
-	d.Shutdown()
-
-	files, err := snapstream.List(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) == 0 {
-		t.Fatal("no checkpoints written")
-	}
-	revived, err := NewDeployer(liveConfig(ModeOnline))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer revived.Shutdown()
-	if _, err := revived.RecoverFromDir(dir); err != nil {
-		t.Fatalf("recovering the newest checkpoint: %v", err)
 	}
 }
