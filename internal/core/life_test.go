@@ -314,6 +314,45 @@ func TestChaosCrashPointSyncIngest(t *testing.T) {
 	checkPowerCut(t, l)
 }
 
+// TestChaosKillWithQueuedIngest: every chunk ticks five appends after its
+// own, so a cut at any boundary finds up to five acknowledged chunks in the
+// ingest log and not yet ticked. Recovery must replay each exactly once.
+func TestChaosKillWithQueuedIngest(t *testing.T) {
+	chaos(t)
+	steps := plan(ingestAsync, 0, 12)
+	for i := range steps {
+		steps[i].ahead, steps[i].reject = 5, false
+	}
+	checkPowerCut(t, svmLife(true, 3, steps))
+}
+
+// TestChaosAutoCheckpointConcurrentWithIngest: a checkpoint per tick, two
+// kept, written beside ticks that never wait for it (run under -race). The
+// newest file left must recover to the reference's frame of its version.
+func TestChaosAutoCheckpointConcurrentWithIngest(t *testing.T) {
+	chaos(t)
+	l := svmLife(false, 1, plan(ingestSync, 0, 12))
+	rec, root := l.reference(t), t.TempDir()
+	r := registry.New(registry.Options{CheckpointRoot: root, CheckpointEvery: 1, CheckpointKeep: 2})
+	d, _, err := l.create(r, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.drive(t, d, nil, hooks{})
+	r.Close()
+	list, err := snapstream.List(filepath.Join(root, "m", "ckpt"))
+	if err != nil || len(list) == 0 || len(list) > 2 {
+		t.Fatalf("checkpoints left: %v (err %v), want one or two", list, err)
+	}
+	r = registry.New(registry.Options{CheckpointRoot: root, CheckpointEvery: 1 << 20})
+	defer r.Close()
+	if d, boot, err := l.create(r, root); err != nil || boot.Recovered != list[0].Version {
+		t.Fatalf("recovered version %d (err %v), want the newest checkpoint's %d", boot.Recovered, err, list[0].Version)
+	} else if f := frameOf(t, d.Serving()); !bytes.Equal(f.Payload, rec.frame[f.Version]) {
+		t.Fatalf("recovered version %d is not the reference's", f.Version)
+	}
+}
+
 // TestChaosLifeHoles runs item 1's holes in async lives of seed 5: a third
 // of the chunks through /train, a live restore, a promotion. Each is
 // checked by the readers; its power cut waits for the fix.
