@@ -145,11 +145,14 @@ census-check:
 # decoders; over the weight ring's refresh, under an arbitrary mix of
 # sparse and dense steps, pins, unpins and publishes; and over the online
 # pass's in-place rewrite of the served rows (FuzzFoldReuse), which must
-# equal the fold's Transform on any chunks. One target list, two durations.
+# equal the fold's Transform on any chunks; and over the generators' number
+# formatter (FuzzFixedDecimal), which must write strconv's bytes for any
+# float64. One target list, two durations.
 # The payload seeds are whole checkpoints, so minimizing a new input is
 # bounded, or it eats the run.
 FUZZ_TARGETS = \
 	internal/dataset:FuzzURLParser internal/dataset:FuzzTaxiParser internal/dataset:FuzzRatingsParser \
+	internal/dataset:FuzzFixedDecimal \
 	internal/data:FuzzDecodeFeatureChunk internal/data:FuzzDecodeRawChunk \
 	internal/snapstream:FuzzDecodeFrame internal/snapstream:FuzzNextFrame \
 	internal/wal:FuzzReplay \

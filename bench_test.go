@@ -1063,10 +1063,13 @@ func BenchmarkIngestTickTaxi(b *testing.B) {
 // empty checkpoint directory, end-of-warm-up checkpoint included — what
 // cdml-serve's setup time is made of. The publishes metric counts snapshots
 // published by the warm-up itself (the deployer's initial one left out); a
-// warm-up is one batch, so it must read 1.
+// warm-up is one batch, so it must read 1. generate-wait-ms and train-ms are
+// the boot's own split of it (registry.Boot): the training goroutine waiting
+// for the look-ahead, and the ticks.
 func benchWarmup(b *testing.B, build func() (core.Config, func(i int) [][]byte)) {
 	workers := engine.New(0)
 	publishes := 0.0
+	var wait, train time.Duration
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -1076,11 +1079,12 @@ func benchWarmup(b *testing.B, build func() (core.Config, func(i int) [][]byte))
 		cfg.Sampler, cfg.SampleChunks, cfg.ProactiveEvery = sample.NewTime(1), 8, 16
 		reg := registry.New(registry.Options{Engine: workers, CheckpointRoot: b.TempDir()})
 		b.StartTimer()
-		d, _, err := reg.CreateWarm("bench", cfg, registry.Quotas{}, benchWarmChunks, chunk)
+		d, boot, err := reg.CreateWarm("bench", cfg, registry.Quotas{}, benchWarmChunks, chunk)
 		b.StopTimer()
 		if err != nil {
 			b.Fatal(err)
 		}
+		wait, train = wait+boot.GenerateWait, train+boot.Train
 		if v := d.Serving().Published().Version(); v != benchWarmChunks+1 {
 			b.Fatalf("warmed up to version %d, want %d", v, benchWarmChunks+1)
 		}
@@ -1091,10 +1095,38 @@ func benchWarmup(b *testing.B, build func() (core.Config, func(i int) [][]byte))
 		b.StartTimer()
 	}
 	b.ReportMetric(publishes, "publishes")
+	b.ReportMetric(float64(wait.Microseconds())/1e3/float64(b.N), "generate-wait-ms")
+	b.ReportMetric(float64(train.Microseconds())/1e3/float64(b.N), "train-ms")
 }
 
 func BenchmarkWarmupURL(b *testing.B)  { benchWarmup(b, urlBenchDeployment) }
 func BenchmarkWarmupTaxi(b *testing.B) { benchWarmup(b, taxiBenchDeployment) }
+
+// BenchmarkGenerateURL and BenchmarkGenerateTaxi are one chunk of cdml-serve's
+// warm-up stream at its defaults (-warmup 1000, -rows 80): what a cold boot's
+// look-ahead produces beside each tick (DESIGN.md §5p).
+func BenchmarkGenerateURL(b *testing.B) {
+	cfg := dataset.DefaultURLConfig()
+	cfg.Days, cfg.RowsPerChunk, cfg.Vocab, cfg.HashDim = 1000/cfg.ChunksPerDay+1, 80, 5000, 1<<15
+	benchGenerate(b, dataset.NewURL(cfg))
+}
+
+func BenchmarkGenerateTaxi(b *testing.B) {
+	cfg := dataset.DefaultTaxiConfig()
+	cfg.Chunks, cfg.RowsPerChunk = 1000, 80
+	benchGenerate(b, dataset.NewTaxi(cfg))
+}
+
+// benchGenerate generates the stream's chunks in turn.
+func benchGenerate(b *testing.B, s interface {
+	Chunk(i int) [][]byte
+	NumChunks() int
+}) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Chunk(i % s.NumChunks())
+	}
+}
 
 // walBenchChunk builds one ingest-sized chunk (30 records of ~40 bytes —
 // the shape the async ingest handler appends before every 202 ack).

@@ -47,7 +47,7 @@ const defaultBench = "BenchmarkObsCounterInc|BenchmarkObsHistogramObserve|Benchm
 	"BenchmarkKMeansUpdate|BenchmarkStorePutGet|BenchmarkDriftDetectorObserve|" +
 	"BenchmarkServePredictRouted|BenchmarkServePredictTaxiBatch256|BenchmarkReplicaPredict|" +
 	"BenchmarkIngestAppend|BenchmarkIngestTickURL|BenchmarkIngestTickTaxi|" +
-	"BenchmarkSnapshotFrameURL|BenchmarkSnapshotApplyURL|BenchmarkWarmup"
+	"BenchmarkSnapshotFrameURL|BenchmarkSnapshotApplyURL|BenchmarkWarmup|BenchmarkGenerate"
 
 // runsPerBench is the go test -count: enough runs for a median and its
 // quartiles (the 2nd, 3rd and 4th of five).

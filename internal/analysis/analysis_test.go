@@ -134,3 +134,23 @@ func f() {
 		}
 	}
 }
+
+// An external test package that calls what its package's export_test.go
+// declares, on values a package importing the package hands it, type-checks:
+// it, and every in-module importer of the package, are checked against the
+// package with its in-package test files, as `go test` builds them.
+func TestLoadChecksExternalTestsAgainstExportTest(t *testing.T) {
+	pkgs, err := Load("testdata/loader", "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := map[string]bool{}
+	for _, u := range pkgs[0].Module.Units {
+		units[u.PkgPath] = true
+	}
+	for _, want := range []string{"loaderfixture/internal/lib", "loaderfixture/internal/lib/use", "loaderfixture/internal/lib_test"} {
+		if !units[want] {
+			t.Errorf("no unit %s among %v", want, units)
+		}
+	}
+}

@@ -45,17 +45,21 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	asked := methodsAsked(pass.Module)
-	used := make(map[types.Object]bool) // declarations of this package other units name
+	// The declarations of this package other units name, by position: an
+	// external test package may name them through a second check of the
+	// package (analysis.Module).
+	used := make(map[token.Pos]bool)
+	ours := func(obj types.Object) bool { return obj.Pkg() != nil && obj.Pkg().Path() == self }
 	for _, u := range pass.Module.Units {
 		if strings.TrimSuffix(u.PkgPath, "_test") == self {
 			continue
 		}
 		for _, obj := range u.TypesInfo.Uses {
-			if obj.Pkg() == pass.Pkg {
+			if ours(obj) {
 				if f, ok := obj.(*types.Func); ok {
 					obj = f.Origin()
 				}
-				used[obj] = true
+				used[obj.Pos()] = true
 			}
 		}
 		// A type is also used by whoever holds a value of it.
@@ -64,16 +68,15 @@ func run(pass *analysis.Pass) error {
 			if p, ok := t.(*types.Pointer); ok {
 				t = p.Elem()
 			}
-			if n, ok := t.(*types.Named); ok && n.Obj().Pkg() == pass.Pkg {
-				used[n.Origin().Obj()] = true
+			if n, ok := t.(*types.Named); ok && ours(n.Obj()) {
+				used[n.Origin().Obj().Pos()] = true
 			}
 		}
 	}
 	loose := looseRefs(pass.Module.Foreign, self)
 
 	check := func(id *ast.Ident, recv *types.Named) {
-		obj := pass.TypesInfo.Defs[id]
-		if !id.IsExported() || obj == nil || used[obj] {
+		if !id.IsExported() || pass.TypesInfo.Defs[id] == nil || used[id.Pos()] {
 			return
 		}
 		kind, key := "identifier", "."+id.Name
@@ -113,7 +116,7 @@ func run(pass *analysis.Pass) error {
 						check(s.Name, nil)
 					case *ast.ValueSpec:
 						// A parenthesized const group is one enumeration.
-						if d.Tok == token.CONST && d.Lparen.IsValid() && groupUsed(pass, used, d) {
+						if d.Tok == token.CONST && d.Lparen.IsValid() && groupUsed(used, d) {
 							continue
 						}
 						for _, id := range s.Names {
@@ -140,16 +143,16 @@ func methodsAsked(mod *analysis.Module) map[string][]*types.Interface {
 		}
 	}
 	ask(types.Universe.Lookup("error").Type())
-	seen := make(map[*types.Package]bool)
+	seen := make(map[string]bool)
 	for _, u := range mod.Units {
-		seen[u.Types] = true // the module's own: their interfaces are read off the syntax
+		seen[u.Types.Path()] = true // the module's own: their interfaces are read off the syntax
 	}
 	var walk func(p *types.Package)
 	walk = func(p *types.Package) {
-		if seen[p] {
+		if seen[p.Path()] {
 			return
 		}
-		seen[p] = true
+		seen[p.Path()] = true
 		for _, name := range p.Scope().Names() {
 			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
 				ask(tn.Type())
@@ -173,10 +176,10 @@ func methodsAsked(mod *analysis.Module) map[string][]*types.Interface {
 }
 
 // groupUsed reports whether any name of the declaration group is used.
-func groupUsed(pass *analysis.Pass, used map[types.Object]bool, d *ast.GenDecl) bool {
+func groupUsed(used map[token.Pos]bool, d *ast.GenDecl) bool {
 	for _, spec := range d.Specs {
 		for _, id := range spec.(*ast.ValueSpec).Names {
-			if used[pass.TypesInfo.Defs[id]] {
+			if used[id.Pos()] {
 				return true
 			}
 		}

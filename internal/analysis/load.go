@@ -49,9 +49,12 @@ type Module struct {
 	// Units are the type-checked bodies of code that can name a package's
 	// declarations: every package, every package again together with its
 	// in-package _test.go files, and every external test package (PkgPath
-	// "<path>_test"). They share one FileSet and one set of canonical
-	// packages, so an identifier in any unit that refers to a declaration of
-	// another package resolves to that package's own types.Object.
+	// "<path>_test"). They share one FileSet and one parse of every file, so
+	// an identifier in any unit that refers to a declaration of another
+	// package resolves to an object at that declaration's position: the
+	// package's own types.Object, or — from an external test package, which
+	// is checked as `go test` builds it (testImporter) — that of the package
+	// checked again.
 	Units []*Package
 	// Foreign are the files of nested modules (benchmark/), parsed but not
 	// type-checked: they import this module's internal packages, and the
@@ -258,17 +261,20 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if p.Standard {
 			continue
 		}
-		tests := []listedPackage{{ImportPath: p.ImportPath + "_test", Dir: p.Dir, GoFiles: p.XTestGoFiles}}
+		var ximp types.Importer = imp
 		if len(p.TestGoFiles) > 0 {
-			// In-package tests are checked together with the package's files.
+			// In-package tests are checked together with the package's files,
+			// and the external tests against that.
 			both := append(append([]string(nil), p.GoFiles...), p.TestGoFiles...)
-			tests = append(tests, listedPackage{ImportPath: p.ImportPath, Dir: p.Dir, GoFiles: both})
-		}
-		for _, t := range tests {
-			if len(t.GoFiles) == 0 {
-				continue
+			u, err := checkPackage(fset, &listedPackage{ImportPath: p.ImportPath, Dir: p.Dir, GoFiles: both}, imp)
+			if err != nil {
+				return nil, err
 			}
-			u, err := checkPackage(fset, &t, imp)
+			mod.Units = append(mod.Units, u)
+			ximp = &testImporter{path: p.ImportPath, test: u.Types, built: built, base: imp, again: map[string]*types.Package{}}
+		}
+		if len(p.XTestGoFiles) > 0 {
+			u, err := checkPackage(fset, &listedPackage{ImportPath: p.ImportPath + "_test", Dir: p.Dir, GoFiles: p.XTestGoFiles}, ximp)
 			if err != nil {
 				return nil, err
 			}
@@ -283,6 +289,40 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return result, nil
 }
 
+// testImporter resolves the imports of path's external test package as `go
+// test` builds it: path is the package checked with its in-package test
+// files (test), so what an export_test.go declares resolves, and an
+// in-module package that imports path, directly or not, is checked again
+// against that — from its files as parsed once, so its declarations keep
+// their positions. Everything else is the module's one check.
+type testImporter struct {
+	path  string
+	test  *types.Package
+	built map[string]*Package
+	base  types.Importer
+	again map[string]*types.Package
+}
+
+func (ti *testImporter) Import(path string) (*types.Package, error) {
+	if path == ti.path {
+		return ti.test, nil
+	}
+	if pkg, ok := ti.again[path]; ok {
+		return pkg, nil
+	}
+	p, ok := ti.built[path]
+	if !ok || p.Deps[ti.path] == nil {
+		return ti.base.Import(path)
+	}
+	conf := types.Config{Importer: ti}
+	pkg, err := conf.Check(path, p.Fset, p.Files, nil)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: type-checking %s against %s's tests: %v", path, ti.path, err)
+	}
+	ti.again[path] = pkg
+	return pkg, nil
+}
+
 // parseNestedModules parses every .go file of the modules nested below root:
 // a directory other than root that holds a go.mod, and everything under it.
 func parseNestedModules(fset *token.FileSet, root string) ([]*ast.File, error) {
@@ -291,7 +331,7 @@ func parseNestedModules(fset *token.FileSet, root string) ([]*ast.File, error) {
 		if err != nil || !d.IsDir() || path == root {
 			return err
 		}
-		if strings.HasPrefix(d.Name(), ".") {
+		if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
 			return filepath.SkipDir
 		}
 		if _, err := os.Stat(filepath.Join(path, "go.mod")); err != nil {

@@ -195,7 +195,11 @@ func (d *Deployer) Run(s Stream) (*Result, error) {
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
-		if err := d.batchTick(s.Chunk(d.cfg.InitialChunks+i), i, n); err != nil {
+		records := s.Chunk(d.cfg.InitialChunks + i)
+		d.mu.Lock()
+		err := d.batchTick(parseChunk(d.pipe, records), i, n)
+		d.mu.Unlock()
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -286,7 +290,7 @@ func (d *Deployer) initialTrain(s Stream) error {
 	var all []data.Instance
 	for i := 0; i < d.cfg.InitialChunks; i++ {
 		records := s.Chunk(i)
-		in, err := d.parse(records)
+		in, err := d.parsed(parseChunk(d.pipe, records))
 		if err != nil {
 			return fmt.Errorf("core: initial training chunk %d: %w", i, err)
 		}
@@ -299,19 +303,6 @@ func (d *Deployer) initialTrain(s Stream) error {
 	return d.cost.Time(eval.CatTrain, len(all)*d.cfg.InitialEpochs, func() error {
 		return d.sgdEpochs(d.mdl, d.optm, all, d.cfg.InitialEpochs)
 	})
-}
-
-// parse runs the chunk through the parser and the pipeline's stateless head
-// once, for both the serve and the online pass.
-func (d *Deployer) parse(records [][]byte) (pipeline.Parsed, error) {
-	var in pipeline.Parsed
-	if _, err := d.timed("parse", eval.CatPreprocess, len(records), func() (err error) {
-		in, err = d.pipe.Parse(records)
-		return err
-	}); err != nil {
-		return pipeline.Parsed{}, fmt.Errorf("core: parsing chunk: %w", err)
-	}
-	return in, nil
 }
 
 // serveAndScore finishes the parsed chunk of records on the transform-only

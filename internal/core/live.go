@@ -7,6 +7,8 @@ import (
 
 	"cdml/internal/data"
 	"cdml/internal/engine"
+	"cdml/internal/eval"
+	"cdml/internal/pipeline"
 )
 
 // Ingest feeds one chunk of labeled training data into the deployment: the
@@ -49,7 +51,7 @@ func (d *Deployer) IngestLogged(ctx context.Context, records [][]byte, enqueuedA
 func (d *Deployer) ingestTick(ctx context.Context, records [][]byte, enqueuedAt time.Time, walSeq uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.tickBody(ctx, records, enqueuedAt, walSeq); err != nil {
+	if err := d.tickBody(ctx, parseChunk(d.pipe, records), enqueuedAt, walSeq); err != nil {
 		return err
 	}
 	d.publishTick()
@@ -57,10 +59,11 @@ func (d *Deployer) ingestTick(ctx context.Context, records [][]byte, enqueuedAt 
 	return nil
 }
 
-// tickBody is a live tick up to its publish: parse, score, learn, store,
-// schedule, account. The chunk is parsed once — the parser and the
-// pipeline's stateless head — and both passes start from that frame (see
-// pipeline.Parsed). walSeq, when nonzero, is the chunk's write-ahead ingest log
+// tickBody is a live tick up to its publish: score, learn, store, schedule,
+// account. Its caller parsed the chunk once — the parser and the pipeline's
+// stateless head — and both passes start from that frame (see
+// pipeline.Parsed); the parse is the tick's first stage wherever it ran.
+// walSeq, when nonzero, is the chunk's write-ahead ingest log
 // sequence number: a successful body buffers a commit record carrying the
 // publish version its caller is about to produce — under d.mu and before
 // publish(), so the commit provably happens before the snapshot can reach
@@ -69,8 +72,8 @@ func (d *Deployer) ingestTick(ctx context.Context, records [][]byte, enqueuedAt 
 // that succeeds closes it (endTick) after its publish.
 //
 //cdml:locked mu — ingestTick and batchTick hold d.mu around it
-func (d *Deployer) tickBody(ctx context.Context, records [][]byte, enqueuedAt time.Time, walSeq uint64) (err error) {
-	res := d.result
+func (d *Deployer) tickBody(ctx context.Context, c parsedChunk, enqueuedAt time.Time, walSeq uint64) (err error) {
+	res, records := d.result, c.records
 	d.beginTick(ctx)
 	defer func() {
 		if err != nil {
@@ -78,10 +81,10 @@ func (d *Deployer) tickBody(ctx context.Context, records [][]byte, enqueuedAt ti
 		}
 	}()
 	if !enqueuedAt.IsZero() {
-		// The wait ended where the tick began: recorded, not timed.
-		d.tickSpan.AddChild("queue-wait", enqueuedAt, d.tickSpan.Start.Sub(enqueuedAt))
+		// The wait ended where the parse began: recorded, not timed.
+		d.tickSpan.AddChild("queue-wait", enqueuedAt, c.start.Sub(enqueuedAt))
 	}
-	in, err := d.parse(records)
+	in, err := d.parsed(c)
 	var served []data.Instance
 	if err == nil {
 		served, err = d.serveAndScore(records, in)
@@ -119,20 +122,31 @@ func (d *Deployer) tickBody(ctx context.Context, records [][]byte, enqueuedAt ti
 // cadence is consulted at that one publish only.
 //
 // chunk runs on the deployment's engine — the one thing a deployment runs
-// there — up to 2·Workers() chunks ahead of the tick that consumes them and
-// never under d.mu; it must be safe to call from several goroutines. A
-// failed tick stops it and publishes nothing — encoders keep getting the
+// there — up to engine.StreamCtx's look-ahead ahead of the tick that
+// consumes its chunk and never under d.mu; it must be safe to call from
+// several goroutines. Beside it, each producer parses its chunk with the
+// pipeline the warm-up started on: the parser and the stateless head, which
+// carry no statistics, so the parse is the one the tick would run — on a
+// retraining's fresh pipeline too, built the same way. A failed parse or
+// tick stops the warm-up and publishes nothing — encoders keep getting the
 // version before the warm-up — and Shutdown ends a warm-up between two
 // ticks. The chunks are in no ingest log and reach no shadow challenger:
 // warm a deployment before anything reads from it. The returned duration is
 // what the ticks took; the rest of the call was the training goroutine
-// waiting for chunk.
+// waiting for a parsed chunk.
 func (d *Deployer) Warm(n int, chunk func(i int) [][]byte) (time.Duration, error) {
+	d.mu.Lock()
+	head := d.pipe
+	d.mu.Unlock()
 	var ticks time.Duration
-	err := engine.StreamCtx(d.ctx, d.cfg.Engine, n, chunk, func(i int, records [][]byte) error {
+	err := engine.StreamCtx(d.ctx, d.cfg.Engine, n, func(i int) parsedChunk {
+		return parseChunk(head, chunk(i))
+	}, func(i int, c parsedChunk) error {
 		start := time.Now()
 		defer func() { ticks += time.Since(start) }()
-		if err := d.batchTick(records, i, n); err != nil {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		if err := d.batchTick(c, i, n); err != nil {
 			return fmt.Errorf("warm-up chunk %d: %w", i, err)
 		}
 		return nil
@@ -140,13 +154,13 @@ func (d *Deployer) Warm(n int, chunk func(i int) [][]byte) (time.Duration, error
 	return ticks, err
 }
 
-// batchTick is tick i of a batch of n (Run, Warm): the tick body under d.mu
-// and, after the last, the batch's one publish, at the version n Ingest calls
-// would have reached.
-func (d *Deployer) batchTick(records [][]byte, i, n int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.tickBody(d.ctx, records, time.Time{}, 0); err != nil {
+// batchTick is tick i of a batch of n (Run, Warm): the tick body and, after
+// the last, the batch's one publish, at the version n Ingest calls would
+// have reached.
+//
+//cdml:locked mu — Run and Warm hold d.mu around it
+func (d *Deployer) batchTick(c parsedChunk, i, n int) error {
+	if err := d.tickBody(d.ctx, c, time.Time{}, 0); err != nil {
 		return err
 	}
 	if i == n-1 {
@@ -155,4 +169,36 @@ func (d *Deployer) batchTick(records [][]byte, i, n int) error {
 	}
 	d.endTick()
 	return nil
+}
+
+// parsedChunk is a chunk on its way into a tick: its records, what
+// pipeline.Parse made of them, and when that ran, which the tick records as
+// its "parse" stage.
+type parsedChunk struct {
+	records [][]byte
+	in      pipeline.Parsed
+	err     error
+	start   time.Time
+	took    time.Duration
+}
+
+// parseChunk parses records with p and times it.
+func parseChunk(p *pipeline.Pipeline, records [][]byte) parsedChunk {
+	start := time.Now()
+	in, err := p.Parse(records)
+	return parsedChunk{records: records, in: in, err: err, start: start, took: time.Since(start)}
+}
+
+// parsed charges c's parse as the "parse" stage of the tick in flight — a
+// child of its span and its rows on the preprocess clock, like any stage
+// timed runs — and returns what the parse made.
+//
+//cdml:locked mu — tick helper; tickBody's callers and Run hold d.mu
+func (d *Deployer) parsed(c parsedChunk) (pipeline.Parsed, error) {
+	d.cost.Add(eval.CatPreprocess, c.took, len(c.records))
+	d.tickSpan.AddChild("parse", c.start, c.took)
+	if c.err != nil {
+		return pipeline.Parsed{}, fmt.Errorf("core: parsing chunk: %w", c.err)
+	}
+	return c.in, nil
 }

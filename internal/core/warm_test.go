@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"cdml/internal/data"
+	"cdml/internal/dataset"
 	"cdml/internal/engine"
 	"cdml/internal/opt"
+	"cdml/internal/pipeline"
 	"cdml/internal/snapstream"
 )
 
@@ -17,14 +21,24 @@ import (
 // n × Ingest(chunk(i)) leaves — version, payload bytes (model, optimizer and
 // pipeline statistics), statistics and stored chunks — for both benchmark
 // pipelines under Adam with proactive training on a chunk-count schedule, at
-// any engine size; it gets there on one publish.
+// any engine size; it gets there on one publish. In periodical mode a cold
+// retraining replaces the deployed pipeline twice inside the warm-up, and
+// the chunks the producers parsed with the pipeline the warm-up started on
+// train the replacement exactly as its own parse would have.
 func TestWarmIsTheIngestLoop(t *testing.T) {
 	const n = 20
-	for _, workload := range []string{"url", "taxi"} {
+	for _, tc := range []struct {
+		workload string
+		mode     Mode
+	}{{"url", ModeContinuous}, {"taxi", ModeContinuous}, {"url", ModePeriodical}} {
+		workload := tc.workload + "/" + tc.mode.String()
 		build := func(workers int) (*Deployer, Stream, *data.Store) {
-			cfg, s := v1Fixture(workload)
+			cfg, s := v1Fixture(tc.workload)
 			cfg.NewOptimizer = func() opt.Optimizer { return opt.NewAdam(0.05) }
 			cfg.Engine = engine.New(workers)
+			if tc.mode == ModePeriodical {
+				cfg.Mode, cfg.RetrainEvery, cfg.WarmStart = ModePeriodical, 7, false
+			}
 			d, err := NewDeployer(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -35,8 +49,11 @@ func TestWarmIsTheIngestLoop(t *testing.T) {
 		loop, s, loopStore := build(1)
 		ingestChunks(t, loop, s, 0, n)
 		want, wantStats := payloadBytes(t, loop), loop.Stats()
-		if wantStats.ProactiveRuns == 0 {
+		if tc.mode == ModeContinuous && wantStats.ProactiveRuns == 0 {
 			t.Fatalf("%s: the reference never trained proactively", workload)
+		}
+		if tc.mode == ModePeriodical && wantStats.Retrains != 2 {
+			t.Fatalf("%s: the reference retrained %d times, want 2", workload, wantStats.Retrains)
 		}
 		for _, workers := range []int{1, 2, 4} {
 			d, s, store := build(workers)
@@ -54,7 +71,7 @@ func TestWarmIsTheIngestLoop(t *testing.T) {
 			}
 			st := d.Stats()
 			if st.Chunks != wantStats.Chunks || st.Evaluated != wantStats.Evaluated ||
-				st.FinalError != wantStats.FinalError || st.ProactiveRuns != wantStats.ProactiveRuns ||
+				st.FinalError != wantStats.FinalError || st.ProactiveRuns != wantStats.ProactiveRuns || st.Retrains != wantStats.Retrains ||
 				st.ErrorCurve.Len() != wantStats.ErrorCurve.Len() || st.CostCurve.Len() != wantStats.CostCurve.Len() {
 				t.Errorf("%s workers=%d: stats %+v, the loop's %+v", workload, workers, st, wantStats)
 			}
@@ -95,9 +112,10 @@ func TestWarmGeneratesOutsideTheWriterLock(t *testing.T) {
 	}
 }
 
-// A tick that fails ends the warm-up where Ingest would have failed, and a
-// Shutdown ends it between ticks; either way nothing is published, and the
-// version stays the number of publishes, not of chunks tried.
+// A tick that fails ends the warm-up where Ingest would have failed — its
+// store write, or the parse a producer ran for it — and a Shutdown ends it
+// between ticks; either way nothing is published, and the version stays the
+// number of publishes, not of chunks tried.
 func TestWarmStopsAtTheFirstFailureAndPublishesNothing(t *testing.T) {
 	cfg, s := v1Fixture("taxi")
 	cfg.Engine = engine.New(2)
@@ -115,6 +133,34 @@ func TestWarmStopsAtTheFirstFailureAndPublishesNothing(t *testing.T) {
 		t.Fatalf("frame after a failed warm-up: version %d, want version 1's frame", f.Version)
 	}
 
+	const k = 7
+	cfg, s = v1Fixture("taxi")
+	cfg.Engine = engine.New(2)
+	cfg.NewPipeline = func() *pipeline.Pipeline {
+		p := dataset.NewTaxiPipeline()
+		p.Parser = poisonParser{p.Parser}
+		return p
+	}
+	if d, err = NewDeployer(cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+	_, err = d.Warm(12, func(i int) [][]byte {
+		if i == k {
+			return [][]byte{[]byte("poison")}
+		}
+		return s.Chunk(i)
+	})
+	if !errors.Is(err, errPoisoned) || !strings.Contains(err.Error(), fmt.Sprintf("warm-up chunk %d:", k)) || d.Published().Version() != 1 {
+		t.Fatalf("warm-up whose chunk %d fails to parse: err = %v, version %d", k, err, d.Published().Version())
+	}
+	if f := frameOf(t, d); f.Version != 1 || !bytes.Equal(f.Payload, initial.Payload) {
+		t.Fatalf("frame after a failed parse: version %d, want version 1's frame", f.Version)
+	}
+	if ids := cfg.Store.RawIDs(); len(ids) != k {
+		t.Fatalf("stored %d chunks before the one that failed to parse, want %d", len(ids), k)
+	}
+
 	cfg, s = v1Fixture("taxi")
 	if d, err = NewDeployer(cfg); err != nil {
 		t.Fatal(err)
@@ -128,4 +174,17 @@ func TestWarmStopsAtTheFirstFailureAndPublishesNothing(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || d.Published().Version() != 1 {
 		t.Fatalf("warm-up shut down at chunk 5: err = %v, version %d", err, d.Published().Version())
 	}
+}
+
+// poisonParser fails a chunk whose first record is "poison" and parses every
+// other one as the parser it wraps.
+type poisonParser struct{ pipeline.Parser }
+
+var errPoisoned = errors.New("poisoned chunk")
+
+func (p poisonParser) Parse(records [][]byte) (*data.Frame, error) {
+	if len(records) > 0 && string(records[0]) == "poison" {
+		return nil, errPoisoned
+	}
+	return p.Parser.Parse(records)
 }

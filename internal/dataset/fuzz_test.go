@@ -315,3 +315,26 @@ func TestFuzzSeedsParse(t *testing.T) {
 		t.Fatal("empty input should parse to empty frame")
 	}
 }
+
+// FuzzFixedDecimal: the generators' number formatter writes what
+// strconv.AppendFloat(v, 'f', p, 64) writes, at both precisions they use —
+// NaN, infinities, negative zero, exact binary ties (half to even) and
+// values past its fast path's range included.
+func FuzzFixedDecimal(f *testing.F) {
+	for _, v := range []float64{
+		0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		1.03125, -1.03125, 0.03125, 0.0078125, 2.5e-5, -4.9e-5, 0.99995,
+		-73.98, 40.75, 1e-300, 5e-324, math.MaxFloat64,
+		0x1p40 / 1e4, 0x1p40 / 1e6, 1e12, 123456789.123456789,
+	} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v float64) {
+		for _, p := range []int{4, 6} {
+			want := strconv.AppendFloat([]byte("x"), v, 'f', p, 64)
+			if got := appendFixed([]byte("x"), v, p); !bytes.Equal(got, want) {
+				t.Fatalf("%v at %d decimals: %q, strconv writes %q", v, p, got, want)
+			}
+		}
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -64,6 +65,41 @@ func TestGeneratorBytesGolden(t *testing.T) {
 					t.Errorf("digest %s, want %s", got, want)
 				}
 			})
+		}
+	}
+}
+
+// TestPopularTokenIsPow checks popularToken against int(V·math.Pow(x, 2.5))
+// where the two could part, at cdml-serve's vocabulary: for every token k,
+// at the smallest x that draws k or a later token, 16 ulps on either side of
+// it — where the fast product is too close to k to be trusted — and 2^10 to
+// 2^14 ulps away, just past that guard, where it is.
+func TestPopularTokenIsPow(t *testing.T) {
+	const vocab = 5000
+	pow := func(x float64) int { return int(vocab * math.Pow(x, 2.5)) }
+	for k := 1; k < vocab; k++ {
+		// The smallest x in [0, 1) with pow(x) ≥ k: the bits of
+		// non-negative floats are ordered like their values.
+		lo, hi := uint64(0), math.Float64bits(1)
+		for lo < hi {
+			if mid := lo + (hi-lo)/2; pow(math.Float64frombits(mid)) >= k {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		var offsets []int64
+		for d := int64(-16); d <= 16; d++ {
+			offsets = append(offsets, d)
+		}
+		for e := 10; e <= 14; e++ {
+			offsets = append(offsets, -1<<e, 1<<e)
+		}
+		for _, d := range offsets {
+			x := math.Float64frombits(uint64(int64(lo) + d))
+			if got, want := popularToken(vocab, x), pow(x); got != want {
+				t.Fatalf("token %d, x = %v (%+d ulps): %d, Pow draws %d", k, x, d, got, want)
+			}
 		}
 	}
 }

@@ -72,8 +72,38 @@ func parseShortDecimal(b []byte) (float64, bool) {
 	return v, true
 }
 
-// pow10 holds the powers of ten parseShortDecimal divides by, all exact.
+// pow10 holds the powers of ten parseShortDecimal divides by and
+// appendFixed multiplies by, all exact.
 var pow10 = [16]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// appendFixed appends v with 1 ≤ p ≤ 15 decimals, byte for byte what
+// strconv.AppendFloat(buf, v, 'f', p, 64) appends, which always takes
+// strconv's arbitrary-precision path. It rounds s = |v|·10^p, a product off
+// the exact one by at most s·2^-53, to the nearest integer n and prints n's
+// digits with the point p from the right. That n is strconv's unless the
+// exact product lies on a tie, where strconv rounds half to even: so a
+// fraction of s within s·2^-50 of one half, a NaN, an infinity and an s of
+// 2^40 or more — where the fraction has too few bits left — go to strconv.
+func appendFixed(buf []byte, v float64, p int) []byte {
+	s := math.Abs(v) * pow10[p]
+	if !(s < 1<<40) || math.Abs(s-math.Floor(s)-0.5) <= s*0x1p-50 {
+		return strconv.AppendFloat(buf, v, 'f', p, 64)
+	}
+	if math.Signbit(v) {
+		buf = append(buf, '-')
+	}
+	var digits [32]byte
+	i := len(digits)
+	for n := uint64(s + 0.5); i > len(digits)-p-1 || n > 0; n /= 10 {
+		if i == len(digits)-p {
+			i--
+			digits[i] = '.'
+		}
+		i--
+		digits[i] = byte('0' + n%10)
+	}
+	return append(buf, digits[i:]...)
+}
 
 // totalLen returns the summed length of the records.
 func totalLen(records [][]byte) int {

@@ -183,7 +183,7 @@ func (g *Taxi) Chunk(i int) [][]byte {
 		buf = pickup.AppendFormat(buf, taxiTimeLayout)
 		buf = dropoff.AppendFormat(append(buf, ','), taxiTimeLayout)
 		for _, v := range [...]float64{pLon, pLat, dLon, dLat} {
-			buf = strconv.AppendFloat(append(buf, ','), v, 'f', 6, 64)
+			buf = appendFixed(append(buf, ','), v, 6)
 		}
 		buf = strconv.AppendInt(append(buf, ','), int64(pax), 10)
 		ends[row] = len(buf)

@@ -83,7 +83,6 @@ type URL struct {
 	phase  []float64 // per-token drift phase
 	birth  []float64 // per-token activation day (growing feature set)
 	numW   []float64 // weights of the numeric features
-	popExp float64   // token popularity skew
 }
 
 // NewURL returns a generator for the given config.
@@ -100,7 +99,6 @@ func NewURL(cfg URLConfig) *URL {
 		phase:  make([]float64, cfg.Vocab),
 		birth:  make([]float64, cfg.Vocab),
 		numW:   make([]float64, numURLFeatures),
-		popExp: 2.5,
 	}
 	for i := 0; i < cfg.Vocab; i++ {
 		u.baseW[i] = r.NormFloat64()
@@ -165,15 +163,12 @@ func (u *URL) Chunk(i int) [][]byte {
 	var nums [numURLFeatures]float64
 	for row := range ends {
 		// Draw tokens from the active vocabulary with a popularity skew:
-		// token index ~ floor(V * u^popExp) favors low indices.
+		// token index ~ floor(V * u^2.5) favors low indices.
 		nTok := 1 + r.Intn(2*u.cfg.TokensPerRow)
 		toks = toks[:0]
 		score := 0.0
 		for len(toks) < nTok {
-			tok := int(float64(u.cfg.Vocab) * math.Pow(r.Float64(), u.popExp))
-			if tok >= u.cfg.Vocab {
-				tok = u.cfg.Vocab - 1
-			}
+			tok := min(popularToken(float64(u.cfg.Vocab), r.Float64()), u.cfg.Vocab-1)
 			if u.birth[tok] > day {
 				continue // not yet in the feature set
 			}
@@ -206,7 +201,7 @@ func (u *URL) Chunk(i int) [][]byte {
 			if r.Float64() < 0.04 {
 				buf = append(buf, '?') // missing value for the imputer
 			} else {
-				buf = strconv.AppendFloat(buf, v, 'f', 4, 64)
+				buf = appendFixed(buf, v, 4)
 			}
 		}
 		buf = append(buf, '\t')
@@ -219,6 +214,20 @@ func (u *URL) Chunk(i int) [][]byte {
 		ends[row] = len(buf)
 	}
 	return cutRecords(buf, ends)
+}
+
+// popularToken is int(V·math.Pow(x, 2.5)) for x in [0, 1), without Pow's
+// Exp and Log: V·x²·√x takes four correctly rounded operations, so it is
+// within 2^-50 of the exact product relatively, and Pow — Exp(Log(x)/2)·x²,
+// whose Log errs by an ulp of |log x| ≤ 37 for a nonzero r.Float64() —
+// within 2^-46. Two values that close truncate alike unless an integer lies
+// between them, so a product within 2^-40 of one asks Pow.
+func popularToken(vocab, x float64) int {
+	f := vocab * (x * x * math.Sqrt(x))
+	if k := math.Round(f); math.Abs(f-k) <= f*0x1p-40 {
+		return int(vocab * math.Pow(x, 2.5))
+	}
+	return int(f)
 }
 
 // cutRecords slices a chunk's buffer into its records, each clipped to its

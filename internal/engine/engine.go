@@ -59,9 +59,9 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 // and hands each result to consume on the calling goroutine, in index order
 // — the look-ahead of a pipelined batch: a consumer that must take its
 // input serially (a training loop) while the inputs are independent to
-// produce. At most 2·Workers() results exist that consume has not finished
-// with, however large n is. An engine of one worker starts no goroutine and
-// looks no further ahead than the next index.
+// produce. At most lookAhead·Workers() results exist that consume has not
+// finished with, however large n is. An engine of one worker starts no
+// goroutine and looks no further ahead than the next index.
 //
 // The first error consume returns ends the call, and so does ctx's, checked
 // before each result is taken; a panic in fn is raised again on the calling
@@ -84,7 +84,7 @@ func StreamCtx[T any](ctx context.Context, e *Engine, n int, fn func(i int) T, c
 		}
 		return nil
 	}
-	window := 2 * workers
+	window := lookAhead * workers
 	// held has an entry per result in production or produced and not yet
 	// consumed: a producer adds one before it claims an index, the consumer
 	// takes one out per result it is done with. Result i travels through
@@ -106,6 +106,13 @@ func StreamCtx[T any](ctx context.Context, e *Engine, n int, fn func(i int) T, c
 		go func() {
 			defer wg.Done()
 			for {
+				// Once the consumer has left, a free entry claims nothing: a
+				// select between the two would take it half the time.
+				select {
+				case <-stop:
+					return
+				default:
+				}
 				select {
 				case <-stop:
 					return
@@ -137,6 +144,11 @@ func StreamCtx[T any](ctx context.Context, e *Engine, n int, fn func(i int) T, c
 	}
 	return nil
 }
+
+// lookAhead is StreamCtx's depth per worker. A shallow window keeps
+// emptying: the consumer parks on the result it waits for, the producers on
+// a full window, and each side then waits for the other to be woken.
+const lookAhead = 8
 
 // produced is one StreamCtx result on its way to the consumer: fn's value,
 // or what it panicked with.

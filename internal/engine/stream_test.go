@@ -31,11 +31,11 @@ func TestStreamDeliversInIndexOrder(t *testing.T) {
 	}
 }
 
-// The look-ahead is exactly 2·Workers(): the first consume is held until that
+// The look-ahead is exactly 8·Workers(): the first consume is held until that
 // many results have been started (less look-ahead and it would wait forever),
 // and no fn ever starts more than that far past what consume has finished.
-func TestStreamLookAheadIsTwiceTheWorkers(t *testing.T) {
-	const n, workers, window = 400, 3, 6
+func TestStreamLookAheadIsEightTimesTheWorkers(t *testing.T) {
+	const n, workers, window = 400, 3, 24
 	var started, finished atomic.Int64
 	full := make(chan struct{})
 	err := StreamCtx(context.Background(), New(workers), n, func(i int) int {
