@@ -1037,6 +1037,31 @@ func BenchmarkSnapshotApplyURL(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckpointURL is one cadence checkpoint of the URL deployment:
+// encode takes the published snapshot and frames it; write is the whole
+// checkpoint file into a temp dir, fsyncs included.
+func BenchmarkCheckpointURL(b *testing.B) {
+	cfg, chunk := urlBenchDeployment()
+	dep := warmDeployer(b, cfg, chunk)
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := dep.Current().Frame(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("write", func(b *testing.B) {
+		dir := b.TempDir()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.WriteCheckpointFile(dir, dep.Current()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // taxiBenchDeployment is the Taxi pipeline (12 weights, RMSProp) and its
 // 80-row chunk stream.
 func taxiBenchDeployment() (core.Config, func(i int) [][]byte) {

@@ -41,7 +41,7 @@ func (d *Deployer) Ingest(records [][]byte) error {
 func (d *Deployer) IngestLogged(ctx context.Context, records [][]byte, enqueuedAt time.Time, walSeq uint64) error {
 	err := d.ingestTick(ctx, records, enqueuedAt, walSeq)
 	if err != nil {
-		d.AbortIngestLog(walSeq)
+		d.abortIngestLog(walSeq)
 	}
 	return err
 }

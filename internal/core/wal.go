@@ -43,7 +43,7 @@ func (d *Deployer) openIngestLog(opts wal.Options) error {
 		"Ingest-log commit records written (logged chunks consumed by a tick).",
 		func() float64 { return float64(l.Stats().Applied) }, labels...)
 	reg.CounterFunc("cdml_wal_aborted_total",
-		"Ingest-log abort records written (logged chunks rejected or failed; never replayed).",
+		"Ingest-log abort records written (logged chunks whose tick failed; never replayed).",
 		func() float64 { return float64(l.Stats().Aborted) }, labels...)
 	reg.CounterFunc("cdml_wal_replayed_total",
 		"Logged chunks replayed by the most recent recovery.",
@@ -77,13 +77,12 @@ func (d *Deployer) AppendIngestLog(records [][]byte) (uint64, error) {
 	return d.wal.Append(records, d.snap.Load().version)
 }
 
-// AbortIngestLog marks a logged chunk as never-to-replay: its enqueue was
-// rejected after the append succeeded, or its tick failed. Safe to call
-// with the 0 sentinel. The abort record is fsynced before this returns, so
-// the rejection a caller answers next survives a crash; if the record
-// cannot be written, recovery replays the chunk (at-least-once for this
-// disk-failure case) rather than losing it.
-func (d *Deployer) AbortIngestLog(seq uint64) {
+// abortIngestLog marks a logged chunk whose tick failed as never-to-replay.
+// Safe to call with the 0 sentinel. The abort record is fsynced before
+// this returns, so the failure survives a crash; if the record cannot be
+// written, recovery replays the chunk (at-least-once for this disk-failure
+// case) rather than losing it.
+func (d *Deployer) abortIngestLog(seq uint64) {
 	if d.wal == nil || seq == 0 {
 		return
 	}

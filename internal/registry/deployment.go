@@ -194,12 +194,6 @@ func (d *Deployment) AppendIngestLog(records [][]byte) (uint64, error) {
 	return d.serving.Load().dep.AppendIngestLog(records)
 }
 
-// AbortIngestLog marks a logged chunk never-to-replay after its enqueue
-// was rejected. Safe with the 0 sentinel.
-func (d *Deployment) AbortIngestLog(seq uint64) {
-	d.serving.Load().dep.AbortIngestLog(seq)
-}
-
 // maybeAutoChallenge closes the drift→challenger loop after an ingest
 // tick: when the champion's drift detector fired since the last check, a
 // shadow challenger is started from the registry's AutoChallenger build

@@ -122,7 +122,7 @@ func (s *Server) registerQueueMetrics(name string) {
 	}
 	s.reg.GaugeFunc("cdml_ingest_queue_depth",
 		"Chunks queued for asynchronous ingest, not yet trained on.",
-		lookup(func(h *depHandle) float64 { return float64(h.q.depth.Load()) }), ls...)
+		lookup(func(h *depHandle) float64 { return float64(h.q.depth()) }), ls...)
 	s.reg.CounterFunc("cdml_ingest_queue_accepted_total",
 		"Async-ingest chunks accepted (202).",
 		lookup(func(h *depHandle) float64 { return float64(h.q.accepted.Load()) }), ls...)

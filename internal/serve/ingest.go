@@ -24,16 +24,14 @@ type ingestItem struct {
 	requestID  string
 	enqueuedAt time.Time
 	// walSeq is the chunk's write-ahead ingest-log sequence number, assigned
-	// by the durable append that precedes the 202 ack (0 = the deployment
-	// has no ingest log). The drainer commits or aborts it after the tick.
+	// by the durable append inside enqueue (0 = the deployment has no
+	// ingest log). The drainer commits or aborts it after the tick.
 	walSeq uint64
 }
 
 // Sentinel enqueue rejections: a full queue is backpressure the client
 // should retry with backoff; a closed queue is a draining server the
-// client should fail over from — conflating them (the old behavior sent
-// queue_full plus Retry-After during shutdown) misleads clients into
-// hammering a server that will never accept.
+// client should fail over from, so it carries no Retry-After.
 var (
 	errQueueFull   = errors.New("serve: ingest queue full")
 	errQueueClosed = errors.New("serve: ingest queue closed")
@@ -47,8 +45,8 @@ const chunkQueueCap = 256
 
 // chunkQueue is the bounded buffer behind POST .../ingest — one per
 // deployment, so a backlogged pipeline never delays its neighbors.
-// Handlers enqueue chunks without blocking; the deployment's single drainer
-// goroutine feeds them to the champion in arrival order, so the
+// Handlers enqueue chunks without waiting for a tick; the deployment's
+// single drainer goroutine feeds them to the champion in log order, so the
 // deployment's serialized writer stays single-writer while HTTP clients get
 // an immediate 202. When the queue is full (training cannot keep up with
 // arrivals) the handler answers 503 queue_full instead of buffering
@@ -57,21 +55,21 @@ type chunkQueue struct {
 	ch   chan ingestItem
 	done chan struct{} // closed when the drainer exits
 
-	// mu guards closed against the enqueue path: enqueue holds the read
-	// lock around the channel send so close's close(ch) (write lock) can
-	// never race a send on a closed channel.
-	mu     sync.RWMutex
+	// mu is the admission mutex: enqueue holds it across the closed and
+	// room checks, the log append and the send, so a chunk's queue
+	// position is its log position and close's close(ch) never races a
+	// send. The drainer never takes it.
+	mu     sync.Mutex
 	closed bool //cdml:guardedby mu
 
 	// pmu guards pending, a FIFO mirror of the queued items' enqueue times:
-	// appended on enqueue, popped after the drainer finishes an item
-	// (matching the depth counter's semantics), so oldestAge reports how
-	// stale the head of the queue is — including an item currently being
-	// trained on, whose wait is still unserved from the client's view.
+	// appended on enqueue, popped after the drainer finishes an item, so
+	// its length is the queue depth and oldestAge reports how stale the
+	// head of the queue is — including an item currently being trained on,
+	// whose wait is still unserved from the client's view.
 	pmu     sync.Mutex
 	pending []time.Time //cdml:guardedby pmu
 
-	depth    atomic.Int64 // chunks enqueued but not yet ingested
 	errs     atomic.Int64 // failed async Ingest calls
 	lastErr  atomic.Value // string: message of the most recent failure
 	accepted atomic.Int64 // chunks accepted (202)
@@ -117,48 +115,35 @@ func newChunkQueue(capacity int) *chunkQueue {
 	}
 }
 
-// enqueue offers one chunk; on success it reports the post-enqueue depth,
-// otherwise the error distinguishes a full queue (errQueueFull) from a
-// draining one (errQueueClosed).
+// enqueue admits one chunk in one critical section: it refuses a closed
+// (errQueueClosed) or full (errQueueFull) queue before logging anything,
+// then appends the chunk with appendLog, stamps it and sends it. On success
+// it reports the post-enqueue depth; an append error is returned as is and
+// queues nothing. Only enqueue sends, under mu, and the drainer only
+// receives, so the room checked is still there at the send.
 //
-// pmu is held across the channel send: the pending-times mirror append
-// must land inside the same critical section, because the drainer's
-// itemDone (which also takes pmu) can run the moment the send completes —
-// appending after the send, as this path once did, let a fast drainer pop
-// an empty slice first and leave an orphaned timestamp that made
-// ingest_oldest_age_seconds grow forever on an idle queue.
-func (q *chunkQueue) enqueue(it ingestItem) (int64, error) {
-	q.mu.RLock()
-	defer q.mu.RUnlock()
+// pmu is held across the send and the mirror append: the drainer's
+// itemDone can run the moment the send completes, and must find the
+// timestamp it pops.
+func (q *chunkQueue) enqueue(it ingestItem, appendLog func([][]byte) (uint64, error)) (int, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.closed {
 		return 0, errQueueClosed
 	}
-	q.pmu.Lock()
-	select {
-	case q.ch <- it:
-		q.pending = append(q.pending, it.enqueuedAt)
-		q.pmu.Unlock()
-		return q.depth.Add(1), nil
-	default:
-		q.pmu.Unlock()
+	if len(q.ch) == cap(q.ch) {
 		return 0, errQueueFull
 	}
-}
-
-// refusal reports without side effects whether enqueue would reject right
-// now — the handler's fast path to avoid a durable log append for a chunk
-// that is about to be 503'd anyway (under overload, wasted fsyncs are
-// exactly what the disk does not need). enqueue re-checks authoritatively.
-func (q *chunkQueue) refusal() error {
-	q.mu.RLock()
-	defer q.mu.RUnlock()
-	if q.closed {
-		return errQueueClosed
+	seq, err := appendLog(it.records)
+	if err != nil {
+		return 0, err
 	}
-	if len(q.ch) == cap(q.ch) {
-		return errQueueFull
-	}
-	return nil
+	it.walSeq, it.enqueuedAt = seq, time.Now()
+	q.pmu.Lock()
+	defer q.pmu.Unlock()
+	q.ch <- it
+	q.pending = append(q.pending, it.enqueuedAt)
+	return len(q.pending), nil
 }
 
 // itemDone pops the head of the pending-times mirror after the drainer has
@@ -183,6 +168,13 @@ func (q *chunkQueue) oldestAge() time.Duration {
 	return time.Since(q.pending[0])
 }
 
+// depth counts the chunks enqueued and not yet ingested.
+func (q *chunkQueue) depth() int {
+	q.pmu.Lock()
+	defer q.pmu.Unlock()
+	return len(q.pending)
+}
+
 // close stops intake; idempotent. Chunks already queued still drain.
 func (q *chunkQueue) close() {
 	q.mu.Lock()
@@ -193,7 +185,7 @@ func (q *chunkQueue) close() {
 	}
 }
 
-// drainHandle is one deployment's consumer goroutine: arrival-order ingest
+// drainHandle is one deployment's consumer goroutine: log-order ingest
 // calls until the queue is closed and empty. A failed tick is recorded and
 // surfaced on /status, not retried — the records are in the client's hands,
 // and the deployment publishes no snapshot for a failed tick, so state
@@ -224,7 +216,6 @@ func (s *Server) drainHandle(h *depHandle) {
 		}
 		q.observeTick(time.Since(start))
 		q.itemDone()
-		q.depth.Add(-1)
 	}
 }
 
@@ -254,7 +245,7 @@ type ingestResponse struct {
 	// Queued counts the raw records accepted into the ingest queue.
 	Queued int `json:"queued"`
 	// QueueDepth is the number of chunks waiting (including this one).
-	QueueDepth int64 `json:"queue_depth"`
+	QueueDepth int `json:"queue_depth"`
 }
 
 // handleIngest is the asynchronous sibling of /train: the chunk is queued
@@ -274,34 +265,18 @@ func handleIngest(s *Server, name string, h *depHandle, w http.ResponseWriter, r
 		writeError(w, http.StatusBadRequest, codeBadRequest, errEmptyRequest)
 		return
 	}
-	it := ingestItem{records: records, enqueuedAt: time.Now()}
+	it := ingestItem{records: records}
 	if sp := obs.FromContext(r.Context()); sp != nil {
 		it.traceID = sp.TraceID
 		it.requestID = sp.RequestID
 	}
-	var depth int64
-	qerr := h.q.refusal()
-	if qerr == nil {
-		seq, err := h.dep.AppendIngestLog(records)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, codeInternal,
-				fmt.Errorf("serve: ingest log append: %w", err))
-			return
-		}
-		it.walSeq = seq
-		depth, qerr = h.q.enqueue(it)
-		if qerr != nil {
-			// The chunk is in the log but will never be drained; mark it so
-			// recovery does not replay a chunk the client saw rejected.
-			h.dep.AbortIngestLog(seq)
-		}
-	}
+	depth, err := h.q.enqueue(it, h.dep.AppendIngestLog)
 	switch {
-	case errors.Is(qerr, errQueueClosed):
+	case errors.Is(err, errQueueClosed):
 		writeError(w, http.StatusServiceUnavailable, codeShuttingDown,
 			errors.New("serve: ingest is draining for shutdown; chunk not accepted"))
 		return
-	case qerr != nil:
+	case errors.Is(err, errQueueFull):
 		h.q.rejected.Add(1)
 		// Retry-After tells the client when a slot is likely free: the queue
 		// drains one chunk per tick, so a recent tick duration is the honest
@@ -309,6 +284,10 @@ func handleIngest(s *Server, name string, h *depHandle, w http.ResponseWriter, r
 		w.Header().Set("Retry-After", strconv.Itoa(h.q.retryAfterSeconds()))
 		writeError(w, http.StatusServiceUnavailable, codeQueueFull,
 			fmt.Errorf("serve: ingest queue full (capacity %d); retry with backoff", cap(h.q.ch)))
+		return
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, codeInternal,
+			fmt.Errorf("serve: ingest log append: %w", err))
 		return
 	}
 	h.q.accepted.Add(1)
@@ -348,8 +327,8 @@ type statusResponse struct {
 	// last sync); present only on replicas, whose Role is "replica".
 	Replica *replicaInfo `json:"replica,omitempty"`
 	// IngestQueueDepth / IngestQueueCapacity describe the async queue.
-	IngestQueueDepth    int64 `json:"ingest_queue_depth"`
-	IngestQueueCapacity int   `json:"ingest_queue_capacity"`
+	IngestQueueDepth    int `json:"ingest_queue_depth"`
+	IngestQueueCapacity int `json:"ingest_queue_capacity"`
 	// IngestOldestAgeSeconds is how long the oldest unfinished queued chunk
 	// has been waiting (0 when the queue is idle) — the ingest-side
 	// staleness bound: data older than this is not yet in the model.
@@ -381,7 +360,7 @@ type walInfo struct {
 	LastSeq uint64 `json:"last_seq"`
 	// AppendedTotal / AppliedTotal / AbortedTotal count chunks durably
 	// appended (one per 202 ack), committed by a tick, and marked
-	// never-replay (rejected after append, or failed tick).
+	// never-replay by a failed tick.
 	AppendedTotal uint64 `json:"appended_total"`
 	AppliedTotal  uint64 `json:"applied_total"`
 	AbortedTotal  uint64 `json:"aborted_total"`
@@ -444,7 +423,7 @@ func handleStatus(s *Server, name string, h *depHandle, w http.ResponseWriter, r
 		WindowLoss:             res.RecentLoss,
 		WindowEvaluated:        res.RecentCount,
 		HasRollback:            h.dep.HasRollback(),
-		IngestQueueDepth:       h.q.depth.Load(),
+		IngestQueueDepth:       h.q.depth(),
 		IngestQueueCapacity:    cap(h.q.ch),
 		IngestOldestAgeSeconds: h.q.oldestAge().Seconds(),
 		IngestAsyncErrors:      h.q.errs.Load(),

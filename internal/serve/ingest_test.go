@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -23,6 +25,7 @@ import (
 	"cdml/internal/pipeline"
 	"cdml/internal/registry"
 	"cdml/internal/sample"
+	"cdml/internal/snapstream"
 	"cdml/internal/wal"
 )
 
@@ -95,28 +98,23 @@ func TestAsyncIngestAcceptsAndDrains(t *testing.T) {
 	}
 }
 
-// TestIngestQueuePendingMirrorNoOrphans is the -race regression test for
-// the pending-times bookkeeping: enqueue once appended to the mirror only
-// after the channel send, so a drainer fast enough to finish the item
-// first popped an empty slice (a no-op) and the late append left an
-// orphaned timestamp — ingest_oldest_age_seconds then grew forever on an
-// idle queue. The mirror append now lands inside the same critical
-// section as the send; with a full-speed consumer hammering itemDone, an
-// idle queue must end with zero pending entries.
-func TestIngestQueuePendingMirrorNoOrphans(t *testing.T) {
+// noLog is the ingest-log append of a deployment that has none.
+func noLog([][]byte) (uint64, error) { return 0, nil }
+
+// TestIngestQueueIdleReportsZeroAgeAndDepth races a full-speed consumer
+// against every enqueue: once idle, the queue reports zero age and depth.
+func TestIngestQueueIdleReportsZeroAgeAndDepth(t *testing.T) {
 	q := newChunkQueue(1)
-	past := time.Now().Add(-time.Hour)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for range q.ch {
 			q.itemDone()
-			q.depth.Add(-1)
 		}
 	}()
 	for i := 0; i < 1000; i++ {
 		for {
-			if _, err := q.enqueue(ingestItem{enqueuedAt: past}); err == nil {
+			if _, err := q.enqueue(ingestItem{}, noLog); err == nil {
 				break
 			}
 			runtime.Gosched() // full queue: let the consumer run
@@ -125,9 +123,9 @@ func TestIngestQueuePendingMirrorNoOrphans(t *testing.T) {
 	q.close()
 	<-done
 	if age := q.oldestAge(); age != 0 {
-		t.Fatalf("idle queue reports oldest age %v — orphaned pending timestamp", age)
+		t.Fatalf("idle queue reports oldest age %v", age)
 	}
-	if d := q.depth.Load(); d != 0 {
+	if d := q.depth(); d != 0 {
 		t.Fatalf("idle queue depth %d, want 0", d)
 	}
 }
@@ -238,6 +236,114 @@ func TestIngestWALSurfacesOnStatus(t *testing.T) {
 	}
 	if st.WAL.LastSeq != chunks {
 		t.Fatalf("wal last_seq = %d, want %d", st.WAL.LastSeq, chunks)
+	}
+}
+
+// TestChaosConcurrentIngestTrainsInLogOrder posts chunks from concurrent
+// clients to a logged deployment with proactive training on. The drainer
+// must train them in the order the log holds them: the commit records name
+// their data sequence numbers in increasing order, and a deployer that
+// replays a copy of the log ends at the live payload, byte for byte.
+func TestChaosConcurrentIngestTrainsInLogOrder(t *testing.T) {
+	const clients, chunks = 8, 25
+	cfg, dir := testConfig(), t.TempDir()
+	cfg.IngestLog = &wal.Options{Dir: dir}
+	dep, err := core.NewDeployer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(dep, WithSlog(nil))
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+
+	var wg sync.WaitGroup
+	for c := range clients {
+		r := rand.New(rand.NewSource(int64(100 + c)))
+		bodies := make([]string, chunks)
+		for i := range bodies {
+			bodies[i] = chunkBody(r, 10)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, body := range bodies {
+				resp, err := ts.Client().Post(ts.URL+"/v1/deployments/default/ingest", "text/plain", strings.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusAccepted {
+					t.Errorf(".../ingest status %d", resp.StatusCode)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.DrainIngest(ctx); err != nil || t.Failed() {
+		t.Fatal(err)
+	}
+
+	// The commit records, in log order.
+	replayDir := t.TempDir()
+	paths, err := filepath.Glob(filepath.Join(dir, "wal-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var commits []uint64
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err == nil {
+			err = os.WriteFile(filepath.Join(replayDir, filepath.Base(p)), b, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for len(b) > 0 {
+			f, next, err := snapstream.NextFrame("CDMLWAL1", p, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Payload[0] == 2 { // a commit record; its frame version is the data seq
+				commits = append(commits, f.Version)
+			}
+			b = next
+		}
+	}
+	inverted := 0
+	for i := 1; i < len(commits); i++ {
+		if commits[i] < commits[i-1] {
+			inverted++
+		}
+	}
+	if len(commits) != clients*chunks || inverted > 0 {
+		t.Fatalf("%d commit records, %d of them after a higher sequence number: the drainer trained chunks out of log order", len(commits), inverted)
+	}
+
+	cfg = testConfig()
+	cfg.IngestLog = &wal.Options{Dir: replayDir}
+	replay, err := core.NewDeployer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replay.Shutdown()
+	if n, err := replay.ReplayIngestLog(); err != nil || n != clients*chunks {
+		t.Fatalf("replayed %d chunks (err %v), want %d", n, err, clients*chunks)
+	}
+	live, err := dep.Current().Frame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := replay.Current().Frame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Version != live.Version || !bytes.Equal(got.Payload, live.Payload) {
+		t.Fatalf("the replay ended at version %d, the live deployment at %d; payloads equal: %v",
+			got.Version, live.Version, bytes.Equal(got.Payload, live.Payload))
 	}
 }
 

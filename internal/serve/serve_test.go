@@ -55,9 +55,10 @@ func (testParser) Parse(records [][]byte) (*data.Frame, error) {
 	return f, nil
 }
 
-func newTestServer(t *testing.T) (*Server, *httptest.Server) {
-	t.Helper()
-	cfg := core.Config{
+// testConfig is newTestServer's deployment: a fresh store and sampler each
+// call, so two deployers built from it start in the same state.
+func testConfig() core.Config {
+	return core.Config{
 		Mode: core.ModeContinuous,
 		NewPipeline: func() *pipeline.Pipeline {
 			return pipeline.New(testParser{},
@@ -74,7 +75,11 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 		Metric:         &eval.Misclassification{},
 		Predict:        core.ClassifyPredictor,
 	}
-	dep, err := core.NewDeployer(cfg)
+}
+
+func newTestServer(t *testing.T) (*Server, *httptest.Server) {
+	t.Helper()
+	dep, err := core.NewDeployer(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,10 +28,9 @@
 // with applied ≤ V is durable too, and replay after recovering V is
 // exactly the records with no commit, a commit > V, or — never — a torn
 // tail the ack did not cover. An abort record is a commit whose applied
-// field is the reserved mark ^uint64(0): the record was rejected after
-// append (queue full/closed) or its tick failed, and must not replay. It
-// is fsynced before MarkAborted returns, so a chunk the client was told was
-// rejected never replays.
+// field is the reserved mark ^uint64(0): the record's tick failed, and it
+// must not replay. It is fsynced before MarkAborted returns, so a chunk
+// whose failure was surfaced never replays.
 //
 // Segment rolls follow the checkpoint file discipline: the active file is
 // fsynced, closed, renamed to its sealed name, and the directory entry
@@ -399,12 +398,12 @@ func (l *Log) MarkApplied(seq, version uint64) error {
 	return nil
 }
 
-// MarkAborted records that data seq must never replay: its enqueue was
-// rejected after the append, or its tick failed (failed async ticks are
-// surfaced, not retried — replaying one on recovery would diverge from
-// the uninterrupted run). Unlike a commit, the abort record is fsynced
-// before MarkAborted returns: the rejection it stands for is answered next,
-// and nothing else would make it durable before a checkpoint covers it.
+// MarkAborted records that data seq must never replay: its tick failed
+// (failed async ticks are surfaced, not retried — replaying one on
+// recovery would diverge from the uninterrupted run). Unlike a commit, the
+// abort record is fsynced before MarkAborted returns: the failure it
+// stands for is surfaced next, and nothing else would make it durable
+// before a checkpoint covers it.
 func (l *Log) MarkAborted(seq uint64) error {
 	return l.MarkApplied(seq, abortedMark)
 }
